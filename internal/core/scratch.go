@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 
+	"d3l/internal/lsh"
 	"d3l/internal/stats"
 )
 
@@ -85,6 +86,9 @@ type workerScratch struct {
 	ids []int32
 	// evals is the target ESig hash-value buffer for the I_E probe.
 	evals []uint64
+	// depths is the one-walk depth-probe scratch of the shard probe
+	// phase (lsh.Forest.DepthCounts), shared by the four forests.
+	depths lsh.DepthScratch
 
 	// visited/vEpoch: epoch-stamped membership over attribute ids,
 	// replacing gatherColumn's seen map.

@@ -119,10 +119,31 @@ func shardProbeSkips(tp *Profile, disabled *[NumEvidence]bool) [NumForestSlots]b
 	return skip
 }
 
+// shardMeta is the query shape a resolved view gives a profiled target.
+func shardMeta(view *specView, numCols int) ShardQueryMeta {
+	return ShardQueryMeta{
+		NumCols:  numCols,
+		K:        view.k,
+		Budget:   view.budget,
+		Disabled: view.disabled,
+		Weights:  view.weights,
+		Uniform:  view.uniform,
+	}
+}
+
 // ShardProbeSpec runs the probe phase for one query on this shard:
-// resolve the spec, profile the target, and report the per-depth
-// candidate counts of every enabled forest probe.
+// profile the target, then ShardProbeProfiled.
 func (e *Engine) ShardProbeSpec(ctx context.Context, target *table.Table, spec QuerySpec) (*ShardProbe, error) {
+	return e.ShardProbeProfiled(ctx, e.ProfileTarget(target), spec)
+}
+
+// ShardProbeProfiled runs the probe phase over an already profiled
+// target (ProfileTarget's output, read-only here): resolve the spec and
+// report the per-depth candidate counts of every enabled forest probe.
+// ProfileTarget is a pure function of the table and the engine's
+// immutable options, so one profiling pass serves every identically
+// configured shard and both phases of the query.
+func (e *Engine) ShardProbeProfiled(ctx context.Context, tprofiles []Profile, spec QuerySpec) (*ShardProbe, error) {
 	view, err := e.resolve(spec)
 	if err != nil {
 		return nil, err
@@ -130,44 +151,39 @@ func (e *Engine) ShardProbeSpec(ctx context.Context, target *table.Table, spec Q
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tprofiles := e.ProfileTarget(target)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	probe := &ShardProbe{
-		Meta: ShardQueryMeta{
-			NumCols:  len(tprofiles),
-			K:        view.k,
-			Budget:   view.budget,
-			Disabled: view.disabled,
-			Weights:  view.weights,
-			Uniform:  view.uniform,
-		},
+		Meta:   shardMeta(&view, len(tprofiles)),
 		Counts: make([][NumForestSlots][]int32, len(tprofiles)),
 	}
+	ws := e.getWorkerScratch()
+	defer e.putWorkerScratch(ws)
 	for col := range tprofiles {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		tp := &tprofiles[col]
 		skip := shardProbeSkips(tp, &view.disabled)
+		counts := &probe.Counts[col]
 		if !skip[forestSlotN] {
-			if probe.Counts[col][forestSlotN], err = e.forestN.DepthCounts(tp.QSig); err != nil {
+			if counts[forestSlotN], err = e.forestN.DepthCounts(tp.QSig, &ws.depths); err != nil {
 				return nil, err
 			}
 		}
 		if !skip[forestSlotV] {
-			if probe.Counts[col][forestSlotV], err = e.forestV.DepthCounts(tp.TSig); err != nil {
+			if counts[forestSlotV], err = e.forestV.DepthCounts(tp.TSig, &ws.depths); err != nil {
 				return nil, err
 			}
 		}
 		if !skip[forestSlotF] {
-			if probe.Counts[col][forestSlotF], err = e.forestF.DepthCounts(tp.RSig); err != nil {
+			if counts[forestSlotF], err = e.forestF.DepthCounts(tp.RSig, &ws.depths); err != nil {
 				return nil, err
 			}
 		}
 		if !skip[forestSlotE] {
-			evals := tp.ESig.HashValuesInto(nil)
-			if probe.Counts[col][forestSlotE], err = e.forestE.DepthCounts(evals); err != nil {
+			ws.evals = tp.ESig.HashValuesInto(ws.evals[:0])
+			if counts[forestSlotE], err = e.forestE.DepthCounts(ws.evals, &ws.depths); err != nil {
 				return nil, err
 			}
 		}
@@ -213,7 +229,8 @@ func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 				continue // skipped probe; depth stays 0
 			}
 			h := len(ref)
-			sum = append(sum[:0], make([]int64, h)...)
+			sum = slices.Grow(sum[:0], h)[:h]
+			clear(sum)
 			for _, p := range probes {
 				for d := range p.Counts[col][slot] {
 					sum[d] += int64(p.Counts[col][slot][d])
@@ -233,11 +250,18 @@ func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 }
 
 // ShardGatherSpec runs the gather phase on this shard at the imposed
-// depths: fixed-depth candidate collection, pair distances, per-table
-// best-pair rows, and the Eq. 2 sample vectors. The resolved view must
-// match the directive's meta — a mismatch means the shard's engine
-// options drifted from its peers since the probe.
+// depths: profile the target, then ShardGatherProfiled.
 func (e *Engine) ShardGatherSpec(ctx context.Context, target *table.Table, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
+	return e.ShardGatherProfiled(ctx, e.ProfileTarget(target), spec, depths)
+}
+
+// ShardGatherProfiled runs the gather phase over an already profiled
+// target (read-only here) at the imposed depths: fixed-depth candidate
+// collection, pair distances, per-table best-pair rows, and the Eq. 2
+// sample vectors. The resolved view must match the directive's meta —
+// a mismatch means the shard's engine options drifted from its peers
+// since the probe.
+func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
 	view, err := e.resolve(spec)
 	if err != nil {
 		return nil, err
@@ -245,15 +269,7 @@ func (e *Engine) ShardGatherSpec(ctx context.Context, target *table.Table, spec 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tprofiles := e.ProfileTarget(target)
-	meta := ShardQueryMeta{
-		NumCols:  len(tprofiles),
-		K:        view.k,
-		Budget:   view.budget,
-		Disabled: view.disabled,
-		Weights:  view.weights,
-		Uniform:  view.uniform,
-	}
+	meta := shardMeta(&view, len(tprofiles))
 	if meta != depths.Meta {
 		return nil, fmt.Errorf("core: gather query shape disagrees with the depth directive")
 	}
@@ -394,8 +410,11 @@ func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 		if p.Meta != meta {
 			return nil, st, fmt.Errorf("core: shard %d gathered a different query shape", i)
 		}
-		if !meta.Uniform && len(p.Samples) != numCols*int(NumEvidence) {
-			return nil, st, fmt.Errorf("core: shard %d shipped %d sample cells, want %d", i, len(p.Samples), numCols*int(NumEvidence))
+		// scoreShardTable indexes the ECDF cells by a row's target column
+		// and divides by a table's row count: a partial is checked here,
+		// whichever way it arrived, before either can go wrong.
+		if err := p.Validate(); err != nil {
+			return nil, st, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 

@@ -39,17 +39,26 @@ func buildMirrorShards(t testing.TB, lake *table.Lake, n int) []*Engine {
 	return shards
 }
 
-// shardSearch runs the full scatter-gather protocol over the shards.
+// shardSearch runs the full scatter-gather protocol over the shards the
+// two ways the serving paths do: even shards profile the target
+// themselves (a replica's handler on a memo miss), odd shards run on
+// shard 0's profiles (shard.Set's prepare-once), and every partial
+// crosses the binary wire before the merge (shard.Remote).
 func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec QuerySpec) ([]TableResult, SearchStats) {
 	t.Helper()
 	ctx := context.Background()
+	shared := shards[0].ProfileTarget(target)
 	probes := make([]*ShardProbe, len(shards))
 	for i, e := range shards {
-		p, err := e.ShardProbeSpec(ctx, target, spec)
+		var err error
+		if i%2 == 0 {
+			probes[i], err = e.ShardProbeSpec(ctx, target, spec)
+		} else {
+			probes[i], err = e.ShardProbeProfiled(ctx, shared, spec)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		probes[i] = p
 	}
 	depths, err := MergeProbeDepths(probes)
 	if err != nil {
@@ -57,11 +66,18 @@ func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec Query
 	}
 	partials := make([]*ShardPartial, len(shards))
 	for i, e := range shards {
-		p, err := e.ShardGatherSpec(ctx, target, spec, depths)
+		var p *ShardPartial
+		if i%2 == 0 {
+			p, err = e.ShardGatherSpec(ctx, target, spec, depths)
+		} else {
+			p, err = e.ShardGatherProfiled(ctx, shared, spec, depths)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		partials[i] = p
+		if partials[i], err = DecodeShardPartial(EncodeShardPartial(p)); err != nil {
+			t.Fatalf("shard %d: partial does not survive the wire: %v", i, err)
+		}
 	}
 	ranked, stats, err := MergeShardPartials(depths, partials)
 	if err != nil {

@@ -55,6 +55,15 @@ type Rules struct {
 	// BlackholeProb accepts the request and never answers: the
 	// client hangs until its own deadline fires.
 	BlackholeProb float64 `json:"blackholeProb"`
+	// CorruptProb forwards the request and damages the response body
+	// in a way HTTP cannot notice — one flipped bit, or the second
+	// half dropped under a Content-Length that matches what is left
+	// (the per-request draw picks which) — so the damage reaches the
+	// client's decoder instead of its transport.
+	CorruptProb float64 `json:"corruptProb"`
+	// Path, when set, confines every fault above to requests for
+	// exactly this URL path; all others are forwarded clean.
+	Path string `json:"path"`
 }
 
 // Stats counts what the proxy did, for assertions and /_fault/stats.
@@ -65,6 +74,7 @@ type Stats struct {
 	Resets     uint64 `json:"resets"`
 	Truncated  uint64 `json:"truncated"`
 	Blackholes uint64 `json:"blackholes"`
+	Corrupted  uint64 `json:"corrupted"`
 }
 
 // Proxy is the fault-injecting reverse proxy; it implements
@@ -82,6 +92,7 @@ type Proxy struct {
 	resets     atomic.Uint64
 	truncated  atomic.Uint64
 	blackholes atomic.Uint64
+	corrupted  atomic.Uint64
 }
 
 // New builds a proxy forwarding to target (a base URL such as
@@ -123,6 +134,7 @@ func (p *Proxy) Stats() Stats {
 		Resets:     p.resets.Load(),
 		Truncated:  p.truncated.Load(),
 		Blackholes: p.blackholes.Load(),
+		Corrupted:  p.corrupted.Load(),
 	}
 }
 
@@ -135,6 +147,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rules := *p.rules.Load()
+	if rules.Path != "" && rules.Path != r.URL.Path {
+		p.forwarded.Add(1)
+		p.rp.ServeHTTP(w, r)
+		return
+	}
 	i := p.seq.Add(1)
 	draw := newDraw(p.seed, i)
 	switch {
@@ -165,6 +182,10 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case draw.hit(rules.TruncateProb):
 		p.truncated.Add(1)
 		p.truncate(w, r)
+		return
+	case draw.hit(rules.CorruptProb):
+		p.corrupted.Add(1)
+		p.corrupt(w, r, draw)
 		return
 	}
 	if rules.Latency > 0 && draw.hit(rules.LatencyProb) {
@@ -199,26 +220,36 @@ func (p *Proxy) reset(w http.ResponseWriter) {
 	conn.Close()
 }
 
-// truncate forwards the request upstream, then replays the response
-// with a truthful Content-Length but only half the body before
-// closing — the client reads an unexpected EOF mid-body, the
-// truncated-response failure mode a crashing backend produces.
-func (p *Proxy) truncate(w http.ResponseWriter, r *http.Request) {
+// fetch forwards the request upstream and reads the whole response,
+// answering 502 itself when the backend cannot be reached.
+func (p *Proxy) fetch(w http.ResponseWriter, r *http.Request) (*http.Response, []byte, bool) {
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, p.target.ResolveReference(&url.URL{Path: r.URL.Path, RawQuery: r.URL.RawQuery}).String(), r.Body)
 	if err != nil {
 		w.WriteHeader(http.StatusBadGateway)
-		return
+		return nil, nil, false
 	}
 	out.Header = r.Header.Clone()
 	resp, err := http.DefaultTransport.RoundTrip(out)
 	if err != nil {
 		w.WriteHeader(http.StatusBadGateway)
-		return
+		return nil, nil, false
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		w.WriteHeader(http.StatusBadGateway)
+		return nil, nil, false
+	}
+	return resp, body, true
+}
+
+// truncate forwards the request upstream, then replays the response
+// with a truthful Content-Length but only half the body before
+// closing — the client reads an unexpected EOF mid-body, the
+// truncated-response failure mode a crashing backend produces.
+func (p *Proxy) truncate(w http.ResponseWriter, r *http.Request) {
+	resp, body, ok := p.fetch(w, r)
+	if !ok {
 		return
 	}
 	hj, ok := w.(http.Hijacker)
@@ -239,6 +270,27 @@ func (p *Proxy) truncate(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(buf, "Connection: close\r\n\r\n")
 	buf.Write(body[:len(body)/2])
 	buf.Flush()
+}
+
+// corrupt forwards the request upstream and replays a well-formed
+// response around a damaged body: status and content type intact, the
+// body either one bit off or cut to its first half, Content-Length
+// agreeing with what is sent. Only a checksum or a strict decoder on
+// the client can tell.
+func (p *Proxy) corrupt(w http.ResponseWriter, r *http.Request, d *draw) {
+	resp, body, ok := p.fetch(w, r)
+	if !ok {
+		return
+	}
+	if d.hit(0.5) {
+		body = body[:len(body)/2]
+	} else if len(body) > 0 {
+		bit := d.next() % uint64(8*len(body))
+		body[bit/8] ^= 1 << (bit % 8)
+	}
+	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
+	w.WriteHeader(resp.StatusCode)
+	w.Write(body)
 }
 
 func (p *Proxy) serveControl(w http.ResponseWriter, r *http.Request) {
@@ -280,9 +332,13 @@ func (d *draw) hit(prob float64) bool {
 	if prob <= 0 {
 		return false
 	}
+	return float64(d.next()>>11)/(1<<53) < prob
+}
+
+// next advances the stream by one 64-bit value.
+func (d *draw) next() uint64 {
 	d.state += 0x9E3779B97F4A7C15
-	u := float64(mix(d.state)>>11) / (1 << 53)
-	return u < prob
+	return mix(d.state)
 }
 
 func mix(x uint64) uint64 {

@@ -238,3 +238,52 @@ func TestBadTarget(t *testing.T) {
 		}
 	}
 }
+
+// TestCorruptAndPath: a corrupted answer is a well-formed 200 whose
+// body differs from the backend's — same length with one bit off, or
+// the first half alone — and a Path rule confines the damage to that
+// path.
+func TestCorruptAndPath(t *testing.T) {
+	up := backend(t)
+	clean, err := http.Get(up.URL + "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := io.ReadAll(clean.Body)
+	clean.Body.Close()
+
+	p, front := proxyFor(t, up.URL, 3)
+	p.SetRules(Rules{CorruptProb: 1, Path: "/hit"})
+	flipped, halved := 0, 0
+	for i := 0; i < 32; i++ {
+		for _, path := range []string{"/hit", "/miss"} {
+			resp, err := http.Get(front.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil || resp.StatusCode != 200 || resp.Header.Get("Content-Type") != "application/json" {
+				t.Fatalf("%s: status %d type %q read error %v — corruption must stay invisible to HTTP", path, resp.StatusCode, resp.Header.Get("Content-Type"), err)
+			}
+			switch {
+			case path == "/miss":
+				if string(got) != string(want) {
+					t.Fatalf("/miss was damaged: %q", got)
+				}
+			case len(got) == len(want)/2 && string(got) == string(want[:len(want)/2]):
+				halved++
+			case len(got) == len(want) && string(got) != string(want):
+				flipped++
+			default:
+				t.Fatalf("/hit answered %q, neither bit-flipped nor halved", got)
+			}
+		}
+	}
+	if flipped == 0 || halved == 0 {
+		t.Fatalf("32 corruptions: %d flipped, %d halved — want both kinds", flipped, halved)
+	}
+	if st := p.Stats(); st.Corrupted != 32 || st.Forwarded != 32 {
+		t.Fatalf("stats diverge: %+v", st)
+	}
+}

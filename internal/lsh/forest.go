@@ -420,6 +420,9 @@ func (f *Forest) QueryMinDepth(sig []uint64, depth int) ([]int32, error) {
 	if !f.indexed {
 		return nil, fmt.Errorf("lsh: QueryMinDepth before Index")
 	}
+	if len(sig) < f.MinSignatureLen() {
+		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	}
 	if depth < 1 {
 		depth = 1
 	}
@@ -477,39 +480,116 @@ func (f *Forest) QueryMinDepthInto(sig []uint64, depth int, dst []int32) ([]int3
 	return dst[:base+len(region)], nil
 }
 
+// DepthScratch is the caller-owned working memory of DepthCounts: an
+// epoch-stamped per-id array (the same trick as core's visited stamps,
+// so starting a probe is one integer increment, not an O(ids) clear)
+// plus the list of ids the current probe touched. The zero value is
+// ready; one scratch serves any number of forests and probes, one probe
+// at a time.
+type DepthScratch struct {
+	// deepest[id] packs epoch<<32 | depth: the deepest prefix id has
+	// matched in the current probe. A stale stamp carries a smaller
+	// epoch, so it compares below every live value and a single
+	// "raise to max" both claims the slot and keeps the maximum.
+	deepest []uint64
+	epoch   uint32
+	touched []int32
+}
+
+// begin starts a probe: a fresh epoch and an empty touched list.
+func (s *DepthScratch) begin() {
+	s.epoch++
+	if s.epoch == 0 { // wraparound: stale stamps could alias
+		clear(s.deepest)
+		s.epoch = 1
+	}
+	s.touched = s.touched[:0]
+}
+
+// raise records that every id of one peeled run matched a prefix of
+// exactly the given depth in some tree.
+func (s *DepthScratch) raise(ids []int32, depth int) error {
+	v := uint64(s.epoch)<<32 | uint64(depth)
+	for _, id := range ids {
+		if id < 0 {
+			return fmt.Errorf("lsh: DepthCounts over negative id %d", id)
+		}
+		if int(id) >= len(s.deepest) {
+			s.deepest = append(s.deepest, make([]uint64, int(id)+1-len(s.deepest))...)
+		}
+		if old := s.deepest[id]; old < v {
+			if uint32(old>>32) != s.epoch {
+				s.touched = append(s.touched, id)
+			}
+			s.deepest[id] = v
+		}
+	}
+	return nil
+}
+
 // DepthCounts reports, for every prefix depth d = 1..hashesPerTree, how
 // many distinct indexed ids share a length-d key prefix with the query
 // signature in at least one tree — the per-depth candidate-set sizes
 // QueryInto's self-tuning descent decides on. Counts[d-1] is the size at
 // depth d; the vector is non-increasing in d (prefix nesting).
 //
+// It is computed in one walk. An id is a depth-d candidate iff some
+// tree holds it under a key agreeing with the query on at least d
+// leading bytes, i.e. iff its deepest match over all trees is >= d. So
+// each tree's depth-1 range is visited once: narrowing it byte by byte
+// (the entries agreeing on d-1 bytes are sorted by byte d) peels off
+// the entries whose match is exactly d-1 deep, every entry raises its
+// id's deepest match, and the suffix sum of the histogram of deepest
+// matches is the vector of distinct counts — no per-depth collect,
+// sort and compact. Ids must be non-negative (they index the scratch).
+//
 // This is the scatter half of the sharded probe protocol: per-depth
 // distinct counts are additive across engines indexing disjoint id sets,
 // so a coordinator that sums the vectors of every shard recovers the
 // exact counts of the equivalent monolithic forest and can impose the
 // depth the monolith's descent would have stopped at (see
-// core.MergeProbeDepths).
-func (f *Forest) DepthCounts(sig []uint64) ([]int32, error) {
+// core.MergeProbeDepths). The returned vector is the only allocation
+// once the scratch has grown to the forest's id range.
+func (f *Forest) DepthCounts(sig []uint64, s *DepthScratch) ([]int32, error) {
 	if !f.indexed {
 		return nil, fmt.Errorf("lsh: DepthCounts before Index")
 	}
 	if len(sig) < f.MinSignatureLen() {
 		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
 	}
+	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
-	counts := make([]int32, f.hashesPerTree)
-	var scratch []int32
-	for depth := 1; depth <= f.hashesPerTree; depth++ {
-		scratch = scratch[:0]
-		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
-			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
-			scratch = append(scratch, tree.ids[lo:hi]...)
+	s.begin()
+	for t := 0; t < f.numTrees; t++ {
+		tree := &f.trees[t]
+		f.keyInto(key, t, sig)
+		lo, hi := f.prefixRange(tree, key, 1)
+		// Invariant: entries [lo, hi) agree with key on depth bytes.
+		for depth := 1; lo < hi; depth++ {
+			nlo, nhi := hi, hi // at depth h every entry left is a full match: peel them all
+			if depth < h {
+				want := key[depth]
+				nlo = lo + sort.Search(hi-lo, func(i int) bool { return tree.keys[(lo+i)*h+depth] >= want })
+				nhi = nlo + sort.Search(hi-nlo, func(i int) bool { return tree.keys[(nlo+i)*h+depth] > want })
+			}
+			if err := s.raise(tree.ids[lo:nlo], depth); err != nil {
+				return nil, err
+			}
+			if err := s.raise(tree.ids[nhi:hi], depth); err != nil {
+				return nil, err
+			}
+			lo, hi = nlo, nhi
 		}
-		slices.Sort(scratch)
-		counts[depth-1] = int32(len(slices.Compact(scratch)))
+	}
+	// Histogram the deepest matches into the answer, then suffix-sum it
+	// in place: counts[d-1] = |{id : deepest(id) >= d}|.
+	counts := make([]int32, h)
+	for _, id := range s.touched {
+		counts[uint32(s.deepest[id])-1]++
+	}
+	for d := h - 1; d >= 1; d-- {
+		counts[d-1] += counts[d]
 	}
 	return counts, nil
 }

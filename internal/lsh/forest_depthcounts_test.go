@@ -1,20 +1,110 @@
 package lsh
 
 import (
+	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 )
 
-// TestDepthCountsMatchesQueryMinDepth checks that DepthCounts[d-1] is
-// exactly the distinct candidate count QueryMinDepth observes at depth
-// d, and that the vector is non-increasing (prefix nesting).
-func TestDepthCountsMatchesQueryMinDepth(t *testing.T) {
-	f, sigs := randomForest(t, 11, 90)
-	for i, sig := range sigs {
-		counts, err := f.DepthCounts(sig)
-		if err != nil {
-			t.Fatal(err)
+// depthCountsReference is the per-depth implementation DepthCounts
+// shipped with before the one-walk rewrite, kept verbatim as the
+// oracle: for every depth it re-collects each tree's prefix range,
+// sorts, compacts and counts. hashesPerTree passes, obviously right.
+func depthCountsReference(f *Forest, sig []uint64) ([]int32, error) {
+	if !f.indexed {
+		return nil, fmt.Errorf("lsh: DepthCounts before Index")
+	}
+	if len(sig) < f.MinSignatureLen() {
+		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	}
+	var kb [keyStackBytes]byte
+	key := f.keyScratch(kb[:])
+	counts := make([]int32, f.hashesPerTree)
+	var scratch []int32
+	for depth := 1; depth <= f.hashesPerTree; depth++ {
+		scratch = scratch[:0]
+		for t := 0; t < f.numTrees; t++ {
+			tree := &f.trees[t]
+			f.keyInto(key, t, sig)
+			lo, hi := f.prefixRange(tree, key, depth)
+			scratch = append(scratch, tree.ids[lo:hi]...)
 		}
+		slices.Sort(scratch)
+		counts[depth-1] = int32(len(slices.Compact(scratch)))
+	}
+	return counts, nil
+}
+
+// checkDepthCounts compares the one-walk probe with the reference for
+// one signature, reusing the caller's scratch the way the engine does.
+func checkDepthCounts(t *testing.T, f *Forest, sig []uint64, s *DepthScratch, label string) []int32 {
+	t.Helper()
+	want, err := depthCountsReference(f, sig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.DepthCounts(sig, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: one-walk DepthCounts\n got  %v\n want %v", label, got, want)
+	}
+	for d := 1; d < len(got); d++ {
+		if got[d] > got[d-1] {
+			t.Fatalf("%s: counts increase from depth %d to %d: %v", label, d, d+1, got)
+		}
+	}
+	return got
+}
+
+// randomSig draws a signature whose byte keys share long prefixes with
+// other draws from the same (small) alphabet, so every depth sees
+// partial matches, full matches and misses.
+func randomSig(rng *rand.Rand, n, alphabet int) []uint64 {
+	sig := make([]uint64, n)
+	for i := range sig {
+		sig[i] = uint64(rng.Intn(alphabet))
+	}
+	return sig
+}
+
+// TestDepthCountsMatchesReference property-tests the one-walk probe
+// against the per-depth reference over random forests of several
+// layouts, including a layout whose keys outgrow keyStackBytes.
+func TestDepthCountsMatchesReference(t *testing.T) {
+	layouts := []struct{ trees, hashes int }{{8, 32}, {1, 1}, {3, 5}, {2, keyStackBytes + 16}}
+	for _, l := range layouts {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			f := MustForest(l.trees, l.hashes)
+			n := 1 + rng.Intn(300)
+			sigs := make([][]uint64, n)
+			for i := range sigs {
+				sigs[i] = randomSig(rng, f.MinSignatureLen(), 2+rng.Intn(3))
+				if err := f.Add(int32(i), sigs[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.Index()
+			var s DepthScratch
+			for i := 0; i < 40; i++ {
+				label := fmt.Sprintf("layout %dx%d seed %d probe %d", l.trees, l.hashes, seed, i)
+				checkDepthCounts(t, f, sigs[rng.Intn(n)], &s, label+" (indexed)")
+				checkDepthCounts(t, f, randomSig(rng, f.MinSignatureLen(), 4), &s, label+" (fresh)")
+			}
+		}
+	}
+}
+
+// TestDepthCountsMinHashForest repeats the comparison on real MinHash
+// signatures and cross-checks every depth against QueryMinDepth.
+func TestDepthCountsMinHashForest(t *testing.T) {
+	f, sigs := randomForest(t, 11, 90)
+	var s DepthScratch
+	for i, sig := range sigs {
+		counts := checkDepthCounts(t, f, sig, &s, fmt.Sprintf("sig %d", i))
 		if len(counts) != 32 {
 			t.Fatalf("sig %d: got %d depths, want 32", i, len(counts))
 		}
@@ -26,66 +116,163 @@ func TestDepthCountsMatchesQueryMinDepth(t *testing.T) {
 			if int(counts[d-1]) != len(ids) {
 				t.Fatalf("sig %d depth %d: DepthCounts %d, QueryMinDepth %d", i, d, counts[d-1], len(ids))
 			}
-			if d > 1 && counts[d-1] > counts[d-2] {
-				t.Fatalf("sig %d: counts increase from depth %d to %d", i, d-1, d)
+		}
+	}
+}
+
+// TestDepthCountsDuplicateHeavy is the format forest's shape: a handful
+// of distinct signatures shared by hundreds of ids, so every depth of
+// every tree matches a long run of entries.
+func TestDepthCountsDuplicateHeavy(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	f := MustForest(8, 32)
+	shapes := make([][]uint64, 6)
+	for i := range shapes {
+		shapes[i] = randomSig(rng, f.MinSignatureLen(), 3)
+	}
+	for id := 0; id < 900; id++ {
+		if err := f.Add(int32(id), shapes[rng.Intn(len(shapes))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.Index()
+	var s DepthScratch
+	for i, sig := range shapes {
+		counts := checkDepthCounts(t, f, sig, &s, fmt.Sprintf("shape %d", i))
+		if counts[len(counts)-1] < 100 {
+			t.Fatalf("shape %d: only %d full-depth matches, the fixture is not duplicate-heavy", i, counts[len(counts)-1])
+		}
+	}
+}
+
+// TestDepthCountsAfterMutations interleaves Insert and Delete on an
+// indexed forest and re-checks the probe after every step, with one
+// scratch living across the whole history (stale stamps of deleted ids
+// must never count).
+func TestDepthCountsAfterMutations(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	f := MustForest(4, 8)
+	f.Index()
+	live := map[int32][]uint64{}
+	var s DepthScratch
+	next := int32(0)
+	for step := 0; step < 300; step++ {
+		if len(live) == 0 || rng.Intn(3) > 0 {
+			sig := randomSig(rng, f.MinSignatureLen(), 3)
+			if err := f.Insert(next, sig); err != nil {
+				t.Fatal(err)
+			}
+			live[next] = sig
+			next++
+		} else {
+			for id, sig := range live {
+				if ok, err := f.Delete(id, sig); err != nil || !ok {
+					t.Fatalf("step %d: delete %d: ok=%v err=%v", step, id, ok, err)
+				}
+				delete(live, id)
+				break
 			}
 		}
+		counts := checkDepthCounts(t, f, randomSig(rng, f.MinSignatureLen(), 3), &s, fmt.Sprintf("step %d", step))
+		if int(counts[0]) > len(live) {
+			t.Fatalf("step %d: %d depth-1 candidates with %d live ids", step, counts[0], len(live))
+		}
+	}
+}
+
+// TestDepthCountsEmptyForest pins the all-zero vector of an indexed
+// forest with no entries (a shard that owns none of the lake).
+func TestDepthCountsEmptyForest(t *testing.T) {
+	f := MustForest(4, 8)
+	f.Index()
+	counts, err := f.DepthCounts(make([]uint64, 32), new(DepthScratch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(counts, make([]int32, 8)) {
+		t.Fatalf("empty forest counts %v, want all zero", counts)
 	}
 }
 
 // TestDepthCountsAdditiveAcrossShards pins the property the sharded
 // probe protocol depends on: when the indexed id set is partitioned
-// across two forests with the same layout, the per-depth counts of the
-// parts sum to the counts of the whole.
+// across forests with the same layout, the per-depth counts of the
+// parts sum to the counts of the whole — at any shard count, with an
+// empty shard, and with one scratch shared by all of them.
 func TestDepthCountsAdditiveAcrossShards(t *testing.T) {
 	full, sigs := randomForest(t, 12, 100)
-	a := MustForest(8, 32)
-	b := MustForest(8, 32)
-	for i, sig := range sigs {
-		dst := a
-		if i%3 == 0 {
-			dst = b
+	for _, n := range []int{2, 3, 5} {
+		shards := make([]*Forest, n+1) // the last shard stays empty
+		for i := range shards {
+			shards[i] = MustForest(8, 32)
 		}
-		if err := dst.Add(int32(i), sig); err != nil {
-			t.Fatal(err)
+		for i, sig := range sigs {
+			if err := shards[(i*7)%n].Add(int32(i), sig); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, sh := range shards {
+			sh.Index()
+		}
+		var s DepthScratch
+		for i, sig := range sigs {
+			want, err := full.DepthCounts(sig, &s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := make([]int32, len(want))
+			for _, sh := range shards {
+				c, err := sh.DepthCounts(sig, &s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for d := range sum {
+					sum[d] += c[d]
+				}
+			}
+			if !slices.Equal(want, sum) {
+				t.Fatalf("%d shards, sig %d: shard counts sum to %v, monolith %v", n, i, sum, want)
+			}
 		}
 	}
-	a.Index()
-	b.Index()
-	for i, sig := range sigs {
-		want, err := full.DepthCounts(sig)
-		if err != nil {
+}
+
+// TestDepthCountsAllocs pins the steady-state budget: a probe into a
+// grown scratch allocates its count vector and nothing else.
+func TestDepthCountsAllocs(t *testing.T) {
+	f, sigs := randomForest(t, 3, 200)
+	var s DepthScratch
+	if _, err := f.DepthCounts(sigs[0], &s); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := f.DepthCounts(sigs[1], &s); err != nil {
 			t.Fatal(err)
 		}
-		ca, err := a.DepthCounts(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb, err := b.DepthCounts(sig)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := make([]int32, len(ca))
-		for d := range sum {
-			sum[d] = ca[d] + cb[d]
-		}
-		if !slices.Equal(want, sum) {
-			t.Fatalf("sig %d: shard counts %v + %v != monolith %v", i, ca, cb, want)
-		}
+	})
+	if allocs != 1 {
+		t.Fatalf("DepthCounts allocates %.1f per probe into a grown scratch, want 1 (the count vector)", allocs)
 	}
 }
 
 // TestDepthCountsErrors pins the validation paths.
 func TestDepthCountsErrors(t *testing.T) {
 	f := MustForest(4, 8)
-	if _, err := f.DepthCounts(make([]uint64, 64)); err == nil {
+	var s DepthScratch
+	if _, err := f.DepthCounts(make([]uint64, 64), &s); err == nil {
 		t.Fatal("expected DepthCounts-before-Index error")
 	}
 	if err := f.Add(1, make([]uint64, 64)); err != nil {
 		t.Fatal(err)
 	}
+	if err := f.Add(-3, make([]uint64, 64)); err != nil {
+		t.Fatal(err)
+	}
 	f.Index()
-	if _, err := f.DepthCounts(make([]uint64, 3)); err == nil {
+	if _, err := f.DepthCounts(make([]uint64, 3), &s); err == nil {
 		t.Fatal("expected short-signature error")
+	}
+	if _, err := f.DepthCounts(make([]uint64, 64), &s); err == nil {
+		t.Fatal("expected negative-id error")
 	}
 }

@@ -110,6 +110,9 @@ func TestQueryIntoErrors(t *testing.T) {
 	if _, err := f.QueryMinDepthInto(make([]uint64, 3), 2, nil); err == nil {
 		t.Fatal("expected short-signature error")
 	}
+	if _, err := f.QueryMinDepth(make([]uint64, 3), 2); err == nil {
+		t.Fatal("expected short-signature error from QueryMinDepth")
+	}
 }
 
 // TestForestProbeAndMutateAllocs pins the allocation behaviour the

@@ -162,6 +162,27 @@ func (b *Buffer) F64s(vs []float64) {
 	}
 }
 
+// Sealed returns the payload followed by its CRC32-C trailer — the
+// snapshot trailer convention applied to a single Buffer, for payloads
+// that travel alone (the shard gather body) rather than as a section of
+// a snapshot. OpenSealed is its inverse.
+func (b *Buffer) Sealed() []byte {
+	return binary.LittleEndian.AppendUint32(b.data, crc32.Checksum(b.data, castagnoli))
+}
+
+// OpenSealed verifies the CRC32-C trailer Sealed appended and returns a
+// Reader over the payload before it. The data slice is retained.
+func OpenSealed(data []byte) (*Reader, error) {
+	if len(data) < trailerLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	}
+	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
+		return nil, ErrChecksum
+	}
+	return &Reader{data: body}, nil
+}
+
 // Encoder assembles a snapshot: header, sections in the order they are
 // added, CRC trailer.
 type Encoder struct {
@@ -358,9 +379,12 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // F64 reads a float64.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
 
-// count reads a length prefix and validates it against the remaining
-// payload, so a corrupt count can never trigger an oversized allocation.
-func (r *Reader) count(elemSize int) int {
+// Count reads a length prefix and validates it against the remaining
+// payload — n elements of at least elemSize encoded bytes each must
+// still fit — so a corrupt count can never trigger an allocation out
+// of proportion to the input. Decoders of composite elements call it
+// with the element's smallest encoding.
+func (r *Reader) Count(elemSize int) int {
 	n := int(r.U32())
 	if r.err != nil {
 		return 0
@@ -374,13 +398,13 @@ func (r *Reader) count(elemSize int) int {
 
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string {
-	n := r.count(1)
+	n := r.Count(1)
 	return string(r.take(n))
 }
 
 // Bytes reads a length-prefixed byte slice (copied out of the payload).
 func (r *Reader) Bytes() []byte {
-	n := r.count(1)
+	n := r.Count(1)
 	p := r.take(n)
 	if p == nil {
 		return nil
@@ -391,7 +415,7 @@ func (r *Reader) Bytes() []byte {
 // U64s reads a length-prefixed []uint64. Zero-length slices decode as
 // nil, matching how empty signatures are represented in memory.
 func (r *Reader) U64s() []uint64 {
-	n := r.count(8)
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
@@ -404,7 +428,7 @@ func (r *Reader) U64s() []uint64 {
 
 // I32s reads a length-prefixed []int32.
 func (r *Reader) I32s() []int32 {
-	n := r.count(4)
+	n := r.Count(4)
 	if n == 0 {
 		return nil
 	}
@@ -417,7 +441,7 @@ func (r *Reader) I32s() []int32 {
 
 // Ints reads a length-prefixed []int written by Buffer.Ints.
 func (r *Reader) Ints() []int {
-	n := r.count(8)
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}
@@ -430,7 +454,7 @@ func (r *Reader) Ints() []int {
 
 // F64s reads a length-prefixed []float64.
 func (r *Reader) F64s() []float64 {
-	n := r.count(8)
+	n := r.Count(8)
 	if n == 0 {
 		return nil
 	}

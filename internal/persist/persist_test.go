@@ -204,3 +204,51 @@ func TestWriteToIsRepeatable(t *testing.T) {
 func crc32Checksum(p []byte) uint32 {
 	return crc32.Checksum(p, castagnoli)
 }
+
+// TestSealedRoundTrip covers the single-buffer envelope the shard
+// gather body travels in: Sealed appends the trailer OpenSealed checks,
+// and any damage — truncation, a flipped bit — is refused.
+func TestSealedRoundTrip(t *testing.T) {
+	var b Buffer
+	b.U32(7)
+	b.Str("partial")
+	b.F64s([]float64{0.25, 0.5})
+	sealed := b.Sealed()
+	r, err := OpenSealed(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.U32() != 7 || r.Str() != "partial" || len(r.F64s()) != 2 || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("payload did not survive: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+	if _, err := OpenSealed(sealed[:2]); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("2-byte body: err = %v, want ErrTruncated", err)
+	}
+	if _, err := OpenSealed(sealed[:len(sealed)-1]); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("truncated body: err = %v, want ErrChecksum", err)
+	}
+	flipped := append([]byte(nil), sealed...)
+	flipped[5] ^= 0x10
+	if _, err := OpenSealed(flipped); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("flipped bit: err = %v, want ErrChecksum", err)
+	}
+}
+
+// TestReaderCountBoundsAllocation: a count is refused unless that many
+// elements of the stated size still fit in the payload.
+func TestReaderCountBoundsAllocation(t *testing.T) {
+	var b Buffer
+	b.U32(3)
+	b.U64(1)
+	b.U64(2)
+	b.U64(3)
+	sealed := b.Sealed()
+	r, _ := OpenSealed(sealed)
+	if n := r.Count(8); n != 3 || r.Err() != nil {
+		t.Fatalf("Count(8) = %d, err %v; want 3", n, r.Err())
+	}
+	r, _ = OpenSealed(sealed)
+	if n := r.Count(9); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Count(9) = %d, err %v; want 0 and ErrTruncated (3×9 bytes do not remain)", n, r.Err())
+	}
+}

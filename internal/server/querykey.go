@@ -116,6 +116,15 @@ func explainKey(engineFP, swapGen uint64, req *ExplainRequest) string {
 	return w.sum()
 }
 
+// shardTargetKey keys the shard replica's profiled-target memo: the
+// target content alone (profiling reads nothing else of the request)
+// under the swap generation (profiles belong to one engine's options).
+func shardTargetKey(swapGen uint64, t *TableJSON) string {
+	w := newKeyWriter("shard-target", 0, swapGen)
+	w.table(t)
+	return w.sum()
+}
+
 // queryKey keys /v1/query responses. It folds in every per-query
 // option from the canonicalised plan, so two requests differing in any
 // result-relevant knob — k, joins, explanation target, weights,

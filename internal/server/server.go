@@ -151,13 +151,16 @@ type stats struct {
 // Server serves a d3l.Engine over HTTP. Create one with New; it
 // implements http.Handler. All methods are safe for concurrent use.
 type Server struct {
-	cfg     Config
-	engine  atomic.Pointer[engineBox]
-	cache   *resultCache
-	gate    chan struct{}
-	stats   stats
-	metrics *serverMetrics
-	mux     *http.ServeMux
+	cfg    Config
+	engine atomic.Pointer[engineBox]
+	cache  *resultCache
+	// shardTargets is the shard replica's memo of profiled targets
+	// (see shard_handlers.go).
+	shardTargets *lruCache[*d3l.ShardTarget]
+	gate         chan struct{}
+	stats        stats
+	metrics      *serverMetrics
+	mux          *http.ServeMux
 
 	draining atomic.Bool
 	inflight sync.WaitGroup // gated work only (queries and mutations)
@@ -241,11 +244,12 @@ func New(engine Engine, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: MaxBodyBytes must be positive, got %d", cfg.MaxBodyBytes)
 	}
 	s := &Server{
-		cfg:     cfg,
-		cache:   newResultCache(cfg.CacheEntries),
-		gate:    make(chan struct{}, cfg.MaxConcurrent),
-		flights: make(map[string]*flight),
-		mux:     http.NewServeMux(),
+		cfg:          cfg,
+		cache:        newResultCache(cfg.CacheEntries),
+		shardTargets: newLRUCache[*d3l.ShardTarget](shardTargetMemoEntries(cfg.MaxConcurrent)),
+		gate:         make(chan struct{}, cfg.MaxConcurrent),
+		flights:      make(map[string]*flight),
+		mux:          http.NewServeMux(),
 	}
 	// The admission gate bounds concurrent queries, which in turn
 	// bounds the engine's pooled query arenas in flight: prewarming one
@@ -341,6 +345,7 @@ func (s *Server) Swap(engine Engine) error {
 	s.engine.Store(&engineBox{e: engine})
 	s.swapGen.Add(1)
 	s.cache.purge()
+	s.shardTargets.purge()
 	// A retired engine that owns background resources (the
 	// coordinator backend runs a health prober) is closed once it is
 	// out of the serving slot. Close is defined to be safe concurrent

@@ -23,18 +23,48 @@ import (
 // the merged final answer under its own fingerprint-keyed cache, so a
 // replica-side cache would only hold bytes no client can ever hit
 // twice (the gather body varies with the globally merged depths).
+//
+// What a replica does keep between the two phases is the profiled
+// target: profiling is the one piece of work probe and gather share
+// (ProfileTarget, ~0.9 ms), and the gather of a query follows its probe
+// by milliseconds. The probe handler leaves the profiles in a small LRU
+// memo keyed by the SHA-256 of the target content; the gather handler
+// finds them there and skips both the row-to-column conversion and the
+// profiling pass. A miss — the gather failed over or hedged to a
+// replica that never saw the probe, the process restarted, the entry
+// aged out — just profiles again, so the memo can only save work, never
+// change an answer: profiles are a pure function of the table and the
+// engine's immutable options. The key carries the swap generation and
+// Swap purges, so profiles never cross engines.
+//
+// Probe and explain answers, and every error, are JSON. The gather
+// answer — a thousand rows and five thousand float64 samples — is the
+// binary form of d3l.EncodeShardPartial under shardPartialContentType.
+
+// shardPartialContentType labels the binary gather answer.
+const shardPartialContentType = "application/vnd.d3l.shard-partial"
+
+// shardTargetMemoEntries sizes the profiled-target memo from the
+// admission capacity: a slot for every probe the gate can be running
+// and one more for each gather that may still be on its way.
+func shardTargetMemoEntries(maxConcurrent int) int { return 2 * maxConcurrent }
 
 // shardCapable is the optional interface a serving engine implements
 // to act as a shard replica. *d3l.Engine implements it; the sharded
 // sets themselves do not (a shard of shards is not a topology this
 // subsystem defines), so the endpoints answer 501 on them.
 type shardCapable interface {
-	ShardProbe(ctx context.Context, target *d3l.Table, spec core.QuerySpec) (*d3l.ShardProbe, error)
-	ShardGather(ctx context.Context, target *d3l.Table, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
+	PrepareShardTarget(target *d3l.Table) *d3l.ShardTarget
+	ShardProbe(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec) (*d3l.ShardProbe, error)
+	ShardGather(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
 	ShardExplain(ctx context.Context, target *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
 	MirrorAdd(name string, numCols int) (int, error)
 	MirrorUpdate(tid, numFresh int) error
 }
+
+// The capability is discovered by type assertion at request time, so a
+// signature drift in d3l would otherwise surface as a runtime 501.
+var _ shardCapable = (*d3l.Engine)(nil)
 
 // ShardProbeRequest is the probe-phase body: the target table and the
 // resolved query parameter block every shard of the set runs with.
@@ -83,17 +113,40 @@ type ShardMirrorResponse struct {
 	ID int `json:"id"`
 }
 
-// shardEngine resolves the serving engine's shard surface, answering
-// the 501 itself when the engine is not a shard-capable monolith.
-func (s *Server) shardEngine(w http.ResponseWriter) (shardCapable, Engine, bool) {
-	eng := s.Engine()
+// shardEngine resolves the serving engine's shard surface and the swap
+// generation it serves under, answering the 501 itself when the engine
+// is not a shard-capable monolith.
+func (s *Server) shardEngine(w http.ResponseWriter) (shardCapable, uint64, bool) {
+	gen, eng := s.cacheEpoch()
 	sc, ok := eng.(shardCapable)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, CodeUnsupported,
 			"this serving mode cannot act as a shard replica")
-		return nil, nil, false
+		return nil, 0, false
 	}
-	return sc, eng, true
+	return sc, gen, true
+}
+
+// shardTarget resolves a probe or gather request's target to its
+// profiles: the memo's on a hit, else a function that profiles the
+// table (under the admission gate, where the caller runs it) and
+// remembers the result. It answers the 400 itself for a malformed
+// table.
+func (s *Server) shardTarget(w http.ResponseWriter, sc shardCapable, gen uint64, tj *TableJSON) (func() *d3l.ShardTarget, bool) {
+	key := shardTargetKey(gen, tj)
+	if target, ok := s.shardTargets.get(key); ok {
+		return func() *d3l.ShardTarget { return target }, true
+	}
+	table, err := tj.toTable()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return nil, false
+	}
+	return func() *d3l.ShardTarget {
+		target := sc.PrepareShardTarget(table)
+		s.shardTargets.put(key, target)
+		return target
+	}, true
 }
 
 func (s *Server) handleShardProbe(w http.ResponseWriter, r *http.Request) {
@@ -101,17 +154,16 @@ func (s *Server) handleShardProbe(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	sc, _, ok := s.shardEngine(w)
+	sc, gen, ok := s.shardEngine(w)
 	if !ok {
 		return
 	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	target, ok := s.shardTarget(w, sc, gen, &req.Table)
+	if !ok {
 		return
 	}
 	body, _, err := s.admit(r.Context(), func(ctx context.Context) ([]byte, error) {
-		probe, err := sc.ShardProbe(ctx, target, req.Spec)
+		probe, err := sc.ShardProbe(ctx, target(), req.Spec)
 		if err != nil {
 			return nil, err
 		}
@@ -129,27 +181,28 @@ func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	sc, _, ok := s.shardEngine(w)
+	sc, gen, ok := s.shardEngine(w)
 	if !ok {
 		return
 	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	target, ok := s.shardTarget(w, sc, gen, &req.Table)
+	if !ok {
 		return
 	}
 	body, _, err := s.admit(r.Context(), func(ctx context.Context) ([]byte, error) {
-		partial, err := sc.ShardGather(ctx, target, req.Spec, &req.Depths)
+		partial, err := sc.ShardGather(ctx, target(), req.Spec, &req.Depths)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(partial)
+		return d3l.EncodeShardPartial(partial), nil
 	})
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSONBytes(w, http.StatusOK, body)
+	w.Header().Set("Content-Type", shardPartialContentType)
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func (s *Server) handleShardExplain(w http.ResponseWriter, r *http.Request) {

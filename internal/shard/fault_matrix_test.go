@@ -126,10 +126,12 @@ func replicaState(w *faultWorld, shard, replica int) string {
 	return "missing"
 }
 
-// TestFaultMatrixTransientFaults: 5xx bursts, connection resets and
-// truncated bodies on the preferred replica of every shard — failover
-// to the sibling keeps every answer exact with zero client-visible
-// errors.
+// TestFaultMatrixTransientFaults: 5xx bursts, connection resets,
+// truncated bodies and well-formed 200s around a damaged gather body
+// (a flipped bit or a missing half, which only the partial's checksum
+// and decoder can catch) on the preferred replica of every shard —
+// failover to the sibling keeps every answer exact with zero
+// client-visible errors.
 func TestFaultMatrixTransientFaults(t *testing.T) {
 	kinds := []struct {
 		name  string
@@ -138,6 +140,7 @@ func TestFaultMatrixTransientFaults(t *testing.T) {
 		{"5xx-burst", faultproxy.Rules{ErrorProb: 1}},
 		{"connection-reset", faultproxy.Rules{ResetProb: 1}},
 		{"truncated-body", faultproxy.Rules{TruncateProb: 1}},
+		{"corrupt-gather-body", faultproxy.Rules{CorruptProb: 1, Path: "/v1/shard/gather"}},
 	}
 	for _, kind := range kinds {
 		t.Run(kind.name, func(t *testing.T) {
@@ -153,11 +156,53 @@ func TestFaultMatrixTransientFaults(t *testing.T) {
 			if after := w.remote.ReplicaHealth().Failovers; after <= before {
 				t.Fatalf("%s: no failovers recorded (%d -> %d) — the faults were never hit", kind.name, before, after)
 			}
+			if kind.rules.CorruptProb > 0 {
+				for si := range w.proxies {
+					if st := w.proxies[si][0].Stats(); st.Corrupted == 0 {
+						t.Fatalf("%s: shard %d: no gather body was corrupted: %+v", kind.name, si, st)
+					}
+				}
+			}
 			for si := range w.proxies {
 				w.proxies[si][0].SetRules(faultproxy.Rules{})
 			}
 			assertExact(t, w, kind.name+"-recovered")
 		})
+	}
+}
+
+// TestFaultMatrixGatherOnOtherReplica splits one query across a
+// group: the probe lands on the preferred replica, its gather is
+// refused there and fails over to the sibling — which never saw the
+// probe, so its prepared-target memo misses and it profiles the target
+// itself. The answer is the monolith's all the same.
+func TestFaultMatrixGatherOnOtherReplica(t *testing.T) {
+	w := buildFaultWorld(t, 419, 2, 2, faultCfg())
+	for si := range w.proxies {
+		w.proxies[si][0].SetRules(faultproxy.Rules{ErrorProb: 1, Path: "/v1/shard/gather"})
+	}
+	forwarded := func(si, ri int) uint64 { return w.proxies[si][ri].Stats().Forwarded }
+	before := [][2]uint64{{forwarded(0, 0), forwarded(0, 1)}, {forwarded(1, 0), forwarded(1, 1)}}
+	ctx := context.Background()
+	target := liveTargets(w.lake, 5)[0]
+	want, err := w.mono.Query(ctx, target, d3l.WithK(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := w.remote.Query(ctx, target, d3l.WithK(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAnswersEqual(t, "split query", want, got)
+	for si := range w.proxies {
+		// Preferred replica: the probe went through, the gather did not.
+		// Sibling: exactly one request, the failed-over gather.
+		probes, refused := forwarded(si, 0)-before[si][0], w.proxies[si][0].Stats().Errors
+		gathers := forwarded(si, 1) - before[si][1]
+		if probes != 1 || refused != 1 || gathers != 1 {
+			t.Fatalf("shard %d: the query did not split across the group: preferred replica forwarded %d and refused %d, sibling forwarded %d",
+				si, probes, refused, gathers)
+		}
 	}
 }
 

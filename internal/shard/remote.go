@@ -484,13 +484,12 @@ func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.Shar
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var p d3l.ShardProbe
-			err := r.readJSON(ctx, i, "/v1/shard/probe", server.ShardProbeRequest{Table: wire, Spec: sq.Spec}, &p)
+			p, err := r.read(ctx, i, "/v1/shard/probe", server.ShardProbeRequest{Table: wire, Spec: sq.Spec}, decodeJSON[d3l.ShardProbe])
 			if err != nil {
 				probeErrs[i] = err
 				return
 			}
-			probes[i] = &p
+			probes[i] = p.(*d3l.ShardProbe)
 		}(i)
 	}
 	wg.Wait()
@@ -521,13 +520,12 @@ func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.Shar
 		wg.Add(1)
 		go func(gi, i int) {
 			defer wg.Done()
-			var p d3l.ShardPartial
-			err := r.readJSON(ctx, i, "/v1/shard/gather", server.ShardGatherRequest{Table: wire, Spec: sq.Spec, Depths: *depths}, &p)
+			p, err := r.read(ctx, i, "/v1/shard/gather", server.ShardGatherRequest{Table: wire, Spec: sq.Spec, Depths: *depths}, decodePartial)
 			if err != nil {
 				gatherErrs[gi] = err
 				return
 			}
-			partials[gi] = &p
+			partials[gi] = p.(*d3l.ShardPartial)
 		}(gi, i)
 	}
 	wg.Wait()
@@ -557,17 +555,17 @@ func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.Shar
 // degraded answer, it is a 404.
 func (r *Remote) explain(ctx context.Context, wire server.TableJSON, sq *d3l.ShardQuery) ([]d3l.PairExplanation, error) {
 	req := server.ShardExplainRequest{Table: wire, LakeTable: sq.ExplainFor, Spec: sq.Spec}
-	var resp server.ShardExplainResponse
 	owner := r.place.Owner(sq.ExplainFor)
-	err := r.readJSON(ctx, owner, "/v1/shard/explain", req, &resp)
+	resp, err := r.read(ctx, owner, "/v1/shard/explain", req, decodeJSON[server.ShardExplainResponse])
 	for i := 0; err != nil && isNotFound(err) && i < len(r.groups); i++ {
 		// Ring-owner miss (replica set built under a different
 		// placement): scan, as Set.liveOwner does.
 		if i == owner {
 			continue
 		}
-		if scanErr := r.readJSON(ctx, i, "/v1/shard/explain", req, &resp); scanErr == nil || !isNotFound(scanErr) {
-			err = scanErr
+		scanResp, scanErr := r.read(ctx, i, "/v1/shard/explain", req, decodeJSON[server.ShardExplainResponse])
+		if scanErr == nil || !isNotFound(scanErr) {
+			resp, err = scanResp, scanErr
 		}
 	}
 	if err != nil {
@@ -576,7 +574,7 @@ func (r *Remote) explain(ctx context.Context, wire server.TableJSON, sq *d3l.Sha
 		}
 		return nil, err
 	}
-	return resp.Rows, nil
+	return resp.(*server.ShardExplainResponse).Rows, nil
 }
 
 // QueryBatch runs targets sequentially: each query already fans out
@@ -899,16 +897,35 @@ func isNotFound(err error) bool {
 
 func pathEscape(s string) string { return url.PathEscape(s) }
 
-// readJSON POSTs a read-path request with per-replica failover,
+// decodeJSON decodes a JSON read-path answer (probe, explain).
+func decodeJSON[T any](data []byte) (any, error) {
+	v := new(T)
+	if err := json.Unmarshal(data, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// decodePartial decodes and validates the binary gather answer.
+func decodePartial(data []byte) (any, error) { return d3l.DecodeShardPartial(data) }
+
+// read POSTs a read-path request with per-replica failover,
 // jittered-backoff retries and cross-replica hedging: the first
-// successful attempt wins, terminal errors return immediately, and
-// exhausted attempts return the last error. The retry budget is
-// capped by the request deadline: a retry whose backoff would outlive
-// ctx is not attempted.
-func (r *Remote) readJSON(ctx context.Context, shard int, path string, in, out any) error {
+// attempt whose answer decodes wins, terminal errors return
+// immediately, and exhausted attempts return the last error. The retry
+// budget is capped by the request deadline: a retry whose backoff
+// would outlive ctx is not attempted.
+//
+// decode turns a 200 body into the answer. A body it refuses — cut
+// short, bit-flipped, malformed, or from a replica of another build —
+// fails that attempt like a transport error: it counts against the
+// replica's breaker and the next attempt goes to a sibling, so a
+// replica that answers garbage can neither crash the coordinator nor
+// fail a query its group can still serve.
+func (r *Remote) read(ctx context.Context, shard int, path string, in any, decode func([]byte) (any, error)) (any, error) {
 	body, err := json.Marshal(in)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	attempts := 1 + r.cfg.Retries
 	delay := r.cfg.RetryDelay
@@ -918,61 +935,67 @@ func (r *Remote) readJSON(ctx context.Context, shard int, path string, in, out a
 		if a > 0 && delay > 0 {
 			d := jitterDuration(delay, 0.5, r.rnd)
 			if deadline, ok := ctx.Deadline(); ok && time.Now().Add(d).After(deadline) {
-				return lastErr // retry budget exhausted by the deadline
+				return nil, lastErr // retry budget exhausted by the deadline
 			}
 			timer := time.NewTimer(d)
 			select {
 			case <-ctx.Done():
 				timer.Stop()
-				return ctx.Err()
+				return nil, ctx.Err()
 			case <-timer.C:
 			}
 			if delay *= 2; delay > maxRetryDelay {
 				delay = maxRetryDelay
 			}
 		}
-		rep, probe, pickErr := r.pick(shard, nil)
+		rep, _, pickErr := r.pick(shard, nil)
 		if pickErr != nil {
 			if lastErr != nil {
-				return lastErr
+				return nil, lastErr
 			}
-			return pickErr
+			return nil, pickErr
 		}
 		if lastRep != nil && rep != lastRep {
 			r.failovers.Add(1)
 		}
-		data, err := r.attempt(ctx, rep, probe, path, body)
+		val, err := r.attempt(ctx, rep, path, body, decode)
 		if err == nil {
-			return json.Unmarshal(data, out)
+			return val, nil
 		}
 		lastErr, lastRep = err, rep
 		var se *shardError
 		if errors.As(err, &se) && se.terminal {
-			return err
+			return nil, err
 		}
 	}
-	return lastErr
+	return nil, lastErr
 }
 
 // attempt races one request against an optional hedge on a *different*
 // replica of the same group. Losing attempts run to completion in the
 // background (their outcome still feeds their replica's breaker); the
-// channel is buffered so they never leak.
-func (r *Remote) attempt(ctx context.Context, primary *replica, primaryProbe bool, path string, body []byte) ([]byte, error) {
+// channel is buffered so they never leak. Each attempt decodes its own
+// answer into its own value, so racing attempts share nothing.
+func (r *Remote) attempt(ctx context.Context, primary *replica, path string, body []byte, decode func([]byte) (any, error)) (any, error) {
 	type result struct {
-		data []byte
-		err  error
-		rep  *replica
+		val any
+		err error
+		rep *replica
 	}
 	ch := make(chan result, 2)
 	run := func(rep *replica) {
 		go func() {
+			var val any
 			data, err := r.doOnce(ctx, rep, http.MethodPost, path, body)
+			if err == nil {
+				if val, err = decode(data); err != nil {
+					err = &shardError{err: fmt.Errorf("shard %s: POST %s: undecodable answer: %w", rep.url, path, err)}
+				}
+			}
 			r.record(ctx, rep, err)
-			ch <- result{data, err, rep}
+			ch <- result{val, err, rep}
 		}()
 	}
-	_ = primaryProbe // the breaker tracks its own trial slot; outcome reporting is uniform
 	run(primary)
 	var hedgeC <-chan time.Time
 	if r.cfg.HedgeAfter > 0 {
@@ -1002,7 +1025,7 @@ func (r *Remote) attempt(ctx context.Context, primary *replica, primaryProbe boo
 				if res.rep == hedged {
 					r.hedgeWins.Add(1)
 				}
-				return res.data, nil
+				return res.val, nil
 			}
 			var se *shardError
 			if errors.As(res.err, &se) && se.terminal {

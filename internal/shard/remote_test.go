@@ -388,3 +388,83 @@ func TestRemoteErrorMapping(t *testing.T) {
 		t.Fatalf("remove of unknown table: got %v, want ErrTableNotFound", err)
 	}
 }
+
+// TestRemoteRefusesMalformedPartial: a replica whose gather answers are
+// intact on the wire (the checksum holds) yet structurally wrong — a
+// row aimed at target column -1, which unchecked indexes the
+// coordinator's ECDF cells out of range and crashes it; or the JSON
+// body of a stale build — is treated like any failed replica: its
+// sibling answers, the result is the monolith's, and with no sibling
+// the query fails with an error instead of a panic.
+func TestRemoteRefusesMalformedPartial(t *testing.T) {
+	lake := testLake(t, 307, 8)
+	mono := buildMono(t, lake)
+	set, err := BuildSet(lake, 1, d3l.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := server.New(set.Shard(0), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mode atomic.Int64 // 0 = aim a row at column -1, 1 = answer JSON
+	var mangled atomic.Int64
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/shard/gather" {
+			rs.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		rs.ServeHTTP(rec, r)
+		partial, err := d3l.DecodeShardPartial(rec.Body.Bytes())
+		if err != nil || len(partial.Tables) == 0 {
+			t.Errorf("replica produced no usable partial: %v", err)
+			return
+		}
+		mangled.Add(1)
+		if mode.Load() == 1 {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(partial)
+			return
+		}
+		partial.Tables[0].Rows[0].TargetColumn = -1
+		w.Write(d3l.EncodeShardPartial(partial))
+	}))
+	t.Cleanup(bad.Close)
+	good := httptest.NewServer(rs)
+	t.Cleanup(good.Close)
+
+	ctx := context.Background()
+	target := lake.Table(0)
+	want, err := mono.Query(ctx, target, d3l.WithK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := RemoteConfig{Retries: 1, RetryDelay: -1, ProbeInterval: -1}
+	for m, label := range []string{"column -1", "json body"} {
+		mode.Store(int64(m))
+		mangled.Store(0)
+		group, err := NewRemote([]string{bad.URL + "," + good.URL}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := group.Query(ctx, target, d3l.WithK(5))
+		group.Close()
+		if err != nil {
+			t.Fatalf("%s: the sibling replica did not cover for the malformed answer: %v", label, err)
+		}
+		assertAnswersEqual(t, label, want, got)
+		if mangled.Load() == 0 {
+			t.Fatalf("%s: the malformed replica was never asked", label)
+		}
+		alone, err := NewRemote([]string{bad.URL}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = alone.Query(ctx, target, d3l.WithK(5))
+		alone.Close()
+		if err == nil || !strings.Contains(err.Error(), "undecodable answer") {
+			t.Fatalf("%s: lone malformed replica: err = %v, want an undecodable-answer error", label, err)
+		}
+	}
+}

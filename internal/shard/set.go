@@ -162,13 +162,16 @@ func (s *Set) query(ctx context.Context, target *d3l.Table, sq *d3l.ShardQuery) 
 	return ans, nil
 }
 
-// search runs the two-phase protocol across all shards: probe every
-// shard for its per-depth candidate counts, merge them into the global
-// stop depths, gather partials at those depths, and merge into the
-// final ranking. Phases fan out over goroutines; any shard error fails
-// the query (an in-process set has no partial-failure mode — there is
-// no network to degrade over).
-func (s *Set) search(ctx context.Context, target *d3l.Table, sq *d3l.ShardQuery) ([]d3l.Result, d3l.QueryStats, error) {
+// search runs the two-phase protocol across all shards: profile the
+// target once (every shard of a set is built from the same options, so
+// shard 0's profiles are every shard's), probe every shard for its
+// per-depth candidate counts, merge them into the global stop depths,
+// gather partials at those depths, and merge into the final ranking.
+// Phases fan out over goroutines; any shard error fails the query (an
+// in-process set has no partial-failure mode — there is no network to
+// degrade over).
+func (s *Set) search(ctx context.Context, table *d3l.Table, sq *d3l.ShardQuery) ([]d3l.Result, d3l.QueryStats, error) {
+	target := s.shards[0].PrepareShardTarget(table)
 	probes := make([]*d3l.ShardProbe, len(s.shards))
 	if err := s.fanOut(func(i int) error {
 		p, err := s.shards[i].ShardProbe(ctx, target, sq.Spec)

@@ -76,16 +76,39 @@ func ResolveShardQuery(opts ...QueryOption) (*ShardQuery, error) {
 	}, nil
 }
 
+// ShardTarget is a query target profiled once for the shard protocol
+// (N1QL's Prepare to the two phases' Execute). Profiling is a pure
+// function of the table and the engine's immutable options, so one
+// ShardTarget serves both phases of a query and every identically
+// configured shard of a set; it is read-only after PrepareShardTarget
+// and safe to share across goroutines.
+type ShardTarget struct {
+	profiles []core.Profile
+}
+
+// PrepareShardTarget profiles a target for ShardProbe and ShardGather.
+func (e *Engine) PrepareShardTarget(target *Table) *ShardTarget {
+	return &ShardTarget{profiles: e.core.ProfileTarget(target)}
+}
+
 // ShardProbe runs the probe phase of one sharded query on this engine.
-func (e *Engine) ShardProbe(ctx context.Context, target *Table, spec core.QuerySpec) (*ShardProbe, error) {
-	return e.core.ShardProbeSpec(ctx, target, spec)
+func (e *Engine) ShardProbe(ctx context.Context, target *ShardTarget, spec core.QuerySpec) (*ShardProbe, error) {
+	return e.core.ShardProbeProfiled(ctx, target.profiles, spec)
 }
 
 // ShardGather runs the gather phase of one sharded query on this
 // engine at the coordinator's imposed depths.
-func (e *Engine) ShardGather(ctx context.Context, target *Table, spec core.QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
-	return e.core.ShardGatherSpec(ctx, target, spec, depths)
+func (e *Engine) ShardGather(ctx context.Context, target *ShardTarget, spec core.QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
+	return e.core.ShardGatherProfiled(ctx, target.profiles, spec, depths)
 }
+
+// EncodeShardPartial renders a gather answer in its binary wire form
+// (see core.EncodeShardPartial).
+func EncodeShardPartial(p *ShardPartial) []byte { return core.EncodeShardPartial(p) }
+
+// DecodeShardPartial parses and validates a binary gather answer: an
+// error, or a partial MergeShardPartials can score without panicking.
+func DecodeShardPartial(data []byte) (*ShardPartial, error) { return core.DecodeShardPartial(data) }
 
 // ShardExplain computes the Table I-style explanation rows against a
 // lake table owned by this shard. Explanations are purely pairwise —

@@ -429,14 +429,13 @@ func BenchmarkParallelSearch(b *testing.B) {
 // (cold), reusing a cached plan (warm — the serving steady state), and
 // the pruning payoff on a skewed lake where most candidate tables are
 // provably outside the top-k. The warm/cold pair bounds the prepare
-// phase's cost; the skewed benchmark's planner-off sub-run is the A/B
-// baseline the cascade has to beat.
+// phase's cost.
 
 // BenchmarkPlannerColdPlan forces a plan-cache miss on every query:
 // the prepare phase (target fingerprinting, cascade construction, LRU
 // insert) is paid each time. The gap to BenchmarkPlannerWarmPlan is
 // the total prepare overhead — nanoseconds against a millisecond-scale
-// ranking, which is what makes planning on by default tenable.
+// ranking, which is what makes planning every query tenable.
 func BenchmarkPlannerColdPlan(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
 	ctx := context.Background()
@@ -472,9 +471,9 @@ func BenchmarkPlannerWarmPlan(b *testing.B) {
 // near-duplicate derived tables, targets drawn from the lake, k = 1 —
 // the heap threshold drops to a near-zero distance immediately, so the
 // cascade can elide most tables after their cheapest evidence
-// component. The planner-on sub-run reports pruned-pairs/op (the
-// BENCH_PR6.json gate asserts it stays above zero); the planner-off
-// sub-run is the same workload through the plan-free path.
+// component. The sub-run keeps the name BENCH_PR6.json records it
+// under and reports pruned-pairs/op (that gate asserts it stays above
+// zero).
 func BenchmarkPlannerPrunedSkewed(b *testing.B) {
 	cfg := datagen.SyntheticConfig{
 		Seed:          7,
@@ -511,13 +510,6 @@ func BenchmarkPlannerPrunedSkewed(b *testing.B) {
 		b.StopTimer()
 		after := engine.PlannerTotals()
 		b.ReportMetric(float64(after.PairsPruned-before.PairsPruned)/float64(b.N), "pruned-pairs/op")
-	})
-	b.Run("PlannerOff", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(1), d3l.WithPlanner(false)); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 

@@ -11,7 +11,7 @@
 //	d3l index info  -index FILE.d3l
 //	d3l query       -dir DIR | -index FILE.d3l  -target FILE.csv -k K
 //	                [-joins] [-explain NAME] [-evidence name,value,...] [-budget N]
-//	                [-explain-plan] [-no-planner]
+//	                [-explain-plan]
 //	d3l batch       -dir DIR | -index FILE.d3l  -targets DIR -k K [-workers N]
 //	d3l explain     -dir DIR | -index FILE.d3l  -target FILE.csv -table NAME
 //	d3l serve       -index FILE.d3l | -dir DIR  [-addr :8080] [-pprof 127.0.0.1:6060] [-watch]
@@ -106,7 +106,7 @@ func usage() {
   d3l index info  -index FILE.d3l
   d3l query       -dir DIR | -index FILE.d3l  -target FILE.csv -k K
                   [-joins] [-explain NAME] [-evidence name,value,...] [-budget N]
-                  [-explain-plan] [-no-planner]
+                  [-explain-plan]
   d3l batch       -dir DIR | -index FILE.d3l  -targets DIR -k K [-workers N]
   d3l explain     -dir DIR | -index FILE.d3l  -target FILE.csv -table NAME
   d3l serve       -index FILE.d3l | -dir DIR  [-addr :8080] [-cache N] [-max-concurrent N] [-timeout D] [-pprof ADDR]
@@ -426,7 +426,6 @@ func cmdQuery(args []string) error {
 	evidence := fs.String("evidence", "", "comma-separated evidence subset: name,value,format,embedding,domain (empty = all)")
 	explainFor := fs.String("explain", "", "also print the Table I-style breakdown against this lake table")
 	explainPlan := fs.Bool("explain-plan", false, "print the query plan the engine executed (evidence cascade, cache state, pruning counters)")
-	noPlanner := fs.Bool("no-planner", false, "disable the prepared-plan execution path (same answer, A/B switch)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -436,11 +435,11 @@ func cmdQuery(args []string) error {
 		return fmt.Errorf("query: -target is required")
 	}
 	return withProfiles(*cpuprofile, *memprofile, func() error {
-		return runQuery(*dir, *index, *targetPath, *k, *withJoins, *budget, *evidence, *explainFor, *explainPlan, *noPlanner)
+		return runQuery(*dir, *index, *targetPath, *k, *withJoins, *budget, *evidence, *explainFor, *explainPlan)
 	})
 }
 
-func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, evidence, explainFor string, explainPlan, noPlanner bool) error {
+func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, evidence, explainFor string, explainPlan bool) error {
 	engine, err := loadEngine(dir, index)
 	if err != nil {
 		return err
@@ -458,9 +457,6 @@ func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, 
 	}
 	if explainFor != "" {
 		opts = append(opts, d3l.WithExplainFor(explainFor))
-	}
-	if noPlanner {
-		opts = append(opts, d3l.WithPlanner(false))
 	}
 	evOpts, err := parseEvidenceList(evidence)
 	if err != nil {
@@ -489,17 +485,14 @@ func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, 
 	if explainFor != "" {
 		fmt.Printf("\nTable I breakdown vs %s:\n%s", explainFor, d3l.FormatExplanation(ans.Explanation))
 	}
-	if explainPlan {
-		if ans.Plan.Enabled {
-			state := "cold"
-			if ans.Plan.Cached {
-				state = "cached"
-			}
-			fmt.Printf("plan: cascade %s (%s) — pruned %d tables (%d pairs), elided %d evidence evals\n",
-				ans.Plan.Order, state, ans.Plan.TablesPruned, ans.Plan.PairsPruned, ans.Plan.EvidenceEvalsElided)
-		} else {
-			fmt.Println("plan: planner disabled")
+	// An explanation-only query (-k 0) ranks nothing and has no plan.
+	if explainPlan && ans.Plan.Enabled {
+		state := "cold"
+		if ans.Plan.Cached {
+			state = "cached"
 		}
+		fmt.Printf("plan: cascade %s (%s) — pruned %d tables (%d pairs), elided %d evidence evals\n",
+			ans.Plan.Order, state, ans.Plan.TablesPruned, ans.Plan.PairsPruned, ans.Plan.EvidenceEvalsElided)
 	}
 	fmt.Printf("scored %d tables from %d candidate pairs in %v\n",
 		ans.Stats.TablesScored, ans.Stats.CandidatePairs, ans.Stats.Elapsed.Round(time.Microsecond))

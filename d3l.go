@@ -78,8 +78,8 @@ type (
 	JoinPath = joins.Path
 	// Evidence identifies one of the five evidence types.
 	Evidence = core.Evidence
-	// PlanStats reports what the prepared-plan execution path did for
-	// one query (see Answer.Plan and WithPlanner).
+	// PlanStats reports what the plan did for one query (see
+	// Answer.Plan).
 	PlanStats = core.PlanStats
 	// PlannerTotals are the engine-lifetime planner counters (plan
 	// cache hits/misses, pruning work elided) — see Engine.PlannerTotals.

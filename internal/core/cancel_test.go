@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +61,7 @@ func TestSearchSpecCancelMidFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := lake.Table(0)
-	want, err := e.Search(target, 10)
+	want, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,6 +95,88 @@ func TestSearchSpecCancelMidFlight(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// pollCancelCtx is a context that reports cancellation from its
+// (after+1)th Err() poll on — cancellation landing at an exact point of
+// a cooperative pipeline, without a clock. Done is non-nil (so the
+// pipeline takes its cancellable paths) but never closes: everything
+// under test polls Err.
+type pollCancelCtx struct {
+	context.Context
+	after atomic.Int64
+	done  chan struct{}
+}
+
+func newPollCancelCtx(after int) *pollCancelCtx {
+	c := &pollCancelCtx{Context: context.Background(), done: make(chan struct{})}
+	c.after.Store(int64(after))
+	return c
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCancelCtx) Err() error {
+	if c.after.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestShardGatherCancelMidFlight is TestSearchSpecCancelMidFlight for a
+// shard's gather phase, which a hedge loser or an abandoned coordinator
+// request cancels routinely. Cancellation is landed at every poll point
+// in turn: each call returns either ctx.Err() and no partial, or the
+// complete partial. And the poll points must outnumber the columns —
+// the gather stops inside a column (every candidateBatch pairs), not
+// only between columns, so a cancelled replica is not left scoring a
+// whole column for nobody.
+func TestShardGatherCancelMidFlight(t *testing.T) {
+	lake := syntheticLake(t, 99, 120)
+	e, err := BuildEngine(lake, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := lake.Table(0)
+	tprofiles := e.ProfileTarget(target)
+	spec := QuerySpec{K: 10, CandidateBudget: 256} // several candidate batches per column
+	probe, err := e.ShardProbeProfiled(context.Background(), tprofiles, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths, err := MergeProbeDepths([]*ShardProbe{probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := e.ShardGatherProfiled(context.Background(), tprofiles, spec, depths)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.PairCount <= candidateBatch*len(tprofiles) {
+		t.Fatalf("lake too small to cancel inside a column: %d pairs over %d columns", want.PairCount, len(tprofiles))
+	}
+	polls := 0
+	for ; ; polls++ {
+		got, err := e.ShardGatherProfiled(newPollCancelCtx(polls), tprofiles, spec, depths)
+		if err == nil {
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cancellation after poll %d: successful partial diverged from the uncancelled one", polls)
+			}
+			break
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancellation at poll %d: unexpected error %v", polls, err)
+		}
+		if got != nil {
+			t.Fatalf("cancellation at poll %d: error with a partial of %d tables", polls, len(got.Tables))
+		}
+		if polls > 10_000 {
+			t.Fatal("gather never completed")
+		}
+	}
+	if between := 1 + len(tprofiles); polls <= between {
+		t.Fatalf("gather polls ctx %d times over %d columns: it only stops between columns", polls, len(tprofiles))
+	}
 }
 
 func TestBatchSearchSpecCancelled(t *testing.T) {
@@ -132,9 +216,8 @@ func TestExplainSpecCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchSpecDefaultsMatchSearch: the spec'd path with zero
-// overrides is byte-for-byte the legacy path — the property the golden
-// suite relies on end to end.
+// TestSearchSpecDefaultsMatchSearch: overrides that restate the engine's
+// own configuration must not move the ranking the zero spec gives.
 func TestSearchSpecDefaultsMatchSearch(t *testing.T) {
 	lake := syntheticLake(t, 21, 25)
 	e, err := BuildEngine(lake, testOptions())
@@ -142,18 +225,10 @@ func TestSearchSpecDefaultsMatchSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := lake.Table(3)
-	want, err := e.Search(target, 8)
+	want, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rankingSignature(got.Ranked, true) != rankingSignature(want.Ranked, true) {
-		t.Fatal("SearchSpec with default spec diverged from Search")
-	}
-	// Explicit engine-equal overrides must not move the ranking either.
 	w := e.Options().Weights
 	got2, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 8, Weights: &w})
 	if err != nil {

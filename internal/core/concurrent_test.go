@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -63,12 +64,12 @@ func TestParallelSearchDeterministic(t *testing.T) {
 	}
 	for ti := 0; ti < 6; ti++ {
 		target := lake.Table(ti * 5)
-		seq, err := e.search(target, 10, 1)
+		seq, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 4, 8} {
-			got, err := e.search(target, 10, par)
+			got, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10, Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,11 +123,11 @@ func TestIncrementalAddEqualsRebuild(t *testing.T) {
 	}
 	for ti := 0; ti < n; ti += 3 {
 		target := tables[ti]
-		a, err := rebuilt.TopK(target, 10)
+		a, err := topK(rebuilt, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := incr.TopK(target, 10)
+		b, err := topK(incr, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,11 +168,11 @@ func TestRemoveEqualsRebuildWithout(t *testing.T) {
 	}
 	for ti := 0; ti < n-1; ti += 3 {
 		target := tables[ti]
-		a, err := clean.TopK(target, 10)
+		a, err := topK(clean, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := mutated.TopK(target, 10)
+		b, err := topK(mutated, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestRemoveEqualsRebuildWithout(t *testing.T) {
 		}
 	}
 	// Querying the removed table itself must not surface it either.
-	res, err := mutated.TopK(victim, 5)
+	res, err := topK(mutated, victim, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestRemoveEqualsRebuildWithout(t *testing.T) {
 	if tid != n {
 		t.Fatalf("re-Add assigned id %d, want %d", tid, n)
 	}
-	res, err = mutated.TopK(victim, 5)
+	res, err = topK(mutated, victim, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,11 +263,11 @@ func TestRemoveMiddleTableKeepsOthersRanked(t *testing.T) {
 			continue
 		}
 		target := tables[ti]
-		a, err := clean.TopK(target, 10)
+		a, err := topK(clean, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := mutated.TopK(target, 10)
+		b, err := topK(mutated, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,7 +317,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
-				if _, err := e.Search(stable[(w+i)%len(stable)], 5); err != nil {
+				if _, err := e.SearchSpec(context.Background(), stable[(w+i)%len(stable)], QuerySpec{K: 5}); err != nil {
 					fail <- fmt.Errorf("search: %w", err)
 					return
 				}
@@ -328,7 +329,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := e.BatchTopK(stable, 5); err != nil {
+			if _, err := e.BatchSearchSpec(context.Background(), stable, QuerySpec{K: 5}); err != nil {
 				fail <- fmt.Errorf("batch: %w", err)
 				return
 			}
@@ -369,7 +370,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 		t.Error(err)
 	}
 	// After the churn settles, no churn table is reachable.
-	res, err := e.Search(churn[0], 10)
+	res, err := e.SearchSpec(context.Background(), churn[0], QuerySpec{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +396,7 @@ func TestBatchTopKMatchesSingleQueries(t *testing.T) {
 	for i := range targets {
 		targets[i] = lake.Table(i * 2)
 	}
-	batch, err := e.BatchTopK(targets, 7)
+	batch, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,18 +404,18 @@ func TestBatchTopKMatchesSingleQueries(t *testing.T) {
 		t.Fatalf("batch returned %d answers for %d targets", len(batch), len(targets))
 	}
 	for i, target := range targets {
-		single, err := e.TopK(target, 7)
+		single, err := topK(e, target, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sa, sb := rankingSignature(single, true), rankingSignature(batch[i], true); sa != sb {
+		if sa, sb := rankingSignature(single, true), rankingSignature(batch[i].Ranked, true); sa != sb {
 			t.Fatalf("target %d: batch answer differs from single query:\nsingle:\n%s\nbatch:\n%s", i, sa, sb)
 		}
 	}
-	if _, err := e.BatchTopK(targets, 0); err == nil {
+	if _, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 0}); err == nil {
 		t.Fatal("expected error for k = 0")
 	}
-	if out, err := e.BatchTopK(nil, 5); err != nil || len(out) != 0 {
+	if out, err := e.BatchSearchSpec(context.Background(), nil, QuerySpec{K: 5}); err != nil || len(out) != 0 {
 		t.Fatal("empty batch should succeed with no answers")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -77,6 +78,15 @@ func figure1Target(t testing.TB) *table.Table {
 		})
 }
 
+// topK asks the default top-k query, the form most tests ask in.
+func topK(e *Engine, target *table.Table, k int) ([]TableResult, error) {
+	res, err := e.SearchSpec(context.Background(), target, QuerySpec{K: k})
+	if err != nil {
+		return nil, err
+	}
+	return res.Ranked, nil
+}
+
 func testOptions() Options {
 	o := DefaultOptions()
 	o.MaxExtentSample = 128
@@ -128,7 +138,7 @@ func TestEngineIndexesEverything(t *testing.T) {
 
 func TestTopKRanksRelatedAboveNoise(t *testing.T) {
 	e := buildFigure1Engine(t)
-	res, err := e.TopK(figure1Target(t), 3)
+	res, err := topK(e, figure1Target(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,17 +178,17 @@ func TestTopKRanksRelatedAboveNoise(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	e := buildFigure1Engine(t)
-	if _, err := e.Search(nil, 5); err == nil {
+	if _, err := e.SearchSpec(context.Background(), nil, QuerySpec{K: 5}); err == nil {
 		t.Fatal("expected error for nil target")
 	}
-	if _, err := e.Search(figure1Target(t), 0); err == nil {
+	if _, err := e.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 0}); err == nil {
 		t.Fatal("expected error for k=0")
 	}
 }
 
 func TestAlignmentsCoverTargetColumns(t *testing.T) {
 	e := buildFigure1Engine(t)
-	res, err := e.Search(figure1Target(t), 2)
+	res, err := e.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ func TestNumericDomainDistanceGuarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(t1, 2)
+	res, err := e.SearchSpec(context.Background(), t1, QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +345,7 @@ func TestDisabledEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(figure1Target(t), 5)
+	res, err := e.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +515,7 @@ func BenchmarkSearchFigure1(b *testing.B) {
 	target := figure1Target(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Search(target, 3); err != nil {
+		if _, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -14,8 +14,8 @@ import (
 // I_E of Algorithm 1 over per-attribute profiles, ready for top-k
 // relatedness queries.
 //
-// An Engine is safe for concurrent use: queries (Search, TopK,
-// BatchTopK, Explain, the lookup helpers) hold a read lock and run
+// An Engine is safe for concurrent use: queries (SearchSpec,
+// BatchSearchSpec, Explain, the lookup helpers) hold a read lock and run
 // concurrently with each other, while mutations (Add, Remove) take the
 // write lock and serialise against queries. The embedded Lake must only
 // be mutated through the Engine once queries may be in flight.

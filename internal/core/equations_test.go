@@ -157,7 +157,7 @@ func TestUniformWeightingAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.TopK(figure1Target(t), 3)
+	res, err := topK(e, figure1Target(t), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,4 +210,10 @@ func TestProfileSpaceBytesPositive(t *testing.T) {
 			t.Fatal("profile space must be positive")
 		}
 	}
+}
+
+// combineEq3 applies the engine-level weights and mask, the form the
+// equation tests exercise the formula through.
+func (e *Engine) combineEq3(vec DistanceVector) float64 {
+	return combineEq3(e.opts.Weights, e.opts.Disabled, vec)
 }

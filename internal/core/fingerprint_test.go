@@ -14,7 +14,7 @@ func TestFingerprintMovesOnMutation(t *testing.T) {
 	if fp0 != e.Fingerprint() {
 		t.Fatal("fingerprint not stable across calls")
 	}
-	if _, err := e.TopK(figure1Target(t), 3); err != nil {
+	if _, err := topK(e, figure1Target(t), 3); err != nil {
 		t.Fatal(err)
 	}
 	if e.Fingerprint() != fp0 {

@@ -42,11 +42,11 @@ func TestParallelBuildDeterministic(t *testing.T) {
 			}
 		}
 	}
-	rs, err := seq.TopK(target, 5)
+	rs, err := topK(seq, target, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := par.TopK(target, 5)
+	rp, err := topK(par, target, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -42,11 +43,11 @@ func TestSnapshotRoundTripFigure1(t *testing.T) {
 	}
 	target := figure1Target(t)
 
-	want, err := e.TopK(target, 5)
+	want, err := topK(e, target, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := le.TopK(target, 5)
+	got, err := topK(le, target, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,17 +65,17 @@ func TestSnapshotRoundTripFigure1(t *testing.T) {
 	}
 
 	targets := []*table.Table{target, figure1Target(t)}
-	wantBatch, err := e.BatchTopK(targets, 3)
+	wantBatch, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBatch, err := le.BatchTopK(targets, 3)
+	gotBatch, err := le.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range wantBatch {
-		if rankingSignature(wantBatch[i], true) != rankingSignature(gotBatch[i], true) {
-			t.Fatalf("BatchTopK answer %d diverged after round trip", i)
+		if rankingSignature(wantBatch[i].Ranked, true) != rankingSignature(gotBatch[i].Ranked, true) {
+			t.Fatalf("batch answer %d diverged after round trip", i)
 		}
 	}
 
@@ -113,11 +114,11 @@ func TestSnapshotRoundTripSynthetic(t *testing.T) {
 	le := loadedEngine(t, e)
 	for i := 0; i < lake.Len(); i += 7 {
 		target := lake.Table(i)
-		want, err := e.TopK(target, 10)
+		want, err := topK(e, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := le.TopK(target, 10)
+		got, err := topK(le, target, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,11 +163,11 @@ func TestSnapshotRoundTripOptions(t *testing.T) {
 	if lo.Seed != opts.Seed || lo.MinHashSize != opts.MinHashSize {
 		t.Fatal("hash-family parameters lost")
 	}
-	want, err := e.TopK(figure1Target(t), 5)
+	want, err := topK(e, figure1Target(t), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := le.TopK(figure1Target(t), 5)
+	got, err := topK(le, figure1Target(t), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +198,11 @@ func TestSnapshotPreservesTombstones(t *testing.T) {
 		}
 	}
 	target := lake.Table(1)
-	want, err := e.TopK(target, 10)
+	want, err := topK(e, target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := le.TopK(target, 10)
+	got, err := topK(le, target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +269,11 @@ func TestLoadedEngineAcceptsMutations(t *testing.T) {
 	}
 	for i := 0; i < 20; i += 5 {
 		target := lake.Table(i)
-		want, err := e.TopK(target, 8)
+		want, err := topK(e, target, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := le.TopK(target, 8)
+		got, err := topK(le, target, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +371,7 @@ func TestSnapshotConcurrentWithMutations(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := e.TopK(target, 5); err != nil {
+			if _, err := topK(e, target, 5); err != nil {
 				t.Error(err)
 				return
 			}
@@ -386,7 +387,7 @@ func TestSnapshotConcurrentWithMutations(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot %d unloadable: %v", i, err)
 		}
-		if _, err := le.TopK(target, 5); err != nil {
+		if _, err := topK(le, target, 5); err != nil {
 			t.Fatalf("snapshot %d: loaded engine query failed: %v", i, err)
 		}
 	}
@@ -409,7 +410,7 @@ func TestCompactPreservesQueries(t *testing.T) {
 		}
 	}
 	target := lake.Table(0)
-	before, err := e.TopK(target, 10)
+	before, err := topK(e, target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestCompactPreservesQueries(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := e.TopK(target, 10)
+	after, err := topK(e, target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +432,7 @@ func TestCompactPreservesQueries(t *testing.T) {
 	// live attributes produces: snapshot equality is the strongest
 	// check (it covers tree layout byte for byte).
 	le := loadedEngine(t, e)
-	got, err := le.TopK(target, 10)
+	got, err := topK(le, target, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +465,7 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 		t.Fatalf("snapshot Parallelism = %d, want 1", got)
 	}
 	target := e.Lake().Table(2)
-	want, err := le.TopK(target, 8)
+	want, err := topK(le, target, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +475,7 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 	if got := le.Options().Parallelism; got != 4 {
 		t.Fatalf("Parallelism after override = %d, want 4", got)
 	}
-	got, err := le.TopK(target, 8)
+	got, err := topK(le, target, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

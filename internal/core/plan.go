@@ -5,8 +5,6 @@ import (
 	"math"
 	"strings"
 	"sync/atomic"
-
-	"d3l/internal/lsh"
 )
 
 // This file implements the prepare half of the query pipeline's
@@ -33,10 +31,11 @@ import (
 // strictly against the live top-k threshold with a safety margin, so
 // a pruned table could never have entered the heap); the depth hints
 // shift where the forest's depth search starts, never what it returns.
-// The ranked answer, its per-table distances and the deterministic
-// SearchStats counters are bit-identical with the planner on or off —
-// QuerySpec.DisablePlanner (d3l.WithPlanner(false)) switches back to
-// the plan-free path as an escape hatch and for A/B measurement.
+// So there is one pipeline, not a planned and a plan-free one: the
+// ranked answer, its per-table distances and the deterministic
+// SearchStats counters are bit-identical to the paper-literal reference
+// in query_ref_test.go, which probes blind, scores every table in full
+// and sorts.
 //
 // Why per-pair distance kernels are NOT elided: the Eq. 2 CCDF
 // weights are built from the distance distributions over *all*
@@ -109,19 +108,26 @@ func (p *preparedPlan) setHint(col, slot, depth int) {
 	p.hints[col*numForestSlots+slot].Store(int32(depth))
 }
 
+// evidenceCascade lists the evidence types a mask leaves enabled,
+// cheapest first.
+func evidenceCascade(disabled [NumEvidence]bool) []Evidence {
+	cascade := make([]Evidence, 0, NumEvidence)
+	for rank := 0; rank < int(NumEvidence); rank++ {
+		for t := 0; t < int(NumEvidence); t++ {
+			if evidenceCostRank[t] == rank && !disabled[t] {
+				cascade = append(cascade, Evidence(t))
+			}
+		}
+	}
+	return cascade
+}
+
 // newPreparedPlan builds the plan for a target arity and resolved
 // option view: cascade from the evidence mask, hints all cold.
 func newPreparedPlan(numCols int, view *specView) *preparedPlan {
 	p := &preparedPlan{
-		cascade: make([]Evidence, 0, NumEvidence),
+		cascade: evidenceCascade(view.disabled),
 		hints:   make([]atomic.Int32, numCols*numForestSlots),
-	}
-	for rank := 0; rank < int(NumEvidence); rank++ {
-		for t := 0; t < int(NumEvidence); t++ {
-			if evidenceCostRank[t] == rank && !view.disabled[t] {
-				p.cascade = append(p.cascade, Evidence(t))
-			}
-		}
 	}
 	var b strings.Builder
 	for i, t := range p.cascade {
@@ -134,15 +140,14 @@ func newPreparedPlan(numCols int, view *specView) *preparedPlan {
 	return p
 }
 
-// PlanStats reports what the prepared-plan execution path did for one
-// query. All counters are deterministic — the cascade scores candidate
-// tables sequentially in ascending table-id order, so the same query
-// prunes the same tables at any parallelism — and they live outside
-// SearchStats so planner-on and planner-off runs of the same query
-// stay comparable field-for-field.
+// PlanStats reports what the plan did for one query. All counters are
+// deterministic — candidate tables are scored sequentially in ascending
+// table-id order, so the same query prunes the same tables at any
+// parallelism — and they live outside SearchStats, which counts the
+// work the query was given rather than the work the cascade saved.
 type PlanStats struct {
-	// Enabled reports whether the planner ran (false under
-	// DisablePlanner or for engines queried through the legacy path).
+	// Enabled is true for every ranking query (and false in the zero
+	// PlanStats of an explanation-only answer).
 	Enabled bool
 	// Cached reports whether the plan came from the prepared-plan
 	// cache rather than being built for this query.
@@ -286,75 +291,145 @@ func (e *Engine) ResetPlanCache() {
 	e.planCache.reset()
 }
 
-// probeForest is one forest lookup of the gather phase: the plan-free
-// path runs the forest's full top-down descent (QueryInto); with a
-// plan, the descent is seeded with the stop depth recorded by the last
-// probe of this (target column, forest) and the observed depth is
-// stored back for the next query. The hint is advisory — QueryIntoHint
-// returns the identical candidate set for any hint value — so hint
-// state needs no synchronisation beyond the atomic load/store.
-func probeForest(f *lsh.Forest, sig []uint64, budget int, ids []int32, plan *preparedPlan, col, slot int) []int32 {
-	if plan == nil {
-		ids, _ = f.QueryInto(sig, budget, ids)
-		return ids
-	}
-	ids, depth, err := f.QueryIntoHint(sig, budget, ids, plan.hint(col, slot))
-	if err == nil {
-		plan.setHint(col, slot, depth)
-	}
-	return ids
+// scorer is the Eq. 1–3 arithmetic of one query: the effective weights
+// and evidence mask, the cascade order, and the Eq. 2 distributions. It
+// is what the monolith's ranker and the shard coordinator's merge have
+// in common, so both score through it and cannot drift apart.
+type scorer struct {
+	k        int
+	weights  Weights
+	disabled [NumEvidence]bool
+	cascade  []Evidence
+	ecdfs    *distanceECDFs
+	// den and max are Eq. 3's normalisation constants, accumulated
+	// exactly as combineEq3 does (index order), so the pruning bound and
+	// the final reduction divide by the same floats.
+	den, max float64
 }
 
-// rankCascade is the execute phase of a prepared plan: it scores the
-// candidate-table runs sequentially in ascending table-id order,
-// maintains the bounded top-k heap incrementally, and hands each run
-// the heap's live threshold so scoreRunCascade can stop as soon as the
-// table is out of the running. Sequential scoring is what makes the
-// pruning counters deterministic — a parallel scorer would observe the
-// threshold at racy times and prune different tables run to run. The
-// heap evolution replicates selectTopK exactly: a pruned table's final
-// distance provably exceeds the heap root's, so selectTopK would have
-// rejected it too, and every surviving table goes through the same
-// better()/siftDown steps in the same order.
-//
-// Returns the survivors' scored slots and the rank-ordered heap
-// indexes (both arena memory), plus the per-query PlanStats. A
-// cancelled context aborts between runs — same cooperative cadence as
-// the plan-free scorer's worker slots — and returns ctx.Err(), never a
-// partial answer.
-func (e *Engine) rankCascade(ctx context.Context, pairs []candidatePair, runs []tableRun, numCols int, ecdfs *distanceECDFs, view *specView, plan *preparedPlan, qs *queryScratch) ([]scoredTable, []int32, PlanStats, error) {
-	ps := PlanStats{Enabled: true, Order: plan.order}
-	scored := qs.scored[:0]
-	h := qs.top[:0]
-	ws := e.getWorkerScratch()
-	defer e.putWorkerScratch(ws)
-	for ri, run := range runs {
-		if ri%candidateBatch == 0 && ctx.Err() != nil {
-			qs.scored, qs.top = scored, h
-			return nil, nil, ps, ctx.Err()
+func newScorer(k int, weights Weights, disabled [NumEvidence]bool, cascade []Evidence, ecdfs *distanceECDFs) scorer {
+	sc := scorer{k: k, weights: weights, disabled: disabled, cascade: cascade, ecdfs: ecdfs}
+	for t := 0; t < int(NumEvidence); t++ {
+		w := weights[t]
+		if disabled[t] {
+			w = 0
 		}
-		tablePairs := pairs[run.start:run.end]
+		sc.den += w
+		sc.max += w * w
+	}
+	return sc
+}
+
+// scoreTable scores one candidate table from its alignment rows (one
+// per aligned target column, ascending): Eq. 1 aggregates each evidence
+// type column-wise under the Eq. 2 weights, Eq. 3 reduces the vector to
+// the distance. The components are aggregated in cascade order and
+// pruned against threshold: between components the final distance is
+// lower-bounded by treating every not-yet-aggregated component as 0
+// (its best case), and once even that bound strictly exceeds the
+// threshold the remaining evaluations are elided — the table cannot
+// displace any heap entry, ties included, because its true distance is
+// strictly worse than the root's. elided > 0 marks a pruned table;
+// survivors return elided == 0 and, with threshold +Inf, every table
+// survives.
+//
+// A survivor's result is float-for-float the paper-literal aggregation
+// the reference in query_ref_test.go keeps: each component accumulates
+// over the rows in the same ascending-column order, and the distance
+// comes from combineEq3 over the full vector (never from the cascade's
+// partial sums, whose summation order differs).
+func (sc *scorer) scoreTable(rows []Alignment, threshold float64) (dist float64, vec DistanceVector, elided int) {
+	// den == 0 (every enabled type has zero weight) makes combineEq3
+	// return 1 for every table: nothing to prune, rank on names alone.
+	prunable := sc.den > 0 && sc.max > 0 && !math.IsInf(threshold, 1)
+	for t := 0; t < int(NumEvidence); t++ {
+		if sc.disabled[t] {
+			vec[t] = 1
+		}
+	}
+	var partial float64 // Σ (w_t·vec_t)² over aggregated components
+	for i, t := range sc.cascade {
+		// Bound check before aggregating component i, over the i
+		// components already in partial — so a prune always elides at
+		// least this component's evaluation (a "prune" after the last
+		// component would save nothing and is skipped).
+		if prunable && i > 0 {
+			bound := math.Sqrt(partial/sc.den) / math.Sqrt(sc.max/sc.den)
+			if bound > 1 {
+				bound = 1
+			}
+			bound *= 1 - plannerMargin
+			if bound > threshold {
+				return 0, vec, len(sc.cascade) - i
+			}
+		}
+		var num, den float64
+		for r := range rows {
+			d := rows[r].Distances[t]
+			w := sc.ecdfs.weight(rows[r].TargetColumn, t, d)
+			num += w * d
+			den += w
+		}
+		if den == 0 {
+			// Every row is maximally distant in its distribution; the
+			// unweighted mean preserves the (weak) signal.
+			for r := range rows {
+				num += rows[r].Distances[t]
+			}
+			vec[t] = num / float64(len(rows))
+		} else {
+			vec[t] = num / den
+		}
+		if prunable {
+			w := sc.weights[t]
+			partial += (w * vec[t]) * (w * vec[t])
+		}
+	}
+	return combineEq3(sc.weights, sc.disabled, vec), vec, 0
+}
+
+// rankTables is the score-and-rank loop of Section III-D, written once
+// for the monolith (n pair runs) and the shard merge (n shipped tables):
+// it scores the candidate tables in index order, keeps the k best in a
+// bounded max-heap by worseness (worst survivor at the root, evicted
+// first), and hands each table the root's distance as its pruning
+// threshold. rows(i) yields table i's alignment rows; ident(i) its id
+// and name, asked for survivors only.
+//
+// The result is the set a full sort truncated to k would keep, in the
+// same (Distance, Name) order: better() is a total order, a pruned
+// table is strictly worse than a root that only ever improves, and
+// every survivor goes through the same heap steps a plain bounded
+// selection would take. That also makes the answer independent of the
+// order tables arrive in; only the pruning counters depend on it, and
+// scoring sequentially (not across a pool, where the threshold would be
+// observed at racy times) keeps them deterministic for a given order.
+//
+// scored and heap are recycled buffers; the survivors' slots and the
+// rank-ordered heap indexes into them come back (grown, on every
+// path). A cancelled context aborts between table batches with
+// ctx.Err(), never a partial answer.
+func (sc *scorer) rankTables(ctx context.Context, n int, rows func(i int) []Alignment, ident func(i int) (tid int, name string), scored []scoredTable, heap []int32) ([]scoredTable, []int32, PlanStats, error) {
+	ps := PlanStats{Enabled: true}
+	scored, h := scored[:0], heap[:0]
+	for i := 0; i < n; i++ {
+		if i%candidateBatch == 0 && ctx.Err() != nil {
+			return scored, h, ps, ctx.Err()
+		}
 		threshold := math.Inf(1)
-		if len(h) == view.k {
+		if len(h) == sc.k {
 			threshold = scored[h[0]].dist
 		}
-		dist, vec, elided := e.scoreRunCascade(tablePairs, numCols, ecdfs, view, plan, threshold, ws)
+		dist, vec, elided := sc.scoreTable(rows(i), threshold)
 		if elided > 0 {
 			ps.TablesPruned++
-			ps.PairsPruned += len(tablePairs)
 			ps.EvidenceEvalsElided += elided
 			continue
 		}
-		scored = append(scored, scoredTable{
-			tid:   run.tid,
-			start: run.start,
-			end:   run.end,
-			dist:  dist,
-			name:  e.lake.Table(run.tid).Name,
-			vec:   vec,
-		})
+		tid, name := ident(i)
+		scored = append(scored, scoredTable{tid: tid, src: int32(i), dist: dist, name: name, vec: vec})
 		idx := int32(len(scored) - 1)
-		if len(h) < view.k {
+		if len(h) < sc.k {
 			h = append(h, idx)
 			siftUp(scored, h, len(h)-1)
 		} else if better(&scored[idx], &scored[h[0]]) {
@@ -362,94 +437,11 @@ func (e *Engine) rankCascade(ctx context.Context, pairs []candidatePair, runs []
 			siftDown(scored, h, 0)
 		}
 	}
+	// Heapsort the survivors: repeatedly move the worst root past the
+	// shrinking heap boundary, yielding best-first order in place.
 	for end := len(h) - 1; end > 0; end-- {
 		h[0], h[end] = h[end], h[0]
 		siftDown(scored, h[:end], 0)
 	}
-	qs.scored, qs.top = scored, h
-	e.planStats.tablesPruned.Add(int64(ps.TablesPruned))
-	e.planStats.pairsPruned.Add(int64(ps.PairsPruned))
-	e.planStats.evidenceElided.Add(int64(ps.EvidenceEvalsElided))
 	return scored, h, ps, nil
-}
-
-// scoreRunCascade scores one candidate table like scoreRun, but
-// aggregates the Eq. 1 components in the plan's cascade order and
-// prunes against threshold: between components it lower-bounds the
-// final Eq. 3 distance by treating every not-yet-aggregated component
-// as 0 (its best case), and once even that bound strictly exceeds the
-// threshold the remaining evaluations are elided — the table cannot
-// displace any heap entry, ties included, because its true distance is
-// strictly worse than the root's.
-//
-// For survivors the result is float-identical to scoreRun: each
-// component is computed by the same ascending-column accumulation, and
-// the final distance comes from combineEq3 over the full vector (never
-// from the cascade's partial sums, whose summation order differs).
-// elided > 0 marks a pruned table; survivors return elided == 0.
-func (e *Engine) scoreRunCascade(tablePairs []candidatePair, numCols int, ecdfs *distanceECDFs, view *specView, plan *preparedPlan, threshold float64, ws *workerScratch) (float64, DistanceVector, int) {
-	best, mark, epoch, aligned := selectBestPairs(tablePairs, numCols, ws)
-	// Eq. 3 normalisation constants, accumulated exactly as combineEq3
-	// does (index order), so the bound and the final reduction divide
-	// by the same floats.
-	var den, max float64
-	for t := 0; t < int(NumEvidence); t++ {
-		w := view.weights[t]
-		if view.disabled[t] {
-			w = 0
-		}
-		den += w
-		max += w * w
-	}
-	// den == 0 (every enabled type has zero weight) makes combineEq3
-	// return 1 for every table: nothing to prune, rank on names alone.
-	prunable := den > 0 && max > 0 && !math.IsInf(threshold, 1)
-	var vec DistanceVector
-	for t := 0; t < int(NumEvidence); t++ {
-		if view.disabled[t] {
-			vec[t] = 1
-		}
-	}
-	var partial float64 // Σ (w_t·vec_t)² over aggregated components
-	for i, t := range plan.cascade {
-		// Bound check before aggregating component i, over the i
-		// components already in partial — so a prune always elides at
-		// least this component's evaluation (a "prune" after the last
-		// component would save nothing and is skipped).
-		if prunable && i > 0 {
-			bound := math.Sqrt(partial/den) / math.Sqrt(max/den)
-			if bound > 1 {
-				bound = 1
-			}
-			bound *= 1 - plannerMargin
-			if bound > threshold {
-				return 0, vec, len(plan.cascade) - i
-			}
-		}
-		var num, dsum float64
-		for c := 0; c < numCols; c++ {
-			if mark[c] != epoch {
-				continue
-			}
-			d := tablePairs[best[c]].dist[t]
-			w := ecdfs.weight(c, t, d)
-			num += w * d
-			dsum += w
-		}
-		if dsum == 0 {
-			for c := 0; c < numCols; c++ {
-				if mark[c] == epoch {
-					num += tablePairs[best[c]].dist[t]
-				}
-			}
-			vec[t] = num / float64(aligned)
-		} else {
-			vec[t] = num / dsum
-		}
-		if prunable {
-			w := view.weights[t]
-			partial += (w * vec[t]) * (w * vec[t])
-		}
-	}
-	return combineEq3(view.weights, view.disabled, vec), vec, 0
 }

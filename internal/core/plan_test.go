@@ -26,8 +26,8 @@ func planSearch(t *testing.T, e *Engine, target *table.Table, spec QuerySpec) *S
 // boundary weight vectors (zeros, a negative zero, weights above 1, a
 // vector whose every enabled component is zero so the pruning bound
 // degenerates), crossed with evidence masks, randomized lakes and
-// targets. For every combination the planner-on answer must deep-equal
-// the planner-off answer, and the pruning counters — deterministic by
+// targets. For every combination the answer must deep-equal the naive
+// reference's, and the pruning counters — deterministic by
 // construction, because the cascade scores tables sequentially in
 // ascending table-id order — must be identical at every parallelism.
 func TestPlannerPropertyEquivalence(t *testing.T) {
@@ -64,11 +64,9 @@ func TestPlannerPropertyEquivalence(t *testing.T) {
 			target := lake.Table(rng.Intn(lake.Len()))
 			label := fmt.Sprintf("seed=%d trial=%d spec=%+v", seed, trial, spec)
 
-			off := spec
-			off.DisablePlanner = true
-			ref := planSearch(t, e, target, off)
-			if ref.Plan.Enabled || ref.Plan.TablesPruned != 0 {
-				t.Fatalf("%s: planner-off run reported plan activity: %+v", label, ref.Plan)
+			ref, err := naiveSearchSpec(e, target, spec)
+			if err != nil {
+				t.Fatalf("%s: naive: %v", label, err)
 			}
 
 			var counters *PlanStats
@@ -83,7 +81,7 @@ func TestPlannerPropertyEquivalence(t *testing.T) {
 					t.Fatalf("%s par=%d: stats diverge: %+v vs %+v", label, par, res.Stats, ref.Stats)
 				}
 				if !reflect.DeepEqual(res.Ranked, ref.Ranked) {
-					t.Fatalf("%s par=%d: planner-on answer diverges from planner-off", label, par)
+					t.Fatalf("%s par=%d: answer diverges from the naive reference", label, par)
 				}
 				got := res.Plan
 				got.Cached = false // cache state legitimately varies across reps
@@ -260,9 +258,10 @@ func TestPlannerPrunesAndStaysExact(t *testing.T) {
 			t.Fatalf("par=%d: prune counters not deterministic: %+v vs %+v", par, got, want)
 		}
 	}
-	off := spec
-	off.DisablePlanner = true
-	ref := planSearch(t, e, target, off)
+	ref, err := naiveSearchSpec(e, target, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(first.Ranked, ref.Ranked) || first.Stats != ref.Stats {
 		t.Fatal("pruning changed the answer")
 	}

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
+	"d3l/internal/lsh"
 	"d3l/internal/stats"
 	"d3l/internal/table"
 )
@@ -53,19 +53,11 @@ type SearchResult struct {
 	TargetSubject  *Profile // nil when the target has no subject attr
 	Ranked         []TableResult
 	Stats          SearchStats
-	// Plan reports what the prepared-plan execution path did (zero
-	// when the planner was disabled). It lives outside Stats so
-	// planner-on and planner-off runs stay comparable on Stats alone.
+	// Plan reports what the plan did for this query: the cascade order,
+	// whether the plan was cached, and the pruning counters. It lives
+	// outside Stats so Stats alone stays comparable with the shard
+	// merge and the naive reference, which count no pruning.
 	Plan PlanStats
-}
-
-// TopK returns the k most related tables of the lake for the target.
-func (e *Engine) TopK(target *table.Table, k int) ([]TableResult, error) {
-	res, err := e.Search(target, k)
-	if err != nil {
-		return nil, err
-	}
-	return res.Ranked, nil
 }
 
 // candidatePair is one (target column, candidate attribute) distance
@@ -78,39 +70,19 @@ type candidatePair struct {
 	dist      DistanceVector
 }
 
-// Search runs the full Section III-D pipeline, fanning candidate
-// generation out across target columns and candidate-table scoring
-// across a worker pool bounded by Options.Parallelism. The ranking is
-// deterministic: at any parallelism it is identical to the sequential
-// path (candidates are processed in attribute-id order and the final
-// sort breaks distance ties by name).
-func (e *Engine) Search(target *table.Table, k int) (*SearchResult, error) {
-	return e.SearchSpec(context.Background(), target, QuerySpec{K: k})
-}
-
-// SearchSpec is the context-first, per-query-parameterised form of
-// Search. Cancellation is cooperative: the pipeline checks ctx between
-// candidate batches and between table-scoring slots, and a cancelled
+// SearchSpec runs the full Section III-D pipeline for one target under
+// the per-query parameters of spec, fanning candidate generation out
+// across target columns on a worker pool bounded by Options.Parallelism.
+// The ranking is deterministic: at any parallelism it is identical to
+// the sequential path (candidates are processed in attribute-id order,
+// tables are scored in table-id order, and distance ties break by
+// name). Cancellation is cooperative: the pipeline checks ctx between
+// candidate batches and between table-scoring batches, and a cancelled
 // query returns ctx.Err() — never a partial answer. The per-query
 // overrides in spec never touch engine state, so concurrent queries
 // with different weights or evidence masks do not interfere.
 func (e *Engine) SearchSpec(ctx context.Context, target *table.Table, spec QuerySpec) (*SearchResult, error) {
 	return e.searchSpec(ctx, target, spec, e.resolveParallelism(spec.Parallelism))
-}
-
-// BatchTopK answers one top-k query per target, running the queries
-// concurrently across Options.Parallelism workers — the serving
-// primitive for many-user traffic.
-func (e *Engine) BatchTopK(targets []*table.Table, k int) ([][]TableResult, error) {
-	results, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: k})
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]TableResult, len(results))
-	for i, r := range results {
-		out[i] = r.Ranked
-	}
-	return out, nil
 }
 
 // BatchSearchSpec runs SearchSpec once per target across the worker
@@ -178,13 +150,13 @@ func (e *Engine) searchSpec(ctx context.Context, target *table.Table, spec Query
 	return e.rankProfiled(ctx, target, tprofiles, tsubject, view, parallelism)
 }
 
-// rankProfiled is the post-profiling half of the pipeline — candidate
-// generation through ranking — and the region the zero-allocation
-// contract covers: all intermediate state lives in pooled arenas (see
-// scratch.go), and the only heap allocations a steady-state call
-// performs are the ones that escape into the returned SearchResult
-// (the ranked slice and the k winners' alignment rows). The
-// allocation-budget guard test pins this.
+// rankProfiled is the post-profiling half of the pipeline — Gather →
+// Score → Rank — and the region the zero-allocation contract covers:
+// all intermediate state lives in pooled arenas (see scratch.go), and
+// the only heap allocations a steady-state call performs are the ones
+// that escape into the returned SearchResult (the ranked slice and the
+// k winners' alignment rows). The allocation-budget guard test pins
+// this.
 func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofiles []Profile, tsubject *Profile, view specView, parallelism int) (*SearchResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -196,101 +168,71 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	// installed the timer is inert and the pipeline reads no clocks.
 	st := e.newStageTimer()
 
-	// Phase 0 (planner only): prepare — or fetch from the plan cache —
-	// the evidence cascade and the forest depth hints for this
-	// (target, engine, options) shape.
-	var plan *preparedPlan
-	var planCached bool
-	if view.planner {
-		plan, planCached = e.preparePlan(tprofiles, &view)
-		st.lap(StagePlanPrepare)
-	}
+	// Prepare — or fetch from the plan cache — the evidence cascade and
+	// the forest depth hints for this (target, engine, options) shape.
+	plan, planCached := e.preparePlan(tprofiles, &view)
+	st.lap(StagePlanPrepare)
 
-	// Phase 1: per target attribute, gather candidates from the four
+	// Gather: per target attribute, collect candidates from the four
 	// indexes and compute pair distances. Columns are independent, so
 	// they fan out across the pool, each into its own arena buffer.
-	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, view, parallelism, qs, plan)
+	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, parallelism, qs, probeMode{plan: plan})
 	if err != nil {
 		return nil, err
 	}
 	st.lap(StageGather)
 
-	// Phase 2: per (target column, evidence type), build the R_t
-	// distance distributions backing the Eq. 2 CCDF weights. The
-	// samples live in the arena, laid out per column while the pair
-	// list is still in column order.
+	// Score and rank: build the R_t distance distributions backing the
+	// Eq. 2 weights (laid out per column while the pair list is still in
+	// column order), group the pairs by candidate table — one sort by
+	// (table, attribute) plus contiguous-run slicing — and hand the runs
+	// to the one score-and-rank loop in ascending table-id order.
+	numCols := len(tprofiles)
 	var ecdfs *distanceECDFs
 	if !view.uniform {
-		ecdfs = qs.buildECDFs(len(tprofiles))
+		ecdfs = qs.buildECDFs(numCols)
 	}
-
-	// Phase 3: group by candidate table — one sort of the pair list by
-	// (table, attribute) plus contiguous-run slicing, in place of the
-	// old byTable map — then score. The planner path scores
-	// sequentially in ascending table-id order so the evidence cascade
-	// can prune against the live top-k threshold (and so the pruning
-	// counters are deterministic); the plan-free path scores tables
-	// independently across the pool into slot-per-run layout, keeping
-	// output order independent of worker timing. Both produce the same
-	// (Distance, Name)-ordered winners.
 	qs.runs = groupPairsByTable(pairs, qs.runs)
 	runs := qs.runs
-	var scored []scoredTable
-	var top []int32
-	var planStats PlanStats
-	if plan != nil {
-		scored, top, planStats, err = e.rankCascade(ctx, pairs, runs, len(tprofiles), ecdfs, &view, plan, qs)
-		if err != nil {
-			return nil, err
-		}
-		planStats.Cached = planCached
-		st.lap(StageScore)
-	} else {
-		if cap(qs.scored) < len(runs) {
-			qs.scored = make([]scoredTable, len(runs))
-		}
-		scored = qs.scored[:len(runs)]
-		if err := forEachIndexCtx(ctx, len(runs), parallelism, func(i int) {
-			run := runs[i]
-			tablePairs := pairs[run.start:run.end]
-			dist, vec := e.scoreRun(tablePairs, len(tprofiles), ecdfs, &view)
-			scored[i] = scoredTable{
-				tid:   run.tid,
-				start: run.start,
-				end:   run.end,
-				dist:  dist,
-				name:  e.lake.Table(run.tid).Name,
-				vec:   vec,
-			}
-		}); err != nil {
-			return nil, err
-		}
-		st.lap(StageScore)
-
-		// Ranking: bounded top-k selection over the scored slots
-		// instead of a full sort — same (Distance, Name) order, only k
-		// survivors. (The planner path maintains the same heap
-		// incrementally inside rankCascade.)
-		qs.top = selectTopK(scored, view.k, qs.top)
-		top = qs.top
-	}
-
-	// Alignment rows are materialised for the winners alone; the old
-	// pipeline built them for every scored table and then threw all
-	// but k away.
 	ws := e.getWorkerScratch()
+	defer e.putWorkerScratch(ws)
+	sc := newScorer(view.k, view.weights, view.disabled, plan.cascade, ecdfs)
+	var planStats PlanStats
+	qs.scored, qs.top, planStats, err = sc.rankTables(ctx, len(runs),
+		func(i int) []Alignment {
+			ws.rows = alignRun(ws.rows[:0], pairs[runs[i].start:runs[i].end], numCols, ws)
+			return ws.rows
+		},
+		func(i int) (int, string) { return runs[i].tid, e.lake.Table(runs[i].tid).Name },
+		qs.scored, qs.top)
+	if err != nil {
+		return nil, err
+	}
+	scored, top := qs.scored, qs.top
+	planStats.Order, planStats.Cached = plan.order, planCached
+	planStats.PairsPruned = len(pairs)
+	for i := range scored {
+		run := runs[scored[i].src]
+		planStats.PairsPruned -= int(run.end - run.start)
+	}
+	e.planStats.tablesPruned.Add(int64(planStats.TablesPruned))
+	e.planStats.pairsPruned.Add(int64(planStats.PairsPruned))
+	e.planStats.evidenceElided.Add(int64(planStats.EvidenceEvalsElided))
+	st.lap(StageScore)
+
+	// Alignment rows are materialised for the winners alone.
 	results := make([]TableResult, len(top))
 	for i, idx := range top {
-		st := &scored[idx]
+		s := &scored[idx]
+		run := runs[s.src]
 		results[i] = TableResult{
-			TableID:    st.tid,
-			Name:       st.name,
-			Distance:   st.dist,
-			Vector:     st.vec,
-			Alignments: e.materializeAlignments(pairs[st.start:st.end], len(tprofiles), ws),
+			TableID:    s.tid,
+			Name:       s.name,
+			Distance:   s.dist,
+			Vector:     s.vec,
+			Alignments: e.alignments(pairs[run.start:run.end], numCols, ws),
 		}
 	}
-	e.putWorkerScratch(ws)
 	st.lap(StageRankMerge)
 	return &SearchResult{
 		Target:         target,
@@ -305,23 +247,17 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	}, nil
 }
 
-// scoreRun scores one candidate table from its contiguous pair run:
-// per-target-column best-pair selection (the alignment decision)
-// followed by the Eq. 1 aggregation and the Eq. 3 reduction, all on
-// worker scratch. It is float-for-float the computation alignColumns +
-// aggregateEq1 + combineEq3 perform — selection uses the same
-// (mean distance, attribute id) tie-break, and the aggregation
-// accumulates in the same ascending-column order — without
-// materialising the []Alignment intermediate.
-// selectBestPairs runs the alignment decision for one table's pair
-// run on worker scratch: for every target column with candidates in
-// the run, best[c] indexes the run's pair with the smallest mean
-// distance (ties towards the smaller attribute id, exactly
-// alignColumns' rule). Slot c is aligned iff mark[c] == epoch. Both
-// scoreRun and materializeAlignments go through this one helper so
-// the scores and the reported alignments can never drift apart.
-func selectBestPairs(tablePairs []candidatePair, numCols int, ws *workerScratch) (best []int32, mark []uint32, epoch uint32, aligned int) {
-	best, mark, epoch = ws.bestEpoch(numCols)
+// alignRun is the alignment decision for one table's pair run: for
+// every target column with candidates in the run, the pair with the
+// smallest mean distance wins (ties towards the smaller attribute id —
+// a candidate attribute may serve several target columns, as in the
+// paper's Table I). It appends one row per aligned target column,
+// ascending, to dst; a nil dst is allocated at exactly the aligned
+// count. CandColumn is left for alignments to fill: scoring does not
+// read it, and looking it up costs a cache miss per row.
+func alignRun(dst []Alignment, tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
+	best, mark, epoch := ws.bestEpoch(numCols)
+	aligned := 0
 	for i := range tablePairs {
 		p := &tablePairs[i]
 		c := p.targetCol
@@ -337,72 +273,30 @@ func selectBestPairs(tablePairs []candidatePair, numCols int, ws *workerScratch)
 			best[c] = int32(i)
 		}
 	}
-	return best, mark, epoch, aligned
-}
-
-func (e *Engine) scoreRun(tablePairs []candidatePair, numCols int, ecdfs *distanceECDFs, view *specView) (float64, DistanceVector) {
-	ws := e.getWorkerScratch()
-	defer e.putWorkerScratch(ws)
-	best, mark, epoch, aligned := selectBestPairs(tablePairs, numCols, ws)
-	var vec DistanceVector
-	for t := 0; t < int(NumEvidence); t++ {
-		if view.disabled[t] {
-			vec[t] = 1
-			continue
-		}
-		var num, den float64
-		for c := 0; c < numCols; c++ {
-			if mark[c] != epoch {
-				continue
-			}
-			d := tablePairs[best[c]].dist[t]
-			w := ecdfs.weight(c, Evidence(t), d)
-			num += w * d
-			den += w
-		}
-		if den == 0 {
-			// Every row is maximally distant in its distribution; the
-			// unweighted mean preserves the (weak) signal.
-			for c := 0; c < numCols; c++ {
-				if mark[c] == epoch {
-					num += tablePairs[best[c]].dist[t]
-				}
-			}
-			vec[t] = num / float64(aligned)
-			continue
-		}
-		vec[t] = num / den
+	if dst == nil {
+		dst = make([]Alignment, 0, aligned)
 	}
-	return combineEq3(view.weights, view.disabled, vec), vec
-}
-
-// materializeAlignments builds the alignment rows for one top-k winner
-// by re-running the best-pair selection on its run. Output is exactly
-// what alignColumns produced: one row per aligned target column,
-// ascending. Only the returned slice is freshly allocated — it escapes
-// into the SearchResult.
-func (e *Engine) materializeAlignments(tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
-	best, mark, epoch, aligned := selectBestPairs(tablePairs, numCols, ws)
-	out := make([]Alignment, 0, aligned)
 	for c := 0; c < numCols; c++ {
 		if mark[c] != epoch {
 			continue
 		}
 		p := &tablePairs[best[c]]
-		out = append(out, Alignment{
-			TargetColumn: c,
-			AttrID:       p.attrID,
-			CandColumn:   e.profiles[p.attrID].Ref.Column,
-			Distances:    p.dist,
-		})
+		dst = append(dst, Alignment{TargetColumn: c, AttrID: p.attrID, Distances: p.dist})
 	}
-	return out
+	return dst
 }
 
-// search is the legacy test shim: the default spec at an explicit
-// parallelism.
-func (e *Engine) search(target *table.Table, k, parallelism int) (*SearchResult, error) {
-	return e.searchSpec(context.Background(), target, QuerySpec{K: k}, parallelism)
+// alignments builds the alignment rows of one table that escape into an
+// answer (a top-k winner's, or every table's in a shard partial): the
+// very rows alignRun scored, freshly allocated, with each candidate
+// attribute's column resolved — so scores and reported alignments can
+// never drift apart.
+func (e *Engine) alignments(tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
+	rows := alignRun(nil, tablePairs, numCols, ws)
+	for i := range rows {
+		rows[i].CandColumn = e.profiles[rows[i].AttrID].Ref.Column
+	}
+	return rows
 }
 
 // gatherPairs performs the index lookups of Section III-D: for each
@@ -412,16 +306,22 @@ func (e *Engine) search(target *table.Table, k, parallelism int) (*SearchResult,
 // column candidates are processed in ascending attribute-id order,
 // which (together with the per-column buffers) makes the pair list
 // identical at any parallelism. Cancellation is checked between
-// columns and between candidate batches inside each column. Callers
-// must hold e.mu. The returned slice is arena memory, valid until the
-// arena is recycled.
-func (e *Engine) gatherPairs(ctx context.Context, tprofiles []Profile, tsubject *Profile, view specView, parallelism int, qs *queryScratch, plan *preparedPlan) ([]candidatePair, error) {
+// columns and between candidate batches inside each column, and a
+// cancelled or failed gather returns the error, never a partial list.
+// Callers must hold e.mu. The returned slice is arena memory, valid
+// until the arena is recycled.
+func (e *Engine) gatherPairs(ctx context.Context, tprofiles []Profile, tsubject *Profile, view *specView, parallelism int, qs *queryScratch, mode probeMode) ([]candidatePair, error) {
 	n := len(tprofiles)
 	qs.ensureCols(n)
 	if err := forEachIndexCtx(ctx, n, parallelism, func(col int) {
-		qs.colBufs[col] = e.gatherColumn(ctx, col, &tprofiles[col], tsubject, view, qs.colBufs[col], plan)
+		qs.colBufs[col], qs.colErrs[col] = e.gatherColumn(ctx, col, &tprofiles[col], tsubject, view, qs.colBufs[col], mode)
 	}); err != nil {
 		return nil, err
+	}
+	for _, err := range qs.colErrs[:n] {
+		if err != nil {
+			return nil, err
+		}
 	}
 	flat := qs.flat[:0]
 	for _, colPairs := range qs.colBufs[:n] {
@@ -431,44 +331,96 @@ func (e *Engine) gatherPairs(ctx context.Context, tprofiles []Profile, tsubject 
 	return flat, nil
 }
 
-// candidateBatch is how many pair-distance computations run between
-// cancellation checks inside one column: small enough that a cancelled
-// query releases its worker within microseconds, large enough that the
-// check is free next to the distance arithmetic.
+// candidateBatch is how many pair-distance computations (or table
+// scorings) run between cancellation checks: small enough that a
+// cancelled query releases its worker within microseconds, large enough
+// that the check is free next to the distance arithmetic.
 const candidateBatch = 64
 
+// forestProbe is one row of a target column's probe table: the forest
+// to look up and the signature to look it up with. A nil forest means
+// the column skips that index.
+type forestProbe struct {
+	forest *lsh.Forest
+	sig    []uint64
+}
+
+// probeTable decides, for one target column under the resolved evidence
+// mask, which of the four indexes of Algorithm 1 are probed with which
+// signature: name and format always (unless masked), value only for
+// non-numeric columns, embedding only when the column has a non-zero
+// vector. Every engine derives the same table from the same profile, so
+// the shards of a set agree on it without talking. The embedding
+// signature is expanded into ws.evals, valid until the next call.
+func (e *Engine) probeTable(tp *Profile, disabled *[NumEvidence]bool, ws *workerScratch) [numForestSlots]forestProbe {
+	var pt [numForestSlots]forestProbe
+	if !disabled[EvidenceName] {
+		pt[forestSlotN] = forestProbe{e.forestN, tp.QSig}
+	}
+	if !disabled[EvidenceValue] && !tp.Numeric {
+		pt[forestSlotV] = forestProbe{e.forestV, tp.TSig}
+	}
+	if !disabled[EvidenceFormat] {
+		pt[forestSlotF] = forestProbe{e.forestF, tp.RSig}
+	}
+	if !disabled[EvidenceEmbedding] && !tp.EZero {
+		ws.evals = tp.ESig.HashValuesInto(ws.evals[:0])
+		pt[forestSlotE] = forestProbe{e.forestE, ws.evals}
+	}
+	return pt
+}
+
+// probeMode is how a gather decides each probe's stop depth. The
+// monolith descends each forest until the candidate budget is met,
+// seeding the descent with the depth the plan remembers from the last
+// identical probe and feeding the observed depth back (the hint is
+// advisory: QueryIntoHint returns the same candidates for any value, so
+// the shared hint state needs no synchronisation beyond the atomic
+// load/store). A shard collects at the depths the coordinator imposed —
+// the depths that same descent would have stopped at on the union of
+// all shards (see MergeProbeDepths).
+type probeMode struct {
+	plan   *preparedPlan           // budget descent with depth hints…
+	depths [][NumForestSlots]int32 // …or, with no plan, imposed depths
+}
+
+// probe appends one forest's (sorted, distinct) candidate region to ids.
+func (m *probeMode) probe(p forestProbe, budget int, ids []int32, col, slot int) ([]int32, error) {
+	imposed := m.plan == nil
+	if imposed && (p.forest == nil) != (m.depths[col][slot] == 0) {
+		return ids, fmt.Errorf("core: depth directive disagrees with probe shape (col %d, slot %d)", col, slot)
+	}
+	if p.forest == nil {
+		return ids, nil
+	}
+	if imposed {
+		return p.forest.QueryMinDepthInto(p.sig, int(m.depths[col][slot]), ids)
+	}
+	ids, depth, err := p.forest.QueryIntoHint(p.sig, budget, ids, m.plan.hint(col, slot))
+	if err == nil {
+		m.plan.setHint(col, slot, depth)
+	}
+	return ids, err
+}
+
 // gatherColumn collects the deduplicated candidate set of one target
-// column from the four forests and computes the pair distances,
-// appending them to dst (arena memory — the column's recycled pair
-// buffer). Candidate-set state lives on worker scratch: the forests
-// append into the recycled probe buffer, and cross-forest dedup uses
-// the epoch-stamped visited array instead of a per-call map. A
-// cancelled context truncates the work; the caller discards the
-// partial result (gatherPairs returns ctx.Err()), so truncation is
-// never observable in an answer.
-func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view specView, dst []candidatePair, plan *preparedPlan) []candidatePair {
+// column from the probe table's forests and computes the pair
+// distances, appending them to dst (arena memory — the column's
+// recycled pair buffer). Candidate-set state lives on worker scratch:
+// the forests append into the recycled probe buffer (regions from
+// different forests may overlap), and cross-forest dedup uses the
+// epoch-stamped visited array instead of a per-call map. A forest error
+// or a cancelled context ends the column with that error and no pairs.
+func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view *specView, dst []candidatePair, mode probeMode) ([]candidatePair, error) {
 	dst = dst[:0]
 	ws := e.getWorkerScratch()
 	defer e.putWorkerScratch(ws)
-	// Each probe appends its forest's (sorted, distinct) candidate
-	// region; regions from different forests may overlap. With a plan,
-	// the probe descent is seeded with the stop depth the same
-	// (target, forest) probe settled on last time — same candidate
-	// set, fewer prefix collections — and the observed depth is fed
-	// back for the next query.
 	ids := ws.ids[:0]
-	if !view.disabled[EvidenceName] {
-		ids = probeForest(e.forestN, tp.QSig, view.budget, ids, plan, col, forestSlotN)
-	}
-	if !view.disabled[EvidenceValue] && !tp.Numeric {
-		ids = probeForest(e.forestV, tp.TSig, view.budget, ids, plan, col, forestSlotV)
-	}
-	if !view.disabled[EvidenceFormat] {
-		ids = probeForest(e.forestF, tp.RSig, view.budget, ids, plan, col, forestSlotF)
-	}
-	if !view.disabled[EvidenceEmbedding] && !tp.EZero {
-		ws.evals = tp.ESig.HashValuesInto(ws.evals[:0])
-		ids = probeForest(e.forestE, ws.evals, view.budget, ids, plan, col, forestSlotE)
+	var err error
+	for slot, p := range e.probeTable(tp, &view.disabled, ws) {
+		if ids, err = mode.probe(p, view.budget, ids, col, slot); err != nil {
+			return dst, err
+		}
 	}
 	ws.ids = ids
 	// Cross-forest dedup: stamp each attribute id on first sight, then
@@ -484,8 +436,10 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 	}
 	slices.Sort(uniq)
 	for n, id := range uniq {
-		if n%candidateBatch == 0 && ctx.Err() != nil {
-			return dst[:0]
+		if n%candidateBatch == 0 {
+			if err := ctx.Err(); err != nil {
+				return dst[:0], err
+			}
 		}
 		cand := &e.profiles[id]
 		var candSubject *Profile
@@ -495,26 +449,26 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 		d := e.pairDistances(tp, cand, tsubject, candSubject, view.disabled)
 		dst = append(dst, candidatePair{targetCol: col, attrID: int(id), tableID: cand.Ref.TableID, dist: d})
 	}
-	return dst
+	return dst, nil
 }
 
-// distanceECDFs holds, per target column and evidence type, the ECDF of
-// the R_t distribution (all distances of that type between the target
-// attribute and its lake candidates), laid out flat: entry
-// col*NumEvidence+t. A zero-length ECDF means "no distribution" for
-// that cell.
+// distanceECDFs holds, per target column and evidence type, the sorted
+// sample of the R_t distribution (all distances of that type between
+// the target attribute and its lake candidates) whose ECDF backs the
+// Eq. 2 weights, laid out flat: cell col*NumEvidence+t. An empty cell
+// means "no distribution". A shard partial's Samples are the same
+// cells restricted to one shard.
 type distanceECDFs struct {
-	cols int
-	e    []stats.ECDF
+	cols  int
+	cells [][]float64
 }
 
-// buildECDFs builds the per-(column, evidence) distributions into the
-// arena: one pass lays every cell's samples out contiguously in the
-// recycled sample buffer (the pair list is still in column order at
-// this point, so a cell's samples are a strided read of one column's
-// pairs), sorts each region in place, and wraps them as ECDF values —
-// no per-cell allocations.
-func (qs *queryScratch) buildECDFs(numCols int) *distanceECDFs {
+// sampleCells builds the per-(column, evidence) sorted samples into the
+// arena: one pass lays every cell out contiguously in the recycled
+// sample buffer (the pair list is still in column order at this point,
+// so a cell's samples are a strided read of one column's pairs) and
+// sorts each region in place — no per-cell allocations.
+func (qs *queryScratch) sampleCells(numCols int) [][]float64 {
 	total := 0
 	for c := 0; c < numCols; c++ {
 		total += len(qs.colBufs[c])
@@ -523,10 +477,7 @@ func (qs *queryScratch) buildECDFs(numCols int) *distanceECDFs {
 		qs.samples = make([]float64, 0, total*int(NumEvidence))
 	}
 	buf := qs.samples[:0]
-	if cap(qs.ecdfBuf) < numCols*int(NumEvidence) {
-		qs.ecdfBuf = make([]stats.ECDF, 0, numCols*int(NumEvidence))
-	}
-	cells := qs.ecdfBuf[:0]
+	cells := qs.cells[:0]
 	for c := 0; c < numCols; c++ {
 		colPairs := qs.colBufs[c]
 		for t := 0; t < int(NumEvidence); t++ {
@@ -536,39 +487,19 @@ func (qs *queryScratch) buildECDFs(numCols int) *distanceECDFs {
 			}
 			region := buf[start:]
 			slices.Sort(region)
-			cells = append(cells, stats.ECDFOf(region))
+			cells = append(cells, region)
 		}
 	}
 	qs.samples = buf
-	qs.ecdfBuf = cells
-	qs.ecdfs = distanceECDFs{cols: numCols, e: cells}
-	return &qs.ecdfs
+	qs.cells = cells
+	return cells
 }
 
-// buildDistanceECDFs is the standalone (allocating) constructor over a
-// flat pair list, kept for the equation tests and the naive reference
-// implementation the equivalence property test compares against.
-func buildDistanceECDFs(numCols int, pairs []candidatePair) *distanceECDFs {
-	samples := make([][][]float64, numCols)
-	for c := range samples {
-		samples[c] = make([][]float64, NumEvidence)
-	}
-	for _, p := range pairs {
-		for t := 0; t < int(NumEvidence); t++ {
-			samples[p.targetCol][t] = append(samples[p.targetCol][t], p.dist[t])
-		}
-	}
-	out := &distanceECDFs{cols: numCols, e: make([]stats.ECDF, numCols*int(NumEvidence))}
-	for c := range samples {
-		for t := range samples[c] {
-			if len(samples[c][t]) > 0 {
-				sorted := append([]float64(nil), samples[c][t]...)
-				slices.Sort(sorted)
-				out.e[c*int(NumEvidence)+t] = stats.ECDFOf(sorted)
-			}
-		}
-	}
-	return out
+// buildECDFs wraps the arena's sample cells as the query's Eq. 2
+// distributions.
+func (qs *queryScratch) buildECDFs(numCols int) *distanceECDFs {
+	qs.ecdfs = distanceECDFs{cols: numCols, cells: qs.sampleCells(numCols)}
+	return &qs.ecdfs
 }
 
 // weight returns the Eq. 2 weight 1 − P(d ≤ D) for a distance of type t
@@ -581,7 +512,7 @@ func (d *distanceECDFs) weight(col int, t Evidence, dist float64) float64 {
 		return 1
 	}
 	if col < d.cols {
-		if e := &d.e[col*int(NumEvidence)+int(t)]; e.Len() > 0 {
+		if e := stats.ECDFOf(d.cells[col*int(NumEvidence)+int(t)]); e.Len() > 0 {
 			// Evaluate strictly below dist: the CCDF at the smallest
 			// observed distance must stay positive or Eq. 1 zeroes out
 			// exactly the strongest signals.
@@ -589,68 +520,6 @@ func (d *distanceECDFs) weight(col int, t Evidence, dist float64) float64 {
 		}
 	}
 	return 1 - dist
-}
-
-// alignColumns picks, for every target column that has candidates in
-// this table, the best-related attribute (smallest mean distance). A
-// candidate attribute may serve multiple target columns, as in the
-// paper's grouping (Table I pairs each target attribute independently).
-func (e *Engine) alignColumns(tablePairs []candidatePair) []Alignment {
-	best := make(map[int]candidatePair)
-	for _, p := range tablePairs {
-		cur, ok := best[p.targetCol]
-		// Ties break towards the smaller attribute id so the alignment
-		// does not depend on candidate arrival order.
-		if !ok || p.dist.Mean() < cur.dist.Mean() ||
-			(p.dist.Mean() == cur.dist.Mean() && p.attrID < cur.attrID) {
-			best[p.targetCol] = p
-		}
-	}
-	cols := make([]int, 0, len(best))
-	for c := range best {
-		cols = append(cols, c)
-	}
-	sort.Ints(cols)
-	out := make([]Alignment, 0, len(cols))
-	for _, c := range cols {
-		p := best[c]
-		out = append(out, Alignment{
-			TargetColumn: c,
-			AttrID:       p.attrID,
-			CandColumn:   e.profiles[p.attrID].Ref.Column,
-			Distances:    p.dist,
-		})
-	}
-	return out
-}
-
-// aggregateEq1 folds the alignment rows column-wise into the
-// 5-dimensional relatedness vector using the Eq. 2 CCDF weights.
-func aggregateEq1(aligns []Alignment, ecdfs *distanceECDFs, disabled [NumEvidence]bool) DistanceVector {
-	var vec DistanceVector
-	for t := 0; t < int(NumEvidence); t++ {
-		if disabled[t] {
-			vec[t] = 1
-			continue
-		}
-		var num, den float64
-		for _, a := range aligns {
-			w := ecdfs.weight(a.TargetColumn, Evidence(t), a.Distances[t])
-			num += w * a.Distances[t]
-			den += w
-		}
-		if den == 0 {
-			// Every row is maximally distant in its distribution; the
-			// unweighted mean preserves the (weak) signal.
-			for _, a := range aligns {
-				num += a.Distances[t]
-			}
-			vec[t] = num / float64(len(aligns))
-			continue
-		}
-		vec[t] = num / den
-	}
-	return vec
 }
 
 // combineEq3 reduces the 5-vector to the scalar relatedness distance
@@ -680,10 +549,4 @@ func combineEq3(weights Weights, disabled [NumEvidence]bool, vec DistanceVector)
 		return 1
 	}
 	return d
-}
-
-// combineEq3 applies the engine-level weights and mask (equation tests
-// exercise the formula through this form).
-func (e *Engine) combineEq3(vec DistanceVector) float64 {
-	return combineEq3(e.opts.Weights, e.opts.Disabled, vec)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestEngineSurvivesPathologicalLake(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(target, 5)
+	res, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestQueryPathologicalTargets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if _, err := e.Search(target, 3); err != nil {
+		if _, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 3}); err != nil {
 			t.Fatalf("%s: search failed: %v", c.name, err)
 		}
 	}
@@ -122,7 +123,7 @@ func TestEmptyLakeQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Search(target, 5)
+	res, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestZeroSampleCapProfilesFullExtent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.TopK(figure1Target(t), 3); err != nil {
+	if _, err := topK(e, figure1Target(t), 3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"d3l/internal/lsh"
-	"d3l/internal/stats"
 )
 
 // This file implements the query memory architecture: pooled, reusable
@@ -12,20 +11,21 @@ import (
 // generation through ranking with (near-)zero heap allocations. Two
 // arena kinds exist, matching the two lifetimes in the pipeline:
 //
-//   - queryScratch lives for one searchSpec call. It owns every buffer
-//     whose contents must survive across pipeline phases: the
-//     per-column candidate-pair buffers, the flattened pair list the
-//     grouping sort runs over, the ECDF sample arena backing the Eq. 2
-//     weight distributions, the contiguous table runs, the scored-table
-//     slots, and the top-k heap.
+//   - queryScratch lives for one query (a monolith ranking or a shard
+//     gather). It owns every buffer whose contents must survive across
+//     pipeline phases: the per-column candidate-pair buffers, the
+//     flattened pair list the grouping sort runs over, the sample arena
+//     backing the Eq. 2 weight distributions, the contiguous table
+//     runs, the scored-table slots, and the top-k heap.
 //
 //   - workerScratch lives for one unit of pool work (one column gather
-//     or one table scoring). It owns the state a single worker mutates:
-//     the forest probe buffer, the epoch-stamped visited array that
-//     replaces the per-column `seen` map, and the epoch-stamped
-//     best-pair-per-target-column arrays the scoring and alignment
-//     steps share. Several workers run concurrently inside one query,
-//     so this state cannot live in the query arena.
+//     or one query's table scoring). It owns the state a single worker
+//     mutates: the forest probe buffer, the epoch-stamped visited array
+//     that replaces the per-column `seen` map, the epoch-stamped
+//     best-pair-per-target-column arrays of the alignment decision, and
+//     the alignment rows of the table being scored. Several workers run
+//     concurrently inside one query, so this state cannot live in the
+//     query arena.
 //
 // Both are recycled through sync.Pools hanging off the Engine (the
 // zero Pool is ready to use, so snapshot decoding needs no extra
@@ -51,38 +51,42 @@ type queryScratch struct {
 	// per-column split is what lets the gather phase fan out across
 	// workers without synchronising on a shared pair list.
 	colBufs [][]candidatePair
+	// colErrs[i] is column i's gather error, if any.
+	colErrs []error
 	// flat is the flattened (then grouped-by-table) pair list.
 	flat []candidatePair
-	// samples is the ECDF sample arena: every (column, evidence)
-	// distance distribution laid out contiguously in one buffer.
+	// samples is the sample arena: every (column, evidence) distance
+	// distribution laid out contiguously in one buffer, sorted.
 	samples []float64
-	// ecdfBuf holds the per-(column, evidence) ECDF values over
-	// samples regions; ecdfs wraps it for the weight lookups.
-	ecdfBuf []stats.ECDF
-	ecdfs   distanceECDFs
+	// cells holds the per-(column, evidence) regions of samples; ecdfs
+	// wraps them for the weight lookups.
+	cells [][]float64
+	ecdfs distanceECDFs
 	// runs are the contiguous per-table slices of the grouped flat
 	// list — the replacement for the byTable map.
 	runs []tableRun
-	// scored holds one slot per run, written by the scoring workers.
+	// scored holds one slot per table that survived scoring.
 	scored []scoredTable
 	// top is the bounded top-k selection heap (indexes into scored).
 	top []int32
 }
 
-// ensureCols sizes colBufs for a target arity, truncating each kept
-// buffer and preserving grown capacities.
+// ensureCols sizes colBufs and colErrs for a target arity, truncating
+// each kept buffer and preserving grown capacities.
 func (qs *queryScratch) ensureCols(n int) {
 	for len(qs.colBufs) < n {
 		qs.colBufs = append(qs.colBufs, nil)
+		qs.colErrs = append(qs.colErrs, nil)
 	}
 	for i := 0; i < n; i++ {
 		qs.colBufs[i] = qs.colBufs[i][:0]
+		qs.colErrs[i] = nil
 	}
 }
 
 // workerScratch is the per-work-unit arena.
 type workerScratch struct {
-	// ids is the forest probe buffer QueryInto appends into.
+	// ids is the forest probe buffer the probes append into.
 	ids []int32
 	// evals is the target ESig hash-value buffer for the I_E probe.
 	evals []uint64
@@ -95,12 +99,14 @@ type workerScratch struct {
 	visited []uint32
 	vEpoch  uint32
 
-	// best/bestMark/bEpoch: per-target-column best-pair selection used
-	// by table scoring and winner alignment materialisation. best[c]
-	// indexes into the table's pair run; bestMark is epoch-stamped.
+	// best/bestMark/bEpoch: per-target-column best-pair selection of
+	// alignRun. best[c] indexes into the table's pair run; bestMark is
+	// epoch-stamped.
 	best     []int32
 	bestMark []uint32
 	bEpoch   uint32
+	// rows holds the alignment rows of the table being scored.
+	rows []Alignment
 }
 
 // visitedEpoch returns the visited array (sized for n attribute ids)
@@ -179,21 +185,24 @@ type tableRun struct {
 	start, end int32
 }
 
-// scoredTable is one scoring worker's output slot: everything the
-// top-k selection and the winner materialisation need, without the
-// per-table []Alignment allocation the old pipeline paid for every
-// scored table (only k of which could ever be observed).
+// scoredTable is the slot of one table that survived scoring:
+// everything the top-k selection and the winner materialisation need.
+// src is the table's index in the ranked sequence (its pair run, or its
+// place among the shipped shard tables), where the winners' alignment
+// rows are fetched from — only k of them can ever be observed, so none
+// are kept here.
 type scoredTable struct {
-	tid        int
-	start, end int32 // the table's pair run within the grouped flat list
-	dist       float64
-	name       string
-	vec        DistanceVector
+	tid  int
+	src  int32
+	dist float64
+	name string
+	vec  DistanceVector
 }
 
 // better is the ranking order: primary Eq. 3 distance, ties broken by
-// table name (unique within a lake), exactly the comparator the full
-// sort used — so bounded top-k selection is provably order-identical.
+// table name (unique within a lake), exactly the comparator a full sort
+// would use — so bounded top-k selection (rankTables) is provably
+// order-identical, which is what the golden fixtures pin.
 func better(a, b *scoredTable) bool {
 	if a.dist != b.dist {
 		return a.dist < b.dist
@@ -234,32 +243,6 @@ func siftDown(scored []scoredTable, h []int32, i int) {
 		h[i], h[m] = h[m], h[i]
 		i = m
 	}
-}
-
-// selectTopK returns the indexes of the k best scored tables in rank
-// order (best first), using a bounded max-heap over the recycled h
-// buffer: O(n log k) comparisons, zero allocations, and — because
-// better() is a total order over the slots — output identical to
-// sorting everything and truncating, which is what the ranking
-// pipeline did before and what the golden fixtures pin.
-func selectTopK(scored []scoredTable, k int, h []int32) []int32 {
-	h = h[:0]
-	for i := range scored {
-		if len(h) < k {
-			h = append(h, int32(i))
-			siftUp(scored, h, len(h)-1)
-		} else if better(&scored[i], &scored[h[0]]) {
-			h[0] = int32(i)
-			siftDown(scored, h, 0)
-		}
-	}
-	// Heapsort the survivors: repeatedly move the worst root past the
-	// shrinking heap boundary, yielding best-first order in place.
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(scored, h[:end], 0)
-	}
-	return h
 }
 
 // groupPairsByTable sorts pairs by (table, attribute, target column)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"d3l/internal/stats"
 	"d3l/internal/table"
 )
 
@@ -26,24 +25,24 @@ import (
 //             global count meets the candidate budget (else 1). This
 //             is the only part of the pipeline that needs global
 //             knowledge the shards lack.
-//   gather  — every shard collects its candidates at the imposed
-//             depths (QueryMinDepthInto), computes the same pair
-//             distances the monolith would, selects each owned table's
-//             best pair per target column (a wholly table-local
-//             decision), and ships the per-(column, evidence) distance
+//   gather  — every shard runs the monolith's own gather (gatherPairs)
+//             with the probe step collecting at the imposed depths
+//             instead of descending locally: same probe table, same
+//             dedup, same pair distances. It then selects each owned
+//             table's best pair per target column (a wholly table-local
+//             decision) and ships the per-(column, evidence) distance
 //             samples that back the Eq. 2 weight distributions.
 //   merge   — the coordinator concatenates the sample multisets (equal
-//             multiset in, identical ECDF out), scores every table
-//             with the literal scoreRun arithmetic over its best-pair
-//             rows, and runs the same bounded top-k selection. Because
+//             multiset in, identical ECDF out) and runs the monolith's
+//             own score-and-rank loop (rankTables) over the shipped
+//             best-pair rows, cascade pruning included. Because
 //             (Distance, Name) is a total order and names are unique
 //             across the set, the merged ranking is byte-identical to
 //             the monolith's at any shard count.
 //
-// The shard path deliberately runs without the prepared-plan cascade:
-// the planner's contract is that its answers are bit-identical to the
-// plan-free pipeline, so distributing the plan-free pipeline preserves
-// the answer while keeping the protocol stateless.
+// So the monolith is the one-shard case with the depth search done
+// locally: probe and depths collapse into QueryIntoHint's descent, and
+// gather, score and rank are the same code.
 
 // NumForestSlots is the number of per-column forest probes a query can
 // make (the name/value/format/embedding indexes), exported for the
@@ -106,19 +105,6 @@ type ShardPartial struct {
 	Tables []ShardTable
 }
 
-// shardProbeSkips reports which forest probes gatherColumn would skip
-// for this target column under the resolved evidence mask — the skip
-// pattern every shard derives identically from the shared profiling
-// machinery.
-func shardProbeSkips(tp *Profile, disabled *[NumEvidence]bool) [NumForestSlots]bool {
-	var skip [NumForestSlots]bool
-	skip[forestSlotN] = disabled[EvidenceName]
-	skip[forestSlotV] = disabled[EvidenceValue] || tp.Numeric
-	skip[forestSlotF] = disabled[EvidenceFormat]
-	skip[forestSlotE] = disabled[EvidenceEmbedding] || tp.EZero
-	return skip
-}
-
 // shardMeta is the query shape a resolved view gives a profiled target.
 func shardMeta(view *specView, numCols int) ShardQueryMeta {
 	return ShardQueryMeta{
@@ -163,27 +149,11 @@ func (e *Engine) ShardProbeProfiled(ctx context.Context, tprofiles []Profile, sp
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		tp := &tprofiles[col]
-		skip := shardProbeSkips(tp, &view.disabled)
-		counts := &probe.Counts[col]
-		if !skip[forestSlotN] {
-			if counts[forestSlotN], err = e.forestN.DepthCounts(tp.QSig, &ws.depths); err != nil {
-				return nil, err
+		for slot, p := range e.probeTable(&tprofiles[col], &view.disabled, ws) {
+			if p.forest == nil {
+				continue
 			}
-		}
-		if !skip[forestSlotV] {
-			if counts[forestSlotV], err = e.forestV.DepthCounts(tp.TSig, &ws.depths); err != nil {
-				return nil, err
-			}
-		}
-		if !skip[forestSlotF] {
-			if counts[forestSlotF], err = e.forestF.DepthCounts(tp.RSig, &ws.depths); err != nil {
-				return nil, err
-			}
-		}
-		if !skip[forestSlotE] {
-			ws.evals = tp.ESig.HashValuesInto(ws.evals[:0])
-			if counts[forestSlotE], err = e.forestE.DepthCounts(ws.evals, &ws.depths); err != nil {
+			if probe.Counts[col][slot], err = p.forest.DepthCounts(p.sig, &ws.depths); err != nil {
 				return nil, err
 			}
 		}
@@ -256,11 +226,12 @@ func (e *Engine) ShardGatherSpec(ctx context.Context, target *table.Table, spec 
 }
 
 // ShardGatherProfiled runs the gather phase over an already profiled
-// target (read-only here) at the imposed depths: fixed-depth candidate
-// collection, pair distances, per-table best-pair rows, and the Eq. 2
-// sample vectors. The resolved view must match the directive's meta —
-// a mismatch means the shard's engine options drifted from its peers
-// since the probe.
+// target (read-only here) at the imposed depths: the shared gather on
+// the pooled query arena, then per-table best-pair rows and the Eq. 2
+// sample cells. The resolved view must match the directive's meta — a
+// mismatch means the shard's engine options drifted from its peers
+// since the probe. Like a monolith query it stops within a candidate
+// batch of ctx being cancelled and returns ctx.Err(), never a partial.
 func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
 	view, err := e.resolve(spec)
 	if err != nil {
@@ -269,12 +240,13 @@ func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, s
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	meta := shardMeta(&view, len(tprofiles))
+	numCols := len(tprofiles)
+	meta := shardMeta(&view, numCols)
 	if meta != depths.Meta {
 		return nil, fmt.Errorf("core: gather query shape disagrees with the depth directive")
 	}
-	if len(depths.Depths) != len(tprofiles) {
-		return nil, fmt.Errorf("core: depth directive covers %d columns, target has %d", len(depths.Depths), len(tprofiles))
+	if len(depths.Depths) != numCols {
+		return nil, fmt.Errorf("core: depth directive covers %d columns, target has %d", len(depths.Depths), numCols)
 	}
 	var tsubject *Profile
 	for i := range tprofiles {
@@ -285,136 +257,69 @@ func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, s
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	qs := e.getQueryScratch()
+	defer e.putQueryScratch(qs)
+	st := e.newStageTimer()
 
-	numCols := len(tprofiles)
-	colBufs := make([][]candidatePair, numCols)
-	for col := range tprofiles {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		colBufs[col], err = e.shardGatherColumn(col, &tprofiles[col], tsubject, view.disabled, depths.Depths[col])
-		if err != nil {
-			return nil, err
-		}
+	// Columns are gathered one after another: the shards of a set
+	// already run side by side, so a second level of fan-out would only
+	// oversubscribe the cores they share.
+	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, 1, qs, probeMode{depths: depths.Depths})
+	if err != nil {
+		return nil, err
 	}
+	st.lap(StageGather)
 
-	partial := &ShardPartial{Meta: meta}
+	partial := &ShardPartial{Meta: meta, PairCount: len(pairs)}
 	if !view.uniform {
-		partial.Samples = make([][]float64, numCols*int(NumEvidence))
-		for c := 0; c < numCols; c++ {
-			for t := 0; t < int(NumEvidence); t++ {
-				cell := make([]float64, 0, len(colBufs[c]))
-				for i := range colBufs[c] {
-					cell = append(cell, colBufs[c][i].dist[t])
-				}
-				slices.Sort(cell)
-				partial.Samples[c*int(NumEvidence)+t] = cell
-			}
+		partial.Samples = make([][]float64, 0, numCols*int(NumEvidence))
+		for _, cell := range qs.sampleCells(numCols) {
+			partial.Samples = append(partial.Samples, slices.Clone(cell))
 		}
 	}
-
-	var flat []candidatePair
-	for _, colPairs := range colBufs {
-		flat = append(flat, colPairs...)
-	}
-	partial.PairCount = len(flat)
-	runs := groupPairsByTable(flat, nil)
-	partial.TableCount = len(runs)
-	partial.Tables = make([]ShardTable, 0, len(runs))
+	qs.runs = groupPairsByTable(pairs, qs.runs)
+	partial.TableCount = len(qs.runs)
+	partial.Tables = make([]ShardTable, 0, len(qs.runs))
 	ws := e.getWorkerScratch()
 	defer e.putWorkerScratch(ws)
-	for _, run := range runs {
+	for _, run := range qs.runs {
 		partial.Tables = append(partial.Tables, ShardTable{
 			TableID: run.tid,
 			Name:    e.lake.Table(run.tid).Name,
-			Rows:    e.materializeAlignments(flat[run.start:run.end], numCols, ws),
+			Rows:    e.alignments(pairs[run.start:run.end], numCols, ws),
 		})
 	}
 	return partial, nil
 }
 
-// shardGatherColumn is gatherColumn at imposed fixed depths: same
-// probes, same skip rules, same dedup, same ascending-attribute-id
-// pair order — but collecting with QueryMinDepthInto at the
-// coordinator's depth instead of descending locally. Caller holds
-// e.mu.
-func (e *Engine) shardGatherColumn(col int, tp *Profile, tsubject *Profile, disabled [NumEvidence]bool, depths [NumForestSlots]int32) ([]candidatePair, error) {
-	skip := shardProbeSkips(tp, &disabled)
-	for slot := 0; slot < NumForestSlots; slot++ {
-		if skip[slot] != (depths[slot] == 0) {
-			return nil, fmt.Errorf("core: depth directive disagrees with probe shape (col %d, slot %d)", col, slot)
-		}
-	}
-	ws := e.getWorkerScratch()
-	defer e.putWorkerScratch(ws)
-	ids := ws.ids[:0]
-	var err error
-	if !skip[forestSlotN] {
-		if ids, err = e.forestN.QueryMinDepthInto(tp.QSig, int(depths[forestSlotN]), ids); err != nil {
-			return nil, err
-		}
-	}
-	if !skip[forestSlotV] {
-		if ids, err = e.forestV.QueryMinDepthInto(tp.TSig, int(depths[forestSlotV]), ids); err != nil {
-			return nil, err
-		}
-	}
-	if !skip[forestSlotF] {
-		if ids, err = e.forestF.QueryMinDepthInto(tp.RSig, int(depths[forestSlotF]), ids); err != nil {
-			return nil, err
-		}
-	}
-	if !skip[forestSlotE] {
-		ws.evals = tp.ESig.HashValuesInto(ws.evals[:0])
-		if ids, err = e.forestE.QueryMinDepthInto(ws.evals, int(depths[forestSlotE]), ids); err != nil {
-			return nil, err
-		}
-	}
-	ws.ids = ids
-	visited, epoch := ws.visitedEpoch(len(e.profiles))
-	uniq := ids[:0]
-	for _, id := range ids {
-		if visited[id] != epoch {
-			visited[id] = epoch
-			uniq = append(uniq, id)
-		}
-	}
-	slices.Sort(uniq)
-	dst := make([]candidatePair, 0, len(uniq))
-	for _, id := range uniq {
-		cand := &e.profiles[id]
-		var candSubject *Profile
-		if s := e.subjects[cand.Ref.TableID]; s >= 0 {
-			candSubject = &e.profiles[s]
-		}
-		d := e.pairDistances(tp, cand, tsubject, candSubject, disabled)
-		dst = append(dst, candidatePair{targetCol: col, attrID: int(id), tableID: cand.Ref.TableID, dist: d})
-	}
-	return dst, nil
+// MergeShardPartials runs the coordinator's merge phase: rebuild the
+// global Eq. 2 distributions from the shards' sample multisets, then
+// score and rank the shipped tables with the monolith's own loop. The
+// returned ranking and stats are byte-identical to the monolith's
+// answer for the same query.
+func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableResult, SearchStats, error) {
+	ranked, st, _, err := mergeShardPartials(depths, partials)
+	return ranked, st, err
 }
 
-// MergeShardPartials runs the coordinator's merge phase: rebuild the
-// global Eq. 2 distributions from the shards' sample multisets, score
-// every candidate table with the monolith's literal arithmetic over
-// its best-pair rows, and select the top k under the (Distance, Name)
-// total order. The returned ranking and stats are byte-identical to
-// the monolith's answer for the same query.
-func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableResult, SearchStats, error) {
+// mergeShardPartials is MergeShardPartials plus the merge's pruning
+// counters, which no caller outside the tests reads.
+func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableResult, SearchStats, PlanStats, error) {
 	var st SearchStats
 	if len(partials) == 0 {
-		return nil, st, fmt.Errorf("core: no shard partials to merge")
+		return nil, st, PlanStats{}, fmt.Errorf("core: no shard partials to merge")
 	}
 	meta := depths.Meta
 	numCols := meta.NumCols
 	for i, p := range partials {
 		if p.Meta != meta {
-			return nil, st, fmt.Errorf("core: shard %d gathered a different query shape", i)
+			return nil, st, PlanStats{}, fmt.Errorf("core: shard %d gathered a different query shape", i)
 		}
-		// scoreShardTable indexes the ECDF cells by a row's target column
+		// The scorer indexes the sample cells by a row's target column
 		// and divides by a table's row count: a partial is checked here,
 		// whichever way it arrived, before either can go wrong.
 		if err := p.Validate(); err != nil {
-			return nil, st, fmt.Errorf("shard %d: %w", i, err)
+			return nil, st, PlanStats{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 
@@ -423,7 +328,7 @@ func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 	// sample multiset, and ECDFs are a pure function of that multiset.
 	var ecdfs *distanceECDFs
 	if !meta.Uniform {
-		cells := make([]stats.ECDF, numCols*int(NumEvidence))
+		cells := make([][]float64, numCols*int(NumEvidence))
 		for cell := range cells {
 			total := 0
 			for _, p := range partials {
@@ -434,26 +339,28 @@ func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 				merged = append(merged, p.Samples[cell]...)
 			}
 			slices.Sort(merged)
-			cells[cell] = stats.ECDFOf(merged)
+			cells[cell] = merged
 		}
-		ecdfs = &distanceECDFs{cols: numCols, e: cells}
+		ecdfs = &distanceECDFs{cols: numCols, cells: cells}
 	}
 
-	// Score every table. Tables are disjoint across shards (each is
-	// owned by exactly one), and the final selection is a total order,
-	// so the concatenation order cannot affect the ranking.
+	// Tables are disjoint across shards (each is owned by exactly one)
+	// and the ranking is a total order, so the concatenation order
+	// cannot affect the answer.
 	var tables []ShardTable
 	for _, p := range partials {
 		tables = append(tables, p.Tables...)
 		st.CandidatePairs += p.PairCount
 		st.TablesScored += p.TableCount
 	}
-	scored := make([]scoredTable, len(tables))
-	for i := range tables {
-		dist, vec := scoreShardTable(tables[i].Rows, ecdfs, &meta)
-		scored[i] = scoredTable{tid: tables[i].TableID, dist: dist, name: tables[i].Name, vec: vec}
+	sc := newScorer(meta.K, meta.Weights, meta.Disabled, evidenceCascade(meta.Disabled), ecdfs)
+	scored, top, ps, err := sc.rankTables(context.Background(), len(tables),
+		func(i int) []Alignment { return tables[i].Rows },
+		func(i int) (int, string) { return tables[i].TableID, tables[i].Name },
+		nil, nil)
+	if err != nil {
+		return nil, st, ps, err
 	}
-	top := selectTopK(scored, meta.K, nil)
 	results := make([]TableResult, len(top))
 	for i, idx := range top {
 		s := &scored[idx]
@@ -462,41 +369,8 @@ func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 			Name:       s.name,
 			Distance:   s.dist,
 			Vector:     s.vec,
-			Alignments: tables[idx].Rows,
+			Alignments: tables[s.src].Rows,
 		}
 	}
-	return results, st, nil
-}
-
-// scoreShardTable is scoreRun over materialised best-pair rows: the
-// rows are exactly the best[c] pairs in ascending column order, so the
-// Eq. 1 accumulation visits the same terms in the same order and the
-// den == 0 fallback continues from the same accumulator state —
-// float-for-float the monolith's arithmetic.
-func scoreShardTable(rows []Alignment, ecdfs *distanceECDFs, meta *ShardQueryMeta) (float64, DistanceVector) {
-	var vec DistanceVector
-	for t := 0; t < int(NumEvidence); t++ {
-		if meta.Disabled[t] {
-			vec[t] = 1
-			continue
-		}
-		var num, den float64
-		for i := range rows {
-			d := rows[i].Distances[t]
-			w := ecdfs.weight(rows[i].TargetColumn, Evidence(t), d)
-			num += w * d
-			den += w
-		}
-		if den == 0 {
-			// Every row is maximally distant in its distribution; the
-			// unweighted mean preserves the (weak) signal.
-			for i := range rows {
-				num += rows[i].Distances[t]
-			}
-			vec[t] = num / float64(len(rows))
-			continue
-		}
-		vec[t] = num / den
-	}
-	return combineEq3(meta.Weights, meta.Disabled, vec), vec
+	return results, st, ps, nil
 }

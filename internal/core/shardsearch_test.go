@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
+	"d3l/internal/datagen"
 	"d3l/internal/table"
 )
 
@@ -43,8 +45,9 @@ func buildMirrorShards(t testing.TB, lake *table.Lake, n int) []*Engine {
 // two ways the serving paths do: even shards profile the target
 // themselves (a replica's handler on a memo miss), odd shards run on
 // shard 0's profiles (shard.Set's prepare-once), and every partial
-// crosses the binary wire before the merge (shard.Remote).
-func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec QuerySpec) ([]TableResult, SearchStats) {
+// crosses the binary wire before the merge (shard.Remote). The third
+// result is what the merge pruned.
+func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec QuerySpec) ([]TableResult, SearchStats, PlanStats) {
 	t.Helper()
 	ctx := context.Background()
 	shared := shards[0].ProfileTarget(target)
@@ -79,11 +82,11 @@ func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec Query
 			t.Fatalf("shard %d: partial does not survive the wire: %v", i, err)
 		}
 	}
-	ranked, stats, err := MergeShardPartials(depths, partials)
+	ranked, stats, plan, err := mergeShardPartials(depths, partials)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ranked, stats
+	return ranked, stats, plan
 }
 
 // assertShardEqualsMonolith compares the scatter-gather answer with the
@@ -100,7 +103,7 @@ func assertShardEqualsMonolith(t *testing.T, mono *Engine, shards []*Engine, lak
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotStats := shardSearch(t, shards, target, spec)
+		got, gotStats, _ := shardSearch(t, shards, target, spec)
 		if !reflect.DeepEqual(want.Ranked, got) {
 			t.Fatalf("target %d, %d shards: ranking diverges\nmono: %s\nshard: %s",
 				ti, len(shards), rankingSignature(want.Ranked, true), rankingSignature(got, true))
@@ -120,6 +123,98 @@ func TestShardSearchEqualsMonolith(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7} {
 		shards := buildMirrorShards(t, lake, n)
 		assertShardEqualsMonolith(t, mono, shards, lake, QuerySpec{K: 8})
+	}
+}
+
+// TestShardSearchPrunesAndStaysExact is the sharded twin of
+// TestPlannerPrunesAndStaysExact on BenchmarkPlannerPrunedSkewed's lake:
+// near-duplicate tables, targets from the lake, k = 1, so the heap's
+// threshold drops to almost zero at once. The coordinator's merge must
+// prune (it runs the monolith's loop, not a prune-free copy of it) and
+// still deep-equal both the monolith and the naive reference.
+func TestShardSearchPrunesAndStaysExact(t *testing.T) {
+	lake, _, err := datagen.Synthetic(datagen.SyntheticConfig{
+		Seed:          7,
+		BaseTables:    4,
+		DerivedTables: 160,
+		MinRows:       30,
+		MaxRows:       60,
+		RenameProb:    0.1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mono, err := BuildEngine(lake, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := QuerySpec{K: 1, CandidateBudget: 96}
+	for _, n := range []int{1, 3} {
+		shards := buildMirrorShards(t, lake, n)
+		for i := 0; i < 4; i++ {
+			target := lake.Table((i * 9) % lake.Len())
+			want, err := mono.SearchSpec(context.Background(), target, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, err := naiveSearchSpec(mono, target, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotStats, plan := shardSearch(t, shards, target, spec)
+			if plan.TablesPruned == 0 || plan.EvidenceEvalsElided == 0 {
+				t.Fatalf("target %d, %d shards: the merge pruned nothing: %+v", i, n, plan)
+			}
+			if n == 1 && (plan.TablesPruned != want.Plan.TablesPruned || plan.EvidenceEvalsElided != want.Plan.EvidenceEvalsElided) {
+				// One shard ships its tables in the monolith's order, so
+				// the same loop must prune the very same tables.
+				t.Fatalf("target %d: one-shard merge pruned %+v, monolith %+v", i, plan, want.Plan)
+			}
+			if !reflect.DeepEqual(want.Ranked, got) || !reflect.DeepEqual(naive.Ranked, got) {
+				t.Fatalf("target %d, %d shards: ranking diverges\nmono:  %s\nnaive: %s\nshard: %s", i, n,
+					rankingSignature(want.Ranked, true), rankingSignature(naive.Ranked, true), rankingSignature(got, true))
+			}
+			if want.Stats != gotStats || naive.Stats != gotStats {
+				t.Fatalf("target %d, %d shards: stats diverge: mono %+v naive %+v shard %+v", i, n, want.Stats, naive.Stats, gotStats)
+			}
+		}
+	}
+}
+
+// TestShardGatherRejectsForeignProfiles: profiles prepared by an engine
+// with narrower signatures than this shard's forests index (a replica
+// whose options drifted, a memo that outlived a swap) must fail the
+// gather with the forest's error — never come back as an empty partial,
+// which the merge would take for "this shard has no candidates".
+func TestShardGatherRejectsForeignProfiles(t *testing.T) {
+	lake := syntheticLake(t, 23, 12)
+	e, err := BuildEngine(lake, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrowOpts := testOptions()
+	narrowOpts.MinHashSize, narrowOpts.ForestTrees, narrowOpts.ForestHashes = 64, 4, 16
+	narrow, err := BuildEngine(table.NewLake(), narrowOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	target := lake.Table(0)
+	spec := QuerySpec{K: 3}
+	probe, err := e.ShardProbeSpec(ctx, target, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths, err := MergeProbeDepths([]*ShardProbe{probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	partial, err := e.ShardGatherProfiled(ctx, narrow.ProfileTarget(target), spec, depths)
+	if err == nil || !strings.Contains(err.Error(), "forest needs") {
+		t.Fatalf("foreign-width profiles: err = %v, want the forest's signature-length error", err)
+	}
+	if partial != nil {
+		t.Fatalf("foreign-width profiles answered a partial with %d tables", len(partial.Tables))
 	}
 }
 

@@ -312,7 +312,7 @@ func TestShardProbeAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	tprofiles := e.ProfileTarget(lake.Table(3))
-	spec := QuerySpec{K: 10, DisablePlanner: true}
+	spec := QuerySpec{K: 10}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // warm the scratch to steady state
 		if _, err := e.ShardProbeProfiled(ctx, tprofiles, spec); err != nil {

@@ -8,8 +8,8 @@ import (
 // pipeline — the paper frames discovery as one parameterised query
 // (evidence set, Eq. 3 weights, k, candidate budget), and QuerySpec is
 // that parameter block. The zero value of every field selects the
-// engine-level configuration, so QuerySpec{K: k} reproduces the
-// historical TopK behaviour exactly.
+// engine-level configuration, so QuerySpec{K: k} is the default top-k
+// query.
 type QuerySpec struct {
 	// K is the answer size. It must be positive for SearchSpec.
 	K int
@@ -30,13 +30,6 @@ type QuerySpec struct {
 	// Parallelism bounds this query's worker fan-out; 0 selects the
 	// engine setting. Rankings are identical at any value.
 	Parallelism int
-	// DisablePlanner turns off the prepared-plan execution path — the
-	// evidence cascade with bound-based pruning and the forest depth
-	// hints (see plan.go) — and runs the plan-free pipeline instead.
-	// The answer is bit-identical either way (the planner only elides
-	// work whose outcome is already decided); this is the escape hatch
-	// and the A/B switch. The zero value keeps the planner on.
-	DisablePlanner bool
 }
 
 // specView is a QuerySpec resolved against an engine's options: the
@@ -50,7 +43,6 @@ type specView struct {
 	disabled [NumEvidence]bool
 	weights  Weights
 	uniform  bool
-	planner  bool
 }
 
 // resolve validates the spec and merges it with the engine options.
@@ -60,7 +52,6 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 		disabled: e.opts.Disabled,
 		weights:  e.opts.Weights,
 		uniform:  e.opts.UniformEq1Weights,
-		planner:  !spec.DisablePlanner,
 	}
 	if spec.K <= 0 {
 		return v, fmt.Errorf("core: k must be positive, got %d", spec.K)

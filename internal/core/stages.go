@@ -7,17 +7,17 @@ import "time"
 // its own stages — admission wait, cache lookup — in front of them):
 //
 //   - StagePlanPrepare: building or fetching the prepared evidence
-//     cascade (planner-enabled queries only; a planner-off query
-//     records no sample for this stage).
+//     cascade and depth hints.
 //   - StageGather: candidate generation — the four LSH forest probes,
-//     cross-forest dedup and pair-distance computation.
+//     cross-forest dedup and pair-distance computation. A shard's
+//     gather phase (ShardGatherProfiled) runs the same gather and
+//     reports this stage, and only this one.
 //   - StageScore: scoring — Eq. 2 distribution construction, grouping
-//     pairs by table and the per-table Eq. 1/Eq. 3 reduction. On the
-//     cascade path this includes the incremental top-k heap
-//     maintenance, which is interleaved with scoring by design.
-//   - StageRankMerge: ranking and merge — top-k selection on the
-//     plan-free path, plus winner alignment materialisation and
-//     answer assembly on both paths.
+//     pairs by table and the per-table Eq. 1/Eq. 3 reduction, with the
+//     incremental top-k heap maintenance that is interleaved with
+//     scoring by design.
+//   - StageRankMerge: winner alignment materialisation and answer
+//     assembly.
 type QueryStage uint8
 
 const (

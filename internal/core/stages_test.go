@@ -38,9 +38,10 @@ func stageTestEngine(t *testing.T) (*Engine, *table.Table) {
 }
 
 // TestStageObserverCoversPipeline proves a ranking query reports every
-// stage exactly once (plan_prepare only with the planner on), with
-// non-negative durations, and that removing the observer stops
-// observations.
+// stage exactly once with non-negative durations, that a shard gather
+// reports its gather stage (the part of the pipeline a shard runs; the
+// probe and the coordinator's merge have no stage of their own), and
+// that removing the observer stops observations.
 func TestStageObserverCoversPipeline(t *testing.T) {
 	e, target := stageTestEngine(t)
 	var mu sync.Mutex
@@ -53,7 +54,7 @@ func TestStageObserverCoversPipeline(t *testing.T) {
 		seen[s]++
 		mu.Unlock()
 	})
-	if _, err := e.TopK(target, 2); err != nil {
+	if _, err := topK(e, target, 2); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []QueryStage{StagePlanPrepare, StageGather, StageScore, StageRankMerge} {
@@ -62,23 +63,33 @@ func TestStageObserverCoversPipeline(t *testing.T) {
 		}
 	}
 
-	// Planner off: plan_prepare must not report; the rest still do.
+	// Shard traffic: the probe laps nothing, the gather laps StageGather.
 	seen = map[QueryStage]int{}
-	if _, err := e.SearchSpec(t.Context(), target, QuerySpec{K: 2, DisablePlanner: true}); err != nil {
+	spec := QuerySpec{K: 2}
+	probe, err := e.ShardProbeSpec(t.Context(), target, spec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if seen[StagePlanPrepare] != 0 {
-		t.Errorf("plan_prepare observed %d times with planner off, want 0", seen[StagePlanPrepare])
+	depths, err := MergeProbeDepths([]*ShardProbe{probe})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, s := range []QueryStage{StageGather, StageScore, StageRankMerge} {
-		if seen[s] != 1 {
-			t.Errorf("planner-off: stage %v observed %d times, want 1", s, seen[s])
-		}
+	if len(seen) != 0 {
+		t.Errorf("probe phase reported stages: %v", seen)
+	}
+	if _, err := e.ShardGatherSpec(t.Context(), target, spec, depths); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 1 || seen[StageGather] != 1 {
+		t.Errorf("shard gather observed %v, want gather once", seen)
 	}
 
 	e.SetStageObserver(nil)
 	seen = map[QueryStage]int{}
-	if _, err := e.TopK(target, 2); err != nil {
+	if _, err := topK(e, target, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ShardGatherSpec(t.Context(), target, spec, depths); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 0 {

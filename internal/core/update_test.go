@@ -212,7 +212,7 @@ func TestUpdateDuplicateNamesFullReprofile(t *testing.T) {
 func TestUpdateVisibleToQueries(t *testing.T) {
 	e := buildFigure1Engine(t)
 	target := figure1Target(t)
-	res, err := e.TopK(target, 3)
+	res, err := topK(e, target, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestUpdateVisibleToQueries(t *testing.T) {
 	if stats.Kept != 0 || stats.Reprofiled != 3 {
 		t.Fatalf("full replace stats = %+v", stats)
 	}
-	res2, err := e.TopK(target, 2)
+	res2, err := topK(e, target, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

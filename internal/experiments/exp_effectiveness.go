@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -63,12 +64,12 @@ func RunExp1(env *Env) (Report, error) {
 // engineTopK adapts an ad-hoc engine (Exp 1 builds one per evidence).
 func engineTopK(eng *core.Engine) topKFunc {
 	return func(target *table.Table, k int) ([]rankedAnswer, error) {
-		res, err := eng.TopK(target, k+1)
+		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: k + 1})
 		if err != nil {
 			return nil, err
 		}
 		out := make([]rankedAnswer, 0, k)
-		for _, r := range res {
+		for _, r := range res.Ranked {
 			if r.Name == target.Name {
 				continue
 			}
@@ -177,7 +178,7 @@ func collectLabelledPairs(env *Env, eng *core.Engine, maxPairs int) ([]core.Labe
 		if err != nil {
 			return nil, err
 		}
-		res, err := eng.Search(target, 40)
+		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: 40})
 		if err != nil {
 			return nil, err
 		}

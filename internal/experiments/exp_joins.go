@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
+	"d3l/internal/core"
 	"d3l/internal/joins"
 	"d3l/internal/table"
 )
@@ -32,7 +34,7 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 		if err != nil {
 			return joinMeasures{}, err
 		}
-		res, err := eng.Search(target, k+1)
+		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: k + 1})
 		if err != nil {
 			return joinMeasures{}, err
 		}

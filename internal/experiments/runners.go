@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
+	"d3l/internal/core"
 	"d3l/internal/table"
 )
 
@@ -25,12 +27,12 @@ func (e *Env) d3lTopK() (topKFunc, error) {
 		return nil, err
 	}
 	return func(target *table.Table, k int) ([]rankedAnswer, error) {
-		res, err := eng.TopK(target, k+1)
+		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: k + 1})
 		if err != nil {
 			return nil, err
 		}
 		out := make([]rankedAnswer, 0, k)
-		for _, r := range res {
+		for _, r := range res.Ranked {
 			if r.Name == target.Name {
 				continue
 			}

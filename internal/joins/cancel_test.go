@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"d3l/internal/core"
 )
 
 // Cancellation contract for the join layer: a cancelled build or
@@ -26,7 +28,7 @@ func TestBuildGraphCtxCancelled(t *testing.T) {
 func TestAugmentCtxCancelled(t *testing.T) {
 	e := buildEngine(t)
 	g := BuildGraph(e, DefaultGraphOptions())
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestAugmentCtxCancelled(t *testing.T) {
 func TestFindJoinPathsCtxCancelled(t *testing.T) {
 	e := buildEngine(t)
 	g := BuildGraph(e, DefaultGraphOptions())
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestCtxVariantsMatchLegacy(t *testing.T) {
 	if gLegacy.Edges() != gCtx.Edges() {
 		t.Fatalf("edge counts diverge: legacy %d, ctx %d", gLegacy.Edges(), gCtx.Edges())
 	}
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package joins
 
 import (
+	"context"
 	"testing"
 
 	"d3l/internal/core"
@@ -114,7 +115,7 @@ func TestBuildGraphFindsSAJoins(t *testing.T) {
 func TestFindJoinPathsAlgorithm3(t *testing.T) {
 	e := buildEngine(t)
 	g := BuildGraph(e, DefaultGraphOptions())
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestJoinCoverageImproves(t *testing.T) {
 	g := BuildGraph(e, DefaultGraphOptions())
 	// k=2: S1 and S2 are the strongly related tables; S3 (hours) should
 	// be reachable only through joins.
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestJoinCoverageImproves(t *testing.T) {
 func TestContributedTables(t *testing.T) {
 	e := buildEngine(t)
 	g := BuildGraph(e, DefaultGraphOptions())
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +229,7 @@ func TestCoverageEmptyTarget(t *testing.T) {
 func TestPathOptionBounds(t *testing.T) {
 	e := buildEngine(t)
 	g := BuildGraph(e, DefaultGraphOptions())
-	res, err := e.Search(joinTarget(t), 2)
+	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

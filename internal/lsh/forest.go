@@ -60,6 +60,19 @@ func (f *Forest) MinSignatureLen() int { return f.numTrees * f.hashesPerTree }
 // Len reports the number of indexed items.
 func (f *Forest) Len() int { return f.count }
 
+// ready is the precondition every probe (and Delete) shares: the forest
+// has been indexed and the signature covers all its trees. op names the
+// caller in the error.
+func (f *Forest) ready(op string, sig []uint64) error {
+	if !f.indexed {
+		return fmt.Errorf("lsh: %s before Index", op)
+	}
+	if len(sig) < f.MinSignatureLen() {
+		return fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	}
+	return nil
+}
+
 // keyStackBytes is the key-scratch size every probe and mutation keeps
 // on its stack. Key extraction used to make() a fresh slice per tree
 // per operation — O(trees) garbage per item on index builds and O(trees
@@ -150,11 +163,8 @@ func (f *Forest) Insert(id int32, sig []uint64) error {
 // It reports whether the item was found. Deleting from an un-indexed
 // forest is an error: the build phase has no removal semantics.
 func (f *Forest) Delete(id int32, sig []uint64) (bool, error) {
-	if !f.indexed {
-		return false, fmt.Errorf("lsh: Delete before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return false, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	if err := f.ready("Delete", sig); err != nil {
+		return false, err
 	}
 	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
@@ -232,11 +242,8 @@ func (f *Forest) prefixRange(tree *forestTree, key []byte, depth int) (int, int)
 // bounds the scan to the whole forest). Candidates are deduplicated and
 // unranked: rank with exact signature comparison, as the engine does.
 func (f *Forest) Query(sig []uint64, minResults int) ([]int32, error) {
-	if !f.indexed {
-		return nil, fmt.Errorf("lsh: Query before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	if err := f.ready("Query", sig); err != nil {
+		return nil, err
 	}
 	if minResults <= 0 {
 		minResults = 1
@@ -272,46 +279,11 @@ func (f *Forest) Query(sig []uint64, minResults int) ([]int32, error) {
 // returned candidates are the same set Query produces for the same
 // arguments, but sorted ascending rather than in discovery order —
 // callers that rank candidates exactly (as the engine does) are
-// order-insensitive.
-//
-// The implementation exploits the prefix-nesting property: for any
-// tree, the entry range matching depth d contains the range matching
-// depth d+1, so the candidate set accumulated from the longest prefix
-// down to d equals the union of the per-tree ranges at d alone. Each
-// descent step therefore re-collects from its own depth into dst,
-// deduplicates in place (sort + compact, no map), and stops as soon as
-// minResults distinct candidates exist — exactly Query's termination
-// rule.
+// order-insensitive. It is QueryIntoHint with no hint: the blind
+// top-down descent.
 func (f *Forest) QueryInto(sig []uint64, minResults int, dst []int32) ([]int32, error) {
-	if !f.indexed {
-		return dst, fmt.Errorf("lsh: Query before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return dst, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
-	}
-	if minResults <= 0 {
-		minResults = 1
-	}
-	var kb [keyStackBytes]byte
-	key := f.keyScratch(kb[:])
-	base := len(dst)
-	for depth := f.hashesPerTree; depth >= 1; depth-- {
-		dst = dst[:base]
-		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
-			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
-			dst = append(dst, tree.ids[lo:hi]...)
-		}
-		region := dst[base:]
-		slices.Sort(region)
-		region = slices.Compact(region)
-		dst = dst[:base+len(region)]
-		if len(region) >= minResults {
-			break
-		}
-	}
-	return dst, nil
+	dst, _, err := f.QueryIntoHint(sig, minResults, dst, 0)
+	return dst, err
 }
 
 // QueryIntoHint is QueryInto seeded with a starting-depth hint — the
@@ -336,11 +308,8 @@ func (f *Forest) QueryInto(sig []uint64, minResults int, dst []int32) ([]int32, 
 // returns — so sharing hints across concurrent probes is safe without
 // synchronisation.
 func (f *Forest) QueryIntoHint(sig []uint64, minResults int, dst []int32, hint int) ([]int32, int, error) {
-	if !f.indexed {
-		return dst, 0, fmt.Errorf("lsh: Query before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return dst, 0, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	if err := f.ready("Query", sig); err != nil {
+		return dst, 0, err
 	}
 	if minResults <= 0 {
 		minResults = 1
@@ -350,6 +319,11 @@ func (f *Forest) QueryIntoHint(sig []uint64, minResults int, dst []int32, hint i
 	base := len(dst)
 	// collect gathers the distinct candidate set at one depth into
 	// dst[base:], returning the extended slice and the distinct count.
+	// Prefix nesting (a tree's range at depth d contains its range at
+	// d+1) makes the set Query accumulates from the longest prefix down
+	// to d equal to the union of the per-tree ranges at d alone, so each
+	// step re-collects from its own depth and deduplicates in place
+	// (sort + compact, no map).
 	collect := func(depth int) ([]int32, int) {
 		dst = dst[:base]
 		for t := 0; t < f.numTrees; t++ {
@@ -417,11 +391,8 @@ func (f *Forest) QueryIntoHint(sig []uint64, minResults int, dst []int32, hint i
 // values with the query in some tree. This is the fixed-threshold lookup
 // D3L's join-path guards use (membership test, Algorithm 2 and 3).
 func (f *Forest) QueryMinDepth(sig []uint64, depth int) ([]int32, error) {
-	if !f.indexed {
-		return nil, fmt.Errorf("lsh: QueryMinDepth before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	if err := f.ready("QueryMinDepth", sig); err != nil {
+		return nil, err
 	}
 	if depth < 1 {
 		depth = 1
@@ -453,11 +424,8 @@ func (f *Forest) QueryMinDepth(sig []uint64, depth int) ([]int32, error) {
 // dst and returns the extended slice. Same set as QueryMinDepth,
 // sorted ascending.
 func (f *Forest) QueryMinDepthInto(sig []uint64, depth int, dst []int32) ([]int32, error) {
-	if !f.indexed {
-		return dst, fmt.Errorf("lsh: QueryMinDepth before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return dst, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	if err := f.ready("QueryMinDepth", sig); err != nil {
+		return dst, err
 	}
 	if depth < 1 {
 		depth = 1
@@ -551,11 +519,8 @@ func (s *DepthScratch) raise(ids []int32, depth int) error {
 // core.MergeProbeDepths). The returned vector is the only allocation
 // once the scratch has grown to the forest's id range.
 func (f *Forest) DepthCounts(sig []uint64, s *DepthScratch) ([]int32, error) {
-	if !f.indexed {
-		return nil, fmt.Errorf("lsh: DepthCounts before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
+	if err := f.ready("DepthCounts", sig); err != nil {
+		return nil, err
 	}
 	h := f.hashesPerTree
 	var kb [keyStackBytes]byte

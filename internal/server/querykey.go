@@ -133,15 +133,11 @@ func shardTargetKey(swapGen uint64, t *TableJSON) string {
 // k, reordered evidence lists, a −0.0 weight vs +0.0) do. Weights are
 // hashed as IEEE 754 bits — exact equality is the right notion for a
 // cache key — which is why plan() canonicalises negative zero before
-// the weights reach this point. The planner flag is folded in too,
-// keeping the key a pure function of the canonical request; both modes
-// produce byte-identical bodies, so the only cost is one duplicate
-// cache entry when a client A/B-probes the same query.
+// the weights reach this point.
 func queryKey(engineFP, swapGen uint64, p *queryPlan, partial bool, t *TableJSON) string {
 	w := newKeyWriter("query", engineFP, swapGen)
 	w.u64(uint64(p.k))
 	w.bool(partial)
-	w.bool(p.planner)
 	w.bool(p.joins)
 	w.str(p.explainFor)
 	w.bool(p.weightsSet)

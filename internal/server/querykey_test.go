@@ -74,20 +74,21 @@ func TestQueryWeightOverflowIs400(t *testing.T) {
 	}
 }
 
-// TestQueryKeyPlannerFlag: absent and explicit-true planner flags are
-// the same canonical request (one cache entry); explicit false is a
-// distinct key.
-func TestQueryKeyPlannerFlag(t *testing.T) {
-	target := figure1TargetJSON()
-	on := true
-	off := false
-	absent := mustPlan(t, QueryRequest{Table: target})
-	explicit := mustPlan(t, QueryRequest{Table: target, Planner: &on})
-	disabled := mustPlan(t, QueryRequest{Table: target, Planner: &off})
-	if queryKey(1, 0, absent, false, &target) != queryKey(1, 0, explicit, false, &target) {
-		t.Fatal("absent and explicit-true planner flags split the cache key")
+// TestQueryIgnoresRetiredPlannerField: clients that still send the
+// retired "planner" switch get the one pipeline's answer, not a 400 —
+// the field is an unknown key like any other.
+func TestQueryIgnoresRetiredPlannerField(t *testing.T) {
+	_, hs := newTestServer(t, figure1Engine(t), Config{})
+	table := `"table":{"name":"T","columns":["city"],"rows":[["Salford"],["Bolton"]]}`
+	status, plain := doRequest(t, http.MethodPost, hs.URL+"/v1/query", []byte(`{`+table+`}`))
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, plain)
 	}
-	if queryKey(1, 0, absent, false, &target) == queryKey(1, 0, disabled, false, &target) {
-		t.Fatal("planner=false shares the planner-on cache key")
+	status, stray := doRequest(t, http.MethodPost, hs.URL+"/v1/query", []byte(`{`+table+`,"planner":false}`))
+	if status != http.StatusOK {
+		t.Fatalf("status %d with a stray planner key: %s", status, stray)
+	}
+	if string(plain) != string(stray) {
+		t.Fatalf("a stray planner key changed the answer:\n%s\n%s", plain, stray)
 	}
 }

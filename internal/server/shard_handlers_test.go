@@ -15,7 +15,7 @@ import (
 // the merge accepts; an error is still the JSON envelope.
 func TestShardGatherAnswersBinary(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
-	spec := core.QuerySpec{K: 3, DisablePlanner: true}
+	spec := core.QuerySpec{K: 3}
 	target := figure1TargetJSON()
 
 	status, body := postJSON(t, hs.URL+"/v1/shard/probe", ShardProbeRequest{Table: target, Spec: spec})
@@ -73,7 +73,7 @@ func TestShardGatherAnswersBinary(t *testing.T) {
 func TestShardTargetMemo(t *testing.T) {
 	cfg := Config{MaxConcurrent: 2}
 	warm, warmHS := newTestServer(t, figure1Engine(t), cfg)
-	spec := core.QuerySpec{K: 3, DisablePlanner: true}
+	spec := core.QuerySpec{K: 3}
 	target := figure1TargetJSON()
 
 	if n := warm.shardTargets.len(); n != 0 {

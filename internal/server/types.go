@@ -145,12 +145,6 @@ type QueryRequest struct {
 	// CandidateBudget caps candidates per target attribute per index;
 	// 0 or absent keeps the engine default.
 	CandidateBudget int `json:"candidateBudget,omitempty"`
-	// Planner toggles the prepared-plan execution path. Absent or true
-	// keeps the planner on (the default); false disables it. The answer
-	// is bit-identical either way, so this is an A/B switch, not a
-	// result knob — it still feeds the cache key, keeping the counters
-	// each mode would report honest.
-	Planner *bool `json:"planner,omitempty"`
 }
 
 // queryPlan is a validated, canonicalised QueryRequest: the option
@@ -167,7 +161,6 @@ type queryPlan struct {
 	weights      d3l.Weights
 	evidenceMask uint64 // bit t set = evidence type t enabled
 	budget       int
-	planner      bool // canonical: absent and explicit true both land here as true
 }
 
 // plan validates the request and resolves it to a queryPlan. All
@@ -179,10 +172,6 @@ func (r *QueryRequest) plan() (*queryPlan, error) {
 		joins:      r.Joins,
 		explainFor: r.ExplainFor,
 		budget:     r.CandidateBudget,
-		planner:    r.Planner == nil || *r.Planner,
-	}
-	if !p.planner {
-		p.opts = append(p.opts, d3l.WithPlanner(false))
 	}
 	if r.K != nil {
 		if *r.K < 0 {

@@ -869,7 +869,8 @@ func (r *Remote) statsz(i int) (tables, attrs int) {
 	return resp.Tables, resp.Attributes
 }
 
-// PlannerTotals is zero: the distributed pipeline is plan-free.
+// PlannerTotals is zero, as for a Set: replicas prepare no plans and the
+// merge feeds no engine's counters.
 func (r *Remote) PlannerTotals() d3l.PlannerTotals { return d3l.PlannerTotals{} }
 
 // PrewarmScratch is a no-op: the replicas own their arenas.

@@ -366,8 +366,10 @@ func (s *Set) NumAttributes() int {
 	return s.shards[0].NumAttributes()
 }
 
-// PlannerTotals is zero for a set: the shard protocol distributes the
-// plan-free pipeline, so no planner ever runs.
+// PlannerTotals is zero for a set: its engines prepare no plans (a
+// shard gathers at the depths the coordinator imposes, not by a hinted
+// descent), and the merge, which prunes like the monolith, belongs to no
+// engine whose lifetime counters it could feed.
 func (s *Set) PlannerTotals() d3l.PlannerTotals { return d3l.PlannerTotals{} }
 
 // PrewarmScratch forwards to every shard.
@@ -377,9 +379,9 @@ func (s *Set) PrewarmScratch(n int) {
 	}
 }
 
-// SetStageObserver forwards to every shard: per-stage timings then
-// accumulate shard-side work (each shard reports its own pipeline
-// stages; the coordinator's merge is not a tracked stage).
+// SetStageObserver forwards to every shard: each then reports the one
+// pipeline stage a shard runs, its gather; the probe and the
+// coordinator's merge are not tracked stages.
 func (s *Set) SetStageObserver(o d3l.StageObserver) {
 	for _, e := range s.shards {
 		e.SetStageObserver(o)

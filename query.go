@@ -52,7 +52,6 @@ type queryConfig struct {
 	weights     *Weights
 	disabled    *[NumEvidence]bool
 	budget      int
-	noPlanner   bool
 	partialOK   bool
 	parallelism int   // internal: QueryBatch pins inner queries to 1
 	err         error // first option error, reported by Query
@@ -162,17 +161,6 @@ func ParseEvidence(name string) (Evidence, error) {
 	}
 }
 
-// WithPlanner enables or disables the prepared-plan execution path —
-// the cheapest-first evidence cascade with bound-based top-k pruning,
-// the learned forest probe depths, and the prepared-plan cache. It is
-// on by default; the answer is bit-identical either way (the planner
-// only elides work whose outcome is already decided), so
-// WithPlanner(false) exists as an escape hatch and as the A/B switch
-// for measuring what the planner saves (compare Answer.Plan).
-func WithPlanner(enabled bool) QueryOption {
-	return func(c *queryConfig) { c.noPlanner = !enabled }
-}
-
 // WithPartialResults opts this query into the sharded coordinator's
 // degraded mode: when a shard replica is unreachable after retries, the
 // query is answered from the surviving shards and Answer.Degraded is
@@ -246,10 +234,9 @@ type Answer struct {
 	Explanation []PairExplanation
 	// Stats summarises the work this query did.
 	Stats QueryStats
-	// Plan reports what the prepared-plan execution path did — the
-	// evidence-cascade order, whether the plan was cached, and the
-	// deterministic pruning counters. Zero for explanation-only queries
-	// and under WithPlanner(false).
+	// Plan reports what the query's plan did — the evidence-cascade
+	// order, whether the plan was cached, and the deterministic pruning
+	// counters. Zero for explanation-only queries.
 	Plan PlanStats
 	// Degraded reports that a sharded query was answered from a subset
 	// of its shards under the opt-in partial-failure policy. Monolith
@@ -303,7 +290,6 @@ func (e *Engine) query(ctx context.Context, target *Table, cfg queryConfig) (*An
 		Disabled:        cfg.disabled,
 		CandidateBudget: cfg.budget,
 		Parallelism:     cfg.parallelism,
-		DisablePlanner:  cfg.noPlanner,
 	}
 	ans := &Answer{Stats: QueryStats{K: cfg.k}}
 	var res *core.SearchResult

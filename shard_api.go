@@ -36,9 +36,7 @@ type (
 var ErrUnsupported = errors.New("d3l: not supported in sharded mode")
 
 // ShardQuery is a Query option list resolved for the sharded execution
-// path: the same validation Query performs, with the planner pinned
-// off (the shard protocol distributes the plan-free pipeline, whose
-// answers the planner is contractually bit-identical to).
+// path, under the same validation Query performs.
 type ShardQuery struct {
 	// K is the effective answer size (0 for explanation-only queries).
 	K int
@@ -71,7 +69,6 @@ func ResolveShardQuery(opts ...QueryOption) (*ShardQuery, error) {
 			Disabled:        cfg.disabled,
 			CandidateBudget: cfg.budget,
 			Parallelism:     cfg.parallelism,
-			DisablePlanner:  true,
 		},
 	}, nil
 }

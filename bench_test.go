@@ -449,8 +449,9 @@ func BenchmarkPlannerColdPlan(b *testing.B) {
 }
 
 // BenchmarkPlannerWarmPlan is the serving steady state: every target's
-// plan is already cached, so each query runs fingerprint + LRU hit and
-// probes the forests with learned depth hints.
+// plan is already cached, so each query runs fingerprint + LRU hit. A
+// plan holds only the evidence cascade, so warm and cold differ by that
+// look-up against building a five-entry cascade, nothing else.
 func BenchmarkPlannerWarmPlan(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
 	ctx := context.Background()

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,15 +22,18 @@ import (
 // and writes a machine-readable SLO report. The run fails (non-zero
 // exit) when any gate trips: a 5xx response, a required metric series
 // missing from the final /metrics scrape, or a p99 above -max-p99.
-// Targets are sampled from the lake with the same seed that drives the
-// request sequence, so a committed report is reproducible end to end.
+// Targets are sampled from the CSV files under -dir with the same seed
+// that drives the request sequence, so a committed report is
+// reproducible end to end. They never come from a snapshot: its lake
+// keeps names and columns but no rows, and a target with no rows
+// measures a query that profiles nothing.
 func cmdLoadgen(args []string) error {
 	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
 	var urls multiFlag
 	fs.Var(&urls, "url", "base URL of a running replica or coordinator (repeatable: requests round-robin across all URLs; the gated /metrics scrape reads the first)")
 	direct := fs.Bool("direct", false, "drive the serving stack in-process instead of over HTTP")
-	index := fs.String("index", "", "prebuilt snapshot: engine for -direct, target corpus otherwise")
-	dir := fs.String("dir", "", "lake directory of CSV files (alternative to -index)")
+	index := fs.String("index", "", "-direct only: serve this prebuilt snapshot instead of indexing -dir")
+	dir := fs.String("dir", "", "lake directory of CSV files the targets are sampled from (and -direct indexes, without -index)")
 	duration := fs.Duration("duration", 30*time.Second, "recorded run length (after warmup)")
 	warmup := fs.Duration("warmup", 2*time.Second, "warmup length (load applied, latencies discarded)")
 	workers := fs.Int("workers", 4, "closed-loop workers")
@@ -51,16 +55,19 @@ func cmdLoadgen(args []string) error {
 		return fmt.Errorf("loadgen: exactly one of -url and -direct is required")
 	}
 
-	// The lake supplies the target corpus in both modes; -direct also
-	// serves it. A snapshot loads in milliseconds, a CSV dir is
-	// profiled and indexed here.
-	engine, err := loadEngine(*dir, *index)
+	if *dir == "" {
+		return fmt.Errorf("loadgen: -dir is required: targets are sampled from the lake's CSV files (a snapshot keeps no rows)")
+	}
+	if *index != "" && !*direct {
+		return fmt.Errorf("loadgen: -index only applies to -direct; over -url the targets come from -dir")
+	}
+	lake, err := d3l.LoadLakeDir(*dir)
 	if err != nil {
 		return err
 	}
-	corpus := sampleTargets(engine.Lake(), *seed, *targets, *targetRows)
-	if len(corpus) == 0 {
-		return fmt.Errorf("loadgen: lake has no tables to sample targets from")
+	corpus, err := sampleTargets(lake, *seed, *targets, *targetRows)
+	if err != nil {
+		return err
 	}
 	ops, err := buildWorkload(corpus, *mix, *k)
 	if err != nil {
@@ -69,6 +76,17 @@ func cmdLoadgen(args []string) error {
 
 	var doer loadgen.Doer
 	if *direct {
+		// -direct serves the snapshot when given one (it loads in
+		// milliseconds), else profiles and indexes the lake just read.
+		var engine *d3l.Engine
+		if *index != "" {
+			engine, err = loadEngine("", *index)
+		} else {
+			engine, err = d3l.New(lake, d3l.DefaultOptions())
+		}
+		if err != nil {
+			return err
+		}
 		srv, err := server.New(engine, server.Config{SnapshotPath: *index})
 		if err != nil {
 			return err
@@ -131,9 +149,11 @@ func cmdLoadgen(args []string) error {
 // sampleTargets picks up to n tables by seeded partial Fisher–Yates
 // over the name-sorted lake and trims each to rows rows — realistic
 // targets (they exist in the lake, so answers are non-empty) with
-// bounded request bodies.
-func sampleTargets(lake *d3l.Lake, seed uint64, n, rows int) []server.TableJSON {
-	tables := lake.Tables()
+// bounded request bodies. A lake whose sampled tables have no rows at
+// all (a snapshot's metadata-only lake, a directory of header-only
+// CSVs) is an error: every request would profile an empty target.
+func sampleTargets(lake *d3l.Lake, seed uint64, n, rows int) ([]server.TableJSON, error) {
+	tables := slices.Clone(lake.Tables()) // the lake's own slice is indexed by table id
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	// splitmix64, restated locally: the sequence half lives in the
 	// loadgen package, and sampling must be just as Go-version-stable.
@@ -153,6 +173,7 @@ func sampleTargets(lake *d3l.Lake, seed uint64, n, rows int) []server.TableJSON 
 		tables[i], tables[j] = tables[j], tables[i]
 	}
 	out := make([]server.TableJSON, 0, n)
+	sampledRows := 0
 	for _, t := range tables[:n] {
 		tj := server.TableJSON{Name: "target_" + t.Name}
 		for _, c := range t.Columns {
@@ -169,9 +190,16 @@ func sampleTargets(lake *d3l.Lake, seed uint64, n, rows int) []server.TableJSON 
 			}
 			tj.Rows = append(tj.Rows, row)
 		}
+		sampledRows += total
 		out = append(out, tj)
 	}
-	return out
+	if len(out) == 0 {
+		return nil, fmt.Errorf("loadgen: lake has no tables to sample targets from")
+	}
+	if sampledRows == 0 {
+		return nil, fmt.Errorf("loadgen: all %d sampled targets have zero rows; point -dir at the lake's CSV files (a snapshot's lake is metadata-only)", len(out))
+	}
+	return out, nil
 }
 
 // buildWorkload assembles the OpSpec list for the parsed mix.

@@ -55,7 +55,7 @@ func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile
 		}
 	}
 	if !disabled[EvidenceDomain] {
-		d[EvidenceDomain] = e.domainDistance(target, cand, targetSubject, candSubject)
+		d[EvidenceDomain] = e.domainDistance(target, cand, targetSubject, candSubject, &d, &disabled)
 	}
 	return d
 }
@@ -64,21 +64,26 @@ func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile
 // only for numeric-numeric pairs with blocking evidence — the two
 // tables' subject attributes are related by any index, or the pair is
 // N- or F-related — and is 1 otherwise.
-func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profile) float64 {
+//
+// The guard is a disjunction of pure predicates, so the order they are
+// tested in cannot be observed, and the cheapest goes first: the pair's
+// N and F distances are already in d (pairDistances fills them before
+// calling here) unless the query's mask disabled that evidence, in which
+// case the guard — which Algorithm 2 states over the indexes, not over
+// the query's evidence selection — computes the Jaccard itself. Only a
+// pair neither settles reaches the subject-attribute lookup and its up
+// to four signature comparisons.
+func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profile, d *DistanceVector, disabled *[NumEvidence]bool) float64 {
 	if !target.Numeric || !cand.Numeric {
 		return 1
 	}
 	if len(target.NumExtent) == 0 || len(cand.NumExtent) == 0 {
 		return 1
 	}
-	guard := false
-	if targetSubject != nil && candSubject != nil && e.attrRelatedAnyIndex(targetSubject, candSubject) {
-		guard = true // i' ∈ I*.lookup(i)
-	} else if jaccardSimilarity(target.QSig, cand.QSig) >= e.opts.Threshold {
-		guard = true // a' ∈ I_N.lookup(a)
-	} else if jaccardSimilarity(target.RSig, cand.RSig) >= e.opts.Threshold {
-		guard = true // a' ∈ I_F.lookup(a)
-	}
+	th := e.opts.Threshold
+	guard := 1-guardDistance(d, disabled, EvidenceName, target.QSig, cand.QSig) >= th || // a' ∈ I_N.lookup(a)
+		1-guardDistance(d, disabled, EvidenceFormat, target.RSig, cand.RSig) >= th || // a' ∈ I_F.lookup(a)
+		(targetSubject != nil && candSubject != nil && e.attrRelatedAnyIndex(targetSubject, candSubject)) // i' ∈ I*.lookup(i)
 	if !guard {
 		return 1
 	}
@@ -92,6 +97,16 @@ func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profil
 		return 1
 	}
 	return ks
+}
+
+// guardDistance is the N or F distance Algorithm 2's guard tests: the
+// one pairDistances already put in d, or a Jaccard of its own when the
+// query's mask kept that evidence out of d.
+func guardDistance(d *DistanceVector, disabled *[NumEvidence]bool, t Evidence, a, b minhash.Signature) float64 {
+	if disabled[t] {
+		return jaccardDistance(a, b)
+	}
+	return d[t]
 }
 
 // attrRelatedAnyIndex is the existential I* lookup of Algorithm 2:

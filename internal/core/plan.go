@@ -8,34 +8,29 @@ import (
 )
 
 // This file implements the prepare half of the query pipeline's
-// prepare/execute split. A prepared plan captures, per (target,
-// engine, option set), the two things worth computing once and
-// reusing:
+// prepare/execute split. A prepared plan is the evidence cascade: the
+// enabled evidence types ordered cheapest-first (name and format
+// signatures before value minhash before the distribution KS), which is
+// the order the execute phase aggregates Eq. 1 components in so it can
+// stop — and elide the remaining, more expensive evaluations — as soon
+// as a candidate table provably cannot crack the top-k.
 //
-//   - the evidence cascade: the enabled evidence types ordered
-//     cheapest-first (name and format signatures before value minhash
-//     before the distribution KS), which is the order the execute
-//     phase aggregates Eq. 1 components in so it can stop — and elide
-//     the remaining, more expensive evaluations — as soon as a
-//     candidate table provably cannot crack the top-k;
+// The cascade is a pure acceleration: it elides only per-table scoring
+// work whose outcome is already decided (the pruning bound is a
+// monotone lower bound on the final Eq. 3 distance, compared strictly
+// against the live top-k threshold with a safety margin, so a pruned
+// table could never have entered the heap). So there is one pipeline,
+// not a planned and a plan-free one: the ranked answer, its per-table
+// distances and the deterministic SearchStats counters are bit-identical
+// to the paper-literal reference in query_ref_test.go, which scores
+// every table in full and sorts.
 //
-//   - the learned forest probe depths: the stop depth each LSH-forest
-//     descent settled on last time this target was probed, fed back as
-//     the starting hint of the next probe (see lsh.QueryIntoHint), so
-//     a warm plan reaches its candidate set in ~2 prefix collections
-//     per forest instead of a full top-down descent.
-//
-// Both are pure accelerations. The cascade elides only per-table
-// scoring work whose outcome is already decided (the pruning bound is
-// a monotone lower bound on the final Eq. 3 distance, compared
-// strictly against the live top-k threshold with a safety margin, so
-// a pruned table could never have entered the heap); the depth hints
-// shift where the forest's depth search starts, never what it returns.
-// So there is one pipeline, not a planned and a plan-free one: the
-// ranked answer, its per-table distances and the deterministic
-// SearchStats counters are bit-identical to the paper-literal reference
-// in query_ref_test.go, which probes blind, scores every table in full
-// and sorts.
+// The forest probes need nothing from a plan (lsh.Forest.Probe finds
+// its stop depth in one walk, with no starting point to remember), so a
+// plan is a pure function of the evidence mask and the plan cache below
+// keeps nothing a query could not rebuild in well under a microsecond.
+// The cache stays because the serving benchmark reads its hit and miss
+// counters; removing it is a pending simplification (ROADMAP).
 //
 // Why per-pair distance kernels are NOT elided: the Eq. 2 CCDF
 // weights are built from the distance distributions over *all*
@@ -55,14 +50,13 @@ import (
 // costs the work the plan hoped to save.
 const plannerMargin = 1e-9
 
-// planCacheCapacity bounds the prepared-plan LRU. Plans are small
-// (a cascade plus one int32 hint per target column per forest), so the
-// cap is sized for "every distinct live query shape" rather than
-// memory pressure; stale entries from earlier engine fingerprints age
-// out through the same LRU.
+// planCacheCapacity bounds the prepared-plan LRU. Plans are small (a
+// cascade and its display string), so the cap is sized for "every
+// distinct live query shape" rather than memory pressure; stale entries
+// from earlier engine fingerprints age out through the same LRU.
 const planCacheCapacity = 256
 
-// Forest slots of a prepared plan's hint array, one per LSH index of
+// Forest slots of a target column's probe table, one per LSH index of
 // Algorithm 1.
 const (
 	forestSlotN = iota
@@ -85,27 +79,14 @@ var evidenceCostRank = [NumEvidence]int{
 	EvidenceDomain:    4,
 }
 
-// preparedPlan is one cache entry: immutable cascade, atomic hints.
-// Plans are shared by every concurrent query with the same key, which
-// is safe because the cascade never changes after prepare and the
-// hints are advisory (any value yields the same candidate sets).
+// preparedPlan is one cache entry, immutable after prepare and shared by
+// every concurrent query with the same key.
 type preparedPlan struct {
 	// cascade lists the enabled evidence types cheapest-first.
 	cascade []Evidence
 	// order is the display form of the cascade ("N→F→V", say), built
 	// once so per-query PlanStats need no allocation.
 	order string
-	// hints[col*numForestSlots+slot] is the last observed probe stop
-	// depth for that (target column, forest), 0 when never probed.
-	hints []atomic.Int32
-}
-
-func (p *preparedPlan) hint(col, slot int) int {
-	return int(p.hints[col*numForestSlots+slot].Load())
-}
-
-func (p *preparedPlan) setHint(col, slot, depth int) {
-	p.hints[col*numForestSlots+slot].Store(int32(depth))
 }
 
 // evidenceCascade lists the evidence types a mask leaves enabled,
@@ -122,13 +103,10 @@ func evidenceCascade(disabled [NumEvidence]bool) []Evidence {
 	return cascade
 }
 
-// newPreparedPlan builds the plan for a target arity and resolved
-// option view: cascade from the evidence mask, hints all cold.
-func newPreparedPlan(numCols int, view *specView) *preparedPlan {
-	p := &preparedPlan{
-		cascade: evidenceCascade(view.disabled),
-		hints:   make([]atomic.Int32, numCols*numForestSlots),
-	}
+// newPreparedPlan builds the plan for a resolved option view: the
+// cascade its evidence mask leaves.
+func newPreparedPlan(view *specView) *preparedPlan {
+	p := &preparedPlan{cascade: evidenceCascade(view.disabled)}
 	var b strings.Builder
 	for i, t := range p.cascade {
 		if i > 0 {
@@ -200,18 +178,17 @@ func (e *Engine) PlannerTotals() PlannerTotals {
 // engine state it was prepared against (the fingerprint moves on every
 // mutation, so stale plans become unreachable and age out of the LRU),
 // and the plan-shaping options. A targetFP collision is benign — the
-// colliding query would inherit the other target's depth hints, which
-// are advisory, and an identical cascade — so the fingerprint trades
-// cryptographic strength for a hashing pass cheap enough to run on
-// every query.
+// colliding query would get an identical cascade — so the fingerprint
+// trades cryptographic strength for a hashing pass cheap enough to run
+// on every query.
 type planKey struct {
 	targetFP uint64
 	engineFP uint64
 	optionFP uint64
 }
 
-// profilesFingerprint hashes the target's profiled signatures — the
-// exact inputs of the forest probes the plan's hints accelerate.
+// profilesFingerprint hashes the target's profiled signatures, the
+// exact inputs of the forest probes.
 func profilesFingerprint(tprofiles []Profile) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	mix := func(v uint64) { h = splitmix64(h ^ v) }
@@ -278,7 +255,7 @@ func (e *Engine) preparePlan(tprofiles []Profile, view *specView) (*preparedPlan
 		return p, true
 	}
 	e.planStats.cacheMisses.Add(1)
-	p := newPreparedPlan(len(tprofiles), view)
+	p := newPreparedPlan(view)
 	e.planCache.put(key, p)
 	return p, false
 }

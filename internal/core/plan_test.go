@@ -180,7 +180,7 @@ func TestPlanCacheLifecycle(t *testing.T) {
 
 // TestPlanCacheLRU unit-tests the bounded LRU directly: eviction order
 // under capacity pressure, get-promotion, and same-key put keeping the
-// incumbent plan (so concurrent misses converge on one hint state).
+// incumbent plan (concurrent misses converge on one entry).
 func TestPlanCacheLRU(t *testing.T) {
 	var c planCache
 	key := func(i int) planKey { return planKey{targetFP: uint64(i), engineFP: 1, optionFP: 1} }

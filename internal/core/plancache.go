@@ -39,7 +39,7 @@ func (c *planCache) get(key planKey) *preparedPlan {
 // put inserts a plan, evicting the least-recently-used entry past
 // capacity. A racing insert of the same key keeps the incumbent: two
 // queries that both missed build equivalent plans, and the first one
-// in wins so later lookups all share one hint state.
+// in wins.
 func (c *planCache) put(key planKey, p *preparedPlan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

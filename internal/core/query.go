@@ -168,15 +168,15 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	// installed the timer is inert and the pipeline reads no clocks.
 	st := e.newStageTimer()
 
-	// Prepare — or fetch from the plan cache — the evidence cascade and
-	// the forest depth hints for this (target, engine, options) shape.
+	// Prepare — or fetch from the plan cache — the evidence cascade.
 	plan, planCached := e.preparePlan(tprofiles, &view)
 	st.lap(StagePlanPrepare)
 
 	// Gather: per target attribute, collect candidates from the four
 	// indexes and compute pair distances. Columns are independent, so
 	// they fan out across the pool, each into its own arena buffer.
-	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, parallelism, qs, probeMode{plan: plan})
+	// No imposed depths: each forest probe tunes itself to the budget.
+	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, parallelism, qs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -310,11 +310,11 @@ func (e *Engine) alignments(tablePairs []candidatePair, numCols int, ws *workerS
 // cancelled or failed gather returns the error, never a partial list.
 // Callers must hold e.mu. The returned slice is arena memory, valid
 // until the arena is recycled.
-func (e *Engine) gatherPairs(ctx context.Context, tprofiles []Profile, tsubject *Profile, view *specView, parallelism int, qs *queryScratch, mode probeMode) ([]candidatePair, error) {
+func (e *Engine) gatherPairs(ctx context.Context, tprofiles []Profile, tsubject *Profile, view *specView, parallelism int, qs *queryScratch, depths probeDepths) ([]candidatePair, error) {
 	n := len(tprofiles)
 	qs.ensureCols(n)
 	if err := forEachIndexCtx(ctx, n, parallelism, func(col int) {
-		qs.colBufs[col], qs.colErrs[col] = e.gatherColumn(ctx, col, &tprofiles[col], tsubject, view, qs.colBufs[col], mode)
+		qs.colBufs[col], qs.colErrs[col] = e.gatherColumn(ctx, col, &tprofiles[col], tsubject, view, qs.colBufs[col], depths)
 	}); err != nil {
 		return nil, err
 	}
@@ -370,36 +370,27 @@ func (e *Engine) probeTable(tp *Profile, disabled *[NumEvidence]bool, ws *worker
 	return pt
 }
 
-// probeMode is how a gather decides each probe's stop depth. The
-// monolith descends each forest until the candidate budget is met,
-// seeding the descent with the depth the plan remembers from the last
-// identical probe and feeding the observed depth back (the hint is
-// advisory: QueryIntoHint returns the same candidates for any value, so
-// the shared hint state needs no synchronisation beyond the atomic
-// load/store). A shard collects at the depths the coordinator imposed —
-// the depths that same descent would have stopped at on the union of
-// all shards (see MergeProbeDepths).
-type probeMode struct {
-	plan   *preparedPlan           // budget descent with depth hints…
-	depths [][NumForestSlots]int32 // …or, with no plan, imposed depths
-}
+// probeDepths is how a gather decides each probe's stop depth. With no
+// depths (nil) every forest tunes itself: one walk, then the stop rule
+// on its own per-depth counts (lsh.Forest.Probe) — the monolith. A shard
+// collects at the depths the coordinator imposed, which are that same
+// stop rule applied to the counts summed over all shards (see
+// MergeProbeDepths).
+type probeDepths [][NumForestSlots]int32
 
-// probe appends one forest's (sorted, distinct) candidate region to ids.
-func (m *probeMode) probe(p forestProbe, budget int, ids []int32, col, slot int) ([]int32, error) {
-	imposed := m.plan == nil
-	if imposed && (p.forest == nil) != (m.depths[col][slot] == 0) {
+// probe appends one forest's distinct candidate region to ids.
+func (m probeDepths) probe(p forestProbe, budget int, ids []int32, col, slot int, s *lsh.DepthScratch) ([]int32, error) {
+	imposed := m != nil
+	if imposed && (p.forest == nil) != (m[col][slot] == 0) {
 		return ids, fmt.Errorf("core: depth directive disagrees with probe shape (col %d, slot %d)", col, slot)
 	}
 	if p.forest == nil {
 		return ids, nil
 	}
 	if imposed {
-		return p.forest.QueryMinDepthInto(p.sig, int(m.depths[col][slot]), ids)
+		return p.forest.QueryMinDepthInto(p.sig, int(m[col][slot]), ids)
 	}
-	ids, depth, err := p.forest.QueryIntoHint(p.sig, budget, ids, m.plan.hint(col, slot))
-	if err == nil {
-		m.plan.setHint(col, slot, depth)
-	}
+	ids, _, err := p.forest.Probe(p.sig, budget, ids, s)
 	return ids, err
 }
 
@@ -407,18 +398,19 @@ func (m *probeMode) probe(p forestProbe, budget int, ids []int32, col, slot int)
 // column from the probe table's forests and computes the pair
 // distances, appending them to dst (arena memory — the column's
 // recycled pair buffer). Candidate-set state lives on worker scratch:
-// the forests append into the recycled probe buffer (regions from
-// different forests may overlap), and cross-forest dedup uses the
-// epoch-stamped visited array instead of a per-call map. A forest error
+// the forests append into the recycled probe buffer (each region is
+// distinct but unordered, and regions from different forests may
+// overlap), and cross-forest dedup uses the epoch-stamped visited array
+// instead of a per-call map. A forest error
 // or a cancelled context ends the column with that error and no pairs.
-func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view *specView, dst []candidatePair, mode probeMode) ([]candidatePair, error) {
+func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view *specView, dst []candidatePair, depths probeDepths) ([]candidatePair, error) {
 	dst = dst[:0]
 	ws := e.getWorkerScratch()
 	defer e.putWorkerScratch(ws)
 	ids := ws.ids[:0]
 	var err error
 	for slot, p := range e.probeTable(tp, &view.disabled, ws) {
-		if ids, err = mode.probe(p, view.budget, ids, col, slot); err != nil {
+		if ids, err = depths.probe(p, view.budget, ids, col, slot, &ws.depths); err != nil {
 			return dst, err
 		}
 	}

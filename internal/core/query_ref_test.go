@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"d3l/internal/datagen"
+	"d3l/internal/stats"
 	"d3l/internal/table"
 )
 
@@ -85,6 +86,9 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 				candSubject = &e.profiles[s]
 			}
 			d := e.pairDistances(tp, cand, tsubject, candSubject, view.disabled)
+			if !view.disabled[EvidenceDomain] {
+				d[EvidenceDomain] = e.domainDistanceReference(tp, cand, tsubject, candSubject)
+			}
 			pairs = append(pairs, candidatePair{targetCol: col, attrID: id, tableID: cand.Ref.TableID, dist: d})
 		}
 	}
@@ -139,8 +143,39 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 	}, nil
 }
 
-// The three helpers below are the paper-literal form of the scoring
-// steps, kept apart from the pipeline as the oracle it is compared to.
+// The four helpers below are the paper-literal form of the guard and the
+// scoring steps, kept apart from the pipeline as the oracle it is
+// compared to.
+
+// domainDistanceReference is Algorithm 2 as the paper writes it: the
+// guard looks the subject attributes up first (i' ∈ I*.lookup(i)), then
+// the pair in I_N, then in I_F — each lookup a signature comparison of
+// its own, whatever the query's evidence mask — and only a guarded pair
+// pays for the KS statistic.
+func (e *Engine) domainDistanceReference(target, cand, targetSubject, candSubject *Profile) float64 {
+	if !target.Numeric || !cand.Numeric {
+		return 1
+	}
+	if len(target.NumExtent) == 0 || len(cand.NumExtent) == 0 {
+		return 1
+	}
+	guard := false
+	if targetSubject != nil && candSubject != nil && e.attrRelatedAnyIndex(targetSubject, candSubject) {
+		guard = true
+	} else if jaccardSimilarity(target.QSig, cand.QSig) >= e.opts.Threshold {
+		guard = true
+	} else if jaccardSimilarity(target.RSig, cand.RSig) >= e.opts.Threshold {
+		guard = true
+	}
+	if !guard {
+		return 1
+	}
+	ks, err := stats.KolmogorovSmirnovSorted(target.NumExtent, cand.NumExtent)
+	if err != nil {
+		return 1
+	}
+	return ks
+}
 
 // buildDistanceECDFs is the standalone (allocating) constructor over a
 // flat pair list — the oracle for the arena's sampleCells.
@@ -248,9 +283,11 @@ func refLake(t testing.TB, seed uint64) *table.Lake {
 }
 
 // assertEquivalent compares the pipeline's answer for one spec against
-// the naive reference, field by field. The reference probes blind,
-// scores every table in full and sorts, so agreement covers the depth
-// hints, the cascade's pruning and the bounded selection at once.
+// the naive reference, field by field. The reference descends the
+// forests depth by depth, guards Algorithm 2 in the paper's order,
+// scores every table in full and sorts, so agreement covers the one-walk
+// probe, the guard's reordering, the cascade's pruning and the bounded
+// selection at once.
 func assertEquivalent(t *testing.T, e *Engine, target *table.Table, spec QuerySpec, label string) {
 	t.Helper()
 	got, err := e.SearchSpec(context.Background(), target, spec)

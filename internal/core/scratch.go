@@ -90,8 +90,9 @@ type workerScratch struct {
 	ids []int32
 	// evals is the target ESig hash-value buffer for the I_E probe.
 	evals []uint64
-	// depths is the one-walk depth-probe scratch of the shard probe
-	// phase (lsh.Forest.DepthCounts), shared by the four forests.
+	// depths is the scratch of the forests' one-walk probe — a query's
+	// self-tuning lsh.Forest.Probe, a shard probe phase's DepthCounts —
+	// shared by the four forests.
 	depths lsh.DepthScratch
 
 	// visited/vEpoch: epoch-stamped membership over attribute ids,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 
+	"d3l/internal/lsh"
 	"d3l/internal/table"
 )
 
@@ -20,11 +21,11 @@ import (
 //             (lsh.Forest.DepthCounts). Counts are additive across
 //             shards because the shards index disjoint attribute sets,
 //             so summing them recovers the monolithic forest's counts.
-//   depths  — the coordinator replays QueryInto's stop rule on the
-//             summed counts: the stop depth is the largest depth whose
-//             global count meets the candidate budget (else 1). This
-//             is the only part of the pipeline that needs global
-//             knowledge the shards lack.
+//   depths  — the coordinator applies the forest's stop rule
+//             (lsh.StopDepth) to the summed counts: the stop depth is
+//             the largest depth whose global count meets the candidate
+//             budget (else 1). This is the only part of the pipeline
+//             that needs global knowledge the shards lack.
 //   gather  — every shard runs the monolith's own gather (gatherPairs)
 //             with the probe step collecting at the imposed depths
 //             instead of descending locally: same probe table, same
@@ -41,8 +42,9 @@ import (
 //             the monolith's at any shard count.
 //
 // So the monolith is the one-shard case with the depth search done
-// locally: probe and depths collapse into QueryIntoHint's descent, and
-// gather, score and rank are the same code.
+// locally: lsh.Forest.Probe is the probe's walk (the one DepthCounts
+// reports from) followed by the depths' stop rule on that one forest's
+// counts, and gather, score and rank are the same code.
 
 // NumForestSlots is the number of per-column forest probes a query can
 // make (the name/value/format/embedding indexes), exported for the
@@ -162,11 +164,12 @@ func (e *Engine) ShardProbeProfiled(ctx context.Context, tprofiles []Profile, sp
 }
 
 // MergeProbeDepths validates that every shard probed the same query
-// shape and replays QueryInto's self-tuning stop rule on the summed
+// shape and applies the forest's self-tuning stop rule (lsh.StopDepth,
+// the one the monolith's probe applies to its own counts) to the summed
 // per-depth counts: for each (column, slot) the stop depth is the
 // largest depth whose global distinct count reaches the candidate
 // budget, or 1 when none does — exactly where the monolithic forest's
-// top-down descent would have stopped.
+// probe would have stopped.
 func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 	if len(probes) == 0 {
 		return nil, fmt.Errorf("core: no shard probes to merge")
@@ -179,10 +182,6 @@ func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 		if len(p.Counts) != meta.NumCols {
 			return nil, fmt.Errorf("core: shard %d probed %d columns, want %d", i, len(p.Counts), meta.NumCols)
 		}
-	}
-	budget := meta.Budget
-	if budget < 1 {
-		budget = 1
 	}
 	out := &ShardDepths{Meta: meta, Depths: make([][NumForestSlots]int32, meta.NumCols)}
 	var sum []int64
@@ -206,14 +205,7 @@ func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 					sum[d] += int64(p.Counts[col][slot][d])
 				}
 			}
-			depth := int32(1)
-			for d := h; d >= 1; d-- {
-				if sum[d-1] >= int64(budget) || d == 1 {
-					depth = int32(d)
-					break
-				}
-			}
-			out.Depths[col][slot] = depth
+			out.Depths[col][slot] = int32(lsh.StopDepth(sum, meta.Budget))
 		}
 	}
 	return out, nil
@@ -264,7 +256,7 @@ func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, s
 	// Columns are gathered one after another: the shards of a set
 	// already run side by side, so a second level of fan-out would only
 	// oversubscribe the cores they share.
-	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, 1, qs, probeMode{depths: depths.Depths})
+	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, 1, qs, depths.Depths)
 	if err != nil {
 		return nil, err
 	}

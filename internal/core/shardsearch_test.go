@@ -126,6 +126,60 @@ func TestShardSearchEqualsMonolith(t *testing.T) {
 	}
 }
 
+// TestOneShardDepthsAreTheMonolithProbe pins "the monolith is the
+// one-shard case" at the one step where the two paths differ: for a
+// single shard holding the whole lake, the depth MergeProbeDepths
+// imposes on every (column, forest) is the stop depth the monolith's
+// self-tuning probe picks for the same target, and 0 exactly where the
+// probe table skips the forest.
+func TestOneShardDepthsAreTheMonolithProbe(t *testing.T) {
+	lake := syntheticLake(t, 23, 34)
+	e, err := BuildEngine(lake, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	specs := []QuerySpec{
+		{K: 8},
+		{K: 3, CandidateBudget: 5},
+		{K: 8, CandidateBudget: 10000},
+		{K: 8, Disabled: &[NumEvidence]bool{EvidenceValue: true, EvidenceEmbedding: true}},
+	}
+	ws := e.getWorkerScratch()
+	defer e.putWorkerScratch(ws)
+	for _, spec := range specs {
+		view, err := e.resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ti := 0; ti < lake.Len(); ti += 3 {
+			tprofiles := e.ProfileTarget(lake.Table(ti))
+			probe, err := e.ShardProbeProfiled(ctx, tprofiles, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			depths, err := MergeProbeDepths([]*ShardProbe{probe})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for col := range tprofiles {
+				for slot, p := range e.probeTable(&tprofiles[col], &view.disabled, ws) {
+					want := 0
+					if p.forest != nil {
+						if _, want, err = p.forest.Probe(p.sig, view.budget, nil, &ws.depths); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := int(depths.Depths[col][slot]); got != want {
+						t.Fatalf("spec %+v target %d col %d slot %d: imposed depth %d, the monolith's probe stops at %d",
+							spec, ti, col, slot, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestShardSearchPrunesAndStaysExact is the sharded twin of
 // TestPlannerPrunesAndStaysExact on BenchmarkPlannerPrunedSkewed's lake:
 // near-duplicate tables, targets from the lake, k = 1, so the heap's

@@ -7,7 +7,7 @@ import "time"
 // its own stages — admission wait, cache lookup — in front of them):
 //
 //   - StagePlanPrepare: building or fetching the prepared evidence
-//     cascade and depth hints.
+//     cascade.
 //   - StageGather: candidate generation — the four LSH forest probes,
 //     cross-forest dedup and pair-distance computation. A shard's
 //     gather phase (ShardGatherProfiled) runs the same gather and

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Forest is an LSH Forest (Bawa, Condie, Ganesan; WWW 2005): a set of l
@@ -26,6 +27,8 @@ type Forest struct {
 	trees         []forestTree
 	count         int
 	indexed       bool
+	// scratch recycles the probe scratch of QueryInto callers.
+	scratch sync.Pool
 }
 
 type forestTree struct {
@@ -275,116 +278,19 @@ func (f *Forest) Query(sig []uint64, minResults int) ([]int32, error) {
 // QueryInto is the allocation-free form of Query for hot paths: it
 // appends the candidate set to dst (which may be nil or a recycled
 // buffer) and returns the extended slice, performing zero heap
-// allocations once dst has grown to its steady-state capacity. The
-// returned candidates are the same set Query produces for the same
-// arguments, but sorted ascending rather than in discovery order —
-// callers that rank candidates exactly (as the engine does) are
-// order-insensitive. It is QueryIntoHint with no hint: the blind
-// top-down descent.
+// allocations once dst has grown to its steady-state capacity. It is
+// Probe on a forest-owned scratch, for callers with no scratch of their
+// own to thread through: the same set Query produces for the same
+// arguments, distinct, in Probe's discovery order. Ids must be
+// non-negative.
 func (f *Forest) QueryInto(sig []uint64, minResults int, dst []int32) ([]int32, error) {
-	dst, _, err := f.QueryIntoHint(sig, minResults, dst, 0)
+	s, _ := f.scratch.Get().(*DepthScratch)
+	if s == nil {
+		s = new(DepthScratch)
+	}
+	dst, _, err := f.Probe(sig, minResults, dst, s)
+	f.scratch.Put(s)
 	return dst, err
-}
-
-// QueryIntoHint is QueryInto seeded with a starting-depth hint — the
-// selectivity-feedback probe the query planner uses. The candidate set
-// QueryInto returns is collect(d*), where collect(d) is the sorted
-// distinct union of the per-tree prefix ranges at depth d and d* is
-// the largest depth with at least minResults distinct candidates (or 1
-// when no depth reaches minResults): prefix nesting makes collect(d)
-// monotone, so descending from the longest prefix and stopping at the
-// first depth that satisfies the budget lands exactly on d*. A caller
-// that remembers d* from an earlier identical probe can hand it back
-// as hint: the probe then verifies the hint (one collect, plus one
-// more at hint+1 to confirm maximality) and walks up or down only when
-// the forest has changed underneath it — typically two collects
-// instead of the hashesPerTree−d*+1 of the blind descent. The returned
-// stop depth is the observed d*, the value to remember for next time.
-//
-// The hint is advisory only: for ANY hint value (including stale or
-// garbage ones, clamped into range; hint <= 0 selects the blind
-// descent) the returned candidate set is identical to QueryInto's —
-// the hint shifts where the depth search starts, never what it
-// returns — so sharing hints across concurrent probes is safe without
-// synchronisation.
-func (f *Forest) QueryIntoHint(sig []uint64, minResults int, dst []int32, hint int) ([]int32, int, error) {
-	if err := f.ready("Query", sig); err != nil {
-		return dst, 0, err
-	}
-	if minResults <= 0 {
-		minResults = 1
-	}
-	var kb [keyStackBytes]byte
-	key := f.keyScratch(kb[:])
-	base := len(dst)
-	// collect gathers the distinct candidate set at one depth into
-	// dst[base:], returning the extended slice and the distinct count.
-	// Prefix nesting (a tree's range at depth d contains its range at
-	// d+1) makes the set Query accumulates from the longest prefix down
-	// to d equal to the union of the per-tree ranges at d alone, so each
-	// step re-collects from its own depth and deduplicates in place
-	// (sort + compact, no map).
-	collect := func(depth int) ([]int32, int) {
-		dst = dst[:base]
-		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
-			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
-			dst = append(dst, tree.ids[lo:hi]...)
-		}
-		region := dst[base:]
-		slices.Sort(region)
-		region = slices.Compact(region)
-		dst = dst[:base+len(region)]
-		return dst, len(region)
-	}
-	if hint <= 0 || hint > f.hashesPerTree {
-		// No usable hint: the blind top-down descent, stopping at the
-		// first (largest) depth that meets the budget.
-		for depth := f.hashesPerTree; ; depth-- {
-			var n int
-			dst, n = collect(depth)
-			if n >= minResults || depth == 1 {
-				return dst, depth, nil
-			}
-		}
-	}
-	// countAt probes the distinct count at one depth in dst's spare
-	// tail without clobbering dst[base:len(dst)], so the depth search
-	// never has to re-collect a set it already holds.
-	countAt := func(depth int) int {
-		mark := len(dst)
-		tail := dst
-		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
-			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
-			tail = append(tail, tree.ids[lo:hi]...)
-		}
-		region := tail[mark:]
-		slices.Sort(region)
-		n := len(slices.Compact(region))
-		dst = tail[:mark]
-		return n
-	}
-	d := hint
-	n := countAt(d)
-	if n >= minResults {
-		// d satisfies the budget; walk up while the next-longer prefix
-		// does too, stopping at the maximal satisfying depth — exactly
-		// where the blind descent stops first.
-		for d < f.hashesPerTree && countAt(d+1) >= minResults {
-			d++
-		}
-	} else {
-		// d is too deep; walk down until the budget is met or depth 1.
-		for d > 1 && n < minResults {
-			d--
-			n = countAt(d)
-		}
-	}
-	dst, _ = collect(d)
-	return dst, d, nil
 }
 
 // QueryMinDepth returns all items sharing at least depth leading hash
@@ -448,12 +354,13 @@ func (f *Forest) QueryMinDepthInto(sig []uint64, depth int, dst []int32) ([]int3
 	return dst[:base+len(region)], nil
 }
 
-// DepthScratch is the caller-owned working memory of DepthCounts: an
-// epoch-stamped per-id array (the same trick as core's visited stamps,
-// so starting a probe is one integer increment, not an O(ids) clear)
-// plus the list of ids the current probe touched. The zero value is
-// ready; one scratch serves any number of forests and probes, one probe
-// at a time.
+// DepthScratch is the caller-owned working memory of the one-walk probe
+// (Probe and DepthCounts): an epoch-stamped per-id array (the same trick
+// as core's visited stamps, so starting a probe is one integer
+// increment, not an O(ids) clear), the list of ids the current probe
+// touched, and the probe's per-depth counts. The zero value is ready;
+// one scratch serves any number of forests and probes, one probe at a
+// time.
 type DepthScratch struct {
 	// deepest[id] packs epoch<<32 | depth: the deepest prefix id has
 	// matched in the current probe. A stale stamp carries a smaller
@@ -462,6 +369,7 @@ type DepthScratch struct {
 	deepest []uint64
 	epoch   uint32
 	touched []int32
+	counts  []int32
 }
 
 // begin starts a probe: a fresh epoch and an empty touched list.
@@ -480,7 +388,7 @@ func (s *DepthScratch) raise(ids []int32, depth int) error {
 	v := uint64(s.epoch)<<32 | uint64(depth)
 	for _, id := range ids {
 		if id < 0 {
-			return fmt.Errorf("lsh: DepthCounts over negative id %d", id)
+			return fmt.Errorf("lsh: probe over negative id %d", id)
 		}
 		if int(id) >= len(s.deepest) {
 			s.deepest = append(s.deepest, make([]uint64, int(id)+1-len(s.deepest))...)
@@ -495,33 +403,23 @@ func (s *DepthScratch) raise(ids []int32, depth int) error {
 	return nil
 }
 
-// DepthCounts reports, for every prefix depth d = 1..hashesPerTree, how
-// many distinct indexed ids share a length-d key prefix with the query
-// signature in at least one tree — the per-depth candidate-set sizes
-// QueryInto's self-tuning descent decides on. Counts[d-1] is the size at
-// depth d; the vector is non-increasing in d (prefix nesting).
-//
-// It is computed in one walk. An id is a depth-d candidate iff some
-// tree holds it under a key agreeing with the query on at least d
-// leading bytes, i.e. iff its deepest match over all trees is >= d. So
-// each tree's depth-1 range is visited once: narrowing it byte by byte
-// (the entries agreeing on d-1 bytes are sorted by byte d) peels off
-// the entries whose match is exactly d-1 deep, every entry raises its
-// id's deepest match, and the suffix sum of the histogram of deepest
-// matches is the vector of distinct counts — no per-depth collect,
-// sort and compact. Ids must be non-negative (they index the scratch).
-//
-// This is the scatter half of the sharded probe protocol: per-depth
-// distinct counts are additive across engines indexing disjoint id sets,
-// so a coordinator that sums the vectors of every shard recovers the
-// exact counts of the equivalent monolithic forest and can impose the
-// depth the monolith's descent would have stopped at (see
-// core.MergeProbeDepths). The returned vector is the only allocation
-// once the scratch has grown to the forest's id range.
-func (f *Forest) DepthCounts(sig []uint64, s *DepthScratch) ([]int32, error) {
-	if err := f.ready("DepthCounts", sig); err != nil {
-		return nil, err
-	}
+// depthOf is the deepest prefix match a touched id reached in the
+// current probe.
+func (s *DepthScratch) depthOf(id int32) int { return int(uint32(s.deepest[id])) }
+
+// walk is the one descent every self-tuning probe shares. An id is a
+// depth-d candidate iff some tree holds it under a key agreeing with
+// the query on at least d leading bytes, i.e. iff its deepest match over
+// all trees is >= d. So each tree's depth-1 range is visited once:
+// narrowing it byte by byte (the entries agreeing on d-1 bytes are
+// sorted by byte d) peels off the entries whose match is exactly d-1
+// deep, and every entry raises its id's deepest match. It leaves in s
+// the touched ids (tree by tree, in peel order) with their deepest
+// matches, and writes into counts (hashesPerTree long) the suffix sum of
+// the histogram of deepest matches: counts[d-1] = |{id : deepest(id) >=
+// d}|, the distinct candidate count at depth d — no per-depth collect,
+// sort and compact.
+func (f *Forest) walk(sig []uint64, s *DepthScratch, counts []int32) error {
 	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
@@ -539,22 +437,94 @@ func (f *Forest) DepthCounts(sig []uint64, s *DepthScratch) ([]int32, error) {
 				nhi = nlo + sort.Search(hi-nlo, func(i int) bool { return tree.keys[(nlo+i)*h+depth] > want })
 			}
 			if err := s.raise(tree.ids[lo:nlo], depth); err != nil {
-				return nil, err
+				return err
 			}
 			if err := s.raise(tree.ids[nhi:hi], depth); err != nil {
-				return nil, err
+				return err
 			}
 			lo, hi = nlo, nhi
 		}
 	}
-	// Histogram the deepest matches into the answer, then suffix-sum it
-	// in place: counts[d-1] = |{id : deepest(id) >= d}|.
-	counts := make([]int32, h)
+	clear(counts)
 	for _, id := range s.touched {
-		counts[uint32(s.deepest[id])-1]++
+		counts[s.depthOf(id)-1]++
 	}
 	for d := h - 1; d >= 1; d-- {
 		counts[d-1] += counts[d]
+	}
+	return nil
+}
+
+// StopDepth is the forest's self-tuning stop rule over per-depth
+// distinct candidate counts (counts[d-1] is the size at depth d,
+// non-increasing in d): the largest depth whose candidate set meets the
+// budget, or 1 when none does — the longest prefix that still yields
+// enough candidates. A budget below 1 asks for 1. Probe applies it to
+// one forest's counts; a shard coordinator applies it to the counts
+// summed over its shards (core.MergeProbeDepths), which is what makes
+// the monolith the one-shard case.
+func StopDepth[C int32 | int64](counts []C, budget int) int {
+	if budget < 1 {
+		budget = 1
+	}
+	for d := len(counts); d > 1; d-- {
+		if int64(counts[d-1]) >= int64(budget) {
+			return d
+		}
+	}
+	return 1
+}
+
+// Probe is the self-tuning lookup on caller-owned scratch: it appends to
+// dst the distinct ids matching the query at the stop depth StopDepth
+// picks for minResults, and returns the extended slice and that depth.
+// One walk finds every touched id's deepest match and the per-depth
+// counts; the stop rule reads the counts; the answer is the touched ids
+// whose deepest match reaches the stop depth d*. That is exactly the
+// set a top-down descent collects at d* (the union of the per-tree
+// prefix ranges at d*): by prefix nesting an id lies in some tree's
+// depth-d* range iff its deepest match is >= d*. Ids come out in
+// discovery order (tree by tree, shallowest peel first), not sorted;
+// callers that need an order sort, as the engine does after its
+// cross-forest dedup. Zero allocations once s and dst have grown.
+func (f *Forest) Probe(sig []uint64, minResults int, dst []int32, s *DepthScratch) ([]int32, int, error) {
+	if err := f.ready("Query", sig); err != nil {
+		return dst, 0, err
+	}
+	s.counts = slices.Grow(s.counts[:0], f.hashesPerTree)[:f.hashesPerTree]
+	if err := f.walk(sig, s, s.counts); err != nil {
+		return dst, 0, err
+	}
+	depth := StopDepth(s.counts, minResults)
+	for _, id := range s.touched {
+		if s.depthOf(id) >= depth {
+			dst = append(dst, id)
+		}
+	}
+	return dst, depth, nil
+}
+
+// DepthCounts reports, for every prefix depth d = 1..hashesPerTree, how
+// many distinct indexed ids share a length-d key prefix with the query
+// signature in at least one tree — the per-depth candidate-set sizes
+// Probe's stop rule decides on, from the same walk. Counts[d-1] is the
+// size at depth d; the vector is non-increasing in d (prefix nesting).
+// Ids must be non-negative (they index the scratch).
+//
+// This is the scatter half of the sharded probe protocol: per-depth
+// distinct counts are additive across engines indexing disjoint id sets,
+// so a coordinator that sums the vectors of every shard recovers the
+// exact counts of the equivalent monolithic forest and can impose the
+// depth the monolith's probe would have stopped at (see
+// core.MergeProbeDepths). The returned vector is the only allocation
+// once the scratch has grown to the forest's id range.
+func (f *Forest) DepthCounts(sig []uint64, s *DepthScratch) ([]int32, error) {
+	if err := f.ready("DepthCounts", sig); err != nil {
+		return nil, err
+	}
+	counts := make([]int32, f.hashesPerTree)
+	if err := f.walk(sig, s, counts); err != nil {
+		return nil, err
 	}
 	return counts, nil
 }

@@ -39,9 +39,9 @@ func sortedSet(ids []int32) []int32 {
 }
 
 // TestQueryIntoMatchesQuery checks that QueryInto returns exactly
-// Query's candidate set (sorted) for every indexed signature across a
-// spread of minResults values, and that it appends after any existing
-// dst prefix rather than clobbering it.
+// Query's candidate set (each id once) for every indexed signature
+// across a spread of minResults values, and that it appends after any
+// existing dst prefix rather than clobbering it.
 func TestQueryIntoMatchesQuery(t *testing.T) {
 	f, sigs := randomForest(t, 1, 120)
 	var buf []int32
@@ -64,8 +64,8 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 				t.Fatalf("sig %d minResults %d: QueryInto set differs from Query (%d vs %d ids)",
 					i, minResults, len(got)-1, len(want))
 			}
-			if !slices.IsSorted(got[1:]) {
-				t.Fatalf("sig %d: QueryInto region not sorted", i)
+			if len(sortedSet(got[1:])) != len(got)-1 {
+				t.Fatalf("sig %d: QueryInto region holds duplicate ids", i)
 			}
 		}
 	}
@@ -129,7 +129,7 @@ func TestForestProbeAndMutateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if probe != 0 {
+	if probe != 0 && !raceEnabled {
 		t.Fatalf("QueryInto allocates %.1f per probe into a warmed buffer, want 0", probe)
 	}
 	minDepth := testing.AllocsPerRun(100, func() {

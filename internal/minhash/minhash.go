@@ -15,15 +15,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 )
 
 // DefaultSize is the signature width used throughout the paper's
 // evaluation (Section V, footnote 5: "a MinHash size of 256").
 const DefaultSize = 256
 
-// mersennePrime is 2^61-1, used for universal hashing. Multiplication of
-// two values below 2^61 overflows uint64, so we reduce operands first;
-// see permute.
+// mersennePrime is 2^61-1, used for universal hashing; see permute.
 const mersennePrime = (1 << 61) - 1
 
 // Hasher derives a family of k pairwise-independent hash permutations
@@ -107,33 +106,24 @@ func baseHash(element string) uint64 {
 	return f.Sum64() % mersennePrime
 }
 
-// permute applies the i-th universal hash function to x (< p).
-// (a*x+b) mod p with p = 2^61-1, computed with 128-bit style splitting
-// to avoid overflow.
-func (h *Hasher) permute(i int, x uint64) uint64 {
-	return (mulmod(h.a[i], x) + h.b[i]) % mersennePrime
-}
-
-// mulmod computes (a*b) mod (2^61-1) without overflow using math/bits
-// style decomposition. a, b < 2^61.
-func mulmod(a, b uint64) uint64 {
-	// Split a into high and low 31/30-bit halves: a = ah*2^31 + al.
-	const half = 1 << 31
-	ah, al := a/half, a%half
-	bh, bl := b/half, b%half
-	// a*b = ah*bh*2^62 + (ah*bl+al*bh)*2^31 + al*bl
-	// Reduce each term mod 2^61-1, using 2^61 ≡ 1, so 2^62 ≡ 2.
-	t1 := (ah * bh % mersennePrime) * 2 % mersennePrime
-	mid := (ah*bl + al*bh) % mersennePrime
-	// mid*2^31 mod p: 2^31 < p so repeated doubling is too slow; use
-	// decomposition: mid*2^31 = (mid << 31) may overflow only if
-	// mid >= 2^33; reduce by splitting mid similarly.
-	mh, ml := mid/(1<<30), mid%(1<<30)
-	// mid*2^31 = mh*2^61 + ml*2^31 ≡ mh + ml*2^31 (mod p); ml < 2^30 so
-	// ml<<31 < 2^61, no overflow.
-	t2 := (mh + ml<<31) % mersennePrime
-	t3 := (al * bl) % mersennePrime
-	return (t1 + t2 + t3) % mersennePrime
+// permute is one universal hash function of the family: (a*x+b) mod p
+// with p = 2^61-1, for a, b, x < p, as the canonical residue in [0, p).
+// The 122-bit product comes from one 64×64 multiply and is reduced by
+// Mersenne folding: 2^61 ≡ 1 (mod p), so a value's bits above the 61st
+// can be added onto its low 61. The first fold (plus b) stays below
+// 2^63, the second leaves at most p+3, and one conditional subtract
+// finishes. The values are part of the snapshot format — signatures on
+// disk are compared with signatures sketched at query time — so any
+// replacement must be bit-identical (permuteReference and the committed
+// golden sketch in the tests pin that).
+func permute(a, b, x uint64) uint64 {
+	hi, lo := bits.Mul64(a, x)
+	s := (hi<<3 | lo>>61) + (lo & mersennePrime) + b
+	s = s>>61 + s&mersennePrime
+	if s >= mersennePrime {
+		s -= mersennePrime
+	}
+	return s
 }
 
 // Update folds a single element into the signature in place.
@@ -142,8 +132,9 @@ func (h *Hasher) Update(s Signature, element string) {
 		panic(fmt.Sprintf("minhash: signature size %d does not match hasher size %d", len(s), h.size))
 	}
 	x := baseHash(element)
-	for i := 0; i < h.size; i++ {
-		if v := h.permute(i, x); v < s[i] {
+	a, b := h.a[:len(s)], h.b[:len(s)]
+	for i := range s {
+		if v := permute(a[i], b[i], x); v < s[i] {
 			s[i] = v
 		}
 	}

@@ -279,8 +279,8 @@ func TestSketchSetMatchesSketch(t *testing.T) {
 }
 
 func TestMulModAgainstBigBruteForce(t *testing.T) {
-	// Verify mulmod against 128-bit arithmetic via math/bits-free check on
-	// small operands where direct computation is exact.
+	// Verify the reference mulmod (kernel_test.go) against shift-and-add
+	// arithmetic, so the oracle permute is compared to is itself checked.
 	cases := [][2]uint64{
 		{0, 0}, {1, 1}, {mersennePrime - 1, 2}, {mersennePrime - 1, mersennePrime - 1},
 		{123456789, 987654321}, {1 << 60, 3}, {(1 << 60) + 12345, (1 << 59) + 678},

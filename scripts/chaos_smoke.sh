@@ -158,7 +158,7 @@ curl -sf -X POST "http://$FP10/_fault/rules" -d '{}' > /dev/null
 # fails the gate, and the replica metric families must be present.
 "$WORK/d3l" loadgen \
   -url "http://$COORD" \
-  -index "$WORK/mono.d3l" \
+  -dir "$WORK/lake" \
   -workers 4 -warmup 2s -duration "${DURATION:-12s}" -seed 42 \
   -mix topk=4,query=4,batch=1 \
   -fail-on-5xx -require-metrics -max-p99 5s \

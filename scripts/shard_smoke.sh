@@ -114,7 +114,7 @@ echo "byte-identity: coordinator and in-process sharded answers match the monoli
 # client-facing surface whose metric coverage the gate should hold).
 "$WORK/d3l" loadgen \
   -url "http://$COORD" -url "http://$SHARD0" -url "http://$SHARD1" \
-  -index "$WORK/mono.d3l" \
+  -dir "$WORK/lake" \
   -workers 4 -warmup 2s -duration "${DURATION:-8s}" -seed 42 \
   -mix topk=4,query=4,batch=1 \
   -fail-on-5xx -require-metrics -max-p99 2s \

@@ -47,7 +47,7 @@ measure() { # measure <report.json> <serve args...>
     curl -sf "http://$ADDR/v1/healthz" > /dev/null && break
     sleep 0.2
   done
-  "$WORK/d3l" loadgen -url "http://$ADDR" -index "$WORK/mono.d3l" \
+  "$WORK/d3l" loadgen -url "http://$ADDR" -dir "$WORK/lake" \
     -workers "$WORKERS" -warmup "$WARMUP" -duration "$DURATION" -seed 42 \
     -mix topk=4,query=4,batch=1 \
     -fail-on-5xx -require-metrics -max-p99 2s \

@@ -37,7 +37,7 @@ go build -o "$WORK/d3l" ./cmd/d3l
 # the server (admission, cache, engine), not the benchmark machine's
 # loopback stack. Gates stay on — a snapshot taken while the SLO is
 # violated must fail, not get committed.
-"$WORK/d3l" loadgen -direct -index "$WORK/lake.d3l" \
+"$WORK/d3l" loadgen -direct -index "$WORK/lake.d3l" -dir "$WORK/lake" \
   -workers "$WORKERS" -warmup "$WARMUP" -duration "$DURATION" -seed 42 \
   -mix topk=4,query=4,batch=1,mutate=1 \
   -fail-on-5xx -require-metrics -max-p99 2s \

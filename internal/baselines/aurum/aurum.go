@@ -453,7 +453,7 @@ func (s *System) IndexSpaceBytes() int64 {
 	total := s.forestVal.SpaceBytes() + s.forestName.SpaceBytes()
 	for i := range s.profiles {
 		p := &s.profiles[i]
-		total += int64(len(p.nameSig.Bytes()) + len(p.valSig.Bytes()) + len(p.termSig.Bytes()))
+		total += int64(4 * (len(p.nameSig) + len(p.valSig) + len(p.termSig)))
 	}
 	for _, edges := range s.adj {
 		total += int64(len(edges)) * 24

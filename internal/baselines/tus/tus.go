@@ -355,7 +355,7 @@ func (s *System) IndexSpaceBytes() int64 {
 	total := s.forestVal.SpaceBytes() + s.forestSem.SpaceBytes() + s.forestNL.SpaceBytes()
 	for i := range s.profiles {
 		p := &s.profiles[i]
-		total += int64(len(p.valSig.Bytes()) + len(p.semSig.Bytes()) + len(p.nlSig.Bytes()))
+		total += int64(4*(len(p.valSig)+len(p.semSig)) + 8*len(p.nlSig))
 	}
 	return total
 }

@@ -9,7 +9,7 @@ import (
 
 // constSig is a signature whose every slot holds v: two of them agree on
 // every slot or on none, so their Jaccard estimate is exactly 1 or 0.
-func constSig(v uint64) minhash.Signature {
+func constSig(v uint32) minhash.Signature {
 	s := make(minhash.Signature, minhash.DefaultSize)
 	for i := range s {
 		s[i] = v
@@ -28,8 +28,8 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 	e := buildFigure1Engine(t)
 	// numeric builds one side of the pair; related picks, per signature,
 	// the value shared with the other side or one of its own.
-	numeric := func(side uint64, nRelated, fRelated bool, extent []float64) *Profile {
-		pick := func(related bool, shared uint64) minhash.Signature {
+	numeric := func(side uint32, nRelated, fRelated bool, extent []float64) *Profile {
+		pick := func(related bool, shared uint32) minhash.Signature {
 			if related {
 				return constSig(shared)
 			}
@@ -43,7 +43,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 	// The subject attributes are textual and, when related, related
 	// through the value index alone — the lookup the reordered guard
 	// reaches last.
-	subject := func(side uint64, related bool) *Profile {
+	subject := func(side uint32, related bool) *Profile {
 		p := &Profile{Subject: true, EZero: true, QSig: constSig(400 + side), RSig: constSig(500 + side), TSig: constSig(600 + side)}
 		if related {
 			p.TSig = constSig(600)

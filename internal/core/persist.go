@@ -124,7 +124,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 		prof:       prof,
 		classifier: opts.subjectClassifier(),
 	}
-	if err := e.decodeAttrs(ra); err != nil {
+	if err := e.decodeAttrs(ra, dec.Version()); err != nil {
 		return nil, fmt.Errorf("core: snapshot attributes: %w", err)
 	}
 	if len(e.byTable) != lake.Len() {
@@ -191,6 +191,14 @@ func (e *Engine) encodeOptions(b *persist.Buffer) {
 	b.I64(int64(o.Parallelism))
 }
 
+// maxSnapshotSketchWidth bounds the MinHashSize and EmbedBits a snapshot
+// may declare. The hash families and projection planes are rebuilt from
+// them at load time — memory the options name rather than carry — so,
+// like lsh's maxForestLayout, the cap keeps a corrupt or adversarial
+// snapshot from requesting absurd allocations. The paper and every
+// shipped configuration use 256.
+const maxSnapshotSketchWidth = 1 << 12
+
 func decodeOptions(r *persist.Reader) (Options, error) {
 	var o Options
 	o.MinHashSize = int(r.I64())
@@ -210,6 +218,9 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 	o.Parallelism = int(r.I64())
 	if err := r.Err(); err != nil {
 		return o, err
+	}
+	if o.MinHashSize > maxSnapshotSketchWidth || o.EmbedBits > maxSnapshotSketchWidth {
+		return o, fmt.Errorf("%w: MinHashSize %d, EmbedBits %d", persist.ErrCorrupt, o.MinHashSize, o.EmbedBits)
 	}
 	if len(w) != int(NumEvidence) {
 		return o, fmt.Errorf("%w: %d evidence weights", persist.ErrCorrupt, len(w))
@@ -257,7 +268,7 @@ const (
 	minTableEnc = 4 + 8 + 1
 )
 
-func (e *Engine) decodeAttrs(r *persist.Reader) error {
+func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	numProfiles := int(r.U32())
 	if err := r.Err(); err != nil {
 		return err
@@ -266,9 +277,17 @@ func (e *Engine) decodeAttrs(r *persist.Reader) error {
 		return fmt.Errorf("%w: %d profiles declared in %d bytes", persist.ErrCorrupt, numProfiles, r.Remaining())
 	}
 	e.profiles = make([]Profile, numProfiles)
+	empty := e.prof.hasher.EmptySignature()
 	for i := range e.profiles {
-		if err := decodeProfile(r, &e.profiles[i]); err != nil {
+		p := &e.profiles[i]
+		if err := decodeProfile(r, p, version); err != nil {
 			return err
+		}
+		// A numeric attribute's placeholder TSig is stored in full (the
+		// layout has no special case) and shared in memory, as
+		// profileColumn shares it.
+		if p.Numeric && len(p.TSig) == len(empty) && p.TSig.Empty() {
+			p.TSig = empty
 		}
 	}
 	numTables := int(r.U32())
@@ -316,25 +335,44 @@ func encodeProfile(b *persist.Buffer, p *Profile) {
 	b.Str(p.Name)
 	b.Bool(p.Numeric)
 	b.Bool(p.Subject)
-	b.U64s(p.QSig)
-	b.U64s(p.TSig)
+	b.U32s(p.QSig)
+	b.U32s(p.TSig)
 	b.I64(int64(p.TSize))
-	b.U64s(p.RSig)
+	b.U32s(p.RSig)
 	b.U64s(p.ESig)
 	b.Bool(p.EZero)
 	b.F64s(p.NumExtent)
 }
 
-func decodeProfile(r *persist.Reader, p *Profile) error {
+// decodeSignature reads one MinHash signature. Format version 1 stored
+// the 64-bit minima themselves; each narrows to the slot a current
+// sketch of the same set holds (and an empty set's math.MaxUint64 to
+// the empty slot), so a version 1 snapshot answers as it always did.
+func decodeSignature(r *persist.Reader, version uint32) minhash.Signature {
+	if version >= 2 {
+		return r.U32s()
+	}
+	n := r.Count(8)
+	if n == 0 {
+		return nil
+	}
+	sig := make(minhash.Signature, n)
+	for i := range sig {
+		sig[i] = uint32(r.U64())
+	}
+	return sig
+}
+
+func decodeProfile(r *persist.Reader, p *Profile, version uint32) error {
 	p.Ref.TableID = int(r.I64())
 	p.Ref.Column = int(r.I64())
 	p.Name = r.Str()
 	p.Numeric = r.Bool()
 	p.Subject = r.Bool()
-	p.QSig = minhash.Signature(r.U64s())
-	p.TSig = minhash.Signature(r.U64s())
+	p.QSig = decodeSignature(r, version)
+	p.TSig = decodeSignature(r, version)
 	p.TSize = int(r.I64())
-	p.RSig = minhash.Signature(r.U64s())
+	p.RSig = decodeSignature(r, version)
 	p.ESig = lsh.BitSignature(r.U64s())
 	p.EZero = r.Bool()
 	p.NumExtent = r.F64s()

@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 
+	"d3l/internal/persist"
 	"d3l/internal/table"
 )
 
@@ -485,4 +490,213 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 	if err := le.SetParallelism(-1); err == nil {
 		t.Fatal("negative parallelism accepted")
 	}
+}
+
+// The version 1 fixture, testdata/snapshot_v1.d3l, was written by the
+// last commit whose signatures were []uint64 (a7c1cef, "PR 18"), with
+// this test dropped into that commit's internal/core and run once:
+//
+//	func TestWriteSnapshotV1Fixture(t *testing.T) {
+//		e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
+//		if err != nil {
+//			t.Fatal(err)
+//		}
+//		if err := e.Remove("N2"); err != nil {
+//			t.Fatal(err)
+//		}
+//		if err := os.WriteFile(os.Getenv("OUT"), snapshotBytes(t, e), 0o644); err != nil {
+//			t.Fatal(err)
+//		}
+//	}
+//
+// It cannot be regenerated from this tree (which writes version 2) and
+// must not be: it stands for every snapshot already on disk.
+const v1FixturePath = "testdata/snapshot_v1.d3l"
+
+// v1FixtureOptions are the options the fixture was built with: small
+// sketches keep it at 16 kB.
+func v1FixtureOptions() Options {
+	o := testOptions()
+	o.MinHashSize, o.ForestTrees, o.ForestHashes, o.EmbedBits = 32, 4, 8, 64
+	return o
+}
+
+// v1FixtureEngine builds, from this tree's code, the engine the fixture
+// is a snapshot of.
+func v1FixtureEngine(t testing.TB) *Engine {
+	t.Helper()
+	e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Remove("N2"); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// withVersion returns a copy of a snapshot claiming another format
+// version, its trailer recomputed so nothing else differs.
+func withVersion(data []byte, v uint32) []byte {
+	out := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(out[8:], v)
+	return reseal(out)
+}
+
+// reseal rewrites, in place, a snapshot's last four bytes to the CRC32-C
+// of what precedes them.
+func reseal(data []byte) []byte { return sealShardBody(data[:len(data)-4]) }
+
+// TestSnapshotV1StillLoads is the compatibility contract of the format
+// bump: a version 1 snapshot (64-bit MinHash slots) loads, answers every
+// table of its lake — and an outside target — bit for bit like an engine
+// built from scratch by this tree, re-snapshots as version 2 to the very
+// bytes that fresh engine snapshots to, and those bytes round-trip
+// unchanged. A version this build does not know is still ErrVersion.
+func TestSnapshotV1StillLoads(t *testing.T) {
+	v1, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec, err := persist.NewDecoder(v1); err != nil {
+		t.Fatal(err)
+	} else if dec.Version() != 1 {
+		t.Fatalf("fixture is a version %d snapshot, want 1", dec.Version())
+	}
+	old, err := LoadEngine(bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := v1FixtureEngine(t)
+
+	targets := append(figure1Lake(t).Tables(), figure1Target(t))
+	for _, target := range targets {
+		want, err := topK(fresh, target, len(targets))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := topK(old, target, len(targets))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("target %s: no results on the fresh engine", target.Name)
+		}
+		if rankingSignature(want, true) != rankingSignature(got, true) {
+			t.Fatalf("target %s: the version 1 snapshot answers differently:\nwant %s\ngot  %s",
+				target.Name, rankingSignature(want, true), rankingSignature(got, true))
+		}
+	}
+
+	// Numeric attributes share the hasher's one empty TSig, loaded or built.
+	for _, e := range []*Engine{old, fresh} {
+		empty, numeric := e.prof.hasher.EmptySignature(), 0
+		for i := range e.profiles {
+			if p := &e.profiles[i]; p.Numeric && len(p.TSig) > 0 {
+				numeric++
+				if &p.TSig[0] != &empty[0] {
+					t.Fatalf("numeric attribute %q holds its own placeholder TSig", p.Name)
+				}
+			}
+		}
+		if numeric == 0 {
+			t.Fatal("fixture lake has no live numeric attribute")
+		}
+	}
+
+	v2 := snapshotBytes(t, old)
+	if dec, err := persist.NewDecoder(v2); err != nil {
+		t.Fatal(err)
+	} else if dec.Version() != 2 {
+		t.Fatalf("re-snapshot is a version %d snapshot, want 2", dec.Version())
+	}
+	if len(v2) >= len(v1) {
+		t.Fatalf("version 2 snapshot is %d bytes, version 1 was %d", len(v2), len(v1))
+	}
+	if !bytes.Equal(v2, snapshotBytes(t, fresh)) {
+		t.Fatal("the loaded version 1 engine and a fresh build snapshot to different bytes")
+	}
+	again, err := LoadEngine(bytes.NewReader(v2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(v2, snapshotBytes(t, again)) {
+		t.Fatal("version 2 snapshot does not round-trip to the same bytes")
+	}
+
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrVersion) {
+		t.Fatalf("version 3: err = %v, want ErrVersion", err)
+	}
+	// A version 2 body under a version 1 header (and the reverse) is a
+	// different byte layout, not a readable snapshot.
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 1))); err == nil {
+		t.Fatal("version 2 body read as version 1")
+	}
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 2))); err == nil {
+		t.Fatal("version 1 body read as version 2")
+	}
+}
+
+// TestLoadRejectsAbsurdSketchWidths: the hash machinery is rebuilt from
+// the options at load time, so a snapshot declaring a terabyte-wide
+// MinHash family (FuzzLoadEngine's first find) is refused as corrupt
+// before anything is sized by it.
+func TestLoadRejectsAbsurdSketchWidths(t *testing.T) {
+	data := snapshotBytes(t, v1FixtureEngine(t))
+	// MinHashSize is the first value of the first section: 12 bytes of
+	// header, then the section's 4-byte id and 8-byte length.
+	const minHashSizeOff = 12 + 4 + 8
+	if got := binary.LittleEndian.Uint64(data[minHashSizeOff:]); got != uint64(v1FixtureOptions().MinHashSize) {
+		t.Fatalf("offset %d holds %d, not MinHashSize", minHashSizeOff, got)
+	}
+	binary.LittleEndian.PutUint64(data[minHashSizeOff:], 1<<40)
+	if _, err := LoadEngine(bytes.NewReader(reseal(data))); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("MinHashSize 2^40: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
+// snapshot of each readable version: the outcome is an error or an
+// engine that answers a query, never a panic, and never allocations out
+// of proportion to the input. The CRC trailer stops nearly every
+// mutation at the door, so each input is also tried resealed, which
+// puts the section decoders behind it in reach.
+func FuzzLoadEngine(f *testing.F) {
+	v1, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	old, err := LoadEngine(bytes.NewReader(v1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	f.Add(snapshotBytes(f, old))
+	target := figure1Target(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if len(data) >= 4 {
+			inputs = append(inputs, reseal(append([]byte(nil), data...)))
+		}
+		for _, in := range inputs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e, err := LoadEngine(bytes.NewReader(in))
+			runtime.ReadMemStats(&after)
+			// Every decoded count is checked against the bytes that
+			// remain, so a load allocates a small multiple of its input
+			// (io.ReadAll's growth, 4-byte ids and slots widening into
+			// structs) plus the hash machinery its options name, which
+			// decodeOptions caps.
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(32*len(in)+8<<20); grew > limit {
+				t.Fatalf("LoadEngine allocated %d bytes for a %d-byte input (limit %d)", grew, len(in), limit)
+			}
+			if err != nil {
+				continue
+			}
+			if _, err := topK(e, target, 3); err != nil {
+				t.Fatalf("loaded engine cannot answer: %v", err)
+			}
+		}
+	})
 }

@@ -196,13 +196,13 @@ func profilesFingerprint(tprofiles []Profile) uint64 {
 	for i := range tprofiles {
 		p := &tprofiles[i]
 		for _, v := range p.QSig {
-			mix(v)
+			mix(uint64(v))
 		}
 		for _, v := range p.TSig {
-			mix(v)
+			mix(uint64(v))
 		}
 		for _, v := range p.RSig {
-			mix(v)
+			mix(uint64(v))
 		}
 		var flags uint64
 		if p.Numeric {

@@ -26,7 +26,9 @@ type Profile struct {
 	// QSig is the MinHash signature of the name q-gram set Q(a).
 	QSig minhash.Signature
 	// TSig is the MinHash signature of the tset T(a); TSize its
-	// cardinality (needed by the Section IV overlap coefficient).
+	// cardinality (needed by the Section IV overlap coefficient). A
+	// numeric attribute has no tset: its TSig is the hasher's shared
+	// full-length empty signature, which no distance or probe reads.
 	TSig  minhash.Signature
 	TSize int
 	// RSig is the MinHash signature of the rset R(a).
@@ -133,7 +135,7 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 		// V and E are not useful for numbers; keep the extent for the
 		// guarded KS computation, pre-sorted so that computation never
 		// has to copy it (the column's own cache stays untouched).
-		prof.TSig = p.hasher.NewSignature()
+		prof.TSig = p.hasher.EmptySignature()
 		prof.EZero = true
 		prof.ESig, _ = p.planes.Sketch(make([]float64, embed.Dim))
 		if ext := col.NumericExtent(); len(ext) > 0 {
@@ -204,9 +206,10 @@ func (p *profiler) ProfileTable(tableID int, t *table.Table, classifier interfac
 }
 
 // SpaceBytes reports the serialized size of the profile's signatures
-// (Table II space accounting).
+// (Table II space accounting): 4 bytes a MinHash slot, 8 a word of the
+// embedding bit signature.
 func (prof *Profile) SpaceBytes() int64 {
-	total := int64(len(prof.QSig.Bytes()) + len(prof.TSig.Bytes()) + len(prof.RSig.Bytes()) + len(prof.ESig.Bytes()))
+	total := int64(4*(len(prof.QSig)+len(prof.TSig)+len(prof.RSig)) + 8*len(prof.ESig))
 	total += int64(8 * len(prof.NumExtent))
 	total += int64(len(prof.Name))
 	return total

@@ -32,7 +32,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 		t.Fatal("test section missing")
 	}
 	var out Profile
-	if err := decodeProfile(r, &out); err != nil {
+	if err := decodeProfile(r, &out, dec.Version()); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -342,7 +342,7 @@ const candidateBatch = 64
 // the column skips that index.
 type forestProbe struct {
 	forest *lsh.Forest
-	sig    []uint64
+	sig    []uint32
 }
 
 // probeTable decides, for one target column under the resolved evidence

@@ -89,7 +89,7 @@ type workerScratch struct {
 	// ids is the forest probe buffer the probes append into.
 	ids []int32
 	// evals is the target ESig hash-value buffer for the I_E probe.
-	evals []uint64
+	evals []uint32
 	// depths is the scratch of the forests' one-walk probe — a query's
 	// self-tuning lsh.Forest.Probe, a shard probe phase's DepthCounts —
 	// shared by the four forests.

@@ -29,7 +29,7 @@ func BuildGraphEnsemble(e *core.Engine, opts GraphOptions) (*Graph, error) {
 		if p.Numeric || p.TSize == 0 || !e.AliveTable(p.Ref.TableID) {
 			continue
 		}
-		if err := builder.Add(int32(attrID), p.TSize, []uint64(p.TSig)); err != nil {
+		if err := builder.Add(int32(attrID), p.TSize, p.TSig); err != nil {
 			return nil, fmt.Errorf("joins: ensemble add: %w", err)
 		}
 	}
@@ -52,7 +52,7 @@ func BuildGraphEnsemble(e *core.Engine, opts GraphOptions) (*Graph, error) {
 		if sp.Numeric || sp.TSize == 0 {
 			continue
 		}
-		cands, err := ensemble.Query([]uint64(sp.TSig), sp.TSize)
+		cands, err := ensemble.Query(sp.TSig, sp.TSize)
 		if err != nil {
 			return nil, fmt.Errorf("joins: ensemble query: %w", err)
 		}

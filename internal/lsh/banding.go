@@ -97,16 +97,16 @@ func (b *Banded) MinSignatureLen() int { return b.bands * b.rows }
 // Len reports the number of indexed items.
 func (b *Banded) Len() int { return b.count }
 
-// bandKey hashes one band of the signature (FNV-1a over the 8-byte
+// bandKey hashes one band of the signature (FNV-1a over the 4-byte
 // little-endian encoding of each value).
-func bandKey(sig []uint64, start, rows int) uint64 {
+func bandKey(sig []uint32, start, rows int) uint64 {
 	const offset64 = 14695981039346656037
 	const prime64 = 1099511628211
 	h := uint64(offset64)
 	for i := start; i < start+rows; i++ {
 		v := sig[i]
-		for b := 0; b < 8; b++ {
-			h ^= (v >> (8 * b)) & 0xff
+		for b := 0; b < 4; b++ {
+			h ^= uint64(v>>(8*b)) & 0xff
 			h *= prime64
 		}
 	}
@@ -114,7 +114,7 @@ func bandKey(sig []uint64, start, rows int) uint64 {
 }
 
 // Add inserts an item.
-func (b *Banded) Add(id int32, sig []uint64) error {
+func (b *Banded) Add(id int32, sig []uint32) error {
 	if len(sig) < b.MinSignatureLen() {
 		return fmt.Errorf("lsh: signature has %d values, banded index needs %d", len(sig), b.MinSignatureLen())
 	}
@@ -128,7 +128,7 @@ func (b *Banded) Add(id int32, sig []uint64) error {
 
 // Query returns the ids colliding with the query signature in at least
 // one band, deduplicated.
-func (b *Banded) Query(sig []uint64) ([]int32, error) {
+func (b *Banded) Query(sig []uint32) ([]int32, error) {
 	if len(sig) < b.MinSignatureLen() {
 		return nil, fmt.Errorf("lsh: signature has %d values, banded index needs %d", len(sig), b.MinSignatureLen())
 	}

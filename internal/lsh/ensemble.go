@@ -27,7 +27,7 @@ type ensemblePartition struct {
 type ensembleItem struct {
 	id   int32
 	size int
-	sig  []uint64
+	sig  []uint32
 }
 
 // EnsembleBuilder accumulates items before partitioning; LSH Ensemble
@@ -52,7 +52,7 @@ func NewEnsembleBuilder(threshold float64, numHash, numPartitions int) (*Ensembl
 }
 
 // Add registers an item with the cardinality of its underlying set.
-func (b *EnsembleBuilder) Add(id int32, size int, sig []uint64) error {
+func (b *EnsembleBuilder) Add(id int32, size int, sig []uint32) error {
 	if len(sig) < b.numHash {
 		return fmt.Errorf("lsh: signature has %d values, ensemble needs %d", len(sig), b.numHash)
 	}
@@ -136,7 +136,7 @@ func (e *Ensemble) Partitions() int { return len(e.partitions) }
 // Query returns candidates whose containment with the query likely
 // exceeds the ensemble threshold. querySize is the cardinality of the
 // query set.
-func (e *Ensemble) Query(sig []uint64, querySize int) ([]int32, error) {
+func (e *Ensemble) Query(sig []uint32, querySize int) ([]int32, error) {
 	if len(sig) < e.numHash {
 		return nil, fmt.Errorf("lsh: signature has %d values, ensemble needs %d", len(sig), e.numHash)
 	}

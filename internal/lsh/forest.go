@@ -66,7 +66,7 @@ func (f *Forest) Len() int { return f.count }
 // ready is the precondition every probe (and Delete) shares: the forest
 // has been indexed and the signature covers all its trees. op names the
 // caller in the error.
-func (f *Forest) ready(op string, sig []uint64) error {
+func (f *Forest) ready(op string, sig []uint32) error {
 	if !f.indexed {
 		return fmt.Errorf("lsh: %s before Index", op)
 	}
@@ -96,7 +96,7 @@ func (f *Forest) keyScratch(buf []byte) []byte {
 
 // keyInto extracts the byte key of tree t from a signature into key,
 // which must be hashesPerTree bytes (see keyScratch).
-func (f *Forest) keyInto(key []byte, t int, sig []uint64) {
+func (f *Forest) keyInto(key []byte, t int, sig []uint32) {
 	base := t * f.hashesPerTree
 	for i := range key {
 		key[i] = byte(sig[base+i]) // low byte: uniform for MinHash values
@@ -104,7 +104,7 @@ func (f *Forest) keyInto(key []byte, t int, sig []uint64) {
 }
 
 // Add inserts an item. It must not be called after Index.
-func (f *Forest) Add(id int32, sig []uint64) error {
+func (f *Forest) Add(id int32, sig []uint32) error {
 	if f.indexed {
 		return fmt.Errorf("lsh: Add after Index")
 	}
@@ -129,7 +129,7 @@ func (f *Forest) Add(id int32, sig []uint64) error {
 // this is what makes incremental engine maintenance possible. An
 // insert is O(n) per tree (memmove), which is fine for the
 // one-table-at-a-time mutation rate of a data lake.
-func (f *Forest) Insert(id int32, sig []uint64) error {
+func (f *Forest) Insert(id int32, sig []uint32) error {
 	if !f.indexed {
 		return f.Add(id, sig)
 	}
@@ -165,7 +165,7 @@ func (f *Forest) Insert(id int32, sig []uint64) error {
 // locating it by its signature (the same one it was inserted with).
 // It reports whether the item was found. Deleting from an un-indexed
 // forest is an error: the build phase has no removal semantics.
-func (f *Forest) Delete(id int32, sig []uint64) (bool, error) {
+func (f *Forest) Delete(id int32, sig []uint32) (bool, error) {
 	if err := f.ready("Delete", sig); err != nil {
 		return false, err
 	}
@@ -244,7 +244,7 @@ func (f *Forest) prefixRange(tree *forestTree, key []byte, depth int) (int, int)
 // candidates are gathered (or the prefix length reaches zero, which
 // bounds the scan to the whole forest). Candidates are deduplicated and
 // unranked: rank with exact signature comparison, as the engine does.
-func (f *Forest) Query(sig []uint64, minResults int) ([]int32, error) {
+func (f *Forest) Query(sig []uint32, minResults int) ([]int32, error) {
 	if err := f.ready("Query", sig); err != nil {
 		return nil, err
 	}
@@ -283,7 +283,7 @@ func (f *Forest) Query(sig []uint64, minResults int) ([]int32, error) {
 // own to thread through: the same set Query produces for the same
 // arguments, distinct, in Probe's discovery order. Ids must be
 // non-negative.
-func (f *Forest) QueryInto(sig []uint64, minResults int, dst []int32) ([]int32, error) {
+func (f *Forest) QueryInto(sig []uint32, minResults int, dst []int32) ([]int32, error) {
 	s, _ := f.scratch.Get().(*DepthScratch)
 	if s == nil {
 		s = new(DepthScratch)
@@ -296,7 +296,7 @@ func (f *Forest) QueryInto(sig []uint64, minResults int, dst []int32) ([]int32, 
 // QueryMinDepth returns all items sharing at least depth leading hash
 // values with the query in some tree. This is the fixed-threshold lookup
 // D3L's join-path guards use (membership test, Algorithm 2 and 3).
-func (f *Forest) QueryMinDepth(sig []uint64, depth int) ([]int32, error) {
+func (f *Forest) QueryMinDepth(sig []uint32, depth int) ([]int32, error) {
 	if err := f.ready("QueryMinDepth", sig); err != nil {
 		return nil, err
 	}
@@ -329,7 +329,7 @@ func (f *Forest) QueryMinDepth(sig []uint64, depth int) ([]int32, error) {
 // appends the (sorted, deduplicated) fixed-threshold candidate set to
 // dst and returns the extended slice. Same set as QueryMinDepth,
 // sorted ascending.
-func (f *Forest) QueryMinDepthInto(sig []uint64, depth int, dst []int32) ([]int32, error) {
+func (f *Forest) QueryMinDepthInto(sig []uint32, depth int, dst []int32) ([]int32, error) {
 	if err := f.ready("QueryMinDepth", sig); err != nil {
 		return dst, err
 	}
@@ -419,7 +419,7 @@ func (s *DepthScratch) depthOf(id int32) int { return int(uint32(s.deepest[id]))
 // the histogram of deepest matches: counts[d-1] = |{id : deepest(id) >=
 // d}|, the distinct candidate count at depth d — no per-depth collect,
 // sort and compact.
-func (f *Forest) walk(sig []uint64, s *DepthScratch, counts []int32) error {
+func (f *Forest) walk(sig []uint32, s *DepthScratch, counts []int32) error {
 	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
@@ -487,7 +487,7 @@ func StopDepth[C int32 | int64](counts []C, budget int) int {
 // discovery order (tree by tree, shallowest peel first), not sorted;
 // callers that need an order sort, as the engine does after its
 // cross-forest dedup. Zero allocations once s and dst have grown.
-func (f *Forest) Probe(sig []uint64, minResults int, dst []int32, s *DepthScratch) ([]int32, int, error) {
+func (f *Forest) Probe(sig []uint32, minResults int, dst []int32, s *DepthScratch) ([]int32, int, error) {
 	if err := f.ready("Query", sig); err != nil {
 		return dst, 0, err
 	}
@@ -518,7 +518,7 @@ func (f *Forest) Probe(sig []uint64, minResults int, dst []int32, s *DepthScratc
 // depth the monolith's probe would have stopped at (see
 // core.MergeProbeDepths). The returned vector is the only allocation
 // once the scratch has grown to the forest's id range.
-func (f *Forest) DepthCounts(sig []uint64, s *DepthScratch) ([]int32, error) {
+func (f *Forest) DepthCounts(sig []uint32, s *DepthScratch) ([]int32, error) {
 	if err := f.ready("DepthCounts", sig); err != nil {
 		return nil, err
 	}

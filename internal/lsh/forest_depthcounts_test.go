@@ -11,7 +11,7 @@ import (
 // shipped with before the one-walk rewrite, kept verbatim as the
 // oracle: for every depth it re-collects each tree's prefix range,
 // sorts, compacts and counts. hashesPerTree passes, obviously right.
-func depthCountsReference(f *Forest, sig []uint64) ([]int32, error) {
+func depthCountsReference(f *Forest, sig []uint32) ([]int32, error) {
 	if !f.indexed {
 		return nil, fmt.Errorf("lsh: DepthCounts before Index")
 	}
@@ -38,7 +38,7 @@ func depthCountsReference(f *Forest, sig []uint64) ([]int32, error) {
 
 // checkDepthCounts compares the one-walk probe with the reference for
 // one signature, reusing the caller's scratch the way the engine does.
-func checkDepthCounts(t *testing.T, f *Forest, sig []uint64, s *DepthScratch, label string) []int32 {
+func checkDepthCounts(t *testing.T, f *Forest, sig []uint32, s *DepthScratch, label string) []int32 {
 	t.Helper()
 	want, err := depthCountsReference(f, sig)
 	if err != nil {
@@ -62,10 +62,10 @@ func checkDepthCounts(t *testing.T, f *Forest, sig []uint64, s *DepthScratch, la
 // randomSig draws a signature whose byte keys share long prefixes with
 // other draws from the same (small) alphabet, so every depth sees
 // partial matches, full matches and misses.
-func randomSig(rng *rand.Rand, n, alphabet int) []uint64 {
-	sig := make([]uint64, n)
+func randomSig(rng *rand.Rand, n, alphabet int) []uint32 {
+	sig := make([]uint32, n)
 	for i := range sig {
-		sig[i] = uint64(rng.Intn(alphabet))
+		sig[i] = uint32(rng.Intn(alphabet))
 	}
 	return sig
 }
@@ -80,7 +80,7 @@ func TestDepthCountsMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			f := MustForest(l.trees, l.hashes)
 			n := 1 + rng.Intn(300)
-			sigs := make([][]uint64, n)
+			sigs := make([][]uint32, n)
 			for i := range sigs {
 				sigs[i] = randomSig(rng, f.MinSignatureLen(), 2+rng.Intn(3))
 				if err := f.Add(int32(i), sigs[i]); err != nil {
@@ -126,7 +126,7 @@ func TestDepthCountsMinHashForest(t *testing.T) {
 func TestDepthCountsDuplicateHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := MustForest(8, 32)
-	shapes := make([][]uint64, 6)
+	shapes := make([][]uint32, 6)
 	for i := range shapes {
 		shapes[i] = randomSig(rng, f.MinSignatureLen(), 3)
 	}
@@ -153,7 +153,7 @@ func TestDepthCountsAfterMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := MustForest(4, 8)
 	f.Index()
-	live := map[int32][]uint64{}
+	live := map[int32][]uint32{}
 	var s DepthScratch
 	next := int32(0)
 	for step := 0; step < 300; step++ {
@@ -185,7 +185,7 @@ func TestDepthCountsAfterMutations(t *testing.T) {
 func TestDepthCountsEmptyForest(t *testing.T) {
 	f := MustForest(4, 8)
 	f.Index()
-	counts, err := f.DepthCounts(make([]uint64, 32), new(DepthScratch))
+	counts, err := f.DepthCounts(make([]uint32, 32), new(DepthScratch))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,20 +259,20 @@ func TestDepthCountsAllocs(t *testing.T) {
 func TestDepthCountsErrors(t *testing.T) {
 	f := MustForest(4, 8)
 	var s DepthScratch
-	if _, err := f.DepthCounts(make([]uint64, 64), &s); err == nil {
+	if _, err := f.DepthCounts(make([]uint32, 64), &s); err == nil {
 		t.Fatal("expected DepthCounts-before-Index error")
 	}
-	if err := f.Add(1, make([]uint64, 64)); err != nil {
+	if err := f.Add(1, make([]uint32, 64)); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Add(-3, make([]uint64, 64)); err != nil {
+	if err := f.Add(-3, make([]uint32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	f.Index()
-	if _, err := f.DepthCounts(make([]uint64, 3), &s); err == nil {
+	if _, err := f.DepthCounts(make([]uint32, 3), &s); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := f.DepthCounts(make([]uint64, 64), &s); err == nil {
+	if _, err := f.DepthCounts(make([]uint32, 64), &s); err == nil {
 		t.Fatal("expected negative-id error")
 	}
 }

@@ -12,12 +12,12 @@ import (
 // randomForest indexes n random token-set signatures and returns the
 // forest plus the signatures, for set-equivalence checks between the
 // map-based probes and their allocation-free Into counterparts.
-func randomForest(t *testing.T, seed int64, n int) (*Forest, [][]uint64) {
+func randomForest(t *testing.T, seed int64, n int) (*Forest, [][]uint32) {
 	t.Helper()
 	h := minhash.MustHasher(256, 42)
 	f := MustForest(8, 32)
 	rng := rand.New(rand.NewSource(seed))
-	sigs := make([][]uint64, n)
+	sigs := make([][]uint32, n)
 	for i := 0; i < n; i++ {
 		tokens := make([]string, 4+rng.Intn(8))
 		for j := range tokens {
@@ -97,20 +97,20 @@ func TestQueryMinDepthIntoMatchesQueryMinDepth(t *testing.T) {
 // TestQueryIntoErrors pins the error paths of the Into probes.
 func TestQueryIntoErrors(t *testing.T) {
 	f := MustForest(4, 8)
-	if _, err := f.QueryInto(make([]uint64, 64), 1, nil); err == nil {
+	if _, err := f.QueryInto(make([]uint32, 64), 1, nil); err == nil {
 		t.Fatal("expected Query-before-Index error")
 	}
-	if err := f.Add(1, make([]uint64, 64)); err != nil {
+	if err := f.Add(1, make([]uint32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	f.Index()
-	if _, err := f.QueryInto(make([]uint64, 3), 1, nil); err == nil {
+	if _, err := f.QueryInto(make([]uint32, 3), 1, nil); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := f.QueryMinDepthInto(make([]uint64, 3), 2, nil); err == nil {
+	if _, err := f.QueryMinDepthInto(make([]uint32, 3), 2, nil); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := f.QueryMinDepth(make([]uint64, 3), 2); err == nil {
+	if _, err := f.QueryMinDepth(make([]uint32, 3), 2); err == nil {
 		t.Fatal("expected short-signature error from QueryMinDepth")
 	}
 }

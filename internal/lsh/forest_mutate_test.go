@@ -22,7 +22,7 @@ func TestForestInsertEqualsBuild(t *testing.T) {
 	h := minhash.MustHasher(256, 41)
 	rng := rand.New(rand.NewSource(17))
 	sets := buildTokenSets(120, 40, rng, 800)
-	sigs := make([][]uint64, len(sets))
+	sigs := make([][]uint32, len(sets))
 	for i, s := range sets {
 		sigs[i] = sketchFor(h, s)
 	}
@@ -78,7 +78,7 @@ func TestForestDeleteRemovesItem(t *testing.T) {
 	h := minhash.MustHasher(256, 43)
 	rng := rand.New(rand.NewSource(23))
 	sets := buildTokenSets(80, 40, rng, 600)
-	sigs := make([][]uint64, len(sets))
+	sigs := make([][]uint32, len(sets))
 	f := MustForest(8, 32)
 	for i, s := range sets {
 		sigs[i] = sketchFor(h, s)
@@ -137,21 +137,21 @@ func TestForestDeleteRemovesItem(t *testing.T) {
 // TestForestMutateValidation covers the error paths of Insert/Delete.
 func TestForestMutateValidation(t *testing.T) {
 	f := MustForest(4, 8)
-	if _, err := f.Delete(1, make([]uint64, 32)); err == nil {
+	if _, err := f.Delete(1, make([]uint32, 32)); err == nil {
 		t.Fatal("expected delete-before-index error")
 	}
 	// Insert before Index behaves like Add, including validation.
-	if err := f.Insert(1, make([]uint64, 10)); err == nil {
+	if err := f.Insert(1, make([]uint32, 10)); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if err := f.Insert(1, make([]uint64, 32)); err != nil {
+	if err := f.Insert(1, make([]uint32, 32)); err != nil {
 		t.Fatal(err)
 	}
 	f.Index()
-	if err := f.Insert(2, make([]uint64, 10)); err == nil {
+	if err := f.Insert(2, make([]uint32, 10)); err == nil {
 		t.Fatal("expected short-signature error after index")
 	}
-	if _, err := f.Delete(1, make([]uint64, 10)); err == nil {
+	if _, err := f.Delete(1, make([]uint32, 10)); err == nil {
 		t.Fatal("expected short-signature error on delete")
 	}
 }

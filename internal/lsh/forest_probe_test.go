@@ -13,7 +13,7 @@ import (
 // compact, and stop at the first depth whose distinct count meets the
 // budget (or at depth 1). It returns the sorted candidate set and the
 // stop depth.
-func queryIntoReference(f *Forest, sig []uint64, minResults int) ([]int32, int, error) {
+func queryIntoReference(f *Forest, sig []uint32, minResults int) ([]int32, int, error) {
 	if err := f.ready("Query", sig); err != nil {
 		return nil, 0, err
 	}
@@ -42,7 +42,7 @@ func queryIntoReference(f *Forest, sig []uint64, minResults int) ([]int32, int, 
 // checkProbe compares the one-walk probe with the descent for one
 // signature and budget: same set, same stop depth, ids distinct, the dst
 // prefix untouched. QueryInto (the forest-owned scratch) must agree too.
-func checkProbe(t *testing.T, f *Forest, sig []uint64, budget int, s *DepthScratch, label string) {
+func checkProbe(t *testing.T, f *Forest, sig []uint32, budget int, s *DepthScratch, label string) {
 	t.Helper()
 	want, wantDepth, err := queryIntoReference(f, sig, budget)
 	if err != nil {
@@ -94,7 +94,7 @@ func TestProbeMatchesDescent(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			f := MustForest(l.trees, l.hashes)
 			n := 1 + rng.Intn(300)
-			sigs := make([][]uint64, n)
+			sigs := make([][]uint32, n)
 			for i := range sigs {
 				sigs[i] = randomSig(rng, f.MinSignatureLen(), 2+rng.Intn(3))
 				if err := f.Add(int32(i), sigs[i]); err != nil {
@@ -133,7 +133,7 @@ func TestProbeMinHashForest(t *testing.T) {
 func TestProbeDuplicateHeavy(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := MustForest(8, 32)
-	shapes := make([][]uint64, 6)
+	shapes := make([][]uint32, 6)
 	for i := range shapes {
 		shapes[i] = randomSig(rng, f.MinSignatureLen(), 3)
 	}
@@ -161,9 +161,9 @@ func TestProbeEmptyForest(t *testing.T) {
 	f.Index()
 	var s DepthScratch
 	for _, budget := range probeBudgets(f) {
-		checkProbe(t, f, make([]uint64, 32), budget, &s, "empty")
+		checkProbe(t, f, make([]uint32, 32), budget, &s, "empty")
 	}
-	got, depth, err := f.Probe(make([]uint64, 32), 10, nil, &s)
+	got, depth, err := f.Probe(make([]uint32, 32), 10, nil, &s)
 	if err != nil || len(got) != 0 || depth != 1 {
 		t.Fatalf("empty forest: ids %v depth %d err %v, want none at depth 1", got, depth, err)
 	}
@@ -177,7 +177,7 @@ func TestProbeAfterMutations(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	f := MustForest(4, 8)
 	f.Index()
-	live := map[int32][]uint64{}
+	live := map[int32][]uint32{}
 	var s DepthScratch
 	next := int32(0)
 	for step := 0; step < 300; step++ {
@@ -283,20 +283,20 @@ func TestQueryIntoAllocs(t *testing.T) {
 func TestProbeErrors(t *testing.T) {
 	f := MustForest(4, 8)
 	var s DepthScratch
-	if _, _, err := f.Probe(make([]uint64, 64), 1, nil, &s); err == nil {
+	if _, _, err := f.Probe(make([]uint32, 64), 1, nil, &s); err == nil {
 		t.Fatal("expected Probe-before-Index error")
 	}
-	if err := f.Add(-3, make([]uint64, 64)); err != nil {
+	if err := f.Add(-3, make([]uint32, 64)); err != nil {
 		t.Fatal(err)
 	}
 	f.Index()
-	if _, _, err := f.Probe(make([]uint64, 3), 1, nil, &s); err == nil {
+	if _, _, err := f.Probe(make([]uint32, 3), 1, nil, &s); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, _, err := f.Probe(make([]uint64, 64), 1, nil, &s); err == nil {
+	if _, _, err := f.Probe(make([]uint32, 64), 1, nil, &s); err == nil {
 		t.Fatal("expected negative-id error")
 	}
-	if _, err := f.QueryInto(make([]uint64, 64), 1, nil); err == nil {
+	if _, err := f.QueryInto(make([]uint32, 64), 1, nil); err == nil {
 		t.Fatal("expected negative-id error from QueryInto")
 	}
 }

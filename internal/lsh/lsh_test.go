@@ -158,8 +158,8 @@ func TestHashValuesRoundTrip(t *testing.T) {
 
 // --- Forest ---
 
-func sketchFor(h *minhash.Hasher, tokens []string) []uint64 {
-	return []uint64(h.Sketch(tokens))
+func sketchFor(h *minhash.Hasher, tokens []string) []uint32 {
+	return []uint32(h.Sketch(tokens))
 }
 
 func buildTokenSets(n, size int, rng *rand.Rand, vocabSize int) [][]string {
@@ -201,14 +201,14 @@ func TestForestValidation(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	f := MustForest(4, 8)
-	if err := f.Add(1, make([]uint64, 10)); err == nil {
+	if err := f.Add(1, make([]uint32, 10)); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := f.Query(make([]uint64, 64), 5); err == nil {
+	if _, err := f.Query(make([]uint32, 64), 5); err == nil {
 		t.Fatal("expected query-before-index error")
 	}
 	f.Index()
-	if err := f.Add(1, make([]uint64, 64)); err == nil {
+	if err := f.Add(1, make([]uint32, 64)); err == nil {
 		t.Fatal("expected add-after-index error")
 	}
 }
@@ -366,10 +366,10 @@ func TestBandedValidation(t *testing.T) {
 		t.Fatal("expected error")
 	}
 	b := MustBanded(4, 8)
-	if err := b.Add(1, make([]uint64, 8)); err == nil {
+	if err := b.Add(1, make([]uint32, 8)); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := b.Query(make([]uint64, 8)); err == nil {
+	if _, err := b.Query(make([]uint32, 8)); err == nil {
 		t.Fatal("expected short-signature error")
 	}
 	if b.Threshold() <= 0 || b.Threshold() >= 1 {
@@ -462,10 +462,10 @@ func TestEnsembleValidation(t *testing.T) {
 		t.Fatal("expected numHash error")
 	}
 	eb, _ := NewEnsembleBuilder(0.5, 16, 2)
-	if err := eb.Add(1, -1, make([]uint64, 16)); err == nil {
+	if err := eb.Add(1, -1, make([]uint32, 16)); err == nil {
 		t.Fatal("expected negative-size error")
 	}
-	if err := eb.Add(1, 5, make([]uint64, 4)); err == nil {
+	if err := eb.Add(1, 5, make([]uint32, 4)); err == nil {
 		t.Fatal("expected short-signature error")
 	}
 	e, err := eb.Build()

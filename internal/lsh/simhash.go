@@ -121,17 +121,17 @@ func CosineDistance(a, b BitSignature, nbits int) (float64, error) {
 // HashValues converts a bit signature into a sequence of byte-wide hash
 // values so that cosine sketches can be indexed by the same Forest and
 // banded-LSH structures as MinHash signatures.
-func (s BitSignature) HashValues() []uint64 {
-	return s.HashValuesInto(make([]uint64, 0, len(s)*8))
+func (s BitSignature) HashValues() []uint32 {
+	return s.HashValuesInto(make([]uint32, 0, len(s)*8))
 }
 
 // HashValuesInto is the allocation-free form of HashValues for hot
 // paths: it appends the hash values to dst (which may be a recycled
 // buffer) and returns the extended slice.
-func (s BitSignature) HashValuesInto(dst []uint64) []uint64 {
+func (s BitSignature) HashValuesInto(dst []uint32) []uint32 {
 	for _, w := range s {
 		for b := 0; b < 8; b++ {
-			dst = append(dst, (w>>(8*b))&0xff)
+			dst = append(dst, uint32(w>>(8*b))&0xff)
 		}
 	}
 	return dst

@@ -2,11 +2,20 @@
 // over string sets, the locality-sensitive sketch D3L uses for its
 // Jaccard-grounded evidence types (names, values, formats).
 //
-// A Signature summarises a set with k 64-bit minimum hash values. The
+// A Signature summarises a set with k minimum hash values. The
 // probability that two signatures agree at a given position equals the
 // Jaccard similarity of the underlying sets, so the fraction of agreeing
 // positions is an unbiased estimator of Jaccard similarity with standard
 // error O(1/sqrt(k)).
+//
+// Slot width. Each minimum is taken over 61-bit permuted values, but a
+// finished slot is only ever compared for equality (Similarity) or read
+// for its low byte (lsh.Forest keys), so a Signature stores the low 32
+// bits of each minimum: min first, then narrow. Equal minima stay equal;
+// unequal ones collide with probability 2^-32, because the low bits of
+// (a*x+b) mod 2^61-1 are uniform. Narrowing before the minimum, or
+// drawing a 32-bit hash family, would instead pick different minima and
+// so a different estimator.
 package minhash
 
 import (
@@ -28,9 +37,10 @@ const mersennePrime = (1 << 61) - 1
 // Hasher derives a family of k pairwise-independent hash permutations
 // from a seed. It is immutable and safe for concurrent use.
 type Hasher struct {
-	size int
-	a    []uint64 // multipliers, odd, < mersennePrime
-	b    []uint64 // offsets, < mersennePrime
+	size  int
+	a     []uint64  // multipliers, odd, < mersennePrime
+	b     []uint64  // offsets, < mersennePrime
+	empty Signature // the empty set's signature, shared by EmptySignature
 }
 
 // NewHasher returns a Hasher producing signatures of the given width.
@@ -41,9 +51,13 @@ func NewHasher(size int, seed uint64) (*Hasher, error) {
 		return nil, fmt.Errorf("minhash: signature size must be positive, got %d", size)
 	}
 	h := &Hasher{
-		size: size,
-		a:    make([]uint64, size),
-		b:    make([]uint64, size),
+		size:  size,
+		a:     make([]uint64, size),
+		b:     make([]uint64, size),
+		empty: make(Signature, size),
+	}
+	for i := range h.empty {
+		h.empty[i] = emptySlot
 	}
 	rng := splitMix64(seed)
 	for i := 0; i < size; i++ {
@@ -68,14 +82,22 @@ func MustHasher(size int, seed uint64) *Hasher {
 // Size reports the signature width produced by the Hasher.
 func (h *Hasher) Size() int { return h.size }
 
-// Signature is a MinHash sketch of a set.
-type Signature []uint64
+// Signature is a MinHash sketch of a set: per permutation, the low 32
+// bits of the minimum permuted value (see the package comment). Slots
+// are finished values — there is no way to fold further elements into a
+// Signature, because the minimum of narrowed values is not the narrowed
+// minimum.
+type Signature []uint32
+
+// emptySlot is every slot of the empty set's signature: what the
+// accumulator's initial math.MaxUint64 narrows to.
+const emptySlot = math.MaxUint32
 
 // Empty reports whether the signature was computed from an empty set.
 // Empty signatures have every slot at the maximum value.
 func (s Signature) Empty() bool {
 	for _, v := range s {
-		if v != math.MaxUint64 {
+		if v != emptySlot {
 			return false
 		}
 	}
@@ -89,15 +111,10 @@ func (s Signature) Clone() Signature {
 	return c
 }
 
-// NewSignature returns the signature of the empty set (all slots maxed)
-// ready for incremental Update calls.
-func (h *Hasher) NewSignature() Signature {
-	s := make(Signature, h.size)
-	for i := range s {
-		s[i] = math.MaxUint64
-	}
-	return s
-}
+// EmptySignature returns the signature of the empty set (all slots
+// maxed). Every call returns the same Hasher-owned slice, so any number
+// of placeholders cost one signature; callers must not write to it.
+func (h *Hasher) EmptySignature() Signature { return h.empty }
 
 // baseHash maps an element to a 64-bit value below the Mersenne prime.
 func baseHash(element string) uint64 {
@@ -126,37 +143,61 @@ func permute(a, b, x uint64) uint64 {
 	return s
 }
 
-// Update folds a single element into the signature in place.
-func (h *Hasher) Update(s Signature, element string) {
-	if len(s) != h.size {
-		panic(fmt.Sprintf("minhash: signature size %d does not match hasher size %d", len(s), h.size))
+// accumulator returns the running minima of an empty set, one 64-bit
+// slot per permutation, in buf when the family fits it. Sketch and
+// SketchSet hand it a DefaultSize stack array, so sketching allocates
+// nothing but the Signature it returns.
+func (h *Hasher) accumulator(buf []uint64) []uint64 {
+	if h.size > len(buf) {
+		buf = make([]uint64, h.size)
 	}
+	acc := buf[:h.size]
+	for i := range acc {
+		acc[i] = math.MaxUint64
+	}
+	return acc
+}
+
+// update folds a single element into the running minima.
+func (h *Hasher) update(acc []uint64, element string) {
 	x := baseHash(element)
-	a, b := h.a[:len(s)], h.b[:len(s)]
-	for i := range s {
-		if v := permute(a[i], b[i], x); v < s[i] {
-			s[i] = v
+	a, b := h.a[:len(acc)], h.b[:len(acc)]
+	for i := range acc {
+		if v := permute(a[i], b[i], x); v < acc[i] {
+			acc[i] = v
 		}
 	}
+}
+
+// narrow finishes a sketch: the low 32 bits of each minimum. An
+// untouched slot (math.MaxUint64) narrows to emptySlot.
+func narrow(acc []uint64) Signature {
+	s := make(Signature, len(acc))
+	for i, v := range acc {
+		s[i] = uint32(v)
+	}
+	return s
 }
 
 // Sketch computes the signature of a set given as a slice of elements.
 // Duplicate elements are harmless (MinHash is a set operation).
 func (h *Hasher) Sketch(elements []string) Signature {
-	s := h.NewSignature()
+	var buf [DefaultSize]uint64
+	acc := h.accumulator(buf[:])
 	for _, e := range elements {
-		h.Update(s, e)
+		h.update(acc, e)
 	}
-	return s
+	return narrow(acc)
 }
 
 // SketchSet computes the signature of a set given as a map.
 func (h *Hasher) SketchSet(set map[string]struct{}) Signature {
-	s := h.NewSignature()
+	var buf [DefaultSize]uint64
+	acc := h.accumulator(buf[:])
 	for e := range set {
-		h.Update(s, e)
+		h.update(acc, e)
 	}
-	return s
+	return narrow(acc)
 }
 
 // ErrSizeMismatch reports signatures of different widths.
@@ -194,55 +235,30 @@ func Distance(a, b Signature) (float64, error) {
 	return 1 - sim, nil
 }
 
-// Merge combines two signatures into the signature of the union of the
-// underlying sets, writing into dst. All three must share a width.
-func Merge(dst, a, b Signature) error {
-	if len(a) != len(b) || len(dst) != len(a) {
-		return ErrSizeMismatch
-	}
-	for i := range dst {
-		if a[i] < b[i] {
-			dst[i] = a[i]
-		} else {
-			dst[i] = b[i]
-		}
-	}
-	return nil
-}
-
-// Union returns a fresh signature of the union of the underlying sets.
-func Union(a, b Signature) (Signature, error) {
-	dst := make(Signature, len(a))
-	if err := Merge(dst, a, b); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// Bytes serialises the signature in little-endian order, 8 bytes per
-// slot. Used by the experiment harness to account index space (Table II).
+// Bytes serialises the signature in little-endian order, 4 bytes per
+// slot.
 func (s Signature) Bytes() []byte {
-	buf := make([]byte, 8*len(s))
+	buf := make([]byte, 4*len(s))
 	for i, v := range s {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
+		binary.LittleEndian.PutUint32(buf[i*4:], v)
 	}
 	return buf
 }
 
 // FromBytes reconstructs a signature serialised by Bytes.
 func FromBytes(buf []byte) (Signature, error) {
-	if len(buf)%8 != 0 {
-		return nil, fmt.Errorf("minhash: serialized signature length %d not a multiple of 8", len(buf))
+	if len(buf)%4 != 0 {
+		return nil, fmt.Errorf("minhash: serialized signature length %d not a multiple of 4", len(buf))
 	}
-	s := make(Signature, len(buf)/8)
+	s := make(Signature, len(buf)/4)
 	for i := range s {
-		s[i] = binary.LittleEndian.Uint64(buf[i*8:])
+		s[i] = binary.LittleEndian.Uint32(buf[i*4:])
 	}
 	return s, nil
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler with the Bytes
-// layout. The engine snapshot encodes signatures inline as raw uint64
+// layout. The engine snapshot encodes signatures inline as raw uint32
 // slices for speed; these methods exist for external tooling that
 // wants the standard encoding interfaces (gob, caches, wire formats).
 func (s Signature) MarshalBinary() ([]byte, error) { return s.Bytes(), nil }

@@ -176,65 +176,27 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
-func TestMergeEqualsUnionSketch(t *testing.T) {
-	h := MustHasher(128, 3)
-	a := []string{"x", "y", "z"}
-	b := []string{"z", "w", "v"}
-	sa, sb := h.Sketch(a), h.Sketch(b)
-	merged, err := Union(sa, sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := h.Sketch(append(append([]string{}, a...), b...))
-	for i := range merged {
-		if merged[i] != direct[i] {
-			t.Fatalf("merge differs from direct union sketch at %d", i)
-		}
-	}
-}
-
-func TestMergeAssociativeProperty(t *testing.T) {
-	h := MustHasher(64, 11)
-	f := func(xa, xb, xc uint16) bool {
-		a := h.Sketch([]string{"a" + itoa(int(xa))})
-		b := h.Sketch([]string{"b" + itoa(int(xb))})
-		c := h.Sketch([]string{"c" + itoa(int(xc))})
-		ab, _ := Union(a, b)
-		abc1, _ := Union(ab, c)
-		bc, _ := Union(b, c)
-		abc2, _ := Union(a, bc)
-		for i := range abc1 {
-			if abc1[i] != abc2[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSizeMismatch(t *testing.T) {
 	a := MustHasher(64, 1).Sketch([]string{"a"})
 	b := MustHasher(128, 1).Sketch([]string{"a"})
 	if _, err := Similarity(a, b); err != ErrSizeMismatch {
 		t.Fatalf("got %v, want ErrSizeMismatch", err)
 	}
-	if err := Merge(make(Signature, 64), a, b); err != ErrSizeMismatch {
-		t.Fatalf("got %v, want ErrSizeMismatch", err)
-	}
 }
 
 func TestEmptySignature(t *testing.T) {
 	h := MustHasher(32, 1)
-	s := h.NewSignature()
-	if !s.Empty() {
-		t.Fatal("fresh signature should be Empty")
+	if !h.EmptySignature().Empty() || !h.Sketch(nil).Empty() || !h.SketchSet(nil).Empty() {
+		t.Fatal("the empty set's signature should be Empty")
 	}
-	h.Update(s, "x")
-	if s.Empty() {
-		t.Fatal("updated signature should not be Empty")
+	if len(h.EmptySignature()) != h.Size() {
+		t.Fatalf("EmptySignature has %d slots, hasher %d", len(h.EmptySignature()), h.Size())
+	}
+	if &h.EmptySignature()[0] != &h.EmptySignature()[0] {
+		t.Fatal("EmptySignature should hand out one shared slice")
+	}
+	if h.Sketch([]string{"x"}).Empty() {
+		t.Fatal("a non-empty set's signature should not be Empty")
 	}
 }
 

@@ -16,7 +16,16 @@
 // (8-byte magic, 4-byte version) are frozen across versions. Any
 // change to a section's internal layout, or a new mandatory section,
 // bumps Version; decoders reject versions they do not know with
-// ErrVersion rather than guessing.
+// ErrVersion rather than guessing. This build writes Version and reads
+// MinVersion through Version: a component whose layout changed between
+// them asks Decoder.Version which one it is reading.
+//
+// Version history:
+//
+//	1  MinHash signatures in SecAttrs are []uint64, one 61-bit minimum
+//	   per slot.
+//	2  MinHash signatures in SecAttrs are []uint32, the low half of each
+//	   minimum (see package minhash). Nothing else differs.
 package persist
 
 import (
@@ -26,14 +35,19 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Magic identifies a D3L snapshot stream; the trailing zero byte keeps
 // it from being a printable prefix of any text format.
 var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 
-// Version is the current snapshot format version.
-const Version uint32 = 1
+// Version is the snapshot format version this build writes; MinVersion
+// the oldest it still reads.
+const (
+	Version    uint32 = 2
+	MinVersion uint32 = 1
+)
 
 // Section ids. Ids are stable across versions: a section keeps its id
 // forever, new sections take fresh ids.
@@ -120,6 +134,19 @@ func (b *Buffer) Str(s string) {
 func (b *Buffer) Bytes(p []byte) {
 	b.U32(uint32(len(p)))
 	b.data = append(b.data, p...)
+}
+
+// U32s appends a length-prefixed []uint32. MinHash signatures — most of
+// a snapshot's bytes — go through here, so the payload grows once and
+// the slots are appended through a local slice header rather than one
+// b.data store (and GC write barrier) per slot.
+func (b *Buffer) U32s(vs []uint32) {
+	b.U32(uint32(len(vs)))
+	data := slices.Grow(b.data, 4*len(vs))
+	for _, v := range vs {
+		data = binary.LittleEndian.AppendUint32(data, v)
+	}
+	b.data = data
 }
 
 // U64s appends a length-prefixed []uint64.
@@ -253,8 +280,8 @@ func NewDecoder(data []byte) (*Decoder, error) {
 		version:  binary.LittleEndian.Uint32(data[8:]),
 		sections: make(map[uint32][]byte),
 	}
-	if d.version != Version {
-		return nil, fmt.Errorf("%w: %d (this build reads %d)", ErrVersion, d.version, Version)
+	if d.version < MinVersion || d.version > Version {
+		return nil, fmt.Errorf("%w: %d (this build reads %d through %d)", ErrVersion, d.version, MinVersion, Version)
 	}
 	rest := body[headerLen:]
 	for len(rest) > 0 {
@@ -412,8 +439,24 @@ func (r *Reader) Bytes() []byte {
 	return append([]byte(nil), p...)
 }
 
+// U32s reads a length-prefixed []uint32. Zero-length slices decode as
+// nil, matching how a tombstoned attribute's released signatures are
+// represented in memory.
+func (r *Reader) U32s() []uint32 {
+	n := r.Count(4)
+	if n == 0 {
+		return nil
+	}
+	p := r.take(4 * n)
+	out := make([]uint32, n)
+	for i := range out {
+		out[i] = binary.LittleEndian.Uint32(p[4*i:])
+	}
+	return out
+}
+
 // U64s reads a length-prefixed []uint64. Zero-length slices decode as
-// nil, matching how empty signatures are represented in memory.
+// nil, like U32s.
 func (r *Reader) U64s() []uint64 {
 	n := r.Count(8)
 	if n == 0 {

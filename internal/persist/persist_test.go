@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -23,6 +24,7 @@ func roundTripSnapshot(t *testing.T) []byte {
 	b.F64(math.Pi)
 	b.Str("practice name")
 	b.Bytes([]byte{1, 2, 3})
+	b.U32s([]uint32{6, 5, math.MaxUint32})
 	b.U64s([]uint64{9, 8, 7})
 	b.I32s([]int32{-1, 0, 1})
 	b.Ints([]int{-5, 5})
@@ -73,6 +75,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if v := r.Bytes(); !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Fatalf("Bytes = %v", v)
+	}
+	if v := r.U32s(); len(v) != 3 || v[0] != 6 || v[2] != math.MaxUint32 {
+		t.Fatalf("U32s = %v", v)
 	}
 	if v := r.U64s(); len(v) != 3 || v[0] != 9 || v[2] != 7 {
 		t.Fatalf("U64s = %v", v)
@@ -135,6 +140,9 @@ func TestDecoderRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestDecoderRejectsUnknownVersion: the versions on either side of
+// MinVersion…Version are ErrVersion; every one inside opens and reports
+// itself.
 func TestDecoderRejectsUnknownVersion(t *testing.T) {
 	enc := NewEncoder()
 	enc.Section(SecOptions, &Buffer{})
@@ -143,15 +151,21 @@ func TestDecoderRejectsUnknownVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := out.Bytes()
-	data[8] = 99 // version field; recompute trailer so only version differs
-	body := data[:len(data)-4]
-	crc := crc32Checksum(body)
-	data[len(data)-4] = byte(crc)
-	data[len(data)-3] = byte(crc >> 8)
-	data[len(data)-2] = byte(crc >> 16)
-	data[len(data)-1] = byte(crc >> 24)
-	if _, err := NewDecoder(data); !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v, want ErrVersion", err)
+	for _, v := range []uint32{MinVersion - 1, MinVersion, Version, Version + 1, 99} {
+		// Rewrite the version field and recompute the trailer, so only
+		// the version differs.
+		binary.LittleEndian.PutUint32(data[8:], v)
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], castagnoli))
+		dec, err := NewDecoder(data)
+		if v < MinVersion || v > Version {
+			if !errors.Is(err, ErrVersion) {
+				t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
+			}
+			continue
+		}
+		if err != nil || dec.Version() != v {
+			t.Fatalf("version %d: err = %v, decoder reports %d", v, err, dec.Version())
+		}
 	}
 }
 
@@ -178,6 +192,10 @@ func TestReaderRejectsOversizedCounts(t *testing.T) {
 	if v := r.U64s(); v != nil || r.Err() == nil {
 		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
 	}
+	r = &Reader{data: b.data}
+	if v := r.U32s(); v != nil || r.Err() == nil {
+		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
+	}
 }
 
 func TestWriteToIsRepeatable(t *testing.T) {
@@ -198,11 +216,6 @@ func TestWriteToIsRepeatable(t *testing.T) {
 	if _, err := NewDecoder(second.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// crc32Checksum mirrors the trailer computation for the version test.
-func crc32Checksum(p []byte) uint32 {
-	return crc32.Checksum(p, castagnoli)
 }
 
 // TestSealedRoundTrip covers the single-buffer envelope the shard

@@ -16,12 +16,16 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 
 	"d3l"
 	"d3l/internal/datagen"
 	"d3l/internal/experiments"
+	"d3l/internal/server"
+	"d3l/internal/shard"
 )
 
 // benchScale is the per-iteration experiment size.
@@ -612,6 +616,98 @@ func BenchmarkIncrementalAddRemove(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := engine.Remove(t.Name); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// --- Coordinator path benchmark ---
+
+// remoteBench is the world BenchmarkRemoteQuery runs in, built once a
+// process: the serving benchmark's lake (the paper's Synthetic at 1 000
+// derived tables), split over two shards, each behind its own serving
+// stack on a loopback listener, and a shard.Remote fanning out to them —
+// `d3l coordinator` over two `d3l serve` replicas with the three
+// processes folded into one, so that -benchmem and -memprofile see the
+// whole path. The replicas and the prober live until the process exits.
+var remoteBench struct {
+	once    sync.Once
+	err     error
+	remote  *shard.Remote
+	targets []*d3l.Table
+}
+
+func remoteBenchSetup(b *testing.B) (*shard.Remote, []*d3l.Table) {
+	b.Helper()
+	w := &remoteBench
+	w.once.Do(func() {
+		cfg := datagen.DefaultSyntheticConfig()
+		cfg.Seed = 1307
+		lake, _, err := datagen.Synthetic(cfg)
+		if err != nil {
+			w.err = err
+			return
+		}
+		set, err := shard.BuildSet(lake, 2, d3l.DefaultOptions())
+		if err != nil {
+			w.err = err
+			return
+		}
+		urls := make([]string, set.NumShards())
+		for i := range urls {
+			rs, err := server.New(set.Shard(i), server.Config{CacheEntries: -1})
+			if err != nil {
+				w.err = err
+				return
+			}
+			urls[i] = httptest.NewServer(rs).URL
+		}
+		if w.remote, w.err = shard.NewRemote(urls, shard.RemoteConfig{}); w.err != nil {
+			return
+		}
+		// Targets as the serving benchmark cuts them: 64-row windows of
+		// lake tables, every one a distinct table so no replica-side
+		// memo answers for another.
+		for id := 0; id < lake.Len() && len(w.targets) < 48; id += 7 {
+			src := lake.Table(id)
+			if src.Rows() < 64 {
+				continue
+			}
+			rows := make([]int, 64)
+			for r := range rows {
+				rows[r] = r
+			}
+			t, err := src.SelectRows("target_"+src.Name, rows)
+			if err != nil {
+				w.err = err
+				return
+			}
+			w.targets = append(w.targets, t)
+		}
+	})
+	if w.err != nil {
+		b.Fatal(w.err)
+	}
+	return w.remote, w.targets
+}
+
+// BenchmarkRemoteQuery is one cold top-10 query through the whole
+// scatter-gather path — probe fan-out, depth merge, gather fan-out,
+// binary partials, merge — over two in-process replicas. Its B/op and
+// allocs/op are the coordinator's and both replicas' together; DESIGN.md
+// "What the coordinator path costs, measured" reads them.
+func BenchmarkRemoteQuery(b *testing.B) {
+	remote, targets := remoteBenchSetup(b)
+	ctx := context.Background()
+	for _, t := range targets { // grow every pooled arena first
+		if _, err := remote.Query(ctx, t, d3l.WithK(10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := remote.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
 			b.Fatal(err)
 		}
 	}

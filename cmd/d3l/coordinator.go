@@ -66,6 +66,7 @@ func cmdCoordinator(args []string) error {
 	breakerRate := fs.Float64("breaker-rate", 0, "windowed replica failure rate that opens its breaker (0 = 0.5, negative disables)")
 	breakerBackoff := fs.Duration("breaker-backoff", 0, "base open-breaker dwell before a half-open trial, jittered and doubled per failed trial (0 = 500ms)")
 	seed := fs.Uint64("seed", 0, "jitter seed for retry/breaker backoff spreading (0 = 1)")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -108,6 +109,14 @@ func cmdCoordinator(args []string) error {
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       5 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
+	}
+
+	if *pprofAddr != "" {
+		stop, err := servePprof("coordinator", *pprofAddr, srv.MetricsHandler())
+		if err != nil {
+			return err
+		}
+		defer stop()
 	}
 
 	hup := make(chan os.Signal, 1)

@@ -22,8 +22,8 @@
 //	d3l exp         -id all|fig2|tab1|exp1..exp11|weights [-scale small|paper]
 //
 // query and exp accept -cpuprofile FILE / -memprofile FILE to capture
-// pprof profiles of a run; serve mounts the live net/http/pprof
-// endpoints on a separate loopback listener via -pprof.
+// pprof profiles of a run; serve and coordinator mount the live
+// net/http/pprof endpoints on a separate loopback listener via -pprof.
 //
 // The build-once/serve-many flow: `d3l index build` profiles and
 // indexes a CSV directory and snapshots the engine to disk; `d3l query
@@ -113,7 +113,7 @@ func usage() {
                   [-watch] [-watch-interval D] [-shards N]  (with -shards N, -index names a shard manifest)
   d3l coordinator -shard URL[,URL...] [-shard ...]  [-addr :8080] [-cache N] [-shard-timeout D] [-retries N]
                   [-retry-delay D] [-hedge-after D] [-probe-interval D] [-breaker-failures N] [-breaker-rate F]
-                  [-breaker-backoff D]  (comma-separated URLs are replicas of one shard; GET /v1/readyz reports
+                  [-breaker-backoff D] [-pprof ADDR]  (comma-separated URLs are replicas of one shard; GET /v1/readyz reports
                   503 while any shard group has no healthy replica)
   d3l faultproxy  -target URL [-listen :8191] [-seed N] [-latency D -latency-prob F] [-error-prob F]
                   [-reset-prob F] [-truncate-prob F] [-blackhole-prob F]  (POST /_fault/rules re-arms at runtime)

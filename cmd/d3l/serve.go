@@ -84,34 +84,12 @@ func cmdServe(args []string) error {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	// Profiling endpoints never share the public listener: they expose
-	// process internals (heap contents, goroutine stacks) and must not
-	// be reachable from query traffic. -pprof mounts them on their own
-	// loopback-only listener instead.
 	if *pprofAddr != "" {
-		ln, err := listenPprof(*pprofAddr)
+		stop, err := servePprof("serve", *pprofAddr, srv.MetricsHandler())
 		if err != nil {
 			return err
 		}
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		// /metrics rides the debug listener too (it is also on the
-		// public mux): an operator can still scrape a replica whose
-		// public listener is saturated by the very overload being
-		// debugged.
-		pm.Handle("GET /metrics", srv.MetricsHandler())
-		ps := &http.Server{Handler: pm, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := ps.Serve(ln); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintln(os.Stderr, "d3l serve: pprof:", err)
-			}
-		}()
-		defer ps.Close()
-		fmt.Fprintf(os.Stderr, "d3l serve: pprof on http://%s/debug/pprof/\n", ln.Addr())
+		defer stop()
 	}
 
 	// -watch folds filesystem churn in -dir into the serving engine
@@ -239,21 +217,52 @@ func manifestPath(index string) string {
 	return index
 }
 
+// servePprof mounts the live net/http/pprof endpoints for `d3l serve`
+// and `d3l coordinator` (cmd names the one in messages) and returns the
+// function that closes them. Profiling endpoints never share the public
+// listener: they expose process internals (heap contents, goroutine
+// stacks) and must not be reachable from query traffic, so -pprof puts
+// them on their own loopback-only listener. /metrics rides it too (it
+// is also on the public mux): an operator can still scrape a process
+// whose public listener is saturated by the very overload being
+// debugged.
+func servePprof(cmd, addr string, metrics http.Handler) (stop func(), err error) {
+	ln, err := listenPprof(cmd, addr)
+	if err != nil {
+		return nil, err
+	}
+	pm := http.NewServeMux()
+	pm.HandleFunc("/debug/pprof/", pprof.Index)
+	pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	pm.Handle("GET /metrics", metrics)
+	ps := &http.Server{Handler: pm, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := ps.Serve(ln); err != nil && err != http.ErrServerClosed {
+			fmt.Fprintf(os.Stderr, "d3l %s: pprof: %v\n", cmd, err)
+		}
+	}()
+	fmt.Fprintf(os.Stderr, "d3l %s: pprof on http://%s/debug/pprof/\n", cmd, ln.Addr())
+	return func() { ps.Close() }, nil
+}
+
 // listenPprof binds the pprof listener, refusing non-loopback hosts:
 // the debug surface is for an operator on the box (or an SSH tunnel),
 // never for the network the query listener faces. The host must be a
 // literal loopback IP or exactly "localhost" — parsed, not
 // prefix-matched, so a resolvable hostname can never smuggle the
 // listener onto a routable address.
-func listenPprof(addr string) (net.Listener, error) {
+func listenPprof(cmd, addr string) (net.Listener, error) {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
-		return nil, fmt.Errorf("serve: -pprof %q: %w", addr, err)
+		return nil, fmt.Errorf("%s: -pprof %q: %w", cmd, addr, err)
 	}
 	if host != "localhost" {
 		ip := net.ParseIP(host)
 		if ip == nil || !ip.IsLoopback() {
-			return nil, fmt.Errorf("serve: -pprof must bind a loopback address, got %q", addr)
+			return nil, fmt.Errorf("%s: -pprof must bind a loopback address, got %q", cmd, addr)
 		}
 	}
 	return net.Listen("tcp", addr)

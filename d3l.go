@@ -221,15 +221,7 @@ func (e *Engine) Add(t *Table) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("d3l: nil table")
 	}
-	profiles := e.core.ProfileTarget(t)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id, err := e.core.AddProfiled(t, profiles)
-	if err != nil {
-		return 0, err
-	}
-	e.invalidateGraph()
-	return id, nil
+	return e.AddProfiled(t, e.PrepareShardTarget(t))
 }
 
 // Update re-indexes the named table in place with delta re-profiling:

@@ -230,7 +230,7 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 			Name:       s.name,
 			Distance:   s.dist,
 			Vector:     s.vec,
-			Alignments: e.alignments(pairs[run.start:run.end], numCols, ws),
+			Alignments: e.alignments(nil, pairs[run.start:run.end], numCols, ws),
 		}
 	}
 	st.lap(StageRankMerge)
@@ -287,16 +287,17 @@ func alignRun(dst []Alignment, tablePairs []candidatePair, numCols int, ws *work
 }
 
 // alignments builds the alignment rows of one table that escape into an
-// answer (a top-k winner's, or every table's in a shard partial): the
-// very rows alignRun scored, freshly allocated, with each candidate
-// attribute's column resolved — so scores and reported alignments can
-// never drift apart.
-func (e *Engine) alignments(tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
-	rows := alignRun(nil, tablePairs, numCols, ws)
-	for i := range rows {
-		rows[i].CandColumn = e.profiles[rows[i].AttrID].Ref.Column
+// answer: the very rows alignRun scored, with each candidate attribute's
+// column resolved — so scores and reported alignments can never drift
+// apart. The rows are appended to dst: nil for a top-k winner (a fresh
+// slice of exactly its rows), the partial's row slab for a shard gather.
+func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
+	start := len(dst)
+	dst = alignRun(dst, tablePairs, numCols, ws)
+	for i := start; i < len(dst); i++ {
+		dst[i].CandColumn = e.profiles[dst[i].AttrID].Ref.Column
 	}
-	return rows
+	return dst
 }
 
 // gatherPairs performs the index lookups of Section III-D: for each
@@ -378,7 +379,10 @@ func (e *Engine) probeTable(tp *Profile, disabled *[NumEvidence]bool, ws *worker
 // MergeProbeDepths).
 type probeDepths [][NumForestSlots]int32
 
-// probe appends one forest's distinct candidate region to ids.
+// probe appends one forest's candidate region to ids: distinct under
+// self-tuning (Probe dedups on its walk), raw under an imposed depth
+// (an id once per matching tree) — gatherColumn dedups the union of the
+// four regions either way.
 func (m probeDepths) probe(p forestProbe, budget int, ids []int32, col, slot int, s *lsh.DepthScratch) ([]int32, error) {
 	imposed := m != nil
 	if imposed && (p.forest == nil) != (m[col][slot] == 0) {
@@ -388,7 +392,7 @@ func (m probeDepths) probe(p forestProbe, budget int, ids []int32, col, slot int
 		return ids, nil
 	}
 	if imposed {
-		return p.forest.QueryMinDepthInto(p.sig, int(m[col][slot]), ids)
+		return p.forest.CollectMinDepth(p.sig, int(m[col][slot]), ids)
 	}
 	ids, _, err := p.forest.Probe(p.sig, budget, ids, s)
 	return ids, err
@@ -398,11 +402,11 @@ func (m probeDepths) probe(p forestProbe, budget int, ids []int32, col, slot int
 // column from the probe table's forests and computes the pair
 // distances, appending them to dst (arena memory — the column's
 // recycled pair buffer). Candidate-set state lives on worker scratch:
-// the forests append into the recycled probe buffer (each region is
-// distinct but unordered, and regions from different forests may
-// overlap), and cross-forest dedup uses the epoch-stamped visited array
-// instead of a per-call map. A forest error
-// or a cancelled context ends the column with that error and no pairs.
+// the forests append into the recycled probe buffer (regions are
+// unordered, overlap across forests, and under imposed depths repeat an
+// id within one), and the one dedup uses the epoch-stamped visited array
+// instead of a per-call map. A forest error or a cancelled context ends
+// the column with that error and no pairs.
 func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view *specView, dst []candidatePair, depths probeDepths) ([]candidatePair, error) {
 	dst = dst[:0]
 	ws := e.getWorkerScratch()
@@ -415,9 +419,9 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 		}
 	}
 	ws.ids = ids
-	// Cross-forest dedup: stamp each attribute id on first sight, then
-	// sort the survivors so candidates are processed in ascending
-	// attribute-id order (the determinism contract).
+	// Dedup: stamp each attribute id on first sight, then sort the
+	// survivors so candidates are processed in ascending attribute-id
+	// order (the determinism contract).
 	visited, epoch := ws.visitedEpoch(len(e.profiles))
 	uniq := ids[:0]
 	for _, id := range ids {

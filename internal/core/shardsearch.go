@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"d3l/internal/lsh"
 	"d3l/internal/table"
@@ -28,15 +30,17 @@ import (
 //             that needs global knowledge the shards lack.
 //   gather  — every shard runs the monolith's own gather (gatherPairs)
 //             with the probe step collecting at the imposed depths
-//             instead of descending locally: same probe table, same
-//             dedup, same pair distances. It then selects each owned
-//             table's best pair per target column (a wholly table-local
-//             decision) and ships the per-(column, evidence) distance
-//             samples that back the Eq. 2 weight distributions.
-//   merge   — the coordinator concatenates the sample multisets (equal
-//             multiset in, identical ECDF out) and runs the monolith's
-//             own score-and-rank loop (rankTables) over the shipped
-//             best-pair rows, cascade pruning included. Because
+//             (lsh.Forest.CollectMinDepth, raw: the gather's own dedup
+//             is the only one) instead of descending locally: same
+//             probe table, same dedup, same pair distances. It then
+//             selects each owned table's best pair per target column (a
+//             wholly table-local decision) and ships the sorted
+//             per-(column, evidence) distance samples that back the
+//             Eq. 2 weight distributions.
+//   merge   — the coordinator merges the shards' sorted sample runs
+//             (equal multiset in, identical ECDF out) and runs the
+//             monolith's own score-and-rank loop (rankTables) over the
+//             shipped best-pair rows, cascade pruning included. Because
 //             (Distance, Name) is a total order and names are unique
 //             across the set, the merged ranking is byte-identical to
 //             the monolith's at any shard count.
@@ -262,24 +266,35 @@ func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, s
 	}
 	st.lap(StageGather)
 
+	// The partial leaves the arena in two slabs, one of samples and one of
+	// rows; cells and tables are three-index sub-slices of them, so an
+	// append to one cannot reach into the next.
 	partial := &ShardPartial{Meta: meta, PairCount: len(pairs)}
 	if !view.uniform {
-		partial.Samples = make([][]float64, 0, numCols*int(NumEvidence))
-		for _, cell := range qs.sampleCells(numCols) {
-			partial.Samples = append(partial.Samples, slices.Clone(cell))
+		cells := qs.sampleCells(numCols)
+		slab := slices.Clone(qs.samples) // the cells, back to back
+		partial.Samples = make([][]float64, len(cells))
+		off := 0
+		for i, cell := range cells {
+			partial.Samples[i] = slab[off : off+len(cell) : off+len(cell)]
+			off += len(cell)
 		}
 	}
 	qs.runs = groupPairsByTable(pairs, qs.runs)
 	partial.TableCount = len(qs.runs)
-	partial.Tables = make([]ShardTable, 0, len(qs.runs))
+	partial.Tables = make([]ShardTable, len(qs.runs))
 	ws := e.getWorkerScratch()
 	defer e.putWorkerScratch(ws)
-	for _, run := range qs.runs {
-		partial.Tables = append(partial.Tables, ShardTable{
+	// A table has at most one row per pair and per target column.
+	rows := make([]Alignment, 0, min(len(pairs), len(qs.runs)*numCols))
+	for i, run := range qs.runs {
+		start := len(rows)
+		rows = e.alignments(rows, pairs[run.start:run.end], numCols, ws)
+		partial.Tables[i] = ShardTable{
 			TableID: run.tid,
 			Name:    e.lake.Table(run.tid).Name,
-			Rows:    e.alignments(pairs[run.start:run.end], numCols, ws),
-		})
+			Rows:    rows[start:len(rows):len(rows)],
+		}
 	}
 	return partial, nil
 }
@@ -315,54 +330,127 @@ func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 		}
 	}
 
-	// Global Eq. 2 distributions: per cell, the concatenation of the
-	// shards' sorted sample vectors re-sorted is the monolith's sorted
-	// sample multiset, and ECDFs are a pure function of that multiset.
+	ms := mergeScratchPool.Get().(*mergeScratch)
+	defer ms.release()
+
+	// Global Eq. 2 distributions: a shard ships each cell sorted, so the
+	// monolith's sorted sample multiset is the merge of the shards' runs,
+	// and ECDFs are a pure function of that multiset. All cells go into
+	// one slab.
 	var ecdfs *distanceECDFs
 	if !meta.Uniform {
-		cells := make([][]float64, numCols*int(NumEvidence))
-		for cell := range cells {
-			total := 0
-			for _, p := range partials {
-				total += len(p.Samples[cell])
+		total := 0
+		for _, p := range partials {
+			for _, cell := range p.Samples {
+				total += len(cell)
 			}
-			merged := make([]float64, 0, total)
-			for _, p := range partials {
-				merged = append(merged, p.Samples[cell]...)
-			}
-			slices.Sort(merged)
-			cells[cell] = merged
 		}
+		numCells := numCols * int(NumEvidence)
+		slab := slices.Grow(ms.samples[:0], total)
+		cells := slices.Grow(ms.cells[:0], numCells)
+		for cell := 0; cell < numCells; cell++ {
+			ms.runs = ms.runs[:0]
+			for _, p := range partials {
+				ms.runs = append(ms.runs, p.Samples[cell])
+			}
+			start := len(slab)
+			slab = mergeSortedRuns(slab, ms.runs)
+			cells = append(cells, slab[start:len(slab):len(slab)])
+		}
+		ms.samples, ms.cells = slab, cells
 		ecdfs = &distanceECDFs{cols: numCols, cells: cells}
 	}
 
 	// Tables are disjoint across shards (each is owned by exactly one)
 	// and the ranking is a total order, so the concatenation order
 	// cannot affect the answer.
-	var tables []ShardTable
 	for _, p := range partials {
-		tables = append(tables, p.Tables...)
 		st.CandidatePairs += p.PairCount
 		st.TablesScored += p.TableCount
 	}
+	tables := slices.Grow(ms.tables[:0], st.TablesScored)
+	for _, p := range partials {
+		tables = append(tables, p.Tables...)
+	}
+	ms.tables = tables
 	sc := newScorer(meta.K, meta.Weights, meta.Disabled, evidenceCascade(meta.Disabled), ecdfs)
-	scored, top, ps, err := sc.rankTables(context.Background(), len(tables),
+	var ps PlanStats
+	var err error
+	ms.scored, ms.top, ps, err = sc.rankTables(context.Background(), len(tables),
 		func(i int) []Alignment { return tables[i].Rows },
 		func(i int) (int, string) { return tables[i].TableID, tables[i].Name },
-		nil, nil)
+		ms.scored, ms.top)
 	if err != nil {
 		return nil, st, ps, err
 	}
-	results := make([]TableResult, len(top))
-	for i, idx := range top {
-		s := &scored[idx]
+	results := make([]TableResult, len(ms.top))
+	for i, idx := range ms.top {
+		s := &ms.scored[idx]
 		results[i] = TableResult{
-			TableID:    s.tid,
-			Name:       s.name,
-			Distance:   s.dist,
-			Vector:     s.vec,
-			Alignments: tables[s.src].Rows,
+			TableID:  s.tid,
+			Name:     s.name,
+			Distance: s.dist,
+			Vector:   s.vec,
+			// A copy: the answer may sit in a result cache for hours, and
+			// a sub-slice would keep its shard's whole row slab alive.
+			Alignments: slices.Clone(tables[s.src].Rows),
 		}
 	}
 	return results, st, ps, nil
+}
+
+// mergeScratch is the merge's counterpart of queryScratch: the sample
+// slab and its cells, the run heads of the cell being merged, the
+// concatenated table list, and rankTables' slots and heap. None of it
+// escapes into the answer (the winners' rows are copied out), so a
+// coordinator at steady state merges into the memory of the query
+// before. The merge belongs to no engine, hence a package-level pool.
+type mergeScratch struct {
+	samples []float64
+	cells   [][]float64
+	runs    [][]float64
+	tables  []ShardTable
+	scored  []scoredTable
+	top     []int32
+}
+
+var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// release returns the scratch to the pool holding capacity only: what
+// points into the merged partials (rows, names, sample runs) is dropped,
+// so a pooled scratch never keeps a finished query's partials alive.
+func (ms *mergeScratch) release() {
+	clear(ms.runs)
+	clear(ms.tables)
+	clear(ms.scored)
+	mergeScratchPool.Put(ms)
+}
+
+// mergeSortedRuns appends to dst the merge of runs, each ascending in
+// the order slices.Sort gives float64s (cmp.Less: NaNs first), and so
+// appends exactly what sorting their concatenation would. The runs are
+// consumed: the slice headers in runs are advanced to empty.
+func mergeSortedRuns(dst []float64, runs [][]float64) []float64 {
+	for {
+		least, live := -1, 0
+		for i, run := range runs {
+			if len(run) == 0 {
+				continue
+			}
+			live++
+			if least < 0 || cmp.Less(run[0], runs[least][0]) {
+				least = i
+			}
+		}
+		switch live {
+		case 0:
+			return dst
+		case 1: // nothing left to compare with
+			dst = append(dst, runs[least]...)
+			runs[least] = nil
+			return dst
+		}
+		dst = append(dst, runs[least][0])
+		runs[least] = runs[least][1:]
+	}
 }

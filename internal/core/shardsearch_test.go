@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"d3l/internal/datagen"
 	"d3l/internal/table"
@@ -378,4 +383,77 @@ func mustSubTable(t testing.TB, tb *table.Table, maxRows int) *table.Table {
 	}
 	out.Name = tb.Name
 	return out
+}
+
+// TestMergeSortedRunsEqualsSort holds the run merge to what it
+// replaced: on 1–4 sorted runs — empty ones, duplicates within and
+// across runs, NaNs — it appends exactly the slice that concatenating
+// and sorting gives, bit for bit (slices.Sort puts NaNs first; so does
+// the merge), after whatever dst already held.
+func TestMergeSortedRunsEqualsSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	values := []float64{0, 0.125, 0.25, 0.25, 0.5, 1, math.NaN(), math.Inf(1)}
+	for trial := 0; trial < 2000; trial++ {
+		runs := make([][]float64, 1+rng.Intn(4))
+		var want []float64
+		for i := range runs {
+			if rng.Intn(4) > 0 { // one run in four stays empty
+				for n := rng.Intn(12); n > 0; n-- {
+					v := values[rng.Intn(len(values))]
+					if rng.Intn(3) == 0 {
+						v = rng.Float64()
+					}
+					runs[i] = append(runs[i], v)
+				}
+			}
+			slices.Sort(runs[i])
+			want = append(want, runs[i]...)
+		}
+		slices.Sort(want)
+		got := mergeSortedRuns([]float64{-1}, runs)
+		if got[0] != -1 || len(got) != 1+len(want) {
+			t.Fatalf("trial %d: merged %d values after the prefix, want %d", trial, len(got)-1, len(want))
+		}
+		for i, w := range want {
+			if math.Float64bits(got[1+i]) != math.Float64bits(w) {
+				t.Fatalf("trial %d: merge differs from sort at %d\n got  %v\n want %v", trial, i, got[1:], want)
+			}
+		}
+		for i, run := range runs {
+			if len(run) != 0 {
+				t.Fatalf("trial %d: run %d not consumed", trial, i)
+			}
+		}
+	}
+}
+
+// TestMergedAnswerDoesNotPinPartials: the merge copies the winners'
+// rows out and its pooled scratch lets go of what it merged, so once the
+// caller drops the partials nothing of them outlives the query — not in
+// an answer a result cache may hold for hours, not in the pool.
+func TestMergedAnswerDoesNotPinPartials(t *testing.T) {
+	_, depths, partial := gatherFixture(t, QuerySpec{K: 8}, testOptions())
+	freed := make(chan string, 2)
+	runtime.SetFinalizer(&partial.Tables[0].Rows[0], func(*Alignment) { freed <- "row slab" })
+	for i := range partial.Samples {
+		if len(partial.Samples[i]) > 0 { // the first non-empty cell starts the slab
+			runtime.SetFinalizer(&partial.Samples[i][0], func(*float64) { freed <- "sample slab" })
+			break
+		}
+	}
+	ranked, _, err := MergeShardPartials(depths, []*ShardPartial{partial})
+	if err != nil || len(ranked) == 0 {
+		t.Fatalf("merge: %d results, err %v", len(ranked), err)
+	}
+	partial = nil
+	for got := 0; got < 2; {
+		runtime.GC()
+		select {
+		case <-freed:
+			got++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("a slab of the merged partial is still reachable with only the answer alive (%d of 2 freed)", got)
+		}
+	}
+	runtime.KeepAlive(ranked)
 }

@@ -39,11 +39,34 @@ const (
 	// empty name, a row count and (validation demands it) one row.
 	shardRowWireBytes   = 3*4 + 8*int(NumEvidence)
 	shardTableWireBytes = 8 + 4 + 4 + shardRowWireBytes
+
+	// Everything that is there whatever the partial holds: magic and
+	// version, the meta block, the two counts, the sample flag, the
+	// table count and the CRC trailer.
+	shardFixedWireBytes = 4 + 4 + 3*8 + int(NumEvidence) + 8*int(NumEvidence) + 1 + 8 + 8 + 1 + 4 + 4
 )
 
-// EncodeShardPartial renders a partial in the binary gather-body form.
+// wireBytes is the exact size of the partial's encoding, trailer
+// included: what EncodeShardPartial reserves before its first byte.
+func (p *ShardPartial) wireBytes() int {
+	n := shardFixedWireBytes
+	if p.Samples != nil {
+		n += 4
+		for _, cell := range p.Samples {
+			n += 4 + 8*len(cell)
+		}
+	}
+	for i := range p.Tables {
+		n += shardTableWireBytes - shardRowWireBytes + len(p.Tables[i].Name) + shardRowWireBytes*len(p.Tables[i].Rows)
+	}
+	return n
+}
+
+// EncodeShardPartial renders a partial in the binary gather-body form:
+// one allocation, of exactly the body's size.
 func EncodeShardPartial(p *ShardPartial) []byte {
 	var b persist.Buffer
+	b.Grow(p.wireBytes())
 	b.U32(shardPartialMagic)
 	b.U32(shardPartialVersion)
 	b.I64(int64(p.Meta.NumCols))
@@ -112,27 +135,53 @@ func DecodeShardPartial(data []byte) (*ShardPartial, error) {
 	p.Meta.Uniform = r.Bool()
 	p.PairCount = int(r.I64())
 	p.TableCount = int(r.I64())
+	// Cells and rows each land in one slab, sized by a first pass over a
+	// copy of the reader that only adds up the counts. Every count is
+	// checked against the bytes behind it and then skipped over, so the
+	// totals — and with them the slabs — are bounded by the body's size
+	// however the counts lie; the cells and tables are three-index
+	// sub-slices, so an append to one cannot reach the next.
 	if r.Bool() {
 		p.Samples = make([][]float64, r.Count(4))
+		scan, total := *r, 0
+		for range p.Samples {
+			n := scan.Count(8)
+			scan.Skip(8 * n)
+			total += n
+		}
+		slab := make([]float64, 0, total)
 		for i := range p.Samples {
-			p.Samples[i] = r.F64s()
+			start := len(slab)
+			slab = r.AppendF64s(slab)
+			p.Samples[i] = slab[start:len(slab):len(slab)]
 		}
 	}
 	p.Tables = make([]ShardTable, r.Count(shardTableWireBytes))
+	scan, total := *r, 0
+	for range p.Tables {
+		scan.Skip(8)
+		scan.Skip(scan.Count(1))
+		n := scan.Count(shardRowWireBytes)
+		scan.Skip(shardRowWireBytes * n)
+		total += n
+	}
+	slab := make([]Alignment, 0, total)
 	for i := range p.Tables {
 		t := &p.Tables[i]
 		t.TableID = int(r.I64())
 		t.Name = r.Str()
-		t.Rows = make([]Alignment, r.Count(shardRowWireBytes))
-		for j := range t.Rows {
-			row := &t.Rows[j]
+		start := len(slab)
+		for n := r.Count(shardRowWireBytes); n > 0; n-- {
+			var row Alignment
 			row.TargetColumn = int(int32(r.U32()))
 			row.AttrID = int(int32(r.U32()))
 			row.CandColumn = int(int32(r.U32()))
 			for e := range row.Distances {
 				row.Distances[e] = r.F64()
 			}
+			slab = append(slab, row)
 		}
+		t.Rows = slab[start:len(slab):len(slab)]
 	}
 	if err := r.Err(); err != nil {
 		return nil, fmt.Errorf("core: shard partial: %w", err)

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -327,5 +330,109 @@ func TestShardProbeAllocationBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Fatalf("steady-state shard probe allocates %.0f per query over %d columns, budget %.0f", allocs, len(tprofiles), budget)
+	}
+}
+
+// TestEncodeShardPartialGolden pins "same bytes": the committed hex is
+// what the encoder wrote for tinyPartial before it learnt to reserve its
+// size, D3SP version 1. The size it reserves is the size it writes
+// (TestShardWireAllocationBudgets holds it to the one allocation).
+func TestEncodeShardPartialGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/shard_partial_v1.hex")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := EncodeShardPartial(tinyPartial())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("EncodeShardPartial(tinyPartial()) changed on the wire\n got  %x\n want %x", got, want)
+	}
+	if shardPartialVersion != 1 {
+		t.Fatalf("shardPartialVersion = %d: a layout change needs a new golden, not this one", shardPartialVersion)
+	}
+	_, _, real := gatherFixture(t, QuerySpec{K: 8}, testOptions())
+	for name, p := range map[string]*ShardPartial{"tiny": tinyPartial(), "gathered": real} {
+		if body := EncodeShardPartial(p); len(body) != p.wireBytes() {
+			t.Fatalf("%s: body is %d bytes, wireBytes reserved %d", name, len(body), p.wireBytes())
+		}
+	}
+}
+
+// TestShardWireAllocationBudgets pins the steady state of the three
+// stations a gather partial passes, in the style of
+// TestQueryAllocationBudget. A gather allocates the partial, its cell
+// and table lists and the two slabs; the encoder one body; the decoder
+// the same five plus its reader and one string per table name; the
+// merge the ranked slice and one row copy per winner — nothing per
+// sample, per row or, outside the names, per table. The budgets add
+// slack for pool refills.
+func TestShardWireAllocationBudgets(t *testing.T) {
+	if raceEnabled {
+		t.Skip("budgets this tight need sync.Pool to keep what it is given")
+	}
+	lake := syntheticLake(t, 17, 150)
+	opts := DefaultOptions()
+	opts.Parallelism = 1
+	e, err := BuildEngine(lake, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	spec := QuerySpec{K: 10}
+	tprofiles := e.ProfileTarget(lake.Table(3))
+	probe, err := e.ShardProbeProfiled(ctx, tprofiles, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depths, err := MergeProbeDepths([]*ShardProbe{probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var partial *ShardPartial
+	gather := func() {
+		if partial, err = e.ShardGatherProfiled(ctx, tprofiles, spec, depths); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var body []byte
+	encode := func() { body = EncodeShardPartial(partial) }
+	var decoded *ShardPartial
+	decode := func() {
+		if decoded, err = DecodeShardPartial(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge := func() {
+		if _, _, _, err := mergeShardPartials(depths, []*ShardPartial{decoded}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ { // warm the arenas to steady state
+		gather()
+		encode()
+		decode()
+		merge()
+	}
+	if len(partial.Tables) < 50 {
+		t.Fatalf("fixture: only %d candidate tables, too few to tell per-table allocation from slack", len(partial.Tables))
+	}
+	for _, c := range []struct {
+		name   string
+		fn     func()
+		budget float64
+	}{
+		{"ShardGatherProfiled", gather, 5 + 6},
+		{"EncodeShardPartial", encode, 1},
+		{"DecodeShardPartial", decode, float64(len(partial.Tables)) + 6 + 2},
+		{"mergeShardPartials", merge, float64(spec.K) + 1 + 6},
+	} {
+		if allocs := testing.AllocsPerRun(50, c.fn); allocs > c.budget {
+			t.Errorf("steady-state %s allocates %.0f over %d tables, budget %.0f", c.name, allocs, len(partial.Tables), c.budget)
+		} else {
+			t.Logf("%s: %.0f allocations (budget %.0f, %d tables)", c.name, allocs, c.budget, len(partial.Tables))
+		}
 	}
 }

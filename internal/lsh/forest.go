@@ -293,65 +293,28 @@ func (f *Forest) QueryInto(sig []uint32, minResults int, dst []int32) ([]int32, 
 	return dst, err
 }
 
-// QueryMinDepth returns all items sharing at least depth leading hash
-// values with the query in some tree. This is the fixed-threshold lookup
-// D3L's join-path guards use (membership test, Algorithm 2 and 3).
-func (f *Forest) QueryMinDepth(sig []uint32, depth int) ([]int32, error) {
-	if err := f.ready("QueryMinDepth", sig); err != nil {
-		return nil, err
-	}
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > f.hashesPerTree {
-		depth = f.hashesPerTree
-	}
-	var kb [keyStackBytes]byte
-	key := f.keyScratch(kb[:])
-	seen := make(map[int32]struct{})
-	var out []int32
-	for t := 0; t < f.numTrees; t++ {
-		f.keyInto(key, t, sig)
-		tree := &f.trees[t]
-		lo, hi := f.prefixRange(tree, key, depth)
-		for i := lo; i < hi; i++ {
-			id := tree.ids[i]
-			if _, dup := seen[id]; !dup {
-				seen[id] = struct{}{}
-				out = append(out, id)
-			}
-		}
-	}
-	return out, nil
-}
-
-// QueryMinDepthInto is the allocation-free form of QueryMinDepth: it
-// appends the (sorted, deduplicated) fixed-threshold candidate set to
-// dst and returns the extended slice. Same set as QueryMinDepth,
-// sorted ascending.
-func (f *Forest) QueryMinDepthInto(sig []uint32, depth int, dst []int32) ([]int32, error) {
-	if err := f.ready("QueryMinDepth", sig); err != nil {
+// CollectMinDepth appends to dst, raw, every tree's entries sharing at
+// least depth leading hash values with the query: the fixed-threshold
+// lookup of a shard gathering at the depth its coordinator imposed. An
+// id appears once per tree that matches it and in no order — the one
+// caller unions the regions of four forests under a stamp array and
+// sorts that union, so deduplicating or ordering one region here would
+// be work done twice. depth is clamped to [1, hashesPerTree]. Zero
+// allocations once dst has grown.
+func (f *Forest) CollectMinDepth(sig []uint32, depth int, dst []int32) ([]int32, error) {
+	if err := f.ready("CollectMinDepth", sig); err != nil {
 		return dst, err
 	}
-	if depth < 1 {
-		depth = 1
-	}
-	if depth > f.hashesPerTree {
-		depth = f.hashesPerTree
-	}
+	depth = min(max(depth, 1), f.hashesPerTree)
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
-	base := len(dst)
 	for t := 0; t < f.numTrees; t++ {
 		f.keyInto(key, t, sig)
 		tree := &f.trees[t]
 		lo, hi := f.prefixRange(tree, key, depth)
 		dst = append(dst, tree.ids[lo:hi]...)
 	}
-	region := dst[base:]
-	slices.Sort(region)
-	region = slices.Compact(region)
-	return dst[:base+len(region)], nil
+	return dst, nil
 }
 
 // DepthScratch is the caller-owned working memory of the one-walk probe

@@ -7,37 +7,41 @@ import (
 	"testing"
 )
 
-// depthCountsReference is the per-depth implementation DepthCounts
-// shipped with before the one-walk rewrite, kept verbatim as the
-// oracle: for every depth it re-collects each tree's prefix range,
-// sorts, compacts and counts. hashesPerTree passes, obviously right.
-func depthCountsReference(f *Forest, sig []uint32) ([]int32, error) {
-	if !f.indexed {
-		return nil, fmt.Errorf("lsh: DepthCounts before Index")
-	}
-	if len(sig) < f.MinSignatureLen() {
-		return nil, fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
-	}
+// depthSetReference is the per-depth collect the probes shipped with
+// before the one-walk rewrite, kept as the oracle: each tree's prefix
+// range at one depth, sorted and compacted. Obviously right.
+func depthSetReference(f *Forest, sig []uint32, depth int) []int32 {
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
+	var ids []int32
+	for t := 0; t < f.numTrees; t++ {
+		tree := &f.trees[t]
+		f.keyInto(key, t, sig)
+		lo, hi := f.prefixRange(tree, key, depth)
+		ids = append(ids, tree.ids[lo:hi]...)
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// depthCountsReference counts the oracle's set at every depth:
+// hashesPerTree passes.
+func depthCountsReference(f *Forest, sig []uint32) ([]int32, error) {
+	if err := f.ready("DepthCounts", sig); err != nil {
+		return nil, err
+	}
 	counts := make([]int32, f.hashesPerTree)
-	var scratch []int32
 	for depth := 1; depth <= f.hashesPerTree; depth++ {
-		scratch = scratch[:0]
-		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
-			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
-			scratch = append(scratch, tree.ids[lo:hi]...)
-		}
-		slices.Sort(scratch)
-		counts[depth-1] = int32(len(slices.Compact(scratch)))
+		counts[depth-1] = int32(len(depthSetReference(f, sig, depth)))
 	}
 	return counts, nil
 }
 
 // checkDepthCounts compares the one-walk probe with the reference for
-// one signature, reusing the caller's scratch the way the engine does.
+// one signature, reusing the caller's scratch the way the engine does,
+// and at every depth the raw imposed-depth collect with the oracle's
+// set: CollectMinDepth may repeat an id and promises no order, so the
+// comparison is as a set.
 func checkDepthCounts(t *testing.T, f *Forest, sig []uint32, s *DepthScratch, label string) []int32 {
 	t.Helper()
 	want, err := depthCountsReference(f, sig)
@@ -54,6 +58,15 @@ func checkDepthCounts(t *testing.T, f *Forest, sig []uint32, s *DepthScratch, la
 	for d := 1; d < len(got); d++ {
 		if got[d] > got[d-1] {
 			t.Fatalf("%s: counts increase from depth %d to %d: %v", label, d, d+1, got)
+		}
+	}
+	var raw []int32
+	for d := 1; d <= f.hashesPerTree; d++ {
+		if raw, err = f.CollectMinDepth(sig, d, raw[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sortedSet(raw), depthSetReference(f, sig, d)) {
+			t.Fatalf("%s: CollectMinDepth at depth %d is not the oracle's set (%d raw ids)", label, d, len(raw))
 		}
 	}
 	return got
@@ -99,23 +112,13 @@ func TestDepthCountsMatchesReference(t *testing.T) {
 }
 
 // TestDepthCountsMinHashForest repeats the comparison on real MinHash
-// signatures and cross-checks every depth against QueryMinDepth.
+// signatures.
 func TestDepthCountsMinHashForest(t *testing.T) {
 	f, sigs := randomForest(t, 11, 90)
 	var s DepthScratch
 	for i, sig := range sigs {
-		counts := checkDepthCounts(t, f, sig, &s, fmt.Sprintf("sig %d", i))
-		if len(counts) != 32 {
+		if counts := checkDepthCounts(t, f, sig, &s, fmt.Sprintf("sig %d", i)); len(counts) != 32 {
 			t.Fatalf("sig %d: got %d depths, want 32", i, len(counts))
-		}
-		for d := 1; d <= len(counts); d++ {
-			ids, err := f.QueryMinDepth(sig, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if int(counts[d-1]) != len(ids) {
-				t.Fatalf("sig %d depth %d: DepthCounts %d, QueryMinDepth %d", i, d, counts[d-1], len(ids))
-			}
 		}
 	}
 }

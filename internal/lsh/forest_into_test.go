@@ -11,7 +11,7 @@ import (
 
 // randomForest indexes n random token-set signatures and returns the
 // forest plus the signatures, for set-equivalence checks between the
-// map-based probes and their allocation-free Into counterparts.
+// map-based Query and the allocation-free probes.
 func randomForest(t *testing.T, seed int64, n int) (*Forest, [][]uint32) {
 	t.Helper()
 	h := minhash.MustHasher(256, 42)
@@ -71,24 +71,25 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestQueryMinDepthIntoMatchesQueryMinDepth is the fixed-threshold
-// analogue.
-func TestQueryMinDepthIntoMatchesQueryMinDepth(t *testing.T) {
+// TestCollectMinDepthClampsAndAppends pins what the every-depth set
+// comparison of checkDepthCounts does not reach: a depth outside
+// [1, hashesPerTree] collects at the nearest bound, and the region is
+// appended after dst's prefix.
+func TestCollectMinDepthClampsAndAppends(t *testing.T) {
 	f, sigs := randomForest(t, 2, 80)
-	var buf []int32
+	buf := []int32{-7}
 	for i, sig := range sigs {
-		for _, depth := range []int{0, 1, 4, 16, 32, 99} {
-			want, err := f.QueryMinDepth(sig, depth)
+		for asked, depth := range map[int]int{0: 1, -3: 1, 99: 32} {
+			got, err := f.CollectMinDepth(sig, asked, buf[:1])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f.QueryMinDepthInto(sig, depth, buf[:0])
-			if err != nil {
-				t.Fatal(err)
+			if got[0] != -7 {
+				t.Fatal("CollectMinDepth clobbered the dst prefix")
 			}
 			buf = got
-			if !slices.Equal(sortedSet(want), sortedSet(got)) {
-				t.Fatalf("sig %d depth %d: sets differ (%d vs %d ids)", i, depth, len(got), len(want))
+			if !slices.Equal(sortedSet(got[1:]), depthSetReference(f, sig, depth)) {
+				t.Fatalf("sig %d: depth %d did not collect depth %d's set", i, asked, depth)
 			}
 		}
 	}
@@ -107,11 +108,8 @@ func TestQueryIntoErrors(t *testing.T) {
 	if _, err := f.QueryInto(make([]uint32, 3), 1, nil); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := f.QueryMinDepthInto(make([]uint32, 3), 2, nil); err == nil {
-		t.Fatal("expected short-signature error")
-	}
-	if _, err := f.QueryMinDepth(make([]uint32, 3), 2); err == nil {
-		t.Fatal("expected short-signature error from QueryMinDepth")
+	if _, err := f.CollectMinDepth(make([]uint32, 3), 2, nil); err == nil {
+		t.Fatal("expected short-signature error from CollectMinDepth")
 	}
 }
 
@@ -134,13 +132,13 @@ func TestForestProbeAndMutateAllocs(t *testing.T) {
 	}
 	minDepth := testing.AllocsPerRun(100, func() {
 		var err error
-		buf, err = f.QueryMinDepthInto(sigs[1], 8, buf[:0])
+		buf, err = f.CollectMinDepth(sigs[1], 8, buf[:0])
 		if err != nil {
 			t.Fatal(err)
 		}
 	})
 	if minDepth != 0 {
-		t.Fatalf("QueryMinDepthInto allocates %.1f per probe, want 0", minDepth)
+		t.Fatalf("CollectMinDepth allocates %.1f per probe, want 0", minDepth)
 	}
 	// Insert/Delete round trips must not leave per-tree key slices
 	// behind; tree array growth is amortised and the round trip leaves

@@ -3,6 +3,7 @@ package lsh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -271,7 +272,7 @@ func TestForestQueryDescendsUntilEnough(t *testing.T) {
 	}
 }
 
-func TestForestQueryMinDepthMembership(t *testing.T) {
+func TestForestCollectMinDepthMembership(t *testing.T) {
 	h := minhash.MustHasher(256, 17)
 	f := MustForest(8, 32)
 	tokens := []string{"aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"}
@@ -279,13 +280,13 @@ func TestForestQueryMinDepthMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Index()
-	// Identical set must match at full depth.
-	got, err := f.QueryMinDepth(sketchFor(h, tokens), 32)
+	// Identical set must match at full depth, in every tree.
+	got, err := f.CollectMinDepth(sketchFor(h, tokens), 32, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("identical set not matched at full depth: %v", got)
+	if !slices.Equal(got, []int32{1, 1, 1, 1, 1, 1, 1, 1}) {
+		t.Fatalf("identical set not matched at full depth in all 8 trees: %v", got)
 	}
 }
 

@@ -100,6 +100,11 @@ type Buffer struct {
 // Len reports the accumulated payload size.
 func (b *Buffer) Len() int { return len(b.data) }
 
+// Grow reserves room for n more bytes, so a writer that knows its
+// payload's size (plus trailerLen, if it will call Sealed) allocates
+// once instead of growing by doubling.
+func (b *Buffer) Grow(n int) { b.data = slices.Grow(b.data, n) }
+
 // U8 appends one byte.
 func (b *Buffer) U8(v uint8) { b.data = append(b.data, v) }
 
@@ -181,12 +186,15 @@ func (b *Buffer) Ints(vs []int) {
 	}
 }
 
-// F64s appends a length-prefixed []float64.
+// F64s appends a length-prefixed []float64, grown once and appended
+// through a local slice header like U32s.
 func (b *Buffer) F64s(vs []float64) {
 	b.U32(uint32(len(vs)))
+	data := slices.Grow(b.data, 8*len(vs))
 	for _, v := range vs {
-		b.F64(v)
+		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
 	}
+	b.data = data
 }
 
 // Sealed returns the payload followed by its CRC32-C trailer — the
@@ -423,6 +431,9 @@ func (r *Reader) Count(elemSize int) int {
 	return n
 }
 
+// Skip passes over n bytes unread, with the bounds check of a read.
+func (r *Reader) Skip(n int) { r.take(n) }
+
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string {
 	n := r.Count(1)
@@ -506,4 +517,14 @@ func (r *Reader) F64s() []float64 {
 		out[i] = r.F64()
 	}
 	return out
+}
+
+// AppendF64s reads a length-prefixed []float64 onto the end of dst, for
+// decoders that lay many vectors out in one slab.
+func (r *Reader) AppendF64s(dst []float64) []float64 {
+	p := r.take(8 * r.Count(8))
+	for ; len(p) >= 8; p = p[8:] {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+	}
+	return dst
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -263,5 +264,41 @@ func TestReaderCountBoundsAllocation(t *testing.T) {
 	r, _ = OpenSealed(sealed)
 	if n := r.Count(9); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("Count(9) = %d, err %v; want 0 and ErrTruncated (3×9 bytes do not remain)", n, r.Err())
+	}
+}
+
+// TestSlabReads covers the reader's slab-decoding helpers: AppendF64s
+// reads what F64s reads, onto the end of the caller's slice; Skip moves
+// past bytes under the same bounds check as a read; and a copy of a
+// Reader walks ahead without moving the original (how a decoder sizes a
+// slab before filling it).
+func TestSlabReads(t *testing.T) {
+	var b Buffer
+	b.Grow(64)
+	b.F64s([]float64{0.25, 0.5})
+	b.F64s(nil)
+	b.F64s([]float64{-1})
+	b.U32(9)
+	r := &Reader{data: b.data}
+	scan := *r
+	scan.Skip(4 + 16 + 4 + 4 + 8)
+	if scan.U32() != 9 || scan.Err() != nil || r.Remaining() != b.Len() {
+		t.Fatalf("scan read past the vectors to err %v; original has %d of %d bytes left", scan.Err(), r.Remaining(), b.Len())
+	}
+	slab := []float64{7}
+	for i := 0; i < 3; i++ {
+		slab = r.AppendF64s(slab)
+	}
+	if want := []float64{7, 0.25, 0.5, -1}; !slices.Equal(slab, want) || r.U32() != 9 || r.Err() != nil {
+		t.Fatalf("AppendF64s built %v, err %v; want %v", slab, r.Err(), want)
+	}
+	r.Skip(1)
+	if !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("Skip past the end: err = %v, want ErrTruncated", r.Err())
+	}
+	// A count the payload cannot back appends nothing.
+	short := &Reader{data: []byte{2, 0, 0, 0, 1, 2, 3}}
+	if got := short.AppendF64s(nil); len(got) != 0 || !errors.Is(short.Err(), ErrTruncated) {
+		t.Fatalf("AppendF64s over a short payload: %v, err %v", got, short.Err())
 	}
 }

@@ -6,17 +6,27 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
 	"d3l"
 )
 
-// writeJSONBytes writes an already-marshaled JSON body.
-func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+// writeBody writes a body that is already in hand, declaring its
+// length: net/http chunk-encodes anything over 2 kB otherwise, and a
+// reader told the length up front — the coordinator, of a 150 kB gather
+// partial — can size its buffer once instead of growing it by doubling.
+func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	w.Write(body)
+}
+
+// writeJSONBytes writes an already-marshaled JSON body.
+func writeJSONBytes(w http.ResponseWriter, status int, body []byte) {
+	writeBody(w, status, "application/json", body)
 }
 
 // writeJSON marshals v and writes it.

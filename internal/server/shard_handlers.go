@@ -40,6 +40,9 @@ import (
 // Probe and explain answers, and every error, are JSON. The gather
 // answer — a thousand rows and five thousand float64 samples — is the
 // binary form of d3l.EncodeShardPartial under shardPartialContentType.
+// Every answer is complete before its first byte is written and
+// declares its Content-Length (writeBody), which is what lets the
+// coordinator read a 150 kB partial into one buffer of that size.
 
 // shardPartialContentType labels the binary gather answer.
 const shardPartialContentType = "application/vnd.d3l.shard-partial"
@@ -200,9 +203,7 @@ func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", shardPartialContentType)
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	writeBody(w, http.StatusOK, shardPartialContentType, body)
 }
 
 func (s *Server) handleShardExplain(w http.ResponseWriter, r *http.Request) {

@@ -142,6 +142,19 @@ func assertAnswersEqual(t *testing.T, label string, want, got *d3l.Answer) {
 	if got.Degraded {
 		t.Fatalf("%s: healthy sharded answer reports degraded", label)
 	}
+	// A sharded answer is cached and retained like any other, so it must
+	// hold what it reports and no more: a result list or a winner's rows
+	// with capacity behind them would be a view into a shard partial's
+	// slab. (core's TestMergedAnswerDoesNotPinPartials covers the view
+	// that hides its capacity.)
+	if cap(got.Results) != len(got.Results) {
+		t.Fatalf("%s: %d results in a list of capacity %d", label, len(got.Results), cap(got.Results))
+	}
+	for _, r := range got.Results {
+		if cap(r.Alignments) != len(r.Alignments) {
+			t.Fatalf("%s: %q holds %d alignment rows in a slice of capacity %d", label, r.Name, len(r.Alignments), cap(r.Alignments))
+		}
+	}
 }
 
 // postJSON POSTs a JSON body and returns status and response bytes.

@@ -477,6 +477,11 @@ func (r *Remote) query(ctx context.Context, target *d3l.Table, sq *d3l.ShardQuer
 // group left the query fails even under PartialOK.
 func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.ShardQuery) ([]d3l.Result, d3l.QueryStats, bool, error) {
 	n := len(r.groups)
+	// Every shard of a phase is sent the same bytes: one marshal a phase.
+	body, err := json.Marshal(server.ShardProbeRequest{Table: wire, Spec: sq.Spec})
+	if err != nil {
+		return nil, d3l.QueryStats{}, false, err
+	}
 	probes := make([]*d3l.ShardProbe, n)
 	probeErrs := make([]error, n)
 	var wg sync.WaitGroup
@@ -484,7 +489,7 @@ func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.Shar
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := r.read(ctx, i, "/v1/shard/probe", server.ShardProbeRequest{Table: wire, Spec: sq.Spec}, decodeJSON[d3l.ShardProbe])
+			p, err := r.read(ctx, i, "/v1/shard/probe", body, decodeJSON[d3l.ShardProbe])
 			if err != nil {
 				probeErrs[i] = err
 				return
@@ -514,13 +519,16 @@ func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.Shar
 	if err != nil {
 		return nil, d3l.QueryStats{}, false, err
 	}
+	if body, err = json.Marshal(server.ShardGatherRequest{Table: wire, Spec: sq.Spec, Depths: *depths}); err != nil {
+		return nil, d3l.QueryStats{}, false, err
+	}
 	partials := make([]*d3l.ShardPartial, len(live))
 	gatherErrs := make([]error, len(live))
 	for gi, i := range live {
 		wg.Add(1)
 		go func(gi, i int) {
 			defer wg.Done()
-			p, err := r.read(ctx, i, "/v1/shard/gather", server.ShardGatherRequest{Table: wire, Spec: sq.Spec, Depths: *depths}, decodePartial)
+			p, err := r.read(ctx, i, "/v1/shard/gather", body, decodePartial)
 			if err != nil {
 				gatherErrs[gi] = err
 				return
@@ -554,7 +562,10 @@ func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.Shar
 // never applies: an explanation from the wrong shard is not a
 // degraded answer, it is a 404.
 func (r *Remote) explain(ctx context.Context, wire server.TableJSON, sq *d3l.ShardQuery) ([]d3l.PairExplanation, error) {
-	req := server.ShardExplainRequest{Table: wire, LakeTable: sq.ExplainFor, Spec: sq.Spec}
+	req, err := json.Marshal(server.ShardExplainRequest{Table: wire, LakeTable: sq.ExplainFor, Spec: sq.Spec})
+	if err != nil {
+		return nil, err
+	}
 	owner := r.place.Owner(sq.ExplainFor)
 	resp, err := r.read(ctx, owner, "/v1/shard/explain", req, decodeJSON[server.ShardExplainResponse])
 	for i := 0; err != nil && isNotFound(err) && i < len(r.groups); i++ {
@@ -910,7 +921,8 @@ func decodeJSON[T any](data []byte) (any, error) {
 // decodePartial decodes and validates the binary gather answer.
 func decodePartial(data []byte) (any, error) { return d3l.DecodeShardPartial(data) }
 
-// read POSTs a read-path request with per-replica failover,
+// read POSTs a read-path request (body, marshalled by the caller once
+// for every shard it goes to) with per-replica failover,
 // jittered-backoff retries and cross-replica hedging: the first
 // attempt whose answer decodes wins, terminal errors return
 // immediately, and exhausted attempts return the last error. The retry
@@ -923,11 +935,7 @@ func decodePartial(data []byte) (any, error) { return d3l.DecodeShardPartial(dat
 // replica's breaker and the next attempt goes to a sibling, so a
 // replica that answers garbage can neither crash the coordinator nor
 // fail a query its group can still serve.
-func (r *Remote) read(ctx context.Context, shard int, path string, in any, decode func([]byte) (any, error)) (any, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, err
-	}
+func (r *Remote) read(ctx context.Context, shard int, path string, body []byte, decode func([]byte) (any, error)) (any, error) {
 	attempts := 1 + r.cfg.Retries
 	delay := r.cfg.RetryDelay
 	var lastErr error
@@ -992,6 +1000,7 @@ func (r *Remote) attempt(ctx context.Context, primary *replica, path string, bod
 				if val, err = decode(data); err != nil {
 					err = &shardError{err: fmt.Errorf("shard %s: POST %s: undecodable answer: %w", rep.url, path, err)}
 				}
+				bodyPool.Put(&data) // both decoders copy out every byte they keep
 			}
 			r.record(ctx, rep, err)
 			ch <- result{val, err, rep}
@@ -1122,7 +1131,7 @@ func (r *Remote) doOnce(ctx context.Context, rep *replica, method, path string, 
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return nil, err
 	}
@@ -1148,6 +1157,42 @@ func (r *Remote) doOnce(ctx context.Context, rep *replica, method, path string, 
 	// Overload, timeout, draining, internal: transient from the
 	// coordinator's seat — retryable on a sibling replica.
 	return nil, &shardError{err: fmt.Errorf("%s (status %d)", mapped, resp.StatusCode), terminal: false}
+}
+
+// maxSizedRead bounds the buffer readBody sizes from a declared
+// Content-Length: far above any gather partial (≈ 150 B a candidate
+// table), far below what a lying header could otherwise make the
+// coordinator allocate before a byte of body arrives.
+const maxSizedRead = 64 << 20
+
+// bodyPool recycles the buffers of read-path answers (*[]byte): the
+// scatter-gather attempt hands a body back once it is decoded, so at
+// steady state a gather partial is read into the buffer the previous
+// query's was.
+var bodyPool sync.Pool
+
+// readBody reads a response body whole. A replica declares the length
+// of every body it has in hand, so the usual read is into one buffer of
+// at least that size — recycled, else allocated exactly — instead of
+// io.ReadAll's growth by doubling (1.8 MB of garbage for two 150 kB
+// partials); a body cut short under its declared length fails with
+// io.ErrUnexpectedEOF, as it did. Chunked and implausibly long answers
+// take the growing read.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 || resp.ContentLength > maxSizedRead {
+		return io.ReadAll(resp.Body)
+	}
+	n := int(resp.ContentLength)
+	var data []byte
+	if p, _ := bodyPool.Get().(*[]byte); p != nil && cap(*p) >= n {
+		data = (*p)[:n]
+	} else {
+		data = make([]byte, n)
+	}
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // tableToWire converts a library table to wire shape (row-major).

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -465,6 +467,88 @@ func TestRemoteRefusesMalformedPartial(t *testing.T) {
 		alone.Close()
 		if err == nil || !strings.Contains(err.Error(), "undecodable answer") {
 			t.Fatalf("%s: lone malformed replica: err = %v, want an undecodable-answer error", label, err)
+		}
+	}
+}
+
+// gatherLengths is a transport that notes the declared length of every
+// gather answer passing through it.
+type gatherLengths struct {
+	mu      sync.Mutex
+	lengths []int64
+}
+
+func (g *gatherLengths) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && req.URL.Path == "/v1/shard/gather" {
+		g.mu.Lock()
+		g.lengths = append(g.lengths, resp.ContentLength)
+		g.mu.Unlock()
+	}
+	return resp, err
+}
+
+// TestGatherAnswersDeclareTheirLength: a replica has the whole partial
+// in hand when it answers, and says how long it is — past the 2 kB up
+// to which net/http would have worked it out alone — so the coordinator
+// reads it into one buffer of that size. The answers are the monolith's
+// through the sized read.
+func TestGatherAnswersDeclareTheirLength(t *testing.T) {
+	spy := new(gatherLengths)
+	w := buildRemoteWorld(t, 211, 2, RemoteConfig{Client: &http.Client{Transport: spy}})
+	ctx := context.Background()
+	for _, target := range liveTargets(w.lake, 3) {
+		want, err := w.mono.Query(ctx, target, d3l.WithK(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.remote.Query(ctx, target, d3l.WithK(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertAnswersEqual(t, "sized read "+target.Name, want, got)
+	}
+	longest := int64(0)
+	for _, n := range spy.lengths {
+		if n < 0 {
+			t.Fatalf("a gather answer came chunked, with no declared length: %v", spy.lengths)
+		}
+		longest = max(longest, n)
+	}
+	if longest <= 2048 {
+		t.Fatalf("fixture: the longest of %d gather answers is %d bytes; net/http declares those unasked", len(spy.lengths), longest)
+	}
+}
+
+// TestReadBody covers the read itself: a declared length is read whole
+// into a buffer of that size, a body that ends before its declared
+// length is an error (the fault matrix's truncated-body and
+// corrupt-gather-body rows reach the coordinator as this), and a length
+// nobody declared, or one no partial could have, is not allocated for
+// up front.
+func TestReadBody(t *testing.T) {
+	payload := bytes.Repeat([]byte("d3l"), 4000)
+	body := func(b []byte) io.ReadCloser { return io.NopCloser(bytes.NewReader(b)) }
+	for _, c := range []struct {
+		name     string
+		declared int64
+		sent     []byte
+		ok       bool
+	}{
+		{"declared", int64(len(payload)), payload, true},
+		{"empty", 0, nil, true},
+		{"chunked", -1, payload, true},
+		{"cut short", int64(len(payload)), payload[:len(payload)/2], false},
+		{"absurd length", 1 << 40, payload, true},
+	} {
+		data, err := readBody(&http.Response{ContentLength: c.declared, Body: body(c.sent)})
+		switch {
+		case !c.ok:
+			if !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("%s: err = %v, want io.ErrUnexpectedEOF", c.name, err)
+			}
+		case err != nil || !bytes.Equal(data, c.sent):
+			t.Fatalf("%s: read %d bytes, err %v; sent %d", c.name, len(data), err, len(c.sent))
 		}
 	}
 }

@@ -3,8 +3,10 @@ package shard
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"d3l"
@@ -46,6 +48,11 @@ func NewSet(shards []*d3l.Engine, place *Placement) (*Set, error) {
 // identical on all shards and to a monolith built from the same lake.
 // Dead lake slots (tombstones of removed tables) are mirrored on every
 // shard to preserve the id space exactly.
+//
+// Profiling is most of the work and depends on neither placement nor
+// order (every shard has the same options, hence the same profiler), so
+// the whole lake is profiled first, on opts.Parallelism workers like a
+// monolith build; the lockstep loop then only splices.
 func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 	place, err := NewPlacement(n, 0)
 	if err != nil {
@@ -59,7 +66,27 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 		}
 		shards[s] = e
 	}
-	for id, tb := range lake.Tables() {
+	tables := lake.Tables()
+	profiled := make([]*d3l.ShardTarget, len(tables))
+	workers := opts.Parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(tables); i = int(next.Add(1)) - 1 {
+				if len(tables[i].Columns) > 0 {
+					profiled[i] = shards[0].PrepareShardTarget(tables[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for id, tb := range tables {
 		owner := -1
 		if len(tb.Columns) > 0 {
 			owner = place.Owner(tb.Name)
@@ -68,7 +95,7 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 			var got int
 			var err error
 			if s == owner {
-				got, err = e.Add(tb)
+				got, err = e.AddProfiled(tb, profiled[id])
 			} else {
 				got, err = e.MirrorAdd(tb.Name, len(tb.Columns))
 			}

@@ -1,6 +1,8 @@
 package table
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,4 +60,55 @@ func FuzzReadCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzStartsNumber holds parseNumber's first-byte guard to its one
+// promise: it says "no" only where strconv.ParseFloat errs, so a cell is
+// typed exactly as it was when every cell went to ParseFloat. (The
+// converse is not promised: "+" and "nope" pass the guard and are
+// refused behind it.)
+func FuzzStartsNumber(f *testing.F) {
+	for _, s := range []string{
+		".5", "+1", "-0", "Inf", "-inf", "+Infinity", "nan", "NaN", "0x1p-2", "0X_1P4", "1e9", "1_000", "7",
+		"١٢", "∞", "£", "", " ", "e9", "x1", "_1", "+", "nope", "Manchester", "\x00", "\xff",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if _, err := strconv.ParseFloat(s, 64); err == nil && !startsNumber(s) {
+			t.Fatalf("startsNumber refuses %q, which ParseFloat accepts", s)
+		}
+		// Through the whole of parseNumber, currency signs, percent
+		// signs and separators included.
+		want, wantErr := referenceParseNumber(s)
+		got, err := parseNumber(s)
+		if (err == nil) != (wantErr == nil) || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("parseNumber(%q) = %v, %v; without the guard %v, %v", s, got, err, want, wantErr)
+		}
+	})
+}
+
+// referenceParseNumber is parseNumber as it was before the guard.
+func referenceParseNumber(s string) (float64, error) {
+	s = strings.TrimSpace(s)
+	s = strings.TrimPrefix(s, "£")
+	s = strings.TrimPrefix(s, "$")
+	s = strings.TrimPrefix(s, "€")
+	s = strings.TrimSuffix(s, "%")
+	s = strings.ReplaceAll(s, ",", "")
+	return strconv.ParseFloat(s, 64)
+}
+
+// TestParseNumberRefusesTextWithoutAllocating pins what the guard is
+// for: a text cell costs no *NumError.
+func TestParseNumberRefusesTextWithoutAllocating(t *testing.T) {
+	for _, cell := range []string{"Manchester", "£", "∞", "١٢", "", "  M3 6AF "} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := parseNumber(cell); err == nil {
+				t.Fatalf("parseNumber accepted %q", cell)
+			}
+		}); allocs != 0 {
+			t.Fatalf("parseNumber(%q) allocates %.0f times to say no", cell, allocs)
+		}
+	}
 }

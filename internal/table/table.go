@@ -108,9 +108,31 @@ func (c *Column) inferType() {
 	}
 }
 
+// errNotNumber is what parseNumber answers for a cell that cannot start
+// a number: shared, because the caller only asks whether there was one.
+var errNotNumber = errors.New("table: not a number")
+
+// startsNumber reports whether s begins the way a string
+// strconv.ParseFloat accepts can: a sign, a digit, a point, or the i/n
+// of inf/nan in either case (hex floats and underscored forms start
+// with a digit). False means ParseFloat would refuse s.
+func startsNumber(s string) bool {
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; c {
+	case '+', '-', '.', 'i', 'I', 'n', 'N':
+		return true
+	default:
+		return '0' <= c && c <= '9'
+	}
+}
+
 // parseNumber accepts plain and thousand-separated decimals, optional
 // leading currency signs and trailing percent signs (open-data lakes are
-// full of them).
+// full of them). Most cells of a lake are text, and ParseFloat's refusal
+// allocates a *NumError holding a copy of the cell, so a cell that
+// cannot start a number is refused before it gets there.
 func parseNumber(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "£")
@@ -118,6 +140,9 @@ func parseNumber(s string) (float64, error) {
 	s = strings.TrimPrefix(s, "€")
 	s = strings.TrimSuffix(s, "%")
 	s = strings.ReplaceAll(s, ",", "")
+	if !startsNumber(s) {
+		return 0, errNotNumber
+	}
 	return strconv.ParseFloat(s, 64)
 }
 

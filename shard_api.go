@@ -88,6 +88,23 @@ func (e *Engine) PrepareShardTarget(target *Table) *ShardTarget {
 	return &ShardTarget{profiles: e.core.ProfileTarget(target)}
 }
 
+// AddProfiled is the splice half of Add, for a table PrepareShardTarget
+// has already profiled — on this engine or any identically configured
+// one: shard.BuildSet profiles a whole lake on every core before its
+// id-lockstep loop hands each table to its owner. The profiles are
+// consumed (the engine keeps them, stamped with the table's id), so a
+// ShardTarget is added at most once.
+func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget) (int, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	id, err := e.core.AddProfiled(t, profiled.profiles)
+	if err != nil {
+		return 0, err
+	}
+	e.invalidateGraph()
+	return id, nil
+}
+
 // ShardProbe runs the probe phase of one sharded query on this engine.
 func (e *Engine) ShardProbe(ctx context.Context, target *ShardTarget, spec core.QuerySpec) (*ShardProbe, error) {
 	return e.core.ShardProbeProfiled(ctx, target.profiles, spec)

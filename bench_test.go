@@ -712,3 +712,35 @@ func BenchmarkRemoteQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIndexBuild is `d3l index build` without the process around
+// it: load the benchmark lake's CSV directory, profile and index it,
+// build the SA-join graph and encode the snapshot. DESIGN.md "What an
+// index build costs, measured" reads its time, B/op and allocs/op.
+func BenchmarkIndexBuild(b *testing.B) {
+	cfg := datagen.DefaultSyntheticConfig()
+	cfg.Seed = 1307
+	lake, _, err := datagen.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if err := d3l.SaveLakeDir(lake, dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loaded, err := d3l.LoadLakeDir(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		engine, err := d3l.New(loaded, d3l.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := d3l.Save(engine, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -183,12 +183,7 @@ func loadEngine(dir, index string) (*d3l.Engine, error) {
 		return nil, fmt.Errorf("exactly one of -dir and -index is required")
 	}
 	if index != "" {
-		f, err := os.Open(index)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return d3l.Load(f)
+		return d3l.LoadFile(index)
 	}
 	lake, err := d3l.LoadLakeDir(dir)
 	if err != nil {
@@ -228,28 +223,36 @@ func cmdIndexBuild(args []string) error {
 	if *shards < 1 {
 		return fmt.Errorf("index build: -shards must be at least 1, got %d", *shards)
 	}
+	start := time.Now()
 	lake, err := d3l.LoadLakeDir(*dir)
 	if err != nil {
 		return err
 	}
+	loaded := time.Since(start)
 	opts := d3l.DefaultOptions()
 	opts.Parallelism = *workers
 	if *shards > 1 {
-		return buildShardedIndex(lake, opts, *shards, *out)
+		return buildShardedIndex(lake, opts, *shards, *out, loaded)
 	}
-	start := time.Now()
+	start = time.Now()
 	engine, err := d3l.New(lake, opts)
 	if err != nil {
 		return err
 	}
 	built := time.Since(start)
-	// -workers tunes the profiling fan-out of this build only.
-	// Parallelism is a property of the serving host, so the snapshot
-	// records the GOMAXPROCS default rather than baking the build
-	// machine's setting into every future replica.
+	// The SA-join graph is part of the snapshot; built here, it runs on
+	// this build's -workers like the profiling before it.
+	start = time.Now()
+	edges := engine.JoinGraphEdges()
+	graphed := time.Since(start)
+	// -workers tunes the fan-out of this build only. Parallelism is a
+	// property of the serving host, so the snapshot records the
+	// GOMAXPROCS default rather than baking the build machine's setting
+	// into every future replica.
 	if err := engine.SetParallelism(0); err != nil {
 		return err
 	}
+	start = time.Now()
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
@@ -261,13 +264,18 @@ func cmdIndexBuild(args []string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
+	saved := time.Since(start)
 	st, err := os.Stat(*out)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("indexed %d tables (%d attributes) in %v\n",
 		lake.Len(), engine.NumAttributes(), built.Round(time.Millisecond))
-	fmt.Printf("wrote %s (%d bytes, %d join edges)\n", *out, st.Size(), engine.JoinGraphEdges())
+	fmt.Printf("wrote %s (%d bytes, %d join edges)\n", *out, st.Size(), edges)
+	bt := engine.BuildTimings()
+	fmt.Printf("phases: load %v, profile %v, index %v, graph %v, save %v\n",
+		loaded.Round(time.Millisecond), bt.Profile.Round(time.Millisecond), bt.Index.Round(time.Millisecond),
+		graphed.Round(time.Millisecond), saved.Round(time.Millisecond))
 	return nil
 }
 
@@ -277,24 +285,30 @@ func cmdIndexBuild(args []string) error {
 // participant — `d3l serve -shards N -index DIR` in one process, or N
 // `d3l serve` replicas under a `d3l coordinator` — reconstructs the
 // identical placement from the manifest alone.
-func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string) error {
+func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string, loaded time.Duration) error {
 	start := time.Now()
 	set, err := shard.BuildSet(lake, shards, opts)
 	if err != nil {
 		return err
 	}
 	built := time.Since(start)
-	// As in the monolith path: parallelism is a serving-host property,
-	// so snapshots record the GOMAXPROCS default, not this build
-	// machine's -workers.
+	// As in the monolith path: every shard's snapshot carries an SA-join
+	// graph, built here on this build's -workers; and parallelism is a
+	// serving-host property, so snapshots record the GOMAXPROCS default,
+	// not this build machine's -workers.
+	start = time.Now()
 	for i := 0; i < set.NumShards(); i++ {
+		set.Shard(i).JoinGraphEdges()
 		if err := set.Shard(i).SetParallelism(0); err != nil {
 			return err
 		}
 	}
+	graphed := time.Since(start)
+	start = time.Now()
 	if err := shard.WriteSet(set, out); err != nil {
 		return err
 	}
+	saved := time.Since(start)
 	perShard := make([]int, set.NumShards())
 	for _, name := range set.Tables() {
 		perShard[set.Placement().Owner(name)]++
@@ -302,6 +316,8 @@ func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string)
 	fmt.Printf("indexed %d tables (%d attributes) across %d shards in %v\n",
 		lake.Len(), set.NumAttributes(), shards, built.Round(time.Millisecond))
 	fmt.Printf("wrote %s (tables per shard: %v)\n", out, perShard)
+	fmt.Printf("phases: load %v, profile and index %v, graph %v, save %v\n",
+		loaded.Round(time.Millisecond), built.Round(time.Millisecond), graphed.Round(time.Millisecond), saved.Round(time.Millisecond))
 	return nil
 }
 

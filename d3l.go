@@ -41,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 
 	"d3l/internal/core"
@@ -92,6 +93,9 @@ type (
 	// UpdateStats reports what an in-place Update re-profiled, kept,
 	// added and dropped — see Engine.Update.
 	UpdateStats = core.UpdateStats
+	// BuildTimings splits the wall time of New into profiling and
+	// indexing — see Engine.BuildTimings.
+	BuildTimings = core.BuildTimings
 )
 
 // Query pipeline stages, in execution order. Stage.String() yields the
@@ -185,6 +189,10 @@ func New(lake *Lake, opts Options) (*Engine, error) {
 	}
 	return &Engine{core: e}, nil
 }
+
+// BuildTimings reports where New spent its time; zero on a loaded
+// engine.
+func (e *Engine) BuildTimings() BuildTimings { return e.core.BuildTimings() }
 
 // TopK returns the k most related lake tables for the target, most
 // related first (Section III-D). It is Query with default options and
@@ -331,16 +339,25 @@ func (e *Engine) TopKWithJoins(target *Table, k int) ([]Augmented, error) {
 func Save(e *Engine, w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	g := e.joinGraph()
-	enc := persist.NewEncoder()
-	if err := e.core.AppendSnapshot(enc); err != nil {
+	enc, err := e.encodeSnapshot()
+	if err != nil {
 		return err
 	}
-	gb := &persist.Buffer{}
-	g.Encode(gb)
-	enc.Section(persist.SecJoinGraph, gb)
-	_, err := enc.WriteTo(w)
+	_, err = enc.WriteTo(w)
 	return err
+}
+
+// encodeSnapshot lays the engine's sections and the SA-join graph down
+// in one encoder, sized once for all of them. Caller holds e.mu.
+func (e *Engine) encodeSnapshot() (*persist.Encoder, error) {
+	g := e.joinGraph()
+	enc := persist.NewEncoder()
+	if err := e.core.AppendSnapshot(enc, persist.SectionOverhead+g.EncodedSize()); err != nil {
+		return nil, err
+	}
+	g.Encode(enc.Begin(persist.SecJoinGraph))
+	enc.End()
+	return enc, nil
 }
 
 // Load reconstructs an engine from a snapshot written by Save. The
@@ -357,6 +374,23 @@ func Load(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decode(data)
+}
+
+// LoadFile is Load of a snapshot file, read with one allocation of the
+// file's size: a reader of unknown length is read into a buffer regrown
+// dozens of times, and where the collector stands when the last of them
+// is dropped decides a cold-started server's resident size.
+func LoadFile(path string) (*Engine, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return decode(data)
+}
+
+// decode reconstructs an engine from snapshot bytes.
+func decode(data []byte) (*Engine, error) {
 	dec, err := persist.NewDecoder(data)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"d3l/internal/lsh"
 	"d3l/internal/subject"
@@ -62,7 +63,22 @@ type Engine struct {
 	forestV *lsh.Forest
 	forestF *lsh.Forest
 	forestE *lsh.Forest
+
+	// buildTimings is where BuildEngine's time went; zero on an engine
+	// that was decoded from a snapshot.
+	buildTimings BuildTimings
 }
+
+// BuildTimings splits the wall time of BuildEngine into its two phases:
+// profiling every table (Algorithm 1's signatures, in parallel) and
+// indexing (inserting them into the four forests and sorting the trees).
+type BuildTimings struct {
+	Profile, Index time.Duration
+}
+
+// BuildTimings reports where this engine's BuildEngine call spent its
+// time (`d3l index build` prints it).
+func (e *Engine) BuildTimings() BuildTimings { return e.buildTimings }
 
 // BuildEngine profiles and indexes every attribute of the lake.
 // This is the paper's indexing phase (Experiment 4 measures it).
@@ -96,7 +112,9 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 	// observation), and per-table profiles are independent, so they are
 	// computed by a worker pool; insertion into the forests stays
 	// sequential and in table order, keeping the build deterministic.
-	tableProfiles := e.profileAllTables(opts.Parallelism)
+	start := time.Now()
+	tableProfiles := prof.profileTables(lake.Tables(), e.classifier, opts.Parallelism)
+	e.buildTimings.Profile = time.Since(start)
 	for tid := range lake.Tables() {
 		e.subjects[tid] = -1
 		e.alive[tid] = true
@@ -113,10 +131,9 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 			}
 		}
 	}
-	e.forestN.Index()
-	e.forestV.Index()
-	e.forestF.Index()
-	e.forestE.Index()
+	forests := [...]*lsh.Forest{e.forestN, e.forestV, e.forestF, e.forestE}
+	forEachIndex(len(forests), opts.Parallelism, func(i int) { forests[i].Index() })
+	e.buildTimings.Index = time.Since(start) - e.buildTimings.Profile
 	e.fpBase = e.fingerprintBase()
 	return e, nil
 }
@@ -152,17 +169,6 @@ func insertInto(fN, fV, fF, fE *lsh.Forest, attrID int, p *Profile) error {
 		}
 	}
 	return nil
-}
-
-// profileAllTables runs Algorithm 1 over every table with the given
-// parallelism, returning per-table profile slices in table order.
-func (e *Engine) profileAllTables(parallelism int) [][]Profile {
-	tables := e.lake.Tables()
-	out := make([][]Profile, len(tables))
-	forEachIndex(len(tables), parallelism, func(tid int) {
-		out[tid] = e.prof.ProfileTable(tid, tables[tid], e.classifier)
-	})
-	return out
 }
 
 // embedForestLayout derives a forest layout for the byte-wide hash
@@ -240,11 +246,24 @@ func (e *Engine) ProfileTarget(t *table.Table) []Profile {
 	return e.prof.ProfileTable(-1, t, e.classifier)
 }
 
+// ProfileTables is ProfileTarget for many tables at once — what a shard
+// set build does with a whole lake before handing each table to its
+// owner — on the engine's Parallelism workers, through the bulk path
+// BuildEngine itself profiles with. Slot i holds tables[i]'s profiles.
+func (e *Engine) ProfileTables(tables []*table.Table) [][]Profile {
+	return e.prof.profileTables(tables, e.classifier, e.queryParallelism())
+}
+
 // IndexSpaceBytes reports the total size of the four forests plus the
 // profile store — the numerator of the Table II space overhead.
 func (e *Engine) IndexSpaceBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	return e.indexSpaceBytes()
+}
+
+// indexSpaceBytes is IndexSpaceBytes for callers holding e.mu.
+func (e *Engine) indexSpaceBytes() int64 {
 	total := e.forestN.SpaceBytes() + e.forestV.SpaceBytes() + e.forestF.SpaceBytes() + e.forestE.SpaceBytes()
 	for i := range e.profiles {
 		total += e.profiles[i].SpaceBytes()

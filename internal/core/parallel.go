@@ -15,6 +15,13 @@ import (
 // mix without a scheduling barrier. fn must write only to its own
 // index's state.
 func forEachIndex(n, parallelism int, fn func(int)) {
+	forEachIndexWith(n, parallelism, func() struct{} { return struct{}{} }, func(_ struct{}, i int) { fn(i) })
+}
+
+// forEachIndexWith is forEachIndex for work that carries state from one
+// item to the next: every worker makes one S and hands it to each of its
+// fn calls, so the state is never shared and never locked.
+func forEachIndexWith[S any](n, parallelism int, newState func() S, fn func(S, int)) {
 	if parallelism == 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -22,8 +29,11 @@ func forEachIndex(n, parallelism int, fn func(int)) {
 		parallelism = n
 	}
 	if parallelism <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
+		if n > 0 {
+			state := newState()
+			for i := 0; i < n; i++ {
+				fn(state, i)
+			}
 		}
 		return
 	}
@@ -33,12 +43,13 @@ func forEachIndex(n, parallelism int, fn func(int)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			state := newState()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(state, i)
 			}
 		}()
 	}

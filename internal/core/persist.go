@@ -32,7 +32,7 @@ import (
 // engine to w. Load the result with LoadEngine.
 func (e *Engine) Snapshot(w io.Writer) error {
 	enc := persist.NewEncoder()
-	if err := e.AppendSnapshot(enc); err != nil {
+	if err := e.AppendSnapshot(enc, 0); err != nil {
 		return err
 	}
 	_, err := enc.WriteTo(w)
@@ -41,32 +41,71 @@ func (e *Engine) Snapshot(w io.Writer) error {
 
 // AppendSnapshot encodes the engine's sections into enc, for callers
 // that compose the snapshot with additional sections (the public d3l
-// package appends the SA-join graph). The read lock is held across the
-// whole encode, so the sections are mutually consistent under
-// concurrent mutations.
-func (e *Engine) AppendSnapshot(enc *persist.Encoder) error {
+// package appends the SA-join graph). It first reserves room for all of
+// it — its own sections plus the extra bytes the caller will append
+// after them — so the snapshot is laid down in one allocation. The read
+// lock is held across the whole encode, so the sections are mutually
+// consistent under concurrent mutations.
+func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	enc.Grow(e.snapshotSizeBound() + extra)
 
-	ob := &persist.Buffer{}
-	e.encodeOptions(ob)
-	enc.Section(persist.SecOptions, ob)
+	e.encodeOptions(enc.Begin(persist.SecOptions))
+	enc.End()
 
-	lb := &persist.Buffer{}
-	e.lake.EncodeMeta(lb)
-	enc.Section(persist.SecLake, lb)
+	e.lake.EncodeMeta(enc.Begin(persist.SecLake))
+	enc.End()
 
-	ab := &persist.Buffer{}
-	e.encodeAttrs(ab)
-	enc.Section(persist.SecAttrs, ab)
+	e.encodeAttrs(enc.Begin(persist.SecAttrs))
+	enc.End()
 
-	fb := &persist.Buffer{}
+	fb := enc.Begin(persist.SecForests)
 	e.forestN.Encode(fb)
 	e.forestV.Encode(fb)
 	e.forestF.Encode(fb)
 	e.forestE.Encode(fb)
-	enc.Section(persist.SecForests, fb)
+	enc.End()
 	return nil
+}
+
+// Encoded sizes of what the sections hold besides signatures, extents,
+// names and forest arrays (which indexSpaceBytes counts).
+const (
+	// optionsEnc bounds SecOptions: eleven 8-byte fields, a bool, three
+	// counted slices of at most NumEvidence / FeatureCount values.
+	optionsEnc = 11*8 + 1 + 3*4 + 8*(2*int(NumEvidence)+subject.FeatureCount)
+	// profileFixedEnc is encodeProfile less its slices' elements and the
+	// name's bytes: 4×I64-sized fields, 6 counts, 3 bools.
+	profileFixedEnc = 4*8 + 6*4 + 3
+	// forestFixedEnc is a forest's layout and state; treeFixedEnc the two
+	// counts in front of a tree's arrays.
+	forestFixedEnc = 4 + 4 + 8 + 1
+	treeFixedEnc   = 4 + 4
+)
+
+// snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
+// down, exact but for SecOptions' slack and a few bytes per tombstoned
+// table. Caller holds e.mu.
+func (e *Engine) snapshotSizeBound() int {
+	n := 4*persist.SectionOverhead + optionsEnc + int(e.indexSpaceBytes())
+	// SecLake: a liveness byte, a counted name and a column count per
+	// table, a counted name and a type byte per column.
+	n += 4
+	for _, t := range e.lake.Tables() {
+		n += 1 + 4 + len(t.Name) + 4
+		for _, c := range t.Columns {
+			n += 4 + len(c.Name) + 1
+		}
+	}
+	// SecAttrs: the profiles, then per table a counted attribute list, the
+	// subject attribute and the liveness byte.
+	n += 4 + len(e.profiles)*profileFixedEnc
+	n += 4 + len(e.byTable)*minTableEnc + 8*len(e.profiles)
+	for _, f := range [...]*lsh.Forest{e.forestN, e.forestV, e.forestF, e.forestE} {
+		n += forestFixedEnc + f.NumTrees()*treeFixedEnc
+	}
+	return n
 }
 
 // LoadEngine reads a snapshot written by Snapshot and reconstructs an

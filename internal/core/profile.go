@@ -7,6 +7,7 @@ import (
 	"d3l/internal/format"
 	"d3l/internal/lsh"
 	"d3l/internal/minhash"
+	"d3l/internal/subject"
 	"d3l/internal/table"
 	"d3l/internal/tokenize"
 )
@@ -68,6 +69,10 @@ type profiler struct {
 	hasher *minhash.Hasher
 	planes *lsh.Planes
 	model  *embed.Model
+	// zeroESig is the sketch of the zero vector: the placeholder ESig of
+	// every attribute with nothing to embed, shared between them as the
+	// hasher's empty signature is. Nothing reads it.
+	zeroESig lsh.BitSignature
 }
 
 func newProfiler(opts Options) (*profiler, error) {
@@ -79,11 +84,16 @@ func newProfiler(opts Options) (*profiler, error) {
 	if err != nil {
 		return nil, err
 	}
+	zeroESig, err := planes.Sketch(make([]float64, embed.Dim))
+	if err != nil {
+		return nil, err
+	}
 	return &profiler{
-		opts:   opts,
-		hasher: hasher,
-		planes: planes,
-		model:  embed.NewModel(opts.Seed ^ 0x13572468),
+		opts:     opts,
+		hasher:   hasher,
+		planes:   planes,
+		model:    embed.NewModel(opts.Seed ^ 0x13572468),
+		zeroESig: zeroESig,
 	}, nil
 }
 
@@ -103,14 +113,23 @@ func (p *profiler) sampleExtent(values []string) []string {
 	return out
 }
 
-// profileScratch carries the recycled buffers one ProfileTable pass
-// threads through its profileColumn calls, so per-value decomposition
-// work (tokens, part signals, format strings) reuses memory across the
-// whole table instead of allocating per value.
+// profileScratch carries the recycled buffers one profiling pass — a
+// table, or a bulk worker's share of a lake — threads through its
+// profileColumn calls, so per-value decomposition work (tokens, part
+// signals, format strings, embedded words) reuses memory across the
+// pass instead of allocating per value. The zero value is ready to use.
 type profileScratch struct {
 	rset    []string
 	rs      format.RSetScratch
 	signals tokenize.SignalScratch
+	words   []string
+	// emb embeds the nominated words; a bulk worker's remembers the word
+	// vectors it has built, because a lake repeats its vocabulary from
+	// attribute to attribute. The memo lives here and not on the shared
+	// embed.Model so that it dies with the build: a serving engine's
+	// model would otherwise grow with every word any target ever sent.
+	// nil until the first text column asks for a plain one.
+	emb *embed.Scratch
 }
 
 // profileColumn runs Algorithm 1 for one attribute.
@@ -137,7 +156,7 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 		// has to copy it (the column's own cache stays untouched).
 		prof.TSig = p.hasher.EmptySignature()
 		prof.EZero = true
-		prof.ESig, _ = p.planes.Sketch(make([]float64, embed.Dim))
+		prof.ESig = p.zeroESig
 		if ext := col.NumericExtent(); len(ext) > 0 {
 			sorted := make([]float64, len(ext))
 			copy(sorted, ext)
@@ -174,34 +193,62 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 	// is frequent (near-unique extents), embed the tset words instead so
 	// E evidence is not silently dropped.
 	if len(embedWords) == 0 {
-		for w := range tset {
-			embedWords[w] = struct{}{}
-		}
+		embedWords = tset
 	}
 	prof.TSig = p.hasher.SketchSet(tset)
 	prof.TSize = len(tset)
 
-	words := make([]string, 0, len(embedWords))
-	for w := range embedWords {
-		words = append(words, w)
-	}
-	vec := p.model.Mean(words)
+	vec := p.attributeVector(embedWords, scratch)
 	prof.EZero = embed.IsZero(vec)
 	prof.ESig, _ = p.planes.Sketch(vec)
 	return prof
 }
 
+// attributeVector combines the nominated words' vectors into the
+// attribute's embedding. The words are sorted first, so that the mean
+// adds them in one order: the sum's last bits, and with them an ESig bit
+// at a hyperplane, must be a function of the column, not of how a map
+// happened to iterate.
+func (p *profiler) attributeVector(nominated map[string]struct{}, scratch *profileScratch) []float64 {
+	scratch.words = scratch.words[:0]
+	for w := range nominated {
+		scratch.words = append(scratch.words, w)
+	}
+	sort.Strings(scratch.words)
+	if scratch.emb == nil {
+		scratch.emb = p.model.NewScratch()
+	}
+	return scratch.emb.Mean(scratch.words)
+}
+
 // ProfileTable profiles every column of a table (which need not belong
 // to the indexed lake — targets go through the same code path) and
 // marks its subject attribute.
-func (p *profiler) ProfileTable(tableID int, t *table.Table, classifier interface{ SubjectIndex(*table.Table) int }) []Profile {
+func (p *profiler) ProfileTable(tableID int, t *table.Table, classifier *subject.Classifier) []Profile {
+	return p.profileTable(tableID, t, classifier, &profileScratch{})
+}
+
+func (p *profiler) profileTable(tableID int, t *table.Table, classifier *subject.Classifier, scratch *profileScratch) []Profile {
 	subjectIdx := classifier.SubjectIndex(t)
 	out := make([]Profile, t.Arity())
-	var scratch profileScratch
 	for i, col := range t.Columns {
-		out[i] = p.profileColumn(AttrRef{TableID: tableID, Column: i}, col, &scratch)
+		out[i] = p.profileColumn(AttrRef{TableID: tableID, Column: i}, col, scratch)
 		out[i].Subject = i == subjectIdx
 	}
+	return out
+}
+
+// profileTables is the bulk form of ProfileTable — a lake build, a shard
+// set build: tables[i]'s profiles, stamped with table id i, land in slot
+// i, computed on parallelism workers (0 selects GOMAXPROCS) that each
+// hold one memoising scratch for the whole run.
+func (p *profiler) profileTables(tables []*table.Table, classifier *subject.Classifier, parallelism int) [][]Profile {
+	out := make([][]Profile, len(tables))
+	forEachIndexWith(len(tables), parallelism,
+		func() *profileScratch { return &profileScratch{emb: p.model.NewMemoScratch()} },
+		func(scratch *profileScratch, i int) {
+			out[i] = p.profileTable(i, tables[i], classifier, scratch)
+		})
 	return out
 }
 

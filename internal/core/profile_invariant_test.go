@@ -15,10 +15,9 @@ import (
 func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	t.Helper()
 	const testSection = 0x7e57
-	payload := &persist.Buffer{}
-	encodeProfile(payload, p)
 	enc := persist.NewEncoder()
-	enc.Section(testSection, payload)
+	encodeProfile(enc.Begin(testSection), p)
+	enc.End()
 	var buf bytes.Buffer
 	if _, err := enc.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -55,55 +55,108 @@ func BuildGraph(e *core.Engine, opts GraphOptions) *Graph {
 	return g
 }
 
+// graphBlock is how many tables' candidates BuildGraphCtx generates
+// before it merges them: it bounds the candidates pending at any moment
+// (CandidateBudget per table) whatever the lake's size.
+const graphBlock = 256
+
+// candidate is one SA-join opportunity of a table's subject attribute
+// that cleared the overlap bound: an edge, unless the table pair already
+// has one.
+type candidate struct {
+	otherTID, attr int
+	overlap        float64
+}
+
 // BuildGraphCtx is BuildGraph with cooperative cancellation: the build
 // checks ctx between tables and returns ctx.Err() with no graph when
 // cancelled — a partial graph is never handed out.
+//
+// Candidate generation — the I_V probe of each table's subject attribute
+// and the overlap estimate of every candidate it returns — is independent
+// per table and fans out over the engine's query workers, a block of
+// tables at a time. What depends on order is the table-pair dedup: a pair
+// keeps the first edge found for it, by table, then by the order I_V
+// returned the candidates in, and adjacency lists grow in that order
+// (the final sort by overlap is not stable, so where ties land depends on
+// it, and Encode writes what it finds). So each block is merged
+// sequentially, in table order, and the graph is the one a
+// table-at-a-time build produces.
 func BuildGraphCtx(ctx context.Context, e *core.Engine, opts GraphOptions) (*Graph, error) {
 	if opts.CandidateBudget <= 0 {
 		opts.CandidateBudget = 256
 	}
 	g := &Graph{engine: e, adj: make(map[int][]Edge)}
-	lake := e.Lake()
+	numTables := e.Lake().Len()
 	seen := make(map[[2]int]bool) // undirected table-pair dedup
-	for tid := 0; tid < lake.Len(); tid++ {
-		if err := ctx.Err(); err != nil {
+	pending := make([][]candidate, min(graphBlock, numTables))
+	for lo := 0; lo < numTables; lo += graphBlock {
+		block := pending[:min(graphBlock, numTables-lo)]
+		err := e.ForEachQuery(ctx, len(block), func(i int) {
+			block[i] = subjectCandidates(e, opts, lo+i, block[i][:0])
+		})
+		if err != nil {
 			return nil, err
 		}
-		if !e.AliveTable(tid) {
-			continue // tombstoned by Engine.Remove
-		}
-		subj, ok := e.SubjectAttr(tid)
-		if !ok {
-			continue
-		}
-		sp := e.Profile(subj)
-		for _, candID := range e.VCandidates(subj, opts.CandidateBudget) {
-			cp := e.Profile(candID)
-			otherTID := cp.Ref.TableID
-			if otherTID == tid || !e.AliveTable(otherTID) {
-				continue
+		for i, cands := range block {
+			tid := lo + i
+			subj, _ := e.SubjectAttr(tid)
+			for _, c := range cands {
+				key := [2]int{tid, c.otherTID}
+				if c.otherTID < tid {
+					key = [2]int{c.otherTID, tid}
+				}
+				if seen[key] {
+					continue
+				}
+				seen[key] = true
+				g.adj[tid] = append(g.adj[tid], Edge{From: tid, To: c.otherTID, FromAttr: subj, ToAttr: c.attr, Overlap: c.overlap})
+				g.adj[c.otherTID] = append(g.adj[c.otherTID], Edge{From: c.otherTID, To: tid, FromAttr: c.attr, ToAttr: subj, Overlap: c.overlap})
+				g.edges++
 			}
-			key := [2]int{tid, otherTID}
-			if otherTID < tid {
-				key = [2]int{otherTID, tid}
-			}
-			if seen[key] {
-				continue
-			}
-			ov := e.OverlapCoefficient(sp, cp)
-			if ov < overlapFloor(opts, e, sp, cp) {
-				continue
-			}
-			seen[key] = true
-			g.adj[tid] = append(g.adj[tid], Edge{From: tid, To: otherTID, FromAttr: subj, ToAttr: candID, Overlap: ov})
-			g.adj[otherTID] = append(g.adj[otherTID], Edge{From: otherTID, To: tid, FromAttr: candID, ToAttr: subj, Overlap: ov})
-			g.edges++
 		}
 	}
-	for tid := range g.adj {
-		sort.Slice(g.adj[tid], func(i, j int) bool { return g.adj[tid][i].Overlap > g.adj[tid][j].Overlap })
+	// Each list is sorted in place, on its own, so the lists fan out too.
+	lists := make([][]Edge, 0, len(g.adj))
+	for _, edges := range g.adj {
+		lists = append(lists, edges)
+	}
+	err := e.ForEachQuery(ctx, len(lists), func(i int) {
+		edges := lists[i]
+		sort.Slice(edges, func(a, b int) bool { return edges[a].Overlap > edges[b].Overlap })
+	})
+	if err != nil {
+		return nil, err
 	}
 	return g, nil
+}
+
+// subjectCandidates appends to dst, in the order the value index
+// proposes them, the attributes of other live tables whose estimated
+// overlap with table tid's subject attribute clears the bound. A table
+// that is removed or has no subject attribute has none.
+func subjectCandidates(e *core.Engine, opts GraphOptions, tid int, dst []candidate) []candidate {
+	if !e.AliveTable(tid) {
+		return dst // tombstoned by Engine.Remove
+	}
+	subj, ok := e.SubjectAttr(tid)
+	if !ok {
+		return dst
+	}
+	sp := e.Profile(subj)
+	for _, candID := range e.VCandidates(subj, opts.CandidateBudget) {
+		cp := e.Profile(candID)
+		otherTID := cp.Ref.TableID
+		if otherTID == tid || !e.AliveTable(otherTID) {
+			continue
+		}
+		ov := e.OverlapCoefficient(sp, cp)
+		if ov < overlapFloor(opts, e, sp, cp) {
+			continue
+		}
+		dst = append(dst, candidate{otherTID: otherTID, attr: candID, overlap: ov})
+	}
+	return dst
 }
 
 // overlapFloor resolves the per-pair overlap threshold.

@@ -36,6 +36,18 @@ func (g *Graph) Encode(b *persist.Buffer) {
 	}
 }
 
+// edgeEnc is one encoded edge: 4×I64 + F64.
+const edgeEnc = 4*8 + 8
+
+// EncodedSize reports exactly how many bytes Encode appends.
+func (g *Graph) EncodedSize() int {
+	n := 8 + 4
+	for _, edges := range g.adj {
+		n += 8 + 4 + len(edges)*edgeEnc
+	}
+	return n
+}
+
 // DecodeGraph reconstructs a graph written by Encode over the given
 // engine (the engine backs the path guards, not the adjacency itself).
 // Table and attribute ids are validated against the engine so a
@@ -62,10 +74,9 @@ func DecodeGraph(r *persist.Reader, e *core.Engine) (*Graph, error) {
 		if tid < 0 || tid >= numTables {
 			return nil, fmt.Errorf("%w: join graph table id %d of %d", persist.ErrCorrupt, tid, numTables)
 		}
-		// Each encoded edge is 4×I64 + F64 = 40 bytes; bounding the
-		// allocation by that floor keeps a crafted count from
-		// amplifying into a huge make([]Edge, m).
-		if m < 0 || m > r.Remaining()/40 {
+		// Bounding the allocation by the edges' encoded size keeps a
+		// crafted count from amplifying into a huge make([]Edge, m).
+		if m < 0 || m > r.Remaining()/edgeEnc {
 			return nil, fmt.Errorf("%w: table %d declares %d edges in %d bytes", persist.ErrCorrupt, tid, m, r.Remaining())
 		}
 		edges := make([]Edge, m)

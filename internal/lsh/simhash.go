@@ -59,15 +59,44 @@ func (p *Planes) Dim() int { return p.dim }
 func (p *Planes) Bits() int { return p.nbits }
 
 // Sketch projects vec onto the hyperplanes, producing a bit signature.
+// A dot product is one long chain of dependent additions, so four
+// hyperplanes' chains run side by side; each sum still adds its terms
+// left to right, so each bit is what a one-row loop computes.
 func (p *Planes) Sketch(vec []float64) (BitSignature, error) {
 	if len(vec) != p.dim {
 		return nil, fmt.Errorf("lsh: vector dim %d, want %d", len(vec), p.dim)
 	}
 	sig := make(BitSignature, (p.nbits+63)/64)
-	for i, row := range p.rows {
+	i := 0
+	for ; i+4 <= p.nbits; i += 4 {
+		// Re-slicing to len(vec) lets the compiler drop the bounds checks.
+		r0, r1, r2, r3 := p.rows[i][:len(vec)], p.rows[i+1][:len(vec)], p.rows[i+2][:len(vec)], p.rows[i+3][:len(vec)]
+		var d0, d1, d2, d3 float64
+		for j, v := range vec {
+			d0 += r0[j] * v
+			d1 += r1[j] * v
+			d2 += r2[j] * v
+			d3 += r3[j] * v
+		}
+		// i is a multiple of 4, so the four bits share a word.
+		word := &sig[i/64]
+		if d0 >= 0 {
+			*word |= 1 << (i % 64)
+		}
+		if d1 >= 0 {
+			*word |= 1 << ((i + 1) % 64)
+		}
+		if d2 >= 0 {
+			*word |= 1 << ((i + 2) % 64)
+		}
+		if d3 >= 0 {
+			*word |= 1 << ((i + 3) % 64)
+		}
+	}
+	for ; i < p.nbits; i++ {
 		var dot float64
 		for j, v := range vec {
-			dot += row[j] * v
+			dot += p.rows[i][j] * v
 		}
 		if dot >= 0 {
 			sig[i/64] |= 1 << (i % 64)

@@ -4,7 +4,7 @@
 //
 // The container is deliberately dumb: it knows nothing about engines,
 // forests or profiles. Components append primitive values (integers,
-// strings, numeric slices) into per-section Buffers through an Encoder,
+// strings, numeric slices) to the Buffer an Encoder hands out per section,
 // and read them back through section Readers obtained from a Decoder.
 // The Decoder verifies magic, version and checksum over the whole
 // payload before handing out a single byte, so component decoders can
@@ -219,47 +219,81 @@ func OpenSealed(data []byte) (*Reader, error) {
 }
 
 // Encoder assembles a snapshot: header, sections in the order they are
-// added, CRC trailer.
+// begun, CRC trailer. It owns the one Buffer the whole snapshot is laid
+// down in: Begin hands that Buffer out for a section's payload and End
+// patches the section's length into its header, so no payload is built
+// elsewhere and copied in.
 type Encoder struct {
-	data []byte
+	buf  Buffer
 	seen map[uint32]bool
+	// open is the offset of the open section's length field, 0 (inside
+	// the header, never a section's) when no section is open.
+	open int
 }
 
 // NewEncoder returns an Encoder with the header already written.
 func NewEncoder() *Encoder {
 	e := &Encoder{seen: make(map[uint32]bool)}
-	e.data = append(e.data, Magic[:]...)
-	e.data = binary.LittleEndian.AppendUint32(e.data, Version)
+	e.buf.data = append(e.buf.data, Magic[:]...)
+	e.buf.U32(Version)
 	return e
 }
 
-// Section appends one section. Adding the same id twice panics: section
-// ids identify component payloads and a duplicate is a writer bug.
-func (e *Encoder) Section(id uint32, payload *Buffer) {
+// Grow reserves room for n more bytes of sections plus the trailer, so a
+// writer that can bound its snapshot's size allocates it once.
+func (e *Encoder) Grow(n int) { e.buf.Grow(n + trailerLen) }
+
+// Cap reports the bytes the Encoder can hold before it reallocates.
+func (e *Encoder) Cap() int { return cap(e.buf.data) }
+
+// Begin opens section id and returns the Buffer to append its payload
+// to; the Buffer is the Encoder's own and only valid until End. Opening
+// a section inside another, or the same id twice, panics: section ids
+// identify component payloads and either is a writer bug.
+func (e *Encoder) Begin(id uint32) *Buffer {
+	if e.open != 0 {
+		panic(fmt.Sprintf("persist: section %d begun inside an open section", id))
+	}
 	if e.seen[id] {
 		panic(fmt.Sprintf("persist: duplicate section id %d", id))
 	}
 	e.seen[id] = true
-	e.data = binary.LittleEndian.AppendUint32(e.data, id)
-	e.data = binary.LittleEndian.AppendUint64(e.data, uint64(payload.Len()))
-	e.data = append(e.data, payload.data...)
+	e.buf.U32(id)
+	e.open = len(e.buf.data)
+	e.buf.U64(0)
+	return &e.buf
+}
+
+// End closes the open section, recording how many bytes were appended
+// since Begin.
+func (e *Encoder) End() {
+	if e.open == 0 {
+		panic("persist: End without an open section")
+	}
+	binary.LittleEndian.PutUint64(e.buf.data[e.open:], uint64(len(e.buf.data)-e.open-8))
+	e.open = 0
 }
 
 // WriteTo computes the CRC32-C trailer and writes the whole snapshot.
 func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	crc := crc32.Checksum(e.data, castagnoli)
-	out := binary.LittleEndian.AppendUint32(e.data, crc)
+	if e.open != 0 {
+		panic("persist: WriteTo with an open section")
+	}
+	out := e.buf.Sealed()
 	n, err := w.Write(out)
 	// Restore the encoder to its pre-trailer state so WriteTo is
-	// repeatable (out may alias e.data's backing array).
-	e.data = out[:len(out)-4]
+	// repeatable (out may alias the buffer's backing array).
+	e.buf.data = out[:len(out)-trailerLen]
 	return int64(n), err
 }
 
-// headerLen is magic + version; trailerLen the CRC.
+// headerLen is magic + version; trailerLen the CRC. SectionOverhead is
+// what a section costs beyond its payload — its id and length — for
+// writers sizing an Encoder.Grow.
 const (
-	headerLen  = 8 + 4
-	trailerLen = 4
+	headerLen       = 8 + 4
+	trailerLen      = 4
+	SectionOverhead = 4 + 8
 )
 
 // Decoder verifies and splits a snapshot into its sections.
@@ -293,12 +327,12 @@ func NewDecoder(data []byte) (*Decoder, error) {
 	}
 	rest := body[headerLen:]
 	for len(rest) > 0 {
-		if len(rest) < 12 {
+		if len(rest) < SectionOverhead {
 			return nil, fmt.Errorf("%w: dangling %d bytes after last section", ErrCorrupt, len(rest))
 		}
 		id := binary.LittleEndian.Uint32(rest)
 		n := binary.LittleEndian.Uint64(rest[4:])
-		rest = rest[12:]
+		rest = rest[SectionOverhead:]
 		if n > uint64(len(rest)) {
 			return nil, fmt.Errorf("%w: section %d declares %d bytes, %d remain", ErrCorrupt, id, n, len(rest))
 		}

@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"math"
@@ -15,7 +16,7 @@ import (
 func roundTripSnapshot(t *testing.T) []byte {
 	t.Helper()
 	enc := NewEncoder()
-	b := &Buffer{}
+	b := enc.Begin(SecOptions)
 	b.U8(7)
 	b.Bool(true)
 	b.Bool(false)
@@ -30,14 +31,71 @@ func roundTripSnapshot(t *testing.T) []byte {
 	b.I32s([]int32{-1, 0, 1})
 	b.Ints([]int{-5, 5})
 	b.F64s([]float64{0.5, -0.25})
-	enc.Section(SecOptions, b)
-	empty := &Buffer{}
-	enc.Section(SecLake, empty)
+	enc.End()
+	enc.Begin(SecLake)
+	enc.End()
 	var out bytes.Buffer
 	if _, err := enc.WriteTo(&out); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
+}
+
+// roundTripHex is roundTripSnapshot as the parent of the Begin/End
+// encoder wrote it: each payload built in a Buffer of its own and copied
+// in by Encoder.Section.
+const roundTripHex = "44334c534e41500002000000010000009b00000000000000070100efbeadde0000000000000040d6ffffffffffffff182d4454fb2109400d0000007072616374696365206e616d6503000000010203030000000600000005000000ffffffff0300000009000000000000000800000000000000070000000000000003000000ffffffff000000000100000002000000fbffffffffffffff050000000000000002000000000000000000e03f000000000000d0bf020000000000000000000000ea12c17e"
+
+// TestBeginEndWritesTheSectionLayout pins the bytes: a section laid down
+// in place is the section that used to be copied in.
+func TestBeginEndWritesTheSectionLayout(t *testing.T) {
+	if got := hex.EncodeToString(roundTripSnapshot(t)); got != roundTripHex {
+		t.Fatalf("snapshot bytes moved:\n got %s\nwant %s", got, roundTripHex)
+	}
+}
+
+// TestEncoderMisusePanics: a section inside a section, a repeated id, an
+// End or a WriteTo at the wrong moment are writer bugs, refused loudly.
+func TestEncoderMisusePanics(t *testing.T) {
+	for name, misuse := range map[string]func(*Encoder){
+		"Begin with a section open": func(e *Encoder) { e.Begin(SecOptions); e.Begin(SecLake) },
+		"duplicate id":              func(e *Encoder) { e.Begin(SecOptions); e.End(); e.Begin(SecOptions) },
+		"End with none open":        func(e *Encoder) { e.End() },
+		"WriteTo with one open":     func(e *Encoder) { e.Begin(SecOptions); e.WriteTo(&bytes.Buffer{}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			misuse(NewEncoder())
+		}()
+	}
+}
+
+// TestEncoderGrowReservesOnce: after Grow(n), n bytes of sections and the
+// trailer fit in the reserved array.
+func TestEncoderGrowReservesOnce(t *testing.T) {
+	enc := NewEncoder()
+	const payload = 1 << 16
+	enc.Grow(12 + payload)
+	reserved := enc.Cap()
+	b := enc.Begin(SecAttrs)
+	for i := 0; i < payload/8; i++ {
+		b.U64(uint64(i))
+	}
+	enc.End()
+	var out bytes.Buffer
+	if _, err := enc.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	if enc.Cap() != reserved || out.Len() > reserved {
+		t.Fatalf("cap %d → %d for a %d-byte snapshot: the encoder regrew", reserved, enc.Cap(), out.Len())
+	}
+	if _, err := NewDecoder(out.Bytes()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -146,7 +204,8 @@ func TestDecoderRejectsTruncation(t *testing.T) {
 // itself.
 func TestDecoderRejectsUnknownVersion(t *testing.T) {
 	enc := NewEncoder()
-	enc.Section(SecOptions, &Buffer{})
+	enc.Begin(SecOptions)
+	enc.End()
 	var out bytes.Buffer
 	if _, err := enc.WriteTo(&out); err != nil {
 		t.Fatal(err)
@@ -201,9 +260,8 @@ func TestReaderRejectsOversizedCounts(t *testing.T) {
 
 func TestWriteToIsRepeatable(t *testing.T) {
 	enc := NewEncoder()
-	b := &Buffer{}
-	b.Str("x")
-	enc.Section(SecOptions, b)
+	enc.Begin(SecOptions).Str("x")
+	enc.End()
 	var first, second bytes.Buffer
 	if _, err := enc.WriteTo(&first); err != nil {
 		t.Fatal(err)

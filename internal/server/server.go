@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -375,12 +374,7 @@ func (s *Server) Reload() error {
 		}
 		engine = loaded
 	case s.cfg.SnapshotPath != "":
-		f, err := os.Open(s.cfg.SnapshotPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		mono, err := d3l.Load(f)
+		mono, err := d3l.LoadFile(s.cfg.SnapshotPath)
 		if err != nil {
 			return fmt.Errorf("server: reload %s: %w", s.cfg.SnapshotPath, err)
 		}

@@ -132,12 +132,7 @@ func LoadSet(manifestPath string, workers int) (*Set, error) {
 	}
 	shards := make([]*d3l.Engine, m.Shards)
 	for i, name := range m.Snapshots {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		e, err := d3l.Load(f)
-		f.Close()
+		e, err := d3l.LoadFile(filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("shard %d (%s): %w", i, name, err)
 		}

@@ -3,10 +3,8 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"d3l"
@@ -51,8 +49,8 @@ func NewSet(shards []*d3l.Engine, place *Placement) (*Set, error) {
 //
 // Profiling is most of the work and depends on neither placement nor
 // order (every shard has the same options, hence the same profiler), so
-// the whole lake is profiled first, on opts.Parallelism workers like a
-// monolith build; the lockstep loop then only splices.
+// the whole lake is profiled first, on opts.Parallelism workers by the
+// bulk path a monolith build uses; the lockstep loop then only splices.
 func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 	place, err := NewPlacement(n, 0)
 	if err != nil {
@@ -67,25 +65,7 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 		shards[s] = e
 	}
 	tables := lake.Tables()
-	profiled := make([]*d3l.ShardTarget, len(tables))
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(tables); i = int(next.Add(1)) - 1 {
-				if len(tables[i].Columns) > 0 {
-					profiled[i] = shards[0].PrepareShardTarget(tables[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	profiled := shards[0].PrepareShardTargets(tables)
 	for id, tb := range tables {
 		owner := -1
 		if len(tb.Columns) > 0 {

@@ -13,6 +13,7 @@ package subject
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"d3l/internal/mlearn"
 	"d3l/internal/table"
@@ -38,30 +39,29 @@ func Features(t *table.Table, colIdx int) []float64 {
 	if c.Type == table.Text {
 		textiness = 1
 	}
-	multi := 0.0
+	// One pass over the extent's non-null values yields the three
+	// value-dependent features; their definitions are Column.NullFraction
+	// and Column.DistinctFraction, which would each take the pass again
+	// (non-null is spelled 1 − (1 − x) because that is what 1 −
+	// NullFraction computes, to the bit).
 	nn := c.NonNull()
+	nonNull, distinct, multi := 0.0, 0.0, 0.0
+	if len(c.Values) > 0 {
+		nonNull = 1 - (1 - float64(len(nn))/float64(len(c.Values)))
+	}
 	if len(nn) > 0 {
+		set := make(map[string]struct{}, len(nn))
 		cnt := 0
 		for _, v := range nn {
-			spaces := 0
-			for _, r := range v {
-				if r == ' ' {
-					spaces++
-				}
-			}
-			if spaces >= 1 {
+			set[v] = struct{}{}
+			if strings.IndexByte(v, ' ') >= 0 {
 				cnt++
 			}
 		}
+		distinct = float64(len(set)) / float64(len(nn))
 		multi = float64(cnt) / float64(len(nn))
 	}
-	return []float64{
-		leftness,
-		1 - c.NullFraction(),
-		c.DistinctFraction(),
-		textiness,
-		multi,
-	}
+	return []float64{leftness, nonNull, distinct, textiness, multi}
 }
 
 // Classifier scores columns and picks the subject attribute.

@@ -1,6 +1,7 @@
 package subject
 
 import (
+	"math"
 	"testing"
 
 	"d3l/internal/mlearn"
@@ -167,5 +168,54 @@ func TestFromModelValidation(t *testing.T) {
 func TestTableAccuracyEmpty(t *testing.T) {
 	if TableAccuracy(Default(), nil) != 0 {
 		t.Fatal("accuracy over no tables should be 0")
+	}
+}
+
+// TestFeaturesEqualTheThreeCallForm: Features reads a column's non-null
+// values once; the null and distinct fractions it derives from them are,
+// to the bit, what Column.NullFraction and Column.DistinctFraction
+// return, and the multi-word fraction is the rune-by-rune count of
+// values holding a space — on columns with nulls, blanks, repeats,
+// multi-byte values and nothing at all.
+func TestFeaturesEqualTheThreeCallForm(t *testing.T) {
+	tb := mustTable(t, "mixed",
+		[]string{"names", "sparse", "empty", "num", "wide"},
+		[][]string{
+			{"Dr E Cullen", "", "", "1", "café du nord"},
+			{"Blackfriars", "null", "-", "2", "日本 語"},
+			{"Dr E Cullen", "x y", " ", "3", "single"},
+			{"  padded  ", "NULL", "", "", "a b"},
+			{"The London Clinic", "x y", "", "5", "-"},
+		})
+	tables := append([]*table.Table{tb, mustTable(t, "norows", []string{"a", "b"}, nil)}, func() []*table.Table {
+		var out []*table.Table
+		for _, lt := range figure1Tables(t) {
+			out = append(out, lt.Table)
+		}
+		return out
+	}()...)
+	for _, tb := range tables {
+		for i, c := range tb.Columns {
+			multi := 0.0
+			if nn := c.NonNull(); len(nn) > 0 {
+				cnt := 0
+				for _, v := range nn {
+					for _, r := range v {
+						if r == ' ' {
+							cnt++
+							break
+						}
+					}
+				}
+				multi = float64(cnt) / float64(len(nn))
+			}
+			got := Features(tb, i)
+			want := []float64{got[0], 1 - c.NullFraction(), c.DistinctFraction(), got[3], multi}
+			for f := range want {
+				if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
+					t.Errorf("%s.%s feature %d = %v, three-call form %v", tb.Name, c.Name, f, got[f], want[f])
+				}
+			}
+		}
 	}
 }

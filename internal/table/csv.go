@@ -6,8 +6,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // ReadCSV parses a table from CSV. The first record is the header. The
@@ -82,7 +85,10 @@ func (t *Table) WriteCSVFile(path string) error {
 }
 
 // LoadLakeDir loads every *.csv file under dir (non-recursive) into a
-// lake, in stable lexicographic order so ids are reproducible.
+// lake, in stable lexicographic order so ids are reproducible. Files are
+// parsed on GOMAXPROCS workers and enter the lake afterwards, in name
+// order, so the ids and the error reported — the first failing file by
+// name — are those of a one-at-a-time load.
 func LoadLakeDir(dir string) (*Lake, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -95,13 +101,37 @@ func LoadLakeDir(dir string) (*Lake, error) {
 		}
 	}
 	sort.Strings(names)
+	tables := make([]*Table, len(names))
+	errs := make([]error, len(names))
+	// Names are handed out in order, so once one file fails every file
+	// before it has been taken and will finish: the workers stop taking
+	// new ones, and the merge below meets the first failure by name
+	// before any slot that was never parsed.
+	var next atomic.Int64
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), len(names)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !failed.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= len(names) {
+					return
+				}
+				if tables[i], errs[i] = ReadCSVFile(filepath.Join(dir, names[i])); errs[i] != nil {
+					failed.Store(true)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	lake := NewLake()
-	for _, n := range names {
-		t, err := ReadCSVFile(filepath.Join(dir, n))
-		if err != nil {
-			return nil, fmt.Errorf("loading %s: %w", n, err)
+	for i, n := range names {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("loading %s: %w", n, errs[i])
 		}
-		if _, err := lake.Add(t); err != nil {
+		if _, err := lake.Add(tables[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -88,10 +88,21 @@ func (e *Engine) PrepareShardTarget(target *Table) *ShardTarget {
 	return &ShardTarget{profiles: e.core.ProfileTarget(target)}
 }
 
+// PrepareShardTargets is PrepareShardTarget for a whole lake's tables,
+// profiled on the engine's Options.Parallelism workers by the bulk path
+// New itself uses; slot i is tables[i]'s target.
+func (e *Engine) PrepareShardTargets(tables []*Table) []*ShardTarget {
+	out := make([]*ShardTarget, len(tables))
+	for i, profiles := range e.core.ProfileTables(tables) {
+		out[i] = &ShardTarget{profiles: profiles}
+	}
+	return out
+}
+
 // AddProfiled is the splice half of Add, for a table PrepareShardTarget
 // has already profiled — on this engine or any identically configured
-// one: shard.BuildSet profiles a whole lake on every core before its
-// id-lockstep loop hands each table to its owner. The profiles are
+// one: shard.BuildSet profiles a whole lake with PrepareShardTargets
+// before its id-lockstep loop hands each table to its owner. The profiles are
 // consumed (the engine keeps them, stamped with the table's id), so a
 // ShardTarget is added at most once.
 func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget) (int, error) {

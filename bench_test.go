@@ -476,9 +476,8 @@ func BenchmarkPlannerWarmPlan(b *testing.B) {
 // near-duplicate derived tables, targets drawn from the lake, k = 1 —
 // the heap threshold drops to a near-zero distance immediately, so the
 // cascade can elide most tables after their cheapest evidence
-// component. The sub-run keeps the name BENCH_PR6.json records it
-// under and reports pruned-pairs/op (that gate asserts it stays above
-// zero).
+// component. The sub-run reports pruned-pairs/op, which should stay
+// above zero.
 func BenchmarkPlannerPrunedSkewed(b *testing.B) {
 	cfg := datagen.SyntheticConfig{
 		Seed:          7,

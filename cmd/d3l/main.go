@@ -253,15 +253,7 @@ func cmdIndexBuild(args []string) error {
 		return err
 	}
 	start = time.Now()
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	if err := d3l.Save(engine, f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := d3l.SaveFile(engine, *out); err != nil {
 		return err
 	}
 	saved := time.Since(start)

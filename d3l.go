@@ -347,6 +347,30 @@ func Save(e *Engine, w io.Writer) error {
 	return err
 }
 
+// SaveFile writes Save's snapshot to path without ever truncating what
+// is there: the bytes go to path+".tmp" in the same directory, which is
+// closed and only then renamed over path. A failed or killed write
+// therefore leaves the previous snapshot — the file a serving replica
+// reloads from — intact, and a failed one removes its temporary file.
+func SaveFile(e *Engine, path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = Save(e, f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
 // encodeSnapshot lays the engine's sections and the SA-join graph down
 // in one encoder, sized once for all of them. Caller holds e.mu.
 func (e *Engine) encodeSnapshot() (*persist.Encoder, error) {

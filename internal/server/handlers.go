@@ -190,9 +190,11 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, key string,
 	}
 }
 
-// partialRequested reads the ?partial=true opt-in: the caller accepts
-// a degraded answer from a subset of shard replicas instead of the
-// fail-closed default. Inert on monolithic and in-process backends.
+// partialRequested reads the ?partial=true opt-in: the caller accepts a
+// degraded answer from the shards that answered instead of the
+// fail-closed default. A query whose own deadline passes still fails
+// whole, so no degraded answer is served or cached for it. Inert on a
+// monolith.
 func partialRequested(r *http.Request) bool {
 	return r.URL.Query().Get("partial") == "true"
 }

@@ -203,14 +203,18 @@ type statsSnapshot struct {
 
 func (s *Server) statsSnapshot() statsSnapshot {
 	eng := s.Engine()
-	return statsSnapshot{
+	snap := statsSnapshot{
 		countersSnapshot:  s.stats.snapshot(),
 		EngineFingerprint: eng.Fingerprint(),
 		Tables:            eng.NumTables(),
 		Attributes:        eng.NumAttributes(),
 		CacheEntries:      s.cache.len(),
-		Planner:           eng.PlannerTotals(),
 	}
+	// Optional, like New's hooks: no planner owns a shard set's merge.
+	if p, ok := eng.(interface{ PlannerTotals() d3l.PlannerTotals }); ok {
+		snap.Planner = p.PlannerTotals()
+	}
+	return snap
 }
 
 // collectStats renders the snapshot as counter and gauge families.

@@ -56,9 +56,6 @@ type Engine interface {
 	Fingerprint() uint64
 	NumTables() int
 	NumAttributes() int
-	PlannerTotals() d3l.PlannerTotals
-	PrewarmScratch(n int)
-	SetStageObserver(o d3l.StageObserver)
 }
 
 // engineBox wraps the serving Engine for atomic.Pointer, which needs
@@ -250,17 +247,32 @@ func New(engine Engine, cfg Config) (*Server, error) {
 		flights:      make(map[string]*flight),
 		mux:          http.NewServeMux(),
 	}
+	s.metrics = newServerMetrics(s)
+	s.adopt(engine)
+	s.engine.Store(&engineBox{e: engine})
+	s.routes()
+	return s, nil
+}
+
+// adopt readies an engine for traffic through the optional hooks it
+// offers, type-asserted like ReplicaHealthReporter: a monolithic
+// *d3l.Engine and an in-process shard set offer both, a coordinator over
+// HTTP replicas neither (its replicas own their arenas and stages).
+func (s *Server) adopt(engine Engine) {
 	// The admission gate bounds concurrent queries, which in turn
 	// bounds the engine's pooled query arenas in flight: prewarming one
 	// arena set per slot means admitted work reuses recycled scratch
 	// from the first request on, keeping the steady-state query path
-	// allocation-free across requests.
-	engine.PrewarmScratch(cfg.MaxConcurrent)
-	s.metrics = newServerMetrics(s)
-	engine.SetStageObserver(s.metrics.observeCoreStage)
-	s.engine.Store(&engineBox{e: engine})
-	s.routes()
-	return s, nil
+	// allocation-free across requests (and a freshly swapped-in engine
+	// from reintroducing allocation churn under live traffic).
+	if p, ok := engine.(interface{ PrewarmScratch(n int) }); ok {
+		p.PrewarmScratch(s.cfg.MaxConcurrent)
+	}
+	// Stage timings must keep flowing across a swap: the observer is
+	// per-engine state, so every engine gets its own registration.
+	if o, ok := engine.(interface{ SetStageObserver(o d3l.StageObserver) }); ok {
+		o.SetStageObserver(s.metrics.observeCoreStage)
+	}
 }
 
 func (s *Server) routes() {
@@ -332,14 +344,7 @@ func (s *Server) Swap(engine Engine) error {
 	// being retired.
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
-	// A freshly loaded engine has empty arena pools; warm them to the
-	// admission capacity so the swap does not reintroduce allocation
-	// churn under live traffic.
-	engine.PrewarmScratch(s.cfg.MaxConcurrent)
-	// Stage timings must keep flowing across the swap: the observer is
-	// per-engine state, so the incoming engine gets its own registration
-	// before it takes traffic.
-	engine.SetStageObserver(s.metrics.observeCoreStage)
+	s.adopt(engine)
 	old := s.engine.Load()
 	s.engine.Store(&engineBox{e: engine})
 	s.swapGen.Add(1)

@@ -115,29 +115,15 @@ func serveSet(t *testing.T, lake *d3l.Lake, n int) *httptest.Server {
 }
 
 // serveCoordinator builds an N-shard set, serves every shard as its
-// own HTTP replica, and fronts them with the thin coordinator — the
-// full `d3l coordinator` topology in one process.
+// own HTTP replica, and fronts them with the thin coordinator on the
+// full serving stack.
 func serveCoordinator(t *testing.T, lake *d3l.Lake, n int) *httptest.Server {
 	t.Helper()
 	set, err := BuildSet(lake, n, d3l.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := make([]string, n)
-	for i := 0; i < n; i++ {
-		rs, err := server.New(set.Shard(i), server.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		replica := httptest.NewServer(rs)
-		t.Cleanup(replica.Close)
-		urls[i] = replica.URL
-	}
-	remote, err := NewRemote(urls, RemoteConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { remote.Close() })
+	remote, _ := serveRemote(t, set, RemoteConfig{})
 	cs, err := server.New(remote, server.Config{})
 	if err != nil {
 		t.Fatal(err)

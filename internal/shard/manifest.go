@@ -60,7 +60,7 @@ func WriteSet(s *Set, dir string) error {
 	}
 	for i := 0; i < s.NumShards(); i++ {
 		name := fmt.Sprintf("shard-%03d.d3l", i)
-		if err := writeSnapshot(s.Shard(i), filepath.Join(dir, name)); err != nil {
+		if err := d3l.SaveFile(s.Shard(i), filepath.Join(dir, name)); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		m.Snapshots[i] = name
@@ -74,24 +74,6 @@ func WriteSet(s *Set, dir string) error {
 		return err
 	}
 	return os.Rename(tmp, filepath.Join(dir, ManifestName))
-}
-
-func writeSnapshot(e *d3l.Engine, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := d3l.Save(e, f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // ReadManifest loads and validates a manifest file.

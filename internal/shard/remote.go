@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"d3l"
+	"d3l/internal/core"
 	"d3l/internal/server"
 )
 
@@ -101,15 +103,13 @@ const maxRetryDelay = 2 * time.Second
 // replica is one URL of one shard's replica group, with its circuit
 // breaker.
 type replica struct {
-	shard int
-	url   string
-	br    *breaker
+	url string
+	br  *breaker
 }
 
-// Remote is the thin-coordinator backend: it implements the
-// server.Engine surface by fanning the scatter-gather protocol out
-// over HTTP to remote shard replicas (each a plain `d3l serve`
-// process). Wrapped in server.New, it inherits the serving layer's
+// Remote is the thin-coordinator backend: the coordinator over one
+// HTTP replica group per shard, each replica a plain `d3l serve`
+// process. Wrapped in server.New, it inherits the serving layer's
 // result cache, admission gate and single-flight coalescing — the
 // coordinator itself holds no index data.
 //
@@ -117,25 +117,12 @@ type replica struct {
 // closed-breaker replica, fail over to siblings on transient errors
 // and hedge across siblings; a replica that keeps failing trips its
 // breaker open and is re-admitted via jittered-backoff health probes.
-// A shard is dead only when every replica of its group is open.
-//
-// Failure policy: fail-closed by default — a shard group with no
-// answering replica (after retries/hedging) fails the query, because
-// a silent subset answer would break the byte-identity contract. A
-// query carrying d3l.WithPartialResults (the HTTP layer's
-// ?partial=true) instead drops dead shard *groups* and marks the
-// answer Degraded; degraded answers carry no exactness guarantee.
+// A shard is dead only when every replica of its group is open: only
+// then does the coordinator's failure policy (fail closed, or drop the
+// shard under d3l.WithPartialResults) see it fail.
 type Remote struct {
-	groups [][]*replica
-	place  *Placement
-	cfg    RemoteConfig
-	baseFP uint64
-	// muts counts coordinator-applied mutations; it folds into
-	// Fingerprint so the serving cache invalidates on every mutation
-	// routed through this coordinator. Out-of-band replica changes
-	// are surfaced by POST /v1/reload, whose LoadFunc re-polls the
-	// replicas into a fresh Remote (fresh baseFP, fresh breakers).
-	muts atomic.Uint64
+	coordinator[*wireTarget, *replicaGroup]
+	cfg RemoteConfig
 
 	rngState      atomic.Uint64
 	failovers     atomic.Uint64
@@ -145,6 +132,16 @@ type Remote struct {
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
 	closeOnce sync.Once
+}
+
+// replicaGroup is one shard's replica group as a coordinator shard.
+// Reads fail over, retry and hedge across its replicas; mutations apply
+// to every one of them.
+type replicaGroup struct {
+	r        *Remote
+	shard    int
+	replicas []*replica
+	fp       uint64 // the engine fingerprint its replicas agreed on at construction
 }
 
 // NewRemote builds a coordinator backend over the given replica base
@@ -166,37 +163,29 @@ func NewRemote(urls []string, cfg RemoteConfig) (*Remote, error) {
 		return nil, err
 	}
 	r := &Remote{
-		groups:    make([][]*replica, len(urls)),
-		place:     place,
 		cfg:       cfg.withDefaults(),
 		stopProbe: make(chan struct{}),
 	}
+	r.place = place
 	r.rngState.Store(r.cfg.Seed)
-	rnd := r.rnd
-	now := time.Now
 	for i, spec := range urls {
-		var group []*replica
+		g := &replicaGroup{r: r, shard: i}
 		for _, u := range strings.Split(spec, ",") {
 			u = strings.TrimRight(strings.TrimSpace(u), "/")
 			if u == "" {
 				continue
 			}
-			group = append(group, &replica{shard: i, url: u, br: newBreaker(r.cfg.Breaker, now, rnd)})
+			g.replicas = append(g.replicas, &replica{url: u, br: newBreaker(r.cfg.Breaker, time.Now, r.rnd)})
 		}
-		if len(group) == 0 {
+		if len(g.replicas) == 0 {
 			return nil, fmt.Errorf("shard %d: no replica URL in %q", i, spec)
 		}
-		r.groups[i] = group
-	}
-	const prime = 1099511628211
-	fp := uint64(14695981039346656037)
-	fp = (fp ^ uint64(len(r.groups))) * prime
-	for i, group := range r.groups {
-		shardFP, seen := uint64(0), false
-		for _, rep := range group {
+		r.shards = append(r.shards, g)
+		seen := false
+		for _, rep := range g.replicas {
 			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
 			var h server.HealthResponse
-			err := r.getReplica(ctx, rep, "/v1/healthz", &h)
+			err := r.doReplica(ctx, rep, http.MethodGet, "/v1/healthz", nil, &h)
 			cancel()
 			if err != nil {
 				// Down at startup: admit the group without it; the
@@ -208,18 +197,17 @@ func NewRemote(urls []string, cfg RemoteConfig) (*Remote, error) {
 			if err != nil {
 				return nil, fmt.Errorf("shard %d (%s): bad fingerprint %q", i, rep.url, h.EngineFingerprint)
 			}
-			if seen && sfp != shardFP {
+			if seen && sfp != g.fp {
 				return nil, fmt.Errorf("shard %d: replica %s serves fingerprint %016x, its group serves %016x (divergent snapshots)",
-					i, rep.url, sfp, shardFP)
+					i, rep.url, sfp, g.fp)
 			}
-			shardFP, seen = sfp, true
+			g.fp, seen = sfp, true
 		}
 		if !seen {
-			return nil, fmt.Errorf("shard %d (%s): health check: no replica reachable", i, r.groupLabel(i))
+			return nil, fmt.Errorf("shard %d (%s): health check: no replica reachable", i, g.label())
 		}
-		fp = (fp ^ shardFP) * prime
 	}
-	r.baseFP = fp
+	r.timeout = r.cfg.ShardTimeout
 	if r.cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
 		go r.probeLoop()
@@ -237,14 +225,11 @@ func (r *Remote) Close() error {
 	return nil
 }
 
-// NumShards reports the shard-group count.
-func (r *Remote) NumShards() int { return len(r.groups) }
-
 // NumReplicas reports the total replica count across all groups.
 func (r *Remote) NumReplicas() int {
 	n := 0
-	for _, g := range r.groups {
-		n += len(g)
+	for _, g := range r.shards {
+		n += len(g.replicas)
 	}
 	return n
 }
@@ -252,16 +237,16 @@ func (r *Remote) NumReplicas() int {
 // URLs exposes the replica base URLs, one comma-joined entry per
 // shard group (CLI diagnostics).
 func (r *Remote) URLs() []string {
-	out := make([]string, len(r.groups))
-	for i := range r.groups {
-		out[i] = r.groupLabel(i)
+	out := make([]string, len(r.shards))
+	for i, g := range r.shards {
+		out[i] = g.label()
 	}
 	return out
 }
 
-func (r *Remote) groupLabel(i int) string {
-	urls := make([]string, len(r.groups[i]))
-	for j, rep := range r.groups[i] {
+func (g *replicaGroup) label() string {
+	urls := make([]string, len(g.replicas))
+	for j, rep := range g.replicas {
 		urls[j] = rep.url
 	}
 	return strings.Join(urls, ",")
@@ -271,20 +256,20 @@ func (r *Remote) groupLabel(i int) string {
 // endpoint and the d3l_replica_* metric families render from it.
 func (r *Remote) ReplicaHealth() server.ReplicaHealth {
 	h := server.ReplicaHealth{
-		Shards:        len(r.groups),
+		Shards:        len(r.shards),
 		Failovers:     r.failovers.Load(),
 		ProbeFailures: r.probeFailures.Load(),
 		HedgeWins:     r.hedgeWins.Load(),
 	}
-	for _, group := range r.groups {
-		for _, rep := range group {
+	for _, g := range r.shards {
+		for _, rep := range g.replicas {
 			state, quarantined, _ := rep.br.Snapshot()
 			s := state.String()
 			if quarantined {
 				s = server.ReplicaStateQuarantined
 			}
 			h.Replicas = append(h.Replicas, server.ReplicaStatus{
-				Shard: rep.shard, URL: rep.url, State: s,
+				Shard: g.shard, URL: rep.url, State: s,
 			})
 		}
 	}
@@ -307,25 +292,22 @@ func (r *Remote) rnd() uint64 {
 // ---- replica selection ----
 
 // errGroupDown marks a shard whose whole replica group is unavailable
-// (every breaker open or quarantined). It is the only condition under
-// which the partial-results policy may drop a shard.
+// (every breaker open or quarantined).
 var errGroupDown = errors.New("shard: all replicas unavailable")
 
-// pick returns the healthiest available replica of a shard group:
-// closed breakers first (lowest windowed failure rate wins), then the
-// first open/half-open replica whose breaker grants a trial slot.
-// probe reports a granted trial, whose outcome the caller must report
-// back to the breaker. exclude skips one replica (hedging: the
-// duplicate must go elsewhere).
-func (r *Remote) pick(shard int, exclude *replica) (rep *replica, probe bool, err error) {
-	group := r.groups[shard]
+// pick returns the healthiest available replica of the group: closed
+// breakers first (lowest windowed failure rate wins), then the first
+// open/half-open replica whose breaker grants a trial slot (every caller
+// reports each attempt's outcome back to its breaker). exclude skips one
+// replica (hedging: the duplicate must go elsewhere).
+func (g *replicaGroup) pick(exclude *replica) (*replica, error) {
 	type cand struct {
 		rep  *replica
 		rate float64
 	}
 	var closed []cand
 	var rest []*replica
-	for _, rep := range group {
+	for _, rep := range g.replicas {
 		if rep == exclude {
 			continue
 		}
@@ -341,22 +323,22 @@ func (r *Remote) pick(shard int, exclude *replica) (rep *replica, probe bool, er
 	}
 	sort.SliceStable(closed, func(a, b int) bool { return closed[a].rate < closed[b].rate })
 	if len(closed) > 0 {
-		return closed[0].rep, false, nil
+		return closed[0].rep, nil
 	}
 	for _, rep := range rest {
-		if ok, trial := rep.br.Allow(); ok {
-			return rep, trial, nil
+		if ok, _ := rep.br.Allow(); ok {
+			return rep, nil
 		}
 	}
-	return nil, false, fmt.Errorf("%w: shard %d (%s)", errGroupDown, shard, r.groupLabel(shard))
+	return nil, fmt.Errorf("%w: shard %d (%s)", errGroupDown, g.shard, g.label())
 }
 
-// record reports one attempt outcome to a replica's breaker. A
+// record reports one attempt outcome to the replica's breaker. A
 // terminal (4xx) answer counts as a success — the replica is alive
 // and answering; the request was at fault. An attempt abandoned
 // because the *parent* request was cancelled counts as neither: the
 // replica was never given a fair chance to answer.
-func (r *Remote) record(ctx context.Context, rep *replica, err error) {
+func (rep *replica) record(ctx context.Context, err error) {
 	if err == nil {
 		rep.br.OnSuccess()
 		return
@@ -404,8 +386,8 @@ func (r *Remote) probeOnce() {
 	if timeout > 2*time.Second {
 		timeout = 2 * time.Second
 	}
-	for _, group := range r.groups {
-		for _, rep := range group {
+	for _, g := range r.shards {
+		for _, rep := range g.replicas {
 			state, quarantined, rate := rep.br.Snapshot()
 			if quarantined || (state == BreakerClosed && rate == 0) {
 				continue
@@ -418,7 +400,7 @@ func (r *Remote) probeOnce() {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			var h server.HealthResponse
-			err := r.getReplica(ctx, rep, "/v1/healthz", &h)
+			err := r.doReplica(ctx, rep, http.MethodGet, "/v1/healthz", nil, &h)
 			cancel()
 			if err != nil {
 				r.probeFailures.Add(1)
@@ -430,186 +412,55 @@ func (r *Remote) probeOnce() {
 	}
 }
 
-// ---- server.Engine: queries ----
+// ---- the shard client: queries ----
 
-// Query answers one discovery query by scatter-gather over the shard
-// groups, replicating the monolith contract (see Set.Query).
-func (r *Remote) Query(ctx context.Context, target *d3l.Table, opts ...d3l.QueryOption) (*d3l.Answer, error) {
-	sq, err := d3l.ResolveShardQuery(opts...)
+// wireTarget is a query target as the replica groups send it: the table
+// in wire shape, and each phase's request body (spec included),
+// marshalled once for every shard. The gather body waits for the first
+// gather to ask, since only then are the depths — the same for every
+// shard — known.
+type wireTarget struct {
+	table      server.TableJSON
+	probeBody  []byte
+	gatherOnce sync.Once
+	gatherBody []byte
+	gatherErr  error
+}
+
+func (g *replicaGroup) prepare(t *d3l.Table, spec core.QuerySpec) (*wireTarget, error) {
+	w := &wireTarget{table: tableToWire(t)}
+	var err error
+	w.probeBody, err = json.Marshal(server.ShardProbeRequest{Table: w.table, Spec: spec})
+	return w, err
+}
+
+func (g *replicaGroup) probe(ctx context.Context, t *wireTarget, _ core.QuerySpec) (*d3l.ShardProbe, error) {
+	return read(ctx, g, "/v1/shard/probe", t.probeBody, decodeJSON[d3l.ShardProbe])
+}
+
+func (g *replicaGroup) gather(ctx context.Context, t *wireTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
+	t.gatherOnce.Do(func() {
+		t.gatherBody, t.gatherErr = json.Marshal(server.ShardGatherRequest{Table: t.table, Spec: spec, Depths: *depths})
+	})
+	if t.gatherErr != nil {
+		return nil, t.gatherErr
+	}
+	return read(ctx, g, "/v1/shard/gather", t.gatherBody, d3l.DecodeShardPartial)
+}
+
+func (g *replicaGroup) explain(ctx context.Context, t *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error) {
+	body, err := json.Marshal(server.ShardExplainRequest{Table: tableToWire(t), LakeTable: lakeTable, Spec: spec})
 	if err != nil {
 		return nil, err
 	}
-	if target == nil {
-		return nil, fmt.Errorf("d3l: nil target")
-	}
-	return r.query(ctx, target, sq)
-}
-
-func (r *Remote) query(ctx context.Context, target *d3l.Table, sq *d3l.ShardQuery) (*d3l.Answer, error) {
-	start := time.Now()
-	wire := tableToWire(target)
-	ans := &d3l.Answer{Stats: d3l.QueryStats{K: sq.K}}
-	if sq.K > 0 {
-		results, stats, degraded, err := r.search(ctx, wire, sq)
-		if err != nil {
-			return nil, err
-		}
-		ans.Results = results
-		ans.Stats.CandidatePairs = stats.CandidatePairs
-		ans.Stats.TablesScored = stats.TablesScored
-		ans.Degraded = degraded
-	}
-	if sq.ExplainFor != "" {
-		rows, err := r.explain(ctx, wire, sq)
-		if err != nil {
-			return nil, err
-		}
-		ans.Explanation = rows
-	}
-	ans.Stats.Elapsed = time.Since(start)
-	return ans, nil
-}
-
-// search runs the two HTTP phases. Under PartialOK a shard group that
-// fails its probe (after per-replica failover and retries) is dropped
-// from the query entirely; a group that probed but fails its gather is
-// likewise dropped. Either drop degrades the answer. With no live
-// group left the query fails even under PartialOK.
-func (r *Remote) search(ctx context.Context, wire server.TableJSON, sq *d3l.ShardQuery) ([]d3l.Result, d3l.QueryStats, bool, error) {
-	n := len(r.groups)
-	// Every shard of a phase is sent the same bytes: one marshal a phase.
-	body, err := json.Marshal(server.ShardProbeRequest{Table: wire, Spec: sq.Spec})
-	if err != nil {
-		return nil, d3l.QueryStats{}, false, err
-	}
-	probes := make([]*d3l.ShardProbe, n)
-	probeErrs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := r.read(ctx, i, "/v1/shard/probe", body, decodeJSON[d3l.ShardProbe])
-			if err != nil {
-				probeErrs[i] = err
-				return
-			}
-			probes[i] = p.(*d3l.ShardProbe)
-		}(i)
-	}
-	wg.Wait()
-	degraded := false
-	live := make([]int, 0, n)
-	liveProbes := make([]*d3l.ShardProbe, 0, n)
-	for i := 0; i < n; i++ {
-		if probeErrs[i] != nil {
-			if !sq.PartialOK {
-				return nil, d3l.QueryStats{}, false, fmt.Errorf("shard %d (%s) probe: %w", i, r.groupLabel(i), probeErrs[i])
-			}
-			degraded = true
-			continue
-		}
-		live = append(live, i)
-		liveProbes = append(liveProbes, probes[i])
-	}
-	if len(live) == 0 {
-		return nil, d3l.QueryStats{}, false, fmt.Errorf("all %d shards failed; first: %w", n, probeErrs[0])
-	}
-	depths, err := d3l.MergeShardDepths(liveProbes)
-	if err != nil {
-		return nil, d3l.QueryStats{}, false, err
-	}
-	if body, err = json.Marshal(server.ShardGatherRequest{Table: wire, Spec: sq.Spec, Depths: *depths}); err != nil {
-		return nil, d3l.QueryStats{}, false, err
-	}
-	partials := make([]*d3l.ShardPartial, len(live))
-	gatherErrs := make([]error, len(live))
-	for gi, i := range live {
-		wg.Add(1)
-		go func(gi, i int) {
-			defer wg.Done()
-			p, err := r.read(ctx, i, "/v1/shard/gather", body, decodePartial)
-			if err != nil {
-				gatherErrs[gi] = err
-				return
-			}
-			partials[gi] = p.(*d3l.ShardPartial)
-		}(gi, i)
-	}
-	wg.Wait()
-	kept := partials[:0]
-	for gi, i := range live {
-		if gatherErrs[gi] != nil {
-			if !sq.PartialOK {
-				return nil, d3l.QueryStats{}, false, fmt.Errorf("shard %d (%s) gather: %w", i, r.groupLabel(i), gatherErrs[gi])
-			}
-			degraded = true
-			continue
-		}
-		kept = append(kept, partials[gi])
-	}
-	if len(kept) == 0 {
-		return nil, d3l.QueryStats{}, false, fmt.Errorf("all %d shards failed gather; first: %w", len(live), gatherErrs[0])
-	}
-	results, stats, err := d3l.MergeShardPartials(depths, kept)
-	if err != nil {
-		return nil, d3l.QueryStats{}, false, err
-	}
-	return results, stats, degraded, nil
-}
-
-// explain routes the explanation to the owning group. Partial mode
-// never applies: an explanation from the wrong shard is not a
-// degraded answer, it is a 404.
-func (r *Remote) explain(ctx context.Context, wire server.TableJSON, sq *d3l.ShardQuery) ([]d3l.PairExplanation, error) {
-	req, err := json.Marshal(server.ShardExplainRequest{Table: wire, LakeTable: sq.ExplainFor, Spec: sq.Spec})
+	resp, err := read(ctx, g, "/v1/shard/explain", body, decodeJSON[server.ShardExplainResponse])
 	if err != nil {
 		return nil, err
 	}
-	owner := r.place.Owner(sq.ExplainFor)
-	resp, err := r.read(ctx, owner, "/v1/shard/explain", req, decodeJSON[server.ShardExplainResponse])
-	for i := 0; err != nil && isNotFound(err) && i < len(r.groups); i++ {
-		// Ring-owner miss (replica set built under a different
-		// placement): scan, as Set.liveOwner does.
-		if i == owner {
-			continue
-		}
-		scanResp, scanErr := r.read(ctx, i, "/v1/shard/explain", req, decodeJSON[server.ShardExplainResponse])
-		if scanErr == nil || !isNotFound(scanErr) {
-			resp, err = scanResp, scanErr
-		}
-	}
-	if err != nil {
-		if isNotFound(err) {
-			return nil, fmt.Errorf("%w: no table %q in the lake", d3l.ErrTableNotFound, sq.ExplainFor)
-		}
-		return nil, err
-	}
-	return resp.(*server.ShardExplainResponse).Rows, nil
+	return resp.Rows, nil
 }
 
-// QueryBatch runs targets sequentially: each query already fans out
-// across every shard group.
-func (r *Remote) QueryBatch(ctx context.Context, targets []*d3l.Table, opts ...d3l.QueryOption) ([]*d3l.Answer, error) {
-	sq, err := d3l.ResolveShardQuery(opts...)
-	if err != nil {
-		return nil, err
-	}
-	answers := make([]*d3l.Answer, len(targets))
-	for i, tgt := range targets {
-		if tgt == nil {
-			return nil, fmt.Errorf("d3l: nil target")
-		}
-		a, err := r.query(ctx, tgt, sq)
-		if err != nil {
-			return nil, fmt.Errorf("target %d: %w", i, err)
-		}
-		answers[i] = a
-	}
-	return answers, nil
-}
-
-// ---- server.Engine: mutations ----
+// ---- the shard client: mutations ----
 
 // Mutations and replica groups: every replica of every group must
 // apply every mutation, or its engine state silently diverges from
@@ -625,77 +476,24 @@ func (r *Remote) QueryBatch(ctx context.Context, targets []*d3l.Table, opts ...d
 // a whole succeeds while at least one replica of every group applied
 // it, and fails closed otherwise.
 
-// Add routes the real Add to the ring-owner group and mirrors the id
-// consumption on every peer group.
-func (r *Remote) Add(t *d3l.Table) (int, error) {
-	if t == nil {
-		return 0, fmt.Errorf("d3l: nil table")
-	}
-	ctx, cancel := r.mutationCtx()
-	defer cancel()
-	owner := r.place.Owner(t.Name)
-	wire := tableToWire(t)
-	id, err := r.applyGroup(ctx, owner, func(rep *replica) (int, error) {
+func (g *replicaGroup) add(ctx context.Context, t *d3l.Table) (int, error) {
+	req := server.AddTableRequest{Table: tableToWire(t)}
+	return g.apply(ctx, func(rep *replica) (int, error) {
 		var resp server.AddTableResponse
-		err := r.doReplica(ctx, rep, http.MethodPost, "/v1/tables", server.AddTableRequest{Table: wire}, &resp)
+		err := g.r.doReplica(ctx, rep, http.MethodPost, "/v1/tables", req, &resp)
 		return resp.ID, err
 	})
-	if err != nil {
-		return 0, err
-	}
-	for i := range r.groups {
-		if i == owner {
-			continue
-		}
-		mreq := server.ShardMirrorRequest{Op: "add", Name: t.Name, NumCols: len(t.Columns)}
-		mid, err := r.applyGroup(ctx, i, func(rep *replica) (int, error) {
-			var mresp server.ShardMirrorResponse
-			err := r.doReplica(ctx, rep, http.MethodPost, "/v1/shard/mirror", mreq, &mresp)
-			return mresp.ID, err
-		})
-		if err != nil {
-			return 0, fmt.Errorf("shard %d: mirroring add of %q: %w", i, t.Name, err)
-		}
-		if mid != id {
-			return 0, fmt.Errorf("shard %d: mirror of %q got id %d, owner got %d (id lockstep broken)", i, t.Name, mid, id)
-		}
-	}
-	r.muts.Add(1)
-	return id, nil
 }
 
-// Update routes the in-place update to the owning group, then mirrors
-// the fresh attribute-id consumption on the peer groups.
-func (r *Remote) Update(t *d3l.Table) (d3l.UpdateStats, error) {
-	if t == nil {
-		return d3l.UpdateStats{}, fmt.Errorf("d3l: nil table")
-	}
-	ctx, cancel := r.mutationCtx()
-	defer cancel()
-	wire := tableToWire(t)
+func (g *replicaGroup) update(ctx context.Context, t *d3l.Table) (d3l.UpdateStats, error) {
+	req := server.UpdateTableRequest{Table: tableToWire(t)}
 	var resp server.UpdateTableResponse
-	owner, err := r.mutateOwner(ctx, t.Name, func(i int) error {
-		_, err := r.applyGroup(ctx, i, func(rep *replica) (int, error) {
-			err := r.doReplica(ctx, rep, http.MethodPut, "/v1/tables/"+pathEscape(t.Name), server.UpdateTableRequest{Table: wire}, &resp)
-			return resp.ID, err
-		})
-		return err
-	})
-	if err != nil {
+	if _, err := g.apply(ctx, func(rep *replica) (int, error) {
+		err := g.r.doReplica(ctx, rep, http.MethodPut, "/v1/tables/"+url.PathEscape(t.Name), req, &resp)
+		return resp.ID, err
+	}); err != nil {
 		return d3l.UpdateStats{}, err
 	}
-	for i := range r.groups {
-		if i == owner {
-			continue
-		}
-		mreq := server.ShardMirrorRequest{Op: "update", TableID: resp.ID, NumFresh: resp.ReprofiledCols}
-		if _, err := r.applyGroup(ctx, i, func(rep *replica) (int, error) {
-			return 0, r.doReplica(ctx, rep, http.MethodPost, "/v1/shard/mirror", mreq, new(server.ShardMirrorResponse))
-		}); err != nil {
-			return d3l.UpdateStats{}, fmt.Errorf("shard %d: mirroring update of %q: %w", i, t.Name, err)
-		}
-	}
-	r.muts.Add(1)
 	return d3l.UpdateStats{
 		TableID:    resp.ID,
 		Reprofiled: resp.ReprofiledCols,
@@ -705,38 +503,35 @@ func (r *Remote) Update(t *d3l.Table) (d3l.UpdateStats, error) {
 	}, nil
 }
 
-// Remove tombstones the table on its owning group. Peers hold dead
-// mirror slots; no mirror op is needed.
-func (r *Remote) Remove(name string) error {
-	ctx, cancel := r.mutationCtx()
-	defer cancel()
-	_, err := r.mutateOwner(ctx, name, func(i int) error {
-		_, err := r.applyGroup(ctx, i, func(rep *replica) (int, error) {
-			return 0, r.doReplica(ctx, rep, http.MethodDelete, "/v1/tables/"+pathEscape(name), nil, new(server.RemoveTableResponse))
-		})
-		return err
+func (g *replicaGroup) remove(ctx context.Context, name string) error {
+	_, err := g.apply(ctx, func(rep *replica) (int, error) {
+		return 0, g.r.doReplica(ctx, rep, http.MethodDelete, "/v1/tables/"+url.PathEscape(name), nil, new(server.RemoveTableResponse))
 	})
-	if err != nil {
-		return err
-	}
-	r.muts.Add(1)
-	return nil
+	return err
 }
 
-// applyGroup applies one mutation to every non-quarantined replica of
-// a group, single-attempt each, and returns the id the first
-// successful replica answered. Divergent replicas (transient failure:
-// the op may or may not have landed; terminal failure or id mismatch
-// after a sibling already applied: the op definitely diverged) are
-// quarantined. A terminal error from the group's *first* attempted
-// replica propagates — nothing was applied anywhere yet, so the group
-// is still consistent (this is how not-found reaches mutateOwner's
-// placement-drift scan). Fails closed when no replica applied.
-func (r *Remote) applyGroup(ctx context.Context, shard int, fn func(rep *replica) (int, error)) (int, error) {
+func (g *replicaGroup) mirror(ctx context.Context, req server.ShardMirrorRequest) (int, error) {
+	return g.apply(ctx, func(rep *replica) (int, error) {
+		var resp server.ShardMirrorResponse
+		err := g.r.doReplica(ctx, rep, http.MethodPost, "/v1/shard/mirror", req, &resp)
+		return resp.ID, err
+	})
+}
+
+// apply applies one mutation to every non-quarantined replica of the
+// group, single-attempt each, and returns the id the first successful
+// replica answered. Divergent replicas (transient failure: the op may
+// or may not have landed; terminal failure or id mismatch after a
+// sibling already applied: the op definitely diverged) are quarantined.
+// A terminal error from the group's *first* attempted replica
+// propagates — nothing was applied anywhere yet, so the group is still
+// consistent (this is how not-found reaches the coordinator's owner
+// rule). Fails closed when no replica applied.
+func (g *replicaGroup) apply(ctx context.Context, fn func(rep *replica) (int, error)) (int, error) {
 	applied := false
 	id := 0
 	var lastErr error
-	for _, rep := range r.groups[shard] {
+	for _, rep := range g.replicas {
 		if _, quarantined, _ := rep.br.Snapshot(); quarantined {
 			continue
 		}
@@ -762,134 +557,36 @@ func (r *Remote) applyGroup(ctx context.Context, shard int, fn func(rep *replica
 	}
 	if !applied {
 		if lastErr != nil {
-			return 0, fmt.Errorf("shard %d (%s): no replica applied the mutation; last: %w", shard, r.groupLabel(shard), lastErr)
+			return 0, fmt.Errorf("shard %d (%s): no replica applied the mutation; last: %w", g.shard, g.label(), lastErr)
 		}
-		return 0, fmt.Errorf("%w: shard %d (%s): no replica available for the mutation", errGroupDown, shard, r.groupLabel(shard))
+		return 0, fmt.Errorf("%w: shard %d (%s): no replica available for the mutation", errGroupDown, g.shard, g.label())
 	}
 	return id, nil
 }
 
-// mutateOwner applies fn to the ring-owner group first, scanning the
-// other groups only on a not-found answer (placement drift
-// insurance).
-func (r *Remote) mutateOwner(ctx context.Context, name string, fn func(i int) error) (int, error) {
-	owner := r.place.Owner(name)
-	err := fn(owner)
-	if err == nil {
-		return owner, nil
+// ---- the shard client: introspection ----
+
+func (g *replicaGroup) tables(ctx context.Context) ([]string, error) {
+	var resp server.TablesResponse
+	err := g.get(ctx, "/v1/tables", &resp)
+	return resp.Tables, err
+}
+
+func (g *replicaGroup) hasTable(ctx context.Context, name string) error {
+	names, err := g.tables(ctx)
+	if err == nil && !slices.Contains(names, name) {
+		err = d3l.ErrTableNotFound
 	}
-	if !isNotFound(err) {
-		return 0, err
-	}
-	for i := range r.groups {
-		if i == owner {
-			continue
-		}
-		switch scanErr := fn(i); {
-		case scanErr == nil:
-			return i, nil
-		case !isNotFound(scanErr):
-			return 0, scanErr
-		}
-	}
-	return 0, fmt.Errorf("%w: no table %q in the lake", d3l.ErrTableNotFound, name)
+	return err
 }
 
-func (r *Remote) mutationCtx() (context.Context, context.CancelFunc) {
-	// One generous deadline for the whole owner+mirrors fan-out.
-	return context.WithTimeout(context.Background(), time.Duration(r.NumReplicas()+1)*r.cfg.ShardTimeout)
-}
-
-// ---- server.Engine: introspection ----
-
-// Tables lists the union of the groups' live tables, sorted.
-// Fail-closed: a shard group with no answering replica makes the
-// listing fail rather than silently shrink.
-func (r *Remote) Tables() []string {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
-	defer cancel()
-	var names []string
-	for i := range r.groups {
-		var resp server.TablesResponse
-		if err := r.getShard(ctx, i, "/v1/tables", &resp); err != nil {
-			return nil
-		}
-		names = append(names, resp.Tables...)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// HasTable asks the ring-owner group for its live listing, scanning
-// on a miss.
-func (r *Remote) HasTable(name string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
-	defer cancel()
-	owner := r.place.Owner(name)
-	order := []int{owner}
-	for i := range r.groups {
-		if i != owner {
-			order = append(order, i)
-		}
-	}
-	for _, i := range order {
-		var resp server.TablesResponse
-		if err := r.getShard(ctx, i, "/v1/tables", &resp); err != nil {
-			continue
-		}
-		for _, n := range resp.Tables {
-			if n == name {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Fingerprint folds the construction-time shard fingerprints with the
-// coordinator's own mutation count, so the serving cache invalidates
-// on every mutation routed through here. Out-of-band replica changes
-// require POST /v1/reload on the coordinator (which rebuilds the
-// Remote and re-polls).
-func (r *Remote) Fingerprint() uint64 {
-	const prime = 1099511628211
-	return (r.baseFP ^ r.muts.Load()) * prime
-}
-
-// NumTables reports shard group 0's table-slot count (id lockstep
-// makes all groups equal); 0 if unreachable.
-func (r *Remote) NumTables() int {
-	t, _ := r.statsz(0)
-	return t
-}
-
-// NumAttributes reports shard group 0's attribute-slot count; 0 if
-// unreachable.
-func (r *Remote) NumAttributes() int {
-	_, a := r.statsz(0)
-	return a
-}
-
-func (r *Remote) statsz(i int) (tables, attrs int) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.ShardTimeout)
-	defer cancel()
+func (g *replicaGroup) slots(ctx context.Context) (int, int, error) {
 	var resp server.StatsResponse
-	if err := r.getShard(ctx, i, "/v1/statsz", &resp); err != nil {
-		return 0, 0
-	}
-	return resp.Tables, resp.Attributes
+	err := g.get(ctx, "/v1/statsz", &resp)
+	return resp.Tables, resp.Attributes, err
 }
 
-// PlannerTotals is zero, as for a Set: replicas prepare no plans and the
-// merge feeds no engine's counters.
-func (r *Remote) PlannerTotals() d3l.PlannerTotals { return d3l.PlannerTotals{} }
-
-// PrewarmScratch is a no-op: the replicas own their arenas.
-func (r *Remote) PrewarmScratch(int) {}
-
-// SetStageObserver is a no-op: per-stage timings are a replica-local
-// concern (each replica exports its own /metrics).
-func (r *Remote) SetStageObserver(d3l.StageObserver) {}
+func (g *replicaGroup) fingerprint() uint64 { return g.fp }
 
 // ---- HTTP plumbing ----
 
@@ -903,26 +600,15 @@ type shardError struct {
 func (e *shardError) Error() string { return e.err.Error() }
 func (e *shardError) Unwrap() error { return e.err }
 
-func isNotFound(err error) bool {
-	return err != nil && errors.Is(err, d3l.ErrTableNotFound)
-}
-
-func pathEscape(s string) string { return url.PathEscape(s) }
-
-// decodeJSON decodes a JSON read-path answer (probe, explain).
-func decodeJSON[T any](data []byte) (any, error) {
+// decodeJSON decodes a JSON read-path answer (probe, explain); the gather
+// answer decodes with d3l.DecodeShardPartial.
+func decodeJSON[T any](data []byte) (*T, error) {
 	v := new(T)
-	if err := json.Unmarshal(data, v); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return v, json.Unmarshal(data, v)
 }
 
-// decodePartial decodes and validates the binary gather answer.
-func decodePartial(data []byte) (any, error) { return d3l.DecodeShardPartial(data) }
-
-// read POSTs a read-path request (body, marshalled by the caller once
-// for every shard it goes to) with per-replica failover,
+// read POSTs a read-path request to the group (body, marshalled by the
+// caller once for every shard it goes to) with per-replica failover,
 // jittered-backoff retries and cross-replica hedging: the first
 // attempt whose answer decodes wins, terminal errors return
 // immediately, and exhausted attempts return the last error. The retry
@@ -935,81 +621,83 @@ func decodePartial(data []byte) (any, error) { return d3l.DecodeShardPartial(dat
 // replica's breaker and the next attempt goes to a sibling, so a
 // replica that answers garbage can neither crash the coordinator nor
 // fail a query its group can still serve.
-func (r *Remote) read(ctx context.Context, shard int, path string, body []byte, decode func([]byte) (any, error)) (any, error) {
-	attempts := 1 + r.cfg.Retries
-	delay := r.cfg.RetryDelay
+func read[V any](ctx context.Context, g *replicaGroup, path string, body []byte, decode func([]byte) (V, error)) (V, error) {
+	attempts := 1 + g.r.cfg.Retries
+	delay := g.r.cfg.RetryDelay
+	var zero V
 	var lastErr error
 	var lastRep *replica
 	for a := 0; a < attempts; a++ {
 		if a > 0 && delay > 0 {
-			d := jitterDuration(delay, 0.5, r.rnd)
+			d := jitterDuration(delay, 0.5, g.r.rnd)
 			if deadline, ok := ctx.Deadline(); ok && time.Now().Add(d).After(deadline) {
-				return nil, lastErr // retry budget exhausted by the deadline
+				return zero, lastErr // retry budget exhausted by the deadline
 			}
 			timer := time.NewTimer(d)
 			select {
 			case <-ctx.Done():
 				timer.Stop()
-				return nil, ctx.Err()
+				return zero, ctx.Err()
 			case <-timer.C:
 			}
 			if delay *= 2; delay > maxRetryDelay {
 				delay = maxRetryDelay
 			}
 		}
-		rep, _, pickErr := r.pick(shard, nil)
+		rep, pickErr := g.pick(nil)
 		if pickErr != nil {
 			if lastErr != nil {
-				return nil, lastErr
+				return zero, lastErr
 			}
-			return nil, pickErr
+			return zero, pickErr
 		}
 		if lastRep != nil && rep != lastRep {
-			r.failovers.Add(1)
+			g.r.failovers.Add(1)
 		}
-		val, err := r.attempt(ctx, rep, path, body, decode)
+		val, err := attempt(ctx, g, rep, path, body, decode)
 		if err == nil {
 			return val, nil
 		}
 		lastErr, lastRep = err, rep
 		var se *shardError
 		if errors.As(err, &se) && se.terminal {
-			return nil, err
+			return zero, err
 		}
 	}
-	return nil, lastErr
+	return zero, lastErr
 }
 
 // attempt races one request against an optional hedge on a *different*
-// replica of the same group. Losing attempts run to completion in the
+// replica of the group. Losing attempts run to completion in the
 // background (their outcome still feeds their replica's breaker); the
 // channel is buffered so they never leak. Each attempt decodes its own
 // answer into its own value, so racing attempts share nothing.
-func (r *Remote) attempt(ctx context.Context, primary *replica, path string, body []byte, decode func([]byte) (any, error)) (any, error) {
+func attempt[V any](ctx context.Context, g *replicaGroup, primary *replica, path string, body []byte, decode func([]byte) (V, error)) (V, error) {
 	type result struct {
-		val any
+		val V
 		err error
 		rep *replica
 	}
+	var zero V
 	ch := make(chan result, 2)
 	run := func(rep *replica) {
 		go func() {
-			var val any
-			data, err := r.doOnce(ctx, rep, http.MethodPost, path, body)
+			var val V
+			data, err := g.r.doOnce(ctx, rep, http.MethodPost, path, body)
 			if err == nil {
 				if val, err = decode(data); err != nil {
 					err = &shardError{err: fmt.Errorf("shard %s: POST %s: undecodable answer: %w", rep.url, path, err)}
 				}
 				bodyPool.Put(&data) // both decoders copy out every byte they keep
 			}
-			r.record(ctx, rep, err)
+			rep.record(ctx, err)
 			ch <- result{val, err, rep}
 		}()
 	}
 	run(primary)
 	var hedgeC <-chan time.Time
-	if r.cfg.HedgeAfter > 0 {
-		timer := time.NewTimer(r.cfg.HedgeAfter)
+	if g.r.cfg.HedgeAfter > 0 {
+		timer := time.NewTimer(g.r.cfg.HedgeAfter)
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
@@ -1019,12 +707,12 @@ func (r *Remote) attempt(ctx context.Context, primary *replica, path string, bod
 	for {
 		select {
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return zero, ctx.Err()
 		case <-hedgeC:
 			hedgeC = nil
 			// The hedge goes to a sibling: duplicating onto the
 			// replica that is already slow only doubles its load.
-			if rep, _, err := r.pick(primary.shard, primary); err == nil {
+			if rep, err := g.pick(primary); err == nil {
 				hedged = rep
 				outstanding++
 				run(rep)
@@ -1033,41 +721,41 @@ func (r *Remote) attempt(ctx context.Context, primary *replica, path string, bod
 			outstanding--
 			if res.err == nil {
 				if res.rep == hedged {
-					r.hedgeWins.Add(1)
+					g.r.hedgeWins.Add(1)
 				}
 				return res.val, nil
 			}
 			var se *shardError
 			if errors.As(res.err, &se) && se.terminal {
-				return nil, res.err
+				return zero, res.err
 			}
 			if firstErr == nil {
 				firstErr = res.err
 			}
 			if outstanding == 0 {
-				return nil, firstErr
+				return zero, firstErr
 			}
 		}
 	}
 }
 
-// getShard runs one GET against a shard group (health, stats,
-// listings), failing over across replicas without retry delays.
-func (r *Remote) getShard(ctx context.Context, shard int, path string, out any) error {
+// get runs one GET against the group (listings, stats), failing over
+// across replicas without retry delays.
+func (g *replicaGroup) get(ctx context.Context, path string, out any) error {
 	var lastErr error
 	var lastRep *replica
-	for range r.groups[shard] {
-		rep, _, err := r.pick(shard, lastRep)
+	for range g.replicas {
+		rep, err := g.pick(lastRep)
 		if err != nil {
 			break
 		}
-		data, err := r.doOnce(ctx, rep, http.MethodGet, path, nil)
-		r.record(ctx, rep, err)
+		data, err := g.r.doOnce(ctx, rep, http.MethodGet, path, nil)
+		rep.record(ctx, err)
 		if err == nil {
 			return json.Unmarshal(data, out)
 		}
 		if lastRep != nil {
-			r.failovers.Add(1)
+			g.r.failovers.Add(1)
 		}
 		lastErr, lastRep = err, rep
 		var se *shardError
@@ -1078,21 +766,12 @@ func (r *Remote) getShard(ctx context.Context, shard int, path string, out any) 
 	if lastErr != nil {
 		return lastErr
 	}
-	return fmt.Errorf("%w: shard %d (%s)", errGroupDown, shard, r.groupLabel(shard))
-}
-
-// getReplica runs one GET against one specific replica (construction
-// health polls, active probes) without touching its breaker.
-func (r *Remote) getReplica(ctx context.Context, rep *replica, path string, out any) error {
-	data, err := r.doOnce(ctx, rep, http.MethodGet, path, nil)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
+	return fmt.Errorf("%w: shard %d (%s)", errGroupDown, g.shard, g.label())
 }
 
 // doReplica runs one single-attempt request against one specific
-// replica (mutations).
+// replica without touching its breaker (mutations, construction health
+// polls, active probes).
 func (r *Remote) doReplica(ctx context.Context, rep *replica, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {

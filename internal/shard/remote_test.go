@@ -25,7 +25,6 @@ import (
 type remoteWorld struct {
 	lake     *d3l.Lake
 	mono     *d3l.Engine
-	set      *Set
 	replicas []*httptest.Server
 	remote   *Remote
 }
@@ -38,9 +37,18 @@ func buildRemoteWorld(t *testing.T, seed uint64, n int, cfg RemoteConfig) *remot
 	if err != nil {
 		t.Fatal(err)
 	}
-	urls := make([]string, n)
-	replicas := make([]*httptest.Server, n)
-	for i := 0; i < n; i++ {
+	remote, replicas := serveRemote(t, set, cfg)
+	return &remoteWorld{lake: lake, mono: mono, replicas: replicas, remote: remote}
+}
+
+// serveRemote serves every shard of a set as its own HTTP replica and
+// fronts them with a Remote — the `d3l coordinator` topology in one
+// process.
+func serveRemote(t *testing.T, set *Set, cfg RemoteConfig) (*Remote, []*httptest.Server) {
+	t.Helper()
+	urls := make([]string, set.NumShards())
+	replicas := make([]*httptest.Server, set.NumShards())
+	for i := range replicas {
 		rs, err := server.New(set.Shard(i), server.Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -54,92 +62,7 @@ func buildRemoteWorld(t *testing.T, seed uint64, n int, cfg RemoteConfig) *remot
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
-	return &remoteWorld{lake: lake, mono: mono, set: set, replicas: replicas, remote: remote}
-}
-
-// TestRemoteMatchesMonolith: the coordinator backend answers exactly
-// like the monolith, including explanations and batches.
-func TestRemoteMatchesMonolith(t *testing.T) {
-	w := buildRemoteWorld(t, 211, 3, RemoteConfig{})
-	ctx := context.Background()
-	explainName := w.lake.Table(1).Name
-	for _, target := range liveTargets(w.lake, 4) {
-		want, err := w.mono.Query(ctx, target, d3l.WithK(6), d3l.WithExplainFor(explainName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := w.remote.Query(ctx, target, d3l.WithK(6), d3l.WithExplainFor(explainName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAnswersEqual(t, "remote "+target.Name, want, got)
-	}
-	targets := liveTargets(w.lake, 5)
-	wantB, err := w.mono.QueryBatch(ctx, targets, d3l.WithK(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, err := w.remote.QueryBatch(ctx, targets, d3l.WithK(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantB {
-		assertAnswersEqual(t, "remote batch "+targets[i].Name, wantB[i], gotB[i])
-	}
-}
-
-// TestRemoteMutationsMatchMonolith routes Add/Update/Remove through
-// the coordinator (owner + mirror fan-out over HTTP) and checks the
-// replicas answer like a monolith that took the same mutations.
-func TestRemoteMutationsMatchMonolith(t *testing.T) {
-	w := buildRemoteWorld(t, 223, 3, RemoteConfig{})
-	ctx := context.Background()
-
-	added := cloneTable(t, w.lake.Table(2), "remote_added")
-	wantID, err := w.mono.Add(added)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotID, err := w.remote.Add(cloneTable(t, w.lake.Table(2), "remote_added"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantID != gotID {
-		t.Fatalf("add ids diverge: mono %d remote %d", wantID, gotID)
-	}
-
-	victim := w.lake.Table(1)
-	wantStats, err := w.mono.Update(subTable(t, victim, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats, err := w.remote.Update(subTable(t, victim, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantStats != gotStats {
-		t.Fatalf("update stats diverge: mono %+v remote %+v", wantStats, gotStats)
-	}
-
-	gone := w.lake.Table(3).Name
-	if err := w.mono.Remove(gone); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.remote.Remove(gone); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, target := range append(liveTargets(w.lake, 4), added) {
-		want, err := w.mono.Query(ctx, target, d3l.WithK(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := w.remote.Query(ctx, target, d3l.WithK(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAnswersEqual(t, "post-mutation "+target.Name, want, got)
-	}
+	return remote, replicas
 }
 
 // TestRemotePartialFailure pins the failure policy: a dead shard fails

@@ -4,188 +4,10 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"d3l"
 )
-
-// shardCounts is the property-suite sweep: 1 (degenerate set must
-// still match), 2, 3, and 7 (more shards than some queries have
-// candidate tables, so empty partials merge too).
-var shardCounts = []int{1, 2, 3, 7}
-
-// TestSetMatchesMonolith is the core equivalence property: for every
-// shard count, Query / QueryBatch / explanations over the set deep-
-// equal the monolith over the union lake — including the committed
-// distance ties between the tie_twin_* clones.
-func TestSetMatchesMonolith(t *testing.T) {
-	lake := testLake(t, 71, 18)
-	mono := buildMono(t, lake)
-	targets := liveTargets(lake, 3)
-	targets = append(targets, lake.ByName("tie_twin_a"))
-	ctx := context.Background()
-
-	// Prove the tie exists before asserting it is preserved: both
-	// twins must rank with exactly equal distance for their own
-	// content.
-	twinAns, err := mono.Query(ctx, lake.ByName("tie_twin_a"), d3l.WithK(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var twinDist []float64
-	for _, r := range twinAns.Results {
-		if strings.HasPrefix(r.Name, "tie_twin_") {
-			twinDist = append(twinDist, r.Distance)
-		}
-	}
-	if len(twinDist) != 2 || twinDist[0] != twinDist[1] {
-		t.Fatalf("tie construction failed: twin distances %v", twinDist)
-	}
-
-	explainName := lake.Table(1).Name
-	for _, n := range shardCounts {
-		set, err := BuildSet(lake, n, d3l.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for ti, target := range targets {
-			label := target.Name
-			want, err := mono.Query(ctx, target, d3l.WithK(8))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := set.Query(ctx, target, d3l.WithK(8))
-			if err != nil {
-				t.Fatalf("%d shards, target %d: %v", n, ti, err)
-			}
-			assertAnswersEqual(t, label, want, got)
-
-			// K>0 with an explanation riding along.
-			want, err = mono.Query(ctx, target, d3l.WithK(5), d3l.WithExplainFor(explainName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = set.Query(ctx, target, d3l.WithK(5), d3l.WithExplainFor(explainName))
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertAnswersEqual(t, label+"+explain", want, got)
-		}
-
-		// Explanation-only (K 0) queries.
-		target := targets[0]
-		want, err := mono.Query(ctx, target, d3l.WithK(0), d3l.WithExplainFor(explainName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := set.Query(ctx, target, d3l.WithK(0), d3l.WithExplainFor(explainName))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAnswersEqual(t, "explain-only", want, got)
-
-		// Batch: all targets through one call.
-		wantB, err := mono.QueryBatch(ctx, targets, d3l.WithK(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotB, err := set.QueryBatch(ctx, targets, d3l.WithK(6))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(wantB) != len(gotB) {
-			t.Fatalf("%d shards: batch length %d vs %d", n, len(wantB), len(gotB))
-		}
-		for i := range wantB {
-			assertAnswersEqual(t, "batch "+targets[i].Name, wantB[i], gotB[i])
-		}
-	}
-}
-
-// TestSetMatchesMonolithAfterMutations drives set and monolith through
-// the same Add / Update / Remove sequence through their public
-// surfaces — the set routing by placement, the monolith directly — and
-// re-checks equivalence, ids and stats at every step.
-func TestSetMatchesMonolithAfterMutations(t *testing.T) {
-	lake := testLake(t, 137, 14)
-	mono := buildMono(t, lake)
-	set, err := BuildSet(lake, 3, d3l.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	// Add: a clone of table 2 under a fresh name.
-	added := cloneTable(t, lake.Table(2), "post_build_add")
-	wantID, err := mono.Add(added)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotID, err := set.Add(cloneTable(t, lake.Table(2), "post_build_add"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantID != gotID {
-		t.Fatalf("add ids diverge: mono %d set %d", wantID, gotID)
-	}
-
-	// Update: shrink table 1 in place so profiles genuinely change.
-	victim := lake.Table(1)
-	wantStats, err := mono.Update(subTable(t, victim, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotStats, err := set.Update(subTable(t, victim, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantStats != gotStats {
-		t.Fatalf("update stats diverge: mono %+v set %+v", wantStats, gotStats)
-	}
-
-	// Remove: tombstone table 3 on both sides.
-	gone := lake.Table(3).Name
-	if err := mono.Remove(gone); err != nil {
-		t.Fatal(err)
-	}
-	if err := set.Remove(gone); err != nil {
-		t.Fatal(err)
-	}
-	if set.HasTable(gone) {
-		t.Fatalf("removed table %q still reported live", gone)
-	}
-
-	for _, target := range append(liveTargets(lake, 4), added) {
-		want, err := mono.Query(ctx, target, d3l.WithK(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := set.Query(ctx, target, d3l.WithK(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertAnswersEqual(t, "post-mutation "+target.Name, want, got)
-	}
-
-	// Introspection parity after the full sequence.
-	if mono.NumTables() != set.NumTables() {
-		t.Fatalf("table slots diverge: mono %d set %d", mono.NumTables(), set.NumTables())
-	}
-	if mono.NumAttributes() != set.NumAttributes() {
-		t.Fatalf("attribute slots diverge: mono %d set %d", mono.NumAttributes(), set.NumAttributes())
-	}
-	monoNames := mono.Tables()
-	setNames := set.Tables()
-	if len(monoNames) != len(setNames) {
-		t.Fatalf("live listings diverge: mono %v set %v", monoNames, setNames)
-	}
-	for i := range monoNames {
-		if monoNames[i] != setNames[i] {
-			t.Fatalf("live listings diverge at %d: mono %q set %q", i, monoNames[i], setNames[i])
-		}
-	}
-}
 
 // TestSetErrorContract pins the error surface: joins are rejected with
 // ErrUnsupported, unknown explanation targets mirror the monolith's

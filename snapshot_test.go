@@ -7,6 +7,8 @@ package d3l_test
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -47,6 +49,52 @@ func augmentedSignature(augs []d3l.Augmented) string {
 		out += "\n"
 	}
 	return out
+}
+
+// TestSaveFileReplacesWhole: SaveFile lays Save's bytes down under the
+// path through a temporary file it leaves nowhere — not after a
+// successful write, and not when the final rename fails, in which case
+// what stands at the path is untouched.
+func TestSaveFileReplacesWhole(t *testing.T) {
+	engine, err := d3l.New(figure1Lake(t), d3l.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	noTemps := func() {
+		t.Helper()
+		if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(temps) > 0 {
+			t.Fatalf("temporary files left behind: %v", temps)
+		}
+	}
+	path := filepath.Join(dir, "lake.d3l")
+	if err := os.WriteFile(path, []byte("the previous snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d3l.SaveFile(engine, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, savedBytes(t, engine)) {
+		t.Fatal("SaveFile wrote other bytes than Save")
+	}
+	noTemps()
+
+	// A non-empty directory at the path: the rename cannot land.
+	blocked := filepath.Join(dir, "blocked.d3l")
+	if err := os.MkdirAll(filepath.Join(blocked, "keep"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d3l.SaveFile(engine, blocked); err == nil {
+		t.Fatal("SaveFile over a directory succeeded")
+	}
+	noTemps()
+	if _, err := os.Stat(filepath.Join(blocked, "keep")); err != nil {
+		t.Fatalf("a failed SaveFile disturbed the path: %v", err)
+	}
 }
 
 // TestSaveLoadServesIdentically is the public-API round trip: TopK,

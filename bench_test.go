@@ -295,8 +295,8 @@ func BenchmarkAblationLeaveOneOut(b *testing.B) {
 //
 // BenchmarkSequentialTopKLoop and BenchmarkBatchTopK answer the same
 // query set over the same lake; the first is the pre-concurrency
-// serving shape (one query at a time, sequential pipeline), the second
-// the BatchTopK worker pool at Parallelism = NumCPU. On a multi-core
+// serving shape (one Query at a time, sequential pipeline), the second
+// the QueryBatch worker pool at Parallelism = NumCPU. On a multi-core
 // box the batch path's queries/s metric scales with the core count
 // (both pin the same per-query work, so the ratio is the fan-out win).
 
@@ -334,10 +334,11 @@ func benchServingSetup(b *testing.B, parallelism int) (*d3l.Engine, []*d3l.Table
 // workload answered one at a time through the sequential pipeline.
 func BenchmarkSequentialTopKLoop(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, target := range targets {
-			if _, err := engine.TopK(target, 10); err != nil {
+			if _, err := engine.Query(ctx, target, d3l.WithK(10)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -346,36 +347,29 @@ func BenchmarkSequentialTopKLoop(b *testing.B) {
 }
 
 // BenchmarkBatchTopK is the serving primitive: the same workload
-// answered by the concurrent worker pool at Parallelism = NumCPU.
+// answered by QueryBatch's concurrent worker pool at Parallelism =
+// NumCPU.
 func BenchmarkBatchTopK(b *testing.B) {
 	engine, targets := benchServingSetup(b, runtime.NumCPU())
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.BatchTopK(targets, 10); err != nil {
+		if _, err := engine.QueryBatch(ctx, targets, d3l.WithK(10)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(len(targets)*b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
-// BenchmarkQueryVsTopK is the API-redesign overhead guard: the same
-// workload through the legacy TopK wrapper and through the unified
-// context-first Query call. The two sub-benchmarks must track each
-// other — the functional-option plumbing, per-query spec resolution
-// and the cooperative cancellation checkpoints are nanoseconds next to
-// the millisecond-scale ranking, and CI's benchstat gate flags any
-// drift. (TopK itself routes through Query, so this also measures
-// that the wrapper adds nothing on top.)
+// BenchmarkQueryVsTopK is the option-plumbing overhead guard: the same
+// workload through Query with k alone and with a full per-query option
+// set. The two sub-benchmarks must track each other — the
+// functional-option plumbing, per-query spec resolution and the
+// cooperative cancellation checkpoints are nanoseconds next to the
+// millisecond-scale ranking, and CI's benchstat gate flags any drift.
 func BenchmarkQueryVsTopK(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
 	ctx := context.Background()
-	b.Run("TopK", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := engine.TopK(targets[i%len(targets)], 10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("Query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
@@ -395,7 +389,7 @@ func BenchmarkQueryVsTopK(b *testing.B) {
 }
 
 // BenchmarkSearchAllocs is the allocation-accounting view of the
-// query hot path: the same steady-state workload as the TopK
+// query hot path: the same steady-state workload as the serving
 // benchmarks with -benchmem semantics always on, so the B/op and
 // allocs/op columns land in every bench run and CI's benchstat gate
 // catches allocation regressions, not just time ones. The remaining
@@ -404,10 +398,11 @@ func BenchmarkQueryVsTopK(b *testing.B) {
 // arenas and is pinned near zero by core's TestQueryAllocationBudget.
 func BenchmarkSearchAllocs(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.TopK(targets[i%len(targets)], 10); err != nil {
+		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,9 +413,10 @@ func BenchmarkSearchAllocs(b *testing.B) {
 // than throughput, side of the concurrency work).
 func BenchmarkParallelSearch(b *testing.B) {
 	engine, targets := benchServingSetup(b, runtime.NumCPU())
+	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.TopK(targets[i%len(targets)], 10); err != nil {
+		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -284,18 +284,15 @@ func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string,
 		return err
 	}
 	built := time.Since(start)
-	// As in the monolith path: every shard's snapshot carries an SA-join
-	// graph, built here on this build's -workers; and parallelism is a
-	// serving-host property, so snapshots record the GOMAXPROCS default,
-	// not this build machine's -workers.
-	start = time.Now()
+	// As in the monolith path, parallelism is a serving-host property, so
+	// snapshots record the GOMAXPROCS default, not this build machine's
+	// -workers. Unlike it, no shard snapshot carries an SA-join graph:
+	// join paths cross shards, and no sharded topology serves them.
 	for i := 0; i < set.NumShards(); i++ {
-		set.Shard(i).JoinGraphEdges()
 		if err := set.Shard(i).SetParallelism(0); err != nil {
 			return err
 		}
 	}
-	graphed := time.Since(start)
 	start = time.Now()
 	if err := shard.WriteSet(set, out); err != nil {
 		return err
@@ -308,8 +305,8 @@ func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string,
 	fmt.Printf("indexed %d tables (%d attributes) across %d shards in %v\n",
 		lake.Len(), set.NumAttributes(), shards, built.Round(time.Millisecond))
 	fmt.Printf("wrote %s (tables per shard: %v)\n", out, perShard)
-	fmt.Printf("phases: load %v, profile and index %v, graph %v, save %v\n",
-		loaded.Round(time.Millisecond), built.Round(time.Millisecond), graphed.Round(time.Millisecond), saved.Round(time.Millisecond))
+	fmt.Printf("phases: load %v, profile and index %v, save %v\n",
+		loaded.Round(time.Millisecond), built.Round(time.Millisecond), saved.Round(time.Millisecond))
 	return nil
 }
 
@@ -456,12 +453,11 @@ func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, 
 	if err != nil {
 		return err
 	}
-	opts := []d3l.QueryOption{d3l.WithK(k)}
+	// The budget always goes through: 0 keeps the engine default, and a
+	// negative one fails with ErrInvalidOptions as /v1/query refuses it.
+	opts := []d3l.QueryOption{d3l.WithK(k), d3l.WithCandidateBudget(budget)}
 	if withJoins {
 		opts = append(opts, d3l.WithJoins())
-	}
-	if budget > 0 {
-		opts = append(opts, d3l.WithCandidateBudget(budget))
 	}
 	if explainFor != "" {
 		opts = append(opts, d3l.WithExplainFor(explainFor))
@@ -508,7 +504,7 @@ func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, 
 }
 
 // cmdBatch is the serving-shaped workload: index one lake, then answer
-// a whole directory of target tables concurrently through BatchTopK.
+// a whole directory of target tables concurrently through QueryBatch.
 func cmdBatch(args []string) error {
 	fs := flag.NewFlagSet("batch", flag.ExitOnError)
 	dir := fs.String("dir", "", "lake directory of CSV files")

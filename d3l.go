@@ -20,11 +20,10 @@
 //		d3l.WithK(10), d3l.WithJoins(),     // D3L+J augmentation
 //		d3l.WithEvidence(d3l.EvidenceName, d3l.EvidenceValue))
 //
-// Query is the unified, context-first entry point: one parameterised
+// Query is the one, context-first entry point: a single parameterised
 // call covering ranking, join augmentation and explanation, with
-// cooperative cancellation end-to-end. The legacy quartet (TopK,
-// BatchTopK, TopKWithJoins, Explain) remains as thin wrappers over
-// Query with default options.
+// cooperative cancellation end-to-end. QueryBatch runs it over many
+// targets on one worker pool.
 //
 // The engine serves queries concurrently and the lake is mutable after
 // indexing:
@@ -109,9 +108,10 @@ const (
 )
 
 // ErrTableNotFound reports a lookup of a lake table name that is not
-// indexed (never added, or already removed). Explain and Remove wrap
-// it, so callers — the HTTP serving layer answering 404, the CLI —
-// distinguish a bad name from a real failure with errors.Is.
+// indexed (never added, or already removed). WithExplainFor queries
+// and Remove wrap it, so callers — the HTTP serving layer answering
+// 404, the CLI — distinguish a bad name from a real failure with
+// errors.Is.
 var ErrTableNotFound = core.ErrTableNotFound
 
 // ErrDuplicateTable reports an Add of a table whose name is already
@@ -160,21 +160,22 @@ func DefaultOptions() Options { return core.DefaultOptions() }
 func DefaultWeights() Weights { return core.DefaultWeights() }
 
 // Engine is an indexed data lake ready for discovery queries. Build it
-// once with New. The engine is safe for concurrent use: queries
-// (Query, QueryBatch and the legacy wrappers) run concurrently with
-// each other and with the incremental mutations Add and Remove. The
-// SA-join graph for WithJoins queries is built lazily on first use,
-// reused across queries, and rebuilt after a mutation.
+// once with New. The engine is safe for concurrent use: queries (Query
+// and QueryBatch) run concurrently with each other and with the
+// incremental mutations Add, Update and Remove. The SA-join graph for
+// WithJoins queries is built lazily on first use, reused across
+// queries, and rebuilt after a mutation.
 type Engine struct {
 	core *core.Engine
 
 	// mu serialises the join-graph code paths against mutations. The
-	// graph builders and Augment hold *Profile pointers and read the
+	// graph builders and AugmentCtx hold *Profile pointers and read the
 	// lake across many engine calls, which the core engine's per-call
-	// locking cannot make atomic; Add/Remove take this lock in write
-	// mode, TopKWithJoins and JoinGraphEdges in read mode. Plain
-	// queries rely on the core engine's own lock and skip this one.
-	// Lock order is always mu before the core engine's internal lock.
+	// locking cannot make atomic; mutations take this lock in write
+	// mode, WithJoins queries, Save and JoinGraphEdges in read mode.
+	// Plain queries rely on the core engine's own lock and skip this
+	// one. Lock order is always mu before the core engine's internal
+	// lock.
 	mu sync.RWMutex
 
 	graphMu sync.Mutex
@@ -193,33 +194,6 @@ func New(lake *Lake, opts Options) (*Engine, error) {
 // BuildTimings reports where New spent its time; zero on a loaded
 // engine.
 func (e *Engine) BuildTimings() BuildTimings { return e.core.BuildTimings() }
-
-// TopK returns the k most related lake tables for the target, most
-// related first (Section III-D). It is Query with default options and
-// no deadline; prefer Query in serving paths that need cancellation.
-func (e *Engine) TopK(target *Table, k int) ([]Result, error) {
-	ans, err := e.Query(context.Background(), target, WithK(k))
-	if err != nil {
-		return nil, err
-	}
-	return ans.Results, nil
-}
-
-// BatchTopK answers one top-k query per target concurrently, bounded
-// by Options.Parallelism — the high-throughput serving primitive. The
-// answer slice is indexed like targets. It is QueryBatch with default
-// options and no deadline.
-func (e *Engine) BatchTopK(targets []*Table, k int) ([][]Result, error) {
-	answers, err := e.QueryBatch(context.Background(), targets, WithK(k))
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Result, len(answers))
-	for i, a := range answers {
-		out[i] = a.Results
-	}
-	return out, nil
-}
 
 // Add profiles and indexes a new table, returning its id. The table is
 // immediately discoverable. Profiling — the expensive part — runs
@@ -278,7 +252,7 @@ func (e *Engine) Remove(name string) error {
 }
 
 // invalidateGraph drops the cached SA-join graph after a mutation; the
-// next TopKWithJoins rebuilds it over the current lake contents.
+// next WithJoins query rebuilds it over the current lake contents.
 // Callers hold e.mu in write mode, so no build is in flight.
 func (e *Engine) invalidateGraph() {
 	e.graphMu.Lock()
@@ -286,11 +260,12 @@ func (e *Engine) invalidateGraph() {
 	e.graphMu.Unlock()
 }
 
-// joinGraph returns the cached SA-join graph, building it if needed
-// (the uncancellable form used by Save and JoinGraphEdges).
-func (e *Engine) joinGraph() *joins.Graph {
-	g, _ := e.joinGraphCtx(context.Background())
-	return g
+// cachedGraph returns the SA-join graph the engine holds, nil when no
+// query has built it since New, Load or the last mutation.
+func (e *Engine) cachedGraph() *joins.Graph {
+	e.graphMu.Lock()
+	defer e.graphMu.Unlock()
+	return e.graph
 }
 
 // joinGraphCtx returns the cached SA-join graph, building it under ctx
@@ -300,10 +275,7 @@ func (e *Engine) joinGraph() *joins.Graph {
 // them may build duplicate graphs (wasted work, never incorrect —
 // the first one wins the cache).
 func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
-	e.graphMu.Lock()
-	g := e.graph
-	e.graphMu.Unlock()
-	if g != nil {
+	if g := e.cachedGraph(); g != nil {
 		return g, nil
 	}
 	built, err := joins.BuildGraphCtx(ctx, e.core, joins.DefaultGraphOptions())
@@ -318,24 +290,15 @@ func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
 	return e.graph, nil
 }
 
-// TopKWithJoins returns the top-k answer augmented with SA-join paths
-// and Eq. 4/5 coverage — the paper's D3L+J (Section IV). It is Query
-// with WithJoins and no deadline.
-func (e *Engine) TopKWithJoins(target *Table, k int) ([]Augmented, error) {
-	ans, err := e.Query(context.Background(), target, WithK(k), WithJoins())
-	if err != nil {
-		return nil, err
-	}
-	return ans.Joins, nil
-}
-
 // Save writes a versioned, checksummed binary snapshot of the engine —
 // the four LSH indexes, attribute profiles, lake metadata, tombstone
-// set, and the SA-join graph (built first if no query has demanded it
-// yet) — so serving replicas cold-start with Load instead of
-// re-profiling the lake. Save holds the mutation lock in read mode:
-// snapshots taken under concurrent Add/Remove traffic are consistent
-// point-in-time images.
+// set, and the SA-join graph if the engine holds one — so serving
+// replicas cold-start with Load instead of re-profiling the lake. Save
+// never builds the graph: call JoinGraphEdges first to put it in the
+// snapshot (`d3l index build` does; shard snapshots, whose graphs no
+// sharded topology reads, do not). Save holds the mutation lock in read
+// mode: snapshots taken under concurrent Add/Remove traffic are
+// consistent point-in-time images.
 func Save(e *Engine, w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -371,28 +334,35 @@ func SaveFile(e *Engine, path string) error {
 	return err
 }
 
-// encodeSnapshot lays the engine's sections and the SA-join graph down
-// in one encoder, sized once for all of them. Caller holds e.mu.
+// encodeSnapshot lays the engine's sections and the SA-join graph it
+// holds, if any, down in one encoder, sized once for all of them.
+// Caller holds e.mu.
 func (e *Engine) encodeSnapshot() (*persist.Encoder, error) {
-	g := e.joinGraph()
+	g := e.cachedGraph()
+	extra := 0
+	if g != nil {
+		extra = persist.SectionOverhead + g.EncodedSize()
+	}
 	enc := persist.NewEncoder()
-	if err := e.core.AppendSnapshot(enc, persist.SectionOverhead+g.EncodedSize()); err != nil {
+	if err := e.core.AppendSnapshot(enc, extra); err != nil {
 		return nil, err
 	}
-	g.Encode(enc.Begin(persist.SecJoinGraph))
-	enc.End()
+	if g != nil {
+		g.Encode(enc.Begin(persist.SecJoinGraph))
+		enc.End()
+	}
 	return enc, nil
 }
 
 // Load reconstructs an engine from a snapshot written by Save. The
-// loaded engine answers TopK, BatchTopK, TopKWithJoins and Explain
-// identically to the engine the snapshot was taken from, and accepts
-// Add/Remove from there on. Its lake carries metadata only (names,
-// schemas, ids) — raw extents are not stored in snapshots, since
-// queries are answered entirely from the indexed profiles. Corrupt,
-// truncated or version-mismatched input fails with an error; it never
-// panics. If the snapshot predates the join graph section, the graph
-// is rebuilt lazily on first TopKWithJoins, as after New.
+// loaded engine answers Query and QueryBatch identically to the engine
+// the snapshot was taken from, and accepts Add/Remove from there on.
+// Its lake carries metadata only (names, schemas, ids) — raw extents
+// are not stored in snapshots, since queries are answered entirely from
+// the indexed profiles. Corrupt, truncated or version-mismatched input
+// fails with an error; it never panics. If the snapshot carries no join
+// graph section, the graph is built lazily by the first WithJoins query,
+// as after New.
 func Load(r io.Reader) (*Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -499,17 +469,6 @@ func (e *Engine) Compact() error {
 	return e.core.Compact()
 }
 
-// Explain returns the Table I-style pairwise distance rows between the
-// target and one lake table. It is an explanation-only Query
-// (WithK(0), WithExplainFor) with no deadline.
-func (e *Engine) Explain(target *Table, lakeTable string) ([]PairExplanation, error) {
-	ans, err := e.Query(context.Background(), target, WithK(0), WithExplainFor(lakeTable))
-	if err != nil {
-		return nil, err
-	}
-	return ans.Explanation, nil
-}
-
 // FormatExplanation renders explanation rows like the paper's Table I.
 func FormatExplanation(rows []PairExplanation) string {
 	return core.FormatExplanation(rows)
@@ -539,7 +498,9 @@ func (e *Engine) IndexSpaceBytes() int64 { return e.core.IndexSpaceBytes() }
 func (e *Engine) JoinGraphEdges() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return e.joinGraph().Edges()
+	// A background context never cancels, so the build cannot fail.
+	g, _ := e.joinGraphCtx(context.Background())
+	return g.Edges()
 }
 
 // TableName resolves a table id to its name, safely under concurrent

@@ -1,6 +1,7 @@
 package d3l_test
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -69,10 +70,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if engine.NumAttributes() != 12 {
 		t.Fatalf("indexed %d attributes, want 12", engine.NumAttributes())
 	}
-	results, err := engine.TopK(figure1Target(t), 3)
+	ans, err := engine.Query(context.Background(), figure1Target(t), d3l.WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	results := ans.Results
 	if len(results) != 3 {
 		t.Fatalf("got %d results, want 3", len(results))
 	}
@@ -95,14 +97,14 @@ func TestPublicAPIJoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	augs, err := engine.TopKWithJoins(figure1Target(t), 2)
+	ans, err := engine.Query(context.Background(), figure1Target(t), d3l.WithK(2), d3l.WithJoins())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(augs) == 0 {
+	if len(ans.Joins) == 0 {
 		t.Fatal("no augmented results")
 	}
-	for _, a := range augs {
+	for _, a := range ans.Joins {
 		if a.JoinCoverage < a.BaseCoverage {
 			t.Fatal("join coverage below base coverage")
 		}
@@ -117,10 +119,11 @@ func TestPublicAPIExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := engine.Explain(figure1Target(t), "S2")
+	ans, err := engine.Query(context.Background(), figure1Target(t), d3l.WithK(0), d3l.WithExplainFor("S2"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := ans.Explanation
 	out := d3l.FormatExplanation(rows)
 	if !strings.Contains(out, "DN") {
 		t.Fatal("explanation missing header")
@@ -157,7 +160,7 @@ func TestPublicAPICSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := engine.TopK(figure1Target(t), 2); err != nil {
+	if _, err := engine.Query(context.Background(), figure1Target(t), d3l.WithK(2)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -184,9 +187,9 @@ func TestOptionsValidationThroughPublicAPI(t *testing.T) {
 	}
 }
 
-// TestConcurrentJoinsAndMutations hammers TopKWithJoins (whose graph
-// build and augmentation hold profile pointers across engine calls)
-// concurrently with Add/Remove churn and plain queries. Run under
+// TestConcurrentJoinsAndMutations hammers WithJoins queries (whose
+// graph build and augmentation hold profile pointers across engine
+// calls) concurrently with Add/Remove churn, plain queries and batches. Run under
 // `go test -race`; this is the interleaving the public engine must
 // serialise internally.
 func TestConcurrentJoinsAndMutations(t *testing.T) {
@@ -195,6 +198,7 @@ func TestConcurrentJoinsAndMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := figure1Target(t)
+	ctx := context.Background()
 	churn := make([]*d3l.Table, 3)
 	for i := range churn {
 		churn[i] = mustTable(t, fmt.Sprintf("churn_%d", i),
@@ -211,7 +215,7 @@ func TestConcurrentJoinsAndMutations(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := engine.TopKWithJoins(target, 3); err != nil {
+				if _, err := engine.Query(ctx, target, d3l.WithK(3), d3l.WithJoins()); err != nil {
 					fail <- fmt.Errorf("joins: %w", err)
 					return
 				}
@@ -223,8 +227,20 @@ func TestConcurrentJoinsAndMutations(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			if _, err := engine.TopK(target, 3); err != nil {
+			if _, err := engine.Query(ctx, target, d3l.WithK(3)); err != nil {
 				fail <- fmt.Errorf("topk: %w", err)
+				return
+			}
+		}
+	}()
+	// A batch runs each target under its own core read lock, so a
+	// mutation may land between two of them.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if _, err := engine.QueryBatch(ctx, []*d3l.Table{target, target, target}, d3l.WithK(3)); err != nil {
+				fail <- fmt.Errorf("batch: %w", err)
 				return
 			}
 		}
@@ -253,13 +269,13 @@ func TestConcurrentJoinsAndMutations(t *testing.T) {
 		t.Error(err)
 	}
 	// The engine still serves and the graph rebuilds cleanly.
-	if _, err := engine.TopKWithJoins(target, 3); err != nil {
+	if _, err := engine.Query(ctx, target, d3l.WithK(3), d3l.WithJoins()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestPublicAPIMutableLake exercises the incremental serving surface:
-// BatchTopK over several targets, Add making a table discoverable and
+// QueryBatch over several targets, Add making a table discoverable and
 // refreshing the SA-join graph, Remove making it unreachable.
 func TestPublicAPIMutableLake(t *testing.T) {
 	engine, err := d3l.New(figure1Lake(t), d3l.DefaultOptions())
@@ -267,19 +283,31 @@ func TestPublicAPIMutableLake(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := figure1Target(t)
+	ctx := context.Background()
+	// ranking is the full ranked lake for target.
+	ranking := func() []d3l.Result {
+		t.Helper()
+		ans, err := engine.Query(ctx, target, d3l.WithK(engine.NumTables()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ans.Results
+	}
 
-	answers, err := engine.BatchTopK([]*d3l.Table{target, target}, 2)
+	answers, err := engine.QueryBatch(ctx, []*d3l.Table{target, target}, d3l.WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(answers) != 2 {
 		t.Fatalf("got %d batch answers, want 2", len(answers))
 	}
-	single, err := engine.TopK(target, 2)
+	ans, err := engine.Query(ctx, target, d3l.WithK(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ranked := range answers {
+	single := ans.Results
+	for _, a := range answers {
+		ranked := a.Results
 		if len(ranked) != len(single) {
 			t.Fatalf("batch answer size %d differs from single %d", len(ranked), len(single))
 		}
@@ -303,12 +331,8 @@ func TestPublicAPIMutableLake(t *testing.T) {
 	if _, err := engine.Add(s4); err != nil {
 		t.Fatal(err)
 	}
-	results, err := engine.TopK(target, engine.Lake().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
 	found := false
-	for _, r := range results {
+	for _, r := range ranking() {
 		if r.Name == "S4" {
 			found = true
 		}
@@ -325,11 +349,7 @@ func TestPublicAPIMutableLake(t *testing.T) {
 	if err := engine.Remove("S4"); err != nil {
 		t.Fatal(err)
 	}
-	results, err = engine.TopK(target, engine.Lake().Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
+	for _, r := range ranking() {
 		if r.Name == "S4" {
 			t.Fatal("removed table still discoverable")
 		}

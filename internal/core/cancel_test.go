@@ -8,8 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"d3l/internal/table"
 )
 
 // The cancellation contract: a cancelled query returns ctx.Err() — not
@@ -176,27 +174,6 @@ func TestShardGatherCancelMidFlight(t *testing.T) {
 	}
 	if between := 1 + len(tprofiles); polls <= between {
 		t.Fatalf("gather polls ctx %d times over %d columns: it only stops between columns", polls, len(tprofiles))
-	}
-}
-
-func TestBatchSearchSpecCancelled(t *testing.T) {
-	lake := syntheticLake(t, 7, 30)
-	e, err := BuildEngine(lake, testOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := make([]*table.Table, 20)
-	for i := range targets {
-		targets[i] = lake.Table(i % lake.Len())
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	out, err := e.BatchSearchSpec(ctx, targets, QuerySpec{K: 5})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if out != nil {
-		t.Fatal("cancelled batch returned answers")
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -277,8 +278,21 @@ func TestRemoveMiddleTableKeepsOthersRanked(t *testing.T) {
 	}
 }
 
+// batchSearch is the public QueryBatch over core: one sequential
+// SearchSpec per target on the engine's query pool, indexed like targets.
+func batchSearch(ctx context.Context, e *Engine, targets []*table.Table, k int) ([]*SearchResult, error) {
+	out := make([]*SearchResult, len(targets))
+	errs := make([]error, len(targets))
+	if err := e.ForEachQuery(ctx, len(targets), func(i int) {
+		out[i], errs[i] = e.SearchSpec(ctx, targets[i], QuerySpec{K: k, Parallelism: 1})
+	}); err != nil {
+		return nil, err
+	}
+	return out, errors.Join(errs...)
+}
+
 // TestConcurrentEngineStress hammers one shared engine with concurrent
-// Search, BatchTopK, Add, Remove and metadata reads. Run under
+// searches, batches, Add, Remove and metadata reads. Run under
 // `go test -race`; the assertions are liveness and reachability, the
 // race detector provides the memory-safety verdict.
 func TestConcurrentEngineStress(t *testing.T) {
@@ -329,7 +343,7 @@ func TestConcurrentEngineStress(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := e.BatchSearchSpec(context.Background(), stable, QuerySpec{K: 5}); err != nil {
+			if _, err := batchSearch(context.Background(), e, stable, 5); err != nil {
 				fail <- fmt.Errorf("batch: %w", err)
 				return
 			}
@@ -380,43 +394,6 @@ func TestConcurrentEngineStress(t *testing.T) {
 				t.Fatalf("churn table %s reachable after final Remove", c.Name)
 			}
 		}
-	}
-}
-
-// TestBatchTopKMatchesSingleQueries asserts BatchTopK is exactly a
-// concurrent fan-out of TopK: same answers, indexed like the targets.
-func TestBatchTopKMatchesSingleQueries(t *testing.T) {
-	lake := syntheticLake(t, 19, 24)
-	opts := testOptions()
-	e, err := BuildEngine(lake, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := make([]*table.Table, 8)
-	for i := range targets {
-		targets[i] = lake.Table(i * 2)
-	}
-	batch, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch) != len(targets) {
-		t.Fatalf("batch returned %d answers for %d targets", len(batch), len(targets))
-	}
-	for i, target := range targets {
-		single, err := topK(e, target, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa, sb := rankingSignature(single, true), rankingSignature(batch[i].Ranked, true); sa != sb {
-			t.Fatalf("target %d: batch answer differs from single query:\nsingle:\n%s\nbatch:\n%s", i, sa, sb)
-		}
-	}
-	if _, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 0}); err == nil {
-		t.Fatal("expected error for k = 0")
-	}
-	if out, err := e.BatchSearchSpec(context.Background(), nil, QuerySpec{K: 5}); err != nil || len(out) != 0 {
-		t.Fatal("empty batch should succeed with no answers")
 	}
 }
 

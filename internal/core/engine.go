@@ -16,7 +16,7 @@ import (
 // relatedness queries.
 //
 // An Engine is safe for concurrent use: queries (SearchSpec,
-// BatchSearchSpec, Explain, the lookup helpers) hold a read lock and run
+// ExplainSpec, the lookup helpers) hold a read lock and run
 // concurrently with each other, while mutations (Add, Remove) take the
 // write lock and serialise against queries. The embedded Lake must only
 // be mutated through the Engine once queries may be in flight.

@@ -17,19 +17,14 @@ type PairExplanation struct {
 	Distances    DistanceVector
 }
 
-// Explain computes the full pairwise distance rows between a target
+// ExplainSpec computes the full pairwise distance rows between a target
 // table and one lake table, reproducing the structure of Table I. Only
 // pairs related by at least one index (distance < 1 on some evidence)
-// are reported, as in the paper's grouping step.
-func (e *Engine) Explain(target *table.Table, lakeTable string) ([]PairExplanation, error) {
-	return e.ExplainSpec(context.Background(), target, lakeTable, QuerySpec{K: 1})
-}
-
-// ExplainSpec is the context-first, per-query-parameterised Explain:
-// the spec's evidence mask applies to every pair distance (K and the
-// remaining spec fields do not affect explanations), and cancellation
-// is checked between target columns — a cancelled call returns
-// ctx.Err(), never partial rows.
+// are reported, as in the paper's grouping step. The spec's evidence
+// mask applies to every pair distance (K and the remaining spec fields
+// do not affect explanations), and cancellation is checked between
+// target columns — a cancelled call returns ctx.Err(), never partial
+// rows.
 func (e *Engine) ExplainSpec(ctx context.Context, target *table.Table, lakeTable string, spec QuerySpec) ([]PairExplanation, error) {
 	if target == nil {
 		return nil, fmt.Errorf("core: nil target")

@@ -69,14 +69,14 @@ func TestFingerprintSurvivesSnapshot(t *testing.T) {
 // on errors.Is to answer 404 instead of 500.
 func TestTableNotFoundTyped(t *testing.T) {
 	e := buildFigure1Engine(t)
-	_, err := e.Explain(figure1Target(t), "no_such_table")
+	_, err := explain(e, figure1Target(t), "no_such_table")
 	if !errors.Is(err, ErrTableNotFound) {
 		t.Fatalf("Explain miss = %v, want ErrTableNotFound", err)
 	}
 	if err := e.Remove("no_such_table"); !errors.Is(err, ErrTableNotFound) {
 		t.Fatalf("Remove miss = %v, want ErrTableNotFound", err)
 	}
-	if _, err := e.Explain(figure1Target(t), "S2"); err != nil {
+	if _, err := explain(e, figure1Target(t), "S2"); err != nil {
 		t.Fatalf("Explain hit errored: %v", err)
 	}
 }

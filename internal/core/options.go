@@ -48,8 +48,8 @@ type Options struct {
 	UniformEq1Weights bool
 	// Parallelism bounds the worker pools on both sides of the engine:
 	// table profiling during BuildEngine, the per-column candidate
-	// fan-out and per-table scoring inside Search, and the number of
-	// concurrent queries a BatchTopK call runs. 0 selects GOMAXPROCS;
+	// fan-out and per-table scoring inside SearchSpec, and the number of
+	// concurrent queries a QueryBatch call runs. 0 selects GOMAXPROCS;
 	// 1 forces sequential execution. Profiles, indexes and rankings are
 	// deterministic, so results are identical at any setting.
 	Parallelism int

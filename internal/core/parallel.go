@@ -107,8 +107,8 @@ func forEachIndexCtx(ctx context.Context, n, parallelism int, fn func(int)) erro
 // ForEachQuery runs fn(i) for every i in [0,n) across the engine's
 // query worker pool (bounded by Options.Parallelism), honouring ctx:
 // no further fn starts once ctx is cancelled and the ctx error is
-// returned after the pool drains. It is the fan-out primitive the
-// public layer's QueryBatch shares with BatchSearchSpec, so both sides
+// returned after the pool drains. It is the fan-out primitive behind
+// the public layer's QueryBatch and the SA-join graph build, so both
 // obey one parallelism setting. fn must write only to its own index's
 // state.
 func (e *Engine) ForEachQuery(ctx context.Context, n int, fn func(int)) error {

@@ -35,8 +35,8 @@ func loadedEngine(t testing.TB, e *Engine) *Engine {
 	return le
 }
 
-// TestSnapshotRoundTripFigure1 asserts Load(Snapshot(e)) answers TopK,
-// BatchTopK and Explain identically to the original engine, and that
+// TestSnapshotRoundTripFigure1 asserts Load(Snapshot(e)) answers
+// single and batched searches and explanations identically to the original engine, and that
 // re-snapshotting the loaded engine reproduces the snapshot bytes
 // (the format is canonical: no map-order or timing nondeterminism).
 func TestSnapshotRoundTripFigure1(t *testing.T) {
@@ -60,7 +60,7 @@ func TestSnapshotRoundTripFigure1(t *testing.T) {
 		t.Fatal("no results on the original engine")
 	}
 	if rankingSignature(want, true) != rankingSignature(got, true) {
-		t.Fatalf("TopK diverged after round trip:\nwant %s\ngot  %s",
+		t.Fatalf("search diverged after round trip:\nwant %s\ngot  %s",
 			rankingSignature(want, true), rankingSignature(got, true))
 	}
 	for i := range want {
@@ -70,11 +70,11 @@ func TestSnapshotRoundTripFigure1(t *testing.T) {
 	}
 
 	targets := []*table.Table{target, figure1Target(t)}
-	wantBatch, err := e.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 3})
+	wantBatch, err := batchSearch(context.Background(), e, targets, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotBatch, err := le.BatchSearchSpec(context.Background(), targets, QuerySpec{K: 3})
+	gotBatch, err := batchSearch(context.Background(), le, targets, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,16 +84,16 @@ func TestSnapshotRoundTripFigure1(t *testing.T) {
 		}
 	}
 
-	wantRows, err := e.Explain(target, "S2")
+	wantRows, err := explain(e, target, "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRows, err := le.Explain(target, "S2")
+	gotRows, err := explain(le, target, "S2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if FormatExplanation(wantRows) != FormatExplanation(gotRows) {
-		t.Fatalf("Explain diverged after round trip:\nwant:\n%s\ngot:\n%s",
+		t.Fatalf("explanation diverged after round trip:\nwant:\n%s\ngot:\n%s",
 			FormatExplanation(wantRows), FormatExplanation(gotRows))
 	}
 

@@ -82,49 +82,6 @@ type candidatePair struct {
 // overrides in spec never touch engine state, so concurrent queries
 // with different weights or evidence masks do not interfere.
 func (e *Engine) SearchSpec(ctx context.Context, target *table.Table, spec QuerySpec) (*SearchResult, error) {
-	return e.searchSpec(ctx, target, spec, e.resolveParallelism(spec.Parallelism))
-}
-
-// BatchSearchSpec runs SearchSpec once per target across the worker
-// pool. Each query runs its own pipeline sequentially (cross-query
-// parallelism already saturates the pool) under its own read lock, so
-// batches proceed concurrently with other queries and interleave
-// safely with Add/Remove; a mutation landing mid-batch is consequently
-// visible to some answers and not others, exactly as if the queries
-// had been issued individually. The answer slice is indexed like
-// targets. Cancellation wins over per-target failures: once ctx is
-// cancelled, workers stop picking up targets and the call returns
-// ctx.Err(); otherwise the first query error aborts the batch.
-func (e *Engine) BatchSearchSpec(ctx context.Context, targets []*table.Table, spec QuerySpec) ([]*SearchResult, error) {
-	if spec.K <= 0 {
-		return nil, fmt.Errorf("core: k must be positive, got %d", spec.K)
-	}
-	inner := spec
-	inner.Parallelism = 1
-	out := make([]*SearchResult, len(targets))
-	errs := make([]error, len(targets))
-	poolErr := forEachIndexCtx(ctx, len(targets), e.resolveParallelism(spec.Parallelism), func(i int) {
-		res, err := e.searchSpec(ctx, targets[i], inner, 1)
-		if err != nil {
-			errs[i] = fmt.Errorf("target %d: %w", i, err)
-			return
-		}
-		out[i] = res
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// searchSpec is the Section III-D pipeline at an explicit parallelism
-// (tests compare parallel against sequential output directly).
-func (e *Engine) searchSpec(ctx context.Context, target *table.Table, spec QuerySpec, parallelism int) (*SearchResult, error) {
 	if target == nil {
 		return nil, fmt.Errorf("core: nil target")
 	}
@@ -147,7 +104,7 @@ func (e *Engine) searchSpec(ctx context.Context, target *table.Table, spec Query
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return e.rankProfiled(ctx, target, tprofiles, tsubject, view, parallelism)
+	return e.rankProfiled(ctx, target, tprofiles, tsubject, view, e.resolveParallelism(spec.Parallelism))
 }
 
 // rankProfiled is the post-profiling half of the pipeline — Gather →

@@ -108,7 +108,7 @@ func TestExplainOnPathologicalLake(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"empty_extent", "all_null", "unicode"} {
-		if _, err := e.Explain(target, name); err != nil {
+		if _, err := explain(e, target, name); err != nil {
 			t.Fatalf("Explain(%s): %v", name, err)
 		}
 	}

@@ -23,9 +23,12 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 	if err != nil {
 		return joinMeasures{}, err
 	}
+	ctx := context.Background()
 	var graph *joins.Graph
 	if withJoins {
-		graph = joins.BuildGraph(eng, joins.DefaultGraphOptions())
+		if graph, err = joins.BuildGraphCtx(ctx, eng, joins.DefaultGraphOptions()); err != nil {
+			return joinMeasures{}, err
+		}
 	}
 	var covSum, precSum float64
 	nCov, nPrec := 0, 0
@@ -34,7 +37,7 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 		if err != nil {
 			return joinMeasures{}, err
 		}
-		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: k + 1})
+		res, err := eng.SearchSpec(ctx, target, core.QuerySpec{K: k + 1})
 		if err != nil {
 			return joinMeasures{}, err
 		}
@@ -54,7 +57,9 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 			for i, r := range ranked {
 				topK[i] = r.TableID
 			}
-			pathsByStart = joins.FindJoinPaths(graph, topK, res.TargetProfiles, joins.DefaultPathOptions())
+			if pathsByStart, err = joins.FindJoinPathsCtx(ctx, graph, topK, res.TargetProfiles, joins.DefaultPathOptions()); err != nil {
+				return joinMeasures{}, err
+			}
 		}
 		for _, r := range ranked {
 			// Coverage (Eq. 4 / Eq. 5).

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -63,7 +64,7 @@ func RunTableI() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rows, err := eng.Explain(target, "S2")
+	rows, err := eng.ExplainSpec(context.Background(), target, "S2", core.QuerySpec{K: 1})
 	if err != nil {
 		return Report{}, err
 	}

@@ -3,6 +3,7 @@ package joins
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"d3l/internal/core"
@@ -27,7 +28,7 @@ func TestBuildGraphCtxCancelled(t *testing.T) {
 
 func TestAugmentCtxCancelled(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +46,7 @@ func TestAugmentCtxCancelled(t *testing.T) {
 
 func TestFindJoinPathsCtxCancelled(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -62,40 +63,34 @@ func TestFindJoinPathsCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestCtxVariantsMatchLegacy: with a background context the ctx-first
-// functions are the legacy functions.
-func TestCtxVariantsMatchLegacy(t *testing.T) {
+// TestLiveCtxMatchesBackgroundCtx: a context that could cancel but
+// does not takes the instrumented worker-pool path, and builds the same
+// graph and augmentation as a background context, which cannot.
+func TestLiveCtxMatchesBackgroundCtx(t *testing.T) {
 	e := buildEngine(t)
-	ctx := context.Background()
-	gLegacy := BuildGraph(e, DefaultGraphOptions())
-	gCtx, err := BuildGraphCtx(ctx, e, DefaultGraphOptions())
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	gBackground := buildGraph(t, e)
+	gLive, err := BuildGraphCtx(live, e, DefaultGraphOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gLegacy.Edges() != gCtx.Edges() {
-		t.Fatalf("edge counts diverge: legacy %d, ctx %d", gLegacy.Edges(), gCtx.Edges())
+	if gBackground.Edges() != gLive.Edges() || !reflect.DeepEqual(gBackground.adj, gLive.adj) {
+		t.Fatalf("graphs diverge: background %d edges, live %d", gBackground.Edges(), gLive.Edges())
 	}
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Augment(e, gLegacy, res, DefaultPathOptions())
+	want, err := AugmentCtx(context.Background(), e, gBackground, res, DefaultPathOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AugmentCtx(ctx, e, gCtx, res, DefaultPathOptions())
+	got, err := AugmentCtx(live, e, gLive, res, DefaultPathOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(got) {
-		t.Fatalf("augmented lengths diverge: %d vs %d", len(want), len(got))
-	}
-	for i := range want {
-		if want[i].Result.Name != got[i].Result.Name ||
-			want[i].BaseCoverage != got[i].BaseCoverage ||
-			want[i].JoinCoverage != got[i].JoinCoverage ||
-			len(want[i].Paths) != len(got[i].Paths) {
-			t.Fatalf("augmented entry %d diverges: %+v vs %+v", i, want[i], got[i])
-		}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("augmentations diverge:\nbackground %+v\nlive       %+v", want, got)
 	}
 }

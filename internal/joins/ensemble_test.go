@@ -89,7 +89,7 @@ func TestEnsembleGraphFindsSkewedContainment(t *testing.T) {
 
 func TestEnsembleGraphAgreesWithForestOnBalancedSets(t *testing.T) {
 	e := buildEngine(t)
-	forest := BuildGraph(e, DefaultGraphOptions())
+	forest := buildGraph(t, e)
 	ens, err := BuildGraphEnsemble(e, DefaultGraphOptions())
 	if err != nil {
 		t.Fatal(err)

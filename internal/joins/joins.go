@@ -45,16 +45,6 @@ type Graph struct {
 	edges  int
 }
 
-// BuildGraph constructs G_S: for every table's subject attribute, the
-// value index proposes overlap candidates; an edge appears when the
-// estimated overlap coefficient clears the bound and at least one
-// endpoint is a subject attribute (the two SA-joinability conditions).
-func BuildGraph(e *core.Engine, opts GraphOptions) *Graph {
-	// A background context cannot cancel, so the error is unreachable.
-	g, _ := BuildGraphCtx(context.Background(), e, opts)
-	return g
-}
-
 // graphBlock is how many tables' candidates BuildGraphCtx generates
 // before it merges them: it bounds the candidates pending at any moment
 // (CandidateBudget per table) whatever the lake's size.
@@ -68,9 +58,13 @@ type candidate struct {
 	overlap        float64
 }
 
-// BuildGraphCtx is BuildGraph with cooperative cancellation: the build
-// checks ctx between tables and returns ctx.Err() with no graph when
-// cancelled — a partial graph is never handed out.
+// BuildGraphCtx constructs G_S: for every table's subject attribute, the
+// value index proposes overlap candidates; an edge appears when the
+// estimated overlap coefficient clears the bound and at least one
+// endpoint is a subject attribute (the two SA-joinability conditions).
+// Cancellation is cooperative: the build checks ctx between tables and
+// returns ctx.Err() with no graph when cancelled — a partial graph is
+// never handed out.
 //
 // Candidate generation — the I_V probe of each table's subject attribute
 // and the overlap estimate of every candidate it returns — is independent
@@ -205,19 +199,12 @@ func DefaultPathOptions() PathOptions {
 	return PathOptions{MaxDepth: 4, MaxPathsPerStart: 64}
 }
 
-// FindJoinPaths runs Algorithm 3 from each top-k table: depth-first
+// FindJoinPathsCtx runs Algorithm 3 from each top-k table: depth-first
 // traversal of G_S collecting paths whose nodes (apart from the start)
 // are outside the top-k, acyclic, and related to the target by at least
-// one index.
-func FindJoinPaths(g *Graph, topK []int, targetProfiles []core.Profile, opts PathOptions) map[int][]Path {
-	out, _ := FindJoinPathsCtx(context.Background(), g, topK, targetProfiles, opts)
-	return out
-}
-
-// FindJoinPathsCtx is FindJoinPaths with cooperative cancellation: the
-// traversal checks ctx between DFS nodes (the target-relatedness guard
-// behind each node is the expensive step) and returns ctx.Err() with
-// no paths when cancelled.
+// one index. The traversal checks ctx between DFS nodes (the
+// target-relatedness guard behind each node is the expensive step) and
+// returns ctx.Err() with no paths when cancelled.
 func FindJoinPathsCtx(ctx context.Context, g *Graph, topK []int, targetProfiles []core.Profile, opts PathOptions) (map[int][]Path, error) {
 	if opts.MaxDepth <= 0 {
 		opts.MaxDepth = 4
@@ -320,17 +307,11 @@ type Augmented struct {
 	JoinCoverage float64 // Eq. 5
 }
 
-// Augment runs the full D3L+J pipeline on a search result: build (or
-// reuse) the SA-join graph, find join paths per top-k table, and
-// compute coverage with and without joins.
-func Augment(e *core.Engine, g *Graph, res *core.SearchResult, popts PathOptions) ([]Augmented, error) {
-	return AugmentCtx(context.Background(), e, g, res, popts)
-}
-
-// AugmentCtx is Augment with cooperative cancellation: ctx is honoured
-// through the path traversal and between the per-result coverage
-// computations, and a cancelled call returns ctx.Err() with no partial
-// augmentation.
+// AugmentCtx runs the D3L+J pipeline on a search result over the
+// SA-join graph g: find join paths per top-k table, and compute
+// coverage with and without joins. ctx is honoured through the path
+// traversal and between the per-result coverage computations, and a
+// cancelled call returns ctx.Err() with no partial augmentation.
 func AugmentCtx(ctx context.Context, e *core.Engine, g *Graph, res *core.SearchResult, popts PathOptions) ([]Augmented, error) {
 	if res == nil {
 		return nil, fmt.Errorf("joins: nil search result")
@@ -357,28 +338,4 @@ func AugmentCtx(ctx context.Context, e *core.Engine, g *Graph, res *core.SearchR
 		}
 	}
 	return out, nil
-}
-
-// ContributedTables returns the distinct non-top-k tables reachable via
-// the join paths of an augmented answer — the extra datasets D3L+J
-// would hand to downstream wrangling.
-func ContributedTables(augs []Augmented) []int {
-	inTopK := make(map[int]bool, len(augs))
-	for _, a := range augs {
-		inTopK[a.Result.TableID] = true
-	}
-	seen := make(map[int]bool)
-	var out []int
-	for _, a := range augs {
-		for _, p := range a.Paths {
-			for _, tid := range p {
-				if !inTopK[tid] && !seen[tid] {
-					seen[tid] = true
-					out = append(out, tid)
-				}
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -2,6 +2,7 @@ package joins
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"d3l/internal/core"
@@ -59,6 +60,17 @@ func joinTarget(t testing.TB) *table.Table {
 		})
 }
 
+// buildGraph builds the SA-join graph under a background context, which
+// cannot cancel.
+func buildGraph(t testing.TB, e *core.Engine) *Graph {
+	t.Helper()
+	g, err := BuildGraphCtx(context.Background(), e, DefaultGraphOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 func buildEngine(t testing.TB) *core.Engine {
 	opts := core.DefaultOptions()
 	opts.MaxExtentSample = 128
@@ -71,7 +83,7 @@ func buildEngine(t testing.TB) *core.Engine {
 
 func TestBuildGraphFindsSAJoins(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	if g.Edges() == 0 {
 		t.Fatal("join graph has no edges; expected S1-S2-S3 joins on practice names")
 	}
@@ -114,13 +126,16 @@ func TestBuildGraphFindsSAJoins(t *testing.T) {
 
 func TestFindJoinPathsAlgorithm3(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	topK := []int{res.Ranked[0].TableID, res.Ranked[1].TableID}
-	paths := FindJoinPaths(g, topK, res.TargetProfiles, DefaultPathOptions())
+	paths, err := FindJoinPathsCtx(context.Background(), g, topK, res.TargetProfiles, DefaultPathOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	total := 0
 	for _, ps := range paths {
 		for _, p := range ps {
@@ -154,14 +169,14 @@ func TestFindJoinPathsAlgorithm3(t *testing.T) {
 
 func TestJoinCoverageImproves(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	// k=2: S1 and S2 are the strongly related tables; S3 (hours) should
 	// be reachable only through joins.
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	augs, err := Augment(e, g, res, DefaultPathOptions())
+	augs, err := AugmentCtx(context.Background(), e, g, res, DefaultPathOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,39 +197,44 @@ func TestJoinCoverageImproves(t *testing.T) {
 	}
 }
 
+// TestContributedTables checks the extra datasets D3L+J hands over: every
+// table a join path adds lies outside the top-k, and S3 is among them.
 func TestContributedTables(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	augs, err := Augment(e, g, res, DefaultPathOptions())
+	augs, err := AugmentCtx(context.Background(), e, g, res, DefaultPathOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	contributed := ContributedTables(augs)
+	inTopK := make(map[int]bool, len(augs))
+	for _, a := range augs {
+		inTopK[a.Result.TableID] = true
+	}
 	s3, _ := e.Lake().IDByName("S3")
-	found := false
-	for _, tid := range contributed {
-		if tid == s3 {
-			found = true
-		}
-		for _, a := range augs {
-			if a.Result.TableID == tid {
-				t.Fatal("contributed table is already in top-k")
+	reached := false
+	for _, a := range augs {
+		for _, p := range a.Paths {
+			for _, tid := range p[1:] {
+				if inTopK[tid] {
+					t.Fatalf("contributed table %d is already in top-k (path %v)", tid, p)
+				}
 			}
+			reached = reached || slices.Contains(p[1:], s3)
 		}
 	}
-	if !found {
-		t.Fatalf("S3 (id %d) should be contributed via joins, got %v", s3, contributed)
+	if !reached {
+		t.Fatalf("S3 (id %d) should be contributed via joins", s3)
 	}
 }
 
 func TestAugmentValidation(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
-	if _, err := Augment(e, g, nil, DefaultPathOptions()); err == nil {
+	g := buildGraph(t, e)
+	if _, err := AugmentCtx(context.Background(), e, g, nil, DefaultPathOptions()); err == nil {
 		t.Fatal("expected error for nil result")
 	}
 }
@@ -228,13 +248,16 @@ func TestCoverageEmptyTarget(t *testing.T) {
 
 func TestPathOptionBounds(t *testing.T) {
 	e := buildEngine(t)
-	g := BuildGraph(e, DefaultGraphOptions())
+	g := buildGraph(t, e)
 	res, err := e.SearchSpec(context.Background(), joinTarget(t), core.QuerySpec{K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	topK := []int{res.Ranked[0].TableID}
-	paths := FindJoinPaths(g, topK, res.TargetProfiles, PathOptions{MaxDepth: 2, MaxPathsPerStart: 1})
+	paths, err := FindJoinPathsCtx(context.Background(), g, topK, res.TargetProfiles, PathOptions{MaxDepth: 2, MaxPathsPerStart: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ps := range paths {
 		if len(ps) > 1 {
 			t.Fatalf("MaxPathsPerStart violated: %d paths", len(ps))

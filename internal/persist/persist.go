@@ -66,7 +66,8 @@ const (
 	// SecForests holds the four LSH forests I_N, I_V, I_F, I_E.
 	SecForests uint32 = 4
 	// SecJoinGraph holds the SA-join graph (optional: written by
-	// d3l.Save, absent from bare core snapshots).
+	// d3l.Save when the engine holds a graph, absent from bare core
+	// snapshots).
 	SecJoinGraph uint32 = 5
 )
 

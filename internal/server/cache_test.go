@@ -70,14 +70,19 @@ func TestResultCacheDisabled(t *testing.T) {
 	}
 }
 
+// rankingKey is the cache key a ranking route gives a k-only request
+// for one target.
+func rankingKey(t *testing.T, kind string, engineFP, swapGen uint64, k int, table TableJSON) string {
+	t.Helper()
+	return resultKey(kind, engineFP, swapGen, mustPlan(t, QueryRequest{K: &k}), false, []TableJSON{table})
+}
+
 // TestQueryKeyCanonical pins the fingerprint contract: equal queries
-// collide, and every result-relevant dimension separates keys.
+// collide, and every result-relevant dimension separates keys —
+// including the route, so /v1/topk and /v1/query never share an entry.
 func TestQueryKeyCanonical(t *testing.T) {
-	base := func() TopKRequest {
-		return TopKRequest{Table: figure1TargetJSON(), K: kptr(5)}
-	}
-	r1, r2 := base(), base()
-	if topKKey("topk", 1, 0, *r1.K, false, &r1.Table) != topKKey("topk", 1, 0, *r2.K, false, &r2.Table) {
+	base := figure1TargetJSON
+	if rankingKey(t, routeTopK, 1, 0, 5, base()) != rankingKey(t, routeTopK, 1, 0, 5, base()) {
 		t.Fatal("equal queries produced different keys")
 	}
 	distinct := map[string]string{}
@@ -88,28 +93,31 @@ func TestQueryKeyCanonical(t *testing.T) {
 		}
 		distinct[key] = label
 	}
-	add("base", topKKey("topk", 1, 0, *r1.K, false, &r1.Table))
-	add("kind", topKKey("joins", 1, 0, *r1.K, false, &r1.Table))
-	add("engine", topKKey("topk", 2, 0, *r1.K, false, &r1.Table))
-	add("swap generation", topKKey("topk", 1, 1, *r1.K, false, &r1.Table))
-	k := base()
-	k.K = kptr(6)
-	add("k", topKKey("topk", 1, 0, *k.K, false, &k.Table))
+	add("base", rankingKey(t, routeTopK, 1, 0, 5, base()))
+	for _, kind := range []string{routeQuery, routeJoins, routeBatch} {
+		add("kind "+kind, rankingKey(t, kind, 1, 0, 5, base()))
+	}
+	add("engine", rankingKey(t, routeTopK, 2, 0, 5, base()))
+	add("swap generation", rankingKey(t, routeTopK, 1, 1, 5, base()))
+	add("k", rankingKey(t, routeTopK, 1, 0, 6, base()))
+	k := 5
+	add("partial", resultKey(routeTopK, 1, 0, mustPlan(t, QueryRequest{K: &k}), true, []TableJSON{base()}))
+	add("second target", resultKey(routeBatch, 1, 0, mustPlan(t, QueryRequest{K: &k}), false, []TableJSON{base(), base()}))
 	cell := base()
-	cell.Table.Rows[0][0] += "x"
-	add("cell", topKKey("topk", 1, 0, *cell.K, false, &cell.Table))
+	cell.Rows[0][0] += "x"
+	add("cell", rankingKey(t, routeTopK, 1, 0, 5, cell))
 	col := base()
-	col.Table.Columns[0] += "x"
-	add("column", topKKey("topk", 1, 0, *col.K, false, &col.Table))
+	col.Columns[0] += "x"
+	add("column", rankingKey(t, routeTopK, 1, 0, 5, col))
 	name := base()
-	name.Table.Name += "x"
-	add("table name", topKKey("topk", 1, 0, *name.K, false, &name.Table))
+	name.Name += "x"
+	add("table name", rankingKey(t, routeTopK, 1, 0, 5, name))
 
 	// Length-prefixing: moving a byte across a field boundary must not
 	// collide ("ab","c" vs "a","bc").
-	ab := TopKRequest{Table: TableJSON{Name: "n", Columns: []string{"ab", "c"}}, K: kptr(1)}
-	a := TopKRequest{Table: TableJSON{Name: "n", Columns: []string{"a", "bc"}}, K: kptr(1)}
-	if topKKey("topk", 1, 0, *ab.K, false, &ab.Table) == topKKey("topk", 1, 0, *a.K, false, &a.Table) {
+	ab := TableJSON{Name: "n", Columns: []string{"ab", "c"}}
+	a := TableJSON{Name: "n", Columns: []string{"a", "bc"}}
+	if rankingKey(t, routeTopK, 1, 0, 1, ab) == rankingKey(t, routeTopK, 1, 0, 1, a) {
 		t.Fatal("field boundary shift collides")
 	}
 }

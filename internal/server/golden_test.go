@@ -95,6 +95,10 @@ func buildGoldenWorld() (*goldenWorld, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Save writes only a graph the engine holds; build it first, as
+	// `d3l index build` does, so the snapshot-load path serves joins off
+	// the persisted graph.
+	engineCSV.JoinGraphEdges()
 	var snap bytes.Buffer
 	if err := d3l.Save(engineCSV, &snap); err != nil {
 		return nil, err
@@ -228,7 +232,7 @@ func itoa(i int) string { return strconv.Itoa(i) }
 
 // ---- the golden assertions ---------------------------------------------
 
-// TestGoldenTopK: per-target TopK fixtures across all three paths.
+// TestGoldenTopK: per-target top-k fixtures across all three paths.
 func TestGoldenTopK(t *testing.T) {
 	w := golden(t)
 	for _, target := range w.targets {
@@ -248,7 +252,7 @@ func TestGoldenTopK(t *testing.T) {
 	}
 }
 
-// TestGoldenBatch: one BatchTopK fixture over the whole corpus.
+// TestGoldenBatch: one batch fixture over the whole corpus.
 func TestGoldenBatch(t *testing.T) {
 	w := golden(t)
 	tables := make([]*d3l.Table, len(w.targets))
@@ -268,7 +272,7 @@ func TestGoldenBatch(t *testing.T) {
 	checkGolden(t, "batch", direct, snapLoaded, httpBody)
 }
 
-// TestGoldenJoins: per-target TopKWithJoins fixtures (D3L+J: join
+// TestGoldenJoins: per-target WithJoins fixtures (D3L+J: join
 // paths and Eq. 4/5 coverage ride along, so the fixtures also pin the
 // SA-join graph construction).
 func TestGoldenJoins(t *testing.T) {
@@ -290,11 +294,9 @@ func TestGoldenJoins(t *testing.T) {
 	}
 }
 
-// TestGoldenQueryDefaults pins the API-redesign acceptance criterion:
-// Query with default options byte-matches the committed TopK fixtures
-// across all three paths — direct-CSV, snapshot-load, and HTTP via the
-// new /v1/query endpoint — so the legacy wrappers are provably pure
-// sugar over the unified call.
+// TestGoldenQueryDefaults: /v1/query with k alone byte-matches the
+// committed /v1/topk fixtures across all three paths — direct-CSV,
+// snapshot-load, and HTTP — so the two routes serve one ranking.
 func TestGoldenQueryDefaults(t *testing.T) {
 	w := golden(t)
 	for _, target := range w.targets {
@@ -303,8 +305,8 @@ func TestGoldenQueryDefaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct := marshalQueryAsTopK(t, w.engineCSV, tbl)
-			snapLoaded := marshalQueryAsTopK(t, w.engineSnap, tbl)
+			direct := marshalTopK(t, w.engineCSV, tbl)
+			snapLoaded := marshalTopK(t, w.engineSnap, tbl)
 			k := goldenK
 			status, httpBody := postJSON(t, w.baseURL+"/v1/query", QueryRequest{Table: target, K: &k})
 			if status != http.StatusOK {
@@ -323,21 +325,6 @@ func TestGoldenQueryDefaults(t *testing.T) {
 			checkGolden(t, "topk_"+target.Name, direct, snapLoaded, reduced)
 		})
 	}
-}
-
-// marshalQueryAsTopK runs the unified Query with default options and
-// marshals its ranking through the legacy response shape.
-func marshalQueryAsTopK(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
-	t.Helper()
-	ans, err := e.Query(context.Background(), target, d3l.WithK(goldenK))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(TopKResponse{Results: toResultsJSON(ans.Results)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
 }
 
 // TestGoldenQueryEndpoint pins the new endpoint's full wire shape
@@ -388,11 +375,11 @@ func marshalQueryResponse(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte
 
 func marshalTopK(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 	t.Helper()
-	results, err := e.TopK(target, goldenK)
+	ans, err := e.Query(context.Background(), target, d3l.WithK(goldenK))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(TopKResponse{Results: toResultsJSON(results)})
+	body, err := json.Marshal(TopKResponse{Results: toResultsJSON(ans.Results)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,13 +388,13 @@ func marshalTopK(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 
 func marshalBatch(t *testing.T, e *d3l.Engine, targets []*d3l.Table) []byte {
 	t.Helper()
-	answers, err := e.BatchTopK(targets, goldenK)
+	answers, err := e.QueryBatch(context.Background(), targets, d3l.WithK(goldenK))
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]ResultJSON, len(answers))
-	for i, results := range answers {
-		out[i] = toResultsJSON(results)
+	for i, a := range answers {
+		out[i] = toResultsJSON(a.Results)
 	}
 	body, err := json.Marshal(BatchResponse{Results: out})
 	if err != nil {
@@ -418,11 +405,11 @@ func marshalBatch(t *testing.T, e *d3l.Engine, targets []*d3l.Table) []byte {
 
 func marshalJoins(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 	t.Helper()
-	augs, err := e.TopKWithJoins(target, goldenK)
+	ans, err := e.Query(context.Background(), target, d3l.WithK(goldenK), d3l.WithJoins())
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(JoinsResponse{Results: toAugmentedJSON(augs)})
+	body, err := json.Marshal(JoinsResponse{Results: toAugmentedJSON(ans.Joins)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -199,6 +199,29 @@ func partialRequested(r *http.Request) bool {
 	return r.URL.Query().Get("partial") == "true"
 }
 
+// Route kinds of the ranking endpoints. The kind is folded into the
+// result-cache key — two routes render one answer in different shapes,
+// so they must never share an entry — and picks the response shape.
+const (
+	routeQuery   = "query"
+	routeTopK    = "topk"
+	routeJoins   = "joins"
+	routeExplain = "explain"
+	routeBatch   = "batch"
+)
+
+// handleQuery is the unified query endpoint: the full per-query option
+// set of the library's Query call on the wire — k, join augmentation,
+// explanation, Eq. 3 weight overrides, evidence subsets and candidate
+// budgets. The other four ranking routes are fixed subsets of it.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	var req QueryRequest
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	s.serveRanking(w, r, routeQuery, &req, partialRequested(r), req.Table)
+}
+
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
 	if !s.decodeBody(w, r, &req) {
@@ -209,24 +232,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	partial := partialRequested(r)
-	opts := []d3l.QueryOption{d3l.WithK(k)}
-	if partial {
-		opts = append(opts, d3l.WithPartialResults())
-	}
-	gen, eng := s.cacheEpoch()
-	s.cachedQuery(w, r, topKKey("topk", eng.Fingerprint(), gen, k, partial, &req.Table), func(ctx context.Context) ([]byte, error) {
-		ans, err := eng.Query(ctx, target, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(TopKResponse{Results: toResultsJSON(ans.Results), Degraded: ans.Degraded})
-	})
+	s.serveRanking(w, r, routeTopK, &QueryRequest{K: &k}, partialRequested(r), req.Table)
 }
 
 func (s *Server) handleJoins(w http.ResponseWriter, r *http.Request) {
@@ -239,19 +245,20 @@ func (s *Server) handleJoins(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+	s.serveRanking(w, r, routeJoins, &QueryRequest{K: &k, Joins: true}, false, req.Table)
+}
+
+func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	var req ExplainRequest
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	gen, eng := s.cacheEpoch()
-	s.cachedQuery(w, r, topKKey("joins", eng.Fingerprint(), gen, k, false, &req.Table), func(ctx context.Context) ([]byte, error) {
-		ans, err := eng.Query(ctx, target, d3l.WithK(k), d3l.WithJoins())
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(JoinsResponse{Results: toAugmentedJSON(ans.Joins)})
-	})
+	if req.LakeTable == "" {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "lakeTable is required")
+		return
+	}
+	k := 0
+	s.serveRanking(w, r, routeExplain, &QueryRequest{K: &k, ExplainFor: req.LakeTable}, false, req.Table)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -268,107 +275,90 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "tables must be non-empty")
 		return
 	}
-	targets := make([]*d3l.Table, len(req.Tables))
-	for i := range req.Tables {
-		t, err := req.Tables[i].toTable()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("tables[%d]: %v", i, err))
+	s.serveRanking(w, r, routeBatch, &QueryRequest{K: &k}, partialRequested(r), req.Tables...)
+}
+
+// serveRanking is the one path of the five ranking routes. Each route
+// validates its own body, resolves it to the QueryRequest it means —
+// the canonical form /v1/query takes on the wire; its Table is not
+// read — and passes its targets alongside: one, or /v1/batch's list.
+// serveRanking plans the request, keys the result cache from the route
+// kind, plan, partial opt-in and targets, and on a miss runs Query
+// (QueryBatch for /v1/batch) under cachedQuery and renders the route's
+// response.
+func (s *Server) serveRanking(w http.ResponseWriter, r *http.Request, kind string, req *QueryRequest, partial bool, tables ...TableJSON) {
+	plan, err := req.plan()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		return
+	}
+	batch := kind == routeBatch
+	targets := make([]*d3l.Table, len(tables))
+	for i := range tables {
+		if targets[i], err = tables[i].toTable(); err != nil {
+			if batch {
+				err = fmt.Errorf("tables[%d]: %v", i, err)
+			}
+			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
-		targets[i] = t
 	}
-	partial := partialRequested(r)
-	opts := []d3l.QueryOption{d3l.WithK(k)}
+	opts := plan.opts
 	if partial {
 		opts = append(opts, d3l.WithPartialResults())
 	}
 	gen, eng := s.cacheEpoch()
-	s.cachedQuery(w, r, batchKey(eng.Fingerprint(), gen, k, partial, &req), func(ctx context.Context) ([]byte, error) {
-		answers, err := eng.QueryBatch(ctx, targets, opts...)
+	s.cachedQuery(w, r, resultKey(kind, eng.Fingerprint(), gen, plan, partial, tables), func(ctx context.Context) ([]byte, error) {
+		var answers []*d3l.Answer
+		var err error
+		if batch {
+			answers, err = eng.QueryBatch(ctx, targets, opts...)
+		} else {
+			var ans *d3l.Answer
+			ans, err = eng.Query(ctx, targets[0], opts...)
+			answers = []*d3l.Answer{ans}
+		}
 		if err != nil {
 			return nil, err
 		}
+		return json.Marshal(renderAnswers(kind, answers))
+	})
+}
+
+// renderAnswers shapes a ranking route's answers into its response
+// body; every route but /v1/batch has exactly one answer.
+func renderAnswers(kind string, answers []*d3l.Answer) any {
+	ans := answers[0]
+	switch kind {
+	case routeTopK:
+		return TopKResponse{Results: toResultsJSON(ans.Results), Degraded: ans.Degraded}
+	case routeJoins:
+		return JoinsResponse{Results: toAugmentedJSON(ans.Joins)}
+	case routeExplain:
+		return ExplainResponse{Rows: toExplanationsJSON(ans.Explanation)}
+	case routeBatch:
 		out := make([][]ResultJSON, len(answers))
 		degraded := false
 		for i, a := range answers {
 			out[i] = toResultsJSON(a.Results)
 			degraded = degraded || a.Degraded
 		}
-		return json.Marshal(BatchResponse{Results: out, Degraded: degraded})
-	})
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if !s.decodeBody(w, r, &req) {
-		return
+		return BatchResponse{Results: out, Degraded: degraded}
 	}
-	if req.LakeTable == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "lakeTable is required")
-		return
+	resp := QueryResponse{
+		Results:     toResultsJSON(ans.Results),
+		Explanation: toExplanationsJSON(ans.Explanation),
+		Stats: QueryStatsJSON{
+			K:              ans.Stats.K,
+			CandidatePairs: ans.Stats.CandidatePairs,
+			TablesScored:   ans.Stats.TablesScored,
+		},
+		Degraded: ans.Degraded,
 	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
+	if ans.Joins != nil {
+		resp.Joins = toAugmentedJSON(ans.Joins)
 	}
-	gen, eng := s.cacheEpoch()
-	s.cachedQuery(w, r, explainKey(eng.Fingerprint(), gen, &req), func(ctx context.Context) ([]byte, error) {
-		ans, err := eng.Query(ctx, target, d3l.WithK(0), d3l.WithExplainFor(req.LakeTable))
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(ExplainResponse{Rows: toExplanationsJSON(ans.Explanation)})
-	})
-}
-
-// handleQuery is the unified query endpoint: the full per-query option
-// set of the library's Query call on the wire — k, join augmentation,
-// explanation, Eq. 3 weight overrides, evidence subsets and candidate
-// budgets — with responses cached under a canonical key that folds in
-// every option.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	var req QueryRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	plan, err := req.plan()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	partial := partialRequested(r)
-	opts := plan.opts
-	if partial {
-		opts = append(opts, d3l.WithPartialResults())
-	}
-	gen, eng := s.cacheEpoch()
-	s.cachedQuery(w, r, queryKey(eng.Fingerprint(), gen, plan, partial, &req.Table), func(ctx context.Context) ([]byte, error) {
-		ans, err := eng.Query(ctx, target, opts...)
-		if err != nil {
-			return nil, err
-		}
-		resp := QueryResponse{
-			Results:     toResultsJSON(ans.Results),
-			Explanation: toExplanationsJSON(ans.Explanation),
-			Stats: QueryStatsJSON{
-				K:              ans.Stats.K,
-				CandidatePairs: ans.Stats.CandidatePairs,
-				TablesScored:   ans.Stats.TablesScored,
-			},
-			Degraded: ans.Degraded,
-		}
-		if ans.Joins != nil {
-			resp.Joins = toAugmentedJSON(ans.Joins)
-		}
-		return json.Marshal(resp)
-	})
+	return resp
 }
 
 // handleListTables answers the live table names. It reads under the
@@ -389,24 +379,28 @@ func (s *Server) handleAddTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	// admitMutation, not admit: a mutation must never be abandoned
-	// mid-commit — a 503 that actually committed would invite a retry
-	// into a spurious 409, so the handler waits for the true outcome.
+	s.serveMutation(w, r, func(e Engine) (any, error) {
+		id, err := e.Add(t)
+		return AddTableResponse{ID: id, Name: t.Name}, err
+	})
+}
+
+// serveMutation is the one path of the mutation routes: op runs under
+// admitMutation, not admit — a mutation must never be abandoned
+// mid-commit, since a 503 that actually committed would invite a retry
+// into a spurious 409, so the handler waits for the true outcome — and
+// commits through commit. op's value is the 200 body.
+func (s *Server) serveMutation(w http.ResponseWriter, r *http.Request, op func(Engine) (any, error)) {
 	body, err := s.admitMutation(r.Context(), func() ([]byte, error) {
-		// The swap read lock pins the serving engine for the whole
-		// mutation: a 200 means the table is live in the engine that
-		// is (still) serving, never in one a concurrent reload just
-		// retired.
-		s.swapMu.RLock()
-		defer s.swapMu.RUnlock()
-		eng := s.Engine()
-		id, err := eng.Add(t)
+		var resp any
+		err := s.commit(func(e Engine) (err error) {
+			resp, err = op(e)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		s.stats.mutations.Add(1)
-		s.cache.purge()
-		return json.Marshal(AddTableResponse{ID: id, Name: t.Name})
+		return json.Marshal(resp)
 	})
 	if err != nil {
 		writeEngineError(w, err)
@@ -441,30 +435,21 @@ func (s *Server) handleUpdateTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
-	body, err := s.admitMutation(r.Context(), func() ([]byte, error) {
-		s.swapMu.RLock()
-		defer s.swapMu.RUnlock()
-		stats, err := s.Engine().Update(t)
+	s.serveMutation(w, r, func(e Engine) (any, error) {
+		stats, err := e.Update(t)
 		if err != nil {
 			return nil, err
 		}
-		s.stats.mutations.Add(1)
 		s.CountUpdate(stats.Reprofiled)
-		s.cache.purge()
-		return json.Marshal(UpdateTableResponse{
+		return UpdateTableResponse{
 			Updated:        name,
 			ID:             stats.TableID,
 			ReprofiledCols: stats.Reprofiled,
 			KeptCols:       stats.Kept,
 			AddedCols:      stats.Added,
 			DroppedCols:    stats.Dropped,
-		})
+		}, nil
 	})
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
 }
 
 // handleTableMethodNotAllowed answers any method on /v1/tables/{name}
@@ -482,21 +467,9 @@ func (s *Server) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "table name is required")
 		return
 	}
-	body, err := s.admitMutation(r.Context(), func() ([]byte, error) {
-		s.swapMu.RLock()
-		defer s.swapMu.RUnlock()
-		if err := s.Engine().Remove(name); err != nil {
-			return nil, err
-		}
-		s.stats.mutations.Add(1)
-		s.cache.purge()
-		return json.Marshal(RemoveTableResponse{Removed: name})
+	s.serveMutation(w, r, func(e Engine) (any, error) {
+		return RemoveTableResponse{Removed: name}, e.Remove(name)
 	})
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
 }
 
 // handleHealthz is wait-free: Fingerprint is lock-free, and nothing

@@ -16,10 +16,10 @@ import (
 //     however the client formatted its JSON (field order, whitespace
 //     and number formatting are normalised away by decoding into the
 //     request structs first).
-//  2. Everything result-relevant is covered: the endpoint kind, k, the
-//     full target table content (name, column names, every cell — all
-//     of which feed profiling), any endpoint-specific argument, the
-//     engine fingerprint, which moves on every mutation, making
+//  2. Everything result-relevant is covered: the endpoint kind, every
+//     per-query option, the full target table content (name, column
+//     names, every cell — all of which feed profiling), the engine
+//     fingerprint, which moves on every mutation, making
 //     pre-mutation keys unreachable afterwards, and the server's swap
 //     generation, which moves on every engine swap — covering the one
 //     case fingerprints cannot (a reloaded snapshot with identical
@@ -82,40 +82,6 @@ func (w *keyWriter) sum() string {
 	return hex.EncodeToString(w.h.Sum(nil))
 }
 
-// topKKey keys /v1/topk and /v1/joins responses (kind distinguishes
-// them). k is the validated answer size (requireK already resolved
-// the request's pointer). partial folds in the ?partial=true opt-in: a
-// degraded answer from a sharded backend must never be replayed to a
-// fail-closed request (and vice versa — the bodies differ).
-func topKKey(kind string, engineFP, swapGen uint64, k int, partial bool, table *TableJSON) string {
-	w := newKeyWriter(kind, engineFP, swapGen)
-	w.u64(uint64(k))
-	w.bool(partial)
-	w.table(table)
-	return w.sum()
-}
-
-// batchKey keys /v1/batch responses over the whole target list (order
-// matters: the response is indexed like the request).
-func batchKey(engineFP, swapGen uint64, k int, partial bool, req *BatchRequest) string {
-	w := newKeyWriter("batch", engineFP, swapGen)
-	w.u64(uint64(k))
-	w.bool(partial)
-	w.u64(uint64(len(req.Tables)))
-	for i := range req.Tables {
-		w.table(&req.Tables[i])
-	}
-	return w.sum()
-}
-
-// explainKey keys /v1/explain responses.
-func explainKey(engineFP, swapGen uint64, req *ExplainRequest) string {
-	w := newKeyWriter("explain", engineFP, swapGen)
-	w.str(req.LakeTable)
-	w.table(&req.Table)
-	return w.sum()
-}
-
 // shardTargetKey keys the shard replica's profiled-target memo: the
 // target content alone (profiling reads nothing else of the request)
 // under the swap generation (profiles belong to one engine's options).
@@ -125,17 +91,21 @@ func shardTargetKey(swapGen uint64, t *TableJSON) string {
 	return w.sum()
 }
 
-// queryKey keys /v1/query responses. It folds in every per-query
-// option from the canonicalised plan, so two requests differing in any
-// result-relevant knob — k, joins, explanation target, weights,
-// evidence subset, candidate budget — can never share a body, while
-// spelled-differently-but-equal requests (absent vs explicit default
-// k, reordered evidence lists, a −0.0 weight vs +0.0) do. Weights are
-// hashed as IEEE 754 bits — exact equality is the right notion for a
-// cache key — which is why plan() canonicalises negative zero before
-// the weights reach this point.
-func queryKey(engineFP, swapGen uint64, p *queryPlan, partial bool, t *TableJSON) string {
-	w := newKeyWriter("query", engineFP, swapGen)
+// resultKey keys the responses of the five ranking routes. It folds in
+// the route kind (routes render one answer differently), every per-query
+// option from the canonicalised plan, the ?partial=true opt-in (a
+// degraded answer from a sharded backend must never be replayed to a
+// fail-closed request, and vice versa — the bodies differ) and the
+// targets in order (a batch response is indexed like its request). Two
+// requests differing in any result-relevant knob — k, joins,
+// explanation target, weights, evidence subset, candidate budget — can
+// never share a body, while spelled-differently-but-equal requests
+// (absent vs explicit default k, reordered evidence lists, a −0.0
+// weight vs +0.0) do. Weights are hashed as IEEE 754 bits — exact
+// equality is the right notion for a cache key — which is why plan()
+// canonicalises negative zero before the weights reach this point.
+func resultKey(kind string, engineFP, swapGen uint64, p *queryPlan, partial bool, tables []TableJSON) string {
+	w := newKeyWriter(kind, engineFP, swapGen)
 	w.u64(uint64(p.k))
 	w.bool(partial)
 	w.bool(p.joins)
@@ -148,6 +118,9 @@ func queryKey(engineFP, swapGen uint64, p *queryPlan, partial bool, t *TableJSON
 	}
 	w.u64(p.evidenceMask)
 	w.u64(uint64(p.budget))
-	w.table(t)
+	w.u64(uint64(len(tables)))
+	for i := range tables {
+		w.table(&tables[i])
+	}
 	return w.sum()
 }

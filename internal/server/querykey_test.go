@@ -28,7 +28,8 @@ func TestQueryKeyNegativeZeroWeight(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	pos := mustPlan(t, QueryRequest{Table: target, Weights: []float64{1, 0, 1, 1, 1}})
 	neg := mustPlan(t, QueryRequest{Table: target, Weights: []float64{1, negZero, 1, 1, 1}})
-	if queryKey(1, 0, pos, false, &target) != queryKey(1, 0, neg, false, &target) {
+	tables := []TableJSON{target}
+	if resultKey(routeQuery, 1, 0, pos, false, tables) != resultKey(routeQuery, 1, 0, neg, false, tables) {
 		t.Fatal("-0.0 and +0.0 weights produced different cache keys")
 	}
 	if math.Signbit(neg.weights[1]) {

@@ -416,9 +416,19 @@ func (s *Server) MutateEngine(fn func(Engine) error) error {
 		return errUnavailable
 	}
 	defer s.inflight.Done()
+	return s.commit(fn)
+}
+
+// commit is the one commit path of every mutation, HTTP or in-process:
+// under the swap read lock, which pins the serving engine for the whole
+// mutation (a 200 means the write is live in the engine that is still
+// serving, never in one a concurrent reload just retired), it runs op
+// on the serving engine and, when op succeeds, bumps the mutation
+// counter and purges the result cache. Admission is the caller's.
+func (s *Server) commit(op func(Engine) error) error {
 	s.swapMu.RLock()
 	defer s.swapMu.RUnlock()
-	if err := fn(s.Engine()); err != nil {
+	if err := op(s.Engine()); err != nil {
 		return err
 	}
 	s.stats.mutations.Add(1)

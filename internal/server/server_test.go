@@ -216,11 +216,11 @@ func TestServeTopKMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := engine.TopK(target, 3)
+	ans, err := engine.Query(context.Background(), target, d3l.WithK(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(TopKResponse{Results: toResultsJSON(results)})
+	want, err := json.Marshal(TopKResponse{Results: toResultsJSON(ans.Results)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,31 +243,14 @@ func (s *Server) handleShardMirror(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	body, err := s.admitMutation(r.Context(), func() ([]byte, error) {
-		s.swapMu.RLock()
-		defer s.swapMu.RUnlock()
-		var id int
+	s.serveMutation(w, r, func(Engine) (any, error) {
 		switch req.Op {
 		case "add":
-			var err error
-			if id, err = sc.MirrorAdd(req.Name, req.NumCols); err != nil {
-				return nil, err
-			}
+			id, err := sc.MirrorAdd(req.Name, req.NumCols)
+			return ShardMirrorResponse{ID: id}, err
 		case "update":
-			if err := sc.MirrorUpdate(req.TableID, req.NumFresh); err != nil {
-				return nil, err
-			}
-			id = req.TableID
-		default:
-			return nil, fmt.Errorf("%w: unknown mirror op %q (want add or update)", d3l.ErrInvalidOptions, req.Op)
+			return ShardMirrorResponse{ID: req.TableID}, sc.MirrorUpdate(req.TableID, req.NumFresh)
 		}
-		s.stats.mutations.Add(1)
-		s.cache.purge()
-		return json.Marshal(ShardMirrorResponse{ID: id})
+		return nil, fmt.Errorf("%w: unknown mirror op %q (want add or update)", d3l.ErrInvalidOptions, req.Op)
 	})
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
 }

@@ -3,10 +3,12 @@ package shard
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"d3l"
+	"d3l/internal/persist"
 )
 
 // TestSetErrorContract pins the error surface: joins are rejected with
@@ -43,7 +45,8 @@ func TestSetErrorContract(t *testing.T) {
 
 // TestManifestRoundTrip proves the build-once/serve-many flow for
 // sharded sets: BuildSet → WriteSet → LoadSet answers exactly like the
-// monolith (and so like the set it was snapshotted from).
+// monolith (and so like the set it was snapshotted from). No shard
+// snapshot carries an SA-join graph: no sharded topology serves joins.
 func TestManifestRoundTrip(t *testing.T) {
 	lake := testLake(t, 97, 10)
 	mono := buildMono(t, lake)
@@ -61,6 +64,23 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if loaded.NumShards() != 3 {
 		t.Fatalf("loaded %d shards, want 3", loaded.NumShards())
+	}
+	m, err := ReadManifest(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range m.Snapshots {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := persist.NewDecoder(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := dec.SectionSizes()[persist.SecJoinGraph]; ok {
+			t.Fatalf("%s carries an SA-join graph", name)
+		}
 	}
 	ctx := context.Background()
 	for _, target := range liveTargets(lake, 4) {

@@ -11,13 +11,11 @@ import (
 	"d3l/internal/joins"
 )
 
-// This file is the unified, context-first query surface: one
-// parameterised call — Query — covering what used to be four parallel
-// entry points (TopK, BatchTopK, TopKWithJoins, Explain), exactly as
-// the paper frames discovery as one parameterised query (evidence set,
-// Eq. 3 weights, k, optional D3L+J augmentation). The legacy quartet
-// remains as thin wrappers over Query with default options, so
-// existing callers are untouched.
+// This file is the engine's query surface: one parameterised,
+// context-first call — Query — covering ranking, D3L+J augmentation and
+// explanation, exactly as the paper frames discovery as one
+// parameterised query (evidence set, Eq. 3 weights, k, optional join
+// paths), and QueryBatch, which runs it over many targets.
 //
 // Cancellation is cooperative and end-to-end: the ctx handed to Query
 // is checked between candidate batches in the index fan-out, between
@@ -162,12 +160,12 @@ func ParseEvidence(name string) (Evidence, error) {
 }
 
 // WithPartialResults opts this query into the sharded coordinator's
-// degraded mode: when a shard replica is unreachable after retries, the
-// query is answered from the surviving shards and Answer.Degraded is
-// set, instead of failing closed (the default). A degraded answer ranks
-// only tables owned by the shards that responded. The option is inert
-// on a monolithic engine and on in-process shard sets, which have no
-// replicas to lose.
+// degraded mode: when a shard fails — a remote shard whose replicas are
+// unreachable after retries, or an in-process shard whose query errors
+// — the query is answered from the surviving shards and Answer.Degraded
+// is set, instead of failing closed (the default). A degraded answer
+// ranks only tables owned by the shards that responded. The option is
+// inert on a monolithic engine, which has no shard to lose.
 func WithPartialResults() QueryOption {
 	return func(c *queryConfig) { c.partialOK = true }
 }
@@ -247,8 +245,8 @@ type Answer struct {
 // Query answers one discovery query: the k most related lake tables
 // for the target, optionally augmented with join paths (WithJoins) and
 // a pairwise distance explanation (WithExplainFor), under per-query
-// weights, evidence subset and candidate budget. With no options it is
-// exactly TopK(target, DefaultK).
+// weights, evidence subset and candidate budget. With no options it
+// ranks the DefaultK most related tables (Section III-D).
 //
 // ctx cancels cooperatively: the pipeline checks it between candidate
 // batches and worker slots, and a cancelled query returns ctx.Err(),
@@ -262,7 +260,7 @@ func (e *Engine) Query(ctx context.Context, target *Table, opts ...QueryOption) 
 	if cfg.joins {
 		// Join-graph building and augmentation hold profile pointers
 		// across many engine calls; the mutation lock (read mode) keeps
-		// Add/Remove from interleaving, as in TopKWithJoins.
+		// mutations from interleaving.
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 	}

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
 	"d3l"
+	"d3l/internal/datagen"
 )
 
 func figure1Engine(t testing.TB) *d3l.Engine {
@@ -20,78 +22,134 @@ func figure1Engine(t testing.TB) *d3l.Engine {
 	return engine
 }
 
-// TestWrappersEqualQueryDefaults pins the migration contract: every
-// legacy entry point is byte-for-byte Query with the corresponding
-// default options (compared through JSON marshaling, the same
-// serialisation the golden fixtures and the HTTP layer use).
-func TestWrappersEqualQueryDefaults(t *testing.T) {
+// asJSON marshals v the way the golden fixtures and the HTTP layer
+// serialise answers, so two answers compare byte for byte.
+func asJSON(t testing.TB, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestQueryDefaults pins what Query answers when an option is left out:
+// no options rank DefaultK tables, and an explanation-only query (k 0)
+// runs no ranking, no join augmentation and no plan.
+func TestQueryDefaults(t *testing.T) {
 	engine := figure1Engine(t)
 	target := figure1Target(t)
 	ctx := context.Background()
 
-	asJSON := func(v any) string {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	bare, err := engine.Query(ctx, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := engine.Query(ctx, target, d3l.WithK(d3l.DefaultK))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bare.Stats.K != d3l.DefaultK || asJSON(t, bare.Results) != asJSON(t, explicit.Results) {
+		t.Fatalf("Query with no options (k %d) diverged from WithK(DefaultK)", bare.Stats.K)
+	}
+	if bare.Joins != nil || bare.Explanation != nil {
+		t.Fatal("Query with no options filled sections nobody asked for")
 	}
 
-	topk, err := engine.TopK(target, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ans, err := engine.Query(ctx, target, d3l.WithK(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asJSON(topk) != asJSON(ans.Results) {
-		t.Fatal("TopK diverged from Query(WithK)")
-	}
-
-	joins, err := engine.TopKWithJoins(target, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ansJ, err := engine.Query(ctx, target, d3l.WithK(2), d3l.WithJoins())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if asJSON(joins) != asJSON(ansJ.Joins) {
-		t.Fatal("TopKWithJoins diverged from Query(WithJoins)")
-	}
-
-	expl, err := engine.Explain(target, "S2")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ansE, err := engine.Query(ctx, target, d3l.WithK(0), d3l.WithExplainFor("S2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if asJSON(expl) != asJSON(ansE.Explanation) {
-		t.Fatal("Explain diverged from explanation-only Query")
-	}
-	if ansE.Results != nil {
+	if ansE.Results != nil || ansE.Joins != nil || ansE.Plan.Enabled {
 		t.Fatal("explanation-only query ran a ranking")
 	}
+	if len(ansE.Explanation) == 0 {
+		t.Fatal("explanation-only query returned no rows")
+	}
+}
 
-	targets := []*d3l.Table{target, figure1Target(t)}
-	batch, err := engine.BatchTopK(targets, 3)
+// TestQueryBatchMatchesSingleQueries: QueryBatch is exactly a
+// concurrent fan-out of Query — the same answers, indexed like the
+// targets — with the pool at one worker and at every core, and for
+// every section a query can ask for.
+func TestQueryBatchMatchesSingleQueries(t *testing.T) {
+	cfg := datagen.SyntheticConfig{Seed: 19, BaseTables: 6, DerivedTables: 24, MinRows: 20, MaxRows: 40, RenameProb: 0.25}
+	lake, _, err := datagen.Synthetic(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	answers, err := engine.QueryBatch(ctx, targets, d3l.WithK(3))
+	engine, err := d3l.New(lake, d3l.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(answers) != len(batch) {
-		t.Fatalf("QueryBatch answered %d, want %d", len(answers), len(batch))
+	targets := make([]*d3l.Table, 8)
+	for i := range targets {
+		targets[i] = lake.Table(i * 2)
 	}
-	for i := range batch {
-		if asJSON(batch[i]) != asJSON(answers[i].Results) {
-			t.Fatalf("BatchTopK[%d] diverged from QueryBatch", i)
+	ctx := context.Background()
+	for _, opts := range [][]d3l.QueryOption{
+		{d3l.WithK(7)},
+		{d3l.WithK(3), d3l.WithJoins(), d3l.WithExplainFor(lake.Table(1).Name)},
+	} {
+		want := make([]string, len(targets))
+		for i, target := range targets {
+			ans, err := engine.Query(ctx, target, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = asJSON(t, []any{ans.Results, ans.Joins, ans.Explanation, ans.Stats.CandidatePairs, ans.Stats.TablesScored})
 		}
+		for _, workers := range []int{1, runtime.NumCPU()} {
+			if err := engine.SetParallelism(workers); err != nil {
+				t.Fatal(err)
+			}
+			answers, err := engine.QueryBatch(ctx, targets, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(answers) != len(targets) {
+				t.Fatalf("%d workers: batch returned %d answers for %d targets", workers, len(answers), len(targets))
+			}
+			for i, a := range answers {
+				if got := asJSON(t, []any{a.Results, a.Joins, a.Explanation, a.Stats.CandidatePairs, a.Stats.TablesScored}); got != want[i] {
+					t.Fatalf("%d workers, target %d: batch answer differs from single query:\nsingle %s\nbatch  %s", workers, i, want[i], got)
+				}
+			}
+		}
+	}
+}
+
+// TestQueryBatchEdges: an empty batch answers nothing without error, an
+// option set that asks for nothing is refused like Query refuses it, and
+// cancellation wins over per-target failures — a cancelled batch with a
+// bad target reports ctx.Err(), not the target's error.
+func TestQueryBatchEdges(t *testing.T) {
+	engine := figure1Engine(t)
+	target := figure1Target(t)
+	ctx := context.Background()
+	if out, err := engine.QueryBatch(ctx, nil, d3l.WithK(5)); err != nil || len(out) != 0 {
+		t.Fatalf("empty batch = %d answers, %v; want none, nil", len(out), err)
+	}
+	if _, err := engine.QueryBatch(ctx, []*d3l.Table{target}, d3l.WithK(0)); !errors.Is(err, d3l.ErrInvalidOptions) {
+		t.Fatalf("k 0 batch err = %v, want ErrInvalidOptions", err)
+	}
+	if _, err := engine.QueryBatch(ctx, []*d3l.Table{target, nil}, d3l.WithK(2)); err == nil {
+		t.Fatal("batch with a nil target succeeded")
+	}
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	targets := make([]*d3l.Table, 20)
+	for i := range targets {
+		if i%3 != 0 {
+			targets[i] = target
+		}
+	}
+	out, err := engine.QueryBatch(cancelled, targets, d3l.WithK(5))
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if out != nil {
+		t.Fatal("cancelled batch returned answers")
 	}
 }
 
@@ -109,12 +167,12 @@ func TestQueryCombinedSections(t *testing.T) {
 		t.Fatalf("missing sections: results=%d joins=%d explanation=%d",
 			len(ans.Results), len(ans.Joins), len(ans.Explanation))
 	}
-	wantExpl, err := engine.Explain(target, "S2")
+	standalone, err := engine.Query(context.Background(), target, d3l.WithK(0), d3l.WithExplainFor("S2"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ans.Explanation, wantExpl) {
-		t.Fatal("combined-query explanation diverged from standalone Explain")
+	if !reflect.DeepEqual(ans.Explanation, standalone.Explanation) {
+		t.Fatal("combined-query explanation diverged from the explanation-only query")
 	}
 	if ans.Stats.K != 2 || ans.Stats.CandidatePairs == 0 || ans.Stats.TablesScored == 0 {
 		t.Fatalf("stats not populated: %+v", ans.Stats)

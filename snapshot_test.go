@@ -6,6 +6,7 @@ package d3l_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"d3l"
+	"d3l/internal/persist"
 )
 
 func savedBytes(t testing.TB, e *d3l.Engine) []byte {
@@ -97,74 +99,77 @@ func TestSaveFileReplacesWhole(t *testing.T) {
 	}
 }
 
-// TestSaveLoadServesIdentically is the public-API round trip: TopK,
-// BatchTopK, Explain and TopKWithJoins must be indistinguishable
-// between the original engine and a replica loaded from its snapshot.
+// servedSignature runs every query shape — ranking, D3L+J, batch and
+// explanation — against e and renders the answers for comparison.
+func servedSignature(t testing.TB, e *d3l.Engine) string {
+	t.Helper()
+	ctx := context.Background()
+	target := figure1Target(t)
+	ranked, err := e.Query(ctx, target, d3l.WithK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ranked.Results) == 0 {
+		t.Fatal("no results")
+	}
+	joined, err := e.Query(ctx, target, d3l.WithK(5), d3l.WithJoins())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := e.QueryBatch(ctx, []*d3l.Table{target, figure1Target(t)}, d3l.WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	explained, err := e.Query(ctx, target, d3l.WithK(0), d3l.WithExplainFor("S2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sig := resultSignature(ranked.Results) + augmentedSignature(joined.Joins)
+	for _, a := range batch {
+		sig += resultSignature(a.Results)
+	}
+	return sig + d3l.FormatExplanation(explained.Explanation) + fmt.Sprintf("edges %d\n", e.JoinGraphEdges())
+}
+
+// hasGraphSection reports whether a snapshot carries the SA-join graph.
+func hasGraphSection(t testing.TB, data []byte) bool {
+	t.Helper()
+	dec, err := persist.NewDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ok := dec.SectionSizes()[persist.SecJoinGraph]
+	return ok
+}
+
+// TestSaveLoadServesIdentically is the public-API round trip: every
+// query shape must be indistinguishable between the original engine and
+// a replica loaded from its snapshot — one saved before any join query,
+// which carries no graph and builds it on first use, and one saved after
+// the graph was built, which serves joins off the persisted graph. Save
+// itself never builds a graph.
 func TestSaveLoadServesIdentically(t *testing.T) {
 	engine, err := d3l.New(figure1Lake(t), d3l.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := d3l.Load(bytes.NewReader(savedBytes(t, engine)))
-	if err != nil {
-		t.Fatal(err)
+	bare := savedBytes(t, engine)
+	if hasGraphSection(t, bare) {
+		t.Fatal("Save built and wrote a join graph no query had built")
 	}
-	target := figure1Target(t)
-
-	want, err := engine.TopK(target, 5)
-	if err != nil {
-		t.Fatal(err)
+	want := servedSignature(t, engine) // builds the graph
+	withGraph := savedBytes(t, engine)
+	if !hasGraphSection(t, withGraph) {
+		t.Fatal("Save dropped the join graph the engine holds")
 	}
-	got, err := loaded.TopK(target, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 {
-		t.Fatal("no results from the original engine")
-	}
-	if resultSignature(want) != resultSignature(got) {
-		t.Fatalf("TopK diverged:\nwant %s\ngot  %s", resultSignature(want), resultSignature(got))
-	}
-
-	wantJ, err := engine.TopKWithJoins(target, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotJ, err := loaded.TopKWithJoins(target, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if augmentedSignature(wantJ) != augmentedSignature(gotJ) {
-		t.Fatalf("TopKWithJoins diverged:\nwant %s\ngot  %s", augmentedSignature(wantJ), augmentedSignature(gotJ))
-	}
-	if engine.JoinGraphEdges() != loaded.JoinGraphEdges() {
-		t.Fatalf("join graph edges %d != %d", loaded.JoinGraphEdges(), engine.JoinGraphEdges())
-	}
-
-	batch, err := loaded.BatchTopK([]*d3l.Table{target, figure1Target(t)}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBatch, err := engine.BatchTopK([]*d3l.Table{target, figure1Target(t)}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range batch {
-		if resultSignature(wantBatch[i]) != resultSignature(batch[i]) {
-			t.Fatalf("BatchTopK answer %d diverged", i)
+	for name, data := range map[string][]byte{"without graph": bare, "with graph": withGraph} {
+		loaded, err := d3l.Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-
-	wantRows, err := engine.Explain(target, "S2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRows, err := loaded.Explain(target, "S2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3l.FormatExplanation(wantRows) != d3l.FormatExplanation(gotRows) {
-		t.Fatal("Explain diverged after round trip")
+		if got := servedSignature(t, loaded); got != want {
+			t.Fatalf("replica loaded %s diverged:\nwant %s\ngot  %s", name, want, got)
+		}
 	}
 }
 
@@ -204,15 +209,16 @@ func TestLoadedEngineMutatesAndResnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := figure1Target(t)
-	want, err := engine.TopK(target, 5)
+	ctx := context.Background()
+	want, err := engine.Query(ctx, target, d3l.WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := loaded.TopK(target, 5)
+	got, err := loaded.Query(ctx, target, d3l.WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resultSignature(want) != resultSignature(got) {
+	if resultSignature(want.Results) != resultSignature(got.Results) {
 		t.Fatal("mutated replica diverged from mutated original")
 	}
 	// Second-generation snapshot: save the mutated replica, load it,
@@ -221,11 +227,11 @@ func TestLoadedEngineMutatesAndResnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := second.TopK(target, 5)
+	got2, err := second.Query(ctx, target, d3l.WithK(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resultSignature(want) != resultSignature(got2) {
+	if resultSignature(want.Results) != resultSignature(got2.Results) {
 		t.Fatal("second-generation snapshot diverged")
 	}
 }
@@ -305,7 +311,7 @@ func TestSaveUnderConcurrentTraffic(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := engine.TopKWithJoins(target, 3); err != nil {
+			if _, err := engine.Query(context.Background(), target, d3l.WithK(3), d3l.WithJoins()); err != nil {
 				t.Error(err)
 				return
 			}
@@ -320,7 +326,7 @@ func TestSaveUnderConcurrentTraffic(t *testing.T) {
 		if err != nil {
 			t.Fatalf("snapshot %d unloadable: %v", i, err)
 		}
-		if _, err := loaded.TopKWithJoins(target, 3); err != nil {
+		if _, err := loaded.Query(context.Background(), target, d3l.WithK(3), d3l.WithJoins()); err != nil {
 			t.Fatalf("snapshot %d: replica join query failed: %v", i, err)
 		}
 	}

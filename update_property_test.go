@@ -292,14 +292,15 @@ func TestUpdateEquivalentToRemoveThenAdd(t *testing.T) {
 
 				// Explain against the mutated table: id-free rows, exact
 				// deep equality expected.
-				expA, err := engA.Explain(target, name)
+				explA, err := engA.Query(context.Background(), target, d3l.WithK(0), d3l.WithExplainFor(name))
 				if err != nil {
 					t.Fatal(err)
 				}
-				expB, err := engB.Explain(target, name)
+				explB, err := engB.Query(context.Background(), target, d3l.WithK(0), d3l.WithExplainFor(name))
 				if err != nil {
 					t.Fatal(err)
 				}
+				expA, expB := explA.Explanation, explB.Explanation
 				if len(expA) != len(expB) {
 					t.Fatalf("round %d: explanation rows %d vs %d", round, len(expA), len(expB))
 				}
@@ -312,14 +313,15 @@ func TestUpdateEquivalentToRemoveThenAdd(t *testing.T) {
 
 				// Join answers: same ranked names, coverages and path
 				// sets (paths compared by table name, ids differ).
-				augA, err := engA.TopKWithJoins(target, tables)
+				joinedA, err := engA.Query(context.Background(), target, d3l.WithK(tables), d3l.WithJoins())
 				if err != nil {
 					t.Fatal(err)
 				}
-				augB, err := engB.TopKWithJoins(target, tables)
+				joinedB, err := engB.Query(context.Background(), target, d3l.WithK(tables), d3l.WithJoins())
 				if err != nil {
 					t.Fatal(err)
 				}
+				augA, augB := joinedA.Joins, joinedB.Joins
 				if len(augA) != len(augB) {
 					t.Fatalf("round %d: join answers %d vs %d", round, len(augA), len(augB))
 				}

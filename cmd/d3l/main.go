@@ -19,7 +19,7 @@
 //	d3l loadgen     -url URL | -direct  -index FILE.d3l | -dir DIR  [-duration D] [-seed N]
 //	                [-mix topk=4,query=4,batch=1,mutate=1,update=1] [-out FILE.json] [-max-p99 D]
 //	d3l stats       -dir DIR
-//	d3l exp         -id all|fig2|tab1|exp1..exp11|weights [-scale small|paper]
+//	d3l exp         -id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]
 //
 // query and exp accept -cpuprofile FILE / -memprofile FILE to capture
 // pprof profiles of a run; serve and coordinator mount the live
@@ -122,7 +122,7 @@ func usage() {
                   [-workers N] [-seed N] [-mix topk=4,query=4,batch=1,mutate=1,update=1] [-out FILE.json]
                   [-fail-on-5xx] [-max-p99 D] [-require-metrics]
   d3l stats       -dir DIR
-  d3l exp         -id all|fig2|tab1|exp1..exp11|weights [-scale small|paper]
+  d3l exp         -id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]
   (query and exp also take -cpuprofile FILE and -memprofile FILE)`)
 }
 

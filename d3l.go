@@ -278,7 +278,7 @@ func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
 	if g := e.cachedGraph(); g != nil {
 		return g, nil
 	}
-	built, err := joins.BuildGraphCtx(ctx, e.core, joins.DefaultGraphOptions())
+	built, err := joins.BuildGraphCtx(ctx, e.core)
 	if err != nil {
 		return nil, err
 	}

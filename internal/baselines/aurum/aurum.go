@@ -460,15 +460,3 @@ func (s *System) IndexSpaceBytes() int64 {
 	}
 	return total
 }
-
-// NumAttributes reports the number of EKG nodes.
-func (s *System) NumAttributes() int { return len(s.profiles) }
-
-// Edges reports the number of undirected EKG edges.
-func (s *System) Edges() int {
-	total := 0
-	for _, es := range s.adj {
-		total += len(es)
-	}
-	return total / 2
-}

@@ -65,10 +65,14 @@ func TestEKGHasContentAndPKFKEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumAttributes() != 3+2+2 {
-		t.Fatalf("EKG has %d nodes, want 7", s.NumAttributes())
+	if len(s.profiles) != 3+2+2 {
+		t.Fatalf("EKG has %d nodes, want 7", len(s.profiles))
 	}
-	if s.Edges() == 0 {
+	edges := 0
+	for _, es := range s.adj {
+		edges += len(es)
+	}
+	if edges == 0 {
 		t.Fatal("EKG has no edges; gps.Practice and funding.Practice share all values")
 	}
 	gpsID, _ := s.lake.IDByName("gps")

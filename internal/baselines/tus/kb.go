@@ -115,6 +115,3 @@ func canonical(token string) string {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	}))
 }
-
-// Size reports the number of known tokens.
-func (kb *syntheticKB) Size() int { return len(kb.classes) }

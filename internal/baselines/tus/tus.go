@@ -65,8 +65,6 @@ type KnowledgeBase interface {
 	// Classes returns the class identifiers of a token, or nil when the
 	// token is unknown to the KB.
 	Classes(token string) []string
-	// Size reports the number of known tokens (for space accounting).
-	Size() int
 }
 
 // profile is TUS's per-attribute summary.
@@ -359,6 +357,3 @@ func (s *System) IndexSpaceBytes() int64 {
 	}
 	return total
 }
-
-// NumAttributes reports how many (textual) attributes were indexed.
-func (s *System) NumAttributes() int { return len(s.profiles) }

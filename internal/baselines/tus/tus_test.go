@@ -144,8 +144,8 @@ func TestTUSIgnoresNumericColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumAttributes() != 0 {
-		t.Fatalf("TUS indexed %d numeric attributes, want 0", s.NumAttributes())
+	if len(s.profiles) != 0 {
+		t.Fatalf("TUS indexed %d numeric attributes, want 0", len(s.profiles))
 	}
 }
 
@@ -198,7 +198,7 @@ func TestTUSSpace(t *testing.T) {
 
 func TestKBClasses(t *testing.T) {
 	kb := BuiltinKB()
-	if kb.Size() == 0 {
+	if len(kb.(*syntheticKB).classes) == 0 {
 		t.Fatal("builtin KB is empty")
 	}
 	if cl := kb.Classes("doctor"); len(cl) == 0 {

@@ -206,7 +206,7 @@ func TestSearchSpecDefaultsMatchSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.Options().Weights
+	w := e.opts.Weights
 	got2, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 8, Weights: &w})
 	if err != nil {
 		t.Fatal(err)

@@ -407,7 +407,7 @@ func TestRemoveReleasesPayloads(t *testing.T) {
 	if !ok {
 		t.Fatal("S1 missing")
 	}
-	attrs := append([]int(nil), e.TableAttrs(tid)...)
+	attrs := append([]int(nil), e.byTable[tid]...)
 	if err := e.Remove("S1"); err != nil {
 		t.Fatal(err)
 	}

@@ -131,7 +131,7 @@ func TestEngineIndexesEverything(t *testing.T) {
 	if e.Lake().Len() != 5 {
 		t.Fatal("lake size wrong")
 	}
-	if len(e.TableAttrs(0)) != 5 {
+	if len(e.byTable[0]) != 5 {
 		t.Fatal("per-table attr ids wrong")
 	}
 	if s, ok := e.SubjectAttr(0); !ok || e.Profile(s).Name != "Practice Name" {
@@ -375,7 +375,7 @@ func TestDisabledEvidence(t *testing.T) {
 func TestPairDistancesSymmetricGuards(t *testing.T) {
 	e := buildFigure1Engine(t)
 	// numeric vs text pair: V and E must be 1.
-	s1Attrs := e.TableAttrs(0)
+	s1Attrs := e.byTable[0]
 	var patients, city *Profile
 	for _, id := range s1Attrs {
 		p := e.Profile(id)
@@ -389,7 +389,7 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 	if patients == nil || city == nil {
 		t.Fatal("fixture columns missing")
 	}
-	d := e.PairDistances(patients, city, nil, nil)
+	d := e.pairDistances(patients, city, nil, nil, e.opts.Disabled)
 	if d[EvidenceValue] != 1 || d[EvidenceEmbedding] != 1 || d[EvidenceDomain] != 1 {
 		t.Fatalf("numeric-text pair should have V=E=D=1, got %v", d)
 	}
@@ -398,17 +398,17 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 func TestOverlapCoefficient(t *testing.T) {
 	e := buildFigure1Engine(t)
 	var s2Practice, s3GP, s1Postcode *Profile
-	for _, id := range e.TableAttrs(1) {
+	for _, id := range e.byTable[1] {
 		if e.Profile(id).Name == "Practice" {
 			s2Practice = e.Profile(id)
 		}
 	}
-	for _, id := range e.TableAttrs(2) {
+	for _, id := range e.byTable[2] {
 		if e.Profile(id).Name == "GP" {
 			s3GP = e.Profile(id)
 		}
 	}
-	for _, id := range e.TableAttrs(0) {
+	for _, id := range e.byTable[0] {
 		if e.Profile(id).Name == "Postcode" {
 			s1Postcode = e.Profile(id)
 		}

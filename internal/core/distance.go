@@ -25,19 +25,13 @@ func jaccardSimilarity(a, b minhash.Signature) float64 {
 	return 1 - jaccardDistance(a, b)
 }
 
-// PairDistances computes the five evidence distances between a target
+// pairDistances computes the five evidence distances between a target
 // attribute and a candidate attribute (Section III-B), with the
 // Algorithm 2 guard for D-relatedness. targetSubject and candSubject
 // are the profiles of the respective tables' subject attributes (nil
-// when a table has none). Disabled evidence types report distance 1.
-func (e *Engine) PairDistances(target, cand, targetSubject, candSubject *Profile) DistanceVector {
-	return e.pairDistances(target, cand, targetSubject, candSubject, e.opts.Disabled)
-}
-
-// pairDistances is PairDistances under an explicit evidence mask — the
-// per-query form: a query's Disabled mask (engine mask OR-ed with the
-// QuerySpec override) selects which of the five distances are
-// computed, without touching engine state.
+// when a table has none). The query's Disabled mask (engine mask OR-ed
+// with the QuerySpec override) selects which of the five distances are
+// computed; disabled evidence types report distance 1.
 func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool) DistanceVector {
 	d := MaxDistances()
 	if !disabled[EvidenceName] {
@@ -130,11 +124,6 @@ func (e *Engine) attrRelatedAnyIndex(a, b *Profile) bool {
 	}
 	return false
 }
-
-// AttrRelated reports whether two attribute profiles are related by any
-// index at the engine threshold (used by Algorithm 3's join-path guard
-// and by the baselines' join variants).
-func (e *Engine) AttrRelated(a, b *Profile) bool { return e.attrRelatedAnyIndex(a, b) }
 
 // VSimilarity estimates the Jaccard similarity of two tsets (the
 // V evidence), used by the SA-joinability test of Section IV.

@@ -182,14 +182,6 @@ func embedForestLayout(embedBits int) (trees, hashes int) {
 	return trees, vals / trees
 }
 
-// Options returns the engine configuration. (Parallelism is the one
-// field mutable after build — see SetParallelism — hence the lock.)
-func (e *Engine) Options() Options {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.opts
-}
-
 // Lake returns the indexed lake. Mutate it only through Engine.Add and
 // Engine.Remove once queries may be running concurrently.
 func (e *Engine) Lake() *table.Lake { return e.lake }
@@ -213,13 +205,6 @@ func (e *Engine) Profile(attrID int) *Profile {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return &e.profiles[attrID]
-}
-
-// TableAttrs returns the attribute ids of a table.
-func (e *Engine) TableAttrs(tableID int) []int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.byTable[tableID]
 }
 
 // SubjectAttr returns the subject attribute id of a table and whether
@@ -269,19 +254,4 @@ func (e *Engine) indexSpaceBytes() int64 {
 		total += e.profiles[i].SpaceBytes()
 	}
 	return total
-}
-
-// membershipDepth converts the similarity threshold τ into a forest
-// prefix depth: a candidate agreeing on ~τ of hash values agrees on a
-// geometric prefix of expected length τ·hashesPerTree; we floor at 2 to
-// keep lookups selective.
-func membershipDepth(threshold float64, hashesPerTree int) int {
-	d := int(threshold * float64(hashesPerTree))
-	if d < 2 {
-		d = 2
-	}
-	if d > hashesPerTree {
-		d = hashesPerTree
-	}
-	return d
 }

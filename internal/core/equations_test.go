@@ -126,18 +126,6 @@ func TestAlignColumnsPicksBestPerTargetColumn(t *testing.T) {
 	}
 }
 
-func TestMembershipDepth(t *testing.T) {
-	if d := membershipDepth(0.7, 32); d != 22 {
-		t.Fatalf("depth(0.7, 32) = %d, want 22", d)
-	}
-	if d := membershipDepth(0.01, 32); d != 2 {
-		t.Fatalf("floor should be 2, got %d", d)
-	}
-	if d := membershipDepth(2, 32); d != 32 {
-		t.Fatalf("cap should be hashesPerTree, got %d", d)
-	}
-}
-
 func TestEmbedForestLayout(t *testing.T) {
 	trees, hashes := embedForestLayout(256)
 	if trees*hashes != 32 {
@@ -176,7 +164,7 @@ func TestPairDistancesBoundsProperty(t *testing.T) {
 	f := func(ai, bi uint8) bool {
 		a := e.Profile(int(ai) % n)
 		b := e.Profile(int(bi) % n)
-		d := e.PairDistances(a, b, nil, nil)
+		d := e.pairDistances(a, b, nil, nil, e.opts.Disabled)
 		for _, v := range d {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
@@ -193,7 +181,7 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
 		p := e.Profile(id)
-		d := e.PairDistances(p, p, nil, nil)
+		d := e.pairDistances(p, p, nil, nil, e.opts.Disabled)
 		if d[EvidenceName] > 1e-9 {
 			t.Fatalf("self N distance %v for %s", d[EvidenceName], p.Name)
 		}

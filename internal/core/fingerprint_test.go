@@ -51,11 +51,7 @@ func TestFingerprintMovesOnMutation(t *testing.T) {
 // instances must add their own discriminator.)
 func TestFingerprintSurvivesSnapshot(t *testing.T) {
 	e := buildFigure1Engine(t)
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(&buf)
+	loaded, err := LoadEngine(bytes.NewReader(snapshotBytes(t, e)))
 	if err != nil {
 		t.Fatal(err)
 	}

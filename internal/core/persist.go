@@ -23,29 +23,14 @@ import (
 // than stored; the subject classifier's coefficients are stored, so a
 // replica profiles targets with exactly the classifier the snapshot
 // was built with even if the shipped default changes.
-//
-// Snapshot holds the engine read lock for the duration of the encode,
-// so a snapshot taken while Add/Remove traffic is in flight is a
-// consistent point-in-time image.
 
-// Snapshot writes a versioned, checksummed binary snapshot of the
-// engine to w. Load the result with LoadEngine.
-func (e *Engine) Snapshot(w io.Writer) error {
-	enc := persist.NewEncoder()
-	if err := e.AppendSnapshot(enc, 0); err != nil {
-		return err
-	}
-	_, err := enc.WriteTo(w)
-	return err
-}
-
-// AppendSnapshot encodes the engine's sections into enc, for callers
-// that compose the snapshot with additional sections (the public d3l
-// package appends the SA-join graph). It first reserves room for all of
-// it — its own sections plus the extra bytes the caller will append
-// after them — so the snapshot is laid down in one allocation. The read
-// lock is held across the whole encode, so the sections are mutually
-// consistent under concurrent mutations.
+// AppendSnapshot encodes the engine's sections into enc; the public d3l
+// package appends the SA-join graph after them and writes the result.
+// It first reserves room for all of it — its own sections plus the
+// extra bytes the caller will append after them — so the snapshot is
+// laid down in one allocation. The read lock is held across the whole
+// encode, so the sections are mutually consistent under concurrent
+// mutations.
 func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -108,11 +93,11 @@ func (e *Engine) snapshotSizeBound() int {
 	return n
 }
 
-// LoadEngine reads a snapshot written by Snapshot and reconstructs an
-// engine that answers every query identically to the one the snapshot
-// was taken from, and accepts Add/Remove mutations from there on.
-// Corrupt, truncated or version-mismatched input fails with an error
-// wrapping the persist sentinel errors; it never panics.
+// LoadEngine reads a snapshot whose sections AppendSnapshot encoded and
+// reconstructs an engine that answers every query identically to the
+// one the snapshot was taken from, and accepts Add/Remove mutations
+// from there on. Corrupt, truncated or version-mismatched input fails
+// with an error wrapping the persist sentinel errors; it never panics.
 func LoadEngine(r io.Reader) (*Engine, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {

@@ -18,8 +18,12 @@ import (
 // snapshotBytes serialises an engine into memory.
 func snapshotBytes(t testing.TB, e *Engine) []byte {
 	t.Helper()
+	enc := persist.NewEncoder()
+	if err := e.AppendSnapshot(enc, 0); err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
+	if _, err := enc.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -148,7 +152,7 @@ func TestSnapshotRoundTripOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	le := loadedEngine(t, e)
-	lo := le.Options()
+	lo := le.opts
 	if lo.Disabled != opts.Disabled {
 		t.Fatalf("Disabled %v != %v", lo.Disabled, opts.Disabled)
 	}
@@ -384,11 +388,7 @@ func TestSnapshotConcurrentWithMutations(t *testing.T) {
 	}()
 
 	for i := 0; i < 8; i++ {
-		var buf bytes.Buffer
-		if err := e.Snapshot(&buf); err != nil {
-			t.Fatal(err)
-		}
-		le, err := LoadEngine(bytes.NewReader(buf.Bytes()))
+		le, err := LoadEngine(bytes.NewReader(snapshotBytes(t, e)))
 		if err != nil {
 			t.Fatalf("snapshot %d unloadable: %v", i, err)
 		}
@@ -466,7 +466,7 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	le := loadedEngine(t, e)
-	if got := le.Options().Parallelism; got != 1 {
+	if got := le.opts.Parallelism; got != 1 {
 		t.Fatalf("snapshot Parallelism = %d, want 1", got)
 	}
 	target := e.Lake().Table(2)
@@ -477,7 +477,7 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 	if err := le.SetParallelism(4); err != nil {
 		t.Fatal(err)
 	}
-	if got := le.Options().Parallelism; got != 4 {
+	if got := le.opts.Parallelism; got != 4 {
 		t.Fatalf("Parallelism after override = %d, want 4", got)
 	}
 	got, err := topK(le, target, 8)

@@ -11,7 +11,7 @@ import (
 func attrsByName(t *testing.T, e *Engine, tid int) map[string]int {
 	t.Helper()
 	out := make(map[string]int)
-	for _, aid := range e.TableAttrs(tid) {
+	for _, aid := range e.byTable[tid] {
 		out[e.Profile(aid).Name] = aid
 	}
 	return out
@@ -170,7 +170,7 @@ func TestUpdatePermutationReprofilesNothing(t *testing.T) {
 		}
 	}
 	// Positions did move: the profile Refs must track the new layout.
-	for j, aid := range e.TableAttrs(0) {
+	for j, aid := range e.byTable[0] {
 		if ref := e.Profile(aid).Ref; ref.Column != j || ref.TableID != 0 {
 			t.Errorf("attr %d has Ref %+v, want column %d of table 0", aid, ref, j)
 		}

@@ -25,18 +25,6 @@ func newGroundTruth() *GroundTruth {
 	}
 }
 
-// Manual builds a ground truth from explicit per-table column lineages
-// (table name -> per-column domain keys; "" marks a column with no
-// domain). Useful for evaluating discovery over hand-labelled lakes,
-// the way the paper's Smaller Real ground truth was manually recorded.
-func Manual(lineage map[string][]string) *GroundTruth {
-	g := newGroundTruth()
-	for name, lin := range lineage {
-		g.record(name, append([]string(nil), lin...))
-	}
-	return g
-}
-
 // record registers a table's per-column lineage.
 func (g *GroundTruth) record(tableName string, lineage []string) {
 	g.lineage[tableName] = lineage
@@ -49,12 +37,6 @@ func (g *GroundTruth) record(tableName string, lineage []string) {
 		g.byDomain[key] = append(g.byDomain[key], tableName)
 	}
 	g.relatedCache = nil
-}
-
-// Lineage returns the per-column domain keys of a table (nil if
-// unknown).
-func (g *GroundTruth) Lineage(tableName string) []string {
-	return g.lineage[tableName]
 }
 
 // AttrsRelated reports whether column ca of table ta and column cb of
@@ -133,25 +115,5 @@ func (g *GroundTruth) Tables() []string {
 		out = append(out, name)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// RelatedTargetColumns returns, given a target table, the set of target
-// columns that some attribute of candidate table can populate — the
-// ground-truth counterpart of Eq. 4 coverage.
-func (g *GroundTruth) RelatedTargetColumns(target, candidate string) map[int]bool {
-	lt, lc := g.lineage[target], g.lineage[candidate]
-	out := make(map[int]bool)
-	for i, key := range lt {
-		if key == "" {
-			continue
-		}
-		for _, ck := range lc {
-			if ck == key {
-				out[i] = true
-				break
-			}
-		}
-	}
 	return out
 }

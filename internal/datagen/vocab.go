@@ -147,7 +147,6 @@ func vehicleReg(r *rng) string {
 
 var crimeTypes = []string{"Burglary", "Vehicle crime", "Anti-social behaviour", "Criminal damage", "Shoplifting", "Public order", "Drugs", "Robbery", "Bicycle theft", "Theft from the person"}
 var sectors = []string{"Retail", "Manufacturing", "Construction", "Education", "Healthcare", "Hospitality", "Logistics", "Finance", "Agriculture", "Technology"}
-var birdSpecies = []string{"Kestrel", "Barn Owl", "Goshawk", "Sparrowhawk", "Merlin", "Hobby", "Peregrine Falcon", "Red Kite", "Buzzard", "Tawny Owl", "Little Owl", "Hen Harrier"}
 
 // numeric formats a float under a domain-specific rendering.
 func numeric(r *rng, mean, std float64, style string) string {

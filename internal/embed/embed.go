@@ -14,7 +14,6 @@ package embed
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -45,26 +44,6 @@ type Model struct {
 // NewModel builds a model with the built-in lexicon.
 func NewModel(seed uint64) *Model {
 	return &Model{seed: seed, concept: builtinLexicon()}
-}
-
-// NewModelWithLexicon builds a model with a caller-provided synonym
-// lexicon mapping each word to a concept identifier. Words sharing a
-// concept identifier embed close together.
-func NewModelWithLexicon(seed uint64, lexicon map[string]string) *Model {
-	c := make(map[string]string, len(lexicon))
-	for w, g := range lexicon {
-		c[strings.ToLower(w)] = g
-	}
-	return &Model{seed: seed, concept: c}
-}
-
-// Dim reports the vector dimensionality.
-func (m *Model) Dim() int { return Dim }
-
-// Word returns the embedding of a single word. The zero word yields a
-// zero vector.
-func (m *Model) Word(word string) []float64 {
-	return slices.Clone(m.NewScratch().Word(word))
 }
 
 // Mean combines word vectors into one attribute vector (the paper
@@ -178,34 +157,6 @@ func (s *Scratch) Mean(words []string) []float64 {
 	}
 	normalize(out)
 	return out
-}
-
-// Cosine returns the cosine similarity of two vectors; zero vectors
-// yield 0.
-func Cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// CosineDistance returns 1 − cosine similarity clamped to [0, 1], the
-// D_E distance of Section III-B.
-func CosineDistance(a, b []float64) float64 {
-	d := 1 - Cosine(a, b)
-	if d < 0 {
-		return 0
-	}
-	if d > 1 {
-		return 1
-	}
-	return d
 }
 
 // IsZero reports whether a vector has no mass (no embeddable content).

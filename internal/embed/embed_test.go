@@ -2,15 +2,34 @@ package embed
 
 import (
 	"math"
+	"slices"
 	"testing"
-	"testing/quick"
 )
+
+// word is the embedding of one word, copied out of a fresh scratch.
+func word(m *Model, w string) []float64 {
+	return slices.Clone(m.NewScratch().Word(w))
+}
+
+// cosine is the cosine similarity of two vectors; zero vectors yield 0.
+func cosine(a, b []float64) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	return dot / math.Sqrt(na*nb)
+}
 
 func TestWordDeterminism(t *testing.T) {
 	m1 := NewModel(42)
 	m2 := NewModel(42)
-	a := m1.Word("manchester")
-	b := m2.Word("manchester")
+	a := word(m1, "manchester")
+	b := word(m2, "manchester")
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give identical vectors")
@@ -21,7 +40,7 @@ func TestWordDeterminism(t *testing.T) {
 func TestWordUnitNorm(t *testing.T) {
 	m := NewModel(1)
 	for _, w := range []string{"street", "a", "blackfriars", "08:00"} {
-		v := m.Word(w)
+		v := word(m, w)
 		var n float64
 		for _, x := range v {
 			n += x * x
@@ -34,51 +53,41 @@ func TestWordUnitNorm(t *testing.T) {
 
 func TestEmptyWordIsZero(t *testing.T) {
 	m := NewModel(1)
-	if !IsZero(m.Word("")) || !IsZero(m.Word("   ")) {
+	if !IsZero(word(m, "")) || !IsZero(word(m, "   ")) {
 		t.Fatal("empty word should embed to zero vector")
 	}
 }
 
 func TestSynonymsCloserThanUnrelated(t *testing.T) {
 	m := NewModel(7)
-	doctor := m.Word("doctor")
-	gp := m.Word("gp")
-	practice := m.Word("practice")
-	rainfall := m.Word("rainfall")
-	if Cosine(doctor, gp) < 0.5 {
-		t.Fatalf("doctor~gp cosine %v, want high (shared concept)", Cosine(doctor, gp))
+	doctor := word(m, "doctor")
+	gp := word(m, "gp")
+	practice := word(m, "practice")
+	rainfall := word(m, "rainfall")
+	if cosine(doctor, gp) < 0.5 {
+		t.Fatalf("doctor~gp cosine %v, want high (shared concept)", cosine(doctor, gp))
 	}
-	if Cosine(doctor, practice) < 0.5 {
-		t.Fatalf("doctor~practice cosine %v, want high", Cosine(doctor, practice))
+	if cosine(doctor, practice) < 0.5 {
+		t.Fatalf("doctor~practice cosine %v, want high", cosine(doctor, practice))
 	}
-	if Cosine(doctor, rainfall) > 0.4 {
-		t.Fatalf("doctor~rainfall cosine %v, want low", Cosine(doctor, rainfall))
+	if cosine(doctor, rainfall) > 0.4 {
+		t.Fatalf("doctor~rainfall cosine %v, want low", cosine(doctor, rainfall))
 	}
-	if Cosine(doctor, gp) <= Cosine(doctor, rainfall) {
+	if cosine(doctor, gp) <= cosine(doctor, rainfall) {
 		t.Fatal("synonyms must be closer than unrelated words")
 	}
 }
 
 func TestOrthographicSimilarityHelps(t *testing.T) {
 	m := NewModel(7)
-	a := m.Word("manchester")
-	b := m.Word("manchestr") // typo shares most n-grams
-	c := m.Word("xylophone")
-	if Cosine(a, b) <= Cosine(a, c) {
-		t.Fatalf("typo cosine %v should beat unrelated %v", Cosine(a, b), Cosine(a, c))
+	a := word(m, "manchester")
+	b := word(m, "manchestr") // typo shares most n-grams
+	c := word(m, "xylophone")
+	if cosine(a, b) <= cosine(a, c) {
+		t.Fatalf("typo cosine %v should beat unrelated %v", cosine(a, b), cosine(a, c))
 	}
-	if Cosine(a, b) < 0.4 {
-		t.Fatalf("typo cosine %v, want substantial subword sharing", Cosine(a, b))
-	}
-}
-
-func TestCustomLexicon(t *testing.T) {
-	m := NewModelWithLexicon(3, map[string]string{"Foo": "g1", "bar": "g1", "baz": "g2"})
-	if Cosine(m.Word("foo"), m.Word("bar")) < 0.5 {
-		t.Fatal("custom lexicon group should bind foo~bar")
-	}
-	if Cosine(m.Word("foo"), m.Word("baz")) > 0.6 {
-		t.Fatal("different concepts should separate")
+	if cosine(a, b) < 0.4 {
+		t.Fatalf("typo cosine %v, want substantial subword sharing", cosine(a, b))
 	}
 }
 
@@ -88,47 +97,12 @@ func TestMeanOfWords(t *testing.T) {
 	if IsZero(mean) {
 		t.Fatal("mean of real words should be nonzero")
 	}
-	s := m.Word("street")
-	if Cosine(mean, s) < 0.5 {
-		t.Fatalf("mean should stay close to members, cosine %v", Cosine(mean, s))
+	s := word(m, "street")
+	if cosine(mean, s) < 0.5 {
+		t.Fatalf("mean should stay close to members, cosine %v", cosine(mean, s))
 	}
 	if !IsZero(m.Mean(nil)) {
 		t.Fatal("mean of no words should be zero")
-	}
-}
-
-func TestCosineBounds(t *testing.T) {
-	m := NewModel(11)
-	f := func(a, b string) bool {
-		va, vb := m.Word(a), m.Word(b)
-		c := Cosine(va, vb)
-		d := CosineDistance(va, vb)
-		return c >= -1-1e-9 && c <= 1+1e-9 && d >= 0 && d <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCosineSelf(t *testing.T) {
-	m := NewModel(2)
-	v := m.Word("salford")
-	if math.Abs(Cosine(v, v)-1) > 1e-9 {
-		t.Fatal("self cosine should be 1")
-	}
-	if CosineDistance(v, v) > 1e-9 {
-		t.Fatal("self cosine distance should be 0")
-	}
-}
-
-func TestZeroVectorCosine(t *testing.T) {
-	z := make([]float64, Dim)
-	m := NewModel(2)
-	if Cosine(z, m.Word("x")) != 0 {
-		t.Fatal("zero vector cosine should be 0")
-	}
-	if CosineDistance(z, z) != 1 {
-		t.Fatal("zero vector distance should be maximal (no evidence)")
 	}
 }
 
@@ -141,9 +115,9 @@ func TestAttributeLevelSemanticSignal(t *testing.T) {
 	addrA := m.Mean([]string{"street", "road"})
 	addrB := m.Mean([]string{"avenue", "lane"})
 	money := m.Mean([]string{"payment", "fee"})
-	if Cosine(addrA, addrB) <= Cosine(addrA, money) {
+	if cosine(addrA, addrB) <= cosine(addrA, money) {
 		t.Fatalf("address~address %v should exceed address~money %v",
-			Cosine(addrA, addrB), Cosine(addrA, money))
+			cosine(addrA, addrB), cosine(addrA, money))
 	}
 }
 
@@ -151,6 +125,6 @@ func BenchmarkWord(b *testing.B) {
 	m := NewModel(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Word("manchester")
+		word(m, "manchester")
 	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strconv"
 	"testing"
-
-	"d3l/internal/datagen"
 )
 
 func TestAblationWeighting(t *testing.T) {
@@ -76,22 +74,5 @@ func TestRunAblations(t *testing.T) {
 	}
 	if len(reps) != 3 {
 		t.Fatalf("got %d reports, want 3", len(reps))
-	}
-}
-
-func TestManualGroundTruth(t *testing.T) {
-	gt := datagen.Manual(map[string][]string{
-		"A": {"dom/x", "dom/y"},
-		"B": {"dom/y"},
-		"C": {"dom/z"},
-	})
-	if !gt.TablesRelated("A", "B") || gt.TablesRelated("A", "C") {
-		t.Fatal("manual GT relations wrong")
-	}
-	if !gt.AttrsRelated("A", 1, "B", 0) {
-		t.Fatal("manual GT attr relations wrong")
-	}
-	if gt.AvgAnswerSize() <= 0 {
-		t.Fatal("avg answer size should be positive")
 	}
 }

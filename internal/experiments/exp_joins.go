@@ -26,7 +26,7 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 	ctx := context.Background()
 	var graph *joins.Graph
 	if withJoins {
-		if graph, err = joins.BuildGraphCtx(ctx, eng, joins.DefaultGraphOptions()); err != nil {
+		if graph, err = joins.BuildGraphCtx(ctx, eng); err != nil {
 			return joinMeasures{}, err
 		}
 	}

@@ -53,31 +53,11 @@ func meanPR(gt *datagen.GroundTruth, results map[string][]string) (p, r float64)
 	return sp / n, sr / n
 }
 
-// attrPrecision scores a set of alignments (target column -> candidate
-// columns of candidate table) against the ground truth: a target column
-// counts as a true positive when at least one aligned candidate column
-// is genuinely related to it (Section V-E's definition).
-func attrPrecision(gt *datagen.GroundTruth, target, candidate string, aligns map[int][]int) (tp, fp int) {
-	for tCol, cCols := range aligns {
-		hit := false
-		for _, cCol := range cCols {
-			if gt.AttrsRelated(target, tCol, candidate, cCol) {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			tp++
-		} else {
-			fp++
-		}
-	}
-	return tp, fp
-}
-
-// joinedAttrPrecision extends attrPrecision to a set of tables (a join
-// path result): per target column, the union of aligned columns over
-// all tables counts as one TP if any element is related.
+// joinedAttrPrecision scores alignments (target column -> candidate
+// columns, per candidate table) against the ground truth over a set of
+// tables (a join path result): per target column, the union of aligned
+// columns over all tables counts as one true positive if any element is
+// genuinely related to it (Section V-E's definition).
 func joinedAttrPrecision(gt *datagen.GroundTruth, target string, perTable map[string]map[int][]int) (tp, fp int) {
 	byCol := make(map[int]bool) // target col -> any hit
 	seenCol := make(map[int]bool)

@@ -56,8 +56,5 @@ func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 // f3 formats a float with 3 decimals.
 func f3(v float64) string { return fmt.Sprintf("%.3f", v) }
 
-// ms formats a duration in milliseconds.
-func ms(seconds float64) string { return fmt.Sprintf("%.1fms", seconds*1000) }
-
 // itoa formats an int.
 func itoa(i int) string { return fmt.Sprintf("%d", i) }

@@ -31,54 +31,6 @@ const (
 	ClassP = 'P'
 )
 
-// classify maps a maximal homogeneous run to its primitive class.
-func classify(run string) rune {
-	if run == "" {
-		return ClassP
-	}
-	hasUpper, hasLower, hasDigit, hasOther := false, false, false, false
-	for _, r := range run {
-		switch {
-		case unicode.IsUpper(r):
-			hasUpper = true
-		case unicode.IsLower(r):
-			hasLower = true
-		case unicode.IsDigit(r):
-			hasDigit = true
-		default:
-			hasOther = true
-		}
-	}
-	switch {
-	case hasOther:
-		return ClassP
-	case hasUpper && hasLower && !hasDigit:
-		// C only when the run is exactly one capital followed by lower.
-		runes := []rune(run)
-		if unicode.IsUpper(runes[0]) && len(runes) > 1 {
-			rest := true
-			for _, r := range runes[1:] {
-				if !unicode.IsLower(r) {
-					rest = false
-					break
-				}
-			}
-			if rest {
-				return ClassC
-			}
-		}
-		return ClassA
-	case hasUpper && !hasLower && !hasDigit:
-		return ClassU
-	case hasLower && !hasUpper && !hasDigit:
-		return ClassL
-	case hasDigit && !hasUpper && !hasLower:
-		return ClassN
-	default:
-		return ClassA
-	}
-}
-
 // appendTokenSymbols scans one whitespace-delimited token and appends
 // its symbol string to dst by segmenting it into runs: letters-with-
 // case-structure, digits, and punctuation. A capitalised prefix
@@ -216,14 +168,6 @@ func regexInto(value string, sym, out []byte) (symBuf, collapsed []byte) {
 	return sym, out
 }
 
-// RegexString maps a whole value to its format-describing string:
-// per-token symbol strings joined in order, with consecutive identical
-// symbols collapsed to the first occurrence followed by '+'.
-func RegexString(value string) string {
-	_, out := regexInto(value, nil, nil)
-	return string(out)
-}
-
 // RSetScratch carries the reusable buffers of RSetAppend. The zero
 // value is ready.
 type RSetScratch struct {
@@ -232,11 +176,13 @@ type RSetScratch struct {
 	seen map[string]struct{}
 }
 
-// RSetAppend is the allocation-conscious RSet: it appends the
-// deduplicated regex strings of values to dst, reusing the scratch
-// buffers, and interns a string only for each distinct format (the map
-// membership probe on the byte buffer compiles to a no-allocation
-// lookup).
+// RSetAppend appends the rset of an extent to dst: the deduplicated set
+// of its values' regex strings (the union in Algorithm 1, line 7). A
+// value's regex string is its per-token symbol strings joined in order,
+// with consecutive identical symbols collapsed to the first occurrence
+// followed by '+'. It reuses the scratch buffers and interns a string
+// only for each distinct format (the map membership probe on the byte
+// buffer compiles to a no-allocation lookup).
 func RSetAppend(dst []string, values []string, s *RSetScratch) []string {
 	if s.seen == nil {
 		s.seen = make(map[string]struct{})
@@ -255,11 +201,4 @@ func RSetAppend(dst []string, values []string, s *RSetScratch) []string {
 		dst = append(dst, rs)
 	}
 	return dst
-}
-
-// RSet computes the rset of an extent: the deduplicated set of regex
-// strings of its values (the union in Algorithm 1, line 7).
-func RSet(values []string) []string {
-	var s RSetScratch
-	return RSetAppend(nil, values, &s)
 }

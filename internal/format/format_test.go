@@ -7,6 +7,19 @@ import (
 	"testing/quick"
 )
 
+// regexString is the regex string RSetAppend derives for one value.
+func regexString(value string) string {
+	if rs := rset([]string{value}); len(rs) > 0 {
+		return rs[0]
+	}
+	return ""
+}
+
+func rset(values []string) []string {
+	var s RSetScratch
+	return RSetAppend(nil, values, &s)
+}
+
 func TestRegexStringBasicClasses(t *testing.T) {
 	cases := []struct{ in, want string }{
 		{"Portland", "C"},
@@ -17,29 +30,29 @@ func TestRegexStringBasicClasses(t *testing.T) {
 		{"", ""},
 	}
 	for _, c := range cases {
-		if got := RegexString(c.in); got != c.want {
-			t.Errorf("RegexString(%q) = %q, want %q", c.in, got, c.want)
+		if got := regexString(c.in); got != c.want {
+			t.Errorf("regexString(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }
 
 func TestRegexStringAddress(t *testing.T) {
 	// "18 Portland Street" -> N C C -> "NC+"
-	if got := RegexString("18 Portland Street"); got != "NC+" {
+	if got := regexString("18 Portland Street"); got != "NC+" {
 		t.Fatalf("got %q, want NC+", got)
 	}
 }
 
 func TestRegexStringPostcode(t *testing.T) {
 	// "M1 3BE": M->U 1->N, 3->N BE->U  => U N N U -> "UN+U"
-	if got := RegexString("M1 3BE"); got != "UN+U" {
+	if got := regexString("M1 3BE"); got != "UN+U" {
 		t.Fatalf("got %q, want UN+U", got)
 	}
 }
 
 func TestRegexStringCollapse(t *testing.T) {
 	// Repeated symbols collapse with '+'.
-	got := RegexString("one two three")
+	got := regexString("one two three")
 	if got != "L+" {
 		t.Fatalf("got %q, want L+", got)
 	}
@@ -49,7 +62,7 @@ func TestRegexStringTimeRange(t *testing.T) {
 	// "08:00-18:00" is one token: N P N P N P N ... with punctuation
 	// separators; symbols alternate so no collapse of N P pairs. The
 	// token has >3 symbols but contains P so it is not collapsed to A.
-	got := RegexString("08:00-18:00")
+	got := regexString("08:00-18:00")
 	if !strings.ContainsRune(got, 'N') || !strings.ContainsRune(got, 'P') {
 		t.Fatalf("time range lost structure: %q", got)
 	}
@@ -57,29 +70,29 @@ func TestRegexStringTimeRange(t *testing.T) {
 
 func TestRegexStringMixedIdentifier(t *testing.T) {
 	// Long alternating alphanumerics (no punctuation) collapse to A.
-	got := RegexString("a1b2c3d4")
+	got := regexString("a1b2c3d4")
 	if got != "A" {
 		t.Fatalf("got %q, want A", got)
 	}
 }
 
 func TestSameFormatDifferentValues(t *testing.T) {
-	if RegexString("M1 3BE") != RegexString("M3 1NN") {
+	if regexString("M1 3BE") != regexString("M3 1NN") {
 		t.Fatal("same-format postcodes should share a regex string")
 	}
-	if RegexString("08:00-18:00") != RegexString("07:00-20:00") {
+	if regexString("08:00-18:00") != regexString("07:00-20:00") {
 		t.Fatal("same-format opening hours should share a regex string")
 	}
 }
 
 func TestDifferentFormatsDiffer(t *testing.T) {
-	if RegexString("Blackfriars") == RegexString("08:00-18:00") {
+	if regexString("Blackfriars") == regexString("08:00-18:00") {
 		t.Fatal("clearly different formats should not collide")
 	}
 }
 
 func TestRSetDeduplicates(t *testing.T) {
-	rs := RSet([]string{"M1 3BE", "M3 1NN", "W1G 6BW", ""})
+	rs := rset([]string{"M1 3BE", "M3 1NN", "W1G 6BW", ""})
 	// Two distinct formats expected: "UN+U" and the W1G variant "UNU U N U"?
 	// W1G -> U N U ; 6BW -> N U ; joined U N U N U -> "UNUNU".
 	want := map[string]bool{"UN+U": true, "UNUNU": true}
@@ -94,7 +107,7 @@ func TestRSetDeduplicates(t *testing.T) {
 }
 
 func TestRegexStringDeterministicProperty(t *testing.T) {
-	f := func(s string) bool { return RegexString(s) == RegexString(s) }
+	f := func(s string) bool { return regexString(s) == regexString(s) }
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +117,7 @@ func TestRegexStringAlphabetProperty(t *testing.T) {
 	// Output only ever contains class symbols and '+'.
 	valid := map[rune]bool{'C': true, 'U': true, 'L': true, 'N': true, 'A': true, 'P': true, '+': true}
 	f := func(s string) bool {
-		for _, r := range RegexString(s) {
+		for _, r := range regexString(s) {
 			if !valid[r] {
 				return false
 			}
@@ -118,7 +131,7 @@ func TestRegexStringAlphabetProperty(t *testing.T) {
 
 func TestNoConsecutiveDuplicatesProperty(t *testing.T) {
 	f := func(s string) bool {
-		out := RegexString(s)
+		out := regexString(s)
 		var prev rune
 		for _, r := range out {
 			if r != '+' && r == prev {
@@ -136,38 +149,40 @@ func TestNoConsecutiveDuplicatesProperty(t *testing.T) {
 }
 
 func TestRSetEmptyInput(t *testing.T) {
-	if got := RSet(nil); got != nil {
-		t.Fatalf("RSet(nil) = %v, want nil", got)
+	if got := rset(nil); got != nil {
+		t.Fatalf("rset(nil) = %v, want nil", got)
 	}
-	if got := RSet([]string{"", "  "}); got != nil {
-		t.Fatalf("RSet(blank) = %v, want nil", got)
+	if got := rset([]string{"", "  "}); got != nil {
+		t.Fatalf("rset(blank) = %v, want nil", got)
 	}
 }
 
+// TestClassifyDirect: a token that is one homogeneous run gets the
+// single class symbol of that run.
 func TestClassifyDirect(t *testing.T) {
 	cases := []struct {
 		in   string
 		want rune
 	}{
 		{"Hello", ClassC}, {"ABC", ClassU}, {"abc", ClassL},
-		{"123", ClassN}, {"a1B2c3d4e5", ClassA}, {"..", ClassP}, {"", ClassP},
+		{"123", ClassN}, {"a1B2c3d4e5", ClassA}, {"..", ClassP},
 	}
 	for _, c := range cases {
-		if got := classify(c.in); got != c.want {
-			t.Errorf("classify(%q) = %c, want %c", c.in, got, c.want)
+		if got := regexString(c.in); got != string(c.want) {
+			t.Errorf("regexString(%q) = %q, want %q", c.in, got, string(c.want))
 		}
 	}
 }
 
 func TestRegexStringsEqualForRenderedDates(t *testing.T) {
 	dates := []string{"2020-11-20", "1999-01-02", "2026-06-12"}
-	first := RegexString(dates[0])
+	first := regexString(dates[0])
 	for _, d := range dates[1:] {
-		if RegexString(d) != first {
-			t.Fatalf("date formats differ: %q vs %q", RegexString(d), first)
+		if regexString(d) != first {
+			t.Fatalf("date formats differ: %q vs %q", regexString(d), first)
 		}
 	}
-	if !reflect.DeepEqual(RSet(dates), []string{first}) {
+	if !reflect.DeepEqual(rset(dates), []string{first}) {
 		t.Fatal("RSet of same-format dates should be a singleton")
 	}
 }

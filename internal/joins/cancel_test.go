@@ -17,7 +17,7 @@ func TestBuildGraphCtxCancelled(t *testing.T) {
 	e := buildEngine(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g, err := BuildGraphCtx(ctx, e, DefaultGraphOptions())
+	g, err := BuildGraphCtx(ctx, e)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -71,7 +71,7 @@ func TestLiveCtxMatchesBackgroundCtx(t *testing.T) {
 	live, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	gBackground := buildGraph(t, e)
-	gLive, err := BuildGraphCtx(live, e, DefaultGraphOptions())
+	gLive, err := BuildGraphCtx(live, e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,22 +14,8 @@ import (
 	"d3l/internal/core"
 )
 
-// GraphOptions configure SA-join graph construction.
-type GraphOptions struct {
-	// MinOverlap is the overlap-coefficient floor for an edge. The
-	// paper derives ov ≥ τ(|A|+|B|)/((1+τ)·min(|A|,|B|)) from τ; with
-	// the default τ = 0.7 and balanced sets this is ≈ 0.82, but join
-	// keys have skewed cardinalities, so the bound against min(|A|,|B|)
-	// is what matters. 0 selects the τ-derived bound per pair.
-	MinOverlap float64
-	// CandidateBudget caps I_V lookups per subject attribute.
-	CandidateBudget int
-}
-
-// DefaultGraphOptions returns paper-faithful settings.
-func DefaultGraphOptions() GraphOptions {
-	return GraphOptions{MinOverlap: 0, CandidateBudget: 256}
-}
+// candidateBudget caps the I_V lookups per subject attribute.
+const candidateBudget = 256
 
 // Edge is one SA-join opportunity between two tables.
 type Edge struct {
@@ -47,7 +33,7 @@ type Graph struct {
 
 // graphBlock is how many tables' candidates BuildGraphCtx generates
 // before it merges them: it bounds the candidates pending at any moment
-// (CandidateBudget per table) whatever the lake's size.
+// (candidateBudget per table) whatever the lake's size.
 const graphBlock = 256
 
 // candidate is one SA-join opportunity of a table's subject attribute
@@ -76,10 +62,7 @@ type candidate struct {
 // it, and Encode writes what it finds). So each block is merged
 // sequentially, in table order, and the graph is the one a
 // table-at-a-time build produces.
-func BuildGraphCtx(ctx context.Context, e *core.Engine, opts GraphOptions) (*Graph, error) {
-	if opts.CandidateBudget <= 0 {
-		opts.CandidateBudget = 256
-	}
+func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 	g := &Graph{engine: e, adj: make(map[int][]Edge)}
 	numTables := e.Lake().Len()
 	seen := make(map[[2]int]bool) // undirected table-pair dedup
@@ -87,7 +70,7 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine, opts GraphOptions) (*Gra
 	for lo := 0; lo < numTables; lo += graphBlock {
 		block := pending[:min(graphBlock, numTables-lo)]
 		err := e.ForEachQuery(ctx, len(block), func(i int) {
-			block[i] = subjectCandidates(e, opts, lo+i, block[i][:0])
+			block[i] = subjectCandidates(e, lo+i, block[i][:0])
 		})
 		if err != nil {
 			return nil, err
@@ -129,7 +112,7 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine, opts GraphOptions) (*Gra
 // proposes them, the attributes of other live tables whose estimated
 // overlap with table tid's subject attribute clears the bound. A table
 // that is removed or has no subject attribute has none.
-func subjectCandidates(e *core.Engine, opts GraphOptions, tid int, dst []candidate) []candidate {
+func subjectCandidates(e *core.Engine, tid int, dst []candidate) []candidate {
 	if !e.AliveTable(tid) {
 		return dst // tombstoned by Engine.Remove
 	}
@@ -138,14 +121,14 @@ func subjectCandidates(e *core.Engine, opts GraphOptions, tid int, dst []candida
 		return dst
 	}
 	sp := e.Profile(subj)
-	for _, candID := range e.VCandidates(subj, opts.CandidateBudget) {
+	for _, candID := range e.VCandidates(subj, candidateBudget) {
 		cp := e.Profile(candID)
 		otherTID := cp.Ref.TableID
 		if otherTID == tid || !e.AliveTable(otherTID) {
 			continue
 		}
 		ov := e.OverlapCoefficient(sp, cp)
-		if ov < overlapFloor(opts, e, sp, cp) {
+		if ov < overlapFloor(e, sp, cp) {
 			continue
 		}
 		dst = append(dst, candidate{otherTID: otherTID, attr: candID, overlap: ov})
@@ -153,11 +136,12 @@ func subjectCandidates(e *core.Engine, opts GraphOptions, tid int, dst []candida
 	return dst
 }
 
-// overlapFloor resolves the per-pair overlap threshold.
-func overlapFloor(opts GraphOptions, e *core.Engine, a, b *core.Profile) float64 {
-	if opts.MinOverlap > 0 {
-		return opts.MinOverlap
-	}
+// overlapFloor is the overlap-coefficient floor for an edge between a
+// and b. The paper derives ov ≥ τ(|A|+|B|)/((1+τ)·min(|A|,|B|)) from τ;
+// with the default τ = 0.7 and balanced sets this is ≈ 0.82, but join
+// keys have skewed cardinalities, so the bound against min(|A|,|B|) is
+// taken per pair.
+func overlapFloor(e *core.Engine, a, b *core.Profile) float64 {
 	tau := e.Threshold()
 	na, nb := float64(a.TSize), float64(b.TSize)
 	if na == 0 || nb == 0 {

@@ -64,7 +64,7 @@ func joinTarget(t testing.TB) *table.Table {
 // cannot cancel.
 func buildGraph(t testing.TB, e *core.Engine) *Graph {
 	t.Helper()
-	g, err := BuildGraphCtx(context.Background(), e, DefaultGraphOptions())
+	g, err := BuildGraphCtx(context.Background(), e)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // dedup against every pair seen so far, estimate, keep. It is the
 // definition of the graph — which pair keeps which edge, and the order
 // adjacency lists grow in — that the fanned-out build must reproduce.
-func buildGraphReference(e *core.Engine, opts GraphOptions) *Graph {
+func buildGraphReference(e *core.Engine) *Graph {
 	g := &Graph{engine: e, adj: make(map[int][]Edge)}
 	seen := make(map[[2]int]bool)
 	for tid := 0; tid < e.Lake().Len(); tid++ {
@@ -28,7 +28,7 @@ func buildGraphReference(e *core.Engine, opts GraphOptions) *Graph {
 			continue
 		}
 		sp := e.Profile(subj)
-		for _, candID := range e.VCandidates(subj, opts.CandidateBudget) {
+		for _, candID := range e.VCandidates(subj, candidateBudget) {
 			cp := e.Profile(candID)
 			otherTID := cp.Ref.TableID
 			if otherTID == tid || !e.AliveTable(otherTID) {
@@ -42,7 +42,7 @@ func buildGraphReference(e *core.Engine, opts GraphOptions) *Graph {
 				continue
 			}
 			ov := e.OverlapCoefficient(sp, cp)
-			if ov < overlapFloor(opts, e, sp, cp) {
+			if ov < overlapFloor(e, sp, cp) {
 				continue
 			}
 			seen[key] = true
@@ -109,8 +109,7 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	gopts := DefaultGraphOptions()
-	ref := buildGraphReference(e, gopts)
+	ref := buildGraphReference(e)
 	if ref.Edges() == 0 {
 		t.Fatal("reference graph has no edges")
 	}
@@ -118,7 +117,7 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 	twiceID, _ := lake.IDByName("zz_twice")
 	subj, _ := e.SubjectAttr(keys)
 	hits := 0
-	for _, cand := range e.VCandidates(subj, gopts.CandidateBudget) {
+	for _, cand := range e.VCandidates(subj, candidateBudget) {
 		if e.Profile(cand).Ref.TableID == twiceID {
 			hits++
 		}
@@ -143,7 +142,7 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 		if err := e.SetParallelism(parallelism); err != nil {
 			t.Fatal(err)
 		}
-		g, err := BuildGraphCtx(context.Background(), e, gopts)
+		g, err := BuildGraphCtx(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
 		}

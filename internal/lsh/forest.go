@@ -60,9 +60,6 @@ func MustForest(numTrees, hashesPerTree int) *Forest {
 // provide.
 func (f *Forest) MinSignatureLen() int { return f.numTrees * f.hashesPerTree }
 
-// Len reports the number of indexed items.
-func (f *Forest) Len() int { return f.count }
-
 // ready is the precondition every probe (and Delete) shares: the forest
 // has been indexed and the signature covers all its trees. op names the
 // caller in the error.

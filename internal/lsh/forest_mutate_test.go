@@ -48,8 +48,8 @@ func TestForestInsertEqualsBuild(t *testing.T) {
 		}
 	}
 
-	if full.Len() != grown.Len() {
-		t.Fatalf("Len mismatch: %d vs %d", full.Len(), grown.Len())
+	if full.count != grown.count {
+		t.Fatalf("Len mismatch: %d vs %d", full.count, grown.count)
 	}
 	for q := 0; q < len(sigs); q += 7 {
 		a, err := full.Query(sigs[q], 20)
@@ -96,8 +96,8 @@ func TestForestDeleteRemovesItem(t *testing.T) {
 	if !found {
 		t.Fatal("Delete did not find an indexed item")
 	}
-	if f.Len() != len(sigs)-1 {
-		t.Fatalf("Len = %d after delete, want %d", f.Len(), len(sigs)-1)
+	if f.count != len(sigs)-1 {
+		t.Fatalf("Len = %d after delete, want %d", f.count, len(sigs)-1)
 	}
 	// Even a full-forest scan (prefix depth descends to 1) must not
 	// surface the victim.

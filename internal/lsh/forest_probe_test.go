@@ -79,7 +79,7 @@ func checkProbe(t *testing.T, f *Forest, sig []uint32, budget int, s *DepthScrat
 // ones, one below and one above the typical candidate count, and the two
 // around "the whole forest".
 func probeBudgets(f *Forest) []int {
-	return []int{0, 1, 2, 64, f.Len(), f.Len() + 1}
+	return []int{0, 1, 2, 64, f.count, f.count + 1}
 }
 
 // TestProbeMatchesDescent property-tests the one-walk probe against the
@@ -201,7 +201,7 @@ func TestProbeAfterMutations(t *testing.T) {
 		for _, budget := range probeBudgets(f) {
 			checkProbe(t, f, sig, budget, &s, fmt.Sprintf("step %d", step))
 		}
-		ids, _, err := f.Probe(sig, f.Len()+1, nil, &s)
+		ids, _, err := f.Probe(sig, f.count+1, nil, &s)
 		if err != nil {
 			t.Fatal(err)
 		}

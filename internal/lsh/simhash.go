@@ -1,9 +1,7 @@
 // Package lsh provides the locality-sensitive index structures D3L is
 // built on: random-projection (SimHash) sketches for cosine similarity
-// (Charikar, STOC 2002), classic banded MinHash LSH, the self-tuning
-// LSH Forest (Bawa et al., WWW 2005) used for top-k retrieval, and an
-// LSH Ensemble-style partitioned index (Zhu et al., PVLDB 2016) for
-// skewed set sizes.
+// (Charikar, STOC 2002), and the self-tuning LSH Forest (Bawa et al.,
+// WWW 2005) used for top-k retrieval.
 package lsh
 
 import (
@@ -41,22 +39,6 @@ func NewPlanes(dim, nbits int, seed uint64) (*Planes, error) {
 	}
 	return p, nil
 }
-
-// MustPlanes is NewPlanes for static configuration; it panics on bad
-// arguments.
-func MustPlanes(dim, nbits int, seed uint64) *Planes {
-	p, err := NewPlanes(dim, nbits, seed)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Dim reports the expected input vector dimension.
-func (p *Planes) Dim() int { return p.dim }
-
-// Bits reports the signature width in bits.
-func (p *Planes) Bits() int { return p.nbits }
 
 // Sketch projects vec onto the hyperplanes, producing a bit signature.
 // A dot product is one long chain of dependent additions, so four
@@ -148,8 +130,8 @@ func CosineDistance(a, b BitSignature, nbits int) (float64, error) {
 }
 
 // HashValues converts a bit signature into a sequence of byte-wide hash
-// values so that cosine sketches can be indexed by the same Forest and
-// banded-LSH structures as MinHash signatures.
+// values so that cosine sketches can be indexed by the same Forest as
+// MinHash signatures.
 func (s BitSignature) HashValues() []uint32 {
 	return s.HashValuesInto(make([]uint32, 0, len(s)*8))
 }
@@ -164,17 +146,6 @@ func (s BitSignature) HashValuesInto(dst []uint32) []uint32 {
 		}
 	}
 	return dst
-}
-
-// Bytes serialises the signature for space accounting.
-func (s BitSignature) Bytes() []byte {
-	buf := make([]byte, len(s)*8)
-	for i, w := range s {
-		for b := 0; b < 8; b++ {
-			buf[i*8+b] = byte(w >> (8 * b))
-		}
-	}
-	return buf
 }
 
 // gaussian produces deterministic standard-normal variates via the

@@ -30,7 +30,7 @@ func TestSketchEqualsOneRowLoop(t *testing.T) {
 	const dim = 64
 	rng := rand.New(rand.NewSource(5))
 	for _, nbits := range []int{1, 3, 64, 250, 256} {
-		p := MustPlanes(dim, nbits, uint64(nbits))
+		p := mustPlanes(dim, nbits, uint64(nbits))
 		vecs := [][]float64{make([]float64, dim)}
 		for n := 0; n < 200; n++ {
 			v := make([]float64, dim)
@@ -61,7 +61,7 @@ func TestSketchEqualsOneRowLoop(t *testing.T) {
 }
 
 func BenchmarkPlanesSketch(b *testing.B) {
-	p := MustPlanes(64, 256, 1)
+	p := mustPlanes(64, 256, 1)
 	rng := rand.New(rand.NewSource(1))
 	v := make([]float64, 64)
 	for j := range v {

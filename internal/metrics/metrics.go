@@ -1,8 +1,8 @@
 // Package metrics is a zero-dependency metrics registry exposing the
-// Prometheus text exposition format (version 0.0.4). It provides the
-// three instrument kinds the serving layer needs — monotonic counters,
-// gauges, and fixed-bucket histograms — all backed by atomics, so
-// recording on the query hot path is lock-free and allocation-free.
+// Prometheus text exposition format (version 0.0.4). Its one instrument
+// is the fixed-bucket histogram, backed by atomics, so recording on the
+// query hot path is lock-free and allocation-free; counters and gauges
+// are samples a collector writes from state it already keeps.
 //
 // The package deliberately does not implement the full Prometheus
 // client feature set (no dynamic label cardinality, no summaries, no
@@ -13,7 +13,7 @@
 // on a series existing from process start, not from first observation.
 //
 // Exposition is collector-based: a Collector emits its families into a
-// Writer at scrape time. Instruments are collectors over their own
+// Writer at scrape time. Histograms are collectors over their own
 // atomic state; callers with external counters (the server's statsz
 // struct) register a CollectorFunc that snapshots them through one code
 // path, so /metrics and any JSON view of the same counters can never
@@ -167,60 +167,6 @@ func (w *Writer) Family(name, help, typ string) {
 	w.header(name, help, typ)
 }
 
-// Counter is a monotonically increasing counter.
-type Counter struct {
-	name, help string
-	labels     []Label
-	v          atomic.Uint64
-}
-
-// NewCounter returns a counter series with fixed labels.
-func NewCounter(name, help string, labels ...Label) *Counter {
-	mustValidName(name)
-	return &Counter{name: name, help: help, labels: labels}
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Collect implements Collector.
-func (c *Counter) Collect(w *Writer) {
-	w.Counter(c.name, c.help, float64(c.v.Load()), c.labels...)
-}
-
-// Gauge is a value that can go up and down.
-type Gauge struct {
-	name, help string
-	labels     []Label
-	v          atomic.Int64
-}
-
-// NewGauge returns a gauge series with fixed labels.
-func NewGauge(name, help string, labels ...Label) *Gauge {
-	mustValidName(name)
-	return &Gauge{name: name, help: help, labels: labels}
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds n (negative to subtract).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// Collect implements Collector.
-func (g *Gauge) Collect(w *Writer) {
-	w.Gauge(g.name, g.help, float64(g.v.Load()), g.labels...)
-}
-
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper
 // bounds (le semantics: an observation lands in the first bucket whose
 // bound is >= the value; +Inf is implicit). Observe is lock-free: one
@@ -271,15 +217,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum returns the sum of all observed values.

@@ -19,7 +19,6 @@
 package minhash
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -79,9 +78,6 @@ func MustHasher(size int, seed uint64) *Hasher {
 	return h
 }
 
-// Size reports the signature width produced by the Hasher.
-func (h *Hasher) Size() int { return h.size }
-
 // Signature is a MinHash sketch of a set: per permutation, the low 32
 // bits of the minimum permuted value (see the package comment). Slots
 // are finished values — there is no way to fold further elements into a
@@ -102,13 +98,6 @@ func (s Signature) Empty() bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a copy of the signature.
-func (s Signature) Clone() Signature {
-	c := make(Signature, len(s))
-	copy(c, s)
-	return c
 }
 
 // EmptySignature returns the signature of the empty set (all slots
@@ -233,45 +222,6 @@ func Distance(a, b Signature) (float64, error) {
 		return 1, err
 	}
 	return 1 - sim, nil
-}
-
-// Bytes serialises the signature in little-endian order, 4 bytes per
-// slot.
-func (s Signature) Bytes() []byte {
-	buf := make([]byte, 4*len(s))
-	for i, v := range s {
-		binary.LittleEndian.PutUint32(buf[i*4:], v)
-	}
-	return buf
-}
-
-// FromBytes reconstructs a signature serialised by Bytes.
-func FromBytes(buf []byte) (Signature, error) {
-	if len(buf)%4 != 0 {
-		return nil, fmt.Errorf("minhash: serialized signature length %d not a multiple of 4", len(buf))
-	}
-	s := make(Signature, len(buf)/4)
-	for i := range s {
-		s[i] = binary.LittleEndian.Uint32(buf[i*4:])
-	}
-	return s, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler with the Bytes
-// layout. The engine snapshot encodes signatures inline as raw uint32
-// slices for speed; these methods exist for external tooling that
-// wants the standard encoding interfaces (gob, caches, wire formats).
-func (s Signature) MarshalBinary() ([]byte, error) { return s.Bytes(), nil }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, the decode
-// half of MarshalBinary.
-func (s *Signature) UnmarshalBinary(buf []byte) error {
-	sig, err := FromBytes(buf)
-	if err != nil {
-		return err
-	}
-	*s = sig
-	return nil
 }
 
 // splitMix64 returns a deterministic 64-bit pseudo-random generator used

@@ -189,8 +189,8 @@ func TestEmptySignature(t *testing.T) {
 	if !h.EmptySignature().Empty() || !h.Sketch(nil).Empty() || !h.SketchSet(nil).Empty() {
 		t.Fatal("the empty set's signature should be Empty")
 	}
-	if len(h.EmptySignature()) != h.Size() {
-		t.Fatalf("EmptySignature has %d slots, hasher %d", len(h.EmptySignature()), h.Size())
+	if len(h.EmptySignature()) != h.size {
+		t.Fatalf("EmptySignature has %d slots, hasher %d", len(h.EmptySignature()), h.size)
 	}
 	if &h.EmptySignature()[0] != &h.EmptySignature()[0] {
 		t.Fatal("EmptySignature should hand out one shared slice")
@@ -208,23 +208,6 @@ func TestDistanceComplementsSimilarity(t *testing.T) {
 	dist, _ := Distance(a, b)
 	if math.Abs(sim+dist-1) > 1e-12 {
 		t.Fatalf("sim %v + dist %v != 1", sim, dist)
-	}
-}
-
-func TestBytesRoundTrip(t *testing.T) {
-	h := MustHasher(96, 21)
-	s := h.Sketch([]string{"round", "trip"})
-	got, err := FromBytes(s.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range s {
-		if got[i] != s[i] {
-			t.Fatalf("round trip differs at %d", i)
-		}
-	}
-	if _, err := FromBytes([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error for misaligned buffer")
 	}
 }
 
@@ -303,29 +286,5 @@ func BenchmarkSimilarity256(b *testing.B) {
 		if _, err := Similarity(s1, s2); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func TestSignatureBinaryMarshalling(t *testing.T) {
-	h := MustHasher(64, 99)
-	sig := h.Sketch([]string{"blackfriars", "salford", "m3 6af"})
-	buf, err := sig.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Signature
-	if err := got.UnmarshalBinary(buf); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(sig) {
-		t.Fatalf("length %d != %d", len(got), len(sig))
-	}
-	for i := range sig {
-		if got[i] != sig[i] {
-			t.Fatalf("slot %d: %d != %d", i, got[i], sig[i])
-		}
-	}
-	if err := got.UnmarshalBinary([]byte{1, 2, 3}); err == nil {
-		t.Fatal("expected error for a 3-byte payload")
 	}
 }

@@ -176,64 +176,3 @@ func Accuracy(m *LogisticModel, examples []Example) float64 {
 	}
 	return float64(ok) / float64(len(examples))
 }
-
-// TrainTestSplit deterministically shuffles (seeded) and splits the
-// examples with the first trainFrac share as training data.
-func TrainTestSplit(examples []Example, trainFrac float64, seed uint64) (train, test []Example) {
-	if trainFrac < 0 {
-		trainFrac = 0
-	}
-	if trainFrac > 1 {
-		trainFrac = 1
-	}
-	shuffled := append([]Example(nil), examples...)
-	next := splitMix64(seed)
-	for i := len(shuffled) - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	}
-	cut := int(trainFrac * float64(len(shuffled)))
-	return shuffled[:cut], shuffled[cut:]
-}
-
-// CrossValidate runs k-fold cross validation and returns the mean
-// accuracy (the paper 10-fold cross-validates its subject classifier).
-func CrossValidate(examples []Example, k int, opts Options, seed uint64) (float64, error) {
-	if k < 2 || len(examples) < k {
-		return 0, fmt.Errorf("mlearn: need at least k=%d examples for %d-fold CV, have %d", k, k, len(examples))
-	}
-	shuffled := append([]Example(nil), examples...)
-	next := splitMix64(seed)
-	for i := len(shuffled) - 1; i > 0; i-- {
-		j := int(next() % uint64(i+1))
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	}
-	var sum float64
-	for fold := 0; fold < k; fold++ {
-		var train, test []Example
-		for i, ex := range shuffled {
-			if i%k == fold {
-				test = append(test, ex)
-			} else {
-				train = append(train, ex)
-			}
-		}
-		m, err := TrainLogistic(train, opts)
-		if err != nil {
-			return 0, err
-		}
-		sum += Accuracy(m, test)
-	}
-	return sum / float64(k), nil
-}
-
-func splitMix64(seed uint64) func() uint64 {
-	state := seed
-	return func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-}

@@ -108,44 +108,6 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func TestTrainTestSplit(t *testing.T) {
-	examples := linearlySeparable(100, 4)
-	train, test := TrainTestSplit(examples, 0.8, 7)
-	if len(train) != 80 || len(test) != 20 {
-		t.Fatalf("split sizes %d/%d", len(train), len(test))
-	}
-	// Deterministic.
-	train2, _ := TrainTestSplit(examples, 0.8, 7)
-	for i := range train {
-		if train[i].Label != train2[i].Label {
-			t.Fatal("split not deterministic")
-		}
-	}
-	// Clamped fractions.
-	tr, te := TrainTestSplit(examples, -1, 1)
-	if len(tr) != 0 || len(te) != 100 {
-		t.Fatal("negative fraction should clamp to 0")
-	}
-	tr, te = TrainTestSplit(examples, 2, 1)
-	if len(tr) != 100 || len(te) != 0 {
-		t.Fatal("fraction > 1 should clamp to 1")
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	examples := linearlySeparable(300, 5)
-	acc, err := CrossValidate(examples, 10, Options{}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.9 {
-		t.Fatalf("10-fold CV accuracy %v on separable data, want >= 0.9", acc)
-	}
-	if _, err := CrossValidate(examples[:5], 10, Options{}, 1); err == nil {
-		t.Fatal("expected error for too-few examples")
-	}
-}
-
 func TestClassifyThreshold(t *testing.T) {
 	m := &LogisticModel{Weights: []float64{1}, Bias: 0}
 	if m.Classify([]float64{10}) != 1 || m.Classify([]float64{-10}) != 0 {

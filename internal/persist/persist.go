@@ -98,9 +98,6 @@ type Buffer struct {
 	data []byte
 }
 
-// Len reports the accumulated payload size.
-func (b *Buffer) Len() int { return len(b.data) }
-
 // Grow reserves room for n more bytes, so a writer that knows its
 // payload's size (plus trailerLen, if it will call Sealed) allocates
 // once instead of growing by doubling.
@@ -168,14 +165,6 @@ func (b *Buffer) I32s(vs []int32) {
 	b.U32(uint32(len(vs)))
 	for _, v := range vs {
 		b.U32(uint32(v))
-	}
-}
-
-// I64s appends a length-prefixed []int64.
-func (b *Buffer) I64s(vs []int64) {
-	b.U32(uint32(len(vs)))
-	for _, v := range vs {
-		b.I64(v)
 	}
 }
 

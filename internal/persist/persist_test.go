@@ -340,8 +340,8 @@ func TestSlabReads(t *testing.T) {
 	r := &Reader{data: b.data}
 	scan := *r
 	scan.Skip(4 + 16 + 4 + 4 + 8)
-	if scan.U32() != 9 || scan.Err() != nil || r.Remaining() != b.Len() {
-		t.Fatalf("scan read past the vectors to err %v; original has %d of %d bytes left", scan.Err(), r.Remaining(), b.Len())
+	if scan.U32() != 9 || scan.Err() != nil || r.Remaining() != len(b.data) {
+		t.Fatalf("scan read past the vectors to err %v; original has %d of %d bytes left", scan.Err(), r.Remaining(), len(b.data))
 	}
 	slab := []float64{7}
 	for i := 0; i < 3; i++ {

@@ -89,7 +89,7 @@ func figure1Engine(t testing.TB) *d3l.Engine {
 // newTestServer wires a Server over the engine and fronts it with an
 // httptest listener. Defaults are generous so tests only hit limits
 // they configure explicitly.
-func newTestServer(t testing.TB, engine *d3l.Engine, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, engine Engine, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = time.Minute

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -146,5 +147,96 @@ func TestShardTargetMemo(t *testing.T) {
 	bad.Columns = nil
 	if status, _ := postJSON(t, warmHS.URL+"/v1/shard/probe", ShardProbeRequest{Table: bad, Spec: spec}); status != http.StatusBadRequest {
 		t.Fatalf("probe with no columns: status %d, want 400", status)
+	}
+}
+
+// servingOnly hides every method of the engine but the serving
+// interface, as a shard set does: it cannot act as a shard replica.
+type servingOnly struct{ Engine }
+
+// TestShardMirror pins POST /v1/shard/mirror: add consumes the next
+// table id and answers it, update of a mirrored table consumes
+// attribute slots for the owner's re-profiled columns, an unknown op is a 400 and an engine
+// that cannot be a replica answers 501.
+func TestShardMirror(t *testing.T) {
+	eng := figure1Engine(t)
+	_, hs := newTestServer(t, eng, Config{})
+	url := hs.URL + "/v1/shard/mirror"
+
+	status, body := postJSON(t, url, ShardMirrorRequest{Op: "add", Name: "ghost", NumCols: 2})
+	var got ShardMirrorResponse
+	if status != http.StatusOK || json.Unmarshal(body, &got) != nil || got.ID != 3 {
+		t.Fatalf("mirror add: status %d body %s, want 200 with id 3", status, body)
+	}
+	next, err := eng.Add(mustTable(t, "S4", []string{"Practice"}, [][]string{{"Blackfriars"}}))
+	if err != nil || next != 4 {
+		t.Fatalf("the Add after a mirrored add got id %d (err %v), want 4", next, err)
+	}
+
+	// The update mirrors one the peer owning "ghost" applied.
+	attrs := eng.NumAttributes()
+	status, body = postJSON(t, url, ShardMirrorRequest{Op: "update", TableID: 3, NumFresh: 2})
+	got = ShardMirrorResponse{}
+	if status != http.StatusOK || json.Unmarshal(body, &got) != nil || got.ID != 3 {
+		t.Fatalf("mirror update: status %d body %s, want 200 with id 3", status, body)
+	}
+	if n := eng.NumAttributes(); n != attrs+2 {
+		t.Fatalf("mirror update left %d attribute slots, want %d", n, attrs+2)
+	}
+
+	if status, body := postJSON(t, url, ShardMirrorRequest{Op: "rename", Name: "x"}); status != http.StatusBadRequest {
+		t.Fatalf("unknown op: status %d body %s, want 400", status, body)
+	}
+
+	_, plain := newTestServer(t, servingOnly{figure1Engine(t)}, Config{})
+	if status, body := postJSON(t, plain.URL+"/v1/shard/mirror", ShardMirrorRequest{Op: "add", Name: "ghost", NumCols: 1}); status != http.StatusNotImplemented {
+		t.Fatalf("engine that is not a replica: status %d body %s, want 501", status, body)
+	}
+}
+
+// TestShardExplainEqualsQuery: the rows a replica explains for the
+// coordinator are the monolith's explanation-only query, and the
+// errors keep their statuses.
+func TestShardExplainEqualsQuery(t *testing.T) {
+	eng := figure1Engine(t)
+	_, hs := newTestServer(t, eng, Config{})
+	url := hs.URL + "/v1/shard/explain"
+	tj := figure1TargetJSON()
+	target, err := tj.toTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sq, err := d3l.ResolveShardQuery(d3l.WithK(0), d3l.WithExplainFor("S1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ans, err := eng.Query(context.Background(), target, d3l.WithK(0), d3l.WithExplainFor("S1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Explanation) == 0 {
+		t.Fatal("fixture: the query explains no pairs")
+	}
+	want, err := json.Marshal(ans.Explanation)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	status, body := postJSON(t, url, ShardExplainRequest{Table: tj, LakeTable: "S1", Spec: sq.Spec})
+	var resp ShardExplainResponse
+	if status != http.StatusOK || json.Unmarshal(body, &resp) != nil {
+		t.Fatalf("explain: status %d body %s", status, body)
+	}
+	if got, _ := json.Marshal(resp.Rows); !bytes.Equal(got, want) {
+		t.Fatalf("shard explain rows\n%s\ndiffer from the query's\n%s", got, want)
+	}
+
+	if status, body := postJSON(t, url, ShardExplainRequest{Table: tj, LakeTable: "nope", Spec: sq.Spec}); status != http.StatusNotFound {
+		t.Fatalf("unknown lake table: status %d body %s, want 404", status, body)
+	}
+	bad := tj
+	bad.Columns = nil
+	if status, body := postJSON(t, url, ShardExplainRequest{Table: bad, LakeTable: "S1", Spec: sq.Spec}); status != http.StatusBadRequest {
+		t.Fatalf("malformed table: status %d body %s, want 400", status, body)
 	}
 }

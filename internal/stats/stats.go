@@ -14,27 +14,13 @@ import (
 // ErrEmptySample reports a KS computation over an empty extent.
 var ErrEmptySample = errors.New("stats: empty sample")
 
-// KolmogorovSmirnov computes the two-sample KS statistic
-// sup_x |F1(x) − F2(x)| over the empirical CDFs of a and b.
-// It is symmetric, bounded in [0, 1], and 0 iff the sorted multisets
-// induce identical step functions. Inputs are not modified.
-func KolmogorovSmirnov(a, b []float64) (float64, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return 1, ErrEmptySample
-	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
-	return KolmogorovSmirnovSorted(sa, sb)
-}
-
-// KolmogorovSmirnovSorted is KolmogorovSmirnov over samples the caller
-// guarantees are already sorted ascending. It performs no allocations
-// — the form the query hot path uses, with profile extents kept sorted
-// from the moment they are built (there being no point re-sorting the
-// same extent on every one of the O(candidates) distance computations
-// it participates in).
+// KolmogorovSmirnovSorted computes the two-sample KS statistic
+// sup_x |F1(x) − F2(x)| over the empirical CDFs of sa and sb, which the
+// caller guarantees are sorted ascending. It is symmetric, bounded in
+// [0, 1], and 0 iff the sorted multisets induce identical step
+// functions. It performs no allocations: profile extents are kept
+// sorted from the moment they are built, so no distance computation
+// re-sorts them.
 func KolmogorovSmirnovSorted(sa, sb []float64) (float64, error) {
 	if len(sa) == 0 || len(sb) == 0 {
 		return 1, ErrEmptySample
@@ -104,12 +90,6 @@ func (e *ECDF) CCDF(x float64) float64 { return 1 - e.P(x) }
 // Len reports the sample size.
 func (e *ECDF) Len() int { return len(e.sorted) }
 
-// Min returns the sample minimum.
-func (e *ECDF) Min() float64 { return e.sorted[0] }
-
-// Max returns the sample maximum.
-func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
-
 // Summary holds descriptive statistics of a sample (Fig. 2 style).
 type Summary struct {
 	Count         int
@@ -167,41 +147,4 @@ func Quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// HistogramBins buckets a sample into n equal-width bins over [min,max],
-// used by the Fig. 2 arity/cardinality profiles.
-func HistogramBins(sample []float64, n int) (edges []float64, counts []int) {
-	if len(sample) == 0 || n <= 0 {
-		return nil, nil
-	}
-	lo, hi := sample[0], sample[0]
-	for _, v := range sample {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if hi == lo {
-		hi = lo + 1
-	}
-	edges = make([]float64, n+1)
-	for i := range edges {
-		edges[i] = lo + (hi-lo)*float64(i)/float64(n)
-	}
-	counts = make([]int, n)
-	width := (hi - lo) / float64(n)
-	for _, v := range sample {
-		idx := int((v - lo) / width)
-		if idx >= n {
-			idx = n - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		counts[idx]++
-	}
-	return edges, counts
 }

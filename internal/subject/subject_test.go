@@ -17,10 +17,16 @@ func mustTable(t *testing.T, name string, cols []string, rows [][]string) *table
 	return tb
 }
 
+// labelled pairs a table with its known subject column.
+type labelled struct {
+	Table   *table.Table
+	Subject int
+}
+
 // figure1Tables reproduces the Figure 1 example; the paper states the
 // subject attributes are Practice Name (S1), Practice (S2), GP (S3) and
 // Practice (T) — all leftmost text columns.
-func figure1Tables(t *testing.T) []LabelledTable {
+func figure1Tables(t *testing.T) []labelled {
 	s1 := mustTable(t, "S1",
 		[]string{"Practice Name", "Address", "City", "Postcode", "Patients"},
 		[][]string{
@@ -42,7 +48,7 @@ func figure1Tables(t *testing.T) []LabelledTable {
 			{"Radclife Care", "-", "07:00-20:00"},
 			{"Bolton Medical", "Bolton", "08:00-16:00"},
 		})
-	return []LabelledTable{{s1, 0}, {s2, 0}, {s3, 0}}
+	return []labelled{{s1, 0}, {s2, 0}, {s3, 0}}
 }
 
 func TestDefaultFindsFigure1Subjects(t *testing.T) {
@@ -110,48 +116,6 @@ func TestFeaturesShapeAndRanges(t *testing.T) {
 	}
 }
 
-func TestTrainOnLabelledRecoversSubjects(t *testing.T) {
-	data := figure1Tables(t)
-	// Add tables where the subject is NOT leftmost to give the learner
-	// signal beyond position.
-	data = append(data,
-		LabelledTable{mustTable(t, "S4",
-			[]string{"rank", "Business Name", "Sector"},
-			[][]string{
-				{"1", "Acme Trading Ltd", "retail"},
-				{"2", "Nova Systems", "tech"},
-				{"3", "Harbor Foods", "food"},
-			}), 1},
-		LabelledTable{mustTable(t, "S5",
-			[]string{"year", "Station", "Passengers"},
-			[][]string{
-				{"2019", "Piccadilly Central", "110000"},
-				{"2019", "Victoria North", "98000"},
-				{"2020", "Oxford Road", "45000"},
-			}), 1},
-	)
-	c, examples, err := TrainOnLabelled(data, mlearn.Options{Iterations: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(examples) == 0 {
-		t.Fatal("no examples generated")
-	}
-	if acc := TableAccuracy(c, data); acc < 0.8 {
-		t.Fatalf("trained table accuracy %v, want >= 0.8", acc)
-	}
-}
-
-func TestTrainOnLabelledValidation(t *testing.T) {
-	if _, _, err := TrainOnLabelled(nil, mlearn.Options{}); err == nil {
-		t.Fatal("expected error for empty data")
-	}
-	tb := mustTable(t, "x", []string{"a"}, [][]string{{"v"}})
-	if _, _, err := TrainOnLabelled([]LabelledTable{{tb, 5}}, mlearn.Options{}); err == nil {
-		t.Fatal("expected error for out-of-range label")
-	}
-}
-
 func TestFromModelValidation(t *testing.T) {
 	if _, err := FromModel(nil); err == nil {
 		t.Fatal("expected error for nil model")
@@ -165,16 +129,45 @@ func TestFromModelValidation(t *testing.T) {
 	}
 }
 
-func TestTableAccuracyEmpty(t *testing.T) {
-	if TableAccuracy(Default(), nil) != 0 {
-		t.Fatal("accuracy over no tables should be 0")
+// nullFraction and distinctFraction are the two column statistics
+// Features folds into its one pass, each written as a pass of its own.
+func nullFraction(c *table.Column) float64 {
+	if len(c.Values) == 0 {
+		return 1
+	}
+	return 1 - float64(len(c.NonNull()))/float64(len(c.Values))
+}
+
+func distinctFraction(c *table.Column) float64 {
+	nn := c.NonNull()
+	if len(nn) == 0 {
+		return 0
+	}
+	set := make(map[string]struct{}, len(nn))
+	for _, v := range nn {
+		set[v] = struct{}{}
+	}
+	return float64(len(set)) / float64(len(nn))
+}
+
+func TestNullAndDistinctFractions(t *testing.T) {
+	tb := mustTable(t, "x", []string{"x"}, [][]string{{"a"}, {"a"}, {"b"}, {""}, {"-"}})
+	f := Features(tb, 0)
+	if math.Abs(f[1]-0.6) > 1e-12 {
+		t.Fatalf("non-null feature = %v, want 0.6", f[1])
+	}
+	if f[2] != 2.0/3.0 {
+		t.Fatalf("distinct feature = %v, want 2/3", f[2])
+	}
+	f = Features(mustTable(t, "e", []string{"e"}, nil), 0)
+	if f[1] != 0 || f[2] != 0 {
+		t.Fatal("empty column edge cases")
 	}
 }
 
 // TestFeaturesEqualTheThreeCallForm: Features reads a column's non-null
 // values once; the null and distinct fractions it derives from them are,
-// to the bit, what Column.NullFraction and Column.DistinctFraction
-// return, and the multi-word fraction is the rune-by-rune count of
+// to the bit, what nullFraction and distinctFraction return, and the multi-word fraction is the rune-by-rune count of
 // values holding a space — on columns with nulls, blanks, repeats,
 // multi-byte values and nothing at all.
 func TestFeaturesEqualTheThreeCallForm(t *testing.T) {
@@ -210,7 +203,7 @@ func TestFeaturesEqualTheThreeCallForm(t *testing.T) {
 				multi = float64(cnt) / float64(len(nn))
 			}
 			got := Features(tb, i)
-			want := []float64{got[0], 1 - c.NullFraction(), c.DistinctFraction(), got[3], multi}
+			want := []float64{got[0], 1 - nullFraction(c), distinctFraction(c), got[3], multi}
 			for f := range want {
 				if math.Float64bits(got[f]) != math.Float64bits(want[f]) {
 					t.Errorf("%s.%s feature %d = %v, three-call form %v", tb.Name, c.Name, f, got[f], want[f])

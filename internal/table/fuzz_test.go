@@ -50,11 +50,8 @@ func FuzzReadCSV(f *testing.F) {
 		// The parsed table must survive the rest of the pipeline's
 		// basic accessors without panicking.
 		_ = tab.DataBytes()
-		_ = tab.NumericColumnFraction()
 		for _, c := range tab.Columns {
 			_ = c.NonNull()
-			_ = c.NullFraction()
-			_ = c.DistinctFraction()
 			if c.Type == Numeric && c.NumericExtent() == nil {
 				t.Fatalf("ReadCSV(%q): numeric column %q with nil extent", data, c.Name)
 			}

@@ -161,27 +161,6 @@ func (c *Column) NonNull() []string {
 	return out
 }
 
-// NullFraction reports the fraction of null/blank values.
-func (c *Column) NullFraction() float64 {
-	if len(c.Values) == 0 {
-		return 1
-	}
-	return 1 - float64(len(c.NonNull()))/float64(len(c.Values))
-}
-
-// DistinctFraction reports distinct non-null values over non-null count.
-func (c *Column) DistinctFraction() float64 {
-	nn := c.NonNull()
-	if len(nn) == 0 {
-		return 0
-	}
-	set := make(map[string]struct{}, len(nn))
-	for _, v := range nn {
-		set[v] = struct{}{}
-	}
-	return float64(len(set)) / float64(len(nn))
-}
-
 // DataBytes reports the raw payload size of the extent plus name, used
 // for the Table II space-overhead denominators.
 func (c *Column) DataBytes() int64 {
@@ -212,8 +191,8 @@ func (t *Table) MetaOnly() bool { return t.metaOnly }
 // New assembles a table from column names and row-major values. Short
 // rows are padded with empty strings; long rows are an error.
 // Duplicate column names are disambiguated with numeric suffixes (the
-// second "name" becomes "name_2") so lookups by column name — Project,
-// joins, explain — are never silently ambiguous.
+// second "name" becomes "name_2") so lookups by column name — joins,
+// explain, Update's column diff — are never silently ambiguous.
 func New(name string, columnNames []string, rows [][]string) (*Table, error) {
 	if name == "" {
 		return nil, fmt.Errorf("table: empty table name")
@@ -279,16 +258,6 @@ func (t *Table) Rows() int {
 	return len(t.Columns[0].Values)
 }
 
-// Column returns the column with the given name, or nil.
-func (t *Table) Column(name string) *Column {
-	for _, c := range t.Columns {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // ColumnNames returns the schema in declaration order.
 func (t *Table) ColumnNames() []string {
 	names := make([]string, len(t.Columns))
@@ -298,20 +267,6 @@ func (t *Table) ColumnNames() []string {
 	return names
 }
 
-// NumericColumnFraction reports the share of Numeric columns (Fig. 2c).
-func (t *Table) NumericColumnFraction() float64 {
-	if len(t.Columns) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range t.Columns {
-		if c.Type == Numeric {
-			n++
-		}
-	}
-	return float64(n) / float64(len(t.Columns))
-}
-
 // DataBytes reports the payload size of the whole table.
 func (t *Table) DataBytes() int64 {
 	var total int64
@@ -319,23 +274,6 @@ func (t *Table) DataBytes() int64 {
 		total += c.DataBytes()
 	}
 	return total
-}
-
-// Project returns a new table with the named columns, in the given
-// order. Unknown names are an error.
-func (t *Table) Project(name string, columnNames ...string) (*Table, error) {
-	out := &Table{Name: name}
-	for _, cn := range columnNames {
-		c := t.Column(cn)
-		if c == nil {
-			return nil, fmt.Errorf("table %q: no column %q", t.Name, cn)
-		}
-		out.Columns = append(out.Columns, NewColumn(c.Name, append([]string(nil), c.Values...)))
-	}
-	if len(out.Columns) == 0 {
-		return nil, fmt.Errorf("table %q: projection selects no columns", t.Name)
-	}
-	return out, nil
 }
 
 // SelectRows returns a new table keeping the rows at the given indices.

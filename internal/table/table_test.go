@@ -44,6 +44,16 @@ func TestNewTableValidation(t *testing.T) {
 	}
 }
 
+// column returns tb's column with the given name, or nil.
+func column(tb *Table, name string) *Column {
+	for _, c := range tb.Columns {
+		if c.Name == name {
+			return c
+		}
+	}
+	return nil
+}
+
 func TestShortRowsPadded(t *testing.T) {
 	tb, err := New("t", []string{"a", "b"}, [][]string{{"1"}})
 	if err != nil {
@@ -56,13 +66,13 @@ func TestShortRowsPadded(t *testing.T) {
 
 func TestTypeInference(t *testing.T) {
 	s1 := figure1S1()
-	if s1.Column("Patients").Type != Numeric {
+	if column(s1, "Patients").Type != Numeric {
 		t.Fatal("Patients should be numeric")
 	}
-	if s1.Column("Postcode").Type != Text {
+	if column(s1, "Postcode").Type != Text {
 		t.Fatal("Postcode should be text")
 	}
-	if s1.Column("Practice Name").Type != Text {
+	if column(s1, "Practice Name").Type != Text {
 		t.Fatal("Practice Name should be text")
 	}
 }
@@ -94,53 +104,13 @@ func TestTypeInferenceNullsIgnored(t *testing.T) {
 	}
 }
 
-func TestNullAndDistinctFractions(t *testing.T) {
-	c := NewColumn("x", []string{"a", "a", "b", "", "-"})
-	if got := c.NullFraction(); got != 0.4 {
-		t.Fatalf("NullFraction = %v, want 0.4", got)
-	}
-	if got := c.DistinctFraction(); got != 2.0/3.0 {
-		t.Fatalf("DistinctFraction = %v", got)
-	}
-	empty := NewColumn("e", nil)
-	if empty.NullFraction() != 1 || empty.DistinctFraction() != 0 {
-		t.Fatal("empty column edge cases")
-	}
-}
-
-func TestNumericColumnFraction(t *testing.T) {
-	s1 := figure1S1()
-	if got := s1.NumericColumnFraction(); got != 0.2 {
-		t.Fatalf("numeric fraction %v, want 0.2", got)
-	}
-}
-
-func TestProject(t *testing.T) {
-	s1 := figure1S1()
-	p, err := s1.Project("proj", "City", "Postcode")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Arity() != 2 || p.Rows() != 2 || p.Columns[0].Name != "City" {
-		t.Fatal("projection shape wrong")
-	}
-	if _, err := s1.Project("bad", "NoSuch"); err == nil {
-		t.Fatal("expected error for unknown column")
-	}
-	// Mutating the projection must not affect the original.
-	p.Columns[0].Values[0] = "CHANGED"
-	if s1.Column("City").Values[0] == "CHANGED" {
-		t.Fatal("projection aliases original storage")
-	}
-}
-
 func TestSelectRows(t *testing.T) {
 	s1 := figure1S1()
 	sel, err := s1.SelectRows("sel", []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel.Rows() != 1 || sel.Column("City").Values[0] != "Salford" {
+	if sel.Rows() != 1 || column(sel, "City").Values[0] != "Salford" {
 		t.Fatal("row selection wrong")
 	}
 	if _, err := s1.SelectRows("bad", []int{7}); err == nil {
@@ -174,8 +144,8 @@ func TestReadCSVRagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rows() != 2 || tb.Column("c").Values[0] != "" || tb.Column("c").Values[1] != "6" {
-		t.Fatalf("ragged handling wrong: %+v", tb.Column("c").Values)
+	if tb.Rows() != 2 || column(tb, "c").Values[0] != "" || column(tb, "c").Values[1] != "6" {
+		t.Fatalf("ragged handling wrong: %+v", column(tb, "c").Values)
 	}
 }
 

@@ -44,8 +44,8 @@ func FuzzQGrams(f *testing.F) {
 	})
 }
 
-// FuzzTokens asserts the full value decomposition (parts, words,
-// tokens) never panics and never emits empty or padded tokens.
+// FuzzTokens asserts the full value decomposition never panics and
+// never emits empty or upper-case tokens.
 func FuzzTokens(f *testing.F) {
 	f.Add("69 Church St, Manchester, M26 2SP")
 	f.Add("")
@@ -55,11 +55,6 @@ func FuzzTokens(f *testing.F) {
 	f.Add(strings.Repeat(",", 300))
 	f.Add("\xff\xfe broken")
 	f.Fuzz(func(t *testing.T, value string) {
-		for _, p := range Parts(value) {
-			if strings.TrimSpace(p) == "" {
-				t.Fatalf("Parts(%q) produced a blank part", value)
-			}
-		}
 		for _, w := range Tokens(value) {
 			if w == "" {
 				t.Fatalf("Tokens(%q) produced an empty token", value)
@@ -73,7 +68,7 @@ func FuzzTokens(f *testing.F) {
 
 // FuzzHistogram exercises the histogram and the Example 2 per-part
 // refinement over arbitrary extents: counts stay consistent and
-// PartSignals only nominates words that exist in the value.
+// PartSignalsScratch only nominates words that exist in the value.
 func FuzzHistogram(f *testing.F) {
 	f.Add("51 Botanic Av, Belfast", "1a Chapel St, Salford")
 	f.Add("", "")
@@ -82,22 +77,28 @@ func FuzzHistogram(f *testing.F) {
 		h := NewHistogram()
 		h.Insert(Tokens(v1))
 		h.Insert(Tokens(v2))
-		if h.Total() < 0 || h.Distinct() < 0 {
-			t.Fatal("negative histogram counters")
+		if h.total < 0 {
+			t.Fatal("negative histogram counter")
 		}
-		nInfreq, nFreq := len(h.Infrequent()), len(h.Frequent())
-		if nInfreq+nFreq != h.Distinct() {
-			t.Fatalf("frequency split loses tokens: %d + %d != %d", nInfreq, nFreq, h.Distinct())
+		nFreq := 0
+		for w := range h.counts {
+			if h.IsFrequent(w) {
+				nFreq++
+			}
 		}
+		if nInfreq := len(h.Infrequent()); nInfreq+nFreq != len(h.counts) {
+			t.Fatalf("frequency split loses tokens: %d + %d != %d", nInfreq, nFreq, len(h.counts))
+		}
+		var s SignalScratch
 		for _, v := range []string{v1, v2} {
-			tsetWords, embedWords := h.PartSignals(v)
+			tsetWords, embedWords := h.PartSignalsScratch(v, &s)
 			valueWords := make(map[string]struct{})
 			for _, w := range Tokens(v) {
 				valueWords[w] = struct{}{}
 			}
 			for _, w := range append(append([]string{}, tsetWords...), embedWords...) {
 				if _, ok := valueWords[w]; !ok {
-					t.Fatalf("PartSignals(%q) nominated %q, not a word of the value", v, w)
+					t.Fatalf("PartSignalsScratch(%q) nominated %q, not a word of the value", v, w)
 				}
 			}
 		}

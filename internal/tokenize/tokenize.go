@@ -97,19 +97,6 @@ func appendFields(dst []string, s string, sep func(rune) bool) []string {
 	return dst
 }
 
-// Parts splits a value into its parts at punctuation characters.
-// Empty parts are dropped.
-func Parts(value string) []string {
-	parts := strings.FieldsFunc(value, isPartSeparator)
-	out := parts[:0]
-	for _, p := range parts {
-		if strings.TrimSpace(p) != "" {
-			out = append(out, strings.TrimSpace(p))
-		}
-	}
-	return out
-}
-
 // Words splits a part into lower-cased words at spaces and residual
 // punctuation (hyphens, dots), dropping empties.
 func Words(part string) []string {
@@ -168,12 +155,6 @@ func (h *Histogram) Insert(tokens []string) {
 // Count reports the occurrences of a token.
 func (h *Histogram) Count(token string) int { return h.counts[token] }
 
-// Distinct reports the vocabulary size.
-func (h *Histogram) Distinct() int { return len(h.counts) }
-
-// Total reports the total token occurrences.
-func (h *Histogram) Total() int { return h.total }
-
 // threshold is the frequency cut: tokens occurring strictly more often
 // than the mean occurrence count are frequent. With a uniform vocabulary
 // everything is infrequent, which matches the intuition that a column of
@@ -199,76 +180,10 @@ func (h *Histogram) Infrequent() []string {
 	return out
 }
 
-// Frequent returns tokens strictly above the mean occurrence count:
-// weak value-level signals but strong domain-type indicators ('street',
-// 'road', postcode area prefixes, ...) whose embedding vectors feed ⃗a.
-func (h *Histogram) Frequent() []string {
-	th := h.threshold()
-	var out []string
-	for t, c := range h.counts {
-		if float64(c) > th {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // IsFrequent reports whether a single token falls in the frequent half.
 func (h *Histogram) IsFrequent(token string) bool {
 	c, ok := h.counts[token]
 	return ok && float64(c) > h.threshold()
-}
-
-// PartSignals applies the per-part refinement from Example 2 of the
-// paper to one value: for every part, the part's rarest word (fewest
-// occurrences in the extent) joins the tset, and the part's most common
-// word is nominated for embedding. Ties break lexicographically for
-// determinism. The histogram must already cover the whole extent.
-func (h *Histogram) PartSignals(value string) (tsetWords, embedWords []string) {
-	for _, part := range Parts(value) {
-		words := Words(part)
-		if len(words) == 0 {
-			continue
-		}
-		// Pure-numeric words carry weak token-level signal (Section
-		// III-C), so they only enter the tset when a part has nothing
-		// else; Example 2 picks 'portland' and '3be', not the house
-		// number.
-		candidates := words
-		if nonNum := filterNonNumeric(words); len(nonNum) > 0 {
-			candidates = nonNum
-		}
-		rare := candidates[0]
-		rareC := h.Count(candidates[0])
-		for _, w := range candidates[1:] {
-			c := h.Count(w)
-			if c < rareC || (c == rareC && w < rare) {
-				rare, rareC = w, c
-			}
-		}
-		common := words[0]
-		commonC := h.Count(words[0])
-		for _, w := range words[1:] {
-			c := h.Count(w)
-			if c > commonC || (c == commonC && w < common) {
-				common, commonC = w, c
-			}
-		}
-		tsetWords = append(tsetWords, rare)
-		embedWords = append(embedWords, common)
-	}
-	return tsetWords, embedWords
-}
-
-// filterNonNumeric drops words made entirely of digits.
-func filterNonNumeric(words []string) []string {
-	var out []string
-	for _, w := range words {
-		if !isNumericWord(w) {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // isNumericWord reports a word made entirely of digits.
@@ -300,11 +215,16 @@ func (s *SignalScratch) TokensAppend(value string) []string {
 	return s.tokens
 }
 
-// PartSignalsScratch is PartSignals with every intermediate slice in
-// the caller's scratch: it returns the same (tsetWords, embedWords)
-// selection, valid until the next call on the same scratch, allocating
-// only when the lower-cased value differs from the original (Go
-// returns the input string unchanged when lowering is a no-op).
+// PartSignalsScratch applies the per-part refinement from Example 2 of
+// the paper to one value: for every part, the part's rarest word (fewest
+// occurrences in the extent) joins the tset, and the part's most common
+// word is nominated for embedding. Ties break lexicographically for
+// determinism. The histogram must already cover the whole extent.
+//
+// Every intermediate slice lives in the caller's scratch: the result is
+// valid until the next call on the same scratch, and the call allocates
+// only when the lower-cased value differs from the original (Go returns
+// the input string unchanged when lowering is a no-op).
 func (h *Histogram) PartSignalsScratch(value string, s *SignalScratch) (tsetWords, embedWords []string) {
 	s.tset, s.embed = s.tset[:0], s.embed[:0]
 	// Lower once up front: part separators are fixed punctuation, which
@@ -320,9 +240,9 @@ func (h *Histogram) PartSignalsScratch(value string, s *SignalScratch) (tsetWord
 		}
 		// Pure-numeric words carry weak token-level signal (Section
 		// III-C), so they only feed the tset when a part has nothing
-		// else. Instead of materialising the filtered slice, the rare
-		// scan skips numeric words whenever any non-numeric word
-		// exists — the same candidate sequence filterNonNumeric built.
+		// else (Example 2 picks 'portland' and '3be', not the house
+		// number): the rare scan skips numeric words whenever any
+		// non-numeric word exists.
 		hasNonNum := false
 		for _, w := range words {
 			if !isNumericWord(w) {

@@ -70,19 +70,29 @@ func TestQGramsCountProperty(t *testing.T) {
 	}
 }
 
+// partSignals runs the Example 2 refinement on a fresh scratch and
+// copies the result out of it.
+func partSignals(h *Histogram, value string) (tset, embed []string) {
+	var s SignalScratch
+	tset, embed = h.PartSignalsScratch(value, &s)
+	return append([]string(nil), tset...), append([]string(nil), embed...)
+}
+
+// The refinement nominates one tset word per part, so its length counts
+// the parts a value splits into.
 func TestPartsSplitsAtPunctuation(t *testing.T) {
-	got := Parts("18 Portland Street, M1 3BE")
-	want := []string{"18 Portland Street", "M1 3BE"}
+	got, _ := partSignals(NewHistogram(), "18 Portland Street, M1 3BE")
+	want := []string{"portland", "3be"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Parts = %v, want %v", got, want)
+		t.Fatalf("tset = %v, want one word for each of the two parts %v", got, want)
 	}
 }
 
 func TestPartsDropsEmpties(t *testing.T) {
-	got := Parts(",,a,,b,")
+	got, _ := partSignals(NewHistogram(), ",,a,, ,b,")
 	want := []string{"a", "b"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Parts = %v, want %v", got, want)
+		t.Fatalf("tset = %v, want %v", got, want)
 	}
 }
 
@@ -129,32 +139,29 @@ func TestHistogramFrequentInfrequentSplit(t *testing.T) {
 			t.Fatalf("infrequent set missing %q: %v", w, inf)
 		}
 	}
-	freq := h.Frequent()
-	if len(freq) != 1 || freq[0] != "street" {
-		t.Fatalf("frequent set = %v, want [street]", freq)
+	if len(inf) != len(h.counts)-1 {
+		t.Fatalf("infrequent set = %v, want every token but 'street'", inf)
 	}
 }
 
 func TestHistogramPartitionProperty(t *testing.T) {
-	// Frequent and Infrequent partition the vocabulary.
+	// IsFrequent and Infrequent partition the vocabulary.
 	f := func(tokens []string) bool {
 		h := NewHistogram()
 		h.Insert(tokens)
-		freq := h.Frequent()
-		inf := h.Infrequent()
-		if len(freq)+len(inf) != h.Distinct() {
-			return false
+		inf := map[string]bool{}
+		for _, w := range h.Infrequent() {
+			if inf[w] {
+				return false
+			}
+			inf[w] = true
 		}
-		set := map[string]bool{}
-		for _, w := range freq {
-			set[w] = true
-		}
-		for _, w := range inf {
-			if set[w] {
+		for w := range h.counts {
+			if h.IsFrequent(w) == inf[w] {
 				return false
 			}
 		}
-		return true
+		return len(inf) <= len(h.counts)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -168,8 +175,8 @@ func TestHistogramCounts(t *testing.T) {
 	if h.Count("a") != 3 || h.Count("b") != 1 || h.Count("zzz") != 0 {
 		t.Fatalf("counts wrong: a=%d b=%d", h.Count("a"), h.Count("b"))
 	}
-	if h.Total() != 4 || h.Distinct() != 2 {
-		t.Fatalf("total=%d distinct=%d", h.Total(), h.Distinct())
+	if h.total != 4 || len(h.counts) != 2 {
+		t.Fatalf("total=%d distinct=%d", h.total, len(h.counts))
 	}
 }
 
@@ -182,7 +189,7 @@ func TestPartSignalsPaperExample(t *testing.T) {
 		"9 Mirabel Street, M3 1NN",
 	}
 	h := extentHistogram(values)
-	tset, embed := h.PartSignals(values[0])
+	tset, embed := partSignals(h, values[0])
 	foundPortland := false
 	for _, w := range tset {
 		if w == "portland" {
@@ -208,7 +215,7 @@ func TestPartSignalsPaperExample(t *testing.T) {
 
 func TestPartSignalsEmptyValue(t *testing.T) {
 	h := NewHistogram()
-	tset, embed := h.PartSignals("")
+	tset, embed := partSignals(h, "")
 	if tset != nil || embed != nil {
 		t.Fatal("empty value should produce no signals")
 	}
@@ -217,10 +224,10 @@ func TestPartSignalsEmptyValue(t *testing.T) {
 func TestPartSignalsDeterministicTies(t *testing.T) {
 	h := NewHistogram()
 	h.Insert([]string{"alpha", "beta"})
-	t1, e1 := h.PartSignals("alpha beta")
-	t2, e2 := h.PartSignals("alpha beta")
+	t1, e1 := partSignals(h, "alpha beta")
+	t2, e2 := partSignals(h, "alpha beta")
 	if !reflect.DeepEqual(t1, t2) || !reflect.DeepEqual(e1, e2) {
-		t.Fatal("PartSignals should be deterministic")
+		t.Fatal("PartSignalsScratch should be deterministic")
 	}
 	if t1[0] != "alpha" { // lexicographic tie-break
 		t.Fatalf("tie should break lexicographically, got %v", t1)

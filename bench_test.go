@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -570,6 +572,32 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := d3l.Load(bytes.NewReader(data)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadFile is the path every serving replica takes: the same
+// snapshot, decoded straight from a file. Its B/op is what a load
+// allocates; with the file never read into memory, that is the engine
+// it keeps and one read window.
+func BenchmarkLoadFile(b *testing.B) {
+	engine, err := d3l.New(benchSnapshotLake(b), d3l.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "lake.d3l")
+	if err := d3l.SaveFile(engine, path); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(st.Size())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := d3l.LoadFile(path); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,6 +37,7 @@
 package d3l
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -368,24 +369,29 @@ func Load(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return decode(data)
+	return decode(bytes.NewReader(data), int64(len(data)))
 }
 
-// LoadFile is Load of a snapshot file, read with one allocation of the
-// file's size: a reader of unknown length is read into a buffer regrown
-// dozens of times, and where the collector stands when the last of them
-// is dropped decides a cold-started server's resident size.
+// LoadFile is Load of a snapshot file, decoded straight from the file:
+// the checksum pass and every section stream through one fixed-size
+// window, so the file's bytes are never resident beside the engine
+// decoded from them.
 func LoadFile(path string) (*Engine, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return decode(data)
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return decode(f, st.Size())
 }
 
-// decode reconstructs an engine from snapshot bytes.
-func decode(data []byte) (*Engine, error) {
-	dec, err := persist.NewDecoder(data)
+// decode reconstructs an engine from the size-byte snapshot src holds.
+func decode(src io.ReaderAt, size int64) (*Engine, error) {
+	dec, err := persist.NewDecoder(src, size)
 	if err != nil {
 		return nil, err
 	}

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"d3l/internal/lsh"
@@ -103,7 +105,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec, err := persist.NewDecoder(data)
+	dec, err := persist.NewDecoder(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +113,9 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 }
 
 // DecodeEngine reconstructs an engine from an already-verified
-// snapshot decoder (LoadEngine is the plain-reader convenience).
+// snapshot decoder (LoadEngine is the plain-reader convenience). It
+// reads the decoder's sections one after another, so the decoder must
+// not be read from elsewhere until it returns.
 func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	ro, err := dec.MustSection(persist.SecOptions)
 	if err != nil {
@@ -303,15 +307,8 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	e.profiles = make([]Profile, numProfiles)
 	empty := e.prof.hasher.EmptySignature()
 	for i := range e.profiles {
-		p := &e.profiles[i]
-		if err := decodeProfile(r, p, version); err != nil {
+		if err := decodeProfile(r, &e.profiles[i], version, empty); err != nil {
 			return err
-		}
-		// A numeric attribute's placeholder TSig is stored in full (the
-		// layout has no special case) and shared in memory, as
-		// profileColumn shares it.
-		if p.Numeric && len(p.TSig) == len(empty) && p.TSig.Empty() {
-			p.TSig = empty
 		}
 	}
 	numTables := int(r.U32())
@@ -371,10 +368,11 @@ func encodeProfile(b *persist.Buffer, p *Profile) {
 // decodeSignature reads one MinHash signature. Format version 1 stored
 // the 64-bit minima themselves; each narrows to the slot a current
 // sketch of the same set holds (and an empty set's math.MaxUint64 to
-// the empty slot), so a version 1 snapshot answers as it always did.
-func decodeSignature(r *persist.Reader, version uint32) minhash.Signature {
+// the empty slot), so a version 1 snapshot answers as it always did. A
+// signature equal to shared decodes as shared itself, not a copy.
+func decodeSignature(r *persist.Reader, version uint32, shared minhash.Signature) minhash.Signature {
 	if version >= 2 {
-		return r.U32s()
+		return r.U32s(shared)
 	}
 	n := r.Count(8)
 	if n == 0 {
@@ -384,19 +382,30 @@ func decodeSignature(r *persist.Reader, version uint32) minhash.Signature {
 	for i := range sig {
 		sig[i] = uint32(r.U64())
 	}
+	if slices.Equal(sig, shared) {
+		return shared
+	}
 	return sig
 }
 
-func decodeProfile(r *persist.Reader, p *Profile, version uint32) error {
+// decodeProfile reads one profile. A numeric attribute's placeholder
+// TSig, the hasher's empty signature, is stored in full (the layout has
+// no special case) and decodes as that one shared slice, as
+// profileColumn shares it.
+func decodeProfile(r *persist.Reader, p *Profile, version uint32, empty minhash.Signature) error {
 	p.Ref.TableID = int(r.I64())
 	p.Ref.Column = int(r.I64())
 	p.Name = r.Str()
 	p.Numeric = r.Bool()
 	p.Subject = r.Bool()
-	p.QSig = decodeSignature(r, version)
-	p.TSig = decodeSignature(r, version)
+	p.QSig = decodeSignature(r, version, nil)
+	var placeholder minhash.Signature
+	if p.Numeric {
+		placeholder = empty
+	}
+	p.TSig = decodeSignature(r, version, placeholder)
 	p.TSize = int(r.I64())
-	p.RSig = decodeSignature(r, version)
+	p.RSig = decodeSignature(r, version, nil)
 	p.ESig = lsh.BitSignature(r.U64s())
 	p.EZero = r.Bool()
 	p.NumExtent = r.F64s()

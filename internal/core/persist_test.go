@@ -6,7 +6,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -294,10 +296,24 @@ func TestLoadedEngineAcceptsMutations(t *testing.T) {
 
 // TestLoadRejectsCorruption asserts truncated and bit-flipped
 // snapshots fail with an error — never a panic, never a silently wrong
-// engine.
+// engine — of the same class whether read into memory or decoded from a
+// file, and that a file ending before the size it was opened with is
+// ErrTruncated.
 func TestLoadRejectsCorruption(t *testing.T) {
 	e := buildFigure1Engine(t)
 	data := snapshotBytes(t, e)
+	path := filepath.Join(t.TempDir(), "corrupt.d3l")
+	refuse := func(what string, in []byte, want error) {
+		t.Helper()
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, errMem := LoadEngine(bytes.NewReader(in))
+		_, errFile := loadEngineFile(path)
+		if !errors.Is(errMem, want) || !errors.Is(errFile, want) {
+			t.Fatalf("%s: LoadEngine err = %v, from the file err = %v; want %v", what, errMem, errFile, want)
+		}
+	}
 
 	cuts := []int{0, 1, 7, 8, 11, 12, 20, len(data) / 3, len(data) / 2, len(data) - 5, len(data) - 1}
 	for n := 64; n < len(data); n += 4097 {
@@ -307,8 +323,29 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		if n < 0 || n >= len(data) {
 			continue
 		}
-		if _, err := LoadEngine(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes loaded successfully", n)
+		want := persist.ErrChecksum
+		if n < 16 { // shorter than the header and the trailer
+			want = persist.ErrTruncated
+		}
+		refuse(fmt.Sprintf("truncation to %d bytes", n), data[:n], want)
+		// The file ends at n bytes, though Stat reported all of them:
+		// before the checksum pass, or after it, under the section readers
+		// (which never read the trailer).
+		short := &shortSource{data: data, stop: int64(n)}
+		if _, err := persist.NewDecoder(short, int64(len(data))); !errors.Is(err, persist.ErrTruncated) {
+			t.Fatalf("a file ending at %d of its %d bytes: err = %v, want ErrTruncated", n, len(data), err)
+		}
+		if n >= len(data)-4 {
+			continue
+		}
+		short.stop = int64(len(data))
+		dec, err := persist.NewDecoder(short, int64(len(data)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		short.stop = int64(n)
+		if _, err := DecodeEngine(dec); !errors.Is(err, persist.ErrTruncated) {
+			t.Fatalf("a file cut to %d of its %d bytes after the checksum pass: err = %v, want ErrTruncated", n, len(data), err)
 		}
 	}
 
@@ -322,10 +359,49 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		}
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x40
-		if _, err := LoadEngine(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("bit flip at offset %d loaded successfully", i)
+		want := persist.ErrChecksum
+		if i < len(persist.Magic) {
+			want = persist.ErrMagic
 		}
+		refuse(fmt.Sprintf("bit flip at offset %d", i), mut, want)
 	}
+}
+
+// loadEngineFile is LoadEngine of a file decoded where it lies, as
+// d3l.LoadFile reads one.
+func loadEngineFile(path string) (*Engine, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	dec, err := persist.NewDecoder(f, st.Size())
+	if err != nil {
+		return nil, err
+	}
+	return DecodeEngine(dec)
+}
+
+// shortSource is a ReaderAt that ends at stop, whatever size its reader
+// was told: a file truncated after it was sized.
+type shortSource struct {
+	data []byte
+	stop int64
+}
+
+func (s *shortSource) ReadAt(p []byte, off int64) (int, error) {
+	if off >= s.stop {
+		return 0, io.EOF
+	}
+	n := copy(p, s.data[off:s.stop])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
 }
 
 // TestSnapshotConcurrentWithMutations takes snapshots while Add/Remove
@@ -558,7 +634,7 @@ func TestSnapshotV1StillLoads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec, err := persist.NewDecoder(v1); err != nil {
+	if dec, err := persist.NewDecoder(bytes.NewReader(v1), int64(len(v1))); err != nil {
 		t.Fatal(err)
 	} else if dec.Version() != 1 {
 		t.Fatalf("fixture is a version %d snapshot, want 1", dec.Version())
@@ -605,7 +681,7 @@ func TestSnapshotV1StillLoads(t *testing.T) {
 	}
 
 	v2 := snapshotBytes(t, old)
-	if dec, err := persist.NewDecoder(v2); err != nil {
+	if dec, err := persist.NewDecoder(bytes.NewReader(v2), int64(len(v2))); err != nil {
 		t.Fatal(err)
 	} else if dec.Version() != 2 {
 		t.Fatalf("re-snapshot is a version %d snapshot, want 2", dec.Version())

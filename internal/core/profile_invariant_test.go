@@ -22,7 +22,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	if _, err := enc.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dec, err := persist.NewDecoder(buf.Bytes())
+	dec, err := persist.NewDecoder(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 		t.Fatal("test section missing")
 	}
 	var out Profile
-	if err := decodeProfile(r, &out, dec.Version()); err != nil {
+	if err := decodeProfile(r, &out, dec.Version(), nil); err != nil {
 		t.Fatal(err)
 	}
 	return out

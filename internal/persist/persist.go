@@ -6,10 +6,17 @@
 // forests or profiles. Components append primitive values (integers,
 // strings, numeric slices) to the Buffer an Encoder hands out per section,
 // and read them back through section Readers obtained from a Decoder.
-// The Decoder verifies magic, version and checksum over the whole
-// payload before handing out a single byte, so component decoders can
-// assume structurally intact input and concentrate on semantic
-// validation (id ranges, layout invariants).
+//
+// A Decoder reads a snapshot of known size from an io.ReaderAt — an open
+// file, or bytes.NewReader over bytes already in memory — in two passes
+// through one constant-size window. The first streams the whole snapshot
+// to verify magic, checksum and version and records where each section
+// lies, so component decoders can assume structurally intact input and
+// concentrate on semantic validation (id ranges, layout invariants).
+// The second is the decoding itself: a section Reader pages its payload
+// in window by window, and a bulk read allocates its destination once
+// and fills it a window at a time. A snapshot loaded from a file is
+// never resident beside the values decoded from it.
 //
 // Compatibility policy: the trailer convention (little-endian CRC32-C
 // over everything before the last four bytes) and the header layout
@@ -36,6 +43,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strings"
 )
 
 // Magic identifies a D3L snapshot stream; the trailing zero byte keeps
@@ -205,7 +213,7 @@ func OpenSealed(data []byte) (*Reader, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
 		return nil, ErrChecksum
 	}
-	return &Reader{data: body}, nil
+	return &Reader{buf: body}, nil
 }
 
 // Encoder assembles a snapshot: header, sections in the order they are
@@ -286,66 +294,125 @@ const (
 	SectionOverhead = 4 + 8
 )
 
-// Decoder verifies and splits a snapshot into its sections.
+// window is the size of the one buffer a Decoder reads its source
+// through: the checksum pass streams the snapshot through it, and every
+// section Reader pages its payload in through it. What a load holds
+// beyond the values it decodes is this constant, whatever the
+// snapshot's size.
+const window = 64 << 10
+
+// span locates a section's payload in the source.
+type span struct{ off, n int64 }
+
+// Decoder verifies a snapshot and hands out Readers over its sections,
+// reading from the source on demand: the snapshot itself is never held
+// in memory.
 type Decoder struct {
+	src      io.ReaderAt
 	version  uint32
-	sections map[uint32][]byte
+	sections map[uint32]span
+	win      []byte
+	// lent is the Reader that holds win, poisoned when the next Section
+	// takes the window over.
+	lent *Reader
 }
 
-// NewDecoder validates magic, checksum and version over the full
-// snapshot and indexes its sections. The data slice is retained;
-// callers must not mutate it while Readers are in use.
-func NewDecoder(data []byte) (*Decoder, error) {
-	if len(data) < headerLen+trailerLen {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+// NewDecoder verifies the size-byte snapshot src holds and indexes its
+// sections. It streams the snapshot through the window once —
+// magic, then the CRC32-C trailer, then the version — before it reads
+// the section headers, so no byte reaches a component decoder unless the
+// checksum passed. Section Readers read src again; src must not change
+// while they are in use (SaveFile replaces a snapshot by rename, which a
+// file already open does not see).
+func NewDecoder(src io.ReaderAt, size int64) (*Decoder, error) {
+	if size < headerLen+trailerLen {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, size)
 	}
-	var m [8]byte
-	copy(m[:], data)
-	if m != Magic {
-		return nil, ErrMagic
+	d := &Decoder{src: src, sections: make(map[uint32]span), win: make([]byte, min(window, size))}
+	body := size - trailerLen
+	var crc uint32
+	for off := int64(0); off < body; {
+		p := d.win[:min(int64(len(d.win)), body-off)]
+		if err := readAt(src, p, off); err != nil {
+			return nil, err
+		}
+		if off == 0 {
+			if [8]byte(p) != Magic {
+				return nil, ErrMagic
+			}
+			d.version = binary.LittleEndian.Uint32(p[8:])
+		}
+		crc = crc32.Update(crc, castagnoli, p)
+		off += int64(len(p))
 	}
-	body, trailer := data[:len(data)-trailerLen], data[len(data)-trailerLen:]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(trailer) {
+	var trailer [trailerLen]byte
+	if err := readAt(src, trailer[:], body); err != nil {
+		return nil, err
+	}
+	if crc != binary.LittleEndian.Uint32(trailer[:]) {
 		return nil, ErrChecksum
-	}
-	d := &Decoder{
-		version:  binary.LittleEndian.Uint32(data[8:]),
-		sections: make(map[uint32][]byte),
 	}
 	if d.version < MinVersion || d.version > Version {
 		return nil, fmt.Errorf("%w: %d (this build reads %d through %d)", ErrVersion, d.version, MinVersion, Version)
 	}
-	rest := body[headerLen:]
-	for len(rest) > 0 {
-		if len(rest) < SectionOverhead {
-			return nil, fmt.Errorf("%w: dangling %d bytes after last section", ErrCorrupt, len(rest))
+	for off := int64(headerLen); off < body; {
+		if body-off < SectionOverhead {
+			return nil, fmt.Errorf("%w: dangling %d bytes after last section", ErrCorrupt, body-off)
 		}
-		id := binary.LittleEndian.Uint32(rest)
-		n := binary.LittleEndian.Uint64(rest[4:])
-		rest = rest[SectionOverhead:]
-		if n > uint64(len(rest)) {
-			return nil, fmt.Errorf("%w: section %d declares %d bytes, %d remain", ErrCorrupt, id, n, len(rest))
+		var h [SectionOverhead]byte
+		if err := readAt(src, h[:], off); err != nil {
+			return nil, err
+		}
+		id := binary.LittleEndian.Uint32(h[:])
+		n := binary.LittleEndian.Uint64(h[4:])
+		off += SectionOverhead
+		if n > uint64(body-off) {
+			return nil, fmt.Errorf("%w: section %d declares %d bytes, %d remain", ErrCorrupt, id, n, body-off)
 		}
 		if _, dup := d.sections[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate section id %d", ErrCorrupt, id)
 		}
-		d.sections[id] = rest[:n]
-		rest = rest[n:]
+		d.sections[id] = span{off, int64(n)}
+		off += int64(n)
 	}
 	return d, nil
+}
+
+// readAt fills p from src at off. A source that ends early — a file
+// shorter than the size it was opened with — is ErrTruncated.
+func readAt(src io.ReaderAt, p []byte, off int64) error {
+	n, err := src.ReadAt(p, off)
+	switch {
+	case n == len(p):
+		return nil
+	case err == nil || errors.Is(err, io.EOF):
+		return fmt.Errorf("%w: %d of %d bytes at offset %d", ErrTruncated, n, len(p), off)
+	default:
+		return fmt.Errorf("persist: read at offset %d: %w", off, err)
+	}
 }
 
 // Version reports the snapshot's format version.
 func (d *Decoder) Version() uint32 { return d.version }
 
+// errSuperseded poisons a section Reader whose window a later Section
+// call took over.
+var errSuperseded = errors.New("persist: section reader used after a later Decoder.Section")
+
 // Section returns a Reader over the payload of a section and whether
-// the section is present.
+// the section is present. Readers share the Decoder's window, so each
+// call ends the Reader the previous one returned: reading from it
+// afterwards fails.
 func (d *Decoder) Section(id uint32) (*Reader, bool) {
-	p, ok := d.sections[id]
+	s, ok := d.sections[id]
 	if !ok {
 		return nil, false
 	}
-	return &Reader{data: p}, true
+	if d.lent != nil && d.lent.err == nil {
+		d.lent.err = errSuperseded
+	}
+	d.lent = &Reader{src: d.src, buf: d.win[:0], next: s.off, end: s.off + s.n}
+	return d.lent, true
 }
 
 // MustSection returns a Reader over a section that the format requires.
@@ -361,45 +428,89 @@ func (d *Decoder) MustSection(id uint32) (*Reader, error) {
 // tools like `d3l index info`).
 func (d *Decoder) SectionSizes() map[uint32]int {
 	out := make(map[uint32]int, len(d.sections))
-	for id, p := range d.sections {
-		out[id] = len(p)
+	for id, s := range d.sections {
+		out[id] = int(s.n)
 	}
 	return out
 }
 
-// Reader consumes one section's payload. Errors are sticky: the first
-// out-of-bounds read poisons the Reader, later reads return zero values,
-// and Err reports the failure once at the end — decode loops stay free
-// of per-read error plumbing.
+// Reader consumes one section's payload, paging it in from its source
+// through a window. Errors are sticky: the first out-of-bounds or failed
+// read poisons the Reader, later reads return zero values, and Err
+// reports the failure once at the end — decode loops stay free of
+// per-read error plumbing.
+//
+// OpenSealed's Reader has no source: its window is the whole payload and
+// never refills, so a copy of it reads on independently. A Decoder's
+// Readers refill a shared window and must not be copied.
 type Reader struct {
-	data []byte
-	off  int
-	err  error
+	src io.ReaderAt
+	// buf is the window; buf[off:] is paged in and unread.
+	buf []byte
+	off int
+	// next is the source offset of the first byte not yet paged in, end
+	// the offset just past the payload.
+	next, end int64
+	err       error
 }
 
 // Err reports the first read error, if any.
 func (r *Reader) Err() error { return r.err }
 
 // Remaining reports the unread byte count.
-func (r *Reader) Remaining() int { return len(r.data) - r.off }
+func (r *Reader) Remaining() int { return len(r.buf) - r.off + int(r.end-r.next) }
 
 func (r *Reader) fail() {
 	if r.err == nil {
-		r.err = fmt.Errorf("%w: section payload exhausted at offset %d", ErrTruncated, r.off)
+		r.err = fmt.Errorf("%w: section payload exhausted with %d bytes left", ErrTruncated, r.Remaining())
 	}
 }
 
-func (r *Reader) take(n int) []byte {
+// page makes at least n unread bytes resident, n at most the window's
+// capacity, refilling the window from the source when fewer are. It
+// reports false, the Reader poisoned, when the payload holds fewer.
+func (r *Reader) page(n int) bool {
 	if r.err != nil {
-		return nil
+		return false
+	}
+	if len(r.buf)-r.off >= n {
+		return true
 	}
 	if n < 0 || r.Remaining() < n {
 		r.fail()
+		return false
+	}
+	k := copy(r.buf[:cap(r.buf)], r.buf[r.off:])
+	m := int(min(int64(cap(r.buf)-k), r.end-r.next))
+	r.buf, r.off = r.buf[:k+m], 0
+	if err := readAt(r.src, r.buf[k:], r.next); err != nil {
+		r.err = err
+		return false
+	}
+	r.next += int64(m)
+	return true
+}
+
+// take consumes n resident bytes, n at most the window's capacity.
+func (r *Reader) take(n int) []byte {
+	if !r.page(n) {
 		return nil
 	}
-	p := r.data[r.off : r.off+n]
+	p := r.buf[r.off : r.off+n]
 	r.off += n
 	return p
+}
+
+// chunks consumes n elements of size bytes each, handing fn the
+// window's bytes a whole number of elements at a time. Callers have
+// checked n against Remaining with Count.
+func (r *Reader) chunks(n, size int, fn func(p []byte)) {
+	for n > 0 && r.page(size) {
+		k := min(n, (len(r.buf)-r.off)/size)
+		fn(r.buf[r.off : r.off+k*size])
+		r.off += k * size
+		n -= k
+	}
 }
 
 // U8 reads one byte.
@@ -456,36 +567,80 @@ func (r *Reader) Count(elemSize int) int {
 }
 
 // Skip passes over n bytes unread, with the bounds check of a read.
-func (r *Reader) Skip(n int) { r.take(n) }
+func (r *Reader) Skip(n int) {
+	if r.err != nil {
+		return
+	}
+	if n < 0 || r.Remaining() < n {
+		r.fail()
+		return
+	}
+	k := min(n, len(r.buf)-r.off)
+	r.off += k
+	r.next += int64(n - k)
+}
 
 // Str reads a length-prefixed string.
 func (r *Reader) Str() string {
+	var b strings.Builder
 	n := r.Count(1)
-	return string(r.take(n))
+	b.Grow(n)
+	r.chunks(n, 1, func(p []byte) { b.Write(p) })
+	if r.err != nil {
+		return ""
+	}
+	return b.String()
 }
 
-// Bytes reads a length-prefixed byte slice (copied out of the payload).
+// Bytes reads a length-prefixed byte slice (copied out of the payload):
+// what the window holds, then the rest straight from the source.
 func (r *Reader) Bytes() []byte {
 	n := r.Count(1)
-	p := r.take(n)
-	if p == nil {
+	if n == 0 {
 		return nil
 	}
-	return append([]byte(nil), p...)
+	out := make([]byte, n)
+	k := copy(out, r.buf[r.off:])
+	r.off += k
+	if k < n {
+		if err := readAt(r.src, out[k:], r.next); err != nil {
+			r.err = err
+			return nil
+		}
+		r.next += int64(n - k)
+	}
+	return out
 }
 
 // U32s reads a length-prefixed []uint32. Zero-length slices decode as
 // nil, matching how a tombstoned attribute's released signatures are
-// represented in memory.
-func (r *Reader) U32s() []uint32 {
+// represented in memory; values equal to shared decode as shared itself,
+// allocating nothing.
+func (r *Reader) U32s(shared []uint32) []uint32 {
 	n := r.Count(4)
 	if n == 0 {
 		return nil
 	}
-	p := r.take(4 * n)
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(p[4*i:])
+	var out []uint32
+	if n != len(shared) {
+		out = make([]uint32, n)
+	}
+	i := 0
+	r.chunks(n, 4, func(p []byte) {
+		for ; len(p) > 0; p = p[4:] {
+			v := binary.LittleEndian.Uint32(p)
+			if out == nil && v != shared[i] {
+				out = make([]uint32, n)
+				copy(out, shared[:i])
+			}
+			if out != nil {
+				out[i] = v
+			}
+			i++
+		}
+	})
+	if out == nil {
+		return shared
 	}
 	return out
 }
@@ -497,10 +652,13 @@ func (r *Reader) U64s() []uint64 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.U64()
-	}
+	out, i := make([]uint64, n), 0
+	r.chunks(n, 8, func(p []byte) {
+		for ; len(p) > 0; p = p[8:] {
+			out[i] = binary.LittleEndian.Uint64(p)
+			i++
+		}
+	})
 	return out
 }
 
@@ -510,10 +668,13 @@ func (r *Reader) I32s() []int32 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(r.U32())
-	}
+	out, i := make([]int32, n), 0
+	r.chunks(n, 4, func(p []byte) {
+		for ; len(p) > 0; p = p[4:] {
+			out[i] = int32(binary.LittleEndian.Uint32(p))
+			i++
+		}
+	})
 	return out
 }
 
@@ -523,10 +684,13 @@ func (r *Reader) Ints() []int {
 	if n == 0 {
 		return nil
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.I64())
-	}
+	out, i := make([]int, n), 0
+	r.chunks(n, 8, func(p []byte) {
+		for ; len(p) > 0; p = p[8:] {
+			out[i] = int(int64(binary.LittleEndian.Uint64(p)))
+			i++
+		}
+	})
 	return out
 }
 
@@ -536,19 +700,18 @@ func (r *Reader) F64s() []float64 {
 	if n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = r.F64()
-	}
-	return out
+	return r.f64s(make([]float64, 0, n), n)
 }
 
 // AppendF64s reads a length-prefixed []float64 onto the end of dst, for
 // decoders that lay many vectors out in one slab.
-func (r *Reader) AppendF64s(dst []float64) []float64 {
-	p := r.take(8 * r.Count(8))
-	for ; len(p) >= 8; p = p[8:] {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(p)))
-	}
+func (r *Reader) AppendF64s(dst []float64) []float64 { return r.f64s(dst, r.Count(8)) }
+
+func (r *Reader) f64s(dst []float64, n int) []float64 {
+	r.chunks(n, 8, func(p []byte) {
+		for ; len(p) > 0; p = p[8:] {
+			dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(p)))
+		}
+	})
 	return dst
 }

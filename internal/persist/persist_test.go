@@ -6,10 +6,35 @@ import (
 	"encoding/hex"
 	"errors"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
+
+// decoderOver opens a snapshot held in memory.
+func decoderOver(data []byte) (*Decoder, error) {
+	return NewDecoder(bytes.NewReader(data), int64(len(data)))
+}
+
+// shortSource is a ReaderAt that ends at stop, whatever size its reader
+// was told: a file truncated after it was sized.
+type shortSource struct {
+	data []byte
+	stop int64
+}
+
+func (s *shortSource) ReadAt(p []byte, off int64) (int, error) {
+	if off >= s.stop {
+		return 0, io.EOF
+	}
+	n := copy(p, s.data[off:s.stop])
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
 
 // roundTripSnapshot builds a two-section snapshot exercising every
 // primitive type.
@@ -93,14 +118,14 @@ func TestEncoderGrowReservesOnce(t *testing.T) {
 	if enc.Cap() != reserved || out.Len() > reserved {
 		t.Fatalf("cap %d → %d for a %d-byte snapshot: the encoder regrew", reserved, enc.Cap(), out.Len())
 	}
-	if _, err := NewDecoder(out.Bytes()); err != nil {
+	if _, err := decoderOver(out.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRoundTrip(t *testing.T) {
 	data := roundTripSnapshot(t)
-	dec, err := NewDecoder(data)
+	dec, err := decoderOver(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +160,7 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Bytes(); !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Fatalf("Bytes = %v", v)
 	}
-	if v := r.U32s(); len(v) != 3 || v[0] != 6 || v[2] != math.MaxUint32 {
+	if v := r.U32s(nil); len(v) != 3 || v[0] != 6 || v[2] != math.MaxUint32 {
 		t.Fatalf("U32s = %v", v)
 	}
 	if v := r.U64s(); len(v) != 3 || v[0] != 9 || v[2] != 7 {
@@ -167,7 +192,7 @@ func TestRoundTrip(t *testing.T) {
 func TestDecoderRejectsBadMagic(t *testing.T) {
 	data := roundTripSnapshot(t)
 	data[0] ^= 0xff
-	if _, err := NewDecoder(data); !errors.Is(err, ErrMagic) {
+	if _, err := decoderOver(data); !errors.Is(err, ErrMagic) {
 		t.Fatalf("err = %v, want ErrMagic", err)
 	}
 }
@@ -177,7 +202,7 @@ func TestDecoderRejectsBitFlips(t *testing.T) {
 	for i := len(Magic); i < len(orig); i++ {
 		data := append([]byte(nil), orig...)
 		data[i] ^= 1
-		_, err := NewDecoder(data)
+		_, err := decoderOver(data)
 		if err == nil {
 			t.Fatalf("bit flip at %d accepted", i)
 		}
@@ -190,12 +215,106 @@ func TestDecoderRejectsBitFlips(t *testing.T) {
 	}
 }
 
+// TestDecoderRejectsTruncation: a snapshot cut short is refused, and so
+// is a source that ends before the size it was opened with — ErrTruncated,
+// never a read of bytes that are not there.
 func TestDecoderRejectsTruncation(t *testing.T) {
 	data := roundTripSnapshot(t)
 	for n := 0; n < len(data); n++ {
-		if _, err := NewDecoder(data[:n]); err == nil {
+		if _, err := decoderOver(data[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
 		}
+		if _, err := NewDecoder(&shortSource{data, int64(n)}, int64(len(data))); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("source ending at %d of %d bytes: err = %v, want ErrTruncated", n, len(data), err)
+		}
+	}
+}
+
+// TestReaderPagesAcrossWindows decodes a section several windows long
+// whose values straddle window boundaries, as every bulk and scalar read
+// meets them, and checks the Readers of one Decoder hand the window on:
+// a source that shrinks between the passes, or a Reader used after the
+// next Section call, is an error, not a read of stale bytes.
+func TestReaderPagesAcrossWindows(t *testing.T) {
+	u32s := make([]uint32, window/4+3)
+	for i := range u32s {
+		u32s[i] = uint32(i) * 2654435761
+	}
+	f64s := make([]float64, window/8+1)
+	for i := range f64s {
+		f64s[i] = float64(i) / 3
+	}
+	raw := bytes.Repeat([]byte{1, 2, 3, 4, 5}, window/2)
+	name := strings.Repeat("practice ", window/8)
+	enc := NewEncoder()
+	b := enc.Begin(SecAttrs)
+	b.U8(9) // knocks every later value off the window's alignment
+	b.U32s(u32s)
+	b.Str(name)
+	b.Bytes(raw)
+	b.F64s(f64s)
+	b.F64s(f64s)
+	for i := 0; i < window/8; i++ {
+		b.U64(uint64(i))
+	}
+	b.Ints([]int{-3, 3})
+	enc.End()
+	enc.Begin(SecLake).U32(5)
+	enc.End()
+	var out bytes.Buffer
+	if _, err := enc.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	data := out.Bytes()
+	src := &shortSource{data, int64(len(data))}
+	dec, err := NewDecoder(src, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := dec.MustSection(SecAttrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.U8() != 9 || !slices.Equal(r.U32s(nil), u32s) || r.Str() != name || !bytes.Equal(r.Bytes(), raw) {
+		t.Fatalf("values before the slab did not survive paging: err %v", r.Err())
+	}
+	if got := r.AppendF64s(r.F64s()); !slices.Equal(got, append(f64s, f64s...)) {
+		t.Fatalf("F64s + AppendF64s read %d values, err %v", len(got), r.Err())
+	}
+	r.Skip(8 * (window/8 - 1))
+	if v := r.U64(); v != window/8-1 || !slices.Equal(r.Ints(), []int{-3, 3}) || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("tail read %d, err %v, %d bytes left", v, r.Err(), r.Remaining())
+	}
+
+	// Read against a shared slice, values equal to it decode as it; values
+	// that differ from it, here in the last slot, as their own copy.
+	r, _ = dec.Section(SecAttrs)
+	if r.U8(); &r.U32s(u32s)[0] != &u32s[0] {
+		t.Fatal("values equal to the shared slice decoded as a copy")
+	}
+	other := slices.Clone(u32s)
+	other[len(other)-1]++
+	r, _ = dec.Section(SecAttrs)
+	if r.U8(); !slices.Equal(r.U32s(other), u32s) || r.Err() != nil {
+		t.Fatalf("values differing from the shared slice in its last slot: err %v", r.Err())
+	}
+
+	// The same section read again from a source that has since shrunk.
+	r, _ = dec.Section(SecAttrs)
+	src.stop = window / 2 // inside the U32s
+	r.U8()
+	if r.U32s(nil); !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("source cut to %d bytes under a reader: err = %v, want ErrTruncated", src.stop, r.Err())
+	}
+	src.stop = int64(len(data))
+
+	r, _ = dec.Section(SecAttrs)
+	r2, _ := dec.Section(SecLake)
+	if r.U8(); !errors.Is(r.Err(), errSuperseded) {
+		t.Fatalf("reader used after the next Section: err = %v", r.Err())
+	}
+	if r2.U32() != 5 || r2.Err() != nil {
+		t.Fatalf("latest reader: err %v", r2.Err())
 	}
 }
 
@@ -216,7 +335,7 @@ func TestDecoderRejectsUnknownVersion(t *testing.T) {
 		// the version differs.
 		binary.LittleEndian.PutUint32(data[8:], v)
 		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], castagnoli))
-		dec, err := NewDecoder(data)
+		dec, err := decoderOver(data)
 		if v < MinVersion || v > Version {
 			if !errors.Is(err, ErrVersion) {
 				t.Fatalf("version %d: err = %v, want ErrVersion", v, err)
@@ -230,7 +349,7 @@ func TestDecoderRejectsUnknownVersion(t *testing.T) {
 }
 
 func TestReaderErrorsAreSticky(t *testing.T) {
-	r := &Reader{data: []byte{1, 2}}
+	r := &Reader{buf: []byte{1, 2}}
 	_ = r.U64() // overruns
 	if r.Err() == nil {
 		t.Fatal("overrun not reported")
@@ -248,12 +367,12 @@ func TestReaderRejectsOversizedCounts(t *testing.T) {
 	// without attempting the allocation.
 	b := &Buffer{}
 	b.U32(1 << 30)
-	r := &Reader{data: b.data}
+	r := &Reader{buf: b.data}
 	if v := r.U64s(); v != nil || r.Err() == nil {
 		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
 	}
-	r = &Reader{data: b.data}
-	if v := r.U32s(); v != nil || r.Err() == nil {
+	r = &Reader{buf: b.data}
+	if v := r.U32s(nil); v != nil || r.Err() == nil {
 		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
 	}
 }
@@ -272,7 +391,7 @@ func TestWriteToIsRepeatable(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Fatal("WriteTo not repeatable")
 	}
-	if _, err := NewDecoder(second.Bytes()); err != nil {
+	if _, err := decoderOver(second.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -337,7 +456,7 @@ func TestSlabReads(t *testing.T) {
 	b.F64s(nil)
 	b.F64s([]float64{-1})
 	b.U32(9)
-	r := &Reader{data: b.data}
+	r := &Reader{buf: b.data}
 	scan := *r
 	scan.Skip(4 + 16 + 4 + 4 + 8)
 	if scan.U32() != 9 || scan.Err() != nil || r.Remaining() != len(b.data) {
@@ -355,7 +474,7 @@ func TestSlabReads(t *testing.T) {
 		t.Fatalf("Skip past the end: err = %v, want ErrTruncated", r.Err())
 	}
 	// A count the payload cannot back appends nothing.
-	short := &Reader{data: []byte{2, 0, 0, 0, 1, 2, 3}}
+	short := &Reader{buf: []byte{2, 0, 0, 0, 1, 2, 3}}
 	if got := short.AppendF64s(nil); len(got) != 0 || !errors.Is(short.Err(), ErrTruncated) {
 		t.Fatalf("AppendF64s over a short payload: %v, err %v", got, short.Err())
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -74,7 +75,7 @@ func TestManifestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := persist.NewDecoder(data)
+		dec, err := persist.NewDecoder(bytes.NewReader(data), int64(len(data)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,13 +7,18 @@ package d3l_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
 	"d3l"
+	"d3l/internal/datagen"
 	"d3l/internal/persist"
 )
 
@@ -134,7 +139,7 @@ func servedSignature(t testing.TB, e *d3l.Engine) string {
 // hasGraphSection reports whether a snapshot carries the SA-join graph.
 func hasGraphSection(t testing.TB, data []byte) bool {
 	t.Helper()
-	dec, err := persist.NewDecoder(data)
+	dec, err := persist.NewDecoder(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,30 +242,100 @@ func TestLoadedEngineMutatesAndResnapshots(t *testing.T) {
 }
 
 // TestLoadRejectsGarbage exercises the public error path: truncations,
-// bit flips, and non-snapshot input must error, never panic.
+// bit flips, and non-snapshot input must error, never panic, with the
+// same error class through Load and through LoadFile of the same bytes.
 func TestLoadRejectsGarbage(t *testing.T) {
 	engine, err := d3l.New(figure1Lake(t), d3l.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	data := savedBytes(t, engine)
-	if _, err := d3l.Load(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input loaded")
-	}
-	if _, err := d3l.Load(bytes.NewReader([]byte("practice,city\na,b\n"))); err == nil {
-		t.Fatal("CSV text loaded as a snapshot")
-	}
-	for _, n := range []int{1, 11, 40, len(data) / 2, len(data) - 1} {
-		if _, err := d3l.Load(bytes.NewReader(data[:n])); err == nil {
-			t.Fatalf("truncation to %d bytes loaded", n)
+	path := filepath.Join(t.TempDir(), "garbage.d3l")
+	refuse := func(what string, in []byte, want error) {
+		t.Helper()
+		if err := os.WriteFile(path, in, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		_, errLoad := d3l.Load(bytes.NewReader(in))
+		_, errFile := d3l.LoadFile(path)
+		if !errors.Is(errLoad, want) || !errors.Is(errFile, want) {
+			t.Fatalf("%s: Load err = %v, LoadFile err = %v; want %v", what, errLoad, errFile, want)
+		}
+	}
+	refuse("empty input", nil, persist.ErrTruncated)
+	refuse("CSV text", []byte("practice,city\na,b\n"), persist.ErrMagic)
+	for _, n := range []int{1, 11, 40, len(data) / 2, len(data) - 1} {
+		want := persist.ErrChecksum
+		if n < 16 { // shorter than the header and the trailer
+			want = persist.ErrTruncated
+		}
+		refuse(fmt.Sprintf("truncation to %d bytes", n), data[:n], want)
 	}
 	for i := 0; i < len(data); i += 509 {
 		mut := append([]byte(nil), data...)
 		mut[i] ^= 0x10
-		if _, err := d3l.Load(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("bit flip at %d loaded", i)
+		want := persist.ErrChecksum
+		if i < len(persist.Magic) {
+			want = persist.ErrMagic
 		}
+		refuse(fmt.Sprintf("bit flip at %d", i), mut, want)
+	}
+	// Resealed, so the checksum passes: a first section claiming more
+	// bytes than precede the trailer, and a version this build does not
+	// read.
+	mut := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint64(mut[12+4:], uint64(len(data)))
+	refuse("section length past the trailer", reseal(mut), persist.ErrCorrupt)
+	mut = append([]byte(nil), data...)
+	binary.LittleEndian.PutUint32(mut[8:], persist.Version+1)
+	refuse("unknown version", reseal(mut), persist.ErrVersion)
+}
+
+// reseal rewrites, in place, a snapshot's last four bytes to the CRC32-C
+// of what precedes them.
+func reseal(data []byte) []byte {
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return data
+}
+
+// TestLoadFileDoesNotHoldTheFile: LoadFile decodes straight from the
+// file through a fixed window, so what it allocates is what the loaded
+// engine keeps, plus that window and a little slack — not a copy of the
+// file beside the engine.
+func TestLoadFileDoesNotHoldTheFile(t *testing.T) {
+	lake, _, err := datagen.Synthetic(datagen.SyntheticConfig{
+		Seed: 31, BaseTables: 10, DerivedTables: 290, MinRows: 20, MaxRows: 40, RenameProb: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := d3l.New(lake, d3l.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lake.d3l")
+	if err := d3l.SaveFile(engine, path); err != nil {
+		t.Fatal(err)
+	}
+	const window = 64 << 10 // the persist package's read window
+
+	var before, loaded, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	replica, err := d3l.LoadFile(path)
+	runtime.ReadMemStats(&loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(replica)
+	alloc := loaded.TotalAlloc - before.TotalAlloc
+	live := after.HeapAlloc - before.HeapAlloc
+	if limit := live + window + live/20; alloc > limit {
+		t.Fatalf("LoadFile allocated %d bytes for an engine of %d live bytes (%.2f×), limit %d",
+			alloc, live, float64(alloc)/float64(live), limit)
 	}
 }
 

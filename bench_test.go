@@ -644,6 +644,40 @@ func BenchmarkIncrementalAddRemove(b *testing.B) {
 	}
 }
 
+// BenchmarkIncrementalUpdate measures the in-place mutation on the same
+// serving lake: one changed column of a 4-column table, so each
+// iteration re-profiles one column and moves its keys in the four
+// indexes while the other three keep theirs.
+func BenchmarkIncrementalUpdate(b *testing.B) {
+	engine, _ := benchServingSetup(b, runtime.NumCPU())
+	cols := []string{"Practice", "City", "Postcode", "Payment"}
+	version := func(i int) *d3l.Table {
+		t, err := d3l.NewTable("incr_update", cols, [][]string{
+			{"Blackfriars", fmt.Sprintf("Salford %d", i), "M3 6AF", "15530"},
+			{"Radclife Care", "Manchester", "M26 2SP", "20081"},
+			{"Bolton Medical", "Bolton", "BL3 6PY", "17264"},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return t
+	}
+	if _, err := engine.Add(version(-1)); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := version(i)
+		st, err := engine.Update(t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Reprofiled != 1 {
+			b.Fatalf("update re-profiled %d columns, want 1", st.Reprofiled)
+		}
+	}
+}
+
 // --- Coordinator path benchmark ---
 
 // remoteBench is the world BenchmarkRemoteQuery runs in, built once a

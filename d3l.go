@@ -222,30 +222,28 @@ func (e *Engine) Update(t *Table) (UpdateStats, error) {
 	if t == nil {
 		return UpdateStats{}, fmt.Errorf("d3l: nil table")
 	}
-	// Hold the mutation lock across plan and apply so no other mutation
-	// interleaves between the diff and the splice; PlanUpdate profiles
-	// under at most the core read lock, so queries keep flowing.
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	plan, err := e.core.PlanUpdate(t)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	stats, err := e.core.UpdateProfiled(plan)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	e.invalidateGraph()
-	return stats, nil
+	var stats UpdateStats
+	err := e.mutate(func() (err error) {
+		stats, err = e.core.Update(t)
+		return err
+	})
+	return stats, err
 }
 
 // Remove deletes a table by name from every index, making it
 // unreachable for subsequent queries. Ids of other tables are
 // unaffected, and the name becomes free for a later Add.
 func (e *Engine) Remove(name string) error {
+	return e.mutate(func() error { return e.core.Remove(name) })
+}
+
+// mutate runs one core mutation under the mutation lock, so that no
+// join-graph build or Save sees it half done, and drops the cached
+// SA-join graph once it has landed.
+func (e *Engine) mutate(op func() error) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.core.Remove(name); err != nil {
+	if err := op(); err != nil {
 		return err
 	}
 	e.invalidateGraph()

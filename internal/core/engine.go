@@ -17,9 +17,9 @@ import (
 //
 // An Engine is safe for concurrent use: queries (SearchSpec,
 // ExplainSpec, the lookup helpers) hold a read lock and run
-// concurrently with each other, while mutations (Add, Remove) take the
-// write lock and serialise against queries. The embedded Lake must only
-// be mutated through the Engine once queries may be in flight.
+// concurrently with each other, while mutations (Add, Update, Remove)
+// take the write lock and serialise against queries. The embedded Lake
+// must only be mutated through the Engine once queries may be in flight.
 type Engine struct {
 	opts       Options
 	lake       *table.Lake
@@ -27,7 +27,7 @@ type Engine struct {
 	classifier *subject.Classifier
 
 	// mu guards every field below it plus the lake contents. Queries
-	// take it in read mode, Add/Remove in write mode.
+	// take it in read mode, mutations in write mode.
 	mu sync.RWMutex
 
 	profiles []Profile // attribute id -> profile
@@ -59,10 +59,9 @@ type Engine struct {
 	// free of clock reads entirely.
 	stageObs atomic.Pointer[StageObserver]
 
-	forestN *lsh.Forest
-	forestV *lsh.Forest
-	forestF *lsh.Forest
-	forestE *lsh.Forest
+	// forests are I_N, I_V, I_F and I_E, in slot order (see forestSigs
+	// for which attributes each one holds).
+	forests [numForestSlots]*lsh.Forest
 
 	// buildTimings is where BuildEngine's time went; zero on an engine
 	// that was decoded from a snapshot.
@@ -102,11 +101,6 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 		subjects:   make([]int, lake.Len()),
 		alive:      make([]bool, lake.Len()),
 	}
-	e.forestN = lsh.MustForest(opts.ForestTrees, opts.ForestHashes)
-	e.forestV = lsh.MustForest(opts.ForestTrees, opts.ForestHashes)
-	e.forestF = lsh.MustForest(opts.ForestTrees, opts.ForestHashes)
-	eTrees, eHashes := embedForestLayout(opts.EmbedBits)
-	e.forestE = lsh.MustForest(eTrees, eHashes)
 
 	// Profiling dominates indexing cost (the paper's Experiment 4
 	// observation), and per-table profiles are independent, so they are
@@ -115,10 +109,9 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 	start := time.Now()
 	tableProfiles := prof.profileTables(lake.Tables(), e.classifier, opts.Parallelism)
 	e.buildTimings.Profile = time.Since(start)
-	for tid := range lake.Tables() {
+	for tid, profiles := range tableProfiles {
 		e.subjects[tid] = -1
 		e.alive[tid] = true
-		profiles := tableProfiles[tid]
 		for i := range profiles {
 			attrID := len(e.profiles)
 			e.profiles = append(e.profiles, profiles[i])
@@ -126,49 +119,102 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 			if profiles[i].Subject {
 				e.subjects[tid] = attrID
 			}
-			if err := e.insertForests(attrID, &e.profiles[attrID]); err != nil {
-				return nil, err
-			}
 		}
 	}
-	forests := [...]*lsh.Forest{e.forestN, e.forestV, e.forestF, e.forestE}
-	forEachIndex(len(forests), opts.Parallelism, func(i int) { forests[i].Index() })
+	if e.forests, err = e.indexLive(); err != nil {
+		return nil, err
+	}
 	e.buildTimings.Index = time.Since(start) - e.buildTimings.Profile
 	e.fpBase = e.fingerprintBase()
 	return e, nil
 }
 
-// insertForests places one attribute's signatures into the four
-// forests under the Section III-C placement rules. It serves both the
-// build phase (forests not yet indexed) and incremental Add (sorted
-// insertion).
-func (e *Engine) insertForests(attrID int, p *Profile) error {
-	return insertInto(e.forestN, e.forestV, e.forestF, e.forestE, attrID, p)
-}
-
-// insertInto places one attribute's signatures into an explicit forest
-// quadruple under the Section III-C placement rules: numeric attributes
-// are not inserted into I_V or I_E, and attributes with no embeddable
-// content skip I_E. Compact builds replacement forests through the same
-// rules the engine's own forests were built with.
-func insertInto(fN, fV, fF, fE *lsh.Forest, attrID int, p *Profile) error {
-	if err := fN.Insert(int32(attrID), p.QSig); err != nil {
-		return err
-	}
-	if err := fF.Insert(int32(attrID), p.RSig); err != nil {
-		return err
-	}
-	if !p.Numeric {
-		if err := fV.Insert(int32(attrID), p.TSig); err != nil {
-			return err
+// indexLive builds the four forests afresh over the live attributes,
+// inserted in (table id, attribute id) order and then sorted. BuildEngine
+// and Compact both index through it, so a compacted engine's trees are
+// byte-identical to those of a fresh build over the surviving tables.
+// Caller holds e.mu or owns the engine.
+func (e *Engine) indexLive() ([numForestSlots]*lsh.Forest, error) {
+	forests := newForests(e.opts)
+	var evals []uint32
+	for tid, attrs := range e.byTable {
+		if !e.alive[tid] {
+			continue
 		}
-		if !p.EZero {
-			if err := fE.Insert(int32(attrID), p.ESig.HashValues()); err != nil {
-				return err
+		for _, attrID := range attrs {
+			if _, err := writeKeys(&forests, attrID, &e.profiles[attrID], false, numForestSlots, &evals); err != nil {
+				return forests, err
 			}
 		}
 	}
-	return nil
+	forEachIndex(numForestSlots, e.opts.Parallelism, func(i int) { forests[i].Index() })
+	return forests, nil
+}
+
+// Forest slots: the four LSH indexes of Algorithm 1, in the order
+// Engine.forests holds them and a snapshot stores them.
+const (
+	forestSlotN = iota
+	forestSlotV
+	forestSlotF
+	forestSlotE
+	numForestSlots
+)
+
+// slotEvidence is the evidence type each forest slot serves.
+var slotEvidence = [numForestSlots]Evidence{EvidenceName, EvidenceValue, EvidenceFormat, EvidenceEmbedding}
+
+// newForests returns the four empty forests in slot order: I_N, I_V and
+// I_F laid out as opts says, I_E by embedForestLayout.
+func newForests(opts Options) [numForestSlots]*lsh.Forest {
+	var forests [numForestSlots]*lsh.Forest
+	for slot := range forests {
+		forests[slot] = lsh.MustForest(opts.ForestTrees, opts.ForestHashes)
+	}
+	forests[forestSlotE] = lsh.MustForest(embedForestLayout(opts.EmbedBits))
+	return forests
+}
+
+// forestSigs is the placement rule of Section III-C, the one place it is
+// written: per forest slot, the signature p is indexed (and probed) under,
+// or nil where p stays out. Every attribute goes into I_N and I_F;
+// numeric attributes skip I_V and I_E, and attributes with no embeddable
+// content skip I_E. The embedding signature is expanded into *evals,
+// which is grown as needed and valid until the next call with it.
+func forestSigs(p *Profile, evals *[]uint32) [numForestSlots][]uint32 {
+	var sigs [numForestSlots][]uint32
+	sigs[forestSlotN], sigs[forestSlotF] = p.QSig, p.RSig
+	if !p.Numeric {
+		sigs[forestSlotV] = p.TSig
+		if !p.EZero {
+			*evals = p.ESig.HashValuesInto((*evals)[:0])
+			sigs[forestSlotE] = *evals
+		}
+	}
+	return sigs
+}
+
+// writeKeys inserts one attribute's keys into forests — or, with del,
+// deletes them — in slot order under the placement rule, touching only
+// the first slots slots. It stops at the first failure and returns the
+// slot it failed at (slots when none did), so that the same call with
+// !del and that count undoes exactly what was written.
+func writeKeys(forests *[numForestSlots]*lsh.Forest, attrID int, p *Profile, del bool, slots int, evals *[]uint32) (int, error) {
+	sigs := forestSigs(p, evals)
+	for slot := 0; slot < slots; slot++ {
+		var err error
+		switch {
+		case sigs[slot] == nil:
+		case del:
+			_, err = forests[slot].Delete(int32(attrID), sigs[slot])
+		default:
+			err = forests[slot].Insert(int32(attrID), sigs[slot])
+		}
+		if err != nil {
+			return slot, err
+		}
+	}
+	return slots, nil
 }
 
 // embedForestLayout derives a forest layout for the byte-wide hash
@@ -182,8 +228,10 @@ func embedForestLayout(embedBits int) (trees, hashes int) {
 	return trees, vals / trees
 }
 
-// Lake returns the indexed lake. Mutate it only through Engine.Add and
-// Engine.Remove once queries may be running concurrently.
+// Lake returns the indexed lake. Once queries may be running
+// concurrently, change it only through Engine.Add, Update and Remove,
+// and read it through the locked accessors (LakeLen, HasTable,
+// TableNameByID, TableNames).
 func (e *Engine) Lake() *table.Lake { return e.lake }
 
 // NumAttributes reports the number of indexed attributes, including
@@ -249,7 +297,10 @@ func (e *Engine) IndexSpaceBytes() int64 {
 
 // indexSpaceBytes is IndexSpaceBytes for callers holding e.mu.
 func (e *Engine) indexSpaceBytes() int64 {
-	total := e.forestN.SpaceBytes() + e.forestV.SpaceBytes() + e.forestF.SpaceBytes() + e.forestE.SpaceBytes()
+	var total int64
+	for _, f := range e.forests {
+		total += f.SpaceBytes()
+	}
 	for i := range e.profiles {
 		total += e.profiles[i].SpaceBytes()
 	}

@@ -5,7 +5,7 @@ import "hash/fnv"
 // This file implements the engine fingerprint: a cheap 64-bit value
 // that identifies the state of one engine instance. Serving layers
 // key result caches by it: within a single engine's lifetime, every
-// mutation (Add, Remove, Compact) moves the fingerprint, so a cache
+// mutation (Add, Update, Remove, Compact) moves the fingerprint, so a cache
 // keyed this way can never replay a pre-mutation answer as a
 // post-mutation one. The base hashes identity, not cell contents —
 // distinct engines built from different data can collide — so caches
@@ -59,7 +59,7 @@ func splitmix64(x uint64) uint64 {
 
 // Fingerprint returns the engine's current state fingerprint. It is
 // stable across calls while no mutation lands and changes after every
-// Add, Remove or Compact, which makes it a correct cache version: any
+// Add, Update, Remove or Compact, which makes it a correct cache version: any
 // result computed at fingerprint F may be replayed for an identical
 // query observed at the same F.
 //

@@ -17,7 +17,7 @@ func (e *Engine) VCandidates(attrID int, budget int) []int {
 	if p.Numeric || p.TSize == 0 {
 		return nil
 	}
-	ids, err := e.forestV.Query(p.TSig, budget)
+	ids, err := e.forests[forestSlotV].Query(p.TSig, budget)
 	if err != nil {
 		return nil
 	}

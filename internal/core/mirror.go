@@ -30,16 +30,7 @@ func (e *Engine) MirrorAdd(name string, numCols int) (int, error) {
 		return 0, fmt.Errorf("%w: %q is live locally as table %d", table.ErrDuplicateName, name, tid)
 	}
 	tid := e.lake.Reserve(name)
-	attrs := make([]int, 0, numCols)
-	for j := 0; j < numCols; j++ {
-		attrID := len(e.profiles)
-		e.profiles = append(e.profiles, Profile{
-			Ref:   AttrRef{TableID: tid, Column: j},
-			EZero: true,
-		})
-		attrs = append(attrs, attrID)
-	}
-	e.byTable = append(e.byTable, attrs)
+	e.byTable = append(e.byTable, e.appendStubs(tid, numCols))
 	e.subjects = append(e.subjects, -1)
 	e.alive = append(e.alive, false)
 	e.bumpVersion()
@@ -63,14 +54,18 @@ func (e *Engine) MirrorUpdate(tid, numFresh int) error {
 	if e.alive[tid] {
 		return fmt.Errorf("core: MirrorUpdate of table %d, which is live on this shard", tid)
 	}
-	for j := 0; j < numFresh; j++ {
-		attrID := len(e.profiles)
-		e.profiles = append(e.profiles, Profile{
-			Ref:   AttrRef{TableID: tid, Column: j},
-			EZero: true,
-		})
-		e.byTable[tid] = append(e.byTable[tid], attrID)
-	}
+	e.byTable[tid] = append(e.byTable[tid], e.appendStubs(tid, numFresh)...)
 	e.bumpVersion()
 	return nil
+}
+
+// appendStubs appends n dead attribute slots of table tid, columns 0 to
+// n-1, and returns their ids. Caller holds e.mu in write mode.
+func (e *Engine) appendStubs(tid, n int) []int {
+	attrs := make([]int, n)
+	for j := range attrs {
+		attrs[j] = len(e.profiles)
+		e.profiles = append(e.profiles, Profile{Ref: AttrRef{TableID: tid, Column: j}}.stub())
+	}
+	return attrs
 }

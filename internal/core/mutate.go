@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"d3l/internal/lsh"
 	"d3l/internal/table"
 )
 
@@ -28,7 +27,8 @@ func (e *Engine) Add(t *table.Table) (int, error) {
 // AddProfiled is the locked splice half of Add: callers that must
 // keep profiling outside their own locks (the public d3l engine does)
 // profile via ProfileTarget first and hand the result in. profiles
-// must come from this engine's profiler for exactly t.
+// must come from this engine's profiler for exactly t. A failed Add
+// leaves the engine as it was, its next table id included.
 func (e *Engine) AddProfiled(t *table.Table, profiles []Profile) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("core: nil table")
@@ -38,68 +38,97 @@ func (e *Engine) AddProfiled(t *table.Table, profiles []Profile) (int, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tid, err := e.lake.Add(t)
+	// Lake ids and the engine's per-table slices grow in lockstep:
+	// BuildEngine covers every lake table and Remove tombstones slots
+	// instead of compacting, so the lake's next id is len(e.byTable).
+	tid, subject := len(e.byTable), -1
+	attrs := make([]int, len(profiles))
+	for i := range profiles {
+		profiles[i].Ref.TableID = tid
+		attrs[i] = len(e.profiles) + i
+		if profiles[i].Subject {
+			subject = attrs[i]
+		}
+	}
+	err := e.splice(profiles, nil, func() error {
+		if _, err := e.lake.Add(t); err != nil {
+			return err
+		}
+		e.byTable = append(e.byTable, attrs)
+		e.subjects = append(e.subjects, subject)
+		e.alive = append(e.alive, true)
+		return nil
+	})
 	if err != nil {
 		return 0, err
 	}
-	// Lake ids and the engine's per-table slices grow in lockstep:
-	// BuildEngine covers every lake table and Remove tombstones slots
-	// instead of compacting, so tid == len(e.byTable) here.
-	e.byTable = append(e.byTable, nil)
-	e.subjects = append(e.subjects, -1)
-	e.alive = append(e.alive, true)
-	preAttrs := len(e.profiles)
-	for i := range profiles {
-		profiles[i].Ref.TableID = tid
-		attrID := len(e.profiles)
-		e.profiles = append(e.profiles, profiles[i])
-		e.byTable[tid] = append(e.byTable[tid], attrID)
-		if profiles[i].Subject {
-			e.subjects[tid] = attrID
-		}
-		if err := e.insertForests(attrID, &e.profiles[attrID]); err != nil {
-			// Roll back to a clean tombstone: un-splice everything this
-			// table put into the forests (deleteForests tolerates keys
-			// the failed insert never wrote), drop the tail profiles,
-			// and free the name — a failed Add must not leave a
-			// half-discoverable table behind.
-			for _, aid := range e.byTable[tid] {
-				e.deleteForests(aid, &e.profiles[aid])
-			}
-			e.profiles = e.profiles[:preAttrs]
-			e.byTable[tid] = nil
-			e.subjects[tid] = -1
-			e.alive[tid] = false
-			e.lake.Remove(t.Name)
-			return 0, err
-		}
-	}
-	e.bumpVersion()
 	return tid, nil
 }
 
-// deleteForests removes one attribute's keys from the four forests,
-// mirroring the insertForests placement rules. Missing keys are
-// tolerated (Delete reports not-found without error), which makes it
-// usable both for Remove and for rolling back a partial Add.
-func (e *Engine) deleteForests(attrID int, p *Profile) error {
-	if _, err := e.forestN.Delete(int32(attrID), p.QSig); err != nil {
-		return err
+// splice is the one write step of Add, Update and Remove. The fresh
+// profiles enter the four forests under the ids they are about to get
+// (len(e.profiles)+i), then the keys of the attributes in drop leave.
+// Only when every forest write has succeeded does commit land the
+// mutation's own table state (its lake entry and per-table slots); it
+// may refuse, as the lake refuses a duplicate name, but only before it
+// changes anything. Then the fresh profiles join the store, the dropped
+// ones shrink to stubs, and the version moves.
+//
+// A failed forest write or a refused commit undoes every key written so
+// far, the failing attribute's included, and returns the error: the
+// engine is left exactly as it was. Inserts come before deletes so that
+// this undo is exact — deleting an inserted key restores the tree byte
+// for byte, where re-inserting a deleted one need not put it back at
+// its old place among equal keys. The order does not change what a
+// successful splice leaves: an insert lands at the head of its run of
+// equal keys whatever was deleted around it. An undo cannot fail: it
+// writes only keys whose signatures the forests just accepted.
+//
+// Caller holds e.mu in write mode.
+func (e *Engine) splice(fresh []Profile, drop []int, commit func() error) error {
+	base := len(e.profiles)
+	var evals []uint32
+	// Step k writes fresh[k]'s keys, or past the fresh profiles deletes
+	// drop[k-len(fresh)]'s; with undo it reverses its first slots slots.
+	step := func(k int, undo bool, slots int) (int, error) {
+		if k < len(fresh) {
+			return writeKeys(&e.forests, base+k, &fresh[k], undo, slots, &evals)
+		}
+		attrID := drop[k-len(fresh)]
+		return writeKeys(&e.forests, attrID, &e.profiles[attrID], !undo, slots, &evals)
 	}
-	if _, err := e.forestF.Delete(int32(attrID), p.RSig); err != nil {
-		return err
+	rollback := func(k, slots int) {
+		for ; k >= 0; k, slots = k-1, numForestSlots {
+			_, _ = step(k, true, slots) // cannot fail: see above
+		}
 	}
-	if !p.Numeric {
-		if _, err := e.forestV.Delete(int32(attrID), p.TSig); err != nil {
+	steps := len(fresh) + len(drop)
+	for k := 0; k < steps; k++ {
+		if done, err := step(k, false, numForestSlots); err != nil {
+			rollback(k, done)
 			return err
 		}
-		if !p.EZero {
-			if _, err := e.forestE.Delete(int32(attrID), p.ESig.HashValues()); err != nil {
-				return err
-			}
-		}
 	}
+	if err := commit(); err != nil {
+		rollback(steps-1, numForestSlots)
+		return err
+	}
+	e.profiles = append(e.profiles, fresh...)
+	for _, attrID := range drop {
+		// An in-place write under the write lock — see the Profile
+		// method doc for the pointer-retention rule it imposes.
+		e.profiles[attrID] = e.profiles[attrID].stub()
+	}
+	e.bumpVersion()
 	return nil
+}
+
+// stub is p reduced to the metadata a dead attribute keeps: no
+// signatures and no extent, so Add/Remove churn does not accumulate dead
+// payloads. Its forest keys are gone (or never existed), so it can never
+// surface as a candidate, and the join builders skip dead tables.
+func (p Profile) stub() Profile {
+	return Profile{Ref: p.Ref, Name: p.Name, Numeric: p.Numeric, Subject: p.Subject, EZero: true}
 }
 
 // Compact rebuilds the four forests from live attributes only,
@@ -119,29 +148,11 @@ func (e *Engine) deleteForests(attrID int, p *Profile) error {
 func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fN := lsh.MustForest(e.opts.ForestTrees, e.opts.ForestHashes)
-	fV := lsh.MustForest(e.opts.ForestTrees, e.opts.ForestHashes)
-	fF := lsh.MustForest(e.opts.ForestTrees, e.opts.ForestHashes)
-	eTrees, eHashes := embedForestLayout(e.opts.EmbedBits)
-	fE := lsh.MustForest(eTrees, eHashes)
-	// Live attributes re-enter in (table id, attribute id) order — the
-	// BuildEngine order — so Index produces the same sorted arrays a
-	// fresh build would.
-	for tid := range e.byTable {
-		if !e.alive[tid] {
-			continue
-		}
-		for _, attrID := range e.byTable[tid] {
-			if err := insertInto(fN, fV, fF, fE, attrID, &e.profiles[attrID]); err != nil {
-				return err
-			}
-		}
+	forests, err := e.indexLive()
+	if err != nil {
+		return err
 	}
-	fN.Index()
-	fV.Index()
-	fF.Index()
-	fE.Index()
-	e.forestN, e.forestV, e.forestF, e.forestE = fN, fV, fF, fE
+	e.forests = forests
 	e.bumpVersion()
 	return nil
 }
@@ -161,26 +172,9 @@ func (e *Engine) Remove(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, name)
 	}
-	for _, attrID := range e.byTable[tid] {
-		p := &e.profiles[attrID]
-		if err := e.deleteForests(attrID, p); err != nil {
-			return err
-		}
-		// Release the signature and extent payload: the attribute can
-		// never surface as a candidate again (its forest keys are
-		// gone), and the join builders skip dead tables. This is an
-		// in-place write under the write lock — see the Profile method
-		// doc for the pointer-retention rule it imposes.
-		e.profiles[attrID] = Profile{
-			Ref:     p.Ref,
-			Name:    p.Name,
-			Numeric: p.Numeric,
-			Subject: p.Subject,
-			EZero:   true,
-		}
-	}
-	e.alive[tid] = false
-	e.lake.Remove(name)
-	e.bumpVersion()
-	return nil
+	return e.splice(nil, e.byTable[tid], func() error {
+		e.lake.Remove(name)
+		e.alive[tid] = false
+		return nil
+	})
 }

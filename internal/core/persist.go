@@ -48,10 +48,9 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	enc.End()
 
 	fb := enc.Begin(persist.SecForests)
-	e.forestN.Encode(fb)
-	e.forestV.Encode(fb)
-	e.forestF.Encode(fb)
-	e.forestE.Encode(fb)
+	for _, f := range e.forests {
+		f.Encode(fb)
+	}
 	enc.End()
 	return nil
 }
@@ -89,7 +88,7 @@ func (e *Engine) snapshotSizeBound() int {
 	// subject attribute and the liveness byte.
 	n += 4 + len(e.profiles)*profileFixedEnc
 	n += 4 + len(e.byTable)*minTableEnc + 8*len(e.profiles)
-	for _, f := range [...]*lsh.Forest{e.forestN, e.forestV, e.forestF, e.forestE} {
+	for _, f := range e.forests {
 		n += forestFixedEnc + f.NumTrees()*treeFixedEnc
 	}
 	return n
@@ -164,29 +163,20 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	forests := make([]*lsh.Forest, 4)
-	for i := range forests {
-		if forests[i], err = lsh.DecodeForest(rf); err != nil {
+	for i, want := range newForests(opts) {
+		f, err := lsh.DecodeForest(rf)
+		if err != nil {
 			return nil, fmt.Errorf("core: snapshot forest %d: %w", i, err)
 		}
-		if err := forests[i].CheckIDs(int32(len(e.profiles))); err != nil {
+		if err := f.CheckIDs(int32(len(e.profiles))); err != nil {
 			return nil, fmt.Errorf("%w: forest %d: %v", persist.ErrCorrupt, i, err)
 		}
-	}
-	eTrees, eHashes := embedForestLayout(opts.EmbedBits)
-	layouts := [4][2]int{
-		{opts.ForestTrees, opts.ForestHashes},
-		{opts.ForestTrees, opts.ForestHashes},
-		{opts.ForestTrees, opts.ForestHashes},
-		{eTrees, eHashes},
-	}
-	for i, f := range forests {
-		if f.NumTrees() != layouts[i][0] || f.HashesPerTree() != layouts[i][1] {
+		if f.NumTrees() != want.NumTrees() || f.HashesPerTree() != want.HashesPerTree() {
 			return nil, fmt.Errorf("%w: forest %d layout %dx%d, options demand %dx%d",
-				persist.ErrCorrupt, i, f.NumTrees(), f.HashesPerTree(), layouts[i][0], layouts[i][1])
+				persist.ErrCorrupt, i, f.NumTrees(), f.HashesPerTree(), want.NumTrees(), want.HashesPerTree())
 		}
+		e.forests[i] = f
 	}
-	e.forestN, e.forestV, e.forestF, e.forestE = forests[0], forests[1], forests[2], forests[3]
 	e.fpBase = e.fingerprintBase()
 	return e, nil
 }

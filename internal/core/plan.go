@@ -56,16 +56,6 @@ const plannerMargin = 1e-9
 // from earlier engine fingerprints age out through the same LRU.
 const planCacheCapacity = 256
 
-// Forest slots of a target column's probe table, one per LSH index of
-// Algorithm 1.
-const (
-	forestSlotN = iota
-	forestSlotV
-	forestSlotF
-	forestSlotE
-	numForestSlots
-)
-
 // evidenceCostRank orders evidence types by evaluation cost, the
 // static cost model behind the cascade: name and format evidence come
 // from short signature comparisons, embedding from bit signatures,

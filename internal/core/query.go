@@ -305,25 +305,17 @@ type forestProbe struct {
 
 // probeTable decides, for one target column under the resolved evidence
 // mask, which of the four indexes of Algorithm 1 are probed with which
-// signature: name and format always (unless masked), value only for
-// non-numeric columns, embedding only when the column has a non-zero
-// vector. Every engine derives the same table from the same profile, so
-// the shards of a set agree on it without talking. The embedding
-// signature is expanded into ws.evals, valid until the next call.
+// signature: those the column would be indexed in (forestSigs), less the
+// masked ones. Every engine derives the same table from the same
+// profile, so the shards of a set agree on it without talking. The
+// embedding signature is expanded into ws.evals, valid until the next
+// call.
 func (e *Engine) probeTable(tp *Profile, disabled *[NumEvidence]bool, ws *workerScratch) [numForestSlots]forestProbe {
 	var pt [numForestSlots]forestProbe
-	if !disabled[EvidenceName] {
-		pt[forestSlotN] = forestProbe{e.forestN, tp.QSig}
-	}
-	if !disabled[EvidenceValue] && !tp.Numeric {
-		pt[forestSlotV] = forestProbe{e.forestV, tp.TSig}
-	}
-	if !disabled[EvidenceFormat] {
-		pt[forestSlotF] = forestProbe{e.forestF, tp.RSig}
-	}
-	if !disabled[EvidenceEmbedding] && !tp.EZero {
-		ws.evals = tp.ESig.HashValuesInto(ws.evals[:0])
-		pt[forestSlotE] = forestProbe{e.forestE, ws.evals}
+	for slot, sig := range forestSigs(tp, &ws.evals) {
+		if sig != nil && !disabled[slotEvidence[slot]] {
+			pt[slot] = forestProbe{e.forests[slot], sig}
+		}
 	}
 	return pt
 }

@@ -12,9 +12,8 @@ import (
 // the stored table; a column whose name, type and extent are identical
 // keeps its attribute id, its profile and its forest keys untouched
 // (only its column position and subject flag may move). Changed, added
-// and dropped columns go through the same delete/insert machinery as
-// Remove and AddProfiled, under one write-lock critical section with
-// the same all-or-nothing rollback discipline.
+// and dropped columns go through the splice Add and Remove use, so an
+// Update is all-or-nothing as they are.
 
 // UpdateStats reports what one Update actually did. Reprofiled is the
 // delta the serving layer's update_delta_cols counter accumulates: the
@@ -27,18 +26,6 @@ type UpdateStats struct {
 	Kept       int // columns that kept attribute id, profile and forest keys
 	Added      int // incoming column names the stored table did not have
 	Dropped    int // stored column names the incoming table no longer has
-}
-
-// UpdatePlan carries the pre-computed half of an Update: the incoming
-// table, fresh profiles for every column the diff flagged as changed,
-// and the subject classification. Build one with PlanUpdate (no write
-// lock held), apply it with UpdateProfiled. A plan is single-use and
-// tied to the engine that produced it.
-type UpdatePlan struct {
-	table      *table.Table
-	profiles   []Profile // per incoming column; valid iff profiled[i]
-	profiled   []bool
-	subjectIdx int
 }
 
 // columnUnchanged reports whether a stored column and an incoming
@@ -108,16 +95,23 @@ func (e *Engine) diffColumnsLocked(tid int, t *table.Table) []int {
 	return keep
 }
 
-// PlanUpdate diffs t against the stored table of the same name (read
-// lock only) and profiles the columns that changed — the expensive
-// part, run with no lock held so queries keep flowing. The stored
-// table may change between PlanUpdate and UpdateProfiled; the apply
-// step re-diffs under the write lock, so a stale plan costs at most
-// some wasted or extra profiling, never a wrong index.
-func (e *Engine) PlanUpdate(t *table.Table) (*UpdatePlan, error) {
+// Update re-indexes t in place: unchanged columns keep their attribute
+// ids and forest keys, changed ones are re-profiled and re-spliced,
+// and the table keeps its id. It diffs t against the stored table of
+// the same name under the read lock and profiles the changed columns
+// with no lock held — the expensive part, so queries keep flowing.
+// Then, under the write lock, it diffs again (a mutation may have
+// landed in between), profiles any column the fresh diff adds, and
+// splices: a stale first diff costs at most some wasted or extra
+// profiling, never a wrong index, because a profile is a function of
+// the incoming column alone. Callers that must not interleave with
+// other mutations (the public d3l engine) serialise Update under their
+// own mutation lock. A failed Update leaves the engine as it was.
+func (e *Engine) Update(t *table.Table) (UpdateStats, error) {
 	if t == nil {
-		return nil, fmt.Errorf("core: nil table")
+		return UpdateStats{}, fmt.Errorf("core: nil table")
 	}
+	notFound := fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, t.Name)
 	e.mu.RLock()
 	tid, ok := e.lake.IDByName(t.Name)
 	var keep []int
@@ -126,181 +120,81 @@ func (e *Engine) PlanUpdate(t *table.Table) (*UpdatePlan, error) {
 	}
 	e.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, t.Name)
+		return UpdateStats{}, notFound
 	}
-	plan := &UpdatePlan{
-		table:      t,
-		profiles:   make([]Profile, t.Arity()),
-		profiled:   make([]bool, t.Arity()),
-		subjectIdx: e.classifier.SubjectIndex(t),
-	}
+	profiles := make([]Profile, t.Arity())
+	profiled := make([]bool, t.Arity())
 	var scratch profileScratch
-	for j, col := range t.Columns {
-		if keep[j] >= 0 {
-			continue
-		}
-		plan.profiles[j] = e.prof.profileColumn(AttrRef{TableID: tid, Column: j}, col, &scratch)
-		plan.profiled[j] = true
-	}
-	return plan, nil
-}
-
-// Update re-indexes t in place: unchanged columns keep their attribute
-// ids and forest keys, changed ones are re-profiled and re-spliced,
-// and the table keeps its id. It is PlanUpdate followed by
-// UpdateProfiled — profiling happens between the read and write
-// critical sections, so queries are blocked only for the splice.
-// Callers that must not interleave with other mutations (the public
-// d3l engine) serialise the pair under their own mutation lock.
-func (e *Engine) Update(t *table.Table) (UpdateStats, error) {
-	plan, err := e.PlanUpdate(t)
-	if err != nil {
-		return UpdateStats{}, err
-	}
-	return e.UpdateProfiled(plan)
-}
-
-// UpdateProfiled applies an UpdatePlan under the write lock. The diff
-// is recomputed against the current stored table (a mutation may have
-// landed since PlanUpdate); columns the fresh diff flags as changed
-// but the plan did not pre-profile are profiled here, inside the lock
-// — correctness never depends on the plan being current, because a
-// profile is a function of the incoming column alone.
-//
-// The splice is all-or-nothing, like AddProfiled: old attributes of
-// changed and dropped columns are un-spliced and new profiles appended
-// and inserted; any forest failure restores every profile, key and
-// bookkeeping entry before returning, so a failed Update leaves the
-// engine answering queries exactly as before.
-func (e *Engine) UpdateProfiled(plan *UpdatePlan) (UpdateStats, error) {
-	if plan == nil || plan.table == nil {
-		return UpdateStats{}, fmt.Errorf("core: nil update plan")
-	}
-	t := plan.table
-	for j := range plan.profiles {
-		if plan.profiled[j] {
-			assertSortedExtent(&plan.profiles[j], "UpdateProfiled")
+	profileChanged := func() {
+		for j, col := range t.Columns {
+			if keep[j] < 0 && !profiled[j] {
+				profiles[j] = e.prof.profileColumn(AttrRef{}, col, &scratch)
+				profiled[j] = true
+			}
 		}
 	}
+	profileChanged()
+	subjectIdx := e.classifier.SubjectIndex(t)
+
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tid, ok := e.lake.IDByName(t.Name)
-	if !ok {
-		return UpdateStats{}, fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, t.Name)
+	if tid, ok = e.lake.IDByName(t.Name); !ok {
+		return UpdateStats{}, notFound
 	}
-	keep := e.diffColumnsLocked(tid, t)
-	var scratch *profileScratch
-	for j, col := range t.Columns {
-		if keep[j] >= 0 || plan.profiled[j] {
-			continue
-		}
-		if scratch == nil {
-			scratch = &profileScratch{}
-		}
-		plan.profiles[j] = e.prof.profileColumn(AttrRef{TableID: tid, Column: j}, col, scratch)
-		plan.profiled[j] = true
-	}
+	keep = e.diffColumnsLocked(tid, t)
+	profileChanged()
 
-	kept := make(map[int]bool, len(keep))
-	for _, aid := range keep {
-		if aid >= 0 {
-			kept[aid] = true
+	// The table's attribute list afterwards: kept ids, and for every
+	// other column the id its fresh profile is about to get.
+	attrs := make([]int, t.Arity())
+	var fresh []Profile
+	for j, attrID := range keep {
+		if attrID < 0 {
+			attrID = len(e.profiles) + len(fresh)
+			p := profiles[j]
+			p.Ref = AttrRef{TableID: tid, Column: j}
+			p.Subject = j == subjectIdx
+			fresh = append(fresh, p)
 		}
+		attrs[j] = attrID
+	}
+	kept := make(map[int]bool, len(keep))
+	for _, attrID := range keep {
+		kept[attrID] = true
 	}
 	oldAttrs := e.byTable[tid]
 	var drop []int // old attribute ids losing their index entries
-	for _, aid := range oldAttrs {
-		if !kept[aid] {
-			drop = append(drop, aid)
+	for _, attrID := range oldAttrs {
+		if !kept[attrID] {
+			drop = append(drop, attrID)
 		}
 	}
-
-	// Un-splice the dropped attributes, remembering their profiles so a
-	// later failure can restore them. deleteForests errors only on a
-	// signature-shape mismatch — a programming error, but roll back the
-	// fully-deleted attributes anyway rather than leave a torn index.
-	saved := make([]Profile, len(drop))
-	for i, aid := range drop {
-		saved[i] = e.profiles[aid]
-		if err := e.deleteForests(aid, &e.profiles[aid]); err != nil {
-			for k := 0; k < i; k++ {
-				e.insertForests(drop[k], &saved[k])
+	err := e.splice(fresh, drop, func() error {
+		e.lake.Replace(t)
+		// Kept profiles move with their columns: in-place writes under
+		// the write lock — see the Profile method doc for the
+		// pointer-retention rule this relies on.
+		for j, attrID := range keep {
+			if attrID >= 0 {
+				e.profiles[attrID].Ref.Column = j
+				e.profiles[attrID].Subject = j == subjectIdx
 			}
-			return UpdateStats{}, err
 		}
+		e.byTable[tid] = attrs
+		e.subjects[tid] = -1
+		if subjectIdx >= 0 {
+			e.subjects[tid] = attrs[subjectIdx]
+		}
+		return nil
+	})
+	if err != nil {
+		return UpdateStats{}, err
 	}
 
-	// Append and splice the fresh profiles. On failure, unwind: delete
-	// the keys this loop inserted, truncate the profile tail, and
-	// re-splice the dropped attributes from their saved profiles.
-	preAttrs := len(e.profiles)
-	newAttr := make([]int, t.Arity())
-	for j := range t.Columns {
-		if keep[j] >= 0 {
-			newAttr[j] = keep[j]
-			continue
-		}
-		p := plan.profiles[j]
-		p.Ref = AttrRef{TableID: tid, Column: j}
-		p.Subject = j == plan.subjectIdx
-		attrID := len(e.profiles)
-		e.profiles = append(e.profiles, p)
-		newAttr[j] = attrID
-		if err := e.insertForests(attrID, &e.profiles[attrID]); err != nil {
-			for aid := preAttrs; aid < attrID; aid++ {
-				e.deleteForests(aid, &e.profiles[aid])
-			}
-			e.profiles = e.profiles[:preAttrs]
-			for i, aid := range drop {
-				e.profiles[aid] = saved[i]
-				e.insertForests(aid, &saved[i])
-			}
-			return UpdateStats{}, err
-		}
-	}
-
-	// Point of no return: every forest write succeeded. Tombstone the
-	// dropped profiles to metadata stubs (as Remove does, so churn does
-	// not accumulate dead signatures), refresh the kept profiles'
-	// position-dependent fields, and commit the bookkeeping.
-	for _, aid := range drop {
-		p := &e.profiles[aid]
-		e.profiles[aid] = Profile{
-			Ref:     p.Ref,
-			Name:    p.Name,
-			Numeric: p.Numeric,
-			Subject: p.Subject,
-			EZero:   true,
-		}
-	}
-	e.subjects[tid] = -1
-	for j := range t.Columns {
-		aid := newAttr[j]
-		if keep[j] >= 0 {
-			// In-place write under the write lock — see the Profile
-			// method doc for the pointer-retention rule this relies on.
-			e.profiles[aid].Ref.Column = j
-			e.profiles[aid].Subject = j == plan.subjectIdx
-		}
-		if j == plan.subjectIdx {
-			e.subjects[tid] = aid
-		}
-	}
-	e.byTable[tid] = newAttr
-	e.lake.Replace(t)
-	e.bumpVersion()
-
-	stats := UpdateStats{TableID: tid}
-	for j := range keep {
-		if keep[j] >= 0 {
-			stats.Kept++
-		} else {
-			stats.Reprofiled++
-		}
-	}
+	stats := UpdateStats{TableID: tid, Reprofiled: len(fresh), Kept: t.Arity() - len(fresh)}
 	oldNames := make(map[string]struct{}, len(oldAttrs))
-	for _, aid := range oldAttrs {
-		oldNames[e.profiles[aid].Name] = struct{}{}
+	for _, attrID := range oldAttrs {
+		oldNames[e.profiles[attrID].Name] = struct{}{}
 	}
 	newNames := make(map[string]struct{}, t.Arity())
 	for _, c := range t.Columns {

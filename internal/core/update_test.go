@@ -185,8 +185,12 @@ func TestUpdateUnknownTable(t *testing.T) {
 	if _, err := e.Update(mustTable(t, "nope", []string{"a"}, [][]string{{"1"}})); !errors.Is(err, ErrTableNotFound) {
 		t.Fatalf("err = %v, want ErrTableNotFound", err)
 	}
-	if _, err := e.PlanUpdate(mustTable(t, "nope", []string{"a"}, [][]string{{"1"}})); !errors.Is(err, ErrTableNotFound) {
-		t.Fatalf("PlanUpdate err = %v, want ErrTableNotFound", err)
+	// A removed table is unknown too: its slot stays, its name does not.
+	if err := e.Remove("S2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Update(mustTable(t, "S2", []string{"a"}, [][]string{{"1"}})); !errors.Is(err, ErrTableNotFound) {
+		t.Fatalf("Update of a removed table: err = %v, want ErrTableNotFound", err)
 	}
 }
 

@@ -106,14 +106,12 @@ func (e *Engine) PrepareShardTargets(tables []*Table) []*ShardTarget {
 // consumed (the engine keeps them, stamped with the table's id), so a
 // ShardTarget is added at most once.
 func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id, err := e.core.AddProfiled(t, profiled.profiles)
-	if err != nil {
-		return 0, err
-	}
-	e.invalidateGraph()
-	return id, nil
+	var id int
+	err := e.mutate(func() (err error) {
+		id, err = e.core.AddProfiled(t, profiled.profiles)
+		return err
+	})
+	return id, err
 }
 
 // ShardProbe runs the probe phase of one sharded query on this engine.
@@ -167,25 +165,17 @@ func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]Result
 // peer shard, keeping this engine's table and attribute id counters in
 // lockstep with the owner's (see core.Engine.MirrorAdd).
 func (e *Engine) MirrorAdd(name string, numCols int) (int, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	id, err := e.core.MirrorAdd(name, numCols)
-	if err != nil {
-		return 0, err
-	}
-	e.invalidateGraph()
-	return id, nil
+	var id int
+	err := e.mutate(func() (err error) {
+		id, err = e.core.MirrorAdd(name, numCols)
+		return err
+	})
+	return id, err
 }
 
 // MirrorUpdate appends dead attribute slots mirroring an in-place
 // Update applied on a peer shard; numFresh is the owner's
 // UpdateStats.Reprofiled.
 func (e *Engine) MirrorUpdate(tid, numFresh int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.core.MirrorUpdate(tid, numFresh); err != nil {
-		return err
-	}
-	e.invalidateGraph()
-	return nil
+	return e.mutate(func() error { return e.core.MirrorUpdate(tid, numFresh) })
 }

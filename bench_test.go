@@ -678,6 +678,117 @@ func BenchmarkIncrementalUpdate(b *testing.B) {
 	}
 }
 
+// mutateBench is the world BenchmarkMutateServingLake runs in, built
+// once a process: a monolithic engine over the serving benchmark's lake
+// (the paper's Synthetic at 1 000 derived tables, seed 1307) with
+// Parallelism 1, the 5-column, 64-row table the write cycle adds along
+// with its one-column update, and the next lake table update_base
+// rewrites (of the first tables ids, which the write cycle never
+// tombstones).
+var mutateBench struct {
+	once           sync.Once
+	err            error
+	engine         *d3l.Engine
+	added, updated *d3l.Table
+	tables, next   int
+}
+
+func mutateBenchSetup(b *testing.B) *d3l.Engine {
+	b.Helper()
+	w := &mutateBench
+	w.once.Do(func() {
+		cfg := datagen.DefaultSyntheticConfig()
+		cfg.Seed = 1307
+		lake, _, err := datagen.Synthetic(cfg)
+		if err != nil {
+			w.err = err
+			return
+		}
+		for id := 0; id < lake.Len() && w.added == nil; id++ {
+			if src := lake.Table(id); src.Arity() == 5 && src.Rows() >= 128 {
+				w.added, w.err = d3l.NewTable("mutate_scratch", src.ColumnNames(), rowsOf(src, 64, -1))
+				if w.err == nil {
+					w.updated, w.err = d3l.NewTable("mutate_scratch", src.ColumnNames(), rowsOf(src, 64, 0))
+				}
+			}
+		}
+		if w.err == nil && w.added == nil {
+			w.err = fmt.Errorf("no 5-column table of 128+ rows in the lake")
+		}
+		if w.err != nil {
+			return
+		}
+		opts := d3l.DefaultOptions()
+		opts.Parallelism = 1
+		w.tables = lake.Len()
+		w.engine, w.err = d3l.New(lake, opts)
+	})
+	if w.err != nil {
+		b.Fatal(w.err)
+	}
+	return w.engine
+}
+
+// rowsOf copies the first n rows of src; column changed (unless -1)
+// takes its values from the next n rows instead.
+func rowsOf(src *d3l.Table, n, changed int) [][]string {
+	rows := make([][]string, n)
+	for r := range rows {
+		rows[r] = make([]string, src.Arity())
+		for c, col := range src.Columns {
+			if c == changed {
+				rows[r][c] = col.Values[n+r]
+			} else {
+				rows[r][c] = col.Values[r]
+			}
+		}
+	}
+	return rows
+}
+
+// BenchmarkMutateServingLake is the write path at the scale the serving
+// benchmark writes at. "add_update_remove" is its write cycle, a new
+// 5-column table added, one column updated, removed: keys that only
+// ever live in the forests' deltas. "update_base" re-profiles one column
+// of the next lake table each iteration, so the keys it deletes are
+// built-in base entries and the folds they force are paid at their
+// amortised rate.
+func BenchmarkMutateServingLake(b *testing.B) {
+	engine := mutateBenchSetup(b)
+	b.Run("add_update_remove", func(b *testing.B) {
+		w := &mutateBench
+		for i := 0; i < b.N; i++ {
+			if _, err := engine.Add(w.added); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := engine.Update(w.updated); err != nil {
+				b.Fatal(err)
+			}
+			if err := engine.Remove(w.added.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("update_base", func(b *testing.B) {
+		w, lake := &mutateBench, engine.Lake()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			src := lake.Table(w.next % w.tables)
+			w.next++
+			rows := rowsOf(src, src.Rows(), -1)
+			rows[0][0] += fmt.Sprintf(" v%d", i)
+			t, err := d3l.NewTable(src.Name, src.ColumnNames(), rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := engine.Update(t); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // --- Coordinator path benchmark ---
 
 // remoteBench is the world BenchmarkRemoteQuery runs in, built once a

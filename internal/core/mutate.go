@@ -131,20 +131,18 @@ func (p Profile) stub() Profile {
 	return Profile{Ref: p.Ref, Name: p.Name, Numeric: p.Numeric, Subject: p.Subject, EZero: true}
 }
 
-// Compact rebuilds the four forests from live attributes only,
-// releasing the slack that incremental Insert/Delete churn accumulates
-// in the backing arrays. Remove splices tombstoned keys out of the
-// trees, but splicing truncates in place: capacity is never returned,
-// and a long-lived serving engine under Add/Remove traffic drifts away
-// from the tight layout a fresh build produces. Compact restores
-// exactly that layout — the rebuilt trees are byte-identical to those
-// of an engine built over the surviving tables (attribute ids
-// included), so queries are unaffected. Attribute and table ids remain
-// stable; tombstoned slots stay tombstoned.
+// Compact rebuilds the four forests from live attributes only: every
+// tree becomes one sorted base again, with no delta and no dead ids,
+// and without the capacity a delta keeps after its entries leave. The
+// rebuilt trees are byte-identical to those of an engine built over the
+// surviving tables (attribute ids included), so queries are unaffected.
+// Attribute and table ids remain stable; tombstoned slots stay
+// tombstoned.
 //
 // Snapshot writing needs no Compact first: tombstoned profiles are
-// metadata-only stubs and deleted keys are already out of the trees,
-// so snapshots do not grow with mutation churn either way.
+// metadata-only stubs and a forest encodes its merged form, deleted
+// keys left out, so snapshots do not grow with mutation churn either
+// way.
 func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -365,6 +365,25 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		}
 		refuse(fmt.Sprintf("bit flip at offset %d", i), mut, want)
 	}
+
+	// A checksum-valid snapshot whose I_N tree 0 is out of key order: two
+	// adjacent distinct keys swapped, then resealed.
+	mut := append([]byte(nil), data...)
+	off := 12
+	for binary.LittleEndian.Uint32(mut[off:]) != persist.SecForests {
+		off += 4 + 8 + int(binary.LittleEndian.Uint64(mut[off+4:]))
+	}
+	off += 4 + 8 + 4 + 4 + 8 + 1 // section header, then the forest's layout, count and flag
+	h := e.opts.ForestHashes
+	keys := mut[off+4 : off+4+int(binary.LittleEndian.Uint32(mut[off:]))]
+	i := 0
+	for bytes.Equal(keys[i*h:i*h+h], keys[i*h+h:i*h+2*h]) {
+		i++
+	}
+	a := append([]byte(nil), keys[i*h:i*h+h]...)
+	copy(keys[i*h:], keys[i*h+h:i*h+2*h])
+	copy(keys[i*h+h:], a)
+	refuse("an unsorted forest tree", reseal(mut), persist.ErrCorrupt)
 }
 
 // loadEngineFile is LoadEngine of a file decoded where it lies, as

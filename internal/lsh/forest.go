@@ -15,26 +15,51 @@ import (
 // size (the property D3L relies on; see Section II of the paper).
 //
 // The implementation follows the sorted-key variant: each tree keeps its
-// keys (one byte per hash value, hashesPerTree bytes per key) in a flat
-// sorted array, and prefix descent is binary search on progressively
+// keys (one byte per hash value, hashesPerTree bytes per key) in flat
+// sorted arrays, and prefix descent is binary search on progressively
 // shorter prefixes. This is the same layout the reference datasketch
 // implementation uses and costs O(l) words per indexed item.
+//
+// Once indexed, a tree is two sorted runs, the LSM-tree split (O'Neil et
+// al., Acta Informatica 1996): an immutable base — what Index sorted, a
+// snapshot loaded or the last fold merged — and a small delta that takes
+// every later Insert. Delete takes an entry out of the delta, or marks a
+// base entry's id in the forest's dead set. When the delta and the dead
+// set together outgrow max(foldMin, base/8) entries, fold merges them
+// into a new base in one linear pass per tree. A write therefore shifts
+// only the delta, and every probe sees exactly the entries that one
+// sorted array per tree would hold.
 //
 // Build with Add (any order), call Index once, then Query concurrently.
 type Forest struct {
 	numTrees      int
 	hashesPerTree int
 	trees         []forestTree
-	count         int
+	count         int // live items
 	indexed       bool
+	// dead holds the ids whose base entries Delete has retired. It never
+	// applies to the delta: Delete takes a delta entry out, and an id
+	// re-inserted after its base entries died is live in the delta.
+	dead idSet
 	// scratch recycles the probe scratch of QueryInto callers.
 	scratch sync.Pool
 }
 
-type forestTree struct {
-	keys []byte  // count * hashesPerTree bytes, sorted by entry after Index
-	ids  []int32 // parallel to keys (entry i covers keys[i*h:(i+1)*h])
+// run is one array of tree entries: entry i covers keys[i*h:(i+1)*h]
+// and ids[i].
+type run struct {
+	keys []byte
+	ids  []int32
 }
+
+type forestTree struct {
+	base  run // Add appends here; sorted by entry from Index on
+	delta run // sorted; the Inserts since the last fold
+}
+
+// foldMin is the fold threshold of a small forest: up to this many delta
+// entries and dead ids together, a write is cheaper than a new base.
+const foldMin = 64
 
 // NewForest creates a forest of numTrees prefix trees each consuming
 // hashesPerTree values from the signature; signatures passed to Add and
@@ -111,21 +136,22 @@ func (f *Forest) Add(id int32, sig []uint32) error {
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
 	for t := 0; t < f.numTrees; t++ {
-		tree := &f.trees[t]
+		b := &f.trees[t].base
 		f.keyInto(key, t, sig)
-		tree.keys = append(tree.keys, key...)
-		tree.ids = append(tree.ids, id)
+		b.keys = append(b.keys, key...)
+		b.ids = append(b.ids, id)
 	}
 	f.count++
 	return nil
 }
 
 // Insert adds an item to the forest at any point of its lifecycle.
-// Before Index it is equivalent to Add; after Index it splices the
-// entry into each tree's sorted array, so the forest stays queryable —
-// this is what makes incremental engine maintenance possible. An
-// insert is O(n) per tree (memmove), which is fine for the
-// one-table-at-a-time mutation rate of a data lake.
+// Before Index it is equivalent to Add; after Index it splices the entry
+// into each tree's delta at the head of its run of equal keys, so the
+// forest stays queryable — this is what makes incremental engine
+// maintenance possible. An id whose base entries are dead enters the
+// delta like any other: its dead base entries stay dead until the fold
+// drops them.
 func (f *Forest) Insert(id int32, sig []uint32) error {
 	if !f.indexed {
 		return f.Add(id, sig)
@@ -133,64 +159,135 @@ func (f *Forest) Insert(id int32, sig []uint32) error {
 	if len(sig) < f.MinSignatureLen() {
 		return fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
 	}
-	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
 	for t := 0; t < f.numTrees; t++ {
-		tree := &f.trees[t]
 		f.keyInto(key, t, sig)
-		n := len(tree.ids)
-		pos := sort.Search(n, func(i int) bool {
-			return bytes.Compare(tree.keys[i*h:i*h+h], key) >= 0
-		})
-		// Appending the key itself (rather than a fresh zero slice)
-		// extends the array by exactly h bytes without a temporary;
-		// the memmove below then shifts the tail into place, and for
-		// pos == n the appended bytes already are the entry.
-		tree.keys = append(tree.keys, key...)
-		copy(tree.keys[(pos+1)*h:], tree.keys[pos*h:n*h])
-		copy(tree.keys[pos*h:], key)
-		tree.ids = append(tree.ids, 0)
-		copy(tree.ids[pos+1:], tree.ids[pos:n])
-		tree.ids[pos] = id
+		f.trees[t].delta.insert(key, id)
 	}
 	f.count++
+	f.maybeFold()
 	return nil
+}
+
+// insert splices one entry into the sorted run at the head of its run of
+// equal keys.
+func (r *run) insert(key []byte, id int32) {
+	h, n := len(key), len(r.ids)
+	pos := sort.Search(n, func(i int) bool {
+		return bytes.Compare(r.keys[i*h:i*h+h], key) >= 0
+	})
+	// Appending the key itself (rather than a fresh zero slice) extends
+	// the array by exactly h bytes without a temporary; the memmove below
+	// then shifts the tail into place, and for pos == n the appended bytes
+	// already are the entry.
+	r.keys = append(r.keys, key...)
+	copy(r.keys[(pos+1)*h:], r.keys[pos*h:n*h])
+	copy(r.keys[pos*h:], key)
+	r.ids = append(r.ids, 0)
+	copy(r.ids[pos+1:], r.ids[pos:n])
+	r.ids[pos] = id
 }
 
 // Delete removes the entry with the given id from an indexed forest,
 // locating it by its signature (the same one it was inserted with).
 // It reports whether the item was found. Deleting from an un-indexed
-// forest is an error: the build phase has no removal semantics.
+// forest is an error: the build phase has no removal semantics, and
+// neither does a negative id. A delta entry leaves the delta; a base
+// entry stays where it is, its id marked dead, once one lookup has
+// confirmed that the base holds it.
 func (f *Forest) Delete(id int32, sig []uint32) (bool, error) {
 	if err := f.ready("Delete", sig); err != nil {
 		return false, err
+	}
+	if id < 0 {
+		return false, fmt.Errorf("lsh: Delete of negative id %d", id)
 	}
 	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
 	found := false
 	for t := 0; t < f.numTrees; t++ {
-		tree := &f.trees[t]
+		d := &f.trees[t].delta
 		f.keyInto(key, t, sig)
-		lo, hi := f.prefixRange(tree, key, h)
-		for i := lo; i < hi; i++ {
-			if tree.ids[i] != id {
-				continue
-			}
-			n := len(tree.ids)
-			copy(tree.keys[i*h:], tree.keys[(i+1)*h:n*h])
-			tree.keys = tree.keys[:(n-1)*h]
-			copy(tree.ids[i:], tree.ids[i+1:])
-			tree.ids = tree.ids[:n-1]
+		lo, hi := f.prefixRange(d, key, h)
+		if i := slices.Index(d.ids[lo:hi], id); i >= 0 {
+			i += lo
+			d.keys = slices.Delete(d.keys, i*h, i*h+h)
+			d.ids = slices.Delete(d.ids, i, i+1)
 			found = true
-			break
+		}
+	}
+	if !found && !f.dead.has(id) {
+		b := &f.trees[0].base
+		f.keyInto(key, 0, sig)
+		lo, hi := f.prefixRange(b, key, h)
+		if found = slices.Contains(b.ids[lo:hi], id); found {
+			f.dead.add(id)
 		}
 	}
 	if found {
 		f.count--
+		f.maybeFold()
 	}
 	return found, nil
+}
+
+// maybeFold folds once the delta and the dead set together pass
+// max(foldMin, base/8) entries: the delta stays a small fraction of a
+// tree, and the base's dead weight is paid back at an amortised rate.
+func (f *Forest) maybeFold() {
+	tree := &f.trees[0]
+	if len(tree.delta.ids)+f.dead.n > max(foldMin, len(tree.base.ids)/8) {
+		f.fold()
+	}
+}
+
+// fold makes every tree's merged form its new base, with an empty delta
+// and no dead ids.
+func (f *Forest) fold() {
+	for t := range f.trees {
+		f.trees[t] = forestTree{base: f.merged(&f.trees[t])}
+	}
+	f.dead.reset()
+}
+
+// merged returns tree's live entries as one sorted run: the base less its
+// dead ids, with the delta merged in ahead of equal base keys. That is
+// the array splicing every Insert into one sorted run per tree, at the
+// head of its run of equal keys, would have left. It only reads f.
+func (f *Forest) merged(tree *forestTree) run {
+	h := f.hashesPerTree
+	b, d := &tree.base, &tree.delta
+	out := run{keys: make([]byte, 0, f.count*h), ids: make([]int32, 0, f.count)}
+	i := 0
+	for j := range d.ids {
+		dk := d.keys[j*h : j*h+h]
+		next := i + sort.Search(len(b.ids)-i, func(k int) bool {
+			return bytes.Compare(b.keys[(i+k)*h:(i+k)*h+h], dk) >= 0
+		})
+		out = f.appendLive(out, b, i, next)
+		out.keys = append(out.keys, dk...)
+		out.ids = append(out.ids, d.ids[j])
+		i = next
+	}
+	return f.appendLive(out, b, i, len(b.ids))
+}
+
+// appendLive appends to dst the base entries [lo, hi) whose ids are not
+// dead, copying each stretch between dead entries in one go.
+func (f *Forest) appendLive(dst run, b *run, lo, hi int) run {
+	h := f.hashesPerTree
+	for lo < hi {
+		end := lo
+		for end < hi && !f.dead.has(b.ids[end]) {
+			end++
+		}
+		dst.keys = append(dst.keys, b.keys[lo*h:end*h]...)
+		dst.ids = append(dst.ids, b.ids[lo:end]...)
+		lo = end + 1 // past the dead entry, or past hi
+	}
+	return dst
 }
 
 // Index sorts the trees; it must be called once after the last Add and
@@ -201,37 +298,37 @@ func (f *Forest) Index() {
 	}
 	h := f.hashesPerTree
 	for t := range f.trees {
-		tree := &f.trees[t]
-		order := make([]int, len(tree.ids))
+		b := &f.trees[t].base
+		order := make([]int, len(b.ids))
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool {
-			ka := tree.keys[order[a]*h : order[a]*h+h]
-			kb := tree.keys[order[b]*h : order[b]*h+h]
-			return bytes.Compare(ka, kb) < 0
+		sort.Slice(order, func(x, y int) bool {
+			kx := b.keys[order[x]*h : order[x]*h+h]
+			ky := b.keys[order[y]*h : order[y]*h+h]
+			return bytes.Compare(kx, ky) < 0
 		})
-		keys := make([]byte, len(tree.keys))
-		ids := make([]int32, len(tree.ids))
+		keys := make([]byte, len(b.keys))
+		ids := make([]int32, len(b.ids))
 		for pos, idx := range order {
-			copy(keys[pos*h:], tree.keys[idx*h:idx*h+h])
-			ids[pos] = tree.ids[idx]
+			copy(keys[pos*h:], b.keys[idx*h:idx*h+h])
+			ids[pos] = b.ids[idx]
 		}
-		tree.keys, tree.ids = keys, ids
+		b.keys, b.ids = keys, ids
 	}
 	f.indexed = true
 }
 
-// prefixRange returns the half-open entry range of tree whose keys match
+// prefixRange returns the half-open entry range of r whose keys match
 // the first depth bytes of key.
-func (f *Forest) prefixRange(tree *forestTree, key []byte, depth int) (int, int) {
+func (f *Forest) prefixRange(r *run, key []byte, depth int) (int, int) {
 	h := f.hashesPerTree
-	n := len(tree.ids)
+	n := len(r.ids)
 	lo := sort.Search(n, func(i int) bool {
-		return bytes.Compare(tree.keys[i*h:i*h+depth], key[:depth]) >= 0
+		return bytes.Compare(r.keys[i*h:i*h+depth], key[:depth]) >= 0
 	})
 	hi := sort.Search(n, func(i int) bool {
-		return bytes.Compare(tree.keys[i*h:i*h+depth], key[:depth]) > 0
+		return bytes.Compare(r.keys[i*h:i*h+depth], key[:depth]) > 0
 	})
 	return lo, hi
 }
@@ -241,6 +338,9 @@ func (f *Forest) prefixRange(tree *forestTree, key []byte, depth int) (int, int)
 // candidates are gathered (or the prefix length reaches zero, which
 // bounds the scan to the whole forest). Candidates are deduplicated and
 // unranked: rank with exact signature comparison, as the engine does.
+// Each tree's base and delta ranges are merged in key order, delta
+// first among equal keys, so the ids come out in first-seen order over
+// the one sorted array per tree that merged describes.
 func (f *Forest) Query(sig []uint32, minResults int) ([]int32, error) {
 	if err := f.ready("Query", sig); err != nil {
 		return nil, err
@@ -248,17 +348,29 @@ func (f *Forest) Query(sig []uint32, minResults int) ([]int32, error) {
 	if minResults <= 0 {
 		minResults = 1
 	}
+	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
 	seen := make(map[int32]struct{})
 	var out []int32
-	for depth := f.hashesPerTree; depth >= 1; depth-- {
+	for depth := h; depth >= 1; depth-- {
 		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
+			b, d := &f.trees[t].base, &f.trees[t].delta
 			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
-			for i := lo; i < hi; i++ {
-				id := tree.ids[i]
+			lo, hi := f.prefixRange(b, key, depth)
+			dlo, dhi := f.prefixRange(d, key, depth)
+			for lo < hi || dlo < dhi {
+				var id int32
+				if dlo < dhi && (lo == hi || bytes.Compare(d.keys[dlo*h:dlo*h+h], b.keys[lo*h:lo*h+h]) <= 0) {
+					id = d.ids[dlo]
+					dlo++
+				} else {
+					id = b.ids[lo]
+					lo++
+					if f.dead.has(id) {
+						continue
+					}
+				}
 				if _, dup := seen[id]; !dup {
 					seen[id] = struct{}{}
 					out = append(out, id)
@@ -308,8 +420,14 @@ func (f *Forest) CollectMinDepth(sig []uint32, depth int, dst []int32) ([]int32,
 	for t := 0; t < f.numTrees; t++ {
 		f.keyInto(key, t, sig)
 		tree := &f.trees[t]
-		lo, hi := f.prefixRange(tree, key, depth)
-		dst = append(dst, tree.ids[lo:hi]...)
+		lo, hi := f.prefixRange(&tree.base, key, depth)
+		for _, id := range tree.base.ids[lo:hi] {
+			if !f.dead.has(id) {
+				dst = append(dst, id)
+			}
+		}
+		lo, hi = f.prefixRange(&tree.delta, key, depth)
+		dst = append(dst, tree.delta.ids[lo:hi]...)
 	}
 	return dst, nil
 }
@@ -342,11 +460,14 @@ func (s *DepthScratch) begin() {
 	s.touched = s.touched[:0]
 }
 
-// raise records that every id of one peeled run matched a prefix of
-// exactly the given depth in some tree.
-func (s *DepthScratch) raise(ids []int32, depth int) error {
+// raise records that every id of one peeled run that dead does not hold
+// matched a prefix of exactly the given depth in some tree.
+func (s *DepthScratch) raise(ids []int32, depth int, dead *idSet) error {
 	v := uint64(s.epoch)<<32 | uint64(depth)
 	for _, id := range ids {
+		if dead.has(id) {
+			continue
+		}
 		if id < 0 {
 			return fmt.Errorf("lsh: probe over negative id %d", id)
 		}
@@ -370,11 +491,10 @@ func (s *DepthScratch) depthOf(id int32) int { return int(uint32(s.deepest[id]))
 // walk is the one descent every self-tuning probe shares. An id is a
 // depth-d candidate iff some tree holds it under a key agreeing with
 // the query on at least d leading bytes, i.e. iff its deepest match over
-// all trees is >= d. So each tree's depth-1 range is visited once:
-// narrowing it byte by byte (the entries agreeing on d-1 bytes are
-// sorted by byte d) peels off the entries whose match is exactly d-1
-// deep, and every entry raises its id's deepest match. It leaves in s
-// the touched ids (tree by tree, in peel order) with their deepest
+// all trees is >= d. So each run's depth-1 range is visited once (see
+// peel) and every live entry raises its id's deepest match; a dead base
+// entry is skipped before it counts. It leaves in s the touched ids
+// (tree by tree, base before delta, in peel order) with their deepest
 // matches, and writes into counts (hashesPerTree long) the suffix sum of
 // the histogram of deepest matches: counts[d-1] = |{id : deepest(id) >=
 // d}|, the distinct candidate count at depth d — no per-depth collect,
@@ -387,22 +507,11 @@ func (f *Forest) walk(sig []uint32, s *DepthScratch, counts []int32) error {
 	for t := 0; t < f.numTrees; t++ {
 		tree := &f.trees[t]
 		f.keyInto(key, t, sig)
-		lo, hi := f.prefixRange(tree, key, 1)
-		// Invariant: entries [lo, hi) agree with key on depth bytes.
-		for depth := 1; lo < hi; depth++ {
-			nlo, nhi := hi, hi // at depth h every entry left is a full match: peel them all
-			if depth < h {
-				want := key[depth]
-				nlo = lo + sort.Search(hi-lo, func(i int) bool { return tree.keys[(lo+i)*h+depth] >= want })
-				nhi = nlo + sort.Search(hi-nlo, func(i int) bool { return tree.keys[(nlo+i)*h+depth] > want })
-			}
-			if err := s.raise(tree.ids[lo:nlo], depth); err != nil {
-				return err
-			}
-			if err := s.raise(tree.ids[nhi:hi], depth); err != nil {
-				return err
-			}
-			lo, hi = nlo, nhi
+		if err := f.peel(&tree.base, key, s, &f.dead); err != nil {
+			return err
+		}
+		if err := f.peel(&tree.delta, key, s, nil); err != nil {
+			return err
 		}
 	}
 	clear(counts)
@@ -411,6 +520,32 @@ func (f *Forest) walk(sig []uint32, s *DepthScratch, counts []int32) error {
 	}
 	for d := h - 1; d >= 1; d-- {
 		counts[d-1] += counts[d]
+	}
+	return nil
+}
+
+// peel visits r's depth-1 range once: narrowing it byte by byte (the
+// entries agreeing on d-1 bytes are sorted by byte d) peels off the
+// entries whose match is exactly d-1 deep, and every entry whose id dead
+// does not hold raises that id's deepest match.
+func (f *Forest) peel(r *run, key []byte, s *DepthScratch, dead *idSet) error {
+	h := f.hashesPerTree
+	lo, hi := f.prefixRange(r, key, 1)
+	// Invariant: entries [lo, hi) agree with key on depth bytes.
+	for depth := 1; lo < hi; depth++ {
+		nlo, nhi := hi, hi // at depth h every entry left is a full match: peel them all
+		if depth < h {
+			want := key[depth]
+			nlo = lo + sort.Search(hi-lo, func(i int) bool { return r.keys[(lo+i)*h+depth] >= want })
+			nhi = nlo + sort.Search(hi-nlo, func(i int) bool { return r.keys[(nlo+i)*h+depth] > want })
+		}
+		if err := s.raise(r.ids[lo:nlo], depth, dead); err != nil {
+			return err
+		}
+		if err := s.raise(r.ids[nhi:hi], depth, dead); err != nil {
+			return err
+		}
+		lo, hi = nlo, nhi
 	}
 	return nil
 }
@@ -490,11 +625,38 @@ func (f *Forest) DepthCounts(sig []uint32, s *DepthScratch) ([]int32, error) {
 }
 
 // SpaceBytes estimates the memory footprint of the index payload (keys
-// and id arrays), used by the Table II space-overhead experiment.
+// and id arrays), used by the Table II space-overhead experiment: the
+// size of the merged form Encode writes, count entries per tree.
 func (f *Forest) SpaceBytes() int64 {
-	var total int64
-	for t := range f.trees {
-		total += int64(len(f.trees[t].keys)) + 4*int64(len(f.trees[t].ids))
+	return int64(f.numTrees) * int64(f.count) * int64(f.hashesPerTree+4)
+}
+
+// idSet is a bitmap over non-negative ids, with its population count.
+// A nil *idSet holds no id: the delta's dead set.
+type idSet struct {
+	bits []uint64
+	n    int
+}
+
+func (s *idSet) has(id int32) bool {
+	if s == nil {
+		return false
 	}
-	return total
+	w := int(id >> 6)
+	return id >= 0 && w < len(s.bits) && s.bits[w]&(1<<(id&63)) != 0
+}
+
+// add inserts a non-negative id the set does not hold.
+func (s *idSet) add(id int32) {
+	w := int(id >> 6)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	s.bits[w] |= 1 << (id & 63)
+	s.n++
+}
+
+func (s *idSet) reset() {
+	clear(s.bits)
+	s.n = 0
 }

@@ -9,15 +9,16 @@ import (
 
 // depthSetReference is the per-depth collect the probes shipped with
 // before the one-walk rewrite, kept as the oracle: each tree's prefix
-// range at one depth, sorted and compacted. Obviously right.
+// range at one depth (of its merged run), sorted and compacted.
+// Obviously right.
 func depthSetReference(f *Forest, sig []uint32, depth int) []int32 {
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
 	var ids []int32
 	for t := 0; t < f.numTrees; t++ {
-		tree := &f.trees[t]
+		tree := f.merged(&f.trees[t])
 		f.keyInto(key, t, sig)
-		lo, hi := f.prefixRange(tree, key, depth)
+		lo, hi := f.prefixRange(&tree, key, depth)
 		ids = append(ids, tree.ids[lo:hi]...)
 	}
 	slices.Sort(ids)

@@ -11,8 +11,9 @@ import (
 // with before the one-walk probe, kept as the oracle: from the longest
 // prefix down, re-collect every tree's prefix range at that depth, sort,
 // compact, and stop at the first depth whose distinct count meets the
-// budget (or at depth 1). It returns the sorted candidate set and the
-// stop depth.
+// budget (or at depth 1). It reads each tree's merged run, so it sees a
+// base + delta forest as the one sorted array it stands for. It returns
+// the sorted candidate set and the stop depth.
 func queryIntoReference(f *Forest, sig []uint32, minResults int) ([]int32, int, error) {
 	if err := f.ready("Query", sig); err != nil {
 		return nil, 0, err
@@ -26,9 +27,9 @@ func queryIntoReference(f *Forest, sig []uint32, minResults int) ([]int32, int, 
 	for depth := f.hashesPerTree; ; depth-- {
 		region = region[:0]
 		for t := 0; t < f.numTrees; t++ {
-			tree := &f.trees[t]
+			tree := f.merged(&f.trees[t])
 			f.keyInto(key, t, sig)
-			lo, hi := f.prefixRange(tree, key, depth)
+			lo, hi := f.prefixRange(&tree, key, depth)
 			region = append(region, tree.ids[lo:hi]...)
 		}
 		slices.Sort(region)

@@ -4,11 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
+	"io"
 
 	"d3l/internal/server"
 	"d3l/internal/shard"
@@ -46,17 +42,10 @@ func (m *multiFlag) Set(v string) error {
 // reports 503 with the degraded shard groups while any shard has no
 // closed-breaker replica. POST /v1/reload re-polls the replicas and
 // atomically swaps in the refreshed coordinator state.
-func cmdCoordinator(args []string) error {
-	fs := flag.NewFlagSet("coordinator", flag.ExitOnError)
+func cmdCoordinator(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flag.NewFlagSet("coordinator", flag.ContinueOnError)
 	var shardURLs multiFlag
 	fs.Var(&shardURLs, "shard", "shard replica base URL(s), one flag per shard ordinal in manifest order; comma-separate replicas of the same shard (repeatable)")
-	addr := fs.String("addr", ":8080", "listen address")
-	maxConcurrent := fs.Int("max-concurrent", 0, "admission gate: concurrent queries+mutations (0 = 2x GOMAXPROCS)")
-	admissionWait := fs.Duration("admission-wait", 0, "max wait for a concurrency slot before 429 (0 = 100ms)")
-	timeout := fs.Duration("timeout", 0, "per-request execution deadline before 503 (0 = 30s)")
-	cacheEntries := fs.Int("cache", 0, "result cache capacity in entries (0 = 1024, negative disables)")
-	maxBody := fs.Int64("max-body", 0, "request body size limit in bytes before 413 (0 = 32MiB)")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	shardTimeout := fs.Duration("shard-timeout", 0, "per-attempt deadline for one shard HTTP call (0 = 10s)")
 	retries := fs.Int("retries", 1, "extra attempts per failed read-path shard call (-1 disables retries)")
 	hedgeAfter := fs.Duration("hedge-after", 0, "duplicate a slow shard call on a sibling replica after this long (0 disables hedging)")
@@ -66,12 +55,12 @@ func cmdCoordinator(args []string) error {
 	breakerRate := fs.Float64("breaker-rate", 0, "windowed replica failure rate that opens its breaker (0 = 0.5, negative disables)")
 	breakerBackoff := fs.Duration("breaker-backoff", 0, "base open-breaker dwell before a half-open trial, jittered and doubled per failed trial (0 = 500ms)")
 	seed := fs.Uint64("seed", 0, "jitter seed for retry/breaker backoff spreading (0 = 1)")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
-	if err := fs.Parse(args); err != nil {
+	f := newFront(fs)
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if len(shardURLs) == 0 {
-		return fmt.Errorf("coordinator: at least one -shard URL is required")
+		return usagef("coordinator: at least one -shard URL is required")
 	}
 	rcfg := shard.RemoteConfig{
 		ShardTimeout:  *shardTimeout,
@@ -90,77 +79,24 @@ func cmdCoordinator(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := server.New(remote, server.Config{
-		MaxConcurrent:  *maxConcurrent,
-		AdmissionWait:  *admissionWait,
-		RequestTimeout: *timeout,
-		MaxBodyBytes:   *maxBody,
-		CacheEntries:   *cacheEntries,
-		LoadFunc: func() (server.Engine, error) {
-			return shard.NewRemote(shardURLs, rcfg)
-		},
-	})
+	f.cfg.LoadFunc = func() (server.Engine, error) {
+		return shard.NewRemote(shardURLs, rcfg)
+	}
+	srv, err := server.New(remote, f.cfg)
 	if err != nil {
+		remote.Close()
 		return err
 	}
-	hs := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-		ReadTimeout:       5 * time.Minute,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	if *pprofAddr != "" {
-		stop, err := servePprof("coordinator", *pprofAddr, srv.MetricsHandler())
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			if err := srv.Reload(); err != nil {
-				fmt.Fprintln(os.Stderr, "d3l coordinator: reload:", err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "d3l coordinator: re-polled %d shards (engine %016x)\n",
-				remote.NumShards(), srv.Engine().Fingerprint())
-		}
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.ListenAndServe() }()
-
-	fmt.Fprintf(os.Stderr, "d3l coordinator: listening on %s, fanning out to %d shards / %d replicas (engine %016x)\n",
-		*addr, remote.NumShards(), remote.NumReplicas(), remote.Fingerprint())
+	about := fmt.Sprintf(", fanning out to %d shards / %d replicas (engine %016x)",
+		remote.NumShards(), remote.NumReplicas(), remote.Fingerprint())
 	for i, u := range remote.URLs() {
-		fmt.Fprintf(os.Stderr, "d3l coordinator:   shard %d: %s\n", i, u)
+		about += fmt.Sprintf("\nd3l coordinator:   shard %d: %s", i, u)
 	}
-
-	select {
-	case err := <-serveErr:
-		return err
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "d3l coordinator: %v, draining\n", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		srv.BeginShutdown()
-		if err := hs.Shutdown(ctx); err != nil {
-			return err
-		}
-		err := srv.Shutdown(ctx)
-		// Stop the active health prober of whichever Remote is
-		// current (reloads close retired ones as they are swapped
-		// out).
-		if c, ok := srv.Engine().(interface{ Close() error }); ok {
-			c.Close()
-		}
-		return err
+	err = f.serve(ctx, "coordinator", srv, stderr, about)
+	// Stop the active health prober of whichever Remote is current
+	// (reloads close retired ones as they are swapped out).
+	if c, ok := srv.Engine().(interface{ Close() error }); ok {
+		c.Close()
 	}
+	return err
 }

@@ -1,12 +1,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"d3l/internal/faultproxy"
@@ -25,8 +25,8 @@ import (
 // Fault draws are seeded per request index, so a given (seed, rules,
 // request order) run injects an identical fault schedule — a failing
 // chaos run replays exactly.
-func cmdFaultproxy(args []string) error {
-	fs := flag.NewFlagSet("faultproxy", flag.ExitOnError)
+func cmdFaultproxy(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flag.NewFlagSet("faultproxy", flag.ContinueOnError)
 	listen := fs.String("listen", ":8191", "listen address")
 	target := fs.String("target", "", "backend base URL to forward to (required)")
 	seed := fs.Uint64("seed", 1, "fault-schedule seed")
@@ -37,11 +37,11 @@ func cmdFaultproxy(args []string) error {
 	resetProb := fs.Float64("reset-prob", 0, "probability of a TCP reset per request")
 	truncateProb := fs.Float64("truncate-prob", 0, "probability of truncating the response body per request")
 	blackholeProb := fs.Float64("blackhole-prob", 0, "probability of accepting and never answering per request")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *target == "" {
-		return fmt.Errorf("faultproxy: -target is required")
+		return usagef("faultproxy: -target is required")
 	}
 	proxy, err := faultproxy.New(*target, *seed)
 	if err != nil {
@@ -56,8 +56,11 @@ func cmdFaultproxy(args []string) error {
 		TruncateProb:  *truncateProb,
 		BlackholeProb: *blackholeProb,
 	})
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
 	hs := &http.Server{
-		Addr:              *listen,
 		Handler:           proxy,
 		ReadHeaderTimeout: 10 * time.Second,
 		// No ReadTimeout/WriteTimeout: blackholed requests must be
@@ -65,16 +68,14 @@ func cmdFaultproxy(args []string) error {
 		// deadline is the thing under test.
 		IdleTimeout: 2 * time.Minute,
 	}
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "d3l faultproxy: listening on %s -> %s (seed %d)\n", *listen, proxy.Target(), *seed)
+	go func() { serveErr <- hs.Serve(ln) }()
+	fmt.Fprintf(stderr, "d3l faultproxy: listening on %s -> %s (seed %d)\n", ln.Addr(), proxy.Target(), *seed)
 	select {
 	case err := <-serveErr:
 		return err
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "d3l faultproxy: %v, closing\n", sig)
+	case <-ctx.Done():
+		fmt.Fprintln(stderr, "d3l faultproxy: signalled, closing")
 		return hs.Close()
 	}
 }

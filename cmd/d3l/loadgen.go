@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"slices"
 	"sort"
@@ -27,8 +29,8 @@ import (
 // reproducible end to end. They never come from a snapshot: its lake
 // keeps names and columns but no rows, and a target with no rows
 // measures a query that profiles nothing.
-func cmdLoadgen(args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
+func cmdLoadgen(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("loadgen", flag.ContinueOnError)
 	var urls multiFlag
 	fs.Var(&urls, "url", "base URL of a running replica or coordinator (repeatable: requests round-robin across all URLs; the gated /metrics scrape reads the first)")
 	direct := fs.Bool("direct", false, "drive the serving stack in-process instead of over HTTP")
@@ -48,18 +50,18 @@ func cmdLoadgen(args []string) error {
 	maxP99 := fs.Duration("max-p99", 0, "gate: per-endpoint p99 ceiling (0 disables)")
 	requireMetrics := fs.Bool("require-metrics", true,
 		"gate: fail unless the final /metrics scrape exposes every expected family and stage series")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if (len(urls) == 0) == !*direct {
-		return fmt.Errorf("loadgen: exactly one of -url and -direct is required")
+		return usagef("loadgen: exactly one of -url and -direct is required")
 	}
 
 	if *dir == "" {
-		return fmt.Errorf("loadgen: -dir is required: targets are sampled from the lake's CSV files (a snapshot keeps no rows)")
+		return usagef("loadgen: -dir is required: targets are sampled from the lake's CSV files (a snapshot keeps no rows)")
 	}
 	if *index != "" && !*direct {
-		return fmt.Errorf("loadgen: -index only applies to -direct; over -url the targets come from -dir")
+		return usagef("loadgen: -index only applies to -direct; over -url the targets come from -dir")
 	}
 	lake, err := d3l.LoadLakeDir(*dir)
 	if err != nil {
@@ -80,7 +82,7 @@ func cmdLoadgen(args []string) error {
 		// milliseconds), else profiles and indexes the lake just read.
 		var engine *d3l.Engine
 		if *index != "" {
-			engine, err = loadEngine("", *index)
+			engine, err = loadEngine("", *index, 0)
 		} else {
 			engine, err = d3l.New(lake, d3l.DefaultOptions())
 		}
@@ -119,7 +121,7 @@ func cmdLoadgen(args []string) error {
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "d3l loadgen: %d workers, %v warmup + %v run, seed %d, %d targets, mix %s\n",
+	fmt.Fprintf(stderr, "d3l loadgen: %d workers, %v warmup + %v run, seed %d, %d targets, mix %s\n",
 		cfg.Workers, cfg.Warmup, cfg.Duration, cfg.Seed, len(corpus), *mix)
 	rep, err := loadgen.Run(cfg, doer)
 	if err != nil {
@@ -136,9 +138,9 @@ func cmdLoadgen(args []string) error {
 			return err
 		}
 	} else {
-		os.Stdout.Write(body)
+		stdout.Write(body)
 	}
-	printSummary(rep)
+	printSummary(stderr, rep)
 	if len(rep.Violations) > 0 {
 		return fmt.Errorf("loadgen: %d SLO violation(s):\n  %s",
 			len(rep.Violations), strings.Join(rep.Violations, "\n  "))
@@ -321,8 +323,8 @@ func parseMix(s string) (map[string]int, error) {
 	return out, nil
 }
 
-func printSummary(rep *loadgen.Report) {
-	fmt.Fprintf(os.Stderr, "d3l loadgen: %d ops in %.1fs (%.1f ops/s)\n",
+func printSummary(w io.Writer, rep *loadgen.Report) {
+	fmt.Fprintf(w, "d3l loadgen: %d ops in %.1fs (%.1f ops/s)\n",
 		rep.TotalOps, rep.DurationSeconds, rep.OpsPerSec)
 	names := make([]string, 0, len(rep.Endpoints))
 	for name := range rep.Endpoints {
@@ -331,7 +333,7 @@ func printSummary(rep *loadgen.Report) {
 	sort.Strings(names)
 	for _, name := range names {
 		es := rep.Endpoints[name]
-		fmt.Fprintf(os.Stderr, "  %-8s n=%-7d p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms err=%d 429=%d 5xx=%d\n",
+		fmt.Fprintf(w, "  %-8s n=%-7d p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms err=%d 429=%d 5xx=%d\n",
 			name, es.Count, es.P50Ms, es.P95Ms, es.P99Ms, es.MaxMs, es.Errors, es.Status429, es.Status5xx)
 	}
 }

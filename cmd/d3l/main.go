@@ -1,37 +1,23 @@
 // Command d3l is the CLI for the D3L dataset-discovery library: it
 // generates evaluation lakes, indexes CSV directories (once, into a
 // reusable binary snapshot), answers top-k discovery queries (with or
-// without join augmentation), and re-runs every experiment of the
-// paper's evaluation.
-//
-// Usage:
-//
-//	d3l generate    -kind synthetic|real|larger -out DIR [-tables N] [-seed N]
-//	d3l index build -dir DIR -out FILE.d3l [-workers N] [-shards N -out DIR]
-//	d3l index info  -index FILE.d3l
-//	d3l query       -dir DIR | -index FILE.d3l  -target FILE.csv -k K
-//	                [-joins] [-explain NAME] [-evidence name,value,...] [-budget N]
-//	                [-explain-plan]
-//	d3l batch       -dir DIR | -index FILE.d3l  -targets DIR -k K [-workers N]
-//	d3l explain     -dir DIR | -index FILE.d3l  -target FILE.csv -table NAME
-//	d3l serve       -index FILE.d3l | -dir DIR  [-addr :8080] [-pprof 127.0.0.1:6060] [-watch]
-//	d3l watch       -dir DIR [-index FILE.d3l] [-interval D]
-//	d3l loadgen     -url URL | -direct  -index FILE.d3l | -dir DIR  [-duration D] [-seed N]
-//	                [-mix topk=4,query=4,batch=1,mutate=1,update=1] [-out FILE.json] [-max-p99 D]
-//	d3l stats       -dir DIR
-//	d3l exp         -id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]
-//
-// query and exp accept -cpuprofile FILE / -memprofile FILE to capture
-// pprof profiles of a run; serve and coordinator mount the live
-// net/http/pprof endpoints on a separate loopback listener via -pprof.
+// without join augmentation and the Table I evidence breakdown), serves
+// them over HTTP, and re-runs every experiment of the paper's
+// evaluation. `d3l help` lists the commands and `d3l COMMAND -h` a
+// command's flags.
 //
 // The build-once/serve-many flow: `d3l index build` profiles and
 // indexes a CSV directory and snapshots the engine to disk; `d3l query
-// -index` (and batch/explain) then cold-start from the snapshot in
-// milliseconds instead of re-profiling the lake, returning the same
-// results as the direct -dir path; `d3l serve -index` turns the same
-// snapshot into a long-running HTTP JSON service with result caching,
-// admission control, hot reload (SIGHUP) and graceful shutdown.
+// -index` (and batch) then cold-start from the snapshot in milliseconds
+// instead of re-profiling the lake, returning the same results as the
+// direct -dir path; `d3l serve -index` turns the same snapshot into a
+// long-running HTTP JSON service with result caching, admission
+// control, hot reload (SIGHUP) and graceful shutdown.
+//
+// SIGINT and SIGTERM cancel the running command: a query stops through
+// the engine's cooperative cancellation, a server drains. The exit
+// status is 0 on success and for -h, 2 for a command line that names no
+// valid run, and 1 for any other failure.
 package main
 
 import (
@@ -55,88 +41,135 @@ import (
 	"d3l/internal/shard"
 )
 
+// A command runs one subcommand on its arguments: it writes its result
+// to stdout, its log and flag errors to stderr, and stops when ctx is
+// done.
+type command func(ctx context.Context, args []string, stdout, stderr io.Writer) error
+
+// commands is the one table of subcommands: run dispatches on it and
+// usage prints it. Each synopsis line after the first continues the
+// one before.
+var commands = []struct {
+	name, synopsis string
+	run            command
+}{
+	{"generate", "-kind synthetic|real|larger -out DIR [-tables N] [-seed N]", interruptible(cmdGenerate)},
+	{"index", "build -dir DIR -out FILE.d3l [-workers N]   (-shards N -out DIR writes a sharded snapshot set)\n" +
+		"info -index FILE.d3l", interruptible(cmdIndex)},
+	{"query", "-dir DIR | -index FILE.d3l  -target FILE.csv [-k K] [-joins] [-explain NAME]\n" +
+		"[-evidence name,value,...] [-budget N] [-explain-plan]   (-k 0 -explain NAME: the breakdown alone)", cmdQuery},
+	{"batch", "-dir DIR | -index FILE.d3l  -targets DIR [-k K] [-workers N]", cmdBatch},
+	{"serve", "-index FILE.d3l | -dir DIR  [-addr :8080] [-workers N] [-shards N] [-watch] [server flags]", cmdServe},
+	{"coordinator", "-shard URL[,URL...] [-shard ...]  [-addr :8080] [retry, hedge and breaker flags] [server flags]", cmdCoordinator},
+	{"faultproxy", "-target URL [-listen :8191] [-seed N] [-latency D -latency-prob F] [-error-prob F] [...]", cmdFaultproxy},
+	{"watch", "-dir DIR [-index FILE.d3l] [-interval D]", cmdWatch},
+	{"loadgen", "-url URL [-url URL ...] | -direct [-index FILE.d3l]  -dir DIR  [-duration D] [-seed N]\n" +
+		"[-mix topk=4,query=4,batch=1,mutate=1,update=1] [-out FILE.json] [-max-p99 D]", interruptible(cmdLoadgen)},
+	{"exp", "-id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]", interruptible(cmdExp)},
+}
+
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// After the first signal, a second one ends the process outright.
+	context.AfterFunc(ctx, stop)
+	code := exitCode(run(ctx, os.Args[1:], os.Stdout, os.Stderr), os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run dispatches one command line.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	if len(args) == 0 {
+		usage(stderr)
+		return usagef("no command")
 	}
-	var err error
-	switch os.Args[1] {
-	case "generate":
-		err = cmdGenerate(os.Args[2:])
-	case "index":
-		err = cmdIndex(os.Args[2:])
-	case "query":
-		err = cmdQuery(os.Args[2:])
-	case "batch":
-		err = cmdBatch(os.Args[2:])
-	case "explain":
-		err = cmdExplain(os.Args[2:])
-	case "serve":
-		err = cmdServe(os.Args[2:])
-	case "coordinator":
-		err = cmdCoordinator(os.Args[2:])
-	case "faultproxy":
-		err = cmdFaultproxy(os.Args[2:])
-	case "watch":
-		err = cmdWatch(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
-	case "stats":
-		err = cmdStats(os.Args[2:])
-	case "exp":
-		err = cmdExp(os.Args[2:])
-	case "help", "-h", "--help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "d3l: unknown command %q\n", os.Args[1])
-		usage()
-		os.Exit(2)
+	switch args[0] {
+	case "help", "-h", "-help", "--help":
+		usage(stderr)
+		return flag.ErrHelp
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "d3l:", err)
-		os.Exit(1)
+	for _, c := range commands {
+		if c.name == args[0] {
+			return c.run(ctx, args[1:], stdout, stderr)
+		}
+	}
+	usage(stderr)
+	return usagef("unknown command %q", args[0])
+}
+
+func usage(w io.Writer) {
+	fmt.Fprintln(w, "usage:")
+	for _, c := range commands {
+		head := "d3l " + c.name
+		for _, line := range strings.Split(c.synopsis, "\n") {
+			fmt.Fprintf(w, "  %-15s %s\n", head, line)
+			head = ""
+		}
+	}
+	fmt.Fprintln(w, "d3l COMMAND -h lists a command's flags; query and exp also take -cpuprofile FILE and -memprofile FILE")
+}
+
+// usageError is a command line that names no valid run.
+type usageError struct{ error }
+
+func usagef(format string, a ...any) error { return usageError{fmt.Errorf(format, a...)} }
+
+// exitCode is the one mapping from a command's error to the process
+// exit status, reporting the error on stderr.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	// The library's errors carry its package name, which is also this
+	// command's.
+	fmt.Fprintln(stderr, "d3l:", strings.TrimPrefix(err.Error(), "d3l: "))
+	if errors.As(err, new(usageError)) {
+		return 2
+	}
+	return 1
+}
+
+// parse parses a command's flags, reporting flag errors and -h on
+// stderr; a malformed flag is a usage error.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return err
+	}
+	return usageError{err}
+}
+
+// interruptible wraps a command whose work cannot observe ctx so that a
+// signal still ends it at once: the command returns ctx's error and the
+// process exits with the work unfinished.
+func interruptible(cmd command) command {
+	return func(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+		done := make(chan error, 1)
+		go func() { done <- cmd(ctx, args, stdout, stderr) }()
+		select {
+		case err := <-done:
+			return err
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  d3l generate    -kind synthetic|real|larger -out DIR [-tables N] [-seed N]
-  d3l index build -dir DIR -out FILE.d3l [-workers N]  (or -shards N -out DIR for a sharded snapshot set)
-  d3l index info  -index FILE.d3l
-  d3l query       -dir DIR | -index FILE.d3l  -target FILE.csv -k K
-                  [-joins] [-explain NAME] [-evidence name,value,...] [-budget N]
-                  [-explain-plan]
-  d3l batch       -dir DIR | -index FILE.d3l  -targets DIR -k K [-workers N]
-  d3l explain     -dir DIR | -index FILE.d3l  -target FILE.csv -table NAME
-  d3l serve       -index FILE.d3l | -dir DIR  [-addr :8080] [-cache N] [-max-concurrent N] [-timeout D] [-pprof ADDR]
-                  [-watch] [-watch-interval D] [-shards N]  (with -shards N, -index names a shard manifest)
-  d3l coordinator -shard URL[,URL...] [-shard ...]  [-addr :8080] [-cache N] [-shard-timeout D] [-retries N]
-                  [-retry-delay D] [-hedge-after D] [-probe-interval D] [-breaker-failures N] [-breaker-rate F]
-                  [-breaker-backoff D] [-pprof ADDR]  (comma-separated URLs are replicas of one shard; GET /v1/readyz reports
-                  503 while any shard group has no healthy replica)
-  d3l faultproxy  -target URL [-listen :8191] [-seed N] [-latency D -latency-prob F] [-error-prob F]
-                  [-reset-prob F] [-truncate-prob F] [-blackhole-prob F]  (POST /_fault/rules re-arms at runtime)
-  d3l watch       -dir DIR [-index FILE.d3l] [-interval D]
-  d3l loadgen     -url URL [-url URL ...] | -direct  -index FILE.d3l | -dir DIR  [-duration D] [-warmup D]
-                  [-workers N] [-seed N] [-mix topk=4,query=4,batch=1,mutate=1,update=1] [-out FILE.json]
-                  [-fail-on-5xx] [-max-p99 D] [-require-metrics]
-  d3l stats       -dir DIR
-  d3l exp         -id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]
-  (query and exp also take -cpuprofile FILE and -memprofile FILE)`)
-}
-
-func cmdGenerate(args []string) error {
-	fs := flag.NewFlagSet("generate", flag.ExitOnError)
+func cmdGenerate(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("generate", flag.ContinueOnError)
 	kind := fs.String("kind", "synthetic", "lake kind: synthetic, real, larger")
 	out := fs.String("out", "", "output directory")
 	tables := fs.Int("tables", 0, "table count (0 = default)")
 	seed := fs.Uint64("seed", 42, "generation seed")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *out == "" {
-		return fmt.Errorf("generate: -out is required")
+		return usagef("generate: -out is required")
+	}
+	if *tables < 0 {
+		return usagef("generate: -tables must be non-negative, got %d", *tables)
 	}
 	var lake *d3l.Lake
 	var err error
@@ -163,7 +196,7 @@ func cmdGenerate(args []string) error {
 		}
 		lake, _, err = datagen.Larger(cfg)
 	default:
-		return fmt.Errorf("generate: unknown kind %q", *kind)
+		return usagef("generate: unknown kind %q", *kind)
 	}
 	if err != nil {
 		return err
@@ -171,57 +204,87 @@ func cmdGenerate(args []string) error {
 	if err := d3l.SaveLakeDir(lake, *out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d tables to %s\n", lake.Len(), *out)
+	fmt.Fprintf(stdout, "wrote %d tables to %s\n", lake.Len(), *out)
 	return nil
 }
 
-// loadEngine resolves the two engine sources: a prebuilt snapshot
-// (instant cold-start) or a CSV directory (profile and index now).
-// Exactly one of index and dir must be set.
-func loadEngine(dir, index string) (*d3l.Engine, error) {
+// checkSource refuses a command line that names both or neither of the
+// two engine sources.
+func checkSource(dir, index string) error {
 	if (dir == "") == (index == "") {
-		return nil, fmt.Errorf("exactly one of -dir and -index is required")
+		return usagef("exactly one of -dir and -index is required")
 	}
-	if index != "" {
-		return d3l.LoadFile(index)
+	return nil
+}
+
+// loadEngine opens the engine of query, batch, watch and a monolith
+// serve: a prebuilt snapshot (instant cold-start) or a CSV directory
+// (profiled and indexed now), exactly one of the two. A non-zero
+// workers sets the engine's parallelism, which for -dir also drives
+// the build; answers are the same at any setting.
+func loadEngine(dir, index string, workers int) (*d3l.Engine, error) {
+	if err := checkSource(dir, index); err != nil {
+		return nil, err
 	}
-	lake, err := d3l.LoadLakeDir(dir)
+	if index == "" {
+		lake, err := d3l.LoadLakeDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		opts := d3l.DefaultOptions()
+		opts.Parallelism = workers
+		return d3l.New(lake, opts)
+	}
+	engine, err := d3l.LoadFile(index)
 	if err != nil {
 		return nil, err
 	}
-	return d3l.New(lake, d3l.DefaultOptions())
+	if workers != 0 {
+		if err := engine.SetParallelism(workers); err != nil {
+			return nil, err
+		}
+	}
+	return engine, nil
 }
 
 // cmdIndex implements the build-once half of the serving flow: build
 // snapshots an indexed lake to disk, info inspects a snapshot.
-func cmdIndex(args []string) error {
+func cmdIndex(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	if len(args) < 1 {
-		return fmt.Errorf("index: expected a subcommand: build or info")
+		return usagef("index: expected a subcommand: build or info")
 	}
 	switch args[0] {
 	case "build":
-		return cmdIndexBuild(args[1:])
+		return cmdIndexBuild(args[1:], stdout, stderr)
 	case "info":
-		return cmdIndexInfo(args[1:])
+		fs := flag.NewFlagSet("index info", flag.ContinueOnError)
+		index := fs.String("index", "", "snapshot file")
+		if err := parse(fs, args[1:], stderr); err != nil {
+			return err
+		}
+		if *index == "" {
+			return usagef("index info: -index is required")
+		}
+		return indexInfo(stdout, *index)
 	default:
-		return fmt.Errorf("index: unknown subcommand %q (want build or info)", args[0])
+		return usagef("index: unknown subcommand %q (want build or info)", args[0])
 	}
 }
 
-func cmdIndexBuild(args []string) error {
-	fs := flag.NewFlagSet("index build", flag.ExitOnError)
+func cmdIndexBuild(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("index build", flag.ContinueOnError)
 	dir := fs.String("dir", "", "lake directory of CSV files")
 	out := fs.String("out", "", "output snapshot file (a directory with -shards > 1)")
 	workers := fs.Int("workers", 0, "profiling parallelism (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 1, "split the lake across this many shards: write one snapshot per shard plus a manifest into -out")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *dir == "" || *out == "" {
-		return fmt.Errorf("index build: -dir and -out are required")
+		return usagef("index build: -dir and -out are required")
 	}
 	if *shards < 1 {
-		return fmt.Errorf("index build: -shards must be at least 1, got %d", *shards)
+		return usagef("index build: -shards must be at least 1, got %d", *shards)
 	}
 	start := time.Now()
 	lake, err := d3l.LoadLakeDir(*dir)
@@ -232,7 +295,7 @@ func cmdIndexBuild(args []string) error {
 	opts := d3l.DefaultOptions()
 	opts.Parallelism = *workers
 	if *shards > 1 {
-		return buildShardedIndex(lake, opts, *shards, *out, loaded)
+		return buildShardedIndex(stdout, lake, opts, *shards, *out, loaded)
 	}
 	start = time.Now()
 	engine, err := d3l.New(lake, opts)
@@ -261,11 +324,11 @@ func cmdIndexBuild(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("indexed %d tables (%d attributes) in %v\n",
+	fmt.Fprintf(stdout, "indexed %d tables (%d attributes) in %v\n",
 		lake.Len(), engine.NumAttributes(), built.Round(time.Millisecond))
-	fmt.Printf("wrote %s (%d bytes, %d join edges)\n", *out, st.Size(), edges)
+	fmt.Fprintf(stdout, "wrote %s (%d bytes, %d join edges)\n", *out, st.Size(), edges)
 	bt := engine.BuildTimings()
-	fmt.Printf("phases: load %v, profile %v, index %v, graph %v, save %v\n",
+	fmt.Fprintf(stdout, "phases: load %v, profile %v, index %v, graph %v, save %v\n",
 		loaded.Round(time.Millisecond), bt.Profile.Round(time.Millisecond), bt.Index.Round(time.Millisecond),
 		graphed.Round(time.Millisecond), saved.Round(time.Millisecond))
 	return nil
@@ -277,7 +340,7 @@ func cmdIndexBuild(args []string) error {
 // participant — `d3l serve -shards N -index DIR` in one process, or N
 // `d3l serve` replicas under a `d3l coordinator` — reconstructs the
 // identical placement from the manifest alone.
-func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string, loaded time.Duration) error {
+func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shards int, out string, loaded time.Duration) error {
 	start := time.Now()
 	set, err := shard.BuildSet(lake, shards, opts)
 	if err != nil {
@@ -302,27 +365,16 @@ func buildShardedIndex(lake *d3l.Lake, opts d3l.Options, shards int, out string,
 	for _, name := range set.Tables() {
 		perShard[set.Placement().Owner(name)]++
 	}
-	fmt.Printf("indexed %d tables (%d attributes) across %d shards in %v\n",
+	fmt.Fprintf(stdout, "indexed %d tables (%d attributes) across %d shards in %v\n",
 		lake.Len(), set.NumAttributes(), shards, built.Round(time.Millisecond))
-	fmt.Printf("wrote %s (tables per shard: %v)\n", out, perShard)
-	fmt.Printf("phases: load %v, profile and index %v, save %v\n",
+	fmt.Fprintf(stdout, "wrote %s (tables per shard: %v)\n", out, perShard)
+	fmt.Fprintf(stdout, "phases: load %v, profile and index %v, save %v\n",
 		loaded.Round(time.Millisecond), built.Round(time.Millisecond), saved.Round(time.Millisecond))
 	return nil
 }
 
-func cmdIndexInfo(args []string) error {
-	fs := flag.NewFlagSet("index info", flag.ExitOnError)
-	index := fs.String("index", "", "snapshot file")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *index == "" {
-		return fmt.Errorf("index info: -index is required")
-	}
-	return indexInfo(os.Stdout, *index)
-}
-
-// indexInfo reports a snapshot's format, contents, load time and
+// indexInfo reports a snapshot's format, contents, footprint (the
+// index bytes are the numerator of the paper's Table II), load time and
 // section sizes.
 func indexInfo(w io.Writer, path string) error {
 	f, err := os.Open(path)
@@ -369,14 +421,6 @@ func indexInfo(w io.Writer, path string) error {
 		}
 	}
 	return nil
-}
-
-// queryContext returns a context cancelled by Ctrl-C / SIGTERM, so an
-// interrupted CLI query exits through the engine's cooperative
-// cancellation (the same plumbing the server uses to free admission
-// slots) instead of being killed mid-computation.
-func queryContext() (context.Context, context.CancelFunc) {
-	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
 // withProfiles runs fn under the optional -cpuprofile/-memprofile
@@ -430,12 +474,15 @@ func parseEvidenceList(list string) ([]d3l.QueryOption, error) {
 	return []d3l.QueryOption{d3l.WithEvidence(types...)}, nil
 }
 
-func cmdQuery(args []string) error {
-	fs := flag.NewFlagSet("query", flag.ExitOnError)
+// cmdQuery answers one target. With -explain NAME it also prints the
+// Table I-style breakdown against NAME; -k 0 skips the ranking and
+// prints the breakdown alone.
+func cmdQuery(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("query", flag.ContinueOnError)
 	dir := fs.String("dir", "", "lake directory of CSV files")
 	index := fs.String("index", "", "prebuilt snapshot (alternative to -dir)")
 	targetPath := fs.String("target", "", "target table CSV")
-	k := fs.Int("k", 10, "answer size")
+	k := fs.Int("k", 10, "answer size (0 with -explain: the breakdown alone)")
 	withJoins := fs.Bool("joins", false, "augment with SA-join paths (D3L+J)")
 	budget := fs.Int("budget", 0, "candidate budget per target attribute per index (0 = derived from k)")
 	evidence := fs.String("evidence", "", "comma-separated evidence subset: name,value,format,embedding,domain (empty = all)")
@@ -443,112 +490,105 @@ func cmdQuery(args []string) error {
 	explainPlan := fs.Bool("explain-plan", false, "print the query plan the engine executed (evidence cascade, cache state, pruning counters)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *targetPath == "" {
-		return fmt.Errorf("query: -target is required")
-	}
-	return withProfiles(*cpuprofile, *memprofile, func() error {
-		return runQuery(*dir, *index, *targetPath, *k, *withJoins, *budget, *evidence, *explainFor, *explainPlan)
-	})
-}
-
-func runQuery(dir, index, targetPath string, k int, withJoins bool, budget int, evidence, explainFor string, explainPlan bool) error {
-	engine, err := loadEngine(dir, index)
-	if err != nil {
-		return err
-	}
-	target, err := d3l.ReadCSVFile(targetPath)
-	if err != nil {
-		return err
+		return usagef("query: -target is required")
 	}
 	// The budget always goes through: 0 keeps the engine default, and a
 	// negative one fails with ErrInvalidOptions as /v1/query refuses it.
-	opts := []d3l.QueryOption{d3l.WithK(k), d3l.WithCandidateBudget(budget)}
-	if withJoins {
+	opts := []d3l.QueryOption{d3l.WithK(*k), d3l.WithCandidateBudget(*budget)}
+	if *withJoins {
 		opts = append(opts, d3l.WithJoins())
 	}
-	if explainFor != "" {
-		opts = append(opts, d3l.WithExplainFor(explainFor))
+	if *explainFor != "" {
+		opts = append(opts, d3l.WithExplainFor(*explainFor))
 	}
-	evOpts, err := parseEvidenceList(evidence)
+	evOpts, err := parseEvidenceList(*evidence)
 	if err != nil {
 		return err
 	}
 	opts = append(opts, evOpts...)
+	return withProfiles(*cpuprofile, *memprofile, func() error {
+		engine, err := loadEngine(*dir, *index, 0)
+		if err != nil {
+			return err
+		}
+		target, err := d3l.ReadCSVFile(*targetPath)
+		if err != nil {
+			return err
+		}
+		ans, err := engine.Query(ctx, target, opts...)
+		if errors.Is(err, d3l.ErrTableNotFound) {
+			return explainNotFound(engine, *explainFor)
+		}
+		if err != nil {
+			return err
+		}
+		if *withJoins {
+			fmt.Fprintf(stdout, "%-24s %-9s %-9s %-9s %s\n", "table", "distance", "coverage", "cov+J", "paths")
+			for _, a := range ans.Joins {
+				fmt.Fprintf(stdout, "%-24s %-9.3f %-9.2f %-9.2f %d\n",
+					a.Result.Name, a.Result.Distance, a.BaseCoverage, a.JoinCoverage, len(a.Paths))
+			}
+		} else {
+			fmt.Fprintf(stdout, "%-24s %-9s %s\n", "table", "distance", "aligned target columns")
+			for _, r := range ans.Results {
+				fmt.Fprintf(stdout, "%-24s %-9.3f %d/%d\n", r.Name, r.Distance, len(r.Alignments), target.Arity())
+			}
+		}
+		if *explainFor != "" {
+			fmt.Fprintf(stdout, "\nTable I breakdown vs %s:\n%s", *explainFor, d3l.FormatExplanation(ans.Explanation))
+		}
+		// An explanation-only query (-k 0) ranks nothing and has no plan.
+		if *explainPlan && ans.Plan.Enabled {
+			state := "cold"
+			if ans.Plan.Cached {
+				state = "cached"
+			}
+			fmt.Fprintf(stdout, "plan: cascade %s (%s) — pruned %d tables (%d pairs), elided %d evidence evals\n",
+				ans.Plan.Order, state, ans.Plan.TablesPruned, ans.Plan.PairsPruned, ans.Plan.EvidenceEvalsElided)
+		}
+		fmt.Fprintf(stdout, "scored %d tables from %d candidate pairs in %v\n",
+			ans.Stats.TablesScored, ans.Stats.CandidatePairs, ans.Stats.Elapsed.Round(time.Microsecond))
+		return nil
+	})
+}
 
-	ctx, stop := queryContext()
-	defer stop()
-	ans, err := engine.Query(ctx, target, opts...)
-	if err != nil {
-		return err
+// explainNotFound is the actionable form of a -explain miss: the query
+// ran, the name is just wrong, so say which names the lake does have.
+func explainNotFound(engine *d3l.Engine, name string) error {
+	lake := engine.Lake()
+	var names []string
+	for _, t := range lake.Tables()[:min(3, lake.Len())] {
+		names = append(names, t.Name)
 	}
-	if withJoins {
-		fmt.Printf("%-24s %-9s %-9s %-9s %s\n", "table", "distance", "coverage", "cov+J", "paths")
-		for _, a := range ans.Joins {
-			fmt.Printf("%-24s %-9.3f %-9.2f %-9.2f %d\n",
-				a.Result.Name, a.Result.Distance, a.BaseCoverage, a.JoinCoverage, len(a.Paths))
-		}
-	} else {
-		fmt.Printf("%-24s %-9s %s\n", "table", "distance", "aligned target columns")
-		for _, r := range ans.Results {
-			fmt.Printf("%-24s %-9.3f %d/%d\n", r.Name, r.Distance, len(r.Alignments), target.Arity())
-		}
+	if lake.Len() > 3 {
+		names = append(names, "...")
 	}
-	if explainFor != "" {
-		fmt.Printf("\nTable I breakdown vs %s:\n%s", explainFor, d3l.FormatExplanation(ans.Explanation))
-	}
-	// An explanation-only query (-k 0) ranks nothing and has no plan.
-	if explainPlan && ans.Plan.Enabled {
-		state := "cold"
-		if ans.Plan.Cached {
-			state = "cached"
-		}
-		fmt.Printf("plan: cascade %s (%s) — pruned %d tables (%d pairs), elided %d evidence evals\n",
-			ans.Plan.Order, state, ans.Plan.TablesPruned, ans.Plan.PairsPruned, ans.Plan.EvidenceEvalsElided)
-	}
-	fmt.Printf("scored %d tables from %d candidate pairs in %v\n",
-		ans.Stats.TablesScored, ans.Stats.CandidatePairs, ans.Stats.Elapsed.Round(time.Microsecond))
-	return nil
+	return fmt.Errorf("query: -explain %q: no such table in the lake (%d tables: %s)",
+		name, lake.Len(), strings.Join(names, ", "))
 }
 
 // cmdBatch is the serving-shaped workload: index one lake, then answer
 // a whole directory of target tables concurrently through QueryBatch.
-func cmdBatch(args []string) error {
-	fs := flag.NewFlagSet("batch", flag.ExitOnError)
+func cmdBatch(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("batch", flag.ContinueOnError)
 	dir := fs.String("dir", "", "lake directory of CSV files")
 	index := fs.String("index", "", "prebuilt snapshot (alternative to -dir)")
 	targetsDir := fs.String("targets", "", "directory of target table CSVs")
 	k := fs.Int("k", 10, "answer size per target")
 	workers := fs.Int("workers", 0, "concurrent queries (0 keeps GOMAXPROCS for -dir or the snapshot's setting for -index)")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *targetsDir == "" {
-		return fmt.Errorf("batch: -targets is required")
+		return usagef("batch: -targets is required")
 	}
-	engine, err := func() (*d3l.Engine, error) {
-		if *index != "" || *dir == "" {
-			return loadEngine(*dir, *index)
-		}
-		lake, err := d3l.LoadLakeDir(*dir)
-		if err != nil {
-			return nil, err
-		}
-		opts := d3l.DefaultOptions()
-		opts.Parallelism = *workers
-		return d3l.New(lake, opts)
-	}()
+	engine, err := loadEngine(*dir, *index, *workers)
 	if err != nil {
 		return err
-	}
-	// Serving concurrency is a host property: an explicit -workers
-	// overrides whatever parallelism the snapshot was built with.
-	if *workers != 0 {
-		if err := engine.SetParallelism(*workers); err != nil {
-			return err
-		}
 	}
 	targetLake, err := d3l.LoadLakeDir(*targetsDir)
 	if err != nil {
@@ -558,8 +598,6 @@ func cmdBatch(args []string) error {
 	if len(targets) == 0 {
 		return fmt.Errorf("batch: no *.csv targets under %s", *targetsDir)
 	}
-	ctx, stop := queryContext()
-	defer stop()
 	start := time.Now()
 	answers, err := engine.QueryBatch(ctx, targets, d3l.WithK(*k))
 	if err != nil {
@@ -567,94 +605,32 @@ func cmdBatch(args []string) error {
 	}
 	elapsed := time.Since(start)
 	for i, a := range answers {
-		fmt.Printf("# %s\n", targets[i].Name)
+		fmt.Fprintf(stdout, "# %s\n", targets[i].Name)
 		for _, r := range a.Results {
-			fmt.Printf("  %-24s %.3f\n", r.Name, r.Distance)
+			fmt.Fprintf(stdout, "  %-24s %.3f\n", r.Name, r.Distance)
 		}
 	}
-	fmt.Printf("answered %d queries in %v (%.1f queries/s)\n",
+	fmt.Fprintf(stdout, "answered %d queries in %v (%.1f queries/s)\n",
 		len(targets), elapsed.Round(time.Millisecond),
 		float64(len(targets))/elapsed.Seconds())
 	return nil
 }
 
-func cmdExplain(args []string) error {
-	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	dir := fs.String("dir", "", "lake directory of CSV files")
-	index := fs.String("index", "", "prebuilt snapshot (alternative to -dir)")
-	targetPath := fs.String("target", "", "target table CSV")
-	name := fs.String("table", "", "lake table to explain")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *targetPath == "" || *name == "" {
-		return fmt.Errorf("explain: -target and -table are required")
-	}
-	engine, err := loadEngine(*dir, *index)
-	if err != nil {
-		return err
-	}
-	target, err := d3l.ReadCSVFile(*targetPath)
-	if err != nil {
-		return err
-	}
-	ctx, stop := queryContext()
-	defer stop()
-	// Explanation-only query: k 0 skips the ranking pipeline entirely.
-	ans, err := engine.Query(ctx, target, d3l.WithK(0), d3l.WithExplainFor(*name))
-	if errors.Is(err, d3l.ErrTableNotFound) {
-		// The typed miss gets an actionable message instead of a
-		// generic failure: the query ran fine, the name is just wrong.
-		return fmt.Errorf("explain: no table %q in the lake (d3l index info or d3l stats lists tables)", *name)
-	}
-	if err != nil {
-		return err
-	}
-	fmt.Print(d3l.FormatExplanation(ans.Explanation))
-	return nil
-}
-
-func cmdStats(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	dir := fs.String("dir", "", "lake directory of CSV files")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("stats: -dir is required")
-	}
-	lake, err := d3l.LoadLakeDir(*dir)
-	if err != nil {
-		return err
-	}
-	engine, err := d3l.New(lake, d3l.DefaultOptions())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("tables:       %d\n", lake.Len())
-	fmt.Printf("attributes:   %d\n", engine.NumAttributes())
-	fmt.Printf("data bytes:   %d\n", lake.DataBytes())
-	fmt.Printf("index bytes:  %d (%.0f%% of data)\n", engine.IndexSpaceBytes(),
-		100*float64(engine.IndexSpaceBytes())/float64(lake.DataBytes()))
-	fmt.Printf("join edges:   %d\n", engine.JoinGraphEdges())
-	return nil
-}
-
-func cmdExp(args []string) error {
-	fs := flag.NewFlagSet("exp", flag.ExitOnError)
+func cmdExp(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
 	id := fs.String("id", "all", "experiment id")
 	scaleName := fs.String("scale", "small", "small or paper")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	return withProfiles(*cpuprofile, *memprofile, func() error {
-		return runExp(*id, *scaleName)
+		return runExp(stdout, *id, *scaleName)
 	})
 }
 
-func runExp(id, scaleName string) error {
+func runExp(w io.Writer, id, scaleName string) error {
 	var scale experiments.Scale
 	switch scaleName {
 	case "small":
@@ -662,10 +638,10 @@ func runExp(id, scaleName string) error {
 	case "paper":
 		scale = experiments.PaperScale()
 	default:
-		return fmt.Errorf("exp: unknown scale %q", scaleName)
+		return usagef("exp: unknown scale %q", scaleName)
 	}
 	if id == "all" {
-		return experiments.RunAll(os.Stdout, scale)
+		return experiments.RunAll(w, scale)
 	}
 	if id == "ablations" {
 		env, err := experiments.NewRealEnv(scale)
@@ -677,7 +653,7 @@ func runExp(id, scaleName string) error {
 			return err
 		}
 		for _, rep := range reps {
-			fmt.Println(rep.String())
+			fmt.Fprintln(w, rep.String())
 		}
 		return nil
 	}
@@ -685,7 +661,7 @@ func runExp(id, scaleName string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(rep.String())
+	fmt.Fprintln(w, rep.String())
 	return nil
 }
 
@@ -734,6 +710,6 @@ func runOne(id string, scale experiments.Scale) (experiments.Report, error) {
 	case "weights":
 		return experiments.TrainedWeightsReport(synth)
 	default:
-		return experiments.Report{}, fmt.Errorf("exp: unknown id %q", id)
+		return experiments.Report{}, usagef("exp: unknown id %q", id)
 	}
 }

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -18,11 +20,14 @@ func TestQueryBudgetFlag(t *testing.T) {
 	if err := d3l.SaveLakeDir(lake, dir); err != nil {
 		t.Fatal(err)
 	}
-	target := filepath.Join(dir, "table_0.csv")
-	if err := runQuery(dir, "", target, 2, false, 0, "", "", false); err != nil {
+	query := func(budget string) error {
+		args := []string{"query", "-dir", dir, "-target", filepath.Join(dir, "table_0.csv"), "-k", "2", "-budget", budget}
+		return run(context.Background(), args, io.Discard, io.Discard)
+	}
+	if err := query("0"); err != nil {
 		t.Fatalf("-budget 0: %v", err)
 	}
-	if err := runQuery(dir, "", target, 2, false, -5, "", "", false); !errors.Is(err, d3l.ErrInvalidOptions) {
+	if err := query("-5"); !errors.Is(err, d3l.ErrInvalidOptions) {
 		t.Fatalf("-budget -5: err = %v, want ErrInvalidOptions", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -19,54 +20,40 @@ import (
 	"d3l/internal/watch"
 )
 
-// cmdServe runs the HTTP serving subsystem over a prebuilt snapshot
-// (the serve-many half of the build-once/serve-many flow) or, for
-// development, over a CSV directory indexed at startup. The API is
-// /v1/query (the full per-query option set: k, joins, explainFor,
-// weights, evidence, candidateBudget) plus the legacy per-shape
-// endpoints; a request that exceeds -timeout or whose client
-// disconnects has its computation cancelled and its admission slot
-// freed immediately.
-//
-// Signals: SIGHUP hot-reloads the snapshot and atomically swaps the
-// serving engine under traffic (only with -index); SIGINT/SIGTERM
-// drain in-flight queries — new work answers 503 while running
-// queries finish — then exit.
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	index := fs.String("index", "", "prebuilt snapshot to serve (enables SIGHUP/POST /v1/reload)")
-	dir := fs.String("dir", "", "lake directory of CSV files (index at startup; alternative to -index)")
-	addr := fs.String("addr", ":8080", "listen address")
-	workers := fs.Int("workers", 0, "engine parallelism (0 keeps GOMAXPROCS for -dir or the snapshot's setting)")
-	maxConcurrent := fs.Int("max-concurrent", 0, "admission gate: concurrent queries+mutations (0 = 2x GOMAXPROCS)")
-	admissionWait := fs.Duration("admission-wait", 0, "max wait for a concurrency slot before 429 (0 = 100ms)")
-	timeout := fs.Duration("timeout", 0, "per-request execution deadline before 503 (0 = 30s)")
-	cacheEntries := fs.Int("cache", 0, "result cache capacity in entries (0 = 1024, negative disables)")
-	maxBody := fs.Int64("max-body", 0, "request body size limit in bytes before 413 (0 = 32MiB)")
-	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
-	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
-	watchDir := fs.Bool("watch", false, "poll -dir for CSV changes and fold them into the serving engine (requires -dir)")
-	watchInterval := fs.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
-	shards := fs.Int("shards", 1, "serve an in-process sharded engine set with this many shards (-dir splits the lake at startup; -index loads a shard manifest)")
-	if err := fs.Parse(args); err != nil {
-		return err
+// front is the serving front that `d3l serve` and `d3l coordinator`
+// share: the server.Config flag block, the listen and pprof addresses,
+// and the drain deadline.
+type front struct {
+	cfg          server.Config
+	addr, pprof  string
+	drainTimeout time.Duration
+}
+
+func newFront(fs *flag.FlagSet) *front {
+	f := &front{}
+	fs.StringVar(&f.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&f.cfg.MaxConcurrent, "max-concurrent", 0, "admission gate: concurrent queries+mutations (0 = 2x GOMAXPROCS)")
+	fs.DurationVar(&f.cfg.AdmissionWait, "admission-wait", 0, "max wait for a concurrency slot before 429 (0 = 100ms)")
+	fs.DurationVar(&f.cfg.RequestTimeout, "timeout", 0, "per-request execution deadline before 503 (0 = 30s)")
+	fs.IntVar(&f.cfg.CacheEntries, "cache", 0, "result cache capacity in entries (0 = 1024, negative disables)")
+	fs.Int64Var(&f.cfg.MaxBodyBytes, "max-body", 0, "request body size limit in bytes before 413 (0 = 32MiB)")
+	fs.DurationVar(&f.drainTimeout, "drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
+	fs.StringVar(&f.pprof, "pprof", "", "serve net/http/pprof on this loopback address (e.g. 127.0.0.1:6060; empty disables)")
+	return f
+}
+
+// serve runs srv on the front's address until ctx is done, then drains
+// it. name is the command in log lines, and about follows the address
+// in the line that announces it. SIGHUP reloads srv's engine.
+func (f *front) serve(ctx context.Context, name string, srv *server.Server, stderr io.Writer, about string) error {
+	if f.pprof != "" {
+		stop, err := servePprof(name, f.pprof, srv.MetricsHandler(), stderr)
+		if err != nil {
+			return err
+		}
+		defer stop()
 	}
-	if *watchDir && *dir == "" {
-		return fmt.Errorf("serve: -watch requires -dir")
-	}
-	if *shards < 1 {
-		return fmt.Errorf("serve: -shards must be at least 1, got %d", *shards)
-	}
-	engine, cfg, err := buildServeEngine(*dir, *index, *workers, *shards)
-	if err != nil {
-		return err
-	}
-	cfg.MaxConcurrent = *maxConcurrent
-	cfg.AdmissionWait = *admissionWait
-	cfg.RequestTimeout = *timeout
-	cfg.MaxBodyBytes = *maxBody
-	cfg.CacheEntries = *cacheEntries
-	srv, err := server.New(engine, cfg)
+	ln, err := net.Listen("tcp", f.addr)
 	if err != nil {
 		return err
 	}
@@ -77,135 +64,150 @@ func cmdServe(args []string) error {
 	// header-read and kill legitimately long queries; the server's
 	// own RequestTimeout bounds handler time instead.
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       5 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- hs.Serve(ln) }()
+	fmt.Fprintf(stderr, "d3l %s: listening on %s%s\n", name, ln.Addr(), about)
 
-	if *pprofAddr != "" {
-		stop, err := servePprof("serve", *pprofAddr, srv.MetricsHandler())
-		if err != nil {
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	for {
+		select {
+		case err := <-serveErr:
 			return err
+		case <-hup:
+			if err := srv.Reload(); err != nil {
+				fmt.Fprintf(stderr, "d3l %s: reload: %v\n", name, err)
+				continue
+			}
+			fmt.Fprintf(stderr, "d3l %s: reloaded (engine %016x)\n", name, srv.Engine().Fingerprint())
+		case <-ctx.Done():
+			fmt.Fprintf(stderr, "d3l %s: signalled, draining\n", name)
+			dctx, cancel := context.WithTimeout(context.Background(), f.drainTimeout)
+			defer cancel()
+			// Drain order: flip health checks to 503 and reject new work
+			// first, then stop accepting connections and finish in-flight
+			// HTTP exchanges, then wait for detached query goroutines.
+			srv.BeginShutdown()
+			if err := hs.Shutdown(dctx); err != nil {
+				return err
+			}
+			return srv.Shutdown(dctx)
 		}
-		defer stop()
 	}
+}
 
+// cmdServe runs the HTTP serving subsystem over a prebuilt snapshot
+// (the serve-many half of the build-once/serve-many flow) or, for
+// development, over a CSV directory indexed at startup. The API is
+// /v1/query (the full per-query option set: k, joins, explainFor,
+// weights, evidence, candidateBudget) plus the legacy per-shape
+// endpoints; a request that exceeds -timeout or whose client
+// disconnects has its computation cancelled and its admission slot
+// freed immediately.
+//
+// SIGHUP hot-reloads the snapshot and atomically swaps the serving
+// engine under traffic (only with -index); cancelling ctx drains
+// in-flight queries — new work answers 503 while running queries
+// finish — then returns.
+func cmdServe(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
+	index := fs.String("index", "", "prebuilt snapshot to serve (enables SIGHUP/POST /v1/reload)")
+	dir := fs.String("dir", "", "lake directory of CSV files (index at startup; alternative to -index)")
+	workers := fs.Int("workers", 0, "engine parallelism (0 keeps GOMAXPROCS for -dir or the snapshot's setting)")
+	watchDir := fs.Bool("watch", false, "poll -dir for CSV changes and fold them into the serving engine (requires -dir)")
+	watchInterval := fs.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
+	shards := fs.Int("shards", 1, "serve an in-process sharded engine set with this many shards (-dir splits the lake at startup; -index loads a shard manifest)")
+	f := newFront(fs)
+	if err := parse(fs, args, stderr); err != nil {
+		return err
+	}
+	if *watchDir && *dir == "" {
+		return usagef("serve: -watch requires -dir")
+	}
+	if *shards < 1 {
+		return usagef("serve: -shards must be at least 1, got %d", *shards)
+	}
+	engine, err := buildServeEngine(*dir, *index, *workers, *shards, &f.cfg)
+	if err != nil {
+		return err
+	}
+	srv, err := server.New(engine, f.cfg)
+	if err != nil {
+		return err
+	}
 	// -watch folds filesystem churn in -dir into the serving engine
 	// through the same gate HTTP mutations use: admission control,
 	// result-cache purge, and the mutation/update counters. The watcher
-	// is cancelled before drain begins so shutdown never races a cycle.
-	watchCtx, stopWatch := context.WithCancel(context.Background())
-	defer stopWatch()
+	// stops when the server begins to drain, or when serving fails.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 	if *watchDir {
 		w := watch.New(*dir, serverSink{srv})
 		w.Logf = func(format string, a ...any) {
-			fmt.Fprintf(os.Stderr, "d3l serve: "+format+"\n", a...)
+			fmt.Fprintf(stderr, "d3l serve: "+format+"\n", a...)
 		}
 		if err := w.Seed(); err != nil {
 			return err
 		}
-		go func() {
-			if err := w.Run(watchCtx, *watchInterval); err != nil && err != context.Canceled {
-				fmt.Fprintln(os.Stderr, "d3l serve: watch:", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "d3l serve: watching %s every %v\n", *dir, *watchInterval)
+		go w.Run(ctx, *watchInterval) // returns ctx's error, once ctx is done
+		fmt.Fprintf(stderr, "d3l serve: watching %s every %v\n", *dir, *watchInterval)
 	}
-
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			if err := srv.Reload(); err != nil {
-				fmt.Fprintln(os.Stderr, "d3l serve: reload:", err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "d3l serve: reloaded %s (engine %016x)\n",
-				*index, srv.Engine().Fingerprint())
-		}
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.ListenAndServe() }()
-
-	fmt.Fprintf(os.Stderr, "d3l serve: listening on %s (%d tables, %d attributes, engine %016x)\n",
-		*addr, engine.NumTables(), engine.NumAttributes(), engine.Fingerprint())
-
-	select {
-	case err := <-serveErr:
-		return err
-	case sig := <-stop:
-		fmt.Fprintf(os.Stderr, "d3l serve: %v, draining\n", sig)
-		stopWatch()
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		// Drain order: flip health checks to 503 and reject new work
-		// first, then stop accepting connections and finish in-flight
-		// HTTP exchanges, then wait for detached query goroutines.
-		srv.BeginShutdown()
-		if err := hs.Shutdown(ctx); err != nil {
-			return err
-		}
-		return srv.Shutdown(ctx)
-	}
+	return f.serve(ctx, "serve", srv, stderr, fmt.Sprintf(" (%d tables, %d attributes, engine %016x)",
+		engine.NumTables(), engine.NumAttributes(), engine.Fingerprint()))
 }
 
 // buildServeEngine resolves the serving engine for cmdServe: the
 // monolith paths (snapshot or CSV directory) at shards == 1, and the
 // in-process sharded set above — -dir splits the lake across the
 // consistent-hash ring at startup, -index loads the per-shard
-// snapshots named by a manifest from `d3l index build -shards N`.
-// The returned Config carries the matching reload wiring: SnapshotPath
-// for a monolith snapshot, LoadFunc for a shard manifest.
-func buildServeEngine(dir, index string, workers, shards int) (server.Engine, server.Config, error) {
+// snapshots named by a manifest from `d3l index build -shards N`. It
+// sets the matching reload wiring in cfg: SnapshotPath for a monolith
+// snapshot, LoadFunc for a shard manifest.
+func buildServeEngine(dir, index string, workers, shards int, cfg *server.Config) (server.Engine, error) {
 	if shards == 1 {
-		engine, err := loadEngine(dir, index)
+		cfg.SnapshotPath, cfg.Workers = index, workers
+		engine, err := loadEngine(dir, index, workers)
 		if err != nil {
-			return nil, server.Config{}, err
+			return nil, err
 		}
-		if workers != 0 {
-			if err := engine.SetParallelism(workers); err != nil {
-				return nil, server.Config{}, err
-			}
-		}
-		return engine, server.Config{SnapshotPath: index, Workers: workers}, nil
+		return engine, nil
 	}
-	if (dir == "") == (index == "") {
-		return nil, server.Config{}, fmt.Errorf("serve: exactly one of -dir and -index is required")
+	if err := checkSource(dir, index); err != nil {
+		return nil, err
 	}
 	if dir != "" {
 		lake, err := d3l.LoadLakeDir(dir)
 		if err != nil {
-			return nil, server.Config{}, err
+			return nil, err
 		}
 		opts := d3l.DefaultOptions()
 		opts.Parallelism = workers
-		set, err := shard.BuildSet(lake, shards, opts)
-		if err != nil {
-			return nil, server.Config{}, err
-		}
 		// A set built from CSVs has no snapshots to reload from; POST
 		// /v1/reload answers an error, as monolith -dir mode does.
-		return set, server.Config{}, nil
+		set, err := shard.BuildSet(lake, shards, opts)
+		if err != nil {
+			return nil, err
+		}
+		return set, nil
 	}
 	manifest := manifestPath(index)
 	set, err := shard.LoadSet(manifest, workers)
 	if err != nil {
-		return nil, server.Config{}, err
+		return nil, err
 	}
 	if set.NumShards() != shards {
-		return nil, server.Config{}, fmt.Errorf("serve: -shards %d but manifest %s describes %d shards", shards, manifest, set.NumShards())
+		return nil, usagef("serve: -shards %d but manifest %s describes %d shards", shards, manifest, set.NumShards())
 	}
-	cfg := server.Config{
-		LoadFunc: func() (server.Engine, error) {
-			return shard.LoadSet(manifest, workers)
-		},
+	cfg.LoadFunc = func() (server.Engine, error) {
+		return shard.LoadSet(manifest, workers)
 	}
-	return set, cfg, nil
+	return set, nil
 }
 
 // manifestPath accepts either the manifest file itself or the snapshot
@@ -226,7 +228,7 @@ func manifestPath(index string) string {
 // is also on the public mux): an operator can still scrape a process
 // whose public listener is saturated by the very overload being
 // debugged.
-func servePprof(cmd, addr string, metrics http.Handler) (stop func(), err error) {
+func servePprof(cmd, addr string, metrics http.Handler, stderr io.Writer) (stop func(), err error) {
 	ln, err := listenPprof(cmd, addr)
 	if err != nil {
 		return nil, err
@@ -241,10 +243,10 @@ func servePprof(cmd, addr string, metrics http.Handler) (stop func(), err error)
 	ps := &http.Server{Handler: pm, ReadHeaderTimeout: 10 * time.Second}
 	go func() {
 		if err := ps.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fmt.Fprintf(os.Stderr, "d3l %s: pprof: %v\n", cmd, err)
+			fmt.Fprintf(stderr, "d3l %s: pprof: %v\n", cmd, err)
 		}
 	}()
-	fmt.Fprintf(os.Stderr, "d3l %s: pprof on http://%s/debug/pprof/\n", cmd, ln.Addr())
+	fmt.Fprintf(stderr, "d3l %s: pprof on http://%s/debug/pprof/\n", cmd, ln.Addr())
 	return func() { ps.Close() }, nil
 }
 
@@ -257,12 +259,12 @@ func servePprof(cmd, addr string, metrics http.Handler) (stop func(), err error)
 func listenPprof(cmd, addr string) (net.Listener, error) {
 	host, _, err := net.SplitHostPort(addr)
 	if err != nil {
-		return nil, fmt.Errorf("%s: -pprof %q: %w", cmd, addr, err)
+		return nil, usagef("%s: -pprof %q: %w", cmd, addr, err)
 	}
 	if host != "localhost" {
 		ip := net.ParseIP(host)
 		if ip == nil || !ip.IsLoopback() {
-			return nil, fmt.Errorf("%s: -pprof must bind a loopback address, got %q", cmd, addr)
+			return nil, usagef("%s: -pprof must bind a loopback address, got %q", cmd, addr)
 		}
 	}
 	return net.Listen("tcp", addr)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"time"
 
 	"d3l"
@@ -21,30 +21,28 @@ import (
 // The engine starts from -index (snapshot cold-start; the first cycle
 // then reconciles the directory against the snapshot via updates) or
 // from -dir itself (indexed at startup; the first cycle is a no-op).
-func cmdWatch(args []string) error {
-	fs := flag.NewFlagSet("watch", flag.ExitOnError)
+func cmdWatch(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 	dir := fs.String("dir", "", "lake directory of CSV files to watch (required)")
 	index := fs.String("index", "", "prebuilt snapshot to start from (default: index -dir at startup)")
 	interval := fs.Duration("interval", 2*time.Second, "poll interval")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}
 	if *dir == "" {
-		return fmt.Errorf("watch: -dir is required")
+		return usagef("watch: -dir is required")
 	}
-	var engine *d3l.Engine
-	var err error
+	source := *dir
 	if *index != "" {
-		engine, err = loadEngine("", *index)
-	} else {
-		engine, err = loadEngine(*dir, "")
+		source = ""
 	}
+	engine, err := loadEngine(source, *index, 0)
 	if err != nil {
 		return err
 	}
 	w := watch.New(*dir, watch.EngineSink(engine))
 	w.Logf = func(format string, a ...any) {
-		fmt.Fprintf(os.Stderr, "d3l "+format+"\n", a...)
+		fmt.Fprintf(stderr, "d3l "+format+"\n", a...)
 	}
 	// An engine built from the watched directory already holds its
 	// tables; seeding records their on-disk state so the first cycle
@@ -56,14 +54,12 @@ func cmdWatch(args []string) error {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "d3l watch: %s every %v (%d tables, engine %016x)\n",
+	fmt.Fprintf(stderr, "d3l watch: %s every %v (%d tables, engine %016x)\n",
 		*dir, *interval, engine.NumTables(), engine.Fingerprint())
-	ctx, stop := queryContext()
-	defer stop()
 	if err := w.Run(ctx, *interval); err != context.Canceled {
 		return err
 	}
-	fmt.Fprintln(os.Stderr, "d3l watch: stopped")
+	fmt.Fprintln(stderr, "d3l watch: stopped")
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"d3l/internal/table"
@@ -21,15 +22,75 @@ func (e *Engine) Add(t *table.Table) (int, error) {
 	}
 	// Profile with a placeholder table id; signatures do not depend on
 	// it, and the real id is stamped once the lake assigns one.
-	return e.AddProfiled(t, e.prof.ProfileTable(-1, t, e.classifier))
+	return e.AddProfiled(t, e.prof.ProfileTable(-1, t, e.classifier), nil)
+}
+
+// WriteIDs are where a write lands in the engine's id space: the table
+// id an Add takes, and the first attribute id its fresh profiles take.
+// An engine's own next ids are its slot counts. A shard engine is told
+// them instead by its coordinator, which hands out ids for the whole
+// set in write order, so each shard holds its tables under the ids a
+// monolith given the same writes would have assigned.
+type WriteIDs struct{ Table, Attr int }
+
+// ErrWriteIDs reports assigned write ids the engine cannot take: below
+// its next ids (a stale or repeated write) or too far past them.
+var ErrWriteIDs = errors.New("core: write ids out of range")
+
+// maxFill bounds how far past the engine's next table or attribute id
+// one write may be assigned. Every id skipped becomes a fill slot the
+// engine keeps for good — about 90 B for a table slot (lake entry,
+// per-table entries) and 176 B for an attribute stub (a Profile with
+// no payload) — so without a bound one small request could make the
+// engine allocate without limit. A shard lags its coordinator only by
+// the writes that landed on its peers since its own last one.
+const maxFill = 1 << 20
+
+// place resolves where a write lands: at, when the coordinator
+// assigned it, else the engine's next ids. Caller holds e.mu in write
+// mode.
+func (e *Engine) place(at *WriteIDs) (WriteIDs, error) {
+	next := WriteIDs{Table: len(e.byTable), Attr: len(e.profiles)}
+	if at == nil {
+		return next, nil
+	}
+	if at.Table < next.Table || at.Attr < next.Attr {
+		return next, fmt.Errorf("%w: table %d, attribute %d is below the next ids %d, %d (a stale or repeated write)",
+			ErrWriteIDs, at.Table, at.Attr, next.Table, next.Attr)
+	}
+	if at.Table-next.Table > maxFill || at.Attr-next.Attr > maxFill {
+		return next, fmt.Errorf("%w: table %d, attribute %d is more than %d past the next ids %d, %d",
+			ErrWriteIDs, at.Table, at.Attr, maxFill, next.Table, next.Attr)
+	}
+	return *at, nil
+}
+
+// fill puts the attribute stubs that fill the id space up to attr in
+// front of fresh, the profiles a write is about to splice in. A stub
+// has no signatures, so splice writes no forest key for it, and no
+// table lists it. It names table tid, the table written, so that a
+// snapshot's attribute table ids stay in range. Caller holds e.mu.
+func (e *Engine) fill(attr, tid int, fresh []Profile) []Profile {
+	n := attr - len(e.profiles)
+	if n == 0 {
+		return fresh
+	}
+	stubs := make([]Profile, n, n+len(fresh))
+	for i := range stubs {
+		stubs[i] = Profile{Ref: AttrRef{TableID: tid}}.stub()
+	}
+	return append(stubs, fresh...)
 }
 
 // AddProfiled is the locked splice half of Add: callers that must
 // keep profiling outside their own locks (the public d3l engine does)
 // profile via ProfileTarget first and hand the result in. profiles
-// must come from this engine's profiler for exactly t. A failed Add
-// leaves the engine as it was, its next table id included.
-func (e *Engine) AddProfiled(t *table.Table, profiles []Profile) (int, error) {
+// must come from this engine's profiler for exactly t. The table lands
+// at at (see WriteIDs), or at the engine's next ids when at is nil; the
+// ids it skips become dead fill slots — lake slots with no name, and
+// attribute stubs. A failed Add leaves the engine as it was, its next
+// ids included.
+func (e *Engine) AddProfiled(t *table.Table, profiles []Profile, at *WriteIDs) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("core: nil table")
 	}
@@ -38,21 +99,30 @@ func (e *Engine) AddProfiled(t *table.Table, profiles []Profile) (int, error) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// Lake ids and the engine's per-table slices grow in lockstep:
-	// BuildEngine covers every lake table and Remove tombstones slots
-	// instead of compacting, so the lake's next id is len(e.byTable).
-	tid, subject := len(e.byTable), -1
+	ids, err := e.place(at)
+	if err != nil {
+		return 0, err
+	}
+	tid, subject := ids.Table, -1
 	attrs := make([]int, len(profiles))
 	for i := range profiles {
 		profiles[i].Ref.TableID = tid
-		attrs[i] = len(e.profiles) + i
+		attrs[i] = ids.Attr + i
 		if profiles[i].Subject {
 			subject = attrs[i]
 		}
 	}
-	err := e.splice(profiles, nil, func() error {
-		if _, err := e.lake.Add(t); err != nil {
+	err = e.splice(e.fill(ids.Attr, tid, profiles), nil, func() error {
+		if _, err := e.lake.AddAt(t, tid); err != nil {
 			return err
+		}
+		// The per-table slices grow with the lake: BuildEngine covers
+		// every lake table, and Remove tombstones slots instead of
+		// compacting them.
+		for len(e.byTable) < tid {
+			e.byTable = append(e.byTable, nil)
+			e.subjects = append(e.subjects, -1)
+			e.alive = append(e.alive, false)
 		}
 		e.byTable = append(e.byTable, attrs)
 		e.subjects = append(e.subjects, subject)

@@ -8,9 +8,10 @@ import (
 
 // A mutation whose forest writes fail part-way must leave the engine as
 // it found it: the same snapshot bytes, fingerprint, table and attribute
-// counts, and answers. Each case feeds the mutation fresh profiles made
-// by an engine with half the embedding width, so the I_N, I_V and I_F
-// inserts of the first text column land before its I_E insert fails.
+// counts, and answers. The first cases feed the mutation fresh profiles
+// made by an engine with half the embedding width, so the I_N, I_V and
+// I_F inserts of the first text column land before its I_E insert
+// fails; the rest are refused for their name or their assigned ids.
 func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 	narrowOpts := testOptions()
 	narrowOpts.EmbedBits = 128
@@ -26,7 +27,14 @@ func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 			tb := mustTable(t, "S4",
 				[]string{"Surgery", "Town"},
 				[][]string{{"Blackfriars", "Salford"}, {"Bolton Medical", "Bolton"}})
-			_, err := e.AddProfiled(tb, narrow.ProfileTarget(tb))
+			_, err := e.AddProfiled(tb, narrow.ProfileTarget(tb), nil)
+			return err
+		}},
+		// The same add at ids past the engine's next ones: the fill
+		// slots it would make must not outlive the failure.
+		{"add at assigned ids", func(e *Engine) error {
+			tb := mustTable(t, "S4", []string{"Surgery"}, [][]string{{"Blackfriars"}})
+			_, err := e.AddProfiled(tb, narrow.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen() + 2, Attr: e.NumAttributes() + 5})
 			return err
 		}},
 		{"update", func(e *Engine) error {
@@ -51,6 +59,26 @@ func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 			_, err := e.Add(figure1Lake(t).Table(1))
 			return err
 		}},
+		{"add duplicate name at assigned ids", func(e *Engine) error {
+			tb := figure1Lake(t).Table(1)
+			_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen() + 3, Attr: e.NumAttributes() + 4})
+			return err
+		}},
+		// Assigned ids the engine refuses before it writes anything.
+		{"add below the next ids", func(e *Engine) error {
+			tb := mustTable(t, "S4", []string{"Surgery"}, [][]string{{"Blackfriars"}})
+			_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen() - 1, Attr: e.NumAttributes()})
+			return err
+		}},
+		{"add past the fill bound", func(e *Engine) error {
+			tb := mustTable(t, "S4", []string{"Surgery"}, [][]string{{"Blackfriars"}})
+			_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen(), Attr: e.NumAttributes() + maxFill + 1})
+			return err
+		}},
+		{"update below the next attribute id", func(e *Engine) error {
+			_, err := e.UpdateAt(figure1Lake(t).Table(1), -1)
+			return err
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -63,7 +91,7 @@ func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 			}
 
 			if err := tc.mutate(e); err == nil {
-				t.Fatal("mutation with too-short embedding signatures succeeded")
+				t.Fatal("the mutation succeeded")
 			}
 
 			if !bytes.Equal(snapshotBytes(t, e), snap) {

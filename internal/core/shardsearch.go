@@ -13,10 +13,10 @@ import (
 
 // This file is the engine half of the sharded scatter-gather protocol.
 // A shard set partitions the lake's tables across N engines that share
-// one id space (see MirrorAdd/MirrorUpdate in mirror.go): every shard
-// assigns the same table and attribute ids the monolith would, owning
-// shards hold the real profiles and forests, peers hold dead mirror
-// slots. Under that invariant a top-k query decomposes exactly:
+// one id space (see WriteIDs in mutate.go): every table and attribute
+// lives on its owning shard under the id the monolith would have given
+// it, and the ids a shard does not own are dead fill slots or lie past
+// its end. Under that invariant a top-k query decomposes exactly:
 //
 //   probe   — every shard reports, per (target column, forest), the
 //             per-depth distinct candidate counts of its forest

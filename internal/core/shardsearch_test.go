@@ -15,12 +15,13 @@ import (
 	"d3l/internal/table"
 )
 
-// buildMirrorShards splits a lake across n engines in the shard-set id
-// discipline: tables enter every engine in lake order, the owner with a
-// real Add and the peers with a MirrorAdd, so table and attribute ids
-// are identical on every shard and to the monolith. Ownership is round
-// robin — exactness cannot depend on placement.
-func buildMirrorShards(t testing.TB, lake *table.Lake, n int) []*Engine {
+// buildShards splits a lake across n engines in the shard-set id
+// discipline: each table goes to its owner only, at the ids a
+// coordinator hands out in lake order, and the owner fills the ids its
+// peers hold with dead slots, so every table and attribute lives under
+// the monolith's id. Ownership is round robin — exactness cannot depend
+// on placement. It returns the engines and the set's next ids.
+func buildShards(t testing.TB, lake *table.Lake, n int) ([]*Engine, WriteIDs) {
 	t.Helper()
 	shards := make([]*Engine, n)
 	for s := range shards {
@@ -30,20 +31,15 @@ func buildMirrorShards(t testing.TB, lake *table.Lake, n int) []*Engine {
 		}
 		shards[s] = e
 	}
+	var next WriteIDs
 	for i, tb := range lake.Tables() {
-		for s, e := range shards {
-			if s == i%n {
-				if _, err := e.Add(tb); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				if _, err := e.MirrorAdd(tb.Name, len(tb.Columns)); err != nil {
-					t.Fatal(err)
-				}
-			}
+		owner := shards[i%n]
+		if _, err := owner.AddProfiled(tb, owner.ProfileTarget(tb), &next); err != nil {
+			t.Fatal(err)
 		}
+		next = WriteIDs{Table: i + 1, Attr: next.Attr + len(tb.Columns)}
 	}
-	return shards
+	return shards, next
 }
 
 // shardSearch runs the full scatter-gather protocol over the shards the
@@ -126,7 +122,7 @@ func TestShardSearchEqualsMonolith(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range []int{1, 2, 3, 7} {
-		shards := buildMirrorShards(t, lake, n)
+		shards, _ := buildShards(t, lake, n)
 		assertShardEqualsMonolith(t, mono, shards, lake, QuerySpec{K: 8})
 	}
 }
@@ -209,7 +205,7 @@ func TestShardSearchPrunesAndStaysExact(t *testing.T) {
 	}
 	spec := QuerySpec{K: 1, CandidateBudget: 96}
 	for _, n := range []int{1, 3} {
-		shards := buildMirrorShards(t, lake, n)
+		shards, _ := buildShards(t, lake, n)
 		for i := 0; i < 4; i++ {
 			target := lake.Table((i * 9) % lake.Len())
 			want, err := mono.SearchSpec(context.Background(), target, spec)
@@ -278,8 +274,8 @@ func TestShardGatherRejectsForeignProfiles(t *testing.T) {
 }
 
 // TestShardSearchEqualsMonolithAfterMutations drives both sides through
-// the same Add/Update/Remove sequence and re-checks equality: mutations
-// must keep the shard set's id space in lockstep with the monolith.
+// the same Add/Update/Remove sequence and re-checks equality: writes at
+// the set's assigned ids keep every shard's ids the monolith's.
 func TestShardSearchEqualsMonolithAfterMutations(t *testing.T) {
 	full := syntheticLake(t, 31, 30)
 	tables := full.Tables()
@@ -295,24 +291,24 @@ func TestShardSearchEqualsMonolithAfterMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := buildMirrorShards(t, lake, 3)
+	shards, next := buildShards(t, lake, 3)
 
-	// Late adds: owner Add + peer MirrorAdd, mirroring on the monolith.
+	// Late adds: each to its owner only, at the set's next ids, and the
+	// same add on the monolith.
 	for i := n - late; i < n; i++ {
 		tb := tables[i]
-		if _, err := mono.Add(tb); err != nil {
+		want, err := mono.Add(tb)
+		if err != nil {
 			t.Fatal(err)
 		}
-		owner := i % len(shards)
-		for s, e := range shards {
-			if s == owner {
-				if _, err := e.Add(tb); err != nil {
-					t.Fatal(err)
-				}
-			} else if _, err := e.MirrorAdd(tb.Name, len(tb.Columns)); err != nil {
-				t.Fatal(err)
-			}
+		got, err := shards[i%len(shards)].AddProfiled(tb, mono.ProfileTarget(tb), &next)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got != want {
+			t.Fatalf("late add %q: shard id %d, monolith id %d", tb.Name, got, want)
+		}
+		next = WriteIDs{Table: got + 1, Attr: next.Attr + len(tb.Columns)}
 	}
 
 	// In-place update of an owned table: shrink it to its first rows so
@@ -323,22 +319,14 @@ func TestShardSearchEqualsMonolithAfterMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ownerIdx := 1 % len(shards)
-	shardStats, err := shards[ownerIdx].Update(shrunk)
+	shardStats, err := shards[1%len(shards)].UpdateAt(shrunk, next.Attr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if monoStats != shardStats {
 		t.Fatalf("update stats diverge: mono %+v shard %+v", monoStats, shardStats)
 	}
-	for s, e := range shards {
-		if s == ownerIdx {
-			continue
-		}
-		if err := e.MirrorUpdate(shardStats.TableID, shardStats.Reprofiled); err != nil {
-			t.Fatal(err)
-		}
-	}
+	next.Attr += shardStats.Reprofiled
 
 	// Remove an owned table: the owner tombstones, peers do nothing.
 	gone := tables[2]
@@ -350,6 +338,13 @@ func TestShardSearchEqualsMonolithAfterMutations(t *testing.T) {
 	}
 
 	assertShardEqualsMonolith(t, mono, shards, full, QuerySpec{K: 8})
+	tablesMax, attrsMax := 0, 0
+	for _, e := range shards {
+		tablesMax, attrsMax = max(tablesMax, e.LakeLen()), max(attrsMax, e.NumAttributes())
+	}
+	if tablesMax != mono.LakeLen() || attrsMax != mono.NumAttributes() {
+		t.Fatalf("largest shard slot counts %d, %d; monolith %d, %d", tablesMax, attrsMax, mono.LakeLen(), mono.NumAttributes())
+	}
 }
 
 // mustSubTable rebuilds a table from its first maxRows rows.

@@ -96,18 +96,28 @@ func (e *Engine) diffColumnsLocked(tid int, t *table.Table) []int {
 }
 
 // Update re-indexes t in place: unchanged columns keep their attribute
-// ids and forest keys, changed ones are re-profiled and re-spliced,
-// and the table keeps its id. It diffs t against the stored table of
-// the same name under the read lock and profiles the changed columns
-// with no lock held — the expensive part, so queries keep flowing.
-// Then, under the write lock, it diffs again (a mutation may have
-// landed in between), profiles any column the fresh diff adds, and
-// splices: a stale first diff costs at most some wasted or extra
-// profiling, never a wrong index, because a profile is a function of
-// the incoming column alone. Callers that must not interleave with
-// other mutations (the public d3l engine) serialise Update under their
-// own mutation lock. A failed Update leaves the engine as it was.
-func (e *Engine) Update(t *table.Table) (UpdateStats, error) {
+// ids and forest keys, changed ones are re-profiled and re-spliced
+// under the engine's next attribute ids, and the table keeps its id.
+// It diffs t against the stored table of the same name under the read
+// lock and profiles the changed columns with no lock held — the
+// expensive part, so queries keep flowing. Then, under the write lock,
+// it diffs again (a mutation may have landed in between), profiles any
+// column the fresh diff adds, and splices: a stale first diff costs at
+// most some wasted or extra profiling, never a wrong index, because a
+// profile is a function of the incoming column alone. Callers that
+// must not interleave with other mutations (the public d3l engine)
+// serialise Update under their own mutation lock. A failed Update
+// leaves the engine as it was.
+func (e *Engine) Update(t *table.Table) (UpdateStats, error) { return e.update(t, nil) }
+
+// UpdateAt is Update with the fresh attributes placed from attribute
+// id attr on, as a coordinator assigned it (see WriteIDs); the ids it
+// skips become attribute stubs, as in AddProfiled.
+func (e *Engine) UpdateAt(t *table.Table, attr int) (UpdateStats, error) { return e.update(t, &attr) }
+
+// update is Update and UpdateAt: attrAt, when set, is the assigned
+// first attribute id.
+func (e *Engine) update(t *table.Table, attrAt *int) (UpdateStats, error) {
 	if t == nil {
 		return UpdateStats{}, fmt.Errorf("core: nil table")
 	}
@@ -143,6 +153,14 @@ func (e *Engine) Update(t *table.Table) (UpdateStats, error) {
 	}
 	keep = e.diffColumnsLocked(tid, t)
 	profileChanged()
+	var at *WriteIDs
+	if attrAt != nil {
+		at = &WriteIDs{Table: len(e.byTable), Attr: *attrAt}
+	}
+	ids, err := e.place(at)
+	if err != nil {
+		return UpdateStats{}, err
+	}
 
 	// The table's attribute list afterwards: kept ids, and for every
 	// other column the id its fresh profile is about to get.
@@ -150,7 +168,7 @@ func (e *Engine) Update(t *table.Table) (UpdateStats, error) {
 	var fresh []Profile
 	for j, attrID := range keep {
 		if attrID < 0 {
-			attrID = len(e.profiles) + len(fresh)
+			attrID = ids.Attr + len(fresh)
 			p := profiles[j]
 			p.Ref = AttrRef{TableID: tid, Column: j}
 			p.Subject = j == subjectIdx
@@ -169,7 +187,7 @@ func (e *Engine) Update(t *table.Table) (UpdateStats, error) {
 			drop = append(drop, attrID)
 		}
 	}
-	err := e.splice(fresh, drop, func() error {
+	err = e.splice(e.fill(ids.Attr, tid, fresh), drop, func() error {
 		e.lake.Replace(t)
 		// Kept profiles move with their columns: in-place writes under
 		// the write lock — see the Profile method doc for the

@@ -67,6 +67,15 @@ func TestServeErrorPaths(t *testing.T) {
 		{"explain unknown lake table", "POST", "/v1/explain", mustExplainBody(t, "no_such_table"), http.StatusNotFound, CodeNotFound},
 		{"remove unknown table", "DELETE", "/v1/tables/no_such_table", nil, http.StatusNotFound, CodeNotFound},
 		{"add duplicate name", "POST", "/v1/tables", mustAddBody(t, "S1"), http.StatusConflict, CodeConflict},
+		// Assigned write ids (a coordinator's, see AddTableRequest). The
+		// figure 1 engine holds 3 tables and 12 attributes.
+		{"add negative table id", "POST", "/v1/tables", mustAddAtBody(t, "S4", -1, 12), http.StatusBadRequest, CodeBadRequest},
+		{"add negative attribute id", "POST", "/v1/tables", mustAddAtBody(t, "S4", 3, -5), http.StatusBadRequest, CodeBadRequest},
+		{"add below the next ids", "POST", "/v1/tables", mustAddAtBody(t, "S4", 2, 12), http.StatusBadRequest, CodeBadRequest},
+		{"add past the fill bound", "POST", "/v1/tables", mustAddAtBody(t, "S4", 3, 1<<40), http.StatusBadRequest, CodeBadRequest},
+		{"add table id without attribute id", "POST", "/v1/tables", []byte(`{"table":{"name":"S4","columns":["c"],"rows":[["v"]]},"tableID":3}`), http.StatusBadRequest, CodeBadRequest},
+		{"update below the next attribute id", "PUT", "/v1/tables/S1", []byte(`{"table":{"name":"S1","columns":["c"],"rows":[["v"]]},"attrID":0}`), http.StatusBadRequest, CodeBadRequest},
+		{"the mirror route is gone", "POST", "/v1/shard/mirror", []byte(`{"op":"add","name":"x","numCols":1}`), http.StatusNotFound, CodeNotFound},
 		{"unknown route", "GET", "/v1/nope", nil, http.StatusNotFound, CodeNotFound},
 	}
 	for _, tc := range cases {
@@ -96,6 +105,17 @@ func mustAddBody(t *testing.T, name string) []byte {
 	tbl := figure1TargetJSON()
 	tbl.Name = name
 	b, err := json.Marshal(AddTableRequest{Table: tbl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func mustAddAtBody(t *testing.T, name string, tableID, attrID int) []byte {
+	t.Helper()
+	tbl := figure1TargetJSON()
+	tbl.Name = name
+	b, err := json.Marshal(AddTableRequest{Table: tbl, TableID: &tableID, AttrID: &attrID})
 	if err != nil {
 		t.Fatal(err)
 	}

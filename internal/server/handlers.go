@@ -88,7 +88,7 @@ func writeEngineError(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
 	case errors.Is(err, d3l.ErrDuplicateTable):
 		writeError(w, http.StatusConflict, CodeConflict, err.Error())
-	case errors.Is(err, d3l.ErrInvalidTableName):
+	case errors.Is(err, d3l.ErrInvalidTableName) || errors.Is(err, d3l.ErrWriteIDs):
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The client went away while we waited; the status is written
@@ -379,8 +379,22 @@ func (s *Server) handleAddTable(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
+	if (req.TableID == nil) != (req.AttrID == nil) {
+		writeError(w, http.StatusBadRequest, CodeBadRequest, "tableID and attrID come together")
+		return
+	}
 	s.serveMutation(w, r, func(e Engine) (any, error) {
-		id, err := e.Add(t)
+		add := e.Add
+		if req.TableID != nil {
+			sc, err := assignedIDs(e)
+			if err != nil {
+				return nil, err
+			}
+			add = func(t *d3l.Table) (int, error) {
+				return sc.AddProfiled(t, sc.PrepareShardTarget(t), &d3l.WriteIDs{Table: *req.TableID, Attr: *req.AttrID})
+			}
+		}
+		id, err := add(t)
 		return AddTableResponse{ID: id, Name: t.Name}, err
 	})
 }
@@ -436,7 +450,15 @@ func (s *Server) handleUpdateTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveMutation(w, r, func(e Engine) (any, error) {
-		stats, err := e.Update(t)
+		update := e.Update
+		if req.AttrID != nil {
+			sc, err := assignedIDs(e)
+			if err != nil {
+				return nil, err
+			}
+			update = func(t *d3l.Table) (d3l.UpdateStats, error) { return sc.UpdateAt(t, *req.AttrID) }
+		}
+		stats, err := update(t)
 		if err != nil {
 			return nil, err
 		}

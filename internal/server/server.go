@@ -291,12 +291,10 @@ func (s *Server) routes() {
 	// the method is what is wrong).
 	s.mux.HandleFunc("/v1/tables/{name}", s.handleTableMethodNotAllowed)
 	// Shard replica protocol (see shard_handlers.go): probe and gather
-	// are the two phases of a coordinator's scatter-gather query,
-	// mirror keeps this replica's id space in lockstep with its peers.
+	// are the two phases of a coordinator's scatter-gather query.
 	s.mux.HandleFunc("POST /v1/shard/probe", s.handleShardProbe)
 	s.mux.HandleFunc("POST /v1/shard/gather", s.handleShardGather)
 	s.mux.HandleFunc("POST /v1/shard/explain", s.handleShardExplain)
-	s.mux.HandleFunc("POST /v1/shard/mirror", s.handleShardMirror)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /v1/readyz", s.handleReadyz)
 	s.mux.HandleFunc("GET /v1/statsz", s.handleStatsz)

@@ -14,8 +14,10 @@ import (
 // monolithic *d3l.Engine doubles as one shard replica of a distributed
 // set: the thin coordinator (`d3l coordinator`, internal/shard.Remote)
 // drives the two-phase scatter-gather protocol through POST
-// /v1/shard/probe and /v1/shard/gather, and keeps the replica's id
-// space in lockstep with its peers through POST /v1/shard/mirror.
+// /v1/shard/probe and /v1/shard/gather. Writes take the ordinary table
+// routes; the coordinator sends each one to its owner only, with the
+// ids it assigned the write in the request body (AddTableRequest), so
+// the replica holds its tables under the monolith's ids.
 //
 // The endpoints are admission-gated like every other query and
 // mutation, but deliberately uncached: a probe or gather answer is an
@@ -55,14 +57,15 @@ func shardTargetMemoEntries(maxConcurrent int) int { return 2 * maxConcurrent }
 // shardCapable is the optional interface a serving engine implements
 // to act as a shard replica. *d3l.Engine implements it; the sharded
 // sets themselves do not (a shard of shards is not a topology this
-// subsystem defines), so the endpoints answer 501 on them.
+// subsystem defines), so the endpoints answer 501 on them, and a write
+// carrying assigned ids answers 400 (see assignedIDs).
 type shardCapable interface {
 	PrepareShardTarget(target *d3l.Table) *d3l.ShardTarget
 	ShardProbe(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec) (*d3l.ShardProbe, error)
 	ShardGather(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
 	ShardExplain(ctx context.Context, target *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
-	MirrorAdd(name string, numCols int) (int, error)
-	MirrorUpdate(tid, numFresh int) error
+	AddProfiled(t *d3l.Table, profiled *d3l.ShardTarget, at *d3l.WriteIDs) (int, error)
+	UpdateAt(t *d3l.Table, attr int) (d3l.UpdateStats, error)
 }
 
 // The capability is discovered by type assertion at request time, so a
@@ -98,22 +101,15 @@ type ShardExplainResponse struct {
 	Rows []d3l.PairExplanation `json:"rows"`
 }
 
-// ShardMirrorRequest applies the peer half of a placement mutation:
-// op "add" mirrors an Add the owning shard performed (name, numCols),
-// op "update" mirrors an in-place Update (tableID, numFresh = the
-// owner's reprofiled column count). Remove needs no mirror.
-type ShardMirrorRequest struct {
-	Op       string `json:"op"`
-	Name     string `json:"name,omitempty"`
-	NumCols  int    `json:"numCols,omitempty"`
-	TableID  int    `json:"tableID,omitempty"`
-	NumFresh int    `json:"numFresh,omitempty"`
-}
-
-// ShardMirrorResponse confirms a mirror op; ID is the table id the
-// mirror slot consumed (op "add") and must equal the owner's.
-type ShardMirrorResponse struct {
-	ID int `json:"id"`
+// assignedIDs resolves the engine a write carrying coordinator-assigned
+// ids runs on: a shard replica takes them, while a serving mode that
+// assigns ids itself refuses them with d3l.ErrWriteIDs.
+func assignedIDs(e Engine) (shardCapable, error) {
+	sc, ok := e.(shardCapable)
+	if !ok {
+		return nil, fmt.Errorf("%w: this serving mode assigns write ids itself", d3l.ErrWriteIDs)
+	}
+	return sc, nil
 }
 
 // shardEngine resolves the serving engine's shard surface and the swap
@@ -232,25 +228,4 @@ func (s *Server) handleShardExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSONBytes(w, http.StatusOK, body)
-}
-
-func (s *Server) handleShardMirror(w http.ResponseWriter, r *http.Request) {
-	var req ShardMirrorRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	sc, _, ok := s.shardEngine(w)
-	if !ok {
-		return
-	}
-	s.serveMutation(w, r, func(Engine) (any, error) {
-		switch req.Op {
-		case "add":
-			id, err := sc.MirrorAdd(req.Name, req.NumCols)
-			return ShardMirrorResponse{ID: id}, err
-		case "update":
-			return ShardMirrorResponse{ID: req.TableID}, sc.MirrorUpdate(req.TableID, req.NumFresh)
-		}
-		return nil, fmt.Errorf("%w: unknown mirror op %q (want add or update)", d3l.ErrInvalidOptions, req.Op)
-	})
 }

@@ -154,44 +154,66 @@ func TestShardTargetMemo(t *testing.T) {
 // interface, as a shard set does: it cannot act as a shard replica.
 type servingOnly struct{ Engine }
 
-// TestShardMirror pins POST /v1/shard/mirror: add consumes the next
-// table id and answers it, update of a mirrored table consumes
-// attribute slots for the owner's re-profiled columns, an unknown op is a 400 and an engine
-// that cannot be a replica answers 501.
-func TestShardMirror(t *testing.T) {
+// TestWritesAtAssignedIDs pins the ids a coordinator sends with a write
+// to a shard replica: an add lands at its tableID and attrID, filling
+// the ids before them with dead slots, an update's fresh columns land
+// at its attrID, a plain write goes on from there, and an engine that
+// assigns ids itself refuses them with a 400. The mirror route is gone.
+func TestWritesAtAssignedIDs(t *testing.T) {
 	eng := figure1Engine(t)
 	_, hs := newTestServer(t, eng, Config{})
-	url := hs.URL + "/v1/shard/mirror"
+	tables, attrs := eng.NumTables(), eng.NumAttributes()
 
-	status, body := postJSON(t, url, ShardMirrorRequest{Op: "add", Name: "ghost", NumCols: 2})
-	var got ShardMirrorResponse
-	if status != http.StatusOK || json.Unmarshal(body, &got) != nil || got.ID != 3 {
-		t.Fatalf("mirror add: status %d body %s, want 200 with id 3", status, body)
+	ghost := figure1TargetJSON()
+	ghost.Name = "ghost"
+	tableID, attrID := tables+2, attrs+3
+	status, body := postJSON(t, hs.URL+"/v1/tables", AddTableRequest{Table: ghost, TableID: &tableID, AttrID: &attrID})
+	var added AddTableResponse
+	if status != http.StatusOK || json.Unmarshal(body, &added) != nil || added.ID != tableID {
+		t.Fatalf("add at assigned ids: status %d body %s, want 200 with id %d", status, body, tableID)
+	}
+	if n, a := eng.NumTables(), eng.NumAttributes(); n != tableID+1 || a != attrID+len(ghost.Columns) {
+		t.Fatalf("add at assigned ids left %d table and %d attribute slots, want %d and %d", n, a, tableID+1, attrID+len(ghost.Columns))
+	}
+	if names := eng.Tables(); len(names) != tables+1 {
+		t.Fatalf("fill slots listed as tables: %v", names)
 	}
 	next, err := eng.Add(mustTable(t, "S4", []string{"Practice"}, [][]string{{"Blackfriars"}}))
-	if err != nil || next != 4 {
-		t.Fatalf("the Add after a mirrored add got id %d (err %v), want 4", next, err)
+	if err != nil || next != tableID+1 {
+		t.Fatalf("the Add after an assigned add got id %d (err %v), want %d", next, err, tableID+1)
 	}
 
-	// The update mirrors one the peer owning "ghost" applied.
-	attrs := eng.NumAttributes()
-	status, body = postJSON(t, url, ShardMirrorRequest{Op: "update", TableID: 3, NumFresh: 2})
-	got = ShardMirrorResponse{}
-	if status != http.StatusOK || json.Unmarshal(body, &got) != nil || got.ID != 3 {
-		t.Fatalf("mirror update: status %d body %s, want 200 with id 3", status, body)
+	ghost.Rows = ghost.Rows[:1]
+	attrID = eng.NumAttributes() + 4
+	status, body = doRequest(t, http.MethodPut, hs.URL+"/v1/tables/ghost", mustJSON(t, UpdateTableRequest{Table: ghost, AttrID: &attrID}))
+	var updated UpdateTableResponse
+	if status != http.StatusOK || json.Unmarshal(body, &updated) != nil || updated.ID != tableID {
+		t.Fatalf("update at an assigned id: status %d body %s, want 200 with id %d", status, body, tableID)
 	}
-	if n := eng.NumAttributes(); n != attrs+2 {
-		t.Fatalf("mirror update left %d attribute slots, want %d", n, attrs+2)
+	if a := eng.NumAttributes(); a != attrID+updated.ReprofiledCols {
+		t.Fatalf("update at an assigned id left %d attribute slots, want %d", a, attrID+updated.ReprofiledCols)
 	}
 
-	if status, body := postJSON(t, url, ShardMirrorRequest{Op: "rename", Name: "x"}); status != http.StatusBadRequest {
-		t.Fatalf("unknown op: status %d body %s, want 400", status, body)
+	if status, body := postJSON(t, hs.URL+"/v1/shard/mirror", struct{}{}); status != http.StatusNotFound {
+		t.Fatalf("the mirror route: status %d body %s, want 404", status, body)
 	}
 
 	_, plain := newTestServer(t, servingOnly{figure1Engine(t)}, Config{})
-	if status, body := postJSON(t, plain.URL+"/v1/shard/mirror", ShardMirrorRequest{Op: "add", Name: "ghost", NumCols: 1}); status != http.StatusNotImplemented {
-		t.Fatalf("engine that is not a replica: status %d body %s, want 501", status, body)
+	ghost.Name = "ghost2"
+	tableID, attrID = 3, 100
+	status, body = postJSON(t, plain.URL+"/v1/tables", AddTableRequest{Table: ghost, TableID: &tableID, AttrID: &attrID})
+	if status != http.StatusBadRequest || decodeEnvelope(t, body) != CodeBadRequest {
+		t.Fatalf("assigned ids on an engine that assigns its own: status %d body %s, want 400", status, body)
 	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestShardExplainEqualsQuery: the rows a replica explains for the

@@ -339,8 +339,15 @@ type ExplainResponse struct {
 }
 
 // AddTableRequest adds one table to the lake (incremental indexing).
+// A coordinator writing to a shard replica also sends the ids it
+// assigned the write: the table's id and its first attribute id. The
+// two come together. Absent, the engine takes its own next ids; a
+// serving mode that assigns ids itself (a shard set, a coordinator)
+// refuses them with a 400.
 type AddTableRequest struct {
-	Table TableJSON `json:"table"`
+	Table   TableJSON `json:"table"`
+	TableID *int      `json:"tableID,omitempty"`
+	AttrID  *int      `json:"attrID,omitempty"`
 }
 
 // AddTableResponse reports the assigned table id.
@@ -351,9 +358,12 @@ type AddTableResponse struct {
 
 // UpdateTableRequest replaces the contents of one table in place
 // (PUT /v1/tables/{name}). The path names the table; the body carries
-// the new contents under the same name — a mismatch is a 409.
+// the new contents under the same name — a mismatch is a 409. AttrID
+// is the first attribute id a coordinator assigned the update's fresh
+// columns, as on AddTableRequest.
 type UpdateTableRequest struct {
-	Table TableJSON `json:"table"`
+	Table  TableJSON `json:"table"`
+	AttrID *int      `json:"attrID,omitempty"`
 }
 
 // UpdateTableResponse reports what the delta re-profile actually did:

@@ -113,8 +113,8 @@ type breaker struct {
 	trial    bool          // a half-open trial is in flight
 
 	// quarantined marks a replica whose engine state may have
-	// diverged from its group (a mutation failed or answered out of
-	// lockstep on it). Quarantine is terminal for this Remote: the
+	// diverged from its group (a mutation failed on it, or it refused
+	// one a sibling applied). Quarantine is terminal for this Remote: the
 	// replica never serves again until a reload rebuilds the
 	// coordinator state from a fresh poll.
 	quarantined    bool

@@ -11,7 +11,6 @@ import (
 
 	"d3l"
 	"d3l/internal/core"
-	"d3l/internal/server"
 )
 
 // shardClient is one shard as the coordinator drives it: an in-process
@@ -31,12 +30,11 @@ type shardClient[T any] interface {
 	gather(ctx context.Context, t T, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
 	explain(ctx context.Context, t *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
 
-	add(ctx context.Context, t *d3l.Table) (int, error)
-	update(ctx context.Context, t *d3l.Table) (d3l.UpdateStats, error)
+	// add and update write at the ids the coordinator assigned: the
+	// shard fills its id space with dead slots up to them.
+	add(ctx context.Context, t *d3l.Table, at d3l.WriteIDs) (int, error)
+	update(ctx context.Context, t *d3l.Table, attr int) (d3l.UpdateStats, error)
 	remove(ctx context.Context, name string) error
-	// mirror applies the peer half of an add or update (see
-	// server.ShardMirrorRequest) and answers the table id it concerns.
-	mirror(ctx context.Context, m server.ShardMirrorRequest) (int, error)
 
 	tables(ctx context.Context) ([]string, error)
 	hasTable(ctx context.Context, name string) error
@@ -47,28 +45,49 @@ type shardClient[T any] interface {
 // coordinator is the server.Engine surface over a shard set, written
 // once for Set (in-process shards) and Remote (HTTP replica groups). It
 // owns placement, the exact two-phase scatter-gather, explain routing,
-// the owner + mirror mutation fan-out and the listing folds, and reaches
-// the shards only through their clients.
+// the id assignment and owner routing of writes, and the listing folds,
+// and reaches the shards only through their clients.
 //
-// mu serialises mutations against queries: a multi-shard mutation
-// (owner Add + peer mirrors) must be atomic with respect to a concurrent
-// scatter-gather, or a query could observe shard A with a table whose
-// mirror has not landed on shard B yet and the id spaces would disagree
-// mid-merge. A mutation holds it for its whole fan-out, which needs no
-// deadline of its own: a Remote bounds every replica attempt by
-// ShardTimeout and never retries a mutation, so at most replicas ×
-// ShardTimeout. Listings and slot counts do without the lock: they read
-// each shard once, and every state a mutation passes through lists and
-// counts as before or after it.
+// next is where the next write lands in the set's id space. The
+// coordinator sees every write in order, so it hands out the ids a
+// monolith given the same writes would assign, and each write goes to
+// its owner only, carrying them. It learns next from its shards when it
+// is built (learnIDs).
+//
+// mu guards next and serialises writes against queries: a write landing
+// between a query's probe and its gather would cut the new lake's
+// candidates at stop depths merged from the old one. A write holds it
+// for one round trip to one shard, which needs no deadline of its own:
+// a Remote bounds every replica attempt by ShardTimeout and never
+// retries a write, so at most replicas × ShardTimeout. Listings do
+// without the lock: they read each shard once, and every state a write
+// passes through lists as before or after it.
 type coordinator[T any, C shardClient[T]] struct {
 	mu     sync.RWMutex
 	place  *Placement
 	shards []C
+	next   d3l.WriteIDs
 	// timeout bounds one listing or slot-count read; 0 is no bound.
 	timeout time.Duration
 	// muts counts the mutations applied through this coordinator, for
 	// Fingerprint: a replica group's fingerprint is polled only once.
 	muts atomic.Uint64
+}
+
+// learnIDs sets next to the largest slot counts among the shards. Every
+// id is taken by the one shard its write went to, and a failed write
+// takes none, so the largest counts are a monolith's.
+func (c *coordinator[T, C]) learnIDs() error {
+	ctx, cancel := bounded(c.timeout)
+	defer cancel()
+	for i, s := range c.shards {
+		tables, attrs, err := s.slots(ctx)
+		if err != nil {
+			return fmt.Errorf("shard %d: slot counts: %w", i, err)
+		}
+		c.next.Table, c.next.Attr = max(c.next.Table, tables), max(c.next.Attr, attrs)
+	}
+	return nil
 }
 
 // NumShards reports the shard count.
@@ -124,7 +143,7 @@ func (c *coordinator[T, C]) query(ctx context.Context, target *d3l.Table, sq *d3
 		// matters), so the owning shard alone answers exactly. Asked first,
 		// it is also the monolith's pre-check: an unknown table fails
 		// before any ranking work. Partial mode never applies.
-		_, err := c.onOwner(sq.ExplainFor, func(s C) (err error) {
+		err := c.onOwner(sq.ExplainFor, func(s C) (err error) {
 			ans.Explanation, err = s.explain(ctx, target, sq.ExplainFor, sq.Spec)
 			return err
 		})
@@ -219,23 +238,22 @@ func phase[V any](ctx context.Context, name string, live []int, partialOK bool, 
 // onOwner runs op on the shard holding name live: the ring owner in
 // every set this package constructs, and the others in turn only when
 // the owner answers not-found, so a placement mismatch degrades to a
-// slower lookup rather than a wrong "not found". It returns the shard
-// that answered and op's error; not-found everywhere is the monolith's
-// ErrTableNotFound.
-func (c *coordinator[T, C]) onOwner(name string, op func(C) error) (int, error) {
+// slower lookup rather than a wrong "not found". It returns op's error;
+// not-found everywhere is the monolith's ErrTableNotFound.
+func (c *coordinator[T, C]) onOwner(name string, op func(C) error) error {
 	owner := c.place.Owner(name)
 	if err := op(c.shards[owner]); !isNotFound(err) {
-		return owner, err
+		return err
 	}
 	for i, s := range c.shards {
 		if i == owner {
 			continue
 		}
 		if err := op(s); !isNotFound(err) {
-			return i, err
+			return err
 		}
 	}
-	return 0, fmt.Errorf("%w: no table %q in the lake", d3l.ErrTableNotFound, name)
+	return fmt.Errorf("%w: no table %q in the lake", d3l.ErrTableNotFound, name)
 }
 
 func isNotFound(err error) bool {
@@ -250,75 +268,49 @@ func bounded(d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(context.Background(), d)
 }
 
-// Add indexes a new table on its ring owner and mirrors the id
-// consumption on every peer, verifying the lockstep invariant.
+// Add indexes a new table on its ring owner, at the next ids.
 func (c *coordinator[T, C]) Add(t *d3l.Table) (int, error) {
 	if t == nil {
 		return 0, fmt.Errorf("d3l: nil table")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctx := context.Background()
-	owner := c.place.Owner(t.Name)
-	id, err := c.shards[owner].add(ctx, t)
+	id, err := c.shards[c.place.Owner(t.Name)].add(context.Background(), t, c.next)
 	if err != nil {
 		return 0, err
 	}
-	m := server.ShardMirrorRequest{Op: "add", Name: t.Name, NumCols: len(t.Columns)}
-	for i, s := range c.shards {
-		if i == owner {
-			continue
-		}
-		mid, err := s.mirror(ctx, m)
-		if err != nil {
-			return 0, fmt.Errorf("shard %d: mirroring add of %q: %w", i, t.Name, err)
-		}
-		if mid != id {
-			return 0, fmt.Errorf("shard %d: mirror of %q got id %d, owner got %d (id lockstep broken)", i, t.Name, mid, id)
-		}
-	}
+	c.next = d3l.WriteIDs{Table: id + 1, Attr: c.next.Attr + len(t.Columns)}
 	c.muts.Add(1)
 	return id, nil
 }
 
-// Update re-profiles a table in place on its owning shard and mirrors
-// the fresh attribute-id consumption on every peer.
+// Update re-profiles a table in place on its owning shard, its fresh
+// attributes taking the next attribute ids.
 func (c *coordinator[T, C]) Update(t *d3l.Table) (d3l.UpdateStats, error) {
 	if t == nil {
 		return d3l.UpdateStats{}, fmt.Errorf("d3l: nil table")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ctx := context.Background()
 	var stats d3l.UpdateStats
-	owner, err := c.onOwner(t.Name, func(s C) (err error) {
-		stats, err = s.update(ctx, t)
+	err := c.onOwner(t.Name, func(s C) (err error) {
+		stats, err = s.update(context.Background(), t, c.next.Attr)
 		return err
 	})
 	if err != nil {
 		return d3l.UpdateStats{}, err
 	}
-	m := server.ShardMirrorRequest{Op: "update", TableID: stats.TableID, NumFresh: stats.Reprofiled}
-	for i, s := range c.shards {
-		if i == owner {
-			continue
-		}
-		if _, err := s.mirror(ctx, m); err != nil {
-			return d3l.UpdateStats{}, fmt.Errorf("shard %d: mirroring update of %q: %w", i, t.Name, err)
-		}
-	}
+	c.next.Attr += stats.Reprofiled
 	c.muts.Add(1)
 	return stats, nil
 }
 
-// Remove tombstones a table on its owning shard. Peers hold only a dead
-// mirror slot already, so no mirror op is needed — the id space cannot
-// move on a remove.
+// Remove tombstones a table on its owning shard; ids do not move.
 func (c *coordinator[T, C]) Remove(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ctx := context.Background()
-	if _, err := c.onOwner(name, func(s C) error { return s.remove(ctx, name) }); err != nil {
+	if err := c.onOwner(name, func(s C) error { return s.remove(ctx, name) }); err != nil {
 		return err
 	}
 	c.muts.Add(1)
@@ -347,8 +339,7 @@ func (c *coordinator[T, C]) Tables() []string {
 func (c *coordinator[T, C]) HasTable(name string) bool {
 	ctx, cancel := bounded(c.timeout)
 	defer cancel()
-	_, err := c.onOwner(name, func(s C) error { return s.hasTable(ctx, name) })
-	return err == nil
+	return c.onOwner(name, func(s C) error { return s.hasTable(ctx, name) }) == nil
 }
 
 // Fingerprint folds the shards' fingerprints (order-sensitively) with
@@ -366,27 +357,18 @@ func (c *coordinator[T, C]) Fingerprint() uint64 {
 	return (h ^ c.muts.Load()) * prime
 }
 
-// NumTables reports the table-slot count. Id lockstep makes every
-// shard's count equal to the monolith's, so shard 0 answers for all
-// (0 if it cannot).
+// NumTables reports the table-slot count: the next table id, as a
+// monolith given the same writes counts it.
 func (c *coordinator[T, C]) NumTables() int {
-	tables, _ := c.slots()
-	return tables
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.next.Table
 }
 
-// NumAttributes reports the attribute-slot count (same lockstep
-// argument as NumTables).
+// NumAttributes reports the attribute-slot count: the next attribute
+// id.
 func (c *coordinator[T, C]) NumAttributes() int {
-	_, attrs := c.slots()
-	return attrs
-}
-
-func (c *coordinator[T, C]) slots() (tables, attrs int) {
-	ctx, cancel := bounded(c.timeout)
-	defer cancel()
-	tables, attrs, err := c.shards[0].slots(ctx)
-	if err != nil {
-		return 0, 0
-	}
-	return tables, attrs
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.next.Attr
 }

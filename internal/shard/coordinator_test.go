@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -21,16 +22,16 @@ import (
 	"d3l/internal/server"
 )
 
-// The equivalence suites run once per shard client: a backend builds an
-// n-shard coordinator over a lake — in-process (Set) or through one
-// HTTP replica per shard (Remote) — and each suite holds it to the
-// monolith.
-type backend func(t *testing.T, lake *d3l.Lake, n int) server.Engine
+// The equivalence suites run once per shard client: a backend puts a
+// coordinator in front of a set's engines — in-process (the Set
+// itself) or through one HTTP replica per shard (Remote) — and each
+// suite holds it to the monolith.
+type backend func(t *testing.T, set *Set) server.Engine
 
-func setBackend(t *testing.T, lake *d3l.Lake, n int) server.Engine { return buildSet(t, lake, n) }
+func setBackend(_ *testing.T, set *Set) server.Engine { return set }
 
-func remoteBackend(t *testing.T, lake *d3l.Lake, n int) server.Engine {
-	remote, _ := serveRemote(t, buildSet(t, lake, n), RemoteConfig{})
+func remoteBackend(t *testing.T, set *Set) server.Engine {
+	remote, _ := serveRemote(t, set, RemoteConfig{})
 	return remote
 }
 
@@ -89,7 +90,7 @@ func testMatchesMonolith(t *testing.T, build backend) {
 
 	explainName := lake.Table(1).Name
 	for _, n := range shardCounts {
-		eng := build(t, lake, n)
+		eng := build(t, buildSet(t, lake, n))
 		for ti, target := range targets {
 			label := target.Name
 			want, err := mono.Query(ctx, target, d3l.WithK(8))
@@ -146,28 +147,38 @@ func testMatchesMonolith(t *testing.T, build backend) {
 
 // testMutationsMatchMonolith drives the coordinator and the monolith
 // through the same Add / Update / Remove sequence through their public
-// surfaces — the coordinator routing by placement to owner and mirrors,
-// the monolith directly — and re-checks ids, update stats, rankings,
-// explanations, batches, liveness, listings and slot counts.
+// surfaces — the coordinator routing each write to its owner, the
+// monolith directly — and re-checks ids, update stats, rankings,
+// explanations, batches, liveness, listings and slot counts. The last
+// add lands on a shard other than shard 0, so that shard 0's slot
+// counts lag the set's; then the shards go through a WriteSet →
+// LoadSet round trip behind a fresh coordinator, which must learn the
+// set's counts back, and take one more add on shard 0.
 func testMutationsMatchMonolith(t *testing.T, build backend) {
 	lake := testLake(t, 137, 14)
 	mono := buildMono(t, lake)
-	eng := build(t, lake, 3)
+	set := buildSet(t, lake, 3)
+	eng := build(t, set)
 	ctx := context.Background()
+	add := func(src *d3l.Table, name string) *d3l.Table {
+		t.Helper()
+		wantID, err := mono.Add(cloneTable(t, src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		added := cloneTable(t, src, name)
+		gotID, err := eng.Add(added)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantID != gotID {
+			t.Fatalf("add of %s: ids diverge: mono %d shards %d", name, wantID, gotID)
+		}
+		return added
+	}
 
 	// Add: a clone of table 2 under a fresh name.
-	added := cloneTable(t, lake.Table(2), "post_build_add")
-	wantID, err := mono.Add(added)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotID, err := eng.Add(cloneTable(t, lake.Table(2), "post_build_add"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantID != gotID {
-		t.Fatalf("add ids diverge: mono %d shards %d", wantID, gotID)
-	}
+	added := add(lake.Table(2), "post_build_add")
 
 	// Update: shrink table 1 in place so profiles genuinely change.
 	victim := lake.Table(1)
@@ -199,47 +210,84 @@ func testMutationsMatchMonolith(t *testing.T, build backend) {
 	}
 
 	targets := append(liveTargets(lake, 4), added)
-	for _, target := range targets {
-		want, err := mono.Query(ctx, target, d3l.WithK(8), d3l.WithExplainFor(victim.Name))
+	check := func(label string) {
+		t.Helper()
+		for _, target := range targets {
+			want, err := mono.Query(ctx, target, d3l.WithK(8), d3l.WithExplainFor(victim.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := eng.Query(ctx, target, d3l.WithK(8), d3l.WithExplainFor(victim.Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAnswersEqual(t, label+" "+target.Name, want, got)
+		}
+		wantB, err := mono.QueryBatch(ctx, targets, d3l.WithK(6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Query(ctx, target, d3l.WithK(8), d3l.WithExplainFor(victim.Name))
+		gotB, err := eng.QueryBatch(ctx, targets, d3l.WithK(6))
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertAnswersEqual(t, "post-mutation "+target.Name, want, got)
-	}
-	wantB, err := mono.QueryBatch(ctx, targets, d3l.WithK(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, err := eng.QueryBatch(ctx, targets, d3l.WithK(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantB {
-		assertAnswersEqual(t, "post-mutation batch "+targets[i].Name, wantB[i], gotB[i])
-	}
+		for i := range wantB {
+			assertAnswersEqual(t, label+" batch "+targets[i].Name, wantB[i], gotB[i])
+		}
 
-	// Introspection parity after the full sequence.
-	if mono.NumTables() != eng.NumTables() {
-		t.Fatalf("table slots diverge: mono %d shards %d", mono.NumTables(), eng.NumTables())
+		// Introspection parity.
+		if mono.NumTables() != eng.NumTables() {
+			t.Fatalf("%s: table slots diverge: mono %d shards %d", label, mono.NumTables(), eng.NumTables())
+		}
+		if mono.NumAttributes() != eng.NumAttributes() {
+			t.Fatalf("%s: attribute slots diverge: mono %d shards %d", label, mono.NumAttributes(), eng.NumAttributes())
+		}
+		if monoNames, names := mono.Tables(), eng.Tables(); !reflect.DeepEqual(monoNames, names) {
+			t.Fatalf("%s: live listings diverge: mono %v shards %v", label, monoNames, names)
+		}
 	}
-	if mono.NumAttributes() != eng.NumAttributes() {
-		t.Fatalf("attribute slots diverge: mono %d shards %d", mono.NumAttributes(), eng.NumAttributes())
+	check("post-mutation")
+
+	targets = append(targets, add(lake.Table(4), nameOwnedBy(set.place, "late_add", func(s int) bool { return s != 0 })))
+	if set.Shard(0).NumAttributes() == mono.NumAttributes() {
+		t.Fatal("shard 0 holds every attribute slot: the round trip below would not test the largest count")
 	}
-	if monoNames, names := mono.Tables(), eng.Tables(); !reflect.DeepEqual(monoNames, names) {
-		t.Fatalf("live listings diverge: mono %v shards %v", monoNames, names)
+	check("last add off shard 0")
+
+	dir := t.TempDir()
+	if err := WriteSet(set, dir); err != nil {
+		t.Fatal(err)
+	}
+	set, err = LoadSet(filepath.Join(dir, ManifestName), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng = build(t, set)
+	check("round trip")
+
+	targets = append(targets, add(lake.Table(5), nameOwnedBy(set.place, "filled_add", func(s int) bool { return s == 0 })))
+	check("add on shard 0 after the round trip")
+}
+
+// nameOwnedBy returns the first name prefix_0, prefix_1, ... whose ring
+// owner satisfies want.
+func nameOwnedBy(place *Placement, prefix string, want func(shard int) bool) string {
+	for i := 0; ; i++ {
+		if name := fmt.Sprintf("%s_%d", prefix, i); want(place.Owner(name)) {
+			return name
+		}
 	}
 }
 
 // TestMutationsRacingQueries: the test goroutine cycles Add → Update →
 // Remove through the coordinator while three others query it. The
-// coordinator's lock makes each owner + mirror mutation atomic against
-// a whole scatter-gather, so every answer is the monolith's answer at a
+// coordinator's lock makes each write atomic against a whole
+// scatter-gather, so every answer is the monolith's answer at a
 // state the mutation stream passed through while the query ran — before
-// or after the mutation in flight — and no query fails. Both clients: a
+// or after the mutation in flight — and no query fails. The attribute
+// slot count read beside each query lies between those two states'
+// counts: the coordinator's id counters move under the same lock. Both
+// clients: a
 // 2-shard Set, and a Remote over 2 shards × 2 replicas. Run under -race.
 //
 // Without the lock the hazard is a mutation landing between a query's
@@ -258,6 +306,9 @@ func TestMutationsRacingQueries(t *testing.T) {
 		eng := &coordinator[*d3l.ShardTarget, slowGather]{place: set.place, shards: []slowGather{
 			{set.shards[0], held}, {set.shards[1], held},
 		}}
+		if err := eng.learnIDs(); err != nil {
+			t.Fatal(err)
+		}
 		raceMutations(t, lake, buildMono(t, lake), eng)
 	})
 	t.Run("remote", func(t *testing.T) {
@@ -293,13 +344,16 @@ func raceMutations(t *testing.T, lake *d3l.Lake, mono *d3l.Engine, eng server.En
 	// want[s][ti] is the monolith's answer for targets[ti] once s
 	// mutations have landed.
 	monoMuts, muts := stream(), stream()
+	// attrs[s] is the monolith's attribute-slot count then.
 	want := make([][]*d3l.Answer, len(muts)+1)
+	attrs := make([]int, len(muts)+1)
 	for s := range want {
 		if s > 0 {
 			if err := monoMuts[s-1](mono); err != nil {
 				t.Fatal(err)
 			}
 		}
+		attrs[s] = mono.NumAttributes()
 		for _, target := range targets {
 			a, err := mono.Query(ctx, target, opts...)
 			if err != nil {
@@ -323,7 +377,12 @@ func raceMutations(t *testing.T, lake *d3l.Lake, mono *d3l.Engine, eng server.En
 				ti := i % len(targets)
 				lo := int(landed.Load())
 				got, err := eng.Query(ctx, targets[ti], opts...)
+				n := eng.NumAttributes()
 				hi := min(int(landed.Load())+1, len(muts))
+				if n < attrs[lo] || n > attrs[hi] {
+					t.Errorf("%d attribute slots while mutation %d was in flight, want %d..%d", n, lo+1, attrs[lo], attrs[hi])
+					return
+				}
 				if err != nil {
 					t.Errorf("query of %s while mutation %d was in flight: %v", targets[ti].Name, lo+1, err)
 					return

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,7 @@ type faultWorld struct {
 	mono    *d3l.Engine
 	proxies [][]*faultproxy.Proxy // [shard][replica]
 	fronts  [][]*httptest.Server  // [shard][replica] proxy listeners
+	urls    []string              // [shard] the comma-joined group
 	remote  *Remote
 }
 
@@ -72,13 +74,24 @@ func buildFaultWorld(t *testing.T, seed uint64, shards, replicas int, cfg Remote
 			}
 		}
 	}
-	remote, err := NewRemote(urls, cfg)
+	w.urls = urls
+	w.reload(t, cfg)
+	return w
+}
+
+// reload replaces the world's coordinator with a fresh one over the
+// same replicas, as POST /v1/reload on `d3l coordinator` does.
+func (w *faultWorld) reload(t *testing.T, cfg RemoteConfig) {
+	t.Helper()
+	if w.remote != nil {
+		w.remote.Close()
+	}
+	remote, err := NewRemote(w.urls, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
 	w.remote = remote
-	return w
 }
 
 // faultCfg is the matrix's aggressive-but-deterministic tuning: fast
@@ -384,9 +397,9 @@ func TestFaultMatrixProbeRecovery(t *testing.T) {
 }
 
 // TestFaultMatrixMutationQuarantine: a mutation that fails on one
-// replica of a group lands exactly once on the survivors, the failed
-// replica is quarantined (it can never serve the stale lake), and
-// reads stay exact throughout.
+// replica of its owner group lands exactly once on the survivors, the
+// failed replica is quarantined (it can never serve the stale lake),
+// and reads stay exact throughout.
 func TestFaultMatrixMutationQuarantine(t *testing.T) {
 	w := buildFaultWorld(t, 211, 2, 2, faultCfg())
 	added := cloneTable(t, w.lake.Table(2), "quarantine_add")
@@ -407,49 +420,110 @@ func TestFaultMatrixMutationQuarantine(t *testing.T) {
 	if st := replicaState(w, owner, 0); st != server.ReplicaStateQuarantined {
 		t.Fatalf("replica that missed the mutation is %s, want quarantined", st)
 	}
-	// The quarantined replica must stay out even though its listener
-	// is gone for good reasons — and a non-owner group's replica
-	// failing a *mirror* quarantines the same way.
-	other := 1 - owner
-	w.fronts[other][1].Close()
-	added2 := cloneTable(t, w.lake.Table(3), "quarantine_add_b")
-	name2 := added2.Name
-	if w.remote.place.Owner(name2) != owner {
-		// Ensure the second mutation's owner is the same group so the
-		// closed replica in `other` takes a mirror, not the real op.
-		// (Placement is name-hashed; this lake's names make both
-		// cases reachable — tolerate either by just requiring
-		// success and quarantine.)
-		_ = name2
-	}
 	wantStats, err := w.mono.Update(subTable(t, w.lake.Table(1), 6))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gotStats, err := w.remote.Update(subTable(t, w.lake.Table(1), 6))
 	if err != nil {
-		t.Fatalf("update with dead replicas: %v", err)
+		t.Fatalf("update with a dead replica: %v", err)
 	}
 	if wantStats != gotStats {
 		t.Fatalf("update stats diverged: mono %+v remote %+v", wantStats, gotStats)
 	}
-	if st := replicaState(w, other, 1); st != server.ReplicaStateQuarantined {
-		t.Fatalf("replica that missed the mirror is %s, want quarantined", st)
-	}
 	if _, err := w.mono.Add(cloneTable(t, w.lake.Table(3), "quarantine_add_b")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.remote.Add(added2); err != nil {
+	if _, err := w.remote.Add(cloneTable(t, w.lake.Table(3), "quarantine_add_b")); err != nil {
 		t.Fatalf("second add: %v", err)
 	}
 	assertExact(t, w, "post-quarantine")
-	// Exactly-once: the surviving replicas hold each mutation once —
-	// a double-applied add would shift ids and break the next
-	// lockstep check, and a double-applied update would skew stats;
-	// both were asserted equal above. The quarantined replicas stay
-	// quarantined even as traffic flows.
+	// Exactly-once: the surviving replicas hold each mutation once — a
+	// double-applied add would refuse the next write's ids, and a
+	// double-applied update would skew stats; both were asserted above.
+	// The quarantined replica stays quarantined even as traffic flows.
 	if st := replicaState(w, owner, 0); st != server.ReplicaStateQuarantined {
 		t.Fatalf("quarantine lifted by traffic: %s", st)
+	}
+}
+
+// TestFaultMatrixWriteTouchesOneShard: a write goes to its owner group
+// and nowhere else. With the other group's only replica down, an add
+// succeeds, and once that replica is back the topology is the monolith
+// with the add. With the owner group's only replica down, the add fails
+// and leaves every shard as it was: after a reload the topology is the
+// monolith without it, and the next add takes the monolith's next id.
+func TestFaultMatrixWriteTouchesOneShard(t *testing.T) {
+	w := buildFaultWorld(t, 211, 2, 1, faultCfg())
+	down := faultproxy.Rules{ResetProb: 1}
+
+	added := cloneTable(t, w.lake.Table(2), "torn_add")
+	other := 1 - w.remote.place.Owner(added.Name)
+	w.proxies[other][0].SetRules(down)
+	wantID, err := w.mono.Add(cloneTable(t, w.lake.Table(2), "torn_add"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotID, err := w.remote.Add(added)
+	if err != nil {
+		t.Fatalf("add with the other group down: %v", err)
+	}
+	if gotID != wantID {
+		t.Fatalf("add id: mono %d remote %d", wantID, gotID)
+	}
+	w.proxies[other][0].SetRules(faultproxy.Rules{})
+	assertSameTopology(t, w, "other group down", added)
+
+	lost := cloneTable(t, w.lake.Table(4), "torn_lost")
+	owner := w.remote.place.Owner(lost.Name)
+	w.proxies[owner][0].SetRules(down)
+	if _, err := w.remote.Add(lost); err == nil {
+		t.Fatal("add with its owner group down succeeded")
+	}
+	if w.remote.HasTable(lost.Name) {
+		t.Fatal("the failed add is live")
+	}
+	w.proxies[owner][0].SetRules(faultproxy.Rules{})
+	// The failed add quarantined the owner's replica; a reload lifts it.
+	w.reload(t, faultCfg())
+	assertSameTopology(t, w, "owner group down", added)
+
+	next := cloneTable(t, w.lake.Table(5), "torn_next")
+	if wantID, err = w.mono.Add(cloneTable(t, w.lake.Table(5), "torn_next")); err != nil {
+		t.Fatal(err)
+	}
+	if gotID, err = w.remote.Add(next); err != nil {
+		t.Fatal(err)
+	}
+	if gotID != wantID {
+		t.Fatalf("the add after a failed one: mono id %d remote %d", wantID, gotID)
+	}
+	assertSameTopology(t, w, "after the failed add", added, next)
+}
+
+// assertSameTopology holds the coordinator to the monolith on all that
+// a write moves: the answers for the lake's targets and the extra ones,
+// the live listing, and both slot counts.
+func assertSameTopology(t *testing.T, w *faultWorld, label string, extra ...*d3l.Table) {
+	t.Helper()
+	assertExact(t, w, label)
+	for _, target := range extra {
+		want, err := w.mono.Query(context.Background(), target, d3l.WithK(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := w.remote.Query(context.Background(), target, d3l.WithK(6))
+		if err != nil {
+			t.Fatalf("%s: remote %s: %v", label, target.Name, err)
+		}
+		assertAnswersEqual(t, label+" "+target.Name, want, got)
+	}
+	if want, got := w.mono.Tables(), w.remote.Tables(); !reflect.DeepEqual(want, got) {
+		t.Fatalf("%s: tables: mono %v remote %v", label, want, got)
+	}
+	if w.mono.NumTables() != w.remote.NumTables() || w.mono.NumAttributes() != w.remote.NumAttributes() {
+		t.Fatalf("%s: slots: mono %d tables, %d attributes; remote %d, %d", label,
+			w.mono.NumTables(), w.mono.NumAttributes(), w.remote.NumTables(), w.remote.NumAttributes())
 	}
 }
 

@@ -18,11 +18,10 @@
 //     replicas, with per-shard timeouts, retry/hedging, and an opt-in
 //     partial-failure mode.
 //
-// Exactness rests on the id-lockstep discipline: every table enters
-// every shard in the same order — the owner with a real Add, the peers
-// with a tombstone MirrorAdd — so table and attribute ids, and hence
-// the Eq. 2 ECDF sample spaces after merging, are identical to the
-// monolith's.
+// Exactness rests on one id space: the coordinator hands out table and
+// attribute ids in write order, and each table lives on its owner only,
+// under the id a monolith would have given it — so the Eq. 2 ECDF
+// sample spaces after merging are identical to the monolith's.
 package shard
 
 import (

@@ -29,8 +29,8 @@ type RemoteConfig struct {
 	// 0 selects 10s.
 	ShardTimeout time.Duration
 	// Retries is how many extra attempts a failed read-path call gets
-	// (probe, gather, explain — mutations never retry: they are not
-	// idempotent across the mirror fan-out). Each retry prefers a
+	// (probe, gather, explain — mutations never retry: a retry after
+	// an ambiguous failure could apply one twice). Each retry prefers a
 	// different replica of the same shard. Negative means 0.
 	// 0 selects 1.
 	Retries int
@@ -208,6 +208,9 @@ func NewRemote(urls []string, cfg RemoteConfig) (*Remote, error) {
 		}
 	}
 	r.timeout = r.cfg.ShardTimeout
+	if err := r.learnIDs(); err != nil {
+		return nil, err
+	}
 	if r.cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
 		go r.probeLoop()
@@ -462,35 +465,35 @@ func (g *replicaGroup) explain(ctx context.Context, t *d3l.Table, lakeTable stri
 
 // ---- the shard client: mutations ----
 
-// Mutations and replica groups: every replica of every group must
-// apply every mutation, or its engine state silently diverges from
-// its siblings and the id lockstep that exactness rests on breaks.
-// Mutations are therefore applied to each non-quarantined replica of
-// the owner group (the real op) and of every peer group (the mirror
-// op), exactly once each — never retried, because a retry after an
-// ambiguous network failure could double-apply. A replica whose
-// attempt fails or answers out of lockstep is *quarantined*: its
-// breaker is forced open for the life of this Remote, so it can never
-// serve a stale answer; POST /v1/reload re-polls the replicas and
-// lifts quarantines by rebuilding coordinator state. The mutation as
-// a whole succeeds while at least one replica of every group applied
-// it, and fails closed otherwise.
+// Mutations and replica groups: every replica of the owner group must
+// apply every write, or its engine silently diverges from its siblings.
+// A write is therefore applied to each non-quarantined replica of the
+// group exactly once — never retried, because a retry after an
+// ambiguous network failure could double-apply. A replica whose attempt
+// fails is *quarantined*: its breaker is forced open for the life of
+// this Remote, so it can never serve a stale answer; POST /v1/reload
+// re-polls the replicas and lifts quarantines by rebuilding coordinator
+// state. Each add and update carries the ids the coordinator assigned
+// it, so a replica that applied a write the coordinator counts as
+// failed refuses the next write at those ids (ErrWriteIDs, a 400)
+// instead of applying it under other ids. The write as a whole
+// succeeds while at least one replica applied it, and fails closed
+// otherwise.
 
-func (g *replicaGroup) add(ctx context.Context, t *d3l.Table) (int, error) {
-	req := server.AddTableRequest{Table: tableToWire(t)}
-	return g.apply(ctx, func(rep *replica) (int, error) {
-		var resp server.AddTableResponse
-		err := g.r.doReplica(ctx, rep, http.MethodPost, "/v1/tables", req, &resp)
-		return resp.ID, err
+func (g *replicaGroup) add(ctx context.Context, t *d3l.Table, at d3l.WriteIDs) (int, error) {
+	req := server.AddTableRequest{Table: tableToWire(t), TableID: &at.Table, AttrID: &at.Attr}
+	var resp server.AddTableResponse
+	err := g.apply(ctx, func(rep *replica) error {
+		return g.r.doReplica(ctx, rep, http.MethodPost, "/v1/tables", req, &resp)
 	})
+	return resp.ID, err
 }
 
-func (g *replicaGroup) update(ctx context.Context, t *d3l.Table) (d3l.UpdateStats, error) {
-	req := server.UpdateTableRequest{Table: tableToWire(t)}
+func (g *replicaGroup) update(ctx context.Context, t *d3l.Table, attr int) (d3l.UpdateStats, error) {
+	req := server.UpdateTableRequest{Table: tableToWire(t), AttrID: &attr}
 	var resp server.UpdateTableResponse
-	if _, err := g.apply(ctx, func(rep *replica) (int, error) {
-		err := g.r.doReplica(ctx, rep, http.MethodPut, "/v1/tables/"+url.PathEscape(t.Name), req, &resp)
-		return resp.ID, err
+	if err := g.apply(ctx, func(rep *replica) error {
+		return g.r.doReplica(ctx, rep, http.MethodPut, "/v1/tables/"+url.PathEscape(t.Name), req, &resp)
 	}); err != nil {
 		return d3l.UpdateStats{}, err
 	}
@@ -504,50 +507,35 @@ func (g *replicaGroup) update(ctx context.Context, t *d3l.Table) (d3l.UpdateStat
 }
 
 func (g *replicaGroup) remove(ctx context.Context, name string) error {
-	_, err := g.apply(ctx, func(rep *replica) (int, error) {
-		return 0, g.r.doReplica(ctx, rep, http.MethodDelete, "/v1/tables/"+url.PathEscape(name), nil, new(server.RemoveTableResponse))
-	})
-	return err
-}
-
-func (g *replicaGroup) mirror(ctx context.Context, req server.ShardMirrorRequest) (int, error) {
-	return g.apply(ctx, func(rep *replica) (int, error) {
-		var resp server.ShardMirrorResponse
-		err := g.r.doReplica(ctx, rep, http.MethodPost, "/v1/shard/mirror", req, &resp)
-		return resp.ID, err
+	return g.apply(ctx, func(rep *replica) error {
+		return g.r.doReplica(ctx, rep, http.MethodDelete, "/v1/tables/"+url.PathEscape(name), nil, new(server.RemoveTableResponse))
 	})
 }
 
 // apply applies one mutation to every non-quarantined replica of the
-// group, single-attempt each, and returns the id the first successful
-// replica answered. Divergent replicas (transient failure: the op may
-// or may not have landed; terminal failure or id mismatch after a
-// sibling already applied: the op definitely diverged) are quarantined.
-// A terminal error from the group's *first* attempted replica
-// propagates — nothing was applied anywhere yet, so the group is still
-// consistent (this is how not-found reaches the coordinator's owner
-// rule). Fails closed when no replica applied.
-func (g *replicaGroup) apply(ctx context.Context, fn func(rep *replica) (int, error)) (int, error) {
+// group, single-attempt each. Divergent replicas (transient failure:
+// the op may or may not have landed; terminal failure after a sibling
+// already applied: the op definitely diverged) are quarantined. A
+// terminal error from the group's *first* attempted replica propagates
+// — nothing was applied anywhere yet, so the group is still consistent
+// (this is how not-found reaches the coordinator's owner rule). Fails
+// closed when no replica applied.
+func (g *replicaGroup) apply(ctx context.Context, fn func(rep *replica) error) error {
 	applied := false
-	id := 0
 	var lastErr error
 	for _, rep := range g.replicas {
 		if _, quarantined, _ := rep.br.Snapshot(); quarantined {
 			continue
 		}
-		gotID, err := fn(rep)
+		err := fn(rep)
 		if err == nil {
-			if !applied {
-				applied, id = true, gotID
-			} else if gotID != id {
-				rep.br.ForceOpen(fmt.Sprintf("mutation id lockstep broken: got %d, group got %d", gotID, id))
-			}
+			applied = true
 			continue
 		}
 		var se *shardError
 		if errors.As(err, &se) && se.terminal {
 			if !applied {
-				return 0, err
+				return err
 			}
 			rep.br.ForceOpen("mutation rejected after a sibling applied it: " + err.Error())
 			continue
@@ -557,11 +545,11 @@ func (g *replicaGroup) apply(ctx context.Context, fn func(rep *replica) (int, er
 	}
 	if !applied {
 		if lastErr != nil {
-			return 0, fmt.Errorf("shard %d (%s): no replica applied the mutation; last: %w", g.shard, g.label(), lastErr)
+			return fmt.Errorf("shard %d (%s): no replica applied the mutation; last: %w", g.shard, g.label(), lastErr)
 		}
-		return 0, fmt.Errorf("%w: shard %d (%s): no replica available for the mutation", errGroupDown, g.shard, g.label())
+		return fmt.Errorf("%w: shard %d (%s): no replica available for the mutation", errGroupDown, g.shard, g.label())
 	}
-	return id, nil
+	return nil
 }
 
 // ---- the shard client: introspection ----

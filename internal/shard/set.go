@@ -6,22 +6,21 @@ import (
 
 	"d3l"
 	"d3l/internal/core"
-	"d3l/internal/server"
 )
 
 // Set is N in-process engine shards behind the server.Engine surface:
 // the coordinator over one localShard client per engine. Ranking
 // queries run the two-phase exact scatter-gather protocol and answer
-// byte-identically to a monolith holding the union lake; mutations
-// route to the ring owner and keep the peers' id space in lockstep with
-// tombstone mirrors.
+// byte-identically to a monolith holding the union lake; each write
+// goes to its ring owner only, at the ids the coordinator assigned it.
 type Set struct {
 	coordinator[*d3l.ShardTarget, localShard]
 }
 
-// NewSet wraps already-built engines (one per ring slot) in a Set. The
-// engines must satisfy the id-lockstep discipline — BuildSet and
-// LoadSet are the two constructors that guarantee it.
+// NewSet wraps already-built engines (one per ring slot) in a Set. Each
+// engine must hold its tables under the ids a monolith would have
+// given them — BuildSet and LoadSet are the two constructors that
+// guarantee it.
 func NewSet(shards []*d3l.Engine, place *Placement) (*Set, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("shard: a set needs at least 1 shard")
@@ -34,20 +33,20 @@ func NewSet(shards []*d3l.Engine, place *Placement) (*Set, error) {
 	for _, e := range shards {
 		s.shards = append(s.shards, localShard{e})
 	}
-	return s, nil
+	return s, s.learnIDs()
 }
 
-// BuildSet splits a lake across n fresh shards: every table enters
-// every shard in lake-id order — the ring owner with a real Add, the
-// peers with a tombstone MirrorAdd — so table and attribute ids are
-// identical on all shards and to a monolith built from the same lake.
-// Dead lake slots (tombstones of removed tables) are mirrored on every
-// shard to preserve the id space exactly.
+// BuildSet splits a lake across n fresh shards: each table goes to its
+// ring owner only, under its monolith id, and each shard fills the ids
+// its peers' tables hold with dead slots. Table and attribute ids are
+// therefore those of a monolith built from the same lake. A lake slot
+// with no columns (a removed table's) goes to no shard: the next write
+// on any shard fills it, and the set's counters count it.
 //
 // Profiling is most of the work and depends on neither placement nor
 // order (every shard has the same options, hence the same profiler), so
 // the whole lake is profiled first, on opts.Parallelism workers by the
-// bulk path a monolith build uses; the lockstep loop then only splices.
+// bulk path a monolith build uses; the placing loop then only splices.
 func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 	place, err := NewPlacement(n, 0)
 	if err != nil {
@@ -63,28 +62,23 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 	}
 	tables := lake.Tables()
 	profiled := shards[0].PrepareShardTargets(tables)
+	var at d3l.WriteIDs
 	for id, tb := range tables {
-		owner := -1
+		at.Table = id
 		if len(tb.Columns) > 0 {
-			owner = place.Owner(tb.Name)
-		}
-		for s, e := range shards {
-			var got int
-			var err error
-			if s == owner {
-				got, err = e.AddProfiled(tb, profiled[id])
-			} else {
-				got, err = e.MirrorAdd(tb.Name, len(tb.Columns))
-			}
-			if err != nil {
-				return nil, fmt.Errorf("shard %d, table %q: %w", s, tb.Name, err)
-			}
-			if got != id {
-				return nil, fmt.Errorf("shard %d: table %q got id %d, want %d (id lockstep broken)", s, tb.Name, got, id)
+			owner := place.Owner(tb.Name)
+			if _, err := shards[owner].AddProfiled(tb, profiled[id], &at); err != nil {
+				return nil, fmt.Errorf("shard %d, table %q: %w", owner, tb.Name, err)
 			}
 		}
+		at.Attr += len(tb.Columns)
 	}
-	return NewSet(shards, place)
+	set, err := NewSet(shards, place)
+	if err != nil {
+		return nil, err
+	}
+	set.next = d3l.WriteIDs{Table: len(tables), Attr: at.Attr}
+	return set, nil
 }
 
 // Placement exposes the ring (the CLI prints it; tests poke it).
@@ -131,17 +125,12 @@ func (l localShard) explain(ctx context.Context, t *d3l.Table, lakeTable string,
 	return l.e.ShardExplain(ctx, t, lakeTable, spec)
 }
 
-func (l localShard) add(_ context.Context, t *d3l.Table) (int, error) { return l.e.Add(t) }
-
-func (l localShard) update(_ context.Context, t *d3l.Table) (d3l.UpdateStats, error) {
-	return l.e.Update(t)
+func (l localShard) add(_ context.Context, t *d3l.Table, at d3l.WriteIDs) (int, error) {
+	return l.e.AddProfiled(t, l.e.PrepareShardTarget(t), &at)
 }
 
-func (l localShard) mirror(_ context.Context, m server.ShardMirrorRequest) (int, error) {
-	if m.Op == "add" {
-		return l.e.MirrorAdd(m.Name, m.NumCols)
-	}
-	return m.TableID, l.e.MirrorUpdate(m.TableID, m.NumFresh)
+func (l localShard) update(_ context.Context, t *d3l.Table, attr int) (d3l.UpdateStats, error) {
+	return l.e.UpdateAt(t, attr)
 }
 
 func (l localShard) remove(_ context.Context, name string) error { return l.e.Remove(name) }

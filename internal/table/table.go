@@ -310,14 +310,26 @@ func NewLake() *Lake {
 // table names identify datasets in ground truths and join graphs.
 // Names that cannot round-trip through the on-disk layout (path
 // separators, dot-segments) are rejected with ErrInvalidName.
-func (l *Lake) Add(t *Table) (int, error) {
+func (l *Lake) Add(t *Table) (int, error) { return l.AddAt(t, len(l.tables)) }
+
+// AddAt is Add of a table that is to take id, at or past the next one:
+// the slots in between are filled with detached unnamed slots, born in
+// the state Remove leaves behind. A shard engine places a table at the
+// id its coordinator assigned this way. A refused table, or an id
+// below the next one, leaves the lake unchanged.
+func (l *Lake) AddAt(t *Table, id int) (int, error) {
 	if err := ValidateName(t.Name); err != nil {
 		return 0, err
 	}
 	if _, dup := l.byName[t.Name]; dup {
 		return 0, fmt.Errorf("%w: %q", ErrDuplicateName, t.Name)
 	}
-	id := len(l.tables)
+	if id < len(l.tables) {
+		return 0, fmt.Errorf("table: id %d is taken (the next is %d)", id, len(l.tables))
+	}
+	for len(l.tables) < id {
+		l.tables = append(l.tables, &Table{})
+	}
 	l.tables = append(l.tables, t)
 	l.byName[t.Name] = id
 	return id, nil
@@ -361,19 +373,6 @@ func (l *Lake) Remove(name string) (int, bool) {
 	delete(l.byName, name)
 	l.tables[id] = &Table{Name: name}
 	return id, true
-}
-
-// Reserve appends a detached name-only slot and returns its id,
-// without claiming the name in the index — the slot is born in the
-// state Remove leaves behind. Shard engines use it to mirror a table
-// added on a peer shard: the id advances in lockstep with the owning
-// shard's Add, but the name stays free here, so lookups and a later
-// real Add of the same name behave as if the table never existed
-// locally.
-func (l *Lake) Reserve(name string) int {
-	id := len(l.tables)
-	l.tables = append(l.tables, &Table{Name: name})
-	return id
 }
 
 // Len reports the number of tables.

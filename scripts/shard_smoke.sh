@@ -20,9 +20,9 @@
 #      metric families must appear, generous absolute p99 ceiling.
 #
 # The loadgen mix is read-only: direct-to-replica mutations would
-# bypass placement and break the id lockstep that exactness rests on
-# (mutations belong on the coordinator or the in-process sharded
-# replica, which is what the shard test suite drives).
+# bypass placement and the coordinator's id assignment that exactness
+# rests on (mutations belong on the coordinator or the in-process
+# sharded replica, which is what the shard test suite drives).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -10,9 +10,10 @@ import (
 // This file is the engine-level surface of the sharded serving path
 // (see internal/shard): thin wrappers that expose the core scatter-
 // gather protocol — probe, depth merge, gather, result merge — and the
-// mirror mutations that keep a shard set's id space in lockstep. The
-// exactness argument lives in internal/core/shardsearch.go; nothing
-// here adds semantics beyond the d3l Engine's usual lock discipline.
+// writes at coordinator-assigned ids that keep every shard's ids the
+// monolith's. The exactness argument lives in
+// internal/core/shardsearch.go; nothing here adds semantics beyond the
+// d3l Engine's usual lock discipline.
 
 // Shard protocol types, re-exported for the shard and server layers.
 type (
@@ -99,19 +100,38 @@ func (e *Engine) PrepareShardTargets(tables []*Table) []*ShardTarget {
 	return out
 }
 
+// WriteIDs are where a write lands in a shard's id space: the table id
+// an Add takes and the first attribute id its fresh profiles take. A
+// coordinator hands them out in write order for its whole set (see
+// core.WriteIDs).
+type WriteIDs = core.WriteIDs
+
+// ErrWriteIDs reports assigned write ids an engine cannot take: below
+// its next ids, as a stale or repeated write is, or too far past them.
+// The HTTP layer maps it to 400.
+var ErrWriteIDs = core.ErrWriteIDs
+
 // AddProfiled is the splice half of Add, for a table PrepareShardTarget
 // has already profiled — on this engine or any identically configured
 // one: shard.BuildSet profiles a whole lake with PrepareShardTargets
-// before its id-lockstep loop hands each table to its owner. The profiles are
-// consumed (the engine keeps them, stamped with the table's id), so a
-// ShardTarget is added at most once.
-func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget) (int, error) {
+// before it hands each table to its owner. The profiles are consumed
+// (the engine keeps them, stamped with the table's id), so a
+// ShardTarget is added at most once. The table lands at at — the ids a
+// coordinator assigned it — or at the engine's next ids when at is nil;
+// the ids it skips become dead fill slots.
+func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget, at *WriteIDs) (int, error) {
 	var id int
 	err := e.mutate(func() (err error) {
-		id, err = e.core.AddProfiled(t, profiled.profiles)
+		id, err = e.core.AddProfiled(t, profiled.profiles, at)
 		return err
 	})
 	return id, err
+}
+
+// UpdateAt is Update with the fresh attributes placed from the
+// assigned attribute id attr on.
+func (e *Engine) UpdateAt(t *Table, attr int) (UpdateStats, error) {
+	return e.update(t, func() (UpdateStats, error) { return e.core.UpdateAt(t, attr) })
 }
 
 // ShardProbe runs the probe phase of one sharded query on this engine.
@@ -159,23 +179,4 @@ func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]Result
 		CandidatePairs: st.CandidatePairs,
 		TablesScored:   st.TablesScored,
 	}, nil
-}
-
-// MirrorAdd appends a dead table slot mirroring an Add applied on a
-// peer shard, keeping this engine's table and attribute id counters in
-// lockstep with the owner's (see core.Engine.MirrorAdd).
-func (e *Engine) MirrorAdd(name string, numCols int) (int, error) {
-	var id int
-	err := e.mutate(func() (err error) {
-		id, err = e.core.MirrorAdd(name, numCols)
-		return err
-	})
-	return id, err
-}
-
-// MirrorUpdate appends dead attribute slots mirroring an in-place
-// Update applied on a peer shard; numFresh is the owner's
-// UpdateStats.Reprofiled.
-func (e *Engine) MirrorUpdate(tid, numFresh int) error {
-	return e.mutate(func() error { return e.core.MirrorUpdate(tid, numFresh) })
 }

@@ -219,17 +219,12 @@ func (e *Engine) Add(t *Table) (int, error) {
 // loaded from a snapshot carries no extents to diff against, so the
 // first Update of each table there falls back to a full re-profile.
 func (e *Engine) Update(t *Table) (UpdateStats, error) {
-	return e.update(t, func() (UpdateStats, error) { return e.core.Update(t) })
-}
-
-// update runs one core update of t under the mutation lock.
-func (e *Engine) update(t *Table, op func() (UpdateStats, error)) (UpdateStats, error) {
 	if t == nil {
 		return UpdateStats{}, fmt.Errorf("d3l: nil table")
 	}
 	var stats UpdateStats
 	err := e.mutate(func() (err error) {
-		stats, err = op()
+		stats, err = e.core.Update(t)
 		return err
 	})
 	return stats, err

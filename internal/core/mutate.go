@@ -38,13 +38,15 @@ type WriteIDs struct{ Table, Attr int }
 var ErrWriteIDs = errors.New("core: write ids out of range")
 
 // maxFill bounds how far past the engine's next table or attribute id
-// one write may be assigned. Every id skipped becomes a fill slot the
-// engine keeps for good — about 90 B for a table slot (lake entry,
+// one write may be assigned: by the larger of maxFill and the engine's
+// own count of that kind of slot. Every id skipped becomes a fill slot
+// the engine keeps for good — about 90 B for a table slot (lake entry,
 // per-table entries) and 176 B for an attribute stub (a Profile with
-// no payload) — so without a bound one small request could make the
-// engine allocate without limit. A shard lags its coordinator only by
-// the writes that landed on its peers since its own last one.
-const maxFill = 1 << 20
+// no payload) — so one request fills at most maxFill slots or doubles
+// the engine. A shard lags its coordinator by the ids its peers took
+// since its own last write; see DESIGN, "The fill bound". A var only
+// so that tests can reach the bound at a small size.
+var maxFill = 1 << 20
 
 // place resolves where a write lands: at, when the coordinator
 // assigned it, else the engine's next ids. Caller holds e.mu in write
@@ -58,9 +60,10 @@ func (e *Engine) place(at *WriteIDs) (WriteIDs, error) {
 		return next, fmt.Errorf("%w: table %d, attribute %d is below the next ids %d, %d (a stale or repeated write)",
 			ErrWriteIDs, at.Table, at.Attr, next.Table, next.Attr)
 	}
-	if at.Table-next.Table > maxFill || at.Attr-next.Attr > maxFill {
-		return next, fmt.Errorf("%w: table %d, attribute %d is more than %d past the next ids %d, %d",
-			ErrWriteIDs, at.Table, at.Attr, maxFill, next.Table, next.Attr)
+	if at.Table-next.Table > max(maxFill, next.Table) || at.Attr-next.Attr > max(maxFill, next.Attr) {
+		return next, fmt.Errorf("%w: table %d, attribute %d is too far past the next ids %d, %d: "+
+			"the gap may be at most %d or the engine's own slot count (a shard's peers took more ids than that since its last write)",
+			ErrWriteIDs, at.Table, at.Attr, next.Table, next.Attr, maxFill)
 	}
 	return *at, nil
 }

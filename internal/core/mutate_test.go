@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -114,5 +116,36 @@ func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 				t.Errorf("answer changed:\n got %+v\nwant %+v", got, answer)
 			}
 		})
+	}
+}
+
+// TestFillBoundFollowsTheEngine: a write may land at most maxFill or the
+// engine's own slot count past its next ids, whichever is larger. A
+// shard whose peers took more than maxFill ids since its last write
+// still catches up while it holds more slots than that; past both, the
+// write is refused, naming the cause, and the engine is left as it was.
+func TestFillBoundFollowsTheEngine(t *testing.T) {
+	defer func(n int) { maxFill = n }(maxFill)
+	maxFill = 1
+	e := buildFigure1Engine(t)
+	add := func(name string, at WriteIDs) error {
+		tb := mustTable(t, name, []string{"Surgery"}, [][]string{{"Blackfriars"}})
+		_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &at)
+		return err
+	}
+	tables, attrs := e.LakeLen(), e.NumAttributes()
+	if tables <= maxFill || attrs <= maxFill {
+		t.Fatalf("engine of %d tables, %d attributes: a gap of its size is not past maxFill", tables, attrs)
+	}
+	if err := add("lag_within", WriteIDs{Table: 2 * tables, Attr: 2 * attrs}); err != nil {
+		t.Fatalf("a gap of the engine's own size: %v", err)
+	}
+	tables, attrs = e.LakeLen(), e.NumAttributes()
+	err := add("lag_past", WriteIDs{Table: tables, Attr: 2*attrs + 1})
+	if !errors.Is(err, ErrWriteIDs) || !strings.Contains(err.Error(), "since its last write") {
+		t.Fatalf("a gap past the engine's size: got %v, want ErrWriteIDs naming the lag", err)
+	}
+	if e.LakeLen() != tables || e.NumAttributes() != attrs {
+		t.Fatalf("the refused write moved the slot counts: %d, %d -> %d, %d", tables, attrs, e.LakeLen(), e.NumAttributes())
 	}
 }

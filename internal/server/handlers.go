@@ -384,17 +384,16 @@ func (s *Server) handleAddTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveMutation(w, r, func(e Engine) (any, error) {
-		add := e.Add
-		if req.TableID != nil {
-			sc, err := assignedIDs(e)
-			if err != nil {
-				return nil, err
-			}
-			add = func(t *d3l.Table) (int, error) {
-				return sc.AddProfiled(t, sc.PrepareShardTarget(t), &d3l.WriteIDs{Table: *req.TableID, Attr: *req.AttrID})
-			}
+		var id int
+		var err error
+		switch sc, ok := e.(shardCapable); {
+		case req.TableID == nil:
+			id, err = e.Add(t)
+		case ok:
+			id, err = sc.AddProfiled(t, sc.PrepareShardTarget(t), &d3l.WriteIDs{Table: *req.TableID, Attr: *req.AttrID})
+		default:
+			err = errAssignedIDs
 		}
-		id, err := add(t)
 		return AddTableResponse{ID: id, Name: t.Name}, err
 	})
 }
@@ -450,15 +449,16 @@ func (s *Server) handleUpdateTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveMutation(w, r, func(e Engine) (any, error) {
-		update := e.Update
-		if req.AttrID != nil {
-			sc, err := assignedIDs(e)
-			if err != nil {
-				return nil, err
-			}
-			update = func(t *d3l.Table) (d3l.UpdateStats, error) { return sc.UpdateAt(t, *req.AttrID) }
+		var stats d3l.UpdateStats
+		var err error
+		switch sc, ok := e.(shardCapable); {
+		case req.AttrID == nil:
+			stats, err = e.Update(t)
+		case ok:
+			stats, err = sc.UpdateAt(t, *req.AttrID)
+		default:
+			err = errAssignedIDs
 		}
-		stats, err := update(t)
 		if err != nil {
 			return nil, err
 		}

@@ -256,8 +256,8 @@ func New(engine Engine, cfg Config) (*Server, error) {
 
 // adopt readies an engine for traffic through the optional hooks it
 // offers, type-asserted like ReplicaHealthReporter: a monolithic
-// *d3l.Engine and an in-process shard set offer both, a coordinator over
-// HTTP replicas neither (its replicas own their arenas and stages).
+// *d3l.Engine offers the first two, a shard set all three, a
+// coordinator over HTTP replicas only the last.
 func (s *Server) adopt(engine Engine) {
 	// The admission gate bounds concurrent queries, which in turn
 	// bounds the engine's pooled query arenas in flight: prewarming one
@@ -272,6 +272,12 @@ func (s *Server) adopt(engine Engine) {
 	// per-engine state, so every engine gets its own registration.
 	if o, ok := engine.(interface{ SetStageObserver(o d3l.StageObserver) }); ok {
 		o.SetStageObserver(s.metrics.observeCoreStage)
+	}
+	// A coordinator learns its set's write ids here, where Swap has
+	// waited out every write through the engine it replaces; on a
+	// failure its first write learns them.
+	if l, ok := engine.(interface{ LearnIDs() error }); ok {
+		l.LearnIDs()
 	}
 }
 

@@ -58,7 +58,7 @@ func shardTargetMemoEntries(maxConcurrent int) int { return 2 * maxConcurrent }
 // to act as a shard replica. *d3l.Engine implements it; the sharded
 // sets themselves do not (a shard of shards is not a topology this
 // subsystem defines), so the endpoints answer 501 on them, and a write
-// carrying assigned ids answers 400 (see assignedIDs).
+// carrying assigned ids answers 400 (errAssignedIDs).
 type shardCapable interface {
 	PrepareShardTarget(target *d3l.Table) *d3l.ShardTarget
 	ShardProbe(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec) (*d3l.ShardProbe, error)
@@ -101,30 +101,9 @@ type ShardExplainResponse struct {
 	Rows []d3l.PairExplanation `json:"rows"`
 }
 
-// assignedIDs resolves the engine a write carrying coordinator-assigned
-// ids runs on: a shard replica takes them, while a serving mode that
-// assigns ids itself refuses them with d3l.ErrWriteIDs.
-func assignedIDs(e Engine) (shardCapable, error) {
-	sc, ok := e.(shardCapable)
-	if !ok {
-		return nil, fmt.Errorf("%w: this serving mode assigns write ids itself", d3l.ErrWriteIDs)
-	}
-	return sc, nil
-}
-
-// shardEngine resolves the serving engine's shard surface and the swap
-// generation it serves under, answering the 501 itself when the engine
-// is not a shard-capable monolith.
-func (s *Server) shardEngine(w http.ResponseWriter) (shardCapable, uint64, bool) {
-	gen, eng := s.cacheEpoch()
-	sc, ok := eng.(shardCapable)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, CodeUnsupported,
-			"this serving mode cannot act as a shard replica")
-		return nil, 0, false
-	}
-	return sc, gen, true
-}
+// errAssignedIDs refuses coordinator-assigned write ids on a serving
+// mode that assigns them itself: only a shard replica takes them.
+var errAssignedIDs = fmt.Errorf("%w: this serving mode assigns write ids itself", d3l.ErrWriteIDs)
 
 // shardTarget resolves a probe or gather request's target to its
 // profiles: the memo's on a hit, else a function that profiles the
@@ -148,84 +127,80 @@ func (s *Server) shardTarget(w http.ResponseWriter, sc shardCapable, gen uint64,
 	}, true
 }
 
-func (s *Server) handleShardProbe(w http.ResponseWriter, r *http.Request) {
-	var req ShardProbeRequest
+// shardWork is a shard route's request made ready to run under the
+// admission gate; it returns the answer's bytes.
+type shardWork = func(ctx context.Context) ([]byte, error)
+
+// serveShard is the one path of the shard routes: it decodes the body,
+// resolves the serving engine's shard surface and the swap generation
+// it serves under (answering the 501 itself when the engine is not a
+// shard-capable monolith), has prepare ready the work (prepare answers
+// a 400 itself and reports false), and writes the work's answer as
+// contentType.
+func serveShard[Req any](s *Server, w http.ResponseWriter, r *http.Request, contentType string,
+	prepare func(sc shardCapable, gen uint64, req *Req) (shardWork, bool)) {
+	var req Req
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	sc, gen, ok := s.shardEngine(w)
+	gen, eng := s.cacheEpoch()
+	sc, ok := eng.(shardCapable)
+	if !ok {
+		writeError(w, http.StatusNotImplemented, CodeUnsupported,
+			"this serving mode cannot act as a shard replica")
+		return
+	}
+	work, ok := prepare(sc, gen, &req)
 	if !ok {
 		return
 	}
-	target, ok := s.shardTarget(w, sc, gen, &req.Table)
-	if !ok {
-		return
-	}
-	body, _, err := s.admit(r.Context(), func(ctx context.Context) ([]byte, error) {
-		probe, err := sc.ShardProbe(ctx, target(), req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(probe)
-	})
+	body, _, err := s.admit(r.Context(), work)
 	if err != nil {
 		writeEngineError(w, err)
 		return
 	}
-	writeJSONBytes(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, contentType, body)
+}
+
+func (s *Server) handleShardProbe(w http.ResponseWriter, r *http.Request) {
+	serveShard(s, w, r, "application/json", func(sc shardCapable, gen uint64, req *ShardProbeRequest) (shardWork, bool) {
+		target, ok := s.shardTarget(w, sc, gen, &req.Table)
+		return func(ctx context.Context) ([]byte, error) {
+			probe, err := sc.ShardProbe(ctx, target(), req.Spec)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(probe)
+		}, ok
+	})
 }
 
 func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
-	var req ShardGatherRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	sc, gen, ok := s.shardEngine(w)
-	if !ok {
-		return
-	}
-	target, ok := s.shardTarget(w, sc, gen, &req.Table)
-	if !ok {
-		return
-	}
-	body, _, err := s.admit(r.Context(), func(ctx context.Context) ([]byte, error) {
-		partial, err := sc.ShardGather(ctx, target(), req.Spec, &req.Depths)
-		if err != nil {
-			return nil, err
-		}
-		return d3l.EncodeShardPartial(partial), nil
+	serveShard(s, w, r, shardPartialContentType, func(sc shardCapable, gen uint64, req *ShardGatherRequest) (shardWork, bool) {
+		target, ok := s.shardTarget(w, sc, gen, &req.Table)
+		return func(ctx context.Context) ([]byte, error) {
+			partial, err := sc.ShardGather(ctx, target(), req.Spec, &req.Depths)
+			if err != nil {
+				return nil, err
+			}
+			return d3l.EncodeShardPartial(partial), nil
+		}, ok
 	})
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeBody(w, http.StatusOK, shardPartialContentType, body)
 }
 
 func (s *Server) handleShardExplain(w http.ResponseWriter, r *http.Request) {
-	var req ShardExplainRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	sc, _, ok := s.shardEngine(w)
-	if !ok {
-		return
-	}
-	target, err := req.Table.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	body, _, err := s.admit(r.Context(), func(ctx context.Context) ([]byte, error) {
-		rows, err := sc.ShardExplain(ctx, target, req.LakeTable, req.Spec)
+	serveShard(s, w, r, "application/json", func(sc shardCapable, _ uint64, req *ShardExplainRequest) (shardWork, bool) {
+		target, err := req.Table.toTable()
 		if err != nil {
-			return nil, err
+			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+			return nil, false
 		}
-		return json.Marshal(ShardExplainResponse{Rows: rows})
+		return func(ctx context.Context) ([]byte, error) {
+			rows, err := sc.ShardExplain(ctx, target, req.LakeTable, req.Spec)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(ShardExplainResponse{Rows: rows})
+		}, true
 	})
-	if err != nil {
-		writeEngineError(w, err)
-		return
-	}
-	writeJSONBytes(w, http.StatusOK, body)
 }

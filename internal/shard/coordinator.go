@@ -51,22 +51,21 @@ type shardClient[T any] interface {
 // next is where the next write lands in the set's id space. The
 // coordinator sees every write in order, so it hands out the ids a
 // monolith given the same writes would assign, and each write goes to
-// its owner only, carrying them. It learns next from its shards when it
-// is built (learnIDs).
+// its owner only, carrying them.
 //
-// mu guards next and serialises writes against queries: a write landing
-// between a query's probe and its gather would cut the new lake's
-// candidates at stop depths merged from the old one. A write holds it
-// for one round trip to one shard, which needs no deadline of its own:
-// a Remote bounds every replica attempt by ShardTimeout and never
-// retries a write, so at most replicas × ShardTimeout. Listings do
-// without the lock: they read each shard once, and every state a write
-// passes through lists as before or after it.
+// mu serialises writes against each other and against queries: a write
+// landing between a query's probe and its gather would cut the new
+// lake's candidates at stop depths merged from the old one. A write
+// holds it for one round trip to one shard, which needs no deadline of
+// its own: a Remote bounds every replica attempt by ShardTimeout and
+// never retries a write, so at most replicas × ShardTimeout. Listings
+// and slot counts do without it: listings read each shard once, and
+// every state a write passes through lists as before or after it.
 type coordinator[T any, C shardClient[T]] struct {
 	mu     sync.RWMutex
 	place  *Placement
 	shards []C
-	next   d3l.WriteIDs
+	next   atomic.Pointer[d3l.WriteIDs] // nil until learned
 	// timeout bounds one listing or slot-count read; 0 is no bound.
 	timeout time.Duration
 	// muts counts the mutations applied through this coordinator, for
@@ -74,20 +73,36 @@ type coordinator[T any, C shardClient[T]] struct {
 	muts atomic.Uint64
 }
 
-// learnIDs sets next to the largest slot counts among the shards. Every
-// id is taken by the one shard its write went to, and a failed write
-// takes none, so the largest counts are a monolith's.
-func (c *coordinator[T, C]) learnIDs() error {
+// LearnIDs sets next, unless known, to the shards' largest slot counts:
+// each id is taken by the one shard its write went to, and a failed
+// write takes none. It must not run while a write through another
+// coordinator over these shards may still land, so the serving layer
+// calls it on adopting the coordinator, not NewRemote; without a
+// server, the first write or slot-count read learns.
+func (c *coordinator[T, C]) LearnIDs() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, err := c.counters()
+	return err
+}
+
+// counters returns next, learning it if need be. Caller holds c.mu.
+func (c *coordinator[T, C]) counters() (d3l.WriteIDs, error) {
+	if p := c.next.Load(); p != nil {
+		return *p, nil
+	}
 	ctx, cancel := bounded(c.timeout)
 	defer cancel()
+	var next d3l.WriteIDs
 	for i, s := range c.shards {
 		tables, attrs, err := s.slots(ctx)
 		if err != nil {
-			return fmt.Errorf("shard %d: slot counts: %w", i, err)
+			return next, fmt.Errorf("shard %d: slot counts: %w", i, err)
 		}
-		c.next.Table, c.next.Attr = max(c.next.Table, tables), max(c.next.Attr, attrs)
+		next.Table, next.Attr = max(next.Table, tables), max(next.Attr, attrs)
 	}
-	return nil
+	c.next.Store(&next)
+	return next, nil
 }
 
 // NumShards reports the shard count.
@@ -275,11 +290,15 @@ func (c *coordinator[T, C]) Add(t *d3l.Table) (int, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, err := c.shards[c.place.Owner(t.Name)].add(context.Background(), t, c.next)
+	at, err := c.counters()
 	if err != nil {
 		return 0, err
 	}
-	c.next = d3l.WriteIDs{Table: id + 1, Attr: c.next.Attr + len(t.Columns)}
+	id, err := c.shards[c.place.Owner(t.Name)].add(context.Background(), t, at)
+	if err != nil {
+		return 0, c.failed(err)
+	}
+	c.next.Store(&d3l.WriteIDs{Table: id + 1, Attr: at.Attr + len(t.Columns)})
 	c.muts.Add(1)
 	return id, nil
 }
@@ -292,17 +311,32 @@ func (c *coordinator[T, C]) Update(t *d3l.Table) (d3l.UpdateStats, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var stats d3l.UpdateStats
-	err := c.onOwner(t.Name, func(s C) (err error) {
-		stats, err = s.update(context.Background(), t, c.next.Attr)
-		return err
-	})
+	at, err := c.counters()
 	if err != nil {
 		return d3l.UpdateStats{}, err
 	}
-	c.next.Attr += stats.Reprofiled
+	var stats d3l.UpdateStats
+	err = c.onOwner(t.Name, func(s C) (err error) {
+		stats, err = s.update(context.Background(), t, at.Attr)
+		return err
+	})
+	if err != nil {
+		return d3l.UpdateStats{}, c.failed(err)
+	}
+	c.next.Store(&d3l.WriteIDs{Table: at.Table, Attr: at.Attr + stats.Reprofiled})
 	c.muts.Add(1)
 	return stats, nil
+}
+
+// failed drops next after an add or update that may have landed unseen
+// (any failure but a refusal), so the next write learns it again — and
+// fails closed while the owner group is out of reach.
+func (c *coordinator[T, C]) failed(err error) error {
+	var se *shardError
+	if !isNotFound(err) && (!errors.As(err, &se) || !se.terminal) {
+		c.next.Store(nil)
+	}
+	return err
 }
 
 // Remove tombstones a table on its owning shard; ids do not move.
@@ -359,16 +393,20 @@ func (c *coordinator[T, C]) Fingerprint() uint64 {
 
 // NumTables reports the table-slot count: the next table id, as a
 // monolith given the same writes counts it.
-func (c *coordinator[T, C]) NumTables() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.next.Table
-}
+func (c *coordinator[T, C]) NumTables() int { return c.slotCounts().Table }
 
 // NumAttributes reports the attribute-slot count: the next attribute
 // id.
-func (c *coordinator[T, C]) NumAttributes() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.next.Attr
+func (c *coordinator[T, C]) NumAttributes() int { return c.slotCounts().Attr }
+
+// slotCounts reads next, taking the lock only to learn it (0s while a
+// shard cannot answer).
+func (c *coordinator[T, C]) slotCounts() d3l.WriteIDs {
+	if p := c.next.Load(); p != nil {
+		return *p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	next, _ := c.counters()
+	return next
 }

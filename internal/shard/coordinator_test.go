@@ -306,9 +306,6 @@ func TestMutationsRacingQueries(t *testing.T) {
 		eng := &coordinator[*d3l.ShardTarget, slowGather]{place: set.place, shards: []slowGather{
 			{set.shards[0], held}, {set.shards[1], held},
 		}}
-		if err := eng.learnIDs(); err != nil {
-			t.Fatal(err)
-		}
 		raceMutations(t, lake, buildMono(t, lake), eng)
 	})
 	t.Run("remote", func(t *testing.T) {

@@ -1,7 +1,11 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"strings"
@@ -80,7 +84,8 @@ func buildFaultWorld(t *testing.T, seed uint64, shards, replicas int, cfg Remote
 }
 
 // reload replaces the world's coordinator with a fresh one over the
-// same replicas, as POST /v1/reload on `d3l coordinator` does.
+// same replicas and has it learn its write ids, as POST /v1/reload on
+// `d3l coordinator` does.
 func (w *faultWorld) reload(t *testing.T, cfg RemoteConfig) {
 	t.Helper()
 	if w.remote != nil {
@@ -88,6 +93,9 @@ func (w *faultWorld) reload(t *testing.T, cfg RemoteConfig) {
 	}
 	remote, err := NewRemote(w.urls, cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := remote.LearnIDs(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { remote.Close() })
@@ -499,6 +507,111 @@ func TestFaultMatrixWriteTouchesOneShard(t *testing.T) {
 		t.Fatalf("the add after a failed one: mono id %d remote %d", wantID, gotID)
 	}
 	assertSameTopology(t, w, "after the failed add", added, next)
+}
+
+// TestFaultMatrixReloadUnderWrite: POST /v1/reload while an add is
+// still in flight through the old coordinator, held in its owner's
+// proxy. The new coordinator is built while the add is held, but the
+// server's swap waits the add out and only then has the new one learn
+// its write ids: so the next add, on the other shard, takes the
+// monolith's next id rather than the one the held add took.
+func TestFaultMatrixReloadUnderWrite(t *testing.T) {
+	w := buildFaultWorld(t, 211, 2, 1, faultCfg())
+	srv, err := server.New(w.remote, server.Config{LoadFunc: func() (server.Engine, error) {
+		return NewRemote(w.urls, faultCfg())
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(srv)
+	t.Cleanup(front.Close)
+
+	held := cloneTable(t, w.lake.Table(2), "held_add")
+	owner := w.remote.place.Owner(held.Name)
+	w.proxies[owner][0].SetRules(faultproxy.Rules{Path: "/v1/tables", Latency: 500 * time.Millisecond, LatencyProb: 1})
+	if _, err := w.mono.Add(cloneTable(t, w.lake.Table(2), "held_add")); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(server.AddTableRequest{Table: tableToWire(held)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		resp, err := http.Post(front.URL+"/v1/tables", "application/json", bytes.NewReader(body))
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("status %d", resp.StatusCode)
+			}
+		}
+		done <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("the held add: %v", err)
+	}
+	w.proxies[owner][0].SetRules(faultproxy.Rules{})
+	w.remote = srv.Engine().(*Remote)
+	t.Cleanup(func() { w.remote.Close() })
+
+	name := nameOwnedBy(w.remote.place, "after_reload", func(s int) bool { return s != owner })
+	wantID, err := w.mono.Add(cloneTable(t, w.lake.Table(4), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := cloneTable(t, w.lake.Table(4), name)
+	gotID, err := w.remote.Add(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID != wantID {
+		t.Fatalf("the add after the reload: mono id %d remote %d", wantID, gotID)
+	}
+	assertSameTopology(t, w, "reload under a write", held, next)
+}
+
+// TestFaultMatrixLostAnswerToAWrite: the owner applies an add but its
+// answer is cut short, so the add fails with its ids possibly taken.
+// The coordinator then hands those ids to no other shard: it learns its
+// counters again first, which fails while the owner group is
+// quarantined, so the next write fails too. After a reload the applied
+// add is live, and the next add on the other shard takes the id after
+// it.
+func TestFaultMatrixLostAnswerToAWrite(t *testing.T) {
+	w := buildFaultWorld(t, 211, 2, 1, faultCfg())
+	lost := cloneTable(t, w.lake.Table(2), "lost_answer")
+	owner := w.remote.place.Owner(lost.Name)
+	w.proxies[owner][0].SetRules(faultproxy.Rules{Path: "/v1/tables", TruncateProb: 1})
+	if _, err := w.remote.Add(lost); err == nil {
+		t.Fatal("an add whose answer was cut short succeeded")
+	}
+	w.proxies[owner][0].SetRules(faultproxy.Rules{})
+	if _, err := w.mono.Add(cloneTable(t, w.lake.Table(2), "lost_answer")); err != nil {
+		t.Fatal(err)
+	}
+
+	name := nameOwnedBy(w.remote.place, "after_lost", func(s int) bool { return s != owner })
+	if _, err := w.remote.Add(cloneTable(t, w.lake.Table(4), name)); err == nil {
+		t.Fatal("an add went through while the ids of the lost answer were unknown")
+	}
+	w.reload(t, faultCfg())
+	wantID, err := w.mono.Add(cloneTable(t, w.lake.Table(4), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := cloneTable(t, w.lake.Table(4), name)
+	gotID, err := w.remote.Add(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID != wantID {
+		t.Fatalf("the add after the reload: mono id %d remote %d", wantID, gotID)
+	}
+	assertSameTopology(t, w, "after a lost answer", lost, next)
 }
 
 // assertSameTopology holds the coordinator to the monolith on all that

@@ -208,9 +208,6 @@ func NewRemote(urls []string, cfg RemoteConfig) (*Remote, error) {
 		}
 	}
 	r.timeout = r.cfg.ShardTimeout
-	if err := r.learnIDs(); err != nil {
-		return nil, err
-	}
 	if r.cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
 		go r.probeLoop()
@@ -473,12 +470,7 @@ func (g *replicaGroup) explain(ctx context.Context, t *d3l.Table, lakeTable stri
 // fails is *quarantined*: its breaker is forced open for the life of
 // this Remote, so it can never serve a stale answer; POST /v1/reload
 // re-polls the replicas and lifts quarantines by rebuilding coordinator
-// state. Each add and update carries the ids the coordinator assigned
-// it, so a replica that applied a write the coordinator counts as
-// failed refuses the next write at those ids (ErrWriteIDs, a 400)
-// instead of applying it under other ids. The write as a whole
-// succeeds while at least one replica applied it, and fails closed
-// otherwise.
+// state. The write succeeds while at least one replica applied it.
 
 func (g *replicaGroup) add(ctx context.Context, t *d3l.Table, at d3l.WriteIDs) (int, error) {
 	req := server.AddTableRequest{Table: tableToWire(t), TableID: &at.Table, AttrID: &at.Attr}

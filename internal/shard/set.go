@@ -33,21 +33,28 @@ func NewSet(shards []*d3l.Engine, place *Placement) (*Set, error) {
 	for _, e := range shards {
 		s.shards = append(s.shards, localShard{e})
 	}
-	return s, s.learnIDs()
+	return s, nil
 }
 
 // BuildSet splits a lake across n fresh shards: each table goes to its
 // ring owner only, under its monolith id, and each shard fills the ids
 // its peers' tables hold with dead slots. Table and attribute ids are
 // therefore those of a monolith built from the same lake. A lake slot
-// with no columns (a removed table's) goes to no shard: the next write
-// on any shard fills it, and the set's counters count it.
+// with no columns (a removed table's) goes to no shard: the next table
+// on any shard fills it. A lake that ends in such slots is refused
+// (ErrUnsupported), since no shard would hold them and a set loaded
+// back from disk would give their ids out again.
 //
 // Profiling is most of the work and depends on neither placement nor
 // order (every shard has the same options, hence the same profiler), so
 // the whole lake is profiled first, on opts.Parallelism workers by the
 // bulk path a monolith build uses; the placing loop then only splices.
 func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
+	tables := lake.Tables()
+	if k := len(tables); k > 0 && len(tables[k-1].Columns) == 0 {
+		return nil, fmt.Errorf("%w: shard: the lake ends in a slot with no columns (id %d), as a removed table's is, which no shard would hold",
+			d3l.ErrUnsupported, k-1)
+	}
 	place, err := NewPlacement(n, 0)
 	if err != nil {
 		return nil, err
@@ -60,7 +67,6 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 		}
 		shards[s] = e
 	}
-	tables := lake.Tables()
 	profiled := shards[0].PrepareShardTargets(tables)
 	var at d3l.WriteIDs
 	for id, tb := range tables {
@@ -73,12 +79,7 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 		}
 		at.Attr += len(tb.Columns)
 	}
-	set, err := NewSet(shards, place)
-	if err != nil {
-		return nil, err
-	}
-	set.next = d3l.WriteIDs{Table: len(tables), Attr: at.Attr}
-	return set, nil
+	return NewSet(shards, place)
 }
 
 // Placement exposes the ring (the CLI prints it; tests poke it).

@@ -44,6 +44,44 @@ func TestSetErrorContract(t *testing.T) {
 	}
 }
 
+// TestBuildSetRemovedSlots: a lake slot left by Lake.Remove goes to no
+// shard. Inside the lake, the next table's owner fills it, so a set
+// written and loaded back still counts it and gives the next add the
+// monolith's id; a lake that ends in such a slot is refused, as no
+// shard would hold it.
+func TestBuildSetRemovedSlots(t *testing.T) {
+	lake := testLake(t, 29, 6)
+	lake.Remove(lake.Table(3).Name)
+	mono := buildMono(t, lake)
+	set, err := BuildSet(lake, 3, d3l.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := WriteSet(set, dir); err != nil {
+		t.Fatal(err)
+	}
+	if set, err = LoadSet(filepath.Join(dir, ManifestName), 0); err != nil {
+		t.Fatal(err)
+	}
+	if mono.NumTables() != set.NumTables() || mono.NumAttributes() != set.NumAttributes() {
+		t.Fatalf("slots: mono %d tables, %d attributes; set %d, %d",
+			mono.NumTables(), mono.NumAttributes(), set.NumTables(), set.NumAttributes())
+	}
+	wantID, err := mono.Add(cloneTable(t, lake.Table(1), "after_removed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID, err := set.Add(cloneTable(t, lake.Table(1), "after_removed")); err != nil || gotID != wantID {
+		t.Fatalf("add: got id %d, %v; want id %d", gotID, err, wantID)
+	}
+
+	lake.Remove(lake.Table(lake.Len() - 1).Name)
+	if _, err := BuildSet(lake, 3, d3l.DefaultOptions()); !errors.Is(err, d3l.ErrUnsupported) {
+		t.Fatalf("a lake ending in a removed slot: got %v, want ErrUnsupported", err)
+	}
+}
+
 // TestManifestRoundTrip proves the build-once/serve-many flow for
 // sharded sets: BuildSet → WriteSet → LoadSet answers exactly like the
 // monolith (and so like the set it was snapshotted from). No shard

@@ -130,8 +130,12 @@ func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget, at *WriteIDs) (int
 
 // UpdateAt is Update with the fresh attributes placed from the
 // assigned attribute id attr on.
-func (e *Engine) UpdateAt(t *Table, attr int) (UpdateStats, error) {
-	return e.update(t, func() (UpdateStats, error) { return e.core.UpdateAt(t, attr) })
+func (e *Engine) UpdateAt(t *Table, attr int) (stats UpdateStats, err error) {
+	err = e.mutate(func() (err error) {
+		stats, err = e.core.UpdateAt(t, attr)
+		return err
+	})
+	return stats, err
 }
 
 // ShardProbe runs the probe phase of one sharded query on this engine.

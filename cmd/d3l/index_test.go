@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -45,6 +46,13 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "format v2") {
 		t.Fatalf("no format version in:\n%s", out.String())
+	}
+	// The distinct signature counts are the loaded engine's, which must
+	// be the built engine's, and the figure 1 lake repeats its formats.
+	n, v, f := engine.DistinctSignatures()
+	want := fmt.Sprintf("attributes:    %d (distinct signatures N %d / V %d / F %d)\n", engine.NumAttributes(), n, v, f)
+	if !strings.Contains(out.String(), want) || n == 0 || v == 0 || f == 0 || f >= engine.NumAttributes() {
+		t.Fatalf("no line %q in:\n%s", want, out.String())
 	}
 	const headerAndTrailer, perSection = 8 + 4 + 4, 4 + 8
 	total, sections := int64(headerAndTrailer), 0

@@ -373,9 +373,9 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 	return nil
 }
 
-// indexInfo reports a snapshot's format, contents, footprint (the
-// index bytes are the numerator of the paper's Table II), load time and
-// section sizes.
+// indexInfo reports a snapshot's format, contents, how many distinct
+// MinHash signatures its attributes hold, footprint (the index bytes are
+// the numerator of the paper's Table II), load time and section sizes.
 func indexInfo(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -402,7 +402,8 @@ func indexInfo(w io.Writer, path string) error {
 	sizes := dec.SectionSizes()
 	fmt.Fprintf(w, "snapshot:      %s (%d bytes, format v%d)\n", path, st.Size(), dec.Version())
 	fmt.Fprintf(w, "tables:        %d\n", engine.Lake().Len())
-	fmt.Fprintf(w, "attributes:    %d\n", engine.NumAttributes())
+	names, values, formats := engine.DistinctSignatures()
+	fmt.Fprintf(w, "attributes:    %d (distinct signatures N %d / V %d / F %d)\n", engine.NumAttributes(), names, values, formats)
 	fmt.Fprintf(w, "index bytes:   %d\n", engine.IndexSpaceBytes())
 	fmt.Fprintf(w, "join edges:    %d\n", engine.JoinGraphEdges())
 	fmt.Fprintf(w, "load time:     %v\n", loaded.Round(time.Microsecond))

@@ -494,6 +494,14 @@ func (e *Engine) HasTable(name string) bool { return e.core.HasTable(name) }
 // NumAttributes reports how many attributes are indexed.
 func (e *Engine) NumAttributes() int { return e.core.NumAttributes() }
 
+// DistinctSignatures counts the distinct MinHash signatures the live
+// attributes hold, per evidence type: names, values (over the text
+// attributes) and formats. The engine keeps one copy of each; the gap
+// to NumAttributes is how much the lake repeats itself.
+func (e *Engine) DistinctSignatures() (names, values, formats int) {
+	return e.core.DistinctSignatures()
+}
+
 // IndexSpaceBytes reports the total index footprint (Table II).
 func (e *Engine) IndexSpaceBytes() int64 { return e.core.IndexSpaceBytes() }
 

@@ -389,7 +389,7 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 	if patients == nil || city == nil {
 		t.Fatal("fixture columns missing")
 	}
-	d := e.pairDistances(patients, city, nil, nil, e.opts.Disabled)
+	d := e.pairDistances(patients, city, nil, nil, e.opts.Disabled, nil)
 	if d[EvidenceValue] != 1 || d[EvidenceEmbedding] != 1 || d[EvidenceDomain] != 1 {
 		t.Fatalf("numeric-text pair should have V=E=D=1, got %v", d)
 	}

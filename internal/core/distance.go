@@ -31,17 +31,19 @@ func jaccardSimilarity(a, b minhash.Signature) float64 {
 // are the profiles of the respective tables' subject attributes (nil
 // when a table has none). The query's Disabled mask (engine mask OR-ed
 // with the QuerySpec override) selects which of the five distances are
-// computed; disabled evidence types report distance 1.
-func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool) DistanceVector {
+// computed; disabled evidence types report distance 1. memo, when not
+// nil, is the gathering column's distance memo (see distMemo): target
+// must then be that column's profile, and cand a profile of this engine.
+func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool, memo *distMemo) DistanceVector {
 	d := MaxDistances()
 	if !disabled[EvidenceName] {
-		d[EvidenceName] = jaccardDistance(target.QSig, cand.QSig)
+		d[EvidenceName] = memo.jaccard(EvidenceName, target.QSig, cand.QSig, cand.qID)
 	}
 	if !disabled[EvidenceValue] && !target.Numeric && !cand.Numeric {
-		d[EvidenceValue] = jaccardDistance(target.TSig, cand.TSig)
+		d[EvidenceValue] = memo.jaccard(EvidenceValue, target.TSig, cand.TSig, cand.tID)
 	}
 	if !disabled[EvidenceFormat] {
-		d[EvidenceFormat] = jaccardDistance(target.RSig, cand.RSig)
+		d[EvidenceFormat] = memo.jaccard(EvidenceFormat, target.RSig, cand.RSig, cand.rID)
 	}
 	if !disabled[EvidenceEmbedding] && !target.EZero && !cand.EZero {
 		if dist, err := lsh.CosineDistance(target.ESig, cand.ESig, e.opts.EmbedBits); err == nil {
@@ -49,7 +51,7 @@ func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile
 		}
 	}
 	if !disabled[EvidenceDomain] {
-		d[EvidenceDomain] = e.domainDistance(target, cand, targetSubject, candSubject, &d, &disabled)
+		d[EvidenceDomain] = e.domainDistance(target, cand, targetSubject, candSubject, &d, &disabled, memo)
 	}
 	return d
 }
@@ -67,7 +69,7 @@ func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile
 // the query's evidence selection — computes the Jaccard itself. Only a
 // pair neither settles reaches the subject-attribute lookup and its up
 // to four signature comparisons.
-func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profile, d *DistanceVector, disabled *[NumEvidence]bool) float64 {
+func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profile, d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo) float64 {
 	if !target.Numeric || !cand.Numeric {
 		return 1
 	}
@@ -75,8 +77,8 @@ func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profil
 		return 1
 	}
 	th := e.opts.Threshold
-	guard := 1-guardDistance(d, disabled, EvidenceName, target.QSig, cand.QSig) >= th || // a' ∈ I_N.lookup(a)
-		1-guardDistance(d, disabled, EvidenceFormat, target.RSig, cand.RSig) >= th || // a' ∈ I_F.lookup(a)
+	guard := 1-guardDistance(d, disabled, memo, EvidenceName, target.QSig, cand.QSig, cand.qID) >= th || // a' ∈ I_N.lookup(a)
+		1-guardDistance(d, disabled, memo, EvidenceFormat, target.RSig, cand.RSig, cand.rID) >= th || // a' ∈ I_F.lookup(a)
 		(targetSubject != nil && candSubject != nil && e.attrRelatedAnyIndex(targetSubject, candSubject)) // i' ∈ I*.lookup(i)
 	if !guard {
 		return 1
@@ -95,10 +97,11 @@ func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profil
 
 // guardDistance is the N or F distance Algorithm 2's guard tests: the
 // one pairDistances already put in d, or a Jaccard of its own when the
-// query's mask kept that evidence out of d.
-func guardDistance(d *DistanceVector, disabled *[NumEvidence]bool, t Evidence, a, b minhash.Signature) float64 {
+// query's mask kept that evidence out of d (through the memo, like
+// pairDistances; b is held under bID).
+func guardDistance(d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo, t Evidence, a, b minhash.Signature, bID int32) float64 {
 	if disabled[t] {
-		return jaccardDistance(a, b)
+		return memo.jaccard(t, a, b, bID)
 	}
 	return d[t]
 }

@@ -71,7 +71,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 		}
 		for _, mask := range masks {
 			label := fmt.Sprintf("subject=%v N=%v F=%v mask=%v", subjRelated, nRelated, fRelated, mask)
-			got := e.pairDistances(target, cand, ts, cs, mask)[EvidenceDomain]
+			got := e.pairDistances(target, cand, ts, cs, mask, nil)[EvidenceDomain]
 			if ref := e.domainDistanceReference(target, cand, ts, cs); got != ref || got != want {
 				t.Fatalf("%s: D distance %v, paper-literal guard %v, want %v", label, got, ref, want)
 			}
@@ -80,7 +80,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 			if nRelated || fRelated {
 				wantNoSubject = ks
 			}
-			got = e.pairDistances(target, cand, nil, cs, mask)[EvidenceDomain]
+			got = e.pairDistances(target, cand, nil, cs, mask, nil)[EvidenceDomain]
 			if ref := e.domainDistanceReference(target, cand, nil, cs); got != ref || got != wantNoSubject {
 				t.Fatalf("%s, no target subject: D distance %v, paper-literal guard %v, want %v", label, got, ref, wantNoSubject)
 			}

@@ -34,6 +34,9 @@ type Engine struct {
 	byTable  [][]int   // table id -> attribute ids
 	subjects []int     // table id -> subject attribute id (-1 if none)
 	alive    []bool    // table id -> still indexed (false after Remove)
+	// sigs holds the one copy of every distinct MinHash signature the
+	// profiles point at (see sigtable.go).
+	sigs sigTable
 
 	// fpBase and version back Fingerprint: fpBase is hashed once at
 	// build/load time (immutable afterwards), version counts mutations
@@ -115,6 +118,7 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 		for i := range profiles {
 			attrID := len(e.profiles)
 			e.profiles = append(e.profiles, profiles[i])
+			e.sigs.hold(&e.profiles[attrID], false)
 			e.byTable[tid] = append(e.byTable[tid], attrID)
 			if profiles[i].Subject {
 				e.subjects[tid] = attrID
@@ -126,6 +130,7 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 	}
 	e.buildTimings.Index = time.Since(start) - e.buildTimings.Profile
 	e.fpBase = e.fingerprintBase()
+	e.assertSigTable("BuildEngine")
 	return e, nil
 }
 

@@ -164,7 +164,7 @@ func TestPairDistancesBoundsProperty(t *testing.T) {
 	f := func(ai, bi uint8) bool {
 		a := e.Profile(int(ai) % n)
 		b := e.Profile(int(bi) % n)
-		d := e.pairDistances(a, b, nil, nil, e.opts.Disabled)
+		d := e.pairDistances(a, b, nil, nil, e.opts.Disabled, nil)
 		for _, v := range d {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
@@ -181,7 +181,7 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
 		p := e.Profile(id)
-		d := e.pairDistances(p, p, nil, nil, e.opts.Disabled)
+		d := e.pairDistances(p, p, nil, nil, e.opts.Disabled, nil)
 		if d[EvidenceName] > 1e-9 {
 			t.Fatalf("self N distance %v for %s", d[EvidenceName], p.Name)
 		}

@@ -81,7 +81,7 @@ func (e *Engine) ExplainProfiled(ctx context.Context, target *table.Table, tprof
 		}
 		for _, attrID := range e.byTable[tid] {
 			cand := &e.profiles[attrID]
-			d := e.pairDistances(&tprofiles[i], cand, tsubject, candSubject, view.disabled)
+			d := e.pairDistances(&tprofiles[i], cand, tsubject, candSubject, view.disabled, nil)
 			related := false
 			for _, v := range d {
 				if v < 1 {

@@ -144,8 +144,10 @@ func (e *Engine) AddProfiled(t *table.Table, profiles []Profile, at *WriteIDs) (
 // Only when every forest write has succeeded does commit land the
 // mutation's own table state (its lake entry and per-table slots); it
 // may refuse, as the lake refuses a duplicate name, but only before it
-// changes anything. Then the fresh profiles join the store, the dropped
-// ones shrink to stubs, and the version moves.
+// changes anything. Then the fresh profiles join the store and take
+// their signatures from the signature table, the dropped ones shrink to
+// stubs, and the version moves. So a failed write takes no signature
+// reference.
 //
 // A failed forest write or a refused commit undoes every key written so
 // far, the failing attribute's included, and returns the error: the
@@ -186,20 +188,30 @@ func (e *Engine) splice(fresh []Profile, drop []int, commit func() error) error 
 		rollback(steps-1, numForestSlots)
 		return err
 	}
+	// The fresh profiles take their signature references before the
+	// dropped ones give theirs back, so a signature an Update keeps
+	// stays in the table throughout.
 	e.profiles = append(e.profiles, fresh...)
+	for i := base; i < len(e.profiles); i++ {
+		e.sigs.hold(&e.profiles[i], false)
+	}
 	for _, attrID := range drop {
 		// An in-place write under the write lock — see the Profile
 		// method doc for the pointer-retention rule it imposes.
+		e.sigs.drop(&e.profiles[attrID])
 		e.profiles[attrID] = e.profiles[attrID].stub()
 	}
+	e.assertSigTable("splice")
 	e.bumpVersion()
 	return nil
 }
 
 // stub is p reduced to the metadata a dead attribute keeps: no
-// signatures and no extent, so Add/Remove churn does not accumulate dead
-// payloads. Its forest keys are gone (or never existed), so it can never
-// surface as a candidate, and the join builders skip dead tables.
+// signatures, no signature ids and no extent, so Add/Remove churn does
+// not accumulate dead payloads (splice gives the signature references
+// back to the table first). Its forest keys are gone (or never
+// existed), so it can never surface as a candidate, and the join
+// builders skip dead tables.
 func (p Profile) stub() Profile {
 	return Profile{Ref: p.Ref, Name: p.Name, Numeric: p.Numeric, Subject: p.Subject, EZero: true}
 }

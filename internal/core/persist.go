@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"d3l/internal/lsh"
@@ -178,6 +177,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 		e.forests[i] = f
 	}
 	e.fpBase = e.fingerprintBase()
+	e.assertSigTable("DecodeEngine")
 	return e, nil
 }
 
@@ -294,12 +294,16 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	if numProfiles < 0 || numProfiles > r.Remaining()/minProfileEnc {
 		return fmt.Errorf("%w: %d profiles declared in %d bytes", persist.ErrCorrupt, numProfiles, r.Remaining())
 	}
+	// Each profile's signatures are read into scratch, and the signature
+	// table copies only those it does not hold yet: the file's repeats
+	// are never allocated.
 	e.profiles = make([]Profile, numProfiles)
-	empty := e.prof.hasher.EmptySignature()
+	var scratch [3]minhash.Signature
 	for i := range e.profiles {
-		if err := decodeProfile(r, &e.profiles[i], version, empty); err != nil {
+		if err := decodeProfile(r, &e.profiles[i], version, &scratch); err != nil {
 			return err
 		}
+		e.sigs.hold(&e.profiles[i], true)
 	}
 	numTables := int(r.U32())
 	if err := r.Err(); err != nil {
@@ -355,47 +359,39 @@ func encodeProfile(b *persist.Buffer, p *Profile) {
 	b.F64s(p.NumExtent)
 }
 
-// decodeSignature reads one MinHash signature. Format version 1 stored
-// the 64-bit minima themselves; each narrows to the slot a current
-// sketch of the same set holds (and an empty set's math.MaxUint64 to
-// the empty slot), so a version 1 snapshot answers as it always did. A
-// signature equal to shared decodes as shared itself, not a copy.
-func decodeSignature(r *persist.Reader, version uint32, shared minhash.Signature) minhash.Signature {
+// decodeSignature reads one MinHash signature into *buf, growing it as
+// needed, and returns it (empty when the stored one is). Format version 1
+// stored the 64-bit minima themselves; each narrows to the slot a current
+// sketch of the same set holds (and an empty set's math.MaxUint64 to the
+// empty slot), so a version 1 snapshot answers as it always did.
+func decodeSignature(r *persist.Reader, version uint32, buf *minhash.Signature) minhash.Signature {
 	if version >= 2 {
-		return r.U32s(shared)
+		*buf = r.U32s(*buf)
+		return *buf
 	}
 	n := r.Count(8)
-	if n == 0 {
-		return nil
+	if cap(*buf) < n {
+		*buf = make(minhash.Signature, n)
 	}
-	sig := make(minhash.Signature, n)
+	sig := (*buf)[:n]
 	for i := range sig {
 		sig[i] = uint32(r.U64())
-	}
-	if slices.Equal(sig, shared) {
-		return shared
 	}
 	return sig
 }
 
-// decodeProfile reads one profile. A numeric attribute's placeholder
-// TSig, the hasher's empty signature, is stored in full (the layout has
-// no special case) and decodes as that one shared slice, as
-// profileColumn shares it.
-func decodeProfile(r *persist.Reader, p *Profile, version uint32, empty minhash.Signature) error {
+// decodeProfile reads one profile. Its signatures are left in scratch,
+// one buffer each, for the signature table to take (decodeAttrs).
+func decodeProfile(r *persist.Reader, p *Profile, version uint32, scratch *[3]minhash.Signature) error {
 	p.Ref.TableID = int(r.I64())
 	p.Ref.Column = int(r.I64())
 	p.Name = r.Str()
 	p.Numeric = r.Bool()
 	p.Subject = r.Bool()
-	p.QSig = decodeSignature(r, version, nil)
-	var placeholder minhash.Signature
-	if p.Numeric {
-		placeholder = empty
-	}
-	p.TSig = decodeSignature(r, version, placeholder)
+	p.QSig = decodeSignature(r, version, &scratch[0])
+	p.TSig = decodeSignature(r, version, &scratch[1])
 	p.TSize = int(r.I64())
-	p.RSig = decodeSignature(r, version, nil)
+	p.RSig = decodeSignature(r, version, &scratch[2])
 	p.ESig = lsh.BitSignature(r.U64s())
 	p.EZero = r.Bool()
 	p.NumExtent = r.F64s()

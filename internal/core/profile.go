@@ -23,22 +23,29 @@ type Profile struct {
 	Numeric bool
 	// Subject marks the table's subject attribute (Section III-C).
 	Subject bool
+	// EZero marks attributes with no embeddable content (numeric or
+	// empty extents); their ESig is a placeholder.
+	EZero bool
+
+	// qID, tID and rID are the ids QSig, TSig and RSig have in the
+	// signature table of the engine holding the profile (sigtable.go),
+	// or 0 when no engine holds it. They sit beside the flags, where
+	// they fit the padding.
+	qID, tID, rID int32
 
 	// QSig is the MinHash signature of the name q-gram set Q(a).
 	QSig minhash.Signature
 	// TSig is the MinHash signature of the tset T(a); TSize its
 	// cardinality (needed by the Section IV overlap coefficient). A
-	// numeric attribute has no tset: its TSig is the hasher's shared
-	// full-length empty signature, which no distance or probe reads.
+	// numeric attribute has no tset: its TSig is the full-length empty
+	// signature, which no distance or probe reads.
 	TSig  minhash.Signature
 	TSize int
 	// RSig is the MinHash signature of the rset R(a).
 	RSig minhash.Signature
 	// ESig is the random-projection signature of the attribute
-	// embedding vector; EZero marks attributes with no embeddable
-	// content (numeric or empty extents).
-	ESig  lsh.BitSignature
-	EZero bool
+	// embedding vector.
+	ESig lsh.BitSignature
 
 	// NumExtent is the parsed numeric extent for Numeric attributes.
 	// Invariant: sorted ascending. The KS statistic is the only

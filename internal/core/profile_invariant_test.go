@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"d3l/internal/minhash"
 	"d3l/internal/persist"
 )
 
@@ -31,7 +32,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 		t.Fatal("test section missing")
 	}
 	var out Profile
-	if err := decodeProfile(r, &out, dec.Version(), nil); err != nil {
+	if err := decodeProfile(r, &out, dec.Version(), &[3]minhash.Signature{}); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -353,13 +353,15 @@ func (m probeDepths) probe(p forestProbe, budget int, ids []int32, col, slot int
 // recycled pair buffer). Candidate-set state lives on worker scratch:
 // the forests append into the recycled probe buffer (regions are
 // unordered, overlap across forests, and under imposed depths repeat an
-// id within one), and the one dedup uses the epoch-stamped visited array
-// instead of a per-call map. A forest error or a cancelled context ends
-// the column with that error and no pairs.
+// id within one), the one dedup uses the epoch-stamped visited array
+// instead of a per-call map, and the distance memo compares each
+// distinct candidate signature with the column's once. A forest error or
+// a cancelled context ends the column with that error and no pairs.
 func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view *specView, dst []candidatePair, depths probeDepths) ([]candidatePair, error) {
 	dst = dst[:0]
 	ws := e.getWorkerScratch()
 	defer e.putWorkerScratch(ws)
+	ws.memo.reset()
 	ids := ws.ids[:0]
 	var err error
 	for slot, p := range e.probeTable(tp, &view.disabled, ws) {
@@ -387,11 +389,12 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 			}
 		}
 		cand := &e.profiles[id]
+		e.assertInterned(cand, "gatherColumn")
 		var candSubject *Profile
 		if s := e.subjects[cand.Ref.TableID]; s >= 0 {
 			candSubject = &e.profiles[s]
 		}
-		d := e.pairDistances(tp, cand, tsubject, candSubject, view.disabled)
+		d := e.pairDistances(tp, cand, tsubject, candSubject, view.disabled, &ws.memo)
 		dst = append(dst, candidatePair{targetCol: col, attrID: int(id), tableID: cand.Ref.TableID, dist: d})
 	}
 	return dst, nil

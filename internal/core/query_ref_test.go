@@ -26,7 +26,8 @@ import (
 // fixture does.
 
 // naiveSearchSpec is the reference implementation: per-column forest
-// probes deduplicated through a map, ECDFs built with per-cell sample
+// probes deduplicated through a map, memo-free pair distances
+// (refPairDistances), ECDFs built with per-cell sample
 // slices, grouping through a byTable map with sorted keys, per-table
 // alignment via alignColumns/aggregateEq1, and a full sort of every
 // scored table truncated to k.
@@ -85,10 +86,7 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 			if s := e.subjects[cand.Ref.TableID]; s >= 0 {
 				candSubject = &e.profiles[s]
 			}
-			d := e.pairDistances(tp, cand, tsubject, candSubject, view.disabled)
-			if !view.disabled[EvidenceDomain] {
-				d[EvidenceDomain] = e.domainDistanceReference(tp, cand, tsubject, candSubject)
-			}
+			d := e.refPairDistances(tp, cand, tsubject, candSubject, view.disabled)
 			pairs = append(pairs, candidatePair{targetCol: col, attrID: id, tableID: cand.Ref.TableID, dist: d})
 		}
 	}

@@ -108,6 +108,8 @@ type workerScratch struct {
 	bEpoch   uint32
 	// rows holds the alignment rows of the table being scored.
 	rows []Alignment
+	// memo is the distance memo of the column being gathered.
+	memo distMemo
 }
 
 // visitedEpoch returns the visited array (sized for n attribute ids)

@@ -612,36 +612,24 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
-// U32s reads a length-prefixed []uint32. Zero-length slices decode as
-// nil, matching how a tombstoned attribute's released signatures are
-// represented in memory; values equal to shared decode as shared itself,
-// allocating nothing.
-func (r *Reader) U32s(shared []uint32) []uint32 {
+// U32s reads a length-prefixed []uint32 into buf's storage when it has
+// room, into a fresh slice otherwise, and returns it: a decoder reading
+// values it only looks at (MinHash signatures, which the engine keeps
+// one copy of each) can reuse one buffer for all of them. Zero-length
+// slices decode as buf[:0], so as nil for a nil buf, matching how a
+// tombstoned attribute's released signatures are represented in memory.
+func (r *Reader) U32s(buf []uint32) []uint32 {
 	n := r.Count(4)
-	if n == 0 {
-		return nil
+	if cap(buf) < n {
+		buf = make([]uint32, n)
 	}
-	var out []uint32
-	if n != len(shared) {
-		out = make([]uint32, n)
-	}
-	i := 0
+	out, i := buf[:n], 0
 	r.chunks(n, 4, func(p []byte) {
 		for ; len(p) > 0; p = p[4:] {
-			v := binary.LittleEndian.Uint32(p)
-			if out == nil && v != shared[i] {
-				out = make([]uint32, n)
-				copy(out, shared[:i])
-			}
-			if out != nil {
-				out[i] = v
-			}
+			out[i] = binary.LittleEndian.Uint32(p)
 			i++
 		}
 	})
-	if out == nil {
-		return shared
-	}
 	return out
 }
 

@@ -43,8 +43,8 @@ func cmdLoadgen(_ context.Context, args []string, stdout, stderr io.Writer) erro
 	k := fs.Int("k", 5, "answer size per query")
 	targets := fs.Int("targets", 8, "target tables sampled from the lake")
 	targetRows := fs.Int("target-rows", 8, "rows per sampled target table")
-	mix := fs.String("mix", "topk=4,query=4,batch=1,mutate=1,update=1",
-		"weighted op mix op=weight[,...]; ops: topk query batch mutate update reload (weight 0 drops an op)")
+	mix := fs.String("mix", "query=8,batch=1,mutate=1,update=1",
+		"weighted op mix op=weight[,...]; ops: query batch mutate update reload (weight 0 drops an op)")
 	out := fs.String("out", "", "write the SLO report JSON to this file (default stdout)")
 	failOn5xx := fs.Bool("fail-on-5xx", true, "gate: fail the run on any status >= 500")
 	maxP99 := fs.Duration("max-p99", 0, "gate: per-endpoint p99 ceiling (0 disables)")
@@ -81,15 +81,17 @@ func cmdLoadgen(_ context.Context, args []string, stdout, stderr io.Writer) erro
 		// -direct serves the snapshot when given one (it loads in
 		// milliseconds), else profiles and indexes the lake just read.
 		var engine *d3l.Engine
+		var cfg server.Config
 		if *index != "" {
 			engine, err = loadEngine("", *index, 0)
+			cfg.LoadFunc = snapshotLoader(*index, 0)
 		} else {
 			engine, err = d3l.New(lake, d3l.DefaultOptions())
 		}
 		if err != nil {
 			return err
 		}
-		srv, err := server.New(engine, server.Config{SnapshotPath: *index})
+		srv, err := server.New(engine, cfg)
 		if err != nil {
 			return err
 		}
@@ -217,10 +219,8 @@ func buildWorkload(corpus []server.TableJSON, mix string, k int) ([]loadgen.OpSp
 		}
 		return b
 	}
-	var topk, query, batch [][]loadgen.Request
+	var query, batch [][]loadgen.Request
 	for i := range corpus {
-		topk = append(topk, []loadgen.Request{{Method: "POST", Path: "/v1/topk",
-			Body: marshal(server.TopKRequest{Table: corpus[i], K: &k})}})
 		query = append(query, []loadgen.Request{{Method: "POST", Path: "/v1/query",
 			Body: marshal(server.QueryRequest{Table: corpus[i], K: &k})}})
 	}
@@ -240,7 +240,6 @@ func buildWorkload(corpus []server.TableJSON, mix string, k int) ([]loadgen.OpSp
 		}
 		delete(weights, name)
 	}
-	add("topk", topk)
 	add("query", query)
 	add("batch", batch)
 	if w := weights["mutate"]; w > 0 {
@@ -299,7 +298,7 @@ func buildWorkload(corpus []server.TableJSON, mix string, k int) ([]loadgen.OpSp
 	}
 	delete(weights, "reload")
 	for name := range weights {
-		return nil, fmt.Errorf("loadgen: unknown op %q in -mix (want topk, query, batch, mutate, update, reload)", name)
+		return nil, fmt.Errorf("loadgen: unknown op %q in -mix (want query, batch, mutate, update, reload)", name)
 	}
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("loadgen: -mix selects no operations")

@@ -64,7 +64,7 @@ var commands = []struct {
 	{"faultproxy", "-target URL [-listen :8191] [-seed N] [-latency D -latency-prob F] [-error-prob F] [...]", cmdFaultproxy},
 	{"watch", "-dir DIR [-index FILE.d3l] [-interval D]", cmdWatch},
 	{"loadgen", "-url URL [-url URL ...] | -direct [-index FILE.d3l]  -dir DIR  [-duration D] [-seed N]\n" +
-		"[-mix topk=4,query=4,batch=1,mutate=1,update=1] [-out FILE.json] [-max-p99 D]", interruptible(cmdLoadgen)},
+		"[-mix query=8,batch=1,mutate=1,update=1] [-out FILE.json] [-max-p99 D]", interruptible(cmdLoadgen)},
 	{"exp", "-id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]", interruptible(cmdExp)},
 }
 

@@ -345,3 +345,72 @@ func TestServeSmoke(t *testing.T) {
 		p.stop(t)
 	}
 }
+
+// TestServeReloadReappliesWorkers: a monolith serving a snapshot
+// reloads through a loader that re-reads the file and re-applies
+// -workers, so a reload never falls back to the parallelism the
+// snapshot recorded; a failed load hands the server a nil engine, and
+// the old one keeps serving. A -dir monolith has no loader.
+func TestServeReloadReappliesWorkers(t *testing.T) {
+	dir := t.TempDir()
+	lake, snap := filepath.Join(dir, "lake"), filepath.Join(dir, "lake.d3l")
+	if err := d3l.SaveLakeDir(testLake(t), lake); err != nil {
+		t.Fatal(err)
+	}
+	mustRun(t, "index", "build", "-dir", lake, "-out", snap)
+
+	var cfg server.Config
+	engine, err := buildServeEngine("", snap, 3, 1, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(engine, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	reloaded, ok := srv.Engine().(*d3l.Engine)
+	if !ok || srv.Engine() == engine {
+		t.Fatalf("reload served %T %p, want a fresh *d3l.Engine", srv.Engine(), srv.Engine())
+	}
+	// A snapshot records the engine's parallelism, so saving the
+	// reloaded engine shows the setting it serves with.
+	snapshotOf := func(e *d3l.Engine) []byte {
+		var b bytes.Buffer
+		if err := d3l.Save(e, &b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	want, err := d3l.LoadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := snapshotOf(want)
+	if err := want.SetParallelism(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotOf(reloaded); !bytes.Equal(got, snapshotOf(want)) || bytes.Equal(got, recorded) {
+		t.Fatal("reload did not re-apply -workers 3")
+	}
+
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := cfg.LoadFunc(); err == nil || e != nil {
+		t.Fatalf("load of a missing snapshot = (%v, %v), want a nil engine and an error", e, err)
+	}
+	if err := srv.Reload(); err == nil || srv.Engine() != server.Engine(reloaded) {
+		t.Fatalf("failed reload: err %v, serving %p; want an error and %p still serving", err, srv.Engine(), reloaded)
+	}
+
+	var dirCfg server.Config
+	if _, err := buildServeEngine(lake, "", 0, 1, &dirCfg); err != nil {
+		t.Fatal(err)
+	}
+	if dirCfg.LoadFunc != nil {
+		t.Fatal("a -dir monolith has a reload loader")
+	}
+}

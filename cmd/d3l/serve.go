@@ -104,12 +104,12 @@ func (f *front) serve(ctx context.Context, name string, srv *server.Server, stde
 
 // cmdServe runs the HTTP serving subsystem over a prebuilt snapshot
 // (the serve-many half of the build-once/serve-many flow) or, for
-// development, over a CSV directory indexed at startup. The API is
-// /v1/query (the full per-query option set: k, joins, explainFor,
-// weights, evidence, candidateBudget) plus the legacy per-shape
-// endpoints; a request that exceeds -timeout or whose client
-// disconnects has its computation cancelled and its admission slot
-// freed immediately.
+// development, over a CSV directory indexed at startup. Two routes
+// rank: /v1/query (one target, with the full per-query option set: k,
+// joins, explainFor, weights, evidence, candidateBudget) and /v1/batch
+// (many targets at one k); a request that exceeds -timeout or whose
+// client disconnects has its computation cancelled and its admission
+// slot freed immediately.
 //
 // SIGHUP hot-reloads the snapshot and atomically swaps the serving
 // engine under traffic (only with -index); cancelling ctx drains
@@ -166,15 +166,17 @@ func cmdServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 // monolith paths (snapshot or CSV directory) at shards == 1, and the
 // in-process sharded set above — -dir splits the lake across the
 // consistent-hash ring at startup, -index loads the per-shard
-// snapshots named by a manifest from `d3l index build -shards N`. It
-// sets the matching reload wiring in cfg: SnapshotPath for a monolith
-// snapshot, LoadFunc for a shard manifest.
+// snapshots named by a manifest from `d3l index build -shards N`. With
+// -index it sets cfg's reload loader: the snapshot for a monolith, the
+// manifest for a set.
 func buildServeEngine(dir, index string, workers, shards int, cfg *server.Config) (server.Engine, error) {
 	if shards == 1 {
-		cfg.SnapshotPath, cfg.Workers = index, workers
 		engine, err := loadEngine(dir, index, workers)
 		if err != nil {
 			return nil, err
+		}
+		if index != "" {
+			cfg.LoadFunc = snapshotLoader(index, workers)
 		}
 		return engine, nil
 	}
@@ -208,6 +210,21 @@ func buildServeEngine(dir, index string, workers, shards int, cfg *server.Config
 		return shard.LoadSet(manifest, workers)
 	}
 	return set, nil
+}
+
+// snapshotLoader is the reload loader of a monolith serving the
+// snapshot at index: each call re-reads it and re-applies workers, as
+// loadEngine did at startup, so a reload never falls back to the build
+// host's parallelism.
+func snapshotLoader(index string, workers int) func() (server.Engine, error) {
+	return func() (server.Engine, error) {
+		engine, err := loadEngine("", index, workers)
+		if err != nil {
+			// A nil interface: a typed nil *d3l.Engine would not be.
+			return nil, err
+		}
+		return engine, nil
+	}
 }
 
 // manifestPath accepts either the manifest file itself or the snapshot

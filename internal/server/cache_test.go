@@ -79,10 +79,10 @@ func rankingKey(t *testing.T, kind string, engineFP, swapGen uint64, k int, tabl
 
 // TestQueryKeyCanonical pins the fingerprint contract: equal queries
 // collide, and every result-relevant dimension separates keys —
-// including the route, so /v1/topk and /v1/query never share an entry.
+// including the route, so /v1/query and /v1/batch never share an entry.
 func TestQueryKeyCanonical(t *testing.T) {
 	base := figure1TargetJSON
-	if rankingKey(t, routeTopK, 1, 0, 5, base()) != rankingKey(t, routeTopK, 1, 0, 5, base()) {
+	if rankingKey(t, routeQuery, 1, 0, 5, base()) != rankingKey(t, routeQuery, 1, 0, 5, base()) {
 		t.Fatal("equal queries produced different keys")
 	}
 	distinct := map[string]string{}
@@ -93,31 +93,29 @@ func TestQueryKeyCanonical(t *testing.T) {
 		}
 		distinct[key] = label
 	}
-	add("base", rankingKey(t, routeTopK, 1, 0, 5, base()))
-	for _, kind := range []string{routeQuery, routeJoins, routeBatch} {
-		add("kind "+kind, rankingKey(t, kind, 1, 0, 5, base()))
-	}
-	add("engine", rankingKey(t, routeTopK, 2, 0, 5, base()))
-	add("swap generation", rankingKey(t, routeTopK, 1, 1, 5, base()))
-	add("k", rankingKey(t, routeTopK, 1, 0, 6, base()))
+	add("base", rankingKey(t, routeQuery, 1, 0, 5, base()))
+	add("kind "+routeBatch, rankingKey(t, routeBatch, 1, 0, 5, base()))
+	add("engine", rankingKey(t, routeQuery, 2, 0, 5, base()))
+	add("swap generation", rankingKey(t, routeQuery, 1, 1, 5, base()))
+	add("k", rankingKey(t, routeQuery, 1, 0, 6, base()))
 	k := 5
-	add("partial", resultKey(routeTopK, 1, 0, mustPlan(t, QueryRequest{K: &k}), true, []TableJSON{base()}))
+	add("partial", resultKey(routeQuery, 1, 0, mustPlan(t, QueryRequest{K: &k}), true, []TableJSON{base()}))
 	add("second target", resultKey(routeBatch, 1, 0, mustPlan(t, QueryRequest{K: &k}), false, []TableJSON{base(), base()}))
 	cell := base()
 	cell.Rows[0][0] += "x"
-	add("cell", rankingKey(t, routeTopK, 1, 0, 5, cell))
+	add("cell", rankingKey(t, routeQuery, 1, 0, 5, cell))
 	col := base()
 	col.Columns[0] += "x"
-	add("column", rankingKey(t, routeTopK, 1, 0, 5, col))
+	add("column", rankingKey(t, routeQuery, 1, 0, 5, col))
 	name := base()
 	name.Name += "x"
-	add("table name", rankingKey(t, routeTopK, 1, 0, 5, name))
+	add("table name", rankingKey(t, routeQuery, 1, 0, 5, name))
 
 	// Length-prefixing: moving a byte across a field boundary must not
 	// collide ("ab","c" vs "a","bc").
 	ab := TableJSON{Name: "n", Columns: []string{"ab", "c"}}
 	a := TableJSON{Name: "n", Columns: []string{"a", "bc"}}
-	if rankingKey(t, routeTopK, 1, 0, 1, ab) == rankingKey(t, routeTopK, 1, 0, 1, a) {
+	if rankingKey(t, routeQuery, 1, 0, 1, ab) == rankingKey(t, routeQuery, 1, 0, 1, a) {
 		t.Fatal("field boundary shift collides")
 	}
 }

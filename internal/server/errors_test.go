@@ -29,13 +29,13 @@ func decodeEnvelope(t *testing.T, body []byte) string {
 func TestServeErrorPaths(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{MaxBodyBytes: 4096})
 	valid := func(k int) []byte {
-		b, err := json.Marshal(TopKRequest{Table: figure1TargetJSON(), K: kptr(k)})
+		b, err := json.Marshal(QueryRequest{Table: figure1TargetJSON(), K: kptr(k)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	bigBody, err := json.Marshal(TopKRequest{
+	bigBody, err := json.Marshal(QueryRequest{
 		Table: TableJSON{
 			Name:    "big",
 			Columns: []string{"c"},
@@ -55,16 +55,16 @@ func TestServeErrorPaths(t *testing.T) {
 		wantStatus int
 		wantCode   string
 	}{
-		{"malformed json", "POST", "/v1/topk", []byte(`{"table": {`), http.StatusBadRequest, CodeBadRequest},
-		{"not json at all", "POST", "/v1/topk", []byte(`hello`), http.StatusBadRequest, CodeBadRequest},
-		{"zero k", "POST", "/v1/topk", valid(0), http.StatusBadRequest, CodeBadRequest},
-		{"negative k", "POST", "/v1/topk", valid(-3), http.StatusBadRequest, CodeBadRequest},
-		{"missing table", "POST", "/v1/topk", []byte(`{"k":3}`), http.StatusBadRequest, CodeBadRequest},
-		{"oversized body", "POST", "/v1/topk", bigBody, http.StatusRequestEntityTooLarge, CodeTooLarge},
+		{"malformed json", "POST", "/v1/query", []byte(`{"table": {`), http.StatusBadRequest, CodeBadRequest},
+		{"not json at all", "POST", "/v1/query", []byte(`hello`), http.StatusBadRequest, CodeBadRequest},
+		{"zero k", "POST", "/v1/query", valid(0), http.StatusBadRequest, CodeBadRequest},
+		{"negative k", "POST", "/v1/query", valid(-3), http.StatusBadRequest, CodeBadRequest},
+		{"missing table", "POST", "/v1/query", []byte(`{"k":3}`), http.StatusBadRequest, CodeBadRequest},
+		{"oversized body", "POST", "/v1/query", bigBody, http.StatusRequestEntityTooLarge, CodeTooLarge},
 		{"batch no targets", "POST", "/v1/batch", []byte(`{"tables":[],"k":3}`), http.StatusBadRequest, CodeBadRequest},
 		{"batch bad member", "POST", "/v1/batch", []byte(`{"tables":[{"name":""}],"k":3}`), http.StatusBadRequest, CodeBadRequest},
-		{"explain missing lake table", "POST", "/v1/explain", []byte(`{"table":{"name":"t","columns":["c"],"rows":[["v"]]}}`), http.StatusBadRequest, CodeBadRequest},
-		{"explain unknown lake table", "POST", "/v1/explain", mustExplainBody(t, "no_such_table"), http.StatusNotFound, CodeNotFound},
+		{"explain missing lake table", "POST", "/v1/query", []byte(`{"table":{"name":"t","columns":["c"],"rows":[["v"]]},"k":0}`), http.StatusBadRequest, CodeBadRequest},
+		{"explain unknown lake table", "POST", "/v1/query", mustExplainBody(t, "no_such_table"), http.StatusNotFound, CodeNotFound},
 		{"remove unknown table", "DELETE", "/v1/tables/no_such_table", nil, http.StatusNotFound, CodeNotFound},
 		{"add duplicate name", "POST", "/v1/tables", mustAddBody(t, "S1"), http.StatusConflict, CodeConflict},
 		// Assigned write ids (a coordinator's, see AddTableRequest). The
@@ -93,7 +93,7 @@ func TestServeErrorPaths(t *testing.T) {
 
 func mustExplainBody(t *testing.T, lakeTable string) []byte {
 	t.Helper()
-	b, err := json.Marshal(ExplainRequest{Table: figure1TargetJSON(), LakeTable: lakeTable})
+	b, err := json.Marshal(QueryRequest{Table: figure1TargetJSON(), K: kptr(0), ExplainFor: lakeTable})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func mustAddAtBody(t *testing.T, name string, tableID, attrID int) []byte {
 // records it.
 func TestServeTimeoutExceeded(t *testing.T) {
 	srv, hs := newTestServer(t, figure1Engine(t), Config{RequestTimeout: time.Nanosecond})
-	status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(3)})
+	status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(3)})
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503 (%s)", status, body)
 	}
@@ -163,7 +163,7 @@ func TestServeOverloadedAnswers429(t *testing.T) {
 	}
 	defer close(release)
 
-	status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(3)})
+	status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(3)})
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429 (%s)", status, body)
 	}
@@ -196,7 +196,7 @@ func TestServeAdmissionWaitRidesOutBursts(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		close(release)
 	}()
-	status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(3)})
+	status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(3)})
 	if status != http.StatusOK {
 		t.Fatalf("status %d, want 200 after slot freed (%s)", status, body)
 	}
@@ -211,10 +211,8 @@ func TestServeShutdownRejectsNewWork(t *testing.T) {
 		method, path string
 		body         []byte
 	}{
-		{"POST", "/v1/topk", mustTopKBody(t, 3)},
+		{"POST", "/v1/query", mustQueryBody(t, 3)},
 		{"POST", "/v1/batch", []byte(`{"tables":[{"name":"t","columns":["c"],"rows":[["v"]]}],"k":1}`)},
-		{"POST", "/v1/joins", mustTopKBody(t, 2)},
-		{"POST", "/v1/explain", mustExplainBody(t, "S1")},
 		{"POST", "/v1/tables", mustAddBody(t, "fresh_name")},
 		{"DELETE", "/v1/tables/S1", nil},
 		{"POST", "/v1/reload", []byte(`{}`)},
@@ -230,9 +228,9 @@ func TestServeShutdownRejectsNewWork(t *testing.T) {
 	}
 }
 
-func mustTopKBody(t *testing.T, k int) []byte {
+func mustQueryBody(t *testing.T, k int) []byte {
 	t.Helper()
-	b, err := json.Marshal(TopKRequest{Table: figure1TargetJSON(), K: kptr(k)})
+	b, err := json.Marshal(QueryRequest{Table: figure1TargetJSON(), K: kptr(k)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +272,7 @@ func TestServeTimeoutStillCaches(t *testing.T) {
 	const key = "timeout-cache-key"
 	release := make(chan struct{})
 	rec := httptest.NewRecorder()
-	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/topk", nil), key, func(context.Context) ([]byte, error) {
+	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
 		<-release
 		return []byte(`{"slow":true}`), nil
 	})
@@ -296,7 +294,7 @@ func TestServeTimeoutStillCaches(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	rec2 := httptest.NewRecorder()
-	srv.cachedQuery(rec2, httptest.NewRequest("POST", "/v1/topk", nil), key, func(context.Context) ([]byte, error) {
+	srv.cachedQuery(rec2, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
 		t.Error("recomputed despite cached result")
 		return nil, nil
 	})
@@ -311,7 +309,7 @@ func TestServeTimeoutStillCaches(t *testing.T) {
 func TestServePanicFailsOneRequest(t *testing.T) {
 	srv, hs := newTestServer(t, figure1Engine(t), Config{})
 	rec := httptest.NewRecorder()
-	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/topk", nil), "panic-key", func(context.Context) ([]byte, error) {
+	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), "panic-key", func(context.Context) ([]byte, error) {
 		panic("boom")
 	})
 	if rec.Code != http.StatusInternalServerError {
@@ -321,7 +319,7 @@ func TestServePanicFailsOneRequest(t *testing.T) {
 		t.Fatalf("envelope code %q, want %q", code, CodeInternal)
 	}
 	// The process survived: a normal request still works.
-	if status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}); status != http.StatusOK {
+	if status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}); status != http.StatusOK {
 		t.Fatalf("follow-up query: %d %s", status, body)
 	}
 	// Mutations take the admitMutation path; a panic there must also
@@ -332,8 +330,8 @@ func TestServePanicFailsOneRequest(t *testing.T) {
 	}
 }
 
-// TestServeReloadWithoutSnapshotPath: reload on a -dir server is a
-// client error, not a crash.
+// TestServeReloadWithoutSnapshotPath: reload on a server with no
+// loader (a -dir server) is a client error, not a crash.
 func TestServeReloadWithoutSnapshotPath(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
 	status, body := postJSON(t, hs.URL+"/v1/reload", struct{}{})
@@ -351,7 +349,7 @@ func TestServeReloadBadSnapshot(t *testing.T) {
 	engine := figure1Engine(t)
 	dir := t.TempDir()
 	path := saveSnapshot(t, engine, dir)
-	_, hs := newTestServer(t, engine, Config{SnapshotPath: path})
+	_, hs := newTestServer(t, engine, Config{LoadFunc: snapshotLoader(path)})
 
 	// Corrupt the snapshot on disk.
 	data := mustReadFile(t, path)
@@ -366,7 +364,7 @@ func TestServeReloadBadSnapshot(t *testing.T) {
 		t.Fatalf("envelope code %q, want %q", code, CodeUnavailable)
 	}
 	// Old engine still serves.
-	if status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}); status != http.StatusOK {
+	if status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}); status != http.StatusOK {
 		t.Fatalf("query after failed reload: status %d (%s)", status, body)
 	}
 }

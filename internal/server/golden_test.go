@@ -232,26 +232,6 @@ func itoa(i int) string { return strconv.Itoa(i) }
 
 // ---- the golden assertions ---------------------------------------------
 
-// TestGoldenTopK: per-target top-k fixtures across all three paths.
-func TestGoldenTopK(t *testing.T) {
-	w := golden(t)
-	for _, target := range w.targets {
-		t.Run(target.Name, func(t *testing.T) {
-			tbl, err := target.toTable()
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct := marshalTopK(t, w.engineCSV, tbl)
-			snapLoaded := marshalTopK(t, w.engineSnap, tbl)
-			status, httpBody := postJSON(t, w.baseURL+"/v1/topk", TopKRequest{Table: target, K: kptr(goldenK)})
-			if status != http.StatusOK {
-				t.Fatalf("status %d: %s", status, httpBody)
-			}
-			checkGolden(t, "topk_"+target.Name, direct, snapLoaded, httpBody)
-		})
-	}
-}
-
 // TestGoldenBatch: one batch fixture over the whole corpus.
 func TestGoldenBatch(t *testing.T) {
 	w := golden(t)
@@ -285,18 +265,24 @@ func TestGoldenJoins(t *testing.T) {
 			}
 			direct := marshalJoins(t, w.engineCSV, tbl)
 			snapLoaded := marshalJoins(t, w.engineSnap, tbl)
-			status, httpBody := postJSON(t, w.baseURL+"/v1/joins", TopKRequest{Table: target, K: kptr(goldenK)})
+			status, httpBody := postJSON(t, w.baseURL+"/v1/query", QueryRequest{Table: target, K: kptr(goldenK), Joins: true})
 			if status != http.StatusOK {
 				t.Fatalf("status %d: %s", status, httpBody)
 			}
-			checkGolden(t, "joins_"+target.Name, direct, snapLoaded, httpBody)
+			// The joins section of the response must carry exactly the
+			// fixture's augmented results.
+			var q QueryResponse
+			if err := json.Unmarshal(httpBody, &q); err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, "joins_"+target.Name, direct, snapLoaded, marshalResults(t, q.Joins))
 		})
 	}
 }
 
-// TestGoldenQueryDefaults: /v1/query with k alone byte-matches the
-// committed /v1/topk fixtures across all three paths — direct-CSV,
-// snapshot-load, and HTTP — so the two routes serve one ranking.
+// TestGoldenQueryDefaults: per-target top-k fixtures across all three
+// paths — direct-CSV, snapshot-load, and the results section of
+// /v1/query with k alone.
 func TestGoldenQueryDefaults(t *testing.T) {
 	w := golden(t)
 	for _, target := range w.targets {
@@ -312,17 +298,12 @@ func TestGoldenQueryDefaults(t *testing.T) {
 			if status != http.StatusOK {
 				t.Fatalf("status %d: %s", status, httpBody)
 			}
-			// The unified endpoint returns the richer QueryResponse;
-			// its results section must carry exactly the fixture bytes.
+			// The results section must carry exactly the fixture bytes.
 			var q QueryResponse
 			if err := json.Unmarshal(httpBody, &q); err != nil {
 				t.Fatal(err)
 			}
-			reduced, err := json.Marshal(TopKResponse{Results: q.Results})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, "topk_"+target.Name, direct, snapLoaded, reduced)
+			checkGolden(t, "topk_"+target.Name, direct, snapLoaded, marshalResults(t, q.Results))
 		})
 	}
 }
@@ -379,7 +360,16 @@ func marshalTopK(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(TopKResponse{Results: toResultsJSON(ans.Results)})
+	return marshalResults(t, toResultsJSON(ans.Results))
+}
+
+// marshalResults renders the {"results": ...} shape of the topk_* and
+// joins_* fixtures.
+func marshalResults(t *testing.T, results any) []byte {
+	t.Helper()
+	body, err := json.Marshal(struct {
+		Results any `json:"results"`
+	}{results})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,9 +399,5 @@ func marshalJoins(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(JoinsResponse{Results: toAugmentedJSON(ans.Joins)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return marshalResults(t, toAugmentedJSON(ans.Joins))
 }

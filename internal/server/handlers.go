@@ -190,75 +190,25 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, key string,
 	}
 }
 
-// partialRequested reads the ?partial=true opt-in: the caller accepts a
-// degraded answer from the shards that answered instead of the
-// fail-closed default. A query whose own deadline passes still fails
-// whole, so no degraded answer is served or cached for it. Inert on a
-// monolith.
-func partialRequested(r *http.Request) bool {
-	return r.URL.Query().Get("partial") == "true"
-}
-
 // Route kinds of the ranking endpoints. The kind is folded into the
-// result-cache key — two routes render one answer in different shapes,
-// so they must never share an entry — and picks the response shape.
+// result-cache key — the two routes render answers in different
+// shapes, so they must never share an entry — and picks the response
+// shape.
 const (
-	routeQuery   = "query"
-	routeTopK    = "topk"
-	routeJoins   = "joins"
-	routeExplain = "explain"
-	routeBatch   = "batch"
+	routeQuery = "query"
+	routeBatch = "batch"
 )
 
 // handleQuery is the unified query endpoint: the full per-query option
 // set of the library's Query call on the wire — k, join augmentation,
 // explanation, Eq. 3 weight overrides, evidence subsets and candidate
-// budgets. The other four ranking routes are fixed subsets of it.
+// budgets.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	s.serveRanking(w, r, routeQuery, &req, partialRequested(r), req.Table)
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	k, err := requireK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	s.serveRanking(w, r, routeTopK, &QueryRequest{K: &k}, partialRequested(r), req.Table)
-}
-
-func (s *Server) handleJoins(w http.ResponseWriter, r *http.Request) {
-	var req TopKRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	k, err := requireK(req.K)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return
-	}
-	s.serveRanking(w, r, routeJoins, &QueryRequest{K: &k, Joins: true}, false, req.Table)
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	var req ExplainRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	if req.LakeTable == "" {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "lakeTable is required")
-		return
-	}
-	k := 0
-	s.serveRanking(w, r, routeExplain, &QueryRequest{K: &k, ExplainFor: req.LakeTable}, false, req.Table)
+	s.serveRanking(w, r, routeQuery, &req, req.Table)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -275,10 +225,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "tables must be non-empty")
 		return
 	}
-	s.serveRanking(w, r, routeBatch, &QueryRequest{K: &k}, partialRequested(r), req.Tables...)
+	s.serveRanking(w, r, routeBatch, &QueryRequest{K: &k}, req.Tables...)
 }
 
-// serveRanking is the one path of the five ranking routes. Each route
+// serveRanking is the one path of the two ranking routes. Each route
 // validates its own body, resolves it to the QueryRequest it means —
 // the canonical form /v1/query takes on the wire; its Table is not
 // read — and passes its targets alongside: one, or /v1/batch's list.
@@ -286,7 +236,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // kind, plan, partial opt-in and targets, and on a miss runs Query
 // (QueryBatch for /v1/batch) under cachedQuery and renders the route's
 // response.
-func (s *Server) serveRanking(w http.ResponseWriter, r *http.Request, kind string, req *QueryRequest, partial bool, tables ...TableJSON) {
+//
+// ?partial=true opts in to a degraded answer from the shards that
+// answered instead of the fail-closed default. A query whose own
+// deadline passes still fails whole, so no degraded answer is served
+// or cached for it. Inert on a monolith.
+func (s *Server) serveRanking(w http.ResponseWriter, r *http.Request, kind string, req *QueryRequest, tables ...TableJSON) {
 	plan, err := req.plan()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
@@ -304,47 +259,29 @@ func (s *Server) serveRanking(w http.ResponseWriter, r *http.Request, kind strin
 		}
 	}
 	opts := plan.opts
+	partial := r.URL.Query().Get("partial") == "true"
 	if partial {
 		opts = append(opts, d3l.WithPartialResults())
 	}
 	gen, eng := s.cacheEpoch()
 	s.cachedQuery(w, r, resultKey(kind, eng.Fingerprint(), gen, plan, partial, tables), func(ctx context.Context) ([]byte, error) {
-		var answers []*d3l.Answer
-		var err error
 		if batch {
-			answers, err = eng.QueryBatch(ctx, targets, opts...)
-		} else {
-			var ans *d3l.Answer
-			ans, err = eng.Query(ctx, targets[0], opts...)
-			answers = []*d3l.Answer{ans}
+			answers, err := eng.QueryBatch(ctx, targets, opts...)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(renderBatch(answers))
 		}
+		ans, err := eng.Query(ctx, targets[0], opts...)
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(renderAnswers(kind, answers))
+		return json.Marshal(renderQuery(ans))
 	})
 }
 
-// renderAnswers shapes a ranking route's answers into its response
-// body; every route but /v1/batch has exactly one answer.
-func renderAnswers(kind string, answers []*d3l.Answer) any {
-	ans := answers[0]
-	switch kind {
-	case routeTopK:
-		return TopKResponse{Results: toResultsJSON(ans.Results), Degraded: ans.Degraded}
-	case routeJoins:
-		return JoinsResponse{Results: toAugmentedJSON(ans.Joins)}
-	case routeExplain:
-		return ExplainResponse{Rows: toExplanationsJSON(ans.Explanation)}
-	case routeBatch:
-		out := make([][]ResultJSON, len(answers))
-		degraded := false
-		for i, a := range answers {
-			out[i] = toResultsJSON(a.Results)
-			degraded = degraded || a.Degraded
-		}
-		return BatchResponse{Results: out, Degraded: degraded}
-	}
+// renderQuery shapes one answer into the /v1/query response body.
+func renderQuery(ans *d3l.Answer) QueryResponse {
 	resp := QueryResponse{
 		Results:     toResultsJSON(ans.Results),
 		Explanation: toExplanationsJSON(ans.Explanation),
@@ -359,6 +296,18 @@ func renderAnswers(kind string, answers []*d3l.Answer) any {
 		resp.Joins = toAugmentedJSON(ans.Joins)
 	}
 	return resp
+}
+
+// renderBatch shapes a batch's answers into the /v1/batch response
+// body.
+func renderBatch(answers []*d3l.Answer) BatchResponse {
+	out := make([][]ResultJSON, len(answers))
+	degraded := false
+	for i, a := range answers {
+		out[i] = toResultsJSON(a.Results)
+		degraded = degraded || a.Degraded
+	}
+	return BatchResponse{Results: out, Degraded: degraded}
 }
 
 // handleListTables answers the live table names. It reads under the
@@ -551,7 +500,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, CodeUnavailable, "server is draining for shutdown")
 		return
 	}
-	if s.cfg.SnapshotPath == "" && s.cfg.LoadFunc == nil {
+	if s.cfg.LoadFunc == nil {
 		writeError(w, http.StatusBadRequest, CodeBadRequest,
 			"no snapshot path configured; start the server with -index to enable reload")
 		return

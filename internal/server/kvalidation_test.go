@@ -7,12 +7,11 @@ import (
 	"testing"
 )
 
-// TestKValidationMatrix pins the unified k-validation contract across
-// every ranking endpoint: /v1/topk, /v1/joins and /v1/batch answer an
-// omitted, zero or negative k with the same 400 envelope —
-// byte-identical across endpoints, message telling the three apart.
-// /v1/query deliberately differs (absent k selects the default, k 0 is
-// valid for explanation-only queries) and is pinned separately below.
+// TestKValidationMatrix pins the k-validation contract of both ranking
+// routes. /v1/batch requires a positive k; /v1/query is deliberately
+// looser — absent k selects the default, and k 0 is an
+// explanation-only query, a 400 only without explainFor. A negative k
+// is the same 400 envelope on both, byte for byte.
 func TestKValidationMatrix(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
 	target, err := json.Marshal(figure1TargetJSON())
@@ -25,23 +24,36 @@ func TestKValidationMatrix(t *testing.T) {
 		}
 		return []byte(fmt.Sprintf(`{"table":%s%s}`, target, kField))
 	}
-	endpoints := []string{"/v1/topk", "/v1/joins", "/v1/batch"}
+	type want struct {
+		status int
+		msg    string // the envelope message of a 400
+	}
 	cases := []struct {
-		name    string
-		kField  string // appended verbatim to the JSON body
-		wantMsg string
+		name   string
+		kField string // appended verbatim to the JSON body
+		batch  want
+		query  want
 	}{
-		{"omitted k", ``, "k is required and must be positive"},
-		{"zero k", `,"k":0`, "k must be positive, got 0"},
-		{"negative k", `,"k":-3`, "k must be positive, got -3"},
+		{"omitted k", ``,
+			want{http.StatusBadRequest, "k is required and must be positive"},
+			want{http.StatusOK, ""}},
+		{"zero k", `,"k":0`,
+			want{http.StatusBadRequest, "k must be positive, got 0"},
+			want{http.StatusBadRequest, "k 0 asks for nothing; combine it with explainFor"}},
+		{"negative k", `,"k":-3`,
+			want{http.StatusBadRequest, "k must be positive, got -3"},
+			want{http.StatusBadRequest, "k must be positive, got -3"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var first []byte
-			for _, ep := range endpoints {
+			bodies := map[string][]byte{}
+			for ep, w := range map[string]want{"/v1/batch": tc.batch, "/v1/query": tc.query} {
 				status, resp := doRequest(t, http.MethodPost, hs.URL+ep, body(ep, tc.kField))
-				if status != http.StatusBadRequest {
-					t.Fatalf("%s: status %d, want 400: %s", ep, status, resp)
+				if status != w.status {
+					t.Fatalf("%s: status %d, want %d: %s", ep, status, w.status, resp)
+				}
+				if status == http.StatusOK {
+					continue
 				}
 				var env ErrorBody
 				if err := json.Unmarshal(resp, &env); err != nil {
@@ -50,48 +62,37 @@ func TestKValidationMatrix(t *testing.T) {
 				if env.Error.Code != CodeBadRequest {
 					t.Fatalf("%s: code %q, want %q", ep, env.Error.Code, CodeBadRequest)
 				}
-				if env.Error.Message != tc.wantMsg {
-					t.Fatalf("%s: message %q, want %q", ep, env.Error.Message, tc.wantMsg)
+				if env.Error.Message != w.msg {
+					t.Fatalf("%s: message %q, want %q", ep, env.Error.Message, w.msg)
 				}
-				if first == nil {
-					first = resp
-				} else if string(resp) != string(first) {
-					t.Fatalf("%s envelope diverged from %s:\n%s\n%s", ep, endpoints[0], resp, first)
-				}
+				bodies[ep] = resp
+			}
+			if tc.batch == tc.query && string(bodies["/v1/batch"]) != string(bodies["/v1/query"]) {
+				t.Fatalf("envelopes diverge:\n%s\n%s", bodies["/v1/batch"], bodies["/v1/query"])
 			}
 		})
 	}
 }
 
-// TestKValidationQueryEndpoint pins /v1/query's intentionally looser
-// rules next to the matrix above: absent k runs with the default,
-// zero k without an explanation target is a 400, and negative k is a
-// 400 whose message matches the ranking endpoints' negative-k row.
+// TestKValidationQueryEndpoint pins the case the matrix above leaves
+// out: k 0 with an explanation target is a valid explanation-only
+// query, answered with rows and no results section.
 func TestKValidationQueryEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
 	target, err := json.Marshal(figure1TargetJSON())
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(kField string) (int, []byte) {
-		return doRequest(t, http.MethodPost, hs.URL+"/v1/query",
-			[]byte(fmt.Sprintf(`{"table":%s%s}`, target, kField)))
+	status, resp := doRequest(t, http.MethodPost, hs.URL+"/v1/query",
+		[]byte(fmt.Sprintf(`{"table":%s,"k":0,"explainFor":"S2"}`, target)))
+	if status != http.StatusOK {
+		t.Fatalf("k 0 with explainFor: status %d, want 200: %s", status, resp)
 	}
-	if status, resp := post(``); status != http.StatusOK {
-		t.Fatalf("absent k: status %d, want 200: %s", status, resp)
+	var q QueryResponse
+	if err := json.Unmarshal(resp, &q); err != nil {
+		t.Fatal(err)
 	}
-	if status, resp := post(`,"k":0`); status != http.StatusBadRequest {
-		t.Fatalf("zero k without explainFor: status %d, want 400: %s", status, resp)
-	}
-	status, resp := post(`,"k":-3`)
-	if status != http.StatusBadRequest {
-		t.Fatalf("negative k: status %d, want 400: %s", status, resp)
-	}
-	var env ErrorBody
-	if err := json.Unmarshal(resp, &env); err != nil {
-		t.Fatalf("negative k: not the error envelope: %s", resp)
-	}
-	if want := "k must be positive, got -3"; env.Error.Message != want {
-		t.Fatalf("negative k message %q, want %q", env.Error.Message, want)
+	if q.Results != nil || len(q.Explanation) == 0 {
+		t.Fatalf("k 0 with explainFor: %d results, %d explanation rows; want none and some", len(q.Results), len(q.Explanation))
 	}
 }

@@ -132,10 +132,10 @@ func metricValue(t *testing.T, body, sample string) float64 {
 // stage histograms actually recorded the pipeline.
 func TestMetricsTrackStatsz(t *testing.T) {
 	srv, hs := newTestServer(t, figure1Engine(t), Config{})
-	req := TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}
+	req := QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}
 	for i := 0; i < 3; i++ { // 1 miss + 2 byte-identical cache hits
-		if status, body := postJSON(t, hs.URL+"/v1/topk", req); status != http.StatusOK {
-			t.Fatalf("topk status %d: %s", status, body)
+		if status, body := postJSON(t, hs.URL+"/v1/query", req); status != http.StatusOK {
+			t.Fatalf("query status %d: %s", status, body)
 		}
 	}
 	body := scrapeMetrics(t, srv)
@@ -191,8 +191,8 @@ func TestMetricsSurviveSwap(t *testing.T) {
 	if err := srv.Swap(figure1Engine(t)); err != nil {
 		t.Fatal(err)
 	}
-	if status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}); status != http.StatusOK {
-		t.Fatalf("topk status %d: %s", status, body)
+	if status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}); status != http.StatusOK {
+		t.Fatalf("query status %d: %s", status, body)
 	}
 	body := scrapeMetrics(t, srv)
 	if got := metricValue(t, body, `d3l_query_stage_duration_seconds_count{stage="gather"}`); got != 1 {

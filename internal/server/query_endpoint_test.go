@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -8,19 +9,20 @@ import (
 	"d3l"
 )
 
-// TestServeQueryDefaultsMatchTopK: /v1/query with only a table is
-// /v1/topk at the default k — same results, richer envelope.
+// TestServeQueryDefaultsMatchTopK: /v1/query with only a table is the
+// library's top-k at the default k.
 func TestServeQueryDefaultsMatchTopK(t *testing.T) {
-	_, hs := newTestServer(t, figure1Engine(t), Config{})
+	engine := figure1Engine(t)
+	_, hs := newTestServer(t, engine, Config{})
 	target := figure1TargetJSON()
 
 	k := d3l.DefaultK
-	code, topkBody := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: target, K: kptr(k)})
-	if code != http.StatusOK {
-		t.Fatalf("topk status %d: %s", code, topkBody)
+	tbl, err := target.toTable()
+	if err != nil {
+		t.Fatal(err)
 	}
-	var topk TopKResponse
-	if err := json.Unmarshal(topkBody, &topk); err != nil {
+	ans, err := engine.Query(context.Background(), tbl, d3l.WithK(k))
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -32,7 +34,7 @@ func TestServeQueryDefaultsMatchTopK(t *testing.T) {
 	if err := json.Unmarshal(qBody, &q); err != nil {
 		t.Fatal(err)
 	}
-	a, err := json.Marshal(topk.Results)
+	a, err := json.Marshal(toResultsJSON(ans.Results))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func TestServeQueryDefaultsMatchTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(a) != string(b) {
-		t.Fatalf("query results diverged from topk:\n%s\n%s", a, b)
+		t.Fatalf("query results diverged from the library's top-k:\n%s\n%s", a, b)
 	}
 	if q.Stats.K != k || q.Stats.CandidatePairs == 0 || q.Stats.TablesScored == 0 {
 		t.Fatalf("stats = %+v", q.Stats)
@@ -52,8 +54,7 @@ func TestServeQueryDefaultsMatchTopK(t *testing.T) {
 }
 
 // TestServeQueryFullOptionSet: joins + explanation + evidence subset +
-// weights + budget in one request, each section consistent with its
-// standalone endpoint where one exists.
+// weights + budget in one request, every section present.
 func TestServeQueryFullOptionSet(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
 	target := figure1TargetJSON()

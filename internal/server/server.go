@@ -4,10 +4,10 @@
 // heavily-trafficked process needs and the library deliberately does
 // not provide:
 //
-//   - a JSON API (/v1/query with the full per-query option set, the
-//     legacy /v1/topk, /v1/batch, /v1/joins, /v1/explain, /v1/tables
-//     for listing and incremental maintenance, /v1/healthz,
-//     /v1/statsz, /v1/reload);
+//   - a JSON API: /v1/query, the one single-target ranking route, with
+//     the full per-query option set; /v1/batch for many targets at one
+//     k; /v1/tables for listing and incremental maintenance;
+//     /v1/healthz, /v1/readyz, /v1/statsz, /v1/reload and /metrics;
 //   - an LRU result cache keyed by a canonical query fingerprint that
 //     embeds the engine fingerprint, so mutations invalidate by
 //     construction;
@@ -84,22 +84,12 @@ type Config struct {
 	// CacheEntries is the LRU result-cache capacity in entries.
 	// 0 selects 1024; negative disables caching.
 	CacheEntries int
-	// SnapshotPath, when set, enables hot reload: POST /v1/reload (and
-	// SIGHUP in the CLI) re-reads this snapshot and atomically swaps
-	// the serving engine.
-	SnapshotPath string
-	// Workers, when non-zero, overrides engine parallelism on every
-	// hot reload. Snapshots persist the build host's Parallelism, but
-	// parallelism is a property of the serving replica — without this
-	// a reload would silently downgrade a many-core server to the
-	// build machine's setting. The initial engine is the caller's to
-	// configure (the CLI applies -workers before New).
-	Workers int
-	// LoadFunc, when set, replaces the SnapshotPath reload path: POST
-	// /v1/reload calls it and swaps in whatever engine it returns. The
-	// sharded serve modes use it to reload a whole shard set (or to
-	// re-poll remote shard replicas) as one atomic swap; the loader is
-	// responsible for applying its own parallelism settings.
+	// LoadFunc, when set, enables hot reload: POST /v1/reload (and
+	// SIGHUP in the CLI) calls it and atomically swaps in whatever
+	// engine it returns. A monolith re-reads its snapshot, a shard set
+	// its manifest, a coordinator re-polls its replicas. The loader
+	// applies its own settings — parallelism above all, since a
+	// snapshot carries the build host's, not the serving replica's.
 	LoadFunc func() (Engine, error)
 }
 
@@ -284,10 +274,7 @@ func (s *Server) adopt(engine Engine) {
 func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/query", s.handleQuery)
 	s.mux.HandleFunc("GET /v1/tables", s.handleListTables)
-	s.mux.HandleFunc("POST /v1/topk", s.handleTopK)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
-	s.mux.HandleFunc("POST /v1/joins", s.handleJoins)
-	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
 	s.mux.HandleFunc("POST /v1/tables", s.handleAddTable)
 	s.mux.HandleFunc("PUT /v1/tables/{name}", s.handleUpdateTable)
 	s.mux.HandleFunc("DELETE /v1/tables/{name}", s.handleRemoveTable)
@@ -367,36 +354,19 @@ func (s *Server) Swap(engine Engine) error {
 	return nil
 }
 
-// Reload loads the configured snapshot from disk and swaps it in —
-// the hot-reload path behind POST /v1/reload and the CLI's SIGHUP
-// handler. The old engine keeps serving until the new one is fully
-// loaded; a load failure leaves it serving untouched.
+// Reload calls the configured loader and swaps its engine in — the
+// hot-reload path behind POST /v1/reload and the CLI's SIGHUP handler.
+// The old engine keeps serving until the new one is fully loaded; a
+// load failure leaves it serving untouched.
 func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
-	var engine Engine
-	switch {
-	case s.cfg.LoadFunc != nil:
-		loaded, err := s.cfg.LoadFunc()
-		if err != nil {
-			return fmt.Errorf("server: reload: %w", err)
-		}
-		engine = loaded
-	case s.cfg.SnapshotPath != "":
-		mono, err := d3l.LoadFile(s.cfg.SnapshotPath)
-		if err != nil {
-			return fmt.Errorf("server: reload %s: %w", s.cfg.SnapshotPath, err)
-		}
-		// The snapshot carries the build host's Parallelism; re-apply the
-		// serving replica's own setting before the engine takes traffic.
-		if s.cfg.Workers != 0 {
-			if err := mono.SetParallelism(s.cfg.Workers); err != nil {
-				return err
-			}
-		}
-		engine = mono
-	default:
-		return fmt.Errorf("server: no snapshot path or load func configured for reload")
+	if s.cfg.LoadFunc == nil {
+		return fmt.Errorf("server: no load func configured for reload")
+	}
+	engine, err := s.cfg.LoadFunc()
+	if err != nil {
+		return fmt.Errorf("server: reload: %w", err)
 	}
 	if err := s.Swap(engine); err != nil {
 		return err

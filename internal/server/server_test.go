@@ -62,7 +62,7 @@ func figure1Lake(t testing.TB) *d3l.Lake {
 	return lake
 }
 
-// kptr builds the pointer form TopKRequest.K and BatchRequest.K take
+// kptr builds the pointer form QueryRequest.K and BatchRequest.K take
 // (present-vs-omitted is part of the validation contract).
 func kptr(k int) *int { return &k }
 
@@ -198,6 +198,18 @@ func saveSnapshot(t testing.TB, engine *d3l.Engine, dir string) string {
 	return path
 }
 
+// snapshotLoader is the reload loader `d3l serve -index` configures:
+// each call re-reads the snapshot at path.
+func snapshotLoader(path string) func() (Engine, error) {
+	return func() (Engine, error) {
+		engine, err := d3l.LoadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return engine, nil
+	}
+}
+
 // ---- e2e suite ---------------------------------------------------------
 
 // TestServeTopKMatchesLibrary: the HTTP path must answer byte-for-byte
@@ -207,7 +219,7 @@ func TestServeTopKMatchesLibrary(t *testing.T) {
 	engine := figure1Engine(t)
 	_, hs := newTestServer(t, engine, Config{})
 
-	code, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(3)})
+	code, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(3)})
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -220,19 +232,18 @@ func TestServeTopKMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(TopKResponse{Results: toResultsJSON(ans.Results)})
+	want, err := json.Marshal(QueryResponse{
+		Results: toResultsJSON(ans.Results),
+		Stats:   QueryStatsJSON{K: ans.Stats.K, CandidatePairs: ans.Stats.CandidatePairs, TablesScored: ans.Stats.TablesScored},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(body, want) {
 		t.Fatalf("HTTP body diverged from library answer:\nhttp %s\nlib  %s", body, want)
 	}
-	var resp TopKResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 3 {
-		t.Fatalf("got %d results, want 3", len(resp.Results))
+	if len(ans.Results) != 3 {
+		t.Fatalf("got %d results, want 3", len(ans.Results))
 	}
 }
 
@@ -241,9 +252,9 @@ func TestServeTopKMatchesLibrary(t *testing.T) {
 // hit counter, and the replayed body is byte-identical.
 func TestServeRepeatedQueryHitsCache(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
-	req := TopKRequest{Table: figure1TargetJSON(), K: kptr(3)}
+	req := QueryRequest{Table: figure1TargetJSON(), K: kptr(3)}
 
-	code, first := postJSON(t, hs.URL+"/v1/topk", req)
+	code, first := postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, first)
 	}
@@ -252,7 +263,7 @@ func TestServeRepeatedQueryHitsCache(t *testing.T) {
 		t.Fatalf("after first query: hits=%d misses=%d entries=%d, want 0/1/1",
 			s0.CacheHits, s0.CacheMisses, s0.CacheEntries)
 	}
-	code, second := postJSON(t, hs.URL+"/v1/topk", req)
+	code, second := postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, second)
 	}
@@ -264,7 +275,7 @@ func TestServeRepeatedQueryHitsCache(t *testing.T) {
 	}
 
 	// A different k is a different canonical fingerprint: miss.
-	if code, _ := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}); code != http.StatusOK {
+	if code, _ := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}); code != http.StatusOK {
 		t.Fatalf("status %d", code)
 	}
 	if s2 := getStats(t, hs.URL); s2.CacheMisses != 2 {
@@ -276,10 +287,10 @@ func TestServeRepeatedQueryHitsCache(t *testing.T) {
 // an Add or Remove that changes it.
 func TestServeMutationsInvalidateCache(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
-	req := TopKRequest{Table: figure1TargetJSON(), K: kptr(5)}
+	req := QueryRequest{Table: figure1TargetJSON(), K: kptr(5)}
 
 	parse := func(body []byte) []string {
-		var resp TopKResponse
+		var resp QueryResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +309,7 @@ func TestServeMutationsInvalidateCache(t *testing.T) {
 		return false
 	}
 
-	code, body := postJSON(t, hs.URL+"/v1/topk", req)
+	code, body := postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -320,7 +331,7 @@ func TestServeMutationsInvalidateCache(t *testing.T) {
 	if code, b := postJSON(t, hs.URL+"/v1/tables", AddTableRequest{Table: clone}); code != http.StatusOK {
 		t.Fatalf("add status %d: %s", code, b)
 	}
-	code, body = postJSON(t, hs.URL+"/v1/topk", req)
+	code, body = postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -331,7 +342,7 @@ func TestServeMutationsInvalidateCache(t *testing.T) {
 	if code, b := doRequest(t, http.MethodDelete, hs.URL+"/v1/tables/S2_clone", nil); code != http.StatusOK {
 		t.Fatalf("remove status %d: %s", code, b)
 	}
-	code, body = postJSON(t, hs.URL+"/v1/topk", req)
+	code, body = postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -343,39 +354,40 @@ func TestServeMutationsInvalidateCache(t *testing.T) {
 	}
 }
 
-// TestServeJoinsExplainBatch smoke-tests the remaining query
-// endpoints against their library counterparts.
+// TestServeJoinsExplainBatch smoke-tests the joins and explanation
+// sections of /v1/query, and /v1/batch, against their library
+// counterparts.
 func TestServeJoinsExplainBatch(t *testing.T) {
 	engine := figure1Engine(t)
 	_, hs := newTestServer(t, engine, Config{})
 	target := figure1TargetJSON()
 
-	code, body := postJSON(t, hs.URL+"/v1/joins", TopKRequest{Table: target, K: kptr(2)})
+	code, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: target, K: kptr(2), Joins: true})
 	if code != http.StatusOK {
 		t.Fatalf("joins status %d: %s", code, body)
 	}
-	var joins JoinsResponse
+	var joins QueryResponse
 	if err := json.Unmarshal(body, &joins); err != nil {
 		t.Fatal(err)
 	}
-	if len(joins.Results) == 0 {
+	if len(joins.Joins) == 0 {
 		t.Fatal("no augmented results")
 	}
-	for _, a := range joins.Results {
+	for _, a := range joins.Joins {
 		if a.JoinCoverage < a.BaseCoverage {
 			t.Fatal("join coverage below base coverage")
 		}
 	}
 
-	code, body = postJSON(t, hs.URL+"/v1/explain", ExplainRequest{Table: target, LakeTable: "S2"})
+	code, body = postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: target, K: kptr(0), ExplainFor: "S2"})
 	if code != http.StatusOK {
 		t.Fatalf("explain status %d: %s", code, body)
 	}
-	var expl ExplainResponse
+	var expl QueryResponse
 	if err := json.Unmarshal(body, &expl); err != nil {
 		t.Fatal(err)
 	}
-	if len(expl.Rows) == 0 {
+	if len(expl.Explanation) == 0 {
 		t.Fatal("no explanation rows")
 	}
 
@@ -424,15 +436,15 @@ func TestServeHealthz(t *testing.T) {
 func TestServeHotReload(t *testing.T) {
 	engine := figure1Engine(t)
 	snapPath := saveSnapshot(t, engine, t.TempDir())
-	_, hs := newTestServer(t, engine, Config{SnapshotPath: snapPath})
-	req := TopKRequest{Table: figure1TargetJSON(), K: kptr(5)}
+	_, hs := newTestServer(t, engine, Config{LoadFunc: snapshotLoader(snapPath)})
+	req := QueryRequest{Table: figure1TargetJSON(), K: kptr(5)}
 
 	// Mutate the serving engine away from the snapshot and cache an
 	// answer that reflects the mutation.
 	if err := engine.Remove("S3"); err != nil {
 		t.Fatal(err)
 	}
-	code, body := postJSON(t, hs.URL+"/v1/topk", req)
+	code, body := postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -456,7 +468,7 @@ func TestServeHotReload(t *testing.T) {
 
 	// The snapshot predates the Remove: S3 must be back, proving both
 	// the engine swap and that the cached pre-reload answer is gone.
-	code, body = postJSON(t, hs.URL+"/v1/topk", req)
+	code, body = postJSON(t, hs.URL+"/v1/query", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -481,7 +493,7 @@ func TestServeCoalescesIdenticalMisses(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		srv.cachedQuery(leaderRec, httptest.NewRequest("POST", "/v1/topk", nil), key, func(context.Context) ([]byte, error) {
+		srv.cachedQuery(leaderRec, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte(`{"leader":true}`), nil
@@ -497,7 +509,7 @@ func TestServeCoalescesIdenticalMisses(t *testing.T) {
 		wg.Add(1)
 		go func(rec *httptest.ResponseRecorder) {
 			defer wg.Done()
-			srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/topk", nil), key, func(context.Context) ([]byte, error) {
+			srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
 				t.Error("waiter ran compute instead of coalescing")
 				return nil, nil
 			})
@@ -534,7 +546,7 @@ func TestServeCoalescesIdenticalMisses(t *testing.T) {
 func TestServeMutationsRacingReload(t *testing.T) {
 	engine := figure1Engine(t)
 	snapPath := saveSnapshot(t, engine, t.TempDir())
-	srv, hs := newTestServer(t, engine, Config{SnapshotPath: snapPath, MaxConcurrent: 16})
+	srv, hs := newTestServer(t, engine, Config{LoadFunc: snapshotLoader(snapPath), MaxConcurrent: 16})
 
 	for i := 0; i < 10; i++ {
 		name := fmt.Sprintf("swap_race_%d", i)
@@ -602,12 +614,12 @@ func TestServeSwapWithEqualFingerprint(t *testing.T) {
 	}
 
 	srv, hs := newTestServer(t, engine1, Config{})
-	req := TopKRequest{Table: figure1TargetJSON(), K: kptr(3)}
-	_, before := postJSON(t, hs.URL+"/v1/topk", req)
+	req := QueryRequest{Table: figure1TargetJSON(), K: kptr(3)}
+	_, before := postJSON(t, hs.URL+"/v1/query", req)
 	if err := srv.Swap(engine2); err != nil {
 		t.Fatal(err)
 	}
-	_, after := postJSON(t, hs.URL+"/v1/topk", req)
+	_, after := postJSON(t, hs.URL+"/v1/query", req)
 	if bytes.Equal(before, after) {
 		t.Fatal("stale cache: pre-swap answer replayed for a fingerprint-equal engine")
 	}
@@ -640,7 +652,7 @@ func TestServeShutdownDrainsInFlight(t *testing.T) {
 	}
 
 	srv.BeginShutdown()
-	if code, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(1)}); code != http.StatusServiceUnavailable {
+	if code, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(1)}); code != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown query status %d: %s", code, body)
 	}
 

@@ -11,7 +11,7 @@ import (
 )
 
 // TestServeConcurrentTrafficWithMutationsAndReload is the serving race
-// test: steady /v1/topk and /v1/batch read traffic interleaved with
+// test: steady /v1/query and /v1/batch read traffic interleaved with
 // /v1/tables add/remove churn and hot snapshot reloads, under -race.
 // The invariants:
 //
@@ -29,7 +29,7 @@ func TestServeConcurrentTrafficWithMutationsAndReload(t *testing.T) {
 		// concurrency, not overload behavior, so nothing may 429.
 		MaxConcurrent: 64,
 		AdmissionWait: time.Minute,
-		SnapshotPath:  snapPath,
+		LoadFunc:      snapshotLoader(snapPath),
 	})
 
 	var server5xx atomic.Int64
@@ -55,7 +55,7 @@ func TestServeConcurrentTrafficWithMutationsAndReload(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 
-	// Read traffic: alternating topk and batch, rotating k so both
+	// Read traffic: alternating query and batch, rotating k so both
 	// cache hits and misses occur.
 	for r := 0; r < readers; r++ {
 		wg.Add(1)
@@ -64,7 +64,7 @@ func TestServeConcurrentTrafficWithMutationsAndReload(t *testing.T) {
 			for i := 0; i < queriesPer; i++ {
 				k := 1 + (i % 3)
 				if i%2 == 0 {
-					status, body := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(k)})
+					status, body := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(k)})
 					checkStatus(status, body, http.StatusOK)
 				} else {
 					status, body := postJSON(t, hs.URL+"/v1/batch", BatchRequest{Tables: []TableJSON{figure1TargetJSON()}, K: kptr(k)})
@@ -123,13 +123,13 @@ func TestServeConcurrentTrafficWithMutationsAndReload(t *testing.T) {
 	// Sequential cache-consistency epilogue: with traffic quiesced,
 	// a mutation followed immediately by the same query must observe
 	// the mutation — the cached pre-mutation body must not replay.
-	req := TopKRequest{Table: figure1TargetJSON(), K: kptr(5)}
+	req := QueryRequest{Table: figure1TargetJSON(), K: kptr(5)}
 	names := func() []string {
-		status, body := postJSON(t, hs.URL+"/v1/topk", req)
+		status, body := postJSON(t, hs.URL+"/v1/query", req)
 		if status != http.StatusOK {
 			t.Fatalf("status %d: %s", status, body)
 		}
-		var resp TopKResponse
+		var resp QueryResponse
 		if err := json.Unmarshal(body, &resp); err != nil {
 			t.Fatal(err)
 		}

@@ -274,27 +274,10 @@ type TablesResponse struct {
 	Count  int      `json:"count"`
 }
 
-// TopKRequest asks for the k most related lake tables of one target.
-// K is a pointer so an omitted field is distinguishable from an
-// explicit 0 — both are 400s, with messages telling the two apart.
-type TopKRequest struct {
-	Table TableJSON `json:"table"`
-	K     *int      `json:"k"`
-}
-
-// TopKResponse carries the ranked answer. Degraded follows the
-// QueryResponse contract (set only for opt-in partial sharded answers).
-type TopKResponse struct {
-	Results  []ResultJSON `json:"results"`
-	Degraded bool         `json:"degraded,omitempty"`
-}
-
-// requireK is the one k-validation rule of the ranking endpoints
-// (/v1/topk, /v1/joins, /v1/batch): k must be present and positive.
-// All three share this helper so an invalid k yields the identical 400
-// envelope whichever endpoint it hits. (/v1/query differs by design —
-// absent k selects the default and k 0 is valid for explanation-only
-// queries — but its negative-k message matches requireK's.)
+// requireK is /v1/batch's k rule: k must be present and positive.
+// (/v1/query differs by design — absent k selects the default and k 0
+// is valid for explanation-only queries — but its negative-k message
+// matches requireK's.)
 func requireK(k *int) (int, error) {
 	if k == nil {
 		return 0, fmt.Errorf("k is required and must be positive")
@@ -305,8 +288,9 @@ func requireK(k *int) (int, error) {
 	return *k, nil
 }
 
-// BatchRequest asks one top-k query per target table. K follows
-// TopKRequest's pointer convention.
+// BatchRequest asks one top-k query per target table. K is a pointer
+// so an omitted field is distinguishable from an explicit 0 — both are
+// 400s, with messages telling the two apart.
 type BatchRequest struct {
 	Tables []TableJSON `json:"tables"`
 	K      *int        `json:"k"`
@@ -318,24 +302,6 @@ type BatchRequest struct {
 type BatchResponse struct {
 	Results  [][]ResultJSON `json:"results"`
 	Degraded bool           `json:"degraded,omitempty"`
-}
-
-// JoinsResponse carries the join-augmented answer for a TopKRequest
-// posted to /v1/joins.
-type JoinsResponse struct {
-	Results []AugmentedJSON `json:"results"`
-}
-
-// ExplainRequest asks for the pairwise distance breakdown between a
-// target table and one named lake table.
-type ExplainRequest struct {
-	Table     TableJSON `json:"table"`
-	LakeTable string    `json:"lakeTable"`
-}
-
-// ExplainResponse carries the Table I-style rows.
-type ExplainResponse struct {
-	Rows []ExplanationJSON `json:"rows"`
 }
 
 // AddTableRequest adds one table to the lake (incremental indexing).

@@ -38,7 +38,7 @@ func TestUpdateTableEndpoint(t *testing.T) {
 	_, hs := newTestServer(t, figure1Engine(t), Config{})
 
 	// Warm the result cache so the purge is observable.
-	if code, _ := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}); code != http.StatusOK {
+	if code, _ := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}); code != http.StatusOK {
 		t.Fatalf("warmup query status %d", code)
 	}
 	if s := getStats(t, hs.URL); s.CacheEntries == 0 {
@@ -172,7 +172,7 @@ func TestMutationRejectsPathTraversalNames(t *testing.T) {
 // count mutations, purge the cache, and refuse while draining.
 func TestMutateEngine(t *testing.T) {
 	srv, hs := newTestServer(t, figure1Engine(t), Config{})
-	if code, _ := postJSON(t, hs.URL+"/v1/topk", TopKRequest{Table: figure1TargetJSON(), K: kptr(2)}); code != http.StatusOK {
+	if code, _ := postJSON(t, hs.URL+"/v1/query", QueryRequest{Table: figure1TargetJSON(), K: kptr(2)}); code != http.StatusOK {
 		t.Fatal("warmup failed")
 	}
 	if s := getStats(t, hs.URL); s.CacheEntries == 0 {

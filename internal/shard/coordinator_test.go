@@ -504,27 +504,27 @@ func TestPartialQueryPastItsDeadlineFails(t *testing.T) {
 			}
 			hs := httptest.NewServer(srv)
 			t.Cleanup(hs.Close)
-			req := server.TopKRequest{Table: tableToWire(target), K: kptr(5)}
-			if status, body := postJSON(t, hs.URL+"/v1/topk?partial=true", req); status != http.StatusServiceUnavailable {
-				t.Fatalf("partial topk past its deadline: status %d, want 503: %s", status, body)
+			req := server.QueryRequest{Table: tableToWire(target), K: kptr(5)}
+			if status, body := postJSON(t, hs.URL+"/v1/query?partial=true", req); status != http.StatusServiceUnavailable {
+				t.Fatalf("partial query past its deadline: status %d, want 503: %s", status, body)
 			}
 
 			setLatency(0)
-			status, body := postJSON(t, hs.URL+"/v1/topk?partial=true", req)
+			status, body := postJSON(t, hs.URL+"/v1/query?partial=true", req)
 			if status != http.StatusOK {
-				t.Fatalf("healed partial topk: status %d: %s", status, body)
+				t.Fatalf("healed partial query: status %d: %s", status, body)
 			}
-			var resp server.TopKResponse
+			var resp server.QueryResponse
 			if err := json.Unmarshal(body, &resp); err != nil {
 				t.Fatal(err)
 			}
 			if resp.Degraded || len(resp.Results) != len(want.Results) {
-				t.Fatalf("healed partial topk answered degraded=%v with %d results, want the whole %d: %s",
+				t.Fatalf("healed partial query answered degraded=%v with %d results, want the whole %d: %s",
 					resp.Degraded, len(resp.Results), len(want.Results), body)
 			}
 			for i, r := range resp.Results {
 				if r.Name != want.Results[i].Name || r.Distance != want.Results[i].Distance {
-					t.Fatalf("healed partial topk result %d is %s %v, monolith %s %v",
+					t.Fatalf("healed partial query result %d is %s %v, monolith %s %v",
 						i, r.Name, r.Distance, want.Results[i].Name, want.Results[i].Distance)
 				}
 			}

@@ -18,8 +18,8 @@ import (
 	"d3l/internal/server"
 )
 
-// The sharded golden suite: the acceptance criterion that TopK, batch
-// and query answers served from a sharded set — in-process (`d3l serve
+// The sharded golden suite: the acceptance criterion that query and
+// batch answers served from a sharded set — in-process (`d3l serve
 // -shards N`) and through the HTTP coordinator (`d3l coordinator`) —
 // are byte-identical to the committed monolith fixtures under
 // internal/server/testdata/golden. The corpus and targets replicate
@@ -210,19 +210,13 @@ func assertFixture(t *testing.T, name string, body []byte) {
 	}
 }
 
-// goldenEndpoints drives topk, query and batch through a sharded
-// serving stack and holds every byte to the monolith fixtures.
+// goldenEndpoints drives /v1/query and /v1/batch through a sharded
+// serving stack and holds every byte to the monolith fixtures (the
+// query_* fixtures carry the topk_* results and the stats besides).
 func goldenEndpoints(t *testing.T, base string, w *shardGoldenWorld) {
 	t.Helper()
 	for _, target := range w.targets {
-		status, body := postJSON(t, base+"/v1/topk", server.TopKRequest{Table: target, K: kptr(goldenK)})
-		if status != http.StatusOK {
-			t.Fatalf("topk %s: status %d: %s", target.Name, status, body)
-		}
-		assertFixture(t, "topk_"+target.Name, body)
-
-		k := goldenK
-		status, body = postJSON(t, base+"/v1/query", server.QueryRequest{Table: target, K: &k})
+		status, body := postJSON(t, base+"/v1/query", server.QueryRequest{Table: target, K: kptr(goldenK)})
 		if status != http.StatusOK {
 			t.Fatalf("query %s: status %d: %s", target.Name, status, body)
 		}
@@ -269,12 +263,13 @@ func TestGoldenReplicatedCoordinator(t *testing.T) {
 	}
 }
 
-// TestGoldenShardedJoins pins the sharded joins contract: /v1/joins
-// answers 501 with the documented code instead of a wrong ranking.
+// TestGoldenShardedJoins pins the sharded joins contract: /v1/query
+// with joins answers 501 with the documented code instead of a wrong
+// ranking.
 func TestGoldenShardedJoins(t *testing.T) {
 	w := shardGolden(t)
 	hs := serveSet(t, w.lake, 2)
-	status, body := postJSON(t, hs.URL+"/v1/joins", server.TopKRequest{Table: w.targets[0], K: kptr(goldenK)})
+	status, body := postJSON(t, hs.URL+"/v1/query", server.QueryRequest{Table: w.targets[0], K: kptr(goldenK), Joins: true})
 	if status != http.StatusNotImplemented {
 		t.Fatalf("joins over shards: status %d, want 501: %s", status, body)
 	}
@@ -284,5 +279,40 @@ func TestGoldenShardedJoins(t *testing.T) {
 	}
 	if eb.Error.Code != server.CodeUnsupported {
 		t.Fatalf("joins over shards: code %q, want %q", eb.Error.Code, server.CodeUnsupported)
+	}
+}
+
+// TestRemovedRankingRoutes pins the one ranking route for a single
+// target: /v1/topk, /v1/joins and /v1/explain, whose bodies /v1/query
+// takes as subsets, answer the catch-all 404 in the uniform error body
+// on a monolith, an in-process set and a coordinator alike.
+func TestRemovedRankingRoutes(t *testing.T) {
+	lake := testLake(t, 401, 4)
+	mono, err := server.New(buildMono(t, lake), server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	monoHS := httptest.NewServer(mono)
+	t.Cleanup(monoHS.Close)
+	fronts := map[string]string{
+		"monolith":    monoHS.URL,
+		"set":         serveSet(t, lake, 2).URL,
+		"coordinator": serveCoordinator(t, lake, 2).URL,
+	}
+	req := server.QueryRequest{Table: tableToWire(lake.Table(0)), K: kptr(3)}
+	for name, base := range fronts {
+		for _, path := range []string{"/v1/topk", "/v1/joins", "/v1/explain"} {
+			status, body := postJSON(t, base+path, req)
+			var eb server.ErrorBody
+			if err := json.Unmarshal(body, &eb); err != nil {
+				t.Fatalf("%s %s: not the error body: %s", name, path, body)
+			}
+			if status != http.StatusNotFound || eb.Error.Code != server.CodeNotFound || eb.Error.Message != "no such route: "+path {
+				t.Fatalf("%s %s: status %d, body %s; want the catch-all 404", name, path, status, body)
+			}
+		}
+		if status, body := postJSON(t, base+"/v1/query", req); status != http.StatusOK {
+			t.Fatalf("%s /v1/query: status %d: %s", name, status, body)
+		}
 	}
 }

@@ -135,11 +135,11 @@ func TestCoordinatorPartialOverHTTP(t *testing.T) {
 	t.Cleanup(coord.Close)
 	target := tableToWire(w.lake.Table(0))
 
-	status, body := postJSON(t, coord.URL+"/v1/topk", server.TopKRequest{Table: target, K: kptr(5)})
+	status, body := postJSON(t, coord.URL+"/v1/query", server.QueryRequest{Table: target, K: kptr(5)})
 	if status != http.StatusOK {
-		t.Fatalf("healthy topk: status %d: %s", status, body)
+		t.Fatalf("healthy query: status %d: %s", status, body)
 	}
-	var healthy server.TopKResponse
+	var healthy server.QueryResponse
 	if err := json.Unmarshal(body, &healthy); err != nil {
 		t.Fatal(err)
 	}
@@ -151,16 +151,16 @@ func TestCoordinatorPartialOverHTTP(t *testing.T) {
 
 	// Fail-closed without the opt-in. The handler maps the fan-out
 	// failure to a 5xx, never a silent subset.
-	status, body = postJSON(t, coord.URL+"/v1/topk", server.TopKRequest{Table: target, K: kptr(5)})
+	status, body = postJSON(t, coord.URL+"/v1/query", server.QueryRequest{Table: target, K: kptr(5)})
 	if status == http.StatusOK {
 		t.Fatalf("dead shard without ?partial=true answered 200: %s", body)
 	}
 
-	status, body = postJSON(t, coord.URL+"/v1/topk?partial=true", server.TopKRequest{Table: target, K: kptr(5)})
+	status, body = postJSON(t, coord.URL+"/v1/query?partial=true", server.QueryRequest{Table: target, K: kptr(5)})
 	if status != http.StatusOK {
-		t.Fatalf("partial topk: status %d: %s", status, body)
+		t.Fatalf("partial query: status %d: %s", status, body)
 	}
-	var part server.TopKResponse
+	var part server.QueryResponse
 	if err := json.Unmarshal(body, &part); err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestMutationsPurgeShardedCache(t *testing.T) {
 	target := tableToWire(src)
 	ask := func() []byte {
 		t.Helper()
-		status, body := postJSON(t, hs.URL+"/v1/topk", server.TopKRequest{Table: target, K: kptr(8)})
+		status, body := postJSON(t, hs.URL+"/v1/query", server.QueryRequest{Table: target, K: kptr(8)})
 		if status != http.StatusOK {
-			t.Fatalf("topk: status %d: %s", status, body)
+			t.Fatalf("query: status %d: %s", status, body)
 		}
 		return body
 	}

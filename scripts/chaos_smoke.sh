@@ -12,7 +12,7 @@
 # and then walks the group through real failures while gating on the
 # subsystem's contracts:
 #
-#   1. Exactness under faults: /v1/topk, /v1/query and /v1/batch
+#   1. Exactness under faults: /v1/query and /v1/batch
 #      answers from the coordinator stay byte-identical to the
 #      monolith's before faults, during an injected 5xx burst on the
 #      preferred replica of every shard, and after one replica per
@@ -122,15 +122,13 @@ EOF
 check_exact() { # check_exact <phase>: coordinator answers == monolith answers
   local phase="$1"
   for body in "$WORK"/bodies/t*.json; do
-    for ep in topk query; do
-      curl -sf "http://$MONO/v1/$ep"  -d @"$body" > "$WORK/mono.out"
-      curl -sf "http://$COORD/v1/$ep" -d @"$body" > "$WORK/coord.out"
-      if ! cmp -s "$WORK/mono.out" "$WORK/coord.out"; then
-        echo "BYTE DIVERGENCE ($phase): coordinator /v1/$ep != monolith for $body" >&2
-        diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/coord.out") >&2 || true
-        exit 1
-      fi
-    done
+    curl -sf "http://$MONO/v1/query"  -d @"$body" > "$WORK/mono.out"
+    curl -sf "http://$COORD/v1/query" -d @"$body" > "$WORK/coord.out"
+    if ! cmp -s "$WORK/mono.out" "$WORK/coord.out"; then
+      echo "BYTE DIVERGENCE ($phase): coordinator /v1/query != monolith for $body" >&2
+      diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/coord.out") >&2 || true
+      exit 1
+    fi
   done
   for body in "$WORK"/bodies/b*.json; do
     curl -sf "http://$MONO/v1/batch"  -d @"$body" > "$WORK/mono.out"
@@ -160,7 +158,7 @@ curl -sf -X POST "http://$FP10/_fault/rules" -d '{}' > /dev/null
   -url "http://$COORD" \
   -dir "$WORK/lake" \
   -workers 4 -warmup 2s -duration "${DURATION:-12s}" -seed 42 \
-  -mix topk=4,query=4,batch=1 \
+  -mix query=8,batch=1 \
   -fail-on-5xx -require-metrics -max-p99 5s \
   -out "${OUT:-$WORK/chaos-slo.json}" &
 LG_PID=$!

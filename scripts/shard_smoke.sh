@@ -11,7 +11,7 @@
 #
 # and then gates on the subsystem's two contracts:
 #
-#   1. Exactness: /v1/topk, /v1/query and /v1/batch answers from the
+#   1. Exactness: /v1/query and /v1/batch answers from the
 #      in-process sharded replica AND the coordinator are byte-identical
 #      to the monolith's (the same property the golden tests pin, here
 #      proven through real binaries and real sockets).
@@ -85,21 +85,19 @@ for i, name in enumerate(names[::7][:3]):
 EOF
 
 for body in "$WORK"/bodies/t*.json; do
-  for ep in topk query; do
-    curl -sf "http://$MONO/v1/$ep"   -d @"$body" > "$WORK/mono.out"
-    curl -sf "http://$INPROC/v1/$ep" -d @"$body" > "$WORK/inproc.out"
-    curl -sf "http://$COORD/v1/$ep"  -d @"$body" > "$WORK/coord.out"
-    if ! cmp -s "$WORK/mono.out" "$WORK/inproc.out"; then
-      echo "BYTE DIVERGENCE: in-process sharded /v1/$ep != monolith for $body" >&2
-      diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/inproc.out") >&2 || true
-      exit 1
-    fi
-    if ! cmp -s "$WORK/mono.out" "$WORK/coord.out"; then
-      echo "BYTE DIVERGENCE: coordinator /v1/$ep != monolith for $body" >&2
-      diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/coord.out") >&2 || true
-      exit 1
-    fi
-  done
+  curl -sf "http://$MONO/v1/query"   -d @"$body" > "$WORK/mono.out"
+  curl -sf "http://$INPROC/v1/query" -d @"$body" > "$WORK/inproc.out"
+  curl -sf "http://$COORD/v1/query"  -d @"$body" > "$WORK/coord.out"
+  if ! cmp -s "$WORK/mono.out" "$WORK/inproc.out"; then
+    echo "BYTE DIVERGENCE: in-process sharded /v1/query != monolith for $body" >&2
+    diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/inproc.out") >&2 || true
+    exit 1
+  fi
+  if ! cmp -s "$WORK/mono.out" "$WORK/coord.out"; then
+    echo "BYTE DIVERGENCE: coordinator /v1/query != monolith for $body" >&2
+    diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/coord.out") >&2 || true
+    exit 1
+  fi
 done
 for body in "$WORK"/bodies/b*.json; do
   curl -sf "http://$MONO/v1/batch"  -d @"$body" > "$WORK/mono.out"
@@ -116,7 +114,7 @@ echo "byte-identity: coordinator and in-process sharded answers match the monoli
   -url "http://$COORD" -url "http://$SHARD0" -url "http://$SHARD1" \
   -dir "$WORK/lake" \
   -workers 4 -warmup 2s -duration "${DURATION:-8s}" -seed 42 \
-  -mix topk=4,query=4,batch=1 \
+  -mix query=8,batch=1 \
   -fail-on-5xx -require-metrics -max-p99 2s \
   -out "${OUT:-$WORK/shard-slo.json}"
 

@@ -28,7 +28,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A join query builds the SA-join graph, so all five sections are written.
+	// A join query builds the SA-join graph, so all six sections are written.
 	if _, err := engine.Query(context.Background(), target, d3l.WithK(2), d3l.WithJoins()); err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,16 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err := run(context.Background(), []string{"index", "info", "-index", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "format v2") {
+	if !strings.Contains(out.String(), "format v3") {
 		t.Fatalf("no format version in:\n%s", out.String())
+	}
+	// The signature table holds each distinct signature once: at least
+	// the distinct names, and fewer than the attributes' three each.
+	var entries int
+	if i := strings.Index(out.String(), "signatures:"); i < 0 {
+		t.Fatalf("no signature table line in:\n%s", out.String())
+	} else if _, err := fmt.Sscanf(out.String()[i:], "signatures: %d table entries", &entries); err != nil {
+		t.Fatalf("signature table line: %v\n%s", err, out.String())
 	}
 	// The distinct signature counts are the loaded engine's, which must
 	// be the built engine's, and the figure 1 lake repeats its formats.
@@ -53,6 +61,9 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	want := fmt.Sprintf("attributes:    %d (distinct signatures N %d / V %d / F %d)\n", engine.NumAttributes(), n, v, f)
 	if !strings.Contains(out.String(), want) || n == 0 || v == 0 || f == 0 || f >= engine.NumAttributes() {
 		t.Fatalf("no line %q in:\n%s", want, out.String())
+	}
+	if entries < n || entries >= 3*engine.NumAttributes() {
+		t.Fatalf("%d signature table entries for %d distinct names and %d attributes", entries, n, engine.NumAttributes())
 	}
 	const headerAndTrailer, perSection = 8 + 4 + 4, 4 + 8
 	total, sections := int64(headerAndTrailer), 0
@@ -68,7 +79,54 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 		total += perSection + n
 		sections++
 	}
-	if sections != 5 || total != st.Size() {
+	if sections != 6 || total != st.Size() || !strings.Contains(out.String(), "section signatures") {
 		t.Fatalf("%d sections account for %d bytes of a %d-byte file:\n%s", sections, total, st.Size(), out.String())
+	}
+}
+
+// TestIndexBuildIsDeterministic: a snapshot is a pure function of the
+// lake, so index builds of one directory at different -workers give
+// identical files, monolithic and sharded alike.
+func TestIndexBuildIsDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	lake := filepath.Join(dir, "lake")
+	mustRun(t, "generate", "-kind", "synthetic", "-out", lake, "-tables", "20", "-seed", "7")
+	for _, shards := range []string{"1", "2"} {
+		var first map[string][]byte
+		for _, workers := range []string{"1", "3"} {
+			out := filepath.Join(dir, "shards"+shards+"-workers"+workers)
+			mustRun(t, "index", "build", "-dir", lake, "-out", out, "-workers", workers, "-shards", shards)
+			// A sharded build writes a directory: its files by name.
+			files, names := map[string][]byte{}, []string{""}
+			if shards != "1" {
+				entries, err := os.ReadDir(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				names = names[:0]
+				for _, e := range entries {
+					names = append(names, e.Name())
+				}
+			}
+			for _, name := range names {
+				data, err := os.ReadFile(filepath.Join(out, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				files[name] = data
+			}
+			if first == nil {
+				first = files
+				continue
+			}
+			if len(files) != len(first) {
+				t.Fatalf("-shards %s: %d files at -workers 1, %d at -workers %s", shards, len(first), len(files), workers)
+			}
+			for name, data := range files {
+				if !bytes.Equal(data, first[name]) {
+					t.Fatalf("-shards %s: %q differs between -workers 1 and -workers %s", shards, name, workers)
+				}
+			}
+		}
 	}
 }

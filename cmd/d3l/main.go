@@ -374,8 +374,9 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 }
 
 // indexInfo reports a snapshot's format, contents, how many distinct
-// MinHash signatures its attributes hold, footprint (the index bytes are
-// the numerator of the paper's Table II), load time and section sizes.
+// MinHash signatures its attributes hold and its signature table stores,
+// footprint (the index bytes are the numerator of the paper's Table II),
+// load time and section sizes.
 func indexInfo(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -386,9 +387,9 @@ func indexInfo(w io.Writer, path string) error {
 	if err != nil {
 		return err
 	}
-	// This decoder reads only the version and the section headers; the
-	// engine comes from d3l.LoadFile, so the printed load time is exactly
-	// what a serving replica pays.
+	// This decoder reads only the version, the section headers and the
+	// signature table's count; the engine comes from d3l.LoadFile, so the
+	// printed load time is exactly what a serving replica pays.
 	dec, err := persist.NewDecoder(f, st.Size())
 	if err != nil {
 		return err
@@ -404,6 +405,9 @@ func indexInfo(w io.Writer, path string) error {
 	fmt.Fprintf(w, "tables:        %d\n", engine.Lake().Len())
 	names, values, formats := engine.DistinctSignatures()
 	fmt.Fprintf(w, "attributes:    %d (distinct signatures N %d / V %d / F %d)\n", engine.NumAttributes(), names, values, formats)
+	if r, ok := dec.Section(persist.SecSigs); ok {
+		fmt.Fprintf(w, "signatures:    %d table entries\n", r.U32())
+	}
 	fmt.Fprintf(w, "index bytes:   %d\n", engine.IndexSpaceBytes())
 	fmt.Fprintf(w, "join edges:    %d\n", engine.JoinGraphEdges())
 	fmt.Fprintf(w, "load time:     %v\n", loaded.Round(time.Microsecond))
@@ -413,6 +417,7 @@ func indexInfo(w io.Writer, path string) error {
 	}{
 		{persist.SecOptions, "options"},
 		{persist.SecLake, "lake meta"},
+		{persist.SecSigs, "signatures"},
 		{persist.SecAttrs, "profiles"},
 		{persist.SecForests, "forests"},
 		{persist.SecJoinGraph, "join graph"},

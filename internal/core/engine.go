@@ -118,7 +118,7 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 		for i := range profiles {
 			attrID := len(e.profiles)
 			e.profiles = append(e.profiles, profiles[i])
-			e.sigs.hold(&e.profiles[attrID], false)
+			e.sigs.hold(&e.profiles[attrID])
 			e.byTable[tid] = append(e.byTable[tid], attrID)
 			if profiles[i].Subject {
 				e.subjects[tid] = attrID

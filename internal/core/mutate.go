@@ -193,7 +193,7 @@ func (e *Engine) splice(fresh []Profile, drop []int, commit func() error) error 
 	// stays in the table throughout.
 	e.profiles = append(e.profiles, fresh...)
 	for i := base; i < len(e.profiles); i++ {
-		e.sigs.hold(&e.profiles[i], false)
+		e.sigs.hold(&e.profiles[i])
 	}
 	for _, attrID := range drop {
 		// An in-place write under the write lock — see the Profile

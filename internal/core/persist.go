@@ -16,9 +16,10 @@ import (
 
 // This file implements engine snapshots: the build-once / serve-many
 // path. A snapshot captures everything the indexing phase produced —
-// options, lake metadata, attribute profiles (with the tombstone set),
-// and the four LSH forests — so a serving replica cold-starts by
-// deserialising instead of re-profiling the lake. Hash machinery
+// options, lake metadata, the table of distinct MinHash signatures,
+// attribute profiles (with the tombstone set), and the four LSH
+// forests — so a serving replica cold-starts by deserialising instead
+// of re-profiling the lake. Hash machinery
 // (MinHash families, random-projection planes, the embedding model) is
 // deterministic in Options.Seed and is rebuilt at load time rather
 // than stored; the subject classifier's coefficients are stored, so a
@@ -35,7 +36,8 @@ import (
 func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	enc.Grow(e.snapshotSizeBound() + extra)
+	pos, order := e.sigPositions()
+	enc.Grow(e.snapshotSizeBound(order) + extra)
 
 	e.encodeOptions(enc.Begin(persist.SecOptions))
 	enc.End()
@@ -43,7 +45,14 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	e.lake.EncodeMeta(enc.Begin(persist.SecLake))
 	enc.End()
 
-	e.encodeAttrs(enc.Begin(persist.SecAttrs))
+	sb := enc.Begin(persist.SecSigs)
+	sb.U32(uint32(len(order)))
+	for _, id := range order {
+		sb.U32s(e.sigs.sigs[id])
+	}
+	enc.End()
+
+	e.encodeAttrs(enc.Begin(persist.SecAttrs), pos)
 	enc.End()
 
 	fb := enc.Begin(persist.SecForests)
@@ -54,15 +63,35 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	return nil
 }
 
-// Encoded sizes of what the sections hold besides signatures, extents,
-// names and forest arrays (which indexSpaceBytes counts).
+// sigPositions numbers the signatures the profiles hold in the order
+// they first use them (by attribute id; Q, then T, then R), from 1 so
+// that 0 stays a nil signature: pos maps an engine id to its position in
+// SecSigs, and order lists the engine ids by position. The file carries
+// positions, not engine ids, so it is a function of the profiles alone,
+// never of which ids the table's free list handed out. Caller holds e.mu.
+func (e *Engine) sigPositions() (pos []uint32, order []int32) {
+	pos = make([]uint32, len(e.sigs.sigs))
+	for i := range e.profiles {
+		p := &e.profiles[i]
+		for _, id := range [3]int32{p.qID, p.tID, p.rID} {
+			if id != 0 && pos[id] == 0 {
+				order = append(order, id)
+				pos[id] = uint32(len(order))
+			}
+		}
+	}
+	return pos, order
+}
+
+// Encoded sizes of the sections' fixed-width fields.
 const (
 	// optionsEnc bounds SecOptions: eleven 8-byte fields, a bool, three
 	// counted slices of at most NumEvidence / FeatureCount values.
 	optionsEnc = 11*8 + 1 + 3*4 + 8*(2*int(NumEvidence)+subject.FeatureCount)
-	// profileFixedEnc is encodeProfile less its slices' elements and the
-	// name's bytes: 4×I64-sized fields, 6 counts, 3 bools.
-	profileFixedEnc = 4*8 + 6*4 + 3
+	// profileFixedEnc is encodeProfile less the bytes of its name, its
+	// embedding signature and its extent: 3 I64s, 3 signature positions,
+	// 3 counts, 3 bools.
+	profileFixedEnc = 3*8 + 3*4 + 3*4 + 3
 	// forestFixedEnc is a forest's layout and state; treeFixedEnc the two
 	// counts in front of a tree's arrays.
 	forestFixedEnc = 4 + 4 + 8 + 1
@@ -70,10 +99,12 @@ const (
 )
 
 // snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
-// down, exact but for SecOptions' slack and a few bytes per tombstoned
-// table. Caller holds e.mu.
-func (e *Engine) snapshotSizeBound() int {
-	n := 4*persist.SectionOverhead + optionsEnc + int(e.indexSpaceBytes())
+// down, given the signature table sigPositions ordered: exact but for
+// SecOptions' slack and a few bytes per tombstoned table. It counts each
+// signature once, as the file holds it, where indexSpaceBytes (Table
+// II's measure) counts it once per profile field. Caller holds e.mu.
+func (e *Engine) snapshotSizeBound(order []int32) int {
+	n := 5*persist.SectionOverhead + optionsEnc
 	// SecLake: a liveness byte, a counted name and a column count per
 	// table, a counted name and a type byte per column.
 	n += 4
@@ -83,12 +114,24 @@ func (e *Engine) snapshotSizeBound() int {
 			n += 4 + len(c.Name) + 1
 		}
 	}
+	// SecSigs: a count, then each signature, counted.
+	n += 4
+	for _, id := range order {
+		n += 4 + 4*len(e.sigs.sigs[id])
+	}
 	// SecAttrs: the profiles, then per table a counted attribute list, the
 	// subject attribute and the liveness byte.
 	n += 4 + len(e.profiles)*profileFixedEnc
-	n += 4 + len(e.byTable)*minTableEnc + 8*len(e.profiles)
+	for i := range e.profiles {
+		p := &e.profiles[i]
+		n += len(p.Name) + 8*len(p.ESig) + 8*len(p.NumExtent)
+	}
+	n += 4 + len(e.byTable)*minTableEnc
+	for _, attrs := range e.byTable {
+		n += 8 * len(attrs)
+	}
 	for _, f := range e.forests {
-		n += forestFixedEnc + f.NumTrees()*treeFixedEnc
+		n += forestFixedEnc + f.NumTrees()*treeFixedEnc + int(f.SpaceBytes())
 	}
 	return n
 }
@@ -140,15 +183,24 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 		return nil, fmt.Errorf("core: snapshot lake: %w", err)
 	}
 
-	ra, err := dec.MustSection(persist.SecAttrs)
-	if err != nil {
-		return nil, err
-	}
 	e := &Engine{
 		opts:       opts,
 		lake:       lake,
 		prof:       prof,
 		classifier: opts.subjectClassifier(),
+	}
+	if dec.Version() >= 3 {
+		rs, err := dec.MustSection(persist.SecSigs)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.sigs.load(rs); err != nil {
+			return nil, fmt.Errorf("core: snapshot signatures: %w", err)
+		}
+	}
+	ra, err := dec.MustSection(persist.SecAttrs)
+	if err != nil {
+		return nil, err
 	}
 	if err := e.decodeAttrs(ra, dec.Version()); err != nil {
 		return nil, fmt.Errorf("core: snapshot attributes: %w", err)
@@ -258,14 +310,15 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 	return o, nil
 }
 
-// encodeAttrs writes the profile store and the per-table indexes.
-// Tombstoned attributes are already metadata-only stubs (Remove
-// releases their payloads), so snapshots do not grow with mutation
-// churn beyond a name per dead attribute.
-func (e *Engine) encodeAttrs(b *persist.Buffer) {
+// encodeAttrs writes the profile store and the per-table indexes; pos
+// maps a signature's engine id to its position in SecSigs. Tombstoned
+// attributes are already metadata-only stubs (Remove releases their
+// payloads), so snapshots do not grow with mutation churn beyond a name
+// per dead attribute.
+func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32) {
 	b.U32(uint32(len(e.profiles)))
 	for i := range e.profiles {
-		encodeProfile(b, &e.profiles[i])
+		encodeProfile(b, &e.profiles[i], pos)
 	}
 	b.U32(uint32(len(e.byTable)))
 	for tid := range e.byTable {
@@ -280,7 +333,8 @@ func (e *Engine) encodeAttrs(b *persist.Buffer) {
 // nothing about intent, and the declared count must be achievable
 // within the bytes that actually follow.
 const (
-	// minProfileEnc: 3×I64 + 5 slice counts + 3 bools + 1 string count.
+	// minProfileEnc: 3×I64 + 3 signatures (positions, or before version 3
+	// slice counts) + 2 slice counts + 3 bools + 1 string count.
 	minProfileEnc = 3*8 + 5*4 + 3 + 4
 	// minTableEnc: attr-list count + subject I64 + alive bool.
 	minTableEnc = 4 + 8 + 1
@@ -294,16 +348,17 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	if numProfiles < 0 || numProfiles > r.Remaining()/minProfileEnc {
 		return fmt.Errorf("%w: %d profiles declared in %d bytes", persist.ErrCorrupt, numProfiles, r.Remaining())
 	}
-	// Each profile's signatures are read into scratch, and the signature
-	// table copies only those it does not hold yet: the file's repeats
-	// are never allocated.
 	e.profiles = make([]Profile, numProfiles)
-	var scratch [3]minhash.Signature
+	var scratch minhash.Signature
 	for i := range e.profiles {
-		if err := decodeProfile(r, &e.profiles[i], version, &scratch); err != nil {
+		if err := e.decodeProfile(r, &e.profiles[i], version, &scratch); err != nil {
 			return err
 		}
-		e.sigs.hold(&e.profiles[i], true)
+	}
+	if version >= 3 {
+		if err := e.sigs.allHeld(); err != nil {
+			return err
+		}
 	}
 	numTables := int(r.U32())
 	if err := r.Err(); err != nil {
@@ -344,26 +399,27 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	return r.Err()
 }
 
-func encodeProfile(b *persist.Buffer, p *Profile) {
+func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32) {
 	b.I64(int64(p.Ref.TableID))
 	b.I64(int64(p.Ref.Column))
 	b.Str(p.Name)
 	b.Bool(p.Numeric)
 	b.Bool(p.Subject)
-	b.U32s(p.QSig)
-	b.U32s(p.TSig)
+	b.U32(pos[p.qID])
+	b.U32(pos[p.tID])
 	b.I64(int64(p.TSize))
-	b.U32s(p.RSig)
+	b.U32(pos[p.rID])
 	b.U64s(p.ESig)
 	b.Bool(p.EZero)
 	b.F64s(p.NumExtent)
 }
 
-// decodeSignature reads one MinHash signature into *buf, growing it as
-// needed, and returns it (empty when the stored one is). Format version 1
-// stored the 64-bit minima themselves; each narrows to the slot a current
-// sketch of the same set holds (and an empty set's math.MaxUint64 to the
-// empty slot), so a version 1 snapshot answers as it always did.
+// decodeSignature reads one MinHash signature of a version 1 or 2
+// snapshot into *buf, growing it as needed, and returns it (empty when
+// the stored one is). Version 1 stored the 64-bit minima themselves; each
+// narrows to the slot a current sketch of the same set holds (and an
+// empty set's math.MaxUint64 to the empty slot), so a version 1 snapshot
+// answers as it always did.
 func decodeSignature(r *persist.Reader, version uint32, buf *minhash.Signature) minhash.Signature {
 	if version >= 2 {
 		*buf = r.U32s(*buf)
@@ -380,18 +436,30 @@ func decodeSignature(r *persist.Reader, version uint32, buf *minhash.Signature) 
 	return sig
 }
 
-// decodeProfile reads one profile. Its signatures are left in scratch,
-// one buffer each, for the signature table to take (decodeAttrs).
-func decodeProfile(r *persist.Reader, p *Profile, version uint32, scratch *[3]minhash.Signature) error {
+// decodeProfile reads one profile and takes a reference to each of its
+// signatures in the engine's table. From version 3 on a signature is a
+// position in the table SecSigs loaded; before, it is the signature
+// itself, read into scratch and interned (copied only when the table
+// does not hold its value yet, so the file's repeats are never
+// allocated).
+func (e *Engine) decodeProfile(r *persist.Reader, p *Profile, version uint32, scratch *minhash.Signature) error {
 	p.Ref.TableID = int(r.I64())
 	p.Ref.Column = int(r.I64())
 	p.Name = r.Str()
 	p.Numeric = r.Bool()
 	p.Subject = r.Bool()
-	p.QSig = decodeSignature(r, version, &scratch[0])
-	p.TSig = decodeSignature(r, version, &scratch[1])
-	p.TSize = int(r.I64())
-	p.RSig = decodeSignature(r, version, &scratch[2])
+	if version >= 3 {
+		q, t := r.U32(), r.U32()
+		p.TSize = int(r.I64())
+		if err := e.sigs.refer(p, q, t, r.U32()); err != nil {
+			return err
+		}
+	} else {
+		p.QSig, p.qID = e.sigs.intern(decodeSignature(r, version, scratch), true)
+		p.TSig, p.tID = e.sigs.intern(decodeSignature(r, version, scratch), true)
+		p.TSize = int(r.I64())
+		p.RSig, p.rID = e.sigs.intern(decodeSignature(r, version, scratch), true)
+	}
 	p.ESig = lsh.BitSignature(r.U64s())
 	p.EZero = r.Bool()
 	p.NumExtent = r.F64s()

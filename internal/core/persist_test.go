@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -588,10 +591,12 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 }
 
 // The version 1 fixture, testdata/snapshot_v1.d3l, was written by the
-// last commit whose signatures were []uint64 (a7c1cef, "PR 18"), with
-// this test dropped into that commit's internal/core and run once:
+// last commit whose signatures were []uint64 (a7c1cef), and the
+// version 2 fixture, testdata/snapshot_v2.d3l, by the last commit that
+// stored a copy of every signature per profile (26a1714), each with this
+// test dropped into that commit's internal/core and run once:
 //
-//	func TestWriteSnapshotV1Fixture(t *testing.T) {
+//	func TestWriteSnapshotFixture(t *testing.T) {
 //		e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
 //		if err != nil {
 //			t.Fatal(err)
@@ -604,20 +609,23 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 //		}
 //	}
 //
-// It cannot be regenerated from this tree (which writes version 2) and
-// must not be: it stands for every snapshot already on disk.
-const v1FixturePath = "testdata/snapshot_v1.d3l"
+// Neither can be regenerated from this tree (which writes version 3),
+// and neither must be: they stand for every snapshot already on disk.
+const (
+	v1FixturePath = "testdata/snapshot_v1.d3l"
+	v2FixturePath = "testdata/snapshot_v2.d3l"
+)
 
-// v1FixtureOptions are the options the fixture was built with: small
-// sketches keep it at 16 kB.
+// v1FixtureOptions are the options the fixtures were built with: small
+// sketches keep them at 10–16 kB.
 func v1FixtureOptions() Options {
 	o := testOptions()
 	o.MinHashSize, o.ForestTrees, o.ForestHashes, o.EmbedBits = 32, 4, 8, 64
 	return o
 }
 
-// v1FixtureEngine builds, from this tree's code, the engine the fixture
-// is a snapshot of.
+// v1FixtureEngine builds, from this tree's code, the engine the fixtures
+// are snapshots of.
 func v1FixtureEngine(t testing.TB) *Engine {
 	t.Helper()
 	e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
@@ -642,23 +650,27 @@ func withVersion(data []byte, v uint32) []byte {
 // of what precedes them.
 func reseal(data []byte) []byte { return sealShardBody(data[:len(data)-4]) }
 
-// TestSnapshotV1StillLoads is the compatibility contract of the format
-// bump: a version 1 snapshot (64-bit MinHash slots) loads, answers every
-// table of its lake — and an outside target — bit for bit like an engine
-// built from scratch by this tree, re-snapshots as version 2 to the very
-// bytes that fresh engine snapshots to, and those bytes round-trip
-// unchanged. A version this build does not know is still ErrVersion.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	v1, err := os.ReadFile(v1FixturePath)
+// checkOldSnapshot is the compatibility contract of a format bump, for
+// the fixture at path, a snapshot of v1FixtureEngine written by format
+// version: it loads; answers every table of its lake, and an outside
+// target, bit for bit like an engine built from scratch by this tree;
+// holds each signature under the id that engine, and a load of its
+// current snapshot, give it; re-snapshots as the current version to the
+// very bytes the fresh engine snapshots to; and those bytes round-trip
+// unchanged. It returns the fixture, the engine loaded from it and its
+// re-snapshot.
+func checkOldSnapshot(t *testing.T, path string, version uint32) (old []byte, e *Engine, cur []byte) {
+	t.Helper()
+	old, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec, err := persist.NewDecoder(bytes.NewReader(v1), int64(len(v1))); err != nil {
+	if dec, err := persist.NewDecoder(bytes.NewReader(old), int64(len(old))); err != nil {
 		t.Fatal(err)
-	} else if dec.Version() != 1 {
-		t.Fatalf("fixture is a version %d snapshot, want 1", dec.Version())
+	} else if dec.Version() != version {
+		t.Fatalf("fixture is a version %d snapshot, want %d", dec.Version(), version)
 	}
-	old, err := LoadEngine(bytes.NewReader(v1))
+	e, err = LoadEngine(bytes.NewReader(old))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -670,7 +682,7 @@ func TestSnapshotV1StillLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := topK(old, target, len(targets))
+		got, err := topK(e, target, len(targets))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -678,10 +690,66 @@ func TestSnapshotV1StillLoads(t *testing.T) {
 			t.Fatalf("target %s: no results on the fresh engine", target.Name)
 		}
 		if rankingSignature(want, true) != rankingSignature(got, true) {
-			t.Fatalf("target %s: the version 1 snapshot answers differently:\nwant %s\ngot  %s",
-				target.Name, rankingSignature(want, true), rankingSignature(got, true))
+			t.Fatalf("target %s: the version %d snapshot answers differently:\nwant %s\ngot  %s",
+				target.Name, version, rankingSignature(want, true), rankingSignature(got, true))
 		}
 	}
+
+	cur = snapshotBytes(t, e)
+	if dec, err := persist.NewDecoder(bytes.NewReader(cur), int64(len(cur))); err != nil {
+		t.Fatal(err)
+	} else if dec.Version() != persist.Version {
+		t.Fatalf("re-snapshot is a version %d snapshot, want %d", dec.Version(), persist.Version)
+	}
+	if len(cur) >= len(old) {
+		t.Fatalf("version %d snapshot is %d bytes, version %d was %d", persist.Version, len(cur), version, len(old))
+	}
+	if !bytes.Equal(cur, snapshotBytes(t, fresh)) {
+		t.Fatalf("the loaded version %d engine and a fresh build snapshot to different bytes", version)
+	}
+	again, err := LoadEngine(bytes.NewReader(cur))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cur, snapshotBytes(t, again)) {
+		t.Fatalf("version %d snapshot does not round-trip to the same bytes", persist.Version)
+	}
+	for _, other := range []struct {
+		what string
+		e    *Engine
+	}{{"the fresh build", fresh}, {fmt.Sprintf("the version %d load", persist.Version), again}} {
+		if got, want := sigIDs(e), sigIDs(other.e); got != want {
+			t.Fatalf("signature ids of the version %d load:\n%s\nof %s:\n%s", version, got, other.what, want)
+		}
+	}
+	if len(e.sigs.sigs) != len(again.sigs.sigs) || len(e.sigs.free)+len(again.sigs.free) != 0 {
+		t.Fatalf("signature tables of %d and %d ids, %d and %d free, for one snapshot",
+			len(e.sigs.sigs), len(again.sigs.sigs), len(e.sigs.free), len(again.sigs.free))
+	}
+	return old, e, cur
+}
+
+// sigIDs renders the signature ids every profile holds, for comparing
+// two engines' id assignments.
+func sigIDs(e *Engine) string {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	var b strings.Builder
+	for i := range e.profiles {
+		p := &e.profiles[i]
+		fmt.Fprintf(&b, "%d:%d/%d/%d ", i, p.qID, p.tID, p.rID)
+	}
+	return b.String()
+}
+
+// TestSnapshotV1StillLoads: a version 1 snapshot (64-bit MinHash slots)
+// keeps checkOldSnapshot's contract; numeric attributes share one empty
+// TSig, loaded or built; a version this build does not know is
+// ErrVersion; and one version's body under another's header is not a
+// readable snapshot.
+func TestSnapshotV1StillLoads(t *testing.T) {
+	v1, old, cur := checkOldSnapshot(t, v1FixturePath, 1)
+	fresh := v1FixtureEngine(t)
 
 	// Numeric attributes share one empty TSig, loaded or built: the
 	// signature table's copy.
@@ -704,36 +772,149 @@ func TestSnapshotV1StillLoads(t *testing.T) {
 		}
 	}
 
-	v2 := snapshotBytes(t, old)
-	if dec, err := persist.NewDecoder(bytes.NewReader(v2), int64(len(v2))); err != nil {
-		t.Fatal(err)
-	} else if dec.Version() != 2 {
-		t.Fatalf("re-snapshot is a version %d snapshot, want 2", dec.Version())
+	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, persist.Version+1))); !errors.Is(err, persist.ErrVersion) {
+		t.Fatalf("version %d: err = %v, want ErrVersion", persist.Version+1, err)
 	}
-	if len(v2) >= len(v1) {
-		t.Fatalf("version 2 snapshot is %d bytes, version 1 was %d", len(v2), len(v1))
-	}
-	if !bytes.Equal(v2, snapshotBytes(t, fresh)) {
-		t.Fatal("the loaded version 1 engine and a fresh build snapshot to different bytes")
-	}
-	again, err := LoadEngine(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v2, snapshotBytes(t, again)) {
-		t.Fatal("version 2 snapshot does not round-trip to the same bytes")
-	}
-
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrVersion) {
-		t.Fatalf("version 3: err = %v, want ErrVersion", err)
-	}
-	// A version 2 body under a version 1 header (and the reverse) is a
-	// different byte layout, not a readable snapshot.
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 1))); err == nil {
-		t.Fatal("version 2 body read as version 1")
+	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, 1))); err == nil {
+		t.Fatalf("version %d body read as version 1", persist.Version)
 	}
 	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 2))); err == nil {
 		t.Fatal("version 1 body read as version 2")
+	}
+}
+
+// TestSnapshotV2StillLoads: a version 2 snapshot (a copy of every
+// signature per profile) keeps checkOldSnapshot's contract, and it is
+// not a version 3 one, nor the reverse.
+func TestSnapshotV2StillLoads(t *testing.T) {
+	v2, _, cur := checkOldSnapshot(t, v2FixturePath, 2)
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("version 2 body read as version 3: err = %v, want ErrCorrupt (no signature table)", err)
+	}
+	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, 2))); err == nil {
+		t.Fatal("version 3 body read as version 2")
+	}
+}
+
+// churnedEngine runs a seeded history of adds, updates and removes on a
+// synthetic lake. It leaves the signature table's free list non-empty,
+// so the engine's signature ids are not in the order the profiles first
+// use them.
+func churnedEngine(t testing.TB) *Engine {
+	t.Helper()
+	lake := syntheticLake(t, 23, 16)
+	pool := slices.Clone(lake.Tables())
+	e, err := BuildEngine(lake, testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for step := 0; step < 40; step++ {
+		names := e.TableNames()
+		name, src := names[rng.Intn(len(names))], pool[rng.Intn(len(pool))]
+		switch rng.Intn(3) {
+		case 0:
+			_, err = e.Add(mustTable(t, fmt.Sprintf("churn_%d", step), colNames(src), rowsOf(src)))
+		case 1:
+			rows := rowsOf(src)
+			_, err = e.Update(mustTable(t, name, colNames(src), rows[:1+rng.Intn(len(rows))]))
+		default:
+			err = e.Remove(name)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// firstUse lists the signature ids e's profiles hold in the order they
+// first use them (by attribute id; Q, then T, then R), and counts those
+// not at their first-use position.
+func firstUse(e *Engine) (order []int32, moved int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	seen := map[int32]bool{}
+	for i := range e.profiles {
+		for _, f := range e.profiles[i].sigRefs() {
+			if f.id != 0 && !seen[f.id] {
+				seen[f.id] = true
+				order = append(order, f.id)
+				if int(f.id) != len(order) {
+					moved++
+				}
+			}
+		}
+	}
+	return order, moved
+}
+
+// TestSnapshotIsCanonical: after a write history whose freed signature
+// ids leave the engine's ids out of first-use order, save → load → save
+// gives the same bytes, the loaded engine holds its signatures under
+// their first-use positions, and it answers like the saved one. The
+// file carries first-use positions, never the ids.
+func TestSnapshotIsCanonical(t *testing.T) {
+	e := churnedEngine(t)
+	order, moved := firstUse(e)
+	if len(e.sigs.free) == 0 || moved == 0 {
+		t.Fatalf("the history left %d free ids and %d signatures off their first-use position: it tests nothing", len(e.sigs.free), moved)
+	}
+	data := snapshotBytes(t, e)
+	le, err := LoadEngine(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, snapshotBytes(t, le)) {
+		t.Fatal("save → load → save changed the bytes")
+	}
+	if lorder, lmoved := firstUse(le); len(lorder) != len(order) || lmoved != 0 || len(le.sigs.sigs) != len(order)+1 {
+		t.Fatalf("the loaded engine holds %d signatures under %d ids, %d off their first-use position; the saved one %d",
+			len(lorder), len(le.sigs.sigs)-1, lmoved, len(order))
+	}
+	for _, name := range e.TableNames()[:8] {
+		target := e.Lake().ByName(name)
+		want, err := topK(e, target, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := topK(le, target, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rankingSignature(want, true) != rankingSignature(got, true) {
+			t.Fatalf("target %s: the loaded engine answers differently", name)
+		}
+	}
+}
+
+// TestSnapshotSizeBound: AppendSnapshot's one reservation holds the
+// whole snapshot, and exceeds it by no more than snapshotSizeBound's
+// comment states: SecOptions' slack (a weight per evidence type not
+// disabled) plus, per tombstoned table, the column count its lake entry
+// no longer carries.
+func TestSnapshotSizeBound(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		e    *Engine
+	}{{"figure 1", buildFigure1Engine(t)}, {"churned", churnedEngine(t)}} {
+		e := c.e
+		e.mu.RLock()
+		_, order := e.sigPositions()
+		bound := e.snapshotSizeBound(order)
+		dead := 0
+		for _, alive := range e.alive {
+			if !alive {
+				dead++
+			}
+		}
+		e.mu.RUnlock()
+		const headerAndTrailer = 8 + 4 + 4
+		written := len(snapshotBytes(t, e)) - headerAndTrailer
+		if slack, limit := bound-written, 8*int(NumEvidence)+4*dead; slack < 0 || slack > limit {
+			t.Fatalf("%s: bound %d for %d written bytes: slack %d, want 0…%d (%d tombstoned tables)",
+				c.name, bound, written, slack, limit, dead)
+		}
 	}
 }
 
@@ -755,23 +936,103 @@ func TestLoadRejectsAbsurdSketchWidths(t *testing.T) {
 	}
 }
 
+// replaceSection returns a copy of a snapshot with section id's payload
+// replaced by edit's result, its length and the trailer rewritten.
+func replaceSection(t testing.TB, data []byte, id uint32, edit func(payload []byte) []byte) []byte {
+	t.Helper()
+	const headerLen, sectionOverhead = 8 + 4, 4 + 8
+	out := append([]byte(nil), data[:headerLen]...)
+	found := false
+	for off := headerLen; off < len(data)-4; {
+		sid := binary.LittleEndian.Uint32(data[off:])
+		n := int(binary.LittleEndian.Uint64(data[off+4:]))
+		payload := data[off+sectionOverhead : off+sectionOverhead+n]
+		if sid == id {
+			payload, found = edit(append([]byte(nil), payload...)), true
+		}
+		out = binary.LittleEndian.AppendUint32(out, sid)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+		out = append(out, payload...)
+		off += sectionOverhead + n
+	}
+	if !found {
+		t.Fatalf("no section %d", id)
+	}
+	return reseal(append(out, 0, 0, 0, 0))
+}
+
+// hostileSnapshot is a checksum-valid version 3 snapshot that breaks the
+// signature table's contract, and the error a load must fail with.
+type hostileSnapshot struct {
+	what, why string // why: a phrase of the error the check under test returns
+	data      []byte
+}
+
+// hostileV3Snapshots edits the signature table of a version 3 snapshot
+// of v1FixtureEngine four ways. The last three would break invariants
+// sigTable.verify asserts (no unreferenced copy, no two equal copies) or
+// allocate by a count the bytes cannot back.
+func hostileV3Snapshots(t testing.TB) []hostileSnapshot {
+	data := snapshotBytes(t, v1FixtureEngine(t))
+	var sigs []byte
+	replaceSection(t, data, persist.SecSigs, func(p []byte) []byte { sigs = p; return p })
+	count := binary.LittleEndian.Uint32(sigs)
+	first := sigs[4 : 4+4+4*int(binary.LittleEndian.Uint32(sigs[4:]))] // entry 1, counted
+	appendEntry := func(entry []byte) func([]byte) []byte {
+		return func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p, count+1)
+			return append(p, entry...)
+		}
+	}
+	unused := append([]byte(nil), first...)
+	binary.LittleEndian.PutUint32(unused[4:], ^binary.LittleEndian.Uint32(unused[4:]))
+	return []hostileSnapshot{
+		{"a profile position past the table", "refers to signature", replaceSection(t, data, persist.SecAttrs, func(p []byte) []byte {
+			// Profile 0's Q position follows the profile count, two I64s,
+			// the counted name and two bools.
+			off := 4 + 16 + 4 + int(binary.LittleEndian.Uint32(p[4+16:])) + 2
+			binary.LittleEndian.PutUint32(p[off:], count+1)
+			return p
+		})},
+		{"a table entry no profile references", "held by no profile", replaceSection(t, data, persist.SecSigs, appendEntry(unused))},
+		{"two equal table entries", "are equal", replaceSection(t, data, persist.SecSigs, appendEntry(first))},
+		{"a table count larger than the section can hold", "signatures declared in", replaceSection(t, data, persist.SecSigs, func(p []byte) []byte {
+			binary.LittleEndian.PutUint32(p, 1<<30)
+			return p
+		})},
+	}
+}
+
+// TestLoadRejectsHostileSignatureTables: each hostileV3Snapshots input
+// is refused as corrupt, by the check meant for it.
+func TestLoadRejectsHostileSignatureTables(t *testing.T) {
+	for _, h := range hostileV3Snapshots(t) {
+		_, err := LoadEngine(bytes.NewReader(h.data))
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), h.why) {
+			t.Errorf("%s: err = %v, want ErrCorrupt for %q", h.what, err, h.why)
+		}
+	}
+}
+
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
-// snapshot of each readable version: the outcome is an error or an
-// engine that answers a query, never a panic, and never allocations out
-// of proportion to the input. The CRC trailer stops nearly every
-// mutation at the door, so each input is also tried resealed, which
-// puts the section decoders behind it in reach.
+// snapshot of each readable version and the hostile version 3 inputs of
+// hostileV3Snapshots: the outcome is an error or an engine that answers
+// a query, never a panic, and never allocations out of proportion to the
+// input. The CRC trailer stops nearly every mutation at the door, so
+// each input is also tried resealed, which puts the section decoders
+// behind it in reach.
 func FuzzLoadEngine(f *testing.F) {
-	v1, err := os.ReadFile(v1FixturePath)
-	if err != nil {
-		f.Fatal(err)
+	for _, path := range []string{v1FixturePath, v2FixturePath} {
+		old, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(old)
 	}
-	old, err := LoadEngine(bytes.NewReader(v1))
-	if err != nil {
-		f.Fatal(err)
+	f.Add(snapshotBytes(f, v1FixtureEngine(f)))
+	for _, h := range hostileV3Snapshots(f) {
+		f.Add(h.data)
 	}
-	f.Add(v1)
-	f.Add(snapshotBytes(f, old))
 	target := figure1Target(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}

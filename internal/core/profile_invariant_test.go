@@ -10,14 +10,17 @@ import (
 	"d3l/internal/persist"
 )
 
-// codecRoundTrip pushes one profile through the snapshot codec: encode
-// into a section, re-decode through the public envelope (the only way
+// codecRoundTrip pushes one profile, which holds no MinHash signature,
+// through the snapshot codec: encode into a section beside an empty
+// signature table, re-decode through the public envelope (the only way
 // to build a persist.Reader from outside the persist package).
 func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	t.Helper()
 	const testSection = 0x7e57
 	enc := persist.NewEncoder()
-	encodeProfile(enc.Begin(testSection), p)
+	enc.Begin(persist.SecSigs).U32(0)
+	enc.End()
+	encodeProfile(enc.Begin(testSection), p, []uint32{0})
 	enc.End()
 	var buf bytes.Buffer
 	if _, err := enc.WriteTo(&buf); err != nil {
@@ -27,12 +30,18 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var e Engine
+	if rs, err := dec.MustSection(persist.SecSigs); err != nil {
+		t.Fatal(err)
+	} else if err := e.sigs.load(rs); err != nil {
+		t.Fatal(err)
+	}
 	r, ok := dec.Section(testSection)
 	if !ok {
 		t.Fatal("test section missing")
 	}
 	var out Profile
-	if err := decodeProfile(r, &out, dec.Version(), &[3]minhash.Signature{}); err != nil {
+	if err := e.decodeProfile(r, &out, dec.Version(), new(minhash.Signature)); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"d3l/internal/minhash"
+	"d3l/internal/persist"
 )
 
 // This file holds the engine's signature table and the per-column
@@ -17,8 +18,10 @@ import (
 // value; a profile's QSig, TSig and RSig point at that copy and carry its
 // id. Two signatures share a copy only when they are equal slot for slot
 // (a hash finds the candidates, slices.Equal decides), so sharing changes
-// no value any reader sees. Ids never leave the process: snapshots and
-// the shard wire carry the signatures themselves.
+// no value any reader sees. Ids never leave the process: a snapshot holds
+// the table once and the file carries first-use positions, not engine
+// ids (sigPositions), and the shard wire carries the signatures
+// themselves.
 //
 // References are counted per profile field: a profile holds one
 // reference per signature field it points at the table with. A profile
@@ -110,12 +113,13 @@ func (t *sigTable) release(id int32) {
 }
 
 // hold points p's signatures at the table's copies, taking a reference to
-// each. Whatever ids p carried before (another engine's, or none) are
-// overwritten, not released.
-func (t *sigTable) hold(p *Profile, borrowed bool) {
-	p.QSig, p.qID = t.intern(p.QSig, borrowed)
-	p.TSig, p.tID = t.intern(p.TSig, borrowed)
-	p.RSig, p.rID = t.intern(p.RSig, borrowed)
+// each; a signature the table does not hold yet becomes the copy. Whatever
+// ids p carried before (another engine's, or none) are overwritten, not
+// released.
+func (t *sigTable) hold(p *Profile) {
+	p.QSig, p.qID = t.intern(p.QSig, false)
+	p.TSig, p.tID = t.intern(p.TSig, false)
+	p.RSig, p.rID = t.intern(p.RSig, false)
 }
 
 // drop gives back p's references; p is about to become a stub.
@@ -123,6 +127,81 @@ func (t *sigTable) drop(p *Profile) {
 	t.release(p.qID)
 	t.release(p.tID)
 	t.release(p.rID)
+}
+
+// minSigEnc is the smallest encoding of a SecSigs entry: a count and one
+// slot (a nil signature is position 0, never an entry).
+const minSigEnc = 4 + 4
+
+// load installs a snapshot's signature table (SecSigs, format version 3
+// on) into an empty table: the signatures in file order under ids 1, 2,
+// …, so an id is the signature's position in the file, and a canonical
+// file gives every signature the id a version 2 load interns it under.
+// No profile holds a reference yet; refer hands them out, and allHeld
+// checks that every copy was taken. An empty entry or two equal ones are
+// corrupt: the table keeps one copy of each value, and nil is no entry.
+func (t *sigTable) load(r *persist.Reader) error {
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if n < 0 || n > r.Remaining()/minSigEnc {
+		return fmt.Errorf("%w: %d signatures declared in %d bytes", persist.ErrCorrupt, n, r.Remaining())
+	}
+	t.heads = make(map[uint64]int32, n)
+	t.sigs = make([]minhash.Signature, 1, n+1)
+	t.refs, t.next = make([]int32, n+1), make([]int32, n+1)
+	for id := int32(1); int(id) <= n; id++ {
+		sig := minhash.Signature(r.U32s(nil))
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if len(sig) == 0 {
+			return fmt.Errorf("%w: signature %d is empty", persist.ErrCorrupt, id)
+		}
+		h := sigHash(sig)
+		for other := t.heads[h]; other != 0; other = t.next[other] {
+			if slices.Equal(t.sigs[other], sig) {
+				return fmt.Errorf("%w: signatures %d and %d are equal", persist.ErrCorrupt, other, id)
+			}
+		}
+		t.sigs = append(t.sigs, sig)
+		t.next[id] = t.heads[h]
+		t.heads[h] = id
+	}
+	if r.Remaining() != 0 {
+		return fmt.Errorf("%w: %d bytes after %d signatures", persist.ErrCorrupt, r.Remaining(), n)
+	}
+	return nil
+}
+
+// refer points p's signatures at the copies load installed under
+// positions q, tp and rp, taking a reference to each; position 0 is a nil
+// signature.
+func (t *sigTable) refer(p *Profile, q, tp, rp uint32) error {
+	for _, pos := range [3]uint32{q, tp, rp} {
+		if int64(pos) >= int64(len(t.sigs)) {
+			return fmt.Errorf("%w: profile %s refers to signature %d of %d", persist.ErrCorrupt, p.Name, pos, len(t.sigs)-1)
+		}
+		if pos != 0 {
+			t.refs[pos]++
+		}
+	}
+	p.QSig, p.qID = t.sigs[q], int32(q)
+	p.TSig, p.tID = t.sigs[tp], int32(tp)
+	p.RSig, p.rID = t.sigs[rp], int32(rp)
+	return nil
+}
+
+// allHeld reports a copy no profile holds a reference to: a loaded table
+// keeps only signatures some profile uses.
+func (t *sigTable) allHeld() error {
+	for id := 1; id < len(t.sigs); id++ {
+		if t.refs[id] == 0 {
+			return fmt.Errorf("%w: signature %d is held by no profile", persist.ErrCorrupt, id)
+		}
+	}
+	return nil
 }
 
 // sigRef is one of a profile's signatures with its id.

@@ -33,6 +33,14 @@
 //	   per slot.
 //	2  MinHash signatures in SecAttrs are []uint32, the low half of each
 //	   minimum (see package minhash). Nothing else differs.
+//	3  A new mandatory section, SecSigs, holds each distinct MinHash
+//	   signature once, in the order the profiles first use it; a profile
+//	   in SecAttrs carries three uint32 positions into that table (0 for
+//	   a nil signature) where version 2 carried the signatures.
+//
+// This build reads versions 1 and 2 as well: every snapshot built before
+// version 3 is one of them, and both share one per-profile decode path
+// that differs only in a signature slot's width.
 package persist
 
 import (
@@ -53,7 +61,7 @@ var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 // Version is the snapshot format version this build writes; MinVersion
 // the oldest it still reads.
 const (
-	Version    uint32 = 2
+	Version    uint32 = 3
 	MinVersion uint32 = 1
 )
 
@@ -77,6 +85,10 @@ const (
 	// d3l.Save when the engine holds a graph, absent from bare core
 	// snapshots).
 	SecJoinGraph uint32 = 5
+	// SecSigs holds the table of distinct MinHash signatures that
+	// SecAttrs' profiles refer to by position (version 3 on). It is
+	// written before SecAttrs.
+	SecSigs uint32 = 6
 )
 
 // Decoding errors. Decoders wrap these, so test with errors.Is.

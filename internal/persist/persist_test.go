@@ -72,10 +72,18 @@ func roundTripSnapshot(t *testing.T) []byte {
 const roundTripHex = "44334c534e41500002000000010000009b00000000000000070100efbeadde0000000000000040d6ffffffffffffff182d4454fb2109400d0000007072616374696365206e616d6503000000010203030000000600000005000000ffffffff0300000009000000000000000800000000000000070000000000000003000000ffffffff000000000100000002000000fbffffffffffffff050000000000000002000000000000000000e03f000000000000d0bf020000000000000000000000ea12c17e"
 
 // TestBeginEndWritesTheSectionLayout pins the bytes: a section laid down
-// in place is the section that used to be copied in.
+// in place is the section that used to be copied in. roundTripHex is a
+// version 2 snapshot; a version bump rewrites the header's version word,
+// and so the trailer, and nothing else of the container.
 func TestBeginEndWritesTheSectionLayout(t *testing.T) {
-	if got := hex.EncodeToString(roundTripSnapshot(t)); got != roundTripHex {
-		t.Fatalf("snapshot bytes moved:\n got %s\nwant %s", got, roundTripHex)
+	want, err := hex.DecodeString(roundTripHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(want[len(Magic):], Version)
+	want = (&Buffer{data: want[:len(want)-trailerLen]}).Sealed()
+	if got := roundTripSnapshot(t); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes moved:\n got %x\nwant %x", got, want)
 	}
 }
 

@@ -426,34 +426,15 @@ func BenchmarkParallelSearch(b *testing.B) {
 
 // --- Query planner benchmarks ---
 //
-// The planner benchmarks measure the three regimes of the prepared-
-// plan execution path: preparing a plan from nothing on every query
-// (cold), reusing a cached plan (warm — the serving steady state), and
-// the pruning payoff on a skewed lake where most candidate tables are
-// provably outside the top-k. The warm/cold pair bounds the prepare
-// phase's cost.
+// The planner benchmarks measure the two regimes of the prepared-plan
+// execution path: the serving steady state, and the pruning payoff on
+// a skewed lake where most candidate tables are provably outside the
+// top-k.
 
-// BenchmarkPlannerColdPlan forces a plan-cache miss on every query:
-// the prepare phase (target fingerprinting, cascade construction, LRU
-// insert) is paid each time. The gap to BenchmarkPlannerWarmPlan is
-// the total prepare overhead — nanoseconds against a millisecond-scale
-// ranking, which is what makes planning every query tenable.
-func BenchmarkPlannerColdPlan(b *testing.B) {
-	engine, targets := benchServingSetup(b, 1)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		engine.ResetPlanCache()
-		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlannerWarmPlan is the serving steady state: every target's
-// plan is already cached, so each query runs fingerprint + LRU hit. A
-// plan holds only the evidence cascade, so warm and cold differ by that
-// look-up against building a five-entry cascade, nothing else.
+// BenchmarkPlannerWarmPlan is the serving steady state: the default
+// evidence mask's plan slot is filled by the first query, so every
+// timed query loads its plan with one atomic read and the cost is the
+// ranking itself.
 func BenchmarkPlannerWarmPlan(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
 	ctx := context.Background()

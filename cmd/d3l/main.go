@@ -493,7 +493,7 @@ func cmdQuery(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	budget := fs.Int("budget", 0, "candidate budget per target attribute per index (0 = derived from k)")
 	evidence := fs.String("evidence", "", "comma-separated evidence subset: name,value,format,embedding,domain (empty = all)")
 	explainFor := fs.String("explain", "", "also print the Table I-style breakdown against this lake table")
-	explainPlan := fs.Bool("explain-plan", false, "print the query plan the engine executed (evidence cascade, cache state, pruning counters)")
+	explainPlan := fs.Bool("explain-plan", false, "print the query plan the engine executed (evidence cascade, pruning counters)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
 	if err := parse(fs, args, stderr); err != nil {
@@ -549,12 +549,8 @@ func cmdQuery(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		}
 		// An explanation-only query (-k 0) ranks nothing and has no plan.
 		if *explainPlan && ans.Plan.Enabled {
-			state := "cold"
-			if ans.Plan.Cached {
-				state = "cached"
-			}
-			fmt.Fprintf(stdout, "plan: cascade %s (%s) — pruned %d tables (%d pairs), elided %d evidence evals\n",
-				ans.Plan.Order, state, ans.Plan.TablesPruned, ans.Plan.PairsPruned, ans.Plan.EvidenceEvalsElided)
+			fmt.Fprintf(stdout, "plan: cascade %s — pruned %d tables (%d pairs), elided %d evidence evals\n",
+				ans.Plan.Order, ans.Plan.TablesPruned, ans.Plan.PairsPruned, ans.Plan.EvidenceEvalsElided)
 		}
 		fmt.Fprintf(stdout, "scored %d tables from %d candidate pairs in %v\n",
 			ans.Stats.TablesScored, ans.Stats.CandidatePairs, ans.Stats.Elapsed.Round(time.Microsecond))

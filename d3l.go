@@ -83,7 +83,7 @@ type (
 	// Answer.Plan).
 	PlanStats = core.PlanStats
 	// PlannerTotals are the engine-lifetime planner counters (plan
-	// cache hits/misses, pruning work elided) — see Engine.PlannerTotals.
+	// hits/misses, pruning work elided) — see Engine.PlannerTotals.
 	PlannerTotals = core.PlannerTotals
 	// QueryStage identifies one timed region of the ranking pipeline —
 	// see Engine.SetStageObserver and the stage constants.
@@ -426,7 +426,9 @@ func (e *Engine) SetParallelism(n int) error {
 func (e *Engine) PrewarmScratch(n int) { e.core.PrewarmScratch(n) }
 
 // PlannerTotals snapshots the engine-lifetime query-planner counters:
-// prepared-plan cache hits and misses, and the cumulative pruning work
+// prepared-plan hits and misses (a miss is the first query of an
+// evidence mask, which builds that mask's plan; every other query is a
+// hit), and the cumulative pruning work
 // (tables pruned, candidate pairs inside them, evidence evaluations
 // elided). The counters accumulate across every query served by this
 // engine; /v1/statsz exposes them for operators.
@@ -440,13 +442,6 @@ func (e *Engine) PlannerTotals() PlannerTotals { return e.core.PlannerTotals() }
 // The observer must be safe for concurrent use; last registration
 // wins (the HTTP server re-registers on every hot engine swap).
 func (e *Engine) SetStageObserver(o StageObserver) { e.core.SetStageObserver(o) }
-
-// ResetPlanCache drops every prepared plan (the lifetime counters keep
-// accumulating). Benchmarks use it to measure the cold-plan path;
-// operators never need it — plans of a mutated engine become
-// unreachable through the fingerprint in their cache key and age out
-// of the LRU naturally.
-func (e *Engine) ResetPlanCache() { e.core.ResetPlanCache() }
 
 // Fingerprint returns a cheap 64-bit fingerprint of this engine's
 // state: stable across queries, changed by every Add, Remove and

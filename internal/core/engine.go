@@ -50,10 +50,11 @@ type Engine struct {
 	queryScratchPool  sync.Pool // *queryScratch
 	workerScratchPool sync.Pool // *workerScratch
 
-	// planCache holds prepared query plans (see plan.go); planStats
-	// accumulates the engine-lifetime planner counters. Both are
-	// zero-value-ready, like the pools.
-	planCache planCache
+	// plans holds one prepared plan per evidence mask, filled on the
+	// mask's first use (see plan.go); planStats accumulates the
+	// engine-lifetime planner counters. Both are zero-value-ready, like
+	// the pools.
+	plans     [1 << NumEvidence]atomic.Pointer[preparedPlan]
 	planStats plannerCounters
 
 	// stageObs, when set, receives per-stage wall times of every

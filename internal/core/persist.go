@@ -414,31 +414,9 @@ func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32) {
 	b.F64s(p.NumExtent)
 }
 
-// decodeSignature reads one MinHash signature of a version 1 or 2
-// snapshot into *buf, growing it as needed, and returns it (empty when
-// the stored one is). Version 1 stored the 64-bit minima themselves; each
-// narrows to the slot a current sketch of the same set holds (and an
-// empty set's math.MaxUint64 to the empty slot), so a version 1 snapshot
-// answers as it always did.
-func decodeSignature(r *persist.Reader, version uint32, buf *minhash.Signature) minhash.Signature {
-	if version >= 2 {
-		*buf = r.U32s(*buf)
-		return *buf
-	}
-	n := r.Count(8)
-	if cap(*buf) < n {
-		*buf = make(minhash.Signature, n)
-	}
-	sig := (*buf)[:n]
-	for i := range sig {
-		sig[i] = uint32(r.U64())
-	}
-	return sig
-}
-
 // decodeProfile reads one profile and takes a reference to each of its
 // signatures in the engine's table. From version 3 on a signature is a
-// position in the table SecSigs loaded; before, it is the signature
+// position in the table SecSigs loaded; in version 2, it is the signature
 // itself, read into scratch and interned (copied only when the table
 // does not hold its value yet, so the file's repeats are never
 // allocated).
@@ -455,10 +433,13 @@ func (e *Engine) decodeProfile(r *persist.Reader, p *Profile, version uint32, sc
 			return err
 		}
 	} else {
-		p.QSig, p.qID = e.sigs.intern(decodeSignature(r, version, scratch), true)
-		p.TSig, p.tID = e.sigs.intern(decodeSignature(r, version, scratch), true)
+		*scratch = r.U32s(*scratch)
+		p.QSig, p.qID = e.sigs.intern(*scratch, true)
+		*scratch = r.U32s(*scratch)
+		p.TSig, p.tID = e.sigs.intern(*scratch, true)
 		p.TSize = int(r.I64())
-		p.RSig, p.rID = e.sigs.intern(decodeSignature(r, version, scratch), true)
+		*scratch = r.U32s(*scratch)
+		p.RSig, p.rID = e.sigs.intern(*scratch, true)
 	}
 	p.ESig = lsh.BitSignature(r.U64s())
 	p.EZero = r.Bool()

@@ -742,13 +742,31 @@ func sigIDs(e *Engine) string {
 	return b.String()
 }
 
-// TestSnapshotV1StillLoads: a version 1 snapshot (64-bit MinHash slots)
-// keeps checkOldSnapshot's contract; numeric attributes share one empty
-// TSig, loaded or built; a version this build does not know is
-// ErrVersion; and one version's body under another's header is not a
-// readable snapshot.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	v1, old, cur := checkOldSnapshot(t, v1FixturePath, 1)
+// TestSnapshotV1IsRefused: a version 1 snapshot (64-bit MinHash slots)
+// is older than persist.MinVersion, so it is refused as ErrVersion
+// naming version 1, and its body under a version 2 header does not read
+// either.
+func TestSnapshotV1IsRefused(t *testing.T) {
+	v1, err := os.ReadFile(v1FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadEngine(bytes.NewReader(v1))
+	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 1 (") {
+		t.Fatalf("version 1 snapshot: err = %v, want ErrVersion naming version 1", err)
+	}
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 2))); err == nil {
+		t.Fatal("version 1 body read as version 2")
+	}
+}
+
+// TestSnapshotV2StillLoads: a version 2 snapshot (a copy of every
+// signature per profile) keeps checkOldSnapshot's contract; numeric
+// attributes share one empty TSig, loaded or built; a version this build
+// does not know is ErrVersion; and version 2 and 3 bodies do not read
+// under each other's headers.
+func TestSnapshotV2StillLoads(t *testing.T) {
+	v2, old, cur := checkOldSnapshot(t, v2FixturePath, 2)
 	fresh := v1FixtureEngine(t)
 
 	// Numeric attributes share one empty TSig, loaded or built: the
@@ -775,19 +793,6 @@ func TestSnapshotV1StillLoads(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, persist.Version+1))); !errors.Is(err, persist.ErrVersion) {
 		t.Fatalf("version %d: err = %v, want ErrVersion", persist.Version+1, err)
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, 1))); err == nil {
-		t.Fatalf("version %d body read as version 1", persist.Version)
-	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 2))); err == nil {
-		t.Fatal("version 1 body read as version 2")
-	}
-}
-
-// TestSnapshotV2StillLoads: a version 2 snapshot (a copy of every
-// signature per profile) keeps checkOldSnapshot's contract, and it is
-// not a version 3 one, nor the reverse.
-func TestSnapshotV2StillLoads(t *testing.T) {
-	v2, _, cur := checkOldSnapshot(t, v2FixturePath, 2)
 	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrCorrupt) {
 		t.Fatalf("version 2 body read as version 3: err = %v, want ErrCorrupt (no signature table)", err)
 	}
@@ -1015,12 +1020,12 @@ func TestLoadRejectsHostileSignatureTables(t *testing.T) {
 }
 
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
-// snapshot of each readable version and the hostile version 3 inputs of
-// hostileV3Snapshots: the outcome is an error or an engine that answers
-// a query, never a panic, and never allocations out of proportion to the
-// input. The CRC trailer stops nearly every mutation at the door, so
-// each input is also tried resealed, which puts the section decoders
-// behind it in reach.
+// snapshot of each version (version 1's exercises the refusal by
+// version) and the hostile version 3 inputs of hostileV3Snapshots: the
+// outcome is an error or an engine that answers a query, never a panic,
+// and never allocations out of proportion to the input. The CRC trailer
+// stops nearly every mutation at the door, so each input is also tried
+// resealed, which puts the section decoders behind it in reach.
 func FuzzLoadEngine(f *testing.F) {
 	for _, path := range []string{v1FixturePath, v2FixturePath} {
 		old, err := os.ReadFile(path)

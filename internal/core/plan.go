@@ -27,10 +27,9 @@ import (
 //
 // The forest probes need nothing from a plan (lsh.Forest.Probe finds
 // its stop depth in one walk, with no starting point to remember), so a
-// plan is a pure function of the evidence mask and the plan cache below
-// keeps nothing a query could not rebuild in well under a microsecond.
-// The cache stays because the serving benchmark reads its hit and miss
-// counters; removing it is a pending simplification (ROADMAP).
+// plan is a pure function of the evidence mask: an engine holds at most
+// 1 << NumEvidence of them, one slot per mask, each filled on the
+// mask's first use and never stale.
 //
 // Why per-pair distance kernels are NOT elided: the Eq. 2 CCDF
 // weights are built from the distance distributions over *all*
@@ -50,12 +49,6 @@ import (
 // costs the work the plan hoped to save.
 const plannerMargin = 1e-9
 
-// planCacheCapacity bounds the prepared-plan LRU. Plans are small (a
-// cascade and its display string), so the cap is sized for "every
-// distinct live query shape" rather than memory pressure; stale entries
-// from earlier engine fingerprints age out through the same LRU.
-const planCacheCapacity = 256
-
 // evidenceCostRank orders evidence types by evaluation cost, the
 // static cost model behind the cascade: name and format evidence come
 // from short signature comparisons, embedding from bit signatures,
@@ -69,8 +62,8 @@ var evidenceCostRank = [NumEvidence]int{
 	EvidenceDomain:    4,
 }
 
-// preparedPlan is one cache entry, immutable after prepare and shared by
-// every concurrent query with the same key.
+// preparedPlan is one mask's plan, immutable after prepare and shared by
+// every concurrent query with that mask.
 type preparedPlan struct {
 	// cascade lists the enabled evidence types cheapest-first.
 	cascade []Evidence
@@ -117,9 +110,6 @@ type PlanStats struct {
 	// Enabled is true for every ranking query (and false in the zero
 	// PlanStats of an explanation-only answer).
 	Enabled bool
-	// Cached reports whether the plan came from the prepared-plan
-	// cache rather than being built for this query.
-	Cached bool
 	// Order is the evidence cascade the query executed, cheapest-first.
 	Order string
 	// TablesPruned counts candidate tables whose scoring stopped early
@@ -137,6 +127,9 @@ type PlanStats struct {
 // PlannerTotals are the engine-lifetime planner counters, the numbers
 // /v1/statsz exposes. They accumulate atomically across queries.
 type PlannerTotals struct {
+	// PlanCacheMisses counts the queries that built their evidence
+	// mask's plan, one per mask the engine has served; PlanCacheHits
+	// counts every other ranking query.
 	PlanCacheHits       int64
 	PlanCacheMisses     int64
 	TablesPruned        int64
@@ -164,98 +157,30 @@ func (e *Engine) PlannerTotals() PlannerTotals {
 	}
 }
 
-// planKey identifies a reusable plan: what the target looks like, what
-// engine state it was prepared against (the fingerprint moves on every
-// mutation, so stale plans become unreachable and age out of the LRU),
-// and the plan-shaping options. A targetFP collision is benign — the
-// colliding query would get an identical cascade — so the fingerprint
-// trades cryptographic strength for a hashing pass cheap enough to run
-// on every query.
-type planKey struct {
-	targetFP uint64
-	engineFP uint64
-	optionFP uint64
-}
-
-// profilesFingerprint hashes the target's profiled signatures, the
-// exact inputs of the forest probes.
-func profilesFingerprint(tprofiles []Profile) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	mix := func(v uint64) { h = splitmix64(h ^ v) }
-	mix(uint64(len(tprofiles)))
-	for i := range tprofiles {
-		p := &tprofiles[i]
-		for _, v := range p.QSig {
-			mix(uint64(v))
-		}
-		for _, v := range p.TSig {
-			mix(uint64(v))
-		}
-		for _, v := range p.RSig {
-			mix(uint64(v))
-		}
-		var flags uint64
-		if p.Numeric {
-			flags |= 1
-		}
-		if p.EZero {
-			flags |= 2
-		}
-		if p.Subject {
-			flags |= 4
-		}
-		mix(flags)
-		mix(uint64(len(p.NumExtent)))
-		if n := len(p.NumExtent); n > 0 {
-			mix(math.Float64bits(p.NumExtent[0]))
-			mix(math.Float64bits(p.NumExtent[n-1]))
+// preparePlan returns the plan for the view's evidence mask from the
+// engine's slot for that mask, building it on the mask's first use. A
+// miss is counted only by the query whose plan fills the slot, so the
+// lifetime misses are the number of masks this engine has prepared and
+// every other query is a hit.
+func (e *Engine) preparePlan(view *specView) *preparedPlan {
+	var mask int
+	for t, off := range view.disabled {
+		if off {
+			mask |= 1 << t
 		}
 	}
-	return h
-}
-
-// planFingerprint folds the plan-shaping options: the evidence mask
-// (which fixes the cascade and which forests are probed) and the
-// candidate budget (which fixes the probe stop depths). k and the
-// weight vector are deliberately excluded — they parameterise the
-// execute phase, not the plan — so one plan serves the same target at
-// any k and under any weights.
-func (v *specView) planFingerprint() uint64 {
-	var mask uint64
-	for t := 0; t < int(NumEvidence); t++ {
-		if v.disabled[t] {
-			mask |= 1 << uint(t)
-		}
-	}
-	return splitmix64(mask ^ splitmix64(uint64(v.budget)))
-}
-
-// preparePlan returns the prepared plan for this query, from the
-// cache when an equivalent query already prepared one. Callers hold
-// e.mu in read mode, which is what makes e.Fingerprint() stable for
-// the lookup (mutations take the write lock).
-func (e *Engine) preparePlan(tprofiles []Profile, view *specView) (*preparedPlan, bool) {
-	key := planKey{
-		targetFP: profilesFingerprint(tprofiles),
-		engineFP: e.Fingerprint(),
-		optionFP: view.planFingerprint(),
-	}
-	if p := e.planCache.get(key); p != nil {
+	slot := &e.plans[mask]
+	if p := slot.Load(); p != nil {
 		e.planStats.cacheHits.Add(1)
-		return p, true
+		return p
 	}
-	e.planStats.cacheMisses.Add(1)
-	p := newPreparedPlan(view)
-	e.planCache.put(key, p)
-	return p, false
-}
-
-// ResetPlanCache drops every prepared plan (and nothing else: the
-// lifetime counters keep accumulating). Benchmarks use it to measure
-// the cold-plan path; operators never need it — mutation-driven
-// invalidation happens naturally through the engine fingerprint.
-func (e *Engine) ResetPlanCache() {
-	e.planCache.reset()
+	if p := newPreparedPlan(view); slot.CompareAndSwap(nil, p) {
+		e.planStats.cacheMisses.Add(1)
+		return p
+	}
+	// A racing first query filled the slot: use its plan.
+	e.planStats.cacheHits.Add(1)
+	return slot.Load()
 }
 
 // scorer is the Eq. 1–3 arithmetic of one query: the effective weights

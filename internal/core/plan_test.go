@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"d3l/internal/table"
@@ -84,7 +85,6 @@ func TestPlannerPropertyEquivalence(t *testing.T) {
 					t.Fatalf("%s par=%d: answer diverges from the naive reference", label, par)
 				}
 				got := res.Plan
-				got.Cached = false // cache state legitimately varies across reps
 				if counters == nil {
 					counters = &got
 				} else if *counters != got {
@@ -95,135 +95,124 @@ func TestPlannerPropertyEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLifecycle pins the prepared-plan cache's observable
-// behaviour through the engine API: a first query builds its plan, an
-// identical second query reuses it, plan-shaping option changes (mask,
-// budget) key new plans while execute-phase parameters (k, weights) do
-// not, mutations invalidate through the engine fingerprint, and
-// ResetPlanCache empties the cache without touching lifetime totals.
-func TestPlanCacheLifecycle(t *testing.T) {
+// TestPlanSlotPerMask pins the per-mask plan slots through the engine
+// API: two identical queries report equal plans, no query parameter
+// but the evidence mask (not the target, k, weights or budget) and no
+// write builds a plan, and each new mask builds exactly one. After N
+// ranking queries over m distinct masks the totals read m misses and
+// N − m hits.
+func TestPlanSlotPerMask(t *testing.T) {
 	lake := refLake(t, 13)
 	e, err := BuildEngine(lake, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	target := lake.Table(2)
-	// The budget is pinned explicitly: when left to default it derives
-	// from k, which would (correctly) key a different plan per k and
-	// muddy the k-does-not-key-the-plan check below.
 	base := QuerySpec{K: 5, CandidateBudget: 48}
-
-	if res := planSearch(t, e, target, base); res.Plan.Cached {
-		t.Fatal("first query reported a cached plan")
+	queries, masks := 0, 0
+	check := func(label string) {
+		t.Helper()
+		tot := e.PlannerTotals()
+		if tot.PlanCacheMisses != int64(masks) || tot.PlanCacheHits != int64(queries-masks) {
+			t.Fatalf("%s: %d queries over %d masks, totals %+v", label, queries, masks, tot)
+		}
 	}
-	if res := planSearch(t, e, target, base); !res.Plan.Cached {
-		t.Fatal("identical second query did not hit the plan cache")
-	}
-	if n := e.planCache.len(); n != 1 {
-		t.Fatalf("plan cache holds %d entries after two identical queries, want 1", n)
-	}
-
-	// k and weights parameterise execution, not the plan: same entry.
-	if res := planSearch(t, e, target, QuerySpec{K: 25, CandidateBudget: 48, Weights: &Weights{2, 1, 1, 1, 3}}); !res.Plan.Cached {
-		t.Fatal("changing k and weights missed the cache; they must not key the plan")
-	}
-	if n := e.planCache.len(); n != 1 {
-		t.Fatalf("plan cache holds %d entries after a k/weights change, want 1", n)
+	search := func(tg *table.Table, spec QuerySpec) *SearchResult {
+		t.Helper()
+		queries++
+		return planSearch(t, e, tg, spec)
 	}
 
-	// Mask and budget shape the plan: new entries.
-	masked := QuerySpec{K: 5, Disabled: &[NumEvidence]bool{EvidenceValue: true}}
-	if res := planSearch(t, e, target, masked); res.Plan.Cached {
-		t.Fatal("a different evidence mask hit the old plan")
+	first := search(target, base)
+	masks++
+	if second := search(target, base); second.Plan != first.Plan {
+		t.Fatalf("identical queries report different plans: %+v vs %+v", second.Plan, first.Plan)
 	}
-	if res := planSearch(t, e, target, QuerySpec{K: 5, CandidateBudget: 7}); res.Plan.Cached {
-		t.Fatal("a different candidate budget hit the old plan")
-	}
-	// A different target keys its own plan too.
-	if res := planSearch(t, e, lake.Table(9), base); res.Plan.Cached {
-		t.Fatal("a different target hit the old plan")
-	}
-	if n := e.planCache.len(); n != 4 {
-		t.Fatalf("plan cache holds %d entries, want 4", n)
-	}
+	check("identical queries")
 
-	// Mutation moves the engine fingerprint: the old plans are stale and
-	// an identical query must rebuild.
 	src := lake.Table(0)
-	nt, err := table.New("plan_cache_churn", colNames(src), rowsOf(src))
+	nt, err := table.New("plan_slot_churn", colNames(src), rowsOf(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Add(nt); err != nil {
-		t.Fatal(err)
-	}
-	if res := planSearch(t, e, target, base); res.Plan.Cached {
-		t.Fatal("post-mutation query reused a plan prepared against the old engine state")
+	for _, c := range []struct {
+		label string
+		run   func()
+	}{
+		{"another target", func() { search(lake.Table(9), base) }},
+		{"another k", func() { search(target, QuerySpec{K: 25, CandidateBudget: 48}) }},
+		{"other weights", func() { search(target, QuerySpec{K: 5, CandidateBudget: 48, Weights: &Weights{2, 1, 1, 1, 3}}) }},
+		{"another budget", func() { search(target, QuerySpec{K: 5, CandidateBudget: 7}) }},
+		{"an Add between queries", func() {
+			if _, err := e.Add(nt); err != nil {
+				t.Fatal(err)
+			}
+			search(target, base)
+		}},
+	} {
+		c.run()
+		check(c.label)
 	}
 
-	tot := e.PlannerTotals()
-	if tot.PlanCacheHits < 2 || tot.PlanCacheMisses < 5 {
-		t.Fatalf("lifetime totals did not accumulate: %+v", tot)
-	}
-
-	e.ResetPlanCache()
-	if n := e.planCache.len(); n != 0 {
-		t.Fatalf("ResetPlanCache left %d entries", n)
-	}
-	if res := planSearch(t, e, target, base); res.Plan.Cached {
-		t.Fatal("query after ResetPlanCache reported a cached plan")
-	}
-	if after := e.PlannerTotals(); after.PlanCacheHits != tot.PlanCacheHits {
-		t.Fatalf("ResetPlanCache changed lifetime hit totals: %+v vs %+v", after, tot)
+	valueOff := [NumEvidence]bool{EvidenceValue: true}
+	for _, c := range []struct {
+		label    string
+		disabled [NumEvidence]bool
+		newMask  bool
+	}{
+		{"value off", valueOff, true},
+		{"name and domain off", [NumEvidence]bool{EvidenceName: true, EvidenceDomain: true}, true},
+		{"value off again", valueOff, false},
+		{"every mask seen", [NumEvidence]bool{}, false},
+	} {
+		res := search(target, QuerySpec{K: 5, Disabled: &c.disabled})
+		if c.newMask {
+			masks++
+		}
+		if want := newPreparedPlan(&specView{disabled: c.disabled}).order; res.Plan.Order != want {
+			t.Fatalf("%s: cascade %q, want %q", c.label, res.Plan.Order, want)
+		}
+		check(c.label)
 	}
 }
 
-// TestPlanCacheLRU unit-tests the bounded LRU directly: eviction order
-// under capacity pressure, get-promotion, and same-key put keeping the
-// incumbent plan (concurrent misses converge on one entry).
-func TestPlanCacheLRU(t *testing.T) {
-	var c planCache
-	key := func(i int) planKey { return planKey{targetFP: uint64(i), engineFP: 1, optionFP: 1} }
-	plans := make([]*preparedPlan, planCacheCapacity+8)
-	for i := range plans {
-		plans[i] = &preparedPlan{order: fmt.Sprintf("p%d", i)}
-		c.put(key(i), plans[i])
+// TestPlanSlotFirstUseRace has several queries make the first use of
+// one mask at once: every one must run the same cascade, exactly one
+// builds the slot's plan, and every query counts once, as a hit or the
+// miss. Run it under -race.
+func TestPlanSlotFirstUseRace(t *testing.T) {
+	lake := refLake(t, 13)
+	e, err := BuildEngine(lake, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := c.len(); n != planCacheCapacity {
-		t.Fatalf("cache holds %d entries, capacity is %d", n, planCacheCapacity)
+	const n = 8
+	spec := QuerySpec{K: 3, Disabled: &[NumEvidence]bool{EvidenceEmbedding: true}}
+	orders := make([]string, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			res, err := e.SearchSpec(context.Background(), lake.Table(g%lake.Len()), spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			orders[g] = res.Plan.Order
+		}(g)
 	}
-	// The 8 oldest keys were evicted, the rest survive.
-	for i := 0; i < 8; i++ {
-		if c.get(key(i)) != nil {
-			t.Fatalf("key %d should have been evicted", i)
+	close(start)
+	wg.Wait()
+	for g := range orders {
+		if orders[g] != orders[0] {
+			t.Fatalf("query %d ran cascade %q, query 0 ran %q", g, orders[g], orders[0])
 		}
 	}
-	for i := 8; i < len(plans); i++ {
-		if c.get(key(i)) != plans[i] {
-			t.Fatalf("key %d lost its plan", i)
-		}
-	}
-	// get promotes: after touching key 8 (the current tail), inserting
-	// one more key evicts key 9 instead.
-	if c.get(key(8)) == nil {
-		t.Fatal("key 8 missing before promotion check")
-	}
-	c.put(planKey{targetFP: 9999, engineFP: 1, optionFP: 1}, &preparedPlan{})
-	if c.get(key(8)) == nil {
-		t.Fatal("promoted key 8 was evicted; LRU order ignored the get")
-	}
-	if c.get(key(9)) != nil {
-		t.Fatal("key 9 survived eviction despite being least recently used")
-	}
-	// Same-key put keeps the incumbent.
-	incumbent := c.get(key(20))
-	c.put(key(20), &preparedPlan{order: "usurper"})
-	if got := c.get(key(20)); got != incumbent {
-		t.Fatal("same-key put replaced the incumbent plan")
-	}
-	c.reset()
-	if c.len() != 0 || c.get(key(20)) != nil {
-		t.Fatal("reset did not empty the cache")
+	if tot := e.PlannerTotals(); tot.PlanCacheMisses != 1 || tot.PlanCacheHits+tot.PlanCacheMisses != n {
+		t.Fatalf("%d racing first queries of one mask: totals %+v", n, tot)
 	}
 }
 
@@ -251,11 +240,8 @@ func TestPlannerPrunesAndStaysExact(t *testing.T) {
 	for _, par := range []int{1, 2, 7} {
 		rep := spec
 		rep.Parallelism = par
-		res := planSearch(t, e, target, rep)
-		got, want := res.Plan, first.Plan
-		got.Cached, want.Cached = false, false
-		if got != want {
-			t.Fatalf("par=%d: prune counters not deterministic: %+v vs %+v", par, got, want)
+		if res := planSearch(t, e, target, rep); res.Plan != first.Plan {
+			t.Fatalf("par=%d: prune counters not deterministic: %+v vs %+v", par, res.Plan, first.Plan)
 		}
 	}
 	ref, err := naiveSearchSpec(e, target, spec)

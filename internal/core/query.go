@@ -125,8 +125,8 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	// installed the timer is inert and the pipeline reads no clocks.
 	st := e.newStageTimer()
 
-	// Prepare — or fetch from the plan cache — the evidence cascade.
-	plan, planCached := e.preparePlan(tprofiles, &view)
+	// Prepare the evidence cascade: the mask's plan, built on first use.
+	plan := e.preparePlan(&view)
 	st.lap(StagePlanPrepare)
 
 	// Gather: per target attribute, collect candidates from the four
@@ -166,7 +166,7 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 		return nil, err
 	}
 	scored, top := qs.scored, qs.top
-	planStats.Order, planStats.Cached = plan.order, planCached
+	planStats.Order = plan.order
 	planStats.PairsPruned = len(pairs)
 	for i := range scored {
 		run := runs[scored[i].src]

@@ -86,11 +86,11 @@ func TestSigTableAfterBuildDecodeAndShardBuild(t *testing.T) {
 	if ln, lv, lf := loaded.DistinctSignatures(); ln != n || lv != v || lf != f || n == 0 || v == 0 || f == 0 {
 		t.Fatalf("distinct signatures N/V/F: built %d/%d/%d, decoded %d/%d/%d", n, v, f, ln, lv, lf)
 	}
-	v1, err := loadEngineFile(v1FixturePath)
+	v2, err := loadEngineFile(v2FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSigTable(t, v1, "DecodeEngine of a version 1 snapshot")
+	checkSigTable(t, v2, "DecodeEngine of a version 2 snapshot")
 	shards, _ := buildShards(t, lake, 3)
 	for i, s := range shards {
 		checkSigTable(t, s, fmt.Sprintf("shard %d of 3", i))

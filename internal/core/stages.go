@@ -6,8 +6,8 @@ import "time"
 // The stages partition rankProfiled end to end (the serving layer adds
 // its own stages — admission wait, cache lookup — in front of them):
 //
-//   - StagePlanPrepare: building or fetching the prepared evidence
-//     cascade.
+//   - StagePlanPrepare: loading the evidence mask's prepared cascade
+//     from its slot (building it on the mask's first query).
 //   - StageGather: candidate generation — the four LSH forest probes,
 //     cross-forest dedup and pair-distance computation. A shard's
 //     gather phase (ShardGatherProfiled) runs the same gather and

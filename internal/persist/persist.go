@@ -38,9 +38,11 @@
 //	   in SecAttrs carries three uint32 positions into that table (0 for
 //	   a nil signature) where version 2 carried the signatures.
 //
-// This build reads versions 1 and 2 as well: every snapshot built before
-// version 3 is one of them, and both share one per-profile decode path
-// that differs only in a signature slot's width.
+// This build reads version 2 as well, through the per-profile decode path
+// version 3 replaced: every snapshot built before version 3 with 32-bit
+// slots is one. It refuses version 1 with ErrVersion naming the version:
+// reading it would keep a second slot width in that path for the one
+// format two changes old. Rebuild a version 1 snapshot from its lake.
 package persist
 
 import (
@@ -62,7 +64,7 @@ var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 // the oldest it still reads.
 const (
 	Version    uint32 = 3
-	MinVersion uint32 = 1
+	MinVersion uint32 = 2
 )
 
 // Section ids. Ids are stable across versions: a section keeps its id

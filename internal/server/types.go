@@ -360,8 +360,9 @@ type HealthResponse struct {
 }
 
 // StatsResponse is the /v1/statsz body: serving counters since start,
-// plus the engine-lifetime query-planner counters (plan cache
-// hits/misses and the pruning work the evidence cascade elided).
+// plus the engine-lifetime query-planner counters (plan hits/misses —
+// a miss is an evidence mask's first query — and the pruning work the
+// evidence cascade elided).
 type StatsResponse struct {
 	EngineFingerprint string `json:"engineFingerprint"`
 	Tables            int    `json:"tables"`

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"d3l"
 )
@@ -25,13 +26,16 @@ const placementAlgo = "ring-fnv1a"
 
 // Manifest describes a sharded snapshot directory: which snapshot file
 // holds which shard, and the placement parameters every participant
-// must rebuild the identical ring from.
+// must rebuild the identical ring from. Every participant builds its
+// ring from the shard count alone (NewPlacement), so a manifest naming
+// another ring is refused rather than loaded onto shards its owner
+// lookups would not match.
 type Manifest struct {
 	Version   int           `json:"version"`
 	Shards    int           `json:"shards"`
 	Placement PlacementSpec `json:"placement"`
 	// Snapshots holds the per-shard snapshot filenames, indexed by
-	// shard ordinal, relative to the manifest's directory.
+	// shard ordinal: distinct plain names in the manifest's directory.
 	Snapshots []string `json:"snapshots"`
 }
 
@@ -54,7 +58,7 @@ func WriteSet(s *Set, dir string) error {
 		Shards:  s.NumShards(),
 		Placement: PlacementSpec{
 			Algo:   placementAlgo,
-			Vnodes: s.Placement().Vnodes(),
+			Vnodes: DefaultVnodes,
 		},
 		Snapshots: make([]string, s.NumShards()),
 	}
@@ -92,8 +96,21 @@ func ReadManifest(path string) (*Manifest, error) {
 	if m.Placement.Algo != placementAlgo {
 		return nil, fmt.Errorf("shard: manifest %s uses placement %q, this build implements %q", path, m.Placement.Algo, placementAlgo)
 	}
+	if m.Placement.Vnodes != DefaultVnodes {
+		return nil, fmt.Errorf("shard: manifest %s has %d vnodes per shard, this build places tables with %d", path, m.Placement.Vnodes, DefaultVnodes)
+	}
 	if m.Shards <= 0 || len(m.Snapshots) != m.Shards {
 		return nil, fmt.Errorf("shard: manifest %s lists %d snapshots for %d shards", path, len(m.Snapshots), m.Shards)
+	}
+	seen := make(map[string]bool, len(m.Snapshots))
+	for i, name := range m.Snapshots {
+		if !filepath.IsLocal(name) || strings.ContainsAny(name, `/\`) || name == "." {
+			return nil, fmt.Errorf("shard: manifest %s names snapshot %d %q, which is not a plain file name in its directory", path, i, name)
+		}
+		if seen[name] {
+			return nil, fmt.Errorf("shard: manifest %s names snapshot %q twice", path, name)
+		}
+		seen[name] = true
 	}
 	return &m, nil
 }
@@ -108,7 +125,7 @@ func LoadSet(manifestPath string, workers int) (*Set, error) {
 		return nil, err
 	}
 	dir := filepath.Dir(manifestPath)
-	place, err := NewPlacement(m.Shards, m.Placement.Vnodes)
+	place, err := NewPlacement(m.Shards)
 	if err != nil {
 		return nil, err
 	}

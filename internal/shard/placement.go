@@ -8,7 +8,7 @@
 //     so most placements survive a shard-count change (only ~1/N of
 //     the tables move when a shard is added) and every participant —
 //     builder, in-process set, HTTP coordinator — derives the same
-//     owner from the same (shards, vnodes) pair without coordination.
+//     owner from the same shard count without coordination.
 //   - Set: N in-process *d3l.Engine shards behind the server.Engine
 //     surface, running the two-phase exact protocol from
 //     internal/core/shardsearch.go (probe depth-counts → merge global
@@ -48,7 +48,6 @@ const DefaultVnodes = 64
 // concurrent use.
 type Placement struct {
 	shards int
-	vnodes int
 	points []ringPoint // sorted by hash
 }
 
@@ -57,23 +56,19 @@ type ringPoint struct {
 	shard int
 }
 
-// NewPlacement builds the ring for n shards with v virtual nodes per
-// shard (v <= 0 selects DefaultVnodes). Two placements built with the
-// same (n, v) are identical, on any host.
-func NewPlacement(n, v int) (*Placement, error) {
+// NewPlacement builds the ring for n shards with DefaultVnodes virtual
+// nodes per shard. Two placements built for the same n are identical,
+// on any host.
+func NewPlacement(n int) (*Placement, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("shard: placement needs at least 1 shard, got %d", n)
 	}
-	if v <= 0 {
-		v = DefaultVnodes
-	}
 	p := &Placement{
 		shards: n,
-		vnodes: v,
-		points: make([]ringPoint, 0, n*v),
+		points: make([]ringPoint, 0, n*DefaultVnodes),
 	}
 	for s := 0; s < n; s++ {
-		for k := 0; k < v; k++ {
+		for k := 0; k < DefaultVnodes; k++ {
 			h := fnv64a(fmt.Sprintf("shard-%d-vnode-%d", s, k))
 			p.points = append(p.points, ringPoint{hash: h, shard: s})
 		}
@@ -92,9 +87,6 @@ func NewPlacement(n, v int) (*Placement, error) {
 
 // Shards reports the shard count the ring was built for.
 func (p *Placement) Shards() int { return p.shards }
-
-// Vnodes reports the per-shard virtual node count.
-func (p *Placement) Vnodes() int { return p.vnodes }
 
 // Owner maps a table name to the shard owning it: the first ring point
 // clockwise of the name's hash, wrapping at the top.

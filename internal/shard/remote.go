@@ -158,7 +158,7 @@ func NewRemote(urls []string, cfg RemoteConfig) (*Remote, error) {
 	if len(urls) == 0 {
 		return nil, fmt.Errorf("shard: coordinator needs at least 1 shard URL")
 	}
-	place, err := NewPlacement(len(urls), 0)
+	place, err := NewPlacement(len(urls))
 	if err != nil {
 		return nil, err
 	}

@@ -55,7 +55,7 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 		return nil, fmt.Errorf("%w: shard: the lake ends in a slot with no columns (id %d), as a removed table's is, which no shard would hold",
 			d3l.ErrUnsupported, k-1)
 	}
-	place, err := NewPlacement(n, 0)
+	place, err := NewPlacement(n)
 	if err != nil {
 		return nil, err
 	}

@@ -140,12 +140,12 @@ func TestManifestRoundTrip(t *testing.T) {
 // bounded movement under a shard-count change (the consistent-hashing
 // point — most placements survive adding a shard).
 func TestPlacementProperties(t *testing.T) {
-	p5a, err := NewPlacement(5, 0)
+	p5a, err := NewPlacement(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p5b, _ := NewPlacement(5, 0)
-	p6, _ := NewPlacement(6, 0)
+	p5b, _ := NewPlacement(5)
+	p6, _ := NewPlacement(6)
 
 	names := make([]string, 0, 2000)
 	for i := 0; i < 2000; i++ {

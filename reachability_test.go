@@ -24,7 +24,6 @@ var reachAllowlist = map[string]string{
 	"internal/minhash.MustHasher":     "the lsh tests build their hashers with it",
 	"internal/persist.Encoder.Cap":    "save_internal_test.go checks a snapshot is encoded into one buffer sized up front",
 	"internal/table.Table.SelectRows": "bench_test.go cuts its query targets out of lake tables",
-	"internal/core.planCache.len":     "the plan cache goes in a deletion of its own, after the benchmark stops reading it",
 }
 
 // TestEveryDeclarationIsReachable fails on every package-level

@@ -65,6 +65,27 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if entries < n || entries >= 3*engine.NumAttributes() {
 		t.Fatalf("%d signature table entries for %d distinct names and %d attributes", entries, n, engine.NumAttributes())
 	}
+	// The forest line is the loaded engine's tree 0 per forest: I_N and
+	// I_F hold every attribute, and a tree holds at most one key per
+	// distinct signature, so the figure 1 lake's repeated formats show.
+	var ent, keys [4]int
+	if i := strings.Index(out.String(), "forests:"); i < 0 {
+		t.Fatalf("no forests line in:\n%s", out.String())
+	} else if _, err := fmt.Sscanf(out.String()[i:], "forests: N %d/%d  V %d/%d  F %d/%d  E %d/%d (entries/keys)",
+		&ent[0], &keys[0], &ent[1], &keys[1], &ent[2], &keys[2], &ent[3], &keys[3]); err != nil {
+		t.Fatalf("forests line: %v\n%s", err, out.String())
+	}
+	if wantEnt, wantKeys := engine.ForestShapes(); ent != wantEnt || keys != wantKeys {
+		t.Fatalf("forests line %v/%v, the built engine's %v/%v", ent, keys, wantEnt, wantKeys)
+	}
+	if ent[0] != engine.NumAttributes() || ent[2] != engine.NumAttributes() || keys[0] == 0 || keys[0] > n || keys[2] == 0 || keys[2] > f {
+		t.Fatalf("forests N %d/%d, F %d/%d for %d attributes over %d names and %d formats", ent[0], keys[0], ent[2], keys[2], engine.NumAttributes(), n, f)
+	}
+	for i := range ent {
+		if keys[i] > ent[i] {
+			t.Fatalf("forest %d: %d keys over %d entries", i, keys[i], ent[i])
+		}
+	}
 	const headerAndTrailer, perSection = 8 + 4 + 4, 4 + 8
 	total, sections := int64(headerAndTrailer), 0
 	for _, line := range strings.Split(out.String(), "\n") {

@@ -375,6 +375,7 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 
 // indexInfo reports a snapshot's format, contents, how many distinct
 // MinHash signatures its attributes hold and its signature table stores,
+// how many entries and distinct keys each forest's first tree holds,
 // footprint (the index bytes are the numerator of the paper's Table II),
 // load time and section sizes.
 func indexInfo(w io.Writer, path string) error {
@@ -408,6 +409,9 @@ func indexInfo(w io.Writer, path string) error {
 	if r, ok := dec.Section(persist.SecSigs); ok {
 		fmt.Fprintf(w, "signatures:    %d table entries\n", r.U32())
 	}
+	entries, keys := engine.ForestShapes()
+	fmt.Fprintf(w, "forests:       N %d/%d  V %d/%d  F %d/%d  E %d/%d (entries/keys)\n",
+		entries[0], keys[0], entries[1], keys[1], entries[2], keys[2], entries[3], keys[3])
 	fmt.Fprintf(w, "index bytes:   %d\n", engine.IndexSpaceBytes())
 	fmt.Fprintf(w, "join edges:    %d\n", engine.JoinGraphEdges())
 	fmt.Fprintf(w, "load time:     %v\n", loaded.Round(time.Microsecond))

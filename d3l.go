@@ -497,8 +497,17 @@ func (e *Engine) DistinctSignatures() (names, values, formats int) {
 	return e.core.DistinctSignatures()
 }
 
-// IndexSpaceBytes reports the total index footprint (Table II).
+// IndexSpaceBytes reports the index size Table II counts: the four
+// forests' one-array encoded size plus the profile store. It is not the
+// memory the engine holds.
 func (e *Engine) IndexSpaceBytes() int64 { return e.core.IndexSpaceBytes() }
+
+// ForestShapes reports, for I_N, I_V, I_F and I_E in that order, tree
+// 0's entries and the distinct keys they sit under: how much each
+// forest's keys repeat, which is what a forest's memory follows.
+func (e *Engine) ForestShapes() (entries, keys [core.NumForestSlots]int) {
+	return e.core.ForestShapes()
+}
 
 // JoinGraphEdges reports the SA-join graph size, building the graph if
 // needed.

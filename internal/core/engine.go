@@ -293,12 +293,24 @@ func (e *Engine) ProfileTables(tables []*table.Table) [][]Profile {
 	return e.prof.profileTables(tables, e.classifier, e.queryParallelism())
 }
 
-// IndexSpaceBytes reports the total size of the four forests plus the
-// profile store — the numerator of the Table II space overhead.
+// IndexSpaceBytes reports the encoded size of the four forests
+// (lsh.Forest.SpaceBytes) plus the profile store — the numerator of the
+// Table II space overhead, not the memory the engine holds.
 func (e *Engine) IndexSpaceBytes() int64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.indexSpaceBytes()
+}
+
+// ForestShapes reports, per forest in slot order, tree 0's live entries
+// and the distinct keys they sit under (lsh.Forest.Shape).
+func (e *Engine) ForestShapes() (entries, keys [numForestSlots]int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	for i, f := range e.forests {
+		entries[i], keys[i] = f.Shape()
+	}
+	return entries, keys
 }
 
 // indexSpaceBytes is IndexSpaceBytes for callers holding e.mu.

@@ -226,6 +226,11 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 			return nil, fmt.Errorf("%w: forest %d layout %dx%d, options demand %dx%d",
 				persist.ErrCorrupt, i, f.NumTrees(), f.HashesPerTree(), want.NumTrees(), want.HashesPerTree())
 		}
+		// An engine only writes indexed forests; an un-indexed one would
+		// load and then fail every query.
+		if !f.Indexed() {
+			return nil, fmt.Errorf("%w: forest I_%v is not indexed", persist.ErrCorrupt, slotEvidence[i])
+		}
 		e.forests[i] = f
 	}
 	e.fpBase = e.fingerprintBase()

@@ -1019,11 +1019,37 @@ func TestLoadRejectsHostileSignatureTables(t *testing.T) {
 	}
 }
 
+// unindexedForestSnapshot is a checksum-valid snapshot of v1FixtureEngine
+// whose I_N forest is flagged un-indexed: the flag follows the forest's
+// two layout words and its count.
+func unindexedForestSnapshot(t testing.TB) []byte {
+	t.Helper()
+	return replaceSection(t, snapshotBytes(t, v1FixtureEngine(t)), persist.SecForests, func(p []byte) []byte {
+		const indexedOff = 4 + 4 + 8
+		if p[indexedOff] != 1 {
+			t.Fatalf("offset %d of the forests section holds %d, not I_N's indexed flag", indexedOff, p[indexedOff])
+		}
+		p[indexedOff] = 0
+		return p
+	})
+}
+
+// TestLoadRejectsUnindexedForest: a forest that was never indexed loads
+// as a forest, but every query on it would fail, and an engine never
+// writes one, so the load refuses it as corrupt and names it.
+func TestLoadRejectsUnindexedForest(t *testing.T) {
+	_, err := LoadEngine(bytes.NewReader(unindexedForestSnapshot(t)))
+	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "forest I_N is not indexed") {
+		t.Fatalf("un-indexed I_N: err = %v, want ErrCorrupt naming the forest", err)
+	}
+}
+
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
 // snapshot of each version (version 1's exercises the refusal by
-// version) and the hostile version 3 inputs of hostileV3Snapshots: the
-// outcome is an error or an engine that answers a query, never a panic,
-// and never allocations out of proportion to the input. The CRC trailer
+// version), the hostile version 3 inputs of hostileV3Snapshots and the
+// un-indexed forest of unindexedForestSnapshot: the outcome is an error
+// or an engine that answers a query, never a panic, and never
+// allocations out of proportion to the input. The CRC trailer
 // stops nearly every mutation at the door, so each input is also tried
 // resealed, which puts the section decoders behind it in reach.
 func FuzzLoadEngine(f *testing.F) {
@@ -1038,6 +1064,7 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, h := range hostileV3Snapshots(f) {
 		f.Add(h.data)
 	}
+	f.Add(unindexedForestSnapshot(f))
 	target := figure1Target(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}

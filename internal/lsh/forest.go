@@ -17,8 +17,12 @@ import (
 // The implementation follows the sorted-key variant: each tree keeps its
 // keys (one byte per hash value, hashesPerTree bytes per key) in flat
 // sorted arrays, and prefix descent is binary search on progressively
-// shorter prefixes. This is the same layout the reference datasketch
-// implementation uses and costs O(l) words per indexed item.
+// shorter prefixes, as in the reference datasketch implementation. A
+// tree stores each distinct key once, with the ids of its entries as
+// one contiguous run (see run), so a tree costs hashesPerTree bytes and
+// an offset per distinct key plus one id per indexed item: lakes repeat
+// their column names and formats, and most of a name or format tree's
+// entries share a key with another.
 //
 // Once indexed, a tree is two sorted runs, the LSM-tree split (O'Neil et
 // al., Acta Informatica 1996): an immutable base — what Index sorted, a
@@ -45,16 +49,119 @@ type Forest struct {
 	scratch sync.Pool
 }
 
-// run is one array of tree entries: entry i covers keys[i*h:(i+1)*h]
-// and ids[i].
+// run is one sorted array of tree entries stored over its distinct
+// keys: key i, keys[i*h:(i+1)*h], owns ids[off[i]:off[i+1]], the ids of
+// its entries in the order the one array held them. So ids is exactly
+// that array's id column, and any key range [lo, hi) owns the one id
+// slice span(lo, hi). Keys strictly increase and every key owns at
+// least one id; off is one longer than the key count, or empty in a run
+// that never held a key.
 type run struct {
+	keys []byte
+	ids  []int32
+	off  []int32
+}
+
+// numKeys is the run's distinct key count.
+func (r *run) numKeys() int { return max(len(r.off)-1, 0) }
+
+// key is the i-th distinct key of a run of h-byte keys.
+func (r *run) key(i, h int) []byte { return r.keys[i*h : i*h+h] }
+
+// span is the ids the keys [lo, hi) own.
+func (r *run) span(lo, hi int) []int32 {
+	if lo >= hi {
+		return nil
+	}
+	return r.ids[r.off[lo]:r.off[hi]]
+}
+
+// seal closes the ids appended since the last seal under key: they join
+// the last key's run when key equals it and start a new key otherwise,
+// and no ids add no key. Keys must be sealed in non-decreasing order.
+func (r *run) seal(key []byte) {
+	if len(r.off) == 0 {
+		r.off = append(r.off, 0)
+	}
+	end := int32(len(r.ids))
+	switch n := len(r.keys); {
+	case end == r.off[len(r.off)-1]:
+	case n > 0 && bytes.Equal(r.keys[n-len(key):], key):
+		r.off[len(r.off)-1] = end
+	default:
+		r.keys = append(r.keys, key...)
+		r.off = append(r.off, end)
+	}
+}
+
+// countKeys counts the keys of flat, a stretch of a one-array tree's
+// keys (h bytes per entry), that differ from the key before them — last
+// for the first, none when last is empty — and reports whether each
+// sorts at or above the one before it.
+func countKeys(last, flat []byte, h int) (distinct int, sorted bool) {
+	sorted = true
+	for i := 0; i < len(flat); i += h {
+		k := flat[i : i+h]
+		c := -1
+		if len(last) > 0 {
+			c = bytes.Compare(last, k)
+		}
+		if c != 0 {
+			distinct++
+		}
+		sorted = sorted && c <= 0
+		last = k
+	}
+	return distinct, sorted
+}
+
+// packKeys appends to keys and off the distinct keys of flat, a sorted
+// stretch of a one-array tree's keys whose first entry is entry first of
+// the tree, and their offsets: a key equal to the last one in keys joins
+// its run. Calls over consecutive stretches pack a whole tree.
+func packKeys(keys []byte, off []int32, flat []byte, first, h int) ([]byte, []int32) {
+	for i := 0; i < len(flat); i += h {
+		k := flat[i : i+h]
+		if n := len(keys); n == 0 || !bytes.Equal(keys[n-h:], k) {
+			keys = append(keys, k...)
+			off = append(off, int32(first+i/h))
+		}
+	}
+	return keys, off
+}
+
+// pack is the run of a sorted one-array tree, flat holding one h-byte
+// key per id: each distinct key once, the ids as they are, every array
+// allocated at its exact size.
+func pack(flat []byte, ids []int32, h int) run {
+	distinct, _ := countKeys(nil, flat, h)
+	keys, off := packKeys(make([]byte, 0, distinct*h), make([]int32, 0, distinct+1), flat, 0, h)
+	return run{keys: keys, ids: ids, off: append(off, int32(len(ids)))}
+}
+
+// expand appends to dst the run's keys as the one array holds them, one
+// per id.
+func (r *run) expand(dst []byte, h int) []byte {
+	for i := range r.numKeys() {
+		for range r.span(i, i+1) {
+			dst = append(dst, r.key(i, h)...)
+		}
+	}
+	return dst
+}
+
+// flat is a tree as one array, an h-byte key per id: the entries Add
+// stages until Index sorts and packs them, and the form a snapshot
+// stores.
+type flat struct {
 	keys []byte
 	ids  []int32
 }
 
 type forestTree struct {
-	base  run // Add appends here; sorted by entry from Index on
-	delta run // sorted; the Inserts since the last fold
+	staged flat // Add appends here until Index
+	base   run  // sorted from Index on
+	delta  run  // sorted; the Inserts since the last fold
 }
 
 // foldMin is the fold threshold of a small forest: up to this many delta
@@ -136,22 +243,21 @@ func (f *Forest) Add(id int32, sig []uint32) error {
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
 	for t := 0; t < f.numTrees; t++ {
-		b := &f.trees[t].base
+		s := &f.trees[t].staged
 		f.keyInto(key, t, sig)
-		b.keys = append(b.keys, key...)
-		b.ids = append(b.ids, id)
+		s.keys = append(s.keys, key...)
+		s.ids = append(s.ids, id)
 	}
 	f.count++
 	return nil
 }
 
 // Insert adds an item to the forest at any point of its lifecycle.
-// Before Index it is equivalent to Add; after Index it splices the entry
-// into each tree's delta at the head of its run of equal keys, so the
-// forest stays queryable — this is what makes incremental engine
-// maintenance possible. An id whose base entries are dead enters the
-// delta like any other: its dead base entries stay dead until the fold
-// drops them.
+// Before Index it is equivalent to Add; after Index it puts the id into
+// each tree's delta at the head of its key's run, so the forest stays
+// queryable — this is what makes incremental engine maintenance
+// possible. An id whose base entries are dead enters the delta like any
+// other: its dead base entries stay dead until the fold drops them.
 func (f *Forest) Insert(id int32, sig []uint32) error {
 	if !f.indexed {
 		return f.Add(id, sig)
@@ -170,32 +276,53 @@ func (f *Forest) Insert(id int32, sig []uint32) error {
 	return nil
 }
 
-// insert splices one entry into the sorted run at the head of its run of
-// equal keys.
+// insert puts id at the head of key's run, splicing key in first when
+// the run does not hold it: where splicing the entry into the one array
+// ahead of its equal keys puts it.
 func (r *run) insert(key []byte, id int32) {
-	h, n := len(key), len(r.ids)
-	pos := sort.Search(n, func(i int) bool {
-		return bytes.Compare(r.keys[i*h:i*h+h], key) >= 0
-	})
-	// Appending the key itself (rather than a fresh zero slice) extends
-	// the array by exactly h bytes without a temporary; the memmove below
-	// then shifts the tail into place, and for pos == n the appended bytes
-	// already are the entry.
-	r.keys = append(r.keys, key...)
-	copy(r.keys[(pos+1)*h:], r.keys[pos*h:n*h])
-	copy(r.keys[pos*h:], key)
-	r.ids = append(r.ids, 0)
-	copy(r.ids[pos+1:], r.ids[pos:n])
-	r.ids[pos] = id
+	h, n := len(key), r.numKeys()
+	i := sort.Search(n, func(i int) bool { return bytes.Compare(r.key(i, h), key) >= 0 })
+	if len(r.off) == 0 {
+		r.off = append(r.off, 0)
+	}
+	pos := r.off[i]
+	if i == n || !bytes.Equal(r.key(i, h), key) {
+		r.keys = slices.Insert(r.keys, i*h, key...)
+		r.off = slices.Insert(r.off, i, pos)
+	}
+	r.ids = slices.Insert(r.ids, int(pos), id)
+	for j := i + 1; j < len(r.off); j++ {
+		r.off[j]++
+	}
+}
+
+// remove takes id out of the run of key i, and the key with it once its
+// run is empty. It reports whether the run held id.
+func (r *run) remove(i int, id int32, h int) bool {
+	lo := r.off[i]
+	k := slices.Index(r.ids[lo:r.off[i+1]], id)
+	if k < 0 {
+		return false
+	}
+	r.ids = slices.Delete(r.ids, int(lo)+k, int(lo)+k+1)
+	for j := i + 1; j < len(r.off); j++ {
+		r.off[j]--
+	}
+	if r.off[i] == r.off[i+1] {
+		r.keys = slices.Delete(r.keys, i*h, i*h+h)
+		r.off = slices.Delete(r.off, i+1, i+2)
+	}
+	return true
 }
 
 // Delete removes the entry with the given id from an indexed forest,
 // locating it by its signature (the same one it was inserted with).
 // It reports whether the item was found. Deleting from an un-indexed
 // forest is an error: the build phase has no removal semantics, and
-// neither does a negative id. A delta entry leaves the delta; a base
-// entry stays where it is, its id marked dead, once one lookup has
-// confirmed that the base holds it.
+// neither does a negative id. A delta entry leaves its key's run, and
+// the key leaves the delta with its last id; a base entry stays where
+// it is, its id marked dead, once one lookup has confirmed that the
+// base holds it.
 func (f *Forest) Delete(id int32, sig []uint32) (bool, error) {
 	if err := f.ready("Delete", sig); err != nil {
 		return false, err
@@ -210,11 +337,8 @@ func (f *Forest) Delete(id int32, sig []uint32) (bool, error) {
 	for t := 0; t < f.numTrees; t++ {
 		d := &f.trees[t].delta
 		f.keyInto(key, t, sig)
-		lo, hi := f.prefixRange(d, key, h)
-		if i := slices.Index(d.ids[lo:hi], id); i >= 0 {
-			i += lo
-			d.keys = slices.Delete(d.keys, i*h, i*h+h)
-			d.ids = slices.Delete(d.ids, i, i+1)
+		// A full-length prefix range holds at most the one key.
+		if lo, hi := f.prefixRange(d, key, h); lo < hi && d.remove(lo, id, h) {
 			found = true
 		}
 	}
@@ -222,7 +346,7 @@ func (f *Forest) Delete(id int32, sig []uint32) (bool, error) {
 		b := &f.trees[0].base
 		f.keyInto(key, 0, sig)
 		lo, hi := f.prefixRange(b, key, h)
-		if found = slices.Contains(b.ids[lo:hi], id); found {
+		if found = slices.Contains(b.span(lo, hi), id); found {
 			f.dead.add(id)
 		}
 	}
@@ -253,77 +377,85 @@ func (f *Forest) fold() {
 }
 
 // merged returns tree's live entries as one sorted run: the base less its
-// dead ids, with the delta merged in ahead of equal base keys. That is
-// the array splicing every Insert into one sorted run per tree, at the
-// head of its run of equal keys, would have left. It only reads f.
+// dead ids, with each delta key's run merged in ahead of its equal base
+// key's. That is the array splicing every Insert into one sorted run per
+// tree, at the head of its run of equal keys, would have left. A tree
+// with no delta and no dead ids is its base, returned as it is. It only
+// reads f.
 func (f *Forest) merged(tree *forestTree) run {
 	h := f.hashesPerTree
 	b, d := &tree.base, &tree.delta
-	out := run{keys: make([]byte, 0, f.count*h), ids: make([]int32, 0, f.count)}
+	if d.numKeys() == 0 && f.dead.n == 0 {
+		return *b
+	}
+	out := run{
+		keys: make([]byte, 0, len(b.keys)+len(d.keys)),
+		ids:  make([]int32, 0, f.count),
+		off:  make([]int32, 0, b.numKeys()+d.numKeys()+1),
+	}
 	i := 0
-	for j := range d.ids {
-		dk := d.keys[j*h : j*h+h]
-		next := i + sort.Search(len(b.ids)-i, func(k int) bool {
-			return bytes.Compare(b.keys[(i+k)*h:(i+k)*h+h], dk) >= 0
-		})
-		out = f.appendLive(out, b, i, next)
-		out.keys = append(out.keys, dk...)
-		out.ids = append(out.ids, d.ids[j])
+	for j := range d.numKeys() {
+		dk := d.key(j, h)
+		next := i + sort.Search(b.numKeys()-i, func(k int) bool { return bytes.Compare(b.key(i+k, h), dk) >= 0 })
+		f.appendLive(&out, b, i, next)
+		out.ids = append(out.ids, d.span(j, j+1)...)
+		out.seal(dk)
 		i = next
 	}
-	return f.appendLive(out, b, i, len(b.ids))
+	f.appendLive(&out, b, i, b.numKeys())
+	return out
 }
 
-// appendLive appends to dst the base entries [lo, hi) whose ids are not
-// dead, copying each stretch between dead entries in one go.
-func (f *Forest) appendLive(dst run, b *run, lo, hi int) run {
-	h := f.hashesPerTree
-	for lo < hi {
-		end := lo
-		for end < hi && !f.dead.has(b.ids[end]) {
-			end++
+// appendLive appends to dst the base keys [lo, hi) with their ids that
+// are not dead; a key none of whose ids lives is left out.
+func (f *Forest) appendLive(dst, b *run, lo, hi int) {
+	for k := lo; k < hi; k++ {
+		for _, id := range b.span(k, k+1) {
+			if !f.dead.has(id) {
+				dst.ids = append(dst.ids, id)
+			}
 		}
-		dst.keys = append(dst.keys, b.keys[lo*h:end*h]...)
-		dst.ids = append(dst.ids, b.ids[lo:end]...)
-		lo = end + 1 // past the dead entry, or past hi
+		dst.seal(b.key(k, f.hashesPerTree))
 	}
-	return dst
 }
 
 // Index sorts the trees; it must be called once after the last Add and
-// before the first Query. Calling it again is a no-op.
+// before the first Query. Calling it again is a no-op. Each tree's
+// staged entries are sorted into one array, reused from tree to tree,
+// then packed into its base run.
 func (f *Forest) Index() {
 	if f.indexed {
 		return
 	}
 	h := f.hashesPerTree
+	var flat []byte
 	for t := range f.trees {
-		b := &f.trees[t].base
-		order := make([]int, len(b.ids))
+		s := &f.trees[t].staged
+		order := make([]int, len(s.ids))
 		for i := range order {
 			order[i] = i
 		}
 		sort.Slice(order, func(x, y int) bool {
-			kx := b.keys[order[x]*h : order[x]*h+h]
-			ky := b.keys[order[y]*h : order[y]*h+h]
+			kx := s.keys[order[x]*h : order[x]*h+h]
+			ky := s.keys[order[y]*h : order[y]*h+h]
 			return bytes.Compare(kx, ky) < 0
 		})
-		keys := make([]byte, len(b.keys))
-		ids := make([]int32, len(b.ids))
+		flat = slices.Grow(flat[:0], len(s.keys))[:len(s.keys)]
+		ids := make([]int32, len(s.ids))
 		for pos, idx := range order {
-			copy(keys[pos*h:], b.keys[idx*h:idx*h+h])
-			ids[pos] = b.ids[idx]
+			copy(flat[pos*h:], s.keys[idx*h:idx*h+h])
+			ids[pos] = s.ids[idx]
 		}
-		b.keys, b.ids = keys, ids
+		f.trees[t] = forestTree{base: pack(flat, ids, h)}
 	}
 	f.indexed = true
 }
 
-// prefixRange returns the half-open entry range of r whose keys match
-// the first depth bytes of key.
+// prefixRange returns the half-open range of r's keys that match the
+// first depth bytes of key; span maps it to their ids.
 func (f *Forest) prefixRange(r *run, key []byte, depth int) (int, int) {
 	h := f.hashesPerTree
-	n := len(r.ids)
+	n := r.numKeys()
 	lo := sort.Search(n, func(i int) bool {
 		return bytes.Compare(r.keys[i*h:i*h+depth], key[:depth]) >= 0
 	})
@@ -360,20 +492,23 @@ func (f *Forest) Query(sig []uint32, minResults int) ([]int32, error) {
 			lo, hi := f.prefixRange(b, key, depth)
 			dlo, dhi := f.prefixRange(d, key, depth)
 			for lo < hi || dlo < dhi {
-				var id int32
-				if dlo < dhi && (lo == hi || bytes.Compare(d.keys[dlo*h:dlo*h+h], b.keys[lo*h:lo*h+h]) <= 0) {
-					id = d.ids[dlo]
-					dlo++
-				} else {
-					id = b.ids[lo]
+				var ids []int32
+				fromBase := dlo == dhi || (lo < hi && bytes.Compare(d.key(dlo, h), b.key(lo, h)) > 0)
+				if fromBase {
+					ids = b.span(lo, lo+1)
 					lo++
-					if f.dead.has(id) {
+				} else {
+					ids = d.span(dlo, dlo+1)
+					dlo++
+				}
+				for _, id := range ids {
+					if fromBase && f.dead.has(id) {
 						continue
 					}
-				}
-				if _, dup := seen[id]; !dup {
-					seen[id] = struct{}{}
-					out = append(out, id)
+					if _, dup := seen[id]; !dup {
+						seen[id] = struct{}{}
+						out = append(out, id)
+					}
 				}
 			}
 		}
@@ -421,13 +556,13 @@ func (f *Forest) CollectMinDepth(sig []uint32, depth int, dst []int32) ([]int32,
 		f.keyInto(key, t, sig)
 		tree := &f.trees[t]
 		lo, hi := f.prefixRange(&tree.base, key, depth)
-		for _, id := range tree.base.ids[lo:hi] {
+		for _, id := range tree.base.span(lo, hi) {
 			if !f.dead.has(id) {
 				dst = append(dst, id)
 			}
 		}
 		lo, hi = f.prefixRange(&tree.delta, key, depth)
-		dst = append(dst, tree.delta.ids[lo:hi]...)
+		dst = append(dst, tree.delta.span(lo, hi)...)
 	}
 	return dst, nil
 }
@@ -525,24 +660,24 @@ func (f *Forest) walk(sig []uint32, s *DepthScratch, counts []int32) error {
 }
 
 // peel visits r's depth-1 range once: narrowing it byte by byte (the
-// entries agreeing on d-1 bytes are sorted by byte d) peels off the
-// entries whose match is exactly d-1 deep, and every entry whose id dead
+// keys agreeing on d-1 bytes are sorted by byte d) peels off the keys
+// whose match is exactly d-1 deep, and every id of their runs that dead
 // does not hold raises that id's deepest match.
 func (f *Forest) peel(r *run, key []byte, s *DepthScratch, dead *idSet) error {
 	h := f.hashesPerTree
 	lo, hi := f.prefixRange(r, key, 1)
-	// Invariant: entries [lo, hi) agree with key on depth bytes.
+	// Invariant: keys [lo, hi) agree with key on depth bytes.
 	for depth := 1; lo < hi; depth++ {
-		nlo, nhi := hi, hi // at depth h every entry left is a full match: peel them all
+		nlo, nhi := hi, hi // at depth h every key left is a full match: peel them all
 		if depth < h {
 			want := key[depth]
 			nlo = lo + sort.Search(hi-lo, func(i int) bool { return r.keys[(lo+i)*h+depth] >= want })
 			nhi = nlo + sort.Search(hi-nlo, func(i int) bool { return r.keys[(nlo+i)*h+depth] > want })
 		}
-		if err := s.raise(r.ids[lo:nlo], depth, dead); err != nil {
+		if err := s.raise(r.span(lo, nlo), depth, dead); err != nil {
 			return err
 		}
-		if err := s.raise(r.ids[nhi:hi], depth, dead); err != nil {
+		if err := s.raise(r.span(nhi, hi), depth, dead); err != nil {
 			return err
 		}
 		lo, hi = nlo, nhi
@@ -624,11 +759,20 @@ func (f *Forest) DepthCounts(sig []uint32, s *DepthScratch) ([]int32, error) {
 	return counts, nil
 }
 
-// SpaceBytes estimates the memory footprint of the index payload (keys
-// and id arrays), used by the Table II space-overhead experiment: the
-// size of the merged form Encode writes, count entries per tree.
+// SpaceBytes is the encoded size of the index payload, the Table II
+// space-overhead measure: the key and id arrays of the one-array form
+// Encode writes, count entries per tree. It is not the memory the
+// forest holds, which stores each tree's repeated keys once.
 func (f *Forest) SpaceBytes() int64 {
 	return int64(f.numTrees) * int64(f.count) * int64(f.hashesPerTree+4)
+}
+
+// Shape reports tree 0's live entries and the distinct keys they sit
+// under: how much the forest's keys repeat. An un-indexed forest has
+// staged entries and no keys yet.
+func (f *Forest) Shape() (entries, keys int) {
+	r := f.merged(&f.trees[0])
+	return f.count, r.numKeys()
 }
 
 // idSet is a bitmap over non-negative ids, with its population count.

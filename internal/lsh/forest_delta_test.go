@@ -12,60 +12,182 @@ import (
 )
 
 // refForest is the single-array forest the engine wrote to before the
-// base + delta split, kept as the oracle: every tree one sorted run that
-// insert splices into and remove shifts out of, exactly as Insert and
-// Delete did then. Its delta and dead set stay empty, so the probes read
-// it as that one run, which the descent oracles of the probe and
-// depth-count tests pin on their own.
-type refForest struct{ *Forest }
-
-func (r refForest) insert(id int32, sig []uint32) {
-	f := r.Forest
-	h := f.hashesPerTree
-	key := make([]byte, h)
-	for t := 0; t < f.numTrees; t++ {
-		tree := &f.trees[t].base
-		f.keyInto(key, t, sig)
-		n := len(tree.ids)
-		pos := sort.Search(n, func(i int) bool {
-			return bytes.Compare(tree.keys[i*h:i*h+h], key) >= 0
-		})
-		tree.keys = append(tree.keys, key...)
-		copy(tree.keys[(pos+1)*h:], tree.keys[pos*h:n*h])
-		copy(tree.keys[pos*h:], key)
-		tree.ids = append(tree.ids, 0)
-		copy(tree.ids[pos+1:], tree.ids[pos:n])
-		tree.ids[pos] = id
-	}
-	f.count++
+// base + delta split and the distinct-key runs, kept as a standalone
+// oracle with storage and reads of its own: every tree one sorted array
+// with an h-byte key per id, which insert splices into at the head of
+// its run of equal keys and remove shifts out of, and reads that scan
+// that array the way the forest did then.
+type refForest struct {
+	numTrees, h, count int
+	keys               [][]byte // per tree, one key per entry
+	ids                [][]int32
 }
 
-func (r refForest) remove(id int32, sig []uint32) bool {
-	f := r.Forest
-	h := f.hashesPerTree
-	key := make([]byte, h)
+func newRefForest(numTrees, h int) *refForest {
+	return &refForest{numTrees: numTrees, h: h, keys: make([][]byte, numTrees), ids: make([][]int32, numTrees)}
+}
+
+// key is tree t's key for sig: the low byte of each of its h values.
+func (r *refForest) key(t int, sig []uint32) []byte {
+	key := make([]byte, r.h)
+	for i := range key {
+		key[i] = byte(sig[t*r.h+i])
+	}
+	return key
+}
+
+// add appends an entry to every tree, unsorted: the build phase.
+func (r *refForest) add(id int32, sig []uint32) {
+	for t := range r.numTrees {
+		r.keys[t] = append(r.keys[t], r.key(t, sig)...)
+		r.ids[t] = append(r.ids[t], id)
+	}
+	r.count++
+}
+
+// index sorts every tree by key with the forest's sort.Slice over the
+// entry order, so entries under equal keys land in the same order.
+func (r *refForest) index() {
+	h := r.h
+	for t := range r.numTrees {
+		keys, ids := r.keys[t], r.ids[t]
+		order := make([]int, len(ids))
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(x, y int) bool {
+			return bytes.Compare(keys[order[x]*h:order[x]*h+h], keys[order[y]*h:order[y]*h+h]) < 0
+		})
+		sk, si := make([]byte, len(keys)), make([]int32, len(ids))
+		for pos, idx := range order {
+			copy(sk[pos*h:], keys[idx*h:idx*h+h])
+			si[pos] = ids[idx]
+		}
+		r.keys[t], r.ids[t] = sk, si
+	}
+}
+
+// span is tree t's entry range whose keys match the first depth bytes
+// of key.
+func (r *refForest) span(t int, key []byte, depth int) (int, int) {
+	h, keys := r.h, r.keys[t]
+	n := len(r.ids[t])
+	lo := sort.Search(n, func(i int) bool { return bytes.Compare(keys[i*h:i*h+depth], key[:depth]) >= 0 })
+	hi := sort.Search(n, func(i int) bool { return bytes.Compare(keys[i*h:i*h+depth], key[:depth]) > 0 })
+	return lo, hi
+}
+
+func (r *refForest) insert(id int32, sig []uint32) {
+	h := r.h
+	for t := range r.numTrees {
+		key := r.key(t, sig)
+		pos, _ := r.span(t, key, h)
+		r.keys[t] = slices.Insert(r.keys[t], pos*h, key...)
+		r.ids[t] = slices.Insert(r.ids[t], pos, id)
+	}
+	r.count++
+}
+
+func (r *refForest) remove(id int32, sig []uint32) bool {
+	h := r.h
 	found := false
-	for t := 0; t < f.numTrees; t++ {
-		tree := &f.trees[t].base
-		f.keyInto(key, t, sig)
-		lo, hi := f.prefixRange(tree, key, h)
-		for i := lo; i < hi; i++ {
-			if tree.ids[i] != id {
-				continue
-			}
-			n := len(tree.ids)
-			copy(tree.keys[i*h:], tree.keys[(i+1)*h:n*h])
-			tree.keys = tree.keys[:(n-1)*h]
-			copy(tree.ids[i:], tree.ids[i+1:])
-			tree.ids = tree.ids[:n-1]
+	for t := range r.numTrees {
+		lo, hi := r.span(t, r.key(t, sig), h)
+		if i := slices.Index(r.ids[t][lo:hi], id); i >= 0 {
+			i += lo
+			r.keys[t] = slices.Delete(r.keys[t], i*h, i*h+h)
+			r.ids[t] = slices.Delete(r.ids[t], i, i+1)
 			found = true
-			break
 		}
 	}
 	if found {
-		f.count--
+		r.count--
 	}
 	return found
+}
+
+// region is every tree's entries matching sig on depth leading values,
+// raw: CollectMinDepth's answer.
+func (r *refForest) region(sig []uint32, depth int) []int32 {
+	var out []int32
+	for t := range r.numTrees {
+		lo, hi := r.span(t, r.key(t, sig), depth)
+		out = append(out, r.ids[t][lo:hi]...)
+	}
+	return out
+}
+
+// query is Query as one array per tree answered it: from the longest
+// prefix down, every tree's range in array order, first-seen ids, until
+// minResults are gathered.
+func (r *refForest) query(sig []uint32, minResults int) []int32 {
+	minResults = max(minResults, 1)
+	seen := make(map[int32]bool)
+	var out []int32
+	for depth := r.h; depth >= 1 && len(out) < minResults; depth-- {
+		for _, id := range r.region(sig, depth) {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	return out
+}
+
+// descent is the sorted distinct region at every depth, sets[d-1] at
+// depth d: DepthCounts is their sizes, and probe reads Probe off them.
+func (r *refForest) descent(sig []uint32) (sets [][]int32) {
+	for d := 1; d <= r.h; d++ {
+		sets = append(sets, sortedSet(r.region(sig, d)))
+	}
+	return sets
+}
+
+// probe is Probe as a top-down descent over sets: the deepest set that
+// holds budget ids, or depth 1's, and its depth.
+func probe(sets [][]int32, budget int) ([]int32, int) {
+	for depth := len(sets); ; depth-- {
+		if set := sets[depth-1]; len(set) >= max(budget, 1) || depth == 1 {
+			return set, depth
+		}
+	}
+}
+
+// encode is the snapshot bytes an indexed one-array forest writes.
+func (r *refForest) encode() []byte {
+	var b persist.Buffer
+	b.U32(uint32(r.numTrees))
+	b.U32(uint32(r.h))
+	b.U64(uint64(r.count))
+	b.Bool(true)
+	for t := range r.numTrees {
+		b.Bytes(r.keys[t])
+		b.I32s(r.ids[t])
+	}
+	return b.Sealed()
+}
+
+// refFromSnapshot reads an indexed forest's snapshot bytes straight into
+// a reference, without DecodeForest.
+func refFromSnapshot(t testing.TB, data []byte) *refForest {
+	t.Helper()
+	pr, err := persist.OpenSealed(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRefForest(int(pr.U32()), int(pr.U32()))
+	r.count = int(pr.U64())
+	if !pr.Bool() {
+		t.Fatal("refFromSnapshot: an un-indexed forest")
+	}
+	for i := range r.numTrees {
+		r.keys[i], r.ids[i] = pr.Bytes(), pr.I32s()
+	}
+	if err := pr.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // clean reports whether every tree is its base alone: an empty delta and
@@ -79,49 +201,85 @@ func encoded(f *Forest) []byte {
 	return b.Sealed()
 }
 
-// checkSameAnswers fails unless the base + delta forest f answers like
-// the reference on every read: count, space, snapshot bytes, and per
-// query signature Query (in order), Probe (set and stop depth),
-// DepthCounts and CollectMinDepth at every depth (as multisets).
-func checkSameAnswers(t testing.TB, f *Forest, ref refForest, queries [][]uint32, s *DepthScratch, label string) {
+// checkRuns fails unless every base and delta run of f keeps the layout
+// invariant: keys strictly increasing, offsets one longer than the keys
+// (or empty with the run), starting at 0, strictly increasing — no
+// empty run — and ending at len(ids).
+func checkRuns(t testing.TB, f *Forest, label string) {
 	t.Helper()
-	if f.count != ref.count || f.SpaceBytes() != ref.SpaceBytes() {
-		t.Fatalf("%s: count %d / %d B, reference %d / %d B", label, f.count, f.SpaceBytes(), ref.count, ref.SpaceBytes())
+	h := f.hashesPerTree
+	for ti := range f.trees {
+		for name, r := range map[string]*run{"base": &f.trees[ti].base, "delta": &f.trees[ti].delta} {
+			where := fmt.Sprintf("%s: tree %d %s", label, ti, name)
+			if len(r.off) == 0 {
+				if len(r.keys) != 0 || len(r.ids) != 0 {
+					t.Fatalf("%s: no offsets for %d key bytes and %d ids", where, len(r.keys), len(r.ids))
+				}
+				continue
+			}
+			if len(r.keys)%h != 0 || len(r.off) != len(r.keys)/h+1 || r.off[0] != 0 || int(r.off[len(r.off)-1]) != len(r.ids) {
+				t.Fatalf("%s: %d key bytes, offsets %v over %d ids", where, len(r.keys), r.off, len(r.ids))
+			}
+			for i := 1; i < len(r.off); i++ {
+				if r.off[i] <= r.off[i-1] {
+					t.Fatalf("%s: key %d owns an empty run (offsets %v)", where, i-1, r.off)
+				}
+				if i > 1 && bytes.Compare(r.key(i-2, h), r.key(i-1, h)) >= 0 {
+					t.Fatalf("%s: keys %d and %d are not strictly increasing", where, i-2, i-1)
+				}
+			}
+		}
 	}
-	if !bytes.Equal(encoded(f), encoded(ref.Forest)) {
+}
+
+// checkSameAnswers fails unless the forest f keeps its run invariant and
+// answers like the reference on every read: count, space, snapshot
+// bytes, and per query signature Query (in order), Probe (set and stop
+// depth), DepthCounts and CollectMinDepth at every depth (as
+// multisets).
+func checkSameAnswers(t testing.TB, f *Forest, ref *refForest, queries [][]uint32, s *DepthScratch, label string) {
+	t.Helper()
+	checkRuns(t, f, label)
+	if want := int64(ref.numTrees) * int64(ref.count) * int64(ref.h+4); f.count != ref.count || f.SpaceBytes() != want {
+		t.Fatalf("%s: count %d / %d B, reference %d / %d B", label, f.count, f.SpaceBytes(), ref.count, want)
+	}
+	if !bytes.Equal(encoded(f), ref.encode()) {
 		t.Fatalf("%s: snapshot bytes differ from the reference's", label)
 	}
 	for qi, sig := range queries {
+		sets := ref.descent(sig)
 		for _, budget := range []int{1, 3, ref.count + 1} {
 			got, err := f.Query(sig, budget)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _ := ref.Query(sig, budget)
-			if !slices.Equal(got, want) {
+			if want := ref.query(sig, budget); !slices.Equal(got, want) {
 				t.Fatalf("%s query %d budget %d: Query\n got  %v\n want %v", label, qi, budget, got, want)
 			}
 			got, depth, err := f.Probe(sig, budget, nil, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, wantDepth, _ := ref.Probe(sig, budget, nil, s)
-			if depth != wantDepth || !slices.Equal(sortedIDs(got), sortedIDs(want)) {
+			want, wantDepth := probe(sets, budget)
+			if depth != wantDepth || !slices.Equal(sortedIDs(got), want) {
 				t.Fatalf("%s query %d budget %d: Probe %v at depth %d, reference %v at depth %d",
-					label, qi, budget, sortedIDs(got), depth, sortedIDs(want), wantDepth)
+					label, qi, budget, sortedIDs(got), depth, want, wantDepth)
 			}
 		}
 		got, err := f.DepthCounts(sig, s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := ref.DepthCounts(sig, s); !slices.Equal(got, want) {
+		want := make([]int32, len(sets))
+		for d, set := range sets {
+			want[d] = int32(len(set))
+		}
+		if !slices.Equal(got, want) {
 			t.Fatalf("%s query %d: DepthCounts %v, reference %v", label, qi, got, want)
 		}
 		for d := 1; d <= f.hashesPerTree; d++ {
 			got, _ := f.CollectMinDepth(sig, d, nil)
-			want, _ := ref.CollectMinDepth(sig, d, nil)
-			if !slices.Equal(sortedIDs(got), sortedIDs(want)) {
+			if want := ref.region(sig, d); !slices.Equal(sortedIDs(got), sortedIDs(want)) {
 				t.Fatalf("%s query %d depth %d: CollectMinDepth %v, reference %v", label, qi, d, sortedIDs(got), sortedIDs(want))
 			}
 		}
@@ -131,6 +289,12 @@ func checkSameAnswers(t testing.TB, f *Forest, ref refForest, queries [][]uint32
 // folds counts the folds a history triggered, by the write that did it.
 type folds struct{ byInsert, byDelete int }
 
+// shape is a history's forest layout and where its signatures come
+// from: values drawn modulo alphabet, or with pool > 0 one of pool fixed
+// such draws, so that nearly every key repeats — the shape of I_N and
+// I_F, whose hundreds of entries per tree sit under a few dozen keys.
+type shape struct{ trees, hashes, alphabet, pool int }
+
 // runDeltaHistory drives a base + delta forest and the reference through
 // one history of writes and checks them equal after every one. Initial
 // items go in through Add and Index; then each byte op returns, until it
@@ -138,16 +302,25 @@ type folds struct{ byInsert, byDelete int }
 // signature or a copy of a known one, so runs of equal keys form),
 // delete a live id (base or delta), re-insert a deleted id under its old
 // signature (the undo), or delete a deleted id again. arg supplies the
-// rest: signature values (modulo alphabet) and which id a write picks.
-func runDeltaHistory(t testing.TB, trees, hashes, alphabet, initial int, op func() (byte, bool), arg func() byte) folds {
+// rest: signature values (modulo alphabet) or pool picks, and which id
+// a write picks.
+func runDeltaHistory(t testing.TB, sh shape, initial int, op func() (byte, bool), arg func() byte) folds {
 	t.Helper()
-	f, ref := MustForest(trees, hashes), refForest{MustForest(trees, hashes)}
+	f, ref := MustForest(sh.trees, sh.hashes), newRefForest(sh.trees, sh.hashes)
 	draw := func() []uint32 {
 		sig := make([]uint32, f.MinSignatureLen())
 		for i := range sig {
-			sig[i] = uint32(int(arg()) % alphabet)
+			sig[i] = uint32(int(arg()) % sh.alphabet)
 		}
 		return sig
+	}
+	if sh.pool > 0 {
+		rng := rand.New(rand.NewSource(int64(sh.pool)))
+		pool := make([][]uint32, sh.pool)
+		for i := range pool {
+			pool[i] = randomSig(rng, f.MinSignatureLen(), sh.alphabet)
+		}
+		draw = func() []uint32 { return pool[int(arg())%len(pool)] }
 	}
 	pick := func(ids []int32) int { return int(arg()) % len(ids) }
 	var sigs [][]uint32 // by id
@@ -157,13 +330,11 @@ func runDeltaHistory(t testing.TB, trees, hashes, alphabet, initial int, op func
 		if err := f.Add(int32(id), sigs[id]); err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.Add(int32(id), sigs[id]); err != nil {
-			t.Fatal(err)
-		}
+		ref.add(int32(id), sigs[id])
 		live = append(live, int32(id))
 	}
 	f.Index()
-	ref.Index()
+	ref.index()
 	var s DepthScratch
 	checkSameAnswers(t, f, ref, [][]uint32{draw()}, &s, "after Index")
 
@@ -238,12 +409,21 @@ func runDeltaHistory(t testing.TB, trees, hashes, alphabet, initial int, op func
 // against the single-array reference over random histories: phases that
 // mostly insert and phases that mostly delete, so the fold threshold is
 // crossed by inserts and by deletes, over layouts from 1×1 (every key
-// equal to many) to 4×8, and bases both under and over foldMin*8 entries.
+// equal to many) to 8×32, and bases both under and over foldMin*8
+// entries. The 8×32 cases are shaped like I_N and I_F: hundreds of items
+// over fewer than 20 distinct signatures, so every insert copies a known
+// signature and nearly every write lands on a key the tree already
+// holds.
 func TestForestDeltaMatchesReference(t *testing.T) {
-	cases := []struct{ trees, hashes, alphabet, initial, steps int }{
-		{1, 1, 3, 20, 400},
-		{2, 3, 3, 60, 500},
-		{4, 8, 4, 700, 600},
+	cases := []struct {
+		shape
+		initial, steps int
+	}{
+		{shape{1, 1, 3, 0}, 20, 400},
+		{shape{2, 3, 3, 0}, 60, 500},
+		{shape{4, 8, 4, 0}, 700, 600},
+		{shape{8, 32, 256, 19}, 200, 310}, // I_N: distinct names
+		{shape{8, 32, 4, 6}, 150, 310},    // I_F: few formats, long shared prefixes
 	}
 	for _, c := range cases {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -262,13 +442,29 @@ func TestForestDeltaMatchesReference(t *testing.T) {
 				return ops[rng.Intn(len(ops))], true
 			}
 			arg := func() byte { return byte(rng.Intn(256)) }
-			seen := runDeltaHistory(t, c.trees, c.hashes, c.alphabet, c.initial, op, arg)
+			seen := runDeltaHistory(t, c.shape, c.initial, op, arg)
 			if seen.byInsert == 0 || seen.byDelete == 0 {
 				t.Errorf("%dx%d seed %d: folds by insert %d, by delete %d; the history must cross the threshold both ways",
 					c.trees, c.hashes, seed, seen.byInsert, seen.byDelete)
 			}
 		}
 	}
+}
+
+// fuzzShape reads a history's shape from its layout byte: below 0x80 a
+// small layout over a 3-value alphabet; from 0x80 on the I_N / I_F
+// shape, 8×32 over a pool of 1 to 19 signatures (the low six bits) drawn
+// from a 3- or, with bit 6 set, a 256-value alphabet, with the initial
+// item count scaled to the hundreds.
+func fuzzShape(layout, initial byte) (shape, int) {
+	if layout < 0x80 {
+		return shape{1 + int(layout%3), 1 + int(layout/3%4), 3, 0}, int(initial % 100)
+	}
+	alphabet := 3
+	if layout&0x40 != 0 {
+		alphabet = 256
+	}
+	return shape{8, 32, alphabet, 1 + int(layout&0x3f)%19}, 4 * int(initial%100)
 }
 
 // FuzzForestDelta is the same comparison over histories the fuzzer
@@ -278,15 +474,21 @@ func FuzzForestDelta(f *testing.F) {
 	for _, n := range []int{16, 200, 600} {
 		seed := make([]byte, n)
 		rng.Read(seed)
+		seed[0] &= 0x7f
+		f.Add(seed)
+	}
+	// The I_N and I_F shapes: 300 items over 19 and over 6 signatures.
+	for _, layout := range []byte{0xC0 | 18, 0x80 | 5} {
+		seed := make([]byte, 2+300+400)
+		rng.Read(seed)
+		seed[0], seed[1] = layout, 75
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		layout := data[0]
-		trees, hashes := 1+int(layout%3), 1+int(layout/3%4)
-		initial := int(data[1] % 100)
+		sh, initial := fuzzShape(data[0], data[1])
 		data = data[2:]
 		// One stream feeds both: an op byte, then its arguments.
 		op := func() (byte, bool) {
@@ -298,6 +500,6 @@ func FuzzForestDelta(f *testing.F) {
 			return b, true
 		}
 		arg := func() byte { b, _ := op(); return b }
-		runDeltaHistory(t, trees, hashes, 3, initial, op, arg)
+		runDeltaHistory(t, sh, initial, op, arg)
 	})
 }

@@ -19,7 +19,7 @@ func depthSetReference(f *Forest, sig []uint32, depth int) []int32 {
 		tree := f.merged(&f.trees[t])
 		f.keyInto(key, t, sig)
 		lo, hi := f.prefixRange(&tree, key, depth)
-		ids = append(ids, tree.ids[lo:hi]...)
+		ids = append(ids, tree.span(lo, hi)...)
 	}
 	slices.Sort(ids)
 	return slices.Compact(ids)

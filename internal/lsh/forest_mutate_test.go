@@ -2,7 +2,7 @@ package lsh
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"d3l/internal/minhash"
@@ -11,7 +11,7 @@ import (
 // sortedIDs canonicalises a candidate list for set comparison.
 func sortedIDs(ids []int32) []int32 {
 	out := append([]int32(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

@@ -30,7 +30,7 @@ func queryIntoReference(f *Forest, sig []uint32, minResults int) ([]int32, int, 
 			tree := f.merged(&f.trees[t])
 			f.keyInto(key, t, sig)
 			lo, hi := f.prefixRange(&tree, key, depth)
-			region = append(region, tree.ids[lo:hi]...)
+			region = append(region, tree.span(lo, hi)...)
 		}
 		slices.Sort(region)
 		region = slices.Compact(region)

@@ -59,7 +59,22 @@ func TestDecodeForestRoundTrip(t *testing.T) {
 		t.Fatalf("decoded forest: clean %v, count %d (want %d), layout %dx%d", g.clean(), g.count, f.count, g.NumTrees(), g.HashesPerTree())
 	}
 	var s DepthScratch
-	checkSameAnswers(t, f, refForest{g}, sigs[:10], &s, "decoded")
+	ref := refFromSnapshot(t, data)
+	checkSameAnswers(t, f, ref, sigs[:10], &s, "original")
+	checkSameAnswers(t, g, ref, sigs[:10], &s, "decoded")
+	// Shape counts tree 0's distinct keys, through the delta and the dead
+	// ids on f, off the clean base on g: the reference's distinct keys.
+	keys := 0
+	for i := 0; i < len(ref.ids[0]); i++ {
+		if i == 0 || !bytes.Equal(ref.keys[0][(i-1)*4:i*4], ref.keys[0][i*4:i*4+4]) {
+			keys++
+		}
+	}
+	for name, fr := range map[string]*Forest{"original": f, "decoded": g} {
+		if entries, k := fr.Shape(); entries != ref.count || k != keys || !fr.Indexed() {
+			t.Fatalf("%s: Shape %d/%d, indexed %v; the reference holds %d entries over %d keys", name, entries, k, fr.Indexed(), ref.count, keys)
+		}
+	}
 	if err := g.CheckIDs(60); err != nil {
 		t.Fatal(err)
 	}
@@ -88,8 +103,10 @@ func TestDecodeForestRejectsUnsortedTree(t *testing.T) {
 		}
 	}
 	raw := encoded(f)
-	if _, err := decoded(t, raw); err != nil {
+	if g, err := decoded(t, raw); err != nil {
 		t.Fatalf("un-indexed forest: %v", err)
+	} else if entries, keys := g.Shape(); g.Indexed() || entries != 3 || keys != 0 || !bytes.Equal(encoded(g), raw) {
+		t.Fatalf("un-indexed forest: indexed %v, Shape %d/%d, re-encodes equal %v", g.Indexed(), entries, keys, bytes.Equal(encoded(g), raw))
 	}
 	f.Index()
 	data := encoded(f)

@@ -626,6 +626,37 @@ func (r *Reader) Bytes() []byte {
 	return out
 }
 
+// Records reads a length-prefixed byte slice of size-byte records in
+// place: fn is handed the records a window at a time, a whole number
+// of them per call, valid only during that call, and nothing is copied
+// out. It returns the slice's length in bytes; a length that is not a
+// whole number of records is skipped unread. size must be positive and
+// at most the read window.
+func (r *Reader) Records(size int, fn func(p []byte)) int {
+	n := r.Count(1)
+	if n%size != 0 {
+		r.Skip(n)
+		return n
+	}
+	r.chunks(n/size, size, fn)
+	return n
+}
+
+// Rewind moves the read position back over the last n bytes read, so
+// the next reads see them again: from the window while it still holds
+// them, from the source otherwise. n must not exceed the bytes read.
+func (r *Reader) Rewind(n int) {
+	if r.err != nil {
+		return
+	}
+	if n <= r.off {
+		r.off -= n
+		return
+	}
+	pos := r.next - int64(len(r.buf)-r.off) - int64(n)
+	r.buf, r.off, r.next = r.buf[:0], 0, pos
+}
+
 // U32s reads a length-prefixed []uint32 into buf's storage when it has
 // room, into a fresh slice otherwise, and returns it: a decoder reading
 // values it only looks at (MinHash signatures, which the engine keeps

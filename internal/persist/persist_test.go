@@ -327,6 +327,70 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	}
 }
 
+// TestReaderRecordsAndRewind reads a byte slice several windows long as
+// 5-byte records, in place and a whole number of records per call, then
+// rewinds over it and reads it again — from the source, as the window no
+// longer holds its start — and checks a length that is not a whole
+// number of records is skipped unread. A sealed payload, all one window,
+// rewinds the same way.
+func TestReaderRecordsAndRewind(t *testing.T) {
+	raw := bytes.Repeat([]byte{1, 2, 3, 4, 5}, window/2+7)
+	write := func(b *Buffer) {
+		b.U8(9)
+		b.Bytes(raw)
+		b.U32(77)
+	}
+	enc := NewEncoder()
+	write(enc.Begin(SecAttrs))
+	enc.End()
+	var out bytes.Buffer
+	if _, err := enc.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decoderOver(out.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromFile, err := dec.MustSection(SecAttrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b Buffer
+	write(&b)
+	sealed, err := OpenSealed(b.Sealed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, r := range map[string]*Reader{"decoder": fromFile, "sealed": sealed} {
+		records := func() ([]byte, int) {
+			var got []byte
+			n := r.Records(5, func(p []byte) {
+				if len(p) == 0 || len(p)%5 != 0 {
+					t.Fatalf("%s: handed %d bytes, not whole records", name, len(p))
+				}
+				got = append(got, p...)
+			})
+			return got, n
+		}
+		r.U8()
+		got, n := records()
+		if n != len(raw) || !bytes.Equal(got, raw) {
+			t.Fatalf("%s: first pass read %d of %d bytes, err %v", name, len(got), n, r.Err())
+		}
+		r.Rewind(4 + n)
+		if again, _ := records(); !bytes.Equal(again, raw) || r.U32() != 77 {
+			t.Fatalf("%s: rewound pass read %d bytes, err %v", name, len(again), r.Err())
+		}
+		r.Rewind(4 + 4 + n)
+		if n := r.Records(7, func([]byte) { t.Fatalf("%s: handed records of a length not divisible by 7", name) }); n != len(raw) {
+			t.Fatalf("%s: Records(7) reported %d bytes", name, n)
+		}
+		if v := r.U32(); v != 77 || r.Err() != nil || r.Remaining() != 0 {
+			t.Fatalf("%s: read %d after the skipped slice, err %v, %d bytes left", name, v, r.Err(), r.Remaining())
+		}
+	}
+}
+
 // TestDecoderRejectsUnknownVersion: the versions on either side of
 // MinVersion…Version are ErrVersion; every one inside opens and reports
 // itself.

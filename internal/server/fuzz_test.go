@@ -5,8 +5,35 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"testing"
 )
+
+// serve sends one in-process request to srv.
+func serve(srv *Server, method, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+	return rec
+}
+
+// checkErrorContract fails unless an answer is a 200 with a JSON body or
+// a 4xx in the uniform error body.
+func checkErrorContract(t *testing.T, what string, rec *httptest.ResponseRecorder, body []byte) {
+	t.Helper()
+	switch {
+	case rec.Code == http.StatusOK:
+		if !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s: 200 with a body that is not JSON: %q", what, rec.Body.Bytes())
+		}
+	case rec.Code >= 400 && rec.Code < 500:
+		var env ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
+			t.Fatalf("%s: %d without the error body: %q", what, rec.Code, rec.Body.Bytes())
+		}
+	default:
+		t.Fatalf("%s: status %d for %q: %s", what, rec.Code, body, rec.Body.Bytes())
+	}
+}
 
 // FuzzRankingBody holds both ranking routes to the error contract on
 // arbitrary request bytes: every answer is a 200 with a JSON body or a
@@ -47,20 +74,73 @@ func FuzzRankingBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range []string{"/v1/query", "/v1/batch"} {
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-			switch {
-			case rec.Code == http.StatusOK:
-				if !json.Valid(rec.Body.Bytes()) {
-					t.Fatalf("%s: 200 with a body that is not JSON: %q", path, rec.Body.Bytes())
-				}
-			case rec.Code >= 400 && rec.Code < 500:
-				var env ErrorBody
-				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code == "" || env.Error.Message == "" {
-					t.Fatalf("%s: %d without the error body: %q", path, rec.Code, rec.Body.Bytes())
-				}
-			default:
-				t.Fatalf("%s: status %d for %q: %s", path, rec.Code, body, rec.Body.Bytes())
+			checkErrorContract(t, path, serve(srv, http.MethodPost, path, body), body)
+		}
+	})
+}
+
+// FuzzTablesBody holds the table write routes, POST /v1/tables and PUT
+// /v1/tables/{name}, to the same contract on arbitrary request bytes:
+// a 200 with a JSON body or a typed 4xx, never a 5xx or a panic. The PUT
+// addresses the table the body names, when it names one, so updates are
+// reached. Every accepted write inserts into and deletes from the
+// engine's forests, so after each input the server must still list its
+// tables and answer a ranking query.
+func FuzzTablesBody(f *testing.F) {
+	target := figure1TargetJSON()
+	copyS2 := TableJSON{Name: "S2", Columns: []string{"Practice", "City", "Postcode", "Payment"}, Rows: [][]string{
+		{"Blackfriars", "Salford", "M3 6AF", "15530"},
+		{"Bolton Medical", "Bolton", "BL3 6PY", "9120"},
+	}}
+	renamed := copyS2
+	renamed.Name = "S2 copy" // every signature a copy of a known one
+	tableID, attrID := 3, 40
+	for _, req := range []any{
+		AddTableRequest{Table: target},
+		AddTableRequest{Table: copyS2},
+		AddTableRequest{Table: renamed},
+		AddTableRequest{Table: renamed, TableID: &tableID, AttrID: &attrID},
+		AddTableRequest{Table: renamed, TableID: &tableID},
+		UpdateTableRequest{Table: TableJSON{Name: "S2", Columns: []string{"City"}, Rows: [][]string{{"Leeds"}}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"table":{"name":"","columns":[]}}`))
+	f.Add([]byte(`{"table":{"name":"t","columns":["c"],"rows":[["v","w"]]}}`))
+	f.Add([]byte(`{"table":{"name":"  ","columns":["c"],"rows":[["v"]]}}`))
+	f.Add([]byte(`{"table": {`))
+	f.Add([]byte{})
+
+	srv, err := New(figure1Engine(f), Config{MaxBodyBytes: 2048})
+	if err != nil {
+		f.Fatal(err)
+	}
+	query, err := json.Marshal(map[string]any{"table": target, "k": 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		name := "S2"
+		var named UpdateTableRequest
+		if json.Unmarshal(body, &named) == nil && named.Table.Name != "" {
+			name = named.Table.Name
+		}
+		for _, c := range []struct{ method, path string }{
+			{http.MethodPost, "/v1/tables"},
+			{http.MethodPut, "/v1/tables/" + url.PathEscape(name)},
+		} {
+			checkErrorContract(t, c.method+" "+c.path, serve(srv, c.method, c.path, body), body)
+		}
+		for _, c := range []struct {
+			method, path string
+			body         []byte
+		}{{http.MethodGet, "/v1/tables", nil}, {http.MethodPost, "/v1/query", query}} {
+			if rec := serve(srv, c.method, c.path, c.body); rec.Code != http.StatusOK || !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%s %s after %q: %d %s", c.method, c.path, body, rec.Code, rec.Body.Bytes())
 			}
 		}
 	})

@@ -27,6 +27,7 @@ package tus
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -261,7 +262,13 @@ func (s *System) TopK(target *table.Table, k int) ([]Ranked, error) {
 				collect(ids)
 			}
 		}
+		// Ascending ids, so each alignment list is in a fixed order.
+		ids := make([]int32, 0, len(seen))
 		for id := range seen {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		for _, id := range ids {
 			cand := &s.profiles[id]
 			score := s.pairScore(&p, cand)
 			m := perCol[cand.tableID]
@@ -289,9 +296,11 @@ func (s *System) TopK(target *table.Table, k int) ([]Ranked, error) {
 	// in TUS's alignment-based unionability.
 	out := make([]Ranked, 0, len(perCol))
 	for tid, colScores := range perCol {
+		// Summed in target-column order: a float sum in map order would
+		// let ties between tables fall differently from run to run.
 		var sum float64
-		for _, sc := range colScores {
-			sum += sc
+		for cIdx := range target.Columns {
+			sum += colScores[cIdx]
 		}
 		score := 0.0
 		if textCols > 0 {

@@ -1,8 +1,14 @@
 package tus
 
 import (
+	"fmt"
+	"hash/fnv"
+	"maps"
+	"math"
+	"slices"
 	"testing"
 
+	"d3l/internal/datagen"
 	"d3l/internal/table"
 )
 
@@ -227,5 +233,51 @@ func TestKBClasses(t *testing.T) {
 	g := kb.Classes("gp")
 	if d[0] != g[0] {
 		t.Fatal("doctor and gp should share a class")
+	}
+}
+
+// TestTopKIsDeterministic: TopK is a function of the lake and the
+// target. On the small experiment scale's synthetic lake, every seventh
+// table's top 20, rendered with exact score bits and alignments, hashes
+// to one value over 30 repetitions: nothing in the answer follows Go's
+// randomised map order.
+func TestTopKIsDeterministic(t *testing.T) {
+	cfg := datagen.DefaultSyntheticConfig()
+	cfg.BaseTables, cfg.DerivedTables = 8, 120
+	lake, _, err := datagen.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.CandidateBudget = 96
+	s, err := Build(lake, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := func() uint64 {
+		h := fnv.New64a()
+		for i, target := range lake.Tables() {
+			if i%7 != 0 {
+				continue
+			}
+			ranked, err := s.TopK(target, 20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range ranked {
+				fmt.Fprintf(h, "%s %d %x;", target.Name, r.TableID, math.Float64bits(r.Score))
+				cols := slices.Sorted(maps.Keys(r.Alignments))
+				for _, c := range cols {
+					fmt.Fprintf(h, "%d:%v ", c, r.Alignments[c])
+				}
+			}
+		}
+		return h.Sum64()
+	}
+	want := answers()
+	for run := 1; run < 30; run++ {
+		if got := answers(); got != want {
+			t.Fatalf("run %d: TopK answers hash to %x, run 0 to %x", run, got, want)
+		}
 	}
 }

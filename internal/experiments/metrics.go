@@ -5,6 +5,9 @@
 package experiments
 
 import (
+	"maps"
+	"slices"
+
 	"d3l/internal/datagen"
 )
 
@@ -43,9 +46,11 @@ func meanPR(gt *datagen.GroundTruth, results map[string][]string) (p, r float64)
 	if len(results) == 0 {
 		return 0, 0
 	}
+	// Summed in target-name order, so the means do not follow map order
+	// in their last bits.
 	var sp, sr float64
-	for target, returned := range results {
-		tp, tr := precisionRecallAt(gt, target, returned)
+	for _, target := range slices.Sorted(maps.Keys(results)) {
+		tp, tr := precisionRecallAt(gt, target, results[target])
 		sp += tp
 		sr += tr
 	}

@@ -7,9 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"d3l"
 	"d3l/internal/experiments"
@@ -18,7 +21,8 @@ import (
 // TestIndexInfoAccountsForTheFile: index info reads the format version
 // and the section sizes off the snapshot file, and those sizes, with the
 // header, the trailer and each section's id and length, add up to the
-// file's size.
+// file's size: five sections in a version 4 file with the join graph,
+// and a version 2 file's forests section, marked as not read.
 func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	lake, target, err := experiments.Figure1Fixture()
 	if err != nil {
@@ -28,7 +32,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A join query builds the SA-join graph, so all six sections are written.
+	// A join query builds the SA-join graph, so all five sections are written.
 	if _, err := engine.Query(context.Background(), target, d3l.WithK(2), d3l.WithJoins()); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +48,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err := run(context.Background(), []string{"index", "info", "-index", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "format v3") {
+	if !strings.Contains(out.String(), "format v4") {
 		t.Fatalf("no format version in:\n%s", out.String())
 	}
 	// The signature table holds each distinct signature once: at least
@@ -86,23 +90,61 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 			t.Fatalf("forest %d: %d keys over %d entries", i, keys[i], ent[i])
 		}
 	}
+	// The load rebuilt the forests, and says how long that took.
+	var load, rebuild string
+	if i := strings.Index(out.String(), "load time:"); i < 0 {
+		t.Fatalf("no load time line in:\n%s", out.String())
+	} else if _, err := fmt.Sscanf(out.String()[i:], "load time: %s (forests rebuilt in %s", &load, &rebuild); err != nil {
+		t.Fatalf("load time line: %v\n%s", err, out.String())
+	}
+	if _, err := time.ParseDuration(strings.TrimSuffix(rebuild, ")")); err != nil {
+		t.Fatalf("forest rebuild time %q: %v", rebuild, err)
+	}
+	if sections := accountForSections(t, out.String(), st.Size()); sections != 5 ||
+		!strings.Contains(out.String(), "section signatures") || strings.Contains(out.String(), "section forests") {
+		t.Fatalf("%d sections in a version 4 file:\n%s", sections, out.String())
+	}
+
+	// A version 2 file still carries its forests, which the load does not
+	// read.
+	const v2Fixture = "../../internal/core/testdata/snapshot_v2.d3l"
+	st, err = os.Stat(v2Fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if err := run(context.Background(), []string{"index", "info", "-index", v2Fixture}, &out, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if sections := accountForSections(t, out.String(), st.Size()); sections != 4 || !strings.Contains(out.String(), "format v2") ||
+		!regexp.MustCompile(`section forests +\d+ bytes \(not read\)\n`).MatchString(out.String()) {
+		t.Fatalf("%d sections in the version 2 fixture, or its forests section not marked as not read:\n%s", sections, out.String())
+	}
+}
+
+// accountForSections fails unless the section sizes index info printed,
+// with the header, the trailer and each section's id and length, add up
+// to the file's size, and returns how many sections it printed.
+func accountForSections(t *testing.T, out string, size int64) int {
+	t.Helper()
 	const headerAndTrailer, perSection = 8 + 4 + 4, 4 + 8
 	total, sections := int64(headerAndTrailer), 0
-	for _, line := range strings.Split(out.String(), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		fields := strings.Fields(line)
 		if len(fields) < 4 || fields[0] != "section" {
 			continue
 		}
-		n, err := strconv.ParseInt(fields[len(fields)-2], 10, 64)
+		n, err := strconv.ParseInt(fields[slices.Index(fields, "bytes")-1], 10, 64)
 		if err != nil {
 			t.Fatalf("section line %q: %v", line, err)
 		}
 		total += perSection + n
 		sections++
 	}
-	if sections != 6 || total != st.Size() || !strings.Contains(out.String(), "section signatures") {
-		t.Fatalf("%d sections account for %d bytes of a %d-byte file:\n%s", sections, total, st.Size(), out.String())
+	if total != size {
+		t.Fatalf("%d sections account for %d bytes of a %d-byte file:\n%s", sections, total, size, out)
 	}
+	return sections
 }
 
 // TestIndexBuildIsDeterministic: a snapshot is a pure function of the

@@ -377,7 +377,9 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 // MinHash signatures its attributes hold and its signature table stores,
 // how many entries and distinct keys each forest's first tree holds,
 // footprint (the index bytes are the numerator of the paper's Table II),
-// load time and section sizes.
+// load time with the share of it the forests took to rebuild, and
+// section sizes: an older snapshot's forests section is marked as not
+// read.
 func indexInfo(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -414,7 +416,8 @@ func indexInfo(w io.Writer, path string) error {
 		entries[0], keys[0], entries[1], keys[1], entries[2], keys[2], entries[3], keys[3])
 	fmt.Fprintf(w, "index bytes:   %d\n", engine.IndexSpaceBytes())
 	fmt.Fprintf(w, "join edges:    %d\n", engine.JoinGraphEdges())
-	fmt.Fprintf(w, "load time:     %v\n", loaded.Round(time.Microsecond))
+	fmt.Fprintf(w, "load time:     %v (forests rebuilt in %v)\n",
+		loaded.Round(time.Microsecond), engine.BuildTimings().Index.Round(time.Microsecond))
 	for _, s := range []struct {
 		id   uint32
 		name string
@@ -423,11 +426,15 @@ func indexInfo(w io.Writer, path string) error {
 		{persist.SecLake, "lake meta"},
 		{persist.SecSigs, "signatures"},
 		{persist.SecAttrs, "profiles"},
-		{persist.SecForests, "forests"},
+		{persist.SecForests, "forests"}, // versions 2 and 3 only
 		{persist.SecJoinGraph, "join graph"},
 	} {
 		if n, ok := sizes[s.id]; ok {
-			fmt.Fprintf(w, "  section %-12s %d bytes\n", s.name, n)
+			note := ""
+			if s.id == persist.SecForests {
+				note = " (not read)"
+			}
+			fmt.Fprintf(w, "  section %-12s %d bytes%s\n", s.name, n, note)
 		}
 	}
 	return nil

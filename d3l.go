@@ -192,8 +192,9 @@ func New(lake *Lake, opts Options) (*Engine, error) {
 	return &Engine{core: e}, nil
 }
 
-// BuildTimings reports where New spent its time; zero on a loaded
-// engine.
+// BuildTimings reports where New spent its time; on a loaded engine,
+// Index is the time Load took to rebuild the four LSH indexes and
+// Profile is zero.
 func (e *Engine) BuildTimings() BuildTimings { return e.core.BuildTimings() }
 
 // Add profiles and indexes a new table, returning its id. The table is
@@ -290,9 +291,10 @@ func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
 }
 
 // Save writes a versioned, checksummed binary snapshot of the engine —
-// the four LSH indexes, attribute profiles, lake metadata, tombstone
-// set, and the SA-join graph if the engine holds one — so serving
-// replicas cold-start with Load instead of re-profiling the lake. Save
+// attribute profiles, lake metadata, tombstone set, and the SA-join
+// graph if the engine holds one — so serving replicas cold-start with
+// Load instead of re-profiling the lake. The four LSH indexes are not
+// in it: they are a function of the profiles, and Load rebuilds them. Save
 // never builds the graph: call JoinGraphEdges first to put it in the
 // snapshot (`d3l index build` does; shard snapshots, whose graphs no
 // sharded topology reads, do not). Save holds the mutation lock in read
@@ -353,9 +355,11 @@ func (e *Engine) encodeSnapshot() (*persist.Encoder, error) {
 	return enc, nil
 }
 
-// Load reconstructs an engine from a snapshot written by Save. The
-// loaded engine answers Query and QueryBatch identically to the engine
-// the snapshot was taken from, and accepts Add/Remove from there on.
+// Load reconstructs an engine from a snapshot written by Save, and
+// rebuilds the four LSH indexes from its profiles as New builds them.
+// The loaded engine answers Query and QueryBatch identically to the
+// engine the snapshot was taken from, and accepts Add/Remove from there
+// on.
 // Its lake carries metadata only (names, schemas, ids) — raw extents
 // are not stored in snapshots, since queries are answered entirely from
 // the indexed profiles. Corrupt, truncated or version-mismatched input

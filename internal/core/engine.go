@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,8 +68,8 @@ type Engine struct {
 	// for which attributes each one holds).
 	forests [numForestSlots]*lsh.Forest
 
-	// buildTimings is where BuildEngine's time went; zero on an engine
-	// that was decoded from a snapshot.
+	// buildTimings is where BuildEngine's time went; on an engine decoded
+	// from a snapshot, Index is the time its forests took to rebuild.
 	buildTimings BuildTimings
 }
 
@@ -80,7 +81,8 @@ type BuildTimings struct {
 }
 
 // BuildTimings reports where this engine's BuildEngine call spent its
-// time (`d3l index build` prints it).
+// time (`d3l index build` prints it), or for a decoded engine how long
+// its forests took to rebuild (`d3l index info` prints that).
 func (e *Engine) BuildTimings() BuildTimings { return e.buildTimings }
 
 // BuildEngine profiles and indexes every attribute of the lake.
@@ -135,26 +137,58 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// indexLive builds the four forests afresh over the live attributes,
-// inserted in (table id, attribute id) order and then sorted. BuildEngine
-// and Compact both index through it, so a compacted engine's trees are
-// byte-identical to those of a fresh build over the surviving tables.
-// Caller holds e.mu or owns the engine.
+// indexLive builds the four forests afresh over the live attributes, in
+// (table id, attribute id) order. BuildEngine, Compact and DecodeEngine
+// all index through it, so a compacted or loaded engine's trees are
+// identical to those of a fresh build over the surviving tables. Each
+// forest's ids are counted before they are listed, and lsh.Forest.Build
+// sorts them reading every key straight from the profiles' signatures:
+// nothing is allocated that the forests do not keep. Caller holds e.mu or
+// owns the engine.
 func (e *Engine) indexLive() ([numForestSlots]*lsh.Forest, error) {
-	forests := newForests(e.opts)
-	var evals []uint32
-	for tid, attrs := range e.byTable {
-		if !e.alive[tid] {
-			continue
-		}
-		for _, attrID := range attrs {
-			if _, err := writeKeys(&forests, attrID, &e.profiles[attrID], false, numForestSlots, &evals); err != nil {
-				return forests, err
+	live := func(fn func(attrID int32, in [numForestSlots]bool)) {
+		for tid, attrs := range e.byTable {
+			if e.alive[tid] {
+				for _, attrID := range attrs {
+					fn(int32(attrID), placed(&e.profiles[attrID]))
+				}
 			}
 		}
 	}
-	forEachIndex(numForestSlots, e.opts.Parallelism, func(i int) { forests[i].Index() })
-	return forests, nil
+	var counts [numForestSlots]int
+	live(func(_ int32, in [numForestSlots]bool) {
+		for slot := range in {
+			if in[slot] {
+				counts[slot]++
+			}
+		}
+	})
+	var ids [numForestSlots][]int32
+	for slot := range ids {
+		ids[slot] = make([]int32, 0, counts[slot])
+	}
+	live(func(attrID int32, in [numForestSlots]bool) {
+		for slot := range in {
+			if in[slot] {
+				ids[slot] = append(ids[slot], attrID)
+			}
+		}
+	})
+	p := e.profiles
+	keys := [numForestSlots]lsh.Keys{
+		lsh.SigKeys(func(id int32) []uint32 { return p[id].QSig }),
+		lsh.SigKeys(func(id int32) []uint32 { return p[id].TSig }),
+		lsh.SigKeys(func(id int32) []uint32 { return p[id].RSig }),
+		lsh.BitKeys(func(id int32) lsh.BitSignature { return p[id].ESig }),
+	}
+	forests := newForests(e.opts)
+	var errs [numForestSlots]error
+	forEachIndex(numForestSlots, e.opts.Parallelism, func(slot int) {
+		if err := forests[slot].Build(ids[slot], keys[slot]); err != nil {
+			errs[slot] = fmt.Errorf("forest I_%v: %w", slotEvidence[slot], err)
+		}
+	})
+	return forests, errors.Join(errs[:]...)
 }
 
 // Forest slots: the four LSH indexes of Algorithm 1, in the order
@@ -181,21 +215,36 @@ func newForests(opts Options) [numForestSlots]*lsh.Forest {
 	return forests
 }
 
-// forestSigs is the placement rule of Section III-C, the one place it is
-// written: per forest slot, the signature p is indexed (and probed) under,
-// or nil where p stays out. Every attribute goes into I_N and I_F;
-// numeric attributes skip I_V and I_E, and attributes with no embeddable
-// content skip I_E. The embedding signature is expanded into *evals,
-// which is grown as needed and valid until the next call with it.
+// placed is the placement rule of Section III-C, the one place it is
+// written: per forest slot, whether p is indexed (and probed) there.
+// Every attribute goes into I_N and I_F; numeric attributes skip I_V and
+// I_E, and attributes with no embeddable content skip I_E. A stub, whose
+// signatures are released, is in none.
+func placed(p *Profile) [numForestSlots]bool {
+	text := !p.Numeric
+	return [numForestSlots]bool{
+		forestSlotN: p.QSig != nil,
+		forestSlotV: text && p.TSig != nil,
+		forestSlotF: p.RSig != nil,
+		forestSlotE: text && !p.EZero,
+	}
+}
+
+// forestSigs is, per forest slot, the signature p is indexed (and probed)
+// under, or nil where placed keeps p out. The embedding signature is
+// expanded into *evals, which is grown as needed and valid until the
+// next call with it.
 func forestSigs(p *Profile, evals *[]uint32) [numForestSlots][]uint32 {
+	in := placed(p)
 	var sigs [numForestSlots][]uint32
-	sigs[forestSlotN], sigs[forestSlotF] = p.QSig, p.RSig
-	if !p.Numeric {
-		sigs[forestSlotV] = p.TSig
-		if !p.EZero {
-			*evals = p.ESig.HashValuesInto((*evals)[:0])
-			sigs[forestSlotE] = *evals
+	for slot, sig := range [...][]uint32{forestSlotN: p.QSig, forestSlotV: p.TSig, forestSlotF: p.RSig} {
+		if in[slot] {
+			sigs[slot] = sig
 		}
+	}
+	if in[forestSlotE] {
+		*evals = p.ESig.HashValuesInto((*evals)[:0])
+		sigs[forestSlotE] = *evals
 	}
 	return sigs
 }

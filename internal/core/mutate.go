@@ -225,9 +225,9 @@ func (p Profile) stub() Profile {
 // tombstoned.
 //
 // Snapshot writing needs no Compact first: tombstoned profiles are
-// metadata-only stubs and a forest encodes its merged form, deleted
-// keys left out, so snapshots do not grow with mutation churn either
-// way.
+// metadata-only stubs and a snapshot holds no forests, so snapshots do
+// not grow with mutation churn. A load rebuilds the forests as Compact
+// does.
 func (e *Engine) Compact() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()

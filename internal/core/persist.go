@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"d3l/internal/lsh"
 	"d3l/internal/minhash"
@@ -15,16 +16,17 @@ import (
 )
 
 // This file implements engine snapshots: the build-once / serve-many
-// path. A snapshot captures everything the indexing phase produced —
-// options, lake metadata, the table of distinct MinHash signatures,
-// attribute profiles (with the tombstone set), and the four LSH
-// forests — so a serving replica cold-starts by deserialising instead
-// of re-profiling the lake. Hash machinery
-// (MinHash families, random-projection planes, the embedding model) is
-// deterministic in Options.Seed and is rebuilt at load time rather
-// than stored; the subject classifier's coefficients are stored, so a
-// replica profiles targets with exactly the classifier the snapshot
-// was built with even if the shipped default changes.
+// path. A snapshot captures what the indexing phase produced that a
+// replica cannot derive — options, lake metadata, the table of distinct
+// MinHash signatures and the attribute profiles (with the tombstone set)
+// — so a serving replica cold-starts by deserialising instead of
+// re-profiling the lake. What is a function of those is rebuilt at load
+// time rather than stored: the hash machinery (MinHash families,
+// random-projection planes, the embedding model) from Options.Seed, and
+// the four LSH forests from the profiles' signatures, through the
+// indexLive every build runs. The subject classifier's coefficients are
+// stored, so a replica profiles targets with exactly the classifier the
+// snapshot was built with even if the shipped default changes.
 
 // AppendSnapshot encodes the engine's sections into enc; the public d3l
 // package appends the SA-join graph after them and writes the result.
@@ -53,12 +55,6 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	enc.End()
 
 	e.encodeAttrs(enc.Begin(persist.SecAttrs), pos)
-	enc.End()
-
-	fb := enc.Begin(persist.SecForests)
-	for _, f := range e.forests {
-		f.Encode(fb)
-	}
 	enc.End()
 	return nil
 }
@@ -92,10 +88,6 @@ const (
 	// embedding signature and its extent: 3 I64s, 3 signature positions,
 	// 3 counts, 3 bools.
 	profileFixedEnc = 3*8 + 3*4 + 3*4 + 3
-	// forestFixedEnc is a forest's layout and state; treeFixedEnc the two
-	// counts in front of a tree's arrays.
-	forestFixedEnc = 4 + 4 + 8 + 1
-	treeFixedEnc   = 4 + 4
 )
 
 // snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
@@ -104,7 +96,7 @@ const (
 // signature once, as the file holds it, where indexSpaceBytes (Table
 // II's measure) counts it once per profile field. Caller holds e.mu.
 func (e *Engine) snapshotSizeBound(order []int32) int {
-	n := 5*persist.SectionOverhead + optionsEnc
+	n := 4*persist.SectionOverhead + optionsEnc
 	// SecLake: a liveness byte, a counted name and a column count per
 	// table, a counted name and a type byte per column.
 	n += 4
@@ -130,9 +122,6 @@ func (e *Engine) snapshotSizeBound(order []int32) int {
 	for _, attrs := range e.byTable {
 		n += 8 * len(attrs)
 	}
-	for _, f := range e.forests {
-		n += forestFixedEnc + f.NumTrees()*treeFixedEnc + int(f.SpaceBytes())
-	}
 	return n
 }
 
@@ -154,9 +143,10 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 }
 
 // DecodeEngine reconstructs an engine from an already-verified
-// snapshot decoder (LoadEngine is the plain-reader convenience). It
-// reads the decoder's sections one after another, so the decoder must
-// not be read from elsewhere until it returns.
+// snapshot decoder (LoadEngine is the plain-reader convenience) and
+// rebuilds its forests from the profiles. It reads the decoder's
+// sections one after another, so the decoder must not be read from
+// elsewhere until it returns.
 func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	ro, err := dec.MustSection(persist.SecOptions)
 	if err != nil {
@@ -210,29 +200,13 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 			persist.ErrCorrupt, len(e.byTable), lake.Len())
 	}
 
-	rf, err := dec.MustSection(persist.SecForests)
-	if err != nil {
-		return nil, err
+	// The forests are a function of the profiles, so they are rebuilt, not
+	// read: a version 2 or 3 snapshot's SecForests is never opened.
+	start := time.Now()
+	if e.forests, err = e.indexLive(); err != nil {
+		return nil, fmt.Errorf("%w: %v", persist.ErrCorrupt, err)
 	}
-	for i, want := range newForests(opts) {
-		f, err := lsh.DecodeForest(rf)
-		if err != nil {
-			return nil, fmt.Errorf("core: snapshot forest %d: %w", i, err)
-		}
-		if err := f.CheckIDs(int32(len(e.profiles))); err != nil {
-			return nil, fmt.Errorf("%w: forest %d: %v", persist.ErrCorrupt, i, err)
-		}
-		if f.NumTrees() != want.NumTrees() || f.HashesPerTree() != want.HashesPerTree() {
-			return nil, fmt.Errorf("%w: forest %d layout %dx%d, options demand %dx%d",
-				persist.ErrCorrupt, i, f.NumTrees(), f.HashesPerTree(), want.NumTrees(), want.HashesPerTree())
-		}
-		// An engine only writes indexed forests; an un-indexed one would
-		// load and then fail every query.
-		if !f.Indexed() {
-			return nil, fmt.Errorf("%w: forest I_%v is not indexed", persist.ErrCorrupt, slotEvidence[i])
-		}
-		e.forests[i] = f
-	}
+	e.buildTimings.Index = time.Since(start)
 	e.fpBase = e.fingerprintBase()
 	e.assertSigTable("DecodeEngine")
 	return e, nil
@@ -268,10 +242,9 @@ func (e *Engine) encodeOptions(b *persist.Buffer) {
 
 // maxSnapshotSketchWidth bounds the MinHashSize and EmbedBits a snapshot
 // may declare. The hash families and projection planes are rebuilt from
-// them at load time — memory the options name rather than carry — so,
-// like lsh's maxForestLayout, the cap keeps a corrupt or adversarial
-// snapshot from requesting absurd allocations. The paper and every
-// shipped configuration use 256.
+// them at load time — memory the options name rather than carry — so
+// the cap keeps a corrupt or adversarial snapshot from requesting absurd
+// allocations. The paper and every shipped configuration use 256.
 const maxSnapshotSketchWidth = 1 << 12
 
 func decodeOptions(r *persist.Reader) (Options, error) {

@@ -368,25 +368,6 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		}
 		refuse(fmt.Sprintf("bit flip at offset %d", i), mut, want)
 	}
-
-	// A checksum-valid snapshot whose I_N tree 0 is out of key order: two
-	// adjacent distinct keys swapped, then resealed.
-	mut := append([]byte(nil), data...)
-	off := 12
-	for binary.LittleEndian.Uint32(mut[off:]) != persist.SecForests {
-		off += 4 + 8 + int(binary.LittleEndian.Uint64(mut[off+4:]))
-	}
-	off += 4 + 8 + 4 + 4 + 8 + 1 // section header, then the forest's layout, count and flag
-	h := e.opts.ForestHashes
-	keys := mut[off+4 : off+4+int(binary.LittleEndian.Uint32(mut[off:]))]
-	i := 0
-	for bytes.Equal(keys[i*h:i*h+h], keys[i*h+h:i*h+2*h]) {
-		i++
-	}
-	a := append([]byte(nil), keys[i*h:i*h+h]...)
-	copy(keys[i*h:], keys[i*h+h:i*h+2*h])
-	copy(keys[i*h+h:], a)
-	refuse("an unsorted forest tree", reseal(mut), persist.ErrCorrupt)
 }
 
 // loadEngineFile is LoadEngine of a file decoded where it lies, as
@@ -609,7 +590,7 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 //		}
 //	}
 //
-// Neither can be regenerated from this tree (which writes version 3),
+// Neither can be regenerated from this tree (which writes version 4),
 // and neither must be: they stand for every snapshot already on disk.
 const (
 	v1FixturePath = "testdata/snapshot_v1.d3l"
@@ -761,13 +742,21 @@ func TestSnapshotV1IsRefused(t *testing.T) {
 }
 
 // TestSnapshotV2StillLoads: a version 2 snapshot (a copy of every
-// signature per profile) keeps checkOldSnapshot's contract; numeric
+// signature per profile) keeps checkOldSnapshot's contract; its forests
+// are rebuilt with the entries its SecForests holds; numeric
 // attributes share one empty TSig, loaded or built; a version this build
 // does not know is ErrVersion; and version 2 and 3 bodies do not read
 // under each other's headers.
 func TestSnapshotV2StillLoads(t *testing.T) {
 	v2, old, cur := checkOldSnapshot(t, v2FixturePath, 2)
 	fresh := v1FixtureEngine(t)
+
+	// The fixture's SecForests is not read, but it holds what the build
+	// that wrote it indexed: the forests the load rebuilt hold exactly
+	// its entries, as every probe sees them.
+	var forests []byte
+	replaceSection(t, v2, persist.SecForests, func(p []byte) []byte { forests = p; return p })
+	checkForestsMatchOneArrays(t, old, decodeOneArrays(t, forests), "the version 2 fixture")
 
 	// Numeric attributes share one empty TSig, loaded or built: the
 	// signature table's copy.
@@ -966,18 +955,18 @@ func replaceSection(t testing.TB, data []byte, id uint32, edit func(payload []by
 	return reseal(append(out, 0, 0, 0, 0))
 }
 
-// hostileSnapshot is a checksum-valid version 3 snapshot that breaks the
-// signature table's contract, and the error a load must fail with.
+// hostileSnapshot is a checksum-valid snapshot that breaks the signature
+// table's contract, and the error a load must fail with.
 type hostileSnapshot struct {
 	what, why string // why: a phrase of the error the check under test returns
 	data      []byte
 }
 
-// hostileV3Snapshots edits the signature table of a version 3 snapshot
-// of v1FixtureEngine four ways. The last three would break invariants
+// hostileSignatureTables edits the signature table of a snapshot of
+// v1FixtureEngine four ways. The last three would break invariants
 // sigTable.verify asserts (no unreferenced copy, no two equal copies) or
 // allocate by a count the bytes cannot back.
-func hostileV3Snapshots(t testing.TB) []hostileSnapshot {
+func hostileSignatureTables(t testing.TB) []hostileSnapshot {
 	data := snapshotBytes(t, v1FixtureEngine(t))
 	var sigs []byte
 	replaceSection(t, data, persist.SecSigs, func(p []byte) []byte { sigs = p; return p })
@@ -1008,10 +997,10 @@ func hostileV3Snapshots(t testing.TB) []hostileSnapshot {
 	}
 }
 
-// TestLoadRejectsHostileSignatureTables: each hostileV3Snapshots input
+// TestLoadRejectsHostileSignatureTables: each hostileSignatureTables input
 // is refused as corrupt, by the check meant for it.
 func TestLoadRejectsHostileSignatureTables(t *testing.T) {
-	for _, h := range hostileV3Snapshots(t) {
+	for _, h := range hostileSignatureTables(t) {
 		_, err := LoadEngine(bytes.NewReader(h.data))
 		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), h.why) {
 			t.Errorf("%s: err = %v, want ErrCorrupt for %q", h.what, err, h.why)
@@ -1019,37 +1008,12 @@ func TestLoadRejectsHostileSignatureTables(t *testing.T) {
 	}
 }
 
-// unindexedForestSnapshot is a checksum-valid snapshot of v1FixtureEngine
-// whose I_N forest is flagged un-indexed: the flag follows the forest's
-// two layout words and its count.
-func unindexedForestSnapshot(t testing.TB) []byte {
-	t.Helper()
-	return replaceSection(t, snapshotBytes(t, v1FixtureEngine(t)), persist.SecForests, func(p []byte) []byte {
-		const indexedOff = 4 + 4 + 8
-		if p[indexedOff] != 1 {
-			t.Fatalf("offset %d of the forests section holds %d, not I_N's indexed flag", indexedOff, p[indexedOff])
-		}
-		p[indexedOff] = 0
-		return p
-	})
-}
-
-// TestLoadRejectsUnindexedForest: a forest that was never indexed loads
-// as a forest, but every query on it would fail, and an engine never
-// writes one, so the load refuses it as corrupt and names it.
-func TestLoadRejectsUnindexedForest(t *testing.T) {
-	_, err := LoadEngine(bytes.NewReader(unindexedForestSnapshot(t)))
-	if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), "forest I_N is not indexed") {
-		t.Fatalf("un-indexed I_N: err = %v, want ErrCorrupt naming the forest", err)
-	}
-}
-
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
 // snapshot of each version (version 1's exercises the refusal by
-// version), the hostile version 3 inputs of hostileV3Snapshots and the
-// un-indexed forest of unindexedForestSnapshot: the outcome is an error
-// or an engine that answers a query, never a panic, and never
-// allocations out of proportion to the input. The CRC trailer
+// version), the hostile signature tables of hostileSignatureTables and
+// the version 3 files of forgedForests, whose SecForests a load must not
+// read: the outcome is an error or an engine that answers a query, never
+// a panic, and never allocations out of proportion to the input. The CRC trailer
 // stops nearly every mutation at the door, so each input is also tried
 // resealed, which puts the section decoders behind it in reach.
 func FuzzLoadEngine(f *testing.F) {
@@ -1060,11 +1024,15 @@ func FuzzLoadEngine(f *testing.F) {
 		}
 		f.Add(old)
 	}
-	f.Add(snapshotBytes(f, v1FixtureEngine(f)))
-	for _, h := range hostileV3Snapshots(f) {
+	e := v1FixtureEngine(f)
+	data := snapshotBytes(f, e)
+	f.Add(data)
+	for _, h := range hostileSignatureTables(f) {
 		f.Add(h.data)
 	}
-	f.Add(unindexedForestSnapshot(f))
+	for _, c := range forgedForests(f, e) {
+		f.Add(asVersion3(f, data, c.forests))
+	}
 	target := figure1Target(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inputs := [][]byte{data}

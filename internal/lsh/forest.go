@@ -25,8 +25,8 @@ import (
 // entries share a key with another.
 //
 // Once indexed, a tree is two sorted runs, the LSM-tree split (O'Neil et
-// al., Acta Informatica 1996): an immutable base — what Index sorted, a
-// snapshot loaded or the last fold merged — and a small delta that takes
+// al., Acta Informatica 1996): an immutable base — what Index or Build
+// sorted, or the last fold merged — and a small delta that takes
 // every later Insert. Delete takes an entry out of the delta, or marks a
 // base entry's id in the forest's dead set. When the delta and the dead
 // set together outgrow max(foldMin, base/8) entries, fold merges them
@@ -34,7 +34,8 @@ import (
 // only the delta, and every probe sees exactly the entries that one
 // sorted array per tree would hold.
 //
-// Build with Add (any order), call Index once, then Query concurrently.
+// Fill with Add (any order) and call Index once, or fill at once with
+// Build, then Query concurrently.
 type Forest struct {
 	numTrees      int
 	hashesPerTree int
@@ -94,65 +95,33 @@ func (r *run) seal(key []byte) {
 	}
 }
 
-// countKeys counts the keys of flat, a stretch of a one-array tree's
-// keys (h bytes per entry), that differ from the key before them — last
-// for the first, none when last is empty — and reports whether each
-// sorts at or above the one before it.
-func countKeys(last, flat []byte, h int) (distinct int, sorted bool) {
-	sorted = true
-	for i := 0; i < len(flat); i += h {
-		k := flat[i : i+h]
-		c := -1
-		if len(last) > 0 {
-			c = bytes.Compare(last, k)
-		}
-		if c != 0 {
+// sortPack sorts ids, one tree's entries in the order they were added,
+// in place by key — compare orders two entries' keys, key appends one —
+// and packs them into a run over ids: each distinct key once, with its
+// offset, both arrays allocated at their exact size after a counting
+// pass. The sort is the pdqsort sort.Slice runs, so entries under equal
+// keys land in the order a sort of the one array by key leaves them.
+func sortPack(ids []int32, h int, compare func(a, b int32) int, key func(dst []byte, id int32) []byte) run {
+	slices.SortFunc(ids, compare)
+	distinct := 0
+	for i := range ids {
+		if i == 0 || compare(ids[i-1], ids[i]) != 0 {
 			distinct++
 		}
-		sorted = sorted && c <= 0
-		last = k
 	}
-	return distinct, sorted
-}
-
-// packKeys appends to keys and off the distinct keys of flat, a sorted
-// stretch of a one-array tree's keys whose first entry is entry first of
-// the tree, and their offsets: a key equal to the last one in keys joins
-// its run. Calls over consecutive stretches pack a whole tree.
-func packKeys(keys []byte, off []int32, flat []byte, first, h int) ([]byte, []int32) {
-	for i := 0; i < len(flat); i += h {
-		k := flat[i : i+h]
-		if n := len(keys); n == 0 || !bytes.Equal(keys[n-h:], k) {
-			keys = append(keys, k...)
-			off = append(off, int32(first+i/h))
+	r := run{keys: make([]byte, 0, distinct*h), ids: ids, off: make([]int32, 0, distinct+1)}
+	for i := range ids {
+		if i == 0 || compare(ids[i-1], ids[i]) != 0 {
+			r.keys = key(r.keys, ids[i])
+			r.off = append(r.off, int32(i))
 		}
 	}
-	return keys, off
-}
-
-// pack is the run of a sorted one-array tree, flat holding one h-byte
-// key per id: each distinct key once, the ids as they are, every array
-// allocated at its exact size.
-func pack(flat []byte, ids []int32, h int) run {
-	distinct, _ := countKeys(nil, flat, h)
-	keys, off := packKeys(make([]byte, 0, distinct*h), make([]int32, 0, distinct+1), flat, 0, h)
-	return run{keys: keys, ids: ids, off: append(off, int32(len(ids)))}
-}
-
-// expand appends to dst the run's keys as the one array holds them, one
-// per id.
-func (r *run) expand(dst []byte, h int) []byte {
-	for i := range r.numKeys() {
-		for range r.span(i, i+1) {
-			dst = append(dst, r.key(i, h)...)
-		}
-	}
-	return dst
+	r.off = append(r.off, int32(len(ids)))
+	return r
 }
 
 // flat is a tree as one array, an h-byte key per id: the entries Add
-// stages until Index sorts and packs them, and the form a snapshot
-// stores.
+// stages until Index sorts and packs them.
 type flat struct {
 	keys []byte
 	ids  []int32
@@ -421,34 +390,124 @@ func (f *Forest) appendLive(dst, b *run, lo, hi int) {
 
 // Index sorts the trees; it must be called once after the last Add and
 // before the first Query. Calling it again is a no-op. Each tree's
-// staged entries are sorted into one array, reused from tree to tree,
-// then packed into its base run.
+// staged entries are sorted by their positions (sortPack), which then
+// give way to the ids at them.
 func (f *Forest) Index() {
 	if f.indexed {
 		return
 	}
 	h := f.hashesPerTree
-	var flat []byte
 	for t := range f.trees {
-		s := &f.trees[t].staged
-		order := make([]int, len(s.ids))
-		for i := range order {
-			order[i] = i
+		s := f.trees[t].staged
+		key := func(p int32) []byte { return s.keys[int(p)*h : int(p)*h+h] }
+		pos := make([]int32, len(s.ids))
+		for i := range pos {
+			pos[i] = int32(i)
 		}
-		sort.Slice(order, func(x, y int) bool {
-			kx := s.keys[order[x]*h : order[x]*h+h]
-			ky := s.keys[order[y]*h : order[y]*h+h]
-			return bytes.Compare(kx, ky) < 0
-		})
-		flat = slices.Grow(flat[:0], len(s.keys))[:len(s.keys)]
-		ids := make([]int32, len(s.ids))
-		for pos, idx := range order {
-			copy(flat[pos*h:], s.keys[idx*h:idx*h+h])
-			ids[pos] = s.ids[idx]
+		r := sortPack(pos, h,
+			func(a, b int32) int { return bytes.Compare(key(a), key(b)) },
+			func(dst []byte, p int32) []byte { return append(dst, key(p)...) })
+		for i, p := range r.ids {
+			r.ids[i] = s.ids[p]
 		}
-		f.trees[t] = forestTree{base: pack(flat, ids, h)}
+		f.trees[t] = forestTree{base: r}
 	}
 	f.indexed = true
+}
+
+// Keys is where Build reads the keys of the items it indexes, in place
+// of the signatures Add copies them out of: Len is how many hash values
+// item id's signature provides, Compare orders two items' keys over the
+// hash values [lo, hi) as bytes.Compare orders the keys Add stages, and
+// AppendKey appends one item's. SigKeys and BitKeys read the two kinds
+// of signature a forest indexes.
+type Keys interface {
+	Len(id int32) int
+	Compare(a, b int32, lo, hi int) int
+	AppendKey(dst []byte, id int32, lo, hi int) []byte
+}
+
+// SigKeys reads the keys of hash-value signatures such as MinHash's:
+// item id's signature is SigKeys(id), keyed by each value's low byte, as
+// Add keys it.
+type SigKeys func(id int32) []uint32
+
+func (s SigKeys) Len(id int32) int { return len(s(id)) }
+
+func (s SigKeys) Compare(a, b int32, lo, hi int) int {
+	x, y := s(a)[lo:hi], s(b)[lo:hi]
+	if &x[0] == &y[0] {
+		return 0 // one signature: callers share the copies of equal ones
+	}
+	y = y[:len(x)]
+	for i := range x {
+		if xb, yb := byte(x[i]), byte(y[i]); xb != yb {
+			return int(xb) - int(yb)
+		}
+	}
+	return 0
+}
+
+func (s SigKeys) AppendKey(dst []byte, id int32, lo, hi int) []byte {
+	for _, v := range s(id)[lo:hi] {
+		dst = append(dst, byte(v))
+	}
+	return dst
+}
+
+// BitKeys reads the keys of bit signatures such as SimHash's: item id's
+// signature is BitKeys(id), keyed by its byte-wide hash values
+// (HashValues) without expanding them.
+type BitKeys func(id int32) BitSignature
+
+func (s BitKeys) Len(id int32) int { return 8 * len(s(id)) }
+
+func (s BitKeys) Compare(a, b int32, lo, hi int) int {
+	x, y := s(a), s(b)
+	for k := lo; k < hi; k++ {
+		if xb, yb := x.value(k), y.value(k); xb != yb {
+			return int(xb) - int(yb)
+		}
+	}
+	return 0
+}
+
+func (s BitKeys) AppendKey(dst []byte, id int32, lo, hi int) []byte {
+	x := s(id)
+	for k := lo; k < hi; k++ {
+		dst = append(dst, x.value(k))
+	}
+	return dst
+}
+
+// Build indexes, at once, the items ids lists in the order Add would take
+// them, reading every key straight from keys: the forest Add of each
+// id's signature in that order followed by Index leaves, entry for
+// entry, with no key staged. The last tree keeps ids itself as its id
+// column and every other tree a copy, so a caller that sized ids exactly
+// allocates nothing Build does not keep. Build fills an empty forest
+// once, in place of Add and Index.
+func (f *Forest) Build(ids []int32, keys Keys) error {
+	if f.indexed || f.count > 0 {
+		return fmt.Errorf("lsh: Build of a forest already filled")
+	}
+	for _, id := range ids {
+		if n := keys.Len(id); n < f.MinSignatureLen() {
+			return fmt.Errorf("lsh: signature of item %d has %d values, forest needs %d", id, n, f.MinSignatureLen())
+		}
+	}
+	h := f.hashesPerTree
+	for t := range f.trees {
+		tids, lo := ids, t*h
+		if t < f.numTrees-1 {
+			tids = slices.Clone(ids)
+		}
+		f.trees[t] = forestTree{base: sortPack(tids, h,
+			func(a, b int32) int { return keys.Compare(a, b, lo, lo+h) },
+			func(dst []byte, id int32) []byte { return keys.AppendKey(dst, id, lo, lo+h) })}
+	}
+	f.count, f.indexed = len(ids), true
+	return nil
 }
 
 // prefixRange returns the half-open range of r's keys that match the
@@ -759,10 +818,11 @@ func (f *Forest) DepthCounts(sig []uint32, s *DepthScratch) ([]int32, error) {
 	return counts, nil
 }
 
-// SpaceBytes is the encoded size of the index payload, the Table II
-// space-overhead measure: the key and id arrays of the one-array form
-// Encode writes, count entries per tree. It is not the memory the
-// forest holds, which stores each tree's repeated keys once.
+// SpaceBytes is the index payload of the Table II space-overhead
+// measure: the key and id arrays of the one-array form, count entries
+// per tree. It is neither the memory the forest holds, which stores each
+// tree's repeated keys once, nor anything a snapshot stores: a load
+// rebuilds the forests from the signatures.
 func (f *Forest) SpaceBytes() int64 {
 	return int64(f.numTrees) * int64(f.count) * int64(f.hashesPerTree+4)
 }

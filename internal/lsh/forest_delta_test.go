@@ -7,8 +7,6 @@ import (
 	"slices"
 	"sort"
 	"testing"
-
-	"d3l/internal/persist"
 )
 
 // refForest is the single-array forest the engine wrote to before the
@@ -154,51 +152,32 @@ func probe(sets [][]int32, budget int) ([]int32, int) {
 	}
 }
 
-// encode is the snapshot bytes an indexed one-array forest writes.
-func (r *refForest) encode() []byte {
-	var b persist.Buffer
-	b.U32(uint32(r.numTrees))
-	b.U32(uint32(r.h))
-	b.U64(uint64(r.count))
-	b.Bool(true)
-	for t := range r.numTrees {
-		b.Bytes(r.keys[t])
-		b.I32s(r.ids[t])
-	}
-	return b.Sealed()
-}
-
-// refFromSnapshot reads an indexed forest's snapshot bytes straight into
-// a reference, without DecodeForest.
-func refFromSnapshot(t testing.TB, data []byte) *refForest {
-	t.Helper()
-	pr, err := persist.OpenSealed(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := newRefForest(int(pr.U32()), int(pr.U32()))
-	r.count = int(pr.U64())
-	if !pr.Bool() {
-		t.Fatal("refFromSnapshot: an un-indexed forest")
-	}
-	for i := range r.numTrees {
-		r.keys[i], r.ids[i] = pr.Bytes(), pr.I32s()
-	}
-	if err := pr.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
 // clean reports whether every tree is its base alone: an empty delta and
 // no dead ids.
 func (f *Forest) clean() bool { return len(f.trees[0].delta.ids) == 0 && f.dead.n == 0 }
 
-// encoded is the forest's snapshot bytes.
-func encoded(f *Forest) []byte {
-	var b persist.Buffer
-	f.Encode(&b)
-	return b.Sealed()
+// expand appends to dst the run's keys as the one array holds them, one
+// per id.
+func (r *run) expand(dst []byte, h int) []byte {
+	for i := range r.numKeys() {
+		for range r.span(i, i+1) {
+			dst = append(dst, r.key(i, h)...)
+		}
+	}
+	return dst
+}
+
+// checkSameArrays fails unless every tree of f, in its merged form (base
+// and delta as one run, dead ids left out), is the reference's one sorted
+// array: the same key per entry and the same ids in the same order.
+func checkSameArrays(t testing.TB, f *Forest, ref *refForest, label string) {
+	t.Helper()
+	for ti := range f.trees {
+		r := f.merged(&f.trees[ti])
+		if keys := r.expand(nil, f.hashesPerTree); !bytes.Equal(keys, ref.keys[ti]) || !slices.Equal(r.ids, ref.ids[ti]) {
+			t.Fatalf("%s: tree %d holds ids %v, the reference %v (keys equal %v)", label, ti, r.ids, ref.ids[ti], bytes.Equal(keys, ref.keys[ti]))
+		}
+	}
 }
 
 // checkRuns fails unless every base and delta run of f keeps the layout
@@ -233,19 +212,17 @@ func checkRuns(t testing.TB, f *Forest, label string) {
 }
 
 // checkSameAnswers fails unless the forest f keeps its run invariant and
-// answers like the reference on every read: count, space, snapshot
-// bytes, and per query signature Query (in order), Probe (set and stop
-// depth), DepthCounts and CollectMinDepth at every depth (as
-// multisets).
+// answers like the reference on every read: count, space, the one-array
+// trees (checkSameArrays), and per query signature Query (in order),
+// Probe (set and stop depth), DepthCounts and CollectMinDepth at every
+// depth (as multisets).
 func checkSameAnswers(t testing.TB, f *Forest, ref *refForest, queries [][]uint32, s *DepthScratch, label string) {
 	t.Helper()
 	checkRuns(t, f, label)
 	if want := int64(ref.numTrees) * int64(ref.count) * int64(ref.h+4); f.count != ref.count || f.SpaceBytes() != want {
 		t.Fatalf("%s: count %d / %d B, reference %d / %d B", label, f.count, f.SpaceBytes(), ref.count, want)
 	}
-	if !bytes.Equal(encoded(f), ref.encode()) {
-		t.Fatalf("%s: snapshot bytes differ from the reference's", label)
-	}
+	checkSameArrays(t, f, ref, label)
 	for qi, sig := range queries {
 		sets := ref.descent(sig)
 		for _, budget := range []int{1, 3, ref.count + 1} {
@@ -297,14 +274,15 @@ type shape struct{ trees, hashes, alphabet, pool int }
 
 // runDeltaHistory drives a base + delta forest and the reference through
 // one history of writes and checks them equal after every one. Initial
-// items go in through Add and Index; then each byte op returns, until it
+// items go in through Add and Index, or with build through Build (over
+// SigKeys, in the same order); then each byte op returns, until it
 // reports false, picks the next write: insert a fresh id (under a fresh
 // signature or a copy of a known one, so runs of equal keys form),
 // delete a live id (base or delta), re-insert a deleted id under its old
 // signature (the undo), or delete a deleted id again. arg supplies the
 // rest: signature values (modulo alphabet) or pool picks, and which id
 // a write picks.
-func runDeltaHistory(t testing.TB, sh shape, initial int, op func() (byte, bool), arg func() byte) folds {
+func runDeltaHistory(t testing.TB, sh shape, initial int, build bool, op func() (byte, bool), arg func() byte) folds {
 	t.Helper()
 	f, ref := MustForest(sh.trees, sh.hashes), newRefForest(sh.trees, sh.hashes)
 	draw := func() []uint32 {
@@ -327,13 +305,21 @@ func runDeltaHistory(t testing.TB, sh shape, initial int, op func() (byte, bool)
 	var live, gone []int32
 	for id := 0; id < initial; id++ {
 		sigs = append(sigs, draw())
-		if err := f.Add(int32(id), sigs[id]); err != nil {
-			t.Fatal(err)
+		if !build {
+			if err := f.Add(int32(id), sigs[id]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		ref.add(int32(id), sigs[id])
 		live = append(live, int32(id))
 	}
-	f.Index()
+	if build {
+		if err := f.Build(slices.Clone(live), SigKeys(func(id int32) []uint32 { return sigs[id] })); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		f.Index()
+	}
 	ref.index()
 	var s DepthScratch
 	checkSameAnswers(t, f, ref, [][]uint32{draw()}, &s, "after Index")
@@ -406,7 +392,8 @@ func runDeltaHistory(t testing.TB, sh shape, initial int, op func() (byte, bool)
 }
 
 // TestForestDeltaMatchesReference property-tests the base + delta forest
-// against the single-array reference over random histories: phases that
+// against the single-array reference over random histories, on a base
+// from Add and Index (seed 1) or from Build (seed 2): phases that
 // mostly insert and phases that mostly delete, so the fold threshold is
 // crossed by inserts and by deletes, over layouts from 1×1 (every key
 // equal to many) to 8×32, and bases both under and over foldMin*8
@@ -442,7 +429,7 @@ func TestForestDeltaMatchesReference(t *testing.T) {
 				return ops[rng.Intn(len(ops))], true
 			}
 			arg := func() byte { return byte(rng.Intn(256)) }
-			seen := runDeltaHistory(t, c.shape, c.initial, op, arg)
+			seen := runDeltaHistory(t, c.shape, c.initial, seed == 2, op, arg)
 			if seen.byInsert == 0 || seen.byDelete == 0 {
 				t.Errorf("%dx%d seed %d: folds by insert %d, by delete %d; the history must cross the threshold both ways",
 					c.trees, c.hashes, seed, seen.byInsert, seen.byDelete)
@@ -455,16 +442,18 @@ func TestForestDeltaMatchesReference(t *testing.T) {
 // small layout over a 3-value alphabet; from 0x80 on the I_N / I_F
 // shape, 8×32 over a pool of 1 to 19 signatures (the low six bits) drawn
 // from a 3- or, with bit 6 set, a 256-value alphabet, with the initial
-// item count scaled to the hundreds.
-func fuzzShape(layout, initial byte) (shape, int) {
+// item count scaled to the hundreds. The initial byte's top bit puts
+// the initial items in through Build.
+func fuzzShape(layout, initial byte) (sh shape, n int, build bool) {
+	build = initial&0x80 != 0
 	if layout < 0x80 {
-		return shape{1 + int(layout%3), 1 + int(layout/3%4), 3, 0}, int(initial % 100)
+		return shape{1 + int(layout%3), 1 + int(layout/3%4), 3, 0}, int(initial % 100), build
 	}
 	alphabet := 3
 	if layout&0x40 != 0 {
 		alphabet = 256
 	}
-	return shape{8, 32, alphabet, 1 + int(layout&0x3f)%19}, 4 * int(initial%100)
+	return shape{8, 32, alphabet, 1 + int(layout&0x3f)%19}, 4 * int(initial%100), build
 }
 
 // FuzzForestDelta is the same comparison over histories the fuzzer
@@ -477,18 +466,21 @@ func FuzzForestDelta(f *testing.F) {
 		seed[0] &= 0x7f
 		f.Add(seed)
 	}
-	// The I_N and I_F shapes: 300 items over 19 and over 6 signatures.
+	// The I_N and I_F shapes: 300 items over 19 and over 6 signatures,
+	// through Add and Index and through Build.
 	for _, layout := range []byte{0xC0 | 18, 0x80 | 5} {
-		seed := make([]byte, 2+300+400)
-		rng.Read(seed)
-		seed[0], seed[1] = layout, 75
-		f.Add(seed)
+		for _, initial := range []byte{75, 0x80 | 75} {
+			seed := make([]byte, 2+300+400)
+			rng.Read(seed)
+			seed[0], seed[1] = layout, initial
+			f.Add(seed)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		sh, initial := fuzzShape(data[0], data[1])
+		sh, initial, build := fuzzShape(data[0], data[1])
 		data = data[2:]
 		// One stream feeds both: an op byte, then its arguments.
 		op := func() (byte, bool) {
@@ -500,6 +492,6 @@ func FuzzForestDelta(f *testing.F) {
 			return b, true
 		}
 		arg := func() byte { b, _ := op(); return b }
-		runDeltaHistory(t, sh, initial, op, arg)
+		runDeltaHistory(t, sh, initial, build, op, arg)
 	})
 }

@@ -148,6 +148,9 @@ func (s BitSignature) HashValuesInto(dst []uint32) []uint32 {
 	return dst
 }
 
+// value is hash value k of HashValues, read in place.
+func (s BitSignature) value(k int) byte { return byte(s[k>>3] >> (8 * (k & 7))) }
+
 // gaussian produces deterministic standard-normal variates via the
 // Box–Muller transform over a SplitMix64 stream.
 type gaussian struct {

@@ -37,12 +37,19 @@
 //	   signature once, in the order the profiles first use it; a profile
 //	   in SecAttrs carries three uint32 positions into that table (0 for
 //	   a nil signature) where version 2 carried the signatures.
+//	4  SecForests is no longer written. The four LSH forests are a
+//	   function of the profiles' signatures, and every load rebuilds
+//	   them exactly as a build over the live attributes would.
 //
-// This build reads version 2 as well, through the per-profile decode path
-// version 3 replaced: every snapshot built before version 3 with 32-bit
-// slots is one. It refuses version 1 with ErrVersion naming the version:
-// reading it would keep a second slot width in that path for the one
-// format two changes old. Rebuild a version 1 snapshot from its lake.
+// This build reads versions 2 and 3 as well. Neither's SecForests is
+// read: their forests are rebuilt like a version 4 file's, so a file's
+// forests can never disagree with its profiles, and there is one decode
+// path for them. Version 2 profiles load through the per-profile decode
+// path version 3 replaced: every snapshot built before version 3 with
+// 32-bit slots is one. This build refuses version 1 with ErrVersion
+// naming the version: reading it would keep a second slot width in that
+// path for the one format three changes old. Rebuild a version 1
+// snapshot from its lake.
 package persist
 
 import (
@@ -63,7 +70,7 @@ var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 // Version is the snapshot format version this build writes; MinVersion
 // the oldest it still reads.
 const (
-	Version    uint32 = 3
+	Version    uint32 = 4
 	MinVersion uint32 = 2
 )
 
@@ -81,7 +88,9 @@ const (
 	// SecAttrs holds the attribute profiles plus the per-table
 	// attribute map, subject attributes, and the tombstone set.
 	SecAttrs uint32 = 3
-	// SecForests holds the four LSH forests I_N, I_V, I_F, I_E.
+	// SecForests held the four LSH forests I_N, I_V, I_F, I_E in
+	// versions 2 and 3. Version 4 does not write it, and no version's is
+	// read: a load rebuilds the forests from SecAttrs.
 	SecForests uint32 = 4
 	// SecJoinGraph holds the SA-join graph (optional: written by
 	// d3l.Save when the engine holds a graph, absent from bare core
@@ -155,12 +164,6 @@ func (b *Buffer) Str(s string) {
 	b.data = append(b.data, s...)
 }
 
-// Bytes appends a length-prefixed byte slice.
-func (b *Buffer) Bytes(p []byte) {
-	b.U32(uint32(len(p)))
-	b.data = append(b.data, p...)
-}
-
 // U32s appends a length-prefixed []uint32. MinHash signatures — most of
 // a snapshot's bytes — go through here, so the payload grows once and
 // the slots are appended through a local slice header rather than one
@@ -179,14 +182,6 @@ func (b *Buffer) U64s(vs []uint64) {
 	b.U32(uint32(len(vs)))
 	for _, v := range vs {
 		b.U64(v)
-	}
-}
-
-// I32s appends a length-prefixed []int32.
-func (b *Buffer) I32s(vs []int32) {
-	b.U32(uint32(len(vs)))
-	for _, v := range vs {
-		b.U32(uint32(v))
 	}
 }
 
@@ -606,57 +601,6 @@ func (r *Reader) Str() string {
 	return b.String()
 }
 
-// Bytes reads a length-prefixed byte slice (copied out of the payload):
-// what the window holds, then the rest straight from the source.
-func (r *Reader) Bytes() []byte {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]byte, n)
-	k := copy(out, r.buf[r.off:])
-	r.off += k
-	if k < n {
-		if err := readAt(r.src, out[k:], r.next); err != nil {
-			r.err = err
-			return nil
-		}
-		r.next += int64(n - k)
-	}
-	return out
-}
-
-// Records reads a length-prefixed byte slice of size-byte records in
-// place: fn is handed the records a window at a time, a whole number
-// of them per call, valid only during that call, and nothing is copied
-// out. It returns the slice's length in bytes; a length that is not a
-// whole number of records is skipped unread. size must be positive and
-// at most the read window.
-func (r *Reader) Records(size int, fn func(p []byte)) int {
-	n := r.Count(1)
-	if n%size != 0 {
-		r.Skip(n)
-		return n
-	}
-	r.chunks(n/size, size, fn)
-	return n
-}
-
-// Rewind moves the read position back over the last n bytes read, so
-// the next reads see them again: from the window while it still holds
-// them, from the source otherwise. n must not exceed the bytes read.
-func (r *Reader) Rewind(n int) {
-	if r.err != nil {
-		return
-	}
-	if n <= r.off {
-		r.off -= n
-		return
-	}
-	pos := r.next - int64(len(r.buf)-r.off) - int64(n)
-	r.buf, r.off, r.next = r.buf[:0], 0, pos
-}
-
 // U32s reads a length-prefixed []uint32 into buf's storage when it has
 // room, into a fresh slice otherwise, and returns it: a decoder reading
 // values it only looks at (MinHash signatures, which the engine keeps
@@ -689,22 +633,6 @@ func (r *Reader) U64s() []uint64 {
 	r.chunks(n, 8, func(p []byte) {
 		for ; len(p) > 0; p = p[8:] {
 			out[i] = binary.LittleEndian.Uint64(p)
-			i++
-		}
-	})
-	return out
-}
-
-// I32s reads a length-prefixed []int32.
-func (r *Reader) I32s() []int32 {
-	n := r.Count(4)
-	if n == 0 {
-		return nil
-	}
-	out, i := make([]int32, n), 0
-	r.chunks(n, 4, func(p []byte) {
-		for ; len(p) > 0; p = p[4:] {
-			out[i] = int32(binary.LittleEndian.Uint32(p))
 			i++
 		}
 	})

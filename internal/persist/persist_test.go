@@ -50,10 +50,8 @@ func roundTripSnapshot(t *testing.T) []byte {
 	b.I64(-42)
 	b.F64(math.Pi)
 	b.Str("practice name")
-	b.Bytes([]byte{1, 2, 3})
 	b.U32s([]uint32{6, 5, math.MaxUint32})
 	b.U64s([]uint64{9, 8, 7})
-	b.I32s([]int32{-1, 0, 1})
 	b.Ints([]int{-5, 5})
 	b.F64s([]float64{0.5, -0.25})
 	enc.End()
@@ -69,7 +67,7 @@ func roundTripSnapshot(t *testing.T) []byte {
 // roundTripHex is roundTripSnapshot as the parent of the Begin/End
 // encoder wrote it: each payload built in a Buffer of its own and copied
 // in by Encoder.Section.
-const roundTripHex = "44334c534e41500002000000010000009b00000000000000070100efbeadde0000000000000040d6ffffffffffffff182d4454fb2109400d0000007072616374696365206e616d6503000000010203030000000600000005000000ffffffff0300000009000000000000000800000000000000070000000000000003000000ffffffff000000000100000002000000fbffffffffffffff050000000000000002000000000000000000e03f000000000000d0bf020000000000000000000000ea12c17e"
+const roundTripHex = "44334c534e41500002000000010000008400000000000000070100efbeadde0000000000000040d6ffffffffffffff182d4454fb2109400d0000007072616374696365206e616d65030000000600000005000000ffffffff0300000009000000000000000800000000000000070000000000000002000000fbffffffffffffff050000000000000002000000000000000000e03f000000000000d0bf020000000000000000000000ea12c17e"
 
 // TestBeginEndWritesTheSectionLayout pins the bytes: a section laid down
 // in place is the section that used to be copied in. roundTripHex is a
@@ -165,17 +163,11 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Str(); v != "practice name" {
 		t.Fatalf("Str = %q", v)
 	}
-	if v := r.Bytes(); !bytes.Equal(v, []byte{1, 2, 3}) {
-		t.Fatalf("Bytes = %v", v)
-	}
 	if v := r.U32s(nil); len(v) != 3 || v[0] != 6 || v[2] != math.MaxUint32 {
 		t.Fatalf("U32s = %v", v)
 	}
 	if v := r.U64s(); len(v) != 3 || v[0] != 9 || v[2] != 7 {
 		t.Fatalf("U64s = %v", v)
-	}
-	if v := r.I32s(); len(v) != 3 || v[0] != -1 || v[2] != 1 {
-		t.Fatalf("I32s = %v", v)
 	}
 	if v := r.Ints(); len(v) != 2 || v[0] != -5 || v[1] != 5 {
 		t.Fatalf("Ints = %v", v)
@@ -252,14 +244,12 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	for i := range f64s {
 		f64s[i] = float64(i) / 3
 	}
-	raw := bytes.Repeat([]byte{1, 2, 3, 4, 5}, window/2)
 	name := strings.Repeat("practice ", window/8)
 	enc := NewEncoder()
 	b := enc.Begin(SecAttrs)
 	b.U8(9) // knocks every later value off the window's alignment
 	b.U32s(u32s)
 	b.Str(name)
-	b.Bytes(raw)
 	b.F64s(f64s)
 	b.F64s(f64s)
 	for i := 0; i < window/8; i++ {
@@ -283,7 +273,7 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.U8() != 9 || !slices.Equal(r.U32s(nil), u32s) || r.Str() != name || !bytes.Equal(r.Bytes(), raw) {
+	if r.U8() != 9 || !slices.Equal(r.U32s(nil), u32s) || r.Str() != name {
 		t.Fatalf("values before the slab did not survive paging: err %v", r.Err())
 	}
 	if got := r.AppendF64s(r.F64s()); !slices.Equal(got, append(f64s, f64s...)) {
@@ -324,70 +314,6 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	}
 	if r2.U32() != 5 || r2.Err() != nil {
 		t.Fatalf("latest reader: err %v", r2.Err())
-	}
-}
-
-// TestReaderRecordsAndRewind reads a byte slice several windows long as
-// 5-byte records, in place and a whole number of records per call, then
-// rewinds over it and reads it again — from the source, as the window no
-// longer holds its start — and checks a length that is not a whole
-// number of records is skipped unread. A sealed payload, all one window,
-// rewinds the same way.
-func TestReaderRecordsAndRewind(t *testing.T) {
-	raw := bytes.Repeat([]byte{1, 2, 3, 4, 5}, window/2+7)
-	write := func(b *Buffer) {
-		b.U8(9)
-		b.Bytes(raw)
-		b.U32(77)
-	}
-	enc := NewEncoder()
-	write(enc.Begin(SecAttrs))
-	enc.End()
-	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decoderOver(out.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := dec.MustSection(SecAttrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var b Buffer
-	write(&b)
-	sealed, err := OpenSealed(b.Sealed())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]*Reader{"decoder": fromFile, "sealed": sealed} {
-		records := func() ([]byte, int) {
-			var got []byte
-			n := r.Records(5, func(p []byte) {
-				if len(p) == 0 || len(p)%5 != 0 {
-					t.Fatalf("%s: handed %d bytes, not whole records", name, len(p))
-				}
-				got = append(got, p...)
-			})
-			return got, n
-		}
-		r.U8()
-		got, n := records()
-		if n != len(raw) || !bytes.Equal(got, raw) {
-			t.Fatalf("%s: first pass read %d of %d bytes, err %v", name, len(got), n, r.Err())
-		}
-		r.Rewind(4 + n)
-		if again, _ := records(); !bytes.Equal(again, raw) || r.U32() != 77 {
-			t.Fatalf("%s: rewound pass read %d bytes, err %v", name, len(again), r.Err())
-		}
-		r.Rewind(4 + 4 + n)
-		if n := r.Records(7, func([]byte) { t.Fatalf("%s: handed records of a length not divisible by 7", name) }); n != len(raw) {
-			t.Fatalf("%s: Records(7) reported %d bytes", name, n)
-		}
-		if v := r.U32(); v != 77 || r.Err() != nil || r.Remaining() != 0 {
-			t.Fatalf("%s: read %d after the skipped slice, err %v, %d bytes left", name, v, r.Err(), r.Remaining())
-		}
 	}
 }
 

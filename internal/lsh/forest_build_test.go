@@ -74,7 +74,7 @@ func keysOf(c buildCase, sigs [][]uint32, bits []BitSignature) Keys {
 	return SigKeys(func(id int32) []uint32 { return sigs[id] })
 }
 
-// TestBuildMatchesReference is the oracle of the sort-and-pack builder:
+// TestBuildMatchesReference is the oracle of the sort-and-pack routine:
 // on random inputs, in a shuffled insertion order, Build leaves trees
 // identical — keys, ids and the order of ids under equal keys — to the
 // one-array reference, whose sort is the one Add and Index ran before

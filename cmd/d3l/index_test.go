@@ -21,8 +21,9 @@ import (
 // TestIndexInfoAccountsForTheFile: index info reads the format version
 // and the section sizes off the snapshot file, and those sizes, with the
 // header, the trailer and each section's id and length, add up to the
-// file's size: five sections in a version 4 file with the join graph,
-// and a version 2 file's forests section, marked as not read.
+// file's size: five sections in a version 5 file with the join graph,
+// whose edges it reports, and a version 2 file's forests section, marked
+// as not read, with no join graph, which it does not build.
 func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	lake, target, err := experiments.Figure1Fixture()
 	if err != nil {
@@ -48,7 +49,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err := run(context.Background(), []string{"index", "info", "-index", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "format v4") {
+	if !strings.Contains(out.String(), "format v5") {
 		t.Fatalf("no format version in:\n%s", out.String())
 	}
 	// The signature table holds each distinct signature once: at least
@@ -100,13 +101,17 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if _, err := time.ParseDuration(strings.TrimSuffix(rebuild, ")")); err != nil {
 		t.Fatalf("forest rebuild time %q: %v", rebuild, err)
 	}
+	edges := engine.JoinGraphEdges()
+	if want := fmt.Sprintf("join graph:    %d edges (%d neighbour ids)\n", edges, 2*edges); edges == 0 || !strings.Contains(out.String(), want) {
+		t.Fatalf("no line %q in:\n%s", want, out.String())
+	}
 	if sections := accountForSections(t, out.String(), st.Size()); sections != 5 ||
 		!strings.Contains(out.String(), "section signatures") || strings.Contains(out.String(), "section forests") {
-		t.Fatalf("%d sections in a version 4 file:\n%s", sections, out.String())
+		t.Fatalf("%d sections in a version 5 file:\n%s", sections, out.String())
 	}
 
 	// A version 2 file still carries its forests, which the load does not
-	// read.
+	// read, and no join graph, which index info does not build.
 	const v2Fixture = "../../internal/core/testdata/snapshot_v2.d3l"
 	st, err = os.Stat(v2Fixture)
 	if err != nil {
@@ -117,8 +122,9 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	if sections := accountForSections(t, out.String(), st.Size()); sections != 4 || !strings.Contains(out.String(), "format v2") ||
-		!regexp.MustCompile(`section forests +\d+ bytes \(not read\)\n`).MatchString(out.String()) {
-		t.Fatalf("%d sections in the version 2 fixture, or its forests section not marked as not read:\n%s", sections, out.String())
+		!regexp.MustCompile(`section forests +\d+ bytes \(not read\)\n`).MatchString(out.String()) ||
+		!strings.Contains(out.String(), "join graph:    none in file\n") {
+		t.Fatalf("%d sections in the version 2 fixture, its forests section not marked as not read, or a join graph reported:\n%s", sections, out.String())
 	}
 }
 

@@ -377,6 +377,7 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 // MinHash signatures its attributes hold and its signature table stores,
 // how many entries and distinct keys each forest's first tree holds,
 // footprint (the index bytes are the numerator of the paper's Table II),
+// the SA-join graph the file holds (it never builds one the file lacks),
 // load time with the share of it the forests took to rebuild, and
 // section sizes: an older snapshot's forests section is marked as not
 // read.
@@ -415,7 +416,11 @@ func indexInfo(w io.Writer, path string) error {
 	fmt.Fprintf(w, "forests:       N %d/%d  V %d/%d  F %d/%d  E %d/%d (entries/keys)\n",
 		entries[0], keys[0], entries[1], keys[1], entries[2], keys[2], entries[3], keys[3])
 	fmt.Fprintf(w, "index bytes:   %d\n", engine.IndexSpaceBytes())
-	fmt.Fprintf(w, "join edges:    %d\n", engine.JoinGraphEdges())
+	if edges, ok := engine.HeldJoinGraphEdges(); ok {
+		fmt.Fprintf(w, "join graph:    %d edges (%d neighbour ids)\n", edges, 2*edges)
+	} else {
+		fmt.Fprintf(w, "join graph:    none in file\n")
+	}
 	fmt.Fprintf(w, "load time:     %v (forests rebuilt in %v)\n",
 		loaded.Round(time.Microsecond), engine.BuildTimings().Index.Round(time.Microsecond))
 	for _, s := range []struct {

@@ -292,7 +292,8 @@ func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
 
 // Save writes a versioned, checksummed binary snapshot of the engine —
 // attribute profiles, lake metadata, tombstone set, and the SA-join
-// graph if the engine holds one — so serving replicas cold-start with
+// graph if the engine holds one, as each table's neighbour ids in the
+// order Algorithm 3 walks them — so serving replicas cold-start with
 // Load instead of re-profiling the lake. The four LSH indexes are not
 // in it: they are a function of the profiles, and Load rebuilds them. Save
 // never builds the graph: call JoinGraphEdges first to put it in the
@@ -403,7 +404,7 @@ func decode(src io.ReaderAt, size int64) (*Engine, error) {
 	}
 	eng := &Engine{core: ce}
 	if gr, ok := dec.Section(persist.SecJoinGraph); ok {
-		g, err := joins.DecodeGraph(gr, ce)
+		g, err := joins.DecodeGraph(gr, dec.Version(), ce)
 		if err != nil {
 			return nil, err
 		}
@@ -511,6 +512,16 @@ func (e *Engine) IndexSpaceBytes() int64 { return e.core.IndexSpaceBytes() }
 // forest's keys repeat, which is what a forest's memory follows.
 func (e *Engine) ForestShapes() (entries, keys [core.NumForestSlots]int) {
 	return e.core.ForestShapes()
+}
+
+// HeldJoinGraphEdges reports the size of the SA-join graph the engine
+// holds, and whether it holds one, without building it: on an engine
+// fresh from Load, whether the snapshot carried a graph.
+func (e *Engine) HeldJoinGraphEdges() (edges int, ok bool) {
+	if g := e.cachedGraph(); g != nil {
+		return g.Edges(), true
+	}
+	return 0, false
 }
 
 // JoinGraphEdges reports the SA-join graph size, building the graph if

@@ -997,6 +997,26 @@ func hostileSignatureTables(t testing.TB) []hostileSnapshot {
 	}
 }
 
+// withGraphSection appends to a snapshot the graph section d3l.Save
+// writes after the engine's own, in the version 5 layout: one edge,
+// between tables 0 and 1 of numTables. LoadEngine passes over it.
+func withGraphSection(data []byte, numTables int) []byte {
+	var g persist.Buffer
+	off := make([]uint32, numTables+1)
+	off[1] = 1
+	for i := 2; i <= numTables; i++ {
+		off[i] = 2
+	}
+	g.U32s(off)
+	g.U32s([]uint32{1, 0})
+	graph := g.Sealed()
+	graph = graph[:len(graph)-4]
+	body := slices.Clone(data[:len(data)-4])
+	body = binary.LittleEndian.AppendUint32(body, persist.SecJoinGraph)
+	body = binary.LittleEndian.AppendUint64(body, uint64(len(graph)))
+	return reseal(append(append(body, graph...), 0, 0, 0, 0))
+}
+
 // TestLoadRejectsHostileSignatureTables: each hostileSignatureTables input
 // is refused as corrupt, by the check meant for it.
 func TestLoadRejectsHostileSignatureTables(t *testing.T) {
@@ -1010,7 +1030,8 @@ func TestLoadRejectsHostileSignatureTables(t *testing.T) {
 
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
 // snapshot of each version (version 1's exercises the refusal by
-// version), the hostile signature tables of hostileSignatureTables and
+// version), the current version with an SA-join graph section after the
+// engine's, the hostile signature tables of hostileSignatureTables and
 // the version 3 files of forgedForests, whose SecForests a load must not
 // read: the outcome is an error or an engine that answers a query, never
 // a panic, and never allocations out of proportion to the input. The CRC trailer
@@ -1027,6 +1048,7 @@ func FuzzLoadEngine(f *testing.F) {
 	e := v1FixtureEngine(f)
 	data := snapshotBytes(f, e)
 	f.Add(data)
+	f.Add(withGraphSection(data, e.lake.Len()))
 	for _, h := range hostileSignatureTables(f) {
 		f.Add(h.data)
 	}

@@ -3,13 +3,15 @@
 // the lake (nodes are datasets, edges connect SA-joinable datasets),
 // discovers join paths from the top-k tables with Algorithm 3, and
 // computes the coverage measures of Eq. 4 and 5 that Experiments 8–11
-// report.
+// report. The graph keeps only what Algorithm 3 reads of an edge, the
+// neighbouring table's id, in memory and in a snapshot alike.
 package joins
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"d3l/internal/core"
 )
@@ -17,18 +19,16 @@ import (
 // candidateBudget caps the I_V lookups per subject attribute.
 const candidateBudget = 256
 
-// Edge is one SA-join opportunity between two tables.
-type Edge struct {
-	From, To         int // table ids
-	FromAttr, ToAttr int // attribute ids
-	Overlap          float64
-}
-
-// Graph is the SA-join graph G_S = (S, I).
+// Graph is the SA-join graph G_S = (S, I), holding what Algorithm 3
+// reads of an edge: the neighbouring table's id. It is a CSR array over
+// table ids: table t's neighbours are to[off[t]:off[t+1]], so off has one
+// entry per table plus one. Both directions of every undirected edge are
+// stored, each list in the order the build sorted it (overlap,
+// descending).
 type Graph struct {
 	engine *core.Engine
-	adj    map[int][]Edge
-	edges  int
+	off    []int32
+	to     []int32
 }
 
 // graphBlock is how many tables' candidates BuildGraphCtx generates
@@ -40,8 +40,14 @@ const graphBlock = 256
 // that cleared the overlap bound: an edge, unless the table pair already
 // has one.
 type candidate struct {
-	otherTID, attr int
-	overlap        float64
+	otherTID int
+	overlap  float64
+}
+
+// neighbour is one entry of a table's list while the build sorts it.
+type neighbour struct {
+	to      int32
+	overlap float64
 }
 
 // BuildGraphCtx constructs G_S: for every table's subject attribute, the
@@ -57,15 +63,16 @@ type candidate struct {
 // per table and fans out over the engine's query workers, a block of
 // tables at a time. What depends on order is the table-pair dedup: a pair
 // keeps the first edge found for it, by table, then by the order I_V
-// returned the candidates in, and adjacency lists grow in that order
+// returned the candidates in, and each table's list grows in that order
 // (the final sort by overlap is not stable, so where ties land depends on
-// it, and Encode writes what it finds). So each block is merged
+// it, and Algorithm 3 walks the lists in order). So each block is merged
 // sequentially, in table order, and the graph is the one a
 // table-at-a-time build produces.
 func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
-	g := &Graph{engine: e, adj: make(map[int][]Edge)}
 	numTables := e.Lake().Len()
 	seen := make(map[[2]int]bool) // undirected table-pair dedup
+	lists := make([][]neighbour, numTables)
+	entries := 0
 	pending := make([][]candidate, min(graphBlock, numTables))
 	for lo := 0; lo < numTables; lo += graphBlock {
 		block := pending[:min(graphBlock, numTables-lo)]
@@ -77,7 +84,6 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 		}
 		for i, cands := range block {
 			tid := lo + i
-			subj, _ := e.SubjectAttr(tid)
 			for _, c := range cands {
 				key := [2]int{tid, c.otherTID}
 				if c.otherTID < tid {
@@ -87,23 +93,25 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 					continue
 				}
 				seen[key] = true
-				g.adj[tid] = append(g.adj[tid], Edge{From: tid, To: c.otherTID, FromAttr: subj, ToAttr: c.attr, Overlap: c.overlap})
-				g.adj[c.otherTID] = append(g.adj[c.otherTID], Edge{From: c.otherTID, To: tid, FromAttr: c.attr, ToAttr: subj, Overlap: c.overlap})
-				g.edges++
+				lists[tid] = append(lists[tid], neighbour{to: int32(c.otherTID), overlap: c.overlap})
+				lists[c.otherTID] = append(lists[c.otherTID], neighbour{to: int32(tid), overlap: c.overlap})
+				entries += 2
 			}
 		}
 	}
 	// Each list is sorted in place, on its own, so the lists fan out too.
-	lists := make([][]Edge, 0, len(g.adj))
-	for _, edges := range g.adj {
-		lists = append(lists, edges)
-	}
-	err := e.ForEachQuery(ctx, len(lists), func(i int) {
-		edges := lists[i]
-		sort.Slice(edges, func(a, b int) bool { return edges[a].Overlap > edges[b].Overlap })
+	err := e.ForEachQuery(ctx, numTables, func(t int) {
+		slices.SortFunc(lists[t], func(a, b neighbour) int { return cmp.Compare(b.overlap, a.overlap) })
 	})
 	if err != nil {
 		return nil, err
+	}
+	g := &Graph{engine: e, off: make([]int32, numTables+1), to: make([]int32, 0, entries)}
+	for t, list := range lists {
+		for _, nb := range list {
+			g.to = append(g.to, nb.to)
+		}
+		g.off[t+1] = int32(len(g.to))
 	}
 	return g, nil
 }
@@ -131,7 +139,7 @@ func subjectCandidates(e *core.Engine, tid int, dst []candidate) []candidate {
 		if ov < overlapFloor(e, sp, cp) {
 			continue
 		}
-		dst = append(dst, candidate{otherTID: otherTID, attr: candID, overlap: ov})
+		dst = append(dst, candidate{otherTID: otherTID, overlap: ov})
 	}
 	return dst
 }
@@ -160,11 +168,12 @@ func overlapFloor(e *core.Engine, a, b *core.Profile) float64 {
 	return bound * 0.85
 }
 
-// Neighbours returns the edges incident to a table.
-func (g *Graph) Neighbours(tid int) []Edge { return g.adj[tid] }
+// Neighbours returns the ids of the tables a table shares an edge with,
+// in the order Algorithm 3 visits them. The slice is the graph's own.
+func (g *Graph) Neighbours(tid int) []int32 { return g.to[g.off[tid]:g.off[tid+1]] }
 
 // Edges reports the number of undirected edges.
-func (g *Graph) Edges() int { return g.edges }
+func (g *Graph) Edges() int { return len(g.to) / 2 }
 
 // Path is a join path: table ids starting at a top-k table.
 type Path []int
@@ -222,8 +231,8 @@ func FindJoinPathsCtx(ctx context.Context, g *Graph, topK []int, targetProfiles 
 			if len(paths) >= opts.MaxPathsPerStart || len(path) >= opts.MaxDepth {
 				return
 			}
-			for _, edge := range g.Neighbours(node) {
-				ni := edge.To
+			for _, nb := range g.Neighbours(node) {
+				ni := int(nb)
 				if inTopK[ni] || contains(path, ni) || !relatedToTarget(ni) {
 					continue
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -12,12 +13,26 @@ import (
 	"d3l/internal/persist"
 )
 
+// refEdge is one SA-join edge in full: both tables, the attributes that
+// join them and the estimated overlap.
+type refEdge struct {
+	From, To         int // table ids
+	FromAttr, ToAttr int // attribute ids
+	Overlap          float64
+}
+
+// refGraph is the SA-join graph as adjacency lists of full edges.
+type refGraph struct {
+	adj   map[int][]refEdge
+	edges int
+}
+
 // buildGraphReference is BuildGraph as a table-at-a-time loop: probe,
 // dedup against every pair seen so far, estimate, keep. It is the
 // definition of the graph — which pair keeps which edge, and the order
 // adjacency lists grow in — that the fanned-out build must reproduce.
-func buildGraphReference(e *core.Engine) *Graph {
-	g := &Graph{engine: e, adj: make(map[int][]Edge)}
+func buildGraphReference(e *core.Engine) *refGraph {
+	g := &refGraph{adj: make(map[int][]refEdge)}
 	seen := make(map[[2]int]bool)
 	for tid := 0; tid < e.Lake().Len(); tid++ {
 		if !e.AliveTable(tid) {
@@ -46,8 +61,8 @@ func buildGraphReference(e *core.Engine) *Graph {
 				continue
 			}
 			seen[key] = true
-			g.adj[tid] = append(g.adj[tid], Edge{From: tid, To: otherTID, FromAttr: subj, ToAttr: candID, Overlap: ov})
-			g.adj[otherTID] = append(g.adj[otherTID], Edge{From: otherTID, To: tid, FromAttr: candID, ToAttr: subj, Overlap: ov})
+			g.adj[tid] = append(g.adj[tid], refEdge{From: tid, To: otherTID, FromAttr: subj, ToAttr: candID, Overlap: ov})
+			g.adj[otherTID] = append(g.adj[otherTID], refEdge{From: otherTID, To: tid, FromAttr: candID, ToAttr: subj, Overlap: ov})
 			g.edges++
 		}
 	}
@@ -55,6 +70,54 @@ func buildGraphReference(e *core.Engine) *Graph {
 		sort.Slice(g.adj[tid], func(i, j int) bool { return g.adj[tid][i].Overlap > g.adj[tid][j].Overlap })
 	}
 	return g
+}
+
+// toSequences is each table's neighbour ids, in list order: what
+// Algorithm 3 reads of the reference.
+func (g *refGraph) toSequences(numTables int) [][]int32 {
+	out := make([][]int32, numTables)
+	for tid, edges := range g.adj {
+		for _, ed := range edges {
+			out[tid] = append(out[tid], int32(ed.To))
+		}
+	}
+	return out
+}
+
+// toSequences is each table's neighbour ids, in list order.
+func (g *Graph) toSequences() [][]int32 {
+	out := make([][]int32, len(g.off)-1)
+	for tid := range out {
+		if nbs := g.Neighbours(tid); len(nbs) > 0 {
+			out[tid] = nbs
+		}
+	}
+	return out
+}
+
+// encodeV4Graph writes g in the graph section layout of snapshot
+// versions 2–4: the edge count, then each table's adjacency list, by
+// table id, with every edge in full.
+func encodeV4Graph(b *persist.Buffer, g *refGraph) {
+	b.U64(uint64(g.edges))
+	tids := make([]int, 0, len(g.adj))
+	for tid := range g.adj {
+		tids = append(tids, tid)
+	}
+	sort.Ints(tids)
+	b.U32(uint32(len(tids)))
+	for _, tid := range tids {
+		b.I64(int64(tid))
+		edges := g.adj[tid]
+		b.U32(uint32(len(edges)))
+		for _, e := range edges {
+			b.I64(int64(e.From))
+			b.I64(int64(e.To))
+			b.I64(int64(e.FromAttr))
+			b.I64(int64(e.ToAttr))
+			b.F64(e.Overlap)
+		}
+	}
 }
 
 func encoded(g *Graph) []byte {
@@ -110,8 +173,15 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 		}
 	}
 	ref := buildGraphReference(e)
-	if ref.Edges() == 0 {
+	if ref.edges == 0 {
 		t.Fatal("reference graph has no edges")
+	}
+	for _, edges := range ref.adj {
+		for _, edge := range edges {
+			if edge.Overlap <= 0 || edge.Overlap > 1 {
+				t.Fatalf("edge %+v: overlap out of range", edge)
+			}
+		}
 	}
 	keys, _ := lake.IDByName("zz_keys")
 	twiceID, _ := lake.IDByName("zz_twice")
@@ -126,7 +196,7 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 		t.Fatalf("fixture: %d attributes of zz_twice are candidates of zz_keys, want 2", hits)
 	}
 	pair := 0
-	for _, edge := range ref.Neighbours(keys) {
+	for _, edge := range ref.adj[keys] {
 		if edge.To == twiceID {
 			pair++
 		}
@@ -134,10 +204,8 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 	if pair != 1 {
 		t.Fatalf("zz_keys has %d edges to zz_twice, want exactly 1", pair)
 	}
-	want := encoded(ref)
-	if got := len(want) - 4; got != ref.EncodedSize() {
-		t.Fatalf("EncodedSize %d, Encode wrote %d bytes", ref.EncodedSize(), got)
-	}
+	want := ref.toSequences(lake.Len())
+	var first []byte
 	for _, parallelism := range []int{1, 2, 8} {
 		if err := e.SetParallelism(parallelism); err != nil {
 			t.Fatal(err)
@@ -146,8 +214,17 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encoded(g), want) {
-			t.Fatalf("parallelism %d: graph (%d edges) encodes differently from the sequential build (%d edges)", parallelism, g.Edges(), ref.Edges())
+		if g.Edges() != ref.edges || !reflect.DeepEqual(g.toSequences(), want) {
+			t.Fatalf("parallelism %d: graph (%d edges) holds other neighbour lists than the sequential build (%d edges)", parallelism, g.Edges(), ref.edges)
+		}
+		enc := encoded(g)
+		if got := len(enc) - 4; got != g.EncodedSize() {
+			t.Fatalf("EncodedSize %d, Encode wrote %d bytes", g.EncodedSize(), got)
+		}
+		if first == nil {
+			first = enc
+		} else if !bytes.Equal(enc, first) {
+			t.Fatalf("parallelism %d: graph encodes differently from parallelism 1", parallelism)
 		}
 	}
 }

@@ -2,105 +2,161 @@ package joins
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"d3l/internal/core"
 	"d3l/internal/persist"
 )
 
-// Encode serialises the SA-join graph's adjacency lists. Lists are
-// written verbatim (both directions of every undirected edge, in their
-// stored order), so a decoded graph enumerates neighbours — and hence
-// Algorithm 3 join paths — exactly like the original: path discovery
-// is order-sensitive, and re-deriving the order from overlaps would
-// let sort ties reorder it.
+// Encode serialises the SA-join graph in the layout of snapshot version
+// 5: the offsets, then the neighbour ids, each a length-prefixed run of
+// uint32s. The lists are written verbatim, in their stored order, so a
+// decoded graph enumerates neighbours — and hence Algorithm 3 join paths
+// — exactly like the original: path discovery is order-sensitive, and
+// the overlaps that ordered the lists are not kept.
 func (g *Graph) Encode(b *persist.Buffer) {
-	b.U64(uint64(g.edges))
-	tids := make([]int, 0, len(g.adj))
-	for tid := range g.adj {
-		tids = append(tids, tid)
+	b.U32(uint32(len(g.off)))
+	for _, o := range g.off {
+		b.U32(uint32(o))
 	}
-	sort.Ints(tids)
-	b.U32(uint32(len(tids)))
-	for _, tid := range tids {
-		b.I64(int64(tid))
-		edges := g.adj[tid]
-		b.U32(uint32(len(edges)))
-		for _, e := range edges {
-			b.I64(int64(e.From))
-			b.I64(int64(e.To))
-			b.I64(int64(e.FromAttr))
-			b.I64(int64(e.ToAttr))
-			b.F64(e.Overlap)
-		}
+	b.U32(uint32(len(g.to)))
+	for _, t := range g.to {
+		b.U32(uint32(t))
 	}
 }
-
-// edgeEnc is one encoded edge: 4×I64 + F64.
-const edgeEnc = 4*8 + 8
 
 // EncodedSize reports exactly how many bytes Encode appends.
-func (g *Graph) EncodedSize() int {
-	n := 8 + 4
-	for _, edges := range g.adj {
-		n += 8 + 4 + len(edges)*edgeEnc
-	}
-	return n
-}
+func (g *Graph) EncodedSize() int { return 4 + 4*len(g.off) + 4 + 4*len(g.to) }
 
-// DecodeGraph reconstructs a graph written by Encode over the given
-// engine (the engine backs the path guards, not the adjacency itself).
-// Table and attribute ids are validated against the engine so a
-// corrupt snapshot cannot smuggle out-of-range ids into path
-// discovery.
-func DecodeGraph(r *persist.Reader, e *core.Engine) (*Graph, error) {
-	numTables := e.Lake().Len()
-	numAttrs := e.NumAttributes()
-	g := &Graph{engine: e, adj: make(map[int][]Edge)}
-	g.edges = int(r.U64())
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
+// legacyEntryEnc is one adjacency-list entry of a version 2–4 graph
+// section: From, To, FromAttr, ToAttr as I64 and the overlap as F64.
+const legacyEntryEnc = 4*8 + 8
+
+// DecodeGraph reconstructs a graph over the given engine (the engine
+// backs the path guards, not the adjacency itself) from a graph section
+// of the given snapshot version: Encode's layout from version 5 on, the
+// full-edge adjacency lists before it, of which only each entry's
+// neighbour id is kept. Table ids are validated against the engine so a
+// corrupt snapshot cannot smuggle out-of-range ids into path discovery,
+// and a graph whose entry count is not twice its edge count is refused.
+func DecodeGraph(r *persist.Reader, version uint32, e *core.Engine) (*Graph, error) {
+	var off, to []int32
+	var err error
+	if version >= 5 {
+		off, to, err = decodeCSR(r, e.Lake().Len())
+	} else {
+		off, to, err = decodeLegacy(r, e.Lake().Len(), e.NumAttributes())
+	}
+	if err != nil {
 		return nil, err
 	}
-	if g.edges < 0 || n < 0 || n > numTables {
-		return nil, fmt.Errorf("%w: join graph declares %d adjacency lists, %d edges", persist.ErrCorrupt, n, g.edges)
+	return &Graph{engine: e, off: off, to: to}, nil
+}
+
+// decodeCSR reads Encode's layout: one offset per table plus one,
+// starting at 0, never decreasing and ending at the id count, which is
+// even; every id a table's.
+func decodeCSR(r *persist.Reader, numTables int) (off, to []int32, err error) {
+	n := r.Count(4)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
 	}
-	for i := 0; i < n; i++ {
+	if n != numTables+1 {
+		return nil, nil, fmt.Errorf("%w: join graph holds %d offsets for %d tables", persist.ErrCorrupt, n, numTables)
+	}
+	off = make([]int32, n)
+	for i := range off {
+		o := r.U32()
+		if err := r.Err(); err != nil {
+			return nil, nil, err
+		}
+		if (i == 0 && o != 0) || (i > 0 && o < uint32(off[i-1])) || o > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("%w: join graph offset %d is %d", persist.ErrCorrupt, i, o)
+		}
+		off[i] = int32(o)
+	}
+	m := r.Count(4)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	if m != int(off[numTables]) || m%2 != 0 {
+		return nil, nil, fmt.Errorf("%w: join graph holds %d neighbour ids, its offsets end at %d", persist.ErrCorrupt, m, off[numTables])
+	}
+	to = make([]int32, m)
+	for i := range to {
+		t := r.U32()
+		if err := r.Err(); err != nil {
+			return nil, nil, err
+		}
+		if t >= uint32(numTables) {
+			return nil, nil, fmt.Errorf("%w: join graph neighbour id %d of %d tables", persist.ErrCorrupt, t, numTables)
+		}
+		to[i] = int32(t)
+	}
+	return off, to, nil
+}
+
+// decodeLegacy reads the version 2–4 layout — a declared edge count, then
+// per table its id and its list of full edges — and keeps each entry's
+// neighbour id, in order. An entry must belong to the table whose list
+// holds it, and the edge count must be half the entries.
+func decodeLegacy(r *persist.Reader, numTables, numAttrs int) (off, to []int32, err error) {
+	edges := r.U64()
+	n := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	if n < 0 || n > numTables {
+		return nil, nil, fmt.Errorf("%w: join graph declares %d adjacency lists for %d tables", persist.ErrCorrupt, n, numTables)
+	}
+	lists := make([][]int32, numTables)
+	seen := make([]bool, numTables)
+	total := 0
+	for range n {
 		tid := int(r.I64())
 		m := int(r.U32())
 		if err := r.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if tid < 0 || tid >= numTables {
-			return nil, fmt.Errorf("%w: join graph table id %d of %d", persist.ErrCorrupt, tid, numTables)
+			return nil, nil, fmt.Errorf("%w: join graph table id %d of %d", persist.ErrCorrupt, tid, numTables)
 		}
-		// Bounding the allocation by the edges' encoded size keeps a
-		// crafted count from amplifying into a huge make([]Edge, m).
-		if m < 0 || m > r.Remaining()/edgeEnc {
-			return nil, fmt.Errorf("%w: table %d declares %d edges in %d bytes", persist.ErrCorrupt, tid, m, r.Remaining())
+		// Bounding the allocation by the entries' encoded size keeps a
+		// crafted count from amplifying into a huge make([]int32, m).
+		if m < 0 || m > r.Remaining()/legacyEntryEnc {
+			return nil, nil, fmt.Errorf("%w: table %d declares %d edges in %d bytes", persist.ErrCorrupt, tid, m, r.Remaining())
 		}
-		edges := make([]Edge, m)
-		for j := range edges {
-			edges[j] = Edge{
-				From:     int(r.I64()),
-				To:       int(r.I64()),
-				FromAttr: int(r.I64()),
-				ToAttr:   int(r.I64()),
-				Overlap:  r.F64(),
-			}
+		if seen[tid] {
+			return nil, nil, fmt.Errorf("%w: duplicate adjacency list for table %d", persist.ErrCorrupt, tid)
+		}
+		seen[tid] = true
+		list := make([]int32, m)
+		for j := range list {
+			from, nb, fromAttr, toAttr := r.I64(), r.I64(), r.I64(), r.I64()
+			r.F64() // the overlap, which nothing reads
 			if err := r.Err(); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
-			ed := edges[j]
-			if ed.From < 0 || ed.From >= numTables || ed.To < 0 || ed.To >= numTables ||
-				ed.FromAttr < 0 || ed.FromAttr >= numAttrs || ed.ToAttr < 0 || ed.ToAttr >= numAttrs {
-				return nil, fmt.Errorf("%w: join edge %d->%d (attrs %d->%d) out of range", persist.ErrCorrupt, ed.From, ed.To, ed.FromAttr, ed.ToAttr)
+			if from < 0 || from >= int64(numTables) || nb < 0 || nb >= int64(numTables) ||
+				fromAttr < 0 || fromAttr >= int64(numAttrs) || toAttr < 0 || toAttr >= int64(numAttrs) {
+				return nil, nil, fmt.Errorf("%w: join edge %d->%d (attrs %d->%d) out of range", persist.ErrCorrupt, from, nb, fromAttr, toAttr)
 			}
+			if from != int64(tid) {
+				return nil, nil, fmt.Errorf("%w: join edge %d->%d in table %d's list", persist.ErrCorrupt, from, nb, tid)
+			}
+			list[j] = int32(nb)
 		}
-		if _, dup := g.adj[tid]; dup {
-			return nil, fmt.Errorf("%w: duplicate adjacency list for table %d", persist.ErrCorrupt, tid)
-		}
-		g.adj[tid] = edges
+		lists[tid] = list
+		total += m
 	}
-	return g, r.Err()
+	if total%2 != 0 || edges != uint64(total/2) {
+		return nil, nil, fmt.Errorf("%w: join graph declares %d edges over %d adjacency entries", persist.ErrCorrupt, edges, total)
+	}
+	off = make([]int32, numTables+1)
+	to = make([]int32, 0, total)
+	for t, list := range lists {
+		to = append(to, list...)
+		off[t+1] = int32(len(to))
+	}
+	return off, to, nil
 }

@@ -3,8 +3,12 @@ package joins
 import (
 	"bytes"
 	"errors"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
+	"d3l/internal/core"
 	"d3l/internal/persist"
 )
 
@@ -29,37 +33,57 @@ func encodeGraph(g *Graph) []byte {
 	return payload(&b)
 }
 
+// encodeLegacy is g's graph section as snapshot versions 2–4 wrote it.
+func encodeLegacy(g *refGraph) []byte {
+	var b persist.Buffer
+	encodeV4Graph(&b, g)
+	return payload(&b)
+}
+
+// encodeCSR lays offsets and ids down in the version 5 layout, whatever
+// they hold.
+func encodeCSR(off, to []uint32) []byte {
+	var b persist.Buffer
+	b.U32s(off)
+	b.U32s(to)
+	return payload(&b)
+}
+
 // payload is what b holds, without the trailer Sealed appends.
 func payload(b *persist.Buffer) []byte {
 	sealed := b.Sealed()
 	return sealed[:len(sealed)-4]
 }
 
-// FuzzDecodeGraph holds the snapshot's SA-join graph decoder to "typed
-// error or valid graph" on hostile bytes: it fails with an error wrapping
-// persist.ErrCorrupt (or ErrTruncated, for a payload that ends early),
-// or returns a graph whose every endpoint is a table and attribute of
-// the engine and that re-encodes and decodes to itself.
-func FuzzDecodeGraph(f *testing.F) {
-	e := buildEngine(f)
-	g := buildGraph(f, e)
-	if g.Edges() == 0 {
-		f.Fatal("fixture graph has no edges")
+// forged edits a copy of g's adjacency lists.
+func forged(g *refGraph, edit func(g *refGraph)) *refGraph {
+	out := &refGraph{adj: maps.Clone(g.adj), edges: g.edges}
+	for tid, edges := range out.adj {
+		out.adj[tid] = slices.Clone(edges)
 	}
-	valid := encodeGraph(g)
-	f.Add(valid)
-	// Truncations: inside the header, the first list and the last edge.
-	for _, n := range []int{0, 7, 12, 20, len(valid) / 2, len(valid) - 1} {
-		f.Add(append([]byte(nil), valid[:n]...))
+	edit(out)
+	return out
+}
+
+// graphSection is a graph section of a snapshot version, and what a
+// decode of it must refuse it for ("" when it must load).
+type graphSection struct {
+	what    string
+	version uint32
+	data    []byte
+	why     string
+}
+
+// forgedGraphSections are graph sections over buildEngine's four tables
+// that each break one rule DecodeGraph checks, in either layout, and
+// that pass every other.
+func forgedGraphSections(t testing.TB, e *core.Engine) []graphSection {
+	t.Helper()
+	ref := buildGraphReference(e)
+	if len(ref.adj) < 2 {
+		t.Fatalf("fixture graph holds %d adjacency lists, want two or more", len(ref.adj))
 	}
-	// Bit flips: the edge count, the list count, the first table id, the
-	// first list's length, an edge endpoint and an overlap.
-	for _, at := range []int{0, 8, 15, 20, 24 + 8, len(valid) - 3} {
-		flipped := append([]byte(nil), valid...)
-		flipped[at] ^= 0x80
-		f.Add(flipped)
-	}
-	// Table 0's adjacency list, twice.
+	tids := slices.Sorted(maps.Keys(ref.adj))
 	var dup persist.Buffer
 	dup.U64(0)
 	dup.U32(2)
@@ -67,33 +91,131 @@ func FuzzDecodeGraph(f *testing.F) {
 		dup.I64(0)
 		dup.U32(0)
 	}
-	f.Add(payload(&dup))
+	return []graphSection{
+		{"a legacy edge count one more than half the entries", 4,
+			encodeLegacy(forged(ref, func(g *refGraph) { g.edges++ })), "adjacency entries"},
+		{"a legacy entry in another table's list", 4,
+			encodeLegacy(forged(ref, func(g *refGraph) { g.adj[tids[0]][0].From = tids[1] })), "in table"},
+		{"table 0's legacy list, twice", 4, payload(&dup), "duplicate"},
+		{"five offsets that do not start at 0", 5, encodeCSR([]uint32{1, 1, 1, 1, 1}, []uint32{}), "offset 0"},
+		{"non-monotone offsets", 5, encodeCSR([]uint32{0, 2, 1, 2, 2}, []uint32{1, 0}), "offset 2"},
+		{"a final offset that disagrees with the id count", 5, encodeCSR([]uint32{0, 1, 1, 1, 1}, []uint32{3, 0}), "offsets end"},
+		{"an odd entry total", 5, encodeCSR([]uint32{0, 1, 1, 1, 1}, []uint32{3}), "offsets end"},
+		{"offsets for three tables", 5, encodeCSR([]uint32{0, 0, 0, 0}, []uint32{}), "offsets for"},
+		{"a neighbour id past the tables", 5, encodeCSR([]uint32{0, 1, 1, 1, 2}, []uint32{3, 4}), "neighbour id"},
+	}
+}
+
+// TestDecodeGraphRefusesForgedSections: each forgedGraphSections input is
+// refused as corrupt, by the check meant for it.
+func TestDecodeGraphRefusesForgedSections(t *testing.T) {
+	e := buildEngine(t)
+	for _, s := range forgedGraphSections(t, e) {
+		_, err := DecodeGraph(readerOver(t, s.data), s.version, e)
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), s.why) {
+			t.Errorf("%s: err = %v, want ErrCorrupt for %q", s.what, err, s.why)
+		}
+	}
+}
+
+// TestDecodeGraphReadsEveryLayout: the graph section a version 2–4 build
+// wrote loads as the neighbour ids of the graph a build gives today, in
+// order, and so does the version 5 section.
+func TestDecodeGraphReadsEveryLayout(t *testing.T) {
+	e := buildEngine(t)
+	g := buildGraph(t, e)
+	legacy := encodeLegacy(buildGraphReference(e))
+	for _, s := range []graphSection{
+		{what: "version 2", version: 2, data: legacy},
+		{what: "version 4", version: 4, data: legacy},
+		{what: "version 5", version: 5, data: encodeGraph(g)},
+	} {
+		got, err := DecodeGraph(readerOver(t, s.data), s.version, e)
+		if err != nil {
+			t.Fatalf("%s: %v", s.what, err)
+		}
+		if !slices.Equal(got.off, g.off) || !slices.Equal(got.to, g.to) {
+			t.Fatalf("%s: decoded %v / %v, built %v / %v", s.what, got.off, got.to, g.off, g.to)
+		}
+	}
+}
+
+// FuzzDecodeGraph holds the snapshot's SA-join graph decoder to "typed
+// error or valid graph" on hostile bytes, in both layouts: the first byte
+// is the snapshot version the rest is decoded as (5 and up the CSR
+// layout, below it the full-edge one). It fails with an error wrapping
+// persist.ErrCorrupt (or ErrTruncated, for a payload that ends early),
+// or returns a graph with one offset per table plus one, never
+// decreasing and ending at an even id count, every id a table of the
+// engine, that re-encodes and decodes to itself.
+func FuzzDecodeGraph(f *testing.F) {
+	e := buildEngine(f)
+	g := buildGraph(f, e)
+	if g.Edges() == 0 {
+		f.Fatal("fixture graph has no edges")
+	}
+	seed := func(version uint32, data []byte) { f.Add(append([]byte{byte(version)}, data...)) }
+	valid := encodeGraph(g)
+	seed(5, valid)
+	// Truncations: inside the offset count, the offsets, the id count and
+	// the ids.
+	ids := 4 + 4*len(g.off) + 4
+	for _, n := range []int{0, 2, 10, ids - 2, ids + 2, len(valid) - 1} {
+		seed(5, valid[:n])
+	}
+	// Bit flips: the offset count, an offset, the id count and an id.
+	for _, at := range []int{0, 8, ids - 4, len(valid) - 4} {
+		flipped := slices.Clone(valid)
+		flipped[at] ^= 0x80
+		seed(5, flipped)
+	}
+	legacy := encodeLegacy(buildGraphReference(e))
+	seed(4, legacy)
+	// Truncations: inside the header, the first list and the last edge.
+	for _, n := range []int{0, 7, 12, 20, len(legacy) / 2, len(legacy) - 1} {
+		seed(4, legacy[:n])
+	}
+	// Bit flips: the edge count, the list count, the first table id, the
+	// first list's length, an edge endpoint and an overlap.
+	for _, at := range []int{0, 8, 15, 20, 24 + 8, len(legacy) - 3} {
+		flipped := slices.Clone(legacy)
+		flipped[at] ^= 0x80
+		seed(4, flipped)
+	}
+	for _, s := range forgedGraphSections(f, e) {
+		seed(s.version, s.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeGraph(readerOver(t, data), e)
+		if len(data) == 0 {
+			return
+		}
+		got, err := DecodeGraph(readerOver(t, data[1:]), uint32(data[0]), e)
 		if err != nil {
 			if !errors.Is(err, persist.ErrCorrupt) && !errors.Is(err, persist.ErrTruncated) {
 				t.Fatalf("untyped error: %v", err)
 			}
 			return
 		}
-		numTables, numAttrs := e.Lake().Len(), e.NumAttributes()
-		for tid, edges := range got.adj {
-			if tid < 0 || tid >= numTables {
-				t.Fatalf("adjacency list of table %d of %d", tid, numTables)
+		numTables := e.Lake().Len()
+		if len(got.off) != numTables+1 || got.off[0] != 0 || int(got.off[numTables]) != len(got.to) || len(got.to)%2 != 0 {
+			t.Fatalf("offsets %v over %d ids for %d tables", got.off, len(got.to), numTables)
+		}
+		for tid := range numTables {
+			if got.off[tid] > got.off[tid+1] {
+				t.Fatalf("offsets %v decrease", got.off)
 			}
-			for _, ed := range edges {
-				if ed.From < 0 || ed.From >= numTables || ed.To < 0 || ed.To >= numTables ||
-					ed.FromAttr < 0 || ed.FromAttr >= numAttrs || ed.ToAttr < 0 || ed.ToAttr >= numAttrs {
-					t.Fatalf("edge %+v out of range (%d tables, %d attributes)", ed, numTables, numAttrs)
+			for _, nb := range got.Neighbours(tid) {
+				if nb < 0 || int(nb) >= numTables {
+					t.Fatalf("table %d's neighbour %d of %d tables", tid, nb, numTables)
 				}
 			}
 		}
 		enc := encodeGraph(got)
-		again, err := DecodeGraph(readerOver(t, enc), e)
+		again, err := DecodeGraph(readerOver(t, enc), persist.Version, e)
 		if err != nil {
 			t.Fatalf("re-decoding a decoded graph: %v", err)
 		}
-		if again.Edges() != got.Edges() || !bytes.Equal(encodeGraph(again), enc) {
+		if !slices.Equal(again.off, got.off) || !slices.Equal(again.to, got.to) || !bytes.Equal(encodeGraph(again), enc) {
 			t.Fatal("the decoded graph does not round-trip through Encode and DecodeGraph")
 		}
 	})

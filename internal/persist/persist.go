@@ -40,9 +40,18 @@
 //	4  SecForests is no longer written. The four LSH forests are a
 //	   function of the profiles' signatures, and every load rebuilds
 //	   them exactly as a build over the live attributes would.
+//	5  SecJoinGraph holds what Algorithm 3 reads of the SA-join graph:
+//	   one uint32 offset per table plus one, then every table's
+//	   neighbour ids as uint32s, in list order. Versions 2–4 stored each
+//	   edge in full, both directions, as From, To, the two attribute ids
+//	   and the overlap.
 //
-// This build reads versions 2 and 3 as well. Neither's SecForests is
-// read: their forests are rebuilt like a version 4 file's, so a file's
+// This build reads versions 2 through 4 as well. A graph section of
+// theirs loads with each entry's To kept, in order, and the rest
+// dropped; that decode also checks what the v5 layout makes implicit
+// (an entry belongs to the list that holds it, and the declared edge
+// count is half the entries). Neither version 2's nor 3's SecForests is
+// read: their forests are rebuilt like a newer file's, so a file's
 // forests can never disagree with its profiles, and there is one decode
 // path for them. Version 2 profiles load through the per-profile decode
 // path version 3 replaced: every snapshot built before version 3 with
@@ -70,7 +79,7 @@ var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 // Version is the snapshot format version this build writes; MinVersion
 // the oldest it still reads.
 const (
-	Version    uint32 = 4
+	Version    uint32 = 5
 	MinVersion uint32 = 2
 )
 
@@ -92,9 +101,9 @@ const (
 	// versions 2 and 3. Version 4 does not write it, and no version's is
 	// read: a load rebuilds the forests from SecAttrs.
 	SecForests uint32 = 4
-	// SecJoinGraph holds the SA-join graph (optional: written by
-	// d3l.Save when the engine holds a graph, absent from bare core
-	// snapshots).
+	// SecJoinGraph holds the SA-join graph's neighbour ids (optional:
+	// written by d3l.Save when the engine holds a graph, absent from
+	// bare core snapshots). Its layout changed in version 5.
 	SecJoinGraph uint32 = 5
 	// SecSigs holds the table of distinct MinHash signatures that
 	// SecAttrs' profiles refer to by position (version 3 on). It is

@@ -3,7 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -16,14 +19,16 @@ import (
 
 	"d3l"
 	"d3l/internal/experiments"
+	"d3l/internal/persist"
 )
 
 // TestIndexInfoAccountsForTheFile: index info reads the format version
 // and the section sizes off the snapshot file, and those sizes, with the
 // header, the trailer and each section's id and length, add up to the
-// file's size: five sections in a version 5 file with the join graph,
-// whose edges it reports, and a version 2 file's forests section, marked
-// as not read, with no join graph, which it does not build.
+// file's size: five sections in a version 6 file with the join graph,
+// whose edges it reports, beside how its numeric extents are coded; and
+// a version 3 file's forests section, marked as not read, with no join
+// graph, which it does not build. A version 2 file is refused by name.
 func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	lake, target, err := experiments.Figure1Fixture()
 	if err != nil {
@@ -49,7 +54,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err := run(context.Background(), []string{"index", "info", "-index", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "format v5") {
+	if !strings.Contains(out.String(), "format v6") {
 		t.Fatalf("no format version in:\n%s", out.String())
 	}
 	// The signature table holds each distinct signature once: at least
@@ -105,27 +110,58 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if want := fmt.Sprintf("join graph:    %d edges (%d neighbour ids)\n", edges, 2*edges); edges == 0 || !strings.Contains(out.String(), want) {
 		t.Fatalf("no line %q in:\n%s", want, out.String())
 	}
+	// The figure 1 lake's two numeric columns hold integers.
+	if want := "extents:       2 (2 scaled d=0, 0 raw)\n"; !strings.Contains(out.String(), want) {
+		t.Fatalf("no line %q in:\n%s", want, out.String())
+	}
 	if sections := accountForSections(t, out.String(), st.Size()); sections != 5 ||
 		!strings.Contains(out.String(), "section signatures") || strings.Contains(out.String(), "section forests") {
-		t.Fatalf("%d sections in a version 5 file:\n%s", sections, out.String())
+		t.Fatalf("%d sections in a version 6 file:\n%s", sections, out.String())
 	}
 
-	// A version 2 file still carries its forests, which the load does not
-	// read, and no join graph, which index info does not build.
-	const v2Fixture = "../../internal/core/testdata/snapshot_v2.d3l"
-	st, err = os.Stat(v2Fixture)
+	// A version 3 file still carries its forests, which the load does not
+	// read, and no join graph, which index info does not build. The
+	// version 5 fixture is one under a version 3 header, once a forests
+	// section follows.
+	v5, err := os.ReadFile("../../internal/core/testdata/snapshot_v5.d3l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3 := filepath.Join(t.TempDir(), "v3.d3l")
+	if err := os.WriteFile(v3, asVersion3(v5, make([]byte, 24)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err = os.Stat(v3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(context.Background(), []string{"index", "info", "-index", v2Fixture}, &out, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"index", "info", "-index", v3}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if sections := accountForSections(t, out.String(), st.Size()); sections != 4 || !strings.Contains(out.String(), "format v2") ||
-		!regexp.MustCompile(`section forests +\d+ bytes \(not read\)\n`).MatchString(out.String()) ||
+	if sections := accountForSections(t, out.String(), st.Size()); sections != 5 || !strings.Contains(out.String(), "format v3") ||
+		!regexp.MustCompile(`section forests +24 bytes \(not read\)\n`).MatchString(out.String()) ||
+		!regexp.MustCompile(`extents: +\d+ \(raw float64s in format v3\)\n`).MatchString(out.String()) ||
 		!strings.Contains(out.String(), "join graph:    none in file\n") {
-		t.Fatalf("%d sections in the version 2 fixture, its forests section not marked as not read, or a join graph reported:\n%s", sections, out.String())
+		t.Fatalf("%d sections in the version 3 file, its forests section not marked as not read, or a join graph reported:\n%s", sections, out.String())
 	}
+
+	err = run(context.Background(), []string{"index", "info", "-index", "../../internal/core/testdata/snapshot_v2.d3l"}, io.Discard, io.Discard)
+	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 2 (") {
+		t.Fatalf("index info of the version 2 fixture: err = %v, want ErrVersion naming version 2", err)
+	}
+}
+
+// asVersion3 relabels a version 5 snapshot as version 3, whose other
+// sections are laid out alike, and appends a forests section holding
+// forests, resealed.
+func asVersion3(v5, forests []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(bytes.Clone(v5[:8]), 3)
+	out = append(out, v5[12:len(v5)-4]...)
+	out = binary.LittleEndian.AppendUint32(out, persist.SecForests)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(forests)))
+	out = append(out, forests...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
 }
 
 // accountForSections fails unless the section sizes index info printed,

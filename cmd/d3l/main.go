@@ -378,9 +378,9 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 // how many entries and distinct keys each forest's first tree holds,
 // footprint (the index bytes are the numerator of the paper's Table II),
 // the SA-join graph the file holds (it never builds one the file lacks),
-// load time with the share of it the forests took to rebuild, and
-// section sizes: an older snapshot's forests section is marked as not
-// read.
+// load time with the share of it the forests took to rebuild, how the
+// numeric extents are coded, and section sizes: an older snapshot's
+// forests section is marked as not read.
 func indexInfo(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -410,7 +410,13 @@ func indexInfo(w io.Writer, path string) error {
 	names, values, formats := engine.DistinctSignatures()
 	fmt.Fprintf(w, "attributes:    %d (distinct signatures N %d / V %d / F %d)\n", engine.NumAttributes(), names, values, formats)
 	if r, ok := dec.Section(persist.SecSigs); ok {
-		fmt.Fprintf(w, "signatures:    %d table entries\n", r.U32())
+		n := uint64(0)
+		if dec.Version() >= 6 {
+			n = r.Uvarint()
+		} else {
+			n = uint64(r.U32())
+		}
+		fmt.Fprintf(w, "signatures:    %d table entries\n", n)
 	}
 	entries, keys := engine.ForestShapes()
 	fmt.Fprintf(w, "forests:       N %d/%d  V %d/%d  F %d/%d  E %d/%d (entries/keys)\n",
@@ -423,6 +429,19 @@ func indexInfo(w io.Writer, path string) error {
 	}
 	fmt.Fprintf(w, "load time:     %v (forests rebuilt in %v)\n",
 		loaded.Round(time.Microsecond), engine.BuildTimings().Index.Round(time.Microsecond))
+	byScale, raw := engine.ExtentCoding()
+	total, coding := raw, []string{}
+	for d, n := range byScale {
+		if n > 0 {
+			total += n
+			coding = append(coding, fmt.Sprintf("%d scaled d=%d", n, d))
+		}
+	}
+	if dec.Version() >= 6 {
+		fmt.Fprintf(w, "extents:       %d (%s)\n", total, strings.Join(append(coding, fmt.Sprintf("%d raw", raw)), ", "))
+	} else {
+		fmt.Fprintf(w, "extents:       %d (raw float64s in format v%d)\n", total, dec.Version())
+	}
 	for _, s := range []struct {
 		id   uint32
 		name string
@@ -431,7 +450,7 @@ func indexInfo(w io.Writer, path string) error {
 		{persist.SecLake, "lake meta"},
 		{persist.SecSigs, "signatures"},
 		{persist.SecAttrs, "profiles"},
-		{persist.SecForests, "forests"}, // versions 2 and 3 only
+		{persist.SecForests, "forests"}, // version 3 only
 		{persist.SecJoinGraph, "join graph"},
 	} {
 		if n, ok := sizes[s.id]; ok {

@@ -502,6 +502,11 @@ func (e *Engine) DistinctSignatures() (names, values, formats int) {
 	return e.core.DistinctSignatures()
 }
 
+// ExtentCoding counts the non-empty numeric extents a snapshot of the
+// engine writes as scaled integers, by decimal scale (byScale[d] at
+// scale d), and as raw float64s.
+func (e *Engine) ExtentCoding() (byScale []int, raw int) { return e.core.ExtentCoding() }
+
 // IndexSpaceBytes reports the index size Table II counts: the four
 // forests' one-array encoded size plus the profile store. It is not the
 // memory the engine holds.

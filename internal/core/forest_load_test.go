@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"os"
 	"slices"
 	"sort"
 	"testing"
@@ -250,11 +251,12 @@ func checkForestsAgree(t *testing.T, a, b *Engine, label string) {
 	}
 }
 
-// asVersion3 turns a current snapshot of e into a version 3 file: the
-// same sections plus a SecForests holding forests, resealed.
-func asVersion3(t testing.TB, data []byte, forests []oneArray) []byte {
+// asVersion3 turns a version 5 snapshot into a version 3 file, whose
+// other sections are laid out alike: the same sections plus a SecForests
+// holding forests, resealed.
+func asVersion3(t testing.TB, v5 []byte, forests []oneArray) []byte {
 	t.Helper()
-	body := withVersion(data, 3)
+	body := withVersion(v5, 3)
 	body = body[:len(body)-4]
 	body = binary.LittleEndian.AppendUint32(body, persist.SecForests)
 	payload := encodeOneArrays(forests)
@@ -318,13 +320,18 @@ func forgedForests(t testing.TB, e *Engine) []struct {
 // profiles loads into exactly the engine its honest twin loads into:
 // forests that answer every probe like a rebuild, and rankings of every
 // lake table and an outside target identical to the engine the file was
-// taken from.
+// taken from. The files are the version 5 fixture, a snapshot of that
+// engine, relabelled.
 func TestLoadRebuildsForestsOfOldFiles(t *testing.T) {
 	e := v1FixtureEngine(t)
 	data := snapshotBytes(t, e)
+	v5, err := os.ReadFile(v5FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
 	targets := append(figure1Lake(t).Tables(), figure1Target(t))
 	for _, c := range forgedForests(t, e) {
-		le, err := LoadEngine(bytes.NewReader(asVersion3(t, data, c.forests)))
+		le, err := LoadEngine(bytes.NewReader(asVersion3(t, v5, c.forests)))
 		if err != nil {
 			t.Fatalf("%s: %v", c.what, err)
 		}

@@ -6,25 +6,26 @@ import (
 )
 
 // VCandidates queries the value index I_V with a lake attribute's own
-// tset signature and returns candidate attribute ids (excluding the
-// queried attribute). It backs the SA-join graph construction of
-// Section IV, which relies on I_V to identify postulated inclusion
-// dependencies.
-func (e *Engine) VCandidates(attrID int, budget int) []int {
+// tset signature and appends to dst the candidate attribute ids
+// (excluding the queried attribute), in the order I_V proposes them. It
+// backs the SA-join graph construction of Section IV, which relies on
+// I_V to identify postulated inclusion dependencies; a caller that
+// passes back the slice it got allocates nothing once it has grown.
+func (e *Engine) VCandidates(attrID int, budget int, dst []int32) []int32 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	p := &e.profiles[attrID]
 	if p.Numeric || p.TSize == 0 {
-		return nil
+		return dst
 	}
-	ids, err := e.forests[forestSlotV].Query(p.TSig, budget)
+	ids, err := e.forests[forestSlotV].Query(p.TSig, budget, dst)
 	if err != nil {
-		return nil
+		return dst
 	}
-	out := make([]int, 0, len(ids))
-	for _, id := range ids {
+	out := ids[:len(dst)]
+	for _, id := range ids[len(dst):] {
 		if int(id) != attrID {
-			out = append(out, int(id))
+			out = append(out, id)
 		}
 	}
 	return out

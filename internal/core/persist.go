@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"d3l/internal/lsh"
-	"d3l/internal/minhash"
 	"d3l/internal/mlearn"
 	"d3l/internal/persist"
 	"d3l/internal/subject"
@@ -39,7 +38,7 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	pos, order := e.sigPositions()
-	enc.Grow(e.snapshotSizeBound(order) + extra)
+	enc.Grow(e.snapshotSizeBound(pos, order) + extra)
 
 	e.encodeOptions(enc.Begin(persist.SecOptions))
 	enc.End()
@@ -48,9 +47,9 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	enc.End()
 
 	sb := enc.Begin(persist.SecSigs)
-	sb.U32(uint32(len(order)))
+	sb.Uvarint(uint64(len(order)))
 	for _, id := range order {
-		sb.U32s(e.sigs.sigs[id])
+		sb.VU32s(e.sigs.sigs[id])
 	}
 	enc.End()
 
@@ -79,48 +78,48 @@ func (e *Engine) sigPositions() (pos []uint32, order []int32) {
 	return pos, order
 }
 
-// Encoded sizes of the sections' fixed-width fields.
-const (
-	// optionsEnc bounds SecOptions: eleven 8-byte fields, a bool, three
-	// counted slices of at most NumEvidence / FeatureCount values.
-	optionsEnc = 11*8 + 1 + 3*4 + 8*(2*int(NumEvidence)+subject.FeatureCount)
-	// profileFixedEnc is encodeProfile less the bytes of its name, its
-	// embedding signature and its extent: 3 I64s, 3 signature positions,
-	// 3 counts, 3 bools.
-	profileFixedEnc = 3*8 + 3*4 + 3*4 + 3
-)
+// optionsEnc bounds SecOptions: eleven 8-byte fields, a bool, three
+// counted slices of at most NumEvidence / FeatureCount values.
+const optionsEnc = 11*8 + 1 + 3*4 + 8*(2*int(NumEvidence)+subject.FeatureCount)
 
 // snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
-// down, given the signature table sigPositions ordered: exact but for
+// down, given the signature positions sigPositions assigned: exact but for
 // SecOptions' slack and a few bytes per tombstoned table. It counts each
 // signature once, as the file holds it, where indexSpaceBytes (Table
 // II's measure) counts it once per profile field. Caller holds e.mu.
-func (e *Engine) snapshotSizeBound(order []int32) int {
+func (e *Engine) snapshotSizeBound(pos []uint32, order []int32) int {
+	vlen := func(v int) int { return persist.UvarintLen(uint64(v)) }
 	n := 4*persist.SectionOverhead + optionsEnc
 	// SecLake: a liveness byte, a counted name and a column count per
 	// table, a counted name and a type byte per column.
-	n += 4
-	for _, t := range e.lake.Tables() {
-		n += 1 + 4 + len(t.Name) + 4
+	tables := e.lake.Tables()
+	n += vlen(len(tables))
+	for _, t := range tables {
+		n += 1 + vlen(len(t.Name)) + len(t.Name) + vlen(len(t.Columns))
 		for _, c := range t.Columns {
-			n += 4 + len(c.Name) + 1
+			n += vlen(len(c.Name)) + len(c.Name) + 1
 		}
 	}
 	// SecSigs: a count, then each signature, counted.
-	n += 4
+	n += vlen(len(order))
 	for _, id := range order {
-		n += 4 + 4*len(e.sigs.sigs[id])
+		n += vlen(len(e.sigs.sigs[id])) + 4*len(e.sigs.sigs[id])
 	}
 	// SecAttrs: the profiles, then per table a counted attribute list, the
 	// subject attribute and the liveness byte.
-	n += 4 + len(e.profiles)*profileFixedEnc
+	n += vlen(len(e.profiles))
 	for i := range e.profiles {
 		p := &e.profiles[i]
-		n += len(p.Name) + 8*len(p.ESig) + 8*len(p.NumExtent)
+		n += vlen(p.Ref.TableID) + vlen(p.Ref.Column) + vlen(len(p.Name)) + len(p.Name) + 3 +
+			vlen(int(pos[p.qID])) + vlen(int(pos[p.tID])) + vlen(p.TSize) + vlen(int(pos[p.rID])) +
+			vlen(len(p.ESig)) + 8*len(p.ESig) + extentEncSize(p.NumExtent)
 	}
-	n += 4 + len(e.byTable)*minTableEnc
-	for _, attrs := range e.byTable {
-		n += 8 * len(attrs)
+	n += vlen(len(e.byTable))
+	for tid, attrs := range e.byTable {
+		n += vlen(len(attrs)) + persist.VarintLen(int64(e.subjects[tid])) + 1
+		for _, a := range attrs {
+			n += vlen(a)
+		}
 	}
 	return n
 }
@@ -168,7 +167,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	lake, err := table.DecodeLakeMeta(rl)
+	lake, err := table.DecodeLakeMeta(rl, dec.Version())
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot lake: %w", err)
 	}
@@ -179,14 +178,12 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 		prof:       prof,
 		classifier: opts.subjectClassifier(),
 	}
-	if dec.Version() >= 3 {
-		rs, err := dec.MustSection(persist.SecSigs)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.sigs.load(rs); err != nil {
-			return nil, fmt.Errorf("core: snapshot signatures: %w", err)
-		}
+	rs, err := dec.MustSection(persist.SecSigs)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.sigs.load(rs, dec.Version()); err != nil {
+		return nil, fmt.Errorf("core: snapshot signatures: %w", err)
 	}
 	ra, err := dec.MustSection(persist.SecAttrs)
 	if err != nil {
@@ -201,7 +198,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	}
 
 	// The forests are a function of the profiles, so they are rebuilt, not
-	// read: a version 2 or 3 snapshot's SecForests is never opened.
+	// read: a version 3 snapshot's SecForests is never opened.
 	start := time.Now()
 	if e.forests, err = e.indexLive(); err != nil {
 		return nil, fmt.Errorf("%w: %v", persist.ErrCorrupt, err)
@@ -294,32 +291,108 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 // payloads), so snapshots do not grow with mutation churn beyond a name
 // per dead attribute.
 func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32) {
-	b.U32(uint32(len(e.profiles)))
+	b.Uvarint(uint64(len(e.profiles)))
 	for i := range e.profiles {
 		encodeProfile(b, &e.profiles[i], pos)
 	}
-	b.U32(uint32(len(e.byTable)))
-	for tid := range e.byTable {
-		b.Ints(e.byTable[tid])
-		b.I64(int64(e.subjects[tid]))
+	b.Uvarint(uint64(len(e.byTable)))
+	for tid, attrs := range e.byTable {
+		b.Uvarint(uint64(len(attrs)))
+		for _, a := range attrs {
+			b.Uvarint(uint64(a))
+		}
+		b.Varint(int64(e.subjects[tid]))
 		b.Bool(e.alive[tid])
 	}
+}
+
+// fields reads the integer fields of SecSigs and SecAttrs at the width
+// the snapshot's version wrote them: before version 6 a count or
+// signature position as a uint32 and an id, size or subject as an
+// int64; from version 6 on each as a varint, the subject (-1 for none)
+// zigzag-mapped.
+type fields struct {
+	*persist.Reader
+	varint bool
+}
+
+// count reads a count or a signature position.
+func (f fields) count() uint64 {
+	if f.varint {
+		return f.Uvarint()
+	}
+	return uint64(f.U32())
+}
+
+// id reads an id or a size. A value past the int range comes out
+// negative, which every caller refuses.
+func (f fields) id() int {
+	if f.varint {
+		return int(f.Uvarint())
+	}
+	return int(f.I64())
+}
+
+func (f fields) subject() int {
+	if f.varint {
+		return int(f.Varint())
+	}
+	return int(f.I64())
+}
+
+func (f fields) str() string {
+	if f.varint {
+		return f.VStr()
+	}
+	return f.Str()
+}
+
+// slots reads a MinHash signature.
+func (f fields) slots() []uint32 {
+	if f.varint {
+		return f.VU32s(nil)
+	}
+	return f.U32s(nil)
+}
+
+func (f fields) words() []uint64 {
+	if f.varint {
+		return f.VU64s()
+	}
+	return f.U64s()
+}
+
+// ids reads a table's attribute list.
+func (f fields) ids() []int {
+	if !f.varint {
+		return f.Ints()
+	}
+	out := make([]int, f.VCount(1))
+	for i := range out {
+		out[i] = int(f.Uvarint())
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
 }
 
 // Minimum encoded sizes, used to bound up-front allocations against a
 // crafted snapshot that declares huge counts: a valid CRC proves
 // nothing about intent, and the declared count must be achievable
-// within the bytes that actually follow.
+// within the bytes that actually follow. They are version 6's, whose
+// every field is at least a byte; the fixed-width layouts are longer.
 const (
-	// minProfileEnc: 3×I64 + 3 signatures (positions, or before version 3
-	// slice counts) + 2 slice counts + 3 bools + 1 string count.
-	minProfileEnc = 3*8 + 5*4 + 3 + 4
-	// minTableEnc: attr-list count + subject I64 + alive bool.
-	minTableEnc = 4 + 8 + 1
+	// minProfileEnc: two ids, a name count, two bools, three signature
+	// positions, a size, an embedding count, a bool and an extent count.
+	minProfileEnc = 12
+	// minTableEnc: attr-list count + subject + alive bool.
+	minTableEnc = 3
 )
 
 func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
-	numProfiles := int(r.U32())
+	f := fields{r, version >= 6}
+	numProfiles := int(f.count())
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -327,18 +400,15 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 		return fmt.Errorf("%w: %d profiles declared in %d bytes", persist.ErrCorrupt, numProfiles, r.Remaining())
 	}
 	e.profiles = make([]Profile, numProfiles)
-	var scratch minhash.Signature
 	for i := range e.profiles {
-		if err := e.decodeProfile(r, &e.profiles[i], version, &scratch); err != nil {
+		if err := e.decodeProfile(f, &e.profiles[i]); err != nil {
 			return err
 		}
 	}
-	if version >= 3 {
-		if err := e.sigs.allHeld(); err != nil {
-			return err
-		}
+	if err := e.sigs.allHeld(); err != nil {
+		return err
 	}
-	numTables := int(r.U32())
+	numTables := int(f.count())
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -349,8 +419,8 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	e.subjects = make([]int, numTables)
 	e.alive = make([]bool, numTables)
 	for tid := 0; tid < numTables; tid++ {
-		e.byTable[tid] = r.Ints()
-		e.subjects[tid] = int(r.I64())
+		e.byTable[tid] = f.ids()
+		e.subjects[tid] = f.subject()
 		e.alive[tid] = r.Bool()
 		if err := r.Err(); err != nil {
 			return err
@@ -378,57 +448,50 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 }
 
 func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32) {
-	b.I64(int64(p.Ref.TableID))
-	b.I64(int64(p.Ref.Column))
-	b.Str(p.Name)
+	b.Uvarint(uint64(p.Ref.TableID))
+	b.Uvarint(uint64(p.Ref.Column))
+	b.VStr(p.Name)
 	b.Bool(p.Numeric)
 	b.Bool(p.Subject)
-	b.U32(pos[p.qID])
-	b.U32(pos[p.tID])
-	b.I64(int64(p.TSize))
-	b.U32(pos[p.rID])
-	b.U64s(p.ESig)
+	b.Uvarint(uint64(pos[p.qID]))
+	b.Uvarint(uint64(pos[p.tID]))
+	b.Uvarint(uint64(p.TSize))
+	b.Uvarint(uint64(pos[p.rID]))
+	b.VU64s(p.ESig)
 	b.Bool(p.EZero)
-	b.F64s(p.NumExtent)
+	appendExtent(b, p.NumExtent)
 }
 
 // decodeProfile reads one profile and takes a reference to each of its
-// signatures in the engine's table. From version 3 on a signature is a
-// position in the table SecSigs loaded; in version 2, it is the signature
-// itself, read into scratch and interned (copied only when the table
-// does not hold its value yet, so the file's repeats are never
-// allocated).
-func (e *Engine) decodeProfile(r *persist.Reader, p *Profile, version uint32, scratch *minhash.Signature) error {
-	p.Ref.TableID = int(r.I64())
-	p.Ref.Column = int(r.I64())
-	p.Name = r.Str()
-	p.Numeric = r.Bool()
-	p.Subject = r.Bool()
-	if version >= 3 {
-		q, t := r.U32(), r.U32()
-		p.TSize = int(r.I64())
-		if err := e.sigs.refer(p, q, t, r.U32()); err != nil {
+// signatures, which it holds as positions in the table SecSigs loaded.
+func (e *Engine) decodeProfile(f fields, p *Profile) error {
+	p.Ref.TableID = f.id()
+	p.Ref.Column = f.id()
+	p.Name = f.str()
+	p.Numeric = f.Bool()
+	p.Subject = f.Bool()
+	q, t := f.count(), f.count()
+	p.TSize = f.id()
+	if err := e.sigs.refer(p, q, t, f.count()); err != nil {
+		return err
+	}
+	p.ESig = lsh.BitSignature(f.words())
+	p.EZero = f.Bool()
+	if f.varint {
+		var err error
+		if p.NumExtent, err = decodeExtent(f.Reader); err != nil {
 			return err
 		}
 	} else {
-		*scratch = r.U32s(*scratch)
-		p.QSig, p.qID = e.sigs.intern(*scratch, true)
-		*scratch = r.U32s(*scratch)
-		p.TSig, p.tID = e.sigs.intern(*scratch, true)
-		p.TSize = int(r.I64())
-		*scratch = r.U32s(*scratch)
-		p.RSig, p.rID = e.sigs.intern(*scratch, true)
-	}
-	p.ESig = lsh.BitSignature(r.U64s())
-	p.EZero = r.Bool()
-	p.NumExtent = r.F64s()
-	// Re-establish the Profile.NumExtent sorted-ascending invariant:
-	// snapshots written before the invariant existed carry extents in
-	// lake order, and the allocation-free KS path depends on it. For
-	// current snapshots (already sorted) this is a linear no-op scan.
-	if !sort.Float64sAreSorted(p.NumExtent) {
-		sort.Float64s(p.NumExtent)
+		p.NumExtent = f.F64s()
+		// Re-establish the Profile.NumExtent sorted-ascending invariant:
+		// snapshots written before the invariant existed carry extents in
+		// lake order, and the allocation-free KS path depends on it. For
+		// sorted extents this is a linear no-op scan.
+		if !sort.Float64sAreSorted(p.NumExtent) {
+			sort.Float64s(p.NumExtent)
+		}
 	}
 	assertSortedExtent(p, "decodeProfile")
-	return r.Err()
+	return f.Err()
 }

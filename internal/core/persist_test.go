@@ -572,10 +572,12 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 }
 
 // The version 1 fixture, testdata/snapshot_v1.d3l, was written by the
-// last commit whose signatures were []uint64 (a7c1cef), and the
-// version 2 fixture, testdata/snapshot_v2.d3l, by the last commit that
-// stored a copy of every signature per profile (26a1714), each with this
-// test dropped into that commit's internal/core and run once:
+// last commit whose signatures were []uint64 (a7c1cef), the version 2
+// fixture, testdata/snapshot_v2.d3l, by the last commit that stored a
+// copy of every signature per profile (26a1714), and the version 5
+// fixture, testdata/snapshot_v5.d3l, by the last commit that wrote every
+// number at a fixed width (637a224), each with this test dropped into
+// that commit's internal/core and run once:
 //
 //	func TestWriteSnapshotFixture(t *testing.T) {
 //		e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
@@ -590,11 +592,12 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 //		}
 //	}
 //
-// Neither can be regenerated from this tree (which writes version 4),
-// and neither must be: they stand for every snapshot already on disk.
+// None can be regenerated from this tree (which writes version 6), and
+// none must be: they stand for every snapshot already on disk.
 const (
 	v1FixturePath = "testdata/snapshot_v1.d3l"
 	v2FixturePath = "testdata/snapshot_v2.d3l"
+	v5FixturePath = "testdata/snapshot_v5.d3l"
 )
 
 // v1FixtureOptions are the options the fixtures were built with: small
@@ -637,8 +640,9 @@ func reseal(data []byte) []byte { return sealShardBody(data[:len(data)-4]) }
 // target, bit for bit like an engine built from scratch by this tree;
 // holds each signature under the id that engine, and a load of its
 // current snapshot, give it; re-snapshots as the current version to the
-// very bytes the fresh engine snapshots to; and those bytes round-trip
-// unchanged. It returns the fixture, the engine loaded from it and its
+// very bytes the fresh engine snapshots to; those bytes round-trip
+// unchanged; and the engine they load into is the engine the fixture
+// loaded into. It returns the fixture, the engine loaded from it and its
 // re-snapshot.
 func checkOldSnapshot(t *testing.T, path string, version uint32) (old []byte, e *Engine, cur []byte) {
 	t.Helper()
@@ -707,7 +711,54 @@ func checkOldSnapshot(t *testing.T, path string, version uint32) (old []byte, e 
 		t.Fatalf("signature tables of %d and %d ids, %d and %d free, for one snapshot",
 			len(e.sigs.sigs), len(again.sigs.sigs), len(e.sigs.free), len(again.sigs.free))
 	}
+	checkSameEngine(t, e, again, fmt.Sprintf("the version %d load and its version %d re-load", version, persist.Version))
 	return old, e, cur
+}
+
+// checkSameEngine fails unless a and b hold the same decoded state: the
+// lake's shape, every profile field (signatures by value and id, extent
+// values by their bits), the signature table, the per-table attribute
+// lists, subjects and liveness, and the forests' shapes.
+func checkSameEngine(t testing.TB, a, b *Engine, label string) {
+	t.Helper()
+	if a.lake.Len() != b.lake.Len() || len(a.profiles) != len(b.profiles) {
+		t.Fatalf("%s: %d and %d tables, %d and %d profiles", label, a.lake.Len(), b.lake.Len(), len(a.profiles), len(b.profiles))
+	}
+	for tid := range a.lake.Len() {
+		ta, tb := a.lake.Table(tid), b.lake.Table(tid)
+		if ta.Name != tb.Name || len(ta.Columns) != len(tb.Columns) || a.alive[tid] != b.alive[tid] ||
+			a.subjects[tid] != b.subjects[tid] || !slices.Equal(a.byTable[tid], b.byTable[tid]) {
+			t.Fatalf("%s: table %d differs", label, tid)
+		}
+		for c := range ta.Columns {
+			if ca, cb := ta.Columns[c], tb.Columns[c]; ca.Name != cb.Name || ca.Type != cb.Type {
+				t.Fatalf("%s: table %d column %d differs", label, tid, c)
+			}
+		}
+	}
+	for i := range a.profiles {
+		pa, pb := &a.profiles[i], &b.profiles[i]
+		same := pa.Ref == pb.Ref && pa.Name == pb.Name && pa.Numeric == pb.Numeric && pa.Subject == pb.Subject &&
+			pa.EZero == pb.EZero && pa.TSize == pb.TSize && slices.Equal(pa.ESig, pb.ESig) &&
+			pa.qID == pb.qID && pa.tID == pb.tID && pa.rID == pb.rID &&
+			slices.Equal(pa.QSig, pb.QSig) && slices.Equal(pa.TSig, pb.TSig) && slices.Equal(pa.RSig, pb.RSig) &&
+			sameFloatBits(pa.NumExtent, pb.NumExtent)
+		if !same {
+			t.Fatalf("%s: profile %d (%s) differs", label, i, pa.Name)
+		}
+	}
+	if len(a.sigs.sigs) != len(b.sigs.sigs) || !slices.Equal(a.sigs.refs, b.sigs.refs) {
+		t.Fatalf("%s: signature tables of %d and %d ids", label, len(a.sigs.sigs), len(b.sigs.sigs))
+	}
+	for id := range a.sigs.sigs {
+		if !slices.Equal(a.sigs.sigs[id], b.sigs.sigs[id]) {
+			t.Fatalf("%s: signature %d differs", label, id)
+		}
+	}
+	ea, ka := a.ForestShapes()
+	if eb, kb := b.ForestShapes(); ea != eb || ka != kb {
+		t.Fatalf("%s: forest shapes %v/%v and %v/%v", label, ea, ka, eb, kb)
+	}
 }
 
 // sigIDs renders the signature ids every profile holds, for comparing
@@ -725,7 +776,7 @@ func sigIDs(e *Engine) string {
 
 // TestSnapshotV1IsRefused: a version 1 snapshot (64-bit MinHash slots)
 // is older than persist.MinVersion, so it is refused as ErrVersion
-// naming version 1, and its body under a version 2 header does not read
+// naming version 1, and its body under a version 3 header does not read
 // either.
 func TestSnapshotV1IsRefused(t *testing.T) {
 	v1, err := os.ReadFile(v1FixturePath)
@@ -736,27 +787,37 @@ func TestSnapshotV1IsRefused(t *testing.T) {
 	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 1 (") {
 		t.Fatalf("version 1 snapshot: err = %v, want ErrVersion naming version 1", err)
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 2))); err == nil {
-		t.Fatal("version 1 body read as version 2")
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 3))); err == nil {
+		t.Fatal("version 1 body read as version 3")
 	}
 }
 
-// TestSnapshotV2StillLoads: a version 2 snapshot (a copy of every
-// signature per profile) keeps checkOldSnapshot's contract; its forests
-// are rebuilt with the entries its SecForests holds; numeric
-// attributes share one empty TSig, loaded or built; a version this build
-// does not know is ErrVersion; and version 2 and 3 bodies do not read
-// under each other's headers.
-func TestSnapshotV2StillLoads(t *testing.T) {
-	v2, old, cur := checkOldSnapshot(t, v2FixturePath, 2)
-	fresh := v1FixtureEngine(t)
+// TestSnapshotV2IsRefused: a version 2 snapshot (a copy of every
+// signature per profile) is older than persist.MinVersion, so it is
+// refused as ErrVersion naming version 2, and its body under a version 3
+// header does not read either: it holds no signature table.
+func TestSnapshotV2IsRefused(t *testing.T) {
+	v2, err := os.ReadFile(v2FixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = LoadEngine(bytes.NewReader(v2))
+	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 2 (") {
+		t.Fatalf("version 2 snapshot: err = %v, want ErrVersion naming version 2", err)
+	}
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("version 2 body read as version 3: err = %v, want ErrCorrupt (no signature table)", err)
+	}
+}
 
-	// The fixture's SecForests is not read, but it holds what the build
-	// that wrote it indexed: the forests the load rebuilt hold exactly
-	// its entries, as every probe sees them.
-	var forests []byte
-	replaceSection(t, v2, persist.SecForests, func(p []byte) []byte { forests = p; return p })
-	checkForestsMatchOneArrays(t, old, decodeOneArrays(t, forests), "the version 2 fixture")
+// TestSnapshotV5StillLoads: a version 5 snapshot (every number at a
+// fixed width) keeps checkOldSnapshot's contract, its re-snapshot
+// smaller; numeric attributes share one empty TSig, loaded or built; a
+// version this build does not know is ErrVersion; and version 5 and 6
+// bodies do not read under each other's headers.
+func TestSnapshotV5StillLoads(t *testing.T) {
+	v5, old, cur := checkOldSnapshot(t, v5FixturePath, 5)
+	fresh := v1FixtureEngine(t)
 
 	// Numeric attributes share one empty TSig, loaded or built: the
 	// signature table's copy.
@@ -782,11 +843,11 @@ func TestSnapshotV2StillLoads(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, persist.Version+1))); !errors.Is(err, persist.ErrVersion) {
 		t.Fatalf("version %d: err = %v, want ErrVersion", persist.Version+1, err)
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrCorrupt) {
-		t.Fatalf("version 2 body read as version 3: err = %v, want ErrCorrupt (no signature table)", err)
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v5, 6))); err == nil {
+		t.Fatal("version 5 body read as version 6")
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, 2))); err == nil {
-		t.Fatal("version 3 body read as version 2")
+	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, 5))); err == nil {
+		t.Fatal("version 6 body read as version 5")
 	}
 }
 
@@ -894,8 +955,8 @@ func TestSnapshotSizeBound(t *testing.T) {
 	}{{"figure 1", buildFigure1Engine(t)}, {"churned", churnedEngine(t)}} {
 		e := c.e
 		e.mu.RLock()
-		_, order := e.sigPositions()
-		bound := e.snapshotSizeBound(order)
+		pos, order := e.sigPositions()
+		bound := e.snapshotSizeBound(pos, order)
 		dead := 0
 		for _, alive := range e.alive {
 			if !alive {
@@ -970,47 +1031,119 @@ func hostileSignatureTables(t testing.TB) []hostileSnapshot {
 	data := snapshotBytes(t, v1FixtureEngine(t))
 	var sigs []byte
 	replaceSection(t, data, persist.SecSigs, func(p []byte) []byte { sigs = p; return p })
-	count := binary.LittleEndian.Uint32(sigs)
-	first := sigs[4 : 4+4+4*int(binary.LittleEndian.Uint32(sigs[4:]))] // entry 1, counted
+	count, at := binary.Uvarint(sigs)
+	slots, n := binary.Uvarint(sigs[at:])
+	first := sigs[at : at+n+4*int(slots)] // entry 1, counted
+	withCount := func(p []byte, c uint64) []byte { return append(binary.AppendUvarint(nil, c), p[at:]...) }
 	appendEntry := func(entry []byte) func([]byte) []byte {
-		return func(p []byte) []byte {
-			binary.LittleEndian.PutUint32(p, count+1)
-			return append(p, entry...)
-		}
+		return func(p []byte) []byte { return append(withCount(p, count+1), entry...) }
 	}
 	unused := append([]byte(nil), first...)
-	binary.LittleEndian.PutUint32(unused[4:], ^binary.LittleEndian.Uint32(unused[4:]))
+	binary.LittleEndian.PutUint32(unused[n:], ^binary.LittleEndian.Uint32(unused[n:]))
 	return []hostileSnapshot{
 		{"a profile position past the table", "refers to signature", replaceSection(t, data, persist.SecAttrs, func(p []byte) []byte {
-			// Profile 0's Q position follows the profile count, two I64s,
+			// Profile 0's Q position follows the profile count, two ids,
 			// the counted name and two bools.
-			off := 4 + 16 + 4 + int(binary.LittleEndian.Uint32(p[4+16:])) + 2
-			binary.LittleEndian.PutUint32(p[off:], count+1)
-			return p
+			off := 0
+			for range 3 {
+				_, n := binary.Uvarint(p[off:])
+				off += n
+			}
+			name, n := binary.Uvarint(p[off:])
+			off += n + int(name) + 2
+			_, n = binary.Uvarint(p[off:])
+			return append(binary.AppendUvarint(slices.Clone(p[:off]), count+1), p[off+n:]...)
 		})},
 		{"a table entry no profile references", "held by no profile", replaceSection(t, data, persist.SecSigs, appendEntry(unused))},
 		{"two equal table entries", "are equal", replaceSection(t, data, persist.SecSigs, appendEntry(first))},
 		{"a table count larger than the section can hold", "signatures declared in", replaceSection(t, data, persist.SecSigs, func(p []byte) []byte {
-			binary.LittleEndian.PutUint32(p, 1<<30)
-			return p
+			return withCount(p, 1<<30)
 		})},
 	}
 }
 
-// withGraphSection appends to a snapshot the graph section d3l.Save
-// writes after the engine's own, in the version 5 layout: one edge,
-// between tables 0 and 1 of numTables. LoadEngine passes over it.
-func withGraphSection(data []byte, numTables int) []byte {
-	var g persist.Buffer
-	off := make([]uint32, numTables+1)
-	off[1] = 1
-	for i := 2; i <= numTables; i++ {
-		off[i] = 2
+// payloadOf is what b holds, without the trailer Sealed appends.
+func payloadOf(b *persist.Buffer) []byte {
+	sealed := b.Sealed()
+	return sealed[:len(sealed)-4]
+}
+
+// withExtent is a snapshot of e whose profile i carries ext where its
+// extent's bytes were.
+func withExtent(t testing.TB, e *Engine, i int, ext []byte) []byte {
+	t.Helper()
+	pos, _ := e.sigPositions()
+	var head persist.Buffer
+	head.Uvarint(uint64(len(e.profiles)))
+	for j := 0; j <= i; j++ {
+		encodeProfile(&head, &e.profiles[j], pos)
 	}
-	g.U32s(off)
-	g.U32s([]uint32{1, 0})
-	graph := g.Sealed()
-	graph = graph[:len(graph)-4]
+	end := len(payloadOf(&head))
+	start := end - extentEncSize(e.profiles[i].NumExtent)
+	return replaceSection(t, snapshotBytes(t, e), persist.SecAttrs, func(p []byte) []byte {
+		return append(append(slices.Clone(p[:start]), ext...), p[end:]...)
+	})
+}
+
+// hostileFields edits the varints of a version 6 snapshot of
+// v1FixtureEngine: a profile count eleven bytes long and one past 64
+// bits, and a scaled extent whose count runs past the section, whose
+// scale is past 18, and whose second value steps k to 2^53.
+func hostileFields(t testing.TB) []hostileSnapshot {
+	e := v1FixtureEngine(t)
+	data := snapshotBytes(t, e)
+	numeric := -1
+	for i := range e.profiles {
+		if _, _, ok := extentScale(e.profiles[i].NumExtent); ok && len(e.profiles[i].NumExtent) > 1 {
+			numeric = i
+			break
+		}
+	}
+	if numeric < 0 {
+		t.Fatal("the fixture engine holds no scaled extent of two values or more")
+	}
+	profileCount := func(code []byte) []byte {
+		return replaceSection(t, data, persist.SecAttrs, func(p []byte) []byte {
+			_, n := binary.Uvarint(p)
+			return append(code, p[n:]...)
+		})
+	}
+	extent := func(n uint64, scale byte, ks ...uint64) []byte {
+		b := append(binary.AppendUvarint(nil, n), scale)
+		for _, k := range ks {
+			b = binary.AppendUvarint(b, k)
+		}
+		return withExtent(t, e, numeric, b)
+	}
+	const k53 = 1<<53 - 1
+	return []hostileSnapshot{
+		{"an eleven-byte profile count", "more than 64 bits", profileCount([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})},
+		{"a profile count past 64 bits", "more than 64 bits", profileCount([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02})},
+		{"an extent count beyond the section", "extent values declared", extent(1<<40, 0, 0)},
+		{"an extent scale of 19", "extent scale 19", extent(2, maxExtentScale+1, 0, 1)},
+		{"a step that takes k to 2^53", "past 2^53", extent(2, 0, 2*k53, 1)}, // 2·k53 is k53 zigzag-mapped
+	}
+}
+
+// graphSection is a version 6 graph section over numTables tables with
+// one edge, between tables 0 and 1, whose first table declares first
+// neighbours (1 for an honest section).
+func graphSection(numTables int, first uint64) []byte {
+	var g persist.Buffer
+	g.Uvarint(uint64(numTables))
+	g.Uvarint(first)
+	g.Uvarint(1)
+	for range numTables - 2 {
+		g.Uvarint(0)
+	}
+	g.Uvarint(1)
+	g.Uvarint(0)
+	return payloadOf(&g)
+}
+
+// withGraphSection appends to a snapshot the graph section d3l.Save
+// writes after the engine's own. LoadEngine passes over it.
+func withGraphSection(data, graph []byte) []byte {
 	body := slices.Clone(data[:len(data)-4])
 	body = binary.LittleEndian.AppendUint32(body, persist.SecJoinGraph)
 	body = binary.LittleEndian.AppendUint64(body, uint64(len(graph)))
@@ -1028,17 +1161,30 @@ func TestLoadRejectsHostileSignatureTables(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsHostileFields: each hostileFields input is refused as
+// corrupt, by the check meant for it.
+func TestLoadRejectsHostileFields(t *testing.T) {
+	for _, h := range hostileFields(t) {
+		_, err := LoadEngine(bytes.NewReader(h.data))
+		if !errors.Is(err, persist.ErrCorrupt) || !strings.Contains(err.Error(), h.why) {
+			t.Errorf("%s: err = %v, want ErrCorrupt for %q", h.what, err, h.why)
+		}
+	}
+}
+
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
-// snapshot of each version (version 1's exercises the refusal by
+// snapshot of each version (versions 1's and 2's exercise the refusal by
 // version), the current version with an SA-join graph section after the
-// engine's, the hostile signature tables of hostileSignatureTables and
-// the version 3 files of forgedForests, whose SecForests a load must not
-// read: the outcome is an error or an engine that answers a query, never
-// a panic, and never allocations out of proportion to the input. The CRC trailer
-// stops nearly every mutation at the door, so each input is also tried
+// engine's (honest, and with a neighbour count beyond its ids), the
+// hostile signature tables of hostileSignatureTables, the hostile
+// varints and extents of hostileFields and the version 3 files of
+// forgedForests, whose SecForests a load must not read: the outcome is
+// an error or an engine that answers a query, never a panic, and never
+// allocations out of proportion to the input. The CRC trailer stops
+// nearly every mutation at the door, so each input is also tried
 // resealed, which puts the section decoders behind it in reach.
 func FuzzLoadEngine(f *testing.F) {
-	for _, path := range []string{v1FixturePath, v2FixturePath} {
+	for _, path := range []string{v1FixturePath, v2FixturePath, v5FixturePath} {
 		old, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
@@ -1048,12 +1194,17 @@ func FuzzLoadEngine(f *testing.F) {
 	e := v1FixtureEngine(f)
 	data := snapshotBytes(f, e)
 	f.Add(data)
-	f.Add(withGraphSection(data, e.lake.Len()))
-	for _, h := range hostileSignatureTables(f) {
+	f.Add(withGraphSection(data, graphSection(e.lake.Len(), 1)))
+	f.Add(withGraphSection(data, graphSection(e.lake.Len(), 100)))
+	for _, h := range append(hostileSignatureTables(f), hostileFields(f)...) {
 		f.Add(h.data)
 	}
+	v5, err := os.ReadFile(v5FixturePath)
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, c := range forgedForests(f, e) {
-		f.Add(asVersion3(f, data, c.forests))
+		f.Add(asVersion3(f, v5, c.forests))
 	}
 	target := figure1Target(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

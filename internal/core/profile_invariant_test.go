@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"d3l/internal/minhash"
 	"d3l/internal/persist"
 )
 
@@ -18,7 +17,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	t.Helper()
 	const testSection = 0x7e57
 	enc := persist.NewEncoder()
-	enc.Begin(persist.SecSigs).U32(0)
+	enc.Begin(persist.SecSigs).Uvarint(0)
 	enc.End()
 	encodeProfile(enc.Begin(testSection), p, []uint32{0})
 	enc.End()
@@ -33,7 +32,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	var e Engine
 	if rs, err := dec.MustSection(persist.SecSigs); err != nil {
 		t.Fatal(err)
-	} else if err := e.sigs.load(rs); err != nil {
+	} else if err := e.sigs.load(rs, dec.Version()); err != nil {
 		t.Fatal(err)
 	}
 	r, ok := dec.Section(testSection)
@@ -41,7 +40,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 		t.Fatal("test section missing")
 	}
 	var out Profile
-	if err := e.decodeProfile(r, &out, dec.Version(), new(minhash.Signature)); err != nil {
+	if err := e.decodeProfile(fields{r, dec.Version() >= 6}, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out

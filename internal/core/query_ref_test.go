@@ -56,22 +56,22 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 			}
 		}
 		if !view.disabled[EvidenceName] {
-			if ids, err := e.forests[forestSlotN].Query(tp.QSig, view.budget); err == nil {
+			if ids, err := e.forests[forestSlotN].Query(tp.QSig, view.budget, nil); err == nil {
 				collect(ids)
 			}
 		}
 		if !view.disabled[EvidenceValue] && !tp.Numeric {
-			if ids, err := e.forests[forestSlotV].Query(tp.TSig, view.budget); err == nil {
+			if ids, err := e.forests[forestSlotV].Query(tp.TSig, view.budget, nil); err == nil {
 				collect(ids)
 			}
 		}
 		if !view.disabled[EvidenceFormat] {
-			if ids, err := e.forests[forestSlotF].Query(tp.RSig, view.budget); err == nil {
+			if ids, err := e.forests[forestSlotF].Query(tp.RSig, view.budget, nil); err == nil {
 				collect(ids)
 			}
 		}
 		if !view.disabled[EvidenceEmbedding] && !tp.EZero {
-			if ids, err := e.forests[forestSlotE].Query(tp.ESig.HashValues(), view.budget); err == nil {
+			if ids, err := e.forests[forestSlotE].Query(tp.ESig.HashValues(), view.budget, nil); err == nil {
 				collect(ids)
 			}
 		}

@@ -52,9 +52,9 @@ func sigHash(sig minhash.Signature) uint64 {
 }
 
 // intern takes a reference to sig's value: the table's copy and its id.
-// On a miss sig becomes the copy, or, when borrowed (a decoder's
-// scratch), a clone of it does. A nil signature is id 0 and no reference.
-func (t *sigTable) intern(sig minhash.Signature, borrowed bool) (minhash.Signature, int32) {
+// On a miss sig becomes the copy. A nil signature is id 0 and no
+// reference.
+func (t *sigTable) intern(sig minhash.Signature) (minhash.Signature, int32) {
 	if len(sig) == 0 {
 		return nil, 0
 	}
@@ -64,9 +64,6 @@ func (t *sigTable) intern(sig minhash.Signature, borrowed bool) (minhash.Signatu
 			t.refs[id]++
 			return t.sigs[id], id
 		}
-	}
-	if borrowed {
-		sig = slices.Clone(sig)
 	}
 	if t.heads == nil {
 		t.heads = make(map[uint64]int32)
@@ -117,9 +114,9 @@ func (t *sigTable) release(id int32) {
 // ids p carried before (another engine's, or none) are overwritten, not
 // released.
 func (t *sigTable) hold(p *Profile) {
-	p.QSig, p.qID = t.intern(p.QSig, false)
-	p.TSig, p.tID = t.intern(p.TSig, false)
-	p.RSig, p.rID = t.intern(p.RSig, false)
+	p.QSig, p.qID = t.intern(p.QSig)
+	p.TSig, p.tID = t.intern(p.TSig)
+	p.RSig, p.rID = t.intern(p.RSig)
 }
 
 // drop gives back p's references; p is about to become a stub.
@@ -129,19 +126,20 @@ func (t *sigTable) drop(p *Profile) {
 	t.release(p.rID)
 }
 
-// minSigEnc is the smallest encoding of a SecSigs entry: a count and one
-// slot (a nil signature is position 0, never an entry).
-const minSigEnc = 4 + 4
+// minSigEnc is the smallest encoding of a SecSigs entry: a count of at
+// least a byte and one slot (a nil signature is position 0, never an
+// entry).
+const minSigEnc = 1 + 4
 
-// load installs a snapshot's signature table (SecSigs, format version 3
-// on) into an empty table: the signatures in file order under ids 1, 2,
-// …, so an id is the signature's position in the file, and a canonical
-// file gives every signature the id a version 2 load interns it under.
-// No profile holds a reference yet; refer hands them out, and allHeld
-// checks that every copy was taken. An empty entry or two equal ones are
-// corrupt: the table keeps one copy of each value, and nil is no entry.
-func (t *sigTable) load(r *persist.Reader) error {
-	n := int(r.U32())
+// load installs a snapshot's signature table (SecSigs) into an empty
+// table: the signatures in file order under ids 1, 2, …, so an id is the
+// signature's position in the file. No profile holds a reference
+// yet; refer hands them out, and allHeld checks that every copy was
+// taken. An empty entry or two equal ones are corrupt: the table keeps
+// one copy of each value, and nil is no entry.
+func (t *sigTable) load(r *persist.Reader, version uint32) error {
+	f := fields{r, version >= 6}
+	n := int(f.count())
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -152,7 +150,7 @@ func (t *sigTable) load(r *persist.Reader) error {
 	t.sigs = make([]minhash.Signature, 1, n+1)
 	t.refs, t.next = make([]int32, n+1), make([]int32, n+1)
 	for id := int32(1); int(id) <= n; id++ {
-		sig := minhash.Signature(r.U32s(nil))
+		sig := minhash.Signature(f.slots())
 		if err := r.Err(); err != nil {
 			return err
 		}
@@ -178,9 +176,9 @@ func (t *sigTable) load(r *persist.Reader) error {
 // refer points p's signatures at the copies load installed under
 // positions q, tp and rp, taking a reference to each; position 0 is a nil
 // signature.
-func (t *sigTable) refer(p *Profile, q, tp, rp uint32) error {
-	for _, pos := range [3]uint32{q, tp, rp} {
-		if int64(pos) >= int64(len(t.sigs)) {
+func (t *sigTable) refer(p *Profile, q, tp, rp uint64) error {
+	for _, pos := range [3]uint64{q, tp, rp} {
+		if pos >= uint64(len(t.sigs)) {
 			return fmt.Errorf("%w: profile %s refers to signature %d of %d", persist.ErrCorrupt, p.Name, pos, len(t.sigs)-1)
 		}
 		if pos != 0 {

@@ -62,7 +62,7 @@ func checkSigTable(t testing.TB, e *Engine, label string) {
 
 // TestSigTableAfterBuildDecodeAndShardBuild checks the table invariants
 // where profiles enter an engine in bulk: BuildEngine, DecodeEngine (of
-// a fresh snapshot and of a version 1 one), and a shard build through
+// a fresh snapshot and of a version 5 one), and a shard build through
 // AddProfiled. The lake repeats signatures, so the table is smaller
 // than the profiles' signature count, and a decoded engine shares as
 // much as the engine it was saved from.
@@ -86,11 +86,11 @@ func TestSigTableAfterBuildDecodeAndShardBuild(t *testing.T) {
 	if ln, lv, lf := loaded.DistinctSignatures(); ln != n || lv != v || lf != f || n == 0 || v == 0 || f == 0 {
 		t.Fatalf("distinct signatures N/V/F: built %d/%d/%d, decoded %d/%d/%d", n, v, f, ln, lv, lf)
 	}
-	v2, err := loadEngineFile(v2FixturePath)
+	v5, err := loadEngineFile(v5FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSigTable(t, v2, "DecodeEngine of a version 2 snapshot")
+	checkSigTable(t, v5, "DecodeEngine of a version 5 snapshot")
 	shards, _ := buildShards(t, lake, 3)
 	for i, s := range shards {
 		checkSigTable(t, s, fmt.Sprintf("shard %d of 3", i))
@@ -309,7 +309,7 @@ func TestSigTableVerifyCatchesDamage(t *testing.T) {
 		{"a profile with no id", func(e *Engine) { e.profiles[0].rID = 0 }},
 		{"a count off by one", func(e *Engine) { e.sigs.refs[e.profiles[0].qID]++ }},
 		{"a copy no profile holds", func(e *Engine) {
-			e.sigs.intern(minhash.Signature{1, 2, 3}, false)
+			e.sigs.intern(minhash.Signature{1, 2, 3})
 		}},
 		{"two equal copies", func(e *Engine) {
 			i := slices.IndexFunc(e.profiles, func(p Profile) bool { return e.sigs.refs[p.rID] > 1 })
@@ -351,12 +351,12 @@ func TestSigTableVerifyCatchesDamage(t *testing.T) {
 func TestSigTableChainsHoldCollisions(t *testing.T) {
 	var tab sigTable
 	a, b := minhash.Signature{1, 2, 3}, minhash.Signature{4, 5, 6}
-	_, ida := tab.intern(a, false)
-	_, idb := tab.intern(b, false)
+	_, ida := tab.intern(a)
+	_, idb := tab.intern(b)
 	ha := sigHash(a)
 	delete(tab.heads, sigHash(b))
 	tab.next[idb], tab.heads[ha] = ida, idb // chain ha: b, then a
-	if got, id := tab.intern(slices.Clone(a), true); id != ida || &got[0] != &a[0] {
+	if got, id := tab.intern(slices.Clone(a)); id != ida || &got[0] != &a[0] {
 		t.Fatalf("lookup behind the chain's head: id %d, want %d", id, ida)
 	}
 	tab.release(ida)

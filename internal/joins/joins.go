@@ -74,10 +74,11 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 	lists := make([][]neighbour, numTables)
 	entries := 0
 	pending := make([][]candidate, min(graphBlock, numTables))
+	probes := make([][]int32, len(pending)) // each slot's I_V buffer, reused block after block
 	for lo := 0; lo < numTables; lo += graphBlock {
 		block := pending[:min(graphBlock, numTables-lo)]
 		err := e.ForEachQuery(ctx, len(block), func(i int) {
-			block[i] = subjectCandidates(e, lo+i, block[i][:0])
+			block[i], probes[i] = subjectCandidates(e, lo+i, block[i][:0], probes[i][:0])
 		})
 		if err != nil {
 			return nil, err
@@ -119,18 +120,20 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 // subjectCandidates appends to dst, in the order the value index
 // proposes them, the attributes of other live tables whose estimated
 // overlap with table tid's subject attribute clears the bound. A table
-// that is removed or has no subject attribute has none.
-func subjectCandidates(e *core.Engine, tid int, dst []candidate) []candidate {
+// that is removed or has no subject attribute has none. The value index
+// lists its proposals in ids, which it returns for the next call.
+func subjectCandidates(e *core.Engine, tid int, dst []candidate, ids []int32) ([]candidate, []int32) {
 	if !e.AliveTable(tid) {
-		return dst // tombstoned by Engine.Remove
+		return dst, ids // tombstoned by Engine.Remove
 	}
 	subj, ok := e.SubjectAttr(tid)
 	if !ok {
-		return dst
+		return dst, ids
 	}
 	sp := e.Profile(subj)
-	for _, candID := range e.VCandidates(subj, candidateBudget) {
-		cp := e.Profile(candID)
+	ids = e.VCandidates(subj, candidateBudget, ids)
+	for _, candID := range ids {
+		cp := e.Profile(int(candID))
 		otherTID := cp.Ref.TableID
 		if otherTID == tid || !e.AliveTable(otherTID) {
 			continue
@@ -141,7 +144,7 @@ func subjectCandidates(e *core.Engine, tid int, dst []candidate) []candidate {
 		}
 		dst = append(dst, candidate{otherTID: otherTID, overlap: ov})
 	}
-	return dst
+	return dst, ids
 }
 
 // overlapFloor is the overlap-coefficient floor for an edge between a

@@ -43,7 +43,8 @@ func buildGraphReference(e *core.Engine) *refGraph {
 			continue
 		}
 		sp := e.Profile(subj)
-		for _, candID := range e.VCandidates(subj, candidateBudget) {
+		for _, id := range e.VCandidates(subj, candidateBudget, nil) {
+			candID := int(id)
 			cp := e.Profile(candID)
 			otherTID := cp.Ref.TableID
 			if otherTID == tid || !e.AliveTable(otherTID) {
@@ -187,8 +188,8 @@ func TestBuildGraphEqualsSequentialAtAnyParallelism(t *testing.T) {
 	twiceID, _ := lake.IDByName("zz_twice")
 	subj, _ := e.SubjectAttr(keys)
 	hits := 0
-	for _, cand := range e.VCandidates(subj, candidateBudget) {
-		if e.Profile(cand).Ref.TableID == twiceID {
+	for _, cand := range e.VCandidates(subj, candidateBudget, nil) {
+		if e.Profile(int(cand)).Ref.TableID == twiceID {
 			hits++
 		}
 	}

@@ -9,24 +9,32 @@ import (
 )
 
 // Encode serialises the SA-join graph in the layout of snapshot version
-// 5: the offsets, then the neighbour ids, each a length-prefixed run of
-// uint32s. The lists are written verbatim, in their stored order, so a
-// decoded graph enumerates neighbours — and hence Algorithm 3 join paths
-// — exactly like the original: path discovery is order-sensitive, and
-// the overlaps that ordered the lists are not kept.
+// 6: the table count, each table's neighbour count, then every table's
+// neighbour ids, all varints. The lists are written verbatim, in their
+// stored order, so a decoded graph enumerates neighbours — and hence
+// Algorithm 3 join paths — exactly like the original: path discovery is
+// order-sensitive, and the overlaps that ordered the lists are not kept.
 func (g *Graph) Encode(b *persist.Buffer) {
-	b.U32(uint32(len(g.off)))
-	for _, o := range g.off {
-		b.U32(uint32(o))
+	b.Uvarint(uint64(len(g.off) - 1))
+	for t := 1; t < len(g.off); t++ {
+		b.Uvarint(uint64(g.off[t] - g.off[t-1]))
 	}
-	b.U32(uint32(len(g.to)))
 	for _, t := range g.to {
-		b.U32(uint32(t))
+		b.Uvarint(uint64(t))
 	}
 }
 
 // EncodedSize reports exactly how many bytes Encode appends.
-func (g *Graph) EncodedSize() int { return 4 + 4*len(g.off) + 4 + 4*len(g.to) }
+func (g *Graph) EncodedSize() int {
+	n := persist.UvarintLen(uint64(len(g.off) - 1))
+	for t := 1; t < len(g.off); t++ {
+		n += persist.UvarintLen(uint64(g.off[t] - g.off[t-1]))
+	}
+	for _, t := range g.to {
+		n += persist.UvarintLen(uint64(t))
+	}
+	return n
+}
 
 // legacyEntryEnc is one adjacency-list entry of a version 2–4 graph
 // section: From, To, FromAttr, ToAttr as I64 and the overlap as F64.
@@ -34,7 +42,8 @@ const legacyEntryEnc = 4*8 + 8
 
 // DecodeGraph reconstructs a graph over the given engine (the engine
 // backs the path guards, not the adjacency itself) from a graph section
-// of the given snapshot version: Encode's layout from version 5 on, the
+// of the given snapshot version: Encode's layout from version 6 on, the
+// same counts and ids as uint32 offsets and ids in version 5, and the
 // full-edge adjacency lists before it, of which only each entry's
 // neighbour id is kept. Table ids are validated against the engine so a
 // corrupt snapshot cannot smuggle out-of-range ids into path discovery,
@@ -42,9 +51,12 @@ const legacyEntryEnc = 4*8 + 8
 func DecodeGraph(r *persist.Reader, version uint32, e *core.Engine) (*Graph, error) {
 	var off, to []int32
 	var err error
-	if version >= 5 {
+	switch {
+	case version >= 6:
+		off, to, err = decodeVarint(r, e.Lake().Len())
+	case version == 5:
 		off, to, err = decodeCSR(r, e.Lake().Len())
-	} else {
+	default:
 		off, to, err = decodeLegacy(r, e.Lake().Len(), e.NumAttributes())
 	}
 	if err != nil {
@@ -53,9 +65,51 @@ func DecodeGraph(r *persist.Reader, version uint32, e *core.Engine) (*Graph, err
 	return &Graph{engine: e, off: off, to: to}, nil
 }
 
-// decodeCSR reads Encode's layout: one offset per table plus one,
-// starting at 0, never decreasing and ending at the id count, which is
-// even; every id a table's.
+// decodeVarint reads Encode's layout: the table count, a neighbour count
+// per table, which together are an even number of ids the bytes left can
+// hold, then the ids, each a table's.
+func decodeVarint(r *persist.Reader, numTables int) (off, to []int32, err error) {
+	n := r.VCount(1)
+	if err := r.Err(); err != nil {
+		return nil, nil, err
+	}
+	if n != numTables {
+		return nil, nil, fmt.Errorf("%w: join graph holds neighbour counts for %d of %d tables", persist.ErrCorrupt, n, numTables)
+	}
+	off = make([]int32, n+1)
+	total := uint64(0)
+	for t := range n {
+		total += min(r.Uvarint(), math.MaxInt32)
+		if err := r.Err(); err != nil {
+			return nil, nil, err
+		}
+		// Every id takes a byte at least, so the counts cannot declare
+		// more ids than the bytes after them.
+		if total > uint64(r.Remaining()) {
+			return nil, nil, fmt.Errorf("%w: join graph neighbour counts reach %d ids with %d bytes left", persist.ErrCorrupt, total, r.Remaining())
+		}
+		off[t+1] = int32(total)
+	}
+	if total%2 != 0 {
+		return nil, nil, fmt.Errorf("%w: join graph holds an odd %d neighbour ids", persist.ErrCorrupt, total)
+	}
+	to = make([]int32, total)
+	for i := range to {
+		t := r.Uvarint()
+		if err := r.Err(); err != nil {
+			return nil, nil, err
+		}
+		if t >= uint64(numTables) {
+			return nil, nil, fmt.Errorf("%w: join graph neighbour id %d of %d tables", persist.ErrCorrupt, t, numTables)
+		}
+		to[i] = int32(t)
+	}
+	return off, to, nil
+}
+
+// decodeCSR reads the version 5 layout: one uint32 offset per table
+// plus one, starting at 0, never decreasing and ending at the id count,
+// which is even; every id a table's, a uint32.
 func decodeCSR(r *persist.Reader, numTables int) (off, to []int32, err error) {
 	n := r.Count(4)
 	if err := r.Err(); err != nil {

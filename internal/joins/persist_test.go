@@ -44,8 +44,34 @@ func encodeLegacy(g *refGraph) []byte {
 // they hold.
 func encodeCSR(off, to []uint32) []byte {
 	var b persist.Buffer
-	b.U32s(off)
-	b.U32s(to)
+	for _, run := range [][]uint32{off, to} {
+		b.U32(uint32(len(run)))
+		for _, v := range run {
+			b.U32(v)
+		}
+	}
+	return payload(&b)
+}
+
+// encodeV5 is g's graph section as snapshot version 5 wrote it.
+func encodeV5(g *Graph) []byte {
+	var off, to []uint32
+	for _, o := range g.off {
+		off = append(off, uint32(o))
+	}
+	for _, t := range g.to {
+		to = append(to, uint32(t))
+	}
+	return encodeCSR(off, to)
+}
+
+// encodeUvarints lays values down as varints, whatever they hold: in the
+// version 6 layout, the table count, the neighbour counts, then the ids.
+func encodeUvarints(vs ...uint64) []byte {
+	var b persist.Buffer
+	for _, v := range vs {
+		b.Uvarint(v)
+	}
 	return payload(&b)
 }
 
@@ -103,6 +129,11 @@ func forgedGraphSections(t testing.TB, e *core.Engine) []graphSection {
 		{"an odd entry total", 5, encodeCSR([]uint32{0, 1, 1, 1, 1}, []uint32{3}), "offsets end"},
 		{"offsets for three tables", 5, encodeCSR([]uint32{0, 0, 0, 0}, []uint32{}), "offsets for"},
 		{"a neighbour id past the tables", 5, encodeCSR([]uint32{0, 1, 1, 1, 2}, []uint32{3, 4}), "neighbour id"},
+		{"neighbour counts for three tables", 6, encodeUvarints(3, 0, 0, 0), "neighbour counts for"},
+		{"a neighbour count beyond the ids", 6, encodeUvarints(4, 100, 1, 0, 1, 3, 0), "neighbour counts reach"},
+		{"an odd id total", 6, encodeUvarints(4, 1, 0, 0, 0, 3), "odd"},
+		{"a varint neighbour id past the tables", 6, encodeUvarints(4, 1, 0, 0, 1, 3, 4), "neighbour id"},
+		{"an eleven-byte table count", 6, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, "more than 64 bits"},
 	}
 }
 
@@ -120,7 +151,7 @@ func TestDecodeGraphRefusesForgedSections(t *testing.T) {
 
 // TestDecodeGraphReadsEveryLayout: the graph section a version 2–4 build
 // wrote loads as the neighbour ids of the graph a build gives today, in
-// order, and so does the version 5 section.
+// order, and so do the version 5 and 6 sections.
 func TestDecodeGraphReadsEveryLayout(t *testing.T) {
 	e := buildEngine(t)
 	g := buildGraph(t, e)
@@ -128,7 +159,8 @@ func TestDecodeGraphReadsEveryLayout(t *testing.T) {
 	for _, s := range []graphSection{
 		{what: "version 2", version: 2, data: legacy},
 		{what: "version 4", version: 4, data: legacy},
-		{what: "version 5", version: 5, data: encodeGraph(g)},
+		{what: "version 5", version: 5, data: encodeV5(g)},
+		{what: "version 6", version: 6, data: encodeGraph(g)},
 	} {
 		got, err := DecodeGraph(readerOver(t, s.data), s.version, e)
 		if err != nil {
@@ -141,9 +173,10 @@ func TestDecodeGraphReadsEveryLayout(t *testing.T) {
 }
 
 // FuzzDecodeGraph holds the snapshot's SA-join graph decoder to "typed
-// error or valid graph" on hostile bytes, in both layouts: the first byte
-// is the snapshot version the rest is decoded as (5 and up the CSR
-// layout, below it the full-edge one). It fails with an error wrapping
+// error or valid graph" on hostile bytes, in every layout: the first
+// byte is the snapshot version the rest is decoded as (6 and up the
+// varint counts and ids, 5 the uint32 offsets and ids, below it the
+// full-edge lists). It fails with an error wrapping
 // persist.ErrCorrupt (or ErrTruncated, for a payload that ends early),
 // or returns a graph with one offset per table plus one, never
 // decreasing and ending at an even id count, every id a table of the
@@ -155,7 +188,7 @@ func FuzzDecodeGraph(f *testing.F) {
 		f.Fatal("fixture graph has no edges")
 	}
 	seed := func(version uint32, data []byte) { f.Add(append([]byte{byte(version)}, data...)) }
-	valid := encodeGraph(g)
+	valid := encodeV5(g)
 	seed(5, valid)
 	// Truncations: inside the offset count, the offsets, the id count and
 	// the ids.
@@ -184,6 +217,19 @@ func FuzzDecodeGraph(f *testing.F) {
 	}
 	for _, s := range forgedGraphSections(f, e) {
 		seed(s.version, s.data)
+	}
+	current := encodeGraph(g)
+	seed(6, current)
+	// Truncations: inside the counts and the ids; bit flips: the table
+	// count, a count and an id.
+	counts := len(current) - len(g.to)
+	for _, n := range []int{0, counts / 2, counts + 1, len(current) - 1} {
+		seed(6, current[:n])
+	}
+	for _, at := range []int{0, counts / 2, len(current) - 1} {
+		flipped := slices.Clone(current)
+		flipped[at] ^= 0x80
+		seed(6, flipped)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {

@@ -46,7 +46,7 @@ type Forest struct {
 	// applies to the delta: Delete takes a delta entry out, and an id
 	// re-inserted after its base entries died is live in the delta.
 	dead idSet
-	// scratch recycles the probe scratch of QueryInto callers.
+	// scratch recycles the probe scratch of Query and QueryInto callers.
 	scratch sync.Pool
 }
 
@@ -524,26 +524,34 @@ func (f *Forest) prefixRange(r *run, key []byte, depth int) (int, int) {
 	return lo, hi
 }
 
-// Query returns candidate item ids similar to the query signature,
-// descending from the longest prefix until at least minResults distinct
-// candidates are gathered (or the prefix length reaches zero, which
-// bounds the scan to the whole forest). Candidates are deduplicated and
-// unranked: rank with exact signature comparison, as the engine does.
-// Each tree's base and delta ranges are merged in key order, delta
-// first among equal keys, so the ids come out in first-seen order over
-// the one sorted array per tree that merged describes.
-func (f *Forest) Query(sig []uint32, minResults int) ([]int32, error) {
+// Query appends to dst candidate item ids similar to the query
+// signature, descending from the longest prefix until at least
+// minResults distinct candidates are gathered (or the prefix length
+// reaches zero, which bounds the scan to the whole forest). Candidates
+// are deduplicated and unranked: rank with exact signature comparison,
+// as the engine does. Each tree's base and delta ranges are merged in
+// key order, delta first among equal keys, so the ids come out in
+// first-seen order over the one sorted array per tree that merged
+// describes. The dedup stamps ids in a forest-owned scratch, so a caller
+// that passes back the slice it got allocates nothing once it has grown.
+// Ids must be non-negative.
+func (f *Forest) Query(sig []uint32, minResults int, dst []int32) ([]int32, error) {
 	if err := f.ready("Query", sig); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if minResults <= 0 {
 		minResults = 1
 	}
+	s, _ := f.scratch.Get().(*DepthScratch)
+	if s == nil {
+		s = new(DepthScratch)
+	}
+	defer f.scratch.Put(s)
+	s.begin()
+	start := len(dst)
 	h := f.hashesPerTree
 	var kb [keyStackBytes]byte
 	key := f.keyScratch(kb[:])
-	seen := make(map[int32]struct{})
-	var out []int32
 	for depth := h; depth >= 1; depth-- {
 		for t := 0; t < f.numTrees; t++ {
 			b, d := &f.trees[t].base, &f.trees[t].delta
@@ -564,18 +572,21 @@ func (f *Forest) Query(sig []uint32, minResults int) ([]int32, error) {
 					if fromBase && f.dead.has(id) {
 						continue
 					}
-					if _, dup := seen[id]; !dup {
-						seen[id] = struct{}{}
-						out = append(out, id)
+					first, err := s.claim(id)
+					if err != nil {
+						return dst, err
+					}
+					if first {
+						dst = append(dst, id)
 					}
 				}
 			}
 		}
-		if len(out) >= minResults {
+		if len(dst)-start >= minResults {
 			break
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // QueryInto is the allocation-free form of Query for hot paths: it
@@ -627,10 +638,10 @@ func (f *Forest) CollectMinDepth(sig []uint32, depth int, dst []int32) ([]int32,
 }
 
 // DepthScratch is the caller-owned working memory of the one-walk probe
-// (Probe and DepthCounts): an epoch-stamped per-id array (the same trick
-// as core's visited stamps, so starting a probe is one integer
-// increment, not an O(ids) clear), the list of ids the current probe
-// touched, and the probe's per-depth counts. The zero value is ready;
+// (Probe and DepthCounts) and of Query's dedup: an epoch-stamped per-id
+// array (the same trick as core's visited stamps, so starting a probe
+// is one integer increment, not an O(ids) clear), the list of ids the
+// current probe touched, and the probe's per-depth counts. The zero value is ready;
 // one scratch serves any number of forests and probes, one probe at a
 // time.
 type DepthScratch struct {
@@ -652,6 +663,22 @@ func (s *DepthScratch) begin() {
 		s.epoch = 1
 	}
 	s.touched = s.touched[:0]
+}
+
+// claim stamps id seen in the current probe and reports whether it was
+// not yet: Query's dedup.
+func (s *DepthScratch) claim(id int32) (bool, error) {
+	if id < 0 {
+		return false, fmt.Errorf("lsh: query over negative id %d", id)
+	}
+	if int(id) >= len(s.deepest) {
+		s.deepest = append(s.deepest, make([]uint64, int(id)+1-len(s.deepest))...)
+	}
+	if uint32(s.deepest[id]>>32) == s.epoch {
+		return false, nil
+	}
+	s.deepest[id] = uint64(s.epoch) << 32
+	return true, nil
 }
 
 // raise records that every id of one peeled run that dead does not hold

@@ -211,6 +211,56 @@ func checkRuns(t testing.TB, f *Forest, label string) {
 	}
 }
 
+// mapQuery is Query as it was before it took a caller's buffer: a map
+// dedups the ids and a fresh slice collects them. It is the reference
+// for the order Query returns ids in, which decides SA-join graph
+// neighbour order and so join answers.
+func mapQuery(f *Forest, sig []uint32, minResults int) ([]int32, error) {
+	if err := f.ready("Query", sig); err != nil {
+		return nil, err
+	}
+	if minResults <= 0 {
+		minResults = 1
+	}
+	h := f.hashesPerTree
+	var kb [keyStackBytes]byte
+	key := f.keyScratch(kb[:])
+	seen := make(map[int32]struct{})
+	var out []int32
+	for depth := h; depth >= 1; depth-- {
+		for t := 0; t < f.numTrees; t++ {
+			b, d := &f.trees[t].base, &f.trees[t].delta
+			f.keyInto(key, t, sig)
+			lo, hi := f.prefixRange(b, key, depth)
+			dlo, dhi := f.prefixRange(d, key, depth)
+			for lo < hi || dlo < dhi {
+				var ids []int32
+				fromBase := dlo == dhi || (lo < hi && bytes.Compare(d.key(dlo, h), b.key(lo, h)) > 0)
+				if fromBase {
+					ids = b.span(lo, lo+1)
+					lo++
+				} else {
+					ids = d.span(dlo, dlo+1)
+					dlo++
+				}
+				for _, id := range ids {
+					if fromBase && f.dead.has(id) {
+						continue
+					}
+					if _, dup := seen[id]; !dup {
+						seen[id] = struct{}{}
+						out = append(out, id)
+					}
+				}
+			}
+		}
+		if len(out) >= minResults {
+			break
+		}
+	}
+	return out, nil
+}
+
 // checkSameAnswers fails unless the forest f keeps its run invariant and
 // answers like the reference on every read: count, space, the one-array
 // trees (checkSameArrays), and per query signature Query (in order),
@@ -226,12 +276,18 @@ func checkSameAnswers(t testing.TB, f *Forest, ref *refForest, queries [][]uint3
 	for qi, sig := range queries {
 		sets := ref.descent(sig)
 		for _, budget := range []int{1, 3, ref.count + 1} {
-			got, err := f.Query(sig, budget)
+			got, err := f.Query(sig, budget, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := ref.query(sig, budget); !slices.Equal(got, want) {
 				t.Fatalf("%s query %d budget %d: Query\n got  %v\n want %v", label, qi, budget, got, want)
+			}
+			if old, err := mapQuery(f, sig, budget); err != nil || !slices.Equal(got, old) {
+				t.Fatalf("%s query %d budget %d: Query %v, the map-deduped Query %v (err %v)", label, qi, budget, got, old, err)
+			}
+			if into, err := f.Query(sig, budget, []int32{-7}); err != nil || into[0] != -7 || !slices.Equal(into[1:], got) {
+				t.Fatalf("%s query %d budget %d: Query after a prefix %v, alone %v (err %v)", label, qi, budget, into, got, err)
 			}
 			got, depth, err := f.Probe(sig, budget, nil, s)
 			if err != nil {

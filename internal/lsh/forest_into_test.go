@@ -10,8 +10,8 @@ import (
 )
 
 // randomForest indexes n random token-set signatures and returns the
-// forest plus the signatures, for set-equivalence checks between the
-// map-based Query and the allocation-free probes.
+// forest plus the signatures, for set-equivalence checks between Query
+// and the allocation-free probes.
 func randomForest(t *testing.T, seed int64, n int) (*Forest, [][]uint32) {
 	t.Helper()
 	h := minhash.MustHasher(256, 42)
@@ -47,7 +47,7 @@ func TestQueryIntoMatchesQuery(t *testing.T) {
 	var buf []int32
 	for i, sig := range sigs {
 		for _, minResults := range []int{0, 1, 5, 40, 1000} {
-			want, err := f.Query(sig, minResults)
+			want, err := f.Query(sig, minResults, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,11 +52,11 @@ func TestForestInsertEqualsBuild(t *testing.T) {
 		t.Fatalf("Len mismatch: %d vs %d", full.count, grown.count)
 	}
 	for q := 0; q < len(sigs); q += 7 {
-		a, err := full.Query(sigs[q], 20)
+		a, err := full.Query(sigs[q], 20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := grown.Query(sigs[q], 20)
+		b, err := grown.Query(sigs[q], 20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestForestDeleteRemovesItem(t *testing.T) {
 	}
 	// Even a full-forest scan (prefix depth descends to 1) must not
 	// surface the victim.
-	got, err := f.Query(sigs[victim], len(sigs))
+	got, err := f.Query(sigs[victim], len(sigs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestForestDeleteRemovesItem(t *testing.T) {
 		}
 	}
 	// A survivor queried with its own signature stays reachable.
-	got, err = f.Query(sigs[10], 5)
+	got, err = f.Query(sigs[10], 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

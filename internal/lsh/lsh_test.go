@@ -210,7 +210,7 @@ func TestForestValidation(t *testing.T) {
 	if err := f.Add(1, make([]uint32, 10)); err == nil {
 		t.Fatal("expected short-signature error")
 	}
-	if _, err := f.Query(make([]uint32, 64), 5); err == nil {
+	if _, err := f.Query(make([]uint32, 64), 5, nil); err == nil {
 		t.Fatal("expected query-before-index error")
 	}
 	f.Index()
@@ -235,7 +235,7 @@ func TestForestFindsNearDuplicates(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		q = append(q, "unique"+itoa(i))
 	}
-	got, err := f.Query(sketchFor(h, q), 5)
+	got, err := f.Query(sketchFor(h, q), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +261,11 @@ func TestForestQueryDescendsUntilEnough(t *testing.T) {
 		}
 	}
 	f.Index()
-	few, err := f.Query(sketchFor(h, sets[0]), 1)
+	few, err := f.Query(sketchFor(h, sets[0]), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := f.Query(sketchFor(h, sets[0]), 50)
+	many, err := f.Query(sketchFor(h, sets[0]), 50, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func BenchmarkForestQuery(b *testing.B) {
 	q := sketchFor(h, sets[0])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.Query(q, 20); err != nil {
+		if _, err := f.Query(q, 20, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,20 +45,29 @@
 //	   neighbour ids as uint32s, in list order. Versions 2–4 stored each
 //	   edge in full, both directions, as From, To, the two attribute ids
 //	   and the overlap.
+//	6  Every number takes the width its value needs. In SecLake,
+//	   SecSigs, SecAttrs and SecJoinGraph each count, length, id,
+//	   position and size is a Uvarint, and a subject attribute a Varint
+//	   (it may be -1). A numeric extent is written scaled — a decimal
+//	   scale d, then its first value times 10^d as a Varint and each
+//	   later one as a Uvarint step up from the one before — whenever
+//	   that reproduces every value bit for bit, and as raw float64s
+//	   otherwise. SecJoinGraph holds each table's neighbour count, then
+//	   the ids. MinHash slots, SimHash words and raw extents stay full
+//	   width: they are uniform bits. SecOptions is unchanged.
 //
-// This build reads versions 2 through 4 as well. A graph section of
-// theirs loads with each entry's To kept, in order, and the rest
-// dropped; that decode also checks what the v5 layout makes implicit
+// This build reads versions 3 through 6 and refuses 1 and 2 with
+// ErrVersion naming the version. A version 3–5 file loads through the
+// fixed-width decode paths of its sections; the decoded engine is the
+// one its version 6 re-save loads into. A graph section of versions 3
+// and 4 loads with each entry's To kept, in order, and the rest
+// dropped; that decode also checks what the newer layouts make implicit
 // (an entry belongs to the list that holds it, and the declared edge
-// count is half the entries). Neither version 2's nor 3's SecForests is
-// read: their forests are rebuilt like a newer file's, so a file's
-// forests can never disagree with its profiles, and there is one decode
-// path for them. Version 2 profiles load through the per-profile decode
-// path version 3 replaced: every snapshot built before version 3 with
-// 32-bit slots is one. This build refuses version 1 with ErrVersion
-// naming the version: reading it would keep a second slot width in that
-// path for the one format three changes old. Rebuild a version 1
-// snapshot from its lake.
+// count is half the entries). Version 3's SecForests is never read: its
+// forests are rebuilt like a newer file's, so a file's forests can never
+// disagree with its profiles. Versions 1 and 2 carried a copy of every
+// signature per profile, a layout no later version reads; rebuild such
+// a snapshot from its lake.
 package persist
 
 import (
@@ -68,6 +77,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -79,8 +89,8 @@ var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 // Version is the snapshot format version this build writes; MinVersion
 // the oldest it still reads.
 const (
-	Version    uint32 = 5
-	MinVersion uint32 = 2
+	Version    uint32 = 6
+	MinVersion uint32 = 3
 )
 
 // Section ids. Ids are stable across versions: a section keeps its id
@@ -98,12 +108,12 @@ const (
 	// attribute map, subject attributes, and the tombstone set.
 	SecAttrs uint32 = 3
 	// SecForests held the four LSH forests I_N, I_V, I_F, I_E in
-	// versions 2 and 3. Version 4 does not write it, and no version's is
-	// read: a load rebuilds the forests from SecAttrs.
+	// versions 2 and 3. Version 4 on does not write it, and no version's
+	// is read: a load rebuilds the forests from SecAttrs.
 	SecForests uint32 = 4
 	// SecJoinGraph holds the SA-join graph's neighbour ids (optional:
 	// written by d3l.Save when the engine holds a graph, absent from
-	// bare core snapshots). Its layout changed in version 5.
+	// bare core snapshots). Its layout changed in versions 5 and 6.
 	SecJoinGraph uint32 = 5
 	// SecSigs holds the table of distinct MinHash signatures that
 	// SecAttrs' profiles refer to by position (version 3 on). It is
@@ -132,8 +142,9 @@ var (
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Buffer accumulates one section's payload. The zero value is ready to
-// use. All multi-byte values are little-endian; slices and strings are
-// length-prefixed with a uint32 count.
+// use. All fixed-width values are little-endian; slices and strings are
+// length-prefixed with a uint32 count, or, through the V methods, with a
+// Uvarint one.
 type Buffer struct {
 	data []byte
 }
@@ -167,18 +178,40 @@ func (b *Buffer) I64(v int64) { b.U64(uint64(v)) }
 // F64 appends a float64 by its IEEE-754 bits.
 func (b *Buffer) F64(v float64) { b.U64(math.Float64bits(v)) }
 
+// Uvarint appends v in as few bytes as it needs: seven bits a byte,
+// low bits first, the high bit of each byte but the last set.
+func (b *Buffer) Uvarint(v uint64) { b.data = binary.AppendUvarint(b.data, v) }
+
+// Varint appends v zigzag-mapped (0, -1, 1, -2, … to 0, 1, 2, 3, …), so
+// a value near zero of either sign is as short as a small Uvarint.
+func (b *Buffer) Varint(v int64) { b.data = binary.AppendVarint(b.data, v) }
+
+// UvarintLen reports how many bytes Uvarint appends for v.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// VarintLen reports how many bytes Varint appends for v.
+func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+
 // Str appends a length-prefixed string.
 func (b *Buffer) Str(s string) {
 	b.U32(uint32(len(s)))
 	b.data = append(b.data, s...)
 }
 
-// U32s appends a length-prefixed []uint32. MinHash signatures — most of
-// a snapshot's bytes — go through here, so the payload grows once and
-// the slots are appended through a local slice header rather than one
-// b.data store (and GC write barrier) per slot.
-func (b *Buffer) U32s(vs []uint32) {
-	b.U32(uint32(len(vs)))
+// VStr appends a string prefixed with its length as a Uvarint.
+func (b *Buffer) VStr(s string) {
+	b.Uvarint(uint64(len(s)))
+	b.data = append(b.data, s...)
+}
+
+// VU32s appends a []uint32 prefixed with its length as a Uvarint, the
+// values at full width: MinHash slots are uniform 32-bit values, which
+// no shorter code holds. MinHash signatures — most of a snapshot's
+// bytes — go through here, so the payload grows once and the slots are
+// appended through a local slice header rather than one b.data store
+// (and GC write barrier) per slot.
+func (b *Buffer) VU32s(vs []uint32) {
+	b.Uvarint(uint64(len(vs)))
 	data := slices.Grow(b.data, 4*len(vs))
 	for _, v := range vs {
 		data = binary.LittleEndian.AppendUint32(data, v)
@@ -194,16 +227,17 @@ func (b *Buffer) U64s(vs []uint64) {
 	}
 }
 
-// Ints appends a length-prefixed []int as 64-bit values.
-func (b *Buffer) Ints(vs []int) {
-	b.U32(uint32(len(vs)))
+// VU64s appends a []uint64 prefixed with its length as a Uvarint, the
+// values at full width.
+func (b *Buffer) VU64s(vs []uint64) {
+	b.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
-		b.I64(int64(v))
+		b.U64(v)
 	}
 }
 
 // F64s appends a length-prefixed []float64, grown once and appended
-// through a local slice header like U32s.
+// through a local slice header like VU32s.
 func (b *Buffer) F64s(vs []float64) {
 	b.U32(uint32(len(vs)))
 	data := slices.Grow(b.data, 8*len(vs))
@@ -584,6 +618,47 @@ func (r *Reader) Count(elemSize int) int {
 	return n
 }
 
+// Uvarint reads a value Buffer.Uvarint wrote. A code longer than ten
+// bytes, or one whose value does not fit 64 bits, is ErrCorrupt; a
+// payload that ends inside one, ErrTruncated.
+func (r *Reader) Uvarint() uint64 {
+	if !r.page(min(binary.MaxVarintLen64, r.Remaining())) {
+		return 0
+	}
+	v, n := binary.Uvarint(r.buf[r.off:])
+	switch {
+	case n > 0:
+		r.off += n
+		return v
+	case n == 0:
+		r.fail()
+	case r.err == nil:
+		r.err = fmt.Errorf("%w: a varint of more than 64 bits", ErrCorrupt)
+	}
+	return 0
+}
+
+// Varint reads a value Buffer.Varint wrote.
+func (r *Reader) Varint() int64 {
+	u := r.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// VCount is Count of a Uvarint length prefix. Every element of a
+// Uvarint-counted layout takes at least one byte, so elemSize is at
+// least 1 however small the element's smallest encoding.
+func (r *Reader) VCount(elemSize int) int {
+	n := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if n > uint64(r.Remaining()/max(elemSize, 1)) {
+		r.fail()
+		return 0
+	}
+	return int(n)
+}
+
 // Skip passes over n bytes unread, with the bounds check of a read.
 func (r *Reader) Skip(n int) {
 	if r.err != nil {
@@ -599,9 +674,13 @@ func (r *Reader) Skip(n int) {
 }
 
 // Str reads a length-prefixed string.
-func (r *Reader) Str() string {
+func (r *Reader) Str() string { return r.str(r.Count(1)) }
+
+// VStr reads a string Buffer.VStr wrote.
+func (r *Reader) VStr() string { return r.str(r.VCount(1)) }
+
+func (r *Reader) str(n int) string {
 	var b strings.Builder
-	n := r.Count(1)
 	b.Grow(n)
 	r.chunks(n, 1, func(p []byte) { b.Write(p) })
 	if r.err != nil {
@@ -616,8 +695,12 @@ func (r *Reader) Str() string {
 // one copy of each) can reuse one buffer for all of them. Zero-length
 // slices decode as buf[:0], so as nil for a nil buf, matching how a
 // tombstoned attribute's released signatures are represented in memory.
-func (r *Reader) U32s(buf []uint32) []uint32 {
-	n := r.Count(4)
+func (r *Reader) U32s(buf []uint32) []uint32 { return r.u32s(buf, r.Count(4)) }
+
+// VU32s is U32s of a slice Buffer.VU32s wrote.
+func (r *Reader) VU32s(buf []uint32) []uint32 { return r.u32s(buf, r.VCount(4)) }
+
+func (r *Reader) u32s(buf []uint32, n int) []uint32 {
 	if cap(buf) < n {
 		buf = make([]uint32, n)
 	}
@@ -633,8 +716,12 @@ func (r *Reader) U32s(buf []uint32) []uint32 {
 
 // U64s reads a length-prefixed []uint64. Zero-length slices decode as
 // nil, like U32s.
-func (r *Reader) U64s() []uint64 {
-	n := r.Count(8)
+func (r *Reader) U64s() []uint64 { return r.u64s(r.Count(8)) }
+
+// VU64s is U64s of a slice Buffer.VU64s wrote.
+func (r *Reader) VU64s() []uint64 { return r.u64s(r.VCount(8)) }
+
+func (r *Reader) u64s(n int) []uint64 {
 	if n == 0 {
 		return nil
 	}
@@ -648,7 +735,8 @@ func (r *Reader) U64s() []uint64 {
 	return out
 }
 
-// Ints reads a length-prefixed []int written by Buffer.Ints.
+// Ints reads a length-prefixed []int of 64-bit values, as snapshot
+// versions 3–5 wrote a table's attribute list.
 func (r *Reader) Ints() []int {
 	n := r.Count(8)
 	if n == 0 {

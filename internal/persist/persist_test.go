@@ -36,6 +36,23 @@ func (s *shortSource) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
+// appendU32s and appendInts lay a slice down as the fixed-width layouts
+// did, which Reader.U32s and Reader.Ints read: a uint32 count, then the
+// values at 32 and 64 bits.
+func appendU32s(b *Buffer, vs []uint32) {
+	b.U32(uint32(len(vs)))
+	for _, v := range vs {
+		b.U32(v)
+	}
+}
+
+func appendInts(b *Buffer, vs []int) {
+	b.U32(uint32(len(vs)))
+	for _, v := range vs {
+		b.I64(int64(v))
+	}
+}
+
 // roundTripSnapshot builds a two-section snapshot exercising every
 // primitive type.
 func roundTripSnapshot(t *testing.T) []byte {
@@ -50,9 +67,9 @@ func roundTripSnapshot(t *testing.T) []byte {
 	b.I64(-42)
 	b.F64(math.Pi)
 	b.Str("practice name")
-	b.U32s([]uint32{6, 5, math.MaxUint32})
+	appendU32s(b, []uint32{6, 5, math.MaxUint32})
 	b.U64s([]uint64{9, 8, 7})
-	b.Ints([]int{-5, 5})
+	appendInts(b, []int{-5, 5})
 	b.F64s([]float64{0.5, -0.25})
 	enc.End()
 	enc.Begin(SecLake)
@@ -248,14 +265,14 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	enc := NewEncoder()
 	b := enc.Begin(SecAttrs)
 	b.U8(9) // knocks every later value off the window's alignment
-	b.U32s(u32s)
+	appendU32s(b, u32s)
 	b.Str(name)
 	b.F64s(f64s)
 	b.F64s(f64s)
 	for i := 0; i < window/8; i++ {
 		b.U64(uint64(i))
 	}
-	b.Ints([]int{-3, 3})
+	appendInts(b, []int{-3, 3})
 	enc.End()
 	enc.Begin(SecLake).U32(5)
 	enc.End()
@@ -476,5 +493,100 @@ func TestSlabReads(t *testing.T) {
 	short := &Reader{buf: []byte{2, 0, 0, 0, 1, 2, 3}}
 	if got := short.AppendF64s(nil); len(got) != 0 || !errors.Is(short.Err(), ErrTruncated) {
 		t.Fatalf("AppendF64s over a short payload: %v, err %v", got, short.Err())
+	}
+}
+
+// TestVarints: Uvarint and Varint round-trip every width from one byte
+// to ten, including across the window's edge, in the bytes UvarintLen
+// and VarintLen report; the V-counted strings and slices round-trip; a
+// code of eleven bytes or past 64 bits is ErrCorrupt, one cut short
+// ErrTruncated, and a count the bytes left cannot hold is refused before
+// it sizes anything.
+func TestVarints(t *testing.T) {
+	var us []uint64
+	for s := 0; s < 64; s += 7 {
+		us = append(us, 1<<s-1, 1<<s, 1<<s+1)
+	}
+	us = append(us, math.MaxUint64)
+	is := []int64{0, -1, 1, -64, 63, -65, 64, math.MinInt64, math.MaxInt64}
+	enc := NewEncoder()
+	b := enc.Begin(SecAttrs)
+	written := 0
+	for written < window+100 { // the codes straddle the window's edge
+		for _, u := range us {
+			b.Uvarint(u)
+			written += UvarintLen(u)
+		}
+		for _, v := range is {
+			b.Varint(v)
+			written += VarintLen(v)
+		}
+	}
+	b.VStr("practice")
+	b.VU32s([]uint32{6, math.MaxUint32})
+	b.VU64s([]uint64{9, math.MaxUint64})
+	enc.End()
+	var out bytes.Buffer
+	if _, err := enc.WriteTo(&out); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decoderOver(out.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dec.SectionSizes()[SecAttrs], written+1+8+1+8+1+16; got != want {
+		t.Fatalf("section of %d bytes, the lengths add up to %d", got, want)
+	}
+	r, _ := dec.Section(SecAttrs)
+	for read := 0; read < written; {
+		for _, u := range us {
+			if got := r.Uvarint(); got != u {
+				t.Fatalf("Uvarint %d read as %d, err %v", u, got, r.Err())
+			}
+			read += UvarintLen(u)
+		}
+		for _, v := range is {
+			if got := r.Varint(); got != v {
+				t.Fatalf("Varint %d read as %d, err %v", v, got, r.Err())
+			}
+			read += VarintLen(v)
+		}
+	}
+	if r.VStr() != "practice" || !slices.Equal(r.VU32s(nil), []uint32{6, math.MaxUint32}) ||
+		!slices.Equal(r.VU64s(), []uint64{9, math.MaxUint64}) || r.Err() != nil || r.Remaining() != 0 {
+		t.Fatalf("V-counted values did not survive: err %v, %d bytes left", r.Err(), r.Remaining())
+	}
+
+	for _, c := range []struct {
+		what string
+		code []byte
+		want error
+	}{
+		{"eleven bytes", []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, ErrCorrupt},
+		{"past 64 bits", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}, ErrCorrupt},
+		{"cut short", []byte{0x80, 0x80}, ErrTruncated},
+		{"empty", nil, ErrTruncated},
+	} {
+		var b Buffer
+		for _, c := range c.code {
+			b.U8(c)
+		}
+		r, _ := OpenSealed(b.Sealed())
+		if v := r.Uvarint(); v != 0 || !errors.Is(r.Err(), c.want) {
+			t.Errorf("%s: Uvarint %d, err %v; want %v", c.what, v, r.Err(), c.want)
+		}
+	}
+	var c Buffer
+	c.Uvarint(3)
+	c.U64(1)
+	c.U64(2)
+	sealed := c.Sealed()
+	r, _ = OpenSealed(sealed)
+	if n := r.VCount(8); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Fatalf("VCount(8) of 3 over 16 bytes = %d, err %v; want 0 and ErrTruncated", n, r.Err())
+	}
+	r, _ = OpenSealed(sealed)
+	if n := r.VCount(0); n != 3 || r.Err() != nil {
+		t.Fatalf("VCount(0) = %d, err %v; want 3 (every element takes a byte)", n, r.Err())
 	}
 }

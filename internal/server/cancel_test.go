@@ -249,7 +249,7 @@ func TestCoalescedWaiterRetriesAfterLeaderCancel(t *testing.T) {
 	go func() {
 		defer close(leaderDone)
 		req := httptest.NewRequest("POST", "/v1/query", nil).WithContext(leaderCtx)
-		srv.cachedQuery(rec1, req, key, func(ctx context.Context) ([]byte, error) {
+		srv.cachedQuery(rec1, req, key, nil, func(ctx context.Context) ([]byte, error) {
 			close(leaderStarted)
 			<-ctx.Done() // cooperative computation
 			return nil, ctx.Err()
@@ -261,7 +261,7 @@ func TestCoalescedWaiterRetriesAfterLeaderCancel(t *testing.T) {
 	rec2 := httptest.NewRecorder()
 	go func() {
 		defer close(waiterDone)
-		srv.cachedQuery(rec2, httptest.NewRequest("POST", "/v1/query", nil), key, func(ctx context.Context) ([]byte, error) {
+		srv.cachedQuery(rec2, httptest.NewRequest("POST", "/v1/query", nil), key, nil, func(ctx context.Context) ([]byte, error) {
 			return []byte(`{"retried":true}`), nil
 		})
 	}()

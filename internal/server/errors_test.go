@@ -272,7 +272,7 @@ func TestServeTimeoutStillCaches(t *testing.T) {
 	const key = "timeout-cache-key"
 	release := make(chan struct{})
 	rec := httptest.NewRecorder()
-	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
+	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), key, nil, func(context.Context) ([]byte, error) {
 		<-release
 		return []byte(`{"slow":true}`), nil
 	})
@@ -294,7 +294,7 @@ func TestServeTimeoutStillCaches(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	rec2 := httptest.NewRecorder()
-	srv.cachedQuery(rec2, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
+	srv.cachedQuery(rec2, httptest.NewRequest("POST", "/v1/query", nil), key, nil, func(context.Context) ([]byte, error) {
 		t.Error("recomputed despite cached result")
 		return nil, nil
 	})
@@ -309,7 +309,7 @@ func TestServeTimeoutStillCaches(t *testing.T) {
 func TestServePanicFailsOneRequest(t *testing.T) {
 	srv, hs := newTestServer(t, figure1Engine(t), Config{})
 	rec := httptest.NewRecorder()
-	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), "panic-key", func(context.Context) ([]byte, error) {
+	srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), "panic-key", nil, func(context.Context) ([]byte, error) {
 		panic("boom")
 	})
 	if rec.Code != http.StatusInternalServerError {

@@ -102,7 +102,11 @@ func writeEngineError(w http.ResponseWriter, err error) {
 // cachedQuery is the shared shape of every cacheable read endpoint:
 // look the key up, otherwise compute the body under the admission gate
 // and store it. The marshaled body is cached, so a hit replays a
-// byte-identical response without re-ranking or re-encoding.
+// byte-identical response without re-ranking or re-encoding. prepare,
+// when not nil, runs once on a miss, before the request joins or starts
+// a flight: the work only a computation needs (building the target
+// tables) is not paid on a hit, and an error from it — a malformed
+// request, which is never cached — is answered 400 with it.
 //
 // Concurrent identical misses are coalesced: the first request (the
 // leader) computes under the gate, the rest wait on its flight and
@@ -118,7 +122,7 @@ func writeEngineError(w http.ResponseWriter, err error) {
 // never start (overload, draining, pre-start cancel) are settled by
 // the would-be leader with its error, so waiters share the rejection
 // instead of hanging.
-func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, key string, compute func(context.Context) ([]byte, error)) {
+func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, key string, prepare func() error, compute func(context.Context) ([]byte, error)) {
 	for {
 		lookupStart := time.Now()
 		body, ok := s.cache.get(key)
@@ -127,6 +131,13 @@ func (s *Server) cachedQuery(w http.ResponseWriter, r *http.Request, key string,
 			s.stats.cacheHits.Add(1)
 			writeJSONBytes(w, http.StatusOK, body)
 			return
+		}
+		if prepare != nil {
+			if err := prepare(); err != nil {
+				writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+				return
+			}
+			prepare = nil
 		}
 		s.flightMu.Lock()
 		if f, ok := s.flights[key]; ok {
@@ -233,9 +244,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // the canonical form /v1/query takes on the wire; its Table is not
 // read — and passes its targets alongside: one, or /v1/batch's list.
 // serveRanking plans the request, keys the result cache from the route
-// kind, plan, partial opt-in and targets, and on a miss runs Query
-// (QueryBatch for /v1/batch) under cachedQuery and renders the route's
-// response.
+// kind, plan, partial opt-in and targets, and on a miss builds the
+// target tables, runs Query (QueryBatch for /v1/batch) under cachedQuery
+// and renders the route's response.
 //
 // ?partial=true opts in to a degraded answer from the shards that
 // answered instead of the fail-closed default. A query whose own
@@ -248,23 +259,26 @@ func (s *Server) serveRanking(w http.ResponseWriter, r *http.Request, kind strin
 		return
 	}
 	batch := kind == routeBatch
-	targets := make([]*d3l.Table, len(tables))
-	for i := range tables {
-		if targets[i], err = tables[i].toTable(); err != nil {
-			if batch {
-				err = fmt.Errorf("tables[%d]: %v", i, err)
-			}
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return
-		}
-	}
 	opts := plan.opts
 	partial := r.URL.Query().Get("partial") == "true"
 	if partial {
 		opts = append(opts, d3l.WithPartialResults())
 	}
 	gen, eng := s.cacheEpoch()
-	s.cachedQuery(w, r, resultKey(kind, eng.Fingerprint(), gen, plan, partial, tables), func(ctx context.Context) ([]byte, error) {
+	var targets []*d3l.Table
+	build := func() (err error) {
+		targets = make([]*d3l.Table, len(tables))
+		for i := range tables {
+			if targets[i], err = tables[i].toTable(); err != nil {
+				if batch {
+					err = fmt.Errorf("tables[%d]: %v", i, err)
+				}
+				return err
+			}
+		}
+		return nil
+	}
+	s.cachedQuery(w, r, resultKey(kind, eng.Fingerprint(), gen, plan, partial, tables), build, func(ctx context.Context) ([]byte, error) {
 		if batch {
 			answers, err := eng.QueryBatch(ctx, targets, opts...)
 			if err != nil {

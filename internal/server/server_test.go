@@ -283,6 +283,25 @@ func TestServeRepeatedQueryHitsCache(t *testing.T) {
 	}
 }
 
+// TestServeMalformedTableIsNeverCached: the target tables are built only
+// on a cache miss, and one that does not build is answered 400 before a
+// flight starts, so a repeat misses again, gets the same answer, and
+// nothing is cached or counted as a miss.
+func TestServeMalformedTableIsNeverCached(t *testing.T) {
+	_, hs := newTestServer(t, figure1Engine(t), Config{})
+	req := QueryRequest{Table: TableJSON{Name: "T"}, K: kptr(3)}
+	code, first := postJSON(t, hs.URL+"/v1/query", req)
+	if code != http.StatusBadRequest || !bytes.Contains(first, []byte("has no columns")) {
+		t.Fatalf("status %d: %s", code, first)
+	}
+	if code, second := postJSON(t, hs.URL+"/v1/query", req); code != http.StatusBadRequest || !bytes.Equal(first, second) {
+		t.Fatalf("repeat: status %d: %s, first %s", code, second, first)
+	}
+	if s := getStats(t, hs.URL); s.CacheHits != 0 || s.CacheMisses != 0 || s.CacheEntries != 0 {
+		t.Fatalf("hits=%d misses=%d entries=%d, want 0/0/0", s.CacheHits, s.CacheMisses, s.CacheEntries)
+	}
+}
+
 // TestServeMutationsInvalidateCache: a cached answer must not survive
 // an Add or Remove that changes it.
 func TestServeMutationsInvalidateCache(t *testing.T) {
@@ -493,7 +512,7 @@ func TestServeCoalescesIdenticalMisses(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		srv.cachedQuery(leaderRec, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
+		srv.cachedQuery(leaderRec, httptest.NewRequest("POST", "/v1/query", nil), key, nil, func(context.Context) ([]byte, error) {
 			close(started)
 			<-release
 			return []byte(`{"leader":true}`), nil
@@ -509,7 +528,7 @@ func TestServeCoalescesIdenticalMisses(t *testing.T) {
 		wg.Add(1)
 		go func(rec *httptest.ResponseRecorder) {
 			defer wg.Done()
-			srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), key, func(context.Context) ([]byte, error) {
+			srv.cachedQuery(rec, httptest.NewRequest("POST", "/v1/query", nil), key, nil, func(context.Context) ([]byte, error) {
 				t.Error("waiter ran compute instead of coalescing")
 				return nil, nil
 			})

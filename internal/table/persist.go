@@ -13,19 +13,20 @@ import (
 // needs the lake's shape (stable ids, names for results and Remove,
 // arities for alignment reporting). Tombstoned slots (Remove leaves a
 // name-only stub outside the name index) are recorded as such, keeping
-// snapshot size independent of Add/Remove churn.
+// snapshot size independent of Add/Remove churn. Counts and lengths are
+// varints (snapshot format version 6).
 func (l *Lake) EncodeMeta(b *persist.Buffer) {
-	b.U32(uint32(len(l.tables)))
+	b.Uvarint(uint64(len(l.tables)))
 	for id, t := range l.tables {
 		live := l.live(id)
 		b.Bool(live)
-		b.Str(t.Name)
+		b.VStr(t.Name)
 		if !live {
 			continue
 		}
-		b.U32(uint32(len(t.Columns)))
+		b.Uvarint(uint64(len(t.Columns)))
 		for _, c := range t.Columns {
-			b.Str(c.Name)
+			b.VStr(c.Name)
 			b.U8(uint8(c.Type))
 		}
 	}
@@ -34,37 +35,46 @@ func (l *Lake) EncodeMeta(b *persist.Buffer) {
 // DecodeLakeMeta reconstructs a lake written by EncodeMeta: live slots
 // become extent-free tables registered in the name index, tombstoned
 // slots become the same name-only stubs Remove leaves behind. Ids are
-// positional, so every table keeps the id it had at encode time.
-func DecodeLakeMeta(r *persist.Reader) (*Lake, error) {
-	n := int(r.U32())
+// positional, so every table keeps the id it had at encode time. The
+// snapshot's format version says how wide its counts and lengths are:
+// uint32s before version 6, varints from it on.
+func DecodeLakeMeta(r *persist.Reader, version uint32) (*Lake, error) {
+	count, str := func() int { return int(r.U32()) }, r.Str
+	if version >= 6 {
+		// A count past the int range comes out negative, which the
+		// checks below refuse.
+		count, str = func() int { return int(r.Uvarint()) }, r.VStr
+	}
+	n := count()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	// Each encoded table slot is at least a liveness byte plus a name
-	// count (5 bytes); bounding by that floor keeps a crafted count
-	// from amplifying into a huge up-front allocation.
-	if n < 0 || n > r.Remaining()/5 {
+	// count (2 bytes), and each column a name count and a type byte;
+	// bounding by that floor keeps a crafted count from amplifying into a
+	// huge up-front allocation.
+	if n < 0 || n > r.Remaining()/2 {
 		return nil, fmt.Errorf("%w: lake declares %d tables in %d bytes", persist.ErrCorrupt, n, r.Remaining())
 	}
 	l := NewLake()
 	l.tables = make([]*Table, 0, n)
 	for id := 0; id < n; id++ {
 		live := r.Bool()
-		name := r.Str()
+		name := str()
 		// Decoded tables carry schema metadata only; the flag lets
 		// Engine.Update know content diffing against them is impossible.
 		t := &Table{Name: name, metaOnly: true}
 		if live {
-			cols := int(r.U32())
+			cols := count()
 			if err := r.Err(); err != nil {
 				return nil, err
 			}
-			if cols < 0 || cols > r.Remaining()/5 {
+			if cols < 0 || cols > r.Remaining()/2 {
 				return nil, fmt.Errorf("%w: table %q declares %d columns in %d bytes", persist.ErrCorrupt, name, cols, r.Remaining())
 			}
 			t.Columns = make([]*Column, cols)
 			for c := 0; c < cols; c++ {
-				colName := r.Str()
+				colName := str()
 				typ := Type(r.U8())
 				if typ != Text && typ != Numeric {
 					return nil, fmt.Errorf("%w: table %q column %q has type %d", persist.ErrCorrupt, name, colName, typ)

@@ -27,8 +27,9 @@ import (
 // header, the trailer and each section's id and length, add up to the
 // file's size: five sections in a version 6 file with the join graph,
 // whose edges it reports, beside how its numeric extents are coded; and
-// a version 3 file's forests section, marked as not read, with no join
-// graph, which it does not build. A version 2 file is refused by name.
+// four in the committed version 6 fixture, which holds no join graph and
+// gets none built. Files of versions 1 to 5 are refused by version, by
+// index info as by d3l.LoadFile.
 func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	lake, target, err := experiments.Figure1Fixture()
 	if err != nil {
@@ -119,48 +120,52 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 		t.Fatalf("%d sections in a version 6 file:\n%s", sections, out.String())
 	}
 
-	// A version 3 file still carries its forests, which the load does not
-	// read, and no join graph, which index info does not build. The
-	// version 5 fixture is one under a version 3 header, once a forests
-	// section follows.
-	v5, err := os.ReadFile("../../internal/core/testdata/snapshot_v5.d3l")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 := filepath.Join(t.TempDir(), "v3.d3l")
-	if err := os.WriteFile(v3, asVersion3(v5, make([]byte, 24)), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err = os.Stat(v3)
-	if err != nil {
+	// The fixture is a bare core snapshot: no join graph section, and
+	// index info does not build one.
+	const fixtures = "../../internal/core/testdata/"
+	v6 := fixtures + "snapshot_v6.d3l"
+	if st, err = os.Stat(v6); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(context.Background(), []string{"index", "info", "-index", v3}, &out, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"index", "info", "-index", v6}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if sections := accountForSections(t, out.String(), st.Size()); sections != 5 || !strings.Contains(out.String(), "format v3") ||
-		!regexp.MustCompile(`section forests +24 bytes \(not read\)\n`).MatchString(out.String()) ||
-		!regexp.MustCompile(`extents: +\d+ \(raw float64s in format v3\)\n`).MatchString(out.String()) ||
+	if sections := accountForSections(t, out.String(), st.Size()); sections != 4 || !strings.Contains(out.String(), "format v6") ||
+		!regexp.MustCompile(`extents: +\d+ \(\d+ scaled d=0, 0 raw\)\n`).MatchString(out.String()) ||
 		!strings.Contains(out.String(), "join graph:    none in file\n") {
-		t.Fatalf("%d sections in the version 3 file, its forests section not marked as not read, or a join graph reported:\n%s", sections, out.String())
+		t.Fatalf("%d sections in the version 6 fixture, or a join graph reported:\n%s", sections, out.String())
 	}
 
-	err = run(context.Background(), []string{"index", "info", "-index", "../../internal/core/testdata/snapshot_v2.d3l"}, io.Discard, io.Discard)
-	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 2 (") {
-		t.Fatalf("index info of the version 2 fixture: err = %v, want ErrVersion naming version 2", err)
+	// The version 5 fixture stands for versions 3 and 4 too, whose
+	// headers it takes relabelled.
+	v5, err := os.ReadFile(fixtures + "snapshot_v5.d3l")
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := map[uint32]string{1: fixtures + "snapshot_v1.d3l", 2: fixtures + "snapshot_v2.d3l", 5: fixtures + "snapshot_v5.d3l"}
+	for _, v := range []uint32{3, 4} {
+		old[v] = filepath.Join(t.TempDir(), fmt.Sprintf("v%d.d3l", v))
+		if err := os.WriteFile(old[v], withVersion(v5, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for v, path := range old {
+		name := fmt.Sprintf("version: %d (", v)
+		err := run(context.Background(), []string{"index", "info", "-index", path}, io.Discard, io.Discard)
+		if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), name) {
+			t.Errorf("index info of a version %d file: err = %v, want ErrVersion naming version %d", v, err, v)
+		}
+		if _, err := d3l.LoadFile(path); !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), name) {
+			t.Errorf("d3l.LoadFile of a version %d file: err = %v, want ErrVersion naming version %d", v, err, v)
+		}
 	}
 }
 
-// asVersion3 relabels a version 5 snapshot as version 3, whose other
-// sections are laid out alike, and appends a forests section holding
-// forests, resealed.
-func asVersion3(v5, forests []byte) []byte {
-	out := binary.LittleEndian.AppendUint32(bytes.Clone(v5[:8]), 3)
-	out = append(out, v5[12:len(v5)-4]...)
-	out = binary.LittleEndian.AppendUint32(out, persist.SecForests)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(forests)))
-	out = append(out, forests...)
+// withVersion relabels a snapshot as another format version, resealed.
+func withVersion(data []byte, v uint32) []byte {
+	out := binary.LittleEndian.AppendUint32(bytes.Clone(data[:8]), v)
+	out = append(out, data[12:len(data)-4]...)
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crc32.MakeTable(crc32.Castagnoli)))
 }
 

@@ -379,8 +379,8 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 // footprint (the index bytes are the numerator of the paper's Table II),
 // the SA-join graph the file holds (it never builds one the file lacks),
 // load time with the share of it the forests took to rebuild, how the
-// numeric extents are coded, and section sizes: an older snapshot's
-// forests section is marked as not read.
+// numeric extents are coded, and section sizes. A snapshot of a format
+// this build does not read is refused by its version.
 func indexInfo(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -410,13 +410,7 @@ func indexInfo(w io.Writer, path string) error {
 	names, values, formats := engine.DistinctSignatures()
 	fmt.Fprintf(w, "attributes:    %d (distinct signatures N %d / V %d / F %d)\n", engine.NumAttributes(), names, values, formats)
 	if r, ok := dec.Section(persist.SecSigs); ok {
-		n := uint64(0)
-		if dec.Version() >= 6 {
-			n = r.Uvarint()
-		} else {
-			n = uint64(r.U32())
-		}
-		fmt.Fprintf(w, "signatures:    %d table entries\n", n)
+		fmt.Fprintf(w, "signatures:    %d table entries\n", r.Uvarint())
 	}
 	entries, keys := engine.ForestShapes()
 	fmt.Fprintf(w, "forests:       N %d/%d  V %d/%d  F %d/%d  E %d/%d (entries/keys)\n",
@@ -437,11 +431,7 @@ func indexInfo(w io.Writer, path string) error {
 			coding = append(coding, fmt.Sprintf("%d scaled d=%d", n, d))
 		}
 	}
-	if dec.Version() >= 6 {
-		fmt.Fprintf(w, "extents:       %d (%s)\n", total, strings.Join(append(coding, fmt.Sprintf("%d raw", raw)), ", "))
-	} else {
-		fmt.Fprintf(w, "extents:       %d (raw float64s in format v%d)\n", total, dec.Version())
-	}
+	fmt.Fprintf(w, "extents:       %d (%s)\n", total, strings.Join(append(coding, fmt.Sprintf("%d raw", raw)), ", "))
 	for _, s := range []struct {
 		id   uint32
 		name string
@@ -450,15 +440,10 @@ func indexInfo(w io.Writer, path string) error {
 		{persist.SecLake, "lake meta"},
 		{persist.SecSigs, "signatures"},
 		{persist.SecAttrs, "profiles"},
-		{persist.SecForests, "forests"}, // version 3 only
 		{persist.SecJoinGraph, "join graph"},
 	} {
 		if n, ok := sizes[s.id]; ok {
-			note := ""
-			if s.id == persist.SecForests {
-				note = " (not read)"
-			}
-			fmt.Fprintf(w, "  section %-12s %d bytes%s\n", s.name, n, note)
+			fmt.Fprintf(w, "  section %-12s %d bytes\n", s.name, n)
 		}
 	}
 	return nil

@@ -404,7 +404,7 @@ func decode(src io.ReaderAt, size int64) (*Engine, error) {
 	}
 	eng := &Engine{core: ce}
 	if gr, ok := dec.Section(persist.SecJoinGraph); ok {
-		g, err := joins.DecodeGraph(gr, dec.Version(), ce)
+		g, err := joins.DecodeGraph(gr, ce)
 		if err != nil {
 			return nil, err
 		}

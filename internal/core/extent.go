@@ -8,8 +8,7 @@ import (
 	"d3l/internal/persist"
 )
 
-// This file is the snapshot coding of a numeric extent (format version
-// 6 on). Lake numbers are mostly integers or short decimals, and such a
+// This file is the snapshot coding of a numeric extent. Lake numbers are mostly integers or short decimals, and such a
 // value v is exactly float64(k)/10^d for a small integer k: the scaled
 // form stores d once and the ks as varints, the sorted extent making
 // every k after the first a non-negative step from the one before. A
@@ -53,20 +52,6 @@ func scaled(v float64, d int) (int64, bool) {
 	return k, math.Float64bits(back) == math.Float64bits(v)
 }
 
-// extentScale returns the smallest scale at which every value of vs is
-// scaled exactly and the ks never decrease, with the bytes the ks take
-// as appendExtent writes them, and false when no scale up to
-// maxExtentScale fits. Trying the scales in order keeps the choice a
-// function of the values, so save → load → save is byte-identical.
-func extentScale(vs []float64) (d, size int, ok bool) {
-	for d := 0; d <= maxExtentScale; d++ {
-		if size, ok := scalesAt(vs, d); ok {
-			return d, size, true
-		}
-	}
-	return 0, 0, false
-}
-
 // scalesAt reports whether vs, which is not empty, scales exactly at d
 // into ks that never decrease, and the bytes they take.
 func scalesAt(vs []float64, d int) (size int, ok bool) {
@@ -86,27 +71,52 @@ func scalesAt(vs []float64, d int) (size int, ok bool) {
 	return size, true
 }
 
-// appendExtent writes vs, which is sorted: its length as a Uvarint, then
-// for a non-empty extent either its scale, its first k as a Varint and
-// each later k as a Uvarint step, or extentRaw and the values as
-// float64s.
-func appendExtent(b *persist.Buffer, vs []float64) {
+// extentCode is how appendExtent writes an extent: mark is the byte
+// after its count, the decimal scale or extentRaw, and size counts every
+// byte written.
+type extentCode struct {
+	mark uint8
+	size int
+}
+
+// codeExtent chooses how vs, which is sorted, is written: scaled at the
+// smallest scale at which every value is scaled exactly and the ks never
+// decrease, raw when no scale up to maxExtentScale fits. Trying the
+// scales in order keeps the choice a function of the values, so save →
+// load → save is byte-identical. A save calls it once per profile and
+// hands the result both to the size bound and to appendExtent.
+func codeExtent(vs []float64) extentCode {
+	n := persist.UvarintLen(uint64(len(vs)))
+	if len(vs) == 0 {
+		return extentCode{size: n}
+	}
+	for d := 0; d <= maxExtentScale; d++ {
+		if size, ok := scalesAt(vs, d); ok {
+			return extentCode{mark: uint8(d), size: n + 1 + size}
+		}
+	}
+	return extentCode{mark: extentRaw, size: n + 1 + 8*len(vs)}
+}
+
+// appendExtent writes vs, coded as c (codeExtent(vs)): its length as a
+// Uvarint, then for a non-empty extent either its scale, its first k as
+// a Varint and each later k as a Uvarint step, or extentRaw and the
+// values as float64s.
+func appendExtent(b *persist.Buffer, vs []float64, c extentCode) {
 	b.Uvarint(uint64(len(vs)))
 	if len(vs) == 0 {
 		return
 	}
-	d, _, ok := extentScale(vs)
-	if !ok {
-		b.U8(extentRaw)
+	b.U8(c.mark)
+	if c.mark == extentRaw {
 		for _, v := range vs {
 			b.F64(v)
 		}
 		return
 	}
-	b.U8(uint8(d))
 	var prev int64
 	for i, v := range vs {
-		k, _ := scaled(v, d)
+		k, _ := scaled(v, int(c.mark))
 		if i == 0 {
 			b.Varint(k)
 		} else {
@@ -116,23 +126,11 @@ func appendExtent(b *persist.Buffer, vs []float64) {
 	}
 }
 
-// extentEncSize reports exactly how many bytes appendExtent writes for
-// vs.
-func extentEncSize(vs []float64) int {
-	n := persist.UvarintLen(uint64(len(vs)))
-	if len(vs) == 0 {
-		return n
-	}
-	if _, size, ok := extentScale(vs); ok {
-		return n + 1 + size
-	}
-	return n + 1 + 8*len(vs)
-}
-
 // decodeExtent reads an extent appendExtent wrote. A scaled extent
 // decodes sorted by construction; a raw one is sorted if it arrives out
-// of order, as the fixed-width layouts' extents are. A scale past
-// maxExtentScale, or a k that reaches 2^53, is ErrCorrupt.
+// of order, as a damaged or hostile file may deliver it, since the
+// KS path reads every extent as sorted. A scale past maxExtentScale, or
+// a k that reaches 2^53, is ErrCorrupt.
 func decodeExtent(r *persist.Reader) ([]float64, error) {
 	count := r.Uvarint()
 	if err := r.Err(); err != nil || count == 0 {
@@ -197,10 +195,10 @@ func (e *Engine) ExtentCoding() (byScale []int, raw int) {
 		if len(vs) == 0 {
 			continue
 		}
-		if d, _, ok := extentScale(vs); ok {
-			byScale[d]++
-		} else {
+		if c := codeExtent(vs); c.mark == extentRaw {
 			raw++
+		} else {
+			byScale[c.mark]++
 		}
 	}
 	return byScale, raw

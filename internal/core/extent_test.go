@@ -15,7 +15,7 @@ import (
 // extentBytes is appendExtent's encoding of vs.
 func extentBytes(vs []float64) []byte {
 	var b persist.Buffer
-	appendExtent(&b, vs)
+	appendExtent(&b, vs, codeExtent(vs))
 	return payloadOf(&b)
 }
 
@@ -35,14 +35,14 @@ func sameFloatBits(a, b []float64) bool {
 }
 
 // checkExtentRoundTrip fails unless the sorted extent vs decodes from its
-// encoding bit for bit, with extentEncSize bytes and nothing left over,
+// encoding bit for bit, in the bytes codeExtent counts and nothing left over,
 // re-encodes to the same bytes, and, when scaled, at the smallest scale
 // that fits. It returns the scale, or -1 for the raw form.
 func checkExtentRoundTrip(t testing.TB, vs []float64) int {
 	t.Helper()
 	data := extentBytes(vs)
-	if len(data) != extentEncSize(vs) {
-		t.Fatalf("%v: %d bytes written, extentEncSize %d", vs, len(data), extentEncSize(vs))
+	if size := codeExtent(vs).size; len(data) != size {
+		t.Fatalf("%v: %d bytes written, codeExtent counts %d", vs, len(data), size)
 	}
 	r := extentReader(t, data)
 	got, err := decodeExtent(r)
@@ -55,10 +55,11 @@ func checkExtentRoundTrip(t testing.TB, vs []float64) int {
 	if again := extentBytes(got); !bytes.Equal(again, data) {
 		t.Fatalf("%v: re-encoding changed the bytes", vs)
 	}
-	d, _, ok := extentScale(vs)
-	if !ok {
+	c := codeExtent(vs)
+	if c.mark == extentRaw {
 		return -1
 	}
+	d := int(c.mark)
 	for smaller := range d {
 		if _, fits := scalesAt(vs, smaller); fits {
 			t.Fatalf("%v: scale %d chosen, %d fits", vs, d, smaller)

@@ -3,21 +3,18 @@ package core
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"testing"
 
 	"d3l/internal/lsh"
-	"d3l/internal/persist"
 	"d3l/internal/table"
 )
 
-// oneArray is a forest in the form format versions 2 and 3 stored it in
-// SecForests: per tree one sorted array, an h-byte key per entry beside
-// the entry's id.
+// oneArray is a forest in the form snapshot format versions 2 and 3
+// stored it: per tree one sorted array, an h-byte key per entry beside
+// the entry's id. It is the reference the rebuilt forests are held to.
 type oneArray struct {
 	trees, h, count int
 	indexed         bool
@@ -72,57 +69,6 @@ func oneArrayForests(e *Engine) []oneArray {
 			fa.keys[t], fa.ids[t] = sk, si
 		}
 		out = append(out, fa)
-	}
-	return out
-}
-
-// encodeOneArrays is a version 3 SecForests payload.
-func encodeOneArrays(forests []oneArray) []byte {
-	var b []byte
-	for _, f := range forests {
-		b = binary.LittleEndian.AppendUint32(b, uint32(f.trees))
-		b = binary.LittleEndian.AppendUint32(b, uint32(f.h))
-		b = binary.LittleEndian.AppendUint64(b, uint64(f.count))
-		if f.indexed {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		for t := range f.trees {
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(f.keys[t])))
-			b = append(b, f.keys[t]...)
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(f.ids[t])))
-			for _, id := range f.ids[t] {
-				b = binary.LittleEndian.AppendUint32(b, uint32(id))
-			}
-		}
-	}
-	return b
-}
-
-// decodeOneArrays reads the four forests of a version 2 or 3 SecForests
-// payload, which an honest writer laid down.
-func decodeOneArrays(t testing.TB, p []byte) []oneArray {
-	t.Helper()
-	u32 := func() int { v := binary.LittleEndian.Uint32(p); p = p[4:]; return int(v) }
-	var out []oneArray
-	for range numForestSlots {
-		f := oneArray{trees: u32(), h: u32()}
-		f.count = int(binary.LittleEndian.Uint64(p))
-		f.indexed, p = p[8] == 1, p[9:]
-		for range f.trees {
-			n := u32()
-			f.keys, p = append(f.keys, p[:n]), p[n:]
-			ids := make([]int32, u32())
-			for i := range ids {
-				ids[i] = int32(u32())
-			}
-			f.ids = append(f.ids, ids)
-		}
-		out = append(out, f)
-	}
-	if len(p) != 0 {
-		t.Fatalf("%d bytes after the four forests", len(p))
 	}
 	return out
 }
@@ -247,112 +193,6 @@ func checkForestsAgree(t *testing.T, a, b *Engine, label string) {
 					t.Fatalf("%s: I_%v signature %d depth %d: CollectMinDepth %v and %v", label, slotEvidence[slot], i, d, ra, rb)
 				}
 			}
-		}
-	}
-}
-
-// asVersion3 turns a version 5 snapshot into a version 3 file, whose
-// other sections are laid out alike: the same sections plus a SecForests
-// holding forests, resealed.
-func asVersion3(t testing.TB, v5 []byte, forests []oneArray) []byte {
-	t.Helper()
-	body := withVersion(v5, 3)
-	body = body[:len(body)-4]
-	body = binary.LittleEndian.AppendUint32(body, persist.SecForests)
-	payload := encodeOneArrays(forests)
-	body = binary.LittleEndian.AppendUint64(body, uint64(len(payload)))
-	return reseal(append(append(body, payload...), 0, 0, 0, 0))
-}
-
-// forgedForests is the version 3 forests of v1FixtureEngine, honest and
-// forged four ways a checksum cannot catch: ids reversed in every tree,
-// so each attribute sits under another's key; a tombstoned attribute
-// listed first in every tree; I_N flagged un-indexed; and every forest
-// emptied.
-func forgedForests(t testing.TB, e *Engine) []struct {
-	what    string
-	forests []oneArray
-} {
-	t.Helper()
-	var dead int32 = -1
-	for tid, alive := range e.alive {
-		if !alive && len(e.byTable[tid]) > 0 {
-			dead = int32(e.byTable[tid][0])
-		}
-	}
-	if dead < 0 {
-		t.Fatal("the fixture engine has no tombstoned attribute")
-	}
-	edit := func(fn func(slot int, f *oneArray)) []oneArray {
-		forests := oneArrayForests(e)
-		for slot := range forests {
-			fn(slot, &forests[slot])
-		}
-		return forests
-	}
-	return []struct {
-		what    string
-		forests []oneArray
-	}{
-		{"honest forests", oneArrayForests(e)},
-		{"ids reversed in every tree", edit(func(_ int, f *oneArray) {
-			for _, ids := range f.ids {
-				slices.Reverse(ids)
-			}
-		})},
-		{"a tombstoned attribute in every tree", edit(func(_ int, f *oneArray) {
-			for _, ids := range f.ids {
-				ids[0] = dead
-			}
-		})},
-		{"an un-indexed I_N", edit(func(slot int, f *oneArray) { f.indexed = slot != forestSlotN })},
-		{"empty forests", edit(func(_ int, f *oneArray) {
-			f.count = 0
-			for t := range f.trees {
-				f.keys[t], f.ids[t] = nil, nil
-			}
-		})},
-	}
-}
-
-// TestLoadRebuildsForestsOfOldFiles: a version 3 snapshot's forests are
-// never read, so a checksum-valid file whose forests disagree with its
-// profiles loads into exactly the engine its honest twin loads into:
-// forests that answer every probe like a rebuild, and rankings of every
-// lake table and an outside target identical to the engine the file was
-// taken from. The files are the version 5 fixture, a snapshot of that
-// engine, relabelled.
-func TestLoadRebuildsForestsOfOldFiles(t *testing.T) {
-	e := v1FixtureEngine(t)
-	data := snapshotBytes(t, e)
-	v5, err := os.ReadFile(v5FixturePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := append(figure1Lake(t).Tables(), figure1Target(t))
-	for _, c := range forgedForests(t, e) {
-		le, err := LoadEngine(bytes.NewReader(asVersion3(t, v5, c.forests)))
-		if err != nil {
-			t.Fatalf("%s: %v", c.what, err)
-		}
-		checkForestsAgree(t, e, le, c.what)
-		checkForestsMatchOneArrays(t, le, oneArrayForests(e), c.what)
-		for _, target := range targets {
-			want, err := topK(e, target, len(targets))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := topK(le, target, len(targets))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rankingSignature(want, true) != rankingSignature(got, true) {
-				t.Fatalf("%s: target %s ranks differently:\nwant %s\ngot  %s",
-					c.what, target.Name, rankingSignature(want, true), rankingSignature(got, true))
-			}
-		}
-		if !bytes.Equal(snapshotBytes(t, le), data) {
-			t.Fatalf("%s: the version 3 load re-snapshots to other bytes than the engine it was taken from", c.what)
 		}
 	}
 }

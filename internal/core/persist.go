@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"d3l/internal/lsh"
@@ -38,7 +37,8 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	pos, order := e.sigPositions()
-	enc.Grow(e.snapshotSizeBound(pos, order) + extra)
+	codes := e.extentCodes()
+	enc.Grow(e.snapshotSizeBound(pos, order, codes) + extra)
 
 	e.encodeOptions(enc.Begin(persist.SecOptions))
 	enc.End()
@@ -53,7 +53,7 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
 	}
 	enc.End()
 
-	e.encodeAttrs(enc.Begin(persist.SecAttrs), pos)
+	e.encodeAttrs(enc.Begin(persist.SecAttrs), pos, codes)
 	enc.End()
 	return nil
 }
@@ -78,16 +78,27 @@ func (e *Engine) sigPositions() (pos []uint32, order []int32) {
 	return pos, order
 }
 
+// extentCodes codes every profile's extent once: codes[i] is how
+// appendExtent writes profile i's. Caller holds e.mu.
+func (e *Engine) extentCodes() []extentCode {
+	codes := make([]extentCode, len(e.profiles))
+	for i := range e.profiles {
+		codes[i] = codeExtent(e.profiles[i].NumExtent)
+	}
+	return codes
+}
+
 // optionsEnc bounds SecOptions: eleven 8-byte fields, a bool, three
 // counted slices of at most NumEvidence / FeatureCount values.
 const optionsEnc = 11*8 + 1 + 3*4 + 8*(2*int(NumEvidence)+subject.FeatureCount)
 
 // snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
-// down, given the signature positions sigPositions assigned: exact but for
-// SecOptions' slack and a few bytes per tombstoned table. It counts each
-// signature once, as the file holds it, where indexSpaceBytes (Table
-// II's measure) counts it once per profile field. Caller holds e.mu.
-func (e *Engine) snapshotSizeBound(pos []uint32, order []int32) int {
+// down, given the signature positions sigPositions assigned and the
+// extent codes extentCodes chose: exact but for SecOptions' slack and a
+// few bytes per tombstoned table. It counts each signature once, as the
+// file holds it, where indexSpaceBytes (Table II's measure) counts it
+// once per profile field. Caller holds e.mu.
+func (e *Engine) snapshotSizeBound(pos []uint32, order []int32, codes []extentCode) int {
 	vlen := func(v int) int { return persist.UvarintLen(uint64(v)) }
 	n := 4*persist.SectionOverhead + optionsEnc
 	// SecLake: a liveness byte, a counted name and a column count per
@@ -112,7 +123,7 @@ func (e *Engine) snapshotSizeBound(pos []uint32, order []int32) int {
 		p := &e.profiles[i]
 		n += vlen(p.Ref.TableID) + vlen(p.Ref.Column) + vlen(len(p.Name)) + len(p.Name) + 3 +
 			vlen(int(pos[p.qID])) + vlen(int(pos[p.tID])) + vlen(p.TSize) + vlen(int(pos[p.rID])) +
-			vlen(len(p.ESig)) + 8*len(p.ESig) + extentEncSize(p.NumExtent)
+			vlen(len(p.ESig)) + 8*len(p.ESig) + codes[i].size
 	}
 	n += vlen(len(e.byTable))
 	for tid, attrs := range e.byTable {
@@ -167,7 +178,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	lake, err := table.DecodeLakeMeta(rl, dec.Version())
+	lake, err := table.DecodeLakeMeta(rl)
 	if err != nil {
 		return nil, fmt.Errorf("core: snapshot lake: %w", err)
 	}
@@ -182,14 +193,14 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.sigs.load(rs, dec.Version()); err != nil {
+	if err := e.sigs.load(rs); err != nil {
 		return nil, fmt.Errorf("core: snapshot signatures: %w", err)
 	}
 	ra, err := dec.MustSection(persist.SecAttrs)
 	if err != nil {
 		return nil, err
 	}
-	if err := e.decodeAttrs(ra, dec.Version()); err != nil {
+	if err := e.decodeAttrs(ra); err != nil {
 		return nil, fmt.Errorf("core: snapshot attributes: %w", err)
 	}
 	if len(e.byTable) != lake.Len() {
@@ -198,7 +209,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	}
 
 	// The forests are a function of the profiles, so they are rebuilt, not
-	// read: a version 3 snapshot's SecForests is never opened.
+	// read.
 	start := time.Now()
 	if e.forests, err = e.indexLive(); err != nil {
 		return nil, fmt.Errorf("%w: %v", persist.ErrCorrupt, err)
@@ -286,14 +297,14 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 }
 
 // encodeAttrs writes the profile store and the per-table indexes; pos
-// maps a signature's engine id to its position in SecSigs. Tombstoned
-// attributes are already metadata-only stubs (Remove releases their
-// payloads), so snapshots do not grow with mutation churn beyond a name
-// per dead attribute.
-func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32) {
+// maps a signature's engine id to its position in SecSigs, and codes[i]
+// is profile i's extent code. Tombstoned attributes are already
+// metadata-only stubs (Remove releases their payloads), so snapshots do
+// not grow with mutation churn beyond a name per dead attribute.
+func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32, codes []extentCode) {
 	b.Uvarint(uint64(len(e.profiles)))
 	for i := range e.profiles {
-		encodeProfile(b, &e.profiles[i], pos)
+		encodeProfile(b, &e.profiles[i], pos, codes[i])
 	}
 	b.Uvarint(uint64(len(e.byTable)))
 	for tid, attrs := range e.byTable {
@@ -306,82 +317,11 @@ func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32) {
 	}
 }
 
-// fields reads the integer fields of SecSigs and SecAttrs at the width
-// the snapshot's version wrote them: before version 6 a count or
-// signature position as a uint32 and an id, size or subject as an
-// int64; from version 6 on each as a varint, the subject (-1 for none)
-// zigzag-mapped.
-type fields struct {
-	*persist.Reader
-	varint bool
-}
-
-// count reads a count or a signature position.
-func (f fields) count() uint64 {
-	if f.varint {
-		return f.Uvarint()
-	}
-	return uint64(f.U32())
-}
-
-// id reads an id or a size. A value past the int range comes out
-// negative, which every caller refuses.
-func (f fields) id() int {
-	if f.varint {
-		return int(f.Uvarint())
-	}
-	return int(f.I64())
-}
-
-func (f fields) subject() int {
-	if f.varint {
-		return int(f.Varint())
-	}
-	return int(f.I64())
-}
-
-func (f fields) str() string {
-	if f.varint {
-		return f.VStr()
-	}
-	return f.Str()
-}
-
-// slots reads a MinHash signature.
-func (f fields) slots() []uint32 {
-	if f.varint {
-		return f.VU32s(nil)
-	}
-	return f.U32s(nil)
-}
-
-func (f fields) words() []uint64 {
-	if f.varint {
-		return f.VU64s()
-	}
-	return f.U64s()
-}
-
-// ids reads a table's attribute list.
-func (f fields) ids() []int {
-	if !f.varint {
-		return f.Ints()
-	}
-	out := make([]int, f.VCount(1))
-	for i := range out {
-		out[i] = int(f.Uvarint())
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
 // Minimum encoded sizes, used to bound up-front allocations against a
 // crafted snapshot that declares huge counts: a valid CRC proves
 // nothing about intent, and the declared count must be achievable
-// within the bytes that actually follow. They are version 6's, whose
-// every field is at least a byte; the fixed-width layouts are longer.
+// within the bytes that actually follow: every field takes a byte at
+// least.
 const (
 	// minProfileEnc: two ids, a name count, two bools, three signature
 	// positions, a size, an embedding count, a bool and an extent count.
@@ -390,9 +330,10 @@ const (
 	minTableEnc = 3
 )
 
-func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
-	f := fields{r, version >= 6}
-	numProfiles := int(f.count())
+func (e *Engine) decodeAttrs(r *persist.Reader) error {
+	// A count or id past the int range comes out negative, which the
+	// checks below refuse.
+	numProfiles := int(r.Uvarint())
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -401,14 +342,14 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	}
 	e.profiles = make([]Profile, numProfiles)
 	for i := range e.profiles {
-		if err := e.decodeProfile(f, &e.profiles[i]); err != nil {
+		if err := e.decodeProfile(r, &e.profiles[i]); err != nil {
 			return err
 		}
 	}
 	if err := e.sigs.allHeld(); err != nil {
 		return err
 	}
-	numTables := int(f.count())
+	numTables := int(r.Uvarint())
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -419,8 +360,8 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	e.subjects = make([]int, numTables)
 	e.alive = make([]bool, numTables)
 	for tid := 0; tid < numTables; tid++ {
-		e.byTable[tid] = f.ids()
-		e.subjects[tid] = f.subject()
+		e.byTable[tid] = decodeIDs(r)
+		e.subjects[tid] = int(r.Varint())
 		e.alive[tid] = r.Bool()
 		if err := r.Err(); err != nil {
 			return err
@@ -447,7 +388,7 @@ func (e *Engine) decodeAttrs(r *persist.Reader, version uint32) error {
 	return r.Err()
 }
 
-func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32) {
+func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32, ext extentCode) {
 	b.Uvarint(uint64(p.Ref.TableID))
 	b.Uvarint(uint64(p.Ref.Column))
 	b.VStr(p.Name)
@@ -459,39 +400,41 @@ func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32) {
 	b.Uvarint(uint64(pos[p.rID]))
 	b.VU64s(p.ESig)
 	b.Bool(p.EZero)
-	appendExtent(b, p.NumExtent)
+	appendExtent(b, p.NumExtent, ext)
+}
+
+// decodeIDs reads a table's attribute list.
+func decodeIDs(r *persist.Reader) []int {
+	n := r.VCount(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, n)
+	for i := range out {
+		out[i] = int(r.Uvarint())
+	}
+	return out
 }
 
 // decodeProfile reads one profile and takes a reference to each of its
 // signatures, which it holds as positions in the table SecSigs loaded.
-func (e *Engine) decodeProfile(f fields, p *Profile) error {
-	p.Ref.TableID = f.id()
-	p.Ref.Column = f.id()
-	p.Name = f.str()
-	p.Numeric = f.Bool()
-	p.Subject = f.Bool()
-	q, t := f.count(), f.count()
-	p.TSize = f.id()
-	if err := e.sigs.refer(p, q, t, f.count()); err != nil {
+func (e *Engine) decodeProfile(r *persist.Reader, p *Profile) error {
+	p.Ref.TableID = int(r.Uvarint())
+	p.Ref.Column = int(r.Uvarint())
+	p.Name = r.VStr()
+	p.Numeric = r.Bool()
+	p.Subject = r.Bool()
+	q, t := r.Uvarint(), r.Uvarint()
+	p.TSize = int(r.Uvarint())
+	if err := e.sigs.refer(p, q, t, r.Uvarint()); err != nil {
 		return err
 	}
-	p.ESig = lsh.BitSignature(f.words())
-	p.EZero = f.Bool()
-	if f.varint {
-		var err error
-		if p.NumExtent, err = decodeExtent(f.Reader); err != nil {
-			return err
-		}
-	} else {
-		p.NumExtent = f.F64s()
-		// Re-establish the Profile.NumExtent sorted-ascending invariant:
-		// snapshots written before the invariant existed carry extents in
-		// lake order, and the allocation-free KS path depends on it. For
-		// sorted extents this is a linear no-op scan.
-		if !sort.Float64sAreSorted(p.NumExtent) {
-			sort.Float64s(p.NumExtent)
-		}
+	p.ESig = lsh.BitSignature(r.VU64s())
+	p.EZero = r.Bool()
+	var err error
+	if p.NumExtent, err = decodeExtent(r); err != nil {
+		return err
 	}
 	assertSortedExtent(p, "decodeProfile")
-	return f.Err()
+	return r.Err()
 }

@@ -574,10 +574,12 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 // The version 1 fixture, testdata/snapshot_v1.d3l, was written by the
 // last commit whose signatures were []uint64 (a7c1cef), the version 2
 // fixture, testdata/snapshot_v2.d3l, by the last commit that stored a
-// copy of every signature per profile (26a1714), and the version 5
-// fixture, testdata/snapshot_v5.d3l, by the last commit that wrote every
-// number at a fixed width (637a224), each with this test dropped into
-// that commit's internal/core and run once:
+// copy of every signature per profile (26a1714), the version 5 fixture,
+// testdata/snapshot_v5.d3l, by the last commit that wrote every number
+// at a fixed width (637a224), and the version 6 fixture,
+// testdata/snapshot_v6.d3l, by the commit that introduced version 6
+// (5ab763e), each with this test dropped into that commit's
+// internal/core and run once:
 //
 //	func TestWriteSnapshotFixture(t *testing.T) {
 //		e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
@@ -592,12 +594,14 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 //		}
 //	}
 //
-// None can be regenerated from this tree (which writes version 6), and
-// none must be: they stand for every snapshot already on disk.
+// None must be regenerated: they stand for every snapshot already on
+// disk. The first three are refused by version; the version 6 fixture
+// pins the bytes this tree writes and reads.
 const (
 	v1FixturePath = "testdata/snapshot_v1.d3l"
 	v2FixturePath = "testdata/snapshot_v2.d3l"
 	v5FixturePath = "testdata/snapshot_v5.d3l"
+	v6FixturePath = "testdata/snapshot_v6.d3l"
 )
 
 // v1FixtureOptions are the options the fixtures were built with: small
@@ -633,87 +637,6 @@ func withVersion(data []byte, v uint32) []byte {
 // reseal rewrites, in place, a snapshot's last four bytes to the CRC32-C
 // of what precedes them.
 func reseal(data []byte) []byte { return sealShardBody(data[:len(data)-4]) }
-
-// checkOldSnapshot is the compatibility contract of a format bump, for
-// the fixture at path, a snapshot of v1FixtureEngine written by format
-// version: it loads; answers every table of its lake, and an outside
-// target, bit for bit like an engine built from scratch by this tree;
-// holds each signature under the id that engine, and a load of its
-// current snapshot, give it; re-snapshots as the current version to the
-// very bytes the fresh engine snapshots to; those bytes round-trip
-// unchanged; and the engine they load into is the engine the fixture
-// loaded into. It returns the fixture, the engine loaded from it and its
-// re-snapshot.
-func checkOldSnapshot(t *testing.T, path string, version uint32) (old []byte, e *Engine, cur []byte) {
-	t.Helper()
-	old, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec, err := persist.NewDecoder(bytes.NewReader(old), int64(len(old))); err != nil {
-		t.Fatal(err)
-	} else if dec.Version() != version {
-		t.Fatalf("fixture is a version %d snapshot, want %d", dec.Version(), version)
-	}
-	e, err = LoadEngine(bytes.NewReader(old))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := v1FixtureEngine(t)
-
-	targets := append(figure1Lake(t).Tables(), figure1Target(t))
-	for _, target := range targets {
-		want, err := topK(fresh, target, len(targets))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := topK(e, target, len(targets))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("target %s: no results on the fresh engine", target.Name)
-		}
-		if rankingSignature(want, true) != rankingSignature(got, true) {
-			t.Fatalf("target %s: the version %d snapshot answers differently:\nwant %s\ngot  %s",
-				target.Name, version, rankingSignature(want, true), rankingSignature(got, true))
-		}
-	}
-
-	cur = snapshotBytes(t, e)
-	if dec, err := persist.NewDecoder(bytes.NewReader(cur), int64(len(cur))); err != nil {
-		t.Fatal(err)
-	} else if dec.Version() != persist.Version {
-		t.Fatalf("re-snapshot is a version %d snapshot, want %d", dec.Version(), persist.Version)
-	}
-	if len(cur) >= len(old) {
-		t.Fatalf("version %d snapshot is %d bytes, version %d was %d", persist.Version, len(cur), version, len(old))
-	}
-	if !bytes.Equal(cur, snapshotBytes(t, fresh)) {
-		t.Fatalf("the loaded version %d engine and a fresh build snapshot to different bytes", version)
-	}
-	again, err := LoadEngine(bytes.NewReader(cur))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cur, snapshotBytes(t, again)) {
-		t.Fatalf("version %d snapshot does not round-trip to the same bytes", persist.Version)
-	}
-	for _, other := range []struct {
-		what string
-		e    *Engine
-	}{{"the fresh build", fresh}, {fmt.Sprintf("the version %d load", persist.Version), again}} {
-		if got, want := sigIDs(e), sigIDs(other.e); got != want {
-			t.Fatalf("signature ids of the version %d load:\n%s\nof %s:\n%s", version, got, other.what, want)
-		}
-	}
-	if len(e.sigs.sigs) != len(again.sigs.sigs) || len(e.sigs.free)+len(again.sigs.free) != 0 {
-		t.Fatalf("signature tables of %d and %d ids, %d and %d free, for one snapshot",
-			len(e.sigs.sigs), len(again.sigs.sigs), len(e.sigs.free), len(again.sigs.free))
-	}
-	checkSameEngine(t, e, again, fmt.Sprintf("the version %d load and its version %d re-load", version, persist.Version))
-	return old, e, cur
-}
 
 // checkSameEngine fails unless a and b hold the same decoded state: the
 // lake's shape, every profile field (signatures by value and id, extent
@@ -774,54 +697,111 @@ func sigIDs(e *Engine) string {
 	return b.String()
 }
 
-// TestSnapshotV1IsRefused: a version 1 snapshot (64-bit MinHash slots)
-// is older than persist.MinVersion, so it is refused as ErrVersion
-// naming version 1, and its body under a version 3 header does not read
-// either.
-func TestSnapshotV1IsRefused(t *testing.T) {
-	v1, err := os.ReadFile(v1FixturePath)
+// readFixture reads a committed snapshot and checks its format version.
+func readFixture(t testing.TB, path string, version uint32) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = LoadEngine(bytes.NewReader(v1))
-	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 1 (") {
-		t.Fatalf("version 1 snapshot: err = %v, want ErrVersion naming version 1", err)
+	if got := binary.LittleEndian.Uint32(data[8:]); got != version {
+		t.Fatalf("%s is a version %d snapshot, want %d", path, got, version)
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, 3))); err == nil {
-		t.Fatal("version 1 body read as version 3")
+	return data
+}
+
+// checkRefused fails unless LoadEngine refuses data as ErrVersion naming
+// version.
+func checkRefused(t *testing.T, data []byte, version uint32) {
+	t.Helper()
+	_, err := LoadEngine(bytes.NewReader(data))
+	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version: %d (", version)) {
+		t.Fatalf("version %d snapshot: err = %v, want ErrVersion naming version %d", version, err, version)
+	}
+}
+
+// TestSnapshotV1IsRefused: a version 1 snapshot (64-bit MinHash slots)
+// is refused as ErrVersion naming version 1, and its body under the
+// current header does not read either.
+func TestSnapshotV1IsRefused(t *testing.T) {
+	v1 := readFixture(t, v1FixturePath, 1)
+	checkRefused(t, v1, 1)
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v1, persist.Version))); err == nil {
+		t.Fatalf("version 1 body read as version %d", persist.Version)
 	}
 }
 
 // TestSnapshotV2IsRefused: a version 2 snapshot (a copy of every
-// signature per profile) is older than persist.MinVersion, so it is
-// refused as ErrVersion naming version 2, and its body under a version 3
-// header does not read either: it holds no signature table.
+// signature per profile) is refused as ErrVersion naming version 2, and
+// its body under the current header does not read either: it holds no
+// signature table.
 func TestSnapshotV2IsRefused(t *testing.T) {
-	v2, err := os.ReadFile(v2FixturePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadEngine(bytes.NewReader(v2))
-	if !errors.Is(err, persist.ErrVersion) || !strings.Contains(err.Error(), "version: 2 (") {
-		t.Fatalf("version 2 snapshot: err = %v, want ErrVersion naming version 2", err)
-	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, 3))); !errors.Is(err, persist.ErrCorrupt) {
-		t.Fatalf("version 2 body read as version 3: err = %v, want ErrCorrupt (no signature table)", err)
+	v2 := readFixture(t, v2FixturePath, 2)
+	checkRefused(t, v2, 2)
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v2, persist.Version))); !errors.Is(err, persist.ErrCorrupt) {
+		t.Fatalf("version 2 body read as version %d: err = %v, want ErrCorrupt (no signature table)", persist.Version, err)
 	}
 }
 
-// TestSnapshotV5StillLoads: a version 5 snapshot (every number at a
-// fixed width) keeps checkOldSnapshot's contract, its re-snapshot
-// smaller; numeric attributes share one empty TSig, loaded or built; a
-// version this build does not know is ErrVersion; and version 5 and 6
-// bodies do not read under each other's headers.
-func TestSnapshotV5StillLoads(t *testing.T) {
-	v5, old, cur := checkOldSnapshot(t, v5FixturePath, 5)
+// TestSnapshotV5IsRefused: a version 5 snapshot (every number at a
+// fixed width) is refused as ErrVersion naming version 5, and so are
+// its body under a version 3 and a version 4 header, whose layouts this
+// build reads no more than version 5's; the body does not read under
+// the current header either, nor the current body under a version 5 or
+// a future header.
+func TestSnapshotV5IsRefused(t *testing.T) {
+	v5 := readFixture(t, v5FixturePath, 5)
+	checkRefused(t, v5, 5)
+	for _, v := range []uint32{3, 4} {
+		checkRefused(t, withVersion(v5, v), v)
+	}
+	if _, err := LoadEngine(bytes.NewReader(withVersion(v5, persist.Version))); err == nil {
+		t.Fatalf("version 5 body read as version %d", persist.Version)
+	}
+	v6 := readFixture(t, v6FixturePath, persist.Version)
+	checkRefused(t, withVersion(v6, 5), 5)
+	checkRefused(t, withVersion(v6, persist.Version+1), persist.Version+1)
+}
+
+// TestSnapshotV6FixtureLoads pins the one layout this build reads to
+// bytes a build wrote before: the committed version 6 snapshot of
+// v1FixtureEngine loads; answers every table of its lake, and an outside
+// target, bit for bit like an engine built from scratch by this tree;
+// holds each signature under the id that engine gives it, and numeric
+// attributes share the signature table's one empty TSig, loaded or
+// built; re-snapshots to the very bytes of the file, as the fresh engine
+// does; and a load of that re-snapshot is the engine the file loaded
+// into.
+func TestSnapshotV6FixtureLoads(t *testing.T) {
+	file := readFixture(t, v6FixturePath, persist.Version)
+	e, err := LoadEngine(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh := v1FixtureEngine(t)
 
-	// Numeric attributes share one empty TSig, loaded or built: the
-	// signature table's copy.
-	for _, e := range []*Engine{old, fresh} {
+	targets := append(figure1Lake(t).Tables(), figure1Target(t))
+	for _, target := range targets {
+		want, err := topK(fresh, target, len(targets))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := topK(e, target, len(targets))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("target %s: no results on the fresh engine", target.Name)
+		}
+		if rankingSignature(want, true) != rankingSignature(got, true) {
+			t.Fatalf("target %s: the fixture answers differently:\nwant %s\ngot  %s",
+				target.Name, rankingSignature(want, true), rankingSignature(got, true))
+		}
+	}
+	if got, want := sigIDs(e), sigIDs(fresh); got != want {
+		t.Fatalf("signature ids of the fixture load:\n%s\nof the fresh build:\n%s", got, want)
+	}
+	for _, e := range []*Engine{e, fresh} {
 		var shared *uint32
 		numeric := 0
 		for i := range e.profiles {
@@ -840,15 +820,18 @@ func TestSnapshotV5StillLoads(t *testing.T) {
 		}
 	}
 
-	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, persist.Version+1))); !errors.Is(err, persist.ErrVersion) {
-		t.Fatalf("version %d: err = %v, want ErrVersion", persist.Version+1, err)
+	resaved := snapshotBytes(t, e)
+	if !bytes.Equal(resaved, file) {
+		t.Fatal("the fixture re-snapshots to other bytes than the file")
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(v5, 6))); err == nil {
-		t.Fatal("version 5 body read as version 6")
+	if !bytes.Equal(snapshotBytes(t, fresh), file) {
+		t.Fatal("a fresh build snapshots to other bytes than the fixture")
 	}
-	if _, err := LoadEngine(bytes.NewReader(withVersion(cur, 5))); err == nil {
-		t.Fatal("version 6 body read as version 5")
+	again, err := LoadEngine(bytes.NewReader(resaved))
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkSameEngine(t, e, again, "the fixture load and its re-load")
 }
 
 // churnedEngine runs a seeded history of adds, updates and removes on a
@@ -956,7 +939,7 @@ func TestSnapshotSizeBound(t *testing.T) {
 		e := c.e
 		e.mu.RLock()
 		pos, order := e.sigPositions()
-		bound := e.snapshotSizeBound(pos, order)
+		bound := e.snapshotSizeBound(pos, order, e.extentCodes())
 		dead := 0
 		for _, alive := range e.alive {
 			if !alive {
@@ -1073,13 +1056,14 @@ func payloadOf(b *persist.Buffer) []byte {
 func withExtent(t testing.TB, e *Engine, i int, ext []byte) []byte {
 	t.Helper()
 	pos, _ := e.sigPositions()
+	codes := e.extentCodes()
 	var head persist.Buffer
 	head.Uvarint(uint64(len(e.profiles)))
 	for j := 0; j <= i; j++ {
-		encodeProfile(&head, &e.profiles[j], pos)
+		encodeProfile(&head, &e.profiles[j], pos, codes[j])
 	}
 	end := len(payloadOf(&head))
-	start := end - extentEncSize(e.profiles[i].NumExtent)
+	start := end - codes[i].size
 	return replaceSection(t, snapshotBytes(t, e), persist.SecAttrs, func(p []byte) []byte {
 		return append(append(slices.Clone(p[:start]), ext...), p[end:]...)
 	})
@@ -1094,7 +1078,7 @@ func hostileFields(t testing.TB) []hostileSnapshot {
 	data := snapshotBytes(t, e)
 	numeric := -1
 	for i := range e.profiles {
-		if _, _, ok := extentScale(e.profiles[i].NumExtent); ok && len(e.profiles[i].NumExtent) > 1 {
+		if codeExtent(e.profiles[i].NumExtent).mark != extentRaw && len(e.profiles[i].NumExtent) > 1 {
 			numeric = i
 			break
 		}
@@ -1172,39 +1156,40 @@ func TestLoadRejectsHostileFields(t *testing.T) {
 	}
 }
 
-// FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with one
-// snapshot of each version (versions 1's and 2's exercise the refusal by
-// version), the current version with an SA-join graph section after the
-// engine's (honest, and with a neighbour count beyond its ids), the
-// hostile signature tables of hostileSignatureTables, the hostile
-// varints and extents of hostileFields and the version 3 files of
-// forgedForests, whose SecForests a load must not read: the outcome is
-// an error or an engine that answers a query, never a panic, and never
-// allocations out of proportion to the input. The CRC trailer stops
-// nearly every mutation at the door, so each input is also tried
-// resealed, which puts the section decoders behind it in reach.
+// FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with the
+// refusals by version (the version 1, 2 and 5 fixtures, the version 5
+// body under a version 3, a version 4 and the current header, and the
+// version 6 fixture under a version 5 and a version 7 header), the
+// version 6 fixture, a
+// fresh snapshot with an SA-join graph section after the engine's
+// (honest, and with a neighbour count beyond its ids), the hostile
+// signature tables of hostileSignatureTables and the hostile varints
+// and extents of hostileFields: the outcome is an error or an engine
+// that answers a query, never a panic, and never allocations out of
+// proportion to the input. The CRC trailer stops nearly every mutation
+// at the door, so each input is also tried resealed, which puts the
+// section decoders behind it in reach.
 func FuzzLoadEngine(f *testing.F) {
-	for _, path := range []string{v1FixturePath, v2FixturePath, v5FixturePath} {
-		old, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(old)
+	for _, fx := range []struct {
+		path    string
+		version uint32
+	}{{v1FixturePath, 1}, {v2FixturePath, 2}, {v5FixturePath, 5}} {
+		f.Add(readFixture(f, fx.path, fx.version))
 	}
+	v5 := readFixture(f, v5FixturePath, 5)
+	for _, v := range []uint32{3, 4, persist.Version} {
+		f.Add(withVersion(v5, v))
+	}
+	v6 := readFixture(f, v6FixturePath, persist.Version)
+	f.Add(withVersion(v6, 5))
+	f.Add(withVersion(v6, persist.Version+1))
+	f.Add(v6)
 	e := v1FixtureEngine(f)
 	data := snapshotBytes(f, e)
-	f.Add(data)
 	f.Add(withGraphSection(data, graphSection(e.lake.Len(), 1)))
 	f.Add(withGraphSection(data, graphSection(e.lake.Len(), 100)))
 	for _, h := range append(hostileSignatureTables(f), hostileFields(f)...) {
 		f.Add(h.data)
-	}
-	v5, err := os.ReadFile(v5FixturePath)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, c := range forgedForests(f, e) {
-		f.Add(asVersion3(f, v5, c.forests))
 	}
 	target := figure1Target(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

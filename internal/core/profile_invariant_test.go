@@ -19,7 +19,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	enc := persist.NewEncoder()
 	enc.Begin(persist.SecSigs).Uvarint(0)
 	enc.End()
-	encodeProfile(enc.Begin(testSection), p, []uint32{0})
+	encodeProfile(enc.Begin(testSection), p, []uint32{0}, codeExtent(p.NumExtent))
 	enc.End()
 	var buf bytes.Buffer
 	if _, err := enc.WriteTo(&buf); err != nil {
@@ -32,7 +32,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	var e Engine
 	if rs, err := dec.MustSection(persist.SecSigs); err != nil {
 		t.Fatal(err)
-	} else if err := e.sigs.load(rs, dec.Version()); err != nil {
+	} else if err := e.sigs.load(rs); err != nil {
 		t.Fatal(err)
 	}
 	r, ok := dec.Section(testSection)
@@ -40,7 +40,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 		t.Fatal("test section missing")
 	}
 	var out Profile
-	if err := e.decodeProfile(fields{r, dec.Version() >= 6}, &out); err != nil {
+	if err := e.decodeProfile(r, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -49,8 +49,8 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 // TestDecodeProfileResortsCorruptedExtent is the regression test for
 // the Profile.NumExtent sorted-ascending invariant at the snapshot
 // boundary: a profile whose extent arrives in corrupted (unsorted)
-// order — a pre-invariant snapshot, or bytes damaged in a way the
-// checksum did not catch — must come out of decodeProfile sorted, with
+// order — bytes damaged in a way the checksum did not catch, or a
+// hostile writer — must come out of decodeProfile sorted, with
 // the same multiset of values. The allocation-free KS path reads the
 // extent as sorted without checking, so a decode that preserved the
 // corrupted order would silently produce wrong domain distances.

@@ -137,9 +137,10 @@ const minSigEnc = 1 + 4
 // yet; refer hands them out, and allHeld checks that every copy was
 // taken. An empty entry or two equal ones are corrupt: the table keeps
 // one copy of each value, and nil is no entry.
-func (t *sigTable) load(r *persist.Reader, version uint32) error {
-	f := fields{r, version >= 6}
-	n := int(f.count())
+func (t *sigTable) load(r *persist.Reader) error {
+	// A count past the int range comes out negative, which the check
+	// below refuses.
+	n := int(r.Uvarint())
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -150,7 +151,7 @@ func (t *sigTable) load(r *persist.Reader, version uint32) error {
 	t.sigs = make([]minhash.Signature, 1, n+1)
 	t.refs, t.next = make([]int32, n+1), make([]int32, n+1)
 	for id := int32(1); int(id) <= n; id++ {
-		sig := minhash.Signature(f.slots())
+		sig := minhash.Signature(r.VU32s(nil))
 		if err := r.Err(); err != nil {
 			return err
 		}

@@ -62,10 +62,10 @@ func checkSigTable(t testing.TB, e *Engine, label string) {
 
 // TestSigTableAfterBuildDecodeAndShardBuild checks the table invariants
 // where profiles enter an engine in bulk: BuildEngine, DecodeEngine (of
-// a fresh snapshot and of a version 5 one), and a shard build through
-// AddProfiled. The lake repeats signatures, so the table is smaller
-// than the profiles' signature count, and a decoded engine shares as
-// much as the engine it was saved from.
+// a fresh snapshot and of the committed version 6 one), and a shard
+// build through AddProfiled. The lake repeats signatures, so the table
+// is smaller than the profiles' signature count, and a decoded engine
+// shares as much as the engine it was saved from.
 func TestSigTableAfterBuildDecodeAndShardBuild(t *testing.T) {
 	lake := syntheticLake(t, 11, 30)
 	e, err := BuildEngine(lake, testOptions())
@@ -86,11 +86,11 @@ func TestSigTableAfterBuildDecodeAndShardBuild(t *testing.T) {
 	if ln, lv, lf := loaded.DistinctSignatures(); ln != n || lv != v || lf != f || n == 0 || v == 0 || f == 0 {
 		t.Fatalf("distinct signatures N/V/F: built %d/%d/%d, decoded %d/%d/%d", n, v, f, ln, lv, lf)
 	}
-	v5, err := loadEngineFile(v5FixturePath)
+	v6, err := loadEngineFile(v6FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSigTable(t, v5, "DecodeEngine of a version 5 snapshot")
+	checkSigTable(t, v6, "DecodeEngine of the version 6 fixture")
 	shards, _ := buildShards(t, lake, 3)
 	for i, s := range shards {
 		checkSigTable(t, s, fmt.Sprintf("shard %d of 3", i))

@@ -70,8 +70,11 @@ type neighbour struct {
 // table-at-a-time build produces.
 func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 	numTables := e.Lake().Len()
-	seen := make(map[[2]int]bool) // undirected table-pair dedup
 	lists := make([][]neighbour, numTables)
+	// The table-pair dedup. Every accepted pair goes into both tables'
+	// lists, so while table tid merges, its pair with other was seen
+	// exactly when other is in lists[tid]: stamp[other] == tid+1.
+	stamp := make([]int32, numTables)
 	entries := 0
 	pending := make([][]candidate, min(graphBlock, numTables))
 	probes := make([][]int32, len(pending)) // each slot's I_V buffer, reused block after block
@@ -85,15 +88,15 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 		}
 		for i, cands := range block {
 			tid := lo + i
+			mark := int32(tid + 1)
+			for _, nb := range lists[tid] {
+				stamp[nb.to] = mark
+			}
 			for _, c := range cands {
-				key := [2]int{tid, c.otherTID}
-				if c.otherTID < tid {
-					key = [2]int{c.otherTID, tid}
-				}
-				if seen[key] {
+				if stamp[c.otherTID] == mark {
 					continue
 				}
-				seen[key] = true
+				stamp[c.otherTID] = mark
 				lists[tid] = append(lists[tid], neighbour{to: int32(c.otherTID), overlap: c.overlap})
 				lists[c.otherTID] = append(lists[c.otherTID], neighbour{to: int32(tid), overlap: c.overlap})
 				entries += 2

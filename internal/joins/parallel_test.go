@@ -96,31 +96,6 @@ func (g *Graph) toSequences() [][]int32 {
 	return out
 }
 
-// encodeV4Graph writes g in the graph section layout of snapshot
-// versions 2–4: the edge count, then each table's adjacency list, by
-// table id, with every edge in full.
-func encodeV4Graph(b *persist.Buffer, g *refGraph) {
-	b.U64(uint64(g.edges))
-	tids := make([]int, 0, len(g.adj))
-	for tid := range g.adj {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	b.U32(uint32(len(tids)))
-	for _, tid := range tids {
-		b.I64(int64(tid))
-		edges := g.adj[tid]
-		b.U32(uint32(len(edges)))
-		for _, e := range edges {
-			b.I64(int64(e.From))
-			b.I64(int64(e.To))
-			b.I64(int64(e.FromAttr))
-			b.I64(int64(e.ToAttr))
-			b.F64(e.Overlap)
-		}
-	}
-}
-
 func encoded(g *Graph) []byte {
 	var b persist.Buffer
 	g.Encode(&b)

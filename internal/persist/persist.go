@@ -23,9 +23,8 @@
 // (8-byte magic, 4-byte version) are frozen across versions. Any
 // change to a section's internal layout, or a new mandatory section,
 // bumps Version; decoders reject versions they do not know with
-// ErrVersion rather than guessing. This build writes Version and reads
-// MinVersion through Version: a component whose layout changed between
-// them asks Decoder.Version which one it is reading.
+// ErrVersion rather than guessing. This build writes and reads Version
+// only, so no section decoder asks which version it is reading.
 //
 // Version history:
 //
@@ -37,9 +36,10 @@
 //	   signature once, in the order the profiles first use it; a profile
 //	   in SecAttrs carries three uint32 positions into that table (0 for
 //	   a nil signature) where version 2 carried the signatures.
-//	4  SecForests is no longer written. The four LSH forests are a
-//	   function of the profiles' signatures, and every load rebuilds
-//	   them exactly as a build over the live attributes would.
+//	4  The forests section (id 4) is no longer written. The four LSH
+//	   forests are a function of the profiles' signatures, and every
+//	   load rebuilds them exactly as a build over the live attributes
+//	   would.
 //	5  SecJoinGraph holds what Algorithm 3 reads of the SA-join graph:
 //	   one uint32 offset per table plus one, then every table's
 //	   neighbour ids as uint32s, in list order. Versions 2–4 stored each
@@ -56,18 +56,9 @@
 //	   the ids. MinHash slots, SimHash words and raw extents stay full
 //	   width: they are uniform bits. SecOptions is unchanged.
 //
-// This build reads versions 3 through 6 and refuses 1 and 2 with
-// ErrVersion naming the version. A version 3–5 file loads through the
-// fixed-width decode paths of its sections; the decoded engine is the
-// one its version 6 re-save loads into. A graph section of versions 3
-// and 4 loads with each entry's To kept, in order, and the rest
-// dropped; that decode also checks what the newer layouts make implicit
-// (an entry belongs to the list that holds it, and the declared edge
-// count is half the entries). Version 3's SecForests is never read: its
-// forests are rebuilt like a newer file's, so a file's forests can never
-// disagree with its profiles. Versions 1 and 2 carried a copy of every
-// signature per profile, a layout no later version reads; rebuild such
-// a snapshot from its lake.
+// This build writes and reads version 6 and refuses 1 through 5 with
+// ErrVersion naming the version: their layouts are not read. Rebuild an
+// older snapshot from its lake.
 package persist
 
 import (
@@ -87,10 +78,10 @@ import (
 var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 
 // Version is the snapshot format version this build writes; MinVersion
-// the oldest it still reads.
+// the oldest it reads, which is the same one.
 const (
 	Version    uint32 = 6
-	MinVersion uint32 = 3
+	MinVersion uint32 = Version
 )
 
 // Section ids. Ids are stable across versions: a section keeps its id
@@ -107,17 +98,16 @@ const (
 	// SecAttrs holds the attribute profiles plus the per-table
 	// attribute map, subject attributes, and the tombstone set.
 	SecAttrs uint32 = 3
-	// SecForests held the four LSH forests I_N, I_V, I_F, I_E in
-	// versions 2 and 3. Version 4 on does not write it, and no version's
-	// is read: a load rebuilds the forests from SecAttrs.
-	SecForests uint32 = 4
+	// Id 4 is reserved: versions 1 to 3 stored the four LSH forests
+	// under it. No later section takes it.
+
 	// SecJoinGraph holds the SA-join graph's neighbour ids (optional:
 	// written by d3l.Save when the engine holds a graph, absent from
-	// bare core snapshots). Its layout changed in versions 5 and 6.
+	// bare core snapshots).
 	SecJoinGraph uint32 = 5
 	// SecSigs holds the table of distinct MinHash signatures that
-	// SecAttrs' profiles refer to by position (version 3 on). It is
-	// written before SecAttrs.
+	// SecAttrs' profiles refer to by position. It is written before
+	// SecAttrs.
 	SecSigs uint32 = 6
 )
 
@@ -125,7 +115,8 @@ const (
 var (
 	// ErrMagic marks input that is not a D3L snapshot at all.
 	ErrMagic = errors.New("persist: bad magic, not a d3l snapshot")
-	// ErrVersion marks a snapshot written by an unknown format version.
+	// ErrVersion marks a snapshot of a format version this build does
+	// not read: an older one, or one it does not know.
 	ErrVersion = errors.New("persist: unsupported snapshot version")
 	// ErrChecksum marks a snapshot whose CRC32-C trailer does not match
 	// its payload (bit rot, truncation past the header, tampering).
@@ -405,7 +396,7 @@ func NewDecoder(src io.ReaderAt, size int64) (*Decoder, error) {
 		return nil, ErrChecksum
 	}
 	if d.version < MinVersion || d.version > Version {
-		return nil, fmt.Errorf("%w: %d (this build reads %d through %d)", ErrVersion, d.version, MinVersion, Version)
+		return nil, fmt.Errorf("%w: %d (this build reads %d; rebuild the snapshot from its lake)", ErrVersion, d.version, Version)
 	}
 	for off := int64(headerLen); off < body; {
 		if body-off < SectionOverhead {
@@ -689,18 +680,12 @@ func (r *Reader) str(n int) string {
 	return b.String()
 }
 
-// U32s reads a length-prefixed []uint32 into buf's storage when it has
-// room, into a fresh slice otherwise, and returns it: a decoder reading
-// values it only looks at (MinHash signatures, which the engine keeps
-// one copy of each) can reuse one buffer for all of them. Zero-length
-// slices decode as buf[:0], so as nil for a nil buf, matching how a
-// tombstoned attribute's released signatures are represented in memory.
-func (r *Reader) U32s(buf []uint32) []uint32 { return r.u32s(buf, r.Count(4)) }
-
-// VU32s is U32s of a slice Buffer.VU32s wrote.
-func (r *Reader) VU32s(buf []uint32) []uint32 { return r.u32s(buf, r.VCount(4)) }
-
-func (r *Reader) u32s(buf []uint32, n int) []uint32 {
+// VU32s reads a []uint32 Buffer.VU32s wrote into buf's storage when it
+// has room, into a fresh slice otherwise, and returns it: a decoder
+// reading values it only looks at can reuse one buffer for all of them.
+// Zero-length slices decode as buf[:0], so as nil for a nil buf.
+func (r *Reader) VU32s(buf []uint32) []uint32 {
+	n := r.VCount(4)
 	if cap(buf) < n {
 		buf = make([]uint32, n)
 	}
@@ -715,7 +700,7 @@ func (r *Reader) u32s(buf []uint32, n int) []uint32 {
 }
 
 // U64s reads a length-prefixed []uint64. Zero-length slices decode as
-// nil, like U32s.
+// nil, like VU32s of a nil buf.
 func (r *Reader) U64s() []uint64 { return r.u64s(r.Count(8)) }
 
 // VU64s is U64s of a slice Buffer.VU64s wrote.
@@ -729,23 +714,6 @@ func (r *Reader) u64s(n int) []uint64 {
 	r.chunks(n, 8, func(p []byte) {
 		for ; len(p) > 0; p = p[8:] {
 			out[i] = binary.LittleEndian.Uint64(p)
-			i++
-		}
-	})
-	return out
-}
-
-// Ints reads a length-prefixed []int of 64-bit values, as snapshot
-// versions 3–5 wrote a table's attribute list.
-func (r *Reader) Ints() []int {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out, i := make([]int, n), 0
-	r.chunks(n, 8, func(p []byte) {
-		for ; len(p) > 0; p = p[8:] {
-			out[i] = int(int64(binary.LittleEndian.Uint64(p)))
 			i++
 		}
 	})

@@ -37,8 +37,8 @@ func (s *shortSource) ReadAt(p []byte, off int64) (int, error) {
 }
 
 // appendU32s and appendInts lay a slice down as the fixed-width layouts
-// did, which Reader.U32s and Reader.Ints read: a uint32 count, then the
-// values at 32 and 64 bits.
+// did, whose bytes roundTripHex pins: a uint32 count, then the values at
+// 32 and 64 bits.
 func appendU32s(b *Buffer, vs []uint32) {
 	b.U32(uint32(len(vs)))
 	for _, v := range vs {
@@ -180,14 +180,14 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Str(); v != "practice name" {
 		t.Fatalf("Str = %q", v)
 	}
-	if v := r.U32s(nil); len(v) != 3 || v[0] != 6 || v[2] != math.MaxUint32 {
-		t.Fatalf("U32s = %v", v)
+	if n := r.Count(4); n != 3 || r.U32() != 6 || r.U32() != 5 || r.U32() != math.MaxUint32 {
+		t.Fatal("counted uint32s round trip failed")
 	}
 	if v := r.U64s(); len(v) != 3 || v[0] != 9 || v[2] != 7 {
 		t.Fatalf("U64s = %v", v)
 	}
-	if v := r.Ints(); len(v) != 2 || v[0] != -5 || v[1] != 5 {
-		t.Fatalf("Ints = %v", v)
+	if n := r.Count(8); n != 2 || r.I64() != -5 || r.I64() != 5 {
+		t.Fatal("counted int64s round trip failed")
 	}
 	if v := r.F64s(); len(v) != 2 || v[1] != -0.25 {
 		t.Fatalf("F64s = %v", v)
@@ -201,7 +201,7 @@ func TestRoundTrip(t *testing.T) {
 	if _, ok := dec.Section(SecLake); !ok {
 		t.Fatal("empty section missing")
 	}
-	if _, ok := dec.Section(SecForests); ok {
+	if _, ok := dec.Section(SecAttrs); ok {
 		t.Fatal("absent section reported present")
 	}
 }
@@ -265,14 +265,14 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	enc := NewEncoder()
 	b := enc.Begin(SecAttrs)
 	b.U8(9) // knocks every later value off the window's alignment
-	appendU32s(b, u32s)
+	b.VU32s(u32s)
 	b.Str(name)
 	b.F64s(f64s)
 	b.F64s(f64s)
 	for i := 0; i < window/8; i++ {
 		b.U64(uint64(i))
 	}
-	appendInts(b, []int{-3, 3})
+	b.VU64s([]uint64{3, 5})
 	enc.End()
 	enc.Begin(SecLake).U32(5)
 	enc.End()
@@ -290,14 +290,14 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.U8() != 9 || !slices.Equal(r.U32s(nil), u32s) || r.Str() != name {
+	if r.U8() != 9 || !slices.Equal(r.VU32s(nil), u32s) || r.Str() != name {
 		t.Fatalf("values before the slab did not survive paging: err %v", r.Err())
 	}
 	if got := r.AppendF64s(r.F64s()); !slices.Equal(got, append(f64s, f64s...)) {
 		t.Fatalf("F64s + AppendF64s read %d values, err %v", len(got), r.Err())
 	}
 	r.Skip(8 * (window/8 - 1))
-	if v := r.U64(); v != window/8-1 || !slices.Equal(r.Ints(), []int{-3, 3}) || r.Err() != nil || r.Remaining() != 0 {
+	if v := r.U64(); v != window/8-1 || !slices.Equal(r.VU64s(), []uint64{3, 5}) || r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("tail read %d, err %v, %d bytes left", v, r.Err(), r.Remaining())
 	}
 
@@ -306,20 +306,20 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	buf := make([]uint32, 1, len(u32s))
 	buf[0] = 7
 	r, _ = dec.Section(SecAttrs)
-	if r.U8(); &r.U32s(buf)[0] != &buf[0] || !slices.Equal(buf[:len(u32s)], u32s) || r.Err() != nil {
+	if r.U8(); &r.VU32s(buf)[0] != &buf[0] || !slices.Equal(buf[:len(u32s)], u32s) || r.Err() != nil {
 		t.Fatalf("values read into a buffer with room: err %v", r.Err())
 	}
 	short := []uint32{7}
 	r, _ = dec.Section(SecAttrs)
-	if r.U8(); !slices.Equal(r.U32s(short[:0]), u32s) || short[0] != 7 || r.Err() != nil {
+	if r.U8(); !slices.Equal(r.VU32s(short[:0]), u32s) || short[0] != 7 || r.Err() != nil {
 		t.Fatalf("values read into a buffer too short: err %v", r.Err())
 	}
 
 	// The same section read again from a source that has since shrunk.
 	r, _ = dec.Section(SecAttrs)
-	src.stop = window / 2 // inside the U32s
+	src.stop = window / 2 // inside the VU32s
 	r.U8()
-	if r.U32s(nil); !errors.Is(r.Err(), ErrTruncated) {
+	if r.VU32s(nil); !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("source cut to %d bytes under a reader: err = %v, want ErrTruncated", src.stop, r.Err())
 	}
 	src.stop = int64(len(data))
@@ -387,8 +387,10 @@ func TestReaderRejectsOversizedCounts(t *testing.T) {
 	if v := r.U64s(); v != nil || r.Err() == nil {
 		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
 	}
-	r = &Reader{buf: b.data}
-	if v := r.U32s(nil); v != nil || r.Err() == nil {
+	var v Buffer
+	v.Uvarint(1 << 30)
+	r = &Reader{buf: v.data}
+	if v := r.VU32s(nil); v != nil || r.Err() == nil {
 		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
 	}
 }

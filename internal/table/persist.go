@@ -14,7 +14,7 @@ import (
 // arities for alignment reporting). Tombstoned slots (Remove leaves a
 // name-only stub outside the name index) are recorded as such, keeping
 // snapshot size independent of Add/Remove churn. Counts and lengths are
-// varints (snapshot format version 6).
+// varints.
 func (l *Lake) EncodeMeta(b *persist.Buffer) {
 	b.Uvarint(uint64(len(l.tables)))
 	for id, t := range l.tables {
@@ -35,17 +35,11 @@ func (l *Lake) EncodeMeta(b *persist.Buffer) {
 // DecodeLakeMeta reconstructs a lake written by EncodeMeta: live slots
 // become extent-free tables registered in the name index, tombstoned
 // slots become the same name-only stubs Remove leaves behind. Ids are
-// positional, so every table keeps the id it had at encode time. The
-// snapshot's format version says how wide its counts and lengths are:
-// uint32s before version 6, varints from it on.
-func DecodeLakeMeta(r *persist.Reader, version uint32) (*Lake, error) {
-	count, str := func() int { return int(r.U32()) }, r.Str
-	if version >= 6 {
-		// A count past the int range comes out negative, which the
-		// checks below refuse.
-		count, str = func() int { return int(r.Uvarint()) }, r.VStr
-	}
-	n := count()
+// positional, so every table keeps the id it had at encode time.
+func DecodeLakeMeta(r *persist.Reader) (*Lake, error) {
+	// A count past the int range comes out negative, which the checks
+	// below refuse.
+	n := int(r.Uvarint())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
@@ -60,12 +54,12 @@ func DecodeLakeMeta(r *persist.Reader, version uint32) (*Lake, error) {
 	l.tables = make([]*Table, 0, n)
 	for id := 0; id < n; id++ {
 		live := r.Bool()
-		name := str()
+		name := r.VStr()
 		// Decoded tables carry schema metadata only; the flag lets
 		// Engine.Update know content diffing against them is impossible.
 		t := &Table{Name: name, metaOnly: true}
 		if live {
-			cols := count()
+			cols := int(r.Uvarint())
 			if err := r.Err(); err != nil {
 				return nil, err
 			}
@@ -74,7 +68,7 @@ func DecodeLakeMeta(r *persist.Reader, version uint32) (*Lake, error) {
 			}
 			t.Columns = make([]*Column, cols)
 			for c := 0; c < cols; c++ {
-				colName := str()
+				colName := r.VStr()
 				typ := Type(r.U8())
 				if typ != Text && typ != Numeric {
 					return nil, fmt.Errorf("%w: table %q column %q has type %d", persist.ErrCorrupt, name, colName, typ)

@@ -202,10 +202,11 @@ func (e *Engine) BuildTimings() BuildTimings { return e.core.BuildTimings() }
 // before any lock is taken, so in-flight queries (including join
 // queries) are blocked only for the index splice itself.
 func (e *Engine) Add(t *Table) (int, error) {
-	if t == nil {
-		return 0, fmt.Errorf("d3l: nil table")
+	target, err := e.Prepare(t)
+	if err != nil {
+		return 0, err
 	}
-	return e.AddProfiled(t, e.PrepareShardTarget(t), nil)
+	return e.AddProfiled(t, target, nil)
 }
 
 // Update re-indexes the named table in place with delta re-profiling:

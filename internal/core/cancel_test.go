@@ -135,10 +135,10 @@ func TestShardGatherCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := lake.Table(0)
-	tprofiles := e.ProfileTarget(target)
+	target := mustPrepare(t, e, lake.Table(0))
+	tprofiles := target.profiles
 	spec := QuerySpec{K: 10, CandidateBudget: 256} // several candidate batches per column
-	probe, err := e.ShardProbeProfiled(context.Background(), tprofiles, spec)
+	probe, err := e.ShardProbe(context.Background(), target, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestShardGatherCancelMidFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.ShardGatherProfiled(context.Background(), tprofiles, spec, depths)
+	want, err := e.ShardGather(context.Background(), target, spec, depths)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestShardGatherCancelMidFlight(t *testing.T) {
 	}
 	polls := 0
 	for ; ; polls++ {
-		got, err := e.ShardGatherProfiled(newPollCancelCtx(polls), tprofiles, spec, depths)
+		got, err := e.ShardGather(newPollCancelCtx(polls), target, spec, depths)
 		if err == nil {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("cancellation after poll %d: successful partial diverged from the uncancelled one", polls)
@@ -184,7 +184,7 @@ func TestExplainSpecCancelled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rows, err := e.ExplainSpec(ctx, figure1Target(t), "S2", QuerySpec{K: 1})
+	rows, err := e.Explain(ctx, mustPrepare(t, e, figure1Target(t)), "S2", QuerySpec{K: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -59,14 +59,14 @@ func (e Evidence) String() string {
 // with 1 meaning "maximally distant / no evidence" as in the paper.
 type DistanceVector [NumEvidence]float64
 
-// MaxDistances is the all-ones vector (no relatedness evidence at all).
-func MaxDistances() DistanceVector {
+// maxDistances is the all-ones vector (no relatedness evidence at all).
+func maxDistances() DistanceVector {
 	return DistanceVector{1, 1, 1, 1, 1}
 }
 
-// Mean returns the unweighted mean of the components (used for greedy
+// mean returns the unweighted mean of the components (used for greedy
 // attribute alignment, not for ranking).
-func (d DistanceVector) Mean() float64 {
+func (d DistanceVector) mean() float64 {
 	var s float64
 	for _, v := range d {
 		s += v

@@ -90,7 +90,21 @@ func topK(e *Engine, target *table.Table, k int) ([]TableResult, error) {
 // explain is the Table I breakdown of target against one lake table
 // under the engine's own evidence configuration.
 func explain(e *Engine, target *table.Table, lakeTable string) ([]PairExplanation, error) {
-	return e.ExplainSpec(context.Background(), target, lakeTable, QuerySpec{})
+	prepared, err := e.Prepare(target)
+	if err != nil {
+		return nil, err
+	}
+	return e.Explain(context.Background(), prepared, lakeTable, QuerySpec{})
+}
+
+// mustPrepare prepares a query target or fails the test.
+func mustPrepare(t testing.TB, e *Engine, tb *table.Table) *Target {
+	t.Helper()
+	target, err := e.Prepare(tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return target
 }
 
 func testOptions() Options {
@@ -490,13 +504,13 @@ func TestEvidenceString(t *testing.T) {
 }
 
 func TestMaxDistancesAndMean(t *testing.T) {
-	m := MaxDistances()
+	m := maxDistances()
 	for _, v := range m {
 		if v != 1 {
-			t.Fatal("MaxDistances should be all ones")
+			t.Fatal("maxDistances should be all ones")
 		}
 	}
-	if m.Mean() != 1 {
+	if m.mean() != 1 {
 		t.Fatal("mean of all-ones should be 1")
 	}
 }

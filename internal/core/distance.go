@@ -35,7 +35,7 @@ func jaccardSimilarity(a, b minhash.Signature) float64 {
 // nil, is the gathering column's distance memo (see distMemo): target
 // must then be that column's profile, and cand a profile of this engine.
 func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool, memo *distMemo) DistanceVector {
-	d := MaxDistances()
+	d := maxDistances()
 	if !disabled[EvidenceName] {
 		d[EvidenceName] = memo.jaccard(EvidenceName, target.QSig, cand.QSig, cand.qID)
 	}
@@ -128,9 +128,9 @@ func (e *Engine) attrRelatedAnyIndex(a, b *Profile) bool {
 	return false
 }
 
-// VSimilarity estimates the Jaccard similarity of two tsets (the
+// vSimilarity estimates the Jaccard similarity of two tsets (the
 // V evidence), used by the SA-joinability test of Section IV.
-func (e *Engine) VSimilarity(a, b *Profile) float64 {
+func (e *Engine) vSimilarity(a, b *Profile) float64 {
 	if a.Numeric || b.Numeric {
 		return 0
 	}
@@ -144,7 +144,7 @@ func (e *Engine) OverlapCoefficient(a, b *Profile) float64 {
 	if a.TSize == 0 || b.TSize == 0 {
 		return 0
 	}
-	j := e.VSimilarity(a, b)
+	j := e.vSimilarity(a, b)
 	inter := j * float64(a.TSize+b.TSize) / (1 + j)
 	m := float64(a.TSize)
 	if b.TSize < a.TSize {

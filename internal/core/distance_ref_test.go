@@ -18,7 +18,7 @@ import (
 // paper-literal guard (domainDistanceReference, which
 // TestDomainGuardOrderInvariant pins to the pipeline's guard).
 func (e *Engine) refPairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool) DistanceVector {
-	d := MaxDistances()
+	d := maxDistances()
 	if !disabled[EvidenceName] {
 		d[EvidenceName] = jaccardDistance(target.QSig, cand.QSig)
 	}

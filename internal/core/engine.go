@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,11 +17,16 @@ import (
 // I_E of Algorithm 1 over per-attribute profiles, ready for top-k
 // relatedness queries.
 //
-// An Engine is safe for concurrent use: queries (SearchSpec,
-// ExplainSpec, the lookup helpers) hold a read lock and run
-// concurrently with each other, while mutations (Add, Update, Remove)
-// take the write lock and serialise against queries. The embedded Lake
-// must only be mutated through the Engine once queries may be in flight.
+// A query is prepared once and then executed: Prepare (or PrepareAll)
+// profiles a target into a Target, and the executors Search, Explain,
+// ShardProbe and ShardGather run over it; SearchSpec, ShardProbeSpec
+// and ShardGatherSpec are Prepare plus their executor.
+//
+// An Engine is safe for concurrent use: queries (the executors, the
+// lookup helpers) hold a read lock and run concurrently with each
+// other, while mutations (Add, Update, Remove) take the write lock and
+// serialise against queries. The embedded Lake must only be mutated
+// through the Engine once queries may be in flight.
 type Engine struct {
 	opts       Options
 	lake       *table.Lake
@@ -334,12 +340,60 @@ func (e *Engine) ProfileTarget(t *table.Table) []Profile {
 	return e.prof.ProfileTable(-1, t, e.classifier)
 }
 
-// ProfileTables is ProfileTarget for many tables at once — what a shard
-// set build does with a whole lake before handing each table to its
-// owner — on the engine's Parallelism workers, through the bulk path
-// BuildEngine itself profiles with. Slot i holds tables[i]'s profiles.
-func (e *Engine) ProfileTables(tables []*table.Table) [][]Profile {
-	return e.prof.profileTables(tables, e.classifier, e.queryParallelism())
+// Target is a query target prepared once, N1QL's Prepare to the
+// executors' Execute: its Algorithm 1 profiles, one per column in
+// column order, and a pointer to the subject attribute's among them.
+// Profiling is a pure function of the table and the engine's immutable
+// options, so one Target serves every executor (Search, Explain,
+// ShardProbe, ShardGather) and every identically configured engine. It
+// is read-only once prepared, and so safe to share across goroutines,
+// until AddProfiled consumes it.
+type Target struct {
+	profiles []Profile
+	subject  *Profile // nil when the target has no subject attribute
+}
+
+// Profiles returns the target's per-column profiles (read-only).
+func (t *Target) Profiles() []Profile { return t.profiles }
+
+// errNilTarget refuses a nil table at Prepare and PrepareAll, the only
+// places a Target is made.
+var errNilTarget = errors.New("core: nil target")
+
+// Prepare profiles a query target (ProfileTarget) and marks its subject
+// attribute. It takes no lock: profiling touches only the immutable
+// hash machinery, so it never delays mutations.
+func (e *Engine) Prepare(t *table.Table) (*Target, error) {
+	if t == nil {
+		return nil, errNilTarget
+	}
+	return newTarget(e.ProfileTarget(t)), nil
+}
+
+// PrepareAll is Prepare for many tables at once — what a shard set
+// build does with a whole lake before handing each table to its owner —
+// on the engine's Parallelism workers, through the bulk path
+// BuildEngine itself profiles with. Slot i is tables[i]'s target.
+func (e *Engine) PrepareAll(tables []*table.Table) ([]*Target, error) {
+	if slices.Contains(tables, nil) {
+		return nil, errNilTarget
+	}
+	out := make([]*Target, len(tables))
+	for i, profiles := range e.prof.profileTables(tables, e.classifier, e.queryParallelism()) {
+		out[i] = newTarget(profiles)
+	}
+	return out, nil
+}
+
+// newTarget wraps a table's profiles as its Target.
+func newTarget(profiles []Profile) *Target {
+	t := &Target{profiles: profiles}
+	for i := range profiles {
+		if profiles[i].Subject {
+			t.subject = &profiles[i]
+		}
+	}
+	return t
 }
 
 // IndexSpaceBytes reports the encoded size of the four forests
@@ -369,7 +423,7 @@ func (e *Engine) indexSpaceBytes() int64 {
 		total += f.SpaceBytes()
 	}
 	for i := range e.profiles {
-		total += e.profiles[i].SpaceBytes()
+		total += e.profiles[i].spaceBytes()
 	}
 	return total
 }

@@ -72,7 +72,7 @@ func TestCombineEq3HandComputed(t *testing.T) {
 
 func TestCombineEq3Bounded(t *testing.T) {
 	e := &Engine{opts: Options{Weights: Weights{4, 14, 0.05, 0.05, 13}}}
-	if d := e.combineEq3(MaxDistances()); math.Abs(d-1) > 1e-12 {
+	if d := e.combineEq3(maxDistances()); math.Abs(d-1) > 1e-12 {
 		t.Fatalf("all-ones vector should score exactly 1, got %v", d)
 	}
 	if d := e.combineEq3(DistanceVector{}); d != 0 {
@@ -194,7 +194,7 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 func TestProfileSpaceBytesPositive(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
-		if e.Profile(id).SpaceBytes() <= 0 {
+		if e.Profile(id).spaceBytes() <= 0 {
 			t.Fatal("profile space must be positive")
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"d3l/internal/mlearn"
-	"d3l/internal/table"
 )
 
 // PairExplanation is one row of a Table I-style structure: a target
@@ -17,44 +16,15 @@ type PairExplanation struct {
 	Distances    DistanceVector
 }
 
-// ExplainSpec computes the full pairwise distance rows between a target
-// table and one lake table, reproducing the structure of Table I. Only
+// Explain computes the full pairwise distance rows between a prepared
+// target and one lake table, reproducing the structure of Table I. Only
 // pairs related by at least one index (distance < 1 on some evidence)
 // are reported, as in the paper's grouping step. The spec's evidence
 // mask applies to every pair distance (K and the remaining spec fields
 // do not affect explanations), and cancellation is checked between
 // target columns — a cancelled call returns ctx.Err(), never partial
 // rows.
-func (e *Engine) ExplainSpec(ctx context.Context, target *table.Table, lakeTable string, spec QuerySpec) ([]PairExplanation, error) {
-	if target == nil {
-		return nil, fmt.Errorf("core: nil target")
-	}
-	// Check the name before profiling the target: profiling is the
-	// dominant cost and must not be spent on the error path.
-	e.mu.RLock()
-	_, ok := e.lake.IDByName(lakeTable)
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, lakeTable)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tprofiles := e.ProfileTarget(target)
-	var tsubject *Profile
-	for i := range tprofiles {
-		if tprofiles[i].Subject {
-			tsubject = &tprofiles[i]
-		}
-	}
-	return e.ExplainProfiled(ctx, target, tprofiles, tsubject, lakeTable, spec)
-}
-
-// ExplainProfiled is ExplainSpec with the target already profiled — the
-// unified query path profiles once and reuses the result for both the
-// ranking and the explanation. tprofiles/tsubject must come from
-// ProfileTarget on exactly target.
-func (e *Engine) ExplainProfiled(ctx context.Context, target *table.Table, tprofiles []Profile, tsubject *Profile, lakeTable string, spec QuerySpec) ([]PairExplanation, error) {
+func (e *Engine) Explain(ctx context.Context, target *Target, lakeTable string, spec QuerySpec) ([]PairExplanation, error) {
 	// K does not shape an explanation; resolve is reused only for its
 	// validation and evidence-mask merge.
 	spec.K = 1
@@ -64,8 +34,6 @@ func (e *Engine) ExplainProfiled(ctx context.Context, target *table.Table, tprof
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	// Re-resolve under the query lock: the table may have been removed
-	// between any earlier check and here.
 	tid, ok := e.lake.IDByName(lakeTable)
 	if !ok {
 		return nil, fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, lakeTable)
@@ -75,13 +43,14 @@ func (e *Engine) ExplainProfiled(ctx context.Context, target *table.Table, tprof
 		candSubject = &e.profiles[s]
 	}
 	var rows []PairExplanation
-	for i := range tprofiles {
+	for i := range target.profiles {
+		tp := &target.profiles[i]
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		for _, attrID := range e.byTable[tid] {
 			cand := &e.profiles[attrID]
-			d := e.pairDistances(&tprofiles[i], cand, tsubject, candSubject, view.disabled, nil)
+			d := e.pairDistances(tp, cand, target.subject, candSubject, view.disabled, nil)
 			related := false
 			for _, v := range d {
 				if v < 1 {
@@ -91,7 +60,7 @@ func (e *Engine) ExplainProfiled(ctx context.Context, target *table.Table, tprof
 			}
 			if related {
 				rows = append(rows, PairExplanation{
-					TargetColumn: target.Columns[i].Name,
+					TargetColumn: tp.Name,
 					SourceColumn: cand.Name,
 					Distances:    d,
 				})

@@ -83,44 +83,11 @@ func (e *Engine) TableNames() []string {
 	return out
 }
 
-// TableRelatedToTarget reports whether any attribute of the lake table
-// is related to any target attribute by any index (the Algorithm 3 path
-// guard "Ni ∈ I*.lookup(T)").
-func (e *Engine) TableRelatedToTarget(tableID int, targetProfiles []Profile) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, attrID := range e.byTable[tableID] {
-		cand := &e.profiles[attrID]
-		for i := range targetProfiles {
-			if e.attrRelatedAnyIndex(&targetProfiles[i], cand) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// RelatedTargetColumns returns the set of target column indices related
-// to some attribute of the lake table by any index — the numerator of
-// the Eq. 4 coverage.
-func (e *Engine) RelatedTargetColumns(tableID int, targetProfiles []Profile) map[int]bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	out := make(map[int]bool)
-	for _, attrID := range e.byTable[tableID] {
-		cand := &e.profiles[attrID]
-		for i := range targetProfiles {
-			if e.attrRelatedAnyIndex(&targetProfiles[i], cand) {
-				out[i] = true
-			}
-		}
-	}
-	return out
-}
-
 // RelatedColumnPairs returns, for every target column, the lake table's
-// column indices related to it by any index (used for attribute
-// precision, Experiments 9 and 11).
+// column indices related to it by any index. Its keys are the target
+// columns the table covers, the numerator of the Eq. 4 coverage, and a
+// table with none fails the Algorithm 3 path guard "Ni ∈ I*.lookup(T)";
+// its values back attribute precision (Experiments 9 and 11).
 func (e *Engine) RelatedColumnPairs(tableID int, targetProfiles []Profile) map[int][]int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -17,12 +17,13 @@ import (
 // contents through Add answer top-k queries identically (the
 // incremental-correctness property the tests assert).
 func (e *Engine) Add(t *table.Table) (int, error) {
-	if t == nil {
-		return 0, fmt.Errorf("core: nil table")
-	}
 	// Profile with a placeholder table id; signatures do not depend on
 	// it, and the real id is stamped once the lake assigns one.
-	return e.AddProfiled(t, e.prof.ProfileTable(-1, t, e.classifier), nil)
+	target, err := e.Prepare(t)
+	if err != nil {
+		return 0, err
+	}
+	return e.AddProfiled(t, target, nil)
 }
 
 // WriteIDs are where a write lands in the engine's id space: the table
@@ -87,16 +88,15 @@ func (e *Engine) fill(attr, tid int, fresh []Profile) []Profile {
 
 // AddProfiled is the locked splice half of Add: callers that must
 // keep profiling outside their own locks (the public d3l engine does)
-// profile via ProfileTarget first and hand the result in. profiles
-// must come from this engine's profiler for exactly t. The table lands
-// at at (see WriteIDs), or at the engine's next ids when at is nil; the
-// ids it skips become dead fill slots — lake slots with no name, and
-// attribute stubs. A failed Add leaves the engine as it was, its next
-// ids included.
-func (e *Engine) AddProfiled(t *table.Table, profiles []Profile, at *WriteIDs) (int, error) {
-	if t == nil {
-		return 0, fmt.Errorf("core: nil table")
-	}
+// Prepare t first and hand the target in. target must come from this
+// engine, or an identically configured one, for exactly t, and is
+// consumed: the engine keeps its profiles, stamped with the table's id.
+// The table lands at at (see WriteIDs), or at the engine's next ids
+// when at is nil; the ids it skips become dead fill slots — lake slots
+// with no name, and attribute stubs. A failed Add leaves the engine as
+// it was, its next ids included.
+func (e *Engine) AddProfiled(t *table.Table, target *Target, at *WriteIDs) (int, error) {
+	profiles := target.profiles
 	for i := range profiles {
 		assertSortedExtent(&profiles[i], "AddProfiled")
 	}
@@ -111,7 +111,7 @@ func (e *Engine) AddProfiled(t *table.Table, profiles []Profile, at *WriteIDs) (
 	for i := range profiles {
 		profiles[i].Ref.TableID = tid
 		attrs[i] = ids.Attr + i
-		if profiles[i].Subject {
+		if &profiles[i] == target.subject {
 			subject = attrs[i]
 		}
 	}

@@ -29,14 +29,14 @@ func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 			tb := mustTable(t, "S4",
 				[]string{"Surgery", "Town"},
 				[][]string{{"Blackfriars", "Salford"}, {"Bolton Medical", "Bolton"}})
-			_, err := e.AddProfiled(tb, narrow.ProfileTarget(tb), nil)
+			_, err := e.AddProfiled(tb, mustPrepare(t, narrow, tb), nil)
 			return err
 		}},
 		// The same add at ids past the engine's next ones: the fill
 		// slots it would make must not outlive the failure.
 		{"add at assigned ids", func(e *Engine) error {
 			tb := mustTable(t, "S4", []string{"Surgery"}, [][]string{{"Blackfriars"}})
-			_, err := e.AddProfiled(tb, narrow.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen() + 2, Attr: e.NumAttributes() + 5})
+			_, err := e.AddProfiled(tb, mustPrepare(t, narrow, tb), &WriteIDs{Table: e.LakeLen() + 2, Attr: e.NumAttributes() + 5})
 			return err
 		}},
 		{"update", func(e *Engine) error {
@@ -63,18 +63,18 @@ func TestFailedMutationLeavesEngineUntouched(t *testing.T) {
 		}},
 		{"add duplicate name at assigned ids", func(e *Engine) error {
 			tb := figure1Lake(t).Table(1)
-			_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen() + 3, Attr: e.NumAttributes() + 4})
+			_, err := e.AddProfiled(tb, mustPrepare(t, e, tb), &WriteIDs{Table: e.LakeLen() + 3, Attr: e.NumAttributes() + 4})
 			return err
 		}},
 		// Assigned ids the engine refuses before it writes anything.
 		{"add below the next ids", func(e *Engine) error {
 			tb := mustTable(t, "S4", []string{"Surgery"}, [][]string{{"Blackfriars"}})
-			_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen() - 1, Attr: e.NumAttributes()})
+			_, err := e.AddProfiled(tb, mustPrepare(t, e, tb), &WriteIDs{Table: e.LakeLen() - 1, Attr: e.NumAttributes()})
 			return err
 		}},
 		{"add past the fill bound", func(e *Engine) error {
 			tb := mustTable(t, "S4", []string{"Surgery"}, [][]string{{"Blackfriars"}})
-			_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &WriteIDs{Table: e.LakeLen(), Attr: e.NumAttributes() + maxFill + 1})
+			_, err := e.AddProfiled(tb, mustPrepare(t, e, tb), &WriteIDs{Table: e.LakeLen(), Attr: e.NumAttributes() + maxFill + 1})
 			return err
 		}},
 		{"update below the next attribute id", func(e *Engine) error {
@@ -130,7 +130,7 @@ func TestFillBoundFollowsTheEngine(t *testing.T) {
 	e := buildFigure1Engine(t)
 	add := func(name string, at WriteIDs) error {
 		tb := mustTable(t, name, []string{"Surgery"}, [][]string{{"Blackfriars"}})
-		_, err := e.AddProfiled(tb, e.ProfileTarget(tb), &at)
+		_, err := e.AddProfiled(tb, mustPrepare(t, e, tb), &at)
 		return err
 	}
 	tables, attrs := e.LakeLen(), e.NumAttributes()

@@ -259,10 +259,10 @@ func (p *profiler) profileTables(tables []*table.Table, classifier *subject.Clas
 	return out
 }
 
-// SpaceBytes reports the serialized size of the profile's signatures
+// spaceBytes reports the serialized size of the profile's signatures
 // (Table II space accounting): 4 bytes a MinHash slot, 8 a word of the
 // embedding bit signature.
-func (prof *Profile) SpaceBytes() int64 {
+func (prof *Profile) spaceBytes() int64 {
 	total := int64(4*(len(prof.QSig)+len(prof.TSig)+len(prof.RSig)) + 8*len(prof.ESig))
 	total += int64(8 * len(prof.NumExtent))
 	total += int64(len(prof.Name))

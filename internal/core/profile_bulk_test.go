@@ -40,7 +40,7 @@ func TestAttributeVectorIsAFunctionOfTheColumn(t *testing.T) {
 	}
 }
 
-// TestProfileTablesEqualsProfileTable: the bulk path — per-worker
+// TestProfileTablesEqualsProfileTable: the bulk path, PrepareAll — per-worker
 // scratch, word memo and all — returns, table for table, what profiling
 // each table on its own returns, on one worker and on eight.
 func TestProfileTablesEqualsProfileTable(t *testing.T) {
@@ -64,13 +64,16 @@ func TestProfileTablesEqualsProfileTable(t *testing.T) {
 		if err := e.SetParallelism(parallelism); err != nil {
 			t.Fatal(err)
 		}
-		bulk := e.ProfileTables(tables)
+		bulk, err := e.PrepareAll(tables)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(bulk) != len(tables) {
 			t.Fatalf("parallelism %d: %d profile lists for %d tables", parallelism, len(bulk), len(tables))
 		}
 		for i, tb := range tables {
 			want := e.prof.ProfileTable(i, tb, e.classifier)
-			if !reflect.DeepEqual(bulk[i], want) {
+			if !reflect.DeepEqual(bulk[i].profiles, want) {
 				t.Fatalf("parallelism %d: table %d (%s): bulk profiles differ from ProfileTable's", parallelism, i, tb.Name)
 			}
 		}

@@ -45,14 +45,12 @@ type SearchStats struct {
 	TablesScored int
 }
 
-// SearchResult carries the ranked answer plus the target profiles, so
+// SearchResult carries the ranked answer plus the prepared target, so
 // downstream stages (join-path discovery) reuse the profiling work.
 type SearchResult struct {
-	Target         *table.Table
-	TargetProfiles []Profile
-	TargetSubject  *Profile // nil when the target has no subject attr
-	Ranked         []TableResult
-	Stats          SearchStats
+	Target *Target
+	Ranked []TableResult
+	Stats  SearchStats
 	// Plan reports what the plan did for this query: the cascade order,
 	// whether the plan was cached, and the pruning counters. It lives
 	// outside Stats so Stats alone stays comparable with the shard
@@ -71,20 +69,33 @@ type candidatePair struct {
 }
 
 // SearchSpec runs the full Section III-D pipeline for one target under
-// the per-query parameters of spec, fanning candidate generation out
-// across target columns on a worker pool bounded by Options.Parallelism.
-// The ranking is deterministic: at any parallelism it is identical to
-// the sequential path (candidates are processed in attribute-id order,
-// tables are scored in table-id order, and distance ties break by
-// name). Cancellation is cooperative: the pipeline checks ctx between
-// candidate batches and between table-scoring batches, and a cancelled
-// query returns ctx.Err() — never a partial answer. The per-query
-// overrides in spec never touch engine state, so concurrent queries
-// with different weights or evidence masks do not interfere.
-func (e *Engine) SearchSpec(ctx context.Context, target *table.Table, spec QuerySpec) (*SearchResult, error) {
-	if target == nil {
-		return nil, fmt.Errorf("core: nil target")
+// the per-query parameters of spec: Prepare, then Search.
+func (e *Engine) SearchSpec(ctx context.Context, t *table.Table, spec QuerySpec) (*SearchResult, error) {
+	target, err := e.Prepare(t)
+	if err != nil {
+		return nil, err
 	}
+	return e.Search(ctx, target, spec)
+}
+
+// Search ranks the lake for a prepared target — Gather → Score → Rank —
+// fanning candidate generation out across target columns on a worker
+// pool bounded by Options.Parallelism. The ranking is deterministic: at
+// any parallelism it is identical to the sequential path (candidates
+// are processed in attribute-id order, tables are scored in table-id
+// order, and distance ties break by name). Cancellation is cooperative:
+// the pipeline checks ctx between candidate batches and between
+// table-scoring batches, and a cancelled query returns ctx.Err() —
+// never a partial answer. The per-query overrides in spec never touch
+// engine state, so concurrent queries with different weights or
+// evidence masks do not interfere.
+//
+// Search is the region the zero-allocation contract covers: all
+// intermediate state lives in pooled arenas (see scratch.go), and the
+// only heap allocations a steady-state call performs are the ones that
+// escape into the returned SearchResult (the ranked slice and the k
+// winners' alignment rows). The allocation-budget guard test pins this.
+func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*SearchResult, error) {
 	view, err := e.resolve(spec)
 	if err != nil {
 		return nil, err
@@ -92,29 +103,8 @@ func (e *Engine) SearchSpec(ctx context.Context, target *table.Table, spec Query
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Profiling the target touches only the immutable hash machinery,
-	// so it runs outside the lock and never delays mutations.
-	tprofiles := e.ProfileTarget(target)
-	var tsubject *Profile
-	for i := range tprofiles {
-		if tprofiles[i].Subject {
-			tsubject = &tprofiles[i]
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return e.rankProfiled(ctx, target, tprofiles, tsubject, view, e.resolveParallelism(spec.Parallelism))
-}
+	parallelism := e.resolveParallelism(spec.Parallelism)
 
-// rankProfiled is the post-profiling half of the pipeline — Gather →
-// Score → Rank — and the region the zero-allocation contract covers:
-// all intermediate state lives in pooled arenas (see scratch.go), and
-// the only heap allocations a steady-state call performs are the ones
-// that escape into the returned SearchResult (the ranked slice and the
-// k winners' alignment rows). The allocation-budget guard test pins
-// this.
-func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofiles []Profile, tsubject *Profile, view specView, parallelism int) (*SearchResult, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
@@ -133,7 +123,7 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	// indexes and compute pair distances. Columns are independent, so
 	// they fan out across the pool, each into its own arena buffer.
 	// No imposed depths: each forest probe tunes itself to the budget.
-	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, parallelism, qs, nil)
+	pairs, err := e.gatherPairs(ctx, target, &view, parallelism, qs, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +134,7 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	// column order), group the pairs by candidate table — one sort by
 	// (table, attribute) plus contiguous-run slicing — and hand the runs
 	// to the one score-and-rank loop in ascending table-id order.
-	numCols := len(tprofiles)
+	numCols := len(target.profiles)
 	var ecdfs *distanceECDFs
 	if !view.uniform {
 		ecdfs = qs.buildECDFs(numCols)
@@ -192,10 +182,8 @@ func (e *Engine) rankProfiled(ctx context.Context, target *table.Table, tprofile
 	}
 	st.lap(StageRankMerge)
 	return &SearchResult{
-		Target:         target,
-		TargetProfiles: tprofiles,
-		TargetSubject:  tsubject,
-		Ranked:         results,
+		Target: target,
+		Ranked: results,
 		Stats: SearchStats{
 			CandidatePairs: len(pairs),
 			TablesScored:   len(runs),
@@ -225,7 +213,7 @@ func alignRun(dst []Alignment, tablePairs []candidatePair, numCols int, ws *work
 			continue
 		}
 		cur := &tablePairs[best[c]]
-		pm, cm := p.dist.Mean(), cur.dist.Mean()
+		pm, cm := p.dist.mean(), cur.dist.mean()
 		if pm < cm || (pm == cm && p.attrID < cur.attrID) {
 			best[c] = int32(i)
 		}
@@ -268,11 +256,11 @@ func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair, numCols
 // cancelled or failed gather returns the error, never a partial list.
 // Callers must hold e.mu. The returned slice is arena memory, valid
 // until the arena is recycled.
-func (e *Engine) gatherPairs(ctx context.Context, tprofiles []Profile, tsubject *Profile, view *specView, parallelism int, qs *queryScratch, depths probeDepths) ([]candidatePair, error) {
-	n := len(tprofiles)
+func (e *Engine) gatherPairs(ctx context.Context, target *Target, view *specView, parallelism int, qs *queryScratch, depths probeDepths) ([]candidatePair, error) {
+	n := len(target.profiles)
 	qs.ensureCols(n)
 	if err := forEachIndexCtx(ctx, n, parallelism, func(col int) {
-		qs.colBufs[col], qs.colErrs[col] = e.gatherColumn(ctx, col, &tprofiles[col], tsubject, view, qs.colBufs[col], depths)
+		qs.colBufs[col], qs.colErrs[col] = e.gatherColumn(ctx, col, &target.profiles[col], target.subject, view, qs.colBufs[col], depths)
 	}); err != nil {
 		return nil, err
 	}

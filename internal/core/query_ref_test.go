@@ -130,10 +130,8 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 		results = results[:view.k]
 	}
 	return &SearchResult{
-		Target:         target,
-		TargetProfiles: tprofiles,
-		TargetSubject:  tsubject,
-		Ranked:         results,
+		Target: &Target{profiles: tprofiles, subject: tsubject},
+		Ranked: results,
 		Stats: SearchStats{
 			CandidatePairs: len(pairs),
 			TablesScored:   len(tids),
@@ -210,8 +208,8 @@ func (e *Engine) alignColumns(tablePairs []candidatePair) []Alignment {
 		cur, ok := best[p.targetCol]
 		// Ties break towards the smaller attribute id so the alignment
 		// does not depend on candidate arrival order.
-		if !ok || p.dist.Mean() < cur.dist.Mean() ||
-			(p.dist.Mean() == cur.dist.Mean() && p.attrID < cur.attrID) {
+		if !ok || p.dist.mean() < cur.dist.mean() ||
+			(p.dist.mean() == cur.dist.mean() && p.attrID < cur.attrID) {
 			best[p.targetCol] = p
 		}
 	}
@@ -534,28 +532,18 @@ func TestQueryAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := lake.Table(3)
-	tprofiles := e.ProfileTarget(target)
-	var tsubject *Profile
-	for i := range tprofiles {
-		if tprofiles[i].Subject {
-			tsubject = &tprofiles[i]
-		}
-	}
-	view, err := e.resolve(QuerySpec{K: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	target := mustPrepare(t, e, lake.Table(3))
+	spec := QuerySpec{K: 10, Parallelism: 1}
 	ctx := context.Background()
 	// Warm the arenas to steady state before measuring.
 	for i := 0; i < 3; i++ {
-		if _, err := e.rankProfiled(ctx, target, tprofiles, tsubject, view, 1); err != nil {
+		if _, err := e.Search(ctx, target, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	const budget = 64
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.rankProfiled(ctx, target, tprofiles, tsubject, view, 1); err != nil {
+		if _, err := e.Search(ctx, target, spec); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -111,7 +111,7 @@ type ShardPartial struct {
 	Tables []ShardTable
 }
 
-// shardMeta is the query shape a resolved view gives a profiled target.
+// shardMeta is the query shape a resolved view gives a prepared target.
 func shardMeta(view *specView, numCols int) ShardQueryMeta {
 	return ShardQueryMeta{
 		NumCols:  numCols,
@@ -124,18 +124,20 @@ func shardMeta(view *specView, numCols int) ShardQueryMeta {
 }
 
 // ShardProbeSpec runs the probe phase for one query on this shard:
-// profile the target, then ShardProbeProfiled.
-func (e *Engine) ShardProbeSpec(ctx context.Context, target *table.Table, spec QuerySpec) (*ShardProbe, error) {
-	return e.ShardProbeProfiled(ctx, e.ProfileTarget(target), spec)
+// Prepare, then ShardProbe.
+func (e *Engine) ShardProbeSpec(ctx context.Context, t *table.Table, spec QuerySpec) (*ShardProbe, error) {
+	target, err := e.Prepare(t)
+	if err != nil {
+		return nil, err
+	}
+	return e.ShardProbe(ctx, target, spec)
 }
 
-// ShardProbeProfiled runs the probe phase over an already profiled
-// target (ProfileTarget's output, read-only here): resolve the spec and
-// report the per-depth candidate counts of every enabled forest probe.
-// ProfileTarget is a pure function of the table and the engine's
-// immutable options, so one profiling pass serves every identically
-// configured shard and both phases of the query.
-func (e *Engine) ShardProbeProfiled(ctx context.Context, tprofiles []Profile, spec QuerySpec) (*ShardProbe, error) {
+// ShardProbe runs the probe phase over a prepared target: resolve the
+// spec and report the per-depth candidate counts of every enabled
+// forest probe. One Target serves every identically configured shard
+// and both phases of the query.
+func (e *Engine) ShardProbe(ctx context.Context, target *Target, spec QuerySpec) (*ShardProbe, error) {
 	view, err := e.resolve(spec)
 	if err != nil {
 		return nil, err
@@ -143,6 +145,7 @@ func (e *Engine) ShardProbeProfiled(ctx context.Context, tprofiles []Profile, sp
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	tprofiles := target.profiles
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	probe := &ShardProbe{
@@ -216,19 +219,23 @@ func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 }
 
 // ShardGatherSpec runs the gather phase on this shard at the imposed
-// depths: profile the target, then ShardGatherProfiled.
-func (e *Engine) ShardGatherSpec(ctx context.Context, target *table.Table, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
-	return e.ShardGatherProfiled(ctx, e.ProfileTarget(target), spec, depths)
+// depths: Prepare, then ShardGather.
+func (e *Engine) ShardGatherSpec(ctx context.Context, t *table.Table, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
+	target, err := e.Prepare(t)
+	if err != nil {
+		return nil, err
+	}
+	return e.ShardGather(ctx, target, spec, depths)
 }
 
-// ShardGatherProfiled runs the gather phase over an already profiled
-// target (read-only here) at the imposed depths: the shared gather on
-// the pooled query arena, then per-table best-pair rows and the Eq. 2
-// sample cells. The resolved view must match the directive's meta — a
-// mismatch means the shard's engine options drifted from its peers
-// since the probe. Like a monolith query it stops within a candidate
-// batch of ctx being cancelled and returns ctx.Err(), never a partial.
-func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
+// ShardGather runs the gather phase over a prepared target at the
+// imposed depths: the shared gather on the pooled query arena, then
+// per-table best-pair rows and the Eq. 2 sample cells. The resolved
+// view must match the directive's meta — a mismatch means the shard's
+// engine options drifted from its peers since the probe. Like a
+// monolith query it stops within a candidate batch of ctx being
+// cancelled and returns ctx.Err(), never a partial.
+func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
 	view, err := e.resolve(spec)
 	if err != nil {
 		return nil, err
@@ -236,19 +243,17 @@ func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, s
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	numCols := len(tprofiles)
+	numCols := len(target.profiles)
 	meta := shardMeta(&view, numCols)
+	// Deliberately not ErrInvalidSpec: the spec was valid, so a directive
+	// that disagrees with it can mean this shard's options drifted from
+	// its peers', and the 500 it is served as has a coordinator retry a
+	// sibling replica, where a 400 would end the query.
 	if meta != depths.Meta {
 		return nil, fmt.Errorf("core: gather query shape disagrees with the depth directive")
 	}
 	if len(depths.Depths) != numCols {
 		return nil, fmt.Errorf("core: depth directive covers %d columns, target has %d", len(depths.Depths), numCols)
-	}
-	var tsubject *Profile
-	for i := range tprofiles {
-		if tprofiles[i].Subject {
-			tsubject = &tprofiles[i]
-		}
 	}
 
 	e.mu.RLock()
@@ -260,7 +265,7 @@ func (e *Engine) ShardGatherProfiled(ctx context.Context, tprofiles []Profile, s
 	// Columns are gathered one after another: the shards of a set
 	// already run side by side, so a second level of fan-out would only
 	// oversubscribe the cores they share.
-	pairs, err := e.gatherPairs(ctx, tprofiles, tsubject, &view, 1, qs, depths.Depths)
+	pairs, err := e.gatherPairs(ctx, target, &view, 1, qs, depths.Depths)
 	if err != nil {
 		return nil, err
 	}
@@ -325,7 +330,7 @@ func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 		// The scorer indexes the sample cells by a row's target column
 		// and divides by a table's row count: a partial is checked here,
 		// whichever way it arrived, before either can go wrong.
-		if err := p.Validate(); err != nil {
+		if err := p.validate(); err != nil {
 			return nil, st, PlanStats{}, fmt.Errorf("shard %d: %w", i, err)
 		}
 	}

@@ -34,7 +34,7 @@ func buildShards(t testing.TB, lake *table.Lake, n int) ([]*Engine, WriteIDs) {
 	var next WriteIDs
 	for i, tb := range lake.Tables() {
 		owner := shards[i%n]
-		if _, err := owner.AddProfiled(tb, owner.ProfileTarget(tb), &next); err != nil {
+		if _, err := owner.AddProfiled(tb, mustPrepare(t, owner, tb), &next); err != nil {
 			t.Fatal(err)
 		}
 		next = WriteIDs{Table: i + 1, Attr: next.Attr + len(tb.Columns)}
@@ -51,14 +51,14 @@ func buildShards(t testing.TB, lake *table.Lake, n int) ([]*Engine, WriteIDs) {
 func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec QuerySpec) ([]TableResult, SearchStats, PlanStats) {
 	t.Helper()
 	ctx := context.Background()
-	shared := shards[0].ProfileTarget(target)
+	shared := mustPrepare(t, shards[0], target)
 	probes := make([]*ShardProbe, len(shards))
 	for i, e := range shards {
 		var err error
 		if i%2 == 0 {
 			probes[i], err = e.ShardProbeSpec(ctx, target, spec)
 		} else {
-			probes[i], err = e.ShardProbeProfiled(ctx, shared, spec)
+			probes[i], err = e.ShardProbe(ctx, shared, spec)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -74,7 +74,7 @@ func shardSearch(t testing.TB, shards []*Engine, target *table.Table, spec Query
 		if i%2 == 0 {
 			p, err = e.ShardGatherSpec(ctx, target, spec, depths)
 		} else {
-			p, err = e.ShardGatherProfiled(ctx, shared, spec, depths)
+			p, err = e.ShardGather(ctx, shared, spec, depths)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -154,8 +154,9 @@ func TestOneShardDepthsAreTheMonolithProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		for ti := 0; ti < lake.Len(); ti += 3 {
-			tprofiles := e.ProfileTarget(lake.Table(ti))
-			probe, err := e.ShardProbeProfiled(ctx, tprofiles, spec)
+			target := mustPrepare(t, e, lake.Table(ti))
+			tprofiles := target.profiles
+			probe, err := e.ShardProbe(ctx, target, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +265,7 @@ func TestShardGatherRejectsForeignProfiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	partial, err := e.ShardGatherProfiled(ctx, narrow.ProfileTarget(target), spec, depths)
+	partial, err := e.ShardGather(ctx, mustPrepare(t, narrow, target), spec, depths)
 	if err == nil || !strings.Contains(err.Error(), "forest needs") {
 		t.Fatalf("foreign-width profiles: err = %v, want the forest's signature-length error", err)
 	}
@@ -301,7 +302,7 @@ func TestShardSearchEqualsMonolithAfterMutations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := shards[i%len(shards)].AddProfiled(tb, mono.ProfileTarget(tb), &next)
+		got, err := shards[i%len(shards)].AddProfiled(tb, mustPrepare(t, mono, tb), &next)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -108,7 +108,7 @@ func EncodeShardPartial(p *ShardPartial) []byte {
 }
 
 // DecodeShardPartial parses a binary gather body. It answers an error
-// or a partial that passes Validate — never a panic, and never an
+// or a partial that passes validate — never a panic, and never an
 // allocation out of proportion to the body (every count is checked
 // against the bytes that remain before anything is sized by it).
 func DecodeShardPartial(data []byte) (*ShardPartial, error) {
@@ -189,20 +189,20 @@ func DecodeShardPartial(data []byte) (*ShardPartial, error) {
 	if r.Remaining() != 0 {
 		return nil, fmt.Errorf("core: shard partial: %w: %d bytes after the last table", persist.ErrCorrupt, r.Remaining())
 	}
-	if err := p.Validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// Validate checks the structural invariants MergeShardPartials indexes
+// validate checks the structural invariants MergeShardPartials indexes
 // by, so a partial from the wire (a buggy, stale or hostile replica, or
 // a proxy in between) is refused before it can panic the coordinator:
 // sample cells are absent under uniform weighting and otherwise number
 // NumCols×NumEvidence, each sorted; the table count matches; every
 // table has at least one row; rows ascend strictly by a target column
 // inside [0, NumCols).
-func (p *ShardPartial) Validate() error {
+func (p *ShardPartial) validate() error {
 	numCols := p.Meta.NumCols
 	if numCols < 0 {
 		return fmt.Errorf("core: shard partial: negative column count %d", numCols)

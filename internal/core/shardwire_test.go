@@ -263,7 +263,7 @@ func sealShardBody(body []byte) []byte {
 }
 
 // FuzzDecodeShardPartial holds the decoder to its contract on arbitrary
-// bytes: an error, or a partial that passes Validate and that the merge
+// bytes: an error, or a partial that passes validate and that the merge
 // scores — never a panic, and no slice sized by a count the body cannot
 // back. The input is tried as a whole body and, because a mutator
 // almost never forges a checksum, again as a payload under a fresh
@@ -286,7 +286,7 @@ func FuzzDecodeShardPartial(f *testing.F) {
 			if err != nil {
 				continue
 			}
-			if err := p.Validate(); err != nil {
+			if err := p.validate(); err != nil {
 				t.Fatalf("decoded partial fails validation: %v", err)
 			}
 			if slots := cap(p.Tables) + cap(p.Samples); slots > len(body) {
@@ -302,7 +302,7 @@ func FuzzDecodeShardPartial(f *testing.F) {
 }
 
 // TestShardProbeAllocationBudget pins the probe phase's steady state in
-// the style of TestQueryAllocationBudget: over profiled targets a probe
+// the style of TestQueryAllocationBudget: over prepared targets a probe
 // allocates the ShardProbe, its per-column table and one count vector
 // per enabled forest probe — nothing per depth, per tree or per
 // candidate. The budget is that count plus slack for pool refills.
@@ -314,17 +314,18 @@ func TestShardProbeAllocationBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tprofiles := e.ProfileTarget(lake.Table(3))
+	target := mustPrepare(t, e, lake.Table(3))
+	tprofiles := target.profiles
 	spec := QuerySpec{K: 10}
 	ctx := context.Background()
 	for i := 0; i < 3; i++ { // warm the scratch to steady state
-		if _, err := e.ShardProbeProfiled(ctx, tprofiles, spec); err != nil {
+		if _, err := e.ShardProbe(ctx, target, spec); err != nil {
 			t.Fatal(err)
 		}
 	}
 	budget := float64(2 + NumForestSlots*len(tprofiles) + 4)
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := e.ShardProbeProfiled(ctx, tprofiles, spec); err != nil {
+		if _, err := e.ShardProbe(ctx, target, spec); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -382,8 +383,8 @@ func TestShardWireAllocationBudgets(t *testing.T) {
 	}
 	ctx := context.Background()
 	spec := QuerySpec{K: 10}
-	tprofiles := e.ProfileTarget(lake.Table(3))
-	probe, err := e.ShardProbeProfiled(ctx, tprofiles, spec)
+	target := mustPrepare(t, e, lake.Table(3))
+	probe, err := e.ShardProbe(ctx, target, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestShardWireAllocationBudgets(t *testing.T) {
 	}
 	var partial *ShardPartial
 	gather := func() {
-		if partial, err = e.ShardGatherProfiled(ctx, tprofiles, spec, depths); err != nil {
+		if partial, err = e.ShardGather(ctx, target, spec, depths); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,7 +425,7 @@ func TestShardWireAllocationBudgets(t *testing.T) {
 		fn     func()
 		budget float64
 	}{
-		{"ShardGatherProfiled", gather, 5 + 6},
+		{"ShardGather", gather, 5 + 6},
 		{"EncodeShardPartial", encode, 1},
 		{"DecodeShardPartial", decode, float64(len(partial.Tables)) + 6 + 2},
 		{"mergeShardPartials", merge, float64(spec.K) + 1 + 6},

@@ -283,9 +283,9 @@ func TestFailedSpliceTakesNoReference(t *testing.T) {
 	e := buildFigure1Engine(t)
 	before := snapshotTable(e)
 	tb := mustTable(t, "short_sigs", []string{"a", "b"}, [][]string{{"x", "1"}})
-	profiles := e.ProfileTarget(tb)
-	profiles[1].RSig = profiles[1].RSig[:2] // too short for I_F
-	if _, err := e.AddProfiled(tb, profiles, nil); err == nil {
+	target := mustPrepare(t, e, tb)
+	target.profiles[1].RSig = target.profiles[1].RSig[:2] // too short for I_F
+	if _, err := e.AddProfiled(tb, target, nil); err == nil {
 		t.Fatal("a profile with a 2-slot signature was accepted")
 	}
 	if after := snapshotTable(e); after != before {

@@ -1,8 +1,15 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 )
+
+// ErrInvalidSpec reports a QuerySpec the engine refuses (a non-positive
+// K, a negative budget or parallelism, invalid weights, an evidence
+// mask that disables everything). Every such error wraps it, so serving
+// layers can answer the whole class as a client error (400).
+var ErrInvalidSpec = errors.New("core: invalid query spec")
 
 // QuerySpec is the per-query parameterisation of the Section III-D
 // pipeline — the paper frames discovery as one parameterised query
@@ -46,6 +53,7 @@ type specView struct {
 }
 
 // resolve validates the spec and merges it with the engine options.
+// Every error it returns wraps ErrInvalidSpec.
 func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 	v := specView{
 		k:        spec.K,
@@ -54,17 +62,17 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 		uniform:  e.opts.UniformEq1Weights,
 	}
 	if spec.K <= 0 {
-		return v, fmt.Errorf("core: k must be positive, got %d", spec.K)
+		return v, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidSpec, spec.K)
 	}
 	if spec.CandidateBudget < 0 {
-		return v, fmt.Errorf("core: CandidateBudget must be non-negative, got %d", spec.CandidateBudget)
+		return v, fmt.Errorf("%w: CandidateBudget must be non-negative, got %d", ErrInvalidSpec, spec.CandidateBudget)
 	}
 	if spec.Parallelism < 0 {
-		return v, fmt.Errorf("core: Parallelism must be non-negative, got %d", spec.Parallelism)
+		return v, fmt.Errorf("%w: Parallelism must be non-negative, got %d", ErrInvalidSpec, spec.Parallelism)
 	}
 	if spec.Weights != nil {
 		if err := spec.Weights.Validate(); err != nil {
-			return v, err
+			return v, fmt.Errorf("%w: %w", ErrInvalidSpec, err)
 		}
 		v.weights = *spec.Weights
 	}
@@ -81,7 +89,7 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 		}
 	}
 	if allOff {
-		return v, fmt.Errorf("core: every evidence type is disabled; the query can relate nothing")
+		return v, fmt.Errorf("%w: every evidence type is disabled; the query can relate nothing", ErrInvalidSpec)
 	}
 	v.budget = spec.CandidateBudget
 	if v.budget == 0 {

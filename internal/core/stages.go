@@ -3,14 +3,14 @@ package core
 import "time"
 
 // QueryStage identifies one wall-clock region of the ranking pipeline.
-// The stages partition rankProfiled end to end (the serving layer adds
+// The stages partition Search end to end (the serving layer adds
 // its own stages — admission wait, cache lookup — in front of them):
 //
 //   - StagePlanPrepare: loading the evidence mask's prepared cascade
 //     from its slot (building it on the mask's first query).
 //   - StageGather: candidate generation — the four LSH forest probes,
 //     cross-forest dedup and pair-distance computation. A shard's
-//     gather phase (ShardGatherProfiled) runs the same gather and
+//     gather phase (ShardGather) runs the same gather and
 //     reports this stage, and only this one.
 //   - StageScore: scoring — Eq. 2 distribution construction, grouping
 //     pairs by table and the per-table Eq. 1/Eq. 3 reduction, with the

@@ -57,16 +57,16 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 			for i, r := range ranked {
 				topK[i] = r.TableID
 			}
-			if pathsByStart, err = joins.FindJoinPathsCtx(ctx, graph, topK, res.TargetProfiles, joins.DefaultPathOptions()); err != nil {
+			if pathsByStart, err = joins.FindJoinPathsCtx(ctx, graph, topK, res.Target.Profiles(), joins.DefaultPathOptions()); err != nil {
 				return joinMeasures{}, err
 			}
 		}
 		for _, r := range ranked {
 			// Coverage (Eq. 4 / Eq. 5).
 			if withJoins {
-				covSum += joins.JoinCoverage(eng, res.TargetProfiles, r.TableID, pathsByStart[r.TableID])
+				covSum += joins.JoinCoverage(eng, res.Target.Profiles(), r.TableID, pathsByStart[r.TableID])
 			} else {
-				covSum += joins.Coverage(eng, res.TargetProfiles, r.TableID)
+				covSum += joins.Coverage(eng, res.Target.Profiles(), r.TableID)
 			}
 			nCov++
 			// Attribute precision over system alignments.
@@ -83,7 +83,7 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 							continue
 						}
 						name := e.Lake.Table(tid).Name
-						perTable[name] = eng.RelatedColumnPairs(tid, res.TargetProfiles)
+						perTable[name] = eng.RelatedColumnPairs(tid, res.Target.Profiles())
 					}
 				}
 			}

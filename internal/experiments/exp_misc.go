@@ -64,7 +64,11 @@ func RunTableI() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rows, err := eng.ExplainSpec(context.Background(), target, "S2", core.QuerySpec{K: 1})
+	prepared, err := eng.Prepare(target)
+	if err != nil {
+		return Report{}, err
+	}
+	rows, err := eng.Explain(context.Background(), prepared, "S2", core.QuerySpec{K: 1})
 	if err != nil {
 		return Report{}, err
 	}

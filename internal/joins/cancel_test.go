@@ -55,7 +55,7 @@ func TestFindJoinPathsCtxCancelled(t *testing.T) {
 	topK := []int{res.Ranked[0].TableID}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	paths, err := FindJoinPathsCtx(ctx, g, topK, res.TargetProfiles, DefaultPathOptions())
+	paths, err := FindJoinPathsCtx(ctx, g, topK, res.Target.Profiles(), DefaultPathOptions())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

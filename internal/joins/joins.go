@@ -222,7 +222,7 @@ func FindJoinPathsCtx(ctx context.Context, g *Graph, topK []int, targetProfiles 
 		if v, ok := relCache[tid]; ok {
 			return v
 		}
-		v := g.engine.TableRelatedToTarget(tid, targetProfiles)
+		v := len(g.engine.RelatedColumnPairs(tid, targetProfiles)) > 0
 		relCache[tid] = v
 		return v
 	}
@@ -275,7 +275,7 @@ func Coverage(e *core.Engine, targetProfiles []core.Profile, tableID int) float6
 	if len(targetProfiles) == 0 {
 		return 0
 	}
-	covered := e.RelatedTargetColumns(tableID, targetProfiles)
+	covered := e.RelatedColumnPairs(tableID, targetProfiles)
 	return float64(len(covered)) / float64(len(targetProfiles))
 }
 
@@ -286,11 +286,11 @@ func JoinCoverage(e *core.Engine, targetProfiles []core.Profile, start int, path
 	if len(targetProfiles) == 0 {
 		return 0
 	}
-	covered := e.RelatedTargetColumns(start, targetProfiles)
+	covered := e.RelatedColumnPairs(start, targetProfiles)
 	for _, p := range paths {
 		for _, tid := range p {
-			for col := range e.RelatedTargetColumns(tid, targetProfiles) {
-				covered[col] = true
+			for col := range e.RelatedColumnPairs(tid, targetProfiles) {
+				covered[col] = nil // the keys are the covered columns
 			}
 		}
 	}
@@ -319,7 +319,8 @@ func AugmentCtx(ctx context.Context, e *core.Engine, g *Graph, res *core.SearchR
 	for i, r := range res.Ranked {
 		topK[i] = r.TableID
 	}
-	pathsByStart, err := FindJoinPathsCtx(ctx, g, topK, res.TargetProfiles, popts)
+	tprofiles := res.Target.Profiles()
+	pathsByStart, err := FindJoinPathsCtx(ctx, g, topK, tprofiles, popts)
 	if err != nil {
 		return nil, err
 	}
@@ -332,8 +333,8 @@ func AugmentCtx(ctx context.Context, e *core.Engine, g *Graph, res *core.SearchR
 		out[i] = Augmented{
 			Result:       r,
 			Paths:        paths,
-			BaseCoverage: Coverage(e, res.TargetProfiles, r.TableID),
-			JoinCoverage: JoinCoverage(e, res.TargetProfiles, r.TableID, paths),
+			BaseCoverage: Coverage(e, tprofiles, r.TableID),
+			JoinCoverage: JoinCoverage(e, tprofiles, r.TableID, paths),
 		}
 	}
 	return out, nil

@@ -116,7 +116,7 @@ func TestFindJoinPathsAlgorithm3(t *testing.T) {
 		t.Fatal(err)
 	}
 	topK := []int{res.Ranked[0].TableID, res.Ranked[1].TableID}
-	paths, err := FindJoinPathsCtx(context.Background(), g, topK, res.TargetProfiles, DefaultPathOptions())
+	paths, err := FindJoinPathsCtx(context.Background(), g, topK, res.Target.Profiles(), DefaultPathOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestPathOptionBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	topK := []int{res.Ranked[0].TableID}
-	paths, err := FindJoinPathsCtx(context.Background(), g, topK, res.TargetProfiles, PathOptions{MaxDepth: 2, MaxPathsPerStart: 1})
+	paths, err := FindJoinPathsCtx(context.Background(), g, topK, res.Target.Profiles(), PathOptions{MaxDepth: 2, MaxPathsPerStart: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 
 // lruCache is a mutex-guarded LRU keyed by canonical fingerprints (see
 // querykey.go). The server keeps two: the result cache over marshaled
-// response bodies, and the shard replica's memo of profiled targets
+// response bodies, and the shard replica's memo of prepared targets
 // (shard_handlers.go).
 type lruCache[V any] struct {
 	mu  sync.Mutex

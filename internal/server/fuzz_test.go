@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
+
+	"d3l/internal/core"
 )
 
 // serve sends one in-process request to srv.
@@ -74,6 +76,46 @@ func FuzzRankingBody(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range []string{"/v1/query", "/v1/batch"} {
+			checkErrorContract(t, path, serve(srv, http.MethodPost, path, body), body)
+		}
+	})
+}
+
+// FuzzShardBody holds the shard replica's query routes, POST
+// /v1/shard/probe and /v1/shard/explain, to the error contract on
+// arbitrary request bytes: a 200 with a JSON body or a 4xx in the
+// uniform error body, never a 5xx or a panic. A 5xx there would have a
+// coordinator retry the same bad request on a sibling replica.
+func FuzzShardBody(f *testing.F) {
+	target := figure1TargetJSON()
+	spec := core.QuerySpec{K: 3}
+	bodies := []any{
+		ShardProbeRequest{Table: target, Spec: spec},
+		ShardExplainRequest{Table: target, LakeTable: "S2", Spec: spec},
+		ShardExplainRequest{Table: target, LakeTable: "no_such_table", Spec: spec},
+		ShardProbeRequest{Table: TableJSON{Name: "t", Columns: []string{"c"}, Rows: [][]string{{"v", "w"}}}, Spec: spec},
+	}
+	for _, bad := range invalidShardSpecs() {
+		bodies = append(bodies,
+			ShardProbeRequest{Table: target, Spec: bad.spec},
+			ShardExplainRequest{Table: target, LakeTable: "S2", Spec: bad.spec})
+	}
+	for _, req := range bodies {
+		body, err := json.Marshal(req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	f.Add([]byte(`{"table": {`))
+	f.Add([]byte{})
+
+	srv, err := New(figure1Engine(f), Config{MaxBodyBytes: 2048})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/shard/probe", "/v1/shard/explain"} {
 			checkErrorContract(t, path, serve(srv, http.MethodPost, path, body), body)
 		}
 	})

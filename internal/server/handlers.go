@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"d3l"
+	"d3l/internal/core"
 )
 
 // writeBody writes a body that is already in hand, declaring its
@@ -79,10 +80,11 @@ func writeEngineError(w http.ResponseWriter, err error) {
 			"request exceeded the execution deadline")
 	case errors.Is(err, d3l.ErrUnsupported):
 		writeError(w, http.StatusNotImplemented, CodeUnsupported, err.Error())
-	case errors.Is(err, d3l.ErrInvalidOptions):
-		// Handlers pre-validate, so this is a belt-and-braces mapping:
-		// if the library ever rejects an option set the wire check let
-		// through, the client still sees a 400, not a 500.
+	case errors.Is(err, d3l.ErrInvalidOptions) || errors.Is(err, core.ErrInvalidSpec):
+		// The query routes pre-validate, so for them this is a
+		// belt-and-braces mapping. The shard routes take a core spec as
+		// sent and rely on it: a 500 would have a coordinator retry the
+		// same bad spec on a sibling replica.
 		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 	case errors.Is(err, d3l.ErrTableNotFound):
 		writeError(w, http.StatusNotFound, CodeNotFound, err.Error())
@@ -353,7 +355,10 @@ func (s *Server) handleAddTable(w http.ResponseWriter, r *http.Request) {
 		case req.TableID == nil:
 			id, err = e.Add(t)
 		case ok:
-			id, err = sc.AddProfiled(t, sc.PrepareShardTarget(t), &d3l.WriteIDs{Table: *req.TableID, Attr: *req.AttrID})
+			var target *core.Target
+			if target, err = sc.Prepare(t); err == nil {
+				id, err = sc.AddProfiled(t, target, &d3l.WriteIDs{Table: *req.TableID, Attr: *req.AttrID})
+			}
 		default:
 			err = errAssignedIDs
 		}

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"d3l"
+	"d3l/internal/core"
 )
 
 // Engine is the serving abstraction the HTTP layer runs over: the
@@ -140,9 +141,9 @@ type Server struct {
 	cfg    Config
 	engine atomic.Pointer[engineBox]
 	cache  *resultCache
-	// shardTargets is the shard replica's memo of profiled targets
+	// shardTargets is the shard replica's memo of prepared targets
 	// (see shard_handlers.go).
-	shardTargets *lruCache[*d3l.ShardTarget]
+	shardTargets *lruCache[*core.Target]
 	gate         chan struct{}
 	stats        stats
 	metrics      *serverMetrics
@@ -232,7 +233,7 @@ func New(engine Engine, cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:          cfg,
 		cache:        newResultCache(cfg.CacheEntries),
-		shardTargets: newLRUCache[*d3l.ShardTarget](shardTargetMemoEntries(cfg.MaxConcurrent)),
+		shardTargets: newLRUCache[*core.Target](shardTargetMemoEntries(cfg.MaxConcurrent)),
 		gate:         make(chan struct{}, cfg.MaxConcurrent),
 		flights:      make(map[string]*flight),
 		mux:          http.NewServeMux(),

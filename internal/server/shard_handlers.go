@@ -14,10 +14,12 @@ import (
 // monolithic *d3l.Engine doubles as one shard replica of a distributed
 // set: the thin coordinator (`d3l coordinator`, internal/shard.Remote)
 // drives the two-phase scatter-gather protocol through POST
-// /v1/shard/probe and /v1/shard/gather. Writes take the ordinary table
-// routes; the coordinator sends each one to its owner only, with the
-// ids it assigned the write in the request body (AddTableRequest), so
-// the replica holds its tables under the monolith's ids.
+// /v1/shard/probe and /v1/shard/gather, and routes an explanation to
+// the owning shard through POST /v1/shard/explain. Writes take the
+// ordinary table routes; the coordinator sends each one to its owner
+// only, with the ids it assigned the write in the request body
+// (AddTableRequest), so the replica holds its tables under the
+// monolith's ids.
 //
 // The endpoints are admission-gated like every other query and
 // mutation, but deliberately uncached: a probe or gather answer is an
@@ -26,18 +28,19 @@ import (
 // replica-side cache would only hold bytes no client can ever hit
 // twice (the gather body varies with the globally merged depths).
 //
-// What a replica does keep between the two phases is the profiled
-// target: profiling is the one piece of work probe and gather share
-// (ProfileTarget, ~0.9 ms), and the gather of a query follows its probe
-// by milliseconds. The probe handler leaves the profiles in a small LRU
-// memo keyed by the SHA-256 of the target content; the gather handler
-// finds them there and skips both the row-to-column conversion and the
-// profiling pass. A miss — the gather failed over or hedged to a
-// replica that never saw the probe, the process restarted, the entry
-// aged out — just profiles again, so the memo can only save work, never
-// change an answer: profiles are a pure function of the table and the
-// engine's immutable options. The key carries the swap generation and
-// Swap purges, so profiles never cross engines.
+// What a replica does keep between the steps of a query is the
+// prepared target: preparing (profiling, ~0.9 ms) is the one piece of
+// work explain, probe and gather share, and the steps of a query follow
+// each other by milliseconds. All three routes resolve their target
+// through a small LRU memo keyed by the SHA-256 of the target content:
+// the first step to arrive prepares the target and leaves it there, and
+// the next finds it and skips both the row-to-column conversion and the
+// profiling pass. A miss — a step failed over or hedged to a replica
+// that never saw the earlier one, the process restarted, the entry aged
+// out — just prepares again, so the memo can only save work, never
+// change an answer: a prepared target is a pure function of the table
+// and the engine's immutable options. The key carries the swap
+// generation and Swap purges, so targets never cross engines.
 //
 // Probe and explain answers, and every error, are JSON. The gather
 // answer — a thousand rows and five thousand float64 samples — is the
@@ -49,9 +52,10 @@ import (
 // shardPartialContentType labels the binary gather answer.
 const shardPartialContentType = "application/vnd.d3l.shard-partial"
 
-// shardTargetMemoEntries sizes the profiled-target memo from the
-// admission capacity: a slot for every probe the gate can be running
-// and one more for each gather that may still be on its way.
+// shardTargetMemoEntries sizes the prepared-target memo from the
+// admission capacity: a slot for every step the gate can be running
+// and one more for each step of the same query that may still be on its
+// way.
 func shardTargetMemoEntries(maxConcurrent int) int { return 2 * maxConcurrent }
 
 // shardCapable is the optional interface a serving engine implements
@@ -60,11 +64,11 @@ func shardTargetMemoEntries(maxConcurrent int) int { return 2 * maxConcurrent }
 // subsystem defines), so the endpoints answer 501 on them, and a write
 // carrying assigned ids answers 400 (errAssignedIDs).
 type shardCapable interface {
-	PrepareShardTarget(target *d3l.Table) *d3l.ShardTarget
-	ShardProbe(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec) (*d3l.ShardProbe, error)
-	ShardGather(ctx context.Context, target *d3l.ShardTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
-	ShardExplain(ctx context.Context, target *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
-	AddProfiled(t *d3l.Table, profiled *d3l.ShardTarget, at *d3l.WriteIDs) (int, error)
+	Prepare(t *d3l.Table) (*core.Target, error)
+	ShardProbe(ctx context.Context, target *core.Target, spec core.QuerySpec) (*d3l.ShardProbe, error)
+	ShardGather(ctx context.Context, target *core.Target, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
+	ShardExplain(ctx context.Context, target *core.Target, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
+	AddProfiled(t *d3l.Table, target *core.Target, at *d3l.WriteIDs) (int, error)
 	UpdateAt(t *d3l.Table, attr int) (d3l.UpdateStats, error)
 }
 
@@ -101,44 +105,30 @@ type ShardExplainResponse struct {
 	Rows []d3l.PairExplanation `json:"rows"`
 }
 
+// shardRequest is a shard route's body: each names the table it runs
+// over.
+type shardRequest interface{ wireTable() *TableJSON }
+
+func (r *ShardProbeRequest) wireTable() *TableJSON   { return &r.Table }
+func (r *ShardGatherRequest) wireTable() *TableJSON  { return &r.Table }
+func (r *ShardExplainRequest) wireTable() *TableJSON { return &r.Table }
+
 // errAssignedIDs refuses coordinator-assigned write ids on a serving
 // mode that assigns them itself: only a shard replica takes them.
 var errAssignedIDs = fmt.Errorf("%w: this serving mode assigns write ids itself", d3l.ErrWriteIDs)
 
-// shardTarget resolves a probe or gather request's target to its
-// profiles: the memo's on a hit, else a function that profiles the
-// table (under the admission gate, where the caller runs it) and
-// remembers the result. It answers the 400 itself for a malformed
-// table.
-func (s *Server) shardTarget(w http.ResponseWriter, sc shardCapable, gen uint64, tj *TableJSON) (func() *d3l.ShardTarget, bool) {
-	key := shardTargetKey(gen, tj)
-	if target, ok := s.shardTargets.get(key); ok {
-		return func() *d3l.ShardTarget { return target }, true
-	}
-	table, err := tj.toTable()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-		return nil, false
-	}
-	return func() *d3l.ShardTarget {
-		target := sc.PrepareShardTarget(table)
-		s.shardTargets.put(key, target)
-		return target
-	}, true
-}
-
-// shardWork is a shard route's request made ready to run under the
-// admission gate; it returns the answer's bytes.
-type shardWork = func(ctx context.Context) ([]byte, error)
-
 // serveShard is the one path of the shard routes: it decodes the body,
 // resolves the serving engine's shard surface and the swap generation
 // it serves under (answering the 501 itself when the engine is not a
-// shard-capable monolith), has prepare ready the work (prepare answers
-// a 400 itself and reports false), and writes the work's answer as
-// contentType.
-func serveShard[Req any](s *Server, w http.ResponseWriter, r *http.Request, contentType string,
-	prepare func(sc shardCapable, gen uint64, req *Req) (shardWork, bool)) {
+// shard-capable monolith), and runs the route's executor under the
+// admission gate over the request's prepared target — the memo's on a
+// hit, else prepared there and remembered (a malformed table answers
+// 400) — writing its answer as contentType.
+func serveShard[Req any, P interface {
+	*Req
+	shardRequest
+}](s *Server, w http.ResponseWriter, r *http.Request, contentType string,
+	execute func(ctx context.Context, sc shardCapable, target *core.Target, req *Req) ([]byte, error)) {
 	var req Req
 	if !s.decodeBody(w, r, &req) {
 		return
@@ -150,11 +140,27 @@ func serveShard[Req any](s *Server, w http.ResponseWriter, r *http.Request, cont
 			"this serving mode cannot act as a shard replica")
 		return
 	}
-	work, ok := prepare(sc, gen, &req)
-	if !ok {
-		return
+	tj := P(&req).wireTable()
+	key := shardTargetKey(gen, tj)
+	target, hit := s.shardTargets.get(key)
+	var table *d3l.Table
+	if !hit {
+		var err error
+		if table, err = tj.toTable(); err != nil {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+			return
+		}
 	}
-	body, _, err := s.admit(r.Context(), work)
+	body, _, err := s.admit(r.Context(), func(ctx context.Context) ([]byte, error) {
+		if !hit {
+			var err error
+			if target, err = sc.Prepare(table); err != nil {
+				return nil, err
+			}
+			s.shardTargets.put(key, target)
+		}
+		return execute(ctx, sc, target, &req)
+	})
 	if err != nil {
 		writeEngineError(w, err)
 		return
@@ -163,44 +169,31 @@ func serveShard[Req any](s *Server, w http.ResponseWriter, r *http.Request, cont
 }
 
 func (s *Server) handleShardProbe(w http.ResponseWriter, r *http.Request) {
-	serveShard(s, w, r, "application/json", func(sc shardCapable, gen uint64, req *ShardProbeRequest) (shardWork, bool) {
-		target, ok := s.shardTarget(w, sc, gen, &req.Table)
-		return func(ctx context.Context) ([]byte, error) {
-			probe, err := sc.ShardProbe(ctx, target(), req.Spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(probe)
-		}, ok
+	serveShard(s, w, r, "application/json", func(ctx context.Context, sc shardCapable, target *core.Target, req *ShardProbeRequest) ([]byte, error) {
+		probe, err := sc.ShardProbe(ctx, target, req.Spec)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(probe)
 	})
 }
 
 func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
-	serveShard(s, w, r, shardPartialContentType, func(sc shardCapable, gen uint64, req *ShardGatherRequest) (shardWork, bool) {
-		target, ok := s.shardTarget(w, sc, gen, &req.Table)
-		return func(ctx context.Context) ([]byte, error) {
-			partial, err := sc.ShardGather(ctx, target(), req.Spec, &req.Depths)
-			if err != nil {
-				return nil, err
-			}
-			return d3l.EncodeShardPartial(partial), nil
-		}, ok
+	serveShard(s, w, r, shardPartialContentType, func(ctx context.Context, sc shardCapable, target *core.Target, req *ShardGatherRequest) ([]byte, error) {
+		partial, err := sc.ShardGather(ctx, target, req.Spec, &req.Depths)
+		if err != nil {
+			return nil, err
+		}
+		return d3l.EncodeShardPartial(partial), nil
 	})
 }
 
 func (s *Server) handleShardExplain(w http.ResponseWriter, r *http.Request) {
-	serveShard(s, w, r, "application/json", func(sc shardCapable, _ uint64, req *ShardExplainRequest) (shardWork, bool) {
-		target, err := req.Table.toTable()
+	serveShard(s, w, r, "application/json", func(ctx context.Context, sc shardCapable, target *core.Target, req *ShardExplainRequest) ([]byte, error) {
+		rows, err := sc.ShardExplain(ctx, target, req.LakeTable, req.Spec)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return nil, false
+			return nil, err
 		}
-		return func(ctx context.Context) ([]byte, error) {
-			rows, err := sc.ShardExplain(ctx, target, req.LakeTable, req.Spec)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(ShardExplainResponse{Rows: rows})
-		}, true
+		return json.Marshal(ShardExplainResponse{Rows: rows})
 	})
 }

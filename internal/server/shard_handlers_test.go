@@ -66,11 +66,11 @@ func TestShardGatherAnswersBinary(t *testing.T) {
 }
 
 // TestShardTargetMemo pins the prepared-target memo: the probe leaves
-// the target's profiles behind, the gather that follows reuses them,
-// a gather with no probe before it (failover to a sibling replica)
-// profiles for itself and answers the same bytes, distinct targets get
-// distinct entries, the memo never outgrows its bound, and Swap drops
-// it.
+// the prepared target behind, the gather that follows reuses it, a
+// gather with no probe before it (failover to a sibling replica)
+// prepares for itself and answers the same bytes, distinct targets get
+// distinct entries, the memo never outgrows its bound, Swap drops it,
+// and an explain prepares into it for the probe that follows.
 func TestShardTargetMemo(t *testing.T) {
 	cfg := Config{MaxConcurrent: 2}
 	warm, warmHS := newTestServer(t, figure1Engine(t), cfg)
@@ -142,11 +142,84 @@ func TestShardTargetMemo(t *testing.T) {
 		t.Fatalf("gather after Swap: status %d, same bytes %v", status, bytes.Equal(after, hit))
 	}
 
+	// One prepared target serves explain then probe: the explain leaves
+	// it in the memo and the probe of the same table finds it there, and
+	// both answer the bytes they answer without the memo.
+	explained, explainedHS := newTestServer(t, figure1Engine(t), cfg)
+	explain := ShardExplainRequest{Table: target, LakeTable: "S1", Spec: spec}
+	status, rows := postJSON(t, explainedHS.URL+"/v1/shard/explain", explain)
+	if status != http.StatusOK {
+		t.Fatalf("explain: status %d: %s", status, rows)
+	}
+	if n := explained.shardTargets.len(); n != 1 {
+		t.Fatalf("after one explain the memo holds %d targets, want 1", n)
+	}
+	status, probed := postJSON(t, explainedHS.URL+"/v1/shard/probe", ShardProbeRequest{Table: target, Spec: spec})
+	if status != http.StatusOK || !bytes.Equal(probed, body) {
+		t.Fatalf("probe after explain: status %d, same bytes as a probe alone %v", status, bytes.Equal(probed, body))
+	}
+	if n := explained.shardTargets.len(); n != 1 {
+		t.Fatalf("the probe after an explain changed the memo to %d targets, want 1", n)
+	}
+	if n := cold.shardTargets.len(); n != 1 {
+		t.Fatalf("fixture: the cold replica's memo holds %d targets, want 1", n)
+	}
+	status, hitRows := postJSON(t, coldHS.URL+"/v1/shard/explain", explain)
+	if status != http.StatusOK || !bytes.Equal(hitRows, rows) {
+		t.Fatalf("explain on a memo hit: status %d, same bytes as on a miss %v", status, bytes.Equal(hitRows, rows))
+	}
+
 	// A malformed table is still a 400, memo or not.
 	bad := target
 	bad.Columns = nil
 	if status, _ := postJSON(t, warmHS.URL+"/v1/shard/probe", ShardProbeRequest{Table: bad, Spec: spec}); status != http.StatusBadRequest {
 		t.Fatalf("probe with no columns: status %d, want 400", status)
+	}
+}
+
+// invalidShardSpec is a spec the engine refuses, and whether an
+// explanation, which ignores K, refuses it too.
+type invalidShardSpec struct {
+	name           string
+	spec           core.QuerySpec
+	explainRefuses bool
+}
+
+// invalidShardSpecs are the specs the engine refuses, one per rule.
+func invalidShardSpecs() []invalidShardSpec {
+	var allOff [core.NumEvidence]bool
+	for i := range allOff {
+		allOff[i] = true
+	}
+	return []invalidShardSpec{
+		{"K 0", core.QuerySpec{K: 0}, false},
+		{"K -1", core.QuerySpec{K: -1}, false},
+		{"CandidateBudget -1", core.QuerySpec{K: 3, CandidateBudget: -1}, true},
+		{"Parallelism -2", core.QuerySpec{K: 3, Parallelism: -2}, true},
+		{"all evidence disabled", core.QuerySpec{K: 3, Disabled: &allOff}, true},
+	}
+}
+
+// TestShardRoutesRefuseInvalidSpecs: a spec the engine refuses is the
+// client's error, a 400 bad_request, on the probe and the explain
+// route alike — not a 500, which a coordinator would count against the
+// replica's breaker and retry on a sibling. An explanation ignores K,
+// so explain answers a K of 0 or -1.
+func TestShardRoutesRefuseInvalidSpecs(t *testing.T) {
+	_, hs := newTestServer(t, figure1Engine(t), Config{})
+	target := figure1TargetJSON()
+	for _, c := range invalidShardSpecs() {
+		status, body := postJSON(t, hs.URL+"/v1/shard/probe", ShardProbeRequest{Table: target, Spec: c.spec})
+		if status != http.StatusBadRequest || decodeEnvelope(t, body) != CodeBadRequest {
+			t.Errorf("probe with %s: status %d body %s, want 400 %s", c.name, status, body, CodeBadRequest)
+		}
+		status, body = postJSON(t, hs.URL+"/v1/shard/explain", ShardExplainRequest{Table: target, LakeTable: "S2", Spec: c.spec})
+		switch {
+		case !c.explainRefuses && status != http.StatusOK:
+			t.Errorf("explain with %s: status %d body %s, want 200", c.name, status, body)
+		case c.explainRefuses && (status != http.StatusBadRequest || decodeEnvelope(t, body) != CodeBadRequest):
+			t.Errorf("explain with %s: status %d body %s, want 400 %s", c.name, status, body, CodeBadRequest)
+		}
 	}
 }
 

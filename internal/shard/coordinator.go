@@ -22,13 +22,13 @@ import (
 // coordinator's owner rule scans past a wrong ring owner on exactly
 // that error.
 type shardClient[T any] interface {
-	// prepare readies a target for both phases of one query, which run
-	// under the same spec. The coordinator asks shard 0 only and hands
-	// the result to every shard.
+	// prepare readies a target for every step of one query — explain,
+	// probe and gather — which run under the same spec. The coordinator
+	// asks shard 0 only and hands the result to every shard.
 	prepare(t *d3l.Table, spec core.QuerySpec) (T, error)
 	probe(ctx context.Context, t T, spec core.QuerySpec) (*d3l.ShardProbe, error)
 	gather(ctx context.Context, t T, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
-	explain(ctx context.Context, t *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
+	explain(ctx context.Context, t T, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
 
 	// add and update write at the ids the coordinator assigned: the
 	// shard fills its id space with dead slots up to them.
@@ -117,9 +117,6 @@ func (c *coordinator[T, C]) Query(ctx context.Context, target *d3l.Table, opts .
 	if err != nil {
 		return nil, err
 	}
-	if target == nil {
-		return nil, fmt.Errorf("d3l: nil target")
-	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.query(ctx, target, sq)
@@ -137,9 +134,6 @@ func (c *coordinator[T, C]) QueryBatch(ctx context.Context, targets []*d3l.Table
 	defer c.mu.RUnlock()
 	answers := make([]*d3l.Answer, len(targets))
 	for i, tgt := range targets {
-		if tgt == nil {
-			return nil, fmt.Errorf("d3l: nil target")
-		}
 		a, err := c.query(ctx, tgt, sq)
 		if err != nil {
 			return nil, fmt.Errorf("target %d: %w", i, err)
@@ -149,15 +143,24 @@ func (c *coordinator[T, C]) QueryBatch(ctx context.Context, targets []*d3l.Table
 	return answers, nil
 }
 
-// query runs one resolved query. Caller holds c.mu in read mode.
-func (c *coordinator[T, C]) query(ctx context.Context, target *d3l.Table, sq *d3l.ShardQuery) (*d3l.Answer, error) {
+// query runs one resolved query: prepare the target once, on shard 0,
+// then explain on the owner and search every shard over it. Caller
+// holds c.mu in read mode.
+func (c *coordinator[T, C]) query(ctx context.Context, table *d3l.Table, sq *d3l.ShardQuery) (*d3l.Answer, error) {
+	if table == nil { // a replica group's prepare would put it on the wire
+		return nil, fmt.Errorf("d3l: nil target")
+	}
 	start := time.Now()
+	target, err := c.shards[0].prepare(table, sq.Spec)
+	if err != nil {
+		return nil, err
+	}
 	ans := &d3l.Answer{Stats: d3l.QueryStats{K: sq.K}}
 	if sq.ExplainFor != "" {
 		// Explanations are purely pairwise (only the spec's evidence mask
 		// matters), so the owning shard alone answers exactly. Asked first,
 		// it is also the monolith's pre-check: an unknown table fails
-		// before any ranking work. Partial mode never applies.
+		// before any probe or gather. Partial mode never applies.
 		err := c.onOwner(sq.ExplainFor, func(s C) (err error) {
 			ans.Explanation, err = s.explain(ctx, target, sq.ExplainFor, sq.Spec)
 			return err
@@ -175,18 +178,14 @@ func (c *coordinator[T, C]) query(ctx context.Context, target *d3l.Table, sq *d3
 	return ans, nil
 }
 
-// search runs the two-phase protocol: prepare the target once, probe
+// search runs the two-phase protocol over the prepared target: probe
 // every shard for its per-depth candidate counts, merge them into the
 // global stop depths, gather partials at those depths from the shards
 // that probed, and merge the ranking into ans. Any failure fails the
 // query, since a silent subset answer would break byte-identity with the
 // monolith — unless it accepts partial results: then a shard whose probe
 // or gather fails is dropped and the answer is marked degraded.
-func (c *coordinator[T, C]) search(ctx context.Context, table *d3l.Table, sq *d3l.ShardQuery, ans *d3l.Answer) error {
-	target, err := c.shards[0].prepare(table, sq.Spec)
-	if err != nil {
-		return err
-	}
+func (c *coordinator[T, C]) search(ctx context.Context, target T, sq *d3l.ShardQuery, ans *d3l.Answer) error {
 	live := make([]int, len(c.shards))
 	for i := range live {
 		live[i] = i

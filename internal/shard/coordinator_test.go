@@ -303,7 +303,7 @@ func TestMutationsRacingQueries(t *testing.T) {
 		set := buildSet(t, lake, 2)
 		held := new(atomic.Int64)
 		held.Store(int64(latency))
-		eng := &coordinator[*d3l.ShardTarget, slowGather]{place: set.place, shards: []slowGather{
+		eng := &coordinator[*core.Target, slowGather]{place: set.place, shards: []slowGather{
 			{set.shards[0], held}, {set.shards[1], held},
 		}}
 		raceMutations(t, lake, buildMono(t, lake), eng)
@@ -441,7 +441,7 @@ type slowGather struct {
 	latency *atomic.Int64 // nanoseconds
 }
 
-func (s slowGather) gather(ctx context.Context, t *d3l.ShardTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
+func (s slowGather) gather(ctx context.Context, t *core.Target, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
 	timer := time.NewTimer(time.Duration(s.latency.Load()))
 	defer timer.Stop()
 	select {
@@ -476,7 +476,7 @@ func TestPartialQueryPastItsDeadlineFails(t *testing.T) {
 		{"set", func(t *testing.T) (server.Engine, func(time.Duration)) {
 			set := buildSet(t, lake, 2)
 			slow := new(atomic.Int64)
-			eng := &coordinator[*d3l.ShardTarget, slowGather]{place: set.place, shards: []slowGather{
+			eng := &coordinator[*core.Target, slowGather]{place: set.place, shards: []slowGather{
 				{set.shards[0], new(atomic.Int64)}, {set.shards[1], slow},
 			}}
 			return eng, func(d time.Duration) { slow.Store(int64(d)) }

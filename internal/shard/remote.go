@@ -415,8 +415,8 @@ func (r *Remote) probeOnce() {
 // ---- the shard client: queries ----
 
 // wireTarget is a query target as the replica groups send it: the table
-// in wire shape, and each phase's request body (spec included),
-// marshalled once for every shard. The gather body waits for the first
+// in wire shape, which the explain body reuses, and each phase's
+// request body (spec included), marshalled once for every shard. The gather body waits for the first
 // gather to ask, since only then are the depths — the same for every
 // shard — known.
 type wireTarget struct {
@@ -429,6 +429,9 @@ type wireTarget struct {
 
 func (g *replicaGroup) prepare(t *d3l.Table, spec core.QuerySpec) (*wireTarget, error) {
 	w := &wireTarget{table: tableToWire(t)}
+	if spec.K == 0 {
+		return w, nil // an explanation only: no probe follows
+	}
 	var err error
 	w.probeBody, err = json.Marshal(server.ShardProbeRequest{Table: w.table, Spec: spec})
 	return w, err
@@ -448,8 +451,8 @@ func (g *replicaGroup) gather(ctx context.Context, t *wireTarget, spec core.Quer
 	return read(ctx, g, "/v1/shard/gather", t.gatherBody, d3l.DecodeShardPartial)
 }
 
-func (g *replicaGroup) explain(ctx context.Context, t *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error) {
-	body, err := json.Marshal(server.ShardExplainRequest{Table: tableToWire(t), LakeTable: lakeTable, Spec: spec})
+func (g *replicaGroup) explain(ctx context.Context, t *wireTarget, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error) {
+	body, err := json.Marshal(server.ShardExplainRequest{Table: t.table, LakeTable: lakeTable, Spec: spec})
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 // byte-identically to a monolith holding the union lake; each write
 // goes to its ring owner only, at the ids the coordinator assigned it.
 type Set struct {
-	coordinator[*d3l.ShardTarget, localShard]
+	coordinator[*core.Target, localShard]
 }
 
 // NewSet wraps already-built engines (one per ring slot) in a Set. Each
@@ -67,7 +67,10 @@ func BuildSet(lake *d3l.Lake, n int, opts d3l.Options) (*Set, error) {
 		}
 		shards[s] = e
 	}
-	profiled := shards[0].PrepareShardTargets(tables)
+	profiled, err := shards[0].PrepareAll(tables)
+	if err != nil {
+		return nil, err
+	}
 	var at d3l.WriteIDs
 	for id, tb := range tables {
 		at.Table = id
@@ -110,24 +113,28 @@ func (s *Set) SetStageObserver(o d3l.StageObserver) {
 // built from the same options, so shard 0's profiles are every shard's.
 type localShard struct{ e *d3l.Engine }
 
-func (l localShard) prepare(t *d3l.Table, _ core.QuerySpec) (*d3l.ShardTarget, error) {
-	return l.e.PrepareShardTarget(t), nil
+func (l localShard) prepare(t *d3l.Table, _ core.QuerySpec) (*core.Target, error) {
+	return l.e.Prepare(t)
 }
 
-func (l localShard) probe(ctx context.Context, t *d3l.ShardTarget, spec core.QuerySpec) (*d3l.ShardProbe, error) {
+func (l localShard) probe(ctx context.Context, t *core.Target, spec core.QuerySpec) (*d3l.ShardProbe, error) {
 	return l.e.ShardProbe(ctx, t, spec)
 }
 
-func (l localShard) gather(ctx context.Context, t *d3l.ShardTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
+func (l localShard) gather(ctx context.Context, t *core.Target, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
 	return l.e.ShardGather(ctx, t, spec, depths)
 }
 
-func (l localShard) explain(ctx context.Context, t *d3l.Table, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error) {
+func (l localShard) explain(ctx context.Context, t *core.Target, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error) {
 	return l.e.ShardExplain(ctx, t, lakeTable, spec)
 }
 
 func (l localShard) add(_ context.Context, t *d3l.Table, at d3l.WriteIDs) (int, error) {
-	return l.e.AddProfiled(t, l.e.PrepareShardTarget(t), &at)
+	target, err := l.e.Prepare(t)
+	if err != nil {
+		return 0, err
+	}
+	return l.e.AddProfiled(t, target, &at)
 }
 
 func (l localShard) update(_ context.Context, t *d3l.Table, attr int) (d3l.UpdateStats, error) {

@@ -183,6 +183,18 @@ func WithCandidateBudget(n int) QueryOption {
 	}
 }
 
+// spec is the core query parameter block the configuration runs with,
+// on a monolith and on every shard alike.
+func (c *queryConfig) spec() core.QuerySpec {
+	return core.QuerySpec{
+		K:               c.k,
+		Weights:         c.weights,
+		Disabled:        c.disabled,
+		CandidateBudget: c.budget,
+		Parallelism:     c.parallelism,
+	}
+}
+
 func newQueryConfig(opts []QueryOption) (queryConfig, error) {
 	cfg := queryConfig{k: DefaultK}
 	for _, opt := range opts {
@@ -267,33 +279,29 @@ func (e *Engine) Query(ctx context.Context, target *Table, opts ...QueryOption) 
 	return e.query(ctx, target, cfg)
 }
 
-// query runs one configured query. When cfg.joins is set the caller
-// must hold e.mu in read mode.
-func (e *Engine) query(ctx context.Context, target *Table, cfg queryConfig) (*Answer, error) {
-	if target == nil {
-		return nil, fmt.Errorf("d3l: nil target")
-	}
+// query runs one configured query: prepare the target once, then
+// execute the ranking and the explanation over it. When cfg.joins is
+// set the caller must hold e.mu in read mode.
+func (e *Engine) query(ctx context.Context, t *Table, cfg queryConfig) (*Answer, error) {
 	if cfg.explainFor != "" && !e.core.HasTable(cfg.explainFor) {
-		// Fail the whole query before any ranking work: an unknown
-		// explanation target must not cost a full search per retry.
-		// This is advisory (the table can vanish between here and the
-		// explanation, which re-resolves under the query lock); it
-		// mirrors core.ExplainSpec's own check-before-profiling rule.
+		// Fail the whole query before any profiling or ranking work: an
+		// unknown explanation target must not cost a full search per
+		// retry. This is advisory (the table can vanish between here and
+		// the explanation, which re-resolves under the query lock).
 		return nil, fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, cfg.explainFor)
 	}
-	start := time.Now()
-	spec := core.QuerySpec{
-		K:               cfg.k,
-		Weights:         cfg.weights,
-		Disabled:        cfg.disabled,
-		CandidateBudget: cfg.budget,
-		Parallelism:     cfg.parallelism,
+	if err := ctx.Err(); err != nil {
+		return nil, err // a query that is over spends nothing on profiling
 	}
+	start := time.Now()
+	target, err := e.core.Prepare(t)
+	if err != nil {
+		return nil, err
+	}
+	spec := cfg.spec()
 	ans := &Answer{Stats: QueryStats{K: cfg.k}}
-	var res *core.SearchResult
 	if cfg.k > 0 {
-		var err error
-		res, err = e.core.SearchSpec(ctx, target, spec)
+		res, err := e.core.Search(ctx, target, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -314,18 +322,9 @@ func (e *Engine) query(ctx context.Context, target *Table, cfg queryConfig) (*An
 		}
 	}
 	if cfg.explainFor != "" {
-		var rows []PairExplanation
-		var err error
-		if res != nil {
-			// The ranking already profiled the target; reuse it.
-			rows, err = e.core.ExplainProfiled(ctx, target, res.TargetProfiles, res.TargetSubject, cfg.explainFor, spec)
-		} else {
-			rows, err = e.core.ExplainSpec(ctx, target, cfg.explainFor, spec)
-		}
-		if err != nil {
+		if ans.Explanation, err = e.core.Explain(ctx, target, cfg.explainFor, spec); err != nil {
 			return nil, err
 		}
-		ans.Explanation = rows
 	}
 	ans.Stats.Elapsed = time.Since(start)
 	return ans, nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"d3l"
+	"d3l/internal/core"
 	"d3l/internal/datagen"
 )
 
@@ -329,5 +330,40 @@ func TestTablesAndTableNameUnderChurn(t *testing.T) {
 	names = engine.Tables()
 	if len(names) != 2 || names[0] != "S1" || names[1] != "S2" {
 		t.Fatalf("Tables() after Remove = %v, want [S1 S2]", names)
+	}
+}
+
+// TestNilTargetRefusedEverywhere: every entry point that prepares a
+// query target refuses a nil table with an error, and none panics.
+func TestNilTargetRefusedEverywhere(t *testing.T) {
+	ctx := context.Background()
+	engine := figure1Engine(t)
+	ce, err := core.BuildEngine(figure1Lake(t), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := core.QuerySpec{K: 3}
+	depths := &core.ShardDepths{}
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"core.Engine.Prepare", func() error { _, err := ce.Prepare(nil); return err }},
+		{"core.Engine.SearchSpec", func() error { _, err := ce.SearchSpec(ctx, nil, spec); return err }},
+		{"core.Engine.ShardProbeSpec", func() error { _, err := ce.ShardProbeSpec(ctx, nil, spec); return err }},
+		{"core.Engine.ShardGatherSpec", func() error { _, err := ce.ShardGatherSpec(ctx, nil, spec, depths); return err }},
+		{"d3l.Engine.Query", func() error { _, err := engine.Query(ctx, nil); return err }},
+		{"d3l.Engine.Prepare", func() error { _, err := engine.Prepare(nil); return err }},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s(nil) panicked: %v", c.name, r)
+				}
+			}()
+			if err := c.call(); err == nil {
+				t.Errorf("%s(nil) returned no error", c.name)
+			}
+		}()
 	}
 }

@@ -64,40 +64,21 @@ func ResolveShardQuery(opts ...QueryOption) (*ShardQuery, error) {
 		K:          cfg.k,
 		ExplainFor: cfg.explainFor,
 		PartialOK:  cfg.partialOK,
-		Spec: core.QuerySpec{
-			K:               cfg.k,
-			Weights:         cfg.weights,
-			Disabled:        cfg.disabled,
-			CandidateBudget: cfg.budget,
-			Parallelism:     cfg.parallelism,
-		},
+		Spec:       cfg.spec(),
 	}, nil
 }
 
-// ShardTarget is a query target profiled once for the shard protocol
-// (N1QL's Prepare to the two phases' Execute). Profiling is a pure
-// function of the table and the engine's immutable options, so one
-// ShardTarget serves both phases of a query and every identically
-// configured shard of a set; it is read-only after PrepareShardTarget
-// and safe to share across goroutines.
-type ShardTarget struct {
-	profiles []core.Profile
-}
+// Prepare profiles a target once for the shard executors (ShardProbe,
+// ShardGather, ShardExplain) and for AddProfiled: N1QL's Prepare to
+// their Execute. One core.Target serves both phases of a query and
+// every identically configured shard of a set (see core.Target).
+func (e *Engine) Prepare(t *Table) (*core.Target, error) { return e.core.Prepare(t) }
 
-// PrepareShardTarget profiles a target for ShardProbe and ShardGather.
-func (e *Engine) PrepareShardTarget(target *Table) *ShardTarget {
-	return &ShardTarget{profiles: e.core.ProfileTarget(target)}
-}
-
-// PrepareShardTargets is PrepareShardTarget for a whole lake's tables,
-// profiled on the engine's Options.Parallelism workers by the bulk path
-// New itself uses; slot i is tables[i]'s target.
-func (e *Engine) PrepareShardTargets(tables []*Table) []*ShardTarget {
-	out := make([]*ShardTarget, len(tables))
-	for i, profiles := range e.core.ProfileTables(tables) {
-		out[i] = &ShardTarget{profiles: profiles}
-	}
-	return out
+// PrepareAll is Prepare for a whole lake's tables, profiled on the
+// engine's Options.Parallelism workers by the bulk path New itself
+// uses; slot i is tables[i]'s target.
+func (e *Engine) PrepareAll(tables []*Table) ([]*core.Target, error) {
+	return e.core.PrepareAll(tables)
 }
 
 // WriteIDs are where a write lands in a shard's id space: the table id
@@ -111,18 +92,18 @@ type WriteIDs = core.WriteIDs
 // The HTTP layer maps it to 400.
 var ErrWriteIDs = core.ErrWriteIDs
 
-// AddProfiled is the splice half of Add, for a table PrepareShardTarget
-// has already profiled — on this engine or any identically configured
-// one: shard.BuildSet profiles a whole lake with PrepareShardTargets
-// before it hands each table to its owner. The profiles are consumed
-// (the engine keeps them, stamped with the table's id), so a
-// ShardTarget is added at most once. The table lands at at — the ids a
-// coordinator assigned it — or at the engine's next ids when at is nil;
-// the ids it skips become dead fill slots.
-func (e *Engine) AddProfiled(t *Table, profiled *ShardTarget, at *WriteIDs) (int, error) {
+// AddProfiled is the splice half of Add, for a table Prepare has
+// already profiled — on this engine or any identically configured one:
+// shard.BuildSet profiles a whole lake with PrepareAll before it hands
+// each table to its owner. The target is consumed (the engine keeps its
+// profiles, stamped with the table's id), so it is added at most once.
+// The table lands at at — the ids a coordinator assigned it — or at the
+// engine's next ids when at is nil; the ids it skips become dead fill
+// slots.
+func (e *Engine) AddProfiled(t *Table, target *core.Target, at *WriteIDs) (int, error) {
 	var id int
 	err := e.mutate(func() (err error) {
-		id, err = e.core.AddProfiled(t, profiled.profiles, at)
+		id, err = e.core.AddProfiled(t, target, at)
 		return err
 	})
 	return id, err
@@ -139,14 +120,14 @@ func (e *Engine) UpdateAt(t *Table, attr int) (stats UpdateStats, err error) {
 }
 
 // ShardProbe runs the probe phase of one sharded query on this engine.
-func (e *Engine) ShardProbe(ctx context.Context, target *ShardTarget, spec core.QuerySpec) (*ShardProbe, error) {
-	return e.core.ShardProbeProfiled(ctx, target.profiles, spec)
+func (e *Engine) ShardProbe(ctx context.Context, target *core.Target, spec core.QuerySpec) (*ShardProbe, error) {
+	return e.core.ShardProbe(ctx, target, spec)
 }
 
 // ShardGather runs the gather phase of one sharded query on this
 // engine at the coordinator's imposed depths.
-func (e *Engine) ShardGather(ctx context.Context, target *ShardTarget, spec core.QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
-	return e.core.ShardGatherProfiled(ctx, target.profiles, spec, depths)
+func (e *Engine) ShardGather(ctx context.Context, target *core.Target, spec core.QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
+	return e.core.ShardGather(ctx, target, spec, depths)
 }
 
 // EncodeShardPartial renders a gather answer in its binary wire form
@@ -161,8 +142,8 @@ func DecodeShardPartial(data []byte) (*ShardPartial, error) { return core.Decode
 // lake table owned by this shard. Explanations are purely pairwise —
 // only the spec's evidence mask affects the rows, never the other
 // shards' contents — so routing them to the owning shard is exact.
-func (e *Engine) ShardExplain(ctx context.Context, target *Table, lakeTable string, spec core.QuerySpec) ([]PairExplanation, error) {
-	return e.core.ExplainSpec(ctx, target, lakeTable, spec)
+func (e *Engine) ShardExplain(ctx context.Context, target *core.Target, lakeTable string, spec core.QuerySpec) ([]PairExplanation, error) {
+	return e.core.Explain(ctx, target, lakeTable, spec)
 }
 
 // MergeShardDepths replays the monolith's probe-descent stop rule on

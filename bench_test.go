@@ -896,3 +896,32 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkProfileLake is Algorithm 1 alone over the benchmark lake (the
+// paper's Synthetic at 1 000 derived tables, seed 1307): every table is
+// profiled on one worker through the bulk path a build takes
+// (PrepareAll, one recycled scratch and word memo), with no CSV load, no
+// index and no save. DESIGN.md "What an index build costs, measured"
+// reads its time, B/op and allocs/op.
+func BenchmarkProfileLake(b *testing.B) {
+	cfg := datagen.DefaultSyntheticConfig()
+	cfg.Seed = 1307
+	lake, _, err := datagen.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := d3l.DefaultOptions()
+	opts.Parallelism = 1
+	engine, err := d3l.New(d3l.NewLake(), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tables := lake.Tables()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.PrepareAll(tables); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -122,14 +122,13 @@ func (p *profiler) sampleExtent(values []string) []string {
 
 // profileScratch carries the recycled buffers one profiling pass — a
 // table, or a bulk worker's share of a lake — threads through its
-// profileColumn calls, so per-value decomposition work (tokens, part
-// signals, format strings, embedded words) reuses memory across the
-// pass instead of allocating per value. The zero value is ready to use.
+// profileColumn calls, so per-value decomposition work (word ids, part
+// spans, format strings) reuses memory across the pass instead of
+// allocating per value. The zero value is ready to use.
 type profileScratch struct {
-	rset    []string
-	rs      format.RSetScratch
-	signals tokenize.SignalScratch
-	words   []string
+	rset   []string
+	rs     format.RSetScratch
+	extent tokenize.Extent
 	// emb embeds the nominated words; a bulk worker's remembers the word
 	// vectors it has built, because a lake repeats its vocabulary from
 	// attribute to attribute. The memo lives here and not on the shared
@@ -174,36 +173,24 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 		return prof
 	}
 
-	// One pass over the extent builds the token histogram (Algorithm 1
-	// lines 5-8), then the per-part refinement of Example 2 selects
-	// tset words and embedding nominations. Both passes run on the
-	// table-level scratch, so the per-value decomposition allocates
-	// only distinct map keys.
-	hist := tokenize.NewHistogram()
+	// One scan of each value lowers it, splits it into parts and words,
+	// and counts every word in the token histogram (Algorithm 1 lines
+	// 5-8); the per-part refinement of Example 2 then walks the recorded
+	// parts to select tset words and embedding nominations.
+	ext := &scratch.extent
+	ext.Reset()
 	for _, v := range values {
-		hist.Insert(scratch.signals.TokensAppend(v))
+		ext.Add(v)
 	}
-	tset := make(map[string]struct{})
-	embedWords := make(map[string]struct{})
-	for _, v := range values {
-		tsetWords, embWords := hist.PartSignalsScratch(v, &scratch.signals)
-		for _, w := range tsetWords {
-			tset[w] = struct{}{}
-		}
-		for _, w := range embWords {
-			if hist.IsFrequent(w) {
-				embedWords[w] = struct{}{}
-			}
-		}
-	}
+	tset, embedWords := ext.Signals()
+	prof.TSig = p.hasher.Sketch(tset)
+	prof.TSize = len(tset)
 	// Values with no frequent words still carry semantics; when nothing
 	// is frequent (near-unique extents), embed the tset words instead so
 	// E evidence is not silently dropped.
 	if len(embedWords) == 0 {
 		embedWords = tset
 	}
-	prof.TSig = p.hasher.SketchSet(tset)
-	prof.TSize = len(tset)
 
 	vec := p.attributeVector(embedWords, scratch)
 	prof.EZero = embed.IsZero(vec)
@@ -212,20 +199,16 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 }
 
 // attributeVector combines the nominated words' vectors into the
-// attribute's embedding. The words are sorted first, so that the mean
-// adds them in one order: the sum's last bits, and with them an ESig bit
-// at a hyperplane, must be a function of the column, not of how a map
-// happened to iterate.
-func (p *profiler) attributeVector(nominated map[string]struct{}, scratch *profileScratch) []float64 {
-	scratch.words = scratch.words[:0]
-	for w := range nominated {
-		scratch.words = append(scratch.words, w)
-	}
-	sort.Strings(scratch.words)
+// attribute's embedding. The words are sorted first (in place), so that
+// the mean adds them in one order: the sum's last bits, and with them an
+// ESig bit at a hyperplane, must be a function of the column's set of
+// words, not of the order the values nominated them in.
+func (p *profiler) attributeVector(nominated []string, scratch *profileScratch) []float64 {
+	sort.Strings(nominated)
 	if scratch.emb == nil {
 		scratch.emb = p.model.NewScratch()
 	}
-	return scratch.emb.Mean(scratch.words)
+	return scratch.emb.Mean(nominated)
 }
 
 // ProfileTable profiles every column of a table (which need not belong

@@ -31,91 +31,73 @@ const (
 	ClassP = 'P'
 )
 
-// appendTokenSymbols scans one whitespace-delimited token and appends
-// its symbol string to dst by segmenting it into runs: letters-with-
-// case-structure, digits, and punctuation. A capitalised prefix
-// followed by digits yields separate symbols (e.g. "M13" -> U N,
-// matching the A-or-split treatment; we classify maximal same-category
-// runs then join). Class symbols are ASCII, so the buffer is a plain
-// byte slice the caller recycles — deriving a format string allocates
-// nothing until a distinct rset entry is interned.
-func appendTokenSymbols(dst []byte, token string) []byte {
-	start := len(dst)
-	i := 0
-	for i < len(token) {
-		r, sz := utf8.DecodeRuneInString(token[i:])
-		switch {
-		case unicode.IsUpper(r):
-			// Consume the upper run, then an optional lower tail (C).
-			j := i + sz
-			single := true
-			for j < len(token) {
-				r2, sz2 := utf8.DecodeRuneInString(token[j:])
-				if !unicode.IsUpper(r2) {
-					break
-				}
-				j += sz2
-				single = false
-			}
-			if single { // single capital: maybe C with lower tail
-				k := j
-				for k < len(token) {
-					r2, sz2 := utf8.DecodeRuneInString(token[k:])
-					if !unicode.IsLower(r2) {
-						break
-					}
-					k += sz2
-				}
-				if k > j {
-					dst = append(dst, ClassC)
-					i = k
-					continue
-				}
-			}
-			dst = append(dst, ClassU)
-			i = j
-		case unicode.IsLower(r):
-			j := i + sz
-			for j < len(token) {
-				r2, sz2 := utf8.DecodeRuneInString(token[j:])
-				if !unicode.IsLower(r2) {
-					break
-				}
-				j += sz2
-			}
-			dst = append(dst, ClassL)
-			i = j
-		case unicode.IsDigit(r):
-			j := i + sz
-			for j < len(token) {
-				r2, sz2 := utf8.DecodeRuneInString(token[j:])
-				if !unicode.IsDigit(r2) {
-					break
-				}
-				j += sz2
-			}
-			dst = append(dst, ClassN)
-			i = j
-		default:
-			j := i + sz
-			for j < len(token) {
-				r2, sz2 := utf8.DecodeRuneInString(token[j:])
-				if unicode.IsUpper(r2) || unicode.IsLower(r2) || unicode.IsDigit(r2) {
-					break
-				}
-				j += sz2
-			}
-			dst = append(dst, ClassP)
-			i = j
+// Lexical categories of a character: the primitive classes a run of
+// characters is built from, and the whitespace between tokens.
+const (
+	catP     = iota // punctuation: any character not caught below
+	catUpper        // unicode.IsUpper
+	catLower        // unicode.IsLower
+	catDigit        // unicode.IsDigit
+	catSpace        // unicode.IsSpace
+)
+
+// runeCat categorises a rune. The categories are disjoint, so the order
+// of the tests does not matter.
+func runeCat(r rune) uint8 {
+	switch {
+	case unicode.IsSpace(r):
+		return catSpace
+	case unicode.IsUpper(r):
+		return catUpper
+	case unicode.IsLower(r):
+		return catLower
+	case unicode.IsDigit(r):
+		return catDigit
+	}
+	return catP
+}
+
+// asciiCat is runeCat of every ASCII byte.
+var asciiCat = func() (t [utf8.RuneSelf]uint8) {
+	for c := range t {
+		t[c] = runeCat(rune(c))
+	}
+	return t
+}()
+
+// catAt categorises the character at value[i] and reports its width. A
+// byte below 0x80 is looked up; only a byte at or above it starts a rune
+// decode (an invalid byte decodes to U+FFFD, punctuation, width 1).
+func catAt(value string, i int) (cat uint8, width int) {
+	if c := value[i]; c < utf8.RuneSelf {
+		return asciiCat[c], 1
+	}
+	r, n := utf8.DecodeRuneInString(value[i:])
+	return runeCat(r), n
+}
+
+// skipCat returns the end of the run of category cat that starts at
+// value[i].
+func skipCat(value string, i int, cat uint8) int {
+	for i < len(value) {
+		c, n := catAt(value, i)
+		if c != cat {
+			break
 		}
+		i += n
 	}
-	// Mixed alphanumeric tokens with more than two alternations collapse
-	// to A: they behave like identifiers (paper's A class), keeping rsets
-	// crisp rather than noisy.
-	if len(dst)-start > 3 && !containsP(dst[start:]) {
-		dst = append(dst[:start], ClassA)
+	return i
+}
+
+// endToken finishes the symbols of the whitespace-delimited token that
+// starts at sym[start] (start < 0: no token is open). Mixed alphanumeric
+// tokens with more than two alternations collapse to A: they behave like
+// identifiers (paper's A class), keeping rsets crisp rather than noisy.
+func endToken(sym []byte, start int) []byte {
+	if start >= 0 && len(sym)-start > 3 && !containsP(sym[start:]) {
+		sym = append(sym[:start], ClassA)
 	}
-	return dst
+	return sym
 }
 
 func containsP(symbols []byte) bool {
@@ -131,26 +113,46 @@ func containsP(symbols []byte) bool {
 // the two recycled buffers: sym accumulates the raw per-token symbols,
 // out receives the collapsed form. It returns both buffers (possibly
 // grown) with out holding the result.
+//
+// One scan segments each whitespace-delimited token into maximal runs
+// of one category: an upper-case run (U), or a single capital with a
+// lower-case tail (C, so "M13" is U N); a lower-case run (L); a digit
+// run (N); a punctuation run (P).
 func regexInto(value string, sym, out []byte) (symBuf, collapsed []byte) {
 	sym = sym[:0]
-	i := 0
-	for i < len(value) {
-		r, sz := utf8.DecodeRuneInString(value[i:])
-		if unicode.IsSpace(r) {
-			i += sz
+	token := -1 // where the open token's symbols start in sym
+	for i := 0; i < len(value); {
+		cat, n := catAt(value, i)
+		if cat == catSpace {
+			sym = endToken(sym, token)
+			token = -1
+			i += n
 			continue
 		}
-		j := i + sz
-		for j < len(value) {
-			r2, sz2 := utf8.DecodeRuneInString(value[j:])
-			if unicode.IsSpace(r2) {
-				break
-			}
-			j += sz2
+		if token < 0 {
+			token = len(sym)
 		}
-		sym = appendTokenSymbols(sym, value[i:j])
+		j := skipCat(value, i+n, cat)
+		switch cat {
+		case catUpper:
+			if j == i+n { // a single capital: C when a lower tail follows
+				if k := skipCat(value, j, catLower); k > j {
+					sym = append(sym, ClassC)
+					i = k
+					continue
+				}
+			}
+			sym = append(sym, ClassU)
+		case catLower:
+			sym = append(sym, ClassL)
+		case catDigit:
+			sym = append(sym, ClassN)
+		default:
+			sym = append(sym, ClassP)
+		}
 		i = j
 	}
+	sym = endToken(sym, token)
 	// Collapse runs of the same symbol to "X+".
 	out = out[:0]
 	k := 0

@@ -44,11 +44,45 @@ type candidate struct {
 	overlap  float64
 }
 
-// neighbour is one entry of a table's list while the build sorts it.
+// pair is one accepted edge while the build collects them: its two
+// tables (a merged first), the estimated overlap, and the previous
+// accepted pair whose b is this pair's b (-1 at the first), so the pairs
+// a table merged later was already given are a chain from lastB.
+type pair struct {
+	a, b, prevB int32
+	overlap     float64
+}
+
+// neighbour is one entry of a table's run while the build sorts it.
 type neighbour struct {
 	to      int32
 	overlap float64
 }
+
+// pairChunkBits sizes the chunks a build's pairs live in: an appended
+// slice would copy itself at every growth, 1.25× at a time, and allocate
+// several times what it ends up holding.
+const pairChunkBits = 12
+
+// pairList holds the accepted pairs in acceptance order, in fixed chunks
+// of 1<<pairChunkBits, numbered from 0.
+type pairList struct {
+	chunks [][]pair
+	n      int32
+}
+
+// add appends p and returns its number.
+func (l *pairList) add(p pair) int32 {
+	if int(l.n>>pairChunkBits) == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]pair, 1<<pairChunkBits))
+	}
+	l.chunks[l.n>>pairChunkBits][l.n&(1<<pairChunkBits-1)] = p
+	l.n++
+	return l.n - 1
+}
+
+// at returns pair number i.
+func (l *pairList) at(i int32) *pair { return &l.chunks[i>>pairChunkBits][i&(1<<pairChunkBits-1)] }
 
 // BuildGraphCtx constructs G_S: for every table's subject attribute, the
 // value index proposes overlap candidates; an edge appears when the
@@ -70,12 +104,18 @@ type neighbour struct {
 // table-at-a-time build produces.
 func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 	numTables := e.Lake().Len()
-	lists := make([][]neighbour, numTables)
-	// The table-pair dedup. Every accepted pair goes into both tables'
-	// lists, so while table tid merges, its pair with other was seen
-	// exactly when other is in lists[tid]: stamp[other] == tid+1.
+	var pairs pairList
+	// lastB[t] is the last accepted pair whose b is t, -1 when none.
+	lastB := make([]int32, numTables)
+	for t := range lastB {
+		lastB[t] = -1
+	}
+	// The table-pair dedup. A pair is accepted while its a merges, and
+	// tables merge in order, so while table tid merges, its pair with
+	// other exists exactly when tid accepted other earlier in this merge
+	// or other accepted tid in its own, earlier one (the chain from
+	// lastB[tid]); either marks stamp[other] = tid+1.
 	stamp := make([]int32, numTables)
-	entries := 0
 	pending := make([][]candidate, min(graphBlock, numTables))
 	probes := make([][]int32, len(pending)) // each slot's I_V buffer, reused block after block
 	for lo := 0; lo < numTables; lo += graphBlock {
@@ -89,33 +129,50 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 		for i, cands := range block {
 			tid := lo + i
 			mark := int32(tid + 1)
-			for _, nb := range lists[tid] {
-				stamp[nb.to] = mark
+			for p := lastB[tid]; p >= 0; p = pairs.at(p).prevB {
+				stamp[pairs.at(p).a] = mark
 			}
 			for _, c := range cands {
 				if stamp[c.otherTID] == mark {
 					continue
 				}
 				stamp[c.otherTID] = mark
-				lists[tid] = append(lists[tid], neighbour{to: int32(c.otherTID), overlap: c.overlap})
-				lists[c.otherTID] = append(lists[c.otherTID], neighbour{to: int32(tid), overlap: c.overlap})
-				entries += 2
+				lastB[c.otherTID] = pairs.add(pair{a: int32(tid), b: int32(c.otherTID), prevB: lastB[c.otherTID], overlap: c.overlap})
 			}
 		}
 	}
-	// Each list is sorted in place, on its own, so the lists fan out too.
+	// CSR over the pairs: each table's run lists its neighbours in the
+	// order their pairs were accepted, the order the table-at-a-time
+	// build appended them to its per-table lists in.
+	g := &Graph{engine: e, off: make([]int32, numTables+1), to: make([]int32, 2*pairs.n)}
+	for i := int32(0); i < pairs.n; i++ {
+		p := pairs.at(i)
+		g.off[p.a+1]++
+		g.off[p.b+1]++
+	}
+	for t := 0; t < numTables; t++ {
+		g.off[t+1] += g.off[t]
+	}
+	next := stamp // the build's dedup is done; reuse it as each run's fill cursor
+	copy(next, g.off[:numTables])
+	runs := make([]neighbour, len(g.to))
+	for i := int32(0); i < pairs.n; i++ {
+		p := pairs.at(i)
+		runs[next[p.a]] = neighbour{to: p.b, overlap: p.overlap}
+		next[p.a]++
+		runs[next[p.b]] = neighbour{to: p.a, overlap: p.overlap}
+		next[p.b]++
+	}
+	// Each run is sorted in place, on its own, so the runs fan out too.
 	err := e.ForEachQuery(ctx, numTables, func(t int) {
-		slices.SortFunc(lists[t], func(a, b neighbour) int { return cmp.Compare(b.overlap, a.overlap) })
+		run := runs[g.off[t]:g.off[t+1]]
+		slices.SortFunc(run, func(a, b neighbour) int { return cmp.Compare(b.overlap, a.overlap) })
+		for i, nb := range run {
+			g.to[int(g.off[t])+i] = nb.to
+		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	g := &Graph{engine: e, off: make([]int32, numTables+1), to: make([]int32, 0, entries)}
-	for t, list := range lists {
-		for _, nb := range list {
-			g.to = append(g.to, nb.to)
-		}
-		g.off[t+1] = int32(len(g.to))
 	}
 	return g, nil
 }

@@ -180,11 +180,7 @@ func TestNarrowedSlotsAgreeLikeWideMinima(t *testing.T) {
 func TestSketchAllocatesOnlyTheSignature(t *testing.T) {
 	h := MustHasher(DefaultSize, defaultSeed)
 	elements := []string{"a", "b", "c"}
-	set := map[string]struct{}{"a": {}, "b": {}}
 	if n := testing.AllocsPerRun(100, func() { h.Sketch(elements) }); n != 1 {
 		t.Fatalf("Sketch: %v allocations, want 1", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { h.SketchSet(set) }); n != 1 {
-		t.Fatalf("SketchSet: %v allocations, want 1", n)
 	}
 }

@@ -133,9 +133,9 @@ func permute(a, b, x uint64) uint64 {
 }
 
 // accumulator returns the running minima of an empty set, one 64-bit
-// slot per permutation, in buf when the family fits it. Sketch and
-// SketchSet hand it a DefaultSize stack array, so sketching allocates
-// nothing but the Signature it returns.
+// slot per permutation, in buf when the family fits it. Sketch hands it
+// a DefaultSize stack array, so sketching allocates nothing but the
+// Signature it returns.
 func (h *Hasher) accumulator(buf []uint64) []uint64 {
 	if h.size > len(buf) {
 		buf = make([]uint64, h.size)
@@ -174,16 +174,6 @@ func (h *Hasher) Sketch(elements []string) Signature {
 	var buf [DefaultSize]uint64
 	acc := h.accumulator(buf[:])
 	for _, e := range elements {
-		h.update(acc, e)
-	}
-	return narrow(acc)
-}
-
-// SketchSet computes the signature of a set given as a map.
-func (h *Hasher) SketchSet(set map[string]struct{}) Signature {
-	var buf [DefaultSize]uint64
-	acc := h.accumulator(buf[:])
-	for e := range set {
 		h.update(acc, e)
 	}
 	return narrow(acc)

@@ -112,36 +112,63 @@ func (c *Column) inferType() {
 // a number: shared, because the caller only asks whether there was one.
 var errNotNumber = errors.New("table: not a number")
 
-// startsNumber reports whether s begins the way a string
-// strconv.ParseFloat accepts can: a sign, a digit, a point, or the i/n
-// of inf/nan in either case (hex floats and underscored forms start
-// with a digit). False means ParseFloat would refuse s.
+// numberByte marks the bytes strconv.ParseFloat can accept anywhere in
+// a number: digits, the letters of exponents, hex digits, inf and nan,
+// the point, signs and underscores.
+var numberByte = func() (t [256]bool) {
+	for c := range t {
+		t[c] = '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' ||
+			c == '.' || c == '+' || c == '-' || c == '_'
+	}
+	return t
+}()
+
+// startsNumber reports whether s, read without its commas, can be a
+// string strconv.ParseFloat accepts: it begins with a sign, a digit, a
+// point, or the i/n of inf/nan in either case (hex floats and underscored
+// forms start with a digit), and holds no byte outside numberByte. False
+// means ParseFloat would refuse s once its commas are dropped.
 func startsNumber(s string) bool {
-	if s == "" {
-		return false
+	first := true
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c == ',' {
+			continue
+		}
+		if !numberByte[c] {
+			return false
+		}
+		if first {
+			switch c {
+			case '+', '-', '.', 'i', 'I', 'n', 'N':
+			default:
+				if c < '0' || c > '9' {
+					return false
+				}
+			}
+			first = false
+		}
 	}
-	switch c := s[0]; c {
-	case '+', '-', '.', 'i', 'I', 'n', 'N':
-		return true
-	default:
-		return '0' <= c && c <= '9'
-	}
+	return !first
 }
 
 // parseNumber accepts plain and thousand-separated decimals, optional
 // leading currency signs and trailing percent signs (open-data lakes are
 // full of them). Most cells of a lake are text, and ParseFloat's refusal
 // allocates a *NumError holding a copy of the cell, so a cell that
-// cannot start a number is refused before it gets there.
+// cannot be a number is refused before it gets there, and before its
+// commas are dropped, which copies it.
 func parseNumber(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	s = strings.TrimPrefix(s, "£")
 	s = strings.TrimPrefix(s, "$")
 	s = strings.TrimPrefix(s, "€")
 	s = strings.TrimSuffix(s, "%")
-	s = strings.ReplaceAll(s, ",", "")
 	if !startsNumber(s) {
 		return 0, errNotNumber
+	}
+	if strings.IndexByte(s, ',') >= 0 {
+		s = strings.ReplaceAll(s, ",", "")
 	}
 	return strconv.ParseFloat(s, 64)
 }

@@ -45,7 +45,8 @@ func FuzzQGrams(f *testing.F) {
 }
 
 // FuzzTokens asserts the full value decomposition never panics and
-// never emits empty or upper-case tokens.
+// never emits empty or upper-case tokens, and that the words an Extent
+// scans out of a value are Tokens' words, in order.
 func FuzzTokens(f *testing.F) {
 	f.Add("69 Church St, Manchester, M26 2SP")
 	f.Add("")
@@ -54,8 +55,11 @@ func FuzzTokens(f *testing.F) {
 	f.Add("price: £1,234.56 (incl. 20% VAT)")
 	f.Add(strings.Repeat(",", 300))
 	f.Add("\xff\xfe broken")
+	f.Add("İSTANBUL \u212aelvin x\u0085y\u00a0z")
+	var e Extent
 	f.Fuzz(func(t *testing.T, value string) {
-		for _, w := range Tokens(value) {
+		tokens := Tokens(value)
+		for _, w := range tokens {
 			if w == "" {
 				t.Fatalf("Tokens(%q) produced an empty token", value)
 			}
@@ -63,12 +67,23 @@ func FuzzTokens(f *testing.F) {
 				t.Fatalf("Tokens(%q): token %q not lower-cased", value, w)
 			}
 		}
+		e.Reset()
+		e.Add(value)
+		if len(e.words) != len(tokens) {
+			t.Fatalf("Extent scanned %d words out of %q, Tokens %d", len(e.words), value, len(tokens))
+		}
+		for i, id := range e.words {
+			if e.vocab[id] != tokens[i] {
+				t.Fatalf("Extent word %d of %q is %q, Tokens' %q", i, value, e.vocab[id], tokens[i])
+			}
+		}
 	})
 }
 
 // FuzzHistogram exercises the histogram and the Example 2 per-part
-// refinement over arbitrary extents: counts stay consistent and
-// PartSignalsScratch only nominates words that exist in the value.
+// refinement over arbitrary extents: counts stay consistent, Signals
+// only nominates words of the extent, and an embedding nomination is
+// never in the histogram's infrequent half.
 func FuzzHistogram(f *testing.F) {
 	f.Add("51 Botanic Av, Belfast", "1a Chapel St, Salford")
 	f.Add("", "")
@@ -80,26 +95,23 @@ func FuzzHistogram(f *testing.F) {
 		if h.total < 0 {
 			t.Fatal("negative histogram counter")
 		}
-		nFreq := 0
-		for w := range h.counts {
-			if h.IsFrequent(w) {
-				nFreq++
+		infrequent := make(map[string]bool)
+		for _, w := range h.Infrequent() {
+			infrequent[w] = true
+		}
+		var e Extent
+		e.Reset()
+		e.Add(v1)
+		e.Add(v2)
+		tset, embed := e.Signals()
+		for _, w := range tset {
+			if _, ok := h.counts[w]; !ok {
+				t.Fatalf("Signals(%q, %q) put %q in the tset, not a word of the extent", v1, v2, w)
 			}
 		}
-		if nInfreq := len(h.Infrequent()); nInfreq+nFreq != len(h.counts) {
-			t.Fatalf("frequency split loses tokens: %d + %d != %d", nInfreq, nFreq, len(h.counts))
-		}
-		var s SignalScratch
-		for _, v := range []string{v1, v2} {
-			tsetWords, embedWords := h.PartSignalsScratch(v, &s)
-			valueWords := make(map[string]struct{})
-			for _, w := range Tokens(v) {
-				valueWords[w] = struct{}{}
-			}
-			for _, w := range append(append([]string{}, tsetWords...), embedWords...) {
-				if _, ok := valueWords[w]; !ok {
-					t.Fatalf("PartSignalsScratch(%q) nominated %q, not a word of the value", v, w)
-				}
+		for _, w := range embed {
+			if _, ok := h.counts[w]; !ok || infrequent[w] {
+				t.Fatalf("Signals(%q, %q) nominated %q, not a frequent word of the extent", v1, v2, w)
 			}
 		}
 	})

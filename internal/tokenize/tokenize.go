@@ -111,24 +111,11 @@ func Words(part string) []string {
 }
 
 // Tokens is the full decomposition of a value: all words of all parts
-// (get_tokens(v) in Algorithm 1).
+// (get_tokens(v) in Algorithm 1). Lower-casing never maps a letter onto
+// a separator, so splitting the lowered value on the union of part and
+// word separators yields exactly the words of its parts, in order.
 func Tokens(value string) []string {
-	return TokensAppend(nil, value)
-}
-
-// TokensAppend is the allocation-conscious Tokens: it appends the
-// decomposition to dst (a recycled buffer) and returns the extended
-// slice. Tokens are substrings of the lower-cased value, so for
-// already-lower-case input the only work is the scan itself.
-//
-// Equivalence with Tokens: lower-casing never maps a letter onto a
-// separator (separators are fixed punctuation and whitespace), so
-// lowering the whole value before splitting produces the same fields
-// as splitting first and lowering each part; and splitting on the
-// union of part and word separators yields exactly the words of the
-// parts, in order.
-func TokensAppend(dst []string, value string) []string {
-	return appendFields(dst, strings.ToLower(value), isTokenSeparator)
+	return appendFields(nil, strings.ToLower(value), isTokenSeparator)
 }
 
 // Histogram counts token occurrences across an attribute extent and
@@ -152,18 +139,19 @@ func (h *Histogram) Insert(tokens []string) {
 	}
 }
 
-// Count reports the occurrences of a token.
-func (h *Histogram) Count(token string) int { return h.counts[token] }
-
 // threshold is the frequency cut: tokens occurring strictly more often
 // than the mean occurrence count are frequent. With a uniform vocabulary
 // everything is infrequent, which matches the intuition that a column of
 // unique values carries only value-level signal.
-func (h *Histogram) threshold() float64 {
-	if len(h.counts) == 0 {
+func (h *Histogram) threshold() float64 { return frequencyCut(h.total, len(h.counts)) }
+
+// frequencyCut is the mean occurrence count of a vocabulary of distinct
+// tokens occurring total times in all.
+func frequencyCut(total, distinct int) float64 {
+	if distinct == 0 {
 		return 0
 	}
-	return float64(h.total) / float64(len(h.counts))
+	return float64(total) / float64(distinct)
 }
 
 // Infrequent returns tokens at or below the mean occurrence count: the
@@ -178,98 +166,4 @@ func (h *Histogram) Infrequent() []string {
 		}
 	}
 	return out
-}
-
-// IsFrequent reports whether a single token falls in the frequent half.
-func (h *Histogram) IsFrequent(token string) bool {
-	c, ok := h.counts[token]
-	return ok && float64(c) > h.threshold()
-}
-
-// isNumericWord reports a word made entirely of digits.
-func isNumericWord(w string) bool {
-	for _, r := range w {
-		if r < '0' || r > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// SignalScratch carries the reusable buffers of PartSignalsScratch so
-// the per-value refinement of a whole extent runs without per-value
-// allocations. The zero value is ready.
-type SignalScratch struct {
-	parts  []string
-	words  []string
-	tset   []string
-	embed  []string
-	tokens []string
-}
-
-// TokensAppend decomposes a value into s.tokens (overwriting the
-// previous call's result) — the buffer-reusing form profiling uses for
-// the histogram pass.
-func (s *SignalScratch) TokensAppend(value string) []string {
-	s.tokens = TokensAppend(s.tokens[:0], value)
-	return s.tokens
-}
-
-// PartSignalsScratch applies the per-part refinement from Example 2 of
-// the paper to one value: for every part, the part's rarest word (fewest
-// occurrences in the extent) joins the tset, and the part's most common
-// word is nominated for embedding. Ties break lexicographically for
-// determinism. The histogram must already cover the whole extent.
-//
-// Every intermediate slice lives in the caller's scratch: the result is
-// valid until the next call on the same scratch, and the call allocates
-// only when the lower-cased value differs from the original (Go returns
-// the input string unchanged when lowering is a no-op).
-func (h *Histogram) PartSignalsScratch(value string, s *SignalScratch) (tsetWords, embedWords []string) {
-	s.tset, s.embed = s.tset[:0], s.embed[:0]
-	// Lower once up front: part separators are fixed punctuation, which
-	// case mapping never produces, so part boundaries are unchanged and
-	// each word equals the lowered word of the original part.
-	lv := strings.ToLower(value)
-	s.parts = appendFields(s.parts[:0], lv, isPartSeparator)
-	for _, part := range s.parts {
-		s.words = appendFields(s.words[:0], part, isWordSeparator)
-		words := s.words
-		if len(words) == 0 {
-			continue
-		}
-		// Pure-numeric words carry weak token-level signal (Section
-		// III-C), so they only feed the tset when a part has nothing
-		// else (Example 2 picks 'portland' and '3be', not the house
-		// number): the rare scan skips numeric words whenever any
-		// non-numeric word exists.
-		hasNonNum := false
-		for _, w := range words {
-			if !isNumericWord(w) {
-				hasNonNum = true
-				break
-			}
-		}
-		var rare string
-		rareC, started := 0, false
-		for _, w := range words {
-			if hasNonNum && isNumericWord(w) {
-				continue
-			}
-			c := h.Count(w)
-			if !started || c < rareC || (c == rareC && w < rare) {
-				rare, rareC, started = w, c, true
-			}
-		}
-		common, commonC := words[0], h.Count(words[0])
-		for _, w := range words[1:] {
-			c := h.Count(w)
-			if c > commonC || (c == commonC && w < common) {
-				common, commonC = w, c
-			}
-		}
-		s.tset = append(s.tset, rare)
-		s.embed = append(s.embed, common)
-	}
-	return s.tset, s.embed
 }

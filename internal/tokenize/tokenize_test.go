@@ -70,18 +70,23 @@ func TestQGramsCountProperty(t *testing.T) {
 	}
 }
 
-// partSignals runs the Example 2 refinement on a fresh scratch and
-// copies the result out of it.
-func partSignals(h *Histogram, value string) (tset, embed []string) {
-	var s SignalScratch
-	tset, embed = h.PartSignalsScratch(value, &s)
+// partSignals runs the Example 2 refinement over an extent of the
+// given values and copies the result out of it.
+func partSignals(values ...string) (tset, embed []string) {
+	var e Extent
+	e.Reset()
+	for _, v := range values {
+		e.Add(v)
+	}
+	tset, embed = e.Signals()
 	return append([]string(nil), tset...), append([]string(nil), embed...)
 }
 
-// The refinement nominates one tset word per part, so its length counts
-// the parts a value splits into.
+// The refinement nominates one tset word per part, so over one value
+// whose words all differ its length counts the parts the value splits
+// into.
 func TestPartsSplitsAtPunctuation(t *testing.T) {
-	got, _ := partSignals(NewHistogram(), "18 Portland Street, M1 3BE")
+	got, _ := partSignals("18 Portland Street, M1 3BE")
 	want := []string{"portland", "3be"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tset = %v, want one word for each of the two parts %v", got, want)
@@ -89,7 +94,7 @@ func TestPartsSplitsAtPunctuation(t *testing.T) {
 }
 
 func TestPartsDropsEmpties(t *testing.T) {
-	got, _ := partSignals(NewHistogram(), ",,a,, ,b,")
+	got, _ := partSignals(",,a,, ,b,")
 	want := []string{"a", "b"}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tset = %v, want %v", got, want)
@@ -126,11 +131,8 @@ func TestHistogramFrequentInfrequentSplit(t *testing.T) {
 		"18 Portland Street", "41 Oxford Street", "9 Mirabel Street",
 	}
 	h := extentHistogram(values)
-	if !h.IsFrequent("street") {
-		t.Fatal("'street' should be frequent")
-	}
-	if h.IsFrequent("portland") {
-		t.Fatal("'portland' should be infrequent")
+	if th := h.threshold(); float64(h.counts["street"]) <= th || float64(h.counts["portland"]) > th {
+		t.Fatalf("'street' (%d) should be frequent and 'portland' (%d) not, at cut %v", h.counts["street"], h.counts["portland"], th)
 	}
 	inf := h.Infrequent()
 	sort.Strings(inf)
@@ -145,7 +147,7 @@ func TestHistogramFrequentInfrequentSplit(t *testing.T) {
 }
 
 func TestHistogramPartitionProperty(t *testing.T) {
-	// IsFrequent and Infrequent partition the vocabulary.
+	// Infrequent is a set: every token at or below the cut, once.
 	f := func(tokens []string) bool {
 		h := NewHistogram()
 		h.Insert(tokens)
@@ -156,8 +158,8 @@ func TestHistogramPartitionProperty(t *testing.T) {
 			}
 			inf[w] = true
 		}
-		for w := range h.counts {
-			if h.IsFrequent(w) == inf[w] {
+		for w, c := range h.counts {
+			if (float64(c) > h.threshold()) == inf[w] {
 				return false
 			}
 		}
@@ -172,8 +174,8 @@ func TestHistogramCounts(t *testing.T) {
 	h := NewHistogram()
 	h.Insert([]string{"a", "b", "a"})
 	h.Insert([]string{"a"})
-	if h.Count("a") != 3 || h.Count("b") != 1 || h.Count("zzz") != 0 {
-		t.Fatalf("counts wrong: a=%d b=%d", h.Count("a"), h.Count("b"))
+	if h.counts["a"] != 3 || h.counts["b"] != 1 || h.counts["zzz"] != 0 {
+		t.Fatalf("counts wrong: a=%d b=%d", h.counts["a"], h.counts["b"])
 	}
 	if h.total != 4 || len(h.counts) != 2 {
 		t.Fatalf("total=%d distinct=%d", h.total, len(h.counts))
@@ -188,8 +190,7 @@ func TestPartSignalsPaperExample(t *testing.T) {
 		"41 Oxford Road, M13 9PL",
 		"9 Mirabel Street, M3 1NN",
 	}
-	h := extentHistogram(values)
-	tset, embed := partSignals(h, values[0])
+	tset, embed := partSignals(values...)
 	foundPortland := false
 	for _, w := range tset {
 		if w == "portland" {
@@ -214,22 +215,38 @@ func TestPartSignalsPaperExample(t *testing.T) {
 }
 
 func TestPartSignalsEmptyValue(t *testing.T) {
-	h := NewHistogram()
-	tset, embed := partSignals(h, "")
-	if tset != nil || embed != nil {
-		t.Fatal("empty value should produce no signals")
+	tset, embed := partSignals("")
+	if len(tset) != 0 || len(embed) != 0 {
+		t.Fatalf("empty value should produce no signals, got %v and %v", tset, embed)
 	}
 }
 
 func TestPartSignalsDeterministicTies(t *testing.T) {
-	h := NewHistogram()
-	h.Insert([]string{"alpha", "beta"})
-	t1, e1 := partSignals(h, "alpha beta")
-	t2, e2 := partSignals(h, "alpha beta")
+	t1, e1 := partSignals("alpha beta")
+	t2, e2 := partSignals("alpha beta")
 	if !reflect.DeepEqual(t1, t2) || !reflect.DeepEqual(e1, e2) {
-		t.Fatal("PartSignalsScratch should be deterministic")
+		t.Fatal("Signals should be deterministic")
 	}
 	if t1[0] != "alpha" { // lexicographic tie-break
 		t.Fatalf("tie should break lexicographically, got %v", t1)
+	}
+}
+
+// TestExtentResetForgetsTheColumn: an extent recycled through Reset
+// answers for the new column exactly what a fresh one does.
+func TestExtentResetForgetsTheColumn(t *testing.T) {
+	var e Extent
+	e.Reset()
+	for _, v := range []string{"Oak Street, Leeds", "Elm Street, York", "Street 9"} {
+		e.Add(v)
+	}
+	e.Signals()
+	e.Reset()
+	e.Add("alpha beta, gamma")
+	e.Add("beta")
+	tset, embed := e.Signals()
+	wantT, wantE := partSignals("alpha beta, gamma", "beta")
+	if !reflect.DeepEqual(tset, wantT) || !reflect.DeepEqual(embed, wantE) {
+		t.Fatalf("after Reset: %v / %v, fresh %v / %v", tset, embed, wantT, wantE)
 	}
 }

@@ -298,9 +298,9 @@ func BenchmarkAblationLeaveOneOut(b *testing.B) {
 // BenchmarkSequentialTopKLoop and BenchmarkBatchTopK answer the same
 // query set over the same lake; the first is the pre-concurrency
 // serving shape (one Query at a time, sequential pipeline), the second
-// the QueryBatch worker pool at Parallelism = NumCPU. On a multi-core
-// box the batch path's queries/s metric scales with the core count
-// (both pin the same per-query work, so the ratio is the fan-out win).
+// the QueryBatch worker pool at Parallelism = NumCPU, whose queries fan
+// their gathers out on the same setting. On a multi-core box the batch
+// path's queries/s metric scales with the core count.
 
 // benchServingSetup indexes a synthetic lake once and selects the
 // query workload.

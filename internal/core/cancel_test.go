@@ -285,9 +285,6 @@ func TestQuerySpecValidation(t *testing.T) {
 	if _, err := e.SearchSpec(ctx, target, QuerySpec{K: 3, CandidateBudget: -1}); err == nil {
 		t.Fatal("negative budget accepted")
 	}
-	if _, err := e.SearchSpec(ctx, target, QuerySpec{K: 3, Parallelism: -1}); err == nil {
-		t.Fatal("negative parallelism accepted")
-	}
 	bad := Weights{-1, 1, 1, 1, 1}
 	if _, err := e.SearchSpec(ctx, target, QuerySpec{K: 3, Weights: &bad}); err == nil {
 		t.Fatal("negative weight accepted")

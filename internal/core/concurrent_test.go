@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -65,12 +64,14 @@ func TestParallelSearchDeterministic(t *testing.T) {
 	}
 	for ti := 0; ti < 6; ti++ {
 		target := lake.Table(ti * 5)
-		seq, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10, Parallelism: 1})
+		setParallelism(t, e, 1)
+		seq, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []int{2, 4, 8} {
-			got, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10, Parallelism: par})
+			setParallelism(t, e, par)
+			got, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,17 +279,17 @@ func TestRemoveMiddleTableKeepsOthersRanked(t *testing.T) {
 	}
 }
 
-// batchSearch is the public QueryBatch over core: one sequential
-// SearchSpec per target on the engine's query pool, indexed like targets.
+// batchSearch is the public QueryBatch over core: one SearchSpec per
+// target on the engine's query pool, indexed like targets.
 func batchSearch(ctx context.Context, e *Engine, targets []*table.Table, k int) ([]*SearchResult, error) {
 	out := make([]*SearchResult, len(targets))
-	errs := make([]error, len(targets))
-	if err := e.ForEachQuery(ctx, len(targets), func(i int) {
-		out[i], errs[i] = e.SearchSpec(ctx, targets[i], QuerySpec{K: k, Parallelism: 1})
+	if err := e.ForEachQuery(ctx, len(targets), func(i int) (err error) {
+		out[i], err = e.SearchSpec(ctx, targets[i], QuerySpec{K: k})
+		return err
 	}); err != nil {
 		return nil, err
 	}
-	return out, errors.Join(errs...)
+	return out, nil
 }
 
 // TestConcurrentEngineStress hammers one shared engine with concurrent

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"d3l/internal/lsh"
+	"d3l/internal/par"
 	"d3l/internal/subject"
 	"d3l/internal/table"
 )
@@ -188,13 +190,13 @@ func (e *Engine) indexLive() ([numForestSlots]*lsh.Forest, error) {
 		lsh.BitKeys(func(id int32) lsh.BitSignature { return p[id].ESig }),
 	}
 	forests := newForests(e.opts)
-	var errs [numForestSlots]error
-	forEachIndex(numForestSlots, e.opts.Parallelism, func(slot int) {
+	err := par.For(context.Background(), numForestSlots, e.opts.Parallelism, nil, func(_ struct{}, slot int) error {
 		if err := forests[slot].Build(ids[slot], keys[slot]); err != nil {
-			errs[slot] = fmt.Errorf("forest I_%v: %w", slotEvidence[slot], err)
+			return fmt.Errorf("forest I_%v: %w", slotEvidence[slot], err)
 		}
+		return nil
 	})
-	return forests, errors.Join(errs[:]...)
+	return forests, err
 }
 
 // Forest slots: the four LSH indexes of Algorithm 1, in the order

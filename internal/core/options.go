@@ -47,11 +47,12 @@ type Options struct {
 	// contribution of the distribution-aware weighting scheme.
 	UniformEq1Weights bool
 	// Parallelism bounds the worker pools on both sides of the engine:
-	// table profiling during BuildEngine, the per-column candidate
-	// fan-out and per-table scoring inside SearchSpec, and the number of
-	// concurrent queries a QueryBatch call runs. 0 selects GOMAXPROCS;
-	// 1 forces sequential execution. Profiles, indexes and rankings are
-	// deterministic, so results are identical at any setting.
+	// table profiling and the four forest builds during BuildEngine, the
+	// per-column candidate gather of a query (scoring is one sequential
+	// loop), and the number of concurrent queries a QueryBatch call
+	// runs. 0 selects GOMAXPROCS; 1 forces sequential execution.
+	// Profiles, indexes and rankings are deterministic, so results are
+	// identical at any setting.
 	Parallelism int
 }
 

@@ -76,3 +76,11 @@ func TestDefaultParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// setParallelism re-bounds e's worker pools, failing the test on error.
+func setParallelism(t testing.TB, e *Engine, n int) {
+	t.Helper()
+	if err := e.SetParallelism(n); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -72,9 +72,8 @@ func TestPlannerPropertyEquivalence(t *testing.T) {
 
 			var counters *PlanStats
 			for _, par := range []int{1, 2, 7} {
-				on := spec
-				on.Parallelism = par
-				res := planSearch(t, e, target, on)
+				setParallelism(t, e, par)
+				res := planSearch(t, e, target, spec)
 				if !res.Plan.Enabled {
 					t.Fatalf("%s par=%d: planner did not run", label, par)
 				}
@@ -238,9 +237,8 @@ func TestPlannerPrunesAndStaysExact(t *testing.T) {
 		t.Fatalf("skewed k=1 query pruned nothing: %+v", first.Plan)
 	}
 	for _, par := range []int{1, 2, 7} {
-		rep := spec
-		rep.Parallelism = par
-		if res := planSearch(t, e, target, rep); res.Plan != first.Plan {
+		setParallelism(t, e, par)
+		if res := planSearch(t, e, target, spec); res.Plan != first.Plan {
 			t.Fatalf("par=%d: prune counters not deterministic: %+v vs %+v", par, res.Plan, first.Plan)
 		}
 	}

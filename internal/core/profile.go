@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"sort"
 
 	"d3l/internal/embed"
 	"d3l/internal/format"
 	"d3l/internal/lsh"
 	"d3l/internal/minhash"
+	"d3l/internal/par"
 	"d3l/internal/subject"
 	"d3l/internal/table"
 	"d3l/internal/tokenize"
@@ -234,10 +236,12 @@ func (p *profiler) profileTable(tableID int, t *table.Table, classifier *subject
 // hold one memoising scratch for the whole run.
 func (p *profiler) profileTables(tables []*table.Table, classifier *subject.Classifier, parallelism int) [][]Profile {
 	out := make([][]Profile, len(tables))
-	forEachIndexWith(len(tables), parallelism,
+	// No item fails and the context is never done: For cannot fail.
+	_ = par.For(context.Background(), len(tables), parallelism,
 		func() *profileScratch { return &profileScratch{emb: p.model.NewMemoScratch()} },
-		func(scratch *profileScratch, i int) {
+		func(scratch *profileScratch, i int) error {
 			out[i] = p.profileTable(i, tables[i], classifier, scratch)
+			return nil
 		})
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"d3l/internal/lsh"
+	"d3l/internal/par"
 	"d3l/internal/stats"
 	"d3l/internal/table"
 )
@@ -103,7 +104,7 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	parallelism := e.resolveParallelism(spec.Parallelism)
+	parallelism := e.queryParallelism()
 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -259,15 +260,11 @@ func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair, numCols
 func (e *Engine) gatherPairs(ctx context.Context, target *Target, view *specView, parallelism int, qs *queryScratch, depths probeDepths) ([]candidatePair, error) {
 	n := len(target.profiles)
 	qs.ensureCols(n)
-	if err := forEachIndexCtx(ctx, n, parallelism, func(col int) {
-		qs.colBufs[col], qs.colErrs[col] = e.gatherColumn(ctx, col, &target.profiles[col], target.subject, view, qs.colBufs[col], depths)
+	if err := par.For(ctx, n, parallelism, nil, func(_ struct{}, col int) (err error) {
+		qs.colBufs[col], err = e.gatherColumn(ctx, col, &target.profiles[col], target.subject, view, qs.colBufs[col], depths)
+		return err
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range qs.colErrs[:n] {
-		if err != nil {
-			return nil, err
-		}
 	}
 	flat := qs.flat[:0]
 	for _, colPairs := range qs.colBufs[:n] {

@@ -343,10 +343,11 @@ func TestSearchSpecMatchesNaiveReference(t *testing.T) {
 					Weights:         weights[rng.Intn(len(weights))],
 					Disabled:        masks[rng.Intn(len(masks))],
 					CandidateBudget: []int{0, 4, 48}[rng.Intn(3)],
-					Parallelism:     []int{1, 2, 7}[rng.Intn(3)],
 				}
+				par := []int{1, 2, 7}[rng.Intn(3)]
+				setParallelism(t, e, par)
 				target := lake.Table(rng.Intn(lake.Len()))
-				label := fmt.Sprintf("seed=%d uniform=%v trial=%d spec=%+v", seed, uniform, trial, spec)
+				label := fmt.Sprintf("seed=%d uniform=%v trial=%d spec=%+v par=%d", seed, uniform, trial, spec, par)
 				assertEquivalent(t, e, target, spec, label)
 			}
 		}
@@ -431,7 +432,7 @@ func TestArenaReuseConcurrentSpecs(t *testing.T) {
 		{K: 5},
 		{K: 1, Disabled: &[NumEvidence]bool{EvidenceValue: true}},
 		{K: 20, CandidateBudget: 8},
-		{K: 3, Weights: &Weights{1.5, 0.2, 2.0, 0.8, 1.0}, Parallelism: 2},
+		{K: 3, Weights: &Weights{1.5, 0.2, 2.0, 0.8, 1.0}},
 		{K: 10, Disabled: &[NumEvidence]bool{EvidenceName: true, EvidenceEmbedding: true}},
 	}
 	targets := make([]*table.Table, len(specs))
@@ -533,7 +534,7 @@ func TestQueryAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := mustPrepare(t, e, lake.Table(3))
-	spec := QuerySpec{K: 10, Parallelism: 1}
+	spec := QuerySpec{K: 10}
 	ctx := context.Background()
 	// Warm the arenas to steady state before measuring.
 	for i := 0; i < 3; i++ {

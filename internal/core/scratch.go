@@ -51,8 +51,6 @@ type queryScratch struct {
 	// per-column split is what lets the gather phase fan out across
 	// workers without synchronising on a shared pair list.
 	colBufs [][]candidatePair
-	// colErrs[i] is column i's gather error, if any.
-	colErrs []error
 	// flat is the flattened (then grouped-by-table) pair list.
 	flat []candidatePair
 	// samples is the sample arena: every (column, evidence) distance
@@ -71,16 +69,14 @@ type queryScratch struct {
 	top []int32
 }
 
-// ensureCols sizes colBufs and colErrs for a target arity, truncating
-// each kept buffer and preserving grown capacities.
+// ensureCols sizes colBufs for a target arity, truncating each kept
+// buffer and preserving grown capacities.
 func (qs *queryScratch) ensureCols(n int) {
 	for len(qs.colBufs) < n {
 		qs.colBufs = append(qs.colBufs, nil)
-		qs.colErrs = append(qs.colErrs, nil)
 	}
 	for i := 0; i < n; i++ {
 		qs.colBufs[i] = qs.colBufs[i][:0]
-		qs.colErrs[i] = nil
 	}
 }
 

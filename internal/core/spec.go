@@ -6,9 +6,9 @@ import (
 )
 
 // ErrInvalidSpec reports a QuerySpec the engine refuses (a non-positive
-// K, a negative budget or parallelism, invalid weights, an evidence
-// mask that disables everything). Every such error wraps it, so serving
-// layers can answer the whole class as a client error (400).
+// K, a negative budget, invalid weights, an evidence mask that disables
+// everything). Every such error wraps it, so serving layers can answer
+// the whole class as a client error (400).
 var ErrInvalidSpec = errors.New("core: invalid query spec")
 
 // QuerySpec is the per-query parameterisation of the Section III-D
@@ -34,16 +34,13 @@ type QuerySpec struct {
 	// per index for this query; 0 falls back to the engine option
 	// (which itself derives from k when unset).
 	CandidateBudget int
-	// Parallelism bounds this query's worker fan-out; 0 selects the
-	// engine setting. Rankings are identical at any value.
-	Parallelism int
 }
 
 // specView is a QuerySpec resolved against an engine's options: the
 // effective evidence mask, weights and budget the pipeline runs with.
 // All resolved fields come from immutable engine options (Parallelism,
-// the one mutable option, is resolved separately under the lock), so a
-// view can be built without holding the engine lock.
+// the one mutable option, is read separately under the lock), so a view
+// can be built without holding the engine lock.
 type specView struct {
 	k        int
 	budget   int
@@ -66,9 +63,6 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 	}
 	if spec.CandidateBudget < 0 {
 		return v, fmt.Errorf("%w: CandidateBudget must be non-negative, got %d", ErrInvalidSpec, spec.CandidateBudget)
-	}
-	if spec.Parallelism < 0 {
-		return v, fmt.Errorf("%w: Parallelism must be non-negative, got %d", ErrInvalidSpec, spec.Parallelism)
 	}
 	if spec.Weights != nil {
 		if err := spec.Weights.Validate(); err != nil {
@@ -102,14 +96,4 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 		}
 	}
 	return v, nil
-}
-
-// resolveParallelism maps a per-query parallelism override onto the
-// engine setting (the lone option that is mutable after build, hence
-// read under the lock by queryParallelism).
-func (e *Engine) resolveParallelism(n int) int {
-	if n > 0 {
-		return n
-	}
-	return e.queryParallelism()
 }

@@ -120,8 +120,9 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 	probes := make([][]int32, len(pending)) // each slot's I_V buffer, reused block after block
 	for lo := 0; lo < numTables; lo += graphBlock {
 		block := pending[:min(graphBlock, numTables-lo)]
-		err := e.ForEachQuery(ctx, len(block), func(i int) {
+		err := e.ForEachQuery(ctx, len(block), func(i int) error {
 			block[i], probes[i] = subjectCandidates(e, lo+i, block[i][:0], probes[i][:0])
+			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -164,12 +165,13 @@ func BuildGraphCtx(ctx context.Context, e *core.Engine) (*Graph, error) {
 		next[p.b]++
 	}
 	// Each run is sorted in place, on its own, so the runs fan out too.
-	err := e.ForEachQuery(ctx, numTables, func(t int) {
+	err := e.ForEachQuery(ctx, numTables, func(t int) error {
 		run := runs[g.off[t]:g.off[t+1]]
 		slices.SortFunc(run, func(a, b neighbour) int { return cmp.Compare(b.overlap, a.overlap) })
 		for i, nb := range run {
 			g.to[int(g.off[t])+i] = nb.to
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

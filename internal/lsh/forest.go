@@ -42,6 +42,11 @@ type Forest struct {
 	trees         []forestTree
 	count         int // live items
 	indexed       bool
+	// added holds the items Add takes, in order, until Index builds them.
+	added struct {
+		ids  []int32
+		sigs [][]uint32
+	}
 	// dead holds the ids whose base entries Delete has retired. It never
 	// applies to the delta: Delete takes a delta entry out, and an id
 	// re-inserted after its base entries died is live in the delta.
@@ -120,17 +125,9 @@ func sortPack(ids []int32, h int, compare func(a, b int32) int, key func(dst []b
 	return r
 }
 
-// flat is a tree as one array, an h-byte key per id: the entries Add
-// stages until Index sorts and packs them.
-type flat struct {
-	keys []byte
-	ids  []int32
-}
-
 type forestTree struct {
-	staged flat // Add appends here until Index
-	base   run  // sorted from Index on
-	delta  run  // sorted; the Inserts since the last fold
+	base  run // sorted from Index on
+	delta run // sorted; the Inserts since the last fold
 }
 
 // foldMin is the fold threshold of a small forest: up to this many delta
@@ -201,7 +198,9 @@ func (f *Forest) keyInto(key []byte, t int, sig []uint32) {
 	}
 }
 
-// Add inserts an item. It must not be called after Index.
+// Add inserts an item. It must not be called after Index. The forest
+// keeps sig itself until Index reads its keys, so sig must not change
+// before then.
 func (f *Forest) Add(id int32, sig []uint32) error {
 	if f.indexed {
 		return fmt.Errorf("lsh: Add after Index")
@@ -209,14 +208,8 @@ func (f *Forest) Add(id int32, sig []uint32) error {
 	if len(sig) < f.MinSignatureLen() {
 		return fmt.Errorf("lsh: signature has %d values, forest needs %d", len(sig), f.MinSignatureLen())
 	}
-	var kb [keyStackBytes]byte
-	key := f.keyScratch(kb[:])
-	for t := 0; t < f.numTrees; t++ {
-		s := &f.trees[t].staged
-		f.keyInto(key, t, sig)
-		s.keys = append(s.keys, key...)
-		s.ids = append(s.ids, id)
-	}
+	f.added.ids = append(f.added.ids, id)
+	f.added.sigs = append(f.added.sigs, sig)
 	f.count++
 	return nil
 }
@@ -389,38 +382,34 @@ func (f *Forest) appendLive(dst, b *run, lo, hi int) {
 }
 
 // Index sorts the trees; it must be called once after the last Add and
-// before the first Query. Calling it again is a no-op. Each tree's
-// staged entries are sorted by their positions (sortPack), which then
-// give way to the ids at them.
+// before the first Query. Calling it again is a no-op. It Builds the
+// items Add kept over their positions in Add order, which then give way
+// to the ids at them: ids may repeat or come in any order.
 func (f *Forest) Index() {
 	if f.indexed {
 		return
 	}
-	h := f.hashesPerTree
-	for t := range f.trees {
-		s := f.trees[t].staged
-		key := func(p int32) []byte { return s.keys[int(p)*h : int(p)*h+h] }
-		pos := make([]int32, len(s.ids))
-		for i := range pos {
-			pos[i] = int32(i)
-		}
-		r := sortPack(pos, h,
-			func(a, b int32) int { return bytes.Compare(key(a), key(b)) },
-			func(dst []byte, p int32) []byte { return append(dst, key(p)...) })
-		for i, p := range r.ids {
-			r.ids[i] = s.ids[p]
-		}
-		f.trees[t] = forestTree{base: r}
+	ids, sigs := f.added.ids, f.added.sigs
+	f.added.ids, f.added.sigs, f.count = nil, nil, 0
+	pos := make([]int32, len(ids))
+	for i := range pos {
+		pos[i] = int32(i)
 	}
-	f.indexed = true
+	// Add checked every signature's length, so Build cannot fail.
+	_ = f.Build(pos, SigKeys(func(p int32) []uint32 { return sigs[p] }))
+	for t := range f.trees {
+		r := f.trees[t].base.ids
+		for i, p := range r {
+			r[i] = ids[p]
+		}
+	}
 }
 
-// Keys is where Build reads the keys of the items it indexes, in place
-// of the signatures Add copies them out of: Len is how many hash values
-// item id's signature provides, Compare orders two items' keys over the
-// hash values [lo, hi) as bytes.Compare orders the keys Add stages, and
-// AppendKey appends one item's. SigKeys and BitKeys read the two kinds
-// of signature a forest indexes.
+// Keys is where Build reads the keys of the items it indexes: Len is how
+// many hash values item id's signature provides, Compare orders two
+// items' keys over the hash values [lo, hi) as bytes.Compare orders
+// their byte keys, and AppendKey appends one item's. SigKeys and BitKeys
+// read the two kinds of signature a forest indexes.
 type Keys interface {
 	Len(id int32) int
 	Compare(a, b int32, lo, hi int) int
@@ -483,10 +472,10 @@ func (s BitKeys) AppendKey(dst []byte, id int32, lo, hi int) []byte {
 // Build indexes, at once, the items ids lists in the order Add would take
 // them, reading every key straight from keys: the forest Add of each
 // id's signature in that order followed by Index leaves, entry for
-// entry, with no key staged. The last tree keeps ids itself as its id
-// column and every other tree a copy, so a caller that sized ids exactly
-// allocates nothing Build does not keep. Build fills an empty forest
-// once, in place of Add and Index.
+// entry. The last tree keeps ids itself as its id column and every other
+// tree a copy, so a caller that sized ids exactly allocates nothing Build
+// does not keep. Build fills an empty forest once, in place of Add and
+// Index.
 func (f *Forest) Build(ids []int32, keys Keys) error {
 	if f.indexed || f.count > 0 {
 		return fmt.Errorf("lsh: Build of a forest already filled")
@@ -856,7 +845,7 @@ func (f *Forest) SpaceBytes() int64 {
 
 // Shape reports tree 0's live entries and the distinct keys they sit
 // under: how much the forest's keys repeat. An un-indexed forest has
-// staged entries and no keys yet.
+// added entries and no keys yet.
 func (f *Forest) Shape() (entries, keys int) {
 	r := f.merged(&f.trees[0])
 	return f.count, r.numKeys()

@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 
+	"d3l"
 	"d3l/internal/core"
 )
 
@@ -82,9 +84,13 @@ func FuzzRankingBody(f *testing.F) {
 }
 
 // FuzzShardBody holds the shard replica's query routes, POST
-// /v1/shard/probe and /v1/shard/explain, to the error contract on
-// arbitrary request bytes: a 200 with a JSON body or a 4xx in the
-// uniform error body, never a 5xx or a panic. A 5xx there would have a
+// /v1/shard/probe, /v1/shard/explain and /v1/shard/gather, to the error
+// contract on arbitrary request bytes: never a panic, and a 4xx in the
+// uniform error body unless the route answers. A probe or explanation
+// answers a 200 with a JSON body, a gather a 200 whose body decodes as a
+// shard partial, or a 500 when its depth directive disagrees with the
+// query it comes with (a replica whose options drifted from its peers',
+// which a coordinator retries on a sibling). Any other 5xx would have a
 // coordinator retry the same bad request on a sibling replica.
 func FuzzShardBody(f *testing.F) {
 	target := figure1TargetJSON()
@@ -100,6 +106,39 @@ func FuzzShardBody(f *testing.F) {
 			ShardProbeRequest{Table: target, Spec: bad.spec},
 			ShardExplainRequest{Table: target, LakeTable: "S2", Spec: bad.spec})
 	}
+	srv, err := New(figure1Engine(f), Config{MaxBodyBytes: 2048})
+	if err != nil {
+		f.Fatal(err)
+	}
+	probeBody, err := json.Marshal(ShardProbeRequest{Table: target, Spec: spec})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var probe d3l.ShardProbe
+	if err := json.Unmarshal(serve(srv, http.MethodPost, "/v1/shard/probe", probeBody).Body.Bytes(), &probe); err != nil {
+		f.Fatal(err)
+	}
+	depths, err := d3l.MergeShardDepths([]*d3l.ShardProbe{&probe})
+	if err != nil {
+		f.Fatal(err)
+	}
+	gather := ShardGatherRequest{Table: target, Spec: spec, Depths: *depths}
+	disagrees := gather
+	disagrees.Depths.Meta.K++ // a directive for another query than the spec's
+	// The two gather seeds reach the route's answer and its 500.
+	for _, seed := range []struct {
+		req  ShardGatherRequest
+		want int
+	}{{gather, http.StatusOK}, {disagrees, http.StatusInternalServerError}} {
+		body, err := json.Marshal(seed.req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if rec := serve(srv, http.MethodPost, "/v1/shard/gather", body); rec.Code != seed.want {
+			f.Fatalf("gather seed: status %d, want %d: %s", rec.Code, seed.want, rec.Body.Bytes())
+		}
+		bodies = append(bodies, seed.req)
+	}
 	for _, req := range bodies {
 		body, err := json.Marshal(req)
 		if err != nil {
@@ -110,13 +149,23 @@ func FuzzShardBody(f *testing.F) {
 	f.Add([]byte(`{"table": {`))
 	f.Add([]byte{})
 
-	srv, err := New(figure1Engine(f), Config{MaxBodyBytes: 2048})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, path := range []string{"/v1/shard/probe", "/v1/shard/explain"} {
 			checkErrorContract(t, path, serve(srv, http.MethodPost, path, body), body)
+		}
+		rec := serve(srv, http.MethodPost, "/v1/shard/gather", body)
+		switch rec.Code {
+		case http.StatusOK:
+			if _, err := d3l.DecodeShardPartial(rec.Body.Bytes()); err != nil {
+				t.Fatalf("gather: 200 with a body that is not a shard partial (%v) for %q", err, body)
+			}
+		case http.StatusInternalServerError:
+			var env ErrorBody
+			if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || !strings.Contains(env.Error.Message, "depth directive") {
+				t.Fatalf("gather: 500 other than a directive disagreement for %q: %s", body, rec.Body.Bytes())
+			}
+		default:
+			checkErrorContract(t, "/v1/shard/gather", rec, body)
 		}
 	})
 }

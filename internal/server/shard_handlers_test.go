@@ -195,7 +195,6 @@ func invalidShardSpecs() []invalidShardSpec {
 		{"K 0", core.QuerySpec{K: 0}, false},
 		{"K -1", core.QuerySpec{K: -1}, false},
 		{"CandidateBudget -1", core.QuerySpec{K: 3, CandidateBudget: -1}, true},
-		{"Parallelism -2", core.QuerySpec{K: 3, Parallelism: -2}, true},
 		{"all evidence disabled", core.QuerySpec{K: 3, Disabled: &allOff}, true},
 	}
 }

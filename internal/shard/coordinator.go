@@ -11,6 +11,7 @@ import (
 
 	"d3l"
 	"d3l/internal/core"
+	"d3l/internal/par"
 )
 
 // shardClient is one shard as the coordinator drives it: an in-process
@@ -222,16 +223,11 @@ func (c *coordinator[T, C]) search(ctx context.Context, target T, sq *d3l.ShardQ
 func phase[V any](ctx context.Context, name string, live []int, partialOK bool, call func(shard int) (V, error)) ([]int, []V, error) {
 	vals := make([]V, len(live))
 	errs := make([]error, len(live))
-	var wg sync.WaitGroup
-	for j, i := range live {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			vals[j], errs[j] = call(i)
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	// One worker per shard: every call is a round trip, all in flight at once.
+	if err := par.For(ctx, len(live), len(live), nil, func(_ struct{}, j int) error {
+		vals[j], errs[j] = call(live[j])
+		return nil
+	}); err != nil {
 		return nil, nil, err
 	}
 	kept := live[:0]

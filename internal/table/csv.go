@@ -1,16 +1,16 @@
 package table
 
 import (
+	"context"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"d3l/internal/par"
 )
 
 // ReadCSV parses a table from CSV. The first record is the header. The
@@ -102,36 +102,21 @@ func LoadLakeDir(dir string) (*Lake, error) {
 	}
 	sort.Strings(names)
 	tables := make([]*Table, len(names))
-	errs := make([]error, len(names))
-	// Names are handed out in order, so once one file fails every file
-	// before it has been taken and will finish: the workers stop taking
-	// new ones, and the merge below meets the first failure by name
-	// before any slot that was never parsed.
-	var next atomic.Int64
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), len(names)); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(names) {
-					return
-				}
-				if tables[i], errs[i] = ReadCSVFile(filepath.Join(dir, names[i])); errs[i] != nil {
-					failed.Store(true)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	lake := NewLake()
-	for i, n := range names {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("loading %s: %w", n, errs[i])
+	// A failing file leaves its slot nil and every slot before it filled.
+	loadErr := par.For(context.Background(), len(names), 0, nil, func(_ struct{}, i int) error {
+		t, err := ReadCSVFile(filepath.Join(dir, names[i]))
+		if err != nil {
+			return fmt.Errorf("loading %s: %w", names[i], err)
 		}
-		if _, err := lake.Add(tables[i]); err != nil {
+		tables[i] = t
+		return nil
+	})
+	lake := NewLake()
+	for _, t := range tables {
+		if t == nil {
+			return nil, loadErr
+		}
+		if _, err := lake.Add(t); err != nil {
 			return nil, err
 		}
 	}

@@ -43,16 +43,15 @@ var ErrInvalidOptions = errors.New("d3l: invalid query options")
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	k           int
-	kSet        bool
-	joins       bool
-	explainFor  string
-	weights     *Weights
-	disabled    *[NumEvidence]bool
-	budget      int
-	partialOK   bool
-	parallelism int   // internal: QueryBatch pins inner queries to 1
-	err         error // first option error, reported by Query
+	k          int
+	kSet       bool
+	joins      bool
+	explainFor string
+	weights    *Weights
+	disabled   *[NumEvidence]bool
+	budget     int
+	partialOK  bool
+	err        error // first option error, reported by Query
 }
 
 func (c *queryConfig) fail(err error) {
@@ -191,7 +190,6 @@ func (c *queryConfig) spec() core.QuerySpec {
 		Weights:         c.weights,
 		Disabled:        c.disabled,
 		CandidateBudget: c.budget,
-		Parallelism:     c.parallelism,
 	}
 }
 
@@ -335,9 +333,9 @@ func (e *Engine) query(ctx context.Context, t *Table, cfg queryConfig) (*Answer,
 // targets share one option set; the answer slice is indexed like
 // targets. Cancellation wins over per-target failures: once ctx is
 // cancelled, workers stop picking up targets and the call returns
-// ctx.Err(); otherwise the first query error aborts the batch. With
-// WithJoins, the SA-join graph is built (or reused) once and shared by
-// every answer.
+// ctx.Err(); otherwise a failed query stops them too, and the call
+// returns the error of the first failing target. With WithJoins, the
+// SA-join graph is built (or reused) once and shared by every answer.
 func (e *Engine) QueryBatch(ctx context.Context, targets []*Table, opts ...QueryOption) ([]*Answer, error) {
 	cfg, err := newQueryConfig(opts)
 	if err != nil {
@@ -352,26 +350,16 @@ func (e *Engine) QueryBatch(ctx context.Context, targets []*Table, opts ...Query
 			return nil, err
 		}
 	}
-	// Each query runs its own pipeline sequentially; cross-target
-	// parallelism already saturates the pool.
-	inner := cfg
-	inner.parallelism = 1
 	answers := make([]*Answer, len(targets))
-	errs := make([]error, len(targets))
-	if err := e.core.ForEachQuery(ctx, len(targets), func(i int) {
-		a, err := e.query(ctx, targets[i], inner)
+	if err := e.core.ForEachQuery(ctx, len(targets), func(i int) error {
+		a, err := e.query(ctx, targets[i], cfg)
 		if err != nil {
-			errs[i] = fmt.Errorf("target %d: %w", i, err)
-			return
+			return fmt.Errorf("target %d: %w", i, err)
 		}
 		answers[i] = a
+		return nil
 	}); err != nil {
 		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
 	}
 	return answers, nil
 }

@@ -320,7 +320,6 @@ func benchServingSetup(b *testing.B, parallelism int) (*d3l.Engine, []*d3l.Table
 	}
 	opts := d3l.DefaultOptions()
 	opts.Parallelism = parallelism
-	opts.CandidateBudget = 64
 	engine, err := d3l.New(lake, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -340,7 +339,7 @@ func BenchmarkSequentialTopKLoop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, target := range targets {
-			if _, err := engine.Query(ctx, target, d3l.WithK(10)); err != nil {
+			if _, err := engine.Query(ctx, target, d3l.WithK(10), d3l.WithCandidateBudget(64)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -356,7 +355,7 @@ func BenchmarkBatchTopK(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.QueryBatch(ctx, targets, d3l.WithK(10)); err != nil {
+		if _, err := engine.QueryBatch(ctx, targets, d3l.WithK(10), d3l.WithCandidateBudget(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -404,7 +403,7 @@ func BenchmarkSearchAllocs(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
+		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10), d3l.WithCandidateBudget(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -418,7 +417,7 @@ func BenchmarkParallelSearch(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
+		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10), d3l.WithCandidateBudget(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -439,13 +438,13 @@ func BenchmarkPlannerWarmPlan(b *testing.B) {
 	engine, targets := benchServingSetup(b, 1)
 	ctx := context.Background()
 	for _, target := range targets {
-		if _, err := engine.Query(ctx, target, d3l.WithK(10)); err != nil {
+		if _, err := engine.Query(ctx, target, d3l.WithK(10), d3l.WithCandidateBudget(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10)); err != nil {
+		if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(10), d3l.WithCandidateBudget(64)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -472,7 +471,6 @@ func BenchmarkPlannerPrunedSkewed(b *testing.B) {
 	}
 	opts := d3l.DefaultOptions()
 	opts.Parallelism = 1
-	opts.CandidateBudget = 96
 	engine, err := d3l.New(lake, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -486,7 +484,7 @@ func BenchmarkPlannerPrunedSkewed(b *testing.B) {
 		before := engine.PlannerTotals()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(1)); err != nil {
+			if _, err := engine.Query(ctx, targets[i%len(targets)], d3l.WithK(1), d3l.WithCandidateBudget(96)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -25,10 +25,10 @@ import (
 // TestIndexInfoAccountsForTheFile: index info reads the format version
 // and the section sizes off the snapshot file, and those sizes, with the
 // header, the trailer and each section's id and length, add up to the
-// file's size: five sections in a version 6 file with the join graph,
+// file's size: five sections in a version 7 file with the join graph,
 // whose edges it reports, beside how its numeric extents are coded; and
-// four in the committed version 6 fixture, which holds no join graph and
-// gets none built. Files of versions 1 to 5 are refused by version, by
+// four in the committed version 7 fixture, which holds no join graph and
+// gets none built. Files of versions 1 to 6 are refused by version, by
 // index info as by d3l.LoadFile.
 func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	lake, target, err := experiments.Figure1Fixture()
@@ -55,7 +55,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err := run(context.Background(), []string{"index", "info", "-index", path}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "format v6") {
+	if !strings.Contains(out.String(), "format v7") {
 		t.Fatalf("no format version in:\n%s", out.String())
 	}
 	// The signature table holds each distinct signature once: at least
@@ -117,24 +117,24 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	}
 	if sections := accountForSections(t, out.String(), st.Size()); sections != 5 ||
 		!strings.Contains(out.String(), "section signatures") || strings.Contains(out.String(), "section forests") {
-		t.Fatalf("%d sections in a version 6 file:\n%s", sections, out.String())
+		t.Fatalf("%d sections in a version 7 file:\n%s", sections, out.String())
 	}
 
 	// The fixture is a bare core snapshot: no join graph section, and
 	// index info does not build one.
 	const fixtures = "../../internal/core/testdata/"
-	v6 := fixtures + "snapshot_v6.d3l"
-	if st, err = os.Stat(v6); err != nil {
+	v7 := fixtures + "snapshot_v7.d3l"
+	if st, err = os.Stat(v7); err != nil {
 		t.Fatal(err)
 	}
 	out.Reset()
-	if err := run(context.Background(), []string{"index", "info", "-index", v6}, &out, io.Discard); err != nil {
+	if err := run(context.Background(), []string{"index", "info", "-index", v7}, &out, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if sections := accountForSections(t, out.String(), st.Size()); sections != 4 || !strings.Contains(out.String(), "format v6") ||
+	if sections := accountForSections(t, out.String(), st.Size()); sections != 4 || !strings.Contains(out.String(), "format v7") ||
 		!regexp.MustCompile(`extents: +\d+ \(\d+ scaled d=0, 0 raw\)\n`).MatchString(out.String()) ||
 		!strings.Contains(out.String(), "join graph:    none in file\n") {
-		t.Fatalf("%d sections in the version 6 fixture, or a join graph reported:\n%s", sections, out.String())
+		t.Fatalf("%d sections in the version 7 fixture, or a join graph reported:\n%s", sections, out.String())
 	}
 
 	// The version 5 fixture stands for versions 3 and 4 too, whose
@@ -143,7 +143,7 @@ func TestIndexInfoAccountsForTheFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := map[uint32]string{1: fixtures + "snapshot_v1.d3l", 2: fixtures + "snapshot_v2.d3l", 5: fixtures + "snapshot_v5.d3l"}
+	old := map[uint32]string{1: fixtures + "snapshot_v1.d3l", 2: fixtures + "snapshot_v2.d3l", 5: fixtures + "snapshot_v5.d3l", 6: fixtures + "snapshot_v6.d3l"}
 	for _, v := range []uint32{3, 4} {
 		old[v] = filepath.Join(t.TempDir(), fmt.Sprintf("v%d.d3l", v))
 		if err := os.WriteFile(old[v], withVersion(v5, v), 0o644); err != nil {
@@ -195,15 +195,16 @@ func accountForSections(t *testing.T, out string, size int64) int {
 }
 
 // TestIndexBuildIsDeterministic: a snapshot is a pure function of the
-// lake, so index builds of one directory at different -workers give
-// identical files, monolithic and sharded alike.
+// lake, so index builds of one directory at different -workers (0 is
+// the default, GOMAXPROCS) give identical files, monolithic and sharded
+// alike; no build resets its parallelism before the save.
 func TestIndexBuildIsDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	lake := filepath.Join(dir, "lake")
 	mustRun(t, "generate", "-kind", "synthetic", "-out", lake, "-tables", "20", "-seed", "7")
 	for _, shards := range []string{"1", "2"} {
 		var first map[string][]byte
-		for _, workers := range []string{"1", "3"} {
+		for _, workers := range []string{"1", "3", "0"} {
 			out := filepath.Join(dir, "shards"+shards+"-workers"+workers)
 			mustRun(t, "index", "build", "-dir", lake, "-out", out, "-workers", workers, "-shards", shards)
 			// A sharded build writes a directory: its files by name.

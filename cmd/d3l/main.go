@@ -219,8 +219,8 @@ func checkSource(dir, index string) error {
 
 // loadEngine opens the engine of query, batch, watch and a monolith
 // serve: a prebuilt snapshot (instant cold-start) or a CSV directory
-// (profiled and indexed now), exactly one of the two. A non-zero
-// workers sets the engine's parallelism, which for -dir also drives
+// (profiled and indexed now), exactly one of the two. workers is the
+// engine's parallelism (0 = GOMAXPROCS), which for -dir also drives
 // the build; answers are the same at any setting.
 func loadEngine(dir, index string, workers int) (*d3l.Engine, error) {
 	if err := checkSource(dir, index); err != nil {
@@ -239,10 +239,8 @@ func loadEngine(dir, index string, workers int) (*d3l.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if workers != 0 {
-		if err := engine.SetParallelism(workers); err != nil {
-			return nil, err
-		}
+	if err := engine.SetParallelism(workers); err != nil {
+		return nil, err
 	}
 	return engine, nil
 }
@@ -308,13 +306,6 @@ func cmdIndexBuild(args []string, stdout, stderr io.Writer) error {
 	start = time.Now()
 	edges := engine.JoinGraphEdges()
 	graphed := time.Since(start)
-	// -workers tunes the fan-out of this build only. Parallelism is a
-	// property of the serving host, so the snapshot records the
-	// GOMAXPROCS default rather than baking the build machine's setting
-	// into every future replica.
-	if err := engine.SetParallelism(0); err != nil {
-		return err
-	}
 	start = time.Now()
 	if err := d3l.SaveFile(engine, *out); err != nil {
 		return err
@@ -347,15 +338,8 @@ func buildShardedIndex(stdout io.Writer, lake *d3l.Lake, opts d3l.Options, shard
 		return err
 	}
 	built := time.Since(start)
-	// As in the monolith path, parallelism is a serving-host property, so
-	// snapshots record the GOMAXPROCS default, not this build machine's
-	// -workers. Unlike it, no shard snapshot carries an SA-join graph:
-	// join paths cross shards, and no sharded topology serves them.
-	for i := 0; i < set.NumShards(); i++ {
-		if err := set.Shard(i).SetParallelism(0); err != nil {
-			return err
-		}
-	}
+	// Unlike the monolith path, no shard snapshot carries an SA-join
+	// graph: join paths cross shards, and no sharded topology serves them.
 	start = time.Now()
 	if err := shard.WriteSet(set, out); err != nil {
 		return err
@@ -522,7 +506,7 @@ func cmdQuery(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if *targetPath == "" {
 		return usagef("query: -target is required")
 	}
-	// The budget always goes through: 0 keeps the engine default, and a
+	// The budget always goes through: 0 derives it from k, and a
 	// negative one fails with ErrInvalidOptions as /v1/query refuses it.
 	opts := []d3l.QueryOption{d3l.WithK(*k), d3l.WithCandidateBudget(*budget)}
 	if *withJoins {
@@ -601,7 +585,7 @@ func cmdBatch(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	index := fs.String("index", "", "prebuilt snapshot (alternative to -dir)")
 	targetsDir := fs.String("targets", "", "directory of target table CSVs")
 	k := fs.Int("k", 10, "answer size per target")
-	workers := fs.Int("workers", 0, "concurrent queries (0 keeps GOMAXPROCS for -dir or the snapshot's setting for -index)")
+	workers := fs.Int("workers", 0, "concurrent queries (0 = GOMAXPROCS)")
 	if err := parse(fs, args, stderr); err != nil {
 		return err
 	}

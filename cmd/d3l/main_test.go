@@ -348,9 +348,9 @@ func TestServeSmoke(t *testing.T) {
 
 // TestServeReloadReappliesWorkers: a monolith serving a snapshot
 // reloads through a loader that re-reads the file and re-applies
-// -workers, so a reload never falls back to the parallelism the
-// snapshot recorded; a failed load hands the server a nil engine, and
-// the old one keeps serving. A -dir monolith has no loader.
+// -workers, which the snapshot does not carry; a failed load hands the
+// server a nil engine, and the old one keeps serving. A -dir monolith
+// has no loader.
 func TestServeReloadReappliesWorkers(t *testing.T) {
 	dir := t.TempDir()
 	lake, snap := filepath.Join(dir, "lake"), filepath.Join(dir, "lake.d3l")
@@ -375,25 +375,10 @@ func TestServeReloadReappliesWorkers(t *testing.T) {
 	if !ok || srv.Engine() == engine {
 		t.Fatalf("reload served %T %p, want a fresh *d3l.Engine", srv.Engine(), srv.Engine())
 	}
-	// A snapshot records the engine's parallelism, so saving the
-	// reloaded engine shows the setting it serves with.
-	snapshotOf := func(e *d3l.Engine) []byte {
-		var b bytes.Buffer
-		if err := d3l.Save(e, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	want, err := d3l.LoadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recorded := snapshotOf(want)
-	if err := want.SetParallelism(3); err != nil {
-		t.Fatal(err)
-	}
-	if got := snapshotOf(reloaded); !bytes.Equal(got, snapshotOf(want)) || bytes.Equal(got, recorded) {
-		t.Fatal("reload did not re-apply -workers 3")
+	// A snapshot carries no parallelism, so the loader sets -workers on
+	// every load, as at startup: an invalid setting fails the reload.
+	if e, err := snapshotLoader(snap, -1)(); err == nil || e != nil {
+		t.Fatalf("load at -workers -1 = (%v, %v), want a nil engine and an error", e, err)
 	}
 
 	if err := os.Remove(snap); err != nil {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestQueryBudgetFlag pins -budget's contract with the library's
-// WithCandidateBudget: 0 keeps the engine default and a negative budget
+// WithCandidateBudget: 0 derives the budget from k and a negative budget
 // is refused with ErrInvalidOptions — as POST /v1/query answers 400 —
 // instead of silently running with the default.
 func TestQueryBudgetFlag(t *testing.T) {

@@ -119,7 +119,7 @@ func cmdServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	index := fs.String("index", "", "prebuilt snapshot to serve (enables SIGHUP/POST /v1/reload)")
 	dir := fs.String("dir", "", "lake directory of CSV files (index at startup; alternative to -index)")
-	workers := fs.Int("workers", 0, "engine parallelism (0 keeps GOMAXPROCS for -dir or the snapshot's setting)")
+	workers := fs.Int("workers", 0, "engine parallelism (0 = GOMAXPROCS)")
 	watchDir := fs.Bool("watch", false, "poll -dir for CSV changes and fold them into the serving engine (requires -dir)")
 	watchInterval := fs.Duration("watch-interval", 2*time.Second, "poll interval for -watch")
 	shards := fs.Int("shards", 1, "serve an in-process sharded engine set with this many shards (-dir splits the lake at startup; -index loads a shard manifest)")
@@ -213,9 +213,8 @@ func buildServeEngine(dir, index string, workers, shards int, cfg *server.Config
 }
 
 // snapshotLoader is the reload loader of a monolith serving the
-// snapshot at index: each call re-reads it and re-applies workers, as
-// loadEngine did at startup, so a reload never falls back to the build
-// host's parallelism.
+// snapshot at index: each call re-reads it and sets workers, as
+// loadEngine did at startup (a snapshot carries no parallelism).
 func snapshotLoader(index string, workers int) func() (server.Engine, error) {
 	return func() (server.Engine, error) {
 		engine, err := loadEngine("", index, workers)

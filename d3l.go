@@ -417,8 +417,8 @@ func decode(src io.ReaderAt, size int64) (*Engine, error) {
 // SetParallelism re-bounds the engine's worker pools (0 selects
 // GOMAXPROCS). Parallelism is a property of the serving host, not of
 // the indexed data, so it is the one option that stays mutable after
-// New and after Load — a snapshot built single-threaded can still
-// saturate a many-core replica. Rankings are identical at any setting.
+// New and after Load, and no snapshot carries it: a loaded engine
+// starts at 0. Rankings are identical at any setting.
 func (e *Engine) SetParallelism(n int) error {
 	return e.core.SetParallelism(n)
 }

@@ -193,8 +193,9 @@ func TestExplainSpecCancelled(t *testing.T) {
 	}
 }
 
-// TestSearchSpecDefaultsMatchSearch: overrides that restate the engine's
-// own configuration must not move the ranking the zero spec gives.
+// TestSearchSpecDefaultsMatchSearch: overrides that restate the
+// defaults — DefaultWeights, the max(64, 4k) budget, CCDF weighting,
+// nothing disabled — must not move the ranking the zero spec gives.
 func TestSearchSpecDefaultsMatchSearch(t *testing.T) {
 	lake := syntheticLake(t, 21, 25)
 	e, err := BuildEngine(lake, testOptions())
@@ -206,19 +207,20 @@ func TestSearchSpecDefaultsMatchSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := e.opts.Weights
-	got2, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 8, Weights: &w})
+	w := DefaultWeights()
+	var none [NumEvidence]bool
+	got2, err := e.SearchSpec(context.Background(), target, QuerySpec{K: 8, Weights: &w, Disabled: &none, CandidateBudget: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rankingSignature(got2.Ranked, true) != rankingSignature(want.Ranked, true) {
-		t.Fatal("engine-equal weight override changed the ranking")
+		t.Fatal("a spec restating the defaults changed the ranking")
 	}
 }
 
 // TestSearchSpecEvidenceMask: per-query disabled evidence contributes
-// distance 1 and weight 0, exactly like the engine-level ablations —
-// and merges with (never overrides) the engine mask.
+// distance 1 and weight 0, and a mask that disables everything is
+// refused.
 func TestSearchSpecEvidenceMask(t *testing.T) {
 	e, err := BuildEngine(figure1Lake(t), testOptions())
 	if err != nil {
@@ -250,23 +252,6 @@ func TestSearchSpecEvidenceMask(t *testing.T) {
 		t.Fatal("all-disabled evidence mask accepted")
 	}
 
-	// The per-query mask merges with the engine mask: an engine that
-	// disabled name cannot have a query re-enable it into all-off.
-	opts := testOptions()
-	for t2 := 0; t2 < int(NumEvidence)-1; t2++ {
-		opts.Disabled[t2] = true
-	}
-	e2, err := BuildEngine(figure1Lake(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var onlyName [NumEvidence]bool
-	for t2 := range onlyName {
-		onlyName[t2] = Evidence(t2) != EvidenceName
-	}
-	if _, err := e2.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 3, Disabled: &onlyName}); err == nil {
-		t.Fatal("query re-enabled engine-disabled evidence")
-	}
 }
 
 func TestQuerySpecValidation(t *testing.T) {

@@ -88,7 +88,7 @@ func topK(e *Engine, target *table.Table, k int) ([]TableResult, error) {
 }
 
 // explain is the Table I breakdown of target against one lake table
-// under the engine's own evidence configuration.
+// under the default query parameters.
 func explain(e *Engine, target *table.Table, lakeTable string) ([]PairExplanation, error) {
 	prepared, err := e.Prepare(target)
 	if err != nil {
@@ -355,17 +355,12 @@ func itoa(i int) string {
 }
 
 func TestDisabledEvidence(t *testing.T) {
-	lake := figure1Lake(t)
-	opts := testOptions()
-	for ev := 0; ev < int(NumEvidence); ev++ {
-		opts.Disabled[ev] = true
+	e := buildFigure1Engine(t)
+	var disabled [NumEvidence]bool
+	for ev := range disabled {
+		disabled[ev] = Evidence(ev) != EvidenceValue // value-only query
 	}
-	opts.Disabled[EvidenceValue] = false // value-only engine
-	e, err := BuildEngine(lake, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 5})
+	res, err := e.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 5, Disabled: &disabled})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +377,7 @@ func TestDisabledEvidence(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("value-only engine should still retrieve S2")
+		t.Fatal("value-only query should still retrieve S2")
 	}
 }
 
@@ -403,7 +398,7 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 	if patients == nil || city == nil {
 		t.Fatal("fixture columns missing")
 	}
-	d := e.pairDistances(patients, city, nil, nil, e.opts.Disabled, nil)
+	d := e.pairDistances(patients, city, nil, nil, [NumEvidence]bool{}, nil)
 	if d[EvidenceValue] != 1 || d[EvidenceEmbedding] != 1 || d[EvidenceDomain] != 1 {
 		t.Fatalf("numeric-text pair should have V=E=D=1, got %v", d)
 	}

@@ -29,11 +29,11 @@ func jaccardSimilarity(a, b minhash.Signature) float64 {
 // attribute and a candidate attribute (Section III-B), with the
 // Algorithm 2 guard for D-relatedness. targetSubject and candSubject
 // are the profiles of the respective tables' subject attributes (nil
-// when a table has none). The query's Disabled mask (engine mask OR-ed
-// with the QuerySpec override) selects which of the five distances are
-// computed; disabled evidence types report distance 1. memo, when not
-// nil, is the gathering column's distance memo (see distMemo): target
-// must then be that column's profile, and cand a profile of this engine.
+// when a table has none). The query's Disabled mask selects which of
+// the five distances are computed; disabled evidence types report
+// distance 1. memo, when not nil, is the gathering column's distance
+// memo (see distMemo): target must then be that column's profile, and
+// cand a profile of this engine.
 func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool, memo *distMemo) DistanceVector {
 	d := maxDistances()
 	if !disabled[EvidenceName] {

@@ -106,7 +106,7 @@ func TestGatherMemoMatchesReference(t *testing.T) {
 			for ev := range mask {
 				mask[ev] = m&(1<<ev) != 0
 			}
-			view, err := e.resolve(QuerySpec{K: 5, Disabled: &mask})
+			view, err := QuerySpec{K: 5, Disabled: &mask}.resolve()
 			if m == 1<<NumEvidence-1 {
 				if err == nil {
 					t.Fatal("a query with every evidence type disabled resolved")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,36 +60,35 @@ func TestEq2WeightNilECDFs(t *testing.T) {
 }
 
 func TestCombineEq3HandComputed(t *testing.T) {
-	e := &Engine{opts: Options{Weights: Weights{1, 2, 0, 0, 0}}}
+	w := Weights{1, 2, 0, 0, 0}
 	vec := DistanceVector{0.5, 0.25, 1, 1, 1}
 	// Raw Eq. 3: sqrt(((1*0.5)^2 + (2*0.25)^2) / (1+2)); normalised by
 	// the all-ones maximum sqrt((1^2+2^2)/(1+2)).
 	want := math.Sqrt((0.25+0.25)/3.0) / math.Sqrt(5.0/3.0)
-	got := e.combineEq3(vec)
+	got := combineEq3(w, [NumEvidence]bool{}, vec)
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Eq3 = %v, want %v", got, want)
 	}
 }
 
 func TestCombineEq3Bounded(t *testing.T) {
-	e := &Engine{opts: Options{Weights: Weights{4, 14, 0.05, 0.05, 13}}}
-	if d := e.combineEq3(maxDistances()); math.Abs(d-1) > 1e-12 {
+	w := Weights{4, 14, 0.05, 0.05, 13}
+	if d := combineEq3(w, [NumEvidence]bool{}, maxDistances()); math.Abs(d-1) > 1e-12 {
 		t.Fatalf("all-ones vector should score exactly 1, got %v", d)
 	}
-	if d := e.combineEq3(DistanceVector{}); d != 0 {
+	if d := combineEq3(w, [NumEvidence]bool{}, DistanceVector{}); d != 0 {
 		t.Fatalf("zero vector should score 0, got %v", d)
 	}
 }
 
 func TestCombineEq3AllZeroWeights(t *testing.T) {
-	e := &Engine{opts: Options{}}
-	if e.combineEq3(DistanceVector{0, 0, 0, 0, 0}) != 1 {
+	if combineEq3(Weights{}, [NumEvidence]bool{}, DistanceVector{0, 0, 0, 0, 0}) != 1 {
 		t.Fatal("zero weights should yield max distance")
 	}
 }
 
 func TestCombineEq3MonotoneProperty(t *testing.T) {
-	e := &Engine{opts: Options{Weights: DefaultWeights()}}
+	w := DefaultWeights()
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var a, b DistanceVector
@@ -97,7 +97,7 @@ func TestCombineEq3MonotoneProperty(t *testing.T) {
 			// b dominates a component-wise.
 			b[i] = a[i] + (1-a[i])*rng.Float64()
 		}
-		return e.combineEq3(a) <= e.combineEq3(b)+1e-12
+		return combineEq3(w, [NumEvidence]bool{}, a) <= combineEq3(w, [NumEvidence]bool{}, b)+1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -138,19 +138,14 @@ func TestEmbedForestLayout(t *testing.T) {
 }
 
 func TestUniformWeightingAblation(t *testing.T) {
-	lake := figure1Lake(t)
-	opts := testOptions()
-	opts.UniformEq1Weights = true
-	e, err := BuildEngine(lake, opts)
+	e := buildFigure1Engine(t)
+	out, err := e.SearchSpec(context.Background(), figure1Target(t), QuerySpec{K: 3, Uniform: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := topK(e, figure1Target(t), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := out.Ranked
 	if len(res) == 0 {
-		t.Fatal("uniform-weight engine returned nothing")
+		t.Fatal("uniform-weight query returned nothing")
 	}
 	// Related tables still beat noise even without CCDF weighting.
 	if res[0].Name == "N1" || res[0].Name == "N2" {
@@ -164,7 +159,7 @@ func TestPairDistancesBoundsProperty(t *testing.T) {
 	f := func(ai, bi uint8) bool {
 		a := e.Profile(int(ai) % n)
 		b := e.Profile(int(bi) % n)
-		d := e.pairDistances(a, b, nil, nil, e.opts.Disabled, nil)
+		d := e.pairDistances(a, b, nil, nil, [NumEvidence]bool{}, nil)
 		for _, v := range d {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
@@ -181,7 +176,7 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
 		p := e.Profile(id)
-		d := e.pairDistances(p, p, nil, nil, e.opts.Disabled, nil)
+		d := e.pairDistances(p, p, nil, nil, [NumEvidence]bool{}, nil)
 		if d[EvidenceName] > 1e-9 {
 			t.Fatalf("self N distance %v for %s", d[EvidenceName], p.Name)
 		}
@@ -198,10 +193,4 @@ func TestProfileSpaceBytesPositive(t *testing.T) {
 			t.Fatal("profile space must be positive")
 		}
 	}
-}
-
-// combineEq3 applies the engine-level weights and mask, the form the
-// equation tests exercise the formula through.
-func (e *Engine) combineEq3(vec DistanceVector) float64 {
-	return combineEq3(e.opts.Weights, e.opts.Disabled, vec)
 }

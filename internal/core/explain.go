@@ -28,7 +28,7 @@ func (e *Engine) Explain(ctx context.Context, target *Target, lakeTable string, 
 	// K does not shape an explanation; resolve is reused only for its
 	// validation and evidence-mask merge.
 	spec.K = 1
-	view, err := e.resolve(spec)
+	view, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import "hash/fnv"
 //
 // The fingerprint has two halves. The base is hashed once, at build or
 // snapshot-load time, over everything that shapes rankings: the
-// configured seed, the weight vector, the indexed attribute count and
+// configured seed, the indexed attribute count and
 // the per-table (name, liveness) pairs. The version is a counter
 // bumped under the write lock by every successful mutation. Fingerprint
 // mixes the two through a splitmix64 finaliser so that consecutive
@@ -33,9 +33,6 @@ func (e *Engine) fingerprintBase() uint64 {
 		h.Write(b[:])
 	}
 	put(e.opts.Seed)
-	for _, w := range e.opts.Weights {
-		put(uint64(w * (1 << 20)))
-	}
 	put(uint64(len(e.profiles)))
 	put(uint64(len(e.byTable)))
 	for tid := range e.byTable {

@@ -6,7 +6,10 @@ import (
 	"d3l/internal/subject"
 )
 
-// Options configure an Engine. The zero value is not usable; call
+// Options configure how an Engine is built: every field but Parallelism
+// shapes the index and is persisted in a snapshot. Query parameters —
+// evidence mask, Eq. 3 weights, candidate budget, Eq. 1 weighting —
+// live in QuerySpec alone. The zero value is not usable; call
 // DefaultOptions and override fields.
 type Options struct {
 	// MinHashSize is the MinHash signature width (paper: 256).
@@ -26,8 +29,6 @@ type Options struct {
 	// Seed derives every hash family, so two engines with equal seeds
 	// build comparable signatures.
 	Seed uint64
-	// Weights are the Eq. 3 evidence weights.
-	Weights Weights
 	// Subject classifies subject attributes (Section III-C/IV). Nil
 	// selects subject.Default().
 	Subject *subject.Classifier
@@ -35,24 +36,15 @@ type Options struct {
 	// 0 means no cap. Open-data columns are heavily repetitive, so
 	// sampling preserves signal while bounding indexing cost.
 	MaxExtentSample int
-	// CandidateBudget caps candidate attributes gathered per target
-	// attribute per index during search; 0 derives it from k.
-	CandidateBudget int
-	// Disabled switches individual evidence types off for the Exp 1
-	// per-evidence runs and ablations. Disabled evidence contributes
-	// distance 1 and weight 0.
-	Disabled [NumEvidence]bool
-	// UniformEq1Weights replaces the Eq. 2 CCDF weights with uniform
-	// weights in the Eq. 1 aggregation — the ablation that isolates the
-	// contribution of the distribution-aware weighting scheme.
-	UniformEq1Weights bool
 	// Parallelism bounds the worker pools on both sides of the engine:
 	// table profiling and the four forest builds during BuildEngine, the
 	// per-column candidate gather of a query (scoring is one sequential
 	// loop), and the number of concurrent queries a QueryBatch call
 	// runs. 0 selects GOMAXPROCS; 1 forces sequential execution.
 	// Profiles, indexes and rankings are deterministic, so results are
-	// identical at any setting.
+	// identical at any setting. It is a property of the host, not of
+	// the index: snapshots do not carry it, and a loaded engine starts
+	// at 0.
 	Parallelism int
 }
 
@@ -66,7 +58,6 @@ func DefaultOptions() Options {
 		ForestHashes:    32,
 		EmbedBits:       256,
 		Seed:            0x9e3779b97f4a7c15,
-		Weights:         DefaultWeights(),
 		MaxExtentSample: 512,
 	}
 }
@@ -91,14 +82,8 @@ func (o Options) Validate() error {
 	if o.EmbedBits <= 0 || o.EmbedBits%64 != 0 {
 		return fmt.Errorf("core: EmbedBits must be a positive multiple of 64, got %d", o.EmbedBits)
 	}
-	if err := o.Weights.Validate(); err != nil {
-		return err
-	}
 	if o.MaxExtentSample < 0 {
 		return fmt.Errorf("core: MaxExtentSample must be non-negative, got %d", o.MaxExtentSample)
-	}
-	if o.CandidateBudget < 0 {
-		return fmt.Errorf("core: CandidateBudget must be non-negative, got %d", o.CandidateBudget)
 	}
 	if o.Parallelism < 0 {
 		return fmt.Errorf("core: Parallelism must be non-negative, got %d", o.Parallelism)

@@ -30,11 +30,10 @@ func (e *Engine) queryParallelism() int {
 
 // SetParallelism re-bounds the engine's worker pools. Parallelism is a
 // property of the serving host, not of the indexed data — a snapshot
-// built with -workers 1 on a laptop should still saturate a 64-core
-// replica — so unlike every other option it is mutable after build and
-// after LoadEngine. Rankings are identical at any setting, so in-flight
-// queries are unaffected beyond their worker count. 0 selects
-// GOMAXPROCS.
+// does not carry it, and a loaded engine starts at 0 — so unlike every
+// other option it is mutable after build and after LoadEngine. Rankings
+// are identical at any setting, so in-flight queries are unaffected
+// beyond their worker count. 0 selects GOMAXPROCS.
 func (e *Engine) SetParallelism(n int) error {
 	if n < 0 {
 		return fmt.Errorf("core: Parallelism must be non-negative, got %d", n)

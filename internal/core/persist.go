@@ -15,10 +15,10 @@ import (
 
 // This file implements engine snapshots: the build-once / serve-many
 // path. A snapshot captures what the indexing phase produced that a
-// replica cannot derive — options, lake metadata, the table of distinct
-// MinHash signatures and the attribute profiles (with the tombstone set)
-// — so a serving replica cold-starts by deserialising instead of
-// re-profiling the lake. What is a function of those is rebuilt at load
+// replica cannot derive — build options, lake metadata, the table of
+// distinct MinHash signatures and the attribute profiles (with the
+// tombstone set) — so a serving replica cold-starts by deserialising
+// instead of re-profiling the lake. What is a function of those is rebuilt at load
 // time rather than stored: the hash machinery (MinHash families,
 // random-projection planes, the embedding model) from Options.Seed, and
 // the four LSH forests from the profiles' signatures, through the
@@ -88,16 +88,16 @@ func (e *Engine) extentCodes() []extentCode {
 	return codes
 }
 
-// optionsEnc bounds SecOptions: eleven 8-byte fields, a bool, three
-// counted slices of at most NumEvidence / FeatureCount values.
-const optionsEnc = 11*8 + 1 + 3*4 + 8*(2*int(NumEvidence)+subject.FeatureCount)
+// optionsEnc is the size of SecOptions: nine 8-byte fields and the
+// counted FeatureCount classifier coefficients.
+const optionsEnc = 9*8 + 4 + 8*subject.FeatureCount
 
 // snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
 // down, given the signature positions sigPositions assigned and the
-// extent codes extentCodes chose: exact but for SecOptions' slack and a
-// few bytes per tombstoned table. It counts each signature once, as the
-// file holds it, where indexSpaceBytes (Table II's measure) counts it
-// once per profile field. Caller holds e.mu.
+// extent codes extentCodes chose: exact but for a few bytes per
+// tombstoned table. It counts each signature once, as the file holds
+// it, where indexSpaceBytes (Table II's measure) counts it once per
+// profile field. Caller holds e.mu.
 func (e *Engine) snapshotSizeBound(pos []uint32, order []int32, codes []extentCode) int {
 	vlen := func(v int) int { return persist.UvarintLen(uint64(v)) }
 	n := 4*persist.SectionOverhead + optionsEnc
@@ -220,8 +220,10 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	return e, nil
 }
 
-// encodeOptions writes the full engine configuration plus the resolved
-// subject classifier coefficients. Field order is part of the format.
+// encodeOptions writes the build options — everything the index is a
+// function of — plus the resolved subject classifier coefficients.
+// Query parameters and Parallelism are not part of a snapshot. Field
+// order is part of the format.
 func (e *Engine) encodeOptions(b *persist.Buffer) {
 	o := e.opts
 	b.I64(int64(o.MinHashSize))
@@ -231,21 +233,10 @@ func (e *Engine) encodeOptions(b *persist.Buffer) {
 	b.I64(int64(o.ForestHashes))
 	b.I64(int64(o.EmbedBits))
 	b.U64(o.Seed)
-	b.F64s(o.Weights[:])
 	m := e.classifier.Model()
 	b.F64s(m.Weights)
 	b.F64(m.Bias)
 	b.I64(int64(o.MaxExtentSample))
-	b.I64(int64(o.CandidateBudget))
-	disabled := make([]uint64, 0, NumEvidence)
-	for t, d := range o.Disabled {
-		if d {
-			disabled = append(disabled, uint64(t))
-		}
-	}
-	b.U64s(disabled)
-	b.Bool(o.UniformEq1Weights)
-	b.I64(int64(o.Parallelism))
 }
 
 // maxSnapshotSketchWidth bounds the MinHashSize and EmbedBits a snapshot
@@ -264,35 +255,20 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 	o.ForestHashes = int(r.I64())
 	o.EmbedBits = int(r.I64())
 	o.Seed = r.U64()
-	w := r.F64s()
 	cw := r.F64s()
 	bias := r.F64()
 	o.MaxExtentSample = int(r.I64())
-	o.CandidateBudget = int(r.I64())
-	disabled := r.U64s()
-	o.UniformEq1Weights = r.Bool()
-	o.Parallelism = int(r.I64())
 	if err := r.Err(); err != nil {
 		return o, err
 	}
 	if o.MinHashSize > maxSnapshotSketchWidth || o.EmbedBits > maxSnapshotSketchWidth {
 		return o, fmt.Errorf("%w: MinHashSize %d, EmbedBits %d", persist.ErrCorrupt, o.MinHashSize, o.EmbedBits)
 	}
-	if len(w) != int(NumEvidence) {
-		return o, fmt.Errorf("%w: %d evidence weights", persist.ErrCorrupt, len(w))
-	}
-	copy(o.Weights[:], w)
 	cls, err := subject.FromModel(&mlearn.LogisticModel{Weights: cw, Bias: bias})
 	if err != nil {
 		return o, fmt.Errorf("%w: %v", persist.ErrCorrupt, err)
 	}
 	o.Subject = cls
-	for _, t := range disabled {
-		if t >= uint64(NumEvidence) {
-			return o, fmt.Errorf("%w: disabled evidence %d", persist.ErrCorrupt, t)
-		}
-		o.Disabled[t] = true
-	}
 	return o, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -142,51 +143,55 @@ func TestSnapshotRoundTripSynthetic(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripOptions asserts the engine configuration —
-// including ablation switches — survives the round trip.
+// TestSnapshotRoundTripOptions asserts a snapshot carries exactly the
+// build options: every field but Parallelism, a property of the serving
+// host that a loaded engine starts at 0. Every carried field is set off
+// its default, and the loaded engine answers like the original under
+// per-query masks and weightings.
 func TestSnapshotRoundTripOptions(t *testing.T) {
-	opts := testOptions()
-	opts.Disabled[EvidenceEmbedding] = true
-	opts.Disabled[EvidenceDomain] = true
-	opts.UniformEq1Weights = true
-	opts.Weights = Weights{0.9, 1.7, 0.3, 1.2, 0.4}
-	opts.CandidateBudget = 48
-	opts.Parallelism = 2
+	opts := Options{
+		MinHashSize:     128,
+		Threshold:       0.6,
+		QGramQ:          3,
+		ForestTrees:     4,
+		ForestHashes:    16,
+		EmbedBits:       128,
+		Seed:            12345,
+		MaxExtentSample: 96,
+		Parallelism:     2,
+	}
 	e, err := BuildEngine(figure1Lake(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	le := loadedEngine(t, e)
-	lo := le.opts
-	if lo.Disabled != opts.Disabled {
-		t.Fatalf("Disabled %v != %v", lo.Disabled, opts.Disabled)
-	}
-	if !lo.UniformEq1Weights {
-		t.Fatal("UniformEq1Weights lost")
-	}
-	if lo.Weights != opts.Weights {
-		t.Fatalf("Weights %v != %v", lo.Weights, opts.Weights)
-	}
-	if lo.CandidateBudget != opts.CandidateBudget || lo.Parallelism != opts.Parallelism {
-		t.Fatalf("budget/parallelism %d/%d != %d/%d",
-			lo.CandidateBudget, lo.Parallelism, opts.CandidateBudget, opts.Parallelism)
-	}
-	if lo.Subject == nil {
+	got := le.opts
+	if got.Subject == nil || !reflect.DeepEqual(got.Subject.Model(), e.classifier.Model()) {
 		t.Fatal("loaded engine lost the subject classifier")
 	}
-	if lo.Seed != opts.Seed || lo.MinHashSize != opts.MinHashSize {
-		t.Fatal("hash-family parameters lost")
+	got.Subject = nil
+	want := opts
+	want.Parallelism = 0
+	if got != want {
+		t.Fatalf("loaded options %+v, want %+v", got, want)
 	}
-	want, err := topK(e, figure1Target(t), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := topK(le, figure1Target(t), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rankingSignature(want, true) != rankingSignature(got, true) {
-		t.Fatal("ablated rankings diverged after round trip")
+	mask := [NumEvidence]bool{EvidenceEmbedding: true, EvidenceDomain: true}
+	w := Weights{0.9, 1.7, 0.3, 1.2, 0.4}
+	for _, spec := range []QuerySpec{
+		{K: 5},
+		{K: 5, Disabled: &mask, Uniform: true, Weights: &w, CandidateBudget: 48},
+	} {
+		want, err := e.SearchSpec(context.Background(), figure1Target(t), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := le.SearchSpec(context.Background(), figure1Target(t), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rankingSignature(want.Ranked, true) != rankingSignature(got.Ranked, true) {
+			t.Fatalf("spec %+v: rankings diverged after round trip", spec)
+		}
 	}
 }
 
@@ -534,10 +539,11 @@ func TestCompactPreservesQueries(t *testing.T) {
 	}
 }
 
-// TestSetParallelismOverridesSnapshot: the snapshot persists the
-// build-time Parallelism, but serving hosts override it without
-// touching results — concurrency is host policy, rankings are not.
-func TestSetParallelismOverridesSnapshot(t *testing.T) {
+// TestSetParallelismKeepsRankings: a snapshot carries no Parallelism,
+// so a loaded engine starts at 0 whatever the build used, and serving
+// hosts set it without touching results — concurrency is host policy,
+// rankings are not.
+func TestSetParallelismKeepsRankings(t *testing.T) {
 	opts := testOptions()
 	opts.Parallelism = 1
 	e, err := BuildEngine(syntheticLake(t, 23, 16), opts)
@@ -545,8 +551,8 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	le := loadedEngine(t, e)
-	if got := le.opts.Parallelism; got != 1 {
-		t.Fatalf("snapshot Parallelism = %d, want 1", got)
+	if got := le.opts.Parallelism; got != 0 {
+		t.Fatalf("loaded Parallelism = %d, want 0", got)
 	}
 	target := e.Lake().Table(2)
 	want, err := topK(le, target, 8)
@@ -557,14 +563,14 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := le.opts.Parallelism; got != 4 {
-		t.Fatalf("Parallelism after override = %d, want 4", got)
+		t.Fatalf("Parallelism after SetParallelism(4) = %d, want 4", got)
 	}
 	got, err := topK(le, target, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rankingSignature(want, true) != rankingSignature(got, true) {
-		t.Fatal("parallelism override changed rankings")
+		t.Fatal("SetParallelism changed rankings")
 	}
 	if err := le.SetParallelism(-1); err == nil {
 		t.Fatal("negative parallelism accepted")
@@ -576,10 +582,11 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 // fixture, testdata/snapshot_v2.d3l, by the last commit that stored a
 // copy of every signature per profile (26a1714), the version 5 fixture,
 // testdata/snapshot_v5.d3l, by the last commit that wrote every number
-// at a fixed width (637a224), and the version 6 fixture,
+// at a fixed width (637a224), the version 6 fixture,
 // testdata/snapshot_v6.d3l, by the commit that introduced version 6
-// (5ab763e), each with this test dropped into that commit's
-// internal/core and run once:
+// (5ab763e), and the version 7 fixture, testdata/snapshot_v7.d3l, by
+// the change that introduced version 7, each with this test dropped
+// into that tree's internal/core and run once:
 //
 //	func TestWriteSnapshotFixture(t *testing.T) {
 //		e, err := BuildEngine(figure1Lake(t), v1FixtureOptions())
@@ -595,13 +602,14 @@ func TestSetParallelismOverridesSnapshot(t *testing.T) {
 //	}
 //
 // None must be regenerated: they stand for every snapshot already on
-// disk. The first three are refused by version; the version 6 fixture
+// disk. The first four are refused by version; the version 7 fixture
 // pins the bytes this tree writes and reads.
 const (
 	v1FixturePath = "testdata/snapshot_v1.d3l"
 	v2FixturePath = "testdata/snapshot_v2.d3l"
 	v5FixturePath = "testdata/snapshot_v5.d3l"
 	v6FixturePath = "testdata/snapshot_v6.d3l"
+	v7FixturePath = "testdata/snapshot_v7.d3l"
 )
 
 // v1FixtureOptions are the options the fixtures were built with: small
@@ -758,13 +766,21 @@ func TestSnapshotV5IsRefused(t *testing.T) {
 	if _, err := LoadEngine(bytes.NewReader(withVersion(v5, persist.Version))); err == nil {
 		t.Fatalf("version 5 body read as version %d", persist.Version)
 	}
-	v6 := readFixture(t, v6FixturePath, persist.Version)
-	checkRefused(t, withVersion(v6, 5), 5)
-	checkRefused(t, withVersion(v6, persist.Version+1), persist.Version+1)
+	v7 := readFixture(t, v7FixturePath, persist.Version)
+	checkRefused(t, withVersion(v7, 5), 5)
+	checkRefused(t, withVersion(v7, persist.Version+1), persist.Version+1)
 }
 
-// TestSnapshotV6FixtureLoads pins the one layout this build reads to
-// bytes a build wrote before: the committed version 6 snapshot of
+// TestSnapshotV6IsRefused: a version 6 snapshot (query parameters and
+// parallelism in its options section) is refused as ErrVersion naming
+// version 6, and so is the current body under a version 6 header.
+func TestSnapshotV6IsRefused(t *testing.T) {
+	checkRefused(t, readFixture(t, v6FixturePath, 6), 6)
+	checkRefused(t, withVersion(readFixture(t, v7FixturePath, persist.Version), 6), 6)
+}
+
+// TestSnapshotV7FixtureLoads pins the one layout this build reads to
+// bytes a build wrote before: the committed version 7 snapshot of
 // v1FixtureEngine loads; answers every table of its lake, and an outside
 // target, bit for bit like an engine built from scratch by this tree;
 // holds each signature under the id that engine gives it, and numeric
@@ -772,8 +788,8 @@ func TestSnapshotV5IsRefused(t *testing.T) {
 // built; re-snapshots to the very bytes of the file, as the fresh engine
 // does; and a load of that re-snapshot is the engine the file loaded
 // into.
-func TestSnapshotV6FixtureLoads(t *testing.T) {
-	file := readFixture(t, v6FixturePath, persist.Version)
+func TestSnapshotV7FixtureLoads(t *testing.T) {
+	file := readFixture(t, v7FixturePath, persist.Version)
 	e, err := LoadEngine(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
@@ -928,8 +944,7 @@ func TestSnapshotIsCanonical(t *testing.T) {
 
 // TestSnapshotSizeBound: AppendSnapshot's one reservation holds the
 // whole snapshot, and exceeds it by no more than snapshotSizeBound's
-// comment states: SecOptions' slack (a weight per evidence type not
-// disabled) plus, per tombstoned table, the column count its lake entry
+// comment states: per tombstoned table, the column count its lake entry
 // no longer carries.
 func TestSnapshotSizeBound(t *testing.T) {
 	for _, c := range []struct {
@@ -949,7 +964,7 @@ func TestSnapshotSizeBound(t *testing.T) {
 		e.mu.RUnlock()
 		const headerAndTrailer = 8 + 4 + 4
 		written := len(snapshotBytes(t, e)) - headerAndTrailer
-		if slack, limit := bound-written, 8*int(NumEvidence)+4*dead; slack < 0 || slack > limit {
+		if slack, limit := bound-written, 4*dead; slack < 0 || slack > limit {
 			t.Fatalf("%s: bound %d for %d written bytes: slack %d, want 0…%d (%d tombstoned tables)",
 				c.name, bound, written, slack, limit, dead)
 		}
@@ -1069,7 +1084,7 @@ func withExtent(t testing.TB, e *Engine, i int, ext []byte) []byte {
 	})
 }
 
-// hostileFields edits the varints of a version 6 snapshot of
+// hostileFields edits the varints of a current-version snapshot of
 // v1FixtureEngine: a profile count eleven bytes long and one past 64
 // bits, and a scaled extent whose count runs past the section, whose
 // scale is past 18, and whose second value steps k to 2^53.
@@ -1109,7 +1124,7 @@ func hostileFields(t testing.TB) []hostileSnapshot {
 	}
 }
 
-// graphSection is a version 6 graph section over numTables tables with
+// graphSection is a current-version graph section over numTables tables with
 // one edge, between tables 0 and 1, whose first table declares first
 // neighbours (1 for an honest section).
 func graphSection(numTables int, first uint64) []byte {
@@ -1157,11 +1172,10 @@ func TestLoadRejectsHostileFields(t *testing.T) {
 }
 
 // FuzzLoadEngine feeds LoadEngine hostile bytes, seeded with the
-// refusals by version (the version 1, 2 and 5 fixtures, the version 5
-// body under a version 3, a version 4 and the current header, and the
-// version 6 fixture under a version 5 and a version 7 header), the
-// version 6 fixture, a
-// fresh snapshot with an SA-join graph section after the engine's
+// refusals by version (the version 1, 2, 5 and 6 fixtures, the version
+// 5 body under a version 3, a version 4 and the current header, and the
+// version 7 fixture under a version 5 and a version 8 header), the
+// version 7 fixture, a fresh snapshot with an SA-join graph section after the engine's
 // (honest, and with a neighbour count beyond its ids), the hostile
 // signature tables of hostileSignatureTables and the hostile varints
 // and extents of hostileFields: the outcome is an error or an engine
@@ -1173,17 +1187,17 @@ func FuzzLoadEngine(f *testing.F) {
 	for _, fx := range []struct {
 		path    string
 		version uint32
-	}{{v1FixturePath, 1}, {v2FixturePath, 2}, {v5FixturePath, 5}} {
+	}{{v1FixturePath, 1}, {v2FixturePath, 2}, {v5FixturePath, 5}, {v6FixturePath, 6}} {
 		f.Add(readFixture(f, fx.path, fx.version))
 	}
 	v5 := readFixture(f, v5FixturePath, 5)
 	for _, v := range []uint32{3, 4, persist.Version} {
 		f.Add(withVersion(v5, v))
 	}
-	v6 := readFixture(f, v6FixturePath, persist.Version)
-	f.Add(withVersion(v6, 5))
-	f.Add(withVersion(v6, persist.Version+1))
-	f.Add(v6)
+	v7 := readFixture(f, v7FixturePath, persist.Version)
+	f.Add(withVersion(v7, 5))
+	f.Add(withVersion(v7, persist.Version+1))
+	f.Add(v7)
 	e := v1FixtureEngine(f)
 	data := snapshotBytes(f, e)
 	f.Add(withGraphSection(data, graphSection(e.lake.Len(), 1)))

@@ -97,7 +97,7 @@ func (e *Engine) SearchSpec(ctx context.Context, t *table.Table, spec QuerySpec)
 // escape into the returned SearchResult (the ranked slice and the k
 // winners' alignment rows). The allocation-budget guard test pins this.
 func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*SearchResult, error) {
-	view, err := e.resolve(spec)
+	view, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}

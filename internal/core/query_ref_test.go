@@ -32,7 +32,7 @@ import (
 // alignment via alignColumns/aggregateEq1, and a full sort of every
 // scored table truncated to k.
 func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchResult, error) {
-	view, err := e.resolve(spec)
+	view, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -315,9 +315,9 @@ func assertEquivalent(t *testing.T, e *Engine, target *table.Table, spec QuerySp
 
 // TestSearchSpecMatchesNaiveReference is the hot-path equivalence
 // property test: across randomized lakes, evidence masks, candidate
-// budgets, weights, ks and parallelism levels, the optimized pipeline
-// must be deep-equal — ranking, vectors, alignments and stats — to the
-// retained naive implementation.
+// budgets, weights, Eq. 1 weightings, ks and parallelism levels, the
+// optimized pipeline must be deep-equal — ranking, vectors, alignments
+// and stats — to the retained naive implementation.
 func TestSearchSpecMatchesNaiveReference(t *testing.T) {
 	masks := []*[NumEvidence]bool{
 		nil,
@@ -328,28 +328,26 @@ func TestSearchSpecMatchesNaiveReference(t *testing.T) {
 	weights := []*Weights{nil, {2.5, 0.6, 1.1, 0.3, 1.9}}
 	for _, seed := range []uint64{1, 7} {
 		lake := refLake(t, seed)
-		for _, uniform := range []bool{false, true} {
-			opts := DefaultOptions()
-			opts.Parallelism = 1
-			opts.UniformEq1Weights = uniform
-			e, err := BuildEngine(lake, opts)
-			if err != nil {
-				t.Fatal(err)
+		opts := DefaultOptions()
+		opts.Parallelism = 1
+		e, err := BuildEngine(lake, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(seed)))
+		for trial := 0; trial < 48; trial++ {
+			spec := QuerySpec{
+				K:               []int{1, 3, 10, 60}[rng.Intn(4)],
+				Weights:         weights[rng.Intn(len(weights))],
+				Disabled:        masks[rng.Intn(len(masks))],
+				CandidateBudget: []int{0, 4, 48}[rng.Intn(3)],
+				Uniform:         rng.Intn(2) == 1,
 			}
-			rng := rand.New(rand.NewSource(int64(seed)))
-			for trial := 0; trial < 24; trial++ {
-				spec := QuerySpec{
-					K:               []int{1, 3, 10, 60}[rng.Intn(4)],
-					Weights:         weights[rng.Intn(len(weights))],
-					Disabled:        masks[rng.Intn(len(masks))],
-					CandidateBudget: []int{0, 4, 48}[rng.Intn(3)],
-				}
-				par := []int{1, 2, 7}[rng.Intn(3)]
-				setParallelism(t, e, par)
-				target := lake.Table(rng.Intn(lake.Len()))
-				label := fmt.Sprintf("seed=%d uniform=%v trial=%d spec=%+v par=%d", seed, uniform, trial, spec, par)
-				assertEquivalent(t, e, target, spec, label)
-			}
+			par := []int{1, 2, 7}[rng.Intn(3)]
+			setParallelism(t, e, par)
+			target := lake.Table(rng.Intn(lake.Len()))
+			label := fmt.Sprintf("seed=%d trial=%d spec=%+v par=%d", seed, trial, spec, par)
+			assertEquivalent(t, e, target, spec, label)
 		}
 	}
 }

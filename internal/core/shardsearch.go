@@ -56,9 +56,8 @@ import (
 const NumForestSlots = numForestSlots
 
 // ShardQueryMeta is the resolved query shape a probe ran with. Every
-// shard resolves the same QuerySpec against identically-configured
-// engines, so the metas must agree verbatim; the coordinator validates
-// that and then scores with these values.
+// shard resolves the same QuerySpec, so the metas must agree verbatim;
+// the coordinator validates that and then scores with these values.
 type ShardQueryMeta struct {
 	NumCols  int
 	K        int
@@ -138,7 +137,7 @@ func (e *Engine) ShardProbeSpec(ctx context.Context, t *table.Table, spec QueryS
 // forest probe. One Target serves every identically configured shard
 // and both phases of the query.
 func (e *Engine) ShardProbe(ctx context.Context, target *Target, spec QuerySpec) (*ShardProbe, error) {
-	view, err := e.resolve(spec)
+	view, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}
@@ -231,12 +230,12 @@ func (e *Engine) ShardGatherSpec(ctx context.Context, t *table.Table, spec Query
 // ShardGather runs the gather phase over a prepared target at the
 // imposed depths: the shared gather on the pooled query arena, then
 // per-table best-pair rows and the Eq. 2 sample cells. The resolved
-// view must match the directive's meta — a mismatch means the shard's
-// engine options drifted from its peers since the probe. Like a
+// view must match the directive's meta — a mismatch means the spec is
+// not the one the probe ran. Like a
 // monolith query it stops within a candidate batch of ctx being
 // cancelled and returns ctx.Err(), never a partial.
 func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
-	view, err := e.resolve(spec)
+	view, err := spec.resolve()
 	if err != nil {
 		return nil, err
 	}

@@ -121,9 +121,13 @@ func TestShardSearchEqualsMonolith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w := Weights{2.5, 0.6, 1.1, 0.3, 1.9}
+	specs := []QuerySpec{{K: 8}, {K: 8, Uniform: true}, {K: 8, Weights: &w}}
 	for _, n := range []int{1, 2, 3, 7} {
 		shards, _ := buildShards(t, lake, n)
-		assertShardEqualsMonolith(t, mono, shards, lake, QuerySpec{K: 8})
+		for _, spec := range specs {
+			assertShardEqualsMonolith(t, mono, shards, lake, spec)
+		}
 	}
 }
 
@@ -149,7 +153,7 @@ func TestOneShardDepthsAreTheMonolithProbe(t *testing.T) {
 	ws := e.getWorkerScratch()
 	defer e.putWorkerScratch(ws)
 	for _, spec := range specs {
-		view, err := e.resolve(spec)
+		view, err := spec.resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +432,7 @@ func TestMergeSortedRunsEqualsSort(t *testing.T) {
 // caller drops the partials nothing of them outlives the query — not in
 // an answer a result cache may hold for hours, not in the pool.
 func TestMergedAnswerDoesNotPinPartials(t *testing.T) {
-	_, depths, partial := gatherFixture(t, QuerySpec{K: 8}, testOptions())
+	_, depths, partial := gatherFixture(t, QuerySpec{K: 8})
 	freed := make(chan string, 2)
 	runtime.SetFinalizer(&partial.Tables[0].Rows[0], func(*Alignment) { freed <- "row slab" })
 	for i := range partial.Samples {

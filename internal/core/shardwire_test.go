@@ -15,10 +15,10 @@ import (
 
 // gatherFixture runs one real probe → gather on a small engine and
 // returns the depth directive and the partial it produced.
-func gatherFixture(t testing.TB, spec QuerySpec, opts Options) (*Engine, *ShardDepths, *ShardPartial) {
+func gatherFixture(t testing.TB, spec QuerySpec) (*Engine, *ShardDepths, *ShardPartial) {
 	t.Helper()
 	lake := syntheticLake(t, 23, 34)
-	e, err := BuildEngine(lake, opts)
+	e, err := BuildEngine(lake, testOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,22 +69,20 @@ func samePartial(a, b *ShardPartial) bool {
 // codec and back: ECDF-weighted (sample cells), uniform (nil Samples),
 // and a partial with no tables at all.
 func TestShardPartialRoundTrip(t *testing.T) {
-	uniform := testOptions()
-	uniform.UniformEq1Weights = true
 	cases := []struct {
 		name string
-		opts Options
+		spec QuerySpec
 		edit func(*ShardPartial)
 	}{
-		{"weighted", testOptions(), nil},
-		{"uniform", uniform, nil},
-		{"no tables", testOptions(), func(p *ShardPartial) {
+		{"weighted", QuerySpec{K: 8}, nil},
+		{"uniform", QuerySpec{K: 8, Uniform: true}, nil},
+		{"no tables", QuerySpec{K: 8}, func(p *ShardPartial) {
 			p.Tables, p.TableCount, p.PairCount = []ShardTable{}, 0, 0
 			for i := range p.Samples {
 				p.Samples[i] = nil
 			}
 		}},
-		{"odd floats", testOptions(), func(p *ShardPartial) {
+		{"odd floats", QuerySpec{K: 8}, func(p *ShardPartial) {
 			// Bit patterns a decimal round trip would not keep.
 			p.Tables[0].Rows[0].Distances[0] = math.Float64frombits(0x3fb999999999999a) // 0.1
 			p.Tables[0].Rows[0].Distances[1] = math.SmallestNonzeroFloat64
@@ -93,7 +91,7 @@ func TestShardPartialRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, _, partial := gatherFixture(t, QuerySpec{K: 8}, c.opts)
+			_, _, partial := gatherFixture(t, c.spec)
 			if c.edit != nil {
 				c.edit(partial)
 			}
@@ -159,7 +157,7 @@ var malformedPartials = []struct {
 func TestMergeShardPartialsRejectsMalformed(t *testing.T) {
 	for _, c := range malformedPartials {
 		t.Run(c.name, func(t *testing.T) {
-			_, depths, partial := gatherFixture(t, QuerySpec{K: 8}, testOptions())
+			_, depths, partial := gatherFixture(t, QuerySpec{K: 8})
 			if _, _, err := MergeShardPartials(depths, []*ShardPartial{partial}); err != nil {
 				t.Fatalf("fixture does not merge: %v", err)
 			}
@@ -173,9 +171,7 @@ func TestMergeShardPartialsRejectsMalformed(t *testing.T) {
 		})
 	}
 	t.Run("samples under uniform weighting", func(t *testing.T) {
-		opts := testOptions()
-		opts.UniformEq1Weights = true
-		_, depths, partial := gatherFixture(t, QuerySpec{K: 8}, opts)
+		_, depths, partial := gatherFixture(t, QuerySpec{K: 8, Uniform: true})
 		partial.Samples = make([][]float64, partial.Meta.NumCols*int(NumEvidence))
 		if _, _, err := MergeShardPartials(depths, []*ShardPartial{partial}); err == nil {
 			t.Fatal("MergeShardPartials accepted the partial")
@@ -188,7 +184,7 @@ func TestMergeShardPartialsRejectsMalformed(t *testing.T) {
 // recomputed checksum, so it is the field that is refused), and bytes
 // trailing the last table.
 func TestDecodeShardPartialRejectsDamage(t *testing.T) {
-	_, _, partial := gatherFixture(t, QuerySpec{K: 8}, testOptions())
+	_, _, partial := gatherFixture(t, QuerySpec{K: 8})
 	good := EncodeShardPartial(partial)
 	for _, n := range []int{0, 3, 4, 8, 40, len(good) / 2, len(good) - 1} {
 		if _, err := DecodeShardPartial(good[:n]); err == nil {
@@ -354,7 +350,7 @@ func TestEncodeShardPartialGolden(t *testing.T) {
 	if shardPartialVersion != 1 {
 		t.Fatalf("shardPartialVersion = %d: a layout change needs a new golden, not this one", shardPartialVersion)
 	}
-	_, _, real := gatherFixture(t, QuerySpec{K: 8}, testOptions())
+	_, _, real := gatherFixture(t, QuerySpec{K: 8})
 	for name, p := range map[string]*ShardPartial{"tiny": tinyPartial(), "gathered": real} {
 		if body := EncodeShardPartial(p); len(body) != p.wireBytes() {
 			t.Fatalf("%s: body is %d bytes, wireBytes reserved %d", name, len(body), p.wireBytes())

@@ -62,7 +62,7 @@ func checkSigTable(t testing.TB, e *Engine, label string) {
 
 // TestSigTableAfterBuildDecodeAndShardBuild checks the table invariants
 // where profiles enter an engine in bulk: BuildEngine, DecodeEngine (of
-// a fresh snapshot and of the committed version 6 one), and a shard
+// a fresh snapshot and of the committed version 7 one), and a shard
 // build through AddProfiled. The lake repeats signatures, so the table
 // is smaller than the profiles' signature count, and a decoded engine
 // shares as much as the engine it was saved from.
@@ -86,11 +86,11 @@ func TestSigTableAfterBuildDecodeAndShardBuild(t *testing.T) {
 	if ln, lv, lf := loaded.DistinctSignatures(); ln != n || lv != v || lf != f || n == 0 || v == 0 || f == 0 {
 		t.Fatalf("distinct signatures N/V/F: built %d/%d/%d, decoded %d/%d/%d", n, v, f, ln, lv, lf)
 	}
-	v6, err := loadEngineFile(v6FixturePath)
+	v7, err := loadEngineFile(v7FixturePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkSigTable(t, v6, "DecodeEngine of the version 6 fixture")
+	checkSigTable(t, v7, "DecodeEngine of the version 7 fixture")
 	shards, _ := buildShards(t, lake, 3)
 	for i, s := range shards {
 		checkSigTable(t, s, fmt.Sprintf("shard %d of 3", i))

@@ -14,33 +14,35 @@ var ErrInvalidSpec = errors.New("core: invalid query spec")
 // QuerySpec is the per-query parameterisation of the Section III-D
 // pipeline — the paper frames discovery as one parameterised query
 // (evidence set, Eq. 3 weights, k, candidate budget), and QuerySpec is
-// that parameter block. The zero value of every field selects the
-// engine-level configuration, so QuerySpec{K: k} is the default top-k
+// that parameter block. The zero value of every field other than K
+// selects the paper's defaults, so QuerySpec{K: k} is the default top-k
 // query.
 type QuerySpec struct {
 	// K is the answer size. It must be positive for SearchSpec.
 	K int
-	// Weights, when non-nil, replace the engine's Eq. 3 evidence
-	// weights for this query only.
+	// Weights, when non-nil, replace DefaultWeights as the Eq. 3
+	// evidence weights of this query.
 	Weights *Weights
-	// Disabled, when non-nil, is a per-query evidence mask OR-ed with
-	// the engine-level mask: evidence the engine disabled stays
-	// disabled (its candidates may not be indexed), and the query can
-	// disable more — e.g. a name+value-only unionability query.
-	// Disabled evidence contributes distance 1 and weight 0, exactly
-	// like the engine-level ablation switches.
+	// Disabled, when non-nil, switches evidence types off for this
+	// query — e.g. a name+value-only unionability query, or the Exp 1
+	// per-evidence runs. Disabled evidence contributes distance 1 and
+	// weight 0. At least one type must stay enabled.
 	Disabled *[NumEvidence]bool
 	// CandidateBudget caps candidates gathered per target attribute
-	// per index for this query; 0 falls back to the engine option
-	// (which itself derives from k when unset).
+	// per index; 0 derives it from K (max(64, 4K)).
 	CandidateBudget int
+	// Uniform replaces the Eq. 2 CCDF weights with uniform weights in
+	// the Eq. 1 aggregation — the ablation that isolates the
+	// contribution of the distribution-aware weighting scheme. Omitted
+	// from JSON when false, so shard request bodies of ordinary queries
+	// do not carry it.
+	Uniform bool `json:",omitempty"`
 }
 
-// specView is a QuerySpec resolved against an engine's options: the
-// effective evidence mask, weights and budget the pipeline runs with.
-// All resolved fields come from immutable engine options (Parallelism,
-// the one mutable option, is read separately under the lock), so a view
-// can be built without holding the engine lock.
+// specView is a validated QuerySpec with its defaults filled in: the
+// evidence mask, weights and budget the pipeline runs with. It reads
+// nothing from the engine, so a view can be built without holding the
+// engine lock.
 type specView struct {
 	k        int
 	budget   int
@@ -49,14 +51,13 @@ type specView struct {
 	uniform  bool
 }
 
-// resolve validates the spec and merges it with the engine options.
-// Every error it returns wraps ErrInvalidSpec.
-func (e *Engine) resolve(spec QuerySpec) (specView, error) {
+// resolve validates the spec and fills in its defaults. Every error it
+// returns wraps ErrInvalidSpec.
+func (spec QuerySpec) resolve() (specView, error) {
 	v := specView{
-		k:        spec.K,
-		disabled: e.opts.Disabled,
-		weights:  e.opts.Weights,
-		uniform:  e.opts.UniformEq1Weights,
+		k:       spec.K,
+		weights: DefaultWeights(),
+		uniform: spec.Uniform,
 	}
 	if spec.K <= 0 {
 		return v, fmt.Errorf("%w: k must be positive, got %d", ErrInvalidSpec, spec.K)
@@ -71,9 +72,7 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 		v.weights = *spec.Weights
 	}
 	if spec.Disabled != nil {
-		for t := range v.disabled {
-			v.disabled[t] = v.disabled[t] || spec.Disabled[t]
-		}
+		v.disabled = *spec.Disabled
 	}
 	allOff := true
 	for t := range v.disabled {
@@ -87,13 +86,7 @@ func (e *Engine) resolve(spec QuerySpec) (specView, error) {
 	}
 	v.budget = spec.CandidateBudget
 	if v.budget == 0 {
-		v.budget = e.opts.CandidateBudget
-	}
-	if v.budget == 0 {
-		v.budget = 4 * spec.K
-		if v.budget < 64 {
-			v.budget = 64
-		}
+		v.budget = max(64, 4*spec.K)
 	}
 	return v, nil
 }

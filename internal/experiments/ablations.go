@@ -9,7 +9,7 @@ import (
 
 // RunAblationWeighting isolates the contribution of the Eq. 2 CCDF
 // weighting scheme (one of the design choices DESIGN.md calls out):
-// the same engine configuration with and without distribution-aware
+// the env's engine queried with and without distribution-aware
 // weights, compared on precision/recall over the env targets.
 func RunAblationWeighting(env *Env) (Report, error) {
 	rep := Report{
@@ -18,14 +18,12 @@ func RunAblationWeighting(env *Env) (Report, error) {
 		Note:   "scale=" + env.Scale.Label + ", env=" + env.Kind,
 		Header: []string{"weighting", "k", "precision", "recall"},
 	}
+	eng, err := env.D3L()
+	if err != nil {
+		return Report{}, err
+	}
 	for _, uniform := range []bool{false, true} {
-		opts := env.d3lOptions()
-		opts.UniformEq1Weights = uniform
-		eng, err := core.BuildEngine(env.Lake, opts)
-		if err != nil {
-			return Report{}, err
-		}
-		run := engineTopK(eng)
+		run := env.engineTopK(eng, core.QuerySpec{Uniform: uniform})
 		label := "ccdf"
 		if uniform {
 			label = "uniform"
@@ -53,7 +51,7 @@ func RunAblationSampling(env *Env) (Report, error) {
 	}
 	k := env.Scale.Ks[len(env.Scale.Ks)/2]
 	for _, cap := range []int{0, 64, 256, 512} {
-		opts := env.d3lOptions()
+		opts := core.DefaultOptions()
 		opts.MaxExtentSample = cap
 		start := time.Now()
 		eng, err := core.BuildEngine(env.Lake, opts)
@@ -61,7 +59,7 @@ func RunAblationSampling(env *Env) (Report, error) {
 			return Report{}, err
 		}
 		dur := time.Since(start)
-		pt, err := env.prOverTargets(engineTopK(eng), k)
+		pt, err := env.prOverTargets(env.engineTopK(eng, core.QuerySpec{}), k)
 		if err != nil {
 			return Report{}, err
 		}
@@ -75,7 +73,7 @@ func RunAblationSampling(env *Env) (Report, error) {
 }
 
 // RunAblationEvidencePairs measures leave-one-out evidence importance:
-// the combined engine minus each single evidence type, quantifying what
+// the combined query minus each single evidence type, quantifying what
 // each contributes on top of the rest (complementing Exp 1's
 // each-alone view).
 func RunAblationEvidencePairs(env *Env) (Report, error) {
@@ -86,32 +84,20 @@ func RunAblationEvidencePairs(env *Env) (Report, error) {
 		Header: []string{"without", "k", "precision", "recall"},
 	}
 	k := env.Scale.Ks[len(env.Scale.Ks)/2]
-	runs := []struct {
-		label   string
-		without core.Evidence
-		none    bool
-	}{
-		{"nothing", 0, true},
-		{"N", core.EvidenceName, false},
-		{"V", core.EvidenceValue, false},
-		{"F", core.EvidenceFormat, false},
-		{"E", core.EvidenceEmbedding, false},
-		{"D", core.EvidenceDomain, false},
+	eng, err := env.D3L()
+	if err != nil {
+		return Report{}, err
 	}
-	for _, r := range runs {
-		opts := env.d3lOptions()
-		if !r.none {
-			opts.Disabled[r.without] = true
+	for i, label := range []string{"nothing", "N", "V", "F", "E", "D"} {
+		var disabled [core.NumEvidence]bool
+		if i > 0 {
+			disabled[core.Evidence(i-1)] = true
 		}
-		eng, err := core.BuildEngine(env.Lake, opts)
+		pt, err := env.prOverTargets(env.engineTopK(eng, core.QuerySpec{Disabled: &disabled}), k)
 		if err != nil {
 			return Report{}, err
 		}
-		pt, err := env.prOverTargets(engineTopK(eng), k)
-		if err != nil {
-			return Report{}, err
-		}
-		rep.Rows = append(rep.Rows, []string{r.label, itoa(k), f3(pt.Precision), f3(pt.Recall)})
+		rep.Rows = append(rep.Rows, []string{label, itoa(k), f3(pt.Precision), f3(pt.Recall)})
 	}
 	return rep, nil
 }

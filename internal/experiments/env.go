@@ -32,7 +32,7 @@ type Scale struct {
 	LargerSteps     []int // lake sizes for the Experiment 4 sweep
 	SearchKs        []int // answer sizes for the search-time sweeps
 	Seed            uint64
-	CandidateBudget int // caps per-attribute candidates in systems
+	CandidateBudget int // caps per-attribute candidates in every system's queries
 }
 
 // SmallScale returns the fast configuration used by tests and the
@@ -134,18 +134,11 @@ func newEnv(kind string, s Scale, lake *table.Lake, gt *datagen.GroundTruth) *En
 	}
 }
 
-// d3lOptions derives the engine options for this scale.
-func (e *Env) d3lOptions() core.Options {
-	opts := core.DefaultOptions()
-	opts.CandidateBudget = e.Scale.CandidateBudget
-	return opts
-}
-
 // D3L lazily builds (and times) the D3L engine.
 func (e *Env) D3L() (*core.Engine, error) {
 	if e.d3lEngine == nil {
 		start := time.Now()
-		eng, err := core.BuildEngine(e.Lake, e.d3lOptions())
+		eng, err := core.BuildEngine(e.Lake, core.DefaultOptions())
 		if err != nil {
 			return nil, fmt.Errorf("building D3L: %w", err)
 		}

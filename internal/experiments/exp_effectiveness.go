@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"d3l/internal/core"
-	"d3l/internal/table"
 )
 
 // RunExp1 reproduces Experiment 1 / Figure 3: precision and recall of
@@ -25,7 +24,7 @@ func RunExp1(env *Env) (Report, error) {
 		for i := 0; i < int(core.NumEvidence); i++ {
 			d[i] = core.Evidence(i) != except
 		}
-		// D-relatedness is guarded by N/F lookups, so a D-only engine
+		// D-relatedness is guarded by N/F lookups, so a D-only query
 		// would be inert; the paper's Fig. 3 likewise plots N, V, F, E.
 		return d
 	}
@@ -42,14 +41,12 @@ func RunExp1(env *Env) (Report, error) {
 		Note:   "scale=" + env.Scale.Label,
 		Header: []string{"evidence", "k", "precision", "recall"},
 	}
+	eng, err := env.D3L()
+	if err != nil {
+		return Report{}, err
+	}
 	for _, s := range runs {
-		opts := env.d3lOptions()
-		opts.Disabled = s.disabled
-		eng, err := core.BuildEngine(env.Lake, opts)
-		if err != nil {
-			return Report{}, err
-		}
-		run := engineTopK(eng)
+		run := env.engineTopK(eng, core.QuerySpec{Disabled: &s.disabled})
 		for _, k := range env.Scale.Ks {
 			pt, err := env.prOverTargets(run, k)
 			if err != nil {
@@ -59,31 +56,6 @@ func RunExp1(env *Env) (Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-// engineTopK adapts an ad-hoc engine (Exp 1 builds one per evidence).
-func engineTopK(eng *core.Engine) topKFunc {
-	return func(target *table.Table, k int) ([]rankedAnswer, error) {
-		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: k + 1})
-		if err != nil {
-			return nil, err
-		}
-		out := make([]rankedAnswer, 0, k)
-		for _, r := range res.Ranked {
-			if r.Name == target.Name {
-				continue
-			}
-			aligns := make(map[int][]int, len(r.Alignments))
-			for _, a := range r.Alignments {
-				aligns[a.TargetColumn] = append(aligns[a.TargetColumn], a.CandColumn)
-			}
-			out = append(out, rankedAnswer{name: r.Name, tableID: r.TableID, aligns: aligns})
-			if len(out) == k {
-				break
-			}
-		}
-		return out, nil
-	}
 }
 
 // runComparativePR is the shared body of Experiments 2 and 3.
@@ -98,7 +70,10 @@ func runComparativePR(env *Env, id, title string) (Report, error) {
 		label string
 		mk    func() (topKFunc, error)
 	}{
-		{"D3L", env.d3lTopK},
+		{"D3L", func() (topKFunc, error) {
+			eng, err := env.D3L()
+			return env.engineTopK(eng, core.QuerySpec{}), err
+		}},
 		{"TUS", env.tusTopK},
 		{"Aurum", env.aurumTopK},
 	}
@@ -178,7 +153,7 @@ func collectLabelledPairs(env *Env, eng *core.Engine, maxPairs int) ([]core.Labe
 		if err != nil {
 			return nil, err
 		}
-		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: 40})
+		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: 40, CandidateBudget: env.Scale.CandidateBudget})
 		if err != nil {
 			return nil, err
 		}

@@ -88,10 +88,11 @@ func runSearchTime(env *Env, id, title string) (Report, error) {
 		Note:   "scale=" + env.Scale.Label + "; Aurum's query model is k-independent (single average)",
 		Header: []string{"system", "k", "mean search time"},
 	}
-	d3lRun, err := env.d3lTopK()
+	eng, err := env.D3L()
 	if err != nil {
 		return Report{}, err
 	}
+	d3lRun := env.engineTopK(eng, core.QuerySpec{})
 	tusRun, err := env.tusTopK()
 	if err != nil {
 		return Report{}, err

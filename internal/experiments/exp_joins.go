@@ -37,7 +37,7 @@ func (e *Env) measureD3L(withJoins bool, k int) (joinMeasures, error) {
 		if err != nil {
 			return joinMeasures{}, err
 		}
-		res, err := eng.SearchSpec(ctx, target, core.QuerySpec{K: k + 1})
+		res, err := eng.SearchSpec(ctx, target, core.QuerySpec{K: k + 1, CandidateBudget: e.Scale.CandidateBudget})
 		if err != nil {
 			return joinMeasures{}, err
 		}

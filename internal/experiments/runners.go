@@ -20,14 +20,14 @@ type rankedAnswer struct {
 // the answer (targets are drawn from the lake, as in the paper).
 type topKFunc func(target *table.Table, k int) ([]rankedAnswer, error)
 
-// d3lTopK adapts the D3L engine.
-func (e *Env) d3lTopK() (topKFunc, error) {
-	eng, err := e.D3L()
-	if err != nil {
-		return nil, err
-	}
+// engineTopK adapts a D3L engine — the env's own, or one an ablation
+// built with other build options. Every query runs shape (an evidence
+// mask, a weighting) at k+1 answers with the scale's candidate budget.
+func (e *Env) engineTopK(eng *core.Engine, shape core.QuerySpec) topKFunc {
 	return func(target *table.Table, k int) ([]rankedAnswer, error) {
-		res, err := eng.SearchSpec(context.Background(), target, core.QuerySpec{K: k + 1})
+		spec := shape
+		spec.K, spec.CandidateBudget = k+1, e.Scale.CandidateBudget
+		res, err := eng.SearchSpec(context.Background(), target, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +46,7 @@ func (e *Env) d3lTopK() (topKFunc, error) {
 			}
 		}
 		return out, nil
-	}, nil
+	}
 }
 
 // tusTopK adapts the TUS baseline.

@@ -55,8 +55,14 @@
 //	   otherwise. SecJoinGraph holds each table's neighbour count, then
 //	   the ids. MinHash slots, SimHash words and raw extents stay full
 //	   width: they are uniform bits. SecOptions is unchanged.
+//	7  SecOptions holds only what the index is built from: sketch
+//	   widths, forest layout, τ, q, seed, the subject classifier's
+//	   coefficients and the extent sample cap. The Eq. 3 weights, the
+//	   evidence mask, the candidate budget and the Eq. 1 weighting flag
+//	   are query parameters, and parallelism a property of the serving
+//	   host, so none of them is written. Nothing else differs.
 //
-// This build writes and reads version 6 and refuses 1 through 5 with
+// This build writes and reads version 7 and refuses 1 through 6 with
 // ErrVersion naming the version: their layouts are not read. Rebuild an
 // older snapshot from its lake.
 package persist
@@ -80,7 +86,7 @@ var Magic = [8]byte{'D', '3', 'L', 'S', 'N', 'A', 'P', 0}
 // Version is the snapshot format version this build writes; MinVersion
 // the oldest it reads, which is the same one.
 const (
-	Version    uint32 = 6
+	Version    uint32 = 7
 	MinVersion uint32 = Version
 )
 
@@ -208,14 +214,6 @@ func (b *Buffer) VU32s(vs []uint32) {
 		data = binary.LittleEndian.AppendUint32(data, v)
 	}
 	b.data = data
-}
-
-// U64s appends a length-prefixed []uint64.
-func (b *Buffer) U64s(vs []uint64) {
-	b.U32(uint32(len(vs)))
-	for _, v := range vs {
-		b.U64(v)
-	}
 }
 
 // VU64s appends a []uint64 prefixed with its length as a Uvarint, the
@@ -699,11 +697,8 @@ func (r *Reader) VU32s(buf []uint32) []uint32 {
 	return out
 }
 
-// U64s reads a length-prefixed []uint64. Zero-length slices decode as
+// VU64s reads a slice Buffer.VU64s wrote. Zero-length slices decode as
 // nil, like VU32s of a nil buf.
-func (r *Reader) U64s() []uint64 { return r.u64s(r.Count(8)) }
-
-// VU64s is U64s of a slice Buffer.VU64s wrote.
 func (r *Reader) VU64s() []uint64 { return r.u64s(r.VCount(8)) }
 
 func (r *Reader) u64s(n int) []uint64 {

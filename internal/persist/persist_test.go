@@ -68,7 +68,7 @@ func roundTripSnapshot(t *testing.T) []byte {
 	b.F64(math.Pi)
 	b.Str("practice name")
 	appendU32s(b, []uint32{6, 5, math.MaxUint32})
-	b.U64s([]uint64{9, 8, 7})
+	appendInts(b, []int{9, 8, 7})
 	appendInts(b, []int{-5, 5})
 	b.F64s([]float64{0.5, -0.25})
 	enc.End()
@@ -183,8 +183,8 @@ func TestRoundTrip(t *testing.T) {
 	if n := r.Count(4); n != 3 || r.U32() != 6 || r.U32() != 5 || r.U32() != math.MaxUint32 {
 		t.Fatal("counted uint32s round trip failed")
 	}
-	if v := r.U64s(); len(v) != 3 || v[0] != 9 || v[2] != 7 {
-		t.Fatalf("U64s = %v", v)
+	if n := r.Count(8); n != 3 || r.U64() != 9 || r.U64() != 8 || r.U64() != 7 {
+		t.Fatal("counted uint64s round trip failed")
 	}
 	if n := r.Count(8); n != 2 || r.I64() != -5 || r.I64() != 5 {
 		t.Fatal("counted int64s round trip failed")
@@ -384,7 +384,7 @@ func TestReaderRejectsOversizedCounts(t *testing.T) {
 	b := &Buffer{}
 	b.U32(1 << 30)
 	r := &Reader{buf: b.data}
-	if v := r.U64s(); v != nil || r.Err() == nil {
+	if v := r.F64s(); v != nil || r.Err() == nil {
 		t.Fatalf("oversized count accepted: %v, err %v", v, r.Err())
 	}
 	var v Buffer

@@ -89,8 +89,8 @@ type Config struct {
 	// SIGHUP in the CLI) calls it and atomically swaps in whatever
 	// engine it returns. A monolith re-reads its snapshot, a shard set
 	// its manifest, a coordinator re-polls its replicas. The loader
-	// applies its own settings — parallelism above all, since a
-	// snapshot carries the build host's, not the serving replica's.
+	// applies the serving host's own settings, parallelism among them:
+	// a snapshot carries none.
 	LoadFunc func() (Engine, error)
 }
 

@@ -132,7 +132,7 @@ type QueryRequest struct {
 	// ExplainFor names a lake table to explain against in the
 	// response's explanation field.
 	ExplainFor string `json:"explainFor,omitempty"`
-	// Weights override the engine's Eq. 3 evidence weights: exactly
+	// Weights replace the default Eq. 3 evidence weights: exactly
 	// five non-negative numbers (N, V, F, E, D order), not all zero.
 	// A slice, not the fixed-size d3l.Weights array, so a wrong-length
 	// request is a 400 instead of encoding/json silently zero-filling
@@ -143,7 +143,7 @@ type QueryRequest struct {
 	// means all five.
 	Evidence []string `json:"evidence,omitempty"`
 	// CandidateBudget caps candidates per target attribute per index;
-	// 0 or absent keeps the engine default.
+	// 0 or absent derives it from k.
 	CandidateBudget int `json:"candidateBudget,omitempty"`
 }
 

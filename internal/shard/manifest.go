@@ -115,10 +115,9 @@ func ReadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// LoadSet reconstructs a Set from a manifest written by WriteSet.
-// workers, when non-zero, overrides every shard's parallelism (the
-// snapshot persists the build host's setting, which is a property of
-// the build machine, not this replica).
+// LoadSet reconstructs a Set from a manifest written by WriteSet, with
+// every shard's parallelism set to workers (0 = GOMAXPROCS); snapshots
+// carry none, as it is a property of the serving host.
 func LoadSet(manifestPath string, workers int) (*Set, error) {
 	m, err := ReadManifest(manifestPath)
 	if err != nil {
@@ -135,10 +134,8 @@ func LoadSet(manifestPath string, workers int) (*Set, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d (%s): %w", i, name, err)
 		}
-		if workers != 0 {
-			if err := e.SetParallelism(workers); err != nil {
-				return nil, err
-			}
+		if err := e.SetParallelism(workers); err != nil {
+			return nil, err
 		}
 		shards[i] = e
 	}

@@ -77,9 +77,9 @@ func WithK(k int) QueryOption {
 // WithJoins requests D3L+J augmentation (Section IV): the answer's
 // Joins field carries SA-join paths and Eq. 4/5 coverage per ranked
 // table. The join graph is an engine-level structure built from the
-// engine's own evidence configuration, shared and cached across
-// queries; per-query weights and evidence masks shape the ranking the
-// paths start from, not the graph itself.
+// indexed attributes alone, shared and cached across queries; per-query
+// weights and evidence masks shape the ranking the paths start from,
+// not the graph itself.
 func WithJoins() QueryOption {
 	return func(c *queryConfig) { c.joins = true }
 }
@@ -98,8 +98,9 @@ func WithExplainFor(name string) QueryOption {
 	}
 }
 
-// WithWeights replaces the engine's Eq. 3 evidence weights for this
-// query only. The weights must validate (non-negative, not all zero).
+// WithWeights sets this query's Eq. 3 evidence weights in place of
+// DefaultWeights. The weights must validate (non-negative, not all
+// zero).
 func WithWeights(w Weights) QueryOption {
 	return func(c *queryConfig) {
 		if err := w.Validate(); err != nil {
@@ -113,9 +114,8 @@ func WithWeights(w Weights) QueryOption {
 // WithEvidence restricts this query to the given evidence types —
 // e.g. WithEvidence(EvidenceName, EvidenceValue) runs a name+value-only
 // unionability query against the same index. Unlisted evidence
-// contributes distance 1 and weight 0, exactly like the engine-level
-// ablation switches; evidence the engine itself disabled stays
-// disabled. At least one type must be listed.
+// contributes distance 1 and weight 0. At least one type must be
+// listed.
 func WithEvidence(types ...Evidence) QueryOption {
 	return func(c *queryConfig) {
 		if len(types) == 0 {
@@ -170,8 +170,8 @@ func WithPartialResults() QueryOption {
 }
 
 // WithCandidateBudget caps the candidates gathered per target
-// attribute per index for this query (0 keeps the engine default,
-// which derives from k). Larger budgets trade latency for recall.
+// attribute per index for this query (0 derives it from k as
+// max(64, 4k)). Larger budgets trade latency for recall.
 func WithCandidateBudget(n int) QueryOption {
 	return func(c *queryConfig) {
 		if n < 0 {

@@ -178,6 +178,38 @@ func TestSaveLoadServesIdentically(t *testing.T) {
 	}
 }
 
+// TestSaveIgnoresParallelism: a snapshot is a function of the lake and
+// the build options alone. Engines built at Parallelism 1 and 3 save to
+// the same bytes, and so does a replica loaded from them after
+// SetParallelism(2): parallelism belongs to the host, not the file.
+func TestSaveIgnoresParallelism(t *testing.T) {
+	var want []byte
+	for _, par := range []int{1, 3} {
+		opts := d3l.DefaultOptions()
+		opts.Parallelism = par
+		engine, err := d3l.New(figure1Lake(t), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := savedBytes(t, engine)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Fatalf("Parallelism %d saves other bytes than Parallelism 1", par)
+		}
+	}
+	loaded, err := d3l.Load(bytes.NewReader(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.SetParallelism(2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(savedBytes(t, loaded), want) {
+		t.Fatal("SetParallelism(2) on a loaded engine changed its snapshot")
+	}
+}
+
 // TestLoadedEngineMutatesAndResnapshots: a replica accepts Add/Remove
 // and Compact after load, stays query-identical to the original under
 // the same mutations, and can be snapshotted again.

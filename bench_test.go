@@ -923,3 +923,53 @@ func BenchmarkProfileLake(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSearchBenchmarkLake is the cold query of the serving
+// benchmark in process: the benchmark lake (the paper's Synthetic at
+// 1 000 derived tables, seed 1307) on one worker, queried with 60
+// 64-row windows, each cut from another lake table, so every query
+// profiles, gathers, groups and scores afresh. One op is the 60
+// queries; ms/query is the mean.
+func BenchmarkSearchBenchmarkLake(b *testing.B) {
+	cfg := datagen.DefaultSyntheticConfig()
+	cfg.Seed = 1307
+	lake, _, err := datagen.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int, 64)
+	for r := range rows {
+		rows[r] = r
+	}
+	var targets []*d3l.Table
+	for id := 0; id < lake.Len() && len(targets) < 60; id += 11 {
+		if src := lake.Table(id); src.Rows() >= len(rows) {
+			t, err := src.SelectRows("target_"+src.Name, rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			targets = append(targets, t)
+		}
+	}
+	opts := d3l.DefaultOptions()
+	opts.Parallelism = 1
+	engine, err := d3l.New(lake, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	query := func() {
+		for _, t := range targets {
+			if _, err := engine.Query(ctx, t, d3l.WithK(10)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	query() // grow every pooled arena first
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(targets)), "ms/query")
+}

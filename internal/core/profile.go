@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"d3l/internal/embed"
@@ -108,18 +109,18 @@ func newProfiler(opts Options) (*profiler, error) {
 
 // sampleExtent caps the profiled extent deterministically (every k-th
 // value) so indexing cost is bounded while coverage stays spread across
-// the extent.
+// the extent. It samples in place, overwriting values: sample i is read
+// from index ⌊i·step⌋ ≥ i, which no earlier write has reached.
 func (p *profiler) sampleExtent(values []string) []string {
 	max := p.opts.MaxExtentSample
 	if max == 0 || len(values) <= max {
 		return values
 	}
-	out := make([]string, 0, max)
 	step := float64(len(values)) / float64(max)
 	for i := 0; i < max; i++ {
-		out = append(out, values[int(float64(i)*step)])
+		values[i] = values[int(float64(i)*step)]
 	}
-	return out
+	return values[:max]
 }
 
 // profileScratch carries the recycled buffers one profiling pass — a
@@ -128,6 +129,8 @@ func (p *profiler) sampleExtent(values []string) []string {
 // spans, format strings) reuses memory across the pass instead of
 // allocating per value. The zero value is ready to use.
 type profileScratch struct {
+	// values holds the column's non-null values, then their sample.
+	values []string
 	rset   []string
 	rs     format.RSetScratch
 	extent tokenize.Extent
@@ -150,7 +153,8 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 	// N: q-grams of the name.
 	prof.QSig = p.hasher.Sketch(tokenize.QGrams(col.Name, p.opts.QGramQ))
 
-	values := p.sampleExtent(col.NonNull())
+	scratch.values = col.AppendNonNull(slices.Grow(scratch.values[:0], len(col.Values)))
+	values := p.sampleExtent(scratch.values)
 
 	// F: regex strings of the values. Numeric columns are indexed here
 	// too (Section III-C: "We do index them into the name– and

@@ -263,3 +263,36 @@ func FuzzProfileColumn(f *testing.F) {
 		}
 	})
 }
+
+// refSampleExtent is sampleExtent as it was before it sampled in place:
+// every k-th value copied into a fresh slice.
+func refSampleExtent(max int, values []string) []string {
+	if max == 0 || len(values) <= max {
+		return values
+	}
+	out := make([]string, 0, max)
+	step := float64(len(values)) / float64(max)
+	for i := 0; i < max; i++ {
+		out = append(out, values[int(float64(i)*step)])
+	}
+	return out
+}
+
+// TestSampleExtentMatchesReference checks the in-place sample against
+// the copying one for every extent length up to 300 under caps that
+// divide it, do not, and exceed it.
+func TestSampleExtentMatchesReference(t *testing.T) {
+	for _, max := range []int{0, 1, 2, 3, 7, 64, 127, 128, 512} {
+		p := &profiler{opts: Options{MaxExtentSample: max}}
+		for n := 0; n <= 300; n++ {
+			values := make([]string, n)
+			for i := range values {
+				values[i] = fmt.Sprint(i)
+			}
+			want := refSampleExtent(max, slices.Clone(values))
+			if got := p.sampleExtent(values); !slices.Equal(got, want) {
+				t.Fatalf("cap %d, %d values: sample %v, reference %v", max, n, got, want)
+			}
+		}
+	}
+}

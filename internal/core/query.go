@@ -60,8 +60,8 @@ type SearchResult struct {
 }
 
 // candidatePair is one (target column, candidate attribute) distance
-// vector. tableID caches the candidate's table so the grouping sort
-// never re-resolves profiles.
+// vector. tableID caches the candidate's table so the grouping never
+// re-resolves profiles.
 type candidatePair struct {
 	targetCol int
 	attrID    int
@@ -124,32 +124,30 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 	// indexes and compute pair distances. Columns are independent, so
 	// they fan out across the pool, each into its own arena buffer.
 	// No imposed depths: each forest probe tunes itself to the budget.
-	pairs, err := e.gatherPairs(ctx, target, &view, parallelism, qs, nil)
-	if err != nil {
+	if err := e.gatherPairs(ctx, target, &view, parallelism, qs, nil); err != nil {
 		return nil, err
 	}
 	st.lap(StageGather)
 
 	// Score and rank: build the R_t distance distributions backing the
-	// Eq. 2 weights (laid out per column while the pair list is still in
-	// column order), group the pairs by candidate table — one sort by
-	// (table, attribute) plus contiguous-run slicing — and hand the runs
-	// to the one score-and-rank loop in ascending table-id order.
+	// Eq. 2 weights from the per-column buffers, group the pairs by
+	// candidate table — a counting pass and a scatter, no sort — and
+	// hand the runs to the one score-and-rank loop in ascending table-id
+	// order.
 	numCols := len(target.profiles)
 	var ecdfs *distanceECDFs
 	if !view.uniform {
-		ecdfs = qs.buildECDFs(numCols)
+		qs.ecdfs = distanceECDFs{cols: numCols, cells: qs.sampleCells(numCols)}
+		ecdfs = &qs.ecdfs
 	}
-	qs.runs = groupPairsByTable(pairs, qs.runs)
+	pairs := qs.groupByTable(numCols, e.lake.Len())
 	runs := qs.runs
-	ws := e.getWorkerScratch()
-	defer e.putWorkerScratch(ws)
 	sc := newScorer(view.k, view.weights, view.disabled, plan.cascade, ecdfs)
 	var planStats PlanStats
 	qs.scored, qs.top, planStats, err = sc.rankTables(ctx, len(runs),
 		func(i int) []Alignment {
-			ws.rows = alignRun(ws.rows[:0], pairs[runs[i].start:runs[i].end], numCols, ws)
-			return ws.rows
+			qs.rows = alignRun(qs.rows[:0], pairs[runs[i].start:runs[i].end])
+			return qs.rows
 		},
 		func(i int) (int, string) { return runs[i].tid, e.lake.Table(runs[i].tid).Name },
 		qs.scored, qs.top)
@@ -178,7 +176,7 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 			Name:       s.name,
 			Distance:   s.dist,
 			Vector:     s.vec,
-			Alignments: e.alignments(nil, pairs[run.start:run.end], numCols, ws),
+			Alignments: e.alignments(nil, pairs[run.start:run.end]),
 		}
 	}
 	st.lap(StageRankMerge)
@@ -193,41 +191,35 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 	}, nil
 }
 
-// alignRun is the alignment decision for one table's pair run: for
-// every target column with candidates in the run, the pair with the
-// smallest mean distance wins (ties towards the smaller attribute id —
-// a candidate attribute may serve several target columns, as in the
-// paper's Table I). It appends one row per aligned target column,
-// ascending, to dst; a nil dst is allocated at exactly the aligned
-// count. CandColumn is left for alignments to fill: scoring does not
-// read it, and looking it up costs a cache miss per row.
-func alignRun(dst []Alignment, tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
-	best, mark, epoch := ws.bestEpoch(numCols)
-	aligned := 0
-	for i := range tablePairs {
-		p := &tablePairs[i]
-		c := p.targetCol
-		if mark[c] != epoch {
-			mark[c] = epoch
-			best[c] = int32(i)
-			aligned++
-			continue
-		}
-		cur := &tablePairs[best[c]]
-		pm, cm := p.dist.mean(), cur.dist.mean()
-		if pm < cm || (pm == cm && p.attrID < cur.attrID) {
-			best[c] = int32(i)
-		}
-	}
+// alignRun is the alignment decision for one table's pair run, laid
+// out by groupByTable: by target column, each column's pairs in
+// ascending attribute id. For every target column with candidates in
+// the run, the pair with the smallest mean distance wins (ties towards
+// the smaller attribute id, the first seen — a candidate attribute may
+// serve several target columns, as in the paper's Table I). It appends
+// one row per aligned target column, ascending, to dst; a nil dst is
+// allocated at exactly the aligned count. CandColumn is left for
+// alignments to fill: scoring does not read it, and looking it up costs
+// a cache miss per row.
+func alignRun(dst []Alignment, tablePairs []candidatePair) []Alignment {
 	if dst == nil {
+		aligned := 0
+		for i := range tablePairs {
+			if i == 0 || tablePairs[i].targetCol != tablePairs[i-1].targetCol {
+				aligned++
+			}
+		}
 		dst = make([]Alignment, 0, aligned)
 	}
-	for c := 0; c < numCols; c++ {
-		if mark[c] != epoch {
-			continue
+	for i := 0; i < len(tablePairs); {
+		best := &tablePairs[i]
+		bestMean := best.dist.mean()
+		for i++; i < len(tablePairs) && tablePairs[i].targetCol == best.targetCol; i++ {
+			if m := tablePairs[i].dist.mean(); m < bestMean {
+				best, bestMean = &tablePairs[i], m
+			}
 		}
-		p := &tablePairs[best[c]]
-		dst = append(dst, Alignment{TargetColumn: c, AttrID: p.attrID, Distances: p.dist})
+		dst = append(dst, Alignment{TargetColumn: best.targetCol, AttrID: best.attrID, Distances: best.dist})
 	}
 	return dst
 }
@@ -237,9 +229,9 @@ func alignRun(dst []Alignment, tablePairs []candidatePair, numCols int, ws *work
 // column resolved — so scores and reported alignments can never drift
 // apart. The rows are appended to dst: nil for a top-k winner (a fresh
 // slice of exactly its rows), the partial's row slab for a shard gather.
-func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair, numCols int, ws *workerScratch) []Alignment {
+func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair) []Alignment {
 	start := len(dst)
-	dst = alignRun(dst, tablePairs, numCols, ws)
+	dst = alignRun(dst, tablePairs)
 	for i := start; i < len(dst); i++ {
 		dst[i].CandColumn = e.profiles[dst[i].AttrID].Ref.Column
 	}
@@ -251,27 +243,20 @@ func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair, numCols
 // distinct candidate gets a full distance vector. Columns fan out
 // across the worker pool into per-column arena buffers; within a
 // column candidates are processed in ascending attribute-id order,
-// which (together with the per-column buffers) makes the pair list
-// identical at any parallelism. Cancellation is checked between
-// columns and between candidate batches inside each column, and a
-// cancelled or failed gather returns the error, never a partial list.
-// Callers must hold e.mu. The returned slice is arena memory, valid
-// until the arena is recycled.
-func (e *Engine) gatherPairs(ctx context.Context, target *Target, view *specView, parallelism int, qs *queryScratch, depths probeDepths) ([]candidatePair, error) {
+// which (together with the per-column buffers) makes the pairs in
+// qs.colBufs identical at any parallelism. Cancellation is checked
+// between columns and between candidate batches inside each column, and
+// a cancelled or failed gather returns the error, never a partial list.
+// Callers must hold e.mu.
+func (e *Engine) gatherPairs(ctx context.Context, target *Target, view *specView, parallelism int, qs *queryScratch, depths probeDepths) error {
 	n := len(target.profiles)
-	qs.ensureCols(n)
-	if err := par.For(ctx, n, parallelism, nil, func(_ struct{}, col int) (err error) {
+	for len(qs.colBufs) < n {
+		qs.colBufs = append(qs.colBufs, nil)
+	}
+	return par.For(ctx, n, parallelism, nil, func(_ struct{}, col int) (err error) {
 		qs.colBufs[col], err = e.gatherColumn(ctx, col, &target.profiles[col], target.subject, view, qs.colBufs[col], depths)
 		return err
-	}); err != nil {
-		return nil, err
-	}
-	flat := qs.flat[:0]
-	for _, colPairs := range qs.colBufs[:n] {
-		flat = append(flat, colPairs...)
-	}
-	qs.flat = flat
-	return flat, nil
+	})
 }
 
 // candidateBatch is how many pair-distance computations (or table
@@ -338,10 +323,11 @@ func (m probeDepths) probe(p forestProbe, budget int, ids []int32, col, slot int
 // recycled pair buffer). Candidate-set state lives on worker scratch:
 // the forests append into the recycled probe buffer (regions are
 // unordered, overlap across forests, and under imposed depths repeat an
-// id within one), the one dedup uses the epoch-stamped visited array
-// instead of a per-call map, and the distance memo compares each
-// distinct candidate signature with the column's once. A forest error or
-// a cancelled context ends the column with that error and no pairs.
+// id within one), the one dedup sets a bit per id in the candidate
+// bitset and reads the set back in ascending order, and the distance
+// memo compares each distinct candidate signature with the column's
+// once. A forest error or a cancelled context ends the column with that
+// error and no pairs.
 func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubject *Profile, view *specView, dst []candidatePair, depths probeDepths) ([]candidatePair, error) {
 	dst = dst[:0]
 	ws := e.getWorkerScratch()
@@ -355,18 +341,8 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 		}
 	}
 	ws.ids = ids
-	// Dedup: stamp each attribute id on first sight, then sort the
-	// survivors so candidates are processed in ascending attribute-id
-	// order (the determinism contract).
-	visited, epoch := ws.visitedEpoch(len(e.profiles))
-	uniq := ids[:0]
-	for _, id := range ids {
-		if visited[id] != epoch {
-			visited[id] = epoch
-			uniq = append(uniq, id)
-		}
-	}
-	slices.Sort(uniq)
+	// Dedup, in ascending attribute-id order (the determinism contract).
+	uniq := ws.distinct(ids, len(e.profiles))
 	for n, id := range uniq {
 		if n%candidateBatch == 0 {
 			if err := ctx.Err(); err != nil {
@@ -398,18 +374,16 @@ type distanceECDFs struct {
 
 // sampleCells builds the per-(column, evidence) sorted samples into the
 // arena: one pass lays every cell out contiguously in the recycled
-// sample buffer (the pair list is still in column order at this point,
-// so a cell's samples are a strided read of one column's pairs) and
-// sorts each region in place — no per-cell allocations.
+// sample buffer (a cell's samples are a strided read of one column's
+// pair buffer) and sorts each region in place — no per-cell
+// allocations. The buffer grows like append, so a growing lake's
+// growing candidate lists do not reallocate it on every query.
 func (qs *queryScratch) sampleCells(numCols int) [][]float64 {
 	total := 0
 	for c := 0; c < numCols; c++ {
 		total += len(qs.colBufs[c])
 	}
-	if cap(qs.samples) < total*int(NumEvidence) {
-		qs.samples = make([]float64, 0, total*int(NumEvidence))
-	}
-	buf := qs.samples[:0]
+	buf := slices.Grow(qs.samples[:0], total*int(NumEvidence))
 	cells := qs.cells[:0]
 	for c := 0; c < numCols; c++ {
 		colPairs := qs.colBufs[c]
@@ -426,13 +400,6 @@ func (qs *queryScratch) sampleCells(numCols int) [][]float64 {
 	qs.samples = buf
 	qs.cells = cells
 	return cells
-}
-
-// buildECDFs wraps the arena's sample cells as the query's Eq. 2
-// distributions.
-func (qs *queryScratch) buildECDFs(numCols int) *distanceECDFs {
-	qs.ecdfs = distanceECDFs{cols: numCols, cells: qs.sampleCells(numCols)}
-	return &qs.ecdfs
 }
 
 // weight returns the Eq. 2 weight 1 − P(d ≤ D) for a distance of type t

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -354,7 +355,7 @@ func TestSearchSpecMatchesNaiveReference(t *testing.T) {
 
 // TestSearchEquivalenceAfterMutation re-checks equivalence on an
 // engine whose attribute-id-to-table mapping has been perturbed by
-// Add/Remove churn — the regime where the grouped pair sort actually
+// Add/Remove churn — the regime where the table grouping actually
 // has to order by table id rather than coast on build-time
 // monotonicity.
 func TestSearchEquivalenceAfterMutation(t *testing.T) {
@@ -415,7 +416,7 @@ func rowsOf(t *table.Table) [][]string {
 // TestArenaReuseConcurrentSpecs stress-tests arena recycling under
 // -race: many goroutines issue differently-optioned queries against
 // one engine while a mutator churns Add/Remove (growing the profile
-// store the epoch-stamped visited arrays are sized to). Each fixed-
+// store the candidate bitsets are sized to). Each fixed-
 // spec goroutine verifies its answers against a precomputed expected
 // result during the quiescent phase; the churn phase relies on the
 // race detector and the per-answer internal consistency checks.
@@ -548,5 +549,48 @@ func TestQueryAllocationBudget(t *testing.T) {
 	})
 	if allocs > budget {
 		t.Fatalf("steady-state ranking pipeline allocates %.0f per query, budget %d", allocs, budget)
+	}
+
+	// A growing lake: add tables one at a time until the table count has
+	// crossed a 64-table boundary (the attribute count crosses several),
+	// and query after every add. The arrays indexed by table or attribute
+	// id grow by capacity, so these queries stay within the budget, and
+	// on average within one allocation of the steady state. Under -race
+	// sync.Pool drops arenas at random, so single queries are not held
+	// to a number there.
+	if raceEnabled {
+		return
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n := lake.Len()
+	var total uint64
+	adds := 0
+	for ; lake.Len() <= (n/64+1)*64+2; adds++ {
+		src := lake.Table(adds % n)
+		rows := make([]int, src.Rows())
+		for r := range rows {
+			rows[r] = r
+		}
+		grown, err := src.SelectRows(fmt.Sprintf("grown_%d", adds), rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Add(grown); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Search(ctx, target, spec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		a := after.Mallocs - before.Mallocs
+		if a > budget {
+			t.Fatalf("the query after add %d allocates %d, budget %d", adds, a, budget)
+		}
+		total += a
+	}
+	if mean := float64(total) / float64(adds); mean > allocs+1 {
+		t.Fatalf("queries after an add allocate %.2f on average, %.0f in the steady state: an id-indexed array is resized on every add", mean, allocs)
 	}
 }

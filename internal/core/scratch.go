@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"d3l/internal/lsh"
@@ -14,18 +15,16 @@ import (
 //   - queryScratch lives for one query (a monolith ranking or a shard
 //     gather). It owns every buffer whose contents must survive across
 //     pipeline phases: the per-column candidate-pair buffers, the
-//     flattened pair list the grouping sort runs over, the sample arena
+//     table-grouped pair list and its grouping state, the sample arena
 //     backing the Eq. 2 weight distributions, the contiguous table
-//     runs, the scored-table slots, and the top-k heap.
+//     runs, the alignment rows of the table being scored, the
+//     scored-table slots, and the top-k heap.
 //
-//   - workerScratch lives for one unit of pool work (one column gather
-//     or one query's table scoring). It owns the state a single worker
-//     mutates: the forest probe buffer, the epoch-stamped visited array
-//     that replaces the per-column `seen` map, the epoch-stamped
-//     best-pair-per-target-column arrays of the alignment decision, and
-//     the alignment rows of the table being scored. Several workers run
-//     concurrently inside one query, so this state cannot live in the
-//     query arena.
+//   - workerScratch lives for one column gather (or one shard probe
+//     phase). It owns the state a single worker mutates: the forest
+//     probe buffers, the candidate bitset and the distance memo.
+//     Several workers run concurrently inside one query, so this state
+//     cannot live in the query arena.
 //
 // Both are recycled through sync.Pools hanging off the Engine (the
 // zero Pool is ready to use, so snapshot decoding needs no extra
@@ -36,12 +35,11 @@ import (
 // every value escaping into a SearchResult is freshly allocated at
 // materialisation time.
 //
-// Epoch stamping: a visited/marked test must be resettable per use
-// without an O(n) clear. Each workerScratch keeps a monotonically
-// increasing epoch; slot i is "set" iff stamp[i] equals the current
-// epoch, so resetting is one integer increment. On the (once per 2^32
-// uses per arena) wraparound the stamp array is cleared explicitly so
-// stale stamps from 2^32 epochs ago cannot alias the fresh epoch.
+// Arrays indexed by attribute or table id (the bitsets, the per-table
+// counts) are zero between uses: whoever sets an entry clears it before
+// the arena goes back, so no use pays a clear of its own. They grow by
+// capacity, the way append does (grown), so a lake that gains a table
+// at a time does not reallocate every pooled arena on each add.
 
 // queryScratch is the per-query arena. Zero value is ready; buffers
 // grow to their steady-state sizes over the first queries and are
@@ -51,8 +49,14 @@ type queryScratch struct {
 	// per-column split is what lets the gather phase fan out across
 	// workers without synchronising on a shared pair list.
 	colBufs [][]candidatePair
-	// flat is the flattened (then grouped-by-table) pair list.
-	flat []candidatePair
+	// grouped is the pair list laid out in per-table runs (see
+	// groupByTable); tablePairs (a count per table id), tableBits (the
+	// tables seen) and tids (those tables, ascending) are its grouping
+	// state.
+	grouped    []candidatePair
+	tablePairs []int32
+	tableBits  bitset
+	tids       []int32
 	// samples is the sample arena: every (column, evidence) distance
 	// distribution laid out contiguously in one buffer, sorted.
 	samples []float64
@@ -60,24 +64,14 @@ type queryScratch struct {
 	// wraps them for the weight lookups.
 	cells [][]float64
 	ecdfs distanceECDFs
-	// runs are the contiguous per-table slices of the grouped flat
-	// list — the replacement for the byTable map.
+	// runs are the contiguous per-table slices of grouped.
 	runs []tableRun
+	// rows holds the alignment rows of the table being scored.
+	rows []Alignment
 	// scored holds one slot per table that survived scoring.
 	scored []scoredTable
 	// top is the bounded top-k selection heap (indexes into scored).
 	top []int32
-}
-
-// ensureCols sizes colBufs for a target arity, truncating each kept
-// buffer and preserving grown capacities.
-func (qs *queryScratch) ensureCols(n int) {
-	for len(qs.colBufs) < n {
-		qs.colBufs = append(qs.colBufs, nil)
-	}
-	for i := 0; i < n; i++ {
-		qs.colBufs[i] = qs.colBufs[i][:0]
-	}
 }
 
 // workerScratch is the per-work-unit arena.
@@ -90,54 +84,22 @@ type workerScratch struct {
 	// self-tuning lsh.Forest.Probe, a shard probe phase's DepthCounts —
 	// shared by the four forests.
 	depths lsh.DepthScratch
-
-	// visited/vEpoch: epoch-stamped membership over attribute ids,
-	// replacing gatherColumn's seen map.
-	visited []uint32
-	vEpoch  uint32
-
-	// best/bestMark/bEpoch: per-target-column best-pair selection of
-	// alignRun. best[c] indexes into the table's pair run; bestMark is
-	// epoch-stamped.
-	best     []int32
-	bestMark []uint32
-	bEpoch   uint32
-	// rows holds the alignment rows of the table being scored.
-	rows []Alignment
+	// cands is the candidate set of the column being gathered, one bit
+	// per attribute id (see distinct).
+	cands bitset
 	// memo is the distance memo of the column being gathered.
 	memo distMemo
 }
 
-// visitedEpoch returns the visited array (sized for n attribute ids)
-// and a fresh epoch: slot i is considered set iff visited[i] equals
-// the returned epoch.
-func (ws *workerScratch) visitedEpoch(n int) ([]uint32, uint32) {
-	if len(ws.visited) < n {
-		ws.visited = make([]uint32, n)
-		ws.vEpoch = 0
+// distinct rewrites ids, a column's probe regions (unordered, and
+// overlapping across forests), as its distinct ids in ascending order:
+// one bit per attribute id, read back word by word. n bounds the ids.
+func (ws *workerScratch) distinct(ids []int32, n int) []int32 {
+	ws.cands = grown(ws.cands, n/64+1)
+	for _, id := range ids {
+		ws.cands.add(int(id))
 	}
-	ws.vEpoch++
-	if ws.vEpoch == 0 { // wraparound: stale stamps could alias
-		clear(ws.visited)
-		ws.vEpoch = 1
-	}
-	return ws.visited, ws.vEpoch
-}
-
-// bestEpoch returns the best-pair selection arrays (sized for n target
-// columns) and a fresh epoch.
-func (ws *workerScratch) bestEpoch(n int) (best []int32, mark []uint32, epoch uint32) {
-	if len(ws.bestMark) < n {
-		ws.best = make([]int32, n)
-		ws.bestMark = make([]uint32, n)
-		ws.bEpoch = 0
-	}
-	ws.bEpoch++
-	if ws.bEpoch == 0 {
-		clear(ws.bestMark)
-		ws.bEpoch = 1
-	}
-	return ws.best, ws.bestMark, ws.bEpoch
+	return ws.cands.drain(ids[:0])
 }
 
 // getQueryScratch takes a per-query arena from the engine pool.
@@ -244,30 +206,81 @@ func siftDown(scored []scoredTable, h []int32, i int) {
 	}
 }
 
-// groupPairsByTable sorts pairs by (table, attribute, target column)
-// and slices the result into contiguous per-table runs — the
-// allocation-free replacement for the byTable map + sort.Ints pass.
-// The run order (ascending table id) matches the old sorted-key
-// iteration, keeping scoring slot assignment deterministic.
-func groupPairsByTable(pairs []candidatePair, runs []tableRun) []tableRun {
-	slices.SortFunc(pairs, func(a, b candidatePair) int {
-		if a.tableID != b.tableID {
-			return a.tableID - b.tableID
+// groupByTable lays the gathered pairs (qs.colBufs[:numCols]) out as
+// contiguous per-table runs in ascending table id, into qs.grouped and
+// qs.runs, without a comparison sort: one pass counts each table's
+// pairs and marks the table, the marked tables are read back in
+// ascending id to place the runs, and a second pass scatters every pair
+// straight from its column buffer into its run. Within a run the pairs
+// keep the gather's order, by target column and then by attribute id,
+// the layout alignRun reads. numTables bounds the table ids. It returns
+// the grouped pairs.
+func (qs *queryScratch) groupByTable(numCols, numTables int) []candidatePair {
+	counts := grown(qs.tablePairs, numTables)
+	qs.tablePairs = counts
+	qs.tableBits = grown(qs.tableBits, numTables/64+1)
+	total := 0
+	for _, colPairs := range qs.colBufs[:numCols] {
+		total += len(colPairs)
+		for i := range colPairs {
+			tid := colPairs[i].tableID
+			qs.tableBits.add(tid)
+			counts[tid]++
 		}
-		if a.attrID != b.attrID {
-			return a.attrID - b.attrID
-		}
-		return a.targetCol - b.targetCol
-	})
-	runs = runs[:0]
-	for i := 0; i < len(pairs); {
-		j := i
-		tid := pairs[i].tableID
-		for j < len(pairs) && pairs[j].tableID == tid {
-			j++
-		}
-		runs = append(runs, tableRun{tid: tid, start: int32(i), end: int32(j)})
-		i = j
 	}
-	return runs
+	qs.tids = qs.tableBits.drain(qs.tids[:0])
+	// Each count becomes its run's write cursor.
+	runs := qs.runs[:0]
+	var off int32
+	for _, tid := range qs.tids {
+		n := counts[tid]
+		runs = append(runs, tableRun{tid: int(tid), start: off, end: off + n})
+		counts[tid] = off
+		off += n
+	}
+	grouped := slices.Grow(qs.grouped[:0], total)[:total]
+	for _, colPairs := range qs.colBufs[:numCols] {
+		for i := range colPairs {
+			tid := colPairs[i].tableID
+			grouped[counts[tid]] = colPairs[i]
+			counts[tid]++
+		}
+	}
+	for _, r := range runs {
+		counts[r.tid] = 0
+	}
+	qs.grouped, qs.runs = grouped, runs
+	return grouped
+}
+
+// bitset is a set of non-negative ints, one bit each, kept empty
+// between uses.
+type bitset []uint64
+
+func (b bitset) add(i int) { b[i>>6] |= 1 << (uint(i) & 63) }
+
+// drain appends the members to dst in ascending order and empties the
+// set.
+func (b bitset) drain(dst []int32) []int32 {
+	for w, word := range b {
+		if word == 0 {
+			continue
+		}
+		b[w] = 0
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
+	return dst
+}
+
+// grown returns s with length n, for a zero-between-uses array: every
+// element of s's capacity must be zero. It grows through append, whose
+// amortised doubling keeps a lake that gains a table at a time from
+// reallocating the array on every add.
+func grown[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, n-cap(s))...)
 }

@@ -264,11 +264,11 @@ func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec
 	// Columns are gathered one after another: the shards of a set
 	// already run side by side, so a second level of fan-out would only
 	// oversubscribe the cores they share.
-	pairs, err := e.gatherPairs(ctx, target, &view, 1, qs, depths.Depths)
-	if err != nil {
+	if err := e.gatherPairs(ctx, target, &view, 1, qs, depths.Depths); err != nil {
 		return nil, err
 	}
 	st.lap(StageGather)
+	pairs := qs.groupByTable(numCols, e.lake.Len())
 
 	// The partial leaves the arena in two slabs, one of samples and one of
 	// rows; cells and tables are three-index sub-slices of them, so an
@@ -284,16 +284,13 @@ func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec
 			off += len(cell)
 		}
 	}
-	qs.runs = groupPairsByTable(pairs, qs.runs)
 	partial.TableCount = len(qs.runs)
 	partial.Tables = make([]ShardTable, len(qs.runs))
-	ws := e.getWorkerScratch()
-	defer e.putWorkerScratch(ws)
 	// A table has at most one row per pair and per target column.
 	rows := make([]Alignment, 0, min(len(pairs), len(qs.runs)*numCols))
 	for i, run := range qs.runs {
 		start := len(rows)
-		rows = e.alignments(rows, pairs[run.start:run.end], numCols, ws)
+		rows = e.alignments(rows, pairs[run.start:run.end])
 		partial.Tables[i] = ShardTable{
 			TableID: run.tid,
 			Name:    e.lake.Table(run.tid).Name,

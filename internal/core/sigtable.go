@@ -361,7 +361,7 @@ type distMemo struct {
 }
 
 // reset forgets every distance: the next column has other signatures.
-// Epoch-stamped like visitedEpoch, so it is one increment.
+// The slots are epoch-stamped, so it is one increment.
 func (m *distMemo) reset() {
 	m.epoch++
 	if m.epoch == 0 { // wraparound: stale stamps could alias

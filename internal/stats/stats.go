@@ -72,14 +72,19 @@ func ECDFOf(sorted []float64) ECDF {
 	return ECDF{sorted: sorted}
 }
 
-// P returns P(X <= x).
+// P returns P(X <= x): one upper-bound binary search counts the samples
+// at most x, ties included, so P is right-continuous. Like a sort, the
+// search takes NaN samples (sorted first) as below every x.
 func (e *ECDF) P(x float64) float64 {
-	idx := sort.SearchFloat64s(e.sorted, x)
-	// Advance over ties so P is right-continuous with <=.
-	for idx < len(e.sorted) && e.sorted[idx] <= x {
-		idx++
+	lo, hi := 0, len(e.sorted)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); x < e.sorted[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
 	}
-	return float64(idx) / float64(len(e.sorted))
+	return float64(lo) / float64(len(e.sorted))
 }
 
 // CCDF returns the complementary CDF 1 − P(X <= x). This is exactly the

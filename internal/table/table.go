@@ -179,13 +179,18 @@ func (c *Column) NumericExtent() []float64 { return c.numeric }
 
 // NonNull returns the non-null string values of the extent.
 func (c *Column) NonNull() []string {
-	out := make([]string, 0, len(c.Values))
+	return c.AppendNonNull(make([]string, 0, len(c.Values)))
+}
+
+// AppendNonNull appends the non-null string values of the extent,
+// trimmed, to dst and returns the extended slice.
+func (c *Column) AppendNonNull(dst []string) []string {
 	for _, v := range c.Values {
 		if t := strings.TrimSpace(v); t != "" && t != "-" && !strings.EqualFold(t, "null") {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 	}
-	return out
+	return dst
 }
 
 // DataBytes reports the raw payload size of the extent plus name, used

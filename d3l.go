@@ -300,61 +300,30 @@ func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
 // never builds the graph: call JoinGraphEdges first to put it in the
 // snapshot (`d3l index build` does; shard snapshots, whose graphs no
 // sharded topology reads, do not). Save holds the mutation lock in read
-// mode: snapshots taken under concurrent Add/Remove traffic are
-// consistent point-in-time images.
+// mode while it writes, so snapshots taken under concurrent Add/Remove
+// traffic are consistent point-in-time images; a mutation waits for the
+// write to finish. The snapshot streams to w through a fixed-size
+// window, so Save holds none of it beyond that window.
 func Save(e *Engine, w io.Writer) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	enc, err := e.encodeSnapshot()
-	if err != nil {
-		return err
+	enc := persist.NewEncoder(w)
+	e.core.AppendSnapshot(enc)
+	if g := e.cachedGraph(); g != nil {
+		enc.Section(persist.SecJoinGraph, g.Encode)
 	}
-	_, err = enc.WriteTo(w)
-	return err
+	return enc.Close()
 }
 
-// SaveFile writes Save's snapshot to path without ever truncating what
-// is there: the bytes go to path+".tmp" in the same directory, which is
-// closed and only then renamed over path. A failed or killed write
-// therefore leaves the previous snapshot — the file a serving replica
-// reloads from — intact, and a failed one removes its temporary file.
+// SaveFile writes Save's snapshot to path through persist.WriteFile:
+// the bytes go to a temporary file in the same directory, which is
+// synced to disk before it is renamed over path, and the directory is
+// synced after. A crash or a kill at any moment therefore leaves
+// either the previous snapshot — the file a serving replica reloads
+// from — or the whole new one at path, and a failed write removes its
+// temporary file and leaves path as it was.
 func SaveFile(e *Engine, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	err = Save(e, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
-}
-
-// encodeSnapshot lays the engine's sections and the SA-join graph it
-// holds, if any, down in one encoder, sized once for all of them.
-// Caller holds e.mu.
-func (e *Engine) encodeSnapshot() (*persist.Encoder, error) {
-	g := e.cachedGraph()
-	extra := 0
-	if g != nil {
-		extra = persist.SectionOverhead + g.EncodedSize()
-	}
-	enc := persist.NewEncoder()
-	if err := e.core.AppendSnapshot(enc, extra); err != nil {
-		return nil, err
-	}
-	if g != nil {
-		g.Encode(enc.Begin(persist.SecJoinGraph))
-		enc.End()
-	}
-	return enc, nil
+	return persist.WriteFile(path, func(w io.Writer) error { return Save(e, w) })
 }
 
 // Load reconstructs an engine from a snapshot written by Save, and

@@ -53,62 +53,49 @@ func scaled(v float64, d int) (int64, bool) {
 }
 
 // scalesAt reports whether vs, which is not empty, scales exactly at d
-// into ks that never decrease, and the bytes they take.
-func scalesAt(vs []float64, d int) (size int, ok bool) {
+// into ks that never decrease.
+func scalesAt(vs []float64, d int) bool {
 	var prev int64
 	for i, v := range vs {
 		k, ok := scaled(v, d)
-		switch {
-		case !ok || (i > 0 && k < prev):
-			return 0, false
-		case i == 0:
-			size += persist.VarintLen(k)
-		default:
-			size += persist.UvarintLen(uint64(k - prev))
+		if !ok || (i > 0 && k < prev) {
+			return false
 		}
 		prev = k
 	}
-	return size, true
+	return true
 }
 
-// extentCode is how appendExtent writes an extent: mark is the byte
-// after its count, the decimal scale or extentRaw, and size counts every
-// byte written.
-type extentCode struct {
-	mark uint8
-	size int
-}
-
-// codeExtent chooses how vs, which is sorted, is written: scaled at the
-// smallest scale at which every value is scaled exactly and the ks never
-// decrease, raw when no scale up to maxExtentScale fits. Trying the
-// scales in order keeps the choice a function of the values, so save →
-// load → save is byte-identical. A save calls it once per profile and
-// hands the result both to the size bound and to appendExtent.
-func codeExtent(vs []float64) extentCode {
-	n := persist.UvarintLen(uint64(len(vs)))
+// codeExtent chooses how vs, which is sorted, is written, and returns
+// the byte appendExtent writes after its count: the smallest decimal
+// scale at which every value is scaled exactly and the ks never
+// decrease, or extentRaw when no scale up to maxExtentScale fits.
+// Trying the scales in order keeps the choice a function of the values,
+// so save → load → save is byte-identical. An empty extent writes no
+// mark; its code is 0.
+func codeExtent(vs []float64) uint8 {
 	if len(vs) == 0 {
-		return extentCode{size: n}
+		return 0
 	}
 	for d := 0; d <= maxExtentScale; d++ {
-		if size, ok := scalesAt(vs, d); ok {
-			return extentCode{mark: uint8(d), size: n + 1 + size}
+		if scalesAt(vs, d) {
+			return uint8(d)
 		}
 	}
-	return extentCode{mark: extentRaw, size: n + 1 + 8*len(vs)}
+	return extentRaw
 }
 
-// appendExtent writes vs, coded as c (codeExtent(vs)): its length as a
-// Uvarint, then for a non-empty extent either its scale, its first k as
-// a Varint and each later k as a Uvarint step, or extentRaw and the
+// appendExtent writes vs, coded as mark (codeExtent(vs)): its length as
+// a Uvarint, then for a non-empty extent either its scale, its first k
+// as a Varint and each later k as a Uvarint step, or extentRaw and the
 // values as float64s.
-func appendExtent(b *persist.Buffer, vs []float64, c extentCode) {
+func appendExtent(b *persist.Buffer, vs []float64, mark uint8) {
 	b.Uvarint(uint64(len(vs)))
 	if len(vs) == 0 {
 		return
 	}
-	b.U8(c.mark)
-	if c.mark == extentRaw {
+	b.U8(mark)
+	if mark == extentRaw {
 		for _, v := range vs {
 			b.F64(v)
 		}
@@ -116,7 +103,7 @@ func appendExtent(b *persist.Buffer, vs []float64, c extentCode) {
 	}
 	var prev int64
 	for i, v := range vs {
-		k, _ := scaled(v, int(c.mark))
+		k, _ := scaled(v, int(mark))
 		if i == 0 {
 			b.Varint(k)
 		} else {
@@ -195,10 +182,10 @@ func (e *Engine) ExtentCoding() (byScale []int, raw int) {
 		if len(vs) == 0 {
 			continue
 		}
-		if c := codeExtent(vs); c.mark == extentRaw {
+		if mark := codeExtent(vs); mark == extentRaw {
 			raw++
 		} else {
-			byScale[c.mark]++
+			byScale[mark]++
 		}
 	}
 	return byScale, raw

@@ -26,36 +26,24 @@ import (
 // stored, so a replica profiles targets with exactly the classifier the
 // snapshot was built with even if the shipped default changes.
 
-// AppendSnapshot encodes the engine's sections into enc; the public d3l
-// package appends the SA-join graph after them and writes the result.
-// It first reserves room for all of it — its own sections plus the
-// extra bytes the caller will append after them — so the snapshot is
-// laid down in one allocation. The read lock is held across the whole
-// encode, so the sections are mutually consistent under concurrent
-// mutations.
-func (e *Engine) AppendSnapshot(enc *persist.Encoder, extra int) error {
+// AppendSnapshot writes the engine's sections to enc; the public d3l
+// package appends the SA-join graph after them and closes enc. The read
+// lock is held across the whole write, so the sections are mutually
+// consistent under concurrent mutations.
+func (e *Engine) AppendSnapshot(enc *persist.Encoder) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	pos, order := e.sigPositions()
-	codes := e.extentCodes()
-	enc.Grow(e.snapshotSizeBound(pos, order, codes) + extra)
-
-	e.encodeOptions(enc.Begin(persist.SecOptions))
-	enc.End()
-
-	e.lake.EncodeMeta(enc.Begin(persist.SecLake))
-	enc.End()
-
-	sb := enc.Begin(persist.SecSigs)
-	sb.Uvarint(uint64(len(order)))
-	for _, id := range order {
-		sb.VU32s(e.sigs.sigs[id])
-	}
-	enc.End()
-
-	e.encodeAttrs(enc.Begin(persist.SecAttrs), pos, codes)
-	enc.End()
-	return nil
+	marks := e.extentMarks()
+	enc.Section(persist.SecOptions, e.encodeOptions)
+	enc.Section(persist.SecLake, e.lake.EncodeMeta)
+	enc.Section(persist.SecSigs, func(b *persist.Buffer) {
+		b.Uvarint(uint64(len(order)))
+		for _, id := range order {
+			b.VU32s(e.sigs.sigs[id])
+		}
+	})
+	enc.Section(persist.SecAttrs, func(b *persist.Buffer) { e.encodeAttrs(b, pos, marks) })
 }
 
 // sigPositions numbers the signatures the profiles hold in the order
@@ -78,61 +66,15 @@ func (e *Engine) sigPositions() (pos []uint32, order []int32) {
 	return pos, order
 }
 
-// extentCodes codes every profile's extent once: codes[i] is how
-// appendExtent writes profile i's. Caller holds e.mu.
-func (e *Engine) extentCodes() []extentCode {
-	codes := make([]extentCode, len(e.profiles))
+// extentMarks chooses every profile's extent coding once, for both runs
+// of the SecAttrs encoder: marks[i] is profile i's (codeExtent). Caller
+// holds e.mu.
+func (e *Engine) extentMarks() []uint8 {
+	marks := make([]uint8, len(e.profiles))
 	for i := range e.profiles {
-		codes[i] = codeExtent(e.profiles[i].NumExtent)
+		marks[i] = codeExtent(e.profiles[i].NumExtent)
 	}
-	return codes
-}
-
-// optionsEnc is the size of SecOptions: nine 8-byte fields and the
-// counted FeatureCount classifier coefficients.
-const optionsEnc = 9*8 + 4 + 8*subject.FeatureCount
-
-// snapshotSizeBound is an upper bound on the bytes AppendSnapshot lays
-// down, given the signature positions sigPositions assigned and the
-// extent codes extentCodes chose: exact but for a few bytes per
-// tombstoned table. It counts each signature once, as the file holds
-// it, where indexSpaceBytes (Table II's measure) counts it once per
-// profile field. Caller holds e.mu.
-func (e *Engine) snapshotSizeBound(pos []uint32, order []int32, codes []extentCode) int {
-	vlen := func(v int) int { return persist.UvarintLen(uint64(v)) }
-	n := 4*persist.SectionOverhead + optionsEnc
-	// SecLake: a liveness byte, a counted name and a column count per
-	// table, a counted name and a type byte per column.
-	tables := e.lake.Tables()
-	n += vlen(len(tables))
-	for _, t := range tables {
-		n += 1 + vlen(len(t.Name)) + len(t.Name) + vlen(len(t.Columns))
-		for _, c := range t.Columns {
-			n += vlen(len(c.Name)) + len(c.Name) + 1
-		}
-	}
-	// SecSigs: a count, then each signature, counted.
-	n += vlen(len(order))
-	for _, id := range order {
-		n += vlen(len(e.sigs.sigs[id])) + 4*len(e.sigs.sigs[id])
-	}
-	// SecAttrs: the profiles, then per table a counted attribute list, the
-	// subject attribute and the liveness byte.
-	n += vlen(len(e.profiles))
-	for i := range e.profiles {
-		p := &e.profiles[i]
-		n += vlen(p.Ref.TableID) + vlen(p.Ref.Column) + vlen(len(p.Name)) + len(p.Name) + 3 +
-			vlen(int(pos[p.qID])) + vlen(int(pos[p.tID])) + vlen(p.TSize) + vlen(int(pos[p.rID])) +
-			vlen(len(p.ESig)) + 8*len(p.ESig) + codes[i].size
-	}
-	n += vlen(len(e.byTable))
-	for tid, attrs := range e.byTable {
-		n += vlen(len(attrs)) + persist.VarintLen(int64(e.subjects[tid])) + 1
-		for _, a := range attrs {
-			n += vlen(a)
-		}
-	}
-	return n
+	return marks
 }
 
 // LoadEngine reads a snapshot whose sections AppendSnapshot encoded and
@@ -273,14 +215,14 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 }
 
 // encodeAttrs writes the profile store and the per-table indexes; pos
-// maps a signature's engine id to its position in SecSigs, and codes[i]
-// is profile i's extent code. Tombstoned attributes are already
+// maps a signature's engine id to its position in SecSigs, and marks[i]
+// is profile i's extent coding. Tombstoned attributes are already
 // metadata-only stubs (Remove releases their payloads), so snapshots do
 // not grow with mutation churn beyond a name per dead attribute.
-func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32, codes []extentCode) {
+func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32, marks []uint8) {
 	b.Uvarint(uint64(len(e.profiles)))
 	for i := range e.profiles {
-		encodeProfile(b, &e.profiles[i], pos, codes[i])
+		encodeProfile(b, &e.profiles[i], pos, marks[i])
 	}
 	b.Uvarint(uint64(len(e.byTable)))
 	for tid, attrs := range e.byTable {
@@ -364,7 +306,7 @@ func (e *Engine) decodeAttrs(r *persist.Reader) error {
 	return r.Err()
 }
 
-func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32, ext extentCode) {
+func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32, mark uint8) {
 	b.Uvarint(uint64(p.Ref.TableID))
 	b.Uvarint(uint64(p.Ref.Column))
 	b.VStr(p.Name)
@@ -376,7 +318,7 @@ func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32, ext extentCode) 
 	b.Uvarint(uint64(pos[p.rID]))
 	b.VU64s(p.ESig)
 	b.Bool(p.EZero)
-	appendExtent(b, p.NumExtent, ext)
+	appendExtent(b, p.NumExtent, mark)
 }
 
 // decodeIDs reads a table's attribute list.

@@ -24,12 +24,10 @@ import (
 // snapshotBytes serialises an engine into memory.
 func snapshotBytes(t testing.TB, e *Engine) []byte {
 	t.Helper()
-	enc := persist.NewEncoder()
-	if err := e.AppendSnapshot(enc, 0); err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if _, err := enc.WriteTo(&buf); err != nil {
+	enc := persist.NewEncoder(&buf)
+	e.AppendSnapshot(enc)
+	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -942,35 +940,6 @@ func TestSnapshotIsCanonical(t *testing.T) {
 	}
 }
 
-// TestSnapshotSizeBound: AppendSnapshot's one reservation holds the
-// whole snapshot, and exceeds it by no more than snapshotSizeBound's
-// comment states: per tombstoned table, the column count its lake entry
-// no longer carries.
-func TestSnapshotSizeBound(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		e    *Engine
-	}{{"figure 1", buildFigure1Engine(t)}, {"churned", churnedEngine(t)}} {
-		e := c.e
-		e.mu.RLock()
-		pos, order := e.sigPositions()
-		bound := e.snapshotSizeBound(pos, order, e.extentCodes())
-		dead := 0
-		for _, alive := range e.alive {
-			if !alive {
-				dead++
-			}
-		}
-		e.mu.RUnlock()
-		const headerAndTrailer = 8 + 4 + 4
-		written := len(snapshotBytes(t, e)) - headerAndTrailer
-		if slack, limit := bound-written, 4*dead; slack < 0 || slack > limit {
-			t.Fatalf("%s: bound %d for %d written bytes: slack %d, want 0…%d (%d tombstoned tables)",
-				c.name, bound, written, slack, limit, dead)
-		}
-	}
-}
-
 // TestLoadRejectsAbsurdSketchWidths: the hash machinery is rebuilt from
 // the options at load time, so a snapshot declaring a terabyte-wide
 // MinHash family (FuzzLoadEngine's first find) is refused as corrupt
@@ -1071,14 +1040,18 @@ func payloadOf(b *persist.Buffer) []byte {
 func withExtent(t testing.TB, e *Engine, i int, ext []byte) []byte {
 	t.Helper()
 	pos, _ := e.sigPositions()
-	codes := e.extentCodes()
+	marks := e.extentMarks()
 	var head persist.Buffer
 	head.Uvarint(uint64(len(e.profiles)))
-	for j := 0; j <= i; j++ {
-		encodeProfile(&head, &e.profiles[j], pos, codes[j])
+	for j := 0; j < i; j++ {
+		encodeProfile(&head, &e.profiles[j], pos, marks[j])
 	}
+	// The profile's extent is the last thing it writes.
+	var extent persist.Buffer
+	appendExtent(&extent, e.profiles[i].NumExtent, marks[i])
+	encodeProfile(&head, &e.profiles[i], pos, marks[i])
 	end := len(payloadOf(&head))
-	start := end - codes[i].size
+	start := end - len(payloadOf(&extent))
 	return replaceSection(t, snapshotBytes(t, e), persist.SecAttrs, func(p []byte) []byte {
 		return append(append(slices.Clone(p[:start]), ext...), p[end:]...)
 	})
@@ -1093,7 +1066,7 @@ func hostileFields(t testing.TB) []hostileSnapshot {
 	data := snapshotBytes(t, e)
 	numeric := -1
 	for i := range e.profiles {
-		if codeExtent(e.profiles[i].NumExtent).mark != extentRaw && len(e.profiles[i].NumExtent) > 1 {
+		if codeExtent(e.profiles[i].NumExtent) != extentRaw && len(e.profiles[i].NumExtent) > 1 {
 			numeric = i
 			break
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"sync"
 
 	"d3l/internal/embed"
 	"d3l/internal/format"
@@ -83,6 +84,9 @@ type profiler struct {
 	// every attribute with nothing to embed, shared between them as the
 	// hasher's empty signature is. Nothing reads it.
 	zeroESig lsh.BitSignature
+	// scratch recycles the profileScratch of one target or written table
+	// for the next, which reuses the buffers the last one grew.
+	scratch sync.Pool
 }
 
 func newProfiler(opts Options) (*profiler, error) {
@@ -104,6 +108,7 @@ func newProfiler(opts Options) (*profiler, error) {
 		planes:   planes,
 		model:    embed.NewModel(opts.Seed ^ 0x13572468),
 		zeroESig: zeroESig,
+		scratch:  sync.Pool{New: func() any { return new(profileScratch) }},
 	}, nil
 }
 
@@ -141,6 +146,16 @@ type profileScratch struct {
 	// model would otherwise grow with every word any target ever sent.
 	// nil until the first text column asks for a plain one.
 	emb *embed.Scratch
+}
+
+// putScratch returns a scratch from p.scratch once its table is
+// profiled, dropping the table's cells first — the values and the words
+// the extent cut from them — so a pooled scratch keeps no table alive.
+func (p *profiler) putScratch(s *profileScratch) {
+	clear(s.values[:cap(s.values)])
+	s.values = s.values[:0]
+	s.extent.Reset()
+	p.scratch.Put(s)
 }
 
 // profileColumn runs Algorithm 1 for one attribute.
@@ -221,7 +236,9 @@ func (p *profiler) attributeVector(nominated []string, scratch *profileScratch) 
 // to the indexed lake — targets go through the same code path) and
 // marks its subject attribute.
 func (p *profiler) ProfileTable(tableID int, t *table.Table, classifier *subject.Classifier) []Profile {
-	return p.profileTable(tableID, t, classifier, &profileScratch{})
+	scratch := p.scratch.Get().(*profileScratch)
+	defer p.putScratch(scratch)
+	return p.profileTable(tableID, t, classifier, scratch)
 }
 
 func (p *profiler) profileTable(tableID int, t *table.Table, classifier *subject.Classifier, scratch *profileScratch) []Profile {

@@ -80,3 +80,43 @@ func TestProfileTablesEqualsProfileTable(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledScratchProfilesAlike: a target's profiles come out of a
+// recycled scratch, so profiling a table again, after other tables went
+// through the same pool, gives the profiles it gave the first time — and
+// those first profiles, held meanwhile, are not changed by the tables
+// profiled after them. A scratch handed back keeps none of its table's
+// values.
+func TestPooledScratchProfilesAlike(t *testing.T) {
+	cfg := datagen.DefaultSyntheticConfig()
+	cfg.Seed = 19
+	cfg.BaseTables = 4
+	cfg.DerivedTables = 12
+	lake, _, err := datagen.Synthetic(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := BuildEngine(table.NewLake(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := lake.Tables()
+	first := make([][]Profile, len(tables))
+	for i, tb := range tables {
+		first[i] = e.prof.ProfileTable(i, tb, e.classifier)
+	}
+	for i := len(tables) - 1; i >= 0; i-- {
+		if again := e.prof.ProfileTable(i, tables[i], e.classifier); !reflect.DeepEqual(again, first[i]) {
+			t.Fatalf("table %d (%s): profiled again after other tables, its profiles differ", i, tables[i].Name)
+		}
+	}
+
+	s := e.prof.scratch.Get().(*profileScratch)
+	e.prof.profileTable(0, tables[0], e.classifier, s)
+	e.prof.putScratch(s)
+	for _, v := range s.values[:cap(s.values)] {
+		if v != "" {
+			t.Fatalf("a pooled scratch holds the cell %q", v)
+		}
+	}
+}

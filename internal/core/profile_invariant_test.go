@@ -16,13 +16,13 @@ import (
 func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	t.Helper()
 	const testSection = 0x7e57
-	enc := persist.NewEncoder()
-	enc.Begin(persist.SecSigs).Uvarint(0)
-	enc.End()
-	encodeProfile(enc.Begin(testSection), p, []uint32{0}, codeExtent(p.NumExtent))
-	enc.End()
 	var buf bytes.Buffer
-	if _, err := enc.WriteTo(&buf); err != nil {
+	enc := persist.NewEncoder(&buf)
+	enc.Section(persist.SecSigs, func(b *persist.Buffer) { b.Uvarint(0) })
+	enc.Section(testSection, func(b *persist.Buffer) {
+		encodeProfile(b, p, []uint32{0}, codeExtent(p.NumExtent))
+	})
+	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := persist.NewDecoder(bytes.NewReader(buf.Bytes()), int64(len(buf.Bytes())))

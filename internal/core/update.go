@@ -134,11 +134,12 @@ func (e *Engine) update(t *table.Table, attrAt *int) (UpdateStats, error) {
 	}
 	profiles := make([]Profile, t.Arity())
 	profiled := make([]bool, t.Arity())
-	var scratch profileScratch
+	scratch := e.prof.scratch.Get().(*profileScratch)
+	defer e.prof.putScratch(scratch)
 	profileChanged := func() {
 		for j, col := range t.Columns {
 			if keep[j] < 0 && !profiled[j] {
-				profiles[j] = e.prof.profileColumn(AttrRef{}, col, &scratch)
+				profiles[j] = e.prof.profileColumn(AttrRef{}, col, scratch)
 				profiled[j] = true
 			}
 		}

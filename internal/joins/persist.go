@@ -23,18 +23,6 @@ func (g *Graph) Encode(b *persist.Buffer) {
 	}
 }
 
-// EncodedSize reports exactly how many bytes Encode appends.
-func (g *Graph) EncodedSize() int {
-	n := persist.UvarintLen(uint64(len(g.off) - 1))
-	for t := 1; t < len(g.off); t++ {
-		n += persist.UvarintLen(uint64(g.off[t] - g.off[t-1]))
-	}
-	for _, t := range g.to {
-		n += persist.UvarintLen(uint64(t))
-	}
-	return n
-}
-
 // DecodeGraph reconstructs a graph over the given engine (the engine
 // backs the path guards, not the adjacency itself) from a graph section
 // in Encode's layout: the table count, which must be the engine's, a

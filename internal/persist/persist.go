@@ -7,6 +7,13 @@
 // strings, numeric slices) to the Buffer an Encoder hands out per section,
 // and read them back through section Readers obtained from a Decoder.
 //
+// An Encoder streams a snapshot to an io.Writer through one
+// constant-size window. A section's one encode function runs twice: into
+// a counting sink, for the length its header declares, then to the
+// writer. So the layout is written down once, in the encoders, and a
+// save never holds the whole snapshot. WriteFile replaces a file whole,
+// so a crash leaves the old file or the new one, never a mix.
+//
 // A Decoder reads a snapshot of known size from an io.ReaderAt — an open
 // file, or bytes.NewReader over bytes already in memory — in two passes
 // through one constant-size window. The first streams the whole snapshot
@@ -74,7 +81,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"math/bits"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 )
@@ -138,21 +146,57 @@ var (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Buffer accumulates one section's payload. The zero value is ready to
-// use. All fixed-width values are little-endian; slices and strings are
-// length-prefixed with a uint32 count, or, through the V methods, with a
-// Uvarint one.
+// Buffer accumulates a payload. All fixed-width values are
+// little-endian; slices and strings are length-prefixed with a uint32
+// count, or, through the V methods, with a Uvarint one. The zero value
+// is a standalone Buffer that holds its whole payload (the shard gather
+// body, through Sealed). The Buffer an Encoder hands a section's encode
+// function is a window that spills to the Encoder's sink whenever the
+// next value would not fit; a value longer than the window grows it.
 type Buffer struct {
 	data []byte
+	sink *sink // nil for a standalone Buffer
 }
 
-// Grow reserves room for n more bytes, so a writer that knows its
-// payload's size (plus trailerLen, if it will call Sealed) allocates
-// once instead of growing by doubling.
+// sink counts the bytes a window spills and, given a writer, checksums
+// them and writes them on, keeping the first write error.
+type sink struct {
+	w   io.Writer // nil for a count pass
+	n   int64
+	crc uint32
+	err error
+}
+
+// spill hands what the window holds to its sink.
+func (b *Buffer) spill() {
+	s := b.sink
+	s.n += int64(len(b.data))
+	if s.w != nil && s.err == nil {
+		s.crc = crc32.Update(s.crc, castagnoli, b.data)
+		_, s.err = s.w.Write(b.data)
+	}
+	b.data = b.data[:0]
+}
+
+// room makes space for n more bytes — a window spills when they do not
+// fit, a standalone Buffer grows — and returns the data to append to.
+func (b *Buffer) room(n int) []byte {
+	if cap(b.data)-len(b.data) < n {
+		if b.sink != nil {
+			b.spill()
+		}
+		b.data = slices.Grow(b.data, n)
+	}
+	return b.data
+}
+
+// Grow reserves room for n more bytes in a standalone Buffer, so a
+// writer that knows its payload's size (plus trailerLen, if it will call
+// Sealed) allocates once instead of growing by doubling.
 func (b *Buffer) Grow(n int) { b.data = slices.Grow(b.data, n) }
 
 // U8 appends one byte.
-func (b *Buffer) U8(v uint8) { b.data = append(b.data, v) }
+func (b *Buffer) U8(v uint8) { b.data = append(b.room(1), v) }
 
 // Bool appends a bool as one byte.
 func (b *Buffer) Bool(v bool) {
@@ -164,10 +208,10 @@ func (b *Buffer) Bool(v bool) {
 }
 
 // U32 appends a uint32.
-func (b *Buffer) U32(v uint32) { b.data = binary.LittleEndian.AppendUint32(b.data, v) }
+func (b *Buffer) U32(v uint32) { b.data = binary.LittleEndian.AppendUint32(b.room(4), v) }
 
 // U64 appends a uint64.
-func (b *Buffer) U64(v uint64) { b.data = binary.LittleEndian.AppendUint64(b.data, v) }
+func (b *Buffer) U64(v uint64) { b.data = binary.LittleEndian.AppendUint64(b.room(8), v) }
 
 // I64 appends an int64 (two's complement).
 func (b *Buffer) I64(v int64) { b.U64(uint64(v)) }
@@ -177,39 +221,33 @@ func (b *Buffer) F64(v float64) { b.U64(math.Float64bits(v)) }
 
 // Uvarint appends v in as few bytes as it needs: seven bits a byte,
 // low bits first, the high bit of each byte but the last set.
-func (b *Buffer) Uvarint(v uint64) { b.data = binary.AppendUvarint(b.data, v) }
+func (b *Buffer) Uvarint(v uint64) { b.data = binary.AppendUvarint(b.room(binary.MaxVarintLen64), v) }
 
 // Varint appends v zigzag-mapped (0, -1, 1, -2, … to 0, 1, 2, 3, …), so
 // a value near zero of either sign is as short as a small Uvarint.
-func (b *Buffer) Varint(v int64) { b.data = binary.AppendVarint(b.data, v) }
-
-// UvarintLen reports how many bytes Uvarint appends for v.
-func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
-
-// VarintLen reports how many bytes Varint appends for v.
-func VarintLen(v int64) int { return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) }
+func (b *Buffer) Varint(v int64) { b.data = binary.AppendVarint(b.room(binary.MaxVarintLen64), v) }
 
 // Str appends a length-prefixed string.
 func (b *Buffer) Str(s string) {
 	b.U32(uint32(len(s)))
-	b.data = append(b.data, s...)
+	b.data = append(b.room(len(s)), s...)
 }
 
 // VStr appends a string prefixed with its length as a Uvarint.
 func (b *Buffer) VStr(s string) {
 	b.Uvarint(uint64(len(s)))
-	b.data = append(b.data, s...)
+	b.data = append(b.room(len(s)), s...)
 }
 
 // VU32s appends a []uint32 prefixed with its length as a Uvarint, the
 // values at full width: MinHash slots are uniform 32-bit values, which
 // no shorter code holds. MinHash signatures — most of a snapshot's
-// bytes — go through here, so the payload grows once and the slots are
+// bytes — go through here, so room is made once and the slots are
 // appended through a local slice header rather than one b.data store
 // (and GC write barrier) per slot.
 func (b *Buffer) VU32s(vs []uint32) {
 	b.Uvarint(uint64(len(vs)))
-	data := slices.Grow(b.data, 4*len(vs))
+	data := b.room(4 * len(vs))
 	for _, v := range vs {
 		data = binary.LittleEndian.AppendUint32(data, v)
 	}
@@ -220,26 +258,28 @@ func (b *Buffer) VU32s(vs []uint32) {
 // values at full width.
 func (b *Buffer) VU64s(vs []uint64) {
 	b.Uvarint(uint64(len(vs)))
+	data := b.room(8 * len(vs))
 	for _, v := range vs {
-		b.U64(v)
+		data = binary.LittleEndian.AppendUint64(data, v)
 	}
+	b.data = data
 }
 
-// F64s appends a length-prefixed []float64, grown once and appended
-// through a local slice header like VU32s.
+// F64s appends a length-prefixed []float64, room made once and the
+// values appended through a local slice header like VU32s.
 func (b *Buffer) F64s(vs []float64) {
 	b.U32(uint32(len(vs)))
-	data := slices.Grow(b.data, 8*len(vs))
+	data := b.room(8 * len(vs))
 	for _, v := range vs {
 		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(v))
 	}
 	b.data = data
 }
 
-// Sealed returns the payload followed by its CRC32-C trailer — the
-// snapshot trailer convention applied to a single Buffer, for payloads
-// that travel alone (the shard gather body) rather than as a section of
-// a snapshot. OpenSealed is its inverse.
+// Sealed returns a standalone Buffer's payload followed by its CRC32-C
+// trailer — the snapshot trailer convention applied to a single Buffer,
+// for payloads that travel alone (the shard gather body) rather than as
+// a section of a snapshot. OpenSealed is its inverse.
 func (b *Buffer) Sealed() []byte {
 	return binary.LittleEndian.AppendUint32(b.data, crc32.Checksum(b.data, castagnoli))
 }
@@ -257,83 +297,113 @@ func OpenSealed(data []byte) (*Reader, error) {
 	return &Reader{buf: body}, nil
 }
 
-// Encoder assembles a snapshot: header, sections in the order they are
-// begun, CRC trailer. It owns the one Buffer the whole snapshot is laid
-// down in: Begin hands that Buffer out for a section's payload and End
-// patches the section's length into its header, so no payload is built
-// elsewhere and copied in.
+// Encoder streams a snapshot to a writer: the header, then each section
+// as Section is called, then, on Close, the CRC trailer. It holds one
+// window of the snapshot at a time, whatever the snapshot's size.
 type Encoder struct {
-	buf  Buffer
-	seen map[uint32]bool
-	// open is the offset of the open section's length field, 0 (inside
-	// the header, never a section's) when no section is open.
-	open int
+	buf               Buffer
+	out               sink
+	seen              map[uint32]bool // the section ids written
+	inSection, closed bool
 }
 
-// NewEncoder returns an Encoder with the header already written.
-func NewEncoder() *Encoder {
-	e := &Encoder{seen: make(map[uint32]bool)}
+// NewEncoder returns an Encoder that writes a snapshot to w, the header
+// first.
+func NewEncoder(w io.Writer) *Encoder {
+	e := &Encoder{out: sink{w: w}, seen: make(map[uint32]bool)}
+	e.buf = Buffer{data: make([]byte, 0, window), sink: &e.out}
 	e.buf.data = append(e.buf.data, Magic[:]...)
 	e.buf.U32(Version)
 	return e
 }
 
-// Grow reserves room for n more bytes of sections plus the trailer, so a
-// writer that can bound its snapshot's size allocates it once.
-func (e *Encoder) Grow(n int) { e.buf.Grow(n + trailerLen) }
-
-// Cap reports the bytes the Encoder can hold before it reallocates.
-func (e *Encoder) Cap() int { return cap(e.buf.data) }
-
-// Begin opens section id and returns the Buffer to append its payload
-// to; the Buffer is the Encoder's own and only valid until End. Opening
-// a section inside another, or the same id twice, panics: section ids
-// identify component payloads and either is a writer bug.
-func (e *Encoder) Begin(id uint32) *Buffer {
-	if e.open != 0 {
-		panic(fmt.Sprintf("persist: section %d begun inside an open section", id))
+// Section writes section id, whose payload encode appends to the Buffer
+// it is handed. encode runs twice: the first run only counts the bytes,
+// which the section's header declares before the payload, and the
+// second writes them. It must therefore append the same bytes both
+// times; one that does not, a section inside another, the same id
+// twice, or a Section after Close, is a writer bug and panics. A write
+// error is kept for Close to return.
+func (e *Encoder) Section(id uint32, encode func(*Buffer)) {
+	if e.inSection || e.closed || e.seen[id] {
+		panic(fmt.Sprintf("persist: section %d begun inside another, after Close or twice", id))
 	}
-	if e.seen[id] {
-		panic(fmt.Sprintf("persist: duplicate section id %d", id))
-	}
-	e.seen[id] = true
+	e.seen[id], e.inSection = true, true
+	e.buf.spill() // what comes before the section goes out before it is counted
+	var count sink
+	e.buf.sink = &count
+	encode(&e.buf)
+	e.buf.spill()
+	e.buf.sink = &e.out
 	e.buf.U32(id)
-	e.open = len(e.buf.data)
-	e.buf.U64(0)
-	return &e.buf
-}
-
-// End closes the open section, recording how many bytes were appended
-// since Begin.
-func (e *Encoder) End() {
-	if e.open == 0 {
-		panic("persist: End without an open section")
+	e.buf.U64(uint64(count.n))
+	start := e.out.n + int64(len(e.buf.data))
+	encode(&e.buf)
+	if n := e.out.n + int64(len(e.buf.data)) - start; n != count.n {
+		panic(fmt.Sprintf("persist: section %d counted %d bytes and wrote %d: its encode function appended different bytes on each run", id, count.n, n))
 	}
-	binary.LittleEndian.PutUint64(e.buf.data[e.open:], uint64(len(e.buf.data)-e.open-8))
-	e.open = 0
+	e.inSection = false
 }
 
-// WriteTo computes the CRC32-C trailer and writes the whole snapshot.
-func (e *Encoder) WriteTo(w io.Writer) (int64, error) {
-	if e.open != 0 {
-		panic("persist: WriteTo with an open section")
+// Close writes what the window still holds and the CRC32-C trailer, and
+// returns the first error writing any of it met. Closing inside a
+// section or twice is a writer bug and panics.
+func (e *Encoder) Close() error {
+	if e.inSection || e.closed {
+		panic("persist: Close inside a section or twice")
 	}
-	out := e.buf.Sealed()
-	n, err := w.Write(out)
-	// Restore the encoder to its pre-trailer state so WriteTo is
-	// repeatable (out may alias the buffer's backing array).
-	e.buf.data = out[:len(out)-trailerLen]
-	return int64(n), err
+	e.closed = true
+	e.buf.spill()
+	if e.out.err == nil {
+		_, e.out.err = e.out.w.Write(binary.LittleEndian.AppendUint32(nil, e.out.crc))
+	}
+	return e.out.err
 }
 
-// headerLen is magic + version; trailerLen the CRC. SectionOverhead is
-// what a section costs beyond its payload — its id and length — for
-// writers sizing an Encoder.Grow.
+// headerLen is magic + version; trailerLen the CRC; sectionOverhead what
+// a section costs beyond its payload, its id and length.
 const (
 	headerLen       = 8 + 4
 	trailerLen      = 4
-	SectionOverhead = 4 + 8
+	sectionOverhead = 4 + 8
 )
+
+// WriteFile replaces the file at path, mode 0644, with what write
+// writes, so that a crash at any moment leaves the old file or the whole
+// new one under path. The bytes go to a temporary file beside path,
+// which is synced and closed, then renamed over path; the directory is
+// synced last, so the rename itself survives a crash. On any failure
+// before the rename the temporary file is removed and path left as it
+// was.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = write(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
+}
 
 // window is the size of the one buffer a Decoder reads its source
 // through: the checksum pass streams the snapshot through it, and every
@@ -397,16 +467,16 @@ func NewDecoder(src io.ReaderAt, size int64) (*Decoder, error) {
 		return nil, fmt.Errorf("%w: %d (this build reads %d; rebuild the snapshot from its lake)", ErrVersion, d.version, Version)
 	}
 	for off := int64(headerLen); off < body; {
-		if body-off < SectionOverhead {
+		if body-off < sectionOverhead {
 			return nil, fmt.Errorf("%w: dangling %d bytes after last section", ErrCorrupt, body-off)
 		}
-		var h [SectionOverhead]byte
+		var h [sectionOverhead]byte
 		if err := readAt(src, h[:], off); err != nil {
 			return nil, err
 		}
 		id := binary.LittleEndian.Uint32(h[:])
 		n := binary.LittleEndian.Uint64(h[4:])
-		off += SectionOverhead
+		off += sectionOverhead
 		if n > uint64(body-off) {
 			return nil, fmt.Errorf("%w: section %d declares %d bytes, %d remain", ErrCorrupt, id, n, body-off)
 		}

@@ -8,6 +8,8 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -53,44 +55,51 @@ func appendInts(b *Buffer, vs []int) {
 	}
 }
 
-// roundTripSnapshot builds a two-section snapshot exercising every
-// primitive type.
-func roundTripSnapshot(t *testing.T) []byte {
+// encoded is the snapshot sections writes through an Encoder, in memory.
+func encoded(t testing.TB, sections func(*Encoder)) []byte {
 	t.Helper()
-	enc := NewEncoder()
-	b := enc.Begin(SecOptions)
-	b.U8(7)
-	b.Bool(true)
-	b.Bool(false)
-	b.U32(0xdeadbeef)
-	b.U64(1 << 62)
-	b.I64(-42)
-	b.F64(math.Pi)
-	b.Str("practice name")
-	appendU32s(b, []uint32{6, 5, math.MaxUint32})
-	appendInts(b, []int{9, 8, 7})
-	appendInts(b, []int{-5, 5})
-	b.F64s([]float64{0.5, -0.25})
-	enc.End()
-	enc.Begin(SecLake)
-	enc.End()
 	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
+	enc := NewEncoder(&out)
+	sections(enc)
+	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return out.Bytes()
 }
 
-// roundTripHex is roundTripSnapshot as the parent of the Begin/End
-// encoder wrote it: each payload built in a Buffer of its own and copied
-// in by Encoder.Section.
+// roundTripSnapshot builds a two-section snapshot exercising every
+// primitive type.
+func roundTripSnapshot(t *testing.T) []byte {
+	t.Helper()
+	return encoded(t, func(enc *Encoder) {
+		enc.Section(SecOptions, func(b *Buffer) {
+			b.U8(7)
+			b.Bool(true)
+			b.Bool(false)
+			b.U32(0xdeadbeef)
+			b.U64(1 << 62)
+			b.I64(-42)
+			b.F64(math.Pi)
+			b.Str("practice name")
+			appendU32s(b, []uint32{6, 5, math.MaxUint32})
+			appendInts(b, []int{9, 8, 7})
+			appendInts(b, []int{-5, 5})
+			b.F64s([]float64{0.5, -0.25})
+		})
+		enc.Section(SecLake, func(*Buffer) {})
+	})
+}
+
+// roundTripHex is roundTripSnapshot as the version 2 encoder wrote it:
+// each payload built in a Buffer of its own and copied in.
 const roundTripHex = "44334c534e41500002000000010000008400000000000000070100efbeadde0000000000000040d6ffffffffffffff182d4454fb2109400d0000007072616374696365206e616d65030000000600000005000000ffffffff0300000009000000000000000800000000000000070000000000000002000000fbffffffffffffff050000000000000002000000000000000000e03f000000000000d0bf020000000000000000000000ea12c17e"
 
-// TestBeginEndWritesTheSectionLayout pins the bytes: a section laid down
-// in place is the section that used to be copied in. roundTripHex is a
-// version 2 snapshot; a version bump rewrites the header's version word,
-// and so the trailer, and nothing else of the container.
-func TestBeginEndWritesTheSectionLayout(t *testing.T) {
+// TestSectionWritesTheSectionLayout pins the bytes: a section streamed
+// through the window after a count pass is the section that used to be
+// built whole and copied in. roundTripHex is a version 2 snapshot; a
+// version bump rewrites the header's version word, and so the trailer,
+// and nothing else of the container.
+func TestSectionWritesTheSectionLayout(t *testing.T) {
 	want, err := hex.DecodeString(roundTripHex)
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +111,29 @@ func TestBeginEndWritesTheSectionLayout(t *testing.T) {
 	}
 }
 
-// TestEncoderMisusePanics: a section inside a section, a repeated id, an
-// End or a WriteTo at the wrong moment are writer bugs, refused loudly.
+// TestEncoderMisusePanics: a section inside a section, a repeated id, a
+// Section after Close, a Close inside a section or a second Close, and an encode
+// function that appends other bytes on its second run than on its first
+// are writer bugs, refused loudly.
 func TestEncoderMisusePanics(t *testing.T) {
+	none := func(*Buffer) {}
 	for name, misuse := range map[string]func(*Encoder){
-		"Begin with a section open": func(e *Encoder) { e.Begin(SecOptions); e.Begin(SecLake) },
-		"duplicate id":              func(e *Encoder) { e.Begin(SecOptions); e.End(); e.Begin(SecOptions) },
-		"End with none open":        func(e *Encoder) { e.End() },
-		"WriteTo with one open":     func(e *Encoder) { e.Begin(SecOptions); e.WriteTo(&bytes.Buffer{}) },
+		"Section inside a section": func(e *Encoder) {
+			e.Section(SecOptions, func(*Buffer) { e.Section(SecLake, none) })
+		},
+		"duplicate id":           func(e *Encoder) { e.Section(SecOptions, none); e.Section(SecOptions, none) },
+		"Section after Close":    func(e *Encoder) { e.Close(); e.Section(SecOptions, none) },
+		"Close inside a section": func(e *Encoder) { e.Section(SecOptions, func(*Buffer) { e.Close() }) },
+		"Close twice":            func(e *Encoder) { e.Close(); e.Close() },
+		"a second run that differs": func(e *Encoder) {
+			runs := 0
+			e.Section(SecOptions, func(b *Buffer) {
+				runs++
+				for range runs {
+					b.U32(7)
+				}
+			})
+		},
 	} {
 		func() {
 			defer func() {
@@ -117,32 +141,8 @@ func TestEncoderMisusePanics(t *testing.T) {
 					t.Errorf("%s: no panic", name)
 				}
 			}()
-			misuse(NewEncoder())
+			misuse(NewEncoder(io.Discard))
 		}()
-	}
-}
-
-// TestEncoderGrowReservesOnce: after Grow(n), n bytes of sections and the
-// trailer fit in the reserved array.
-func TestEncoderGrowReservesOnce(t *testing.T) {
-	enc := NewEncoder()
-	const payload = 1 << 16
-	enc.Grow(12 + payload)
-	reserved := enc.Cap()
-	b := enc.Begin(SecAttrs)
-	for i := 0; i < payload/8; i++ {
-		b.U64(uint64(i))
-	}
-	enc.End()
-	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	if enc.Cap() != reserved || out.Len() > reserved {
-		t.Fatalf("cap %d → %d for a %d-byte snapshot: the encoder regrew", reserved, enc.Cap(), out.Len())
-	}
-	if _, err := decoderOver(out.Bytes()); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -262,25 +262,20 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 		f64s[i] = float64(i) / 3
 	}
 	name := strings.Repeat("practice ", window/8)
-	enc := NewEncoder()
-	b := enc.Begin(SecAttrs)
-	b.U8(9) // knocks every later value off the window's alignment
-	b.VU32s(u32s)
-	b.Str(name)
-	b.F64s(f64s)
-	b.F64s(f64s)
-	for i := 0; i < window/8; i++ {
-		b.U64(uint64(i))
-	}
-	b.VU64s([]uint64{3, 5})
-	enc.End()
-	enc.Begin(SecLake).U32(5)
-	enc.End()
-	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	data := out.Bytes()
+	data := encoded(t, func(enc *Encoder) {
+		enc.Section(SecAttrs, func(b *Buffer) {
+			b.U8(9) // knocks every later value off the window's alignment
+			b.VU32s(u32s)
+			b.Str(name)
+			b.F64s(f64s)
+			b.F64s(f64s)
+			for i := 0; i < window/8; i++ {
+				b.U64(uint64(i))
+			}
+			b.VU64s([]uint64{3, 5})
+		})
+		enc.Section(SecLake, func(b *Buffer) { b.U32(5) })
+	})
 	src := &shortSource{data, int64(len(data))}
 	dec, err := NewDecoder(src, int64(len(data)))
 	if err != nil {
@@ -338,14 +333,7 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 // MinVersion…Version are ErrVersion; every one inside opens and reports
 // itself.
 func TestDecoderRejectsUnknownVersion(t *testing.T) {
-	enc := NewEncoder()
-	enc.Begin(SecOptions)
-	enc.End()
-	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	data := out.Bytes()
+	data := encoded(t, func(enc *Encoder) { enc.Section(SecOptions, func(*Buffer) {}) })
 	for _, v := range []uint32{MinVersion - 1, MinVersion, Version, Version + 1, 99} {
 		// Rewrite the version field and recompute the trailer, so only
 		// the version differs.
@@ -395,22 +383,83 @@ func TestReaderRejectsOversizedCounts(t *testing.T) {
 	}
 }
 
-func TestWriteToIsRepeatable(t *testing.T) {
-	enc := NewEncoder()
-	enc.Begin(SecOptions).Str("x")
-	enc.End()
-	var first, second bytes.Buffer
-	if _, err := enc.WriteTo(&first); err != nil {
+// cappedWriter records the size of every Write and fails every one
+// after the first limit bytes.
+type cappedWriter struct {
+	out    bytes.Buffer
+	writes []int
+	limit  int
+}
+
+var errWriterFull = errors.New("writer full")
+
+func (w *cappedWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	if w.out.Len()+len(p) > w.limit {
+		return 0, errWriterFull
+	}
+	return w.out.Write(p)
+}
+
+// TestEncoderStreamsThroughOneWindow: an Encoder hands its writer at
+// most a window at a time — a section several windows long, of values
+// of every width, each shorter than the window — and what it writes is
+// the standalone Buffer's payload under the section header, the same
+// bytes every time; a write that fails stops the writes, and Close
+// returns its error. (Values
+// longer than the window, which grow it, round-trip in
+// TestReaderPagesAcrossWindows.)
+func TestEncoderStreamsThroughOneWindow(t *testing.T) {
+	name := strings.Repeat("practice ", window/16)
+	u32s := make([]uint32, window/8)
+	for i := range u32s {
+		u32s[i] = uint32(i) * 2654435761
+	}
+	payload := func(b *Buffer) {
+		for i := range 3 * window / 8 {
+			b.Uvarint(uint64(i) << (i % 60))
+			b.U8(uint8(i))
+		}
+		for range 3 {
+			b.VStr(name)
+			b.VU32s(u32s)
+		}
+		b.F64s([]float64{1, 2, 3})
+		b.VU64s([]uint64{4, 5})
+	}
+	var want Buffer
+	payload(&want)
+	w := &cappedWriter{limit: math.MaxInt}
+	enc := NewEncoder(w)
+	enc.Section(SecAttrs, payload)
+	if err := enc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := enc.WriteTo(&second); err != nil {
+	if slices.Max(w.writes) > window {
+		t.Fatalf("a write of %d bytes through a %d-byte window", slices.Max(w.writes), window)
+	}
+	dec, err := decoderOver(w.out.Bytes())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first.Bytes(), second.Bytes()) {
-		t.Fatal("WriteTo not repeatable")
+	if got := w.out.Bytes()[headerLen+sectionOverhead : w.out.Len()-trailerLen]; !bytes.Equal(got, want.data) {
+		t.Fatalf("the streamed section (%d bytes) is not the standalone payload (%d bytes)", len(got), len(want.data))
 	}
-	if _, err := decoderOver(second.Bytes()); err != nil {
-		t.Fatal(err)
+	if size := dec.SectionSizes()[SecAttrs]; size != len(want.data) {
+		t.Fatalf("header declares %d bytes for a %d-byte payload", size, len(want.data))
+	}
+	if again := encoded(t, func(enc *Encoder) { enc.Section(SecAttrs, payload) }); !bytes.Equal(again, w.out.Bytes()) {
+		t.Fatal("a second Encoder over the same section wrote other bytes")
+	}
+
+	full := &cappedWriter{limit: window + window/2}
+	enc = NewEncoder(full)
+	enc.Section(SecAttrs, payload)
+	if err := enc.Close(); !errors.Is(err, errWriterFull) {
+		t.Fatalf("Close after a failed write: err = %v, want the writer's", err)
+	}
+	if len(full.writes) != 3 {
+		t.Fatalf("%d writes, want 3: the header, one window and the write that failed", len(full.writes))
 	}
 }
 
@@ -498,9 +547,13 @@ func TestSlabReads(t *testing.T) {
 	}
 }
 
+// uvarintLen and varintLen are the bytes encoding/binary's varints take.
+func uvarintLen(v uint64) int { return len(binary.AppendUvarint(nil, v)) }
+func varintLen(v int64) int   { return len(binary.AppendVarint(nil, v)) }
+
 // TestVarints: Uvarint and Varint round-trip every width from one byte
-// to ten, including across the window's edge, in the bytes UvarintLen
-// and VarintLen report; the V-counted strings and slices round-trip; a
+// to ten, including across the window's edge, in the bytes
+// encoding/binary's codes take; the V-counted strings and slices round-trip; a
 // code of eleven bytes or past 64 bits is ErrCorrupt, one cut short
 // ErrTruncated, and a count the bytes left cannot hold is refused before
 // it sizes anything.
@@ -511,28 +564,33 @@ func TestVarints(t *testing.T) {
 	}
 	us = append(us, math.MaxUint64)
 	is := []int64{0, -1, 1, -64, 63, -65, 64, math.MinInt64, math.MaxInt64}
-	enc := NewEncoder()
-	b := enc.Begin(SecAttrs)
 	written := 0
 	for written < window+100 { // the codes straddle the window's edge
 		for _, u := range us {
-			b.Uvarint(u)
-			written += UvarintLen(u)
+			written += uvarintLen(u)
 		}
 		for _, v := range is {
-			b.Varint(v)
-			written += VarintLen(v)
+			written += varintLen(v)
 		}
 	}
-	b.VStr("practice")
-	b.VU32s([]uint32{6, math.MaxUint32})
-	b.VU64s([]uint64{9, math.MaxUint64})
-	enc.End()
-	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decoderOver(out.Bytes())
+	data := encoded(t, func(enc *Encoder) {
+		enc.Section(SecAttrs, func(b *Buffer) {
+			for n := 0; n < written; {
+				for _, u := range us {
+					b.Uvarint(u)
+					n += uvarintLen(u)
+				}
+				for _, v := range is {
+					b.Varint(v)
+					n += varintLen(v)
+				}
+			}
+			b.VStr("practice")
+			b.VU32s([]uint32{6, math.MaxUint32})
+			b.VU64s([]uint64{9, math.MaxUint64})
+		})
+	})
+	dec, err := decoderOver(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,13 +603,13 @@ func TestVarints(t *testing.T) {
 			if got := r.Uvarint(); got != u {
 				t.Fatalf("Uvarint %d read as %d, err %v", u, got, r.Err())
 			}
-			read += UvarintLen(u)
+			read += uvarintLen(u)
 		}
 		for _, v := range is {
 			if got := r.Varint(); got != v {
 				t.Fatalf("Varint %d read as %d, err %v", v, got, r.Err())
 			}
-			read += VarintLen(v)
+			read += varintLen(v)
 		}
 	}
 	if r.VStr() != "practice" || !slices.Equal(r.VU32s(nil), []uint32{6, math.MaxUint32}) ||
@@ -590,5 +648,54 @@ func TestVarints(t *testing.T) {
 	r, _ = OpenSealed(sealed)
 	if n := r.VCount(0); n != 3 || r.Err() != nil {
 		t.Fatalf("VCount(0) = %d, err %v; want 3 (every element takes a byte)", n, r.Err())
+	}
+}
+
+// TestWriteFileReplacesWholeOrNothing: WriteFile puts what its write
+// function wrote at the path, mode 0644, and leaves no temporary file;
+// when the write function fails, or the directory is missing, it
+// returns the error, removes its temporary file and leaves the path as
+// it was. (A rename that cannot land is TestSaveFileReplacesWhole's
+// case.)
+func TestWriteFileReplacesWholeOrNothing(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "file")
+	noTemps := func() {
+		t.Helper()
+		if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(temps) > 0 {
+			t.Fatalf("temporary files left behind: %v", temps)
+		}
+	}
+	writeString := func(s string) func(io.Writer) error {
+		return func(w io.Writer) error { _, err := io.WriteString(w, s); return err }
+	}
+	if err := WriteFile(path, writeString("old")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(path, writeString("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "new" {
+		t.Fatalf("read %q, err %v; want \"new\"", got, err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Mode().Perm() != 0o644 {
+		t.Fatalf("stat: %v, err %v; want mode 0644", st.Mode(), err)
+	}
+	noTemps()
+
+	failed := errors.New("encoder failed")
+	err := WriteFile(path, func(w io.Writer) error {
+		io.WriteString(w, "half")
+		return failed
+	})
+	if !errors.Is(err, failed) {
+		t.Fatalf("err = %v, want the write function's", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "new" {
+		t.Fatalf("a failed write left %q at the path", got)
+	}
+	noTemps()
+	if err := WriteFile(filepath.Join(dir, "missing", "file"), writeString("x")); err == nil {
+		t.Fatal("WriteFile into a missing directory succeeded")
 	}
 }

@@ -3,11 +3,13 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"d3l"
+	"d3l/internal/persist"
 )
 
 // ManifestName is the file `d3l index build -shards N` writes next to
@@ -46,9 +48,10 @@ type PlacementSpec struct {
 }
 
 // WriteSet snapshots every shard of a set into dir (created if
-// missing) as shard-NNN.d3l plus a manifest, atomically enough for a
-// build tool: files land under their final names only after a full
-// successful write.
+// missing) as shard-NNN.d3l plus a manifest, each file written through
+// persist.WriteFile: it lands under its final name only after a full,
+// synced write, and a failed write leaves no temporary file. The set is
+// replaced file by file, the manifest last, not as a whole.
 func WriteSet(s *Set, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -73,11 +76,10 @@ func WriteSet(s *Set, dir string) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	return persist.WriteFile(filepath.Join(dir, ManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, ManifestName))
+	})
 }
 
 // ReadManifest loads and validates a manifest file.

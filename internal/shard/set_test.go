@@ -82,6 +82,31 @@ func TestBuildSetRemovedSlots(t *testing.T) {
 	}
 }
 
+// TestWriteSetLeavesNoTempManifest: when the manifest cannot land — a
+// non-empty directory stands at its name — WriteSet returns the error
+// and leaves no temporary file behind, and what stands at the name is
+// untouched.
+func TestWriteSetLeavesNoTempManifest(t *testing.T) {
+	set, err := BuildSet(testLake(t, 13, 4), 2, d3l.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	keep := filepath.Join(dir, ManifestName, "keep")
+	if err := os.MkdirAll(keep, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteSet(set, dir); err == nil {
+		t.Fatal("WriteSet over a directory named like the manifest succeeded")
+	}
+	if temps, _ := filepath.Glob(filepath.Join(dir, "*.tmp")); len(temps) > 0 {
+		t.Fatalf("temporary files left behind: %v", temps)
+	}
+	if _, err := os.Stat(keep); err != nil {
+		t.Fatalf("a failed WriteSet disturbed the manifest's path: %v", err)
+	}
+}
+
 // TestManifestRoundTrip proves the build-once/serve-many flow for
 // sharded sets: BuildSet → WriteSet → LoadSet answers exactly like the
 // monolith (and so like the set it was snapshotted from). No shard

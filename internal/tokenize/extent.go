@@ -64,13 +64,16 @@ type Extent struct {
 	tset, embed []string // Signals' results
 }
 
-// Reset empties the extent for the next column.
+// Reset empties the extent for the next column, and drops every word
+// of the last one it held, Signals' results included.
 func (e *Extent) Reset() {
 	if e.ids == nil {
 		e.ids = make(map[string]int32)
 	}
 	clear(e.ids)
 	clear(e.vocab) // drop the previous column's words
+	clear(e.tset)
+	clear(e.embed)
 	e.vocab, e.counts, e.flags = e.vocab[:0], e.counts[:0], e.flags[:0]
 	e.words, e.ends = e.words[:0], e.ends[:0]
 	e.total = 0

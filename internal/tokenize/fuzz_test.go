@@ -1,14 +1,70 @@
 package tokenize
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unicode"
 	"unicode/utf8"
 )
 
+// refQGrams is QGrams as it was before its grams became substrings of
+// the stripped name: every gram converted from a window of the name's
+// runes. It is the oracle QGrams is checked against.
+func refQGrams(name string, q int) []string {
+	if q <= 0 {
+		q = DefaultQ
+	}
+	var b strings.Builder
+	for _, r := range strings.ToLower(name) {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) {
+			b.WriteRune(r)
+		}
+	}
+	s := b.String()
+	if s == "" {
+		return nil
+	}
+	runes := []rune(s)
+	if len(runes) <= q {
+		return []string{s}
+	}
+	seen := make(map[string]struct{})
+	grams := make([]string, 0, len(runes)-q+1)
+	for i := 0; i+q <= len(runes); i++ {
+		g := string(runes[i : i+q])
+		if _, dup := seen[g]; !dup {
+			seen[g] = struct{}{}
+			grams = append(grams, g)
+		}
+	}
+	return grams
+}
+
+// TestQGramsMatchesReference: QGrams gives refQGrams' grams, in its
+// order, on ASCII and multi-byte names, invalid UTF-8, names shorter
+// than q, as long as q and one rune longer, repeated grams, and q ≤ 0.
+func TestQGramsMatchesReference(t *testing.T) {
+	names := []string{
+		"", "!!!", "a", "GP", "Address", "Practice Name", "practice_name", "aaaaaa",
+		"läkare-посткод", "Ünïcödé Straße", "日本語の列名", "ǅemal", "İSTANBUL",
+		"\x80\xfe invalid utf8", "ab\xffcd\xc3", "\xed\xa0\x80surrogate", "𝔸𝔹ℂ𝔻𝔼 wide runes",
+		strings.Repeat("xy", 40),
+	}
+	for _, name := range names {
+		for _, q := range []int{-3, 0, 1, 2, 3, 4, 5, 6, 7, 100} {
+			got, want := QGrams(name, q), refQGrams(name, q)
+			if !slices.Equal(got, want) {
+				t.Errorf("QGrams(%q, %d) = %q, reference %q", name, q, got, want)
+			}
+		}
+	}
+}
+
 // FuzzQGrams asserts the q-gram decomposition never panics and always
 // honours its contract on arbitrary names and widths: grams are
-// lower-case alphanumeric, at most q runes long, and deduplicated.
+// lower-case alphanumeric, at most q runes long, deduplicated, and
+// refQGrams' grams in refQGrams' order.
 func FuzzQGrams(f *testing.F) {
 	f.Add("Practice Name", 4)
 	f.Add("", 4)
@@ -19,6 +75,9 @@ func FuzzQGrams(f *testing.F) {
 	f.Add("\x80\xfe invalid utf8", 4)
 	f.Fuzz(func(t *testing.T, name string, q int) {
 		grams := QGrams(name, q)
+		if want := refQGrams(name, q); !slices.Equal(grams, want) {
+			t.Fatalf("QGrams(%q, %d) = %q, reference %q", name, q, grams, want)
+		}
 		width := q
 		if width <= 0 {
 			width = DefaultQ

@@ -13,6 +13,7 @@ package tokenize
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // DefaultQ is the q-gram width the paper selected for attribute names
@@ -21,7 +22,9 @@ const DefaultQ = 4
 
 // QGrams returns the set of q-grams of the lower-cased, whitespace- and
 // punctuation-stripped name. Names shorter than q yield a single gram
-// with the whole residue, so short names still produce a signal.
+// with the whole residue, so short names still produce a signal. A gram
+// is a substring of the stripped name, which WriteRune made valid UTF-8,
+// so it costs no string of its own.
 func QGrams(name string, q int) []string {
 	if q <= 0 {
 		q = DefaultQ
@@ -36,18 +39,30 @@ func QGrams(name string, q int) []string {
 	if s == "" {
 		return nil
 	}
-	runes := []rune(s)
-	if len(runes) <= q {
+	n := utf8.RuneCountInString(s)
+	if n <= q {
 		return []string{s}
 	}
+	// The gram s[start:end] holds q runes: start walks the runes, and
+	// end steps on with it, from the end of the first gram.
+	end := 0
+	for range q {
+		_, size := utf8.DecodeRuneInString(s[end:])
+		end += size
+	}
 	seen := make(map[string]struct{})
-	grams := make([]string, 0, len(runes)-q+1)
-	for i := 0; i+q <= len(runes); i++ {
-		g := string(runes[i : i+q])
+	grams := make([]string, 0, n-q+1)
+	for start := range s {
+		g := s[start:end]
 		if _, dup := seen[g]; !dup {
 			seen[g] = struct{}{}
 			grams = append(grams, g)
 		}
+		if end == len(s) {
+			break
+		}
+		_, size := utf8.DecodeRuneInString(s[end:])
+		end += size
 	}
 	return grams
 }

@@ -233,15 +233,21 @@ func TestPartSignalsDeterministicTies(t *testing.T) {
 }
 
 // TestExtentResetForgetsTheColumn: an extent recycled through Reset
-// answers for the new column exactly what a fresh one does.
+// answers for the new column exactly what a fresh one does, and holds
+// none of the old column's words, in Signals' results either.
 func TestExtentResetForgetsTheColumn(t *testing.T) {
 	var e Extent
 	e.Reset()
 	for _, v := range []string{"Oak Street, Leeds", "Elm Street, York", "Street 9"} {
 		e.Add(v)
 	}
-	e.Signals()
+	oldT, oldE := e.Signals()
 	e.Reset()
+	for _, w := range append(oldT, oldE...) {
+		if w != "" {
+			t.Fatalf("after Reset, the last Signals still hold %q", w)
+		}
+	}
 	e.Add("alpha beta, gamma")
 	e.Add("beta")
 	tset, embed := e.Signals()

@@ -22,7 +22,6 @@ import (
 // that stay anyway, each with the reason it stays.
 var reachAllowlist = map[string]string{
 	"internal/minhash.MustHasher":     "the lsh tests build their hashers with it",
-	"internal/persist.Encoder.Cap":    "save_internal_test.go checks a snapshot is encoded into one buffer sized up front",
 	"internal/table.Table.SelectRows": "bench_test.go cuts its query targets out of lake tables",
 }
 

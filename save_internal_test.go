@@ -2,22 +2,26 @@ package d3l
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"d3l/internal/datagen"
 )
 
-// TestSaveLaysTheSnapshotDownOnce: the encoder is sized before the first
-// section is written and never regrown — the snapshot, trailer included,
-// fits the reservation — and the reservation is an estimate, not a
-// guess: at most a tenth above what was written.
-func TestSaveLaysTheSnapshotDownOnce(t *testing.T) {
+// TestSaveHoldsAWindowNotTheSnapshot: Save streams the snapshot, so
+// what it allocates — the signature numbering, the extent codings, the
+// encoder's window — is a small fraction of the snapshot it writes,
+// never a buffer the size of it. The snapshot carries the SA-join graph,
+// a tombstoned table and a dead attribute, and LoadFile reads back what
+// Save wrote.
+func TestSaveHoldsAWindowNotTheSnapshot(t *testing.T) {
 	cfg := datagen.DefaultSyntheticConfig()
 	cfg.Seed = 5
-	cfg.BaseTables = 6
-	cfg.DerivedTables = 80
+	cfg.BaseTables = 12
+	cfg.DerivedTables = 300
 	cfg.MinRows, cfg.MaxRows = 20, 40
 	lake, _, err := datagen.Synthetic(cfg)
 	if err != nil {
@@ -27,33 +31,37 @@ func TestSaveLaysTheSnapshotDownOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutations leave tombstoned tables and attributes to be sized too.
 	for _, id := range []int{2, 31} {
 		if err := e.Remove(lake.Table(id).Name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.mu.RLock()
-	enc, err := e.encodeSnapshot()
-	e.mu.RUnlock()
-	if err != nil {
-		t.Fatal(err)
+	if e.JoinGraphEdges() == 0 {
+		t.Fatal("the lake has no SA-join edges to save")
 	}
-	reserved := enc.Cap()
 	var out bytes.Buffer
-	if _, err := enc.WriteTo(&out); err != nil {
+	if err := Save(e, &out); err != nil {
 		t.Fatal(err)
-	}
-	if enc.Cap() != reserved || out.Len() > reserved {
-		t.Fatalf("wrote %d bytes through an encoder of %d, %d after the trailer: it regrew", out.Len(), reserved, enc.Cap())
-	}
-	if limit := out.Len() + out.Len()/10; reserved > limit {
-		t.Fatalf("reserved %d bytes for a %d-byte snapshot, more than 1.1×", reserved, out.Len())
 	}
 
-	// LoadFile reads what Save wrote, as Load does.
+	allocated := uint64(1<<63 - 1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := Save(e, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		allocated = min(allocated, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(out.Len() / 4); allocated >= limit {
+		t.Fatalf("Save of a %d-byte snapshot allocated %d bytes, not under a quarter of it (%d)", out.Len(), allocated, limit)
+	}
+	t.Logf("Save of a %d-byte snapshot allocated %d bytes", out.Len(), allocated)
+
 	path := filepath.Join(t.TempDir(), "lake.d3l")
-	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+	if err := SaveFile(e, path); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadFile(path)

@@ -11,11 +11,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"d3l"
 	"d3l/internal/datagen"
@@ -439,4 +442,88 @@ func TestSaveUnderConcurrentTraffic(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// saveLoopEnv names the snapshot path a re-executed test binary saves
+// over, in a loop, for TestSaveFileSurvivesKill.
+const saveLoopEnv = "D3L_TEST_SAVE_LOOP"
+
+// killEngines are the two engines TestSaveFileSurvivesKill saves over
+// one path: a lake of a few windows' snapshot, and the same lake less
+// one table. Parent and child build them alike.
+func killEngines(t testing.TB) (old, new *d3l.Engine) {
+	t.Helper()
+	lake, _, err := datagen.Synthetic(datagen.SyntheticConfig{
+		Seed: 17, BaseTables: 4, DerivedTables: 60, MinRows: 20, MaxRows: 40, RenameProb: 0.25,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old, err = d3l.New(lake, d3l.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if new, err = d3l.New(lake, d3l.DefaultOptions()); err != nil {
+		t.Fatal(err)
+	}
+	if err := new.Remove(lake.Table(0).Name); err != nil {
+		t.Fatal(err)
+	}
+	return old, new
+}
+
+// TestSaveFileSurvivesKill: a process killed at any moment while it
+// saves over a snapshot leaves a snapshot at the path that loads, and
+// it is the old one or the new one, whole. The test binary re-executes
+// itself as a child that saves the two engines over one path in turn
+// until it is killed (SIGKILL, at seeded random delays). A kill tests
+// atomicity only; whether the rename survives a power loss is not
+// something a test process can observe.
+func TestSaveFileSurvivesKill(t *testing.T) {
+	if path := os.Getenv(saveLoopEnv); path != "" {
+		old, new := killEngines(t)
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+			for _, e := range []*d3l.Engine{new, old} {
+				if err := d3l.SaveFile(e, path); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return
+	}
+	old, new := killEngines(t)
+	want := map[string]string{string(savedBytes(t, old)): "old", string(savedBytes(t, new)): "new"}
+	path := filepath.Join(t.TempDir(), "lake.d3l")
+	rng := rand.New(rand.NewSource(55))
+	seen := map[string]int{}
+	for round := 0; round < 8; round++ {
+		if err := d3l.SaveFile(old, path); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		child := exec.Command(os.Args[0], "-test.run=^TestSaveFileSurvivesKill$")
+		child.Env = append(os.Environ(), saveLoopEnv+"="+path)
+		child.Stdout, child.Stderr = &out, &out
+		if err := child.Start(); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(50+rng.Intn(150)) * time.Millisecond)
+		if err := child.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		// A kill is the only way the child ends without an exit code.
+		if err := child.Wait(); child.ProcessState.ExitCode() != -1 {
+			t.Fatalf("round %d: the saving child ended before it was killed (%v):\n%s", round, err, out.Bytes())
+		}
+		loaded, err := d3l.LoadFile(path)
+		if err != nil {
+			t.Fatalf("round %d: the snapshot a killed save left does not load: %v", round, err)
+		}
+		which, ok := want[string(savedBytes(t, loaded))]
+		if !ok {
+			t.Fatalf("round %d: the snapshot a killed save left is neither the old engine nor the new one", round)
+		}
+		seen[which]++
+	}
+	temps, _ := filepath.Glob(path + ".*.tmp")
+	t.Logf("killed saves left %v, and %d temporary files", seen, len(temps))
 }

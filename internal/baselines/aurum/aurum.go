@@ -161,7 +161,7 @@ func Build(lake *table.Lake, opts Options) (*System, error) {
 		if p.numeric {
 			continue
 		}
-		cands, err := s.forestVal.Query(p.valSig, budget, nil)
+		cands, err := s.forestVal.QueryInto(p.valSig, budget, nil)
 		if err != nil {
 			continue
 		}
@@ -188,7 +188,7 @@ func Build(lake *table.Lake, opts Options) (*System, error) {
 	// Schema edges from name similarity.
 	for id := range s.profiles {
 		p := &s.profiles[id]
-		cands, err := s.forestName.Query(p.nameSig, budget, nil)
+		cands, err := s.forestName.QueryInto(p.nameSig, budget, nil)
 		if err != nil {
 			continue
 		}
@@ -344,13 +344,13 @@ func (s *System) seedAndExpand(target *table.Table) (map[int]float64, map[int]fl
 		qp := s.profileColumn(-1, cIdx, col)
 		seen := make(map[int32]struct{})
 		if !qp.numeric {
-			if ids, err := s.forestVal.Query(qp.valSig, budget, nil); err == nil {
+			if ids, err := s.forestVal.QueryInto(qp.valSig, budget, nil); err == nil {
 				for _, id := range ids {
 					seen[id] = struct{}{}
 				}
 			}
 		}
-		if ids, err := s.forestName.Query(qp.nameSig, budget, nil); err == nil {
+		if ids, err := s.forestName.QueryInto(qp.nameSig, budget, nil); err == nil {
 			for _, id := range ids {
 				seen[id] = struct{}{}
 			}

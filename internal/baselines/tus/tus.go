@@ -251,14 +251,14 @@ func (s *System) TopK(target *table.Table, k int) ([]Ranked, error) {
 				seen[id] = struct{}{}
 			}
 		}
-		if ids, err := s.forestVal.Query(p.valSig, budget, nil); err == nil {
+		if ids, err := s.forestVal.QueryInto(p.valSig, budget, nil); err == nil {
 			collect(ids)
 		}
-		if ids, err := s.forestSem.Query(p.semSig, budget, nil); err == nil {
+		if ids, err := s.forestSem.QueryInto(p.semSig, budget, nil); err == nil {
 			collect(ids)
 		}
 		if !p.nlZero {
-			if ids, err := s.forestNL.Query(p.nlSig.HashValues(), budget, nil); err == nil {
+			if ids, err := s.forestNL.QueryInto(p.nlSig.HashValues(), budget, nil); err == nil {
 				collect(ids)
 			}
 		}

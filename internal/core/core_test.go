@@ -384,21 +384,21 @@ func TestDisabledEvidence(t *testing.T) {
 func TestPairDistancesSymmetricGuards(t *testing.T) {
 	e := buildFigure1Engine(t)
 	// numeric vs text pair: V and E must be 1.
-	s1Attrs := e.byTable[0]
-	var patients, city *Profile
-	for _, id := range s1Attrs {
+	var patients *Profile
+	city := -1
+	for _, id := range e.byTable[0] {
 		p := e.Profile(id)
 		if p.Name == "Patients" {
-			patients = p
+			patients = &p
 		}
 		if p.Name == "City" {
-			city = p
+			city = id
 		}
 	}
-	if patients == nil || city == nil {
+	if patients == nil || city < 0 {
 		t.Fatal("fixture columns missing")
 	}
-	d := e.pairDistances(patients, city, nil, nil, [NumEvidence]bool{}, nil)
+	d := e.pairDistances(patients, nil, city, [NumEvidence]bool{}, nil)
 	if d[EvidenceValue] != 1 || d[EvidenceEmbedding] != 1 || d[EvidenceDomain] != 1 {
 		t.Fatalf("numeric-text pair should have V=E=D=1, got %v", d)
 	}
@@ -406,22 +406,16 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 
 func TestOverlapCoefficient(t *testing.T) {
 	e := buildFigure1Engine(t)
-	var s2Practice, s3GP, s1Postcode *Profile
-	for _, id := range e.byTable[1] {
-		if e.Profile(id).Name == "Practice" {
-			s2Practice = e.Profile(id)
+	column := func(tid int, name string) *Profile {
+		for _, id := range e.byTable[tid] {
+			if p := e.Profile(id); p.Name == name {
+				return &p
+			}
 		}
+		t.Fatalf("fixture: table %d has no column %s", tid, name)
+		return nil
 	}
-	for _, id := range e.byTable[2] {
-		if e.Profile(id).Name == "GP" {
-			s3GP = e.Profile(id)
-		}
-	}
-	for _, id := range e.byTable[0] {
-		if e.Profile(id).Name == "Postcode" {
-			s1Postcode = e.Profile(id)
-		}
-	}
+	s2Practice, s3GP, s1Postcode := column(1, "Practice"), column(2, "GP"), column(0, "Postcode")
 	// S2.Practice and S3.GP share practice names: high overlap.
 	ovHigh := e.OverlapCoefficient(s2Practice, s3GP)
 	ovLow := e.OverlapCoefficient(s2Practice, s1Postcode)

@@ -26,32 +26,33 @@ func jaccardSimilarity(a, b minhash.Signature) float64 {
 }
 
 // pairDistances computes the five evidence distances between a target
-// attribute and a candidate attribute (Section III-B), with the
-// Algorithm 2 guard for D-relatedness. targetSubject and candSubject
-// are the profiles of the respective tables' subject attributes (nil
-// when a table has none). The query's Disabled mask selects which of
+// attribute and the engine's attribute cand (Section III-B), with the
+// Algorithm 2 guard for D-relatedness. targetSubject is the profile of
+// the target table's subject attribute (nil when it has none); the
+// candidate's is its table's. The query's Disabled mask selects which of
 // the five distances are computed; disabled evidence types report
 // distance 1. memo, when not nil, is the gathering column's distance
-// memo (see distMemo): target must then be that column's profile, and
-// cand a profile of this engine.
-func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile, disabled [NumEvidence]bool, memo *distMemo) DistanceVector {
+// memo (see distMemo), and target must then be that column's profile.
+// Caller holds e.mu.
+func (e *Engine) pairDistances(target, targetSubject *Profile, cand int, disabled [NumEvidence]bool, memo *distMemo) DistanceVector {
+	c := &e.attrs[cand]
 	d := maxDistances()
 	if !disabled[EvidenceName] {
-		d[EvidenceName] = memo.jaccard(EvidenceName, target.QSig, cand.QSig, cand.qID)
+		d[EvidenceName] = memo.jaccard(EvidenceName, target.QSig, &e.sigs, c.q)
 	}
-	if !disabled[EvidenceValue] && !target.Numeric && !cand.Numeric {
-		d[EvidenceValue] = memo.jaccard(EvidenceValue, target.TSig, cand.TSig, cand.tID)
+	if !disabled[EvidenceValue] && !target.Numeric && !c.is(attrNumeric) {
+		d[EvidenceValue] = memo.jaccard(EvidenceValue, target.TSig, &e.sigs, c.t)
 	}
 	if !disabled[EvidenceFormat] {
-		d[EvidenceFormat] = memo.jaccard(EvidenceFormat, target.RSig, cand.RSig, cand.rID)
+		d[EvidenceFormat] = memo.jaccard(EvidenceFormat, target.RSig, &e.sigs, c.r)
 	}
-	if !disabled[EvidenceEmbedding] && !target.EZero && !cand.EZero {
-		if dist, err := lsh.CosineDistance(target.ESig, cand.ESig, e.opts.EmbedBits); err == nil {
+	if !disabled[EvidenceEmbedding] && !target.EZero && !c.is(attrEZero) {
+		if dist, err := lsh.CosineDistance(target.ESig, e.esig(cand), e.opts.EmbedBits); err == nil {
 			d[EvidenceEmbedding] = dist
 		}
 	}
 	if !disabled[EvidenceDomain] {
-		d[EvidenceDomain] = e.domainDistance(target, cand, targetSubject, candSubject, &d, &disabled, memo)
+		d[EvidenceDomain] = e.domainDistance(target, targetSubject, cand, &d, &disabled, memo)
 	}
 	return d
 }
@@ -69,26 +70,27 @@ func (e *Engine) pairDistances(target, cand, targetSubject, candSubject *Profile
 // the query's evidence selection — computes the Jaccard itself. Only a
 // pair neither settles reaches the subject-attribute lookup and its up
 // to four signature comparisons.
-func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profile, d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo) float64 {
-	if !target.Numeric || !cand.Numeric {
+func (e *Engine) domainDistance(target, targetSubject *Profile, cand int, d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo) float64 {
+	c := &e.attrs[cand]
+	if !target.Numeric || !c.is(attrNumeric) {
 		return 1
 	}
-	if len(target.NumExtent) == 0 || len(cand.NumExtent) == 0 {
+	if len(target.NumExtent) == 0 || len(c.extent) == 0 {
 		return 1
 	}
 	th := e.opts.Threshold
-	guard := 1-guardDistance(d, disabled, memo, EvidenceName, target.QSig, cand.QSig, cand.qID) >= th || // a' ∈ I_N.lookup(a)
-		1-guardDistance(d, disabled, memo, EvidenceFormat, target.RSig, cand.RSig, cand.rID) >= th || // a' ∈ I_F.lookup(a)
-		(targetSubject != nil && candSubject != nil && e.attrRelatedAnyIndex(targetSubject, candSubject)) // i' ∈ I*.lookup(i)
+	guard := 1-guardDistance(d, disabled, memo, EvidenceName, target.QSig, &e.sigs, c.q) >= th || // a' ∈ I_N.lookup(a)
+		1-guardDistance(d, disabled, memo, EvidenceFormat, target.RSig, &e.sigs, c.r) >= th || // a' ∈ I_F.lookup(a)
+		(targetSubject != nil && e.subjects[c.table] >= 0 && e.attrRelatedAnyIndex(targetSubject, e.subjects[c.table])) // i' ∈ I*.lookup(i)
 	if !guard {
 		return 1
 	}
 	// Extents hold the Profile.NumExtent sorted invariant, so the KS
 	// statistic needs no per-pair copy-and-sort — this runs once per
 	// guarded numeric candidate pair on the query hot path.
-	assertSortedExtent(target, "domainDistance(target)")
-	assertSortedExtent(cand, "domainDistance(cand)")
-	ks, err := stats.KolmogorovSmirnovSorted(target.NumExtent, cand.NumExtent)
+	assertSortedExtent(target.NumExtent, target.Name, "domainDistance(target)")
+	assertSortedExtent(c.extent, c.name, "domainDistance(cand)")
+	ks, err := stats.KolmogorovSmirnovSorted(target.NumExtent, c.extent)
 	if err != nil {
 		return 1
 	}
@@ -98,64 +100,48 @@ func (e *Engine) domainDistance(target, cand, targetSubject, candSubject *Profil
 // guardDistance is the N or F distance Algorithm 2's guard tests: the
 // one pairDistances already put in d, or a Jaccard of its own when the
 // query's mask kept that evidence out of d (through the memo, like
-// pairDistances; b is held under bID).
-func guardDistance(d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo, t Evidence, a, b minhash.Signature, bID int32) float64 {
+// pairDistances; the candidate's signature is the copy under bID).
+func guardDistance(d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo, t Evidence, a minhash.Signature, sigs *sigTable, bID int32) float64 {
 	if disabled[t] {
-		return memo.jaccard(t, a, b, bID)
+		return memo.jaccard(t, a, sigs, bID)
 	}
 	return d[t]
 }
 
-// attrRelatedAnyIndex is the existential I* lookup of Algorithm 2:
-// membership in any of I_N, I_V, I_E, I_F at the configured threshold,
-// decided on signature-estimated similarity (a sharper form of shared
-// bucket membership).
-func (e *Engine) attrRelatedAnyIndex(a, b *Profile) bool {
-	if jaccardSimilarity(a.QSig, b.QSig) >= e.opts.Threshold {
+// attrRelatedAnyIndex is the existential I* lookup of Algorithm 2 of a
+// profile and the engine's attribute b: membership in any of I_N, I_V,
+// I_E, I_F at the configured threshold, decided on signature-estimated
+// similarity (a sharper form of shared bucket membership). Caller holds
+// e.mu.
+func (e *Engine) attrRelatedAnyIndex(a *Profile, b int) bool {
+	rb := &e.attrs[b]
+	if jaccardSimilarity(a.QSig, e.sigs.sig(rb.q)) >= e.opts.Threshold {
 		return true
 	}
-	if !a.Numeric && !b.Numeric && jaccardSimilarity(a.TSig, b.TSig) >= e.opts.Threshold {
+	if !a.Numeric && !rb.is(attrNumeric) && jaccardSimilarity(a.TSig, e.sigs.sig(rb.t)) >= e.opts.Threshold {
 		return true
 	}
-	if jaccardSimilarity(a.RSig, b.RSig) >= e.opts.Threshold {
+	if jaccardSimilarity(a.RSig, e.sigs.sig(rb.r)) >= e.opts.Threshold {
 		return true
 	}
-	if !a.EZero && !b.EZero {
-		if sim, err := lsh.CosineSimilarity(a.ESig, b.ESig, e.opts.EmbedBits); err == nil && sim >= e.opts.Threshold {
+	if !a.EZero && !rb.is(attrEZero) {
+		if sim, err := lsh.CosineSimilarity(a.ESig, e.esig(b), e.opts.EmbedBits); err == nil && sim >= e.opts.Threshold {
 			return true
 		}
 	}
 	return false
 }
 
-// vSimilarity estimates the Jaccard similarity of two tsets (the
-// V evidence), used by the SA-joinability test of Section IV.
-func (e *Engine) vSimilarity(a, b *Profile) float64 {
-	if a.Numeric || b.Numeric {
-		return 0
-	}
-	return jaccardSimilarity(a.TSig, b.TSig)
-}
-
 // OverlapCoefficient estimates ov(T(a), T(a')) = |∩| / min(|T(a)|,
 // |T(a')|) from the signatures and tset cardinalities via
-// inclusion–exclusion: |∩| = J·(|A|+|B|)/(1+J).
+// inclusion–exclusion: |∩| = J·(|A|+|B|)/(1+J), with J the V evidence's
+// Jaccard estimate. It backs the SA-joinability test of Section IV; a
+// numeric attribute has no tset, and overlaps nothing.
 func (e *Engine) OverlapCoefficient(a, b *Profile) float64 {
-	if a.TSize == 0 || b.TSize == 0 {
+	if a.Numeric || b.Numeric || a.TSize == 0 || b.TSize == 0 {
 		return 0
 	}
-	j := e.vSimilarity(a, b)
+	j := jaccardSimilarity(a.TSig, b.TSig)
 	inter := j * float64(a.TSize+b.TSize) / (1 + j)
-	m := float64(a.TSize)
-	if b.TSize < a.TSize {
-		m = float64(b.TSize)
-	}
-	ov := inter / m
-	if ov > 1 {
-		ov = 1
-	}
-	if ov < 0 {
-		ov = 0
-	}
-	return ov
+	return min(max(inter/float64(min(a.TSize, b.TSize)), 0), 1)
 }

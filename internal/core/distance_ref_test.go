@@ -131,19 +131,16 @@ func TestGatherMemoMatchesReference(t *testing.T) {
 				}
 				seenQ := map[int32]bool{}
 				for _, p := range pairs {
-					cand := &e.profiles[p.attrID]
-					var candSubject *Profile
-					if s := e.subjects[cand.Ref.TableID]; s >= 0 {
-						candSubject = &e.profiles[s]
-					}
-					if want := e.refPairDistances(tp, cand, tsubject, candSubject, mask); !sameBits(p.dist, want) {
+					cand := e.profileOf(p.attrID)
+					if want := e.refPairDistances(tp, &cand, tsubject, e.subjectProfile(p.tableID), mask); !sameBits(p.dist, want) {
 						t.Fatalf("target %d (%s), column %d, mask %05b, candidate %d: memoised %v, reference %v",
 							ti, target.Name, col, m, p.attrID, p.dist, want)
 					}
-					if seenQ[cand.qID] {
+					if q := e.attrs[p.attrID].q; seenQ[q] {
 						sharedPairs++
+					} else {
+						seenQ[q] = true
 					}
-					seenQ[cand.qID] = true
 				}
 			}
 		}
@@ -156,10 +153,10 @@ func TestGatherMemoMatchesReference(t *testing.T) {
 
 // FuzzPairDistancesMemo drives one memo through a stream of columns and
 // candidates built from the input: candidate signatures come from a
-// small pool (so the memo hits), their ids from the input so that they
-// collide in the memo's slots, and some columns are numeric so that the
-// D guard consults the memo too. Every memoised vector must equal the
-// memo-free reference's bit for bit.
+// small pool (so the memo hits), filed in the signature table under ids
+// from the input so that they collide in the memo's slots, and some
+// columns are numeric so that the D guard consults the memo too. Every
+// memoised vector must equal the memo-free reference's bit for bit.
 func FuzzPairDistancesMemo(f *testing.F) {
 	f.Add([]byte("memo"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 255, 254, 253})
@@ -184,6 +181,9 @@ func FuzzPairDistancesMemo(f *testing.F) {
 		const width, poolSize = 16, 6
 		pool := make([]minhash.Signature, poolSize)
 		ids := make([]int32, poolSize)
+		// fe holds the candidate, one record over a table of the pool.
+		fe := &Engine{opts: e.opts}
+		fe.sigs.sigs = make([]minhash.Signature, poolSize*memoSlots)
 		for i := range pool {
 			pool[i] = make(minhash.Signature, width)
 			b := next()
@@ -194,17 +194,17 @@ func FuzzPairDistancesMemo(f *testing.F) {
 				}
 			}
 			ids[i] = int32(1 + int(next()%3) + i*memoSlots) // distinct ids, colliding slots
+			fe.sigs.sigs[ids[i]] = pool[i]
 		}
-		profile := func() *Profile {
+		// profile builds a column, and the record of it as a candidate.
+		profile := func() (*Profile, attr) {
 			q, v, r, flags := int(next()%poolSize), int(next()%poolSize), int(next()%poolSize), next()
-			p := &Profile{
-				QSig: pool[q], TSig: pool[v], RSig: pool[r], qID: ids[q], tID: ids[v], rID: ids[r],
-				Numeric: flags&1 != 0, EZero: true,
-			}
+			p := &Profile{QSig: pool[q], TSig: pool[v], RSig: pool[r], Numeric: flags&1 != 0, EZero: true}
 			if p.Numeric {
 				p.NumExtent = []float64{float64(flags >> 4), float64(flags>>4) + float64(flags>>1&7)}
 			}
-			return p
+			return p, attr{q: ids[q], t: ids[v], r: ids[r], extent: p.NumExtent,
+				flags: flagIf(p.Numeric, attrNumeric) | attrEZero}
 		}
 		var memo distMemo
 		var target *Profile
@@ -212,15 +212,15 @@ func FuzzPairDistancesMemo(f *testing.F) {
 			op := next()
 			if target == nil || op%8 == 0 {
 				memo.reset()
-				target = profile()
-				target.qID, target.tID, target.rID = 0, 0, 0
+				target, _ = profile()
 			}
 			var mask [NumEvidence]bool
 			for ev := range mask {
 				mask[ev] = op&(1<<(ev+3)) != 0
 			}
-			cand := profile()
-			got := e.pairDistances(target, cand, nil, nil, mask, &memo)
+			cand, rec := profile()
+			fe.attrs = append(fe.attrs[:0], rec)
+			got := fe.pairDistances(target, nil, 0, mask, &memo)
 			if want := e.refPairDistances(target, cand, nil, nil, mask); !sameBits(got, want) {
 				t.Fatalf("step %d, mask %v: memoised %v, reference %v", step, mask, got, want)
 			}

@@ -17,6 +17,25 @@ func constSig(v uint32) minhash.Signature {
 	return s
 }
 
+// adopt files hand-built profiles into e as the records of a new table,
+// with no forest keys and with the profile marked Subject as its subject
+// attribute, and returns their attribute ids: pairDistances takes them as
+// candidates.
+func adopt(e *Engine, profiles ...*Profile) []int {
+	tid, subject := len(e.byTable), -1
+	var ids []int
+	for _, p := range profiles {
+		p.Ref.TableID = tid
+		if p.Subject {
+			subject = len(e.attrs)
+		}
+		ids = append(ids, len(e.attrs))
+		e.push(p)
+	}
+	e.byTable, e.subjects, e.alive = append(e.byTable, ids), append(e.subjects, subject), append(e.alive, true)
+	return ids
+}
+
 // TestDomainGuardOrderInvariant pins that testing Algorithm 2's guard
 // cheapest-evidence-first cannot be observed: over hand-built profile
 // pairs covering all eight truth assignments of (subject attributes
@@ -62,7 +81,8 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 		target := numeric(1, nRelated, fRelated, []float64{1, 2, 3, 4})
 		cand := numeric(2, nRelated, fRelated, []float64{3, 4, 5, 6})
 		ts, cs := subject(1, subjRelated), subject(2, subjRelated)
-		if got := e.attrRelatedAnyIndex(ts, cs); got != subjRelated {
+		ids := adopt(e, cand, cs)
+		if got := e.attrRelatedAnyIndex(ts, ids[1]); got != subjRelated {
 			t.Fatalf("fixture: subjects related = %v, want %v", got, subjRelated)
 		}
 		want := 1.0
@@ -71,7 +91,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 		}
 		for _, mask := range masks {
 			label := fmt.Sprintf("subject=%v N=%v F=%v mask=%v", subjRelated, nRelated, fRelated, mask)
-			got := e.pairDistances(target, cand, ts, cs, mask, nil)[EvidenceDomain]
+			got := e.pairDistances(target, ts, ids[0], mask, nil)[EvidenceDomain]
 			if ref := e.domainDistanceReference(target, cand, ts, cs); got != ref || got != want {
 				t.Fatalf("%s: D distance %v, paper-literal guard %v, want %v", label, got, ref, want)
 			}
@@ -80,7 +100,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 			if nRelated || fRelated {
 				wantNoSubject = ks
 			}
-			got = e.pairDistances(target, cand, nil, cs, mask, nil)[EvidenceDomain]
+			got = e.pairDistances(target, nil, ids[0], mask, nil)[EvidenceDomain]
 			if ref := e.domainDistanceReference(target, cand, nil, cs); got != ref || got != wantNoSubject {
 				t.Fatalf("%s, no target subject: D distance %v, paper-literal guard %v, want %v", label, got, ref, wantNoSubject)
 			}

@@ -39,12 +39,13 @@ type Engine struct {
 	// take it in read mode, mutations in write mode.
 	mu sync.RWMutex
 
-	profiles []Profile // attribute id -> profile
-	byTable  [][]int   // table id -> attribute ids
-	subjects []int     // table id -> subject attribute id (-1 if none)
-	alive    []bool    // table id -> still indexed (false after Remove)
+	attrs    []attr   // attribute id -> record (attr.go)
+	embeds   []uint64 // attribute id -> its ESig slot, embedWords long
+	byTable  [][]int  // table id -> attribute ids
+	subjects []int    // table id -> subject attribute id (-1 if none)
+	alive    []bool   // table id -> still indexed (false after Remove)
 	// sigs holds the one copy of every distinct MinHash signature the
-	// profiles point at (see sigtable.go).
+	// records refer to by id (see sigtable.go).
 	sigs sigTable
 
 	// fpBase and version back Fingerprint: fpBase is hashed once at
@@ -127,9 +128,8 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 		e.subjects[tid] = -1
 		e.alive[tid] = true
 		for i := range profiles {
-			attrID := len(e.profiles)
-			e.profiles = append(e.profiles, profiles[i])
-			e.sigs.hold(&e.profiles[attrID])
+			attrID := len(e.attrs)
+			e.push(&profiles[i])
 			e.byTable[tid] = append(e.byTable[tid], attrID)
 			if profiles[i].Subject {
 				e.subjects[tid] = attrID
@@ -150,7 +150,7 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 // all index through it, so a compacted or loaded engine's trees are
 // identical to those of a fresh build over the surviving tables. Each
 // forest's ids are counted before they are listed, and lsh.Forest.Build
-// sorts them reading every key straight from the profiles' signatures:
+// sorts them reading every key straight from the records' signatures:
 // nothing is allocated that the forests do not keep. Caller holds e.mu or
 // owns the engine.
 func (e *Engine) indexLive() ([numForestSlots]*lsh.Forest, error) {
@@ -158,7 +158,7 @@ func (e *Engine) indexLive() ([numForestSlots]*lsh.Forest, error) {
 		for tid, attrs := range e.byTable {
 			if e.alive[tid] {
 				for _, attrID := range attrs {
-					fn(int32(attrID), placed(&e.profiles[attrID]))
+					fn(int32(attrID), placed(e.profileOf(attrID)))
 				}
 			}
 		}
@@ -182,12 +182,12 @@ func (e *Engine) indexLive() ([numForestSlots]*lsh.Forest, error) {
 			}
 		}
 	})
-	p := e.profiles
+	a, sigs := e.attrs, &e.sigs
 	keys := [numForestSlots]lsh.Keys{
-		lsh.SigKeys(func(id int32) []uint32 { return p[id].QSig }),
-		lsh.SigKeys(func(id int32) []uint32 { return p[id].TSig }),
-		lsh.SigKeys(func(id int32) []uint32 { return p[id].RSig }),
-		lsh.BitKeys(func(id int32) lsh.BitSignature { return p[id].ESig }),
+		lsh.SigKeys(func(id int32) []uint32 { return sigs.sig(a[id].q) }),
+		lsh.SigKeys(func(id int32) []uint32 { return sigs.sig(a[id].t) }),
+		lsh.SigKeys(func(id int32) []uint32 { return sigs.sig(a[id].r) }),
+		lsh.BitKeys(func(id int32) lsh.BitSignature { return e.esig(int(id)) }),
 	}
 	forests := newForests(e.opts)
 	err := par.For(context.Background(), numForestSlots, e.opts.Parallelism, nil, func(_ struct{}, slot int) error {
@@ -228,7 +228,7 @@ func newForests(opts Options) [numForestSlots]*lsh.Forest {
 // Every attribute goes into I_N and I_F; numeric attributes skip I_V and
 // I_E, and attributes with no embeddable content skip I_E. A stub, whose
 // signatures are released, is in none.
-func placed(p *Profile) [numForestSlots]bool {
+func placed(p Profile) [numForestSlots]bool {
 	text := !p.Numeric
 	return [numForestSlots]bool{
 		forestSlotN: p.QSig != nil,
@@ -243,7 +243,7 @@ func placed(p *Profile) [numForestSlots]bool {
 // expanded into *evals, which is grown as needed and valid until the
 // next call with it.
 func forestSigs(p *Profile, evals *[]uint32) [numForestSlots][]uint32 {
-	in := placed(p)
+	in := placed(*p)
 	var sigs [numForestSlots][]uint32
 	for slot, sig := range [...][]uint32{forestSlotN: p.QSig, forestSlotV: p.TSig, forestSlotF: p.RSig} {
 		if in[slot] {
@@ -262,8 +262,8 @@ func forestSigs(p *Profile, evals *[]uint32) [numForestSlots][]uint32 {
 // the first slots slots. It stops at the first failure and returns the
 // slot it failed at (slots when none did), so that the same call with
 // !del and that count undoes exactly what was written.
-func writeKeys(forests *[numForestSlots]*lsh.Forest, attrID int, p *Profile, del bool, slots int, evals *[]uint32) (int, error) {
-	sigs := forestSigs(p, evals)
+func writeKeys(forests *[numForestSlots]*lsh.Forest, attrID int, p Profile, del bool, slots int, evals *[]uint32) (int, error) {
+	sigs := forestSigs(&p, evals)
 	for slot := 0; slot < slots; slot++ {
 		var err error
 		switch {
@@ -302,20 +302,18 @@ func (e *Engine) Lake() *table.Lake { return e.lake }
 func (e *Engine) NumAttributes() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return len(e.profiles)
+	return len(e.attrs)
 }
 
-// Profile returns the profile of an attribute id. Profiles of live
-// attributes are immutable, but Remove clears the payload of its
-// table's profiles in place (under the write lock), so callers that
-// retain the returned pointer beyond this call must serialise with
-// mutations externally — as d3l.Engine does for the join-graph
-// builders, the one code path that holds profiles across accessor
-// calls.
-func (e *Engine) Profile(attrID int) *Profile {
+// Profile assembles the profile of an attribute id from its record (a
+// removed table's attributes read as stubs). Its ESig is the engine's
+// own slot, which Remove zeroes in place under the write lock, so a
+// caller that keeps it past this call must serialise with mutations, as
+// d3l.Engine does for the join-graph builders.
+func (e *Engine) Profile(attrID int) Profile {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &e.profiles[attrID]
+	return e.profileOf(attrID)
 }
 
 // SubjectAttr returns the subject attribute id of a table and whether
@@ -424,8 +422,8 @@ func (e *Engine) indexSpaceBytes() int64 {
 	for _, f := range e.forests {
 		total += f.SpaceBytes()
 	}
-	for i := range e.profiles {
-		total += e.profiles[i].spaceBytes()
+	for i := range e.attrs {
+		total += e.profileOf(i).spaceBytes()
 	}
 	return total
 }

@@ -105,10 +105,7 @@ func TestCombineEq3MonotoneProperty(t *testing.T) {
 }
 
 func TestAlignColumnsPicksBestPerTargetColumn(t *testing.T) {
-	e := &Engine{profiles: []Profile{
-		{Ref: AttrRef{TableID: 0, Column: 0}},
-		{Ref: AttrRef{TableID: 0, Column: 1}},
-	}}
+	e := &Engine{attrs: []attr{{table: 0, column: 0}, {table: 0, column: 1}}}
 	pairs := []candidatePair{
 		{targetCol: 0, attrID: 0, dist: DistanceVector{0.9, 1, 1, 1, 1}},
 		{targetCol: 0, attrID: 1, dist: DistanceVector{0.1, 1, 1, 1, 1}},
@@ -158,8 +155,7 @@ func TestPairDistancesBoundsProperty(t *testing.T) {
 	n := e.NumAttributes()
 	f := func(ai, bi uint8) bool {
 		a := e.Profile(int(ai) % n)
-		b := e.Profile(int(bi) % n)
-		d := e.pairDistances(a, b, nil, nil, [NumEvidence]bool{}, nil)
+		d := e.pairDistances(&a, nil, int(bi)%n, [NumEvidence]bool{}, nil)
 		for _, v := range d {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
@@ -176,7 +172,7 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
 		p := e.Profile(id)
-		d := e.pairDistances(p, p, nil, nil, [NumEvidence]bool{}, nil)
+		d := e.pairDistances(&p, nil, id, [NumEvidence]bool{}, nil)
 		if d[EvidenceName] > 1e-9 {
 			t.Fatalf("self N distance %v for %s", d[EvidenceName], p.Name)
 		}
@@ -189,7 +185,7 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 func TestProfileSpaceBytesPositive(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
-		if e.Profile(id).spaceBytes() <= 0 {
+		if p := e.Profile(id); p.spaceBytes() <= 0 {
 			t.Fatal("profile space must be positive")
 		}
 	}

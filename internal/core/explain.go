@@ -38,10 +38,6 @@ func (e *Engine) Explain(ctx context.Context, target *Target, lakeTable string, 
 	if !ok {
 		return nil, fmt.Errorf("%w: no table %q in the lake", ErrTableNotFound, lakeTable)
 	}
-	var candSubject *Profile
-	if s := e.subjects[tid]; s >= 0 {
-		candSubject = &e.profiles[s]
-	}
 	var rows []PairExplanation
 	for i := range target.profiles {
 		tp := &target.profiles[i]
@@ -49,8 +45,7 @@ func (e *Engine) Explain(ctx context.Context, target *Target, lakeTable string, 
 			return nil, err
 		}
 		for _, attrID := range e.byTable[tid] {
-			cand := &e.profiles[attrID]
-			d := e.pairDistances(tp, cand, target.subject, candSubject, view.disabled, nil)
+			d := e.pairDistances(tp, target.subject, attrID, view.disabled, nil)
 			related := false
 			for _, v := range d {
 				if v < 1 {
@@ -61,7 +56,7 @@ func (e *Engine) Explain(ctx context.Context, target *Target, lakeTable string, 
 			if related {
 				rows = append(rows, PairExplanation{
 					TargetColumn: tp.Name,
-					SourceColumn: cand.Name,
+					SourceColumn: e.attrs[attrID].name,
 					Distances:    d,
 				})
 			}

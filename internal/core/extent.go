@@ -177,8 +177,8 @@ func (e *Engine) ExtentCoding() (byScale []int, raw int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	byScale = make([]int, maxExtentScale+1)
-	for i := range e.profiles {
-		vs := e.profiles[i].NumExtent
+	for i := range e.attrs {
+		vs := e.attrs[i].extent
 		if len(vs) == 0 {
 			continue
 		}

@@ -33,7 +33,7 @@ func (e *Engine) fingerprintBase() uint64 {
 		h.Write(b[:])
 	}
 	put(e.opts.Seed)
-	put(uint64(len(e.profiles)))
+	put(uint64(len(e.attrs)))
 	put(uint64(len(e.byTable)))
 	for tid := range e.byTable {
 		h.Write([]byte(e.lake.Table(tid).Name))

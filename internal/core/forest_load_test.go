@@ -40,7 +40,8 @@ func oneArrayForests(e *Engine) []oneArray {
 				continue
 			}
 			for _, attrID := range attrs {
-				sig := forestSigs(&e.profiles[attrID], &evals)[slot]
+				p := e.profileOf(attrID)
+				sig := forestSigs(&p, &evals)[slot]
 				if sig == nil {
 					continue
 				}
@@ -113,7 +114,8 @@ func liveForestSigs(e *Engine) [numForestSlots][][]uint32 {
 		}
 		for _, attrID := range attrs {
 			var evals []uint32
-			for slot, sig := range forestSigs(&e.profiles[attrID], &evals) {
+			p := e.profileOf(attrID)
+			for slot, sig := range forestSigs(&p, &evals) {
 				if sig != nil {
 					out[slot] = append(out[slot], sig)
 				}

@@ -14,11 +14,11 @@ import (
 func (e *Engine) VCandidates(attrID int, budget int, dst []int32) []int32 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	p := &e.profiles[attrID]
-	if p.Numeric || p.TSize == 0 {
+	a := &e.attrs[attrID]
+	if a.is(attrNumeric) || a.tSize == 0 {
 		return dst
 	}
-	ids, err := e.forests[forestSlotV].Query(p.TSig, budget, dst)
+	ids, err := e.forests[forestSlotV].Query(e.sigs.sig(a.t), budget, dst)
 	if err != nil {
 		return dst
 	}
@@ -93,10 +93,9 @@ func (e *Engine) RelatedColumnPairs(tableID int, targetProfiles []Profile) map[i
 	defer e.mu.RUnlock()
 	out := make(map[int][]int)
 	for _, attrID := range e.byTable[tableID] {
-		cand := &e.profiles[attrID]
 		for i := range targetProfiles {
-			if e.attrRelatedAnyIndex(&targetProfiles[i], cand) {
-				out[i] = append(out[i], cand.Ref.Column)
+			if e.attrRelatedAnyIndex(&targetProfiles[i], attrID) {
+				out[i] = append(out[i], int(e.attrs[attrID].column))
 			}
 		}
 	}

@@ -42,18 +42,19 @@ var ErrWriteIDs = errors.New("core: write ids out of range")
 // one write may be assigned: by the larger of maxFill and the engine's
 // own count of that kind of slot. Every id skipped becomes a fill slot
 // the engine keeps for good — about 90 B for a table slot (lake entry,
-// per-table entries) and 176 B for an attribute stub (a Profile with
-// no payload) — so one request fills at most maxFill slots or doubles
-// the engine. A shard lags its coordinator by the ids its peers took
-// since its own last write; see DESIGN, "The fill bound". A var only
-// so that tests can reach the bound at a small size.
+// per-table entries) and 104 B for an attribute stub (a record with no
+// payload, and its zeroed embedding slot) — so one request fills at
+// most maxFill slots or doubles the engine. A shard lags its
+// coordinator by the ids its peers took since its own last write; see
+// DESIGN, "The fill bound". A var only so that tests can reach the bound
+// at a small size.
 var maxFill = 1 << 20
 
 // place resolves where a write lands: at, when the coordinator
 // assigned it, else the engine's next ids. Caller holds e.mu in write
 // mode.
 func (e *Engine) place(at *WriteIDs) (WriteIDs, error) {
-	next := WriteIDs{Table: len(e.byTable), Attr: len(e.profiles)}
+	next := WriteIDs{Table: len(e.byTable), Attr: len(e.attrs)}
 	if at == nil {
 		return next, nil
 	}
@@ -75,13 +76,13 @@ func (e *Engine) place(at *WriteIDs) (WriteIDs, error) {
 // table lists it. It names table tid, the table written, so that a
 // snapshot's attribute table ids stay in range. Caller holds e.mu.
 func (e *Engine) fill(attr, tid int, fresh []Profile) []Profile {
-	n := attr - len(e.profiles)
+	n := attr - len(e.attrs)
 	if n == 0 {
 		return fresh
 	}
 	stubs := make([]Profile, n, n+len(fresh))
 	for i := range stubs {
-		stubs[i] = Profile{Ref: AttrRef{TableID: tid}}.stub()
+		stubs[i] = Profile{Ref: AttrRef{TableID: tid}, EZero: true}
 	}
 	return append(stubs, fresh...)
 }
@@ -98,7 +99,7 @@ func (e *Engine) fill(attr, tid int, fresh []Profile) []Profile {
 func (e *Engine) AddProfiled(t *table.Table, target *Target, at *WriteIDs) (int, error) {
 	profiles := target.profiles
 	for i := range profiles {
-		assertSortedExtent(&profiles[i], "AddProfiled")
+		assertSortedExtent(profiles[i].NumExtent, profiles[i].Name, "AddProfiled")
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -140,13 +141,13 @@ func (e *Engine) AddProfiled(t *table.Table, target *Target, at *WriteIDs) (int,
 
 // splice is the one write step of Add, Update and Remove. The fresh
 // profiles enter the four forests under the ids they are about to get
-// (len(e.profiles)+i), then the keys of the attributes in drop leave.
+// (len(e.attrs)+i), then the keys of the attributes in drop leave.
 // Only when every forest write has succeeded does commit land the
 // mutation's own table state (its lake entry and per-table slots); it
 // may refuse, as the lake refuses a duplicate name, but only before it
-// changes anything. Then the fresh profiles join the store and take
-// their signatures from the signature table, the dropped ones shrink to
-// stubs, and the version moves. So a failed write takes no signature
+// changes anything. Then the fresh profiles join the store as records,
+// taking their signature references, the dropped ones shrink to stubs,
+// and the version moves. So a failed write takes no signature
 // reference.
 //
 // A failed forest write or a refused commit undoes every key written so
@@ -161,16 +162,16 @@ func (e *Engine) AddProfiled(t *table.Table, target *Target, at *WriteIDs) (int,
 //
 // Caller holds e.mu in write mode.
 func (e *Engine) splice(fresh []Profile, drop []int, commit func() error) error {
-	base := len(e.profiles)
+	base := len(e.attrs)
 	var evals []uint32
 	// Step k writes fresh[k]'s keys, or past the fresh profiles deletes
 	// drop[k-len(fresh)]'s; with undo it reverses its first slots slots.
 	step := func(k int, undo bool, slots int) (int, error) {
 		if k < len(fresh) {
-			return writeKeys(&e.forests, base+k, &fresh[k], undo, slots, &evals)
+			return writeKeys(&e.forests, base+k, fresh[k], undo, slots, &evals)
 		}
 		attrID := drop[k-len(fresh)]
-		return writeKeys(&e.forests, attrID, &e.profiles[attrID], !undo, slots, &evals)
+		return writeKeys(&e.forests, attrID, e.profileOf(attrID), !undo, slots, &evals)
 	}
 	rollback := func(k, slots int) {
 		for ; k >= 0; k, slots = k-1, numForestSlots {
@@ -191,29 +192,17 @@ func (e *Engine) splice(fresh []Profile, drop []int, commit func() error) error 
 	// The fresh profiles take their signature references before the
 	// dropped ones give theirs back, so a signature an Update keeps
 	// stays in the table throughout.
-	e.profiles = append(e.profiles, fresh...)
-	for i := base; i < len(e.profiles); i++ {
-		e.sigs.hold(&e.profiles[i])
+	for i := range fresh {
+		e.push(&fresh[i])
 	}
 	for _, attrID := range drop {
 		// An in-place write under the write lock — see the Profile
-		// method doc for the pointer-retention rule it imposes.
-		e.sigs.drop(&e.profiles[attrID])
-		e.profiles[attrID] = e.profiles[attrID].stub()
+		// method doc for the retention rule it imposes.
+		e.stub(attrID)
 	}
 	e.assertSigTable("splice")
 	e.bumpVersion()
 	return nil
-}
-
-// stub is p reduced to the metadata a dead attribute keeps: no
-// signatures, no signature ids and no extent, so Add/Remove churn does
-// not accumulate dead payloads (splice gives the signature references
-// back to the table first). Its forest keys are gone (or never
-// existed), so it can never surface as a candidate, and the join
-// builders skip dead tables.
-func (p Profile) stub() Profile {
-	return Profile{Ref: p.Ref, Name: p.Name, Numeric: p.Numeric, Subject: p.Subject, EZero: true}
 }
 
 // Compact rebuilds the four forests from live attributes only: every
@@ -224,7 +213,7 @@ func (p Profile) stub() Profile {
 // Attribute and table ids remain stable; tombstoned slots stay
 // tombstoned.
 //
-// Snapshot writing needs no Compact first: tombstoned profiles are
+// Snapshot writing needs no Compact first: tombstoned attributes are
 // metadata-only stubs and a snapshot holds no forests, so snapshots do
 // not grow with mutation churn. A load rebuilds the forests as Compact
 // does.
@@ -246,7 +235,7 @@ func (e *Engine) Compact() error {
 // attribute and table ids of other tables are unaffected — and the
 // name becomes free for a later Add. Outstanding ids still resolve
 // through the Lake (to a name-only stub). Tombstoned attribute
-// profiles are reduced to metadata so Add/Remove churn does not
+// records are reduced to metadata so Add/Remove churn does not
 // accumulate dead signatures and extents.
 func (e *Engine) Remove(name string) error {
 	e.mu.Lock()

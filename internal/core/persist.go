@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
-	"d3l/internal/lsh"
 	"d3l/internal/mlearn"
 	"d3l/internal/persist"
 	"d3l/internal/subject"
@@ -46,17 +46,17 @@ func (e *Engine) AppendSnapshot(enc *persist.Encoder) {
 	enc.Section(persist.SecAttrs, func(b *persist.Buffer) { e.encodeAttrs(b, pos, marks) })
 }
 
-// sigPositions numbers the signatures the profiles hold in the order
+// sigPositions numbers the signatures the records hold in the order
 // they first use them (by attribute id; Q, then T, then R), from 1 so
 // that 0 stays a nil signature: pos maps an engine id to its position in
 // SecSigs, and order lists the engine ids by position. The file carries
-// positions, not engine ids, so it is a function of the profiles alone,
+// positions, not engine ids, so it is a function of the records alone,
 // never of which ids the table's free list handed out. Caller holds e.mu.
 func (e *Engine) sigPositions() (pos []uint32, order []int32) {
 	pos = make([]uint32, len(e.sigs.sigs))
-	for i := range e.profiles {
-		p := &e.profiles[i]
-		for _, id := range [3]int32{p.qID, p.tID, p.rID} {
+	for i := range e.attrs {
+		a := &e.attrs[i]
+		for _, id := range [3]int32{a.q, a.t, a.r} {
 			if id != 0 && pos[id] == 0 {
 				order = append(order, id)
 				pos[id] = uint32(len(order))
@@ -66,13 +66,13 @@ func (e *Engine) sigPositions() (pos []uint32, order []int32) {
 	return pos, order
 }
 
-// extentMarks chooses every profile's extent coding once, for both runs
-// of the SecAttrs encoder: marks[i] is profile i's (codeExtent). Caller
-// holds e.mu.
+// extentMarks chooses every attribute's extent coding once, for both
+// runs of the SecAttrs encoder: marks[i] is attribute i's (codeExtent).
+// Caller holds e.mu.
 func (e *Engine) extentMarks() []uint8 {
-	marks := make([]uint8, len(e.profiles))
-	for i := range e.profiles {
-		marks[i] = codeExtent(e.profiles[i].NumExtent)
+	marks := make([]uint8, len(e.attrs))
+	for i := range e.attrs {
+		marks[i] = codeExtent(e.attrs[i].extent)
 	}
 	return marks
 }
@@ -96,7 +96,7 @@ func LoadEngine(r io.Reader) (*Engine, error) {
 
 // DecodeEngine reconstructs an engine from an already-verified
 // snapshot decoder (LoadEngine is the plain-reader convenience) and
-// rebuilds its forests from the profiles. It reads the decoder's
+// rebuilds its forests from the records. It reads the decoder's
 // sections one after another, so the decoder must not be read from
 // elsewhere until it returns.
 func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
@@ -150,7 +150,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 			persist.ErrCorrupt, len(e.byTable), lake.Len())
 	}
 
-	// The forests are a function of the profiles, so they are rebuilt, not
+	// The forests are a function of the records, so they are rebuilt, not
 	// read.
 	start := time.Now()
 	if e.forests, err = e.indexLive(); err != nil {
@@ -214,15 +214,16 @@ func decodeOptions(r *persist.Reader) (Options, error) {
 	return o, nil
 }
 
-// encodeAttrs writes the profile store and the per-table indexes; pos
-// maps a signature's engine id to its position in SecSigs, and marks[i]
-// is profile i's extent coding. Tombstoned attributes are already
-// metadata-only stubs (Remove releases their payloads), so snapshots do
-// not grow with mutation churn beyond a name per dead attribute.
+// encodeAttrs writes the attribute records, one profile each, and the
+// per-table indexes; pos maps a signature's engine id to its position in
+// SecSigs, and marks[i] is attribute i's extent coding. Tombstoned
+// attributes are already metadata-only stubs (Remove releases their
+// payloads), so snapshots do not grow with mutation churn beyond a name
+// per dead attribute.
 func (e *Engine) encodeAttrs(b *persist.Buffer, pos []uint32, marks []uint8) {
-	b.Uvarint(uint64(len(e.profiles)))
-	for i := range e.profiles {
-		encodeProfile(b, &e.profiles[i], pos, marks[i])
+	b.Uvarint(uint64(len(e.attrs)))
+	for i := range e.attrs {
+		e.encodeProfile(b, i, pos, marks[i])
 	}
 	b.Uvarint(uint64(len(e.byTable)))
 	for tid, attrs := range e.byTable {
@@ -258,9 +259,9 @@ func (e *Engine) decodeAttrs(r *persist.Reader) error {
 	if numProfiles < 0 || numProfiles > r.Remaining()/minProfileEnc {
 		return fmt.Errorf("%w: %d profiles declared in %d bytes", persist.ErrCorrupt, numProfiles, r.Remaining())
 	}
-	e.profiles = make([]Profile, numProfiles)
-	for i := range e.profiles {
-		if err := e.decodeProfile(r, &e.profiles[i]); err != nil {
+	e.attrs, e.embeds = make([]attr, 0, numProfiles), make([]uint64, 0, numProfiles*e.embedWords())
+	for range numProfiles {
+		if err := e.decodeProfile(r); err != nil {
 			return err
 		}
 	}
@@ -293,32 +294,34 @@ func (e *Engine) decodeAttrs(r *persist.Reader) error {
 			return fmt.Errorf("%w: table %d subject attribute %d of %d", persist.ErrCorrupt, tid, s, numProfiles)
 		}
 	}
-	// Profile table ids index e.subjects and e.byTable at query time,
+	// Record table ids index e.subjects and e.byTable at query time,
 	// so they are validated against the table count even though the
 	// checksum makes a mismatch unreachable from honest writers.
-	for i := range e.profiles {
-		ref := e.profiles[i].Ref
-		if ref.TableID < 0 || ref.TableID >= numTables || ref.Column < 0 {
-			return fmt.Errorf("%w: profile %d references table %d column %d (%d tables)",
-				persist.ErrCorrupt, i, ref.TableID, ref.Column, numTables)
+	for i := range e.attrs {
+		if a := &e.attrs[i]; int(a.table) >= numTables {
+			return fmt.Errorf("%w: profile %d references table %d (%d tables)", persist.ErrCorrupt, i, a.table, numTables)
 		}
 	}
 	return r.Err()
 }
 
-func encodeProfile(b *persist.Buffer, p *Profile, pos []uint32, mark uint8) {
-	b.Uvarint(uint64(p.Ref.TableID))
-	b.Uvarint(uint64(p.Ref.Column))
-	b.VStr(p.Name)
-	b.Bool(p.Numeric)
-	b.Bool(p.Subject)
-	b.Uvarint(uint64(pos[p.qID]))
-	b.Uvarint(uint64(pos[p.tID]))
-	b.Uvarint(uint64(p.TSize))
-	b.Uvarint(uint64(pos[p.rID]))
-	b.VU64s(p.ESig)
-	b.Bool(p.EZero)
-	appendExtent(b, p.NumExtent, mark)
+// encodeProfile writes attribute id's record as the profile it holds:
+// signatures as their SecSigs positions, and an ESig only when it has
+// one.
+func (e *Engine) encodeProfile(b *persist.Buffer, id int, pos []uint32, mark uint8) {
+	a := &e.attrs[id]
+	b.Uvarint(uint64(a.table))
+	b.Uvarint(uint64(a.column))
+	b.VStr(a.name)
+	b.Bool(a.is(attrNumeric))
+	b.Bool(a.is(attrSubject))
+	b.Uvarint(uint64(pos[a.q]))
+	b.Uvarint(uint64(pos[a.t]))
+	b.Uvarint(uint64(a.tSize))
+	b.Uvarint(uint64(pos[a.r]))
+	b.VU64s(e.esig(id))
+	b.Bool(a.is(attrEZero))
+	appendExtent(b, a.extent, mark)
 }
 
 // decodeIDs reads a table's attribute list.
@@ -334,25 +337,35 @@ func decodeIDs(r *persist.Reader) []int {
 	return out
 }
 
-// decodeProfile reads one profile and takes a reference to each of its
-// signatures, which it holds as positions in the table SecSigs loaded.
-func (e *Engine) decodeProfile(r *persist.Reader, p *Profile) error {
-	p.Ref.TableID = int(r.Uvarint())
-	p.Ref.Column = int(r.Uvarint())
-	p.Name = r.VStr()
-	p.Numeric = r.Bool()
-	p.Subject = r.Bool()
-	q, t := r.Uvarint(), r.Uvarint()
-	p.TSize = int(r.Uvarint())
-	if err := e.sigs.refer(p, q, t, r.Uvarint()); err != nil {
-		return err
-	}
-	p.ESig = lsh.BitSignature(r.VU64s())
-	p.EZero = r.Bool()
+// decodeProfile reads one profile into the next record, taking a
+// reference to each of its signatures, which it holds as positions in
+// the table SecSigs loaded, and reading its ESig into its embeds slot. A
+// record's table id, column and tset size must fit its int32 fields, and
+// an ESig is a whole slot or absent.
+func (e *Engine) decodeProfile(r *persist.Reader) error {
+	tid, col := r.Uvarint(), r.Uvarint()
+	a := attr{name: r.VStr()}
+	a.flags = flagIf(r.Bool(), attrNumeric) | flagIf(r.Bool(), attrSubject)
+	q, t, tSize, rp := r.Uvarint(), r.Uvarint(), r.Uvarint(), r.Uvarint()
+	n, w := len(e.embeds), e.embedWords()
+	e.embeds = r.AppendVU64s(e.embeds)
+	a.flags |= flagIf(len(e.embeds) > n, attrEmbedded) | flagIf(r.Bool(), attrEZero)
 	var err error
-	if p.NumExtent, err = decodeExtent(r); err != nil {
+	if a.extent, err = decodeExtent(r); err != nil {
 		return err
 	}
-	assertSortedExtent(p, "decodeProfile")
+	if max(tid, col, tSize) > math.MaxInt32 || (len(e.embeds) != n && len(e.embeds) != n+w) {
+		return fmt.Errorf("%w: profile %d: table %d, column %d, tset size %d, %d-word embedding",
+			persist.ErrCorrupt, len(e.attrs), tid, col, tSize, len(e.embeds)-n)
+	}
+	if len(e.embeds) == n {
+		e.embeds = append(e.embeds, make([]uint64, w)...)
+	}
+	a.table, a.column, a.tSize = int32(tid), int32(col), int32(tSize)
+	if err := e.sigs.refer(&a, q, t, rp); err != nil {
+		return err
+	}
+	assertSortedExtent(a.extent, a.name, "decodeProfile")
+	e.attrs = append(e.attrs, a)
 	return r.Err()
 }

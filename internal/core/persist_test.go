@@ -645,13 +645,13 @@ func withVersion(data []byte, v uint32) []byte {
 func reseal(data []byte) []byte { return sealShardBody(data[:len(data)-4]) }
 
 // checkSameEngine fails unless a and b hold the same decoded state: the
-// lake's shape, every profile field (signatures by value and id, extent
-// values by their bits), the signature table, the per-table attribute
-// lists, subjects and liveness, and the forests' shapes.
+// lake's shape, every record field (signature ids, extent values by
+// their bits), the embeddings, the signature table, the per-table
+// attribute lists, subjects and liveness, and the forests' shapes.
 func checkSameEngine(t testing.TB, a, b *Engine, label string) {
 	t.Helper()
-	if a.lake.Len() != b.lake.Len() || len(a.profiles) != len(b.profiles) {
-		t.Fatalf("%s: %d and %d tables, %d and %d profiles", label, a.lake.Len(), b.lake.Len(), len(a.profiles), len(b.profiles))
+	if a.lake.Len() != b.lake.Len() || len(a.attrs) != len(b.attrs) {
+		t.Fatalf("%s: %d and %d tables, %d and %d attributes", label, a.lake.Len(), b.lake.Len(), len(a.attrs), len(b.attrs))
 	}
 	for tid := range a.lake.Len() {
 		ta, tb := a.lake.Table(tid), b.lake.Table(tid)
@@ -665,16 +665,16 @@ func checkSameEngine(t testing.TB, a, b *Engine, label string) {
 			}
 		}
 	}
-	for i := range a.profiles {
-		pa, pb := &a.profiles[i], &b.profiles[i]
-		same := pa.Ref == pb.Ref && pa.Name == pb.Name && pa.Numeric == pb.Numeric && pa.Subject == pb.Subject &&
-			pa.EZero == pb.EZero && pa.TSize == pb.TSize && slices.Equal(pa.ESig, pb.ESig) &&
-			pa.qID == pb.qID && pa.tID == pb.tID && pa.rID == pb.rID &&
-			slices.Equal(pa.QSig, pb.QSig) && slices.Equal(pa.TSig, pb.TSig) && slices.Equal(pa.RSig, pb.RSig) &&
-			sameFloatBits(pa.NumExtent, pb.NumExtent)
+	for i := range a.attrs {
+		ra, rb := &a.attrs[i], &b.attrs[i]
+		same := ra.name == rb.name && ra.table == rb.table && ra.column == rb.column && ra.tSize == rb.tSize &&
+			ra.q == rb.q && ra.t == rb.t && ra.r == rb.r && ra.flags == rb.flags && sameFloatBits(ra.extent, rb.extent)
 		if !same {
-			t.Fatalf("%s: profile %d (%s) differs", label, i, pa.Name)
+			t.Fatalf("%s: attribute %d (%s) differs", label, i, ra.name)
 		}
+	}
+	if !slices.Equal(a.embeds, b.embeds) {
+		t.Fatalf("%s: the embeddings differ", label)
 	}
 	if len(a.sigs.sigs) != len(b.sigs.sigs) || !slices.Equal(a.sigs.refs, b.sigs.refs) {
 		t.Fatalf("%s: signature tables of %d and %d ids", label, len(a.sigs.sigs), len(b.sigs.sigs))
@@ -690,15 +690,15 @@ func checkSameEngine(t testing.TB, a, b *Engine, label string) {
 	}
 }
 
-// sigIDs renders the signature ids every profile holds, for comparing
+// sigIDs renders the signature ids every record holds, for comparing
 // two engines' id assignments.
 func sigIDs(e *Engine) string {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	var b strings.Builder
-	for i := range e.profiles {
-		p := &e.profiles[i]
-		fmt.Fprintf(&b, "%d:%d/%d/%d ", i, p.qID, p.tID, p.rID)
+	for i := range e.attrs {
+		a := &e.attrs[i]
+		fmt.Fprintf(&b, "%d:%d/%d/%d ", i, a.q, a.t, a.r)
 	}
 	return b.String()
 }
@@ -816,16 +816,16 @@ func TestSnapshotV7FixtureLoads(t *testing.T) {
 		t.Fatalf("signature ids of the fixture load:\n%s\nof the fresh build:\n%s", got, want)
 	}
 	for _, e := range []*Engine{e, fresh} {
-		var shared *uint32
+		var shared int32
 		numeric := 0
-		for i := range e.profiles {
-			if p := &e.profiles[i]; p.Numeric && len(p.TSig) > 0 {
+		for i := range e.attrs {
+			if a := &e.attrs[i]; a.is(attrNumeric) && a.t != 0 {
 				numeric++
-				if shared == nil {
-					shared = &p.TSig[0]
+				if shared == 0 {
+					shared = a.t
 				}
-				if !p.TSig.Empty() || &p.TSig[0] != shared {
-					t.Fatalf("numeric attribute %q holds its own placeholder TSig", p.Name)
+				if tsig := e.sigs.sig(a.t); !tsig.Empty() || len(tsig) != e.opts.MinHashSize || a.t != shared {
+					t.Fatalf("numeric attribute %q holds its own placeholder TSig", a.name)
 				}
 			}
 		}
@@ -887,12 +887,12 @@ func firstUse(e *Engine) (order []int32, moved int) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	seen := map[int32]bool{}
-	for i := range e.profiles {
-		for _, f := range e.profiles[i].sigRefs() {
-			if f.id != 0 && !seen[f.id] {
-				seen[f.id] = true
-				order = append(order, f.id)
-				if int(f.id) != len(order) {
+	for i := range e.attrs {
+		for _, id := range [3]int32{e.attrs[i].q, e.attrs[i].t, e.attrs[i].r} {
+			if id != 0 && !seen[id] {
+				seen[id] = true
+				order = append(order, id)
+				if int(id) != len(order) {
 					moved++
 				}
 			}
@@ -1042,14 +1042,14 @@ func withExtent(t testing.TB, e *Engine, i int, ext []byte) []byte {
 	pos, _ := e.sigPositions()
 	marks := e.extentMarks()
 	var head persist.Buffer
-	head.Uvarint(uint64(len(e.profiles)))
+	head.Uvarint(uint64(len(e.attrs)))
 	for j := 0; j < i; j++ {
-		encodeProfile(&head, &e.profiles[j], pos, marks[j])
+		e.encodeProfile(&head, j, pos, marks[j])
 	}
 	// The profile's extent is the last thing it writes.
 	var extent persist.Buffer
-	appendExtent(&extent, e.profiles[i].NumExtent, marks[i])
-	encodeProfile(&head, &e.profiles[i], pos, marks[i])
+	appendExtent(&extent, e.attrs[i].extent, marks[i])
+	e.encodeProfile(&head, i, pos, marks[i])
 	end := len(payloadOf(&head))
 	start := end - len(payloadOf(&extent))
 	return replaceSection(t, snapshotBytes(t, e), persist.SecAttrs, func(p []byte) []byte {
@@ -1065,8 +1065,8 @@ func hostileFields(t testing.TB) []hostileSnapshot {
 	e := v1FixtureEngine(t)
 	data := snapshotBytes(t, e)
 	numeric := -1
-	for i := range e.profiles {
-		if codeExtent(e.profiles[i].NumExtent) != extentRaw && len(e.profiles[i].NumExtent) > 1 {
+	for i := range e.attrs {
+		if codeExtent(e.attrs[i].extent) != extentRaw && len(e.attrs[i].extent) > 1 {
 			numeric = i
 			break
 		}

@@ -31,12 +31,6 @@ type Profile struct {
 	// empty extents); their ESig is a placeholder.
 	EZero bool
 
-	// qID, tID and rID are the ids QSig, TSig and RSig have in the
-	// signature table of the engine holding the profile (sigtable.go),
-	// or 0 when no engine holds it. They sit beside the flags, where
-	// they fit the padding.
-	qID, tID, rID int32
-
 	// QSig is the MinHash signature of the name q-gram set Q(a).
 	QSig minhash.Signature
 	// TSig is the MinHash signature of the tset T(a); TSize its
@@ -61,16 +55,16 @@ type Profile struct {
 	NumExtent []float64
 }
 
-// assertSortedExtent panics under the d3ldebug build tag when a
-// profile's NumExtent violates the sorted-ascending invariant, naming
-// the boundary that observed the corruption. In normal builds
+// assertSortedExtent panics under the d3ldebug build tag when the
+// extent of attribute name violates the sorted-ascending invariant,
+// naming the boundary that observed the corruption. In normal builds
 // debugAsserts is a compile-time false and the whole call is deleted.
 // Guarded boundaries: profileColumn (producer), decodeProfile
 // (snapshot ingest, which re-sorts first), AddProfiled (profiles
 // handed in by callers) and domainDistance (the KS consumer).
-func assertSortedExtent(p *Profile, site string) {
-	if debugAsserts && !sort.Float64sAreSorted(p.NumExtent) {
-		panic("core: " + site + ": Profile " + p.Name + " NumExtent violates the sorted-ascending invariant")
+func assertSortedExtent(extent []float64, name, site string) {
+	if debugAsserts && !sort.Float64sAreSorted(extent) {
+		panic("core: " + site + ": Profile " + name + " NumExtent violates the sorted-ascending invariant")
 	}
 }
 
@@ -190,7 +184,7 @@ func (p *profiler) profileColumn(ref AttrRef, col *table.Column, scratch *profil
 			sort.Float64s(sorted)
 			prof.NumExtent = sorted
 		}
-		assertSortedExtent(&prof, "profileColumn")
+		assertSortedExtent(prof.NumExtent, prof.Name, "profileColumn")
 		return prof
 	}
 
@@ -270,7 +264,7 @@ func (p *profiler) profileTables(tables []*table.Table, classifier *subject.Clas
 // spaceBytes reports the serialized size of the profile's signatures
 // (Table II space accounting): 4 bytes a MinHash slot, 8 a word of the
 // embedding bit signature.
-func (prof *Profile) spaceBytes() int64 {
+func (prof Profile) spaceBytes() int64 {
 	total := int64(4*(len(prof.QSig)+len(prof.TSig)+len(prof.RSig)) + 8*len(prof.ESig))
 	total += int64(8 * len(prof.NumExtent))
 	total += int64(len(prof.Name))

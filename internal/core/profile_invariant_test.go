@@ -10,17 +10,20 @@ import (
 )
 
 // codecRoundTrip pushes one profile, which holds no MinHash signature,
-// through the snapshot codec: encode into a section beside an empty
-// signature table, re-decode through the public envelope (the only way
-// to build a persist.Reader from outside the persist package).
+// through the snapshot codec: file it as an engine's record, encode it
+// into a section beside an empty signature table, re-decode through the
+// public envelope (the only way to build a persist.Reader from outside
+// the persist package) and read the decoded record back as a profile.
 func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	t.Helper()
 	const testSection = 0x7e57
+	src := Engine{opts: testOptions()}
+	src.push(p)
 	var buf bytes.Buffer
 	enc := persist.NewEncoder(&buf)
 	enc.Section(persist.SecSigs, func(b *persist.Buffer) { b.Uvarint(0) })
 	enc.Section(testSection, func(b *persist.Buffer) {
-		encodeProfile(b, p, []uint32{0}, codeExtent(p.NumExtent))
+		src.encodeProfile(b, 0, []uint32{0}, codeExtent(p.NumExtent))
 	})
 	if err := enc.Close(); err != nil {
 		t.Fatal(err)
@@ -29,7 +32,7 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e Engine
+	e := Engine{opts: src.opts}
 	if rs, err := dec.MustSection(persist.SecSigs); err != nil {
 		t.Fatal(err)
 	} else if err := e.sigs.load(rs); err != nil {
@@ -39,11 +42,10 @@ func codecRoundTrip(t *testing.T, p *Profile) Profile {
 	if !ok {
 		t.Fatal("test section missing")
 	}
-	var out Profile
-	if err := e.decodeProfile(r, &out); err != nil {
+	if err := e.decodeProfile(r); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return e.profileOf(0)
 }
 
 // TestDecodeProfileResortsCorruptedExtent is the regression test for
@@ -85,11 +87,10 @@ func TestDecodeProfileResortsCorruptedExtent(t *testing.T) {
 // build mode the test runs under: a no-op without the d3ldebug tag, a
 // panic naming the boundary with it (go test -tags d3ldebug).
 func TestAssertSortedExtent(t *testing.T) {
-	bad := &Profile{Name: "x", NumExtent: []float64{2, 1}}
-	good := &Profile{Name: "y", NumExtent: []float64{1, 2}}
-	assertSortedExtent(good, "test") // never panics
+	bad, good := []float64{2, 1}, []float64{1, 2}
+	assertSortedExtent(good, "y", "test") // never panics
 	if !debugAsserts {
-		assertSortedExtent(bad, "test") // compiled out: no panic
+		assertSortedExtent(bad, "x", "test") // compiled out: no panic
 		return
 	}
 	defer func() {
@@ -97,5 +98,5 @@ func TestAssertSortedExtent(t *testing.T) {
 			t.Fatal("d3ldebug build did not panic on an unsorted extent")
 		}
 	}()
-	assertSortedExtent(bad, "test")
+	assertSortedExtent(bad, "x", "test")
 }

@@ -165,7 +165,10 @@ func sameProfile(got, want Profile) error {
 // benchmark lake (the paper's Synthetic at 1 000 derived tables, seed
 // 1307) through one recycled scratch, as a build worker does, and
 // through the reference, and requires the two profiles to agree bit for
-// bit.
+// bit. Then it holds the read view to the same columns: on an engine
+// built over the lake and on its loaded snapshot, Engine.Profile of
+// every attribute is the profile a fresh ProfileTable gives its column,
+// and once a table is removed its attributes read as stubs on both.
 func TestProfileColumnMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("profiles the 1 000-table benchmark lake twice")
@@ -195,6 +198,42 @@ func TestProfileColumnMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d columns match", columns)
+
+	e, err := BuildEngine(lake, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := loadedEngine(t, e)
+	for tid, tb := range lake.Tables() {
+		for c, want := range p.ProfileTable(tid, tb, e.classifier) {
+			id := e.byTable[tid][c]
+			for name, eng := range map[string]*Engine{"built": e, "loaded": loaded} {
+				got := eng.Profile(id)
+				if err := sameProfile(got, want); err != nil || got.Subject != want.Subject {
+					t.Fatalf("%s engine, attribute %d (table %s column %q): %v (subject %v, want %v)",
+						name, id, tb.Name, want.Name, err, got.Subject, want.Subject)
+				}
+			}
+		}
+	}
+	removed := lake.Table(3)
+	if err := e.Remove(removed.Name); err != nil {
+		t.Fatal(err)
+	}
+	loaded = loadedEngine(t, e)
+	for c, attrID := range e.byTable[3] {
+		for name, eng := range map[string]*Engine{"built": e, "loaded": loaded} {
+			got := eng.Profile(attrID)
+			want := Profile{Ref: AttrRef{TableID: 3, Column: c}, Name: removed.Columns[c].Name,
+				Numeric: got.Numeric, Subject: got.Subject, EZero: true}
+			if err := sameProfile(got, want); err != nil || got.Numeric != (removed.Columns[c].Type == table.Numeric) {
+				t.Fatalf("%s engine, removed attribute %d does not read as a stub: %v", name, attrID, err)
+			}
+			if w := eng.embedWords(); slices.ContainsFunc(eng.embeds[attrID*w:(attrID+1)*w], func(v uint64) bool { return v != 0 }) {
+				t.Fatalf("%s engine, removed attribute %d keeps its embedding", name, attrID)
+			}
+		}
+	}
 }
 
 // fuzzPieces are the fragments FuzzProfileColumn builds values from:

@@ -233,7 +233,7 @@ func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair) []Align
 	start := len(dst)
 	dst = alignRun(dst, tablePairs)
 	for i := start; i < len(dst); i++ {
-		dst[i].CandColumn = e.profiles[dst[i].AttrID].Ref.Column
+		dst[i].CandColumn = int(e.attrs[dst[i].AttrID].column)
 	}
 	return dst
 }
@@ -342,21 +342,15 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 	}
 	ws.ids = ids
 	// Dedup, in ascending attribute-id order (the determinism contract).
-	uniq := ws.distinct(ids, len(e.profiles))
+	uniq := ws.distinct(ids, len(e.attrs))
 	for n, id := range uniq {
 		if n%candidateBatch == 0 {
 			if err := ctx.Err(); err != nil {
 				return dst[:0], err
 			}
 		}
-		cand := &e.profiles[id]
-		e.assertInterned(cand, "gatherColumn")
-		var candSubject *Profile
-		if s := e.subjects[cand.Ref.TableID]; s >= 0 {
-			candSubject = &e.profiles[s]
-		}
-		d := e.pairDistances(tp, cand, tsubject, candSubject, view.disabled, &ws.memo)
-		dst = append(dst, candidatePair{targetCol: col, attrID: int(id), tableID: cand.Ref.TableID, dist: d})
+		d := e.pairDistances(tp, tsubject, int(id), view.disabled, &ws.memo)
+		dst = append(dst, candidatePair{targetCol: col, attrID: int(id), tableID: int(e.attrs[id].table), dist: d})
 	}
 	return dst, nil
 }

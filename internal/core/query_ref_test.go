@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"d3l/internal/datagen"
+	"d3l/internal/lsh"
 	"d3l/internal/stats"
 	"d3l/internal/table"
 )
@@ -82,12 +83,8 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 		}
 		sort.Ints(ids)
 		for _, id := range ids {
-			cand := &e.profiles[id]
-			var candSubject *Profile
-			if s := e.subjects[cand.Ref.TableID]; s >= 0 {
-				candSubject = &e.profiles[s]
-			}
-			d := e.refPairDistances(tp, cand, tsubject, candSubject, view.disabled)
+			cand := e.profileOf(id)
+			d := e.refPairDistances(tp, &cand, tsubject, e.subjectProfile(cand.Ref.TableID), view.disabled)
 			pairs = append(pairs, candidatePair{targetCol: col, attrID: id, tableID: cand.Ref.TableID, dist: d})
 		}
 	}
@@ -140,9 +137,34 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 	}, nil
 }
 
-// The four helpers below are the paper-literal form of the guard and the
+// The helpers below are the paper-literal form of the guard and the
 // scoring steps, kept apart from the pipeline as the oracle it is
 // compared to.
+
+// subjectProfile is the profile of table tid's subject attribute, nil
+// when it has none. Caller holds e.mu.
+func (e *Engine) subjectProfile(tid int) *Profile {
+	s := e.subjects[tid]
+	if s < 0 {
+		return nil
+	}
+	p := e.profileOf(s)
+	return &p
+}
+
+// relatedAnyIndexReference is attrRelatedAnyIndex over two profiles.
+func (e *Engine) relatedAnyIndexReference(a, b *Profile) bool {
+	th := e.opts.Threshold
+	if jaccardSimilarity(a.QSig, b.QSig) >= th || jaccardSimilarity(a.RSig, b.RSig) >= th ||
+		(!a.Numeric && !b.Numeric && jaccardSimilarity(a.TSig, b.TSig) >= th) {
+		return true
+	}
+	if a.EZero || b.EZero {
+		return false
+	}
+	sim, err := lsh.CosineSimilarity(a.ESig, b.ESig, e.opts.EmbedBits)
+	return err == nil && sim >= th
+}
 
 // domainDistanceReference is Algorithm 2 as the paper writes it: the
 // guard looks the subject attributes up first (i' ∈ I*.lookup(i)), then
@@ -157,7 +179,7 @@ func (e *Engine) domainDistanceReference(target, cand, targetSubject, candSubjec
 		return 1
 	}
 	guard := false
-	if targetSubject != nil && candSubject != nil && e.attrRelatedAnyIndex(targetSubject, candSubject) {
+	if targetSubject != nil && candSubject != nil && e.relatedAnyIndexReference(targetSubject, candSubject) {
 		guard = true
 	} else if jaccardSimilarity(target.QSig, cand.QSig) >= e.opts.Threshold {
 		guard = true
@@ -225,7 +247,7 @@ func (e *Engine) alignColumns(tablePairs []candidatePair) []Alignment {
 		out = append(out, Alignment{
 			TargetColumn: c,
 			AttrID:       p.attrID,
-			CandColumn:   e.profiles[p.attrID].Ref.Column,
+			CandColumn:   int(e.attrs[p.attrID].column),
 			Distances:    p.dist,
 		})
 	}

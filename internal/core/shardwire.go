@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"d3l/internal/persist"
 )
@@ -39,34 +40,20 @@ const (
 	// empty name, a row count and (validation demands it) one row.
 	shardRowWireBytes   = 3*4 + 8*int(NumEvidence)
 	shardTableWireBytes = 8 + 4 + 4 + shardRowWireBytes
-
-	// Everything that is there whatever the partial holds: magic and
-	// version, the meta block, the two counts, the sample flag, the
-	// table count and the CRC trailer.
-	shardFixedWireBytes = 4 + 4 + 3*8 + int(NumEvidence) + 8*int(NumEvidence) + 1 + 8 + 8 + 1 + 4 + 4
 )
 
-// wireBytes is the exact size of the partial's encoding, trailer
-// included: what EncodeShardPartial reserves before its first byte.
-func (p *ShardPartial) wireBytes() int {
-	n := shardFixedWireBytes
-	if p.Samples != nil {
-		n += 4
-		for _, cell := range p.Samples {
-			n += 4 + 8*len(cell)
-		}
-	}
-	for i := range p.Tables {
-		n += shardTableWireBytes - shardRowWireBytes + len(p.Tables[i].Name) + shardRowWireBytes*len(p.Tables[i].Rows)
-	}
-	return n
-}
+// partialBufs recycles the Buffer EncodeShardPartial encodes into. It
+// grows as the encoder appends, so the encoder alone sizes a body, and
+// once it has held the largest body it stops growing.
+var partialBufs = sync.Pool{New: func() any { return new(persist.Buffer) }}
 
 // EncodeShardPartial renders a partial in the binary gather-body form:
-// one allocation, of exactly the body's size.
+// encoded into a recycled buffer, then copied out at exactly the body's
+// size, its one allocation.
 func EncodeShardPartial(p *ShardPartial) []byte {
-	var b persist.Buffer
-	b.Grow(p.wireBytes())
+	b := partialBufs.Get().(*persist.Buffer)
+	defer partialBufs.Put(b)
+	b.Reset()
 	b.U32(shardPartialMagic)
 	b.U32(shardPartialVersion)
 	b.I64(int64(p.Meta.NumCols))
@@ -104,7 +91,7 @@ func EncodeShardPartial(p *ShardPartial) []byte {
 			}
 		}
 	}
-	return b.Sealed()
+	return slices.Clone(b.Sealed())
 }
 
 // DecodeShardPartial parses a binary gather body. It answers an error

@@ -331,9 +331,10 @@ func TestShardProbeAllocationBudget(t *testing.T) {
 }
 
 // TestEncodeShardPartialGolden pins "same bytes": the committed hex is
-// what the encoder wrote for tinyPartial before it learnt to reserve its
-// size, D3SP version 1. The size it reserves is the size it writes
-// (TestShardWireAllocationBudgets holds it to the one allocation).
+// what the encoder wrote for tinyPartial, D3SP version 1. The encoder
+// sizes the body by writing it into a recycled buffer
+// (TestShardWireAllocationBudgets holds it to the one allocation), and
+// a body encoded after a larger one is still exactly its own.
 func TestEncodeShardPartialGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/shard_partial_v1.hex")
 	if err != nil {
@@ -351,10 +352,12 @@ func TestEncodeShardPartialGolden(t *testing.T) {
 		t.Fatalf("shardPartialVersion = %d: a layout change needs a new golden, not this one", shardPartialVersion)
 	}
 	_, _, real := gatherFixture(t, QuerySpec{K: 8})
-	for name, p := range map[string]*ShardPartial{"tiny": tinyPartial(), "gathered": real} {
-		if body := EncodeShardPartial(p); len(body) != p.wireBytes() {
-			t.Fatalf("%s: body is %d bytes, wireBytes reserved %d", name, len(body), p.wireBytes())
-		}
+	large := EncodeShardPartial(real)
+	if again := EncodeShardPartial(tinyPartial()); !bytes.Equal(again, want) {
+		t.Fatalf("after a %d-byte body, tinyPartial encodes to %x, want %x", len(large), again, want)
+	}
+	if back, err := DecodeShardPartial(large); err != nil || !reflect.DeepEqual(back, real) {
+		t.Fatalf("the gathered partial does not round-trip: %v", err)
 	}
 }
 

@@ -15,27 +15,26 @@ import (
 // attributes hold equal MinHash signatures: on the serving benchmark's
 // lake, 4 261 attributes hold 114 distinct name signatures and 19
 // distinct format signatures. The table keeps one copy of each distinct
-// value; a profile's QSig, TSig and RSig point at that copy and carry its
-// id. Two signatures share a copy only when they are equal slot for slot
-// (a hash finds the candidates, slices.Equal decides), so sharing changes
-// no value any reader sees. Ids never leave the process: a snapshot holds
-// the table once and the file carries first-use positions, not engine
-// ids (sigPositions), and the shard wire carries the signatures
-// themselves.
+// value, and an attribute's record holds the ids of its QSig, TSig and
+// RSig, never the signatures themselves (attr.go). Two signatures share a
+// copy only when they are equal slot for slot (a hash finds the
+// candidates, slices.Equal decides), so sharing changes no value any
+// reader sees. Ids never leave the process: a snapshot holds the table
+// once and the file carries first-use positions, not engine ids
+// (sigPositions), and the shard wire carries the signatures themselves.
 //
-// References are counted per profile field: a profile holds one
-// reference per signature field it points at the table with. A profile
-// that becomes a stub gives its references back, and a copy no profile
-// holds leaves the table, so write churn does not accumulate dead
-// signatures. The table changes only under the engine's write lock (or
-// before the engine is shared), and nothing ever writes into a copy.
+// References are counted per record field: a record holds one reference
+// per nonzero id. A record that becomes a stub gives its references
+// back, and a copy no record holds leaves the table, so write churn does
+// not accumulate dead signatures. The table changes only under the
+// engine's write lock (or before the engine is shared), and nothing ever
+// writes into a copy.
 
 // sigTable is the engine's table of distinct signatures. Id 0 is "no id":
-// the id of a nil signature, and of every signature of a profile no
-// engine holds (a query target). The zero value is ready to use.
+// the id of a nil signature. The zero value is ready to use.
 type sigTable struct {
 	sigs  []minhash.Signature // id -> the one copy; nil for id 0 and free ids
-	refs  []int32             // id -> references profiles hold
+	refs  []int32             // id -> references records hold
 	next  []int32             // id -> next id in its hash chain, 0 at the end
 	heads map[uint64]int32    // signature hash -> first id of its chain
 	free  []int32             // released ids, taken before new ones
@@ -51,18 +50,25 @@ func sigHash(sig minhash.Signature) uint64 {
 	return h
 }
 
-// intern takes a reference to sig's value: the table's copy and its id.
-// On a miss sig becomes the copy. A nil signature is id 0 and no
-// reference.
-func (t *sigTable) intern(sig minhash.Signature) (minhash.Signature, int32) {
+// sig is the copy under id; nil for id 0.
+func (t *sigTable) sig(id int32) minhash.Signature {
+	if id == 0 {
+		return nil
+	}
+	return t.sigs[id]
+}
+
+// intern takes a reference to sig's value and returns its id. On a miss
+// sig becomes the copy. A nil signature is id 0 and no reference.
+func (t *sigTable) intern(sig minhash.Signature) int32 {
 	if len(sig) == 0 {
-		return nil, 0
+		return 0
 	}
 	h := sigHash(sig)
 	for id := t.heads[h]; id != 0; id = t.next[id] {
 		if slices.Equal(t.sigs[id], sig) {
 			t.refs[id]++
-			return t.sigs[id], id
+			return id
 		}
 	}
 	if t.heads == nil {
@@ -79,7 +85,7 @@ func (t *sigTable) intern(sig minhash.Signature) (minhash.Signature, int32) {
 	}
 	t.next[id] = t.heads[h]
 	t.heads[h] = id
-	return sig, id
+	return id
 }
 
 // release gives back one reference to id; the last one takes the copy out
@@ -109,23 +115,6 @@ func (t *sigTable) release(id int32) {
 	t.free = append(t.free, id)
 }
 
-// hold points p's signatures at the table's copies, taking a reference to
-// each; a signature the table does not hold yet becomes the copy. Whatever
-// ids p carried before (another engine's, or none) are overwritten, not
-// released.
-func (t *sigTable) hold(p *Profile) {
-	p.QSig, p.qID = t.intern(p.QSig)
-	p.TSig, p.tID = t.intern(p.TSig)
-	p.RSig, p.rID = t.intern(p.RSig)
-}
-
-// drop gives back p's references; p is about to become a stub.
-func (t *sigTable) drop(p *Profile) {
-	t.release(p.qID)
-	t.release(p.tID)
-	t.release(p.rID)
-}
-
 // minSigEnc is the smallest encoding of a SecSigs entry: a count of at
 // least a byte and one slot (a nil signature is position 0, never an
 // entry).
@@ -133,10 +122,10 @@ const minSigEnc = 1 + 4
 
 // load installs a snapshot's signature table (SecSigs) into an empty
 // table: the signatures in file order under ids 1, 2, …, so an id is the
-// signature's position in the file. No profile holds a reference
-// yet; refer hands them out, and allHeld checks that every copy was
-// taken. An empty entry or two equal ones are corrupt: the table keeps
-// one copy of each value, and nil is no entry.
+// signature's position in the file. No record holds a reference yet;
+// refer hands them out, and allHeld checks that every copy was taken. An
+// empty entry or two equal ones are corrupt: the table keeps one copy of
+// each value, and nil is no entry.
 func (t *sigTable) load(r *persist.Reader) error {
 	// A count past the int range comes out negative, which the check
 	// below refuses.
@@ -174,26 +163,24 @@ func (t *sigTable) load(r *persist.Reader) error {
 	return nil
 }
 
-// refer points p's signatures at the copies load installed under
-// positions q, tp and rp, taking a reference to each; position 0 is a nil
-// signature.
-func (t *sigTable) refer(p *Profile, q, tp, rp uint64) error {
+// refer points a at the copies load installed under positions q, tp and
+// rp, taking a reference to each; the ids are the positions, and
+// position 0 is a nil signature.
+func (t *sigTable) refer(a *attr, q, tp, rp uint64) error {
 	for _, pos := range [3]uint64{q, tp, rp} {
 		if pos >= uint64(len(t.sigs)) {
-			return fmt.Errorf("%w: profile %s refers to signature %d of %d", persist.ErrCorrupt, p.Name, pos, len(t.sigs)-1)
+			return fmt.Errorf("%w: profile %s refers to signature %d of %d", persist.ErrCorrupt, a.name, pos, len(t.sigs)-1)
 		}
 		if pos != 0 {
 			t.refs[pos]++
 		}
 	}
-	p.QSig, p.qID = t.sigs[q], int32(q)
-	p.TSig, p.tID = t.sigs[tp], int32(tp)
-	p.RSig, p.rID = t.sigs[rp], int32(rp)
+	a.q, a.t, a.r = int32(q), int32(tp), int32(rp)
 	return nil
 }
 
-// allHeld reports a copy no profile holds a reference to: a loaded table
-// keeps only signatures some profile uses.
+// allHeld reports a copy no record holds a reference to: a loaded table
+// keeps only signatures some record uses.
 func (t *sigTable) allHeld() error {
 	for id := 1; id < len(t.sigs); id++ {
 		if t.refs[id] == 0 {
@@ -203,52 +190,27 @@ func (t *sigTable) allHeld() error {
 	return nil
 }
 
-// sigRef is one of a profile's signatures with its id.
-type sigRef struct {
-	sig minhash.Signature
-	id  int32
-}
-
-// sigRefs lists p's three signatures with their ids.
-func (p *Profile) sigRefs() [3]sigRef {
-	return [3]sigRef{{p.QSig, p.qID}, {p.TSig, p.tID}, {p.RSig, p.rID}}
-}
-
-// isCopy reports whether sig is the table's copy under id (a nil
-// signature is id 0).
-func (t *sigTable) isCopy(sig minhash.Signature, id int32) bool {
-	if id == 0 || len(sig) == 0 {
-		return id == 0 && len(sig) == 0
-	}
-	if id < 0 || int(id) >= len(t.sigs) {
-		return false
-	}
-	c := t.sigs[id]
-	return len(c) == len(sig) && &c[0] == &sig[0]
-}
-
-// verify checks the table against profiles, the store holding it: every
-// signature a profile holds is the table's copy under the profile's id;
-// each id's count is the references the profiles hold to it, and an id
-// no profile holds has no copy; every copy is on its hash chain once;
-// and no two copies are equal. So equal signatures share one backing
-// array, and unequal ones never do.
-func (t *sigTable) verify(profiles []Profile) error {
+// verify checks the table against attrs, the records holding it: each
+// id's count is the references the records hold to it, and an id no
+// record holds has no copy; every copy is on its hash chain once; and no
+// two copies are equal.
+func (t *sigTable) verify(attrs []attr) error {
 	holds := make([]int32, len(t.sigs))
-	for i := range profiles {
-		for _, f := range profiles[i].sigRefs() {
-			if !t.isCopy(f.sig, f.id) {
-				return fmt.Errorf("profile %d (%s) holds a signature that is not the table's copy under its id %d", i, profiles[i].Name, f.id)
-			}
-			if f.id != 0 {
-				holds[f.id]++
+	for i := range attrs {
+		for _, id := range [3]int32{attrs[i].q, attrs[i].t, attrs[i].r} {
+			switch {
+			case id == 0:
+			case id < 0 || int(id) >= len(t.sigs):
+				return fmt.Errorf("attribute %d (%s) holds signature id %d of %d", i, attrs[i].name, id, len(t.sigs))
+			default:
+				holds[id]++
 			}
 		}
 	}
 	copies := 0
 	for id := 1; id < len(t.sigs); id++ {
 		if t.refs[id] != holds[id] {
-			return fmt.Errorf("signature %d counts %d references, profiles hold %d", id, t.refs[id], holds[id])
+			return fmt.Errorf("signature %d counts %d references, records hold %d", id, t.refs[id], holds[id])
 		}
 		if (t.sigs[id] == nil) != (holds[id] == 0) {
 			return fmt.Errorf("signature %d: %d references, copy present %v", id, holds[id], t.sigs[id] != nil)
@@ -278,30 +240,15 @@ func (t *sigTable) verify(profiles []Profile) error {
 }
 
 // assertSigTable panics under the d3ldebug build tag when the signature
-// table and the profiles disagree (verify). BuildEngine, DecodeEngine and
+// table and the records disagree (verify). BuildEngine, DecodeEngine and
 // every write (splice) assert it on their way out. Caller holds e.mu or
 // owns the engine.
 func (e *Engine) assertSigTable(site string) {
 	if !debugAsserts {
 		return
 	}
-	if err := e.sigs.verify(e.profiles); err != nil {
+	if err := e.sigs.verify(e.attrs); err != nil {
 		panic("core: " + site + ": " + err.Error())
-	}
-}
-
-// assertInterned panics under the d3ldebug build tag when p, a profile
-// the engine holds, carries a signature that is not the table's copy
-// under its id. gatherColumn asserts it of every candidate, because the
-// distance memo is keyed by those ids. Caller holds e.mu.
-func (e *Engine) assertInterned(p *Profile, site string) {
-	if !debugAsserts {
-		return
-	}
-	for _, f := range p.sigRefs() {
-		if !e.sigs.isCopy(f.sig, f.id) {
-			panic("core: " + site + ": Profile " + p.Name + " holds a signature that is not the table's copy under its id")
-		}
 	}
 }
 
@@ -324,12 +271,12 @@ func (e *Engine) DistinctSignatures() (names, values, formats int) {
 			continue
 		}
 		for _, attrID := range attrs {
-			p := &e.profiles[attrID]
-			count(p.qID, EvidenceName, &names)
-			if !p.Numeric {
-				count(p.tID, EvidenceValue, &values)
+			a := &e.attrs[attrID]
+			count(a.q, EvidenceName, &names)
+			if !a.is(attrNumeric) {
+				count(a.t, EvidenceValue, &values)
 			}
-			count(p.rID, EvidenceFormat, &formats)
+			count(a.r, EvidenceFormat, &formats)
 		}
 	}
 	return names, values, formats
@@ -371,17 +318,18 @@ func (m *distMemo) reset() {
 }
 
 // jaccard is jaccardDistance(a, b) for evidence type t, where a is the
-// target column's signature and b the candidate's, held under id bID. A
-// nil memo, or a signature with no id, computes it directly.
-func (m *distMemo) jaccard(t Evidence, a, b minhash.Signature, bID int32) float64 {
+// target column's signature and b the candidate's, the copy under id bID
+// in sigs, which is read only when the memo misses. A nil memo, or id 0,
+// computes it directly.
+func (m *distMemo) jaccard(t Evidence, a minhash.Signature, sigs *sigTable, bID int32) float64 {
 	if m == nil || bID == 0 {
-		return jaccardDistance(a, b)
+		return jaccardDistance(a, sigs.sig(bID))
 	}
 	s := &m.slots[t][bID&(memoSlots-1)]
 	if s.id == bID && s.epoch == m.epoch {
 		return s.dist
 	}
-	d := jaccardDistance(a, b)
+	d := jaccardDistance(a, sigs.sigs[bID])
 	*s = memoSlot{id: bID, epoch: m.epoch, dist: d}
 	return d
 }

@@ -13,22 +13,22 @@ import (
 )
 
 // checkSigTable fails t unless e's signature table agrees with its
-// profiles (sigTable.verify), and checks the sharing rule on its own
-// terms: over every signature the engine's profiles hold, equal values
-// share one backing array and unequal values never do.
+// records (sigTable.verify), and checks the sharing rule on its own
+// terms: over every signature the engine's records hold, equal values
+// are held under one id.
 func checkSigTable(t testing.TB, e *Engine, label string) {
 	t.Helper()
 	names, values, formats := e.DistinctSignatures()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	if err := e.sigs.verify(e.profiles); err != nil {
+	if err := e.sigs.verify(e.attrs); err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	// DistinctSignatures against a count by value over the live tables.
 	distinct := [3]map[string]bool{{}, {}, {}}
 	for tid, attrs := range e.byTable {
 		for _, attrID := range attrs {
-			if p := &e.profiles[attrID]; e.alive[tid] {
+			if p := e.profileOf(attrID); e.alive[tid] {
 				distinct[0][fmt.Sprint(p.QSig)] = true
 				if !p.Numeric {
 					distinct[1][fmt.Sprint(p.TSig)] = true
@@ -41,21 +41,17 @@ func checkSigTable(t testing.TB, e *Engine, label string) {
 		t.Fatalf("%s: DistinctSignatures N/V/F %d/%d/%d, the live tables hold %d/%d/%d",
 			label, names, values, formats, len(distinct[0]), len(distinct[1]), len(distinct[2]))
 	}
-	byValue := map[string]*uint32{} // value -> the backing array seen for it
-	byArray := map[*uint32]string{} // backing array -> the value seen in it
-	for i := range e.profiles {
-		for _, f := range e.profiles[i].sigRefs() {
-			if len(f.sig) == 0 {
+	byValue := map[string]int32{} // value -> the id seen for it
+	for i := range e.attrs {
+		for _, id := range [3]int32{e.attrs[i].q, e.attrs[i].t, e.attrs[i].r} {
+			if id == 0 {
 				continue
 			}
-			value, array := fmt.Sprint(f.sig), &f.sig[0]
-			if seen, ok := byValue[value]; ok && seen != array {
-				t.Fatalf("%s: attribute %d holds its own copy of a signature another attribute holds", label, i)
+			value := fmt.Sprint(e.sigs.sigs[id])
+			if seen, ok := byValue[value]; ok && seen != id {
+				t.Fatalf("%s: attribute %d holds under id %d a signature another attribute holds under id %d", label, i, id, seen)
 			}
-			if seen, ok := byArray[array]; ok && seen != value {
-				t.Fatalf("%s: attribute %d shares a backing array with an unequal signature", label, i)
-			}
-			byValue[value], byArray[array] = array, value
+			byValue[value] = id
 		}
 	}
 }
@@ -74,7 +70,7 @@ func TestSigTableAfterBuildDecodeAndShardBuild(t *testing.T) {
 	}
 	checkSigTable(t, e, "BuildEngine")
 	copies := len(e.sigs.heads)
-	if held := 3 * len(e.profiles); copies == 0 || copies >= held/2 {
+	if held := 3 * len(e.attrs); copies == 0 || copies >= held/2 {
 		t.Fatalf("%d distinct copies for %d held signatures: the lake should repeat more than half", copies, held)
 	}
 	loaded := loadedEngine(t, e)
@@ -301,31 +297,36 @@ func TestFailedSpliceTakesNoReference(t *testing.T) {
 // verify guards against, one at a time, and expects it to say so: a
 // checker that cannot fail would pass every test above.
 func TestSigTableVerifyCatchesDamage(t *testing.T) {
+	// Stubs hold no signature, and an engine of stubs alone may never
+	// have filled its table.
+	if err := new(sigTable).verify(make([]attr, 3)); err != nil {
+		t.Fatalf("an empty table under three stubs: %v", err)
+	}
 	for _, c := range []struct {
 		name   string
 		damage func(e *Engine)
 	}{
-		{"a profile holding its own copy", func(e *Engine) { e.profiles[0].QSig = slices.Clone(e.profiles[0].QSig) }},
-		{"a profile with no id", func(e *Engine) { e.profiles[0].rID = 0 }},
-		{"a count off by one", func(e *Engine) { e.sigs.refs[e.profiles[0].qID]++ }},
+		{"a record with no id", func(e *Engine) { e.attrs[0].r = 0 }},
+		{"a record holding an id past the table", func(e *Engine) { e.attrs[0].q = int32(len(e.sigs.sigs)) }},
+		{"a count off by one", func(e *Engine) { e.sigs.refs[e.attrs[0].q]++ }},
 		{"a copy no profile holds", func(e *Engine) {
 			e.sigs.intern(minhash.Signature{1, 2, 3})
 		}},
 		{"two equal copies", func(e *Engine) {
-			i := slices.IndexFunc(e.profiles, func(p Profile) bool { return e.sigs.refs[p.rID] > 1 })
+			i := slices.IndexFunc(e.attrs, func(a attr) bool { return e.sigs.refs[a.r] > 1 })
 			if i < 0 {
 				t.Fatal("fixture: no format signature is shared")
 			}
-			p := &e.profiles[i]
-			e.sigs.release(p.rID)
-			sig := slices.Clone(p.RSig)
+			a := &e.attrs[i]
+			sig := slices.Clone(e.sigs.sigs[a.r])
+			e.sigs.release(a.r)
 			h := sigHash(sig)
 			e.sigs.sigs, e.sigs.refs, e.sigs.next = append(e.sigs.sigs, sig), append(e.sigs.refs, 1), append(e.sigs.next, e.sigs.heads[h])
 			e.sigs.heads[h] = int32(len(e.sigs.sigs) - 1)
-			p.RSig, p.rID = sig, int32(len(e.sigs.sigs)-1)
+			a.r = int32(len(e.sigs.sigs) - 1)
 		}},
 		{"a copy on the wrong chain", func(e *Engine) {
-			id := e.profiles[0].qID
+			id := e.attrs[0].q
 			h := sigHash(e.sigs.sigs[id])
 			if e.sigs.heads[h] != id || e.sigs.next[id] != 0 {
 				t.Fatal("fixture: the first name signature does not head a chain of its own")
@@ -333,12 +334,12 @@ func TestSigTableVerifyCatchesDamage(t *testing.T) {
 			delete(e.sigs.heads, h)
 			e.sigs.heads[h+1] = id
 		}},
-		{"a free id still in use", func(e *Engine) { e.sigs.free = append(e.sigs.free, e.profiles[0].qID) }},
+		{"a free id still in use", func(e *Engine) { e.sigs.free = append(e.sigs.free, e.attrs[0].q) }},
 	} {
 		e := buildFigure1Engine(t)
 		checkSigTable(t, e, "before "+c.name)
 		c.damage(e)
-		if err := e.sigs.verify(e.profiles); err == nil {
+		if err := e.sigs.verify(e.attrs); err == nil {
 			t.Fatalf("%s: verify passed", c.name)
 		}
 	}
@@ -351,12 +352,12 @@ func TestSigTableVerifyCatchesDamage(t *testing.T) {
 func TestSigTableChainsHoldCollisions(t *testing.T) {
 	var tab sigTable
 	a, b := minhash.Signature{1, 2, 3}, minhash.Signature{4, 5, 6}
-	_, ida := tab.intern(a)
-	_, idb := tab.intern(b)
+	ida := tab.intern(a)
+	idb := tab.intern(b)
 	ha := sigHash(a)
 	delete(tab.heads, sigHash(b))
 	tab.next[idb], tab.heads[ha] = ida, idb // chain ha: b, then a
-	if got, id := tab.intern(slices.Clone(a)); id != ida || &got[0] != &a[0] {
+	if id := tab.intern(slices.Clone(a)); id != ida || &tab.sigs[id][0] != &a[0] {
 		t.Fatalf("lookup behind the chain's head: id %d, want %d", id, ida)
 	}
 	tab.release(ida)
@@ -370,7 +371,10 @@ func TestSigTableChainsHoldCollisions(t *testing.T) {
 // every slot, so a distance stamped 2^32 columns ago cannot pass for the
 // current column's.
 func TestDistMemoEpochWraparound(t *testing.T) {
-	a, b := constSig(1), constSig(1)
+	a := constSig(1)
+	var tab sigTable
+	tab.sigs = make([]minhash.Signature, 6)
+	tab.sigs[5] = constSig(1)
 	var m distMemo
 	m.reset()
 	m.slots[EvidenceName][5] = memoSlot{id: 5, epoch: 1, dist: 0.125} // stale
@@ -379,10 +383,11 @@ func TestDistMemoEpochWraparound(t *testing.T) {
 	if m.epoch != 1 {
 		t.Fatalf("epoch %d after the wraparound, want 1", m.epoch)
 	}
-	if d := m.jaccard(EvidenceName, a, b, 5); d != 0 {
+	if d := m.jaccard(EvidenceName, a, &tab, 5); d != 0 {
 		t.Fatalf("distance %v: a stale slot survived the wraparound", d)
 	}
-	if d := m.jaccard(EvidenceName, a, constSig(2), 5); d != 0 {
+	tab.sigs[5] = constSig(2)
+	if d := m.jaccard(EvidenceName, a, &tab, 5); d != 0 {
 		t.Fatalf("distance %v: the memo did not answer for id 5 within the column", d)
 	}
 }

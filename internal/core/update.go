@@ -190,13 +190,13 @@ func (e *Engine) update(t *table.Table, attrAt *int) (UpdateStats, error) {
 	}
 	err = e.splice(e.fill(ids.Attr, tid, fresh), drop, func() error {
 		e.lake.Replace(t)
-		// Kept profiles move with their columns: in-place writes under
-		// the write lock — see the Profile method doc for the
-		// pointer-retention rule this relies on.
+		// Kept records move with their columns: in-place writes under
+		// the write lock.
 		for j, attrID := range keep {
 			if attrID >= 0 {
-				e.profiles[attrID].Ref.Column = j
-				e.profiles[attrID].Subject = j == subjectIdx
+				a := &e.attrs[attrID]
+				a.column = int32(j)
+				a.flags = a.flags&^attrSubject | flagIf(j == subjectIdx, attrSubject)
 			}
 		}
 		e.byTable[tid] = attrs
@@ -213,7 +213,7 @@ func (e *Engine) update(t *table.Table, attrAt *int) (UpdateStats, error) {
 	stats := UpdateStats{TableID: tid, Reprofiled: len(fresh), Kept: t.Arity() - len(fresh)}
 	oldNames := make(map[string]struct{}, len(oldAttrs))
 	for _, attrID := range oldAttrs {
-		oldNames[e.profiles[attrID].Name] = struct{}{}
+		oldNames[e.attrs[attrID].name] = struct{}{}
 	}
 	newNames := make(map[string]struct{}, t.Arity())
 	for _, c := range t.Columns {

@@ -200,8 +200,8 @@ func subjectCandidates(e *core.Engine, tid int, dst []candidate, ids []int32) ([
 		if otherTID == tid || !e.AliveTable(otherTID) {
 			continue
 		}
-		ov := e.OverlapCoefficient(sp, cp)
-		if ov < overlapFloor(e, sp, cp) {
+		ov := e.OverlapCoefficient(&sp, &cp)
+		if ov < overlapFloor(e, &sp, &cp) {
 			continue
 		}
 		dst = append(dst, candidate{otherTID: otherTID, overlap: ov})

@@ -523,7 +523,9 @@ func (f *Forest) prefixRange(r *run, key []byte, depth int) (int, int) {
 // first-seen order over the one sorted array per tree that merged
 // describes. The dedup stamps ids in a forest-owned scratch, so a caller
 // that passes back the slice it got allocates nothing once it has grown.
-// Ids must be non-negative.
+// Ids must be non-negative. Its one caller is core's VCandidates: the
+// SA-join graph build keeps the first edge per table pair in this order,
+// so a caller that needs only the set calls QueryInto (or Probe).
 func (f *Forest) Query(sig []uint32, minResults int, dst []int32) ([]int32, error) {
 	if err := f.ready("Query", sig); err != nil {
 		return dst, err

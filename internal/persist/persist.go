@@ -84,7 +84,9 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
+	"syscall"
 )
 
 // Magic identifies a D3L snapshot stream; the trailing zero byte keeps
@@ -190,10 +192,10 @@ func (b *Buffer) room(n int) []byte {
 	return b.data
 }
 
-// Grow reserves room for n more bytes in a standalone Buffer, so a
-// writer that knows its payload's size (plus trailerLen, if it will call
-// Sealed) allocates once instead of growing by doubling.
-func (b *Buffer) Grow(n int) { b.data = slices.Grow(b.data, n) }
+// Reset empties a standalone Buffer and keeps its storage, so a writer
+// that recycles one Buffer for payload after payload stops growing it
+// once it holds the largest.
+func (b *Buffer) Reset() { b.data = b.data[:0] }
 
 // U8 appends one byte.
 func (b *Buffer) U8(v uint8) { b.data = append(b.room(1), v) }
@@ -375,8 +377,18 @@ const (
 // synced last, so the rename itself survives a crash. On any failure
 // before the rename the temporary file is removed and path left as it
 // was.
+//
+// A writer that is killed leaves its temporary file behind. The file's
+// name carries its writer's pid (path.PID.N.tmp), and before it writes,
+// WriteFile removes those of path whose pid names no live process
+// (removeDeadTemps). It never removes its own process's, so two saves
+// to one path from one process stay safe. A writer on another host, or
+// in another pid namespace, looks dead: one directory serves the
+// writers of one host.
 func WriteFile(path string, write func(io.Writer) error) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	prefix := filepath.Base(path) + "."
+	removeDeadTemps(filepath.Dir(path), prefix)
+	f, err := os.CreateTemp(filepath.Dir(path), prefix+strconv.Itoa(os.Getpid())+".*.tmp")
 	if err != nil {
 		return err
 	}
@@ -403,6 +415,43 @@ func WriteFile(path string, write func(io.Writer) error) error {
 	}
 	defer dir.Close()
 	return dir.Sync()
+}
+
+// removeDeadTemps removes the files in dir named prefix+PID.N.tmp whose
+// writer, process PID, is gone: signalling it with signal 0 fails with
+// ESRCH (any other answer, EPERM included, counts as alive). A file it
+// cannot list or remove stays; it costs disk, not correctness.
+func removeDeadTemps(dir, prefix string) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return
+	}
+	for _, ent := range entries {
+		if pid, ok := tempPID(ent.Name(), prefix); ok && pid != os.Getpid() && !processAlive(pid) {
+			os.Remove(filepath.Join(dir, ent.Name()))
+		}
+	}
+}
+
+// tempPID parses the writer's pid out of a temporary file's name,
+// prefix+PID.N.tmp with PID and N decimal.
+func tempPID(name, prefix string) (int, bool) {
+	rest, hasPrefix := strings.CutPrefix(name, prefix)
+	rest, hasSuffix := strings.CutSuffix(rest, ".tmp")
+	pidText, n, twoParts := strings.Cut(rest, ".")
+	pid, err := strconv.Atoi(pidText)
+	_, nerr := strconv.ParseUint(n, 10, 64)
+	return pid, hasPrefix && hasSuffix && twoParts && err == nil && nerr == nil && pid > 0
+}
+
+// processAlive reports whether process pid may still be running.
+func processAlive(pid int) bool {
+	p, err := os.FindProcess(pid)
+	if err != nil {
+		return true
+	}
+	defer p.Release()
+	return !errors.Is(p.Signal(syscall.Signal(0)), os.ErrProcessDone)
 }
 
 // window is the size of the one buffer a Decoder reads its source
@@ -767,22 +816,16 @@ func (r *Reader) VU32s(buf []uint32) []uint32 {
 	return out
 }
 
-// VU64s reads a slice Buffer.VU64s wrote. Zero-length slices decode as
-// nil, like VU32s of a nil buf.
-func (r *Reader) VU64s() []uint64 { return r.u64s(r.VCount(8)) }
-
-func (r *Reader) u64s(n int) []uint64 {
-	if n == 0 {
-		return nil
-	}
-	out, i := make([]uint64, n), 0
-	r.chunks(n, 8, func(p []byte) {
+// AppendVU64s reads a slice Buffer.VU64s wrote onto the end of dst, for
+// decoders that lay many vectors out in one slab. A zero-length slice
+// appends nothing, so it decodes as nil onto a nil dst.
+func (r *Reader) AppendVU64s(dst []uint64) []uint64 {
+	r.chunks(r.VCount(8), 8, func(p []byte) {
 		for ; len(p) > 0; p = p[8:] {
-			out[i] = binary.LittleEndian.Uint64(p)
-			i++
+			dst = append(dst, binary.LittleEndian.Uint64(p))
 		}
 	})
-	return out
+	return dst
 }
 
 // F64s reads a length-prefixed []float64.

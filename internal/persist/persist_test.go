@@ -9,8 +9,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -292,7 +294,7 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 		t.Fatalf("F64s + AppendF64s read %d values, err %v", len(got), r.Err())
 	}
 	r.Skip(8 * (window/8 - 1))
-	if v := r.U64(); v != window/8-1 || !slices.Equal(r.VU64s(), []uint64{3, 5}) || r.Err() != nil || r.Remaining() != 0 {
+	if v := r.U64(); v != window/8-1 || !slices.Equal(r.AppendVU64s(nil), []uint64{3, 5}) || r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("tail read %d, err %v, %d bytes left", v, r.Err(), r.Remaining())
 	}
 
@@ -518,7 +520,6 @@ func TestReaderCountBoundsAllocation(t *testing.T) {
 // slab before filling it).
 func TestSlabReads(t *testing.T) {
 	var b Buffer
-	b.Grow(64)
 	b.F64s([]float64{0.25, 0.5})
 	b.F64s(nil)
 	b.F64s([]float64{-1})
@@ -613,7 +614,7 @@ func TestVarints(t *testing.T) {
 		}
 	}
 	if r.VStr() != "practice" || !slices.Equal(r.VU32s(nil), []uint32{6, math.MaxUint32}) ||
-		!slices.Equal(r.VU64s(), []uint64{9, math.MaxUint64}) || r.Err() != nil || r.Remaining() != 0 {
+		!slices.Equal(r.AppendVU64s(nil), []uint64{9, math.MaxUint64}) || r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("V-counted values did not survive: err %v, %d bytes left", r.Err(), r.Remaining())
 	}
 
@@ -697,5 +698,69 @@ func TestWriteFileReplacesWholeOrNothing(t *testing.T) {
 	noTemps()
 	if err := WriteFile(filepath.Join(dir, "missing", "file"), writeString("x")); err == nil {
 		t.Fatal("WriteFile into a missing directory succeeded")
+	}
+}
+
+// blockEnv makes the test binary, re-executed as a child, wait on its
+// stdin until it is closed: a live process whose pid a test can name.
+const blockEnv = "PERSIST_TEST_BLOCK"
+
+// TestWriteFileRemovesOnlyDeadWritersTemps names temporary files of
+// path after a live writer (a child process that is still running), a
+// dead one (the same child after it exits), this process, and in forms
+// WriteFile never writes. A save removes the dead writer's file only:
+// while the child runs its file survives, as the temporary file of a
+// concurrent save must, and once it has exited the next save takes it.
+func TestWriteFileRemovesOnlyDeadWritersTemps(t *testing.T) {
+	if os.Getenv(blockEnv) != "" {
+		io.Copy(io.Discard, os.Stdin)
+		return
+	}
+	child := exec.Command(os.Args[0], "-test.run=^TestWriteFileRemovesOnlyDeadWritersTemps$")
+	child.Env = append(os.Environ(), blockEnv+"=1")
+	stdin, err := child.StdinPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := child.Start(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "lake.d3l")
+	temp := func(pid int, n string) string { return path + "." + strconv.Itoa(pid) + "." + n + ".tmp" }
+	pid := strconv.Itoa(child.Process.Pid)
+	writer := temp(child.Process.Pid, "17")
+	// Once the child exits, only writer is a dead writer's temporary
+	// file of path: the rest are this process's, or named otherwise.
+	kept := []string{temp(os.Getpid(), "23"), path + "." + pid + ".tmp", path + "." + pid + ".x.tmp",
+		path + "." + pid + ".2.3.tmp", filepath.Join(dir, "other.d3l."+pid+".2.tmp")}
+	for _, name := range append([]string{writer}, kept...) {
+		if err := os.WriteFile(name, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exists := func(name string) bool { _, err := os.Stat(name); return err == nil }
+	save := func() {
+		t.Helper()
+		if err := WriteFile(path, func(w io.Writer) error { _, err := io.WriteString(w, "snapshot"); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	save()
+	if !exists(writer) {
+		t.Fatal("a save removed the temporary file of a writer that is still running")
+	}
+	stdin.Close()
+	if err := child.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	save()
+	if exists(writer) {
+		t.Fatal("a save left the temporary file of a writer that has exited")
+	}
+	for _, name := range kept {
+		if !exists(name) {
+			t.Fatalf("a save removed %s, which no dead writer left", filepath.Base(name))
+		}
 	}
 }

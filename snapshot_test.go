@@ -477,7 +477,9 @@ func killEngines(t testing.TB) (old, new *d3l.Engine) {
 // itself as a child that saves the two engines over one path in turn
 // until it is killed (SIGKILL, at seeded random delays). A kill tests
 // atomicity only; whether the rename survives a power loss is not
-// something a test process can observe.
+// something a test process can observe. A killed save may leave its
+// temporary file, and the next save removes it: after the killed rounds
+// and one clean save, none is left.
 func TestSaveFileSurvivesKill(t *testing.T) {
 	if path := os.Getenv(saveLoopEnv); path != "" {
 		old, new := killEngines(t)
@@ -495,7 +497,10 @@ func TestSaveFileSurvivesKill(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lake.d3l")
 	rng := rand.New(rand.NewSource(55))
 	seen := map[string]int{}
+	left := 0 // temporary files the killed saves left
 	for round := 0; round < 8; round++ {
+		temps, _ := filepath.Glob(path + ".*.tmp")
+		left += len(temps)
 		if err := d3l.SaveFile(old, path); err != nil {
 			t.Fatal(err)
 		}
@@ -525,5 +530,12 @@ func TestSaveFileSurvivesKill(t *testing.T) {
 		seen[which]++
 	}
 	temps, _ := filepath.Glob(path + ".*.tmp")
-	t.Logf("killed saves left %v, and %d temporary files", seen, len(temps))
+	left += len(temps)
+	if err := d3l.SaveFile(old, path); err != nil {
+		t.Fatal(err)
+	}
+	if temps, _ = filepath.Glob(path + ".*.tmp"); len(temps) > 0 {
+		t.Fatalf("a clean save after the killed ones left temporary files %v", temps)
+	}
+	t.Logf("killed saves left %v, and %d temporary files, all removed by the saves after them", seen, left)
 }

@@ -406,14 +406,14 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 
 func TestOverlapCoefficient(t *testing.T) {
 	e := buildFigure1Engine(t)
-	column := func(tid int, name string) *Profile {
+	column := func(tid int, name string) int {
 		for _, id := range e.byTable[tid] {
-			if p := e.Profile(id); p.Name == name {
-				return &p
+			if e.Profile(id).Name == name {
+				return id
 			}
 		}
 		t.Fatalf("fixture: table %d has no column %s", tid, name)
-		return nil
+		return -1
 	}
 	s2Practice, s3GP, s1Postcode := column(1, "Practice"), column(2, "GP"), column(0, "Postcode")
 	// S2.Practice and S3.GP share practice names: high overlap.

@@ -133,15 +133,19 @@ func (e *Engine) attrRelatedAnyIndex(a *Profile, b int) bool {
 }
 
 // OverlapCoefficient estimates ov(T(a), T(a')) = |∩| / min(|T(a)|,
-// |T(a')|) from the signatures and tset cardinalities via
-// inclusion–exclusion: |∩| = J·(|A|+|B|)/(1+J), with J the V evidence's
-// Jaccard estimate. It backs the SA-joinability test of Section IV; a
-// numeric attribute has no tset, and overlaps nothing.
-func (e *Engine) OverlapCoefficient(a, b *Profile) float64 {
-	if a.Numeric || b.Numeric || a.TSize == 0 || b.TSize == 0 {
+// |T(a')|) of attribute ids a and b from their records' signatures and
+// tset cardinalities via inclusion–exclusion: |∩| = J·(|A|+|B|)/(1+J),
+// with J the V evidence's Jaccard estimate. It backs the
+// SA-joinability test of Section IV; a numeric attribute has no tset,
+// and overlaps nothing, and neither does a removed one.
+func (e *Engine) OverlapCoefficient(a, b int) float64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	ra, rb := &e.attrs[a], &e.attrs[b]
+	if ra.is(attrNumeric) || rb.is(attrNumeric) || ra.tSize == 0 || rb.tSize == 0 {
 		return 0
 	}
-	j := jaccardSimilarity(a.TSig, b.TSig)
-	inter := j * float64(a.TSize+b.TSize) / (1 + j)
-	return min(max(inter/float64(min(a.TSize, b.TSize)), 0), 1)
+	j := jaccardSimilarity(e.sigs.sig(ra.t), e.sigs.sig(rb.t))
+	inter := j * float64(ra.tSize+rb.tSize) / (1 + j)
+	return min(max(inter/float64(min(ra.tSize, rb.tSize)), 0), 1)
 }

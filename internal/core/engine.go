@@ -60,11 +60,8 @@ type Engine struct {
 	queryScratchPool  sync.Pool // *queryScratch
 	workerScratchPool sync.Pool // *workerScratch
 
-	// plans holds one prepared plan per evidence mask, filled on the
-	// mask's first use (see plan.go); planStats accumulates the
-	// engine-lifetime planner counters. Both are zero-value-ready, like
-	// the pools.
-	plans     [1 << NumEvidence]atomic.Pointer[preparedPlan]
+	// planStats accumulates the engine-lifetime planner counters (see
+	// plan.go); zero-value-ready, like the pools.
 	planStats plannerCounters
 
 	// stageObs, when set, receives per-stage wall times of every
@@ -314,6 +311,15 @@ func (e *Engine) Profile(attrID int) Profile {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.profileOf(attrID)
+}
+
+// AttrTSet returns the table an attribute id belongs to and the
+// cardinality of its tset, read from its record.
+func (e *Engine) AttrTSet(attrID int) (tableID, tSize int) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	a := &e.attrs[attrID]
+	return int(a.table), int(a.tSize)
 }
 
 // SubjectAttr returns the subject attribute id of a table and whether

@@ -11,9 +11,9 @@ import (
 // PairExplanation is one row of a Table I-style structure: a target
 // column paired with a source column and their five evidence distances.
 type PairExplanation struct {
-	TargetColumn string
-	SourceColumn string
-	Distances    DistanceVector
+	TargetColumn string         `json:"targetColumn"`
+	SourceColumn string         `json:"sourceColumn"`
+	Distances    DistanceVector `json:"distances"`
 }
 
 // Explain computes the full pairwise distance rows between a prepared

@@ -27,9 +27,9 @@ import (
 //
 // The forest probes need nothing from a plan (lsh.Forest.Probe finds
 // its stop depth in one walk, with no starting point to remember), so a
-// plan is a pure function of the evidence mask: an engine holds at most
-// 1 << NumEvidence of them, one slot per mask, each filled on the
-// mask's first use and never stale.
+// plan is a pure function of the evidence mask: the package holds all
+// 1 << NumEvidence of them in one table, built once and shared by every
+// engine, query and shard merge.
 //
 // Why per-pair distance kernels are NOT elided: the Eq. 2 CCDF
 // weights are built from the distance distributions over *all*
@@ -62,8 +62,7 @@ var evidenceCostRank = [NumEvidence]int{
 	EvidenceDomain:    4,
 }
 
-// preparedPlan is one mask's plan, immutable after prepare and shared by
-// every concurrent query with that mask.
+// preparedPlan is one evidence mask's plan, immutable.
 type preparedPlan struct {
 	// cascade lists the enabled evidence types cheapest-first.
 	cascade []Evidence
@@ -72,34 +71,41 @@ type preparedPlan struct {
 	order string
 }
 
-// evidenceCascade lists the evidence types a mask leaves enabled,
-// cheapest first.
-func evidenceCascade(disabled [NumEvidence]bool) []Evidence {
-	cascade := make([]Evidence, 0, NumEvidence)
-	for rank := 0; rank < int(NumEvidence); rank++ {
-		for t := 0; t < int(NumEvidence); t++ {
-			if evidenceCostRank[t] == rank && !disabled[t] {
-				cascade = append(cascade, Evidence(t))
+// plans is every evidence mask's plan, indexed by maskOf.
+var plans = func() (ps [1 << NumEvidence]preparedPlan) {
+	for mask := range ps {
+		var b strings.Builder
+		for rank := 0; rank < int(NumEvidence); rank++ {
+			for t := 0; t < int(NumEvidence); t++ {
+				if evidenceCostRank[t] != rank || mask&(1<<t) != 0 {
+					continue
+				}
+				if b.Len() > 0 {
+					b.WriteString("→")
+				}
+				b.WriteString(Evidence(t).String())
+				ps[mask].cascade = append(ps[mask].cascade, Evidence(t))
 			}
 		}
+		ps[mask].order = b.String()
 	}
-	return cascade
+	return ps
+}()
+
+// maskOf is the plans index of an evidence mask: bit t set = evidence
+// type t disabled.
+func maskOf(disabled [NumEvidence]bool) int {
+	var mask int
+	for t, off := range disabled {
+		if off {
+			mask |= 1 << t
+		}
+	}
+	return mask
 }
 
-// newPreparedPlan builds the plan for a resolved option view: the
-// cascade its evidence mask leaves.
-func newPreparedPlan(view *specView) *preparedPlan {
-	p := &preparedPlan{cascade: evidenceCascade(view.disabled)}
-	var b strings.Builder
-	for i, t := range p.cascade {
-		if i > 0 {
-			b.WriteString("→")
-		}
-		b.WriteString(t.String())
-	}
-	p.order = b.String()
-	return p
-}
+// planFor returns an evidence mask's plan.
+func planFor(disabled [NumEvidence]bool) *preparedPlan { return &plans[maskOf(disabled)] }
 
 // PlanStats reports what the plan did for one query. All counters are
 // deterministic — candidate tables are scored sequentially in ascending
@@ -127,18 +133,21 @@ type PlanStats struct {
 // PlannerTotals are the engine-lifetime planner counters, the numbers
 // /v1/statsz exposes. They accumulate atomically across queries.
 type PlannerTotals struct {
-	// PlanCacheMisses counts the queries that built their evidence
-	// mask's plan, one per mask the engine has served; PlanCacheHits
-	// counts every other ranking query.
-	PlanCacheHits       int64
-	PlanCacheMisses     int64
-	TablesPruned        int64
-	PairsPruned         int64
-	EvidenceEvalsElided int64
+	// PlanCacheMisses counts each evidence mask's first ranking query on
+	// the engine, one per mask it has served; PlanCacheHits counts every
+	// other ranking query.
+	PlanCacheHits       int64 `json:"planCacheHits"`
+	PlanCacheMisses     int64 `json:"planCacheMisses"`
+	TablesPruned        int64 `json:"tablesPruned"`
+	PairsPruned         int64 `json:"pairsPruned"`
+	EvidenceEvalsElided int64 `json:"evidenceEvalsElided"`
 }
 
-// plannerCounters is the atomic backing of PlannerTotals.
+// plannerCounters is the atomic backing of PlannerTotals, and masks the
+// set of evidence masks the engine has queried (bit maskOf), which tells
+// a miss from a hit.
 type plannerCounters struct {
+	masks          atomic.Uint32
 	cacheHits      atomic.Int64
 	cacheMisses    atomic.Int64
 	tablesPruned   atomic.Int64
@@ -157,30 +166,18 @@ func (e *Engine) PlannerTotals() PlannerTotals {
 	}
 }
 
-// preparePlan returns the plan for the view's evidence mask from the
-// engine's slot for that mask, building it on the mask's first use. A
-// miss is counted only by the query whose plan fills the slot, so the
-// lifetime misses are the number of masks this engine has prepared and
-// every other query is a hit.
+// preparePlan returns the plan for the view's evidence mask and counts
+// the query: a miss when it is the mask's first on this engine, a hit
+// otherwise, so the lifetime misses are the number of masks this engine
+// has served.
 func (e *Engine) preparePlan(view *specView) *preparedPlan {
-	var mask int
-	for t, off := range view.disabled {
-		if off {
-			mask |= 1 << t
-		}
-	}
-	slot := &e.plans[mask]
-	if p := slot.Load(); p != nil {
-		e.planStats.cacheHits.Add(1)
-		return p
-	}
-	if p := newPreparedPlan(view); slot.CompareAndSwap(nil, p) {
+	mask := maskOf(view.disabled)
+	if bit := uint32(1) << mask; e.planStats.masks.Or(bit)&bit == 0 {
 		e.planStats.cacheMisses.Add(1)
-		return p
+	} else {
+		e.planStats.cacheHits.Add(1)
 	}
-	// A racing first query filled the slot: use its plan.
-	e.planStats.cacheHits.Add(1)
-	return slot.Load()
+	return &plans[mask]
 }
 
 // scorer is the Eq. 1–3 arithmetic of one query: the effective weights

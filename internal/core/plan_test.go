@@ -168,7 +168,7 @@ func TestPlanSlotPerMask(t *testing.T) {
 		if c.newMask {
 			masks++
 		}
-		if want := newPreparedPlan(&specView{disabled: c.disabled}).order; res.Plan.Order != want {
+		if want := planFor(c.disabled).order; res.Plan.Order != want {
 			t.Fatalf("%s: cascade %q, want %q", c.label, res.Plan.Order, want)
 		}
 		check(c.label)

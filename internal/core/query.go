@@ -16,22 +16,22 @@ import (
 // a candidate table, carrying the five evidence distances (one row of a
 // Table I-style structure).
 type Alignment struct {
-	TargetColumn int
-	AttrID       int
-	CandColumn   int
-	Distances    DistanceVector
+	TargetColumn int            `json:"targetColumn"`
+	AttrID       int            `json:"attrId"`
+	CandColumn   int            `json:"candColumn"`
+	Distances    DistanceVector `json:"distances"`
 }
 
 // TableResult is one entry of the top-k answer.
 type TableResult struct {
-	TableID int
-	Name    string
+	TableID int    `json:"tableId"`
+	Name    string `json:"name"`
 	// Distance is the Eq. 3 scalar (smaller is more related).
-	Distance float64
+	Distance float64 `json:"distance"`
 	// Vector is the Eq. 1 aggregate per evidence type.
-	Vector DistanceVector
+	Vector DistanceVector `json:"vector"`
 	// Alignments lists the per-target-column attribute alignments.
-	Alignments []Alignment
+	Alignments []Alignment `json:"alignments"`
 }
 
 // SearchStats summarises the work one query did — deterministic

@@ -374,7 +374,7 @@ func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 		tables = append(tables, p.Tables...)
 	}
 	ms.tables = tables
-	sc := newScorer(meta.K, meta.Weights, meta.Disabled, evidenceCascade(meta.Disabled), ecdfs)
+	sc := newScorer(meta.K, meta.Weights, meta.Disabled, planFor(meta.Disabled).cascade, ecdfs)
 	var ps PlanStats
 	var err error
 	ms.scored, ms.top, ps, err = sc.rankTables(context.Background(), len(tables),

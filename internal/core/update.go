@@ -21,11 +21,11 @@ import (
 // added); Kept columns reused their existing attribute id and forest
 // keys wholesale.
 type UpdateStats struct {
-	TableID    int
-	Reprofiled int // columns profiled fresh (changed + added)
-	Kept       int // columns that kept attribute id, profile and forest keys
-	Added      int // incoming column names the stored table did not have
-	Dropped    int // stored column names the incoming table no longer has
+	TableID    int `json:"id"`
+	Reprofiled int `json:"reprofiledCols"` // columns profiled fresh (changed + added)
+	Kept       int `json:"keptCols"`       // columns that kept attribute id, profile and forest keys
+	Added      int `json:"addedCols"`      // incoming column names the stored table did not have
+	Dropped    int `json:"droppedCols"`    // stored column names the incoming table no longer has
 }
 
 // columnUnchanged reports whether a stored column and an incoming

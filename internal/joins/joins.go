@@ -192,16 +192,15 @@ func subjectCandidates(e *core.Engine, tid int, dst []candidate, ids []int32) ([
 	if !ok {
 		return dst, ids
 	}
-	sp := e.Profile(subj)
+	_, subjSize := e.AttrTSet(subj)
 	ids = e.VCandidates(subj, candidateBudget, ids)
 	for _, candID := range ids {
-		cp := e.Profile(int(candID))
-		otherTID := cp.Ref.TableID
+		otherTID, candSize := e.AttrTSet(int(candID))
 		if otherTID == tid || !e.AliveTable(otherTID) {
 			continue
 		}
-		ov := e.OverlapCoefficient(&sp, &cp)
-		if ov < overlapFloor(e, &sp, &cp) {
+		ov := e.OverlapCoefficient(subj, int(candID))
+		if ov < overlapFloor(e.Threshold(), subjSize, candSize) {
 			continue
 		}
 		dst = append(dst, candidate{otherTID: otherTID, overlap: ov})
@@ -209,14 +208,13 @@ func subjectCandidates(e *core.Engine, tid int, dst []candidate, ids []int32) ([
 	return dst, ids
 }
 
-// overlapFloor is the overlap-coefficient floor for an edge between a
-// and b. The paper derives ov ≥ τ(|A|+|B|)/((1+τ)·min(|A|,|B|)) from τ;
-// with the default τ = 0.7 and balanced sets this is ≈ 0.82, but join
-// keys have skewed cardinalities, so the bound against min(|A|,|B|) is
-// taken per pair.
-func overlapFloor(e *core.Engine, a, b *core.Profile) float64 {
-	tau := e.Threshold()
-	na, nb := float64(a.TSize), float64(b.TSize)
+// overlapFloor is the overlap-coefficient floor for an edge between
+// attributes whose tsets hold sizeA and sizeB values. The paper derives
+// ov ≥ τ(|A|+|B|)/((1+τ)·min(|A|,|B|)) from τ; with the default τ = 0.7
+// and balanced sets this is ≈ 0.82, but join keys have skewed
+// cardinalities, so the bound against min(|A|,|B|) is taken per pair.
+func overlapFloor(tau float64, sizeA, sizeB int) float64 {
+	na, nb := float64(sizeA), float64(sizeB)
 	if na == 0 || nb == 0 {
 		return 1
 	}
@@ -287,7 +285,9 @@ func FindJoinPathsCtx(ctx context.Context, g *Graph, topK []int, targetProfiles 
 	}
 	out := make(map[int][]Path, len(topK))
 	for _, start := range topK {
-		var paths []Path
+		// Empty, not nil, when the start has none: an answer lists it as
+		// [] on the wire.
+		paths := []Path{}
 		var dfs func(node int, path Path)
 		dfs = func(node int, path Path) {
 			if ctx.Err() != nil {
@@ -359,10 +359,10 @@ func JoinCoverage(e *core.Engine, targetProfiles []core.Profile, start int, path
 // Augmented pairs one top-k result with its discovered join paths and
 // both coverage figures.
 type Augmented struct {
-	Result       core.TableResult
-	Paths        []Path
-	BaseCoverage float64 // Eq. 4
-	JoinCoverage float64 // Eq. 5
+	Result       core.TableResult `json:"result"`
+	Paths        []Path           `json:"paths"`
+	BaseCoverage float64          `json:"baseCoverage"` // Eq. 4
+	JoinCoverage float64          `json:"joinCoverage"` // Eq. 5
 }
 
 // AugmentCtx runs the D3L+J pipeline on a search result over the

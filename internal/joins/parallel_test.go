@@ -57,8 +57,8 @@ func buildGraphReference(e *core.Engine) *refGraph {
 			if seen[key] {
 				continue
 			}
-			ov := e.OverlapCoefficient(&sp, &cp)
-			if ov < overlapFloor(e, &sp, &cp) {
+			ov := e.OverlapCoefficient(subj, candID)
+			if ov < overlapFloor(e.Threshold(), sp.TSize, cp.TSize) {
 				continue
 			}
 			seen[key] = true

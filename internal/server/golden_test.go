@@ -339,15 +339,7 @@ func marshalQueryResponse(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := json.Marshal(QueryResponse{
-		Results:     toResultsJSON(ans.Results),
-		Explanation: toExplanationsJSON(ans.Explanation),
-		Stats: QueryStatsJSON{
-			K:              ans.Stats.K,
-			CandidatePairs: ans.Stats.CandidatePairs,
-			TablesScored:   ans.Stats.TablesScored,
-		},
-	})
+	body, err := json.Marshal(ans)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +352,7 @@ func marshalTopK(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return marshalResults(t, toResultsJSON(ans.Results))
+	return marshalResults(t, ans.Results)
 }
 
 // marshalResults renders the {"results": ...} shape of the topk_* and
@@ -382,9 +374,9 @@ func marshalBatch(t *testing.T, e *d3l.Engine, targets []*d3l.Table) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make([][]ResultJSON, len(answers))
+	out := make([][]d3l.Result, len(answers))
 	for i, a := range answers {
-		out[i] = toResultsJSON(a.Results)
+		out[i] = a.Results
 	}
 	body, err := json.Marshal(BatchResponse{Results: out})
 	if err != nil {
@@ -399,5 +391,66 @@ func marshalJoins(t *testing.T, e *d3l.Engine, target *d3l.Table) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return marshalResults(t, toAugmentedJSON(ans.Joins))
+	return marshalResults(t, ans.Joins)
+}
+
+// TestGoldenBodiesRoundTrip decodes every committed fixture into the
+// type the server marshals it from, re-encodes it and requires the
+// fixture's bytes back. The golden tests above pin the encode
+// direction; this pins that the library types' JSON tags also read
+// what they write, and it fails if a field the wire never carries
+// (Answer.Plan, QueryStats.Elapsed) loses its "-" tag.
+func TestGoldenBodiesRoundTrip(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no golden fixtures found")
+	}
+	for _, path := range paths {
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		t.Run(name, func(t *testing.T) {
+			var v any
+			switch {
+			case strings.HasPrefix(name, "topk_"):
+				v = new(struct {
+					Results []d3l.Result `json:"results"`
+				})
+			case strings.HasPrefix(name, "joins_"):
+				v = new(struct {
+					Results []d3l.Augmented `json:"results"`
+				})
+			case strings.HasPrefix(name, "query_"):
+				v = new(QueryResponse)
+			case name == "batch":
+				v = new(BatchResponse)
+			case name == "update_put":
+				// TestGoldenUpdateWire's composite, keys in its map order.
+				v = new(struct {
+					Conflict         ErrorBody           `json:"conflict"`
+					MethodNotAllowed ErrorBody           `json:"methodNotAllowed"`
+					OK               UpdateTableResponse `json:"ok"`
+				})
+			default:
+				t.Fatalf("no wire type for fixture %s", path)
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(want))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(v); err != nil {
+				t.Fatalf("decoding %s: %v", path, err)
+			}
+			body, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := append(indentJSON(t, body), '\n'); !bytes.Equal(got, want) {
+				t.Fatalf("%s does not survive a decode and re-encode:\n%s", path, firstDivergence(want, got))
+			}
+		})
+	}
 }

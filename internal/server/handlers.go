@@ -292,35 +292,17 @@ func (s *Server) serveRanking(w http.ResponseWriter, r *http.Request, kind strin
 		if err != nil {
 			return nil, err
 		}
-		return json.Marshal(renderQuery(ans))
+		return json.Marshal(ans)
 	})
-}
-
-// renderQuery shapes one answer into the /v1/query response body.
-func renderQuery(ans *d3l.Answer) QueryResponse {
-	resp := QueryResponse{
-		Results:     toResultsJSON(ans.Results),
-		Explanation: toExplanationsJSON(ans.Explanation),
-		Stats: QueryStatsJSON{
-			K:              ans.Stats.K,
-			CandidatePairs: ans.Stats.CandidatePairs,
-			TablesScored:   ans.Stats.TablesScored,
-		},
-		Degraded: ans.Degraded,
-	}
-	if ans.Joins != nil {
-		resp.Joins = toAugmentedJSON(ans.Joins)
-	}
-	return resp
 }
 
 // renderBatch shapes a batch's answers into the /v1/batch response
 // body.
 func renderBatch(answers []*d3l.Answer) BatchResponse {
-	out := make([][]ResultJSON, len(answers))
+	out := make([][]d3l.Result, len(answers))
 	degraded := false
 	for i, a := range answers {
-		out[i] = toResultsJSON(a.Results)
+		out[i] = a.Results
 		degraded = degraded || a.Degraded
 	}
 	return BatchResponse{Results: out, Degraded: degraded}
@@ -431,14 +413,7 @@ func (s *Server) handleUpdateTable(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		s.CountUpdate(stats.Reprofiled)
-		return UpdateTableResponse{
-			Updated:        name,
-			ID:             stats.TableID,
-			ReprofiledCols: stats.Reprofiled,
-			KeptCols:       stats.Kept,
-			AddedCols:      stats.Added,
-			DroppedCols:    stats.Dropped,
-		}, nil
+		return UpdateTableResponse{Updated: name, UpdateStats: stats}, nil
 	})
 }
 
@@ -481,37 +456,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// handleStatsz renders the same snapshot /metrics scrapes from — one
-// code path, one consistency contract (see metrics.go): counters are
-// read once each, outcomes before the requests total, so no outcome
-// can exceed requests within a single response.
+// handleStatsz writes the snapshot /metrics scrapes from — one code
+// path, one consistency contract (see metrics.go): counters are read
+// once each, outcomes before the requests total, so no outcome can
+// exceed requests within a single response.
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	snap := s.statsSnapshot()
-	writeJSON(w, http.StatusOK, StatsResponse{
-		EngineFingerprint: fmt.Sprintf("%016x", snap.EngineFingerprint),
-		Tables:            snap.Tables,
-		Attributes:        snap.Attributes,
-		Requests:          snap.Requests,
-		InFlight:          snap.InFlight,
-		CacheHits:         snap.CacheHits,
-		CacheMisses:       snap.CacheMisses,
-		Coalesced:         snap.Coalesced,
-		CacheEntries:      snap.CacheEntries,
-		Rejected:          snap.Rejected,
-		Unavailable:       snap.Unavailable,
-		Timeouts:          snap.Timeouts,
-		Canceled:          snap.Canceled,
-		Mutations:         snap.Mutations,
-		Updates:           snap.Updates,
-		UpdateDeltaCols:   snap.UpdateDeltaCols,
-		Reloads:           snap.Reloads,
-
-		PlanCacheHits:       snap.Planner.PlanCacheHits,
-		PlanCacheMisses:     snap.Planner.PlanCacheMisses,
-		TablesPruned:        snap.Planner.TablesPruned,
-		PairsPruned:         snap.Planner.PairsPruned,
-		EvidenceEvalsElided: snap.Planner.EvidenceEvalsElided,
-	})
+	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {

@@ -16,7 +16,7 @@ import (
 // # Consistency contract
 //
 // /metrics and /v1/statsz render from the same snapshot code path
-// (Server.statsSnapshot → stats.snapshot), which reads each counter
+// (Server.snapshot, a StatsResponse), which reads each counter
 // exactly once per scrape, in a fixed order: outcome counters first,
 // the requests total last. Counters are updated lock-free on the hot
 // path, so a scrape is not a point-in-time transaction — but the read
@@ -146,83 +146,47 @@ func (m *serverMetrics) observeCoreStage(stage d3l.QueryStage, d time.Duration) 
 	m.coreStage[stage].Observe(d.Seconds())
 }
 
-// countersSnapshot is one reading of the serving counters. See the
-// consistency contract at the top of this file: each field is read
-// exactly once, outcome counters before Requests.
-type countersSnapshot struct {
-	InFlight        int64
-	CacheHits       int64
-	CacheMisses     int64
-	Coalesced       int64
-	Rejected        int64
-	Unavailable     int64
-	Timeouts        int64
-	Canceled        int64
-	Mutations       int64
-	Updates         int64
-	UpdateDeltaCols int64
-	Reloads         int64
-	Requests        int64
-}
-
-// snapshot reads every counter once. Requests is deliberately read
-// last: every other counter is incremented only after the request it
-// describes was counted into requests, so reading requests after the
-// outcomes guarantees outcomes ≤ requests in every snapshot.
-func (st *stats) snapshot() countersSnapshot {
-	s := countersSnapshot{
-		InFlight:        st.inFlight.Load(),
-		CacheHits:       st.cacheHits.Load(),
-		CacheMisses:     st.cacheMisses.Load(),
-		Coalesced:       st.coalesced.Load(),
-		Rejected:        st.rejected.Load(),
-		Unavailable:     st.unavailable.Load(),
-		Timeouts:        st.timeouts.Load(),
-		Canceled:        st.canceled.Load(),
-		Mutations:       st.mutations.Load(),
-		Updates:         st.updates.Load(),
-		UpdateDeltaCols: st.updateDeltaCols.Load(),
-		Reloads:         st.reloads.Load(),
-	}
-	s.Requests = st.requests.Load()
-	return s
-}
-
-// statsSnapshot is the one code path both /v1/statsz and /metrics
-// render from: serving counters plus the engine-derived values
-// (fingerprint, sizes, planner totals), all read here and nowhere
-// else.
-type statsSnapshot struct {
-	countersSnapshot
-	EngineFingerprint uint64
-	Tables            int
-	Attributes        int
-	CacheEntries      int
-	Planner           d3l.PlannerTotals
-}
-
-func (s *Server) statsSnapshot() statsSnapshot {
-	eng := s.Engine()
-	snap := statsSnapshot{
-		countersSnapshot:  s.stats.snapshot(),
-		EngineFingerprint: eng.Fingerprint(),
+// snapshot is the one reading both /v1/statsz and /metrics render:
+// the serving counters, each read exactly once, plus the
+// engine-derived values (fingerprint, sizes, planner totals), read here
+// and nowhere else. Requests is deliberately read last: every other
+// counter is incremented only after the request it describes was
+// counted into requests, so reading requests after the outcomes
+// guarantees outcomes ≤ requests in every snapshot.
+func (s *Server) snapshot() StatsResponse {
+	eng, st := s.Engine(), &s.stats
+	snap := StatsResponse{
+		EngineFingerprint: fmt.Sprintf("%016x", eng.Fingerprint()),
 		Tables:            eng.NumTables(),
 		Attributes:        eng.NumAttributes(),
+		InFlight:          st.inFlight.Load(),
+		CacheHits:         st.cacheHits.Load(),
+		CacheMisses:       st.cacheMisses.Load(),
+		Coalesced:         st.coalesced.Load(),
 		CacheEntries:      s.cache.len(),
+		Rejected:          st.rejected.Load(),
+		Unavailable:       st.unavailable.Load(),
+		Timeouts:          st.timeouts.Load(),
+		Canceled:          st.canceled.Load(),
+		Mutations:         st.mutations.Load(),
+		Updates:           st.updates.Load(),
+		UpdateDeltaCols:   st.updateDeltaCols.Load(),
+		Reloads:           st.reloads.Load(),
 	}
 	// Optional, like New's hooks: no planner owns a shard set's merge.
 	if p, ok := eng.(interface{ PlannerTotals() d3l.PlannerTotals }); ok {
-		snap.Planner = p.PlannerTotals()
+		snap.PlannerTotals = p.PlannerTotals()
 	}
+	snap.Requests = st.requests.Load()
 	return snap
 }
 
 // collectStats renders the snapshot as counter and gauge families.
 // Family order here must match metricFamilyNames.
 func (s *Server) collectStats(w *metrics.Writer) {
-	snap := s.statsSnapshot()
+	snap := s.snapshot()
 	w.Gauge("d3l_engine_info", "Constant 1; the fingerprint label identifies the serving engine.",
-		1, metrics.Label{Name: "fingerprint", Value: fmt.Sprintf("%016x", snap.EngineFingerprint)})
+		1, metrics.Label{Name: "fingerprint", Value: snap.EngineFingerprint})
 	w.Gauge("d3l_engine_tables", "Table slots in the serving lake (tombstones included).", float64(snap.Tables))
 	w.Gauge("d3l_engine_attributes", "Attributes indexed by the serving engine.", float64(snap.Attributes))
 	w.Counter("d3l_http_requests_total", "HTTP requests received, any route or status.", float64(snap.Requests))
@@ -239,11 +203,11 @@ func (s *Server) collectStats(w *metrics.Writer) {
 	w.Counter("d3l_updates_total", "Acknowledged in-place table updates (subset of mutations).", float64(snap.Updates))
 	w.Counter("d3l_update_delta_cols_total", "Columns re-profiled by in-place updates (the update delta).", float64(snap.UpdateDeltaCols))
 	w.Counter("d3l_reloads_total", "Hot snapshot reloads that swapped the serving engine.", float64(snap.Reloads))
-	w.Counter("d3l_plan_cache_hits_total", "Prepared-plan cache hits (current engine lifetime).", float64(snap.Planner.PlanCacheHits))
-	w.Counter("d3l_plan_cache_misses_total", "Prepared-plan cache misses (current engine lifetime).", float64(snap.Planner.PlanCacheMisses))
-	w.Counter("d3l_plan_tables_pruned_total", "Candidate tables pruned by the evidence cascade.", float64(snap.Planner.TablesPruned))
-	w.Counter("d3l_plan_pairs_pruned_total", "Candidate pairs inside pruned tables.", float64(snap.Planner.PairsPruned))
-	w.Counter("d3l_plan_evidence_evals_elided_total", "Per-table evidence evaluations elided by early termination.", float64(snap.Planner.EvidenceEvalsElided))
+	w.Counter("d3l_plan_cache_hits_total", "Prepared-plan cache hits (current engine lifetime).", float64(snap.PlanCacheHits))
+	w.Counter("d3l_plan_cache_misses_total", "Prepared-plan cache misses (current engine lifetime).", float64(snap.PlanCacheMisses))
+	w.Counter("d3l_plan_tables_pruned_total", "Candidate tables pruned by the evidence cascade.", float64(snap.TablesPruned))
+	w.Counter("d3l_plan_pairs_pruned_total", "Candidate pairs inside pruned tables.", float64(snap.PairsPruned))
+	w.Counter("d3l_plan_evidence_evals_elided_total", "Per-table evidence evaluations elided by early termination.", float64(snap.EvidenceEvalsElided))
 
 	// Replica fault-tolerance families. Engines without replica
 	// groups (monoliths, in-process shard sets) expose the families

@@ -34,7 +34,7 @@ func TestServeQueryDefaultsMatchTopK(t *testing.T) {
 	if err := json.Unmarshal(qBody, &q); err != nil {
 		t.Fatal(err)
 	}
-	a, err := json.Marshal(toResultsJSON(ans.Results))
+	a, err := json.Marshal(ans.Results)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,10 +232,7 @@ func TestServeTopKMatchesLibrary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(QueryResponse{
-		Results: toResultsJSON(ans.Results),
-		Stats:   QueryStatsJSON{K: ans.Stats.K, CandidatePairs: ans.Stats.CandidatePairs, TablesScored: ans.Stats.TablesScored},
-	})
+	want, err := json.Marshal(ans)
 	if err != nil {
 		t.Fatal(err)
 	}

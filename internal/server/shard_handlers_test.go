@@ -259,11 +259,11 @@ func TestWritesAtAssignedIDs(t *testing.T) {
 	attrID = eng.NumAttributes() + 4
 	status, body = doRequest(t, http.MethodPut, hs.URL+"/v1/tables/ghost", mustJSON(t, UpdateTableRequest{Table: ghost, AttrID: &attrID}))
 	var updated UpdateTableResponse
-	if status != http.StatusOK || json.Unmarshal(body, &updated) != nil || updated.ID != tableID {
+	if status != http.StatusOK || json.Unmarshal(body, &updated) != nil || updated.TableID != tableID {
 		t.Fatalf("update at an assigned id: status %d body %s, want 200 with id %d", status, body, tableID)
 	}
-	if a := eng.NumAttributes(); a != attrID+updated.ReprofiledCols {
-		t.Fatalf("update at an assigned id left %d attribute slots, want %d", a, attrID+updated.ReprofiledCols)
+	if a := eng.NumAttributes(); a != attrID+updated.Reprofiled {
+		t.Fatalf("update at an assigned id left %d attribute slots, want %d", a, attrID+updated.Reprofiled)
 	}
 
 	if status, body := postJSON(t, hs.URL+"/v1/shard/mirror", struct{}{}); status != http.StatusNotFound {

@@ -6,11 +6,15 @@ import (
 	"d3l"
 )
 
-// This file defines the JSON wire format of the /v1 API. The response
-// shapes double as the golden-test fixtures: the regression suite
-// marshals library results through the same structs and asserts byte
-// equality against committed fixtures, so any field added or reordered
-// here fails the golden tests before it silently changes the wire.
+// This file defines the JSON wire format of the /v1 API. Answers go on
+// the wire as the library's own values — d3l.Answer, d3l.Result,
+// d3l.Augmented, d3l.PairExplanation, d3l.UpdateStats, d3l.PlannerTotals
+// — whose JSON tags are the wire names; there is no mirror of them here.
+// So a field added to or reordered in a tagged library type changes the
+// wire, and the golden tests, which compare the library's answer, the
+// HTTP body and the committed fixtures byte for byte, fail on it before
+// it ships. Only the request shapes and the bodies the library has no
+// value for are defined here.
 
 // TableJSON is a table on the wire: column names plus row-major string
 // cells, exactly the d3l.NewTable constructor arguments.
@@ -30,94 +34,6 @@ func (t *TableJSON) toTable() (*d3l.Table, error) {
 		return nil, fmt.Errorf("table %q has no columns", t.Name)
 	}
 	return d3l.NewTable(t.Name, t.Columns, t.Rows)
-}
-
-// AlignmentJSON is one target-column alignment of a result.
-type AlignmentJSON struct {
-	TargetColumn int                `json:"targetColumn"`
-	AttrID       int                `json:"attrId"`
-	CandColumn   int                `json:"candColumn"`
-	Distances    d3l.DistanceVector `json:"distances"`
-}
-
-// ResultJSON is one ranked answer table.
-type ResultJSON struct {
-	TableID    int                `json:"tableId"`
-	Name       string             `json:"name"`
-	Distance   float64            `json:"distance"`
-	Vector     d3l.DistanceVector `json:"vector"`
-	Alignments []AlignmentJSON    `json:"alignments"`
-}
-
-// AugmentedJSON is one join-augmented answer (D3L+J).
-type AugmentedJSON struct {
-	Result       ResultJSON `json:"result"`
-	Paths        [][]int    `json:"paths"`
-	BaseCoverage float64    `json:"baseCoverage"`
-	JoinCoverage float64    `json:"joinCoverage"`
-}
-
-// ExplanationJSON is one Table I-style pairwise distance row.
-type ExplanationJSON struct {
-	TargetColumn string             `json:"targetColumn"`
-	SourceColumn string             `json:"sourceColumn"`
-	Distances    d3l.DistanceVector `json:"distances"`
-}
-
-func toResultJSON(r d3l.Result) ResultJSON {
-	out := ResultJSON{
-		TableID:    r.TableID,
-		Name:       r.Name,
-		Distance:   r.Distance,
-		Vector:     r.Vector,
-		Alignments: make([]AlignmentJSON, len(r.Alignments)),
-	}
-	for i, a := range r.Alignments {
-		out.Alignments[i] = AlignmentJSON{
-			TargetColumn: a.TargetColumn,
-			AttrID:       a.AttrID,
-			CandColumn:   a.CandColumn,
-			Distances:    a.Distances,
-		}
-	}
-	return out
-}
-
-func toResultsJSON(rs []d3l.Result) []ResultJSON {
-	out := make([]ResultJSON, len(rs))
-	for i, r := range rs {
-		out[i] = toResultJSON(r)
-	}
-	return out
-}
-
-func toAugmentedJSON(as []d3l.Augmented) []AugmentedJSON {
-	out := make([]AugmentedJSON, len(as))
-	for i, a := range as {
-		paths := make([][]int, len(a.Paths))
-		for j, p := range a.Paths {
-			paths[j] = []int(p)
-		}
-		out[i] = AugmentedJSON{
-			Result:       toResultJSON(a.Result),
-			Paths:        paths,
-			BaseCoverage: a.BaseCoverage,
-			JoinCoverage: a.JoinCoverage,
-		}
-	}
-	return out
-}
-
-func toExplanationsJSON(rows []d3l.PairExplanation) []ExplanationJSON {
-	out := make([]ExplanationJSON, len(rows))
-	for i, r := range rows {
-		out[i] = ExplanationJSON{
-			TargetColumn: r.TargetColumn,
-			SourceColumn: r.SourceColumn,
-			Distances:    r.Distances,
-		}
-	}
-	return out
 }
 
 // QueryRequest is the unified query endpoint's body: the full
@@ -244,29 +160,9 @@ func (r *QueryRequest) plan() (*queryPlan, error) {
 	return p, nil
 }
 
-// QueryStatsJSON carries the deterministic per-query work counters —
-// identical at any parallelism, hence safe to cache and replay
-// (wall-clock latency deliberately stays off the wire).
-type QueryStatsJSON struct {
-	K              int `json:"k"`
-	CandidatePairs int `json:"candidatePairs"`
-	TablesScored   int `json:"tablesScored"`
-}
-
-// QueryResponse is the unified endpoint's answer; sections the request
-// did not ask for are omitted.
-type QueryResponse struct {
-	Results     []ResultJSON      `json:"results,omitempty"`
-	Joins       []AugmentedJSON   `json:"joins,omitempty"`
-	Explanation []ExplanationJSON `json:"explanation,omitempty"`
-	Stats       QueryStatsJSON    `json:"stats"`
-	// Degraded reports that a sharded backend answered this query from
-	// a subset of its shards under the opt-in ?partial=true policy.
-	// Omitted (false) everywhere else, so complete answers — including
-	// every committed golden fixture — are byte-identical with and
-	// without sharding.
-	Degraded bool `json:"degraded,omitempty"`
-}
+// QueryResponse is the unified endpoint's answer: the library's own
+// Answer, marshalled as it is (see d3l.Answer for what the body omits).
+type QueryResponse = d3l.Answer
 
 // TablesResponse lists the live table names (GET /v1/tables).
 type TablesResponse struct {
@@ -300,7 +196,7 @@ type BatchRequest struct {
 // the QueryResponse contract (set when any answer of the batch was
 // served from a subset of shards under ?partial=true).
 type BatchResponse struct {
-	Results  [][]ResultJSON `json:"results"`
+	Results  [][]d3l.Result `json:"results"`
 	Degraded bool           `json:"degraded,omitempty"`
 }
 
@@ -333,16 +229,12 @@ type UpdateTableRequest struct {
 }
 
 // UpdateTableResponse reports what the delta re-profile actually did:
-// how many columns were re-profiled (changed or added), kept with
-// their attribute ids intact, added and dropped. The id is unchanged
-// by construction — in-place updates never reassign it.
+// the table's id (unchanged by construction — in-place updates never
+// reassign it) and how many columns were re-profiled (changed or
+// added), kept with their attribute ids intact, added and dropped.
 type UpdateTableResponse struct {
-	Updated        string `json:"updated"`
-	ID             int    `json:"id"`
-	ReprofiledCols int    `json:"reprofiledCols"`
-	KeptCols       int    `json:"keptCols"`
-	AddedCols      int    `json:"addedCols"`
-	DroppedCols    int    `json:"droppedCols"`
+	Updated string `json:"updated"`
+	d3l.UpdateStats
 }
 
 // RemoveTableResponse acknowledges a removal.
@@ -359,10 +251,11 @@ type HealthResponse struct {
 	EngineFingerprint string `json:"engineFingerprint"`
 }
 
-// StatsResponse is the /v1/statsz body: serving counters since start,
-// plus the engine-lifetime query-planner counters (plan hits/misses —
-// a miss is an evidence mask's first query — and the pruning work the
-// evidence cascade elided).
+// StatsResponse is the /v1/statsz body and the snapshot /metrics
+// renders (Server.snapshot): serving counters since start, plus the
+// engine-lifetime query-planner counters (plan hits/misses — a miss is
+// an evidence mask's first query — and the pruning work the evidence
+// cascade elided).
 type StatsResponse struct {
 	EngineFingerprint string `json:"engineFingerprint"`
 	Tables            int    `json:"tables"`
@@ -381,13 +274,10 @@ type StatsResponse struct {
 	Updates           int64  `json:"updates"`         // in-place table updates (subset of mutations)
 	UpdateDeltaCols   int64  `json:"updateDeltaCols"` // columns re-profiled by those updates
 	Reloads           int64  `json:"reloads"`
-	// Query-planner counters (see d3l.PlannerTotals). They describe the
-	// currently serving engine and reset with it on reload.
-	PlanCacheHits       int64 `json:"planCacheHits"`
-	PlanCacheMisses     int64 `json:"planCacheMisses"`
-	TablesPruned        int64 `json:"tablesPruned"`
-	PairsPruned         int64 `json:"pairsPruned"`
-	EvidenceEvalsElided int64 `json:"evidenceEvalsElided"`
+	// The query-planner counters describe the currently serving engine
+	// and reset with it on reload; zero on an engine without a planner
+	// of its own (a shard set).
+	d3l.PlannerTotals
 }
 
 // ReloadResponse acknowledges a hot snapshot reload.

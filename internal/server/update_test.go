@@ -54,10 +54,10 @@ func TestUpdateTableEndpoint(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Updated != "S1" || resp.ID != 0 {
+	if resp.Updated != "S1" || resp.TableID != 0 {
 		t.Fatalf("response = %+v, want Updated=S1 ID=0", resp)
 	}
-	if resp.ReprofiledCols != 1 || resp.KeptCols != 4 || resp.AddedCols != 0 || resp.DroppedCols != 0 {
+	if resp.Reprofiled != 1 || resp.Kept != 4 || resp.Added != 0 || resp.Dropped != 0 {
 		t.Fatalf("delta = %+v, want exactly 1 of 5 columns re-profiled", resp)
 	}
 

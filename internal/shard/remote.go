@@ -487,18 +487,10 @@ func (g *replicaGroup) add(ctx context.Context, t *d3l.Table, at d3l.WriteIDs) (
 func (g *replicaGroup) update(ctx context.Context, t *d3l.Table, attr int) (d3l.UpdateStats, error) {
 	req := server.UpdateTableRequest{Table: tableToWire(t), AttrID: &attr}
 	var resp server.UpdateTableResponse
-	if err := g.apply(ctx, func(rep *replica) error {
+	err := g.apply(ctx, func(rep *replica) error {
 		return g.r.doReplica(ctx, rep, http.MethodPut, "/v1/tables/"+url.PathEscape(t.Name), req, &resp)
-	}); err != nil {
-		return d3l.UpdateStats{}, err
-	}
-	return d3l.UpdateStats{
-		TableID:    resp.ID,
-		Reprofiled: resp.ReprofiledCols,
-		Kept:       resp.KeptCols,
-		Added:      resp.AddedCols,
-		Dropped:    resp.DroppedCols,
-	}, nil
+	})
+	return resp.UpdateStats, err
 }
 
 func (g *replicaGroup) remove(ctx context.Context, name string) error {

@@ -213,43 +213,49 @@ func newQueryConfig(opts []QueryOption) (queryConfig, error) {
 }
 
 // QueryStats reports per-query work counters. CandidatePairs and
-// TablesScored are deterministic (identical at any parallelism);
-// Elapsed is wall-clock.
+// TablesScored are deterministic (identical at any parallelism), so an
+// answer body carries them; Elapsed is wall-clock and stays off it.
 type QueryStats struct {
 	// K is the effective answer size the query ran with.
-	K int
+	K int `json:"k"`
 	// CandidatePairs counts the (target column, candidate attribute)
 	// distance vectors the index fan-out computed.
-	CandidatePairs int
+	CandidatePairs int `json:"candidatePairs"`
 	// TablesScored counts candidate tables scored before the top-k
 	// cut.
-	TablesScored int
+	TablesScored int `json:"tablesScored"`
 	// Elapsed is the end-to-end latency of the call.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"-"`
 }
 
 // Answer is the result of one Query: the ranked tables, plus whatever
-// optional sections the options requested.
+// optional sections the options requested. Marshalled as it is, it is
+// the /v1/query body: sections the query did not ask for are omitted,
+// and Plan and Stats.Elapsed never appear. Elapsed is wall-clock, which
+// a cached body would replay stale; Plan is the planner's own report to
+// in-process callers, and /v1/statsz carries its engine-lifetime sums.
 type Answer struct {
 	// Results is the ranked top-k answer (nil for explanation-only
 	// queries issued with WithK(0)).
-	Results []Result
+	Results []Result `json:"results,omitempty"`
 	// Joins carries the D3L+J augmentation per ranked table; non-nil
 	// only with WithJoins.
-	Joins []Augmented
+	Joins []Augmented `json:"joins,omitempty"`
 	// Explanation carries the Table I-style distance rows; non-nil
 	// only with WithExplainFor.
-	Explanation []PairExplanation
+	Explanation []PairExplanation `json:"explanation,omitempty"`
 	// Stats summarises the work this query did.
-	Stats QueryStats
+	Stats QueryStats `json:"stats"`
 	// Plan reports what the query's plan did — the evidence-cascade
-	// order, whether the plan was cached, and the deterministic pruning
-	// counters. Zero for explanation-only queries.
-	Plan PlanStats
+	// order and the deterministic pruning counters. Zero for
+	// explanation-only queries.
+	Plan PlanStats `json:"-"`
 	// Degraded reports that a sharded query was answered from a subset
 	// of its shards under the opt-in partial-failure policy. Monolith
-	// answers and fully-healthy sharded answers always report false.
-	Degraded bool
+	// answers and fully-healthy sharded answers always report false, and
+	// the body omits it then, so a complete sharded answer is
+	// byte-identical to the monolith's.
+	Degraded bool `json:"degraded,omitempty"`
 }
 
 // Query answers one discovery query: the k most related lake tables

@@ -14,7 +14,10 @@
 #   1. Exactness: /v1/query and /v1/batch answers from the
 #      in-process sharded replica AND the coordinator are byte-identical
 #      to the monolith's (the same property the golden tests pin, here
-#      proven through real binaries and real sockets).
+#      proven through real binaries and real sockets), rankings and
+#      explanations alike: an explanation crosses the replica →
+#      coordinator hop as the library's own JSON before the answer is
+#      re-encoded.
 #   2. Serving health: a gated loadgen pass round-robined across the
 #      coordinator and both shard replicas — any 5xx fails, required
 #      metric families must appear, generous absolute p99 ceiling.
@@ -82,9 +85,15 @@ for i, name in enumerate(names[::7][:3]):
     batch = {"tables": [table], "k": 5}
     with open(os.path.join(out, f"b{i}.json"), "w") as f:
         json.dump(batch, f)
+    if i == 0:
+        # Explained against the lake table the target was cut from: with
+        # a ranking (k 5) and alone (k 0).
+        for j, k in enumerate((5, 0)):
+            with open(os.path.join(out, f"e{j}.json"), "w") as f:
+                json.dump({"table": table, "k": k, "explainFor": name[:-len(".csv")]}, f)
 EOF
 
-for body in "$WORK"/bodies/t*.json; do
+for body in "$WORK"/bodies/t*.json "$WORK"/bodies/e*.json; do
   curl -sf "http://$MONO/v1/query"   -d @"$body" > "$WORK/mono.out"
   curl -sf "http://$INPROC/v1/query" -d @"$body" > "$WORK/inproc.out"
   curl -sf "http://$COORD/v1/query"  -d @"$body" > "$WORK/coord.out"
@@ -98,6 +107,10 @@ for body in "$WORK"/bodies/t*.json; do
     diff <(python3 -m json.tool "$WORK/mono.out") <(python3 -m json.tool "$WORK/coord.out") >&2 || true
     exit 1
   fi
+done
+for body in "$WORK"/bodies/e*.json; do
+  curl -sf "http://$MONO/v1/query" -d @"$body" | grep -q '"explanation":\[{' || {
+    echo "no explanation rows in the monolith's answer to $body" >&2; exit 1; }
 done
 for body in "$WORK"/bodies/b*.json; do
   curl -sf "http://$MONO/v1/batch"  -d @"$body" > "$WORK/mono.out"

@@ -24,6 +24,7 @@ import (
 	"testing"
 
 	"d3l"
+	"d3l/internal/core"
 	"d3l/internal/datagen"
 	"d3l/internal/experiments"
 	"d3l/internal/server"
@@ -931,26 +932,7 @@ func BenchmarkProfileLake(b *testing.B) {
 // profiles, gathers, groups and scores afresh. One op is the 60
 // queries; ms/query is the mean.
 func BenchmarkSearchBenchmarkLake(b *testing.B) {
-	cfg := datagen.DefaultSyntheticConfig()
-	cfg.Seed = 1307
-	lake, _, err := datagen.Synthetic(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rows := make([]int, 64)
-	for r := range rows {
-		rows[r] = r
-	}
-	var targets []*d3l.Table
-	for id := 0; id < lake.Len() && len(targets) < 60; id += 11 {
-		if src := lake.Table(id); src.Rows() >= len(rows) {
-			t, err := src.SelectRows("target_"+src.Name, rows)
-			if err != nil {
-				b.Fatal(err)
-			}
-			targets = append(targets, t)
-		}
-	}
+	lake, targets := benchmarkLakeTargets(b)
 	opts := d3l.DefaultOptions()
 	opts.Parallelism = 1
 	engine, err := d3l.New(lake, opts)
@@ -972,4 +954,96 @@ func BenchmarkSearchBenchmarkLake(b *testing.B) {
 		query()
 	}
 	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(targets)), "ms/query")
+}
+
+// benchmarkLakeTargets generates the benchmark lake and cuts 60 query
+// targets out of it: the first 64 rows of every eleventh table.
+func benchmarkLakeTargets(b *testing.B) (*d3l.Lake, []*d3l.Table) {
+	cfg := datagen.DefaultSyntheticConfig()
+	cfg.Seed = 1307
+	lake, _, err := datagen.Synthetic(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]int, 64)
+	for r := range rows {
+		rows[r] = r
+	}
+	var targets []*d3l.Table
+	for id := 0; id < lake.Len() && len(targets) < 60; id += 11 {
+		if src := lake.Table(id); src.Rows() >= len(rows) {
+			t, err := src.SelectRows("target_"+src.Name, rows)
+			if err != nil {
+				b.Fatal(err)
+			}
+			targets = append(targets, t)
+		}
+	}
+	return lake, targets
+}
+
+// BenchmarkShardPartialWire is the gather partial's trip through the
+// coordinator path on BenchmarkSearchBenchmarkLake's lake and targets,
+// one engine holding every table: gather → encode → decode → merge,
+// each target prepared and its depths merged beforehand. It reports
+// the encoded partial (B/query), the share of it that is the Eq. 2
+// distributions (dist-B/query) and the time a query takes (ms/query).
+func BenchmarkShardPartialWire(b *testing.B) {
+	lake, targets := benchmarkLakeTargets(b)
+	opts := d3l.DefaultOptions()
+	opts.Parallelism = 1
+	engine, err := d3l.New(lake, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	spec := core.QuerySpec{K: 10}
+	prepared := make([]*core.Target, len(targets))
+	depths := make([]*d3l.ShardDepths, len(targets))
+	var wireBytes, distBytes int
+	for i, t := range targets {
+		if prepared[i], err = engine.Prepare(t); err != nil {
+			b.Fatal(err)
+		}
+		probe, err := engine.ShardProbe(ctx, prepared[i], spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if depths[i], err = d3l.MergeShardDepths([]*d3l.ShardProbe{probe}); err != nil {
+			b.Fatal(err)
+		}
+		partial, err := engine.ShardGather(ctx, prepared[i], spec, depths[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := len(d3l.EncodeShardPartial(partial))
+		partial.Dists = nil
+		partial.Meta.Uniform = true
+		wireBytes += n
+		distBytes += n - len(d3l.EncodeShardPartial(partial))
+	}
+	query := func() {
+		for i := range prepared {
+			partial, err := engine.ShardGather(ctx, prepared[i], spec, depths[i])
+			if err != nil {
+				b.Fatal(err)
+			}
+			decoded, err := d3l.DecodeShardPartial(d3l.EncodeShardPartial(partial))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := d3l.MergeShardPartials(depths[i], []*d3l.ShardPartial{decoded}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	query() // grow every pooled arena first
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(targets)), "ms/query")
+	b.ReportMetric(float64(wireBytes)/float64(len(targets)), "B/query")
+	b.ReportMetric(float64(distBytes)/float64(len(targets)), "dist-B/query")
 }

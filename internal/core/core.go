@@ -59,11 +59,6 @@ func (e Evidence) String() string {
 // with 1 meaning "maximally distant / no evidence" as in the paper.
 type DistanceVector [NumEvidence]float64
 
-// maxDistances is the all-ones vector (no relatedness evidence at all).
-func maxDistances() DistanceVector {
-	return DistanceVector{1, 1, 1, 1, 1}
-}
-
 // mean returns the unweighted mean of the components (used for greedy
 // attribute alignment, not for ranking).
 func (d DistanceVector) mean() float64 {

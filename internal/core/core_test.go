@@ -398,7 +398,8 @@ func TestPairDistancesSymmetricGuards(t *testing.T) {
 	if patients == nil || city < 0 {
 		t.Fatal("fixture columns missing")
 	}
-	d := e.pairDistances(patients, nil, city, [NumEvidence]bool{}, nil)
+	coded := e.pairDistances(patients, nil, city, [NumEvidence]bool{}, nil)
+	d := e.grid.vector(&coded)
 	if d[EvidenceValue] != 1 || d[EvidenceEmbedding] != 1 || d[EvidenceDomain] != 1 {
 		t.Fatalf("numeric-text pair should have V=E=D=1, got %v", d)
 	}

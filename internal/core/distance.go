@@ -1,7 +1,6 @@
 package core
 
 import (
-	"d3l/internal/lsh"
 	"d3l/internal/minhash"
 	"d3l/internal/stats"
 )
@@ -26,33 +25,34 @@ func jaccardSimilarity(a, b minhash.Signature) float64 {
 }
 
 // pairDistances computes the five evidence distances between a target
-// attribute and the engine's attribute cand (Section III-B), with the
-// Algorithm 2 guard for D-relatedness. targetSubject is the profile of
-// the target table's subject attribute (nil when it has none); the
-// candidate's is its table's. The query's Disabled mask selects which of
-// the five distances are computed; disabled evidence types report
-// distance 1. memo, when not nil, is the gathering column's distance
-// memo (see distMemo), and target must then be that column's profile.
-// Caller holds e.mu.
-func (e *Engine) pairDistances(target, targetSubject *Profile, cand int, disabled [NumEvidence]bool, memo *distMemo) DistanceVector {
+// attribute and the engine's attribute cand (Section III-B), coded on
+// the engine's grid, with the Algorithm 2 guard for D-relatedness.
+// targetSubject is the profile of the target table's subject attribute
+// (nil when it has none); the candidate's is its table's. The query's
+// Disabled mask selects which of the five distances are computed;
+// disabled evidence types report distance 1. memo, when not nil, is the
+// gathering column's distance memo (see distMemo), and target must then
+// be that column's profile. Caller holds e.mu.
+func (e *Engine) pairDistances(target, targetSubject *Profile, cand int, disabled [NumEvidence]bool, memo *distMemo) CodedDistances {
+	g := e.grid
 	c := &e.attrs[cand]
-	d := maxDistances()
+	d := g.none()
 	if !disabled[EvidenceName] {
-		d[EvidenceName] = memo.jaccard(EvidenceName, target.QSig, &e.sigs, c.q)
+		d.Codes[EvidenceName] = memo.code(g, EvidenceName, target.QSig, &e.sigs, c.q)
 	}
 	if !disabled[EvidenceValue] && !target.Numeric && !c.is(attrNumeric) {
-		d[EvidenceValue] = memo.jaccard(EvidenceValue, target.TSig, &e.sigs, c.t)
+		d.Codes[EvidenceValue] = memo.code(g, EvidenceValue, target.TSig, &e.sigs, c.t)
 	}
 	if !disabled[EvidenceFormat] {
-		d[EvidenceFormat] = memo.jaccard(EvidenceFormat, target.RSig, &e.sigs, c.r)
+		d.Codes[EvidenceFormat] = memo.code(g, EvidenceFormat, target.RSig, &e.sigs, c.r)
 	}
 	if !disabled[EvidenceEmbedding] && !target.EZero && !c.is(attrEZero) {
-		if dist, err := lsh.CosineDistance(target.ESig, e.esig(cand), e.opts.EmbedBits); err == nil {
-			d[EvidenceEmbedding] = dist
+		if h, ok := g.hamming(target.ESig, e.esig(cand)); ok {
+			d.Codes[EvidenceEmbedding] = h
 		}
 	}
 	if !disabled[EvidenceDomain] {
-		d[EvidenceDomain] = e.domainDistance(target, targetSubject, cand, &d, &disabled, memo)
+		d.Domain = e.domainDistance(target, targetSubject, cand, &d, &disabled, memo)
 	}
 	return d
 }
@@ -64,13 +64,13 @@ func (e *Engine) pairDistances(target, targetSubject *Profile, cand int, disable
 //
 // The guard is a disjunction of pure predicates, so the order they are
 // tested in cannot be observed, and the cheapest goes first: the pair's
-// N and F distances are already in d (pairDistances fills them before
+// N and F codes are already in d (pairDistances fills them before
 // calling here) unless the query's mask disabled that evidence, in which
 // case the guard — which Algorithm 2 states over the indexes, not over
-// the query's evidence selection — computes the Jaccard itself. Only a
+// the query's evidence selection — computes the code itself. Only a
 // pair neither settles reaches the subject-attribute lookup and its up
 // to four signature comparisons.
-func (e *Engine) domainDistance(target, targetSubject *Profile, cand int, d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo) float64 {
+func (e *Engine) domainDistance(target, targetSubject *Profile, cand int, d *CodedDistances, disabled *[NumEvidence]bool, memo *distMemo) float64 {
 	c := &e.attrs[cand]
 	if !target.Numeric || !c.is(attrNumeric) {
 		return 1
@@ -79,8 +79,9 @@ func (e *Engine) domainDistance(target, targetSubject *Profile, cand int, d *Dis
 		return 1
 	}
 	th := e.opts.Threshold
-	guard := 1-guardDistance(d, disabled, memo, EvidenceName, target.QSig, &e.sigs, c.q) >= th || // a' ∈ I_N.lookup(a)
-		1-guardDistance(d, disabled, memo, EvidenceFormat, target.RSig, &e.sigs, c.r) >= th || // a' ∈ I_F.lookup(a)
+	jd := e.grid.jaccard.dist
+	guard := 1-jd[guardCode(e.grid, d, disabled, memo, EvidenceName, target.QSig, &e.sigs, c.q)] >= th || // a' ∈ I_N.lookup(a)
+		1-jd[guardCode(e.grid, d, disabled, memo, EvidenceFormat, target.RSig, &e.sigs, c.r)] >= th || // a' ∈ I_F.lookup(a)
 		(targetSubject != nil && e.subjects[c.table] >= 0 && e.attrRelatedAnyIndex(targetSubject, e.subjects[c.table])) // i' ∈ I*.lookup(i)
 	if !guard {
 		return 1
@@ -97,35 +98,36 @@ func (e *Engine) domainDistance(target, targetSubject *Profile, cand int, d *Dis
 	return ks
 }
 
-// guardDistance is the N or F distance Algorithm 2's guard tests: the
-// one pairDistances already put in d, or a Jaccard of its own when the
-// query's mask kept that evidence out of d (through the memo, like
+// guardCode is the N or F code Algorithm 2's guard tests: the one
+// pairDistances already put in d, or a code of its own when the query's
+// mask kept that evidence out of d (through the memo, like
 // pairDistances; the candidate's signature is the copy under bID).
-func guardDistance(d *DistanceVector, disabled *[NumEvidence]bool, memo *distMemo, t Evidence, a minhash.Signature, sigs *sigTable, bID int32) float64 {
+func guardCode(g *distanceGrid, d *CodedDistances, disabled *[NumEvidence]bool, memo *distMemo, t Evidence, a minhash.Signature, sigs *sigTable, bID int32) uint16 {
 	if disabled[t] {
-		return memo.jaccard(t, a, sigs, bID)
+		return memo.code(g, t, a, sigs, bID)
 	}
-	return d[t]
+	return d.Codes[t]
 }
 
 // attrRelatedAnyIndex is the existential I* lookup of Algorithm 2 of a
 // profile and the engine's attribute b: membership in any of I_N, I_V,
 // I_E, I_F at the configured threshold, decided on signature-estimated
-// similarity (a sharper form of shared bucket membership). Caller holds
-// e.mu.
+// similarity (a sharper form of shared bucket membership), read off the
+// engine's grid. Caller holds e.mu.
 func (e *Engine) attrRelatedAnyIndex(a *Profile, b int) bool {
-	rb := &e.attrs[b]
-	if jaccardSimilarity(a.QSig, e.sigs.sig(rb.q)) >= e.opts.Threshold {
+	g, rb, th := e.grid, &e.attrs[b], e.opts.Threshold
+	jd := g.jaccard.dist
+	if 1-jd[g.jaccardCode(a.QSig, e.sigs.sig(rb.q))] >= th {
 		return true
 	}
-	if !a.Numeric && !rb.is(attrNumeric) && jaccardSimilarity(a.TSig, e.sigs.sig(rb.t)) >= e.opts.Threshold {
+	if !a.Numeric && !rb.is(attrNumeric) && 1-jd[g.jaccardCode(a.TSig, e.sigs.sig(rb.t))] >= th {
 		return true
 	}
-	if jaccardSimilarity(a.RSig, e.sigs.sig(rb.r)) >= e.opts.Threshold {
+	if 1-jd[g.jaccardCode(a.RSig, e.sigs.sig(rb.r))] >= th {
 		return true
 	}
 	if !a.EZero && !rb.is(attrEZero) {
-		if sim, err := lsh.CosineSimilarity(a.ESig, e.esig(b), e.opts.EmbedBits); err == nil && sim >= e.opts.Threshold {
+		if h, ok := g.hamming(a.ESig, e.esig(b)); ok && g.cosSim[h] >= th {
 			return true
 		}
 	}

@@ -12,6 +12,12 @@ import (
 	"d3l/internal/table"
 )
 
+// maxDistances is the all-ones vector (no relatedness evidence at all),
+// the float form of distanceGrid.none.
+func maxDistances() DistanceVector {
+	return DistanceVector{1, 1, 1, 1, 1}
+}
+
 // refPairDistances is pairDistances as it was before the distance memo,
 // kept as the oracle the memoised gather is held to: every Jaccard
 // distance compares the two signatures afresh, and the D distance is the
@@ -132,9 +138,9 @@ func TestGatherMemoMatchesReference(t *testing.T) {
 				seenQ := map[int32]bool{}
 				for _, p := range pairs {
 					cand := e.profileOf(p.attrID)
-					if want := e.refPairDistances(tp, &cand, tsubject, e.subjectProfile(p.tableID), mask); !sameBits(p.dist, want) {
+					if want := e.refPairDistances(tp, &cand, tsubject, e.subjectProfile(p.tableID), mask); !sameBits(e.grid.vector(&p.dist), want) {
 						t.Fatalf("target %d (%s), column %d, mask %05b, candidate %d: memoised %v, reference %v",
-							ti, target.Name, col, m, p.attrID, p.dist, want)
+							ti, target.Name, col, m, p.attrID, e.grid.vector(&p.dist), want)
 					}
 					if q := e.attrs[p.attrID].q; seenQ[q] {
 						sharedPairs++
@@ -181,8 +187,15 @@ func FuzzPairDistancesMemo(f *testing.F) {
 		const width, poolSize = 16, 6
 		pool := make([]minhash.Signature, poolSize)
 		ids := make([]int32, poolSize)
-		// fe holds the candidate, one record over a table of the pool.
+		// fe holds the candidate, one record over a table of the pool, on
+		// the grid of the pool's width.
 		fe := &Engine{opts: e.opts}
+		fe.opts.MinHashSize = width
+		grid, err := gridFor(width, fe.opts.EmbedBits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe.grid = grid
 		fe.sigs.sigs = make([]minhash.Signature, poolSize*memoSlots)
 		for i := range pool {
 			pool[i] = make(minhash.Signature, width)
@@ -220,7 +233,8 @@ func FuzzPairDistancesMemo(f *testing.F) {
 			}
 			cand, rec := profile()
 			fe.attrs = append(fe.attrs[:0], rec)
-			got := fe.pairDistances(target, nil, 0, mask, &memo)
+			coded := fe.pairDistances(target, nil, 0, mask, &memo)
+			got := fe.grid.vector(&coded)
 			if want := e.refPairDistances(target, cand, nil, nil, mask); !sameBits(got, want) {
 				t.Fatalf("step %d, mask %v: memoised %v, reference %v", step, mask, got, want)
 			}

@@ -91,7 +91,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 		}
 		for _, mask := range masks {
 			label := fmt.Sprintf("subject=%v N=%v F=%v mask=%v", subjRelated, nRelated, fRelated, mask)
-			got := e.pairDistances(target, ts, ids[0], mask, nil)[EvidenceDomain]
+			got := e.pairDistances(target, ts, ids[0], mask, nil).Domain
 			if ref := e.domainDistanceReference(target, cand, ts, cs); got != ref || got != want {
 				t.Fatalf("%s: D distance %v, paper-literal guard %v, want %v", label, got, ref, want)
 			}
@@ -100,7 +100,7 @@ func TestDomainGuardOrderInvariant(t *testing.T) {
 			if nRelated || fRelated {
 				wantNoSubject = ks
 			}
-			got = e.pairDistances(target, nil, ids[0], mask, nil)[EvidenceDomain]
+			got = e.pairDistances(target, nil, ids[0], mask, nil).Domain
 			if ref := e.domainDistanceReference(target, cand, nil, cs); got != ref || got != wantNoSubject {
 				t.Fatalf("%s, no target subject: D distance %v, paper-literal guard %v, want %v", label, got, ref, wantNoSubject)
 			}

@@ -34,6 +34,9 @@ type Engine struct {
 	lake       *table.Lake
 	prof       *profiler
 	classifier *subject.Classifier
+	// grid maps the distance codes of the engine's sketch widths to
+	// their distances (grid.go).
+	grid *distanceGrid
 
 	// mu guards every field below it plus the lake contents. Queries
 	// take it in read mode, mutations in write mode.
@@ -104,11 +107,16 @@ func BuildEngine(lake *table.Lake, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	grid, err := gridFor(opts.MinHashSize, opts.EmbedBits)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		opts:       opts,
 		lake:       lake,
 		prof:       prof,
 		classifier: opts.subjectClassifier(),
+		grid:       grid,
 		byTable:    make([][]int, lake.Len()),
 		subjects:   make([]int, lake.Len()),
 		alive:      make([]bool, lake.Len()),

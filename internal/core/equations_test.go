@@ -17,13 +17,13 @@ func TestAggregateEq1HandComputed(t *testing.T) {
 		{TargetColumn: 1, Distances: DistanceVector{0.6, 1, 1, 1, 1}},
 	}
 	// R_N for column 0: {0.2, 0.8}; for column 1: {0.6, 0.9}.
-	pairs := []candidatePair{
+	pairs := []refPair{
 		{targetCol: 0, dist: DistanceVector{0.2, 1, 1, 1, 1}},
 		{targetCol: 0, dist: DistanceVector{0.8, 1, 1, 1, 1}},
 		{targetCol: 1, dist: DistanceVector{0.6, 1, 1, 1, 1}},
 		{targetCol: 1, dist: DistanceVector{0.9, 1, 1, 1, 1}},
 	}
-	ecdfs := buildDistanceECDFs(2, pairs)
+	ecdfs := refSampleCells(2, pairs)
 	// Weights: w(0, N, 0.2) = P(d > 0.2-) = 1 (both 0.2 and 0.8 are >=
 	// 0.2); w(1, N, 0.6) = 1 likewise (0.6 and 0.9 >= 0.6).
 	vec := aggregateEq1(aligns, ecdfs, [NumEvidence]bool{})
@@ -36,14 +36,14 @@ func TestAggregateEq1HandComputed(t *testing.T) {
 func TestEq2WeightsFavourSmallestDistance(t *testing.T) {
 	// With R = {0.1, 0.5, 0.9}, the 0.1 observation is the smallest in
 	// the distribution, so its CCDF weight must exceed 0.9's.
-	pairs := []candidatePair{
+	pairs := []refPair{
 		{targetCol: 0, dist: DistanceVector{0.1, 1, 1, 1, 1}},
 		{targetCol: 0, dist: DistanceVector{0.5, 1, 1, 1, 1}},
 		{targetCol: 0, dist: DistanceVector{0.9, 1, 1, 1, 1}},
 	}
-	ecdfs := buildDistanceECDFs(1, pairs)
-	wLow := ecdfs.weight(0, EvidenceName, 0.1)
-	wHigh := ecdfs.weight(0, EvidenceName, 0.9)
+	ecdfs := refSampleCells(1, pairs)
+	wLow := ecdfs.refWeight(0, EvidenceName, 0.1)
+	wHigh := ecdfs.refWeight(0, EvidenceName, 0.9)
 	if wLow <= wHigh {
 		t.Fatalf("weight(0.1)=%v should exceed weight(0.9)=%v", wLow, wHigh)
 	}
@@ -53,8 +53,8 @@ func TestEq2WeightsFavourSmallestDistance(t *testing.T) {
 }
 
 func TestEq2WeightNilECDFs(t *testing.T) {
-	var d *distanceECDFs
-	if d.weight(0, EvidenceName, 0.3) != 1 {
+	var d *refECDFs
+	if d.refWeight(0, EvidenceName, 0.3) != 1 {
 		t.Fatal("nil ECDFs (uniform ablation) should weight 1")
 	}
 }
@@ -106,7 +106,7 @@ func TestCombineEq3MonotoneProperty(t *testing.T) {
 
 func TestAlignColumnsPicksBestPerTargetColumn(t *testing.T) {
 	e := &Engine{attrs: []attr{{table: 0, column: 0}, {table: 0, column: 1}}}
-	pairs := []candidatePair{
+	pairs := []refPair{
 		{targetCol: 0, attrID: 0, dist: DistanceVector{0.9, 1, 1, 1, 1}},
 		{targetCol: 0, attrID: 1, dist: DistanceVector{0.1, 1, 1, 1, 1}},
 		{targetCol: 1, attrID: 0, dist: DistanceVector{0.3, 1, 1, 1, 1}},
@@ -155,8 +155,8 @@ func TestPairDistancesBoundsProperty(t *testing.T) {
 	n := e.NumAttributes()
 	f := func(ai, bi uint8) bool {
 		a := e.Profile(int(ai) % n)
-		d := e.pairDistances(&a, nil, int(bi)%n, [NumEvidence]bool{}, nil)
-		for _, v := range d {
+		coded := e.pairDistances(&a, nil, int(bi)%n, [NumEvidence]bool{}, nil)
+		for _, v := range e.grid.vector(&coded) {
 			if v < 0 || v > 1 || math.IsNaN(v) {
 				return false
 			}
@@ -172,7 +172,8 @@ func TestPairDistancesSelfIsClose(t *testing.T) {
 	e := buildFigure1Engine(t)
 	for id := 0; id < e.NumAttributes(); id++ {
 		p := e.Profile(id)
-		d := e.pairDistances(&p, nil, id, [NumEvidence]bool{}, nil)
+		coded := e.pairDistances(&p, nil, id, [NumEvidence]bool{}, nil)
+		d := e.grid.vector(&coded)
 		if d[EvidenceName] > 1e-9 {
 			t.Fatalf("self N distance %v for %s", d[EvidenceName], p.Name)
 		}

@@ -45,7 +45,8 @@ func (e *Engine) Explain(ctx context.Context, target *Target, lakeTable string, 
 			return nil, err
 		}
 		for _, attrID := range e.byTable[tid] {
-			d := e.pairDistances(tp, target.subject, attrID, view.disabled, nil)
+			coded := e.pairDistances(tp, target.subject, attrID, view.disabled, nil)
+			d := e.grid.vector(&coded)
 			related := false
 			for _, v := range d {
 				if v < 1 {

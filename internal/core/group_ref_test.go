@@ -123,9 +123,10 @@ func randomColumns(rng *rand.Rand, numCols, maxPairs int, pick func() int) [][]c
 		for n := rng.Intn(maxPairs + 1); n > 0; n-- {
 			attr += 1 + rng.Intn(3)
 			p := candidatePair{targetCol: c, attrID: attr, tableID: pick()}
-			for t := range p.dist {
-				p.dist[t] = rng.Float64()
+			for t := range p.dist.Codes {
+				p.dist.Codes[t] = uint16(rng.Intn(257))
 			}
+			p.dist.Domain = rng.Float64()
 			cols[c] = append(cols[c], p)
 		}
 	}
@@ -210,7 +211,7 @@ func FuzzGroupByTable(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			c := int(data[i]) % len(cols)
 			p := candidatePair{targetCol: c, attrID: i, tableID: (int(data[i+1])<<8 | int(data[i+2])) % numTables}
-			p.dist[0] = float64(i)
+			p.dist.Domain = float64(i)
 			cols[c] = append(cols[c], p)
 		}
 		checkGrouping(t, qs, cols, numTables, "fuzz")

@@ -64,8 +64,8 @@ func DefaultOptions() Options {
 
 // Validate checks the option set.
 func (o Options) Validate() error {
-	if o.MinHashSize <= 0 {
-		return fmt.Errorf("core: MinHashSize must be positive, got %d", o.MinHashSize)
+	if o.MinHashSize <= 0 || o.MinHashSize > maxGridWidth {
+		return fmt.Errorf("core: MinHashSize must be in [1, %d], got %d", maxGridWidth, o.MinHashSize)
 	}
 	if o.Threshold <= 0 || o.Threshold >= 1 {
 		return fmt.Errorf("core: Threshold must be in (0,1), got %v", o.Threshold)
@@ -79,8 +79,8 @@ func (o Options) Validate() error {
 	if o.ForestTrees*o.ForestHashes > o.MinHashSize {
 		return fmt.Errorf("core: forest layout %dx%d exceeds MinHashSize %d", o.ForestTrees, o.ForestHashes, o.MinHashSize)
 	}
-	if o.EmbedBits <= 0 || o.EmbedBits%64 != 0 {
-		return fmt.Errorf("core: EmbedBits must be a positive multiple of 64, got %d", o.EmbedBits)
+	if o.EmbedBits <= 0 || o.EmbedBits%64 != 0 || o.EmbedBits > maxGridWidth {
+		return fmt.Errorf("core: EmbedBits must be a positive multiple of 64 up to %d, got %d", maxGridWidth, o.EmbedBits)
 	}
 	if o.MaxExtentSample < 0 {
 		return fmt.Errorf("core: MaxExtentSample must be non-negative, got %d", o.MaxExtentSample)

@@ -115,6 +115,10 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	grid, err := gridFor(opts.MinHashSize, opts.EmbedBits)
+	if err != nil {
+		return nil, err
+	}
 
 	rl, err := dec.MustSection(persist.SecLake)
 	if err != nil {
@@ -130,6 +134,7 @@ func DecodeEngine(dec *persist.Decoder) (*Engine, error) {
 		lake:       lake,
 		prof:       prof,
 		classifier: opts.subjectClassifier(),
+		grid:       grid,
 	}
 	rs, err := dec.MustSection(persist.SecSigs)
 	if err != nil {

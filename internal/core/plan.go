@@ -181,23 +181,25 @@ func (e *Engine) preparePlan(view *specView) *preparedPlan {
 }
 
 // scorer is the Eq. 1–3 arithmetic of one query: the effective weights
-// and evidence mask, the cascade order, and the Eq. 2 distributions. It
-// is what the monolith's ranker and the shard coordinator's merge have
-// in common, so both score through it and cannot drift apart.
+// and evidence mask, the cascade order, the grid the rows' distances
+// are coded on, and the Eq. 2 distributions. It is what the monolith's
+// ranker and the shard coordinator's merge have in common, so both
+// score through it and cannot drift apart.
 type scorer struct {
 	k        int
 	weights  Weights
 	disabled [NumEvidence]bool
 	cascade  []Evidence
-	ecdfs    *distanceECDFs
+	grid     *distanceGrid
+	eq2      *eq2Weights
 	// den and max are Eq. 3's normalisation constants, accumulated
 	// exactly as combineEq3 does (index order), so the pruning bound and
 	// the final reduction divide by the same floats.
 	den, max float64
 }
 
-func newScorer(k int, weights Weights, disabled [NumEvidence]bool, cascade []Evidence, ecdfs *distanceECDFs) scorer {
-	sc := scorer{k: k, weights: weights, disabled: disabled, cascade: cascade, ecdfs: ecdfs}
+func newScorer(k int, weights Weights, disabled [NumEvidence]bool, cascade []Evidence, grid *distanceGrid, eq2 *eq2Weights) scorer {
+	sc := scorer{k: k, weights: weights, disabled: disabled, cascade: cascade, grid: grid, eq2: eq2}
 	for t := 0; t < int(NumEvidence); t++ {
 		w := weights[t]
 		if disabled[t] {
@@ -227,7 +229,7 @@ func newScorer(k int, weights Weights, disabled [NumEvidence]bool, cascade []Evi
 // over the rows in the same ascending-column order, and the distance
 // comes from combineEq3 over the full vector (never from the cascade's
 // partial sums, whose summation order differs).
-func (sc *scorer) scoreTable(rows []Alignment, threshold float64) (dist float64, vec DistanceVector, elided int) {
+func (sc *scorer) scoreTable(rows []ShardRow, threshold float64) (dist float64, vec DistanceVector, elided int) {
 	// den == 0 (every enabled type has zero weight) makes combineEq3
 	// return 1 for every table: nothing to prune, rank on names alone.
 	prunable := sc.den > 0 && sc.max > 0 && !math.IsInf(threshold, 1)
@@ -254,8 +256,8 @@ func (sc *scorer) scoreTable(rows []Alignment, threshold float64) (dist float64,
 		}
 		var num, den float64
 		for r := range rows {
-			d := rows[r].Distances[t]
-			w := sc.ecdfs.weight(rows[r].TargetColumn, t, d)
+			d := sc.grid.distance(t, &rows[r].Dist)
+			w := sc.eq2.weight(int(rows[r].TargetColumn), t, &rows[r].Dist, d)
 			num += w * d
 			den += w
 		}
@@ -263,7 +265,7 @@ func (sc *scorer) scoreTable(rows []Alignment, threshold float64) (dist float64,
 			// Every row is maximally distant in its distribution; the
 			// unweighted mean preserves the (weak) signal.
 			for r := range rows {
-				num += rows[r].Distances[t]
+				num += sc.grid.distance(t, &rows[r].Dist)
 			}
 			vec[t] = num / float64(len(rows))
 		} else {
@@ -298,7 +300,7 @@ func (sc *scorer) scoreTable(rows []Alignment, threshold float64) (dist float64,
 // rank-ordered heap indexes into them come back (grown, on every
 // path). A cancelled context aborts between table batches with
 // ctx.Err(), never a partial answer.
-func (sc *scorer) rankTables(ctx context.Context, n int, rows func(i int) []Alignment, ident func(i int) (tid int, name string), scored []scoredTable, heap []int32) ([]scoredTable, []int32, PlanStats, error) {
+func (sc *scorer) rankTables(ctx context.Context, n int, rows func(i int) []ShardRow, ident func(i int) (tid int, name string), scored []scoredTable, heap []int32) ([]scoredTable, []int32, PlanStats, error) {
 	ps := PlanStats{Enabled: true}
 	scored, h := scored[:0], heap[:0]
 	for i := 0; i < n; i++ {

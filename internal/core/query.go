@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"d3l/internal/lsh"
 	"d3l/internal/par"
-	"d3l/internal/stats"
 	"d3l/internal/table"
 )
 
@@ -60,13 +58,13 @@ type SearchResult struct {
 }
 
 // candidatePair is one (target column, candidate attribute) distance
-// vector. tableID caches the candidate's table so the grouping never
-// re-resolves profiles.
+// vector, coded on the engine's grid. tableID caches the candidate's
+// table so the grouping never re-resolves profiles.
 type candidatePair struct {
 	targetCol int
 	attrID    int
 	tableID   int
-	dist      DistanceVector
+	dist      CodedDistances
 }
 
 // SearchSpec runs the full Section III-D pipeline for one target under
@@ -129,24 +127,26 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 	}
 	st.lap(StageGather)
 
-	// Score and rank: build the R_t distance distributions backing the
+	// Score and rank: count the R_t distance distributions backing the
 	// Eq. 2 weights from the per-column buffers, group the pairs by
 	// candidate table — a counting pass and a scatter, no sort — and
 	// hand the runs to the one score-and-rank loop in ascending table-id
 	// order.
 	numCols := len(target.profiles)
-	var ecdfs *distanceECDFs
+	var eq2 *eq2Weights
 	if !view.uniform {
-		qs.ecdfs = distanceECDFs{cols: numCols, cells: qs.sampleCells(numCols)}
-		ecdfs = &qs.ecdfs
+		qs.eq2.reset(e.grid, numCols)
+		qs.eq2.count(qs.colBufs[:numCols])
+		qs.eq2.finish()
+		eq2 = &qs.eq2
 	}
 	pairs := qs.groupByTable(numCols, e.lake.Len())
 	runs := qs.runs
-	sc := newScorer(view.k, view.weights, view.disabled, plan.cascade, ecdfs)
+	sc := newScorer(view.k, view.weights, view.disabled, plan.cascade, e.grid, eq2)
 	var planStats PlanStats
 	qs.scored, qs.top, planStats, err = sc.rankTables(ctx, len(runs),
-		func(i int) []Alignment {
-			qs.rows = alignRun(qs.rows[:0], pairs[runs[i].start:runs[i].end])
+		func(i int) []ShardRow {
+			qs.rows = alignRun(qs.rows[:0], pairs[runs[i].start:runs[i].end], e.grid)
 			return qs.rows
 		},
 		func(i int) (int, string) { return runs[i].tid, e.lake.Table(runs[i].tid).Name },
@@ -176,7 +176,7 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 			Name:       s.name,
 			Distance:   s.dist,
 			Vector:     s.vec,
-			Alignments: e.alignments(nil, pairs[run.start:run.end]),
+			Alignments: e.grid.alignments(e.alignRows(qs.rows[:0], pairs[run.start:run.end])),
 		}
 	}
 	st.lap(StageRankMerge)
@@ -197,45 +197,50 @@ func (e *Engine) Search(ctx context.Context, target *Target, spec QuerySpec) (*S
 // the run, the pair with the smallest mean distance wins (ties towards
 // the smaller attribute id, the first seen — a candidate attribute may
 // serve several target columns, as in the paper's Table I). It appends
-// one row per aligned target column, ascending, to dst; a nil dst is
-// allocated at exactly the aligned count. CandColumn is left for
-// alignments to fill: scoring does not read it, and looking it up costs
-// a cache miss per row.
-func alignRun(dst []Alignment, tablePairs []candidatePair) []Alignment {
-	if dst == nil {
-		aligned := 0
-		for i := range tablePairs {
-			if i == 0 || tablePairs[i].targetCol != tablePairs[i-1].targetCol {
-				aligned++
-			}
-		}
-		dst = make([]Alignment, 0, aligned)
-	}
+// one row per aligned target column, ascending, to dst. CandColumn is
+// left for alignRows to fill: scoring does not read it, and looking it
+// up costs a cache miss per row.
+func alignRun(dst []ShardRow, tablePairs []candidatePair, g *distanceGrid) []ShardRow {
 	for i := 0; i < len(tablePairs); {
 		best := &tablePairs[i]
-		bestMean := best.dist.mean()
+		bestMean := g.vector(&best.dist).mean()
 		for i++; i < len(tablePairs) && tablePairs[i].targetCol == best.targetCol; i++ {
-			if m := tablePairs[i].dist.mean(); m < bestMean {
+			if m := g.vector(&tablePairs[i].dist).mean(); m < bestMean {
 				best, bestMean = &tablePairs[i], m
 			}
 		}
-		dst = append(dst, Alignment{TargetColumn: best.targetCol, AttrID: best.attrID, Distances: best.dist})
+		dst = append(dst, ShardRow{TargetColumn: int32(best.targetCol), AttrID: int32(best.attrID), Dist: best.dist})
 	}
 	return dst
 }
 
-// alignments builds the alignment rows of one table that escape into an
-// answer: the very rows alignRun scored, with each candidate attribute's
-// column resolved — so scores and reported alignments can never drift
-// apart. The rows are appended to dst: nil for a top-k winner (a fresh
-// slice of exactly its rows), the partial's row slab for a shard gather.
-func (e *Engine) alignments(dst []Alignment, tablePairs []candidatePair) []Alignment {
+// alignRows appends the alignment rows of one table that leave the
+// scorer — a winner's, a shard gather's — to dst: the very rows alignRun
+// scored, with each candidate attribute's column resolved, so scores and
+// reported alignments can never drift apart.
+func (e *Engine) alignRows(dst []ShardRow, tablePairs []candidatePair) []ShardRow {
 	start := len(dst)
-	dst = alignRun(dst, tablePairs)
+	dst = alignRun(dst, tablePairs, e.grid)
 	for i := start; i < len(dst); i++ {
-		dst[i].CandColumn = int(e.attrs[dst[i].AttrID].column)
+		dst[i].CandColumn = int32(e.attrs[dst[i].AttrID].column)
 	}
 	return dst
+}
+
+// alignments expands rows to the alignment rows of an answer, in a
+// slice of their own.
+func (g *distanceGrid) alignments(rows []ShardRow) []Alignment {
+	out := make([]Alignment, len(rows))
+	for i := range rows {
+		r := &rows[i]
+		out[i] = Alignment{
+			TargetColumn: int(r.TargetColumn),
+			AttrID:       int(r.AttrID),
+			CandColumn:   int(r.CandColumn),
+			Distances:    g.vector(&r.Dist),
+		}
+	}
+	return out
 }
 
 // gatherPairs performs the index lookups of Section III-D: for each
@@ -353,67 +358,6 @@ func (e *Engine) gatherColumn(ctx context.Context, col int, tp *Profile, tsubjec
 		dst = append(dst, candidatePair{targetCol: col, attrID: int(id), tableID: int(e.attrs[id].table), dist: d})
 	}
 	return dst, nil
-}
-
-// distanceECDFs holds, per target column and evidence type, the sorted
-// sample of the R_t distribution (all distances of that type between
-// the target attribute and its lake candidates) whose ECDF backs the
-// Eq. 2 weights, laid out flat: cell col*NumEvidence+t. An empty cell
-// means "no distribution". A shard partial's Samples are the same
-// cells restricted to one shard.
-type distanceECDFs struct {
-	cols  int
-	cells [][]float64
-}
-
-// sampleCells builds the per-(column, evidence) sorted samples into the
-// arena: one pass lays every cell out contiguously in the recycled
-// sample buffer (a cell's samples are a strided read of one column's
-// pair buffer) and sorts each region in place — no per-cell
-// allocations. The buffer grows like append, so a growing lake's
-// growing candidate lists do not reallocate it on every query.
-func (qs *queryScratch) sampleCells(numCols int) [][]float64 {
-	total := 0
-	for c := 0; c < numCols; c++ {
-		total += len(qs.colBufs[c])
-	}
-	buf := slices.Grow(qs.samples[:0], total*int(NumEvidence))
-	cells := qs.cells[:0]
-	for c := 0; c < numCols; c++ {
-		colPairs := qs.colBufs[c]
-		for t := 0; t < int(NumEvidence); t++ {
-			start := len(buf)
-			for i := range colPairs {
-				buf = append(buf, colPairs[i].dist[t])
-			}
-			region := buf[start:]
-			slices.Sort(region)
-			cells = append(cells, region)
-		}
-	}
-	qs.samples = buf
-	qs.cells = cells
-	return cells
-}
-
-// weight returns the Eq. 2 weight 1 − P(d ≤ D) for a distance of type t
-// observed for the given target column. With no distribution (or in the
-// uniform-weighting ablation, where the receiver is nil) the weight
-// falls back to the complementary distance (closer pairs weigh more) or
-// to 1 respectively.
-func (d *distanceECDFs) weight(col int, t Evidence, dist float64) float64 {
-	if d == nil {
-		return 1
-	}
-	if col < d.cols {
-		if e := stats.ECDFOf(d.cells[col*int(NumEvidence)+int(t)]); e.Len() > 0 {
-			// Evaluate strictly below dist: the CCDF at the smallest
-			// observed distance must stay positive or Eq. 1 zeroes out
-			// exactly the strongest signals.
-			return e.CCDF(dist - 1e-12)
-		}
-	}
-	return 1 - dist
 }
 
 // combineEq3 reduces the 5-vector to the scalar relatedness distance

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -28,9 +27,9 @@ import (
 // fixture does.
 
 // naiveSearchSpec is the reference implementation: per-column forest
-// probes deduplicated through a map, memo-free pair distances
-// (refPairDistances), ECDFs built with per-cell sample
-// slices, grouping through a byTable map with sorted keys, per-table
+// probes deduplicated through a map, memo-free float pair distances
+// (refPairDistances), ECDFs built with per-cell sorted sample slices
+// (refSampleCells, refWeight), grouping through a byTable map with sorted keys, per-table
 // alignment via alignColumns/aggregateEq1, and a full sort of every
 // scored table truncated to k.
 func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchResult, error) {
@@ -48,7 +47,7 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	var pairs []candidatePair
+	var pairs []refPair
 	for col := range tprofiles {
 		tp := &tprofiles[col]
 		seen := make(map[int32]struct{})
@@ -85,16 +84,16 @@ func naiveSearchSpec(e *Engine, target *table.Table, spec QuerySpec) (*SearchRes
 		for _, id := range ids {
 			cand := e.profileOf(id)
 			d := e.refPairDistances(tp, &cand, tsubject, e.subjectProfile(cand.Ref.TableID), view.disabled)
-			pairs = append(pairs, candidatePair{targetCol: col, attrID: id, tableID: cand.Ref.TableID, dist: d})
+			pairs = append(pairs, refPair{targetCol: col, attrID: id, tableID: cand.Ref.TableID, dist: d})
 		}
 	}
 
-	var ecdfs *distanceECDFs
+	var ecdfs *refECDFs
 	if !view.uniform {
-		ecdfs = buildDistanceECDFs(len(tprofiles), pairs)
+		ecdfs = refSampleCells(len(tprofiles), pairs)
 	}
 
-	byTable := make(map[int][]candidatePair)
+	byTable := make(map[int][]refPair)
 	for _, p := range pairs {
 		byTable[p.tableID] = append(byTable[p.tableID], p)
 	}
@@ -196,37 +195,12 @@ func (e *Engine) domainDistanceReference(target, cand, targetSubject, candSubjec
 	return ks
 }
 
-// buildDistanceECDFs is the standalone (allocating) constructor over a
-// flat pair list — the oracle for the arena's sampleCells.
-func buildDistanceECDFs(numCols int, pairs []candidatePair) *distanceECDFs {
-	samples := make([][][]float64, numCols)
-	for c := range samples {
-		samples[c] = make([][]float64, NumEvidence)
-	}
-	for _, p := range pairs {
-		for t := 0; t < int(NumEvidence); t++ {
-			samples[p.targetCol][t] = append(samples[p.targetCol][t], p.dist[t])
-		}
-	}
-	out := &distanceECDFs{cols: numCols, cells: make([][]float64, numCols*int(NumEvidence))}
-	for c := range samples {
-		for t := range samples[c] {
-			if len(samples[c][t]) > 0 {
-				sorted := append([]float64(nil), samples[c][t]...)
-				slices.Sort(sorted)
-				out.cells[c*int(NumEvidence)+t] = sorted
-			}
-		}
-	}
-	return out
-}
-
 // alignColumns picks, for every target column that has candidates in
 // this table, the best-related attribute (smallest mean distance). A
 // candidate attribute may serve multiple target columns, as in the
 // paper's grouping (Table I pairs each target attribute independently).
-func (e *Engine) alignColumns(tablePairs []candidatePair) []Alignment {
-	best := make(map[int]candidatePair)
+func (e *Engine) alignColumns(tablePairs []refPair) []Alignment {
+	best := make(map[int]refPair)
 	for _, p := range tablePairs {
 		cur, ok := best[p.targetCol]
 		// Ties break towards the smaller attribute id so the alignment
@@ -256,7 +230,7 @@ func (e *Engine) alignColumns(tablePairs []candidatePair) []Alignment {
 
 // aggregateEq1 folds the alignment rows column-wise into the
 // 5-dimensional relatedness vector using the Eq. 2 CCDF weights.
-func aggregateEq1(aligns []Alignment, ecdfs *distanceECDFs, disabled [NumEvidence]bool) DistanceVector {
+func aggregateEq1(aligns []Alignment, ecdfs *refECDFs, disabled [NumEvidence]bool) DistanceVector {
 	var vec DistanceVector
 	for t := 0; t < int(NumEvidence); t++ {
 		if disabled[t] {
@@ -265,7 +239,7 @@ func aggregateEq1(aligns []Alignment, ecdfs *distanceECDFs, disabled [NumEvidenc
 		}
 		var num, den float64
 		for _, a := range aligns {
-			w := ecdfs.weight(a.TargetColumn, Evidence(t), a.Distances[t])
+			w := ecdfs.refWeight(a.TargetColumn, Evidence(t), a.Distances[t])
 			num += w * a.Distances[t]
 			den += w
 		}

@@ -15,8 +15,8 @@ import (
 //   - queryScratch lives for one query (a monolith ranking or a shard
 //     gather). It owns every buffer whose contents must survive across
 //     pipeline phases: the per-column candidate-pair buffers, the
-//     table-grouped pair list and its grouping state, the sample arena
-//     backing the Eq. 2 weight distributions, the contiguous table
+//     table-grouped pair list and its grouping state, the counted
+//     distributions backing the Eq. 2 weights, the contiguous table
 //     runs, the alignment rows of the table being scored, the
 //     scored-table slots, and the top-k heap.
 //
@@ -57,17 +57,13 @@ type queryScratch struct {
 	tablePairs []int32
 	tableBits  bitset
 	tids       []int32
-	// samples is the sample arena: every (column, evidence) distance
-	// distribution laid out contiguously in one buffer, sorted.
-	samples []float64
-	// cells holds the per-(column, evidence) regions of samples; ecdfs
-	// wraps them for the weight lookups.
-	cells [][]float64
-	ecdfs distanceECDFs
+	// eq2 holds the counted distance distributions backing the Eq. 2
+	// weights.
+	eq2 eq2Weights
 	// runs are the contiguous per-table slices of grouped.
 	runs []tableRun
 	// rows holds the alignment rows of the table being scored.
-	rows []Alignment
+	rows []ShardRow
 	// scored holds one slot per table that survived scoring.
 	scored []scoredTable
 	// top is the bounded top-k selection heap (indexes into scored).

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -34,11 +34,11 @@ import (
 //             is the only one) instead of descending locally: same
 //             probe table, same dedup, same pair distances. It then
 //             selects each owned table's best pair per target column (a
-//             wholly table-local decision) and ships the sorted
-//             per-(column, evidence) distance samples that back the
-//             Eq. 2 weight distributions.
-//   merge   — the coordinator merges the shards' sorted sample runs
-//             (equal multiset in, identical ECDF out) and runs the
+//             wholly table-local decision) and ships the counts of the
+//             per-(column, evidence) distance distributions that back
+//             the Eq. 2 weights (eq2.go).
+//   merge   — the coordinator adds the shards' counts up (equal
+//             multiset in, identical weights out) and runs the
 //             monolith's own score-and-rank loop (rankTables) over the
 //             shipped best-pair rows, cascade pruning included. Because
 //             (Distance, Name) is a total order and names are unique
@@ -57,14 +57,20 @@ const NumForestSlots = numForestSlots
 
 // ShardQueryMeta is the resolved query shape a probe ran with. Every
 // shard resolves the same QuerySpec, so the metas must agree verbatim;
-// the coordinator validates that and then scores with these values.
+// the coordinator validates that and then scores with these values. The
+// sketch widths and the seed are the shard's own: they fix the grid its
+// distances are coded on, and replicas built with other ones are
+// refused by name rather than merged.
 type ShardQueryMeta struct {
-	NumCols  int
-	K        int
-	Budget   int
-	Disabled [NumEvidence]bool
-	Weights  Weights
-	Uniform  bool
+	NumCols     int
+	K           int
+	Budget      int
+	Disabled    [NumEvidence]bool
+	Weights     Weights
+	Uniform     bool
+	MinHashSize int
+	EmbedBits   int
+	Seed        uint64
 }
 
 // ShardProbe is one shard's answer to the probe phase: per target
@@ -87,11 +93,21 @@ type ShardDepths struct {
 // ShardTable is one candidate table's contribution to the gather
 // phase: its best-pair alignment rows, one per target column with
 // candidates, ascending by target column — exactly the rows the
-// monolith would materialise for this table.
+// monolith scores for this table.
 type ShardTable struct {
 	TableID int
 	Name    string
-	Rows    []Alignment
+	Rows    []ShardRow
+}
+
+// ShardRow is one alignment row as it is scored and shipped: the
+// target column, the candidate attribute and its column, and the pair's
+// distances coded on the grid of the meta's widths.
+type ShardRow struct {
+	TargetColumn int32
+	AttrID       int32
+	CandColumn   int32
+	Dist         CodedDistances
 }
 
 // ShardPartial is one shard's answer to the gather phase.
@@ -101,25 +117,64 @@ type ShardPartial struct {
 	// deterministic SearchStats counters.
 	PairCount  int
 	TableCount int
-	// Samples holds the per-(column, evidence) distance samples backing
-	// the Eq. 2 distributions, cell col*NumEvidence+t, each sorted
-	// ascending. Nil when the query runs uniform weighting.
-	Samples [][]float64
+	// Dists holds, per target column, the shard's share of the
+	// distributions behind the Eq. 2 weights; nil when the query runs
+	// uniform weighting.
+	Dists []ColumnDists
 	// Tables lists this shard's candidate tables in ascending table-id
 	// order.
 	Tables []ShardTable
 }
 
-// shardMeta is the query shape a resolved view gives a prepared target.
-func shardMeta(view *specView, numCols int) ShardQueryMeta {
+// ColumnDists is one target column's five distance distributions over
+// a shard's candidate pairs, each pair one sample in every cell, so the
+// five cells count the same n and the columns' n add up to PairCount.
+type ColumnDists struct {
+	// Coded holds N, V, F and E: the codes that occur, ascending, each
+	// with its sample count.
+	Coded [NumCoded][]CodeCount
+	// Domain holds D: its distinct values, ascending strictly in the
+	// order slices.Sort gives float64s, each with its sample count.
+	Domain []DomainRun
+}
+
+// CodeCount is one code of a coded distribution and its sample count.
+type CodeCount struct {
+	Code  uint16
+	Count int32
+}
+
+// DomainRun is one D value of a distribution and its sample count.
+type DomainRun struct {
+	Value float64
+	Count int32
+}
+
+// shardMeta is the query shape a resolved view gives a prepared target
+// on this engine.
+func (e *Engine) shardMeta(view *specView, numCols int) ShardQueryMeta {
 	return ShardQueryMeta{
-		NumCols:  numCols,
-		K:        view.k,
-		Budget:   view.budget,
-		Disabled: view.disabled,
-		Weights:  view.weights,
-		Uniform:  view.uniform,
+		NumCols:     numCols,
+		K:           view.k,
+		Budget:      view.budget,
+		Disabled:    view.disabled,
+		Weights:     view.weights,
+		Uniform:     view.uniform,
+		MinHashSize: e.opts.MinHashSize,
+		EmbedBits:   e.opts.EmbedBits,
+		Seed:        e.opts.Seed,
 	}
+}
+
+// sameGrid refuses the meta of shard i when it was built with other
+// sketch widths or another seed than shard 0: its signatures and codes
+// mean something else, and merging them would rank on noise.
+func sameGrid(i int, got, want *ShardQueryMeta) error {
+	if got.MinHashSize != want.MinHashSize || got.EmbedBits != want.EmbedBits || got.Seed != want.Seed {
+		return fmt.Errorf("core: shard %d sketches with MinHashSize %d, EmbedBits %d and seed %#x, shard 0 with MinHashSize %d, EmbedBits %d and seed %#x",
+			i, got.MinHashSize, got.EmbedBits, got.Seed, want.MinHashSize, want.EmbedBits, want.Seed)
+	}
+	return nil
 }
 
 // ShardProbeSpec runs the probe phase for one query on this shard:
@@ -148,7 +203,7 @@ func (e *Engine) ShardProbe(ctx context.Context, target *Target, spec QuerySpec)
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	probe := &ShardProbe{
-		Meta:   shardMeta(&view, len(tprofiles)),
+		Meta:   e.shardMeta(&view, len(tprofiles)),
 		Counts: make([][NumForestSlots][]int32, len(tprofiles)),
 	}
 	ws := e.getWorkerScratch()
@@ -182,6 +237,9 @@ func MergeProbeDepths(probes []*ShardProbe) (*ShardDepths, error) {
 	}
 	meta := probes[0].Meta
 	for i, p := range probes {
+		if err := sameGrid(i, &p.Meta, &meta); err != nil {
+			return nil, err
+		}
 		if p.Meta != meta {
 			return nil, fmt.Errorf("core: shard %d probed a different query shape", i)
 		}
@@ -229,7 +287,7 @@ func (e *Engine) ShardGatherSpec(ctx context.Context, t *table.Table, spec Query
 
 // ShardGather runs the gather phase over a prepared target at the
 // imposed depths: the shared gather on the pooled query arena, then
-// per-table best-pair rows and the Eq. 2 sample cells. The resolved
+// per-table best-pair rows and the Eq. 2 counts. The resolved
 // view must match the directive's meta — a mismatch means the spec is
 // not the one the probe ran. Like a
 // monolith query it stops within a candidate batch of ctx being
@@ -243,7 +301,7 @@ func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec
 		return nil, err
 	}
 	numCols := len(target.profiles)
-	meta := shardMeta(&view, numCols)
+	meta := e.shardMeta(&view, numCols)
 	// Deliberately not ErrInvalidSpec: the spec was valid, so a directive
 	// that disagrees with it can mean this shard's options drifted from
 	// its peers', and the 500 it is served as has a coordinator retry a
@@ -270,27 +328,22 @@ func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec
 	st.lap(StageGather)
 	pairs := qs.groupByTable(numCols, e.lake.Len())
 
-	// The partial leaves the arena in two slabs, one of samples and one of
-	// rows; cells and tables are three-index sub-slices of them, so an
-	// append to one cannot reach into the next.
+	// The partial leaves the arena in slabs: the distributions' (see
+	// export) and one of rows, whose tables are three-index sub-slices of
+	// it, so an append to one cannot reach into the next.
 	partial := &ShardPartial{Meta: meta, PairCount: len(pairs)}
 	if !view.uniform {
-		cells := qs.sampleCells(numCols)
-		slab := slices.Clone(qs.samples) // the cells, back to back
-		partial.Samples = make([][]float64, len(cells))
-		off := 0
-		for i, cell := range cells {
-			partial.Samples[i] = slab[off : off+len(cell) : off+len(cell)]
-			off += len(cell)
-		}
+		qs.eq2.reset(e.grid, numCols)
+		qs.eq2.count(qs.colBufs[:numCols])
+		partial.Dists = qs.eq2.export()
 	}
 	partial.TableCount = len(qs.runs)
 	partial.Tables = make([]ShardTable, len(qs.runs))
 	// A table has at most one row per pair and per target column.
-	rows := make([]Alignment, 0, min(len(pairs), len(qs.runs)*numCols))
+	rows := make([]ShardRow, 0, min(len(pairs), len(qs.runs)*numCols))
 	for i, run := range qs.runs {
 		start := len(rows)
-		rows = e.alignments(rows, pairs[run.start:run.end])
+		rows = e.alignRows(rows, pairs[run.start:run.end])
 		partial.Tables[i] = ShardTable{
 			TableID: run.tid,
 			Name:    e.lake.Table(run.tid).Name,
@@ -301,10 +354,10 @@ func (e *Engine) ShardGather(ctx context.Context, target *Target, spec QuerySpec
 }
 
 // MergeShardPartials runs the coordinator's merge phase: rebuild the
-// global Eq. 2 distributions from the shards' sample multisets, then
-// score and rank the shipped tables with the monolith's own loop. The
-// returned ranking and stats are byte-identical to the monolith's
-// answer for the same query.
+// global Eq. 2 distributions from the shards' counts, then score and
+// rank the shipped tables with the monolith's own loop. The returned
+// ranking and stats are byte-identical to the monolith's answer for the
+// same query.
 func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableResult, SearchStats, error) {
 	ranked, st, _, err := mergeShardPartials(depths, partials)
 	return ranked, st, err
@@ -319,47 +372,41 @@ func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 	}
 	meta := depths.Meta
 	numCols := meta.NumCols
+	pairs := 0
 	for i, p := range partials {
+		if err := sameGrid(i, &p.Meta, &meta); err != nil {
+			return nil, st, PlanStats{}, err
+		}
 		if p.Meta != meta {
 			return nil, st, PlanStats{}, fmt.Errorf("core: shard %d gathered a different query shape", i)
 		}
-		// The scorer indexes the sample cells by a row's target column
-		// and divides by a table's row count: a partial is checked here,
-		// whichever way it arrived, before either can go wrong.
+		// The scorer indexes the distributions by a row's target column
+		// and the grid by its codes, and divides by a table's row count:
+		// a partial is checked here, whichever way it arrived, before any
+		// of it can go wrong.
 		if err := p.validate(); err != nil {
 			return nil, st, PlanStats{}, fmt.Errorf("shard %d: %w", i, err)
 		}
+		if pairs += p.PairCount; pairs > math.MaxInt32 {
+			return nil, st, PlanStats{}, fmt.Errorf("core: the shards' partials count more than %d pairs", math.MaxInt32)
+		}
+	}
+	grid, err := gridFor(meta.MinHashSize, meta.EmbedBits)
+	if err != nil {
+		return nil, st, PlanStats{}, err
 	}
 
 	ms := mergeScratchPool.Get().(*mergeScratch)
 	defer ms.release()
 
-	// Global Eq. 2 distributions: a shard ships each cell sorted, so the
-	// monolith's sorted sample multiset is the merge of the shards' runs,
-	// and ECDFs are a pure function of that multiset. All cells go into
-	// one slab.
-	var ecdfs *distanceECDFs
+	// Global Eq. 2 distributions: the monolith's cells count every pair
+	// of every shard, so they are the sums of the shards' counts.
+	var eq2 *eq2Weights
 	if !meta.Uniform {
-		total := 0
-		for _, p := range partials {
-			for _, cell := range p.Samples {
-				total += len(cell)
-			}
-		}
-		numCells := numCols * int(NumEvidence)
-		slab := slices.Grow(ms.samples[:0], total)
-		cells := slices.Grow(ms.cells[:0], numCells)
-		for cell := 0; cell < numCells; cell++ {
-			ms.runs = ms.runs[:0]
-			for _, p := range partials {
-				ms.runs = append(ms.runs, p.Samples[cell])
-			}
-			start := len(slab)
-			slab = mergeSortedRuns(slab, ms.runs)
-			cells = append(cells, slab[start:len(slab):len(slab)])
-		}
-		ms.samples, ms.cells = slab, cells
-		ecdfs = &distanceECDFs{cols: numCols, cells: cells}
+		ms.eq2.reset(grid, numCols)
+		ms.heads = ms.eq2.merge(partials, ms.heads)
+		ms.eq2.finish()
+		eq2 = &ms.eq2
 	}
 
 	// Tables are disjoint across shards (each is owned by exactly one)
@@ -374,11 +421,10 @@ func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 		tables = append(tables, p.Tables...)
 	}
 	ms.tables = tables
-	sc := newScorer(meta.K, meta.Weights, meta.Disabled, planFor(meta.Disabled).cascade, ecdfs)
+	sc := newScorer(meta.K, meta.Weights, meta.Disabled, planFor(meta.Disabled).cascade, grid, eq2)
 	var ps PlanStats
-	var err error
 	ms.scored, ms.top, ps, err = sc.rankTables(context.Background(), len(tables),
-		func(i int) []Alignment { return tables[i].Rows },
+		func(i int) []ShardRow { return tables[i].Rows },
 		func(i int) (int, string) { return tables[i].TableID, tables[i].Name },
 		ms.scored, ms.top)
 	if err != nil {
@@ -392,66 +438,35 @@ func mergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]TableR
 			Name:     s.name,
 			Distance: s.dist,
 			Vector:   s.vec,
-			// A copy: the answer may sit in a result cache for hours, and
-			// a sub-slice would keep its shard's whole row slab alive.
-			Alignments: slices.Clone(tables[s.src].Rows),
+			// Fresh rows: the answer may sit in a result cache for hours,
+			// and must not keep its shard's row slab alive.
+			Alignments: grid.alignments(tables[s.src].Rows),
 		}
 	}
 	return results, st, ps, nil
 }
 
-// mergeScratch is the merge's counterpart of queryScratch: the sample
-// slab and its cells, the run heads of the cell being merged, the
+// mergeScratch is the merge's counterpart of queryScratch: the merged
+// distributions, the run heads of the D cell being merged, the
 // concatenated table list, and rankTables' slots and heap. None of it
 // escapes into the answer (the winners' rows are copied out), so a
 // coordinator at steady state merges into the memory of the query
 // before. The merge belongs to no engine, hence a package-level pool.
 type mergeScratch struct {
-	samples []float64
-	cells   [][]float64
-	runs    [][]float64
-	tables  []ShardTable
-	scored  []scoredTable
-	top     []int32
+	eq2    eq2Weights
+	heads  [][]DomainRun
+	tables []ShardTable
+	scored []scoredTable
+	top    []int32
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // release returns the scratch to the pool holding capacity only: what
-// points into the merged partials (rows, names, sample runs) is dropped,
-// so a pooled scratch never keeps a finished query's partials alive.
+// points into the merged partials (rows, names, D runs) is dropped, so a
+// pooled scratch never keeps a finished query's partials alive.
 func (ms *mergeScratch) release() {
-	clear(ms.runs)
 	clear(ms.tables)
 	clear(ms.scored)
 	mergeScratchPool.Put(ms)
-}
-
-// mergeSortedRuns appends to dst the merge of runs, each ascending in
-// the order slices.Sort gives float64s (cmp.Less: NaNs first), and so
-// appends exactly what sorting their concatenation would. The runs are
-// consumed: the slice headers in runs are advanced to empty.
-func mergeSortedRuns(dst []float64, runs [][]float64) []float64 {
-	for {
-		least, live := -1, 0
-		for i, run := range runs {
-			if len(run) == 0 {
-				continue
-			}
-			live++
-			if least < 0 || cmp.Less(run[0], runs[least][0]) {
-				least = i
-			}
-		}
-		switch live {
-		case 0:
-			return dst
-		case 1: // nothing left to compare with
-			dst = append(dst, runs[least]...)
-			runs[least] = nil
-			return dst
-		}
-		dst = append(dst, runs[least][0])
-		runs[least] = runs[least][1:]
-	}
 }

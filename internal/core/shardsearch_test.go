@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"math/rand"
@@ -385,38 +386,67 @@ func mustSubTable(t testing.TB, tb *table.Table, maxRows int) *table.Table {
 	return out
 }
 
-// TestMergeSortedRunsEqualsSort holds the run merge to what it
-// replaced: on 1–4 sorted runs — empty ones, duplicates within and
-// across runs, NaNs — it appends exactly the slice that concatenating
-// and sorting gives, bit for bit (slices.Sort puts NaNs first; so does
-// the merge), after whatever dst already held.
+// TestMergeSortedRunsEqualsSort holds the D run merge to what it
+// replaced: on 1–4 shards' cells — empty ones, duplicates within and
+// across them, NaNs — each shipped as runs of equal values, the merged
+// runs expand to exactly the slice that concatenating and sorting the
+// shards' samples gives, bit for bit (slices.Sort puts NaNs first; so
+// does the merge), after whatever dst already held, one run per value.
 func TestMergeSortedRunsEqualsSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	values := []float64{0, 0.125, 0.25, 0.25, 0.5, 1, math.NaN(), math.Inf(1)}
 	for trial := 0; trial < 2000; trial++ {
-		runs := make([][]float64, 1+rng.Intn(4))
+		runs := make([][]DomainRun, 1+rng.Intn(4))
 		var want []float64
 		for i := range runs {
-			if rng.Intn(4) > 0 { // one run in four stays empty
+			var cell []float64
+			if rng.Intn(4) > 0 { // one cell in four stays empty
 				for n := rng.Intn(12); n > 0; n-- {
 					v := values[rng.Intn(len(values))]
 					if rng.Intn(3) == 0 {
 						v = rng.Float64()
 					}
-					runs[i] = append(runs[i], v)
+					cell = append(cell, v)
 				}
 			}
-			slices.Sort(runs[i])
-			want = append(want, runs[i]...)
+			slices.Sort(cell)
+			want = append(want, cell...)
+			for j := 0; j < len(cell); {
+				k := j + 1
+				for k < len(cell) && cmp.Compare(cell[k], cell[j]) == 0 {
+					k++
+				}
+				runs[i] = append(runs[i], DomainRun{Value: cell[j], Count: int32(k - j)})
+				j = k
+			}
 		}
 		slices.Sort(want)
-		got := mergeSortedRuns([]float64{-1}, runs)
-		if got[0] != -1 || len(got) != 1+len(want) {
-			t.Fatalf("trial %d: merged %d values after the prefix, want %d", trial, len(got)-1, len(want))
+		prefix := domainRun{value: -1}
+		got := mergeSortedRuns([]domainRun{prefix}, runs)
+		if got[0] != prefix {
+			t.Fatalf("trial %d: the prefix changed to %v", trial, got[0])
+		}
+		var expanded []float64
+		for j, r := range got[1:] {
+			if int(r.before) != len(expanded) {
+				t.Fatalf("trial %d: run %d counts %d samples before it, want %d", trial, j, r.before, len(expanded))
+			}
+			if j > 0 && !cmp.Less(got[j].value, r.value) {
+				t.Fatalf("trial %d: runs %d and %d are not strictly ascending: %v, %v", trial, j-1, j, got[j].value, r.value)
+			}
+			for _, v := range want[len(expanded):] {
+				if cmp.Compare(v, r.value) != 0 {
+					break
+				}
+				expanded = append(expanded, v)
+			}
+		}
+		if len(expanded) != len(want) {
+			t.Fatalf("trial %d: merged runs cover %d samples, want %d\n got  %v\n want %v", trial, len(expanded), len(want), got[1:], want)
 		}
 		for i, w := range want {
-			if math.Float64bits(got[1+i]) != math.Float64bits(w) {
-				t.Fatalf("trial %d: merge differs from sort at %d\n got  %v\n want %v", trial, i, got[1:], want)
+			if math.Float64bits(expanded[i]) != math.Float64bits(w) {
+				t.Fatalf("trial %d: merge differs from sort at %d\n got  %v\n want %v", trial, i, expanded, want)
 			}
 		}
 		for i, run := range runs {
@@ -433,26 +463,29 @@ func TestMergeSortedRunsEqualsSort(t *testing.T) {
 // an answer a result cache may hold for hours, not in the pool.
 func TestMergedAnswerDoesNotPinPartials(t *testing.T) {
 	_, depths, partial := gatherFixture(t, QuerySpec{K: 8})
-	freed := make(chan string, 2)
-	runtime.SetFinalizer(&partial.Tables[0].Rows[0], func(*Alignment) { freed <- "row slab" })
-	for i := range partial.Samples {
-		if len(partial.Samples[i]) > 0 { // the first non-empty cell starts the slab
-			runtime.SetFinalizer(&partial.Samples[i][0], func(*float64) { freed <- "sample slab" })
-			break
-		}
+	// Every pair is one sample in each cell, so the first column with
+	// pairs starts both distribution slabs.
+	col := slices.IndexFunc(partial.Dists, func(cd ColumnDists) bool { return len(cd.Domain) > 0 })
+	if col < 0 {
+		t.Fatal("fixture: no distributions")
 	}
+	const slabs = 3
+	freed := make(chan string, slabs)
+	runtime.SetFinalizer(&partial.Tables[0].Rows[0], func(*ShardRow) { freed <- "row slab" })
+	runtime.SetFinalizer(&partial.Dists[col].Coded[0][0], func(*CodeCount) { freed <- "code slab" })
+	runtime.SetFinalizer(&partial.Dists[col].Domain[0], func(*DomainRun) { freed <- "D run slab" })
 	ranked, _, err := MergeShardPartials(depths, []*ShardPartial{partial})
 	if err != nil || len(ranked) == 0 {
 		t.Fatalf("merge: %d results, err %v", len(ranked), err)
 	}
 	partial = nil
-	for got := 0; got < 2; {
+	for got := 0; got < slabs; {
 		runtime.GC()
 		select {
 		case <-freed:
 			got++
 		case <-time.After(5 * time.Second):
-			t.Fatalf("a slab of the merged partial is still reachable with only the answer alive (%d of 2 freed)", got)
+			t.Fatalf("a slab of the merged partial is still reachable with only the answer alive (%d of %d freed)", got, slabs)
 		}
 	}
 	runtime.KeepAlive(ranked)

@@ -5,12 +5,17 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"d3l/internal/persist"
 )
 
 // gatherFixture runs one real probe → gather on a small engine and
@@ -40,33 +45,35 @@ func gatherFixture(t testing.TB, spec QuerySpec) (*Engine, *ShardDepths, *ShardP
 }
 
 // samePartial compares two partials value for value — float64 by bit
-// pattern — treating an empty sample cell and a nil one as the same
-// (the decoder does not distinguish them; a nil Samples slice, which
-// marks uniform weighting, it does).
+// pattern — treating an empty cell and a nil one as the same (the
+// decoder does not distinguish them; a nil Dists slice, which marks
+// uniform weighting, it does).
 func samePartial(a, b *ShardPartial) bool {
 	if a.Meta != b.Meta || a.PairCount != b.PairCount || a.TableCount != b.TableCount {
 		return false
 	}
-	if (a.Samples == nil) != (b.Samples == nil) || len(a.Samples) != len(b.Samples) {
+	if (a.Dists == nil) != (b.Dists == nil) || len(a.Dists) != len(b.Dists) {
 		return false
 	}
-	for i := range a.Samples {
-		if len(a.Samples[i]) != len(b.Samples[i]) {
-			return false
-		}
-		for j := range a.Samples[i] {
-			if math.Float64bits(a.Samples[i][j]) != math.Float64bits(b.Samples[i][j]) {
+	for i := range a.Dists {
+		for t := range a.Dists[i].Coded {
+			if !slices.Equal(a.Dists[i].Coded[t], b.Dists[i].Coded[t]) {
 				return false
 			}
 		}
+		if !slices.EqualFunc(a.Dists[i].Domain, b.Dists[i].Domain, func(x, y DomainRun) bool {
+			return math.Float64bits(x.Value) == math.Float64bits(y.Value) && x.Count == y.Count
+		}) {
+			return false
+		}
 	}
-	// Rows hold only ints and float64 arrays, and no distance is NaN or
-	// a negative zero, so DeepEqual is bit equality here.
+	// Rows hold only ints, codes and a D float64, and no D is NaN or a
+	// negative zero, so DeepEqual is bit equality here.
 	return reflect.DeepEqual(a.Tables, b.Tables)
 }
 
 // TestShardPartialRoundTrip sends real partials through the binary
-// codec and back: ECDF-weighted (sample cells), uniform (nil Samples),
+// codec and back: ECDF-weighted (distributions), uniform (nil Dists),
 // and a partial with no tables at all.
 func TestShardPartialRoundTrip(t *testing.T) {
 	cases := []struct {
@@ -78,15 +85,15 @@ func TestShardPartialRoundTrip(t *testing.T) {
 		{"uniform", QuerySpec{K: 8, Uniform: true}, nil},
 		{"no tables", QuerySpec{K: 8}, func(p *ShardPartial) {
 			p.Tables, p.TableCount, p.PairCount = []ShardTable{}, 0, 0
-			for i := range p.Samples {
-				p.Samples[i] = nil
-			}
+			clear(p.Dists)
 		}},
 		{"odd floats", QuerySpec{K: 8}, func(p *ShardPartial) {
-			// Bit patterns a decimal round trip would not keep.
-			p.Tables[0].Rows[0].Distances[0] = math.Float64frombits(0x3fb999999999999a) // 0.1
-			p.Tables[0].Rows[0].Distances[1] = math.SmallestNonzeroFloat64
-			p.Tables[0].Rows[0].Distances[2] = math.Nextafter(1, 0)
+			// Bit patterns a decimal round trip would not keep, and the
+			// largest codes.
+			rows := p.Tables[0].Rows
+			rows[0].Dist.Domain = math.Float64frombits(0x3fb999999999999a) // 0.1
+			rows[len(rows)-1].Dist.Domain = math.SmallestNonzeroFloat64
+			rows[0].Dist.Codes = [NumCoded]uint16{uint16(p.Meta.MinHashSize), 0, uint16(p.Meta.MinHashSize), uint16(p.Meta.EmbedBits)}
 		}},
 	}
 	for _, c := range cases {
@@ -95,10 +102,10 @@ func TestShardPartialRoundTrip(t *testing.T) {
 			if c.edit != nil {
 				c.edit(partial)
 			}
-			if c.name == "uniform" && partial.Samples != nil {
-				t.Fatal("fixture: uniform weighting shipped sample cells")
+			if c.name == "uniform" && partial.Dists != nil {
+				t.Fatal("fixture: uniform weighting shipped distributions")
 			}
-			if c.name == "weighted" && (len(partial.Tables) == 0 || len(partial.Samples) == 0) {
+			if c.name == "weighted" && (len(partial.Tables) == 0 || len(partial.Dists) == 0) {
 				t.Fatal("fixture: empty partial")
 			}
 			got, err := DecodeShardPartial(EncodeShardPartial(partial))
@@ -112,6 +119,35 @@ func TestShardPartialRoundTrip(t *testing.T) {
 	}
 }
 
+// firstCell returns a non-empty cell of p's distributions that holds at
+// least n entries, preferring the coded cells: a coded cell as codes, a
+// D cell as runs. It panics when p has none: the fixture is wrong.
+func firstCell(p *ShardPartial, n int) ([]CodeCount, []DomainRun) {
+	for i := range p.Dists {
+		for _, cell := range p.Dists[i].Coded {
+			if len(cell) >= n {
+				return cell, nil
+			}
+		}
+	}
+	for i := range p.Dists {
+		if runs := p.Dists[i].Domain; len(runs) >= n {
+			return nil, runs
+		}
+	}
+	panic(fmt.Sprintf("fixture has no cell of %d entries", n))
+}
+
+// firstColumn is the first column of p's distributions with samples.
+func firstColumn(p *ShardPartial) *ColumnDists {
+	for i := range p.Dists {
+		if len(p.Dists[i].Domain) > 0 {
+			return &p.Dists[i]
+		}
+	}
+	panic("fixture has no column with samples")
+}
+
 // malformedPartials lists the shapes a replica (or a proxy in between)
 // must not be able to crash the coordinator with, each as an edit of a
 // valid partial.
@@ -122,7 +158,7 @@ var malformedPartials = []struct {
 	{"target column -1", func(p *ShardPartial) { p.Tables[0].Rows[0].TargetColumn = -1 }},
 	{"target column past the target", func(p *ShardPartial) {
 		rows := p.Tables[0].Rows
-		rows[len(rows)-1].TargetColumn = p.Meta.NumCols
+		rows[len(rows)-1].TargetColumn = int32(p.Meta.NumCols)
 	}},
 	{"table without rows", func(p *ShardPartial) { p.Tables[0].Rows = nil }},
 	{"rows not ascending", func(p *ShardPartial) {
@@ -135,25 +171,45 @@ var malformedPartials = []struct {
 		p.Tables[0].Rows = append(p.Tables[0].Rows, p.Tables[0].Rows[0]) // duplicate column
 	}},
 	{"unsorted sample cell", func(p *ShardPartial) {
-		for i := range p.Samples {
-			if len(p.Samples[i]) > 1 {
-				p.Samples[i][0] = 2
+		codes, runs := firstCell(p, 2)
+		if codes != nil {
+			codes[0], codes[1] = codes[1], codes[0]
+		} else {
+			runs[0], runs[1] = runs[1], runs[0]
+		}
+	}},
+	{"missing sample cell", func(p *ShardPartial) { p.Dists = p.Dists[:len(p.Dists)-1] }},
+	{"no sample cells", func(p *ShardPartial) { p.Dists = nil }},
+	{"table count off by one", func(p *ShardPartial) { p.TableCount++ }},
+	{"negative pair count", func(p *ShardPartial) { p.PairCount = -1 }},
+	{"code past the width", func(p *ShardPartial) {
+		cell := firstColumn(p).Coded[EvidenceName]
+		cell[len(cell)-1].Code = uint16(p.Meta.MinHashSize + 1)
+	}},
+	{"row code past the width", func(p *ShardPartial) {
+		p.Tables[0].Rows[0].Dist.Codes[EvidenceEmbedding] = uint16(p.Meta.EmbedBits + 1)
+	}},
+	{"code without samples", func(p *ShardPartial) { firstColumn(p).Coded[EvidenceFormat][0].Count = 0 }},
+	{"D runs not strictly ascending", func(p *ShardPartial) {
+		for i := range p.Dists {
+			if runs := p.Dists[i].Domain; len(runs) >= 2 {
+				runs[1].Value = runs[0].Value
 				return
 			}
 		}
-		panic("fixture has no sample cell with two values")
+		panic("fixture has no D cell of two runs")
 	}},
-	{"missing sample cell", func(p *ShardPartial) { p.Samples = p.Samples[:len(p.Samples)-1] }},
-	{"no sample cells", func(p *ShardPartial) { p.Samples = nil }},
-	{"table count off by one", func(p *ShardPartial) { p.TableCount++ }},
-	{"negative pair count", func(p *ShardPartial) { p.PairCount = -1 }},
+	{"cells disagree on n", func(p *ShardPartial) { firstColumn(p).Coded[EvidenceValue][0].Count++ }},
+	{"cells disagree with the pair count", func(p *ShardPartial) { p.PairCount++ }},
+	{"widths off the grid", func(p *ShardPartial) { p.Meta.EmbedBits = 0 }},
+	{"k of 0", func(p *ShardPartial) { p.Meta.K = 0 }},
 }
 
 // TestMergeShardPartialsRejectsMalformed feeds each malformed shape to
 // the merge directly (the in-process path) and through the codec (the
 // wire path): both must answer an error, neither may panic. Unchecked,
-// "target column -1" indexes the ECDF cells at -5 and "table without
-// rows" divides by zero.
+// "target column -1" indexes the distributions at -1, "table without
+// rows" divides by zero and "code past the width" reads past the grid.
 func TestMergeShardPartialsRejectsMalformed(t *testing.T) {
 	for _, c := range malformedPartials {
 		t.Run(c.name, func(t *testing.T) {
@@ -172,7 +228,7 @@ func TestMergeShardPartialsRejectsMalformed(t *testing.T) {
 	}
 	t.Run("samples under uniform weighting", func(t *testing.T) {
 		_, depths, partial := gatherFixture(t, QuerySpec{K: 8, Uniform: true})
-		partial.Samples = make([][]float64, partial.Meta.NumCols*int(NumEvidence))
+		partial.Dists = make([]ColumnDists, partial.Meta.NumCols)
 		if _, _, err := MergeShardPartials(depths, []*ShardPartial{partial}); err == nil {
 			t.Fatal("MergeShardPartials accepted the partial")
 		}
@@ -181,8 +237,8 @@ func TestMergeShardPartialsRejectsMalformed(t *testing.T) {
 
 // TestDecodeShardPartialRejectsDamage covers the envelope: truncation
 // anywhere, any single flipped bit, a foreign magic or version (with a
-// recomputed checksum, so it is the field that is refused), and bytes
-// trailing the last table.
+// recomputed checksum, so it is the field that is refused), bytes
+// trailing the last table, and a version 1 body, refused by version.
 func TestDecodeShardPartialRejectsDamage(t *testing.T) {
 	_, _, partial := gatherFixture(t, QuerySpec{K: 8})
 	good := EncodeShardPartial(partial)
@@ -209,48 +265,111 @@ func TestDecodeShardPartialRejectsDamage(t *testing.T) {
 			t.Fatalf("accepted a resealed body with a bad %s", name)
 		}
 	}
-	// A count that promises more elements than bytes remain must be
-	// refused before anything is allocated for it.
-	huge := append([]byte(nil), payload...)
-	tablesAt := len(huge) - tablesWireBytes(partial)
-	binary.LittleEndian.PutUint32(huge[tablesAt:], math.MaxUint32)
-	if _, err := DecodeShardPartial(sealShardBody(huge)); err == nil || !strings.Contains(err.Error(), "truncated") {
+	if _, err := DecodeShardPartial(readHex(t, "testdata/shard_partial_v1.hex")); !errors.Is(err, persist.ErrVersion) {
+		t.Fatalf("a version 1 body: err = %v, want persist.ErrVersion", err)
+	}
+}
+
+// TestDecodeShardPartialRefusesHostileCounts forges the counts a v2
+// body carries, each in place of a sentinel of the same encoded length
+// in tinyPartial's bytes, resealed so the field itself is refused: a
+// code or a count past its type, slab totals the cells do not match,
+// and a count more elements than bytes remain could back — refused
+// before anything is allocated for it.
+func TestDecodeShardPartialRefusesHostileCounts(t *testing.T) {
+	forge := func(edit func(*ShardPartial), sentinel, forged []byte) []byte {
+		t.Helper()
+		p := tinyPartial()
+		if edit != nil {
+			edit(p)
+		}
+		body := EncodeShardPartial(p)
+		payload := body[:len(body)-4]
+		if n := bytes.Count(payload, sentinel); n != 1 {
+			t.Fatalf("sentinel %x occurs %d times in %x", sentinel, n, payload)
+		}
+		return sealShardBody(bytes.Replace(payload, sentinel, forged, 1))
+	}
+	// The distributions' header: hasDists, 2 columns, 10 codes, 3 runs.
+	header := []byte{1, 2, 10, 3}
+	for _, c := range []struct {
+		name       string
+		edit       func(*ShardPartial)
+		sentinel   []byte
+		forged     []byte
+		wantInText string
+	}{
+		{"code past a uint16", func(p *ShardPartial) { p.Dists[1].Coded[EvidenceEmbedding][1].Code = math.MaxUint16 },
+			binary.AppendUvarint(nil, math.MaxUint16), binary.AppendUvarint(nil, 2*math.MaxUint16+1), "overflows"},
+		{"count past an int32", func(p *ShardPartial) { p.Dists[0].Domain[0].Count = math.MaxInt32 - 15 },
+			binary.AppendUvarint(nil, math.MaxInt32-15), binary.AppendUvarint(nil, math.MaxUint32), "overflows"},
+		{"row id past a uint32", func(p *ShardPartial) { p.Tables[1].Rows[0].AttrID = math.MaxInt32 },
+			binary.AppendUvarint(nil, math.MaxInt32), binary.AppendUvarint(nil, 1<<34), "overflows"},
+		{"more codes declared than shipped", nil, header, []byte{1, 2, 11, 3}, "slabs declare"},
+		{"fewer codes declared than shipped", nil, header, []byte{1, 2, 9, 3}, "past its slab"},
+		{"fewer runs declared than shipped", nil, header, []byte{1, 2, 10, 2}, "past its slab"},
+		{"more columns than bytes", nil, header, append(binary.AppendUvarint([]byte{1}, math.MaxUint32), 10, 3), "truncated"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := DecodeShardPartial(forge(c.edit, c.sentinel, c.forged))
+			if err == nil || !strings.Contains(err.Error(), c.wantInText) {
+				t.Fatalf("err = %v, want one saying %q", err, c.wantInText)
+			}
+		})
+	}
+	// A table count more tables than bytes remain: a partial without
+	// tables ends in its table count and row total, both zero.
+	empty := tinyPartial()
+	empty.Tables, empty.TableCount = nil, 0
+	body := EncodeShardPartial(empty)
+	payload := append(body[:len(body)-6:len(body)-6], binary.AppendUvarint(nil, math.MaxUint32)...)
+	if _, err := DecodeShardPartial(sealShardBody(append(payload, 0))); !errors.Is(err, persist.ErrTruncated) {
 		t.Fatalf("table count 2^32-1: err = %v, want a truncation error", err)
 	}
 }
 
-// tablesWireBytes is the encoded size of a partial's table section,
-// count prefix included.
-func tablesWireBytes(p *ShardPartial) int {
-	n := 4
-	for i := range p.Tables {
-		n += 8 + 4 + len(p.Tables[i].Name) + 4 + len(p.Tables[i].Rows)*shardRowWireBytes
+// readHex reads a hex fixture, whitespace ignored.
+func readHex(t testing.TB, path string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return n
+	b, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
-// tinyPartial is a hand-built valid partial of a few hundred bytes —
+// tinyPartial is a hand-built valid partial of about a hundred bytes —
 // a fuzz seed the mutator can get through quickly, unlike a real one.
+// Column 0 has one pair, column 1 two.
 func tinyPartial() *ShardPartial {
-	p := &ShardPartial{
-		Meta:       ShardQueryMeta{NumCols: 2, K: 3, Budget: 50, Weights: Weights{1, 1, 1, 1, 1}},
+	return &ShardPartial{
+		Meta:       ShardQueryMeta{NumCols: 2, K: 3, Budget: 50, Weights: Weights{1, 1, 1, 1, 1}, MinHashSize: 64, EmbedBits: 64, Seed: 7},
 		PairCount:  3,
 		TableCount: 2,
-		Samples:    make([][]float64, 2*int(NumEvidence)),
+		Dists: []ColumnDists{
+			{
+				Coded:  [NumCoded][]CodeCount{{{3, 1}}, {{64, 1}}, {{0, 1}}, {{32, 1}}},
+				Domain: []DomainRun{{0.5, 1}},
+			},
+			{
+				Coded:  [NumCoded][]CodeCount{{{1, 1}, {5, 1}}, {{64, 2}}, {{0, 2}}, {{10, 1}, {40, 1}}},
+				Domain: []DomainRun{{0.25, 1}, {1, 1}},
+			},
+		},
 		Tables: []ShardTable{
-			{TableID: 4, Name: "a", Rows: []Alignment{
-				{TargetColumn: 0, AttrID: 9, CandColumn: 1, Distances: DistanceVector{0.1, 0.2, 0.3, 0.4, 0.5}},
-				{TargetColumn: 1, AttrID: 10, CandColumn: 2, Distances: DistanceVector{1, 1, 0, 0.25, 0.75}},
+			{TableID: 4, Name: "a", Rows: []ShardRow{
+				{TargetColumn: 0, AttrID: 9, CandColumn: 1, Dist: CodedDistances{Codes: [NumCoded]uint16{3, 64, 0, 32}, Domain: 0.5}},
+				{TargetColumn: 1, AttrID: 10, CandColumn: 2, Dist: CodedDistances{Codes: [NumCoded]uint16{5, 64, 0, 40}, Domain: 1}},
 			}},
-			{TableID: 7, Name: "b", Rows: []Alignment{
-				{TargetColumn: 1, AttrID: 15, CandColumn: 0, Distances: DistanceVector{0.5, 0.5, 0.5, 0.5, 0.5}},
+			{TableID: 7, Name: "b", Rows: []ShardRow{
+				{TargetColumn: 1, AttrID: 15, CandColumn: 0, Dist: CodedDistances{Codes: [NumCoded]uint16{1, 64, 0, 10}, Domain: 0.25}},
 			}},
 		},
 	}
-	for i := range p.Samples {
-		p.Samples[i] = []float64{0.25, 0.5}
-	}
-	return p
 }
 
 // sealShardBody appends the CRC32-C trailer the decoder checks first.
@@ -276,6 +395,12 @@ func FuzzDecodeShardPartial(f *testing.F) {
 		body := EncodeShardPartial(p)
 		f.Add(body[:len(body)-4])
 	}
+	uniform := tinyPartial()
+	uniform.Meta.Uniform, uniform.Dists = true, nil
+	body := EncodeShardPartial(uniform)
+	f.Add(body[:len(body)-4])
+	v1 := readHex(f, "testdata/shard_partial_v1.hex")
+	f.Add(v1[:len(v1)-4])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, body := range [][]byte{data, sealShardBody(append([]byte(nil), data...))} {
 			p, err := DecodeShardPartial(body)
@@ -285,8 +410,19 @@ func FuzzDecodeShardPartial(f *testing.F) {
 			if err := p.validate(); err != nil {
 				t.Fatalf("decoded partial fails validation: %v", err)
 			}
-			if slots := cap(p.Tables) + cap(p.Samples); slots > len(body) {
-				t.Fatalf("%d-byte body decoded into %d table and cell slots", len(body), slots)
+			// Every element decoded took a byte of its own at least.
+			slots := cap(p.Tables) + cap(p.Dists)
+			for i := range p.Tables {
+				slots += len(p.Tables[i].Rows)
+			}
+			for i := range p.Dists {
+				for _, cell := range p.Dists[i].Coded {
+					slots += len(cell)
+				}
+				slots += len(p.Dists[i].Domain)
+			}
+			if slots > len(body) {
+				t.Fatalf("%d-byte body decoded into %d table, column, code, run and row slots", len(body), slots)
 			}
 			// Whatever decodes must also be safe to score.
 			depths := &ShardDepths{Meta: p.Meta}
@@ -331,24 +467,17 @@ func TestShardProbeAllocationBudget(t *testing.T) {
 }
 
 // TestEncodeShardPartialGolden pins "same bytes": the committed hex is
-// what the encoder wrote for tinyPartial, D3SP version 1. The encoder
+// what the encoder wrote for tinyPartial, D3SP version 2. The encoder
 // sizes the body by writing it into a recycled buffer
 // (TestShardWireAllocationBudgets holds it to the one allocation), and
 // a body encoded after a larger one is still exactly its own.
 func TestEncodeShardPartialGolden(t *testing.T) {
-	raw, err := os.ReadFile("testdata/shard_partial_v1.hex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := hex.DecodeString(strings.Join(strings.Fields(string(raw)), ""))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readHex(t, "testdata/shard_partial_v2.hex")
 	got := EncodeShardPartial(tinyPartial())
 	if !bytes.Equal(got, want) {
 		t.Fatalf("EncodeShardPartial(tinyPartial()) changed on the wire\n got  %x\n want %x", got, want)
 	}
-	if shardPartialVersion != 1 {
+	if shardPartialVersion != 2 {
 		t.Fatalf("shardPartialVersion = %d: a layout change needs a new golden, not this one", shardPartialVersion)
 	}
 	_, _, real := gatherFixture(t, QuerySpec{K: 8})

@@ -282,33 +282,33 @@ func (e *Engine) DistinctSignatures() (names, values, formats int) {
 	return names, values, formats
 }
 
-// memoSlots is how many distances distMemo keeps per evidence type; a
+// memoSlots is how many codes distMemo keeps per evidence type; a
 // power of two.
 const memoSlots = 512
 
-// memoSlot is one remembered distance: to the candidate signature with
-// id, valid while epoch is the memo's.
+// memoSlot is one remembered distance code: to the candidate signature
+// with id, valid while epoch is the memo's.
 type memoSlot struct {
 	id    int32
 	epoch uint32
-	dist  float64
+	code  uint16
 }
 
 // distMemo remembers, for the one target column being gathered, its N, V
-// and F distances to candidate signatures by their table id, so that
-// each distinct candidate signature is compared with the column's once.
-// A distance is a pure function of the two signatures, so a remembered
-// one is the one a comparison would return, bit for bit. The memo is
-// direct-mapped on the id, like a hardware cache: a collision evicts,
-// and the evicted distance is computed again when asked for. Its size is
-// fixed, whatever the lake holds; it lives on a worker arena.
+// and F distance codes to candidate signatures by their table id, so
+// that each distinct candidate signature is compared with the column's
+// once. A code is a pure function of the two signatures, so a remembered
+// one is the one a comparison would return. The memo is direct-mapped on
+// the id, like a hardware cache: a collision evicts, and the evicted code
+// is computed again when asked for. Its size is fixed, whatever the lake
+// holds; it lives on a worker arena.
 type distMemo struct {
 	epoch uint32
 	slots [EvidenceFormat + 1][memoSlots]memoSlot
 }
 
-// reset forgets every distance: the next column has other signatures.
-// The slots are epoch-stamped, so it is one increment.
+// reset forgets every code: the next column has other signatures. The
+// slots are epoch-stamped, so it is one increment.
 func (m *distMemo) reset() {
 	m.epoch++
 	if m.epoch == 0 { // wraparound: stale stamps could alias
@@ -317,19 +317,19 @@ func (m *distMemo) reset() {
 	}
 }
 
-// jaccard is jaccardDistance(a, b) for evidence type t, where a is the
-// target column's signature and b the candidate's, the copy under id bID
-// in sigs, which is read only when the memo misses. A nil memo, or id 0,
+// code is g.jaccardCode(a, b) for evidence type t, where a is the target
+// column's signature and b the candidate's, the copy under id bID in
+// sigs, which is read only when the memo misses. A nil memo, or id 0,
 // computes it directly.
-func (m *distMemo) jaccard(t Evidence, a minhash.Signature, sigs *sigTable, bID int32) float64 {
+func (m *distMemo) code(g *distanceGrid, t Evidence, a minhash.Signature, sigs *sigTable, bID int32) uint16 {
 	if m == nil || bID == 0 {
-		return jaccardDistance(a, sigs.sig(bID))
+		return g.jaccardCode(a, sigs.sig(bID))
 	}
 	s := &m.slots[t][bID&(memoSlots-1)]
 	if s.id == bID && s.epoch == m.epoch {
-		return s.dist
+		return s.code
 	}
-	d := jaccardDistance(a, sigs.sigs[bID])
-	*s = memoSlot{id: bID, epoch: m.epoch, dist: d}
-	return d
+	c := g.jaccardCode(a, sigs.sigs[bID])
+	*s = memoSlot{id: bID, epoch: m.epoch, code: c}
+	return c
 }

@@ -375,19 +375,23 @@ func TestDistMemoEpochWraparound(t *testing.T) {
 	var tab sigTable
 	tab.sigs = make([]minhash.Signature, 6)
 	tab.sigs[5] = constSig(1)
+	g, err := gridFor(len(a), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var m distMemo
 	m.reset()
-	m.slots[EvidenceName][5] = memoSlot{id: 5, epoch: 1, dist: 0.125} // stale
+	m.slots[EvidenceName][5] = memoSlot{id: 5, epoch: 1, code: 32} // stale
 	m.epoch = ^uint32(0)
 	m.reset()
 	if m.epoch != 1 {
 		t.Fatalf("epoch %d after the wraparound, want 1", m.epoch)
 	}
-	if d := m.jaccard(EvidenceName, a, &tab, 5); d != 0 {
-		t.Fatalf("distance %v: a stale slot survived the wraparound", d)
+	if c := m.code(g, EvidenceName, a, &tab, 5); c != 0 {
+		t.Fatalf("code %d: a stale slot survived the wraparound", c)
 	}
 	tab.sigs[5] = constSig(2)
-	if d := m.jaccard(EvidenceName, a, &tab, 5); d != 0 {
-		t.Fatalf("distance %v: the memo did not answer for id 5 within the column", d)
+	if c := m.code(g, EvidenceName, a, &tab, 5); c != 0 {
+		t.Fatalf("code %d: the memo did not answer for id 5 within the column", c)
 	}
 }

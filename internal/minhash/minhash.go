@@ -185,6 +185,16 @@ var ErrSizeMismatch = errors.New("minhash: signature sizes differ")
 // Similarity estimates the Jaccard similarity of the sets underlying
 // two signatures as the fraction of agreeing slots.
 func Similarity(a, b Signature) (float64, error) {
+	miss, err := Mismatches(a, b)
+	if err != nil {
+		return 0, err
+	}
+	return float64(len(a)-miss) / float64(len(a)), nil
+}
+
+// Mismatches counts the slots on which two signatures disagree: the
+// integer behind every Jaccard estimate, 1 − (len − mismatches)/len.
+func Mismatches(a, b Signature) (int, error) {
 	if len(a) != len(b) {
 		return 0, ErrSizeMismatch
 	}
@@ -196,13 +206,13 @@ func Similarity(a, b Signature) (float64, error) {
 	// every pair distance the query pipeline computes, and it must stay
 	// branch-lean and allocation-free.
 	b = b[:len(a)]
-	equal := 0
+	miss := 0
 	for i := range a {
-		if a[i] == b[i] {
-			equal++
+		if a[i] != b[i] {
+			miss++
 		}
 	}
-	return float64(equal) / float64(len(a)), nil
+	return miss, nil
 }
 
 // Distance estimates the Jaccard distance (1 - similarity).

@@ -229,12 +229,6 @@ func (b *Buffer) Uvarint(v uint64) { b.data = binary.AppendUvarint(b.room(binary
 // a value near zero of either sign is as short as a small Uvarint.
 func (b *Buffer) Varint(v int64) { b.data = binary.AppendVarint(b.room(binary.MaxVarintLen64), v) }
 
-// Str appends a length-prefixed string.
-func (b *Buffer) Str(s string) {
-	b.U32(uint32(len(s)))
-	b.data = append(b.room(len(s)), s...)
-}
-
 // VStr appends a string prefixed with its length as a Uvarint.
 func (b *Buffer) VStr(s string) {
 	b.Uvarint(uint64(len(s)))
@@ -767,23 +761,6 @@ func (r *Reader) VCount(elemSize int) int {
 	return int(n)
 }
 
-// Skip passes over n bytes unread, with the bounds check of a read.
-func (r *Reader) Skip(n int) {
-	if r.err != nil {
-		return
-	}
-	if n < 0 || r.Remaining() < n {
-		r.fail()
-		return
-	}
-	k := min(n, len(r.buf)-r.off)
-	r.off += k
-	r.next += int64(n - k)
-}
-
-// Str reads a length-prefixed string.
-func (r *Reader) Str() string { return r.str(r.Count(1)) }
-
 // VStr reads a string Buffer.VStr wrote.
 func (r *Reader) VStr() string { return r.str(r.VCount(1)) }
 
@@ -836,10 +813,6 @@ func (r *Reader) F64s() []float64 {
 	}
 	return r.f64s(make([]float64, 0, n), n)
 }
-
-// AppendF64s reads a length-prefixed []float64 onto the end of dst, for
-// decoders that lay many vectors out in one slab.
-func (r *Reader) AppendF64s(dst []float64) []float64 { return r.f64s(dst, r.Count(8)) }
 
 func (r *Reader) f64s(dst []float64, n int) []float64 {
 	r.chunks(n, 8, func(p []byte) {

@@ -40,9 +40,25 @@ func (s *shortSource) ReadAt(p []byte, off int64) (int, error) {
 	return n, nil
 }
 
-// appendU32s and appendInts lay a slice down as the fixed-width layouts
-// did, whose bytes roundTripHex pins: a uint32 count, then the values at
-// 32 and 64 bits.
+// appendStr, appendU32s and appendInts lay a string or a slice down as
+// the fixed-width layouts did, whose bytes roundTripHex pins: a uint32
+// count, then the bytes, or the values at 32 and 64 bits; readStr reads
+// the string back.
+func appendStr(b *Buffer, s string) {
+	b.U32(uint32(len(s)))
+	for i := 0; i < len(s); i++ {
+		b.U8(s[i])
+	}
+}
+
+func readStr(r *Reader) string {
+	s := make([]byte, r.Count(1))
+	for i := range s {
+		s[i] = r.U8()
+	}
+	return string(s)
+}
+
 func appendU32s(b *Buffer, vs []uint32) {
 	b.U32(uint32(len(vs)))
 	for _, v := range vs {
@@ -82,7 +98,7 @@ func roundTripSnapshot(t *testing.T) []byte {
 			b.U64(1 << 62)
 			b.I64(-42)
 			b.F64(math.Pi)
-			b.Str("practice name")
+			appendStr(b, "practice name")
 			appendU32s(b, []uint32{6, 5, math.MaxUint32})
 			appendInts(b, []int{9, 8, 7})
 			appendInts(b, []int{-5, 5})
@@ -179,7 +195,7 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.F64(); v != math.Pi {
 		t.Fatalf("F64 = %v", v)
 	}
-	if v := r.Str(); v != "practice name" {
+	if v := readStr(r); v != "practice name" {
 		t.Fatalf("Str = %q", v)
 	}
 	if n := r.Count(4); n != 3 || r.U32() != 6 || r.U32() != 5 || r.U32() != math.MaxUint32 {
@@ -268,7 +284,7 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 		enc.Section(SecAttrs, func(b *Buffer) {
 			b.U8(9) // knocks every later value off the window's alignment
 			b.VU32s(u32s)
-			b.Str(name)
+			b.VStr(name)
 			b.F64s(f64s)
 			b.F64s(f64s)
 			for i := 0; i < window/8; i++ {
@@ -287,13 +303,17 @@ func TestReaderPagesAcrossWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.U8() != 9 || !slices.Equal(r.VU32s(nil), u32s) || r.Str() != name {
+	if r.U8() != 9 || !slices.Equal(r.VU32s(nil), u32s) || r.VStr() != name {
 		t.Fatalf("values before the slab did not survive paging: err %v", r.Err())
 	}
-	if got := r.AppendF64s(r.F64s()); !slices.Equal(got, append(f64s, f64s...)) {
-		t.Fatalf("F64s + AppendF64s read %d values, err %v", len(got), r.Err())
+	if got := append(r.F64s(), r.F64s()...); !slices.Equal(got, append(f64s, f64s...)) {
+		t.Fatalf("F64s read %d values, err %v", len(got), r.Err())
 	}
-	r.Skip(8 * (window/8 - 1))
+	for i := 0; i < window/8-1; i++ {
+		if v := r.U64(); v != uint64(i) {
+			t.Fatalf("U64 %d read %d, err %v", i, v, r.Err())
+		}
+	}
 	if v := r.U64(); v != window/8-1 || !slices.Equal(r.AppendVU64s(nil), []uint64{3, 5}) || r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("tail read %d, err %v, %d bytes left", v, r.Err(), r.Remaining())
 	}
@@ -363,7 +383,7 @@ func TestReaderErrorsAreSticky(t *testing.T) {
 	if v := r.U32(); v != 0 {
 		t.Fatalf("poisoned reader returned %d", v)
 	}
-	if v := r.Str(); v != "" {
+	if v := r.VStr(); v != "" {
 		t.Fatalf("poisoned reader returned %q", v)
 	}
 }
@@ -471,14 +491,14 @@ func TestEncoderStreamsThroughOneWindow(t *testing.T) {
 func TestSealedRoundTrip(t *testing.T) {
 	var b Buffer
 	b.U32(7)
-	b.Str("partial")
+	b.VStr("partial")
 	b.F64s([]float64{0.25, 0.5})
 	sealed := b.Sealed()
 	r, err := OpenSealed(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.U32() != 7 || r.Str() != "partial" || len(r.F64s()) != 2 || r.Err() != nil || r.Remaining() != 0 {
+	if r.U32() != 7 || r.VStr() != "partial" || len(r.F64s()) != 2 || r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("payload did not survive: err %v, %d bytes left", r.Err(), r.Remaining())
 	}
 	if _, err := OpenSealed(sealed[:2]); !errors.Is(err, ErrTruncated) {
@@ -510,41 +530,6 @@ func TestReaderCountBoundsAllocation(t *testing.T) {
 	r, _ = OpenSealed(sealed)
 	if n := r.Count(9); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
 		t.Fatalf("Count(9) = %d, err %v; want 0 and ErrTruncated (3×9 bytes do not remain)", n, r.Err())
-	}
-}
-
-// TestSlabReads covers the reader's slab-decoding helpers: AppendF64s
-// reads what F64s reads, onto the end of the caller's slice; Skip moves
-// past bytes under the same bounds check as a read; and a copy of a
-// Reader walks ahead without moving the original (how a decoder sizes a
-// slab before filling it).
-func TestSlabReads(t *testing.T) {
-	var b Buffer
-	b.F64s([]float64{0.25, 0.5})
-	b.F64s(nil)
-	b.F64s([]float64{-1})
-	b.U32(9)
-	r := &Reader{buf: b.data}
-	scan := *r
-	scan.Skip(4 + 16 + 4 + 4 + 8)
-	if scan.U32() != 9 || scan.Err() != nil || r.Remaining() != len(b.data) {
-		t.Fatalf("scan read past the vectors to err %v; original has %d of %d bytes left", scan.Err(), r.Remaining(), len(b.data))
-	}
-	slab := []float64{7}
-	for i := 0; i < 3; i++ {
-		slab = r.AppendF64s(slab)
-	}
-	if want := []float64{7, 0.25, 0.5, -1}; !slices.Equal(slab, want) || r.U32() != 9 || r.Err() != nil {
-		t.Fatalf("AppendF64s built %v, err %v; want %v", slab, r.Err(), want)
-	}
-	r.Skip(1)
-	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("Skip past the end: err = %v, want ErrTruncated", r.Err())
-	}
-	// A count the payload cannot back appends nothing.
-	short := &Reader{buf: []byte{2, 0, 0, 0, 1, 2, 3}}
-	if got := short.AppendF64s(nil); len(got) != 0 || !errors.Is(short.Err(), ErrTruncated) {
-		t.Fatalf("AppendF64s over a short payload: %v, err %v", got, short.Err())
 	}
 }
 

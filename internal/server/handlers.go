@@ -16,8 +16,9 @@ import (
 
 // writeBody writes a body that is already in hand, declaring its
 // length: net/http chunk-encodes anything over 2 kB otherwise, and a
-// reader told the length up front — the coordinator, of a 150 kB gather
-// partial — can size its buffer once instead of growing it by doubling.
+// reader told the length up front — the coordinator, of a gather
+// partial of tens of kB — can size its buffer once instead of growing
+// it by doubling.
 func writeBody(w http.ResponseWriter, status int, contentType string, body []byte) {
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))

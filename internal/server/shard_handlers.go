@@ -43,11 +43,12 @@ import (
 // generation and Swap purges, so targets never cross engines.
 //
 // Probe and explain answers, and every error, are JSON. The gather
-// answer — a thousand rows and five thousand float64 samples — is the
-// binary form of d3l.EncodeShardPartial under shardPartialContentType.
-// Every answer is complete before its first byte is written and
-// declares its Content-Length (writeBody), which is what lets the
-// coordinator read a 150 kB partial into one buffer of that size.
+// answer — a few thousand rows and the counts of the Eq. 2
+// distributions — is the binary form of d3l.EncodeShardPartial under
+// shardPartialContentType. Every answer is complete before its first
+// byte is written and declares its Content-Length (writeBody), which is
+// what lets the coordinator read a partial of tens of kB into one
+// buffer of that size.
 
 // shardPartialContentType labels the binary gather answer.
 const shardPartialContentType = "application/vnd.d3l.shard-partial"

@@ -828,8 +828,8 @@ var bodyPool sync.Pool
 // readBody reads a response body whole. A replica declares the length
 // of every body it has in hand, so the usual read is into one buffer of
 // at least that size — recycled, else allocated exactly — instead of
-// io.ReadAll's growth by doubling (1.8 MB of garbage for two 150 kB
-// partials); a body cut short under its declared length fails with
+// io.ReadAll's growth by doubling (1.8 MB of garbage for two partials
+// when they were 150 kB each); a body cut short under its declared length fails with
 // io.ErrUnexpectedEOF, as it did. Chunked and implausibly long answers
 // take the growing read.
 func readBody(resp *http.Response) ([]byte, error) {

@@ -415,10 +415,17 @@ func (g *gatherLengths) RoundTrip(req *http.Request) (*http.Response, error) {
 // in hand when it answers, and says how long it is — past the 2 kB up
 // to which net/http would have worked it out alone — so the coordinator
 // reads it into one buffer of that size. The answers are the monolith's
-// through the sized read.
+// through the sized read. The lake is larger than buildRemoteWorld's:
+// partials ship counts, and its gathers fit in 2 kB.
 func TestGatherAnswersDeclareTheirLength(t *testing.T) {
 	spy := new(gatherLengths)
-	w := buildRemoteWorld(t, 211, 2, RemoteConfig{Client: &http.Client{Transport: spy}})
+	lake := testLake(t, 211, 40)
+	set, err := BuildSet(lake, 2, d3l.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, _ := serveRemote(t, set, RemoteConfig{Client: &http.Client{Transport: spy}})
+	w := &remoteWorld{lake: lake, mono: buildMono(t, lake), remote: remote}
 	ctx := context.Background()
 	for _, target := range liveTargets(w.lake, 3) {
 		want, err := w.mono.Query(ctx, target, d3l.WithK(6))

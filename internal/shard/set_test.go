@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"d3l"
@@ -41,6 +43,45 @@ func TestSetErrorContract(t *testing.T) {
 
 	if _, err := set.Query(ctx, target, d3l.WithK(3)); err != nil {
 		t.Fatalf("query after rejected options: %v", err)
+	}
+}
+
+// TestSetRefusesReplicasOfOtherWidths: two replicas sketching with
+// other MinHash widths (or another seed) code their distances on other
+// grids, so a query over both answers an error that names the widths,
+// never a ranking.
+func TestSetRefusesReplicasOfOtherWidths(t *testing.T) {
+	lake := testLake(t, 29, 6)
+	narrow := d3l.DefaultOptions()
+	narrow.MinHashSize, narrow.ForestHashes = 128, 16
+	reseeded := d3l.DefaultOptions()
+	reseeded.Seed++
+	for _, c := range []struct {
+		name string
+		opts d3l.Options
+		want string
+	}{
+		{"MinHashSize", narrow, "MinHashSize 128"},
+		{"seed", reseeded, fmt.Sprintf("seed %#x", reseeded.Seed)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base, err := BuildSet(lake, 2, d3l.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := BuildSet(lake, 2, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mixed, err := NewSet([]*d3l.Engine{base.Shard(0), other.Shard(1)}, base.Placement())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ans, err := mixed.Query(context.Background(), lake.Table(0), d3l.WithK(3))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("query over mixed replicas: answer %v, err %v; want an error naming %q", ans, err, c.want)
+			}
+		})
 	}
 }
 

@@ -63,8 +63,9 @@ func NewECDF(sample []float64) (*ECDF, error) {
 }
 
 // ECDFOf wraps an already-sorted sample as an ECDF value without
-// copying — the allocation-free constructor backing the query arena,
-// which lays every distribution's samples out in one recycled buffer.
+// copying. The query weighs Eq. 2 by counting; the float path it
+// replaced, which core's tests keep as its oracle, wraps its sorted
+// cells with this.
 // The caller must not mutate sorted while the ECDF is in use; an empty
 // sample yields the zero ECDF (Len 0), which callers must treat as
 // "no distribution" before evaluating it.

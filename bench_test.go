@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,6 +30,7 @@ import (
 	"d3l/internal/experiments"
 	"d3l/internal/server"
 	"d3l/internal/shard"
+	"d3l/internal/table"
 )
 
 // benchScale is the per-iteration experiment size.
@@ -821,16 +823,7 @@ func remoteBenchSetup(b *testing.B) (*shard.Remote, []*d3l.Table) {
 			if src.Rows() < 64 {
 				continue
 			}
-			rows := make([]int, 64)
-			for r := range rows {
-				rows[r] = r
-			}
-			t, err := src.SelectRows("target_"+src.Name, rows)
-			if err != nil {
-				w.err = err
-				return
-			}
-			w.targets = append(w.targets, t)
+			w.targets = append(w.targets, headRows(src, "target_"+src.Name, 64))
 		}
 	})
 	if w.err != nil {
@@ -965,21 +958,23 @@ func benchmarkLakeTargets(b *testing.B) (*d3l.Lake, []*d3l.Table) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := make([]int, 64)
-	for r := range rows {
-		rows[r] = r
-	}
 	var targets []*d3l.Table
 	for id := 0; id < lake.Len() && len(targets) < 60; id += 11 {
-		if src := lake.Table(id); src.Rows() >= len(rows) {
-			t, err := src.SelectRows("target_"+src.Name, rows)
-			if err != nil {
-				b.Fatal(err)
-			}
-			targets = append(targets, t)
+		if src := lake.Table(id); src.Rows() >= 64 {
+			targets = append(targets, headRows(src, "target_"+src.Name, 64))
 		}
 	}
 	return lake, targets
+}
+
+// headRows is a copy of src's first n rows under another name, each
+// column's type inferred afresh from those rows.
+func headRows(src *d3l.Table, name string, n int) *d3l.Table {
+	t := &d3l.Table{Name: name, Columns: make([]*d3l.Column, len(src.Columns))}
+	for i, c := range src.Columns {
+		t.Columns[i] = table.NewColumn(c.Name, slices.Clone(c.Values[:n]))
+	}
+	return t
 }
 
 // BenchmarkShardPartialWire is the gather partial's trip through the
@@ -999,7 +994,7 @@ func BenchmarkShardPartialWire(b *testing.B) {
 	ctx := context.Background()
 	spec := core.QuerySpec{K: 10}
 	prepared := make([]*core.Target, len(targets))
-	depths := make([]*d3l.ShardDepths, len(targets))
+	depths := make([]*core.ShardDepths, len(targets))
 	var wireBytes, distBytes int
 	for i, t := range targets {
 		if prepared[i], err = engine.Prepare(t); err != nil {
@@ -1009,18 +1004,18 @@ func BenchmarkShardPartialWire(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if depths[i], err = d3l.MergeShardDepths([]*d3l.ShardProbe{probe}); err != nil {
+		if depths[i], err = core.MergeProbeDepths([]*core.ShardProbe{probe}); err != nil {
 			b.Fatal(err)
 		}
 		partial, err := engine.ShardGather(ctx, prepared[i], spec, depths[i])
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := len(d3l.EncodeShardPartial(partial))
+		n := len(core.EncodeShardPartial(partial))
 		partial.Dists = nil
 		partial.Meta.Uniform = true
 		wireBytes += n
-		distBytes += n - len(d3l.EncodeShardPartial(partial))
+		distBytes += n - len(core.EncodeShardPartial(partial))
 	}
 	query := func() {
 		for i := range prepared {
@@ -1028,11 +1023,11 @@ func BenchmarkShardPartialWire(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			decoded, err := d3l.DecodeShardPartial(d3l.EncodeShardPartial(partial))
+			decoded, err := core.DecodeShardPartial(core.EncodeShardPartial(partial))
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, _, err := d3l.MergeShardPartials(depths[i], []*d3l.ShardPartial{decoded}); err != nil {
+			if _, _, err := core.MergeShardPartials(depths[i], []*core.ShardPartial{decoded}); err != nil {
 				b.Fatal(err)
 			}
 		}

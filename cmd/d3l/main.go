@@ -62,7 +62,6 @@ var commands = []struct {
 	{"serve", "-index FILE.d3l | -dir DIR  [-addr :8080] [-workers N] [-shards N] [-watch] [server flags]", cmdServe},
 	{"coordinator", "-shard URL[,URL...] [-shard ...]  [-addr :8080] [retry, hedge and breaker flags] [server flags]", cmdCoordinator},
 	{"faultproxy", "-target URL [-listen :8191] [-seed N] [-latency D -latency-prob F] [-error-prob F] [...]", cmdFaultproxy},
-	{"watch", "-dir DIR [-index FILE.d3l] [-interval D]", cmdWatch},
 	{"loadgen", "-url URL [-url URL ...] | -direct [-index FILE.d3l]  -dir DIR  [-duration D] [-seed N]\n" +
 		"[-mix query=8,batch=1,mutate=1,update=1] [-out FILE.json] [-max-p99 D]", interruptible(cmdLoadgen)},
 	{"exp", "-id all|fig2|tab1|exp1..exp11|weights|ablations [-scale small|paper]", interruptible(cmdExp)},
@@ -217,11 +216,11 @@ func checkSource(dir, index string) error {
 	return nil
 }
 
-// loadEngine opens the engine of query, batch, watch and a monolith
-// serve: a prebuilt snapshot (instant cold-start) or a CSV directory
-// (profiled and indexed now), exactly one of the two. workers is the
-// engine's parallelism (0 = GOMAXPROCS), which for -dir also drives
-// the build; answers are the same at any setting.
+// loadEngine opens the engine of query, batch and a monolith serve: a
+// prebuilt snapshot (instant cold-start) or a CSV directory (profiled
+// and indexed now), exactly one of the two. workers is the engine's
+// parallelism (0 = GOMAXPROCS), which for -dir also drives the build;
+// answers are the same at any setting.
 func loadEngine(dir, index string, workers int) (*d3l.Engine, error) {
 	if err := checkSource(dir, index); err != nil {
 		return nil, err

@@ -150,10 +150,6 @@ func TestCommandLines(t *testing.T) {
 		{name: "faultproxy -h", args: []string{"faultproxy", "-h"}, want: 0},
 		{name: "faultproxy", args: []string{"faultproxy", "-target", "http://127.0.0.1:1", "-listen", "127.0.0.1:0"}, cancelled: true, want: 0, stderr: "signalled, closing"},
 
-		{name: "watch without -dir", args: []string{"watch", "-index", snap}, want: 2},
-		{name: "watch -h", args: []string{"watch", "-h"}, want: 0},
-		{name: "watch", args: []string{"watch", "-dir", lake, "-index", snap}, cancelled: true, want: 0, stderr: "d3l watch: stopped"},
-
 		{name: "loadgen without -url or -direct", args: []string{"loadgen", "-dir", lake}, want: 2},
 		{name: "loadgen without -dir", args: []string{"loadgen", "-direct"}, want: 2},
 		{name: "loadgen -index over -url", args: []string{"loadgen", "-url", "http://127.0.0.1:1", "-index", snap, "-dir", lake}, want: 2},

@@ -162,6 +162,42 @@ func cmdServe(ctx context.Context, args []string, _, stderr io.Writer) error {
 		engine.NumTables(), engine.NumAttributes(), engine.Fingerprint()))
 }
 
+// serverSink routes watcher deltas through the serving stack instead
+// of straight at the engine: every mutation passes the server's
+// admission gate (so a draining server refuses filesystem churn the
+// same way it refuses HTTP mutations), purges the result cache, and
+// feeds the mutation/update counters the SLO gate scrapes.
+type serverSink struct{ srv *server.Server }
+
+func (s serverSink) Has(name string) bool { return s.srv.Engine().HasTable(name) }
+
+func (s serverSink) Add(t *d3l.Table) error {
+	return s.srv.MutateEngine(func(e server.Engine) error {
+		_, err := e.Add(t)
+		return err
+	})
+}
+
+func (s serverSink) Update(t *d3l.Table) (int, error) {
+	var reprofiled int
+	err := s.srv.MutateEngine(func(e server.Engine) error {
+		st, err := e.Update(t)
+		reprofiled = st.Reprofiled
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	s.srv.CountUpdate(reprofiled)
+	return reprofiled, nil
+}
+
+func (s serverSink) Remove(name string) error {
+	return s.srv.MutateEngine(func(e server.Engine) error {
+		return e.Remove(name)
+	})
+}
+
 // buildServeEngine resolves the serving engine for cmdServe: the
 // monolith paths (snapshot or CSV directory) at shards == 1, and the
 // in-process sharded set above — -dir splits the lake across the

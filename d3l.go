@@ -43,6 +43,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 
 	"d3l/internal/core"
 	"d3l/internal/joins"
@@ -179,8 +180,9 @@ type Engine struct {
 	// lock.
 	mu sync.RWMutex
 
-	graphMu sync.Mutex
-	graph   *joins.Graph
+	// graph is the cached SA-join graph, nil when no query has built it
+	// since New, Load or the last mutation.
+	graph atomic.Pointer[joins.Graph]
 }
 
 // New profiles and indexes the lake (the paper's indexing phase).
@@ -255,40 +257,24 @@ func (e *Engine) mutate(op func() error) error {
 // invalidateGraph drops the cached SA-join graph after a mutation; the
 // next WithJoins query rebuilds it over the current lake contents.
 // Callers hold e.mu in write mode, so no build is in flight.
-func (e *Engine) invalidateGraph() {
-	e.graphMu.Lock()
-	e.graph = nil
-	e.graphMu.Unlock()
-}
-
-// cachedGraph returns the SA-join graph the engine holds, nil when no
-// query has built it since New, Load or the last mutation.
-func (e *Engine) cachedGraph() *joins.Graph {
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	return e.graph
-}
+func (e *Engine) invalidateGraph() { e.graph.Store(nil) }
 
 // joinGraphCtx returns the cached SA-join graph, building it under ctx
 // if needed; a cancelled build returns ctx.Err() and caches nothing.
 // Callers hold e.mu in read mode, which excludes mutations for the
-// duration; graphMu only arbitrates concurrent readers, so two of
-// them may build duplicate graphs (wasted work, never incorrect —
-// the first one wins the cache).
+// duration, so two of them may build duplicate graphs (wasted work,
+// never incorrect — the first one wins the cache) but none sees the
+// cache emptied after its swap.
 func (e *Engine) joinGraphCtx(ctx context.Context) (*joins.Graph, error) {
-	if g := e.cachedGraph(); g != nil {
+	if g := e.graph.Load(); g != nil {
 		return g, nil
 	}
 	built, err := joins.BuildGraphCtx(ctx, e.core)
 	if err != nil {
 		return nil, err
 	}
-	e.graphMu.Lock()
-	defer e.graphMu.Unlock()
-	if e.graph == nil {
-		e.graph = built
-	}
-	return e.graph, nil
+	e.graph.CompareAndSwap(nil, built)
+	return e.graph.Load(), nil
 }
 
 // Save writes a versioned, checksummed binary snapshot of the engine —
@@ -309,7 +295,7 @@ func Save(e *Engine, w io.Writer) error {
 	defer e.mu.RUnlock()
 	enc := persist.NewEncoder(w)
 	e.core.AppendSnapshot(enc)
-	if g := e.cachedGraph(); g != nil {
+	if g := e.graph.Load(); g != nil {
 		enc.Section(persist.SecJoinGraph, g.Encode)
 	}
 	return enc.Close()
@@ -378,7 +364,7 @@ func decode(src io.ReaderAt, size int64) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng.graph = g
+		eng.graph.Store(g)
 	}
 	return eng, nil
 }
@@ -493,7 +479,7 @@ func (e *Engine) ForestShapes() (entries, keys [core.NumForestSlots]int) {
 // holds, and whether it holds one, without building it: on an engine
 // fresh from Load, whether the snapshot carried a graph.
 func (e *Engine) HeldJoinGraphEdges() (edges int, ok bool) {
-	if g := e.cachedGraph(); g != nil {
+	if g := e.graph.Load(); g != nil {
 		return g.Edges(), true
 	}
 	return 0, false

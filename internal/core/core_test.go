@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -425,6 +426,40 @@ func TestOverlapCoefficient(t *testing.T) {
 	}
 	if ovHigh < 0.3 {
 		t.Fatalf("ov(Practice,GP)=%v, want substantial", ovHigh)
+	}
+
+	// OverlapCoefficient reads J off the distance grid; it must be the
+	// float the formula gives from the float Jaccard estimate, bit for
+	// bit, over every attribute pair of the fixture and over random
+	// signature pairs, empty ones among them. A slot drawn from an
+	// alphabet of one to eight values agrees with another's often enough
+	// to cover J from 0 to 1.
+	rng := rand.New(rand.NewSource(62))
+	var random []*Profile
+	for i := 0; i < 40; i++ {
+		sig := constSig(math.MaxUint32) // the empty set's
+		if i%8 != 0 {
+			k := 1 + rng.Intn(8)
+			for s := range sig {
+				sig[s] = uint32(rng.Intn(k))
+			}
+		}
+		random = append(random, &Profile{QSig: constSig(1), RSig: constSig(2), TSig: sig, TSize: 1 + rng.Intn(500)})
+	}
+	adopt(e, random...)
+	for a := range e.attrs {
+		for b := range e.attrs {
+			ra, rb := &e.attrs[a], &e.attrs[b]
+			want := 0.0
+			if !ra.is(attrNumeric) && !rb.is(attrNumeric) && ra.tSize > 0 && rb.tSize > 0 {
+				j := jaccardSimilarity(e.sigs.sig(ra.t), e.sigs.sig(rb.t))
+				inter := j * float64(ra.tSize+rb.tSize) / (1 + j)
+				want = min(max(inter/float64(min(ra.tSize, rb.tSize)), 0), 1)
+			}
+			if got := e.OverlapCoefficient(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("ov(%d, %d) = %v, the float formula gives %v", a, b, got, want)
+			}
+		}
 	}
 }
 

@@ -5,25 +5,6 @@ import (
 	"d3l/internal/stats"
 )
 
-// jaccardDistance estimates a Jaccard distance between two set
-// signatures, guarding the empty-set case (two empty signatures agree
-// on every slot but carry no evidence, so the distance is maximal).
-func jaccardDistance(a, b minhash.Signature) float64 {
-	if a.Empty() || b.Empty() {
-		return 1
-	}
-	d, err := minhash.Distance(a, b)
-	if err != nil {
-		return 1
-	}
-	return d
-}
-
-// jaccardSimilarity is the complementary estimate with the same guard.
-func jaccardSimilarity(a, b minhash.Signature) float64 {
-	return 1 - jaccardDistance(a, b)
-}
-
 // pairDistances computes the five evidence distances between a target
 // attribute and the engine's attribute cand (Section III-B), coded on
 // the engine's grid, with the Algorithm 2 guard for D-relatedness.
@@ -147,7 +128,8 @@ func (e *Engine) OverlapCoefficient(a, b int) float64 {
 	if ra.is(attrNumeric) || rb.is(attrNumeric) || ra.tSize == 0 || rb.tSize == 0 {
 		return 0
 	}
-	j := jaccardSimilarity(e.sigs.sig(ra.t), e.sigs.sig(rb.t))
+	g := e.grid
+	j := 1 - g.jaccard.dist[g.jaccardCode(e.sigs.sig(ra.t), e.sigs.sig(rb.t))]
 	inter := j * float64(ra.tSize+rb.tSize) / (1 + j)
 	return min(max(inter/float64(min(ra.tSize, rb.tSize)), 0), 1)
 }

@@ -12,6 +12,36 @@ import (
 	"d3l/internal/table"
 )
 
+// jaccardDistance estimates a Jaccard distance between two set
+// signatures, guarding the empty-set case (two empty signatures agree
+// on every slot but carry no evidence, so the distance is maximal): the
+// float each code of the grid's Jaccard table stands for.
+func jaccardDistance(a, b minhash.Signature) float64 {
+	if a.Empty() || b.Empty() {
+		return 1
+	}
+	sim, err := minhash.Similarity(a, b)
+	if err != nil {
+		return 1
+	}
+	return 1 - sim
+}
+
+// jaccardSimilarity is the complementary estimate with the same guard.
+func jaccardSimilarity(a, b minhash.Signature) float64 {
+	return 1 - jaccardDistance(a, b)
+}
+
+// cosineDistance is the clamped cosine distance of two embedding
+// signatures, the float each code of the grid's cosine table stands for.
+func cosineDistance(a, b lsh.BitSignature, nbits int) (float64, error) {
+	h, err := lsh.Hamming(a, b)
+	if err != nil {
+		return 1, err
+	}
+	return lsh.HammingCosineDistance(h, nbits), nil
+}
+
 // maxDistances is the all-ones vector (no relatedness evidence at all),
 // the float form of distanceGrid.none.
 func maxDistances() DistanceVector {
@@ -35,7 +65,7 @@ func (e *Engine) refPairDistances(target, cand, targetSubject, candSubject *Prof
 		d[EvidenceFormat] = jaccardDistance(target.RSig, cand.RSig)
 	}
 	if !disabled[EvidenceEmbedding] && !target.EZero && !cand.EZero {
-		if dist, err := lsh.CosineDistance(target.ESig, cand.ESig, e.opts.EmbedBits); err == nil {
+		if dist, err := cosineDistance(target.ESig, cand.ESig, e.opts.EmbedBits); err == nil {
 			d[EvidenceEmbedding] = dist
 		}
 	}

@@ -8,12 +8,11 @@ import (
 
 	"d3l/internal/lsh"
 	"d3l/internal/minhash"
-	"d3l/internal/stats"
 )
 
 // This file keeps the float path Eq. 2 by counting replaced (eq2.go) as
 // the oracle it is held to: per (column, evidence) cell the sorted float
-// samples (refSampleCells), the ECDF.CCDF lookup (refWeight), and the
+// samples (refSampleCells), the ECDF lookup (refWeight, refCCDF), and the
 // merge of shards' sorted float cells (refMergeSortedRuns).
 
 // refPair is a candidate pair with its five distances as floats, the
@@ -49,19 +48,34 @@ func refSampleCells(numCols int, pairs []refPair) *refECDFs {
 	return out
 }
 
-// refWeight is the Eq. 2 weight 1 − P(d ≤ D) through stats.ECDF,
-// evaluated strictly below dist; 1 − dist with no distribution, 1 for a
-// nil receiver (uniform weighting).
+// refWeight is the Eq. 2 weight 1 − P(d ≤ D) through the cell's ECDF
+// (refCCDF), evaluated strictly below dist; 1 − dist with no
+// distribution, 1 for a nil receiver (uniform weighting).
 func (d *refECDFs) refWeight(col int, t Evidence, dist float64) float64 {
 	if d == nil {
 		return 1
 	}
 	if col < d.cols {
-		if e := stats.ECDFOf(d.cells[col*int(NumEvidence)+int(t)]); e.Len() > 0 {
-			return e.CCDF(dist - 1e-12)
+		if cell := d.cells[col*int(NumEvidence)+int(t)]; len(cell) > 0 {
+			return refCCDF(cell, dist-1e-12)
 		}
 	}
 	return 1 - dist
+}
+
+// refCCDF is the complementary ECDF 1 − P(X ≤ x) of a non-empty sorted
+// sample: one upper-bound binary search counts the samples at most x,
+// ties included, and takes NaN samples (sorted first) as below every x.
+func refCCDF(sorted []float64, x float64) float64 {
+	lo, hi := 0, len(sorted)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); x < sorted[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return 1 - float64(lo)/float64(len(sorted))
 }
 
 // refMergeSortedRuns appends to dst the merge of runs, each ascending in
@@ -137,7 +151,7 @@ func TestGridMatchesKernels(t *testing.T) {
 			if !ok || int(code) != h {
 				t.Fatalf("SimHash width %d, %d bits apart: code %d, %v", w, h, code, ok)
 			}
-			dist, _ := lsh.CosineDistance(a, b, w)
+			dist, _ := cosineDistance(a, b, w)
 			sim, _ := lsh.CosineSimilarity(a, b, w)
 			if math.Float64bits(g.cosine.dist[code]) != math.Float64bits(dist) || math.Float64bits(g.cosSim[code]) != math.Float64bits(sim) {
 				t.Fatalf("SimHash width %d, %d bits apart: grid %v / %v, kernel %v / %v", w, h, g.cosine.dist[code], g.cosSim[code], dist, sim)

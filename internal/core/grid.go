@@ -93,7 +93,7 @@ func newDistanceGrid(minhashSize, embedBits int) (*distanceGrid, error) {
 	g := &distanceGrid{minhashSize: minhashSize, embedBits: embedBits, cosSim: make([]float64, embedBits+1)}
 	jd := make([]float64, minhashSize+1)
 	for c := range jd {
-		// minhash.Distance: 1 − Similarity, eq = minhashSize − c slots agreeing.
+		// 1 − minhash.Similarity, eq = minhashSize − c slots agreeing.
 		jd[c] = 1 - float64(minhashSize-c)/float64(minhashSize)
 	}
 	cd := make([]float64, embedBits+1)
@@ -171,8 +171,9 @@ func (g *distanceGrid) vector(d *CodedDistances) DistanceVector {
 	}
 }
 
-// jaccardCode is the code of jaccardDistance(a, b): the slots on which
-// the signatures disagree, or minhashSize — distance 1, no evidence —
+// jaccardCode is the code of the Jaccard distance of two signatures
+// (the tests' float oracle is jaccardDistance): the slots on which the
+// signatures disagree, or minhashSize — distance 1, no evidence —
 // when either is the empty set's or they are not two signatures of the
 // grid's width.
 func (g *distanceGrid) jaccardCode(a, b minhash.Signature) uint16 {

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"d3l/internal/minhash"
 )
 
 // randomForest indexes n random token-set signatures and returns the
@@ -14,7 +12,7 @@ import (
 // and the allocation-free probes.
 func randomForest(t *testing.T, seed int64, n int) (*Forest, [][]uint32) {
 	t.Helper()
-	h := minhash.MustHasher(256, 42)
+	h := mustHasher(256, 42)
 	f := MustForest(8, 32)
 	rng := rand.New(rand.NewSource(seed))
 	sigs := make([][]uint32, n)

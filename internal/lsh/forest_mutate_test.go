@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"d3l/internal/minhash"
 )
 
 // sortedIDs canonicalises a candidate list for set comparison.
@@ -19,7 +17,7 @@ func sortedIDs(ids []int32) []int32 {
 // after Index answers queries identically to one built with Add+Index
 // over the same items.
 func TestForestInsertEqualsBuild(t *testing.T) {
-	h := minhash.MustHasher(256, 41)
+	h := mustHasher(256, 41)
 	rng := rand.New(rand.NewSource(17))
 	sets := buildTokenSets(120, 40, rng, 800)
 	sigs := make([][]uint32, len(sets))
@@ -75,7 +73,7 @@ func TestForestInsertEqualsBuild(t *testing.T) {
 // TestForestDeleteRemovesItem checks that a deleted item never appears
 // in query answers while the survivors remain reachable.
 func TestForestDeleteRemovesItem(t *testing.T) {
-	h := minhash.MustHasher(256, 43)
+	h := mustHasher(256, 43)
 	rng := rand.New(rand.NewSource(23))
 	sets := buildTokenSets(80, 40, rng, 600)
 	sigs := make([][]uint32, len(sets))

@@ -1,6 +1,7 @@
 package lsh
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -10,7 +11,28 @@ import (
 	"d3l/internal/minhash"
 )
 
+// mustHasher is minhash.NewHasher for the tests' fixed sizes.
+func mustHasher(size int, seed uint64) *minhash.Hasher {
+	h, err := minhash.NewHasher(size, seed)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
 // --- SimHash / random projections ---
+
+// CosineDistance is HammingCosineDistance of two signatures.
+func CosineDistance(a, b BitSignature, nbits int) (float64, error) {
+	h, err := Hamming(a, b)
+	if err != nil {
+		return 1, err
+	}
+	if nbits <= 0 {
+		return 1, fmt.Errorf("lsh: nbits must be positive, got %d", nbits)
+	}
+	return HammingCosineDistance(h, nbits), nil
+}
 
 func randomUnitVec(rng *rand.Rand, dim int) []float64 {
 	v := make([]float64, dim)
@@ -220,7 +242,7 @@ func TestForestValidation(t *testing.T) {
 }
 
 func TestForestFindsNearDuplicates(t *testing.T) {
-	h := minhash.MustHasher(256, 11)
+	h := mustHasher(256, 11)
 	f := MustForest(8, 32)
 	rng := rand.New(rand.NewSource(4))
 	base := buildTokenSets(50, 60, rng, 4000)
@@ -251,7 +273,7 @@ func TestForestFindsNearDuplicates(t *testing.T) {
 }
 
 func TestForestQueryDescendsUntilEnough(t *testing.T) {
-	h := minhash.MustHasher(256, 13)
+	h := mustHasher(256, 13)
 	f := MustForest(8, 32)
 	rng := rand.New(rand.NewSource(6))
 	sets := buildTokenSets(200, 40, rng, 120) // overlapping vocabulary
@@ -278,7 +300,7 @@ func TestForestQueryDescendsUntilEnough(t *testing.T) {
 }
 
 func TestForestCollectMinDepthMembership(t *testing.T) {
-	h := minhash.MustHasher(256, 17)
+	h := mustHasher(256, 17)
 	f := MustForest(8, 32)
 	tokens := []string{"aa", "bb", "cc", "dd", "ee", "ff", "gg", "hh"}
 	if err := f.Add(1, sketchFor(h, tokens)); err != nil {
@@ -296,7 +318,7 @@ func TestForestCollectMinDepthMembership(t *testing.T) {
 }
 
 func TestForestSpaceGrowsLinearly(t *testing.T) {
-	h := minhash.MustHasher(256, 19)
+	h := mustHasher(256, 19)
 	f := MustForest(8, 32)
 	one := f.SpaceBytes()
 	if one != 0 {
@@ -320,7 +342,7 @@ func TestForestSpaceGrowsLinearly(t *testing.T) {
 // --- Benchmarks ---
 
 func BenchmarkForestQuery(b *testing.B) {
-	h := minhash.MustHasher(256, 1)
+	h := mustHasher(256, 1)
 	f := MustForest(8, 32)
 	rng := rand.New(rand.NewSource(1))
 	sets := buildTokenSets(2000, 50, rng, 50000)

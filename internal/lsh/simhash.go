@@ -112,27 +112,15 @@ func CosineSimilarity(a, b BitSignature, nbits int) (float64, error) {
 	return HammingCosine(h, nbits), nil
 }
 
-// CosineDistance estimates the cosine distance 1−cos(θ), clamped to
-// [0, 1] as required by the D3L distance framework (Section III-B).
-func CosineDistance(a, b BitSignature, nbits int) (float64, error) {
-	h, err := Hamming(a, b)
-	if err != nil {
-		return 1, err
-	}
-	if nbits <= 0 {
-		return 1, fmt.Errorf("lsh: nbits must be positive, got %d", nbits)
-	}
-	return HammingCosineDistance(h, nbits), nil
-}
-
 // HammingCosine is the cosine estimate of two nbits-bit signatures h
 // bits apart, cos(π · h/nbits): CosineSimilarity without the signatures.
 func HammingCosine(h, nbits int) float64 {
 	return math.Cos(math.Pi * float64(h) / float64(nbits))
 }
 
-// HammingCosineDistance is CosineDistance without the signatures: the
-// clamped 1 − HammingCosine(h, nbits).
+// HammingCosineDistance is the cosine distance 1 − cos(θ) of two
+// nbits-bit signatures h bits apart, clamped to [0, 1] as required by
+// the D3L distance framework (Section III-B).
 func HammingCosineDistance(h, nbits int) float64 {
 	d := 1 - HammingCosine(h, nbits)
 	if d < 0 {

@@ -68,16 +68,6 @@ func NewHasher(size int, seed uint64) (*Hasher, error) {
 	return h, nil
 }
 
-// MustHasher is NewHasher for static configuration; it panics on a
-// non-positive size.
-func MustHasher(size int, seed uint64) *Hasher {
-	h, err := NewHasher(size, seed)
-	if err != nil {
-		panic(err)
-	}
-	return h
-}
-
 // Signature is a MinHash sketch of a set: per permutation, the low 32
 // bits of the minimum permuted value (see the package comment). Slots
 // are finished values — there is no way to fold further elements into a
@@ -213,15 +203,6 @@ func Mismatches(a, b Signature) (int, error) {
 		}
 	}
 	return miss, nil
-}
-
-// Distance estimates the Jaccard distance (1 - similarity).
-func Distance(a, b Signature) (float64, error) {
-	sim, err := Similarity(a, b)
-	if err != nil {
-		return 1, err
-	}
-	return 1 - sim, nil
 }
 
 // splitMix64 returns a deterministic 64-bit pseudo-random generator used

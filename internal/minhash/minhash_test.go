@@ -7,6 +7,25 @@ import (
 	"testing/quick"
 )
 
+// MustHasher is NewHasher for the tests' fixed sizes; it panics on a
+// non-positive size.
+func MustHasher(size int, seed uint64) *Hasher {
+	h, err := NewHasher(size, seed)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// Distance is the Jaccard distance estimate 1 − Similarity.
+func Distance(a, b Signature) (float64, error) {
+	sim, err := Similarity(a, b)
+	if err != nil {
+		return 1, err
+	}
+	return 1 - sim, nil
+}
+
 func exactJaccard(a, b []string) float64 {
 	sa := make(map[string]struct{}, len(a))
 	for _, x := range a {

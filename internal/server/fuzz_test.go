@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"d3l"
 	"d3l/internal/core"
 )
 
@@ -114,11 +113,11 @@ func FuzzShardBody(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var probe d3l.ShardProbe
+	var probe core.ShardProbe
 	if err := json.Unmarshal(serve(srv, http.MethodPost, "/v1/shard/probe", probeBody).Body.Bytes(), &probe); err != nil {
 		f.Fatal(err)
 	}
-	depths, err := d3l.MergeShardDepths([]*d3l.ShardProbe{&probe})
+	depths, err := core.MergeProbeDepths([]*core.ShardProbe{&probe})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func FuzzShardBody(f *testing.F) {
 		rec := serve(srv, http.MethodPost, "/v1/shard/gather", body)
 		switch rec.Code {
 		case http.StatusOK:
-			if _, err := d3l.DecodeShardPartial(rec.Body.Bytes()); err != nil {
+			if _, err := core.DecodeShardPartial(rec.Body.Bytes()); err != nil {
 				t.Fatalf("gather: 200 with a body that is not a shard partial (%v) for %q", err, body)
 			}
 		case http.StatusInternalServerError:

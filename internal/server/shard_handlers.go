@@ -44,7 +44,7 @@ import (
 //
 // Probe and explain answers, and every error, are JSON. The gather
 // answer — a few thousand rows and the counts of the Eq. 2
-// distributions — is the binary form of d3l.EncodeShardPartial under
+// distributions — is the binary form of core.EncodeShardPartial under
 // shardPartialContentType. Every answer is complete before its first
 // byte is written and declares its Content-Length (writeBody), which is
 // what lets the coordinator read a partial of tens of kB into one
@@ -66,8 +66,8 @@ func shardTargetMemoEntries(maxConcurrent int) int { return 2 * maxConcurrent }
 // carrying assigned ids answers 400 (errAssignedIDs).
 type shardCapable interface {
 	Prepare(t *d3l.Table) (*core.Target, error)
-	ShardProbe(ctx context.Context, target *core.Target, spec core.QuerySpec) (*d3l.ShardProbe, error)
-	ShardGather(ctx context.Context, target *core.Target, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
+	ShardProbe(ctx context.Context, target *core.Target, spec core.QuerySpec) (*core.ShardProbe, error)
+	ShardGather(ctx context.Context, target *core.Target, spec core.QuerySpec, depths *core.ShardDepths) (*core.ShardPartial, error)
 	ShardExplain(ctx context.Context, target *core.Target, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
 	AddProfiled(t *d3l.Table, target *core.Target, at *d3l.WriteIDs) (int, error)
 	UpdateAt(t *d3l.Table, attr int) (d3l.UpdateStats, error)
@@ -87,9 +87,9 @@ type ShardProbeRequest struct {
 // ShardGatherRequest is the gather-phase body: the same table and spec
 // as the probe, plus the coordinator's globally merged depth directive.
 type ShardGatherRequest struct {
-	Table  TableJSON       `json:"table"`
-	Spec   core.QuerySpec  `json:"spec"`
-	Depths d3l.ShardDepths `json:"depths"`
+	Table  TableJSON        `json:"table"`
+	Spec   core.QuerySpec   `json:"spec"`
+	Depths core.ShardDepths `json:"depths"`
 }
 
 // ShardExplainRequest asks the owning shard for the Table I-style
@@ -185,7 +185,7 @@ func (s *Server) handleShardGather(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return d3l.EncodeShardPartial(partial), nil
+		return core.EncodeShardPartial(partial), nil
 	})
 }
 

@@ -23,11 +23,11 @@ func TestShardGatherAnswersBinary(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("probe: status %d: %s", status, body)
 	}
-	var probe d3l.ShardProbe
+	var probe core.ShardProbe
 	if err := json.Unmarshal(body, &probe); err != nil {
 		t.Fatal(err)
 	}
-	depths, err := d3l.MergeShardDepths([]*d3l.ShardProbe{&probe})
+	depths, err := core.MergeProbeDepths([]*core.ShardProbe{&probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func TestShardGatherAnswersBinary(t *testing.T) {
 	if _, err := raw.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	partial, err := d3l.DecodeShardPartial(raw.Bytes())
+	partial, err := core.DecodeShardPartial(raw.Bytes())
 	if err != nil {
 		t.Fatalf("gather body does not decode: %v", err)
 	}
-	results, _, err := d3l.MergeShardPartials(depths, []*d3l.ShardPartial{partial})
+	results, _, err := core.MergeShardPartials(depths, []*core.ShardPartial{partial})
 	if err != nil || len(results) == 0 {
 		t.Fatalf("merge: %d results, err %v", len(results), err)
 	}
@@ -87,11 +87,11 @@ func TestShardTargetMemo(t *testing.T) {
 	if n := warm.shardTargets.len(); n != 1 {
 		t.Fatalf("after one probe the memo holds %d targets, want 1", n)
 	}
-	var probe d3l.ShardProbe
+	var probe core.ShardProbe
 	if err := json.Unmarshal(body, &probe); err != nil {
 		t.Fatal(err)
 	}
-	depths, err := d3l.MergeShardDepths([]*d3l.ShardProbe{&probe})
+	depths, err := core.MergeProbeDepths([]*core.ShardProbe{&probe})
 	if err != nil {
 		t.Fatal(err)
 	}

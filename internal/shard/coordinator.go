@@ -27,8 +27,8 @@ type shardClient[T any] interface {
 	// probe and gather — which run under the same spec. The coordinator
 	// asks shard 0 only and hands the result to every shard.
 	prepare(t *d3l.Table, spec core.QuerySpec) (T, error)
-	probe(ctx context.Context, t T, spec core.QuerySpec) (*d3l.ShardProbe, error)
-	gather(ctx context.Context, t T, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error)
+	probe(ctx context.Context, t T, spec core.QuerySpec) (*core.ShardProbe, error)
+	gather(ctx context.Context, t T, spec core.QuerySpec, depths *core.ShardDepths) (*core.ShardPartial, error)
 	explain(ctx context.Context, t T, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error)
 
 	// add and update write at the ids the coordinator assigned: the
@@ -191,23 +191,23 @@ func (c *coordinator[T, C]) search(ctx context.Context, target T, sq *d3l.ShardQ
 	for i := range live {
 		live[i] = i
 	}
-	live, probes, err := phase(ctx, "probe", live, sq.PartialOK, func(i int) (*d3l.ShardProbe, error) {
+	live, probes, err := phase(ctx, "probe", live, sq.PartialOK, func(i int) (*core.ShardProbe, error) {
 		return c.shards[i].probe(ctx, target, sq.Spec)
 	})
 	if err != nil {
 		return err
 	}
-	depths, err := d3l.MergeShardDepths(probes)
+	depths, err := core.MergeProbeDepths(probes)
 	if err != nil {
 		return err
 	}
-	live, partials, err := phase(ctx, "gather", live, sq.PartialOK, func(i int) (*d3l.ShardPartial, error) {
+	live, partials, err := phase(ctx, "gather", live, sq.PartialOK, func(i int) (*core.ShardPartial, error) {
 		return c.shards[i].gather(ctx, target, sq.Spec, depths)
 	})
 	if err != nil {
 		return err
 	}
-	results, stats, err := d3l.MergeShardPartials(depths, partials)
+	results, stats, err := core.MergeShardPartials(depths, partials)
 	ans.Results, ans.Degraded = results, len(live) < len(c.shards)
 	ans.Stats.CandidatePairs, ans.Stats.TablesScored = stats.CandidatePairs, stats.TablesScored
 	return err

@@ -441,7 +441,7 @@ type slowGather struct {
 	latency *atomic.Int64 // nanoseconds
 }
 
-func (s slowGather) gather(ctx context.Context, t *core.Target, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
+func (s slowGather) gather(ctx context.Context, t *core.Target, spec core.QuerySpec, depths *core.ShardDepths) (*core.ShardPartial, error) {
 	timer := time.NewTimer(time.Duration(s.latency.Load()))
 	defer timer.Stop()
 	select {

@@ -437,18 +437,18 @@ func (g *replicaGroup) prepare(t *d3l.Table, spec core.QuerySpec) (*wireTarget, 
 	return w, err
 }
 
-func (g *replicaGroup) probe(ctx context.Context, t *wireTarget, _ core.QuerySpec) (*d3l.ShardProbe, error) {
-	return read(ctx, g, "/v1/shard/probe", t.probeBody, decodeJSON[d3l.ShardProbe])
+func (g *replicaGroup) probe(ctx context.Context, t *wireTarget, _ core.QuerySpec) (*core.ShardProbe, error) {
+	return read(ctx, g, "/v1/shard/probe", t.probeBody, decodeJSON[core.ShardProbe])
 }
 
-func (g *replicaGroup) gather(ctx context.Context, t *wireTarget, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
+func (g *replicaGroup) gather(ctx context.Context, t *wireTarget, spec core.QuerySpec, depths *core.ShardDepths) (*core.ShardPartial, error) {
 	t.gatherOnce.Do(func() {
 		t.gatherBody, t.gatherErr = json.Marshal(server.ShardGatherRequest{Table: t.table, Spec: spec, Depths: *depths})
 	})
 	if t.gatherErr != nil {
 		return nil, t.gatherErr
 	}
-	return read(ctx, g, "/v1/shard/gather", t.gatherBody, d3l.DecodeShardPartial)
+	return read(ctx, g, "/v1/shard/gather", t.gatherBody, core.DecodeShardPartial)
 }
 
 func (g *replicaGroup) explain(ctx context.Context, t *wireTarget, lakeTable string, spec core.QuerySpec) ([]d3l.PairExplanation, error) {
@@ -576,7 +576,7 @@ func (e *shardError) Error() string { return e.err.Error() }
 func (e *shardError) Unwrap() error { return e.err }
 
 // decodeJSON decodes a JSON read-path answer (probe, explain); the gather
-// answer decodes with d3l.DecodeShardPartial.
+// answer decodes with core.DecodeShardPartial.
 func decodeJSON[T any](data []byte) (*T, error) {
 	v := new(T)
 	return v, json.Unmarshal(data, v)

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"d3l"
+	"d3l/internal/core"
 	"d3l/internal/server"
 )
 
@@ -341,7 +342,7 @@ func TestRemoteRefusesMalformedPartial(t *testing.T) {
 		}
 		rec := httptest.NewRecorder()
 		rs.ServeHTTP(rec, r)
-		partial, err := d3l.DecodeShardPartial(rec.Body.Bytes())
+		partial, err := core.DecodeShardPartial(rec.Body.Bytes())
 		if err != nil || len(partial.Tables) == 0 {
 			t.Errorf("replica produced no usable partial: %v", err)
 			return
@@ -353,7 +354,7 @@ func TestRemoteRefusesMalformedPartial(t *testing.T) {
 			return
 		}
 		partial.Tables[0].Rows[0].TargetColumn = -1
-		w.Write(d3l.EncodeShardPartial(partial))
+		w.Write(core.EncodeShardPartial(partial))
 	}))
 	t.Cleanup(bad.Close)
 	good := httptest.NewServer(rs)

@@ -117,11 +117,11 @@ func (l localShard) prepare(t *d3l.Table, _ core.QuerySpec) (*core.Target, error
 	return l.e.Prepare(t)
 }
 
-func (l localShard) probe(ctx context.Context, t *core.Target, spec core.QuerySpec) (*d3l.ShardProbe, error) {
+func (l localShard) probe(ctx context.Context, t *core.Target, spec core.QuerySpec) (*core.ShardProbe, error) {
 	return l.e.ShardProbe(ctx, t, spec)
 }
 
-func (l localShard) gather(ctx context.Context, t *core.Target, spec core.QuerySpec, depths *d3l.ShardDepths) (*d3l.ShardPartial, error) {
+func (l localShard) gather(ctx context.Context, t *core.Target, spec core.QuerySpec, depths *core.ShardDepths) (*core.ShardPartial, error) {
 	return l.e.ShardGather(ctx, t, spec, depths)
 }
 

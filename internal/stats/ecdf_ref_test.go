@@ -8,6 +8,31 @@ import (
 	"testing"
 )
 
+// The program builds ECDFs (NewECDF) but reads none: the query weighs
+// Eq. 2 by counting. These readers check what NewECDF builds.
+
+// P returns P(X <= x): one upper-bound binary search counts the samples
+// at most x, ties included, so P is right-continuous. Like a sort, the
+// search takes NaN samples (sorted first) as below every x.
+func (e *ECDF) P(x float64) float64 {
+	lo, hi := 0, len(e.sorted)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); x < e.sorted[m] {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return float64(lo) / float64(len(e.sorted))
+}
+
+// CCDF returns the complementary CDF 1 − P(X <= x), the weight
+// w_it = 1 − P(d <= D_it) of Eq. 2.
+func (e *ECDF) CCDF(x float64) float64 { return 1 - e.P(x) }
+
+// Len reports the sample size.
+func (e *ECDF) Len() int { return len(e.sorted) }
+
 // refP is the retired ECDF.P, kept as the oracle of the upper-bound
 // search: a lower-bound sort.SearchFloat64s, then a walk over the
 // samples equal to x.
@@ -45,7 +70,7 @@ func TestECDFPMatchesReference(t *testing.T) {
 		for _, v := range s {
 			xs = append(xs, v, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
 		}
-		e := ECDFOf(s)
+		e := ECDF{sorted: s}
 		for _, x := range xs {
 			if got, want := e.P(x), refP(s, x); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("trial %d: P(%v) = %v, reference %v over %v", trial, x, got, want, s)

@@ -62,40 +62,6 @@ func NewECDF(sample []float64) (*ECDF, error) {
 	return &ECDF{sorted: s}, nil
 }
 
-// ECDFOf wraps an already-sorted sample as an ECDF value without
-// copying. The query weighs Eq. 2 by counting; the float path it
-// replaced, which core's tests keep as its oracle, wraps its sorted
-// cells with this.
-// The caller must not mutate sorted while the ECDF is in use; an empty
-// sample yields the zero ECDF (Len 0), which callers must treat as
-// "no distribution" before evaluating it.
-func ECDFOf(sorted []float64) ECDF {
-	return ECDF{sorted: sorted}
-}
-
-// P returns P(X <= x): one upper-bound binary search counts the samples
-// at most x, ties included, so P is right-continuous. Like a sort, the
-// search takes NaN samples (sorted first) as below every x.
-func (e *ECDF) P(x float64) float64 {
-	lo, hi := 0, len(e.sorted)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); x < e.sorted[m] {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return float64(lo) / float64(len(e.sorted))
-}
-
-// CCDF returns the complementary CDF 1 − P(X <= x). This is exactly the
-// weight w_it = 1 − P(d <= D_it) of Eq. 2: the probability that the
-// observed distance is the smallest in the relatedness distribution R_t.
-func (e *ECDF) CCDF(x float64) float64 { return 1 - e.P(x) }
-
-// Len reports the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // Summary holds descriptive statistics of a sample (Fig. 2 style).
 type Summary struct {
 	Count         int

@@ -308,25 +308,6 @@ func (t *Table) DataBytes() int64 {
 	return total
 }
 
-// SelectRows returns a new table keeping the rows at the given indices.
-func (t *Table) SelectRows(name string, rowIdx []int) (*Table, error) {
-	out := &Table{Name: name, Columns: make([]*Column, len(t.Columns))}
-	n := t.Rows()
-	for _, r := range rowIdx {
-		if r < 0 || r >= n {
-			return nil, fmt.Errorf("table %q: row index %d out of range [0,%d)", t.Name, r, n)
-		}
-	}
-	for i, c := range t.Columns {
-		vals := make([]string, len(rowIdx))
-		for j, r := range rowIdx {
-			vals[j] = c.Values[r]
-		}
-		out.Columns[i] = NewColumn(c.Name, vals)
-	}
-	return out, nil
-}
-
 // Lake is an in-memory collection of tables with stable integer ids.
 type Lake struct {
 	tables []*Table

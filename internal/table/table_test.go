@@ -104,20 +104,6 @@ func TestTypeInferenceNullsIgnored(t *testing.T) {
 	}
 }
 
-func TestSelectRows(t *testing.T) {
-	s1 := figure1S1()
-	sel, err := s1.SelectRows("sel", []int{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel.Rows() != 1 || column(sel, "City").Values[0] != "Salford" {
-		t.Fatal("row selection wrong")
-	}
-	if _, err := s1.SelectRows("bad", []int{7}); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	s1 := figure1S1()
 	var buf bytes.Buffer

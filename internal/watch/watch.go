@@ -36,10 +36,9 @@ import (
 )
 
 // Sink is the mutation surface the watcher folds deltas into. It is an
-// interface so the same Sync loop drives both a bare engine (d3l
-// watch) and a serving engine where every mutation must pass through
-// the server's admission gate and purge its result cache (d3l serve
-// -watch).
+// interface because the serving engine of d3l serve -watch takes every
+// mutation through the server's admission gate and purges its result
+// cache, while the tests drive a bare engine.
 type Sink interface {
 	// Has reports whether a live table with this name exists.
 	Has(name string) bool
@@ -51,23 +50,6 @@ type Sink interface {
 	// Remove deletes a table by name.
 	Remove(name string) error
 }
-
-// engineSink adapts *d3l.Engine to Sink.
-type engineSink struct{ e *d3l.Engine }
-
-// EngineSink wraps a bare engine as a watch target.
-func EngineSink(e *d3l.Engine) Sink { return engineSink{e} }
-
-func (s engineSink) Has(name string) bool { return s.e.HasTable(name) }
-func (s engineSink) Add(t *d3l.Table) error {
-	_, err := s.e.Add(t)
-	return err
-}
-func (s engineSink) Update(t *d3l.Table) (int, error) {
-	st, err := s.e.Update(t)
-	return st.Reprofiled, err
-}
-func (s engineSink) Remove(name string) error { return s.e.Remove(name) }
 
 // fileState is the change-detection key for one CSV file. Two polls
 // that observe the same (mtime, size) are treated as the same content;

@@ -25,6 +25,20 @@ func writeFile(t *testing.T, dir, name, content string) {
 	}
 }
 
+// engineSink adapts *d3l.Engine to Sink, the tests' bare-engine target.
+type engineSink struct{ e *d3l.Engine }
+
+func (s engineSink) Has(name string) bool { return s.e.HasTable(name) }
+func (s engineSink) Add(t *d3l.Table) error {
+	_, err := s.e.Add(t)
+	return err
+}
+func (s engineSink) Update(t *d3l.Table) (int, error) {
+	st, err := s.e.Update(t)
+	return st.Reprofiled, err
+}
+func (s engineSink) Remove(name string) error { return s.e.Remove(name) }
+
 func newEngine(t *testing.T, dir string) *d3l.Engine {
 	t.Helper()
 	lake, err := d3l.LoadLakeDir(dir)
@@ -46,7 +60,7 @@ func TestSyncLifecycle(t *testing.T) {
 	writeFile(t, dir, "people.csv", "name,age\nada,36\ngrace,52\n")
 
 	eng := newEngine(t, dir)
-	w := New(dir, EngineSink(eng))
+	w := New(dir, engineSink{eng})
 	if err := w.Seed(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +140,7 @@ func TestSyncUnseededAddsEverything(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir, "cities.csv", cityCSV)
 	eng := newEngine(t, t.TempDir()) // empty engine, different dir
-	w := New(dir, EngineSink(eng))
+	w := New(dir, engineSink{eng})
 	stats, err := w.Sync()
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +157,7 @@ func TestSyncUnseededOverExistingEngine(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir, "cities.csv", cityCSV)
 	eng := newEngine(t, dir)
-	w := New(dir, EngineSink(eng))
+	w := New(dir, engineSink{eng})
 	stats, err := w.Sync()
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +171,7 @@ func TestSyncFailedFileRetries(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir, "broken.csv", "") // no header: ReadCSV fails
 	eng := newEngine(t, t.TempDir())
-	w := New(dir, EngineSink(eng))
+	w := New(dir, engineSink{eng})
 
 	stats, err := w.Sync()
 	if err != nil {
@@ -186,7 +200,7 @@ func TestSyncSkipsInvalidNames(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir, "..csv", "a,b\n1,2\n") // stem "." is not a table name
 	eng := newEngine(t, t.TempDir())
-	w := New(dir, EngineSink(eng))
+	w := New(dir, engineSink{eng})
 	stats, err := w.Sync()
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +214,7 @@ func TestRunStopsOnCancel(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, dir, "cities.csv", cityCSV)
 	eng := newEngine(t, t.TempDir())
-	w := New(dir, EngineSink(eng))
+	w := New(dir, engineSink{eng})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- w.Run(ctx, time.Millisecond) }()

@@ -20,15 +20,7 @@ import (
 
 // reachAllowlist names the declarations that no program reaches but
 // that stay anyway, each with the reason it stays.
-var reachAllowlist = map[string]string{
-	"internal/minhash.MustHasher":     "the lsh tests build their hashers with it",
-	"internal/table.Table.SelectRows": "bench_test.go cuts its query targets out of lake tables",
-	"internal/lsh.CosineDistance":     "the oracle of the E distance grid: core's grid and reference pair distances are held to it",
-	"internal/stats.ECDFOf":           "the float oracle of Eq. 2 by counting: core's refWeight wraps its sorted cells with it",
-	"internal/stats.ECDF.P":           "the float oracle of Eq. 2 by counting: CCDF is 1 − P",
-	"internal/stats.ECDF.CCDF":        "the float oracle of Eq. 2 by counting: core's refWeight reads the weight with it",
-	"internal/stats.ECDF.Len":         "the float oracle of Eq. 2 by counting: core's refWeight tells an empty cell by it",
-}
+var reachAllowlist = map[string]string{}
 
 // TestEveryDeclarationIsReachable fails on every package-level
 // declaration of this module, outside test files, that no program can

@@ -8,28 +8,13 @@ import (
 )
 
 // This file is the engine-level surface of the sharded serving path
-// (see internal/shard): thin wrappers that expose the core scatter-
-// gather protocol — probe, depth merge, gather, result merge — and the
+// (see internal/shard): the shard's phases of the core scatter-gather
+// protocol — probe, gather, explain — under the engine's lock, and the
 // writes at coordinator-assigned ids that keep every shard's ids the
-// monolith's. The exactness argument lives in
+// monolith's. The coordinator's phases, depth merge and result merge,
+// are core.MergeProbeDepths and core.MergeShardPartials. The exactness argument lives in
 // internal/core/shardsearch.go; nothing here adds semantics beyond the
 // d3l Engine's usual lock discipline.
-
-// Shard protocol types, re-exported for the shard and server layers.
-type (
-	// ShardProbe is one shard's probe-phase answer: per (target
-	// column, forest), the per-depth distinct candidate counts.
-	ShardProbe = core.ShardProbe
-	// ShardDepths is the coordinator's depth directive derived from
-	// the summed probes.
-	ShardDepths = core.ShardDepths
-	// ShardPartial is one shard's gather-phase answer: best-pair rows
-	// per owned candidate table plus the Eq. 2 sample vectors.
-	ShardPartial = core.ShardPartial
-	// ShardQueryMeta is the resolved query shape all shards must agree
-	// on.
-	ShardQueryMeta = core.ShardQueryMeta
-)
 
 // ErrUnsupported reports a query feature the sharded execution path
 // does not implement (currently WithJoins: the SA-join graph spans
@@ -120,23 +105,15 @@ func (e *Engine) UpdateAt(t *Table, attr int) (stats UpdateStats, err error) {
 }
 
 // ShardProbe runs the probe phase of one sharded query on this engine.
-func (e *Engine) ShardProbe(ctx context.Context, target *core.Target, spec core.QuerySpec) (*ShardProbe, error) {
+func (e *Engine) ShardProbe(ctx context.Context, target *core.Target, spec core.QuerySpec) (*core.ShardProbe, error) {
 	return e.core.ShardProbe(ctx, target, spec)
 }
 
 // ShardGather runs the gather phase of one sharded query on this
 // engine at the coordinator's imposed depths.
-func (e *Engine) ShardGather(ctx context.Context, target *core.Target, spec core.QuerySpec, depths *ShardDepths) (*ShardPartial, error) {
+func (e *Engine) ShardGather(ctx context.Context, target *core.Target, spec core.QuerySpec, depths *core.ShardDepths) (*core.ShardPartial, error) {
 	return e.core.ShardGather(ctx, target, spec, depths)
 }
-
-// EncodeShardPartial renders a gather answer in its binary wire form
-// (see core.EncodeShardPartial).
-func EncodeShardPartial(p *ShardPartial) []byte { return core.EncodeShardPartial(p) }
-
-// DecodeShardPartial parses and validates a binary gather answer: an
-// error, or a partial MergeShardPartials can score without panicking.
-func DecodeShardPartial(data []byte) (*ShardPartial, error) { return core.DecodeShardPartial(data) }
 
 // ShardExplain computes the Table I-style explanation rows against a
 // lake table owned by this shard. Explanations are purely pairwise —
@@ -144,24 +121,4 @@ func DecodeShardPartial(data []byte) (*ShardPartial, error) { return core.Decode
 // shards' contents — so routing them to the owning shard is exact.
 func (e *Engine) ShardExplain(ctx context.Context, target *core.Target, lakeTable string, spec core.QuerySpec) ([]PairExplanation, error) {
 	return e.core.Explain(ctx, target, lakeTable, spec)
-}
-
-// MergeShardDepths replays the monolith's probe-descent stop rule on
-// the summed per-shard counts (see core.MergeProbeDepths).
-func MergeShardDepths(probes []*ShardProbe) (*ShardDepths, error) {
-	return core.MergeProbeDepths(probes)
-}
-
-// MergeShardPartials merges the shards' gather answers into the final
-// ranking — byte-identical to the monolith's for the same query.
-func MergeShardPartials(depths *ShardDepths, partials []*ShardPartial) ([]Result, QueryStats, error) {
-	ranked, st, err := core.MergeShardPartials(depths, partials)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return ranked, QueryStats{
-		K:              depths.Meta.K,
-		CandidatePairs: st.CandidatePairs,
-		TablesScored:   st.TablesScored,
-	}, nil
 }
